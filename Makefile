@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full bench-wallclock perf-smoke \
+.PHONY: install test bench bench-full bench-smoke \
 	quant-smoke bakeoff-smoke cluster-smoke mutate-smoke heal-smoke \
 	bench-recovery experiments examples clean
 
@@ -18,23 +18,17 @@ bench:
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Regenerate the committed wall-clock baseline (fast vs reference).
-bench-wallclock:
-	$(PYTHON) benchmarks/bench_wallclock.py --output BENCH_wallclock.json
+# The CI benchmark gate: the end-to-end ruler's smoke pass (every
+# workload's correctness gate, span coverage, every per-layer metric).
+bench-smoke:
+	python3 benchmarks/e2e/run.py --smoke --check
 
-# The CI perf gate: quick workload, fast must stay >= 1.5x reference.
-perf-smoke:
-	$(PYTHON) benchmarks/bench_wallclock.py --quick \
-		--output wallclock_smoke.json
-	$(PYTHON) scripts/check_perf_smoke.py wallclock_smoke.json
-
-# The CI quant gate: quantized staged search >= 1.5x over the exact
-# fast backend, recall@10 within 0.02, deterministic, and serve-replay
-# quant metrics reconcile with zero drift.
+# The CI quant gate: quantized staged search keeps recall@10 within
+# 0.02 of exact, is deterministic, shrinks the footprint, and its
+# serve-replay quant metrics reconcile with zero drift.  (Speed is the
+# benchmark's search_highdim_quant vs search_highdim throughput.)
 quant-smoke:
-	$(PYTHON) benchmarks/bench_wallclock.py --quant-smoke \
-		--output quant_smoke.json
-	$(PYTHON) scripts/check_quant_smoke.py quant_smoke.json
+	$(PYTHON) scripts/check_quant_smoke.py
 
 # The CI bake-off gate: every family clears its recall floor and cagra
 # construction stays below nsw on the smoke dataset.
@@ -73,9 +67,9 @@ heal-smoke:
 	$(PYTHON) scripts/check_heal_smoke.py soak-sim.out
 
 # Regenerate the committed recovery benchmark (MTTR vs shard size and
-# WAL depth) inside BENCH_wallclock.json.
+# WAL depth), BENCH_recovery.json.
 bench-recovery:
-	$(PYTHON) benchmarks/bench_recovery.py --output BENCH_wallclock.json
+	$(PYTHON) benchmarks/bench_recovery.py --output BENCH_recovery.json
 
 experiments:
 	$(PYTHON) scripts/collect_experiments.py

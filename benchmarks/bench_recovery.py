@@ -13,11 +13,10 @@ timing):
   replay an ever deeper post-checkpoint WAL delta; the catch-up
   charge is computed through :mod:`repro.mutable.recovery`.
 
-Results merge into the committed ``BENCH_wallclock.json`` under the
-``recovery`` key (regenerate with ``make bench-recovery``)::
+Results are the committed ``BENCH_recovery.json`` (its ``recovery``
+key; regenerate with ``make bench-recovery``)::
 
-    PYTHONPATH=src python benchmarks/bench_recovery.py \
-        --output BENCH_wallclock.json
+    PYTHONPATH=src python benchmarks/bench_recovery.py
 """
 
 from __future__ import annotations
@@ -108,9 +107,9 @@ def wal_depth_sweep(controller):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_wallclock.json",
-                        help="JSON file to merge the 'recovery' key "
-                             "into (default BENCH_wallclock.json)")
+    parser.add_argument("--output", default="BENCH_recovery.json",
+                        help="JSON file to write "
+                             "(default BENCH_recovery.json)")
     args = parser.parse_args(argv)
 
     from repro.heal import HealPolicy, RepairController
@@ -124,11 +123,7 @@ def main(argv=None):
     print(f"WAL-depth sweep (checkpoint every 8 ops):")
     wal_rows = wal_depth_sweep(controller)
 
-    doc = {}
-    if os.path.exists(args.output):
-        with open(args.output, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    doc["recovery"] = {
+    doc = {"recovery": {
         "schema": "recovery-v1",
         "heartbeat_seconds": HEARTBEAT_SECONDS,
         "policy": {
@@ -140,11 +135,11 @@ def main(argv=None):
         },
         "shard_size_sweep": shard_rows,
         "wal_depth_sweep": wal_rows,
-    }
+    }}
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
-    print(f"wrote {args.output} (recovery key)")
+    print(f"wrote {args.output}")
     return 0
 
 

@@ -19,6 +19,10 @@ with ``mtime=0`` so the archive bytes themselves are reproducible.
 ``--cagra`` rewrites ``tests/data/cagra_golden.npz`` — the frozen
 CAGRA build digest + GANNS search results of
 ``tests/test_cagra_golden.py``.
+``--construction`` rewrites ``tests/data/construction_golden.json`` —
+graph digests, simulated seconds and phase seconds of the frozen
+GGraphCon scenarios of ``tests/test_perf_equivalence.py``
+(``TestConstructionEquivalence``).
 (The GANNS search golden has its own legacy path:
 ``PYTHONPATH=src python tests/test_golden_determinism.py
 --regenerate``.)
@@ -77,6 +81,17 @@ def regen_cagra() -> None:
     print(f"wrote {GOLDEN_PATH}")
 
 
+def regen_construction() -> None:
+    from tests.test_perf_equivalence import (
+        CONSTRUCTION_GOLDEN_PATH,
+        compute_construction_golden,
+        write_construction_golden,
+    )
+    golden = compute_construction_golden()
+    write_construction_golden(golden)
+    print(f"wrote {CONSTRUCTION_GOLDEN_PATH} ({len(golden)} scenarios)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="regenerate committed golden artifacts")
@@ -90,11 +105,14 @@ def main(argv=None) -> int:
                              "tests/data/mutate_trace_golden.json.gz")
     parser.add_argument("--cagra", action="store_true",
                         help="regenerate tests/data/cagra_golden.npz")
+    parser.add_argument("--construction", action="store_true",
+                        help="regenerate "
+                             "tests/data/construction_golden.json")
     args = parser.parse_args(argv)
     if not (args.trace or args.cluster_trace or args.mutate_trace
-            or args.cagra):
+            or args.cagra or args.construction):
         parser.error("nothing selected; pass --trace, --cluster-trace, "
-                     "--mutate-trace and/or --cagra")
+                     "--mutate-trace, --cagra and/or --construction")
     if args.trace:
         regen_trace()
     if args.cluster_trace:
@@ -103,6 +121,8 @@ def main(argv=None) -> int:
         regen_mutate_trace()
     if args.cagra:
         regen_cagra()
+    if args.construction:
+        regen_construction()
     return 0
 
 

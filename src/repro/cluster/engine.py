@@ -677,11 +677,9 @@ class ClusterEngine:
             # pipeline — exact cluster traces (incl. the committed
             # golden) stay quant-silent.  The per-shard ServeEngines
             # share self.params, so their caches are already namespaced
-            # by the same resolved mode.
-            from repro.perf.quant import resolve_quant
-            cluster_quant = resolve_quant(self.params.quant)
-            if cluster_quant is not None:
-                root_attrs["quant.mode"] = cluster_quant
+            # by the same mode.
+            if self.params.quant is not None:
+                root_attrs["quant.mode"] = self.params.quant
                 root_attrs["quant.rerank"] = self.params.rerank_factor
             root = tracer.begin(
                 "cluster.replay", root_start, lane="cluster",

@@ -46,7 +46,6 @@ from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.scan import csr_offsets_from_sorted_ids
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
-from repro.perf.backend import FAST, resolve_backend
 from repro.perf.construction import (
     insert_bidirectional_batch,
     merge_forward_batch,
@@ -120,12 +119,55 @@ def _insert_into_local_graph(local_graph: ProximityGraph,
     return neighbor_ids, dists, traversal
 
 
+def _build_local_graph(points: np.ndarray, group: np.ndarray,
+                       params: BuildParams, search_kernel: str,
+                       metric_obj, exact: bool, costs: CostTable,
+                       forward_ids: np.ndarray, forward_dists: np.ndarray
+                       ) -> Tuple[ProximityGraph, float, float]:
+    """Phase 1 for one group: a local NSW graph built inside one block.
+
+    Inserts the group's points sequentially into a fresh local graph and
+    records each point's forward set ``v.N'`` (global ids) into
+    ``forward_ids`` / ``forward_dists``.
+
+    Returns:
+        ``(local_graph, distance_cycles, structure_cycles)`` of the block.
+    """
+    d_min, d_max = params.d_min, params.d_max
+    ef = params.effective_ef
+    l_n = params.effective_search_l_n
+    n_t = params.n_threads
+    local_points = points[group]
+    local_graph = ProximityGraph(len(group), d_max, metric_obj.name)
+    insert_cost = costs.backward_insert_cycles(d_max, n_t)
+    distance_cycles = 0.0
+    structure_cycles = 0.0
+    for local_vertex in range(1, len(group)):
+        neighbor_ids, dists, traversal = _insert_into_local_graph(
+            local_graph, local_points, local_vertex, d_min, ef,
+            metric_obj, exact)
+        charge = price_search(search_kernel, traversal, l_n, d_max,
+                              points.shape[1], n_t, ef, costs)
+        distance_cycles += charge.distance_cycles
+        structure_cycles += charge.structure_cycles
+        count = len(neighbor_ids)
+        if count:
+            insert_bidirectional_batch(local_graph, local_vertex,
+                                       np.asarray(neighbor_ids),
+                                       np.asarray(dists, dtype=np.float64))
+            # One forward and one backward insert per neighbor;
+            # insert_cost is integral, so the product is exact.
+            structure_cycles += count * 2 * insert_cost
+        forward_ids[group[local_vertex], :count] = group[neighbor_ids]
+        forward_dists[group[local_vertex], :count] = dists
+    return local_graph, distance_cycles, structure_cycles
+
+
 def build_nsw_gpu(points: np.ndarray, params: BuildParams,
                   search_kernel: str = "ganns", metric: str = "euclidean",
                   exact: bool = False,
                   device: DeviceSpec = QUADRO_P5000,
-                  costs: CostTable = DEFAULT_COSTS,
-                  backend: Optional[str] = None) -> ConstructionReport:
+                  costs: CostTable = DEFAULT_COSTS) -> ConstructionReport:
     """Build an NSW graph with GGraphCon on the simulated GPU.
 
     Args:
@@ -140,27 +182,19 @@ def build_nsw_gpu(points: np.ndarray, params: BuildParams,
             meant for tests and small inputs.
         device: Simulated device.
         costs: Cycle cost table.
-        backend: Execution backend (``"reference"``/``"fast"``); ``None``
-            defers to the ``REPRO_BACKEND`` environment variable.  The
-            fast backend batches the per-vertex insert/merge loops and
-            produces the identical graph and cycle accounting.
 
     Returns:
         A :class:`repro.core.results.ConstructionReport` whose ``graph``
         is the merged ``G_0``.
     """
-    use_fast = resolve_backend(backend) == FAST
     points = np.asarray(points)
     if points.ndim != 2 or len(points) == 0:
         raise ConstructionError(
             f"points must be a non-empty 2-D matrix, got shape {points.shape}"
         )
     n = len(points)
-    n_dims = points.shape[1]
     metric_obj = get_metric(metric)
     d_min, d_max = params.d_min, params.d_max
-    ef = params.effective_ef
-    l_n = params.effective_search_l_n
     n_t = params.n_threads
     n_groups = min(params.n_blocks, n)
 
@@ -185,39 +219,15 @@ def build_nsw_gpu(points: np.ndarray, params: BuildParams,
     # Phase 1 — local graph construction (one block per group).
     # ------------------------------------------------------------------
     local_graphs: List[ProximityGraph] = []
-    block_cycles = np.zeros(n_groups)
     block_distance = np.zeros(n_groups)
     block_structure = np.zeros(n_groups)
     for g, group in enumerate(groups):
-        local_points = points[group]
-        local_graph = ProximityGraph(len(group), d_max, metric)
-        for local_vertex in range(1, len(group)):
-            neighbor_ids, dists, traversal = _insert_into_local_graph(
-                local_graph, local_points, local_vertex, d_min, ef,
-                metric_obj, exact)
-            charge = price_search(search_kernel, traversal, l_n, d_max,
-                                  n_dims, n_t, ef, costs)
-            block_distance[g] += charge.distance_cycles
-            block_structure[g] += charge.structure_cycles
-            insert_cost = costs.backward_insert_cycles(d_max, n_t)
-            if use_fast and len(neighbor_ids):
-                insert_bidirectional_batch(local_graph, local_vertex,
-                                           np.asarray(neighbor_ids),
-                                           np.asarray(dists,
-                                                      dtype=np.float64))
-                # insert_cost is integral, so the product equals the
-                # reference's repeated addition bit-for-bit.
-                block_structure[g] += len(neighbor_ids) * 2 * insert_cost
-            else:
-                for u, dist in zip(neighbor_ids, dists):
-                    local_graph.insert_edge(local_vertex, int(u), float(dist))
-                    local_graph.insert_edge(int(u), local_vertex, float(dist))
-                    block_structure[g] += 2 * insert_cost
-            count = len(neighbor_ids)
-            forward_ids[group[local_vertex], :count] = group[neighbor_ids]
-            forward_dists[group[local_vertex], :count] = dists
+        local_graph, block_distance[g], block_structure[g] = \
+            _build_local_graph(points, group, params, search_kernel,
+                               metric_obj, exact, costs, forward_ids,
+                               forward_dists)
         local_graphs.append(local_graph)
-        block_cycles[g] = block_distance[g] + block_structure[g]
+    block_cycles = block_distance + block_structure
 
     launch = kernel.run(block_cycles)
     times.add("local_construction", launch.seconds,
@@ -242,8 +252,7 @@ def build_nsw_gpu(points: np.ndarray, params: BuildParams,
             graph, points, groups[i], forward_ids, forward_dists,
             params=params, search_kernel=search_kernel,
             metric_obj=metric_obj, exact=exact, kernel=kernel,
-            times=times, costs=costs, use_fast=use_fast,
-            grid_threads=grid_threads)
+            times=times, costs=costs, grid_threads=grid_threads)
 
     return ConstructionReport(
         algorithm=f"ggraphcon-{search_kernel}",
@@ -267,8 +276,7 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
                            params: BuildParams, search_kernel: str,
                            metric_obj, exact: bool, kernel: KernelLaunch,
                            times: _TimeAccumulator, costs: CostTable,
-                           use_fast: bool, grid_threads: int,
-                           entry: int = 0,
+                           grid_threads: int, entry: int = 0,
                            exclude_mask: Optional[np.ndarray] = None
                            ) -> None:
     """Merge one local group into ``G_0`` (Algorithm 2's Phase-2 body).
@@ -297,7 +305,6 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
         kernel: Launch context charging the shared accumulator.
         times: Accumulator collecting per-phase seconds.
         costs: Cycle cost table.
-        use_fast: Fast-backend toggle (already resolved by the caller).
         grid_threads: Grid width of the gather-scatter launches.
         entry: Start vertex for the step-1 searches (``0`` during a
             build; the current live entry for streaming inserts).
@@ -318,9 +325,6 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
     vertex_cycles = np.zeros(len(group))
     step_distance = 0.0
     step_structure = 0.0
-    edge_src: List[int] = []
-    edge_dst: List[int] = []
-    edge_dist: List[float] = []
     search_ids: List[np.ndarray] = []
     search_dists: List[np.ndarray] = []
     merge_forward_cost = costs.ganns_merge_cycles(d_min, d_min, n_t)
@@ -352,52 +356,26 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
         step_distance += charge.distance_cycles
         step_structure += charge.structure_cycles + merge_forward_cost
 
-        if use_fast:
-            # Searches only reach G_0's prefix (nothing links to
-            # this group's vertices until Step 3 applies the
-            # backward edges), so row writes batch safely after
-            # the search loop.
-            search_ids.append(np.asarray(ids, dtype=np.int64))
-            search_dists.append(np.asarray(dists, dtype=np.float64))
-            continue
-
-        # v.N := top d_min of (search results ∪ v.N').
-        mask = forward_ids[v] >= 0
-        all_ids = np.concatenate([ids, forward_ids[v][mask]])
-        all_dists = np.concatenate([dists, forward_dists[v][mask]])
-        order = np.lexsort((all_ids, all_dists))
-        all_ids, all_dists = all_ids[order], all_dists[order]
-        _, unique_idx = np.unique(all_ids, return_index=True)
-        unique_idx.sort()
-        all_ids = all_ids[unique_idx][:d_min]
-        all_dists = all_dists[unique_idx][:d_min]
-        order = np.lexsort((all_ids, all_dists))
-        graph.set_row(int(v), all_ids[order], all_dists[order])
-
-        for u, dist in zip(all_ids, all_dists):
-            edge_src.append(int(u))
-            edge_dst.append(int(v))
-            edge_dist.append(float(dist))
+        search_ids.append(np.asarray(ids, dtype=np.int64))
+        search_dists.append(np.asarray(dists, dtype=np.float64))
 
     launch = kernel.run(vertex_cycles)
     times.add("merge_search", launch.seconds, step_distance,
               step_structure)
 
-    if use_fast:
-        src, dst, dist = merge_forward_batch(
-            graph, group, search_ids, search_dists, forward_ids,
-            forward_dists, d_min)
-        if len(src) == 0:
-            return
-    else:
-        if not edge_src:
-            return
-        # Step 2 — GatherScatter: bitonic sort E by (starting vertex,
-        # distance, ending vertex), then flags + prefix sum give CSR
-        # segment offsets.
-        src = np.asarray(edge_src, dtype=np.int64)
-        dst = np.asarray(edge_dst, dtype=np.int64)
-        dist = np.asarray(edge_dist, dtype=np.float64)
+    # v.N := top d_min of (search results ∪ v.N') for the whole group.
+    # Searches only reach G_0's prefix (nothing links to this group's
+    # vertices until Step 3 applies the backward edges), so the row
+    # writes batch safely after the search loop.
+    src, dst, dist = merge_forward_batch(
+        graph, group, search_ids, search_dists, forward_ids,
+        forward_dists, d_min)
+    if len(src) == 0:
+        return
+
+    # Step 2 — GatherScatter: bitonic sort E by (starting vertex,
+    # distance, ending vertex), then flags + prefix sum give CSR
+    # segment offsets.
     order = np.lexsort((dst, dist, src))
     src, dst, dist = src[order], dst[order], dist[order]
     offsets = csr_offsets_from_sorted_ids(src)
@@ -410,22 +388,11 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
 
     # Step 3 — one block per starting vertex merges its backward-edge
     # segment into the adjacency row (best d_max survive).
-    n_segments = len(offsets) - 1
-    if use_fast:
-        merge_segments_batch(graph, src, dst, dist, offsets)
-        segment_cycles = np.array([
-            costs.adjacency_merge_cycles(
-                d_max, int(offsets[s + 1] - offsets[s]), n_t)
-            for s in range(n_segments)
-        ])
-    else:
-        segment_cycles = np.zeros(n_segments)
-        for s in range(n_segments):
-            lo, hi = offsets[s], offsets[s + 1]
-            u = int(src[lo])
-            graph.merge_row(u, dst[lo:hi], dist[lo:hi])
-            segment_cycles[s] = costs.adjacency_merge_cycles(
-                d_max, int(hi - lo), n_t)
+    merge_segments_batch(graph, src, dst, dist, offsets)
+    segment_cycles = np.array([
+        costs.adjacency_merge_cycles(d_max, int(length), n_t)
+        for length in np.diff(offsets)
+    ])
     launch = kernel.run(segment_cycles)
     times.add("merge_update", launch.seconds, 0.0,
               float(segment_cycles.sum()))
@@ -438,8 +405,8 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
                      device: DeviceSpec = QUADRO_P5000,
                      costs: CostTable = DEFAULT_COSTS,
                      entry: int = 0,
-                     exclude_mask: Optional[np.ndarray] = None,
-                     backend: Optional[str] = None) -> ConstructionReport:
+                     exclude_mask: Optional[np.ndarray] = None
+                     ) -> ConstructionReport:
     """Stream one batch of new points into an existing NSW graph.
 
     The batch is treated exactly like one GGraphCon local group: Phase 1
@@ -464,15 +431,12 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
         entry: Entry vertex for the merge searches (a live vertex).
         exclude_mask: Optional ``(n,)`` tombstone mask; tombstoned
             vertices are never chosen as neighbors of the batch.
-        backend: Execution backend override (``None`` defers to
-            ``REPRO_BACKEND``).
 
     Returns:
         A :class:`repro.core.results.ConstructionReport` whose ``graph``
         is the mutated live graph and whose timings cover this batch
         only.
     """
-    use_fast = resolve_backend(backend) == FAST
     points = np.asarray(points)
     group = np.asarray(new_ids, dtype=np.int64)
     if len(group) == 0:
@@ -495,44 +459,18 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
 
     metric_obj = get_metric(metric)
     d_min, d_max = params.d_min, params.d_max
-    ef = params.effective_ef
     n_t = params.n_threads
-    l_n = params.effective_search_l_n
 
     kernel = KernelLaunch(device, n_t, costs=costs)
     times = _TimeAccumulator()
 
     # Phase 1 — local graph over the batch (one block), recording N'.
-    local_points = points[group]
-    local_graph = ProximityGraph(len(group), d_max, metric)
     forward_ids = np.full((graph.n_vertices, d_min), -1, dtype=np.int64)
     forward_dists = np.full((graph.n_vertices, d_min), np.inf,
                             dtype=np.float64)
-    block_distance = 0.0
-    block_structure = 0.0
-    insert_cost = costs.backward_insert_cycles(d_max, n_t)
-    for local_vertex in range(1, len(group)):
-        neighbor_ids, dists, traversal = _insert_into_local_graph(
-            local_graph, local_points, local_vertex, d_min, ef,
-            metric_obj, exact=False)
-        charge = price_search(search_kernel, traversal, l_n, d_max,
-                              points.shape[1], n_t, ef, costs)
-        block_distance += charge.distance_cycles
-        block_structure += charge.structure_cycles
-        if use_fast and len(neighbor_ids):
-            insert_bidirectional_batch(local_graph, local_vertex,
-                                       np.asarray(neighbor_ids),
-                                       np.asarray(dists,
-                                                  dtype=np.float64))
-            block_structure += len(neighbor_ids) * 2 * insert_cost
-        else:
-            for u, dist in zip(neighbor_ids, dists):
-                local_graph.insert_edge(local_vertex, int(u), float(dist))
-                local_graph.insert_edge(int(u), local_vertex, float(dist))
-                block_structure += 2 * insert_cost
-        count = len(neighbor_ids)
-        forward_ids[group[local_vertex], :count] = group[neighbor_ids]
-        forward_dists[group[local_vertex], :count] = dists
+    _, block_distance, block_structure = _build_local_graph(
+        points, group, params, search_kernel, metric_obj, exact=False,
+        costs=costs, forward_ids=forward_ids, forward_dists=forward_dists)
     launch = kernel.run(np.array([block_distance + block_structure]))
     times.add("local_construction", launch.seconds, block_distance,
               block_structure)
@@ -543,8 +481,8 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
         graph, points, group, forward_ids, forward_dists,
         params=params, search_kernel=search_kernel,
         metric_obj=metric_obj, exact=False, kernel=kernel, times=times,
-        costs=costs, use_fast=use_fast, grid_threads=grid_threads,
-        entry=entry, exclude_mask=exclude_mask)
+        costs=costs, grid_threads=grid_threads, entry=entry,
+        exclude_mask=exclude_mask)
 
     return ConstructionReport(
         algorithm=f"streaming-insert-{search_kernel}",

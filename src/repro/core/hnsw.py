@@ -13,7 +13,7 @@ build_nsw_gpu`; the layers' simulated times sum into the Table III figure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -36,8 +36,7 @@ def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
                    search_kernel: str = "ganns",
                    metric: str = "euclidean",
                    device: DeviceSpec = QUADRO_P5000,
-                   costs: CostTable = DEFAULT_COSTS,
-                   backend: Optional[str] = None) -> ConstructionReport:
+                   costs: CostTable = DEFAULT_COSTS) -> ConstructionReport:
     """Build an HNSW graph level-by-level with GGraphCon per layer.
 
     Args:
@@ -48,8 +47,6 @@ def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
         metric: Metric name.
         device: Simulated device.
         costs: Cycle cost table.
-        backend: Execution backend forwarded to every layer's
-            :func:`repro.core.construction.build_nsw_gpu`.
 
     Returns:
         A :class:`ConstructionReport` whose ``graph`` is a
@@ -86,7 +83,7 @@ def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
             n_blocks=min(layer_blocks, size))
         report = build_nsw_gpu(shuffled_points[:size], layer_params,
                                search_kernel=search_kernel, metric=metric,
-                               device=device, costs=costs, backend=backend)
+                               device=device, costs=costs)
         total_seconds += report.seconds
         for phase, value in report.phase_seconds.items():
             key = f"layer{layer}:{phase}"

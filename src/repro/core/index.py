@@ -19,7 +19,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.baselines.beam import beam_search_batch
-from repro.baselines.hnsw_cpu import hnsw_entry_descent
 from repro.baselines.song import SongParams, song_search
 from repro.core.backend import STRATEGIES, get_backend  # noqa: F401 - STRATEGIES re-exported
 from repro.core.hnsw import recover_original_ids
@@ -30,6 +29,7 @@ from repro.graphs.adjacency import HierarchicalGraph, ProximityGraph
 from repro.graphs.validation import validate_graph
 from repro.gpusim.sorting import next_pow2
 from repro.metrics.recall import recall_at_k
+from repro.perf.descent import hnsw_entry_descent_batch
 
 SEARCH_ALGORITHMS = ("ganns", "song", "beam")
 
@@ -138,28 +138,18 @@ class GannsIndex:
             return self.graph.bottom
         return self.graph
 
-    def _entries(self, queries: np.ndarray,
-                 backend: Optional[str] = None) -> Union[int, np.ndarray]:
+    def _entries(self, queries: np.ndarray) -> Union[int, np.ndarray]:
         """Per-query entry vertices (HNSW descends; flat graphs use 0)."""
         if not isinstance(self.graph, HierarchicalGraph):
             return 0
-        from repro.perf.backend import FAST, resolve_backend
-        if resolve_backend(backend) == FAST:
-            from repro.perf.descent import hnsw_entry_descent_batch
-            entries, _ = hnsw_entry_descent_batch(self.graph, self.points,
-                                                  queries, self.metric)
-            return entries
-        entries = np.empty(len(queries), dtype=np.int64)
-        for row, query in enumerate(queries):
-            entries[row], _ = hnsw_entry_descent(self.graph, self.points,
-                                                 query, self.metric)
+        entries, _ = hnsw_entry_descent_batch(self.graph, self.points,
+                                              queries, self.metric)
         return entries
 
     def search_report(self, queries: np.ndarray, k: int = 10,
                       algorithm: str = "ganns",
                       l_n: Optional[int] = None, e: Optional[int] = None,
                       n_threads: int = 32,
-                      backend: Optional[str] = None,
                       quant: Optional[str] = None,
                       rerank_factor: int = 2) -> SearchReport:
         """Search and return the full :class:`SearchReport`.
@@ -172,13 +162,9 @@ class GannsIndex:
                 smallest power of two >= ``4 * k`` (and >= 32).
             e: GANNS explored-vertex budget.
             n_threads: Threads per simulated block.
-            backend: Execution backend (``"reference"``/``"fast"``) for
-                GANNS search and HNSW descent; ``None`` defers to the
-                ``REPRO_BACKEND`` environment variable.
             quant: Quantized staged GANNS search (``"fp16"``/``"int8"``/
                 ``"pca"``; **lossy** — see ``docs/quantization.md``);
-                ``"off"`` forces exact, ``None`` defers to the
-                ``REPRO_QUANT`` environment variable.
+                ``None`` is the exact search.
             rerank_factor: Candidate over-fetch of the staged search
                 (pool of ``rerank_factor * l_n`` reranked exactly).
         """
@@ -186,12 +172,11 @@ class GannsIndex:
         if l_n is None:
             l_n = max(32, next_pow2(4 * k))
         flat = self._flat_graph()
-        entries = self._entries(queries, backend=backend)
+        entries = self._entries(queries)
 
         if algorithm == "ganns":
             params = SearchParams(k=k, l_n=l_n, e=e, n_threads=n_threads,
-                                  backend=backend, quant=quant,
-                                  rerank_factor=rerank_factor)
+                                  quant=quant, rerank_factor=rerank_factor)
             report = self.backend.search(flat, self.points, queries,
                                          params, entry=entries)
         elif algorithm == "song":

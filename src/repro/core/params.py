@@ -26,18 +26,12 @@ class SearchParams:
             in N for exploration", the fine-grained efficiency/accuracy
             knob of Section V.  Defaults to ``l_n``.
         n_threads: Threads per block (``n_t``); Figure 10 sweeps 4..32.
-        backend: Execution backend — ``"reference"`` or ``"fast"``; or
-            ``None`` to defer to the ``REPRO_BACKEND`` environment
-            variable (reference when unset).  Backends trade wall-clock
-            only: results and cycle charges are identical.
         quant: Quantized staged search — ``"fp16"``, ``"int8"`` or
             ``"pca"`` to traverse on that compressed representation and
-            rerank the candidate pool with exact distances; ``"off"``
-            to force the exact path; ``None`` to defer to the
-            ``REPRO_QUANT`` environment variable (exact when unset).
-            **Lossy**, unlike ``backend``: recall may differ from the
-            exact search (reported distances stay exact — the rerank
-            recomputes them at full precision).
+            rerank the candidate pool with exact distances; ``None``
+            (the default) is the exact search.  **Lossy**: recall may
+            differ from the exact search (reported distances stay exact
+            — the rerank recomputes them at full precision).
         rerank_factor: Candidate over-fetch of the staged search: the
             compressed traversal retains ``rerank_factor * l_n``
             candidates for the exact rerank.  Power of two (the pool
@@ -48,7 +42,6 @@ class SearchParams:
     l_n: int = 64
     e: Optional[int] = None
     n_threads: int = 32
-    backend: Optional[str] = None
     quant: Optional[str] = None
     rerank_factor: int = 2
 
@@ -76,21 +69,12 @@ class SearchParams:
             raise ConfigurationError(
                 f"n_threads must be positive, got {self.n_threads}"
             )
-        if self.backend is not None:
-            # Import here: repro.perf.backend is dependency-free, but
-            # params is imported by nearly everything.
-            from repro.perf.backend import VALID_BACKENDS
-            if self.backend not in VALID_BACKENDS:
-                raise ConfigurationError(
-                    f"unknown execution backend {self.backend!r}; valid: "
-                    f"{VALID_BACKENDS}"
-                )
         if self.quant is not None:
-            from repro.perf.quant import VALID_QUANTS
-            if self.quant not in VALID_QUANTS:
+            from repro.perf.quant import QUANT_MODES
+            if self.quant not in QUANT_MODES:
                 raise ConfigurationError(
                     f"unknown quantization mode {self.quant!r}; valid: "
-                    f"{VALID_QUANTS}"
+                    f"{QUANT_MODES} (None is the exact search)"
                 )
         if self.rerank_factor < 1 or not is_pow2(self.rerank_factor):
             raise ConfigurationError(
@@ -114,14 +98,12 @@ class SearchParams:
         Two invocations with equal signatures (on the same index) return
         identical results, so the serving layer can key its result cache
         on ``(quantized query, signature)``.  ``n_threads`` only shapes
-        the simulated clock, never the answer, and is excluded — as is
-        ``backend``, which changes wall-clock but never results.
+        the simulated clock, never the answer, and is excluded.
 
-        ``quant``/``rerank_factor`` are *also* excluded, but for the
-        opposite reason: they are execution-mode knobs like ``backend``
-        yet **lossy**, so equal signatures only promise identical
-        results within one resolved quantization mode.  Serving layers
-        therefore namespace their cache keys by the resolved mode (see
+        ``quant``/``rerank_factor`` are excluded too, although they are
+        **lossy**: equal signatures only promise identical results
+        within one quantization mode.  Serving layers therefore
+        namespace their cache keys by the mode (see
         ``ServeEngine.replay``) — a quantized hit must never answer an
         exact request.
         """

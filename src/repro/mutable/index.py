@@ -112,7 +112,6 @@ class MutableIndex:
               metric: str = "euclidean", search_kernel: str = "ganns",
               device: DeviceSpec = QUADRO_P5000,
               costs: CostTable = DEFAULT_COSTS,
-              backend: Optional[str] = None,
               family: str = "nsw") -> "MutableIndex":
         """Offline-build the seed corpus and open the durable store.
 
@@ -149,22 +148,18 @@ class MutableIndex:
         store.append(OP_INSERT, 0.0, points=points)
         index = cls._apply_base_build(
             store, points, params, metric=metric,
-            search_kernel=search_kernel, device=device, costs=costs,
-            backend=backend)
+            search_kernel=search_kernel, device=device, costs=costs)
         return index
 
     @classmethod
     def _apply_base_build(cls, store: DurableStore, points: np.ndarray,
                           params: BuildParams, metric: str,
                           search_kernel: str, device: DeviceSpec,
-                          costs: CostTable,
-                          backend: Optional[str] = None
-                          ) -> "MutableIndex":
+                          costs: CostTable) -> "MutableIndex":
         """Deterministic seed build shared by :meth:`build` and recovery."""
         report = build_nsw_gpu(points, params,
                                search_kernel=search_kernel,
-                               metric=metric, device=device, costs=costs,
-                               backend=backend)
+                               metric=metric, device=device, costs=costs)
         index = cls(graph=report.graph, points=points,
                     tombstones=np.zeros(len(points), dtype=bool),
                     entry=0, build_params=params, metric=metric,

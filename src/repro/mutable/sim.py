@@ -58,8 +58,7 @@ def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
                      metric: str = "euclidean",
                      device: DeviceSpec = QUADRO_P5000,
                      costs: CostTable = DEFAULT_COSTS,
-                     tracer=None, metrics=None,
-                     backend: Optional[str] = None) -> MutationReport:
+                     tracer=None, metrics=None) -> MutationReport:
     """Run one deterministic mutation workload, chaos and all.
 
     Args:
@@ -86,8 +85,6 @@ def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
         metrics: Optional metrics registry; the returned report's
             :meth:`~repro.mutable.report.MutationReport.verify_against_metrics`
             reconciles against it with zero drift.
-        backend: Execution backend for the seed build (results are
-            backend-independent).
 
     Returns:
         A byte-deterministic :class:`MutationReport`.
@@ -98,8 +95,7 @@ def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
                               n_clusters=min(8, n_points),
                               seed=seed).astype(np.float64)
     index = MutableIndex.build(corpus, params, metric=metric,
-                               device=device, costs=costs,
-                               backend=backend)
+                               device=device, costs=costs)
     store = index.store
     crash = CrashInjector(fault_plan) if fault_plan is not None else None
     search_params = SearchParams(k=k, l_n=l_n,

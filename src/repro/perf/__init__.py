@@ -1,74 +1,44 @@
-"""Wall-clock fast path: arena-backed execution of the GANNS kernels.
+"""How the algorithms execute: the arena-backed GANNS traversal and
+the batched GGraphCon kernels.
 
-The simulator charges *simulated* cycles faithfully, but the real
-wall-clock of :func:`repro.core.ganns.ganns_search` and
-:func:`repro.core.construction.build_nsw_gpu` is dominated by avoidable
-Python/NumPy overhead — per-iteration ``np.concatenate`` churn, float64
-upcasts of float32 data, ``lexsort`` over already-sorted runs, and
-``(m, l_t, l_n)`` broadcast scans.  This package is the opt-in ``fast``
-execution backend that removes that overhead while preserving results
-and per-phase cycle charges:
+:mod:`repro.core` owns the algorithms' front doors (validation, cost
+pricing, reports); this package owns their single execution path — there
+is no second implementation and no switch to ask for one:
 
-- :mod:`repro.perf.backend` — backend selection
-  (``SearchParams.backend`` / ``REPRO_BACKEND``; reference by default);
 - :mod:`repro.perf.arena` — preallocated, reusable search buffers with
   active-query compaction;
 - :mod:`repro.perf.distance` — GEMM-style dtype-preserving distance
   engines with precomputed norms;
-- :mod:`repro.perf.engine` — the arena-backed GANNS search loop, plus
-  the two-stage quantized pipeline (``ganns_search_staged``);
+- :mod:`repro.perf.engine` — the GANNS traversal (merge strategy picked
+  from the batch width), plus the two-stage quantized pipeline
+  (``ganns_search_staged``);
 - :mod:`repro.perf.quant` — compressed distance tables
   (float16 / int8 / PCA) for the staged search's first pass
-  (``SearchParams.quant`` / ``REPRO_QUANT``; **lossy**, reported as
-  such — see ``docs/quantization.md``);
+  (``SearchParams.quant``; **lossy**, reported as such — see
+  ``docs/quantization.md``);
 - :mod:`repro.perf.construction` — batched insert/merge kernels for
   GGraphCon;
 - :mod:`repro.perf.descent` — batched HNSW entry descent.
 
-The cross-backend equivalence suite (``tests/test_perf_equivalence.py``
-and ``tests/test_perf_properties.py``) pins that the fast backend
-returns the same neighbor ids, the same iteration counts and *exactly*
-the same per-phase cycle charges as the reference path; distances agree
-to dtype-scaled tolerance (the GEMM expansion of the euclidean metric
-rounds differently in the last bits).  See ``docs/performance.md``.
+What the implementation answers to: the single-query warp kernel
+(:mod:`repro.core.ganns_kernel`), the batched oracle under
+``tests/oracles/`` (``tests/test_perf_equivalence.py``,
+``tests/test_perf_properties.py``) and the byte goldens under
+``tests/data/``.  See ``docs/performance.md``.
 """
 
 from repro.perf.arena import SearchArena, get_arena
-from repro.perf.backend import (
-    BACKEND_ENV_VAR,
-    FAST,
-    REFERENCE,
-    VALID_BACKENDS,
-    resolve_backend,
-)
 from repro.perf.descent import hnsw_entry_descent_batch
 from repro.perf.distance import make_distance_engine, resolve_compute_dtype
-from repro.perf.quant import (
-    QUANT_ENV_VAR,
-    QUANT_MODES,
-    QUANT_OFF,
-    VALID_QUANTS,
-    QuantizedTable,
-    quantize_points,
-    resolve_quant,
-)
+from repro.perf.quant import QUANT_MODES, QuantizedTable, quantize_points
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "FAST",
-    "QUANT_ENV_VAR",
     "QUANT_MODES",
-    "QUANT_OFF",
     "QuantizedTable",
-    "REFERENCE",
-    "VALID_BACKENDS",
-    "VALID_QUANTS",
     "SearchArena",
     "get_arena",
     "hnsw_entry_descent_batch",
     "make_distance_engine",
     "quantize_points",
-    "resolve_backend",
     "resolve_compute_dtype",
-    "resolve_quant",
 ]

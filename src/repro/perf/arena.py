@@ -1,9 +1,9 @@
 """Preallocated, reusable buffers for the arena-backed GANNS search.
 
-The reference search allocates fresh arrays every iteration: two
+A textbook batched search allocates fresh arrays every iteration: two
 ``np.concatenate`` calls build the ``(m, l_n + l_t)`` merge input, every
 phase gathers ``pool[act]`` into a new array, and the results scatter
-back.  A :class:`SearchArena` removes all of that:
+back.  A :class:`SearchArena` avoids all of that:
 
 - every buffer the six phases touch is allocated **once** and sliced per
   iteration (double-buffered pools, so the merge writes straight into
@@ -12,7 +12,7 @@ back.  A :class:`SearchArena` removes all of that:
   finish, survivors are copied up once and finished queries never pay
   gather costs again.  ``query_rows[:m]`` maps compact rows back to the
   caller's query indices (always sorted ascending, so cycle charges hit
-  the tracker with exactly the lane sets the reference path uses).
+  the tracker with exactly the lane sets of the active queries).
 
 Arenas are cached per ``(l_n, l_t, dtype)`` shape class and reused
 across search calls when capacity allows — the serving engine dispatches

@@ -1,11 +1,12 @@
-"""Batched insert/merge kernels for GGraphCon's fast backend.
+"""Batched insert/merge kernels for GGraphCon.
 
-:func:`repro.core.construction.build_nsw_gpu` spends most of its
-wall-clock in three per-element Python loops: the bidirectional
-``insert_edge`` loop of local construction, the per-vertex ``N ∪ N'``
+Algorithm 2 states three per-element steps: the bidirectional
+``insert_edge`` pairs of local construction, the per-vertex ``N ∪ N'``
 merge + edge emission of merge Step 1, and the per-segment
-``merge_row`` loop of merge Step 3.  The helpers here vectorise each
-loop over its whole frontier while producing *the same graph state*:
+``merge_row`` of merge Step 3.  The helpers here run each step over its
+whole frontier at once while producing *the same graph state* as the
+sequential :class:`~repro.graphs.adjacency.ProximityGraph` methods
+(pinned by ``tests/data/construction_golden.json``):
 
 - sequential inserts into an empty row equal a sort-then-write;
 - the one-element sorted insert has a closed-form position
@@ -123,7 +124,7 @@ def merge_forward_batch(graph: ProximityGraph, group: np.ndarray,
 
     Writes every group vertex's adjacency row and returns the backward
     edge list ``(src, dst, dist)``.  The edges come out grouped by
-    destination vertex instead of the reference's append order, which is
+    destination vertex rather than in per-vertex append order, which is
     immaterial: Step 2 sorts ``E`` by the unique key (src, dist, dst).
     """
     n_vertices = graph.n_vertices

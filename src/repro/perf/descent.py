@@ -1,8 +1,8 @@
-"""Batched HNSW entry descent for the fast backend.
+"""Batched HNSW entry descent.
 
-:meth:`repro.core.index.GannsIndex._entries` runs one greedy top-down
-descent per query, in Python, before every HNSW search — for small
-micro-batches that loop costs as much as the search itself.  This module
+:meth:`repro.core.index.GannsIndex._entries` needs one greedy top-down
+descent per query before every HNSW search — as a per-query Python loop
+that costs as much as a small micro-batch's search itself.  This module
 walks all queries in lock-step: each pass gathers the current vertices'
 adjacency rows for every still-walking query at once and evaluates the
 candidate distances with one einsum.
@@ -46,7 +46,7 @@ def hnsw_entry_descent_batch(graph: HierarchicalGraph, points: np.ndarray,
     Returns:
         ``(entries, n_dists)`` — per-query entry vertex ids ``(m,)`` and
         per-query distance-computation counts ``(m,)``, matching the
-        per-query reference descent.
+        per-query CPU baseline descent.
     """
     if metric_name is None:
         metric_name = graph.bottom.metric_name
@@ -95,7 +95,7 @@ def hnsw_entry_descent_batch(graph: HierarchicalGraph, points: np.ndarray,
             dists[~valid] = np.inf
             n_dists[act] += degrees[has_neighbors]
             # Valid neighbors are front-packed, so argmin over the
-            # padded row resolves ties exactly like the reference's
+            # padded row resolves ties exactly like the baseline's
             # argmin over the first `degree` entries.
             best = np.argmin(dists, axis=1)
             best_dist = dists[np.arange(len(act)), best]

@@ -1,9 +1,9 @@
-"""GEMM-style distance engines for the fast execution backend.
+"""GEMM-style distance engines for the GANNS traversal.
 
-The reference :func:`repro.core.ganns._group_distance_fn` re-casts the
-whole point matrix to float64 on every search invocation and, for the
-euclidean metric, materialises a ``(m, l_t, d)`` difference tensor per
-iteration.  The engines here remove both costs:
+A textbook evaluator (the batched oracle's, ``tests/oracles/``) re-casts
+the whole point matrix on every search invocation and, for the euclidean
+metric, materialises a ``(m, l_t, d)`` difference tensor per iteration.
+The engines here avoid both costs:
 
 - **dtype preservation** — float32 data stays float32 end to end (the
   compute dtype is explicit, never silently widened);
@@ -19,11 +19,12 @@ iteration.  The engines here remove both costs:
   extends a point matrix's lifetime.
 
 Numerical contract: cosine and inner-product evaluation is the *same*
-arithmetic as the reference (bit-identical results); the euclidean norm
-expansion is algebraically equal but rounds differently in the last
-~2 ulp, so distances agree to a dtype-scaled tolerance and neighbor
-*identities* agree whenever candidate distance gaps exceed that noise —
-which the cross-backend equivalence suite enforces on every covered
+arithmetic as the oracle's (bit-identical results); the euclidean norm
+expansion is algebraically equal to its diff-einsum but rounds
+differently in the last ~2 ulp, so distances agree to a dtype-scaled
+tolerance and neighbor *identities* agree whenever candidate distance
+gaps exceed that noise — which the oracle suite
+(``tests/test_perf_equivalence.py``) enforces on every covered
 workload.
 """
 
@@ -101,7 +102,7 @@ _PREPARED_CACHE_MAX = 8
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-normalise (zero rows pass through) — the reference formula."""
+    """Row-normalise (zero rows pass through)."""
     norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
     return matrix / np.where(norms > 0.0, norms, 1.0)
 
@@ -149,7 +150,7 @@ def _prepare_points(points: np.ndarray, metric_name: str,
 class GroupDistanceEngine:
     """Vectorised (active-queries x candidates) distance evaluator.
 
-    The fast-path counterpart of the reference closure: one instance is
+    One instance is
     built per search call (cheap — point preparation is cached) and its
     :meth:`pairs` method is invoked once per iteration.
 
@@ -186,7 +187,7 @@ class GroupDistanceEngine:
             query_rows: ``(m,)`` indices into the query matrix.
             cand_ids: ``(m, w)`` candidate point ids; negative ids are
                 treated as id 0 (callers overwrite those lanes with
-                ``inf`` afterwards, exactly as the reference does).
+                ``inf`` afterwards).
 
         Returns:
             ``(m, w)`` distances in the engine's compute dtype.
@@ -206,5 +207,5 @@ class GroupDistanceEngine:
 def make_distance_engine(metric_name: str, points: np.ndarray,
                          queries: np.ndarray,
                          dtype: np.dtype) -> GroupDistanceEngine:
-    """Build the fast-path distance engine for one search invocation."""
+    """Build the distance engine for one search invocation."""
     return GroupDistanceEngine(metric_name, points, queries, dtype)

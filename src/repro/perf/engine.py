@@ -1,35 +1,35 @@
-"""Arena-backed GANNS search: the ``fast`` execution backend.
+"""The GANNS search implementation: one arena-backed traversal.
 
-Same six phases, same cycle charges, same results as
-:func:`repro.core.ganns.ganns_search` — different execution strategy:
+The six phases of Figure 3 with the paper's cycle charges, executed for
+a whole query batch in lock-step:
 
 - work buffers come from a reused :class:`repro.perf.arena.SearchArena`;
   active queries occupy compact rows and finished queries are scattered
   to the output arrays the moment they retire, so no phase ever gathers
   ``pool[act]`` or pays for queries that are done;
 - distances come from :class:`repro.perf.distance.GroupDistanceEngine`
-  (precomputed norms, one gather + one einsum per iteration, compute
-  dtype preserved);
+  (precomputed norms, one gather + one GEMM-style einsum per iteration,
+  compute dtype preserved);
 - phase 4's duplicate check runs as a row-offset ``searchsorted`` over
-  id-sorted pool rows — O(l_t log l_n) per query instead of the
-  reference's ``(m, l_t, l_n)`` broadcast equality;
-- phase 6's merge is a rank-based two-run merge — one broadcast
-  comparison prices every record's merged position, instead of a
-  ``lexsort`` over ``l_n + l_t`` keys.
+  id-sorted pool rows — O(l_t log l_n) per query;
+- phase 6's merge strategy is picked from the observable batch width
+  (:data:`_STEP_MERGE_MIN_ROWS`): a rank merge for narrow batches, a
+  two-pointer step merge for wide ones.  Both are exact.
 
-Equivalence contract (enforced by ``tests/test_perf_equivalence.py``):
-ids, iteration counts and per-phase cycle charges are *identical* to the
-reference path — the charge calls below are issued with the same lane
-sets, the same amounts and in the same order, so tracker listeners (e.g.
-the serve engine's mirrors) observe identical streams.  The merge tie
-rule ``(a_dist < b_dist) | ((a_dist == b_dist) & (a_id <= b_id))``
-reproduces the reference lexsort's stability exactly (pool entries win
-ties against T entries).  Distances are bit-identical for cosine/ip and
-agree to last-ulp rounding for euclidean (GEMM norm expansion).
+Contract (``tests/test_perf_equivalence.py``,
+``tests/test_perf_properties.py``, ``tests/test_core_ganns_kernel.py``):
+ids, iteration counts and per-phase per-lane cycle charges equal the
+batched oracle's (``tests/oracles/ganns_batched.py``) and the
+single-query warp kernel's — charges are issued with the oracle's lane
+sets, amounts and order, so tracker listeners (e.g. the serve engine's
+mirrors) observe identical streams.  The merge tie rule
+``(a_dist < b_dist) | ((a_dist == b_dist) & (a_id <= b_id))`` is the
+oracle's stable lexsort (pool entries win ties against T entries).
+Distances are bit-identical to the oracle for cosine/ip and agree to
+last-ulp rounding for euclidean (GEMM norm expansion vs diff-einsum).
 
-NaN distances are outside the contract: the reference lexsort and this
-merge may order NaNs differently.  Finite inputs — which every dataset
-loader and generator in this repo produces — never hit that case.
+Keys must form a total order, so :func:`repro.core.ganns.ganns_search`
+rejects non-finite queries before they reach the traversal.
 
 The traversal loop itself is engine-agnostic (:func:`_traverse`): it
 runs identically over the exact :class:`GroupDistanceEngine` and over a
@@ -38,7 +38,7 @@ compressed :class:`repro.perf.quant.QuantizedGroupEngine`, which is how
 — compressed traversal over a ``rerank_factor * l_n`` pool, then an
 exact full-precision rerank of that pool before top-k selection.  The
 staged path is **lossy** (see :mod:`repro.perf.quant`); only
-:func:`ganns_search_fast` carries the byte-equivalence contract.
+:func:`ganns_search_fast` carries the oracle contract.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ from repro.perf.distance import make_distance_engine
 from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
     quantize_points
 
-#: Mirrors repro.core.ganns._MAX_ITERATION_FACTOR — the two backends
-#: must give up (and raise) at exactly the same point.
+#: Safety cap on iterations, as a multiple of the explore budget; the
+#: search provably terminates long before this — hitting the cap means a
+#: broken graph (e.g. corrupted adjacency) and raises.
 _MAX_ITERATION_FACTOR = 64
 
 #: Batch width at which the merge switches from the rank strategy (few
@@ -79,8 +80,8 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
     """Run the six-phase GANNS loop over ``engine`` until every query
     retires.
 
-    Engine-agnostic core shared by the exact fast path and the staged
-    quantized path.  The pool is ``l_pool`` wide but only the first
+    Engine-agnostic core shared by the exact search and the staged
+    quantized one.  The pool is ``l_pool`` wide but only the first
     ``e_budget`` slots are candidates for exploration — the staged
     search widens the pool (candidate over-fetch) without widening the
     explore window, so its iteration count tracks the exact search's.
@@ -132,7 +133,7 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
 
     while m > 0:
         # Phase 1 — candidate locating.  query_rows[:m] is exactly the
-        # reference's np.flatnonzero(active): compaction keeps rows in
+        # oracle's np.flatnonzero(active): compaction keeps rows in
         # ascending original order, so the tracker sees the same lanes.
         act = arena.query_rows[:m]
         tracker.charge("candidate_locating", locate_cost, act)
@@ -251,7 +252,7 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
 
         # Phase 5 — sort T by (distance, id).  Records with equal keys
         # are identical (+inf, -1) pads, so any (dist, id) sort yields
-        # the reference's exact T sequence.
+        # the oracle's exact T sequence.
         tracker.charge("sorting", sort_cost, act)
         order = np.lexsort((t_ids, t_dists), axis=1)
         t_dists = np.take_along_axis(t_dists, order, axis=1)
@@ -259,7 +260,7 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
 
         # Phase 6 — candidate update: merge the two sorted runs into the
         # alternate pool buffer.  Both strategies below reproduce the
-        # reference lexsort's stability exactly (pool wins ties on equal
+        # oracle lexsort's stability exactly (pool wins ties on equal
         # (dist, id)); they differ only in constant factors, so the
         # batch width picks:
         #
@@ -377,7 +378,7 @@ def ganns_search_fast(graph: ProximityGraph, points: np.ndarray,
                       costs: CostTable,
                       lazy_check: bool,
                       compute_dtype: np.dtype) -> SearchReport:
-    """Run the batched GANNS search on the fast backend.
+    """Run the exact batched GANNS search.
 
     Called by :func:`repro.core.ganns.ganns_search` after argument
     validation; ``entries`` is the already-broadcast ``(m,)`` entry-id
@@ -441,7 +442,7 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
     final top-k from those, charged as one bulk-distance pass plus one
     bitonic sort of ``l_q`` records.
 
-    The result is **lossy** relative to the reference search: the
+    The result is **lossy** relative to the exact search: the
     compressed traversal can walk a different path, so the candidate
     pool (and hence recall) may differ.  Returned *distances* are always
     exact — stage 2 guarantees every reported (id, dist) pair is the

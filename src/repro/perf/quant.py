@@ -9,8 +9,8 @@ walk runs over a reduced representation of the corpus, then
 :func:`repro.perf.engine.ganns_search_staged` reranks the over-fetched
 candidate pool with exact full-precision distances.
 
-Three representations, selected by ``SearchParams(quant=...)`` or the
-``REPRO_QUANT`` environment variable:
+Three representations, selected by ``SearchParams(quant=...)`` (and by
+nothing else — ``None`` is the exact search):
 
 - ``"fp16"`` — float16 storage (2 bytes/component).  Distances are
   accumulated in float32; the representation error is the half-float
@@ -25,14 +25,13 @@ Three representations, selected by ``SearchParams(quant=...)`` or the
   shrinks by ``d / rank``, which is how the staged pipeline clears the
   4x wall-clock target on the d=256 workload.
 
-**Honesty contract**: all three are lossy.  Unlike ``backend="fast"``
-(byte-identical results), a quantized traversal can rank candidates
-differently from the exact kernel, so the staged pipeline must rerank
-and the harnesses must report recall deltas (``bench_wallclock.py``
-``recall_delta`` columns, the conformance suite's per-family
-``quant_recall_delta`` floors).  The serving layers namespace their
-result caches by quant mode so a lossy hit can never answer an exact
-request.
+**Honesty contract**: all three are lossy.  A quantized traversal can
+rank candidates differently from the exact kernel, so the staged
+pipeline must rerank and the harnesses must report recall deltas
+(``scripts/check_quant_smoke.py``'s ``recall_delta`` gate, the
+conformance suite's per-family ``quant_recall_delta`` floors).  The
+serving layers namespace their result caches by quant mode so a lossy
+hit can never answer an exact request.
 
 Tables are cached per ``(points identity, mode, metric)`` with weakref
 guards — the serving engine dispatches thousands of micro-batches
@@ -42,7 +41,6 @@ matrix; one thin SVD for PCA) is paid once, not per batch.
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import Optional
 
@@ -50,52 +48,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SearchError
 
-#: Environment variable consulted when ``SearchParams.quant`` is None.
-QUANT_ENV_VAR = "REPRO_QUANT"
-
 #: The lossy representations the staged pipeline can traverse on.
 QUANT_MODES = ("fp16", "int8", "pca")
-
-#: Explicit opt-out: forces the exact path even when the environment
-#: variable requests quantization.
-QUANT_OFF = "off"
-
-VALID_QUANTS = QUANT_MODES + (QUANT_OFF,)
-
-
-def resolve_quant(explicit: Optional[str] = None) -> Optional[str]:
-    """Resolve the quantization mode to traverse with.
-
-    Args:
-        explicit: ``SearchParams.quant`` — a mode name, ``"off"`` to
-            force the exact path, or ``None`` to defer to the
-            ``REPRO_QUANT`` environment variable.
-
-    Returns:
-        A mode from :data:`QUANT_MODES`, or ``None`` for exact search.
-
-    Raises:
-        ConfigurationError: On an unknown mode name, whether it came
-            from code or from the environment.
-    """
-    if explicit is not None:
-        if explicit == QUANT_OFF:
-            return None
-        if explicit not in QUANT_MODES:
-            raise ConfigurationError(
-                f"unknown quantization mode {explicit!r}; valid: "
-                f"{VALID_QUANTS}"
-            )
-        return explicit
-    env = os.environ.get(QUANT_ENV_VAR)
-    if env is None or env == "" or env == QUANT_OFF:
-        return None
-    if env not in QUANT_MODES:
-        raise ConfigurationError(
-            f"{QUANT_ENV_VAR}={env!r} is not a valid quantization mode; "
-            f"valid: {VALID_QUANTS}"
-        )
-    return env
 
 
 #: Stored bits per retained component, by mode (PCA keeps float32
@@ -117,7 +71,7 @@ def pca_rank(n_dims: int) -> int:
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-normalise (zero rows pass through) — the reference formula."""
+    """Row-normalise (zero rows pass through)."""
     norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
     return matrix / np.where(norms > 0.0, norms, 1.0)
 
@@ -128,7 +82,7 @@ class QuantizedTable:
     Built by :func:`quantize_points`; consumed by
     :class:`QuantizedGroupEngine` (traversal distances) and by the
     footprint reporters (``bytes_per_vector`` columns in the bake-off
-    and wall-clock harnesses).
+    harness and the benchmark's layer table).
 
     Attributes:
         mode: ``"fp16"``, ``"int8"`` or ``"pca"``.
@@ -287,7 +241,7 @@ def _build_table(points: np.ndarray, mode: str,
                               components=components)
 
     raise ConfigurationError(
-        f"unknown quantization mode {mode!r}; valid: {VALID_QUANTS}"
+        f"unknown quantization mode {mode!r}; valid: {QUANT_MODES}"
     )
 
 

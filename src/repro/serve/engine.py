@@ -74,8 +74,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
 )
 from repro.observability.span import SpanTracer
-from repro.perf.backend import resolve_backend
-from repro.perf.quant import QUANT_BITS, resolve_quant
+from repro.perf.quant import QUANT_BITS
 from repro.serve.cache import ResultCache
 from repro.serve.report import ServeReport
 from repro.serve.request import QueryRequest, RequestOutcome, RequestStatus
@@ -313,7 +312,7 @@ class ServeEngine:
         """
         wall_start = time.perf_counter()
         trace = list(trace)
-        quant_mode = resolve_quant(self.params.quant)
+        quant_mode = self.params.quant
         rerank_pool = self.params.rerank_factor * self.params.l_n
         # Quantized serving is lossy, so its results live in their own
         # cache namespace: the signature gains a quant component and a
@@ -325,7 +324,6 @@ class ServeEngine:
                           f"quant:{quant_mode}:rf"
                           f"{self.params.rerank_factor}")
                          + self.params.signature())
-        backend_name = resolve_backend(self.params.backend)
         scheduler = MicroBatchScheduler(self.policy)
         clock = _EngineClock()
         injector = (FaultInjector(self.faults)
@@ -628,7 +626,6 @@ class ServeEngine:
                     in kernel_tracker.phase_totals().items()}
                 cycle_attrs["cycles_total"] = \
                     kernel_tracker.total_cycles()
-                cycle_attrs["kernel.backend"] = backend_name
                 if quant_mode is not None:
                     cycle_attrs["quant.mode"] = quant_mode
                     cycle_attrs["quant.bits"] = QUANT_BITS[quant_mode]
@@ -741,9 +738,7 @@ class ServeEngine:
         registry.gauge("serve.gpu_busy_seconds").set(gpu_busy)
         # Host wall-clock of this replay — the one *volatile* metric the
         # engine publishes (excluded from canonical snapshots; see
-        # repro.observability.metrics.VOLATILE_PREFIX).  This is what
-        # the fast/reference backends actually trade: simulated seconds
-        # and cycle charges are backend-invariant, wallclock is not.
+        # repro.observability.metrics.VOLATILE_PREFIX).
         wallclock = time.perf_counter() - wall_start
         registry.gauge("perf.wallclock_seconds").set(wallclock)
         if tracer is not None:
@@ -765,7 +760,6 @@ class ServeEngine:
             fault_report=fault_report if has_fault_machinery else None,
             metrics=registry,
             wallclock_seconds=wallclock,
-            backend=backend_name,
             quant=quant_mode,
         )
 

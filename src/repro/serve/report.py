@@ -66,9 +66,7 @@ class ServeReport:
             :meth:`to_bytes` (replay determinism is over *results*, not
             host speed) but still reconciled against the registry's
             ``perf.wallclock_seconds`` gauge.
-        backend: Resolved execution backend (``"reference"`` or
-            ``"fast"``) the replay dispatched with.
-        quant: Resolved quantization mode the replay dispatched with
+        quant: Quantization mode the replay dispatched with
             (``"fp16"``/``"int8"``/``"pca"``), or ``None`` for exact
             serving.  Quantized serving is **lossy** — results under a
             mode live in their own cache namespace and may differ from
@@ -84,7 +82,6 @@ class ServeReport:
     fault_report: Optional[FaultReport] = None
     metrics: Optional[object] = None
     wallclock_seconds: float = 0.0
-    backend: str = "reference"
     quant: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -280,7 +277,6 @@ class ServeReport:
             # Deliberately no wall-clock here: summaries are part of the
             # CLI's byte-deterministic output; host seconds live in the
             # volatile perf.wallclock_seconds gauge instead.
-            f"  backend       {self.backend}",
         ]
         if self.quant is not None:
             lines.append(f"  quant         {self.quant} (lossy staged "

@@ -175,7 +175,7 @@ class TestBackendConformance:
         index = _built(family)
         profile = index.backend.conformance_profile()
         points, queries = _dataset()
-        exact_ids, _ = index.search(queries, k=K, l_n=L_N, quant="off")
+        exact_ids, _ = index.search(queries, k=K, l_n=L_N)
         truth = exact_knn(points, queries, K)
         exact_recall = recall_at_k(exact_ids, truth)
         for mode in profile.quant_modes:

@@ -184,3 +184,41 @@ class TestValidation:
         with pytest.raises(SearchError, match="entry"):
             ganns_search(small_graph, small_points, small_queries,
                          SearchParams(), entry=-3)
+
+
+class TestNonFiniteQueries:
+    """NaN/inf queries are a typed one-line error at every entry point,
+    never a silently mis-sorted pool."""
+
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf])
+    def bad_queries(self, request, small_queries):
+        queries = small_queries[:4].copy()
+        queries[2, 5] = request.param
+        return queries
+
+    def test_ganns_search(self, small_graph, small_points, bad_queries):
+        with pytest.raises(SearchError, match="NaN or infinite"):
+            ganns_search(small_graph, small_points, bad_queries,
+                         SearchParams())
+
+    def test_staged_search(self, small_graph, small_points, bad_queries):
+        with pytest.raises(SearchError, match="NaN or infinite"):
+            ganns_search(small_graph, small_points, bad_queries,
+                         SearchParams(quant="pca"))
+
+    def test_index_search(self, small_graph, small_points, bad_queries):
+        from repro.core.index import GannsIndex
+        index = GannsIndex.from_graph(small_points, small_graph)
+        with pytest.raises(SearchError, match="NaN or infinite"):
+            index.search(bad_queries, k=5)
+
+    def test_serve_replay(self, small_graph, small_points, small_queries,
+                          bad_queries):
+        from repro.serve.engine import ServeEngine
+        from repro.serve.request import QueryRequest
+        engine = ServeEngine(small_graph, small_points,
+                             params=SearchParams(k=5, l_n=32))
+        trace = [QueryRequest(0, small_queries[:2], 0.0),
+                 QueryRequest(1, bad_queries, 1e-4)]
+        with pytest.raises(SearchError, match="NaN or infinite"):
+            engine.replay(trace)

@@ -1,81 +1,61 @@
-"""Backend selection and dtype pinning for the fast execution path.
+"""Dtype pinning of the search path, and proof that nothing selects it.
 
-The fast backend is strictly opt-in: with no explicit request and no
-``REPRO_BACKEND`` environment variable, every entry point runs the
-reference kernel, and nothing about the choice leaks into result
-identity (``SearchParams.signature``).
+There is one execution path: no parameter picks another and no
+environment variable changes what the library computes — searching and
+building read nothing from the process environment.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.core.construction import build_nsw_gpu
 from repro.core.ganns import ganns_search
-from repro.core.params import SearchParams
+from repro.core.params import BuildParams, SearchParams
 from repro.datasets.synthetic import gaussian_mixture
-from repro.errors import ConfigurationError, GraphError, SearchError
+from repro.errors import GraphError, SearchError
 from repro.graphs.adjacency import ProximityGraph
-from repro.perf.backend import (
-    BACKEND_ENV_VAR,
-    FAST,
-    REFERENCE,
-    VALID_BACKENDS,
-    resolve_backend,
-)
 from repro.perf.distance import resolve_compute_dtype
 
 
-class TestResolveBackend:
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend() == REFERENCE
+class _RecordingEnviron(dict):
+    """``os.environ`` stand-in that remembers every key looked up."""
 
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, REFERENCE)
-        assert resolve_backend(FAST) == FAST
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
 
-    def test_env_applies_when_no_explicit(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, FAST)
-        assert resolve_backend() == FAST
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
 
-    def test_empty_env_means_reference(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "")
-        assert resolve_backend() == REFERENCE
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
 
-    def test_invalid_explicit_raises(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            resolve_backend("cuda")
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "warp-speed")
-        with pytest.raises(ConfigurationError, match=BACKEND_ENV_VAR):
-            resolve_backend()
-
-    def test_valid_backends_is_the_pair(self):
-        assert set(VALID_BACKENDS) == {REFERENCE, FAST}
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
 
 
-class TestSearchParamsBackend:
-    def test_default_backend_is_none(self):
-        assert SearchParams().backend is None
+class TestNothingSelectsThePath:
+    def test_search_and_build_read_no_environment(self, monkeypatch):
+        environ = _RecordingEnviron(os.environ)
+        monkeypatch.setattr(os, "environ", environ)
+        points = gaussian_mixture(120, 8, seed=1)
+        queries = gaussian_mixture(6, 8, seed=2)
+        graph = build_nsw_gpu(points, BuildParams(d_min=4, d_max=8,
+                                                  n_blocks=4)).graph
+        ganns_search(graph, points, queries, SearchParams(k=5, l_n=16))
+        ganns_search(graph, points, queries,
+                     SearchParams(k=5, l_n=16, quant="pca"))
+        assert environ.reads == []
 
-    @pytest.mark.parametrize("backend", [REFERENCE, FAST, None])
-    def test_valid_backends_accepted(self, backend):
-        assert SearchParams(backend=backend).backend == backend
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            SearchParams(backend="gpu")
-
-    def test_signature_excludes_backend(self):
-        ref = SearchParams(k=5, l_n=32, backend=REFERENCE)
-        fast = SearchParams(k=5, l_n=32, backend=FAST)
-        assert ref.signature() == fast.signature()
-
-    def test_with_overrides_revalidates(self):
-        params = SearchParams()
-        with pytest.raises(ConfigurationError):
-            params.with_overrides(backend="nope")
+    def test_search_params_has_no_backend_field(self):
+        assert "backend" not in SearchParams.__dataclass_fields__
+        assert len(SearchParams.__dataclass_fields__) == 6
 
 
 class TestComputeDtype:

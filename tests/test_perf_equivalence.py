@@ -1,20 +1,25 @@
-"""Cross-backend equivalence: fast == reference, observably.
+"""The one implementation against its oracles and pinned goldens.
 
-The fast backend's whole contract is "same answers, same accounting,
-less wall-clock".  This suite pins the contract:
+``ganns_search`` and GGraphCon each have exactly one implementation
+(the arena / GEMM / batched-merge code under ``repro.perf``).  This
+suite pins it from outside:
 
-- search ids, iterations and distance counts match **exactly** (and the
-  golden workload's ids byte-for-byte against the committed artifact);
-- per-phase, per-lane cycle charges match exactly — the simulated clock
-  cannot tell the backends apart;
+- search ids, iterations and distance counts match the batched oracle
+  (``tests/oracles/ganns_batched.py``) **exactly** (and the golden
+  workload's ids byte-for-byte against the committed artifact);
+- per-phase, per-lane cycle charges match the oracle exactly;
 - distances match to dtype-scaled tolerance (the GEMM euclidean form
   regroups the same arithmetic; cosine/ip use identical expressions);
-- construction produces byte-identical graphs and identical simulated
-  phase seconds;
-- the batched HNSW descent returns the reference entries and distance
-  counts exactly.
+- construction reproduces ``tests/data/construction_golden.json`` —
+  graph digests, simulated seconds and phase seconds recorded from the
+  per-vertex ``insert_edge`` / ``merge_row`` branches before they were
+  deleted (regenerate, consciously, with
+  ``scripts/regen_golden.py --construction``);
+- the batched HNSW descent returns the CPU baseline's per-query entries
+  and distance counts exactly.
 """
 
+import json
 import os
 
 import numpy as np
@@ -22,42 +27,52 @@ import pytest
 
 from repro.baselines.hnsw_cpu import hnsw_entry_descent
 from repro.baselines.nsw_cpu import build_nsw_cpu
-from repro.core.construction import build_nsw_gpu
+from repro.core.construction import build_nsw_gpu, insert_batch_nsw
 from repro.core.ganns import ganns_search
 from repro.core.hnsw import build_hnsw_gpu
 from repro.core.params import BuildParams, SearchParams
 from repro.datasets.synthetic import gaussian_mixture
+from repro.graphs.stats import graph_digest
+from repro.mutable.index import _grown_graph
 from repro.perf.arena import get_arena
-from repro.perf.backend import FAST, REFERENCE
 from repro.perf.descent import hnsw_entry_descent_batch
+from tests.oracles.ganns_batched import ganns_search_oracle
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "ganns_golden.npz")
+CONSTRUCTION_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                        "construction_golden.json")
 
 #: Distance tolerance per compute dtype: the euclidean GEMM form
-#: (norms - 2ab) regroups the reference's (a-b)^2 sum, so the results
+#: (norms - 2ab) regroups the oracle's (a-b)^2 sum, so the results
 #: agree to a few ulps of the dtype, never exactly.
 ATOL = {np.dtype(np.float64): 1e-10, np.dtype(np.float32): 1e-4}
 
 
-def _assert_trackers_equal(ref, fast):
-    assert ref.phase_names == fast.phase_names
-    for phase in ref.phase_names:
-        ref_lanes = ref.lane_cycles(phase)
-        fast_lanes = fast.lane_cycles(phase)
-        assert np.array_equal(ref_lanes, fast_lanes), (
+def _assert_trackers_equal(expected, actual):
+    assert expected.phase_names == actual.phase_names
+    for phase in expected.phase_names:
+        assert np.array_equal(expected.lane_cycles(phase),
+                              actual.lane_cycles(phase)), (
             f"per-lane cycle drift in phase {phase!r}"
         )
 
 
-def _assert_reports_equivalent(ref, fast, dtype=np.float64):
-    assert ref.ids.tobytes() == fast.ids.tobytes()
-    assert np.array_equal(ref.iterations, fast.iterations)
-    assert ref.n_distance_computations == fast.n_distance_computations
-    assert ref.dists.dtype == fast.dists.dtype
-    np.testing.assert_allclose(ref.dists, fast.dists,
+def assert_matches_oracle(graph, points, queries, params, dtype=np.float64,
+                          **search_kwargs):
+    """``ganns_search`` against the batched oracle on one workload."""
+    oracle = ganns_search_oracle(graph, points, queries, params,
+                                 dtype=dtype, **search_kwargs)
+    report = ganns_search(graph, points, queries, params, dtype=dtype,
+                          **search_kwargs)
+    assert oracle.ids.tobytes() == report.ids.tobytes()
+    assert np.array_equal(oracle.iterations, report.iterations)
+    assert oracle.n_distance_computations == report.n_distance_computations
+    assert oracle.dists.dtype == report.dists.dtype == np.dtype(dtype)
+    np.testing.assert_allclose(oracle.dists, report.dists,
                                atol=ATOL[np.dtype(dtype)], rtol=0)
-    _assert_trackers_equal(ref.tracker, fast.tracker)
+    _assert_trackers_equal(oracle.tracker, report.tracker)
+    return report
 
 
 def _graph_and_data(metric, n=300, m=24, d=16, seed=5):
@@ -75,104 +90,128 @@ class TestSearchEquivalence:
     @pytest.mark.parametrize("lazy_check", [True, False])
     def test_ids_cycles_and_counts_match(self, metric, lazy_check):
         graph, points, queries = _graph_and_data(metric)
-        params = SearchParams(k=10, l_n=32, e=24)
-        ref = ganns_search(graph, points, queries,
-                           params.with_overrides(backend=REFERENCE),
-                           lazy_check=lazy_check)
-        fast = ganns_search(graph, points, queries,
-                            params.with_overrides(backend=FAST),
-                            lazy_check=lazy_check)
-        _assert_reports_equivalent(ref, fast)
+        assert_matches_oracle(graph, points, queries,
+                              SearchParams(k=10, l_n=32, e=24),
+                              lazy_check=lazy_check)
 
     def test_float32_compute_dtype(self):
         graph, points, queries = _graph_and_data("euclidean")
-        params = SearchParams(k=10, l_n=32)
-        ref = ganns_search(graph, points, queries,
-                           params.with_overrides(backend=REFERENCE),
-                           dtype=np.float32)
-        fast = ganns_search(graph, points, queries,
-                            params.with_overrides(backend=FAST),
-                            dtype=np.float32)
-        assert ref.dists.dtype == np.dtype(np.float32)
-        _assert_reports_equivalent(ref, fast, dtype=np.float32)
+        assert_matches_oracle(graph, points, queries,
+                              SearchParams(k=10, l_n=32), dtype=np.float32)
 
     def test_per_query_entry_vertices(self):
         graph, points, queries = _graph_and_data("euclidean")
         entries = np.arange(len(queries)) % graph.n_vertices
-        params = SearchParams(k=5, l_n=16)
-        ref = ganns_search(graph, points, queries,
-                           params.with_overrides(backend=REFERENCE),
-                           entry=entries)
-        fast = ganns_search(graph, points, queries,
-                            params.with_overrides(backend=FAST),
-                            entry=entries)
-        _assert_reports_equivalent(ref, fast)
+        assert_matches_oracle(graph, points, queries,
+                              SearchParams(k=5, l_n=16), entry=entries)
 
     def test_fast_matches_golden_ids_byte_for_byte(self):
-        # The frozen scenario of test_golden_determinism, run fast.
+        # The frozen scenario of test_golden_determinism.
         points = gaussian_mixture(400, 16, n_clusters=6, cluster_std=0.3,
                                   intrinsic_dim=6, seed=42)
         queries = gaussian_mixture(30, 16, n_clusters=6, cluster_std=0.3,
                                    intrinsic_dim=6, seed=43)
         graph = build_nsw_cpu(points, d_min=8, d_max=16).graph
         report = ganns_search(graph, points, queries,
-                              SearchParams(k=10, l_n=32, e=24,
-                                           backend=FAST))
+                              SearchParams(k=10, l_n=32, e=24))
         with np.load(GOLDEN_PATH) as golden:
             assert report.ids.tobytes() == golden["ids"].tobytes()
             np.testing.assert_allclose(report.dists, golden["dists"],
                                        atol=1e-10, rtol=0)
 
 
+def _nsw(n, d, seed, params, **kwargs):
+    return lambda: build_nsw_gpu(gaussian_mixture(n, d, seed=seed), params,
+                                 **kwargs)
+
+
+def _insert_with_exclude_mask():
+    """One streaming batch into a built graph, tombstones excluded."""
+    points = gaussian_mixture(240, 8, seed=15)
+    params = BuildParams(d_min=4, d_max=8, n_blocks=6)
+    grown = _grown_graph(build_nsw_gpu(points[:200], params).graph, 40)
+    tombstones = np.zeros(240, dtype=bool)
+    tombstones[[0, 3, 17, 42, 99, 150]] = True
+    return insert_batch_nsw(grown, points, np.arange(200, 240), params,
+                            entry=1, exclude_mask=tombstones)
+
+
+_SMALL = BuildParams(d_min=4, d_max=8)
+
+#: The frozen construction scenarios.  Never change one without
+#: regenerating the golden file (and saying so in the commit message).
+CONSTRUCTION_SCENARIOS = {
+    "nsw_euclidean": _nsw(300, 16, 9, BuildParams(d_min=8, d_max=16,
+                                                  n_blocks=8)),
+    "nsw_cosine": _nsw(300, 16, 9, BuildParams(d_min=8, d_max=16,
+                                               n_blocks=8),
+                       metric="cosine"),
+    "nsw_exact": _nsw(120, 8, 10, _SMALL.with_overrides(n_blocks=5),
+                      exact=True),
+    "nsw_exact_cosine": _nsw(120, 8, 10, _SMALL.with_overrides(n_blocks=5),
+                             exact=True, metric="cosine"),
+    "nsw_blocks_1": _nsw(257, 8, 11, _SMALL.with_overrides(n_blocks=1)),
+    "nsw_blocks_257": _nsw(257, 8, 11, _SMALL.with_overrides(n_blocks=257)),
+    # The default n_blocks (800) over 1000 points: groups of one or two.
+    "nsw_blocks_default": _nsw(1000, 8, 11, _SMALL),
+    "hnsw": lambda: build_hnsw_gpu(
+        gaussian_mixture(250, 8, seed=12),
+        BuildParams(d_min=4, d_max=8, n_blocks=4, seed=3)),
+    "insert_exclude_mask": _insert_with_exclude_mask,
+}
+
+
+def compute_construction_golden():
+    """Run every frozen scenario; JSON floats round-trip exactly."""
+    golden = {}
+    for name, build in CONSTRUCTION_SCENARIOS.items():
+        report = build()
+        golden[name] = {"graph_digest": graph_digest(report.graph),
+                        "seconds": report.seconds,
+                        "phase_seconds": report.phase_seconds}
+    return golden
+
+
+def write_construction_golden(golden):
+    with open(CONSTRUCTION_GOLDEN_PATH, "w") as handle:
+        json.dump(golden, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
 class TestConstructionEquivalence:
-    def _assert_graphs_byte_equal(self, ref, fast):
-        assert ref.graph.neighbor_ids.tobytes() == \
-            fast.graph.neighbor_ids.tobytes()
-        assert ref.graph.neighbor_dists.tobytes() == \
-            fast.graph.neighbor_dists.tobytes()
-        assert ref.graph.degrees.tobytes() == fast.graph.degrees.tobytes()
-        assert ref.seconds == fast.seconds
-        assert ref.phase_seconds == fast.phase_seconds
+    """The batched construction reproduces the per-vertex branches' bytes."""
+
+    def _assert_reproduces(self, name):
+        with open(CONSTRUCTION_GOLDEN_PATH) as handle:
+            expected = json.load(handle)[name]
+        report = CONSTRUCTION_SCENARIOS[name]()
+        assert graph_digest(report.graph) == expected["graph_digest"]
+        assert report.seconds == expected["seconds"]
+        assert report.phase_seconds == expected["phase_seconds"]
+
+    def test_golden_covers_every_scenario(self):
+        with open(CONSTRUCTION_GOLDEN_PATH) as handle:
+            assert set(json.load(handle)) == set(CONSTRUCTION_SCENARIOS)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_nsw_build_byte_identical(self, metric):
-        points = gaussian_mixture(300, 16, seed=9)
-        params = BuildParams(d_min=8, d_max=16, n_blocks=8)
-        ref = build_nsw_gpu(points, params, metric=metric,
-                            backend=REFERENCE)
-        fast = build_nsw_gpu(points, params, metric=metric, backend=FAST)
-        self._assert_graphs_byte_equal(ref, fast)
+        self._assert_reproduces(f"nsw_{metric}")
 
     def test_exact_mode_byte_identical(self):
-        points = gaussian_mixture(120, 8, seed=10)
-        params = BuildParams(d_min=4, d_max=8, n_blocks=5)
-        ref = build_nsw_gpu(points, params, exact=True, backend=REFERENCE)
-        fast = build_nsw_gpu(points, params, exact=True, backend=FAST)
-        self._assert_graphs_byte_equal(ref, fast)
+        self._assert_reproduces("nsw_exact")
 
-    @pytest.mark.parametrize("n_blocks", [1, 257])
+    def test_exact_mode_cosine(self):
+        self._assert_reproduces("nsw_exact_cosine")
+
+    @pytest.mark.parametrize("n_blocks", [1, 257, "default"])
     def test_block_count_extremes(self, n_blocks):
-        points = gaussian_mixture(257, 8, seed=11)
-        params = BuildParams(d_min=4, d_max=8, n_blocks=n_blocks)
-        ref = build_nsw_gpu(points, params, backend=REFERENCE)
-        fast = build_nsw_gpu(points, params, backend=FAST)
-        self._assert_graphs_byte_equal(ref, fast)
+        self._assert_reproduces(f"nsw_blocks_{n_blocks}")
 
     def test_hnsw_build_byte_identical(self):
-        points = gaussian_mixture(250, 8, seed=12)
-        params = BuildParams(d_min=4, d_max=8, n_blocks=4, seed=3)
-        ref = build_hnsw_gpu(points, params, backend=REFERENCE)
-        fast = build_hnsw_gpu(points, params, backend=FAST)
-        assert np.array_equal(ref.order, fast.order)
-        assert ref.seconds == fast.seconds
-        for layer_ref, layer_fast in zip(ref.graph.layers,
-                                         fast.graph.layers):
-            assert layer_ref.neighbor_ids.tobytes() == \
-                layer_fast.neighbor_ids.tobytes()
-            assert layer_ref.neighbor_dists.tobytes() == \
-                layer_fast.neighbor_dists.tobytes()
-            assert layer_ref.degrees.tobytes() == \
-                layer_fast.degrees.tobytes()
+        self._assert_reproduces("hnsw")
+
+    def test_insert_batch_with_exclude_mask(self):
+        self._assert_reproduces("insert_exclude_mask")
 
 
 class TestDescentEquivalence:
@@ -206,7 +245,7 @@ class TestArenaReuse:
 
     def test_reset_clears_state_between_searches(self):
         graph, points, queries = _graph_and_data("euclidean", n=200, m=10)
-        params = SearchParams(k=5, l_n=16, backend=FAST)
+        params = SearchParams(k=5, l_n=16)
         first = ganns_search(graph, points, queries, params)
         second = ganns_search(graph, points, queries, params)
         assert first.ids.tobytes() == second.ids.tobytes()

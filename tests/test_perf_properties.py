@@ -1,11 +1,14 @@
-"""Hypothesis property test: fast backend == reference, always.
+"""Hypothesis property test: ``ganns_search`` == its oracles, always.
 
 One composite strategy draws a whole randomised workload — dataset
 seed and size, metric, compute dtype, pool shape, entry scheme, lazy
-check — and the single property is the backend contract: identical ids,
-iterations and per-phase cycle charges, distances within dtype
-tolerance.  Well-separated Gaussian data (not raw hypothesis arrays)
-keeps the workloads representative of what the kernels actually see.
+check — and the single property is the search contract: ids, iterations
+and per-phase cycle charges identical to the batched oracle
+(``tests/oracles/ganns_batched.py``), distances within dtype tolerance;
+and, on the draws the single-query warp kernel supports (lazy check on,
+float64), identical to ``ganns_search_kernel`` query by query as well.
+Well-separated Gaussian data (not raw hypothesis arrays) keeps the
+workloads representative of what the kernels actually see.
 """
 
 import numpy as np
@@ -13,16 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.nsw_cpu import build_nsw_cpu
-from repro.core.ganns import ganns_search
+from repro.core.ganns_kernel import ganns_search_kernel
 from repro.core.params import SearchParams
 from repro.datasets.synthetic import gaussian_mixture
-from repro.perf.backend import FAST, REFERENCE
-
-ATOL = {np.dtype(np.float64): 1e-10, np.dtype(np.float32): 1e-4}
+from tests.test_perf_equivalence import assert_matches_oracle
 
 
 @st.composite
-def backend_workload(draw):
+def search_workload(draw):
     seed = draw(st.integers(min_value=0, max_value=10_000))
     n = draw(st.integers(min_value=40, max_value=160))
     dims = draw(st.sampled_from([4, 8, 16]))
@@ -52,26 +53,23 @@ def backend_workload(draw):
 
 
 class TestBackendProperty:
-    @given(backend_workload())
+    @given(search_workload())
     @settings(max_examples=30, deadline=None)
     def test_fast_equals_reference(self, workload):
         points, queries, metric, dtype, params, entry, lazy = workload
         graph = build_nsw_cpu(points, d_min=4, d_max=8).graph
         graph.metric_name = metric
-        ref = ganns_search(graph, points, queries,
-                           params.with_overrides(backend=REFERENCE),
-                           entry=entry, lazy_check=lazy, dtype=dtype)
-        fast = ganns_search(graph, points, queries,
-                            params.with_overrides(backend=FAST),
-                            entry=entry, lazy_check=lazy, dtype=dtype)
-        assert ref.ids.tobytes() == fast.ids.tobytes()
-        assert np.array_equal(ref.iterations, fast.iterations)
-        assert ref.n_distance_computations == \
-            fast.n_distance_computations
-        assert ref.dists.dtype == fast.dists.dtype == np.dtype(dtype)
-        np.testing.assert_allclose(ref.dists, fast.dists,
-                                   atol=ATOL[np.dtype(dtype)], rtol=0)
-        assert ref.tracker.phase_names == fast.tracker.phase_names
-        for phase in ref.tracker.phase_names:
-            assert np.array_equal(ref.tracker.lane_cycles(phase),
-                                  fast.tracker.lane_cycles(phase))
+        report = assert_matches_oracle(graph, points, queries, params,
+                                       dtype=dtype, entry=entry,
+                                       lazy_check=lazy)
+        if not lazy or dtype != np.float64:
+            return
+        entries = np.broadcast_to(entry, (len(queries),))
+        for row in range(len(queries)):
+            single = ganns_search_kernel(graph, points, queries[row],
+                                         params, entry=int(entries[row]))
+            assert np.array_equal(single.ids[0], report.ids[row])
+            assert single.iterations[0] == report.iterations[row]
+            for phase in single.tracker.phase_names:
+                assert single.tracker.total_cycles(phase) == \
+                    report.tracker.lane_cycles(phase)[row], phase

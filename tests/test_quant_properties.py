@@ -102,7 +102,7 @@ class TestExactnessAtSaturation:
         queries = gaussian_mixture(8, 24, n_clusters=5, cluster_std=0.4,
                                    intrinsic_dim=6, seed=seed) \
             .astype(np.float32)
-        params = SearchParams(k=K, l_n=256, backend="fast", quant=mode,
+        params = SearchParams(k=K, l_n=256, quant=mode,
                               rerank_factor=rerank_factor)
         report = ganns_search(graph, points, queries, params)
         truth_ids, truth_dists = exact_knn(points, queries, K,
@@ -124,10 +124,10 @@ class TestPoolOverlap:
                                    intrinsic_dim=6, seed=seed) \
             .astype(np.float32)
         exact = ganns_search(graph, points, queries,
-                             SearchParams(k=K, l_n=32, backend="fast"))
+                             SearchParams(k=K, l_n=32))
         staged = ganns_search(
             graph, points, queries,
-            SearchParams(k=K, l_n=32, backend="fast", quant=mode,
+            SearchParams(k=K, l_n=32, quant=mode,
                          rerank_factor=2))
         overlaps = [
             len(set(exact.ids[row]) & set(staged.ids[row])) / K
@@ -143,8 +143,7 @@ class TestCacheIsolation:
     def _replay(self, cache, quant, graph, points, trace):
         engine = ServeEngine(
             graph, points,
-            params=SearchParams(k=K, l_n=32, backend="fast",
-                                quant=quant),
+            params=SearchParams(k=K, l_n=32, quant=quant),
             policy=BatchPolicy(max_batch=32, max_wait_seconds=0.002,
                                max_queue=4096),
             cache=cache)
@@ -173,7 +172,7 @@ class TestCacheIsolation:
                                   graph, points, trace)
 
         shared = ResultCache(capacity=4096)
-        exact_warmup = self._replay(shared, "off", graph, points, trace)
+        exact_warmup = self._replay(shared, None, graph, points, trace)
         exact_entries = len(shared)
         assert exact_entries > 0
         quant_warmed = self._replay(shared, mode, graph, points, trace)
@@ -188,7 +187,7 @@ class TestCacheIsolation:
         # replay's hit count at its cold baseline.
         quant_shared = ResultCache(capacity=4096)
         self._replay(quant_shared, mode, graph, points, trace)
-        exact_over_quant = self._replay(quant_shared, "off", graph,
+        exact_over_quant = self._replay(quant_shared, None, graph,
                                         points, trace)
         assert (exact_over_quant.n_cache_hits
                 == exact_warmup.n_cache_hits), (

@@ -1,10 +1,10 @@
 """Unit and regression tests for the quantized staged search.
 
 Covers the plumbing around the staged pipeline (the statistical bounds
-live in ``test_quant_properties.py``): mode resolution (params vs the
-``REPRO_QUANT`` environment variable), parameter validation, signature
-exclusion, determinism, the exactness of reported distances, footprint
-accounting, the cost-model dimension mapping, and the
+live in ``test_quant_properties.py``): mode selection
+(``SearchParams.quant`` and nothing else), parameter validation,
+signature exclusion, determinism, the exactness of reported distances,
+footprint accounting, the cost-model dimension mapping, and the
 ``resolve_compute_dtype`` mixed-dtype regression.
 """
 
@@ -18,13 +18,12 @@ from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import ConfigurationError, SearchError
 from repro.perf.distance import resolve_compute_dtype
 from repro.perf.quant import (
-    QUANT_ENV_VAR,
     QUANT_MODES,
     charged_dims,
     pca_rank,
     quantize_points,
-    resolve_quant,
 )
+from tests.test_perf_equivalence import assert_matches_oracle
 
 N, D = 150, 24
 
@@ -46,30 +45,13 @@ def _fixture():
 
 
 class TestResolveQuant:
-    def test_explicit_modes(self):
-        for mode in QUANT_MODES:
-            assert resolve_quant(mode) == mode
-
-    def test_off_forces_exact(self, monkeypatch):
-        monkeypatch.setenv(QUANT_ENV_VAR, "pca")
-        assert resolve_quant("off") is None
-
-    def test_none_defers_to_environment(self, monkeypatch):
-        monkeypatch.delenv(QUANT_ENV_VAR, raising=False)
-        assert resolve_quant(None) is None
-        monkeypatch.setenv(QUANT_ENV_VAR, "int8")
-        assert resolve_quant(None) == "int8"
-        monkeypatch.setenv(QUANT_ENV_VAR, "off")
-        assert resolve_quant(None) is None
-        monkeypatch.setenv(QUANT_ENV_VAR, "")
-        assert resolve_quant(None) is None
-
-    def test_unknown_mode_raises(self, monkeypatch):
-        with pytest.raises(ConfigurationError, match="bogus"):
-            resolve_quant("bogus")
-        monkeypatch.setenv(QUANT_ENV_VAR, "pq4")
-        with pytest.raises(ConfigurationError, match="REPRO_QUANT"):
-            resolve_quant(None)
+    def test_unknown_mode_raises(self):
+        """``None`` is the only spelling of "exact": anything outside
+        ``QUANT_MODES`` — including the retired ``"off"`` — is a typed
+        error naming the valid modes."""
+        for bogus in ("bogus", "off", ""):
+            with pytest.raises(ConfigurationError, match="pca"):
+                SearchParams(k=10, l_n=32, quant=bogus)
 
 
 class TestParamsValidation:
@@ -83,45 +65,26 @@ class TestParamsValidation:
             SearchParams(k=10, l_n=32, rerank_factor=factor)
 
     def test_quant_is_signature_excluded(self):
-        """Like ``backend``, quant settings don't alter the signature
-        tuple itself — serving layers namespace explicitly (and
-        honestly) instead of silently forking result identities."""
+        """Quant settings don't alter the signature tuple itself —
+        serving layers namespace explicitly (and honestly) instead of
+        silently forking result identities."""
         exact = SearchParams(k=10, l_n=32)
         quant = SearchParams(k=10, l_n=32, quant="pca", rerank_factor=4)
         assert exact.signature() == quant.signature()
 
 
 class TestStagedSearch:
-    def test_quant_off_is_byte_identical_to_reference(self, monkeypatch):
-        """quant="off" beats the environment: the result is the exact
-        fast path, byte-identical to the reference backend."""
-        monkeypatch.setenv(QUANT_ENV_VAR, "pca")
+    def test_quant_off_is_byte_identical_to_reference(self):
+        """``quant=None`` is the exact search: same ids as the batched
+        oracle, never a compressed traversal."""
         graph, points, queries = _fixture()
-        off = ganns_search(graph, points, queries,
-                           SearchParams(k=10, l_n=32, backend="fast",
-                                        quant="off"))
-        monkeypatch.delenv(QUANT_ENV_VAR)
-        ref = ganns_search(graph, points, queries,
-                           SearchParams(k=10, l_n=32,
-                                        backend="reference"))
-        assert off.ids.tobytes() == ref.ids.tobytes()
-        np.testing.assert_allclose(off.dists, ref.dists, rtol=1e-9)
-
-    def test_environment_matches_explicit_param(self, monkeypatch):
-        graph, points, queries = _fixture()
-        explicit = ganns_search(
-            graph, points, queries,
-            SearchParams(k=10, l_n=32, backend="fast", quant="pca"))
-        monkeypatch.setenv(QUANT_ENV_VAR, "pca")
-        via_env = ganns_search(graph, points, queries,
-                               SearchParams(k=10, l_n=32, backend="fast"))
-        assert explicit.ids.tobytes() == via_env.ids.tobytes()
-        assert explicit.dists.tobytes() == via_env.dists.tobytes()
+        assert_matches_oracle(graph, points, queries,
+                              SearchParams(k=10, l_n=32))
 
     @pytest.mark.parametrize("mode", QUANT_MODES)
     def test_deterministic(self, mode):
         graph, points, queries = _fixture()
-        params = SearchParams(k=10, l_n=32, backend="fast", quant=mode)
+        params = SearchParams(k=10, l_n=32, quant=mode)
         first = ganns_search(graph, points, queries, params)
         second = ganns_search(graph, points, queries, params)
         assert first.ids.tobytes() == second.ids.tobytes()
@@ -134,7 +97,7 @@ class TestStagedSearch:
         graph, points, queries = _fixture()
         report = ganns_search(
             graph, points, queries,
-            SearchParams(k=10, l_n=32, backend="fast", quant=mode))
+            SearchParams(k=10, l_n=32, quant=mode))
         pts64 = points.astype(np.float64)
         qs64 = queries.astype(np.float64)
         for row in range(len(queries)):
@@ -147,11 +110,11 @@ class TestStagedSearch:
         graph, points, queries = _fixture()
         narrow = ganns_search(
             graph, points, queries,
-            SearchParams(k=10, l_n=32, backend="fast", quant="pca",
+            SearchParams(k=10, l_n=32, quant="pca",
                          rerank_factor=1))
         wide = ganns_search(
             graph, points, queries,
-            SearchParams(k=10, l_n=32, backend="fast", quant="pca",
+            SearchParams(k=10, l_n=32, quant="pca",
                          rerank_factor=4))
         assert wide.shared_mem_bytes > narrow.shared_mem_bytes
 
