@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full bench-smoke \
+.PHONY: install test bench bench-full bench-smoke bench-ab \
 	quant-smoke bakeoff-smoke cluster-smoke mutate-smoke heal-smoke \
 	bench-recovery experiments examples clean
 
@@ -22,6 +22,16 @@ bench-full:
 # workload's correctness gate, span coverage, every per-layer metric).
 bench-smoke:
 	python3 benchmarks/e2e/run.py --smoke --check
+
+# Alternating parent/change pairs of the ruler, judged by compare.py
+# (the README's protocol for a claimed gain).  Parent = HEAD's src/,
+# change = this checkout.
+#   make bench-ab WORKLOADS="search_lowdim serve_replay" PAIRS=6
+WORKLOADS ?=
+PAIRS ?= 10
+bench-ab:
+	python3 scripts/bench_ab.py --pairs $(PAIRS) \
+		$(foreach w,$(WORKLOADS),--workload $(w))
 
 # The CI quant gate: quantized staged search keeps recall@10 within
 # 0.02 of exact, is deterministic, shrinks the footprint, and its

@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the end-to-end benchmark.
+
+The protocol ``benchmarks/e2e/README.md`` asks of a PR that claims a
+gain, as one command::
+
+    python3 scripts/bench_ab.py --workload search_lowdim --pairs 10
+    make bench-ab WORKLOADS="search_lowdim serve_replay" PAIRS=6
+
+Both sides run this checkout's ``benchmarks/e2e/run.py``; only the
+``src`` tree on ``PYTHONPATH`` differs.  ``--parent`` defaults to
+``git archive HEAD src`` unpacked into a temporary directory (so run it
+before committing the change, or pass the tree to compare against),
+``--change`` to this checkout.  Pair *i* runs both sides at seed
+``--seed + i``, each run a process of its own, the parent first on even
+pairs and the change first on odd ones.  The runs of each side are merged into one result document,
+``compare.py`` judges the two, and every row gains one column:
+``every run`` — whether each run of the change beats each run of the
+parent, the condition under which ``compare.py`` can never answer
+``unresolved``.  The exit status is ``compare.py``'s.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+E2E = ROOT / "benchmarks" / "e2e"
+sys.path.insert(0, str(E2E))
+import compare  # noqa: E402  (benchmarks/e2e/compare.py)
+
+
+def archive_head_src(target: Path) -> Path:
+    """Unpack ``git archive HEAD src`` under ``target``."""
+    blob = subprocess.run(["git", "archive", "HEAD", "src"], cwd=ROOT,
+                          check=True, capture_output=True).stdout
+    # The archive is this repository's own; the filter only silences
+    # the interpreters that warn when none is named.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(target, **safe)
+    return target
+
+
+def run_once(tree: Path, workload: str, seed: int, output: Path) -> dict:
+    """One ``--runs 1 --trace 0`` run against ``tree/src``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    output.unlink(missing_ok=True)  # never read a previous run's document
+    done = subprocess.run(
+        [sys.executable, str(E2E / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--runs", "1", "--trace", "0",
+         "--output", str(output)],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
+    if done.returncode not in (0, 1) or not output.exists():
+        raise SystemExit(f"bench_ab: {workload} seed={seed} on {tree} "
+                         f"crashed (exit {done.returncode})")
+    with open(output) as handle:
+        return json.load(handle)
+
+
+def merge(docs: list) -> dict:
+    """One result document holding the runs of many."""
+    return {"schema": docs[0]["schema"],
+            "fingerprint": docs[0]["fingerprint"],
+            "runs": [run for doc in docs for run in doc["runs"]]}
+
+
+def wins_every_run(parent: list, change: list, better: str) -> bool:
+    """Does each change value beat each parent value?"""
+    if better == "higher":
+        return min(change) > max(parent)
+    return max(change) < min(parent)
+
+
+def main(argv=None) -> int:
+    with open(ROOT / "BENCHMARK.json") as handle:
+        spec = json.load(handle)
+    names = [w["name"] for w in spec["workloads"]]
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path,
+                        help="tree whose src/ is the parent "
+                             "(default: git archive HEAD)")
+    parser.add_argument("--change", type=Path, default=ROOT,
+                        help="tree whose src/ is the change "
+                             "(default: this checkout)")
+    parser.add_argument("--workload", action="append", choices=names,
+                        help="workload to run (repeatable; default all)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=100)
+    args = parser.parse_args(argv)
+    workloads = args.workload or names
+
+    with tempfile.TemporaryDirectory(prefix="bench_ab_") as scratch:
+        scratch = Path(scratch)
+        trees = {"parent": args.parent or archive_head_src(
+                     scratch / "parent"),
+                 "change": args.change}
+        docs = {"parent": [], "change": []}
+        for workload in workloads:
+            for pair in range(args.pairs):
+                order = (("parent", "change") if pair % 2 == 0
+                         else ("change", "parent"))
+                for side in order:
+                    doc = run_once(trees[side].resolve(), workload,
+                                   args.seed + pair,
+                                   scratch / f"{side}_run.json")
+                    docs[side].append(doc)
+                    run = doc["runs"][0]
+                    print(f"## {workload} seed={args.seed + pair} {side}: "
+                          + "  ".join(f"{k}={v['value']:.4g}" for k, v in
+                                      run["metrics"].items())
+                          + ("" if run["correct"] else "  CHECKS FAILED"),
+                          flush=True)
+        paths = {side: scratch / f"{side}.json" for side in docs}
+        for side, path in paths.items():
+            with open(path, "w") as handle:
+                json.dump(merge(docs[side]), handle)
+        compared = subprocess.run(
+            [sys.executable, str(E2E / "compare.py"),
+             str(paths["parent"]), str(paths["change"])],
+            cwd=ROOT, capture_output=True, text=True)
+        # compare.py's own reader: {workload: {metric: [value per run]}}.
+        parent, change = (compare.load(paths[side])[1]
+                          for side in ("parent", "change"))
+
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    for line in compared.stdout.splitlines():
+        cells = line.split()
+        if line.startswith("workload"):
+            line += "  every run"
+        elif len(cells) > 1 and cells[1] in parent.get(cells[0], {}) \
+                and cells[1] in change.get(cells[0], {}):
+            workload, metric = cells[:2]
+            line += "  " + ("yes" if wins_every_run(
+                parent[workload][metric], change[workload][metric],
+                better[metric]) else "no")
+        print(line)
+    sys.stderr.write(compared.stderr)
+    return compared.returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -89,6 +89,14 @@ def ganns_search(graph: ProximityGraph, points: np.ndarray,
             f"points {points.shape} and queries {queries.shape} disagree "
             f"on dimensionality"
         )
+    if len(points) != graph.n_vertices:
+        # Out-of-range neighbour ids would clip to the last point and
+        # an answer would still come back.
+        raise SearchError(
+            f"points has {len(points)} rows but the graph has "
+            f"{graph.n_vertices} vertices; search the matrix the graph "
+            f"was built over"
+        )
     n_queries = len(queries)
     if n_queries == 0:
         raise SearchError("queries must not be empty")
@@ -99,10 +107,15 @@ def ganns_search(graph: ProximityGraph, points: np.ndarray,
         )
     compute_dtype = resolve_compute_dtype(points, queries, dtype)
 
+    entries = np.asarray(entry, dtype=np.int64)
+    if entries.shape not in ((), (n_queries,)):
+        raise SearchError(
+            f"entry must be a scalar or a ({n_queries},) array, one "
+            f"vertex per query; got shape {entries.shape}"
+        )
     # Entries are never mutated by the traversal, so the read-only
     # broadcast view is enough.
-    entries = np.broadcast_to(np.asarray(entry, dtype=np.int64),
-                              (n_queries,))
+    entries = np.broadcast_to(entries, (n_queries,))
     if entries.min() < 0 or entries.max() >= graph.n_vertices:
         raise SearchError(
             f"entry vertices must lie in [0, {graph.n_vertices})"

@@ -6,12 +6,15 @@ pricing, reports); this package owns their single execution path — there
 is no second implementation and no switch to ask for one:
 
 - :mod:`repro.perf.arena` — preallocated, reusable search buffers with
-  active-query compaction;
+  active-query compaction, and the per-call pool-membership bitmap
+  behind the lazy check;
 - :mod:`repro.perf.distance` — GEMM-style dtype-preserving distance
   engines with precomputed norms;
-- :mod:`repro.perf.engine` — the GANNS traversal (merge strategy picked
-  from the batch width), plus the two-stage quantized pipeline
-  (``ganns_search_staged``);
+- :mod:`repro.perf.engine` — the GANNS traversal (one insertion merge:
+  host work follows the records that enter a pool), plus the two-stage
+  quantized pipeline (``ganns_search_staged``);
+- :mod:`repro.perf.identity_cache` — per-corpus memoisation for the two
+  modules around it, entries living exactly as long as their matrix;
 - :mod:`repro.perf.quant` — compressed distance tables
   (float16 / int8 / PCA) for the staged search's first pass
   (``SearchParams.quant``; **lossy**, reported as such — see

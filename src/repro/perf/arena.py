@@ -1,13 +1,13 @@
-"""Preallocated, reusable buffers for the arena-backed GANNS search.
+"""Working state of the GANNS traversal: the reusable arena and the
+per-call pool-membership bitmap.
 
-A textbook batched search allocates fresh arrays every iteration: two
-``np.concatenate`` calls build the ``(m, l_n + l_t)`` merge input, every
-phase gathers ``pool[act]`` into a new array, and the results scatter
-back.  A :class:`SearchArena` avoids all of that:
+A textbook batched search allocates fresh arrays every iteration
+(``np.concatenate`` for the merge input, a ``pool[act]`` gather per
+phase).  A :class:`SearchArena` avoids that:
 
-- every buffer the six phases touch is allocated **once** and sliced per
-  iteration (double-buffered pools, so the merge writes straight into
-  the alternate buffer and the two swap);
+- the pool and the neighbor buffer are allocated **once** and sliced per
+  iteration; the insertion merge rewrites touched pool rows in place, so
+  there is one copy of the pool and no merge scratch;
 - active queries live in **compact** rows ``0..m-1``: when queries
   finish, survivors are copied up once and finished queries never pay
   gather costs again.  ``query_rows[:m]`` maps compact rows back to the
@@ -15,9 +15,10 @@ back.  A :class:`SearchArena` avoids all of that:
   the tracker with exactly the lane sets of the active queries).
 
 Arenas are cached per ``(l_n, l_t, dtype)`` shape class and reused
-across search calls when capacity allows — the serving engine dispatches
-thousands of micro-batches with identical parameters, and re-using one
-arena keeps the steady-state allocation rate of a replay near zero.
+across calls when capacity allows (a serving replay dispatches thousands
+of identically-shaped micro-batches).  :class:`PoolMembership` is sized
+by the corpus instead, so it is allocated per call and dropped on
+return: no search leaves behind anything the next one could read.
 """
 
 from __future__ import annotations
@@ -25,6 +26,49 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
+
+#: Single-bit masks, indexed by bit position within a byte.
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
+
+
+class PoolMembership:
+    """Exact "this id is in this query's pool *now*" bitmap.
+
+    The paper's lazy-check predicate, one bit per (query, vertex): set
+    when a record enters the pool, cleared when it is evicted — not a
+    visited set, so an evicted vertex may re-enter, as under a scan of
+    the pool.  Keyed by the caller's query row, so compaction moves
+    nothing.  ``n_queries * ceil(n / 8)`` bytes.
+    """
+
+    def __init__(self, n_queries: int, n_vertices: int):
+        #: Bits per query row, a whole number of bytes.
+        self.stride = -(-int(n_vertices) // 8) * 8
+        self.bits = np.zeros(int(n_queries) * (self.stride // 8),
+                             dtype=np.uint8)
+
+    def contains(self, query_rows: np.ndarray,
+                 ids: np.ndarray) -> np.ndarray:
+        """``(m, w)`` membership of ``ids[j]`` in query ``query_rows[j]``.
+        Pad ids (``-1``) read the bit before the row's first: in bounds
+        and meaningless — callers mask those lanes."""
+        flat = query_rows[:, None] * self.stride + ids
+        return (self.bits.take(flat >> 3, mode="wrap")
+                & _BIT.take(flat & 7)) != 0
+
+    def insert(self, query_rows: np.ndarray, ids: np.ndarray) -> None:
+        """Set ``ids[j]`` in query ``query_rows[j]`` (flat, aligned).
+        ``ufunc.at``, here and in :meth:`evict`, because two records of
+        one call may share a byte."""
+        flat = query_rows * self.stride + ids
+        np.bitwise_or.at(self.bits, flat >> 3, _BIT.take(flat & 7))
+
+    def evict(self, query_rows: np.ndarray, ids: np.ndarray) -> None:
+        """Clear ``ids[j]`` in query ``query_rows[j]``; negative ids are
+        pool pads and skipped."""
+        real = ids >= 0
+        flat = query_rows[real] * self.stride + ids[real]
+        np.bitwise_and.at(self.bits, flat >> 3, ~_BIT.take(flat & 7))
 
 
 class SearchArena:
@@ -44,44 +88,14 @@ class SearchArena:
         self.l_t = int(l_t)
         self.dtype = np.dtype(dtype)
         shape_n = (self.capacity, self.l_n)
-        # Double-buffered pool: the merge phase reads buffer A and
-        # writes buffer B, then the two swap roles.
         self.pool_dists = np.empty(shape_n, dtype=self.dtype)
         self.pool_ids = np.empty(shape_n, dtype=np.int64)
         self.pool_explored = np.empty(shape_n, dtype=bool)
-        self.alt_dists = np.empty(shape_n, dtype=self.dtype)
-        self.alt_ids = np.empty(shape_n, dtype=np.int64)
-        self.alt_explored = np.empty(shape_n, dtype=bool)
-        #: Pool ids re-sorted by id (the lazy-check probe structure).
-        self.ids_sorted = np.empty(shape_n, dtype=np.int64)
         #: Neighbor buffer T (adjacency rows stream into it in place).
         self.t_ids = np.empty((self.capacity, self.l_t), dtype=np.int64)
         #: Compact row -> original query row (always sorted ascending).
         self.query_rows = np.empty(self.capacity, dtype=np.int64)
         self.rows = np.arange(self.capacity, dtype=np.int64)
-        # Wide-batch step-merge state: flat cursors into the ravelled
-        # pool (stride l_n) and the ravelled padded T run (stride
-        # l_t + 1; the extra column is a (+inf, INT64_MAX) sentinel
-        # that loses every comparison, so the cursor needs no bounds
-        # check).  Output slots accumulate in (l_n, capacity) layout —
-        # each slot is one contiguous row write — and transpose back
-        # into the pool when the merge finishes.
-        self.merge_fa = np.empty(self.capacity, dtype=np.int64)
-        self.merge_fb = np.empty(self.capacity, dtype=np.int64)
-        self.row_base_a = self.rows * self.l_n
-        self.row_base_b = self.rows * (self.l_t + 1)
-        self.t_dists_pad = np.empty((self.capacity, self.l_t + 1),
-                                    dtype=self.dtype)
-        self.t_ids_pad = np.empty((self.capacity, self.l_t + 1),
-                                  dtype=np.int64)
-        self.t_dists_pad[:, self.l_t] = np.inf
-        self.t_ids_pad[:, self.l_t] = np.iinfo(np.int64).max
-        self.out_dists = np.empty((self.l_n, self.capacity),
-                                  dtype=self.dtype)
-        self.out_ids = np.empty((self.l_n, self.capacity),
-                                dtype=np.int64)
-        self.out_explored = np.empty((self.l_n, self.capacity),
-                                     dtype=bool)
 
     def reset(self, n_queries: int) -> int:
         """Prepare for a fresh search of ``n_queries`` queries.
@@ -103,13 +117,6 @@ class SearchArena:
         self.pool_explored[:m] = True
         self.query_rows[:m] = np.arange(m)
         return m
-
-    def swap_pools(self) -> None:
-        """Exchange the primary and alternate pool buffers."""
-        self.pool_dists, self.alt_dists = self.alt_dists, self.pool_dists
-        self.pool_ids, self.alt_ids = self.alt_ids, self.pool_ids
-        self.pool_explored, self.alt_explored = (
-            self.alt_explored, self.pool_explored)
 
     def compact(self, m: int, keep: np.ndarray) -> int:
         """Drop finished rows; survivors move up, order preserved.
@@ -151,41 +158,3 @@ def get_arena(n_queries: int, l_n: int, l_t: int,
         arena = SearchArena(n_queries, l_n, l_t, dtype)
         _ARENA_CACHE[key] = arena
     return arena
-
-
-class RerankScratch:
-    """Candidate-pool hand-off buffers for the staged quantized search.
-
-    The compressed traversal retires each query's full ``l_q``-wide pool
-    (ids + float32 traversal distances) into these buffers, and the
-    exact rerank reads them back.  Like the arenas they are cached per
-    shape class and reused across calls — a serving replay runs
-    thousands of identically-shaped staged micro-batches, and this keeps
-    the per-batch allocation at the final ``(m, k)`` outputs only.
-    """
-
-    def __init__(self, capacity: int, l_q: int):
-        self.capacity = int(capacity)
-        self.l_q = int(l_q)
-        self.pool_ids = np.empty((self.capacity, self.l_q),
-                                 dtype=np.int64)
-        self.pool_dists = np.empty((self.capacity, self.l_q),
-                                   dtype=np.float32)
-
-
-#: One cached scratch per rerank pool width; capacity grows
-#: monotonically, exactly like the arena cache.
-_RERANK_CACHE: Dict[int, RerankScratch] = {}
-_RERANK_CACHE_MAX = 8
-
-
-def get_rerank_scratch(n_queries: int, l_q: int) -> RerankScratch:
-    """Fetch (or build) rerank buffers for ``n_queries`` x ``l_q``."""
-    key = int(l_q)
-    scratch = _RERANK_CACHE.get(key)
-    if scratch is None or scratch.capacity < n_queries:
-        if scratch is None and len(_RERANK_CACHE) >= _RERANK_CACHE_MAX:
-            _RERANK_CACHE.clear()
-        scratch = RerankScratch(n_queries, l_q)
-        _RERANK_CACHE[key] = scratch
-    return scratch

@@ -15,8 +15,9 @@ The engines here avoid both costs:
 - **preparation caching** — the cast matrix and its norms are cached
   per ``(points, metric, dtype)`` and reused across search calls (the
   serving engine dispatches thousands of small batches against one
-  immutable point set).  The cache holds weak references, so it never
-  extends a point matrix's lifetime.
+  immutable point set).  Entries leave when their matrix is collected
+  (:mod:`repro.perf.identity_cache`), so the cache neither extends a
+  matrix's lifetime nor thrashes however many corpora are in rotation.
 
 Numerical contract: cosine and inner-product evaluation is the *same*
 arithmetic as the oracle's (bit-identical results); the euclidean norm
@@ -30,12 +31,12 @@ workload.
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import SearchError
+from repro.perf.identity_cache import IdentityCache
 
 #: Compute dtypes the engines accept.
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -84,21 +85,22 @@ def resolve_compute_dtype(points: np.ndarray, queries: np.ndarray,
 
 
 class _PreparedPoints:
-    """Cast point matrix plus precomputed per-point quantities."""
+    """Per-point quantities derived from one matrix.
+
+    ``matrix`` is ``None`` when the points already are the prepared
+    matrix (contiguous, compute dtype, no normalisation): a cached value
+    must not reference its own key (:mod:`repro.perf.identity_cache`).
+    """
 
     __slots__ = ("matrix", "norms")
 
-    def __init__(self, matrix: np.ndarray, norms: Optional[np.ndarray]):
+    def __init__(self, matrix: Optional[np.ndarray],
+                 norms: Optional[np.ndarray]):
         self.matrix = matrix
         self.norms = norms
 
 
-#: ``id(points) -> (weakref to points, {(metric, dtype): prepared})``.
-#: Keyed by object identity with a weakref guard: when the original
-#: matrix dies (or the id is reused by a different array), the entry is
-#: invalid and gets rebuilt.
-_PREPARED_CACHE: dict = {}
-_PREPARED_CACHE_MAX = 8
+_PREPARED_CACHE = IdentityCache()
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -109,42 +111,21 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
 
 def _prepare_points(points: np.ndarray, metric_name: str,
                     dtype: np.dtype) -> _PreparedPoints:
-    """Cast + precompute for one point matrix, with identity caching."""
-    key = id(points)
-    entry = _PREPARED_CACHE.get(key)
-    if entry is not None:
-        ref, by_variant = entry
-        if ref() is points:
-            prepared = by_variant.get((metric_name, dtype))
-            if prepared is not None:
-                return prepared
-        else:
-            del _PREPARED_CACHE[key]
-
-    cast = np.ascontiguousarray(points, dtype=dtype)
-    if metric_name == "euclidean":
-        prepared = _PreparedPoints(
-            cast, np.einsum("nd,nd->n", cast, cast))
-    elif metric_name == "cosine":
-        prepared = _PreparedPoints(_unit_rows(cast), None)
-    elif metric_name == "ip":
-        prepared = _PreparedPoints(cast, None)
-    else:
+    """Cast + precompute for one point matrix, cached by identity."""
+    if metric_name not in ("euclidean", "cosine", "ip"):
         raise SearchError(
             f"unsupported metric for GANNS search: {metric_name!r}"
         )
 
-    try:
-        ref = weakref.ref(points)
-    except TypeError:
-        return prepared  # non-weakrefable view: just skip the cache
-    entry = _PREPARED_CACHE.get(key)
-    if entry is None or entry[0]() is not points:
-        if len(_PREPARED_CACHE) >= _PREPARED_CACHE_MAX:
-            _PREPARED_CACHE.clear()
-        _PREPARED_CACHE[key] = (ref, {})
-    _PREPARED_CACHE[key][1][(metric_name, dtype)] = prepared
-    return prepared
+    def build() -> _PreparedPoints:
+        cast = np.ascontiguousarray(points, dtype=dtype)
+        if metric_name == "cosine":
+            return _PreparedPoints(_unit_rows(cast), None)
+        norms = (np.einsum("nd,nd->n", cast, cast)
+                 if metric_name == "euclidean" else None)
+        return _PreparedPoints(None if cast is points else cast, norms)
+
+    return _PREPARED_CACHE.get(points, (metric_name, dtype), build)
 
 
 class GroupDistanceEngine:
@@ -166,7 +147,8 @@ class GroupDistanceEngine:
         self.metric_name = metric_name
         self.dtype = np.dtype(dtype)
         prepared = _prepare_points(points, metric_name, self.dtype)
-        self.points = prepared.matrix
+        self.points = (points if prepared.matrix is None
+                       else prepared.matrix)
         self.point_norms = prepared.norms
         queries = np.ascontiguousarray(queries, dtype=self.dtype)
         if metric_name == "euclidean":

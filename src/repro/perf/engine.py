@@ -10,11 +10,14 @@ a whole query batch in lock-step:
 - distances come from :class:`repro.perf.distance.GroupDistanceEngine`
   (precomputed norms, one gather + one GEMM-style einsum per iteration,
   compute dtype preserved);
-- phase 4's duplicate check runs as a row-offset ``searchsorted`` over
-  id-sorted pool rows — O(l_t log l_n) per query;
-- phase 6's merge strategy is picked from the observable batch width
-  (:data:`_STEP_MERGE_MIN_ROWS`): a rank merge for narrow batches, a
-  two-pointer step merge for wide ones.  Both are exact.
+- phase 4's duplicate check is one gather from a per-call
+  :class:`repro.perf.arena.PoolMembership` bitmap (set on insertion,
+  cleared on eviction: the paper's scan of N, not a visited set);
+- phases 5+6 are one insertion merge (:func:`_insert_merge`): only the
+  T records that beat their row's last pool record — about two of the
+  ``l_t`` computed — are sorted, ranked and written, and only the rows
+  they touch are rewritten.  Cycle charges are issued for every lane
+  regardless: the simulated kernel's networks have a fixed cost.
 
 Contract (``tests/test_perf_equivalence.py``,
 ``tests/test_perf_properties.py``, ``tests/test_core_ganns_kernel.py``):
@@ -22,8 +25,9 @@ ids, iteration counts and per-phase per-lane cycle charges equal the
 batched oracle's (``tests/oracles/ganns_batched.py``) and the
 single-query warp kernel's — charges are issued with the oracle's lane
 sets, amounts and order, so tracker listeners (e.g. the serve engine's
-mirrors) observe identical streams.  The merge tie rule
-``(a_dist < b_dist) | ((a_dist == b_dist) & (a_id <= b_id))`` is the
+mirrors) observe identical streams.  The merge tie rule — a pool record
+``a`` precedes a T record ``b`` iff
+``(a_dist < b_dist) | ((a_dist == b_dist) & (a_id <= b_id))`` — is the
 oracle's stable lexsort (pool entries win ties against T entries).
 Distances are bit-identical to the oracle for cosine/ip and agree to
 last-ulp rounding for euclidean (GEMM norm expansion vs diff-einsum).
@@ -43,7 +47,7 @@ staged path is **lossy** (see :mod:`repro.perf.quant`); only
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable
 from repro.gpusim.memory import SharedMemoryBudget
-from repro.perf.arena import get_arena, get_rerank_scratch
+from repro.perf.arena import PoolMembership, SearchArena, get_arena
 from repro.perf.distance import make_distance_engine
 from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
     quantize_points
@@ -63,13 +67,88 @@ from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
 #: broken graph (e.g. corrupted adjacency) and raises.
 _MAX_ITERATION_FACTOR = 64
 
-#: Batch width at which the merge switches from the rank strategy (few
-#: NumPy calls, O(l_n * l_t) element work) to the step strategy
-#: (l_n * ~8 calls, O(l_n + l_t) element work).  Both are exact; this
-#: only trades constant factors — measured on l_n=64/l_t=16 shapes the
-#: curves cross between m=64 (rank 1.6x faster) and m=256 (step 1.1x
-#: faster).
-_STEP_MERGE_MIN_ROWS = 128
+
+def _insert_merge(arena: SearchArena, m: int, t_dists: np.ndarray,
+                  t_ids: np.ndarray, alive: np.ndarray,
+                  members: Optional[PoolMembership]) -> None:
+    """Phases 5+6 for compact rows ``0..m-1``: merge T into the pools.
+
+    Same result as the oracle's stable lexsort of pool + sorted T
+    truncated to the pool width (pool wins ties), computed from the
+    records that enter a pool (``docs/performance.md`` has the
+    argument):
+
+    1. *accept* the T records that strictly precede their row's last
+       pool record — truncation drops the rest anyway;
+    2. *rank*: sort the flat survivors by ``(row, dist, id)``; a
+       survivor's slot is the number of its row's pool records that
+       precede or tie it plus its index within the row's run, and slots
+       past the pool width fall off (always a run's tail);
+    3. *rewrite* the touched rows: slots no survivor took are
+       pool-sourced in pool order, so a running count of taken slots
+       gives each its source column.  A row that takes ``c`` records
+       evicts its last ``c``; ``members`` (``None`` when the lazy check
+       is off) trades exactly those ids.
+
+    ``alive`` masks the ``(m, l_t)`` T lanes that may enter (not pads,
+    not lazy-check victims); the other lanes may hold anything.
+    """
+    width = arena.l_n
+    pool_dists, pool_ids = arena.pool_dists, arena.pool_ids
+    flat_dists, flat_ids = pool_dists.ravel(), pool_ids.ravel()
+    last_dist = pool_dists[:m, width - 1, None]
+    last_id = pool_ids[:m, width - 1, None]
+    accept = alive & ((t_dists < last_dist)
+                      | ((t_dists == last_dist) & (t_ids < last_id)))
+    row, lane = np.nonzero(accept)
+    if len(row) == 0:
+        return
+    dist = t_dists[row, lane]
+    ident = t_ids[row, lane]
+    # ``row`` is the primary key and already ascending, so the
+    # permutation only reorders within rows.
+    order = np.lexsort((ident, dist, row))
+    dist = dist[order]
+    ident = ident[order]
+
+    # Pool records ahead of each survivor: the strictly nearer ones,
+    # plus, where the record it would displace is equidistant (rows are
+    # sorted, so one probe finds every tie), those with an id <= its own.
+    ahead = (pool_dists[row] < dist[:, None]).sum(axis=1)
+    tied = np.flatnonzero(flat_dists.take(row * width + ahead) == dist)
+    if len(tied):
+        tied_row = row[tied]
+        ahead[tied] += ((pool_dists[tied_row] == dist[tied, None])
+                        & (pool_ids[tied_row] <= ident[tied, None])
+                        ).sum(axis=1)
+    run_start = np.concatenate(([True], row[1:] != row[:-1]))
+    first = np.flatnonzero(run_start)
+    touched = row[first]
+    group = np.cumsum(run_start) - 1
+    within = np.arange(len(row)) - first[group]
+    slot = ahead + within
+    # A run's first record always lands (it beat the last pool record):
+    # every touched row keeps one, ``within`` stays 0..c-1 over the kept.
+    kept = np.flatnonzero(slot < width)
+    row, group, within = row[kept], group[kept], within[kept]
+    slot, dist, ident = slot[kept], dist[kept], ident[kept]
+
+    taken = np.zeros((len(touched), width), dtype=bool)
+    taken[group, slot] = True
+    # Flat source of every pool-sourced slot; a taken slot computes a
+    # column to its left (-1 at worst, hence the clip) and is overwritten.
+    source = (np.arange(width) - np.cumsum(taken, axis=1)
+              + (touched * width)[:, None])
+    evicted = flat_ids.take(row * width + (width - 1 - within))
+    for pool, entering in ((pool_dists, dist), (pool_ids, ident),
+                           (arena.pool_explored, False)):
+        merged = pool.ravel().take(source, mode="clip")
+        merged[group, slot] = entering
+        pool[touched] = merged
+    if members is not None:
+        queries = arena.query_rows[row]
+        members.evict(queries, evicted)
+        members.insert(queries, ident)
 
 
 def _traverse(graph: ProximityGraph, engine, arena, tracker,
@@ -88,8 +167,8 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
 
     Args:
         engine: Any object with the ``pairs(query_rows, cand_ids)``
-            distance contract (negative ids clip to row 0; callers
-            overwrite those lanes).
+            distance contract (negative ids clip to row 0; those lanes
+            are masked, never read).
         l_pool: Pool width (``l_n``, or ``rerank_factor * l_n`` for the
             staged path).
         dist_dims: Dimensions charged to the cost model per distance
@@ -111,6 +190,10 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
     arena.pool_dists[:m, 0] = entry_dists
     arena.pool_ids[:m, 0] = entries
     arena.pool_explored[:m, 0] = False
+    members = None
+    if lazy_check:
+        members = PoolMembership(n_queries, graph.n_vertices)
+        members.insert(arena.query_rows[:m], entries)
     tracker.charge("bulk_distance",
                    costs.single_distance_cycles(dist_dims, n_t))
     n_distance_computations = n_queries
@@ -124,12 +207,6 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
 
     iterations = np.zeros(n_queries, dtype=np.int64)
     max_iterations = _MAX_ITERATION_FACTOR * e_budget + 256
-    col_a = np.arange(l_pool, dtype=np.int64)
-    col_b = np.arange(l_t, dtype=np.int64)
-    # Row keys for the flat duplicate probe: id ranges per row must not
-    # overlap; ids live in [-1, n_vertices - 1] so a stride of
-    # n_vertices + 2 keeps rows strictly separated.
-    id_stride = np.int64(graph.n_vertices + 2)
 
     while m > 0:
         # Phase 1 — candidate locating.  query_rows[:m] is exactly the
@@ -167,207 +244,25 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
         valid = t_ids >= 0
         degrees = graph.degrees[exploring]
 
-        # Phase 3 — bulk distance computation (negative ids clip to
-        # point 0 inside the engine and are overwritten with +inf).
+        # Phase 3 — bulk distance computation over the full (m, l_t) T
+        # (pad lanes clip to point 0 in the engine; ``alive`` masks them).
         t_dists = engine.pairs(act, t_ids)
-        t_dists[~valid] = np.inf
         tracker.charge("bulk_distance", degrees * per_vector_cost, act)
         n_distance_computations += int(degrees.sum())
 
-        # Phase 4 — lazy check via row-offset searchsorted: sort each
-        # pool row by id once, probe all of T against the flat sorted
-        # key space (rows separated by id_stride).
+        # Phase 4 — lazy check: one gather from the membership bitmap.
         if lazy_check:
             tracker.charge("lazy_check", check_cost, act)
-            ids_sorted = arena.ids_sorted[:m]
-            ids_sorted[:] = arena.pool_ids[:m]
-            ids_sorted.sort(axis=1)
-            offsets = rows[:, None] * id_stride
-            flat_pool = (ids_sorted + offsets).ravel()
-            flat_t = (t_ids + offsets).ravel()
-            pos = np.searchsorted(flat_pool, flat_t)
-            np.minimum(pos, flat_pool.size - 1, out=pos)
-            duplicate = (flat_pool[pos] == flat_t).reshape(m, l_t)
-            dead = duplicate | ~valid
+            alive = valid & ~members.contains(act, t_ids)
         else:
-            dead = ~valid
-        t_dists[dead] = np.inf
-        t_ids[dead] = -1
+            alive = valid
 
-        # Phases 5+6 fast-outs.  Rows whose T is entirely invalidated
-        # merge nothing: every T record is a (+inf, -1) pad, which loses
-        # to the pool's own padding under the tie rule, so sorting and
-        # merging them is the identity on the pool.  The cycle charges
-        # are still issued with the full lane sets (the simulated kernel
-        # runs the network regardless); only the host-side work is
-        # skipped.  In converged iterations T is mostly duplicates, so
-        # these paths carry the long tail of the search.
-        row_live = ~dead.all(axis=1)
-        n_live = int(np.count_nonzero(row_live))
-        if n_live == 0:
-            tracker.charge("sorting", sort_cost, act)
-            tracker.charge("candidate_update", merge_cost, act)
-            continue
-        if n_live < min(m, _STEP_MERGE_MIN_ROWS):
-            # Few live rows: sort and rank-merge just those, scattering
-            # the merged pools back in place (no buffer swap, so the
-            # untouched rows stay valid).  Same rank arithmetic as the
-            # narrow-batch merge below — a bijection onto the merged
-            # positions, pool wins ties.
-            sub = np.flatnonzero(row_live)
-            t_d = t_dists[sub]
-            t_i = t_ids[sub]
-            tracker.charge("sorting", sort_cost, act)
-            order = np.lexsort((t_i, t_d), axis=1)
-            t_d = np.take_along_axis(t_d, order, axis=1)
-            t_i = np.take_along_axis(t_i, order, axis=1)
-            tracker.charge("candidate_update", merge_cost, act)
-            a_dist = arena.pool_dists[sub]
-            a_id = arena.pool_ids[sub]
-            a_exp = arena.pool_explored[sub]
-            b_before_a = ((t_d[:, None, :] < a_dist[:, :, None])
-                          | ((t_d[:, None, :] == a_dist[:, :, None])
-                             & (t_i[:, None, :] < a_id[:, :, None])))
-            a_rank = col_a + b_before_a.sum(axis=2)
-            b_rank = col_b + l_pool - b_before_a.sum(axis=1)
-            keep_a = a_rank < l_pool
-            keep_b = b_rank < l_pool
-            merged_d = np.empty_like(a_dist)
-            merged_i = np.empty_like(a_id)
-            merged_e = np.empty_like(a_exp)
-            srow = np.broadcast_to(
-                np.arange(n_live, dtype=np.int64)[:, None], keep_a.shape)
-            merged_d[srow[keep_a], a_rank[keep_a]] = a_dist[keep_a]
-            merged_i[srow[keep_a], a_rank[keep_a]] = a_id[keep_a]
-            merged_e[srow[keep_a], a_rank[keep_a]] = a_exp[keep_a]
-            srow_b = np.broadcast_to(
-                np.arange(n_live, dtype=np.int64)[:, None], keep_b.shape)
-            merged_d[srow_b[keep_b], b_rank[keep_b]] = t_d[keep_b]
-            merged_i[srow_b[keep_b], b_rank[keep_b]] = t_i[keep_b]
-            merged_e[srow_b[keep_b], b_rank[keep_b]] = t_i[keep_b] < 0
-            arena.pool_dists[sub] = merged_d
-            arena.pool_ids[sub] = merged_i
-            arena.pool_explored[sub] = merged_e
-            continue
-
-        # Phase 5 — sort T by (distance, id).  Records with equal keys
-        # are identical (+inf, -1) pads, so any (dist, id) sort yields
-        # the oracle's exact T sequence.
+        # Phases 5+6 — sort T, merge it into N.  The simulated kernel
+        # runs both networks whatever T holds, so the charges are
+        # unconditional; the host pays for the records that enter.
         tracker.charge("sorting", sort_cost, act)
-        order = np.lexsort((t_ids, t_dists), axis=1)
-        t_dists = np.take_along_axis(t_dists, order, axis=1)
-        t_ids_sorted = np.take_along_axis(t_ids, order, axis=1)
-
-        # Phase 6 — candidate update: merge the two sorted runs into the
-        # alternate pool buffer.  Both strategies below reproduce the
-        # oracle lexsort's stability exactly (pool wins ties on equal
-        # (dist, id)); they differ only in constant factors, so the
-        # batch width picks:
-        #
-        # - wide batches: a two-pointer step merge — l_n vectorised
-        #   steps of O(m) work each, linear in l_n + l_t;
-        # - narrow batches (the long tail where a few slow queries keep
-        #   iterating): a rank merge — each record's merged position is
-        #   its run index plus the count of strictly-preceding records
-        #   in the other run, one broadcast comparison for the whole
-        #   batch.  Quadratic in l_n * l_t but a dozen NumPy calls
-        #   total, which is what matters when m is tiny.
-        #
-        # Keys form a total order (no NaNs; see module docstring), so in
-        # the rank merge the T-side count is the complement of the
-        # pool-side one, and ranks are a bijection onto the merged
-        # positions — every output slot below l_n is written exactly
-        # once.
         tracker.charge("candidate_update", merge_cost, act)
-        if m >= _STEP_MERGE_MIN_ROWS:
-            # Flat views + flat cursors: every gather is a 1-D ``take``
-            # (cheaper than pairwise fancy indexing), and the padded T
-            # run's sentinel column means the B cursor never needs a
-            # bounds check — the sentinel loses every comparison, even
-            # against the pool's own (+inf, -1) padding.
-            pd_flat = arena.pool_dists.ravel()
-            pi_flat = arena.pool_ids.ravel()
-            pe_flat = arena.pool_explored.ravel()
-            arena.t_dists_pad[:m, :l_t] = t_dists
-            arena.t_ids_pad[:m, :l_t] = t_ids_sorted
-            td_flat = arena.t_dists_pad.ravel()
-            ti_flat = arena.t_ids_pad.ravel()
-            fa = arena.merge_fa[:m]
-            fb = arena.merge_fb[:m]
-            fa[:] = arena.row_base_a[:m]
-            fb[:] = arena.row_base_b[:m]
-            tmp_d = arena.out_dists
-            tmp_i = arena.out_ids
-            tmp_e = arena.out_explored
-            filled = l_pool
-            for out_slot in range(l_pool):
-                a_dist = pd_flat.take(fa)
-                a_id = pi_flat.take(fa)
-                b_dist = td_flat.take(fb)
-                b_id = ti_flat.take(fb)
-                take_a = ((a_dist < b_dist)
-                          | ((a_dist == b_dist) & (a_id <= b_id)))
-                tmp_d[out_slot, :m] = np.where(take_a, a_dist, b_dist)
-                tmp_i[out_slot, :m] = np.where(take_a, a_id, b_id)
-                tmp_e[out_slot, :m] = np.where(
-                    take_a, pe_flat.take(fa), b_id < 0)
-                fa += take_a
-                fb += ~take_a
-                # Every fourth slot, test whether the tail can still
-                # change: if each row's last reachable pool record wins
-                # against that row's current T record, every remaining
-                # output is a straight run of pool entries (both runs
-                # are sorted, ties go to the pool) — one bulk gather
-                # finishes the merge.  In converged iterations T is
-                # mostly duplicates, so this fires almost immediately.
-                if (out_slot & 3) == 3 and out_slot + 1 < l_pool:
-                    rem = l_pool - 1 - out_slot
-                    tail = fa + (rem - 1)
-                    a_dist = pd_flat.take(tail)
-                    a_id = pi_flat.take(tail)
-                    b_dist = td_flat.take(fb)
-                    b_id = ti_flat.take(fb)
-                    pure_a = ((a_dist < b_dist)
-                              | ((a_dist == b_dist) & (a_id <= b_id)))
-                    if pure_a.all():
-                        idx = fa[:, None] + col_a[:rem]
-                        arena.pool_dists[:m, out_slot + 1:] = \
-                            pd_flat.take(idx)
-                        arena.pool_ids[:m, out_slot + 1:] = \
-                            pi_flat.take(idx)
-                        arena.pool_explored[:m, out_slot + 1:] = \
-                            pe_flat.take(idx)
-                        filled = out_slot + 1
-                        break
-            # The merged head lands back in the (live) pool buffers —
-            # the wide path never swaps.
-            arena.pool_dists[:m, :filled] = tmp_d[:filled, :m].T
-            arena.pool_ids[:m, :filled] = tmp_i[:filled, :m].T
-            arena.pool_explored[:m, :filled] = tmp_e[:filled, :m].T
-        else:
-            a_dist = arena.pool_dists[:m]
-            a_id = arena.pool_ids[:m]
-            b_before_a = ((t_dists[:, None, :] < a_dist[:, :, None])
-                          | ((t_dists[:, None, :] == a_dist[:, :, None])
-                             & (t_ids_sorted[:, None, :]
-                                < a_id[:, :, None])))
-            a_rank = col_a + b_before_a.sum(axis=2)
-            b_rank = col_b + l_pool - b_before_a.sum(axis=1)
-            keep_a = a_rank < l_pool
-            keep_b = b_rank < l_pool
-            mrows = np.broadcast_to(arena.rows[:m, None], keep_a.shape)
-            alt_d, alt_i = arena.alt_dists, arena.alt_ids
-            alt_e = arena.alt_explored
-            alt_d[mrows[keep_a], a_rank[keep_a]] = a_dist[keep_a]
-            alt_i[mrows[keep_a], a_rank[keep_a]] = a_id[keep_a]
-            alt_e[mrows[keep_a], a_rank[keep_a]] = \
-                arena.pool_explored[:m][keep_a]
-            mrows_b = np.broadcast_to(arena.rows[:m, None], keep_b.shape)
-            t_explored = t_ids_sorted < 0
-            alt_d[mrows_b[keep_b], b_rank[keep_b]] = t_dists[keep_b]
-            alt_i[mrows_b[keep_b], b_rank[keep_b]] = t_ids_sorted[keep_b]
-            alt_e[mrows_b[keep_b], b_rank[keep_b]] = t_explored[keep_b]
-            arena.swap_pools()
+        _insert_merge(arena, m, t_dists, t_ids, alive, members)
 
     return iterations, n_distance_computations
 
@@ -461,9 +356,8 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
     table = quantize_points(points, quant_mode, graph.metric_name)
     engine = QuantizedGroupEngine(table, queries)
     arena = get_arena(n_queries, l_q, l_t, _STAGED_TRAVERSAL_DTYPE)
-    scratch = get_rerank_scratch(n_queries, l_q)
-    pool_ids = scratch.pool_ids[:n_queries]
-    pool_dists = scratch.pool_dists[:n_queries]
+    pool_ids = np.empty((n_queries, l_q), dtype=np.int64)
+    pool_dists = np.empty((n_queries, l_q), dtype=_STAGED_TRAVERSAL_DTYPE)
 
     iterations, n_distance_computations = _traverse(
         graph, engine, arena, tracker, costs,

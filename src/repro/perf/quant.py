@@ -33,20 +33,21 @@ conformance suite's per-family ``quant_recall_delta`` floors).  The
 serving layers namespace their result caches by quant mode so a lossy
 hit can never answer an exact request.
 
-Tables are cached per ``(points identity, mode, metric)`` with weakref
-guards — the serving engine dispatches thousands of micro-batches
-against one immutable corpus, and quantization (one pass over the
-matrix; one thin SVD for PCA) is paid once, not per batch.
+Tables are cached per ``(points identity, mode, metric)`` for as long
+as the corpus matrix lives (:mod:`repro.perf.identity_cache`) — the
+serving engine dispatches thousands of micro-batches against one
+immutable corpus, and quantization (one pass over the matrix; one thin
+SVD for PCA) is paid once, not per batch.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SearchError
+from repro.perf.identity_cache import IdentityCache
 
 #: The lossy representations the staged pipeline can traverse on.
 QUANT_MODES = ("fp16", "int8", "pca")
@@ -245,11 +246,7 @@ def _build_table(points: np.ndarray, mode: str,
     )
 
 
-#: ``id(points) -> (weakref to points, {(mode, metric): table})`` — the
-#: same identity-keyed weakref pattern as the prepared-points cache in
-#: :mod:`repro.perf.distance`.
-_TABLE_CACHE: dict = {}
-_TABLE_CACHE_MAX = 8
+_TABLE_CACHE = IdentityCache()
 
 
 def quantize_points(points: np.ndarray, mode: str,
@@ -270,30 +267,9 @@ def quantize_points(points: np.ndarray, mode: str,
             f"points must be a non-empty 2-D matrix, got shape "
             f"{points.shape}"
         )
-    key = id(points)
-    entry = _TABLE_CACHE.get(key)
-    if entry is not None:
-        ref, by_variant = entry
-        if ref() is points:
-            table = by_variant.get((mode, metric_name))
-            if table is not None:
-                return table
-        else:
-            del _TABLE_CACHE[key]
-
-    table = _build_table(points, mode, metric_name)
-
-    try:
-        ref = weakref.ref(points)
-    except TypeError:
-        return table  # non-weakrefable view: just skip the cache
-    entry = _TABLE_CACHE.get(key)
-    if entry is None or entry[0]() is not points:
-        if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[key] = (ref, {})
-    _TABLE_CACHE[key][1][(mode, metric_name)] = table
-    return table
+    return _TABLE_CACHE.get(
+        points, (mode, metric_name),
+        lambda: _build_table(points, mode, metric_name))
 
 
 class QuantizedGroupEngine:

@@ -222,3 +222,61 @@ class TestNonFiniteQueries:
                  QueryRequest(1, bad_queries, 1e-4)]
         with pytest.raises(SearchError, match="NaN or infinite"):
             engine.replay(trace)
+
+
+class TestMismatchedInputs:
+    """A point matrix that is not the graph's, or a per-query entry
+    array of the wrong length, is a typed error at every entry point —
+    never an answer scored against clipped rows, never a NumPy
+    broadcast traceback."""
+
+    def test_ganns_search_rejects_foreign_points(self, small_graph,
+                                                 small_points,
+                                                 small_queries):
+        for points in (small_points[:100],
+                       np.concatenate([small_points, small_points[:1]])):
+            with pytest.raises(SearchError, match="vertices"):
+                ganns_search(small_graph, points, small_queries,
+                             SearchParams(k=5, l_n=32))
+
+    def test_staged_search_rejects_foreign_points(self, small_graph,
+                                                  small_points,
+                                                  small_queries):
+        with pytest.raises(SearchError, match="vertices"):
+            ganns_search(small_graph, small_points[:100], small_queries,
+                         SearchParams(k=5, l_n=32, quant="fp16"))
+
+    def test_index_search_rejects_foreign_points(self, small_graph,
+                                                 small_points,
+                                                 small_queries):
+        from repro.core.index import GannsIndex
+        index = GannsIndex.from_graph(small_points[:100], small_graph)
+        with pytest.raises(SearchError, match="vertices"):
+            index.search(small_queries, k=5)
+
+    def test_serve_replay_rejects_foreign_points(self, small_graph,
+                                                 small_points,
+                                                 small_queries):
+        from repro.serve.engine import ServeEngine
+        from repro.serve.request import QueryRequest
+        engine = ServeEngine(small_graph, small_points[:100],
+                             params=SearchParams(k=5, l_n=32))
+        with pytest.raises(SearchError, match="vertices"):
+            engine.replay([QueryRequest(0, small_queries[:2], 0.0)])
+
+    @pytest.mark.parametrize("n_entries", [1, 3, 41])
+    def test_rejects_entry_array_of_wrong_length(self, small_graph,
+                                                 small_points,
+                                                 small_queries, n_entries):
+        with pytest.raises(SearchError, match="entry"):
+            ganns_search(small_graph, small_points, small_queries,
+                         SearchParams(k=5, l_n=32),
+                         entry=np.zeros(n_entries, dtype=np.int64))
+
+    def test_rejects_entry_matrix(self, small_graph, small_points,
+                                  small_queries):
+        with pytest.raises(SearchError, match="entry"):
+            ganns_search(small_graph, small_points, small_queries,
+                         SearchParams(k=5, l_n=32),
+                         entry=np.zeros((len(small_queries), 1),
+                                        dtype=np.int64))

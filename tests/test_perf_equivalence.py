@@ -19,6 +19,7 @@ suite pins it from outside:
   and distance counts exactly.
 """
 
+import functools
 import json
 import os
 
@@ -31,10 +32,11 @@ from repro.core.construction import build_nsw_gpu, insert_batch_nsw
 from repro.core.ganns import ganns_search
 from repro.core.hnsw import build_hnsw_gpu
 from repro.core.params import BuildParams, SearchParams
+from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
 from repro.graphs.stats import graph_digest
 from repro.mutable.index import _grown_graph
-from repro.perf.arena import get_arena
+from repro.perf.arena import _ARENA_CACHE, get_arena
 from repro.perf.descent import hnsw_entry_descent_batch
 from tests.oracles.ganns_batched import ganns_search_oracle
 
@@ -85,6 +87,15 @@ def _graph_and_data(metric, n=300, m=24, d=16, seed=5):
     return graph, points, queries
 
 
+#: Wider than any batch the benchmark issues (search_lowdim runs 250).
+WIDE = 300
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_graph_and_data(metric):
+    return _graph_and_data(metric, n=800, m=WIDE, seed=17)
+
+
 class TestSearchEquivalence:
     @pytest.mark.parametrize("metric", ["euclidean", "cosine", "ip"])
     @pytest.mark.parametrize("lazy_check", [True, False])
@@ -118,6 +129,56 @@ class TestSearchEquivalence:
             assert report.ids.tobytes() == golden["ids"].tobytes()
             np.testing.assert_allclose(report.dists, golden["dists"],
                                        atol=1e-10, rtol=0)
+
+    # -- at the batch width the benchmark runs (search_lowdim: 250) -----
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("lazy_check", [True, False])
+    @pytest.mark.parametrize("dtype, l_n", [(np.float64, 64),
+                                            (np.float32, 32)])
+    def test_wide_batch_matches_oracle(self, metric, lazy_check, dtype,
+                                       l_n):
+        graph, points, queries = _wide_graph_and_data(metric)
+        assert_matches_oracle(graph, points, queries,
+                              SearchParams(k=10, l_n=l_n), dtype=dtype,
+                              lazy_check=lazy_check)
+
+    def test_wide_batch_explore_budget_below_pool(self):
+        graph, points, queries = _wide_graph_and_data("euclidean")
+        assert_matches_oracle(graph, points, queries,
+                              SearchParams(k=10, l_n=64, e=24))
+
+    def test_wide_batch_staged_is_exact_at_saturating_pool(self):
+        # 60 points under l_n=64: every vertex fits the explore window,
+        # so the compressed traversal's pool is the whole corpus and
+        # the exact rerank must return brute force.
+        points = gaussian_mixture(60, 16, seed=21)
+        queries = gaussian_mixture(WIDE, 16, seed=22)
+        graph = build_nsw_cpu(points, d_min=8, d_max=16).graph
+        report = ganns_search(graph, points, queries,
+                              SearchParams(k=10, l_n=64, quant="int8",
+                                           rerank_factor=2))
+        truth_ids, truth_dists = exact_knn(points, queries, 10,
+                                           return_distances=True)
+        assert np.array_equal(report.ids, truth_ids)
+        np.testing.assert_allclose(report.dists, truth_dists, atol=1e-5,
+                                   rtol=0)
+
+    def test_answer_does_not_depend_on_batch_width(self):
+        """One query alone, then inside batches of 4, 37 and 300."""
+        graph, points, queries = _wide_graph_and_data("euclidean")
+        params = SearchParams(k=10, l_n=64)
+        probe = queries[123:124]
+        alone = ganns_search(graph, points, probe, params)
+        for width, at in ((4, 2), (37, 36), (WIDE, 0)):
+            batch = queries[:width].copy()
+            batch[at] = probe[0]
+            report = ganns_search(graph, points, batch, params)
+            assert report.ids[at].tobytes() == alone.ids[0].tobytes()
+            assert report.iterations[at] == alone.iterations[0]
+            for phase in alone.tracker.phase_names:
+                assert (report.tracker.lane_cycles(phase)[at]
+                        == alone.tracker.lane_cycles(phase)[0]), phase
 
 
 def _nsw(n, d, seed, params, **kwargs):
@@ -251,3 +312,17 @@ class TestArenaReuse:
         assert first.ids.tobytes() == second.ids.tobytes()
         assert first.dists.tobytes() == second.dists.tobytes()
         _assert_trackers_equal(first.tracker, second.tracker)
+
+    def test_narrow_search_after_wide_one_on_the_same_arena(self):
+        graph, points, queries = _wide_graph_and_data("euclidean")
+        params = SearchParams(k=10, l_n=64)
+        _ARENA_CACHE.clear()
+        fresh = ganns_search(graph, points, queries[:7], params)
+        ganns_search(graph, points, queries, params)
+        arena = get_arena(7, 64, graph.d_max, np.dtype(np.float64))
+        assert arena.capacity >= WIDE  # the wide search's, still cached
+        stale = ganns_search(graph, points, queries[:7], params)
+        assert fresh.ids.tobytes() == stale.ids.tobytes()
+        assert fresh.dists.tobytes() == stale.dists.tobytes()
+        assert np.array_equal(fresh.iterations, stale.iterations)
+        _assert_trackers_equal(fresh.tracker, stale.tracker)

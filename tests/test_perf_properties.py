@@ -19,6 +19,8 @@ from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core.ganns_kernel import ganns_search_kernel
 from repro.core.params import SearchParams
 from repro.datasets.synthetic import gaussian_mixture
+from repro.perf.arena import PoolMembership, SearchArena
+from repro.perf.engine import _insert_merge
 from tests.test_perf_equivalence import assert_matches_oracle
 
 
@@ -73,3 +75,119 @@ class TestBackendProperty:
             for phase in single.tracker.phase_names:
                 assert single.tracker.total_cycles(phase) == \
                     report.tracker.lane_cycles(phase)[row], phase
+
+
+# ----------------------------------------------------------------------
+# The merge step on its own
+# ----------------------------------------------------------------------
+
+@st.composite
+def merge_scenario(draw):
+    width = draw(st.sampled_from([2, 4, 8, 16]))
+    return {
+        "seed": draw(st.integers(min_value=0, max_value=10_000)),
+        "width": width,
+        # Up to three times the pool: more entrants than free slots.
+        "l_t": draw(st.integers(min_value=1, max_value=3 * width)),
+        "m": draw(st.integers(min_value=1, max_value=6)),
+        "retired": draw(st.integers(min_value=0, max_value=3)),
+        "spare_vertices": draw(st.integers(min_value=0, max_value=20)),
+        # Few distinct distances: equal keys with different ids.
+        "levels": draw(st.integers(min_value=1, max_value=6)),
+        "lazy_check": draw(st.booleans()),
+        "dtype": draw(st.sampled_from([np.float64, np.float32])),
+        "steps": draw(st.integers(min_value=1, max_value=5)),
+    }
+
+
+def _oracle_merge(pool_dists, pool_ids, pool_explored, t_dists, t_ids,
+                  dead):
+    """Phases 5+6 exactly as ``tests/oracles/ganns_batched.py`` runs
+    them: sort T, lexsort the concatenated runs, truncate."""
+    width = pool_dists.shape[1]
+    t_dists = np.where(dead, np.inf, t_dists)
+    t_ids = np.where(dead, -1, t_ids)
+    order = np.lexsort((t_ids, t_dists), axis=1)
+    t_dists = np.take_along_axis(t_dists, order, axis=1)
+    t_ids = np.take_along_axis(t_ids, order, axis=1)
+    all_dists = np.concatenate([pool_dists, t_dists], axis=1)
+    all_ids = np.concatenate([pool_ids, t_ids], axis=1)
+    all_explored = np.concatenate([pool_explored, t_ids < 0], axis=1)
+    merge_order = np.lexsort((all_ids, all_dists), axis=1)[:, :width]
+    return (np.take_along_axis(all_dists, merge_order, axis=1),
+            np.take_along_axis(all_ids, merge_order, axis=1),
+            np.take_along_axis(all_explored, merge_order, axis=1))
+
+
+class TestInsertMergeProperty:
+    @given(merge_scenario())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_lexsort_of_the_concatenated_runs(self, sc):
+        rng = np.random.default_rng(sc["seed"])
+        width, l_t, m = sc["width"], sc["l_t"], sc["m"]
+        n_vertices = max(width, l_t) + sc["spare_vertices"]
+        # An id's distance never changes, so with the lazy check off a
+        # re-discovered vertex is an identical (dist, id) record.
+        dist_of = (rng.integers(0, sc["levels"], n_vertices) / 2.0
+                   ).astype(sc["dtype"])
+        # Compact rows map to a scattered subset of the caller's rows,
+        # as after a few retirements; one arena row past m is a canary.
+        n_queries = m + sc["retired"]
+        arena = SearchArena(m + 1, width, l_t, sc["dtype"])
+        arena.reset(m + 1)
+        query_rows = np.sort(rng.choice(n_queries, m, replace=False))
+        arena.query_rows[:m] = query_rows
+        members = (PoolMembership(n_queries, n_vertices)
+                   if sc["lazy_check"] else None)
+
+        for row in range(m):  # non-full pools of distinct ids
+            fill = int(rng.integers(0, width + 1))
+            ids = rng.choice(n_vertices, fill, replace=False)
+            ids = ids[np.lexsort((ids, dist_of[ids]))]
+            arena.pool_ids[row, :fill] = ids
+            arena.pool_dists[row, :fill] = dist_of[ids]
+            arena.pool_explored[row, :fill] = rng.random(fill) < 0.5
+            if members is not None:
+                members.insert(np.full(fill, query_rows[row]), ids)
+        canary = [a[m].copy() for a in (arena.pool_dists, arena.pool_ids,
+                                        arena.pool_explored)]
+
+        every_id = np.broadcast_to(np.arange(n_vertices), (m, n_vertices))
+        for _ in range(sc["steps"]):
+            t_ids = np.stack([rng.choice(n_vertices, l_t, replace=False)
+                              for _ in range(m)])
+            t_ids[rng.random((m, l_t)) < 0.3] = -1  # short adjacency rows
+            valid = t_ids >= 0
+            # Pad lanes carry whatever the engine computed for point 0.
+            t_dists = np.where(valid, dist_of[t_ids],
+                               rng.random((m, l_t))).astype(sc["dtype"])
+            in_pool = (t_ids[:, :, None]
+                       == arena.pool_ids[:m, None, :]).any(axis=2)
+            if members is not None:
+                assert np.array_equal(
+                    members.contains(query_rows, t_ids)[valid],
+                    in_pool[valid])
+                alive = valid & ~in_pool
+            else:
+                alive = valid
+            expected = _oracle_merge(
+                arena.pool_dists[:m], arena.pool_ids[:m],
+                arena.pool_explored[:m], t_dists, t_ids, ~alive)
+
+            _insert_merge(arena, m, t_dists, t_ids, alive, members)
+
+            for got, want in zip((arena.pool_dists, arena.pool_ids,
+                                  arena.pool_explored), expected):
+                assert got[:m].tobytes() == want.tobytes()
+            for got, want in zip((arena.pool_dists, arena.pool_ids,
+                                  arena.pool_explored), canary):
+                assert np.array_equal(got[m], want)
+            if members is not None:
+                resident = (every_id[:, :, None]
+                            == arena.pool_ids[:m, None, :]).any(axis=2)
+                assert np.array_equal(
+                    members.contains(query_rows, every_id), resident)
+                others = np.setdiff1d(np.arange(n_queries), query_rows)
+                assert not members.contains(
+                    others, np.broadcast_to(every_id[0], (len(others),
+                                                          n_vertices))).any()
