@@ -267,8 +267,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     tracer.finish()
     tracer.validate()
     report.verify_against_metrics()
-    if report.fault_report is not None:
-        report.fault_report.verify_against_metrics(metrics)
     payload = tracer.to_json_bytes()
     Path(args.output).write_bytes(payload)
     print(f"wrote {args.output} ({len(payload):,} bytes, "

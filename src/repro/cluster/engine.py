@@ -58,15 +58,15 @@ from repro.faults.policy import (
 )
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
-from repro.observability.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.span import SpanTracer
 from repro.serve.cache import ResultCache
 from repro.serve.engine import ServeEngine
-from repro.serve.report import ServeReport
-from repro.serve.request import QueryRequest
+from repro.serve.request import (
+    QueryRequest,
+    check_deadline,
+    validate_trace,
+)
 from repro.serve.scheduler import BatchPolicy
 from repro.cluster.merge import merge_launch, merge_topk
 from repro.cluster.placement import ConsistentHashRing, ShardMap
@@ -75,25 +75,14 @@ from repro.cluster.report import (
     ClusterReport,
     ClusterStatus,
 )
-from repro.cluster.router import ReplicaRouter, RouterPolicy
+from repro.cluster.router import (
+    ReplicaRouter,
+    RouteDecision,
+    RouterPolicy,
+)
 from repro.heal.controller import RepairController, RepairRecord
 from repro.heal.policy import HealPolicy
 from repro.heal.source import StaticShardSource, StoreShardSource
-
-
-class _ShardRoute:
-    """Bookkeeping of one (request, shard) routing decision."""
-
-    __slots__ = ("replica", "penalty", "failovers", "sub_arrival",
-                 "dead")
-
-    def __init__(self, replica: int, penalty: float, failovers: int,
-                 sub_arrival: float, dead: bool):
-        self.replica = replica
-        self.penalty = penalty
-        self.failovers = failovers
-        self.sub_arrival = sub_arrival
-        self.dead = dead
 
 
 class ClusterEngine:
@@ -148,8 +137,9 @@ class ClusterEngine:
             :mod:`repro.mutable.recovery`.
 
     Raises:
-        ClusterError: On an invalid topology, an empty shard, or a
-            shard holding fewer than ``params.k`` points.
+        ClusterError: On an invalid topology, an empty shard, a shard
+            holding fewer than ``params.k`` points, or a default
+            deadline that is not finite and positive.
     """
 
     def __init__(self, points: np.ndarray, n_shards: int,
@@ -208,7 +198,9 @@ class ClusterEngine:
         self.retry = retry
         self.breaker = breaker
         self.governor = governor
-        self.default_deadline_seconds = default_deadline_seconds
+        self.default_deadline_seconds = check_deadline(
+            default_deadline_seconds, "default_deadline_seconds",
+            ClusterError)
         self.network = network if network is not None else NetworkModel()
         self.router_policy = (router_policy if router_policy is not None
                               else RouterPolicy())
@@ -330,6 +322,10 @@ class ClusterEngine:
                ) -> ClusterReport:
         """Replay an arrival-ordered trace through the whole topology.
 
+        A short driver over the stages of :class:`_ClusterReplay`:
+        validate, route, replay the routed slots, assemble the merged
+        outcomes, publish the report's metric table, emit spans.
+
         Args:
             trace: Requests with non-decreasing ``arrival_seconds``.
             tracer: Optional :class:`SpanTracer`; the replay records
@@ -355,95 +351,113 @@ class ClusterEngine:
         """
         wall_start = time.perf_counter()
         trace = list(trace)
-        last_arrival = float("-inf")
-        for req in trace:
-            if req.arrival_seconds < last_arrival:
-                raise ClusterError(
-                    f"trace is not arrival-ordered: request "
-                    f"{req.request_id} at {req.arrival_seconds} after "
-                    f"{last_arrival}"
-                )
-            last_arrival = req.arrival_seconds
-            if req.queries.shape[1] != self.points.shape[1]:
-                raise ClusterError(
-                    f"request {req.request_id}: query dimensionality "
-                    f"{req.queries.shape[1]} does not match the corpus "
-                    f"({self.points.shape[1]})"
-                )
+        validate_trace(trace, self.points.shape[1], ClusterError)
         registry = metrics if metrics is not None else MetricsRegistry()
-        router = ReplicaRouter(self.n_shards, self.n_replicas,
-                               policy=self.router_policy,
-                               plan=self.faults)
-        repairs: List[RepairRecord] = []
-        if self.heal is not None:
-            controller = RepairController(self.heal,
-                                          network=self.network,
-                                          device=self.device,
-                                          costs=self.costs)
-            repairs = controller.plan_repairs(
-                router, self._repair_sources(), plan=self.faults)
-        partitions = router.partition_windows(self.faults)
-        dims = self.points.shape[1]
-        k = self.params.k
+        run = _ClusterReplay(self, trace)
+        run.route()
+        run.replay_slots()
+        report = run.assemble()
+        report.metrics = registry
+        report.publish_metrics(registry)
+        if tracer is not None:
+            run.emit_spans(tracer, report)
+        # Host wall-clock: the one volatile metric (see
+        # repro.observability.metrics.VOLATILE_PREFIX).
+        report.wallclock_seconds = time.perf_counter() - wall_start
+        registry.gauge("perf.wallclock_seconds").set(
+            report.wallclock_seconds)
+        return report
 
-        def partition_delay(t: float) -> float:
-            # Windows are sorted by start; a delivery pushed to one
-            # window's end may land inside a later window.
-            for start, end in partitions:
-                if start <= t < end:
-                    t = end
-            return t
 
-        # ---- Routing pass ------------------------------------------
-        scatter_cost: List[float] = []
-        routes: List[Optional[List[_ShardRoute]]] = []
-        slot_subtrace: Dict[int, List[Tuple[float, int]]] = {}
-        for pos, req in enumerate(trace):
-            scatter = self.network.broadcast_seconds(
-                req.n_queries * dims * 4, self.n_shards)
-            scatter_cost.append(scatter)
-            deadline = (req.deadline_seconds
-                        if req.deadline_seconds is not None
-                        else self.default_deadline_seconds)
+class _ClusterReplay:
+    """State of one :meth:`ClusterEngine.replay`, one method per stage.
+
+    Every stage is a pure function of (trace, topology, fault plan,
+    seeds) and of the stages before it; they run once each, in the
+    order they are defined.
+    """
+
+    def __init__(self, engine: ClusterEngine,
+                 trace: List[QueryRequest]):
+        self.engine = engine
+        self.trace = trace
+        self.router = ReplicaRouter(engine.n_shards, engine.n_replicas,
+                                    policy=engine.router_policy,
+                                    plan=engine.faults)
+        self.repairs: List[RepairRecord] = []
+        if engine.heal is not None:
+            controller = RepairController(engine.heal,
+                                          network=engine.network,
+                                          device=engine.device,
+                                          costs=engine.costs)
+            self.repairs = controller.plan_repairs(
+                self.router, engine._repair_sources(),
+                plan=engine.faults)
+        #: Per request: broadcast cost of its fan-out.
+        self.scatter_cost: List[float] = []
+        #: Per request: ``(RouteDecision, sub_arrival)`` per shard, or
+        #: ``None`` when it failed fast before fan-out.
+        self.routes: List[Optional[List[Tuple[RouteDecision,
+                                              float]]]] = []
+        #: Slot -> ``(sub_arrival, request position)`` routed at it.
+        self.slot_subtrace: Dict[int, List[Tuple[float, int]]] = {}
+        #: Slot -> request position -> the replica's outcome.
+        self.slot_outcomes: Dict[int, Dict[int, object]] = {}
+        #: Slot -> (first arrival, last completion, requests, served).
+        self.slot_spans: Dict[int, Tuple[float, float, int, int]] = {}
+        self.shard_lat: List[List[float]] = [
+            [] for _ in range(engine.n_shards)]
+        #: Per request: span events, and when its slowest shard path
+        #: resolved (the start of gather + merge).
+        self.request_events: List[List[Tuple[str, float, Dict]]] = []
+        self.request_base: List[float] = []
+
+    # ---- Routing pass ----------------------------------------------
+
+    def route(self) -> None:
+        """Pick a replica per (request, shard); build the sub-traces."""
+        engine = self.engine
+        partitions = self.router.partition_windows(engine.faults)
+        dims = engine.points.shape[1]
+        for pos, req in enumerate(self.trace):
+            scatter = engine.network.broadcast_seconds(
+                req.n_queries * dims * 4, engine.n_shards)
+            self.scatter_cost.append(scatter)
+            deadline = req.deadline_or(engine.default_deadline_seconds)
             if deadline is not None and deadline <= scatter:
                 # The deadline expires within one scatter round-trip:
                 # fanning out would burn every shard on an answer that
                 # is already guaranteed late.  Fail fast before
                 # scatter (no shard ever sees the request).
-                routes.append(None)
+                self.routes.append(None)
                 continue
-            per_shard: List[_ShardRoute] = []
-            for shard in range(self.n_shards):
-                decision = router.route(shard, req.arrival_seconds)
+            per_shard = []
+            for shard in range(engine.n_shards):
+                decision = self.router.route(shard, req.arrival_seconds)
                 if decision.shard_dead:
-                    per_shard.append(_ShardRoute(
-                        replica=-1,
-                        penalty=decision.penalty_seconds,
-                        failovers=decision.n_failovers,
-                        sub_arrival=req.arrival_seconds
-                        + decision.penalty_seconds,
-                        dead=True))
+                    per_shard.append((decision, req.arrival_seconds
+                                      + decision.penalty_seconds))
                     continue
-                sub_arrival = partition_delay(
-                    req.arrival_seconds + scatter
-                    + decision.penalty_seconds)
-                per_shard.append(_ShardRoute(
-                    replica=decision.replica,
-                    penalty=decision.penalty_seconds,
-                    failovers=decision.n_failovers,
-                    sub_arrival=sub_arrival, dead=False))
-                slot = self._slot(shard, decision.replica)
-                slot_subtrace.setdefault(slot, []).append(
-                    (sub_arrival, pos))
-            routes.append(per_shard)
+                sub_arrival = (req.arrival_seconds + scatter
+                               + decision.penalty_seconds)
+                # Windows are sorted by start; a delivery pushed to one
+                # window's end may land inside a later window.
+                for start, end in partitions:
+                    if start <= sub_arrival < end:
+                        sub_arrival = end
+                per_shard.append((decision, sub_arrival))
+                self.slot_subtrace.setdefault(
+                    engine._slot(shard, decision.replica), []
+                ).append((sub_arrival, pos))
+            self.routes.append(per_shard)
 
-        # ---- Per-replica replays -----------------------------------
-        slot_outcomes: Dict[int, Dict[int, object]] = {}
-        slot_spans: Dict[int, Tuple[float, float, int, int]] = {}
-        slot_reports: Dict[int, ServeReport] = {}
-        for slot in sorted(slot_subtrace):
-            entries = sorted(slot_subtrace[slot])
-            shard = slot // self.n_replicas
+    # ---- Per-replica replays ---------------------------------------
+
+    def replay_slots(self) -> None:
+        """Replay every routed slot's sub-trace on a fresh engine."""
+        engine, trace = self.engine, self.trace
+        for slot in sorted(self.slot_subtrace):
+            entries = sorted(self.slot_subtrace[slot])
             sub_trace = [
                 QueryRequest(
                     request_id=pos,
@@ -451,335 +465,255 @@ class ClusterEngine:
                     arrival_seconds=sub_arrival,
                     deadline_seconds=trace[pos].deadline_seconds)
                 for sub_arrival, pos in entries]
-            engine = self._make_engine(shard)
-            sub_report = engine.replay(sub_trace)
-            slot_reports[slot] = sub_report
-            slot_outcomes[slot] = {
+            sub_report = engine._make_engine(
+                slot // engine.n_replicas).replay(sub_trace)
+            self.slot_outcomes[slot] = {
                 o.request_id: o for o in sub_report.outcomes}
             first = entries[0][0]
             last = max((o.completion_seconds
                         for o in sub_report.outcomes), default=first)
-            slot_spans[slot] = (first, max(last, first),
-                                len(entries), sub_report.n_served)
+            self.slot_spans[slot] = (first, max(last, first),
+                                     len(entries), sub_report.n_served)
 
-        # ---- Assembly: retries, gather, merge ----------------------
-        outcomes: List[ClusterOutcome] = []
-        shard_lat: List[List[float]] = [[] for _ in
-                                        range(self.n_shards)]
-        request_events: List[List[Tuple[str, float, Dict]]] = []
-        request_base: List[float] = []
-        for pos, req in enumerate(trace):
-            arrival = req.arrival_seconds
-            scatter = scatter_cost[pos]
-            if routes[pos] is None:
-                deadline = (req.deadline_seconds
-                            if req.deadline_seconds is not None
-                            else self.default_deadline_seconds)
-                request_base.append(arrival)
-                request_events.append([])
-                outcomes.append(ClusterOutcome(
-                    request_id=req.request_id,
-                    status=ClusterStatus.DEADLINE,
-                    ids=None, dists=None,
-                    arrival_seconds=arrival,
-                    completion_seconds=arrival,
-                    scatter_seconds=0.0,
-                    detail=(f"DeadlineExceededError: deadline "
-                            f"{deadline!r}s within one scatter "
-                            f"round-trip ({scatter!r}s)")))
-                continue
-            events: List[Tuple[str, float, Dict]] = []
-            answered_ids: List[np.ndarray] = []
-            answered_dists: List[np.ndarray] = []
-            answered_shards: List[int] = []
-            missing: List[int] = []
-            resolutions: List[float] = [arrival + scatter]
-            failovers = 0
-            tier = 0
-            for shard in range(self.n_shards):
-                route = routes[pos][shard]
-                failovers += route.failovers
-                if route.dead:
-                    missing.append(shard)
-                    resolutions.append(route.sub_arrival)
-                    events.append(("cluster.shard_dead", arrival,
-                                   {"shard": shard}))
-                    continue
-                if route.failovers:
-                    events.append(("cluster.failover", arrival,
-                                   {"shard": shard,
-                                    "n_bounces": route.failovers,
-                                    "stage": "route"}))
-                outcome = slot_outcomes[
-                    self._slot(shard, route.replica)][pos]
-                if outcome.served:
-                    completion = outcome.completion_seconds
-                    answered_ids.append(self.shard_map.to_global(
-                        shard, outcome.ids))
-                    answered_dists.append(outcome.dists)
-                    answered_shards.append(shard)
-                    resolutions.append(completion)
-                    shard_lat[shard].append(completion - arrival)
-                    tier = max(tier, outcome.degraded_tier)
-                    continue
-                # Dispatch failed on the routed replica: retry lane on
-                # a live sibling at serial stream cost.
-                retry_at = (outcome.completion_seconds
-                            + self.router_policy
-                            .failover_penalty_seconds)
-                sibling = router.sibling(shard, (route.replica,),
-                                         retry_at)
-                if sibling is None:
-                    missing.append(shard)
-                    resolutions.append(retry_at)
-                    events.append(("cluster.shard_dead", retry_at,
-                                   {"shard": shard,
-                                    "stage": "retry"}))
-                    continue
-                failovers += 1
-                events.append(("cluster.failover", retry_at,
-                               {"shard": shard, "replica": sibling,
-                                "stage": "retry"}))
-                stream = stream_batches(
-                    self.shard_graphs[shard],
-                    self.shard_points[shard], req.queries,
-                    self.params, batch_size=req.n_queries,
-                    device=self.device, costs=self.costs)
-                completion = retry_at + stream.serial_seconds
-                answered_ids.append(self.shard_map.to_global(
-                    shard, stream.ids))
-                answered_dists.append(stream.dists)
-                answered_shards.append(shard)
-                resolutions.append(completion)
-                shard_lat[shard].append(completion - arrival)
-            base = max(resolutions)
-            request_base.append(base)
-            if answered_shards:
-                gather = self.network.gather_seconds(
-                    len(answered_shards) * req.n_queries * k
-                    * _EDGE_BYTES, len(answered_shards))
-                cycles, merge_seconds = merge_launch(
-                    req.n_queries, len(answered_shards), k,
-                    n_threads=self.params.n_threads,
-                    device=self.device, costs=self.costs)
-                ids, dists = merge_topk(k, answered_ids,
-                                        answered_dists)
-                completion = base + gather + merge_seconds
-                status = (ClusterStatus.SERVED if not missing
-                          else ClusterStatus.PARTIAL)
-                detail = ("" if not missing else
-                          f"shards {missing} missing")
-                outcomes.append(ClusterOutcome(
-                    request_id=req.request_id, status=status,
-                    ids=ids, dists=dists, arrival_seconds=arrival,
-                    completion_seconds=completion,
-                    scatter_seconds=scatter, gather_seconds=gather,
-                    merge_seconds=merge_seconds, merge_cycles=cycles,
-                    n_shards_answered=len(answered_shards),
-                    missing_shards=tuple(missing),
-                    n_failovers=failovers, degraded_tier=tier,
-                    detail=detail))
-            else:
-                outcomes.append(ClusterOutcome(
-                    request_id=req.request_id,
-                    status=ClusterStatus.FAILED, ids=None, dists=None,
-                    arrival_seconds=arrival, completion_seconds=base,
-                    scatter_seconds=scatter,
-                    missing_shards=tuple(missing),
-                    n_failovers=failovers,
-                    detail="no shard answered"))
-            request_events.append(events)
+    # ---- Assembly: retries, gather, merge --------------------------
 
-        # ---- Metrics (publication order = arrival order) -----------
-        latency_hist = registry.histogram("cluster.latency_seconds",
-                                          DEFAULT_LATENCY_BUCKETS)
-        registry.counter("cluster.replica_deaths").inc(
-            router.n_loss_events)
-        for outcome in outcomes:
-            registry.counter("cluster.requests").inc()
-            registry.counter(
-                f"cluster.outcomes.{outcome.status.value}").inc()
-            if outcome.status is ClusterStatus.DEADLINE:
-                # Failed fast before fan-out: no shard saw the request.
-                registry.counter("cluster.deadline_failfast").inc()
-            else:
-                registry.counter("cluster.shard_queries").inc(
-                    self.n_shards)
-            registry.counter("cluster.shards_answered").inc(
-                outcome.n_shards_answered)
-            registry.counter("cluster.failovers").inc(
-                outcome.n_failovers)
-            registry.counter("cluster.shard_misses").inc(
-                len(outcome.missing_shards))
-            registry.counter("cluster.merge_seconds").inc(
-                outcome.merge_seconds)
-            registry.counter("cluster.merge_cycles").inc(
-                outcome.merge_cycles)
-            registry.counter("cluster.gather_seconds").inc(
-                outcome.gather_seconds)
-            registry.counter("cluster.scatter_seconds").inc(
-                outcome.scatter_seconds)
-            if outcome.answered:
-                registry.counter("cluster.queries_answered").inc(
-                    outcome.n_queries)
-                latency_hist.observe(outcome.latency_seconds)
-        if self.heal is not None:
-            mttr_hist = registry.histogram("heal.mttr_seconds",
-                                           DEFAULT_LATENCY_BUCKETS)
-            for r in repairs:
-                registry.counter("heal.deaths_detected").inc()
-                registry.counter("heal.rebuild_attempts").inc(
-                    r.n_attempts)
-                registry.counter("heal.quarantines").inc(
-                    r.n_quarantined)
-                registry.counter("heal.bytes_transferred").inc(
-                    r.bytes_transferred)
-                registry.counter("heal.wal_records_replayed").inc(
-                    r.wal_records_replayed)
-                registry.counter("heal.transfer_seconds").inc(
-                    r.transfer_seconds)
-                registry.counter("heal.catchup_seconds").inc(
-                    r.catchup_seconds)
-                registry.counter("heal.verify_seconds").inc(
-                    r.verify_seconds)
-                registry.counter("heal.deserialize_seconds").inc(
-                    sum(a.deserialize_seconds for a in r.attempts))
-                if r.healed:
-                    registry.counter("heal.repairs_completed").inc()
-                    mttr_hist.observe(r.mttr_seconds)
-                else:
-                    registry.counter("heal.repairs_abandoned").inc()
-            registry.gauge("heal.unhealed_replicas").set(
-                sum(1 for r in repairs if not r.healed))
-        first_arrival = trace[0].arrival_seconds if trace else 0.0
+    def assemble(self) -> ClusterReport:
+        """Merge the shard answers of every request into the report."""
+        engine, trace = self.engine, self.trace
+        outcomes = [self._assemble_request(pos)
+                    for pos in range(len(trace))]
         last_completion = max(
             (o.completion_seconds for o in outcomes), default=0.0)
-        makespan = (max(last_completion - first_arrival, 0.0)
+        makespan = (max(last_completion - trace[0].arrival_seconds, 0.0)
                     if trace else 0.0)
-        registry.gauge("cluster.makespan_seconds").set(makespan)
-
-        # ---- Spans (deterministic retroactive emission) ------------
-        if tracer is not None:
-            root_start = first_arrival if trace else 0.0
-            root_end = root_start
-            for first, last, _, _ in slot_spans.values():
-                root_end = max(root_end, last)
-            root_end = max(root_end, last_completion, last_arrival
-                           if trace else root_start)
-            for r in repairs:
-                root_start = min(root_start, r.death_seconds)
-                root_end = max(root_end,
-                               r.attempts[-1].end_seconds)
-            root_attrs = {"n_requests": len(trace),
-                          "n_shards": self.n_shards,
-                          "n_replicas": self.n_replicas}
-            # Quant attrs only when the shards actually ran the staged
-            # pipeline — exact cluster traces (incl. the committed
-            # golden) stay quant-silent.  The per-shard ServeEngines
-            # share self.params, so their caches are already namespaced
-            # by the same mode.
-            if self.params.quant is not None:
-                root_attrs["quant.mode"] = self.params.quant
-                root_attrs["quant.rerank"] = self.params.rerank_factor
-            root = tracer.begin(
-                "cluster.replay", root_start, lane="cluster",
-                attributes=root_attrs)
-            for slot in sorted(slot_spans):
-                first, last, n_requests, n_served = slot_spans[slot]
-                shard = slot // self.n_replicas
-                replica = slot % self.n_replicas
-                tracer.add(
-                    "cluster.replica", first, last, parent_id=root,
-                    lane=f"cluster/s{shard}r{replica}",
-                    attributes={"shard": shard, "replica": replica,
-                                "n_requests": n_requests,
-                                "n_served": n_served})
-            for r in repairs:
-                span = tracer.begin(
-                    "heal.repair", r.death_seconds, parent_id=root,
-                    lane_group="heal.repairs",
-                    attributes={"shard": r.shard,
-                                "replica": r.replica,
-                                "snapshot_bytes": r.snapshot_bytes,
-                                "wal_records": r.wal_records})
-                tracer.event(span, r.detect_seconds, "heal.detected")
-                for index, attempt in enumerate(r.attempts):
-                    t = attempt.start_seconds
-                    tracer.add("heal.transfer", t,
-                               t + attempt.transfer_seconds,
-                               parent_id=span)
-                    t += attempt.transfer_seconds
-                    tracer.add("heal.deserialize", t,
-                               t + attempt.deserialize_seconds,
-                               parent_id=span)
-                    t += attempt.deserialize_seconds
-                    if attempt.catchup_seconds > 0:
-                        tracer.add("heal.catchup", t,
-                                   t + attempt.catchup_seconds,
-                                   parent_id=span)
-                    t += attempt.catchup_seconds
-                    tracer.add("heal.verify", t,
-                               t + attempt.verify_seconds,
-                               parent_id=span)
-                    if not attempt.digest_matched:
-                        tracer.event(span, attempt.end_seconds,
-                                     "heal.quarantine",
-                                     {"attempt": index})
-                tracer.end(span, r.attempts[-1].end_seconds,
-                           attributes={
-                               "status": r.status,
-                               "n_attempts": r.n_attempts,
-                               "mttr_seconds": (r.mttr_seconds
-                                                if r.healed
-                                                else -1.0)})
-            for pos, outcome in enumerate(outcomes):
-                arrival = outcome.arrival_seconds
-                span = tracer.begin(
-                    "cluster.request", arrival, parent_id=root,
-                    lane_group="cluster.requests",
-                    attributes={
-                        "request_id": outcome.request_id,
-                        "n_queries": trace[pos].n_queries})
-                if outcome.status is not ClusterStatus.DEADLINE:
-                    scatter_end = arrival + outcome.scatter_seconds
-                    tracer.add("cluster.scatter", arrival,
-                               scatter_end, parent_id=span)
-                    tracer.add("cluster.wait", scatter_end,
-                               request_base[pos], parent_id=span)
-                if outcome.answered:
-                    tracer.add("cluster.merge", request_base[pos],
-                               outcome.completion_seconds,
-                               parent_id=span,
-                               attributes={
-                                   "merge_cycles":
-                                       outcome.merge_cycles,
-                                   "n_runs":
-                                       outcome.n_shards_answered})
-                for name, seconds, attrs in request_events[pos]:
-                    tracer.event(span, seconds, name, attrs)
-                tracer.end(span, outcome.completion_seconds,
-                           attributes={
-                               "status": outcome.status.value,
-                               "n_shards_answered":
-                                   outcome.n_shards_answered,
-                               "n_failovers": outcome.n_failovers})
-            tracer.end(root, root_end)
-
-        wallclock = time.perf_counter() - wall_start
-        registry.gauge("perf.wallclock_seconds").set(wallclock)
         return ClusterReport(
             outcomes=outcomes,
-            n_shards=self.n_shards,
-            n_replicas=self.n_replicas,
-            shard_sizes=self.shard_map.shard_sizes(),
+            n_shards=engine.n_shards,
+            n_replicas=engine.n_replicas,
+            shard_sizes=engine.shard_map.shard_sizes(),
             shard_latencies=[np.array(lat, dtype=np.float64)
-                             for lat in shard_lat],
+                             for lat in self.shard_lat],
             makespan_seconds=makespan,
-            n_replica_deaths=router.n_loss_events,
-            metrics=registry,
-            wallclock_seconds=wallclock,
-            heal_enabled=self.heal is not None,
-            repairs=tuple(repairs),
-            mttr_bound_seconds=(self.heal.mttr_bound_seconds
-                                if self.heal is not None else 0.0),
+            n_replica_deaths=self.router.n_loss_events,
+            heal_enabled=engine.heal is not None,
+            repairs=tuple(self.repairs),
+            mttr_bound_seconds=(engine.heal.mttr_bound_seconds
+                                if engine.heal is not None else 0.0),
         )
+
+    def _assemble_request(self, pos: int) -> ClusterOutcome:
+        """Gather one request's shard answers and merge them."""
+        engine, req = self.engine, self.trace[pos]
+        arrival = req.arrival_seconds
+        scatter = self.scatter_cost[pos]
+        if self.routes[pos] is None:
+            self.request_base.append(arrival)
+            self.request_events.append([])
+            deadline = req.deadline_or(engine.default_deadline_seconds)
+            return ClusterOutcome(
+                request_id=req.request_id,
+                status=ClusterStatus.DEADLINE, ids=None, dists=None,
+                arrival_seconds=arrival, completion_seconds=arrival,
+                scatter_seconds=0.0,
+                detail=(f"DeadlineExceededError: deadline "
+                        f"{deadline!r}s within one scatter "
+                        f"round-trip ({scatter!r}s)"))
+        events: List[Tuple[str, float, Dict]] = []
+        run_ids: List[np.ndarray] = []
+        run_dists: List[np.ndarray] = []
+        missing: List[int] = []
+        base = arrival + scatter
+        failovers = 0
+        tier = 0
+        for shard in range(engine.n_shards):
+            answer, resolved, bounces, shard_tier = self._shard_answer(
+                pos, shard, events)
+            base = max(base, resolved)
+            failovers += bounces
+            if answer is None:
+                missing.append(shard)
+                continue
+            run_ids.append(engine.shard_map.to_global(shard, answer[0]))
+            run_dists.append(answer[1])
+            self.shard_lat[shard].append(resolved - arrival)
+            tier = max(tier, shard_tier)
+        self.request_base.append(base)
+        self.request_events.append(events)
+        if not run_ids:
+            return ClusterOutcome(
+                request_id=req.request_id,
+                status=ClusterStatus.FAILED, ids=None, dists=None,
+                arrival_seconds=arrival, completion_seconds=base,
+                scatter_seconds=scatter, missing_shards=tuple(missing),
+                n_failovers=failovers, detail="no shard answered")
+        k = engine.params.k
+        gather = engine.network.gather_seconds(
+            len(run_ids) * req.n_queries * k * _EDGE_BYTES,
+            len(run_ids))
+        cycles, merge_seconds = merge_launch(
+            req.n_queries, len(run_ids), k,
+            n_threads=engine.params.n_threads,
+            device=engine.device, costs=engine.costs)
+        ids, dists = merge_topk(k, run_ids, run_dists)
+        return ClusterOutcome(
+            request_id=req.request_id,
+            status=(ClusterStatus.SERVED if not missing
+                    else ClusterStatus.PARTIAL),
+            ids=ids, dists=dists, arrival_seconds=arrival,
+            completion_seconds=base + gather + merge_seconds,
+            scatter_seconds=scatter, gather_seconds=gather,
+            merge_seconds=merge_seconds, merge_cycles=cycles,
+            n_shards_answered=len(run_ids),
+            missing_shards=tuple(missing), n_failovers=failovers,
+            degraded_tier=tier,
+            detail="" if not missing else f"shards {missing} missing")
+
+    def _shard_answer(self, pos: int, shard: int,
+                      events: List[Tuple[str, float, Dict]]):
+        """One shard's contribution to request ``pos``.
+
+        Returns ``(answer, resolved_seconds, n_failovers, tier)``;
+        ``answer`` is the shard-local ``(ids, dists)``, or ``None``
+        when the shard is missing (dead, or its dispatch failed with no
+        live sibling).  Failover incidents are appended to ``events``.
+        """
+        engine, req = self.engine, self.trace[pos]
+        arrival = req.arrival_seconds
+        decision, sub_arrival = self.routes[pos][shard]
+        failovers = decision.n_failovers
+        if decision.shard_dead:
+            events.append(("cluster.shard_dead", arrival,
+                           {"shard": shard}))
+            return None, sub_arrival, failovers, 0
+        if failovers:
+            events.append(("cluster.failover", arrival,
+                           {"shard": shard, "n_bounces": failovers,
+                            "stage": "route"}))
+        outcome = self.slot_outcomes[
+            engine._slot(shard, decision.replica)][pos]
+        if outcome.served:
+            return ((outcome.ids, outcome.dists),
+                    outcome.completion_seconds, failovers,
+                    outcome.degraded_tier)
+        # Dispatch failed on the routed replica: retry lane on a live
+        # sibling at serial stream cost.
+        retry_at = (outcome.completion_seconds
+                    + engine.router_policy.failover_penalty_seconds)
+        sibling = self.router.sibling(shard, (decision.replica,),
+                                      retry_at)
+        if sibling is None:
+            events.append(("cluster.shard_dead", retry_at,
+                           {"shard": shard, "stage": "retry"}))
+            return None, retry_at, failovers, 0
+        events.append(("cluster.failover", retry_at,
+                       {"shard": shard, "replica": sibling,
+                        "stage": "retry"}))
+        stream = stream_batches(
+            engine.shard_graphs[shard], engine.shard_points[shard],
+            req.queries, engine.params, batch_size=req.n_queries,
+            device=engine.device, costs=engine.costs)
+        return ((stream.ids, stream.dists),
+                retry_at + stream.serial_seconds, failovers + 1, 0)
+
+    # ---- Spans (deterministic retroactive emission) ----------------
+
+    def emit_spans(self, tracer: SpanTracer,
+                   report: ClusterReport) -> None:
+        """Record the finished replay on the simulated clock."""
+        engine, trace = self.engine, self.trace
+        root_start = root_end = (trace[0].arrival_seconds if trace
+                                 else 0.0)
+        for _, last, _, _ in self.slot_spans.values():
+            root_end = max(root_end, last)
+        if trace:
+            root_end = max(root_end, trace[-1].arrival_seconds, max(
+                o.completion_seconds for o in report.outcomes))
+        for r in self.repairs:
+            root_start = min(root_start, r.death_seconds)
+            root_end = max(root_end, r.attempts[-1].end_seconds)
+        root_attrs = {"n_requests": len(trace),
+                      "n_shards": engine.n_shards,
+                      "n_replicas": engine.n_replicas}
+        # Quant attrs only when the shards actually ran the staged
+        # pipeline — exact cluster traces (incl. the committed golden)
+        # stay quant-silent.  The per-shard ServeEngines share
+        # engine.params, so their caches are already namespaced by the
+        # same mode.
+        if engine.params.quant is not None:
+            root_attrs["quant.mode"] = engine.params.quant
+            root_attrs["quant.rerank"] = engine.params.rerank_factor
+        root = tracer.begin("cluster.replay", root_start,
+                            lane="cluster", attributes=root_attrs)
+        for slot in sorted(self.slot_spans):
+            first, last, n_requests, n_served = self.slot_spans[slot]
+            shard, replica = divmod(slot, engine.n_replicas)
+            tracer.add(
+                "cluster.replica", first, last, parent_id=root,
+                lane=f"cluster/s{shard}r{replica}",
+                attributes={"shard": shard, "replica": replica,
+                            "n_requests": n_requests,
+                            "n_served": n_served})
+        for r in self.repairs:
+            self._repair_span(tracer, root, r)
+        for pos, outcome in enumerate(report.outcomes):
+            self._request_span(tracer, root, pos, outcome)
+        tracer.end(root, root_end)
+
+    @staticmethod
+    def _repair_span(tracer: SpanTracer, root: int,
+                     r: RepairRecord) -> None:
+        span = tracer.begin(
+            "heal.repair", r.death_seconds, parent_id=root,
+            lane_group="heal.repairs",
+            attributes={"shard": r.shard, "replica": r.replica,
+                        "snapshot_bytes": r.snapshot_bytes,
+                        "wal_records": r.wal_records})
+        tracer.event(span, r.detect_seconds, "heal.detected")
+        for index, attempt in enumerate(r.attempts):
+            t = attempt.start_seconds
+            tracer.add("heal.transfer", t, t + attempt.transfer_seconds,
+                       parent_id=span)
+            t += attempt.transfer_seconds
+            tracer.add("heal.deserialize", t,
+                       t + attempt.deserialize_seconds, parent_id=span)
+            t += attempt.deserialize_seconds
+            if attempt.catchup_seconds > 0:
+                tracer.add("heal.catchup", t,
+                           t + attempt.catchup_seconds, parent_id=span)
+            t += attempt.catchup_seconds
+            tracer.add("heal.verify", t, t + attempt.verify_seconds,
+                       parent_id=span)
+            if not attempt.digest_matched:
+                tracer.event(span, attempt.end_seconds,
+                             "heal.quarantine", {"attempt": index})
+        tracer.end(span, r.attempts[-1].end_seconds, attributes={
+            "status": r.status, "n_attempts": r.n_attempts,
+            "mttr_seconds": r.mttr_seconds if r.healed else -1.0})
+
+    def _request_span(self, tracer: SpanTracer, root: int, pos: int,
+                      outcome: ClusterOutcome) -> None:
+        arrival = outcome.arrival_seconds
+        base = self.request_base[pos]
+        span = tracer.begin(
+            "cluster.request", arrival, parent_id=root,
+            lane_group="cluster.requests",
+            attributes={"request_id": outcome.request_id,
+                        "n_queries": self.trace[pos].n_queries})
+        if outcome.status is not ClusterStatus.DEADLINE:
+            scatter_end = arrival + outcome.scatter_seconds
+            tracer.add("cluster.scatter", arrival, scatter_end,
+                       parent_id=span)
+            tracer.add("cluster.wait", scatter_end, base,
+                       parent_id=span)
+        if outcome.answered:
+            tracer.add("cluster.merge", base,
+                       outcome.completion_seconds, parent_id=span,
+                       attributes={
+                           "merge_cycles": outcome.merge_cycles,
+                           "n_runs": outcome.n_shards_answered})
+        for name, seconds, attrs in self.request_events[pos]:
+            tracer.event(span, seconds, name, attrs)
+        tracer.end(span, outcome.completion_seconds, attributes={
+            "status": outcome.status.value,
+            "n_shards_answered": outcome.n_shards_answered,
+            "n_failovers": outcome.n_failovers})

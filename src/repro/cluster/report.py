@@ -24,8 +24,23 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ObservabilityError
+from repro.observability.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
+    MetricRow,
+)
 from repro.serve.report import _percentile
+
+
+def _running_total(values) -> float:
+    """Sum one float addition at a time, as ``Counter.inc`` does.
+
+    (The builtin ``sum`` compensates rounding on newer interpreters,
+    so it need not reproduce a counter's bits.)
+    """
+    acc = 0.0
+    for value in values:
+        acc += value
+    return acc
 
 
 class ClusterStatus(enum.Enum):
@@ -161,33 +176,28 @@ class ClusterReport:
         """All requests in the trace."""
         return len(self.outcomes)
 
+    def _count(self, status: ClusterStatus) -> int:
+        return sum(1 for o in self.outcomes if o.status is status)
+
     @property
     def n_served(self) -> int:
         """Requests answered completely (every shard contributed)."""
-        return sum(1 for o in self.outcomes if o.complete)
+        return self._count(ClusterStatus.SERVED)
 
     @property
     def n_partial(self) -> int:
         """Requests answered with one or more shards missing."""
-        return sum(1 for o in self.outcomes
-                   if o.status is ClusterStatus.PARTIAL)
+        return self._count(ClusterStatus.PARTIAL)
 
     @property
     def n_failed(self) -> int:
         """Requests no shard answered."""
-        return sum(1 for o in self.outcomes
-                   if o.status is ClusterStatus.FAILED)
+        return self._count(ClusterStatus.FAILED)
 
     @property
     def n_deadline_failfast(self) -> int:
         """Requests rejected before fan-out (deadline unmeetable)."""
-        return sum(1 for o in self.outcomes
-                   if o.status is ClusterStatus.DEADLINE)
-
-    @property
-    def n_answered(self) -> int:
-        """Requests that received any merged answer."""
-        return sum(1 for o in self.outcomes if o.answered)
+        return self._count(ClusterStatus.DEADLINE)
 
     @property
     def answered_queries(self) -> int:
@@ -313,26 +323,18 @@ class ClusterReport:
     @property
     def merge_overhead_cycles(self) -> float:
         """Total cycles charged to scatter-gather merge launches."""
-        total = 0.0
-        for o in self.outcomes:
-            total += o.merge_cycles
-        return total
+        return _running_total(o.merge_cycles for o in self.outcomes)
 
     @property
     def merge_overhead_seconds(self) -> float:
         """Total simulated seconds of merge launches."""
-        total = 0.0
-        for o in self.outcomes:
-            total += o.merge_seconds
-        return total
+        return _running_total(o.merge_seconds for o in self.outcomes)
 
     @property
     def comm_seconds(self) -> float:
         """Total scatter + gather network seconds."""
-        total = 0.0
-        for o in self.outcomes:
-            total += o.scatter_seconds + o.gather_seconds
-        return total
+        return _running_total(o.scatter_seconds + o.gather_seconds
+                              for o in self.outcomes)
 
     @property
     def qps(self) -> float:
@@ -392,106 +394,111 @@ class ClusterReport:
     # Registry view
     # ------------------------------------------------------------------
 
-    def verify_against_metrics(self) -> None:
-        """Assert this report is an exact view over its registry.
+    def _observations(self) -> Dict[str, np.ndarray]:
+        """Histogram populations, in publication order."""
+        observed = {"cluster.latency_seconds": self.latencies()}
+        if self.heal_enabled:
+            observed["heal.mttr_seconds"] = self.mttr_values()
+        return observed
 
-        Mirrors :meth:`repro.serve.report.ServeReport
-        .verify_against_metrics`: every derived quantity must equal the
-        counter/gauge the engine published during the replay — the two
-        accounting paths get zero drift.  Float totals are re-summed in
-        publication order so the comparison is exact, not approximate.
-        Raises :class:`repro.errors.ObservabilityError` on the first
-        mismatch; no-op without a registry.
+    def metric_rows(self) -> List[MetricRow]:
+        """The ``cluster.*`` / ``heal.*`` metric table.
+
+        The one list :meth:`publish_metrics` writes and
+        :meth:`verify_against_metrics` reads back.  Float totals are
+        summed in arrival (repairs: death) order, one addition per
+        record, so a value is the same bits however it is reached.
         """
-        registry = self.metrics
-        if registry is None:
-            return
-        merge_seconds = 0.0
-        merge_cycles = 0.0
-        gather_seconds = 0.0
-        scatter_seconds = 0.0
-        for o in self.outcomes:
-            merge_seconds += o.merge_seconds
-            merge_cycles += o.merge_cycles
-            gather_seconds += o.gather_seconds
-            scatter_seconds += o.scatter_seconds
-        expectations = {
+        outcomes, repairs = self.outcomes, self.repairs
+
+        def counters(totals: Dict[str, float], sparse: bool
+                     ) -> List[MetricRow]:
+            return [MetricRow(name, "counter", total, sparse)
+                    for name, total in totals.items()]
+
+        rows = [MetricRow("cluster.replica_deaths", "counter",
+                          self.n_replica_deaths)]
+        # Incremented once per outcome, by zero or not: absent only
+        # from an empty replay.
+        rows += counters({
             "cluster.requests": self.n_requests,
-            "cluster.outcomes.served": self.n_served,
-            "cluster.outcomes.partial": self.n_partial,
-            "cluster.outcomes.failed": self.n_failed,
-            "cluster.outcomes.deadline": self.n_deadline_failfast,
+            "cluster.shards_answered":
+                sum(o.n_shards_answered for o in outcomes),
+            "cluster.failovers": self.n_failovers,
+            "cluster.shard_misses": self.n_shard_misses,
+            "cluster.merge_seconds": self.merge_overhead_seconds,
+            "cluster.merge_cycles": self.merge_overhead_cycles,
+            "cluster.gather_seconds":
+                _running_total(o.gather_seconds for o in outcomes),
+            "cluster.scatter_seconds":
+                _running_total(o.scatter_seconds for o in outcomes),
+        }, sparse=not outcomes)
+        # Incremented only by the outcomes they describe.
+        rows += counters({
+            **{f"cluster.outcomes.{status.value}": self._count(status)
+               for status in ClusterStatus},
             "cluster.deadline_failfast": self.n_deadline_failfast,
-            "cluster.queries_answered": self.answered_queries,
             # Deadline-rejected requests never fan out: no shard sees
             # them, so they contribute no shard-queries.
             "cluster.shard_queries":
                 (self.n_requests - self.n_deadline_failfast)
                 * self.n_shards,
-            "cluster.shards_answered":
-                sum(o.n_shards_answered for o in self.outcomes),
-            "cluster.failovers": self.n_failovers,
-            "cluster.shard_misses": self.n_shard_misses,
-            "cluster.replica_deaths": self.n_replica_deaths,
-            "cluster.merge_seconds": merge_seconds,
-            "cluster.merge_cycles": merge_cycles,
-            "cluster.gather_seconds": gather_seconds,
-            "cluster.scatter_seconds": scatter_seconds,
-            "cluster.makespan_seconds": self.makespan_seconds,
-        }
+            "cluster.queries_answered": self.answered_queries,
+        }, sparse=True)
+        rows.append(MetricRow("cluster.makespan_seconds", "gauge",
+                              self.makespan_seconds))
         if self.heal_enabled:
-            # Re-sum float totals in publication (death) order so the
-            # comparison is exact.
-            transfer = catchup = verify = deserialize = 0.0
-            attempts = quarantines = bytes_moved = wal_replayed = 0
-            for r in self.repairs:
-                transfer += r.transfer_seconds
-                catchup += r.catchup_seconds
-                verify += r.verify_seconds
-                deserialize += sum(a.deserialize_seconds
-                                   for a in r.attempts)
-                attempts += r.n_attempts
-                quarantines += r.n_quarantined
-                bytes_moved += r.bytes_transferred
-                wal_replayed += r.wal_records_replayed
-            expectations.update({
+            rows += counters({
                 "heal.deaths_detected": self.n_repairs,
+                "heal.rebuild_attempts":
+                    sum(r.n_attempts for r in repairs),
+                "heal.quarantines": self.n_quarantines,
+                "heal.bytes_transferred":
+                    sum(r.bytes_transferred for r in repairs),
+                "heal.wal_records_replayed":
+                    sum(r.wal_records_replayed for r in repairs),
+                "heal.transfer_seconds":
+                    _running_total(r.transfer_seconds for r in repairs),
+                "heal.catchup_seconds":
+                    _running_total(r.catchup_seconds for r in repairs),
+                "heal.verify_seconds":
+                    _running_total(r.verify_seconds for r in repairs),
+                "heal.deserialize_seconds": _running_total(
+                    sum(a.deserialize_seconds for a in r.attempts)
+                    for r in repairs),
+            }, sparse=not repairs)
+            rows += counters({
                 "heal.repairs_completed": self.n_repairs_healed,
                 "heal.repairs_abandoned": self.n_repairs_abandoned,
-                "heal.rebuild_attempts": attempts,
-                "heal.quarantines": quarantines,
-                "heal.bytes_transferred": bytes_moved,
-                "heal.wal_records_replayed": wal_replayed,
-                "heal.transfer_seconds": transfer,
-                "heal.catchup_seconds": catchup,
-                "heal.verify_seconds": verify,
-                "heal.deserialize_seconds": deserialize,
-                "heal.unhealed_replicas": self.n_repairs_abandoned,
-            })
-        for name, expected in expectations.items():
-            actual = registry.value(name, default=0.0)
-            if actual != expected:
-                raise ObservabilityError(
-                    f"report/registry drift on {name!r}: report says "
-                    f"{expected}, registry says {actual}"
-                )
-        hist = (registry.snapshot().get("cluster.latency_seconds")
-                if "cluster.latency_seconds" in registry else None)
-        if hist is not None and hist["count"] != self.n_answered:
-            raise ObservabilityError(
-                f"report/registry drift on latency histogram count: "
-                f"{self.n_answered} answered, {hist['count']} observed"
-            )
-        if self.heal_enabled:
-            mttr = (registry.snapshot().get("heal.mttr_seconds")
-                    if "heal.mttr_seconds" in registry else None)
-            observed = 0 if mttr is None else mttr["count"]
-            if observed != self.n_repairs_healed:
-                raise ObservabilityError(
-                    f"report/registry drift on MTTR histogram count: "
-                    f"{self.n_repairs_healed} healed, {observed} "
-                    f"observed"
-                )
+            }, sparse=True)
+            rows.append(MetricRow("heal.unhealed_replicas", "gauge",
+                                  self.n_repairs_abandoned))
+        rows += [MetricRow(name, "histogram", len(values))
+                 for name, values in self._observations().items()]
+        return rows
+
+    def publish_metrics(self, registry) -> None:
+        """Write :meth:`metric_rows` (and the histogram populations
+        behind its counts) into ``registry``."""
+        for row in self.metric_rows():
+            if row.kind == "gauge":
+                registry.gauge(row.name).set(row.value)
+            elif row.kind == "counter" and (row.value or not row.sparse):
+                registry.counter(row.name).inc(row.value)
+        for name, values in self._observations().items():
+            histogram = registry.histogram(name, DEFAULT_LATENCY_BUCKETS)
+            for value in values:
+                histogram.observe(value)
+
+    def verify_against_metrics(self) -> None:
+        """Assert this report is an exact view over its registry.
+
+        Every row of :meth:`metric_rows` must equal what the registry
+        holds.  Raises :class:`repro.errors.ObservabilityError` on the
+        first mismatch; no-op without a registry.
+        """
+        if self.metrics is not None:
+            self.metrics.reconcile(self.metric_rows())
 
     # ------------------------------------------------------------------
     # Canonical form

@@ -41,6 +41,63 @@ class BatchTiming:
 
 
 @dataclass(frozen=True)
+class EngineSlots:
+    """The exact engine occupancy of one batch on the simulated device.
+
+    The batch first occupies an engine at ``upload_start`` and leaves
+    the device at ``download_end`` (results downloaded, or the failure
+    detected).  The observability layer turns the three intervals into
+    ``upload`` / ``compute`` / ``download`` spans on per-engine lanes.
+    """
+
+    upload_start: float
+    upload_end: float
+    compute_start: float
+    compute_end: float
+    download_start: float
+    download_end: float
+
+
+@dataclass
+class EngineClock:
+    """Free times of the three simulated device engines.
+
+    The double-buffered schedule: upload, compute and download each
+    process batches in order, and a batch's stage starts when both its
+    engine is free and its previous stage finished — the upload of
+    batch ``i+1`` proceeds while batch ``i`` computes and batch ``i-1``
+    downloads.
+    """
+
+    upload_free: float = 0.0
+    compute_free: float = 0.0
+    download_free: float = 0.0
+
+    def schedule(self, ready: float, upload: float, compute: float,
+                 download: Optional[float]) -> EngineSlots:
+        """Run one batch that is ready at ``ready``.
+
+        ``download=None`` is a *failed* attempt: it died before
+        producing results, so nothing downloads and the failure is
+        detected at ``compute_end`` — but the wasted upload/compute
+        time still delays everything behind it.
+        """
+        upload_start = max(ready, self.upload_free)
+        self.upload_free = upload_start + upload
+        compute_start = max(self.compute_free, self.upload_free)
+        self.compute_free = compute_start + compute
+        if download is None:
+            download_start = download_end = self.compute_free
+        else:
+            download_start = max(self.download_free, self.compute_free)
+            download_end = self.download_free = download_start + download
+        return EngineSlots(
+            upload_start=upload_start, upload_end=self.upload_free,
+            compute_start=compute_start, compute_end=self.compute_free,
+            download_start=download_start, download_end=download_end)
+
+
+@dataclass(frozen=True)
 class StreamResult:
     """Outcome of one streamed multi-batch search.
 
@@ -150,19 +207,11 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
     serial = sum(t.upload_seconds + t.compute_seconds + t.download_seconds
                  for t in timings)
 
-    # Double-buffered schedule: three engines (upload, compute, download)
-    # each process batches in order; engine stage i of batch b starts
-    # when both the engine is free and stage i-1 of batch b finished.
-    upload_free = compute_free = download_free = 0.0
+    clock = EngineClock()
     for t in timings:
-        upload_done = upload_free + t.upload_seconds
-        upload_free = upload_done
-        compute_done = max(compute_free, upload_done) + t.compute_seconds
-        compute_free = compute_done
-        download_done = max(download_free, compute_done) \
-            + t.download_seconds
-        download_free = download_done
-    overlapped = download_free
+        clock.schedule(0.0, t.upload_seconds, t.compute_seconds,
+                       t.download_seconds)
+    overlapped = clock.download_free
 
     return StreamResult(
         ids=np.concatenate(ids_parts, axis=0),

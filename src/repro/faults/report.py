@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.errors import ObservabilityError
 from repro.faults.policy import BreakerTransition
+from repro.observability.metrics import MetricRow
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,27 @@ class FaultReport:
     # Registry view
     # ------------------------------------------------------------------
 
+    def metric_rows(self) -> List[MetricRow]:
+        """The ``faults.*`` metric table: this ledger, as the registry
+        must hold it."""
+        totals: Dict[str, int] = {
+            "faults.scheduled": self.scheduled_faults,
+            "faults.injected": self.n_injected,
+            "faults.fatal": self.n_fatal,
+            "faults.retries": self.n_retries,
+            "faults.fast_failed": self.fast_failed_requests,
+            "faults.deadline_dropped": self.deadline_dropped_requests,
+            "faults.degraded_batches": self.n_degraded_batches,
+            "faults.breaker.probe_successes": self.probe_successes,
+        }
+        for kind, count in self.injected_by_kind().items():
+            totals[f"faults.delivered.{kind}"] = count
+        for transition in self.breaker_transitions:
+            name = f"faults.breaker.{transition.to_state}"
+            totals[name] = totals.get(name, 0) + 1
+        return [MetricRow(name, "counter", total)
+                for name, total in totals.items()]
+
     def verify_against_metrics(self, registry) -> None:
         """Assert this ledger is an exact view over ``registry``.
 
@@ -138,32 +159,7 @@ class FaultReport:
         allowed zero drift.  Raises
         :class:`repro.errors.ObservabilityError` on the first mismatch.
         """
-        expectations = {
-            "faults.scheduled": self.scheduled_faults,
-            "faults.injected": self.n_injected,
-            "faults.fatal": self.n_fatal,
-            "faults.retries": self.n_retries,
-            "faults.fast_failed": self.fast_failed_requests,
-            "faults.deadline_dropped": self.deadline_dropped_requests,
-            "faults.degraded_batches": self.n_degraded_batches,
-        }
-        for kind, count in self.injected_by_kind().items():
-            expectations[f"faults.delivered.{kind}"] = count
-        states: Dict[str, int] = {}
-        for transition in self.breaker_transitions:
-            states[transition.to_state] = \
-                states.get(transition.to_state, 0) + 1
-        for state, count in states.items():
-            expectations[f"faults.breaker.{state}"] = count
-        expectations["faults.breaker.probe_successes"] = \
-            self.probe_successes
-        for name, expected in expectations.items():
-            actual = registry.value(name, default=0.0)
-            if actual != expected:
-                raise ObservabilityError(
-                    f"fault-ledger/registry drift on {name!r}: ledger "
-                    f"says {expected}, registry says {actual}"
-                )
+        registry.reconcile(self.metric_rows())
 
     # ------------------------------------------------------------------
     # Rendering / canonical form

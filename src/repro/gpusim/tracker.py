@@ -14,8 +14,7 @@ accounting.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
-    Union
+from typing import Dict, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -54,9 +53,6 @@ class CycleTracker:
         self._n_lanes = int(n_lanes)
         self._phases: Dict[str, np.ndarray] = {}
         self._categories: Dict[str, PhaseCategory] = dict(phase_categories or {})
-        #: Observability hooks notified on every charge (see
-        #: :meth:`add_listener`).
-        self._listeners: List[Callable[..., None]] = []
 
     @property
     def n_lanes(self) -> int:
@@ -67,25 +63,6 @@ class CycleTracker:
     def phase_names(self) -> Iterable[str]:
         """Names of all phases that have been charged at least once."""
         return tuple(self._phases)
-
-    def add_listener(self, listener: Callable[..., None]) -> None:
-        """Subscribe a charge hook: ``listener(phase, cycles, lanes)``.
-
-        The hook fires after every :meth:`charge`, with exactly the
-        arguments the charge applied — this is the attachment point the
-        observability layer uses to mirror kernel phase accounting into
-        spans and metrics without the algorithm code knowing tracing
-        exists.  Listeners must not mutate their arguments.
-        """
-        if not callable(listener):
-            raise ConfigurationError(
-                f"tracker listener must be callable, got {listener!r}"
-            )
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: Callable[..., None]) -> None:
-        """Unsubscribe a hook added with :meth:`add_listener`."""
-        self._listeners.remove(listener)
 
     def register_category(self, phase: str, category: PhaseCategory) -> None:
         """Associate ``phase`` with ``category`` for breakdown reports."""
@@ -112,24 +89,14 @@ class CycleTracker:
             self._phases[phase] = bucket
         if lanes is None:
             bucket += cycles
-            self._notify(phase, cycles, None)
             return
         lanes = np.asarray(lanes)
-        if lanes.dtype == bool:
-            if lanes.shape != (self._n_lanes,):
-                raise ConfigurationError(
-                    f"boolean lane mask must have shape ({self._n_lanes},), "
-                    f"got {lanes.shape}"
-                )
-            bucket[lanes] += cycles
-        else:
-            bucket[lanes] += cycles
-        self._notify(phase, cycles, lanes)
-
-    def _notify(self, phase: str, cycles: Union[float, np.ndarray],
-                lanes: LaneSelector) -> None:
-        for listener in self._listeners:
-            listener(phase, cycles, lanes)
+        if lanes.dtype == bool and lanes.shape != (self._n_lanes,):
+            raise ConfigurationError(
+                f"boolean lane mask must have shape ({self._n_lanes},), "
+                f"got {lanes.shape}"
+            )
+        bucket[lanes] += cycles
 
     # ------------------------------------------------------------------
     # Readout

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.errors import ObservabilityError
+from repro.observability.metrics import MetricRow
 
 #: Operation kinds an :class:`OpRecord` may carry.
 OP_RECORD_KINDS = ("insert", "delete", "compact", "checkpoint",
@@ -186,18 +186,14 @@ class MutationReport:
     # Registry view
     # ------------------------------------------------------------------
 
-    def verify_against_metrics(self) -> None:
-        """Assert this report is an exact view over its registry.
+    def metric_rows(self) -> List[MetricRow]:
+        """The metric table: every derived count above, as the registry
+        the run published into must hold it.
 
-        The ledger above and the counters the index/sim published live
-        are two independent accounting paths; they are allowed zero
-        drift.  Raises :class:`repro.errors.ObservabilityError` on the
-        first mismatch; a no-op when the report carries no registry.
+        The epoch and checkpoint-LSN gauges are only ever set by the
+        operations that move them, so their rows exist once one ran.
         """
-        registry = self.metrics
-        if registry is None:
-            return
-        expectations = {
+        counters = {
             "mutate.inserts": self.n_inserts,
             "mutate.points_inserted": self.points_inserted,
             "mutate.deletes": self.n_deletes,
@@ -208,19 +204,28 @@ class MutationReport:
             "recovery.checkpoints": self.n_checkpoints,
             "recovery.runs": self.n_recoveries,
             "recovery.replayed_records": self.replayed_records,
+            "faults.delivered.crash": self.n_crashes,
         }
-        if self.n_crashes:
-            expectations["faults.delivered.crash"] = self.n_crashes
+        rows = [MetricRow(name, "counter", count)
+                for name, count in counters.items()]
         if self.n_inserts or self.n_deletes or self.n_compactions:
-            expectations["mutate.epoch"] = self.final_epoch
+            rows.append(MetricRow("mutate.epoch", "gauge",
+                                  self.final_epoch))
         if self.n_checkpoints:
-            expectations["recovery.checkpoint_lsn"] = self.checkpoint_lsn
-        for name, expected in expectations.items():
-            actual = registry.value(name, default=0.0)
-            if actual != expected:
-                raise ObservabilityError(
-                    f"report/registry drift on {name!r}: report says "
-                    f"{expected}, registry says {actual}")
+            rows.append(MetricRow("recovery.checkpoint_lsn", "gauge",
+                                  self.checkpoint_lsn))
+        return rows
+
+    def verify_against_metrics(self) -> None:
+        """Assert this report is an exact view over its registry.
+
+        The ledger above and the counters the index/sim published live
+        are two independent accounting paths; they are allowed zero
+        drift.  Raises :class:`repro.errors.ObservabilityError` on the
+        first mismatch; a no-op when the report carries no registry.
+        """
+        if self.metrics is not None:
+            self.metrics.reconcile(self.metric_rows())
 
     # ------------------------------------------------------------------
     # Canonical form

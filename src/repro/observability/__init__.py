@@ -12,8 +12,6 @@ live in scattered report fields.  This package unifies it:
   histograms every subsystem publishes into;
   :class:`~repro.serve.report.ServeReport` and
   :class:`~repro.faults.report.FaultReport` are views over it.
-- :class:`TrackerMirror` — exact replication of
-  :class:`~repro.gpusim.tracker.CycleTracker` charge streams.
 
 Because every timestamp is simulated, the layer is *exact*: span
 durations reconcile with cycle accounting to the last bit, and two
@@ -24,7 +22,6 @@ makes all of this falsifiable.  See ``docs/observability.md``.
 
 from repro.observability.bridge import (
     KERNEL_CYCLES_PREFIX,
-    TrackerMirror,
     publish_tracker_totals,
 )
 from repro.observability.chrome import (
@@ -61,7 +58,6 @@ __all__ = [
     "Span",
     "SpanEvent",
     "SpanTracer",
-    "TrackerMirror",
     "export_chrome_trace",
     "export_chrome_trace_bytes",
     "iter_descendants",

@@ -1,72 +1,19 @@
-"""Bridges from the existing accounting objects into the registry.
+"""Bridge from the kernel's cycle accounting into the registry.
 
-Two attachment styles:
-
-- :class:`TrackerMirror` subscribes to a live
-  :class:`repro.gpusim.tracker.CycleTracker` via its charge-listener
-  hook and replays every charge into a private tracker of its own.
-  Because the mirror performs the *identical* NumPy operations in the
-  identical order, its totals reconcile with the source **exactly**
-  (bit-for-bit float equality), which is the property the invariant
-  suite pins.
-- :func:`publish_tracker_totals` folds a finished tracker's per-phase
-  totals into registry counters (``kernel.cycles.<phase>``), one
-  deterministic float addition per phase per batch — the serving
-  engine calls this after every dispatched batch.
+:func:`publish_tracker_totals` folds a finished
+:class:`repro.gpusim.tracker.CycleTracker`'s per-phase totals into
+registry counters (``kernel.cycles.<phase>``), one deterministic float
+addition per phase per batch — the serving engine calls this after
+every dispatched batch.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.gpusim.tracker import CycleTracker
 from repro.observability.metrics import MetricsRegistry
 
 #: Registry namespace for kernel phase cycles.
 KERNEL_CYCLES_PREFIX = "kernel.cycles."
-
-
-class TrackerMirror:
-    """A charge-for-charge replica of a live :class:`CycleTracker`.
-
-    Attach with :meth:`attach`; every subsequent ``charge`` on the
-    source is re-applied to :attr:`tracker`, so
-    ``mirror.tracker.phase_totals() == source.phase_totals()`` holds
-    exactly at any instant after attachment (assuming the source was
-    empty when attached).
-    """
-
-    def __init__(self, source: CycleTracker,
-                 registry: Optional[MetricsRegistry] = None,
-                 prefix: str = KERNEL_CYCLES_PREFIX):
-        self.source = source
-        self.tracker = CycleTracker(n_lanes=source.n_lanes)
-        self.registry = registry
-        self.prefix = prefix
-        self._attached = False
-
-    def attach(self) -> "TrackerMirror":
-        """Subscribe to the source tracker's charge stream."""
-        if not self._attached:
-            self.source.add_listener(self._on_charge)
-            self._attached = True
-        return self
-
-    def detach(self) -> None:
-        """Unsubscribe (totals accumulated so far are kept)."""
-        if self._attached:
-            self.source.remove_listener(self._on_charge)
-            self._attached = False
-
-    def _on_charge(self, phase, cycles, lanes) -> None:
-        self.tracker.charge(phase, cycles, lanes)
-
-    def publish(self) -> None:
-        """Fold current mirror totals into the registry counters."""
-        if self.registry is None:
-            return
-        publish_tracker_totals(self.registry, self.tracker,
-                               prefix=self.prefix)
 
 
 def publish_tracker_totals(registry: MetricsRegistry,

@@ -25,7 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, \
+    Sequence, Tuple, Union
 
 from repro.errors import ObservabilityError
 
@@ -46,6 +47,25 @@ DEFAULT_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 #: definition do not, so the canonical snapshot excludes them — two
 #: identical replays still produce identical :meth:`to_json_bytes`.
 VOLATILE_PREFIX = "perf."
+
+
+class MetricRow(NamedTuple):
+    """One line of a report's metric table: what the registry must hold.
+
+    Every report lists its rows once (``metric_rows()``);
+    :meth:`MetricsRegistry.reconcile` checks a registry against them,
+    and a report whose metrics are derived post hoc publishes from the
+    same list.  ``value`` is a counter total, a gauge level, or a
+    histogram's observation count.  ``sparse`` marks a counter that
+    live publication creates on its first non-zero increment:
+    publishing from the table skips it at zero, reconciliation reads
+    an absent metric as zero.
+    """
+
+    name: str
+    kind: str  # "counter" | "gauge" | "histogram"
+    value: Number
+    sparse: bool = False
 
 
 class Counter:
@@ -221,6 +241,27 @@ class MetricsRegistry:
                 f"{name!r} is a histogram; read .snapshot() instead"
             )
         return metric.value
+
+    def reconcile(self, rows: Iterable[MetricRow]) -> None:
+        """Assert this registry holds exactly what ``rows`` say.
+
+        The one compare loop behind every report's
+        ``verify_against_metrics``.  A metric nobody published reads as
+        zero.  Raises :class:`ObservabilityError` naming the first row
+        that drifted.
+        """
+        for row in rows:
+            metric = self._metrics.get(row.name)
+            # An instrument of another kind has no such field: None
+            # never equals the expected number, so it reads as drift.
+            field = "count" if row.kind == "histogram" else "value"
+            actual = 0.0 if metric is None else getattr(metric, field,
+                                                        None)
+            if actual != row.value:
+                raise ObservabilityError(
+                    f"report/registry drift on {row.name!r}: report "
+                    f"says {row.value}, registry says {actual}"
+                )
 
     # ------------------------------------------------------------------
     # Serialization

@@ -23,9 +23,7 @@ Contract (``tests/test_perf_equivalence.py``,
 ``tests/test_perf_properties.py``, ``tests/test_core_ganns_kernel.py``):
 ids, iteration counts and per-phase per-lane cycle charges equal the
 batched oracle's (``tests/oracles/ganns_batched.py``) and the
-single-query warp kernel's — charges are issued with the oracle's lane
-sets, amounts and order, so tracker listeners (e.g. the serve engine's
-mirrors) observe identical streams.  The merge tie rule — a pool record
+single-query warp kernel's.  The merge tie rule — a pool record
 ``a`` precedes a T record ``b`` iff
 ``(a_dist < b_dist) | ((a_dist == b_dist) & (a_id <= b_id))`` — is the
 oracle's stable lexsort (pool entries win ties against T entries).

@@ -40,13 +40,17 @@ tests pin both properties).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.params import SearchParams
-from repro.core.pipeline import stream_batches
+from repro.core.pipeline import (
+    EngineClock,
+    EngineSlots,
+    StreamResult,
+    stream_batches,
+)
 from repro.errors import FaultError, ServeError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -77,83 +81,14 @@ from repro.observability.span import SpanTracer
 from repro.perf.quant import QUANT_BITS
 from repro.serve.cache import ResultCache
 from repro.serve.report import ServeReport
-from repro.serve.request import QueryRequest, RequestOutcome, RequestStatus
+from repro.serve.request import (
+    QueryRequest,
+    RequestOutcome,
+    RequestStatus,
+    check_deadline,
+    validate_trace,
+)
 from repro.serve.scheduler import Batch, BatchPolicy, MicroBatchScheduler
-
-
-@dataclass(frozen=True)
-class EngineSlots:
-    """The exact engine occupancy of one dispatch attempt.
-
-    The observability layer turns these into ``upload`` / ``compute`` /
-    ``download`` spans on the per-engine lanes; the engine itself only
-    needs :attr:`service_start` and :attr:`completion`.
-    """
-
-    upload_start: float
-    upload_end: float
-    compute_start: float
-    compute_end: float
-    download_start: float = 0.0
-    download_end: float = 0.0
-
-    @property
-    def service_start(self) -> float:
-        """When the attempt first occupied a device engine."""
-        return self.upload_start
-
-    @property
-    def completion(self) -> float:
-        """When the attempt's results finished downloading."""
-        return self.download_end
-
-
-@dataclass
-class _EngineClock:
-    """Free times of the three simulated device engines.
-
-    Mirrors the double-buffered schedule of
-    :func:`repro.core.pipeline.stream_batches`, but across dispatched
-    micro-batches: the upload of batch ``i+1`` may proceed while batch
-    ``i`` computes and batch ``i-1`` downloads.
-    """
-
-    upload_free: float = 0.0
-    compute_free: float = 0.0
-    download_free: float = 0.0
-
-    def schedule(self, ready: float, upload: float, compute: float,
-                 download: float) -> EngineSlots:
-        """Run one batch; returns the attempt's engine occupancy."""
-        upload_start = max(ready, self.upload_free)
-        self.upload_free = upload_start + upload
-        compute_start = max(self.compute_free, self.upload_free)
-        self.compute_free = compute_start + compute
-        download_start = max(self.download_free, self.compute_free)
-        self.download_free = download_start + download
-        return EngineSlots(
-            upload_start=upload_start, upload_end=self.upload_free,
-            compute_start=compute_start, compute_end=self.compute_free,
-            download_start=download_start,
-            download_end=self.download_free)
-
-    def charge_failure(self, ready: float, upload: float,
-                       compute: float) -> EngineSlots:
-        """Occupy the upload/compute engines for a *failed* attempt.
-
-        Nothing downloads — the attempt died before producing results —
-        but the wasted engine time still delays everything behind it.
-        The failure is detected at ``compute_end``.
-        """
-        upload_start = max(ready, self.upload_free)
-        self.upload_free = upload_start + upload
-        compute_start = max(self.compute_free, self.upload_free)
-        self.compute_free = compute_start + compute
-        return EngineSlots(
-            upload_start=upload_start, upload_end=self.upload_free,
-            compute_start=compute_start, compute_end=self.compute_free,
-            download_start=self.compute_free,
-            download_end=self.compute_free)
 
 
 class ServeEngine:
@@ -180,7 +115,7 @@ class ServeEngine:
             search quality steps down through its tiers instead.
         default_deadline_seconds: Deadline applied to requests that do
             not carry their own (relative to arrival); ``None`` means
-            no deadline.
+            no deadline, anything else must be finite and positive.
         family: Registered index family of the served graph (default
             ``"nsw"``).  Folded into every result-cache signature, so a
             cache shared across engines can never serve one family's
@@ -231,13 +166,8 @@ class ServeEngine:
             # Fail at construction if any tier cannot hold k results.
             for tier in range(1, governor.n_tiers):
                 governor.params_for(tier, self.params)
-        if (default_deadline_seconds is not None
-                and default_deadline_seconds <= 0):
-            raise ServeError(
-                f"default_deadline_seconds must be positive, got "
-                f"{default_deadline_seconds}"
-            )
-        self.default_deadline_seconds = default_deadline_seconds
+        self.default_deadline_seconds = check_deadline(
+            default_deadline_seconds, "default_deadline_seconds")
         #: Epoch of the pinned snapshot this engine serves, or ``None``
         #: for an engine built directly over a graph.
         self.snapshot_epoch: Optional[int] = None
@@ -273,19 +203,15 @@ class ServeEngine:
     # Replay
     # ------------------------------------------------------------------
 
-    def _deadline_of(self, req: QueryRequest) -> Optional[float]:
-        """Absolute deadline of one request, or ``None``."""
-        relative = (req.deadline_seconds
-                    if req.deadline_seconds is not None
-                    else self.default_deadline_seconds)
-        if relative is None:
-            return None
-        return req.arrival_seconds + relative
-
     def replay(self, trace: Sequence[QueryRequest],
                tracer: Optional[SpanTracer] = None,
                metrics: Optional[MetricsRegistry] = None) -> ServeReport:
         """Replay an arrival-ordered trace to quiescence.
+
+        A short driver over the stages of :class:`_Replay`: every
+        request is admitted in arrival order (which dispatches the
+        batches that flush on the way), the scheduler is drained, and
+        the replay is closed into its report.
 
         Args:
             trace: Requests with non-decreasing ``arrival_seconds``.
@@ -307,461 +233,27 @@ class ServeEngine:
             :class:`FaultReport` of every fault-tolerance event.
 
         Raises:
-            ServeError: On an out-of-order trace or a query whose
-                dimensionality does not match the served points.
+            ServeError: On an out-of-order trace, a query whose
+                dimensionality does not match the served points, or a
+                request object that appears twice.
         """
         wall_start = time.perf_counter()
         trace = list(trace)
-        quant_mode = self.params.quant
-        rerank_pool = self.params.rerank_factor * self.params.l_n
-        # Quantized serving is lossy, so its results live in their own
-        # cache namespace: the signature gains a quant component and a
-        # compressed-traversal hit can never answer an exact request
-        # (or a request under a different mode / rerank factor).
-        signature = (self.family,) + self.params.signature()
-        if quant_mode is not None:
-            signature = ((self.family,
-                          f"quant:{quant_mode}:rf"
-                          f"{self.params.rerank_factor}")
-                         + self.params.signature())
-        scheduler = MicroBatchScheduler(self.policy)
-        clock = _EngineClock()
-        injector = (FaultInjector(self.faults)
-                    if self.faults is not None else None)
-        breaker = (CircuitBreaker(self.breaker_policy)
-                   if self.breaker_policy is not None else None)
-        jitter_rng = (injector.jitter_rng if injector is not None
-                      else np.random.default_rng(0))
-        fault_report = FaultReport(
-            scheduled_faults=len(self.faults.kernel_events())
-            if self.faults is not None else 0)
+        validate_trace(trace, self.points.shape[1])
         registry = metrics if metrics is not None else MetricsRegistry()
-        registry.counter("faults.scheduled").inc(
-            fault_report.scheduled_faults)
-        latency_hist = registry.histogram("serve.latency_seconds",
-                                          DEFAULT_LATENCY_BUCKETS)
-        queue_hist = registry.histogram("serve.queue_seconds",
-                                        DEFAULT_LATENCY_BUCKETS)
-        size_hist = registry.histogram("serve.batch_size",
-                                       DEFAULT_SIZE_BUCKETS)
-        # Quant metrics exist only when the replay actually runs the
-        # staged pipeline — an exact replay publishes nothing under
-        # ``quant.*``, so committed golden traces are quant-silent.
-        rerank_hist = (registry.histogram("quant.rerank_pool_size",
-                                          DEFAULT_SIZE_BUCKETS)
-                       if quant_mode is not None else None)
-        outcomes: List[Optional[RequestOutcome]] = [None] * len(trace)
-        positions = {}
-        for pos, req in enumerate(trace):
-            if id(req) in positions:
-                raise ServeError(
-                    f"trace contains the same request object twice "
-                    f"(request_id {req.request_id}); construct a fresh "
-                    f"QueryRequest per arrival"
-                )
-            positions[id(req)] = pos
-        batch_sizes: List[int] = []
-        batch_triggers: List[str] = []
-        in_flight: List[tuple] = []  # (completion_seconds, n_queries)
-        gpu_busy = 0.0
-        root_start = trace[0].arrival_seconds if trace else 0.0
-        root_span = (tracer.begin(
-            "serve.replay", root_start, lane="engine",
-            attributes={"n_requests": len(trace)})
-            if tracer is not None else None)
-        request_spans: dict = {}
-
-        def finish(req: QueryRequest, **kwargs) -> None:
-            outcome = RequestOutcome(
-                request_id=req.request_id,
-                arrival_seconds=req.arrival_seconds, **kwargs)
-            outcomes[positions[id(req)]] = outcome
-            registry.counter(
-                f"serve.outcomes.{outcome.status.value}").inc()
-            if outcome.served:
-                registry.counter("serve.served").inc()
-                registry.counter("serve.queries_served").inc(
-                    req.n_queries)
-                registry.counter(
-                    f"serve.served_tier.{outcome.degraded_tier}").inc()
-                latency_hist.observe(outcome.latency_seconds)
-                queue_hist.observe(outcome.queue_seconds)
-                if outcome.degraded:
-                    registry.counter("serve.degraded").inc()
-                if outcome.deadline_missed:
-                    registry.counter("serve.deadline_missed").inc()
-            span_id = request_spans.pop(id(req), None)
-            if span_id is None:
-                return
-            if outcome.status is RequestStatus.SERVED:
-                service_start = (outcome.arrival_seconds
-                                 + outcome.queue_seconds)
-                tracer.add("request.queue", outcome.arrival_seconds,
-                           service_start, parent_id=span_id)
-                tracer.add("request.compute", service_start,
-                           outcome.completion_seconds,
-                           parent_id=span_id)
-            close_attrs = {
-                "status": outcome.status.value,
-                "batch_index": outcome.batch_index,
-                "tier": outcome.degraded_tier,
-                "n_retries": outcome.n_retries,
-                "deadline_missed": outcome.deadline_missed,
-            }
-            if outcome.detail:
-                close_attrs["detail"] = outcome.detail
-            tracer.end(span_id, outcome.completion_seconds,
-                       attributes=close_attrs)
-
-        def fail_batch(live, batch, when, detail) -> None:
-            for req in live:
-                finish(req, status=RequestStatus.FAILED,
-                       ids=None, dists=None, completion_seconds=when,
-                       queue_seconds=when - req.arrival_seconds,
-                       batch_index=batch.index, detail=detail)
-
-        def record_batch(batch: Batch, n_queries: int) -> None:
-            batch_sizes.append(n_queries)
-            batch_triggers.append(batch.trigger)
-            registry.counter("serve.batches").inc()
-            registry.counter(f"serve.batches.{batch.trigger}").inc()
-            registry.counter("serve.queries_dispatched").inc(n_queries)
-            size_hist.observe(n_queries)
-            if rerank_hist is not None:
-                registry.counter("quant.batches").inc()
-                rerank_hist.observe(rerank_pool)
-
-        def attempt_spans(batch_span, ready: float, attempt: int,
-                          slots: EngineSlots, end: float,
-                          failed: bool) -> Optional[int]:
-            """Trace one dispatch attempt's engine occupancy."""
-            if tracer is None:
-                return None
-            span = tracer.begin("attempt", ready, parent_id=batch_span,
-                                attributes={"attempt": attempt})
-            tracer.add("upload", slots.upload_start, slots.upload_end,
-                       parent_id=span, lane="engine/upload")
-            compute_id = tracer.add(
-                "compute", slots.compute_start, slots.compute_end,
-                parent_id=span, lane="engine/compute")
-            if not failed:
-                tracer.add("download", slots.download_start,
-                           slots.download_end, parent_id=span,
-                           lane="engine/download")
-            tracer.end(span, end, attributes={
-                "outcome": "failed" if failed else "ok"})
-            return compute_id
-
-        def dispatch(batch: Batch) -> None:
-            nonlocal gpu_busy
-            now = batch.flush_seconds
-            batch_span = None
-            if tracer is not None:
-                batch_span = tracer.begin(
-                    "batch", batch.open_seconds, parent_id=root_span,
-                    lane_group="batches",
-                    attributes={"batch_index": batch.index,
-                                "trigger": batch.trigger,
-                                "n_requests": batch.n_requests,
-                                "n_queries": batch.n_queries})
-                tracer.add("batch.form", batch.open_seconds, now,
-                           parent_id=batch_span)
-
-            # Deadline load-shedding: a request already past its
-            # deadline gains nothing from dispatch — drop it before it
-            # wastes device time.
-            live = []
-            for req in batch.requests:
-                deadline = self._deadline_of(req)
-                if deadline is not None and deadline <= now:
-                    if batch_span is not None:
-                        tracer.event(batch_span, now, "deadline_drop",
-                                     {"request_id": req.request_id})
-                    finish(req, status=RequestStatus.TIMED_OUT,
-                           ids=None, dists=None, completion_seconds=now,
-                           queue_seconds=now - req.arrival_seconds,
-                           batch_index=batch.index,
-                           detail="deadline expired while queued")
-                    fault_report.deadline_dropped_requests += 1
-                    registry.counter("faults.deadline_dropped").inc()
-                else:
-                    live.append(req)
-            if not live:
-                if batch_span is not None:
-                    tracer.end(batch_span, now,
-                               attributes={"outcome": "all_dropped"})
-                return
-
-            # Circuit breaker: while open, fail fast instead of feeding
-            # a dying kernel more work.
-            if breaker is not None and not breaker.allow(now):
-                if batch_span is not None:
-                    tracer.event(batch_span, now, "breaker_open")
-                fail_batch(live, batch, now, "circuit breaker open")
-                fault_report.fast_failed_requests += len(live)
-                registry.counter("faults.fast_failed").inc(len(live))
-                if batch_span is not None:
-                    tracer.end(batch_span, now,
-                               attributes={"outcome": "fast_failed"})
-                return
-
-            # Graceful degradation: pick this dispatch's quality tier.
-            tier = 0
-            params = self.params
-            if self.governor is not None:
-                inflight_queries = sum(n for c, n in in_flight if c > now)
-                pressure = ((batch.n_queries + inflight_queries
-                             + scheduler.pending_queries)
-                            / self.policy.max_queue)
-                impaired = breaker is not None and breaker.impaired
-                tier = self.governor.select_tier(pressure, impaired)
-                if tier > 0:
-                    params = self.governor.params_for(tier, self.params)
-                    reason = (DEGRADE_BREAKER if impaired
-                              else DEGRADE_PRESSURE)
-                    fault_report.degradations.append(DegradationRecord(
-                        seconds=now, batch_index=batch.index, tier=tier,
-                        reason=reason))
-                    registry.counter("faults.degraded_batches").inc()
-                    if batch_span is not None:
-                        tracer.event(batch_span, now, "degrade",
-                                     {"tier": tier, "reason": reason})
-
-            queries = np.concatenate(
-                [req.queries for req in live], axis=0)
-
-            ready = now
-            attempt = 0
-            while True:
-                consumed: List = []
-                hook = (injector.hook(ready, sink=consumed,
-                                      metrics=registry)
-                        if injector is not None else None)
-                try:
-                    stream = stream_batches(
-                        self.graph, self.points, queries, params,
-                        batch_size=len(queries), device=self.device,
-                        costs=self.costs, entry=self.entry,
-                        fault_hook=hook)
-                except FaultError as err:
-                    fault_report.injections.append(InjectionRecord(
-                        seconds=ready, kind=err.kind,
-                        batch_index=batch.index, attempt=attempt,
-                        fatal=True))
-                    registry.counter("faults.injected").inc()
-                    registry.counter("faults.fatal").inc()
-                    slots = clock.charge_failure(
-                        ready, err.upload_seconds, err.compute_seconds)
-                    failed_at = slots.compute_end
-                    gpu_busy += err.compute_seconds
-                    if tracer is not None:
-                        att = tracer.begin(
-                            "attempt", ready, parent_id=batch_span,
-                            attributes={"attempt": attempt})
-                        tracer.add("upload", slots.upload_start,
-                                   slots.upload_end, parent_id=att,
-                                   lane="engine/upload")
-                        tracer.add("compute", slots.compute_start,
-                                   slots.compute_end, parent_id=att,
-                                   lane="engine/compute")
-                        tracer.event(att, failed_at, "fault",
-                                     {"kind": err.kind, "fatal": True})
-                        tracer.end(att, failed_at, attributes={
-                            "outcome": "failed"})
-                    if breaker is not None:
-                        breaker.record_failure(failed_at)
-                    tripped = (breaker is not None
-                               and not breaker.allow(failed_at))
-                    exhausted = (self.retry is None
-                                 or attempt >= self.retry.max_retries)
-                    if tripped or exhausted:
-                        detail = ("circuit breaker open" if tripped
-                                  else f"retries exhausted after "
-                                       f"{attempt + 1} attempts "
-                                       f"({err.kind})")
-                        fail_batch(live, batch, failed_at, detail)
-                        in_flight.append((failed_at, len(queries)))
-                        record_batch(batch, len(queries))
-                        if batch_span is not None:
-                            tracer.end(batch_span, failed_at,
-                                       attributes={"outcome": "failed",
-                                                   "detail": detail})
-                        return
-                    attempt += 1
-                    backoff = self.retry.backoff_seconds(
-                        attempt, jitter_rng)
-                    fault_report.retries.append(RetryRecord(
-                        seconds=failed_at, batch_index=batch.index,
-                        attempt=attempt, backoff_seconds=backoff))
-                    registry.counter("faults.retries").inc()
-                    if tracer is not None:
-                        tracer.add("retry.backoff", failed_at,
-                                   failed_at + backoff,
-                                   parent_id=batch_span,
-                                   attributes={"attempt": attempt})
-                    ready = failed_at + backoff
-                    continue
-                break
-
-            # Survivable faults (stalls) consumed by the winning attempt.
-            for event in consumed:
-                fault_report.injections.append(InjectionRecord(
-                    seconds=ready, kind=event.kind,
-                    batch_index=batch.index, attempt=attempt,
-                    fatal=False))
-                registry.counter("faults.injected").inc()
-
-            timing = stream.batches[0]
-            slots = clock.schedule(
-                ready, timing.upload_seconds,
-                timing.compute_seconds, timing.download_seconds)
-            start, completion = slots.service_start, slots.completion
-            compute_span = attempt_spans(batch_span, ready, attempt,
-                                         slots, completion, False)
-            kernel_tracker = stream.reports[0].tracker
-            publish_tracker_totals(registry, kernel_tracker)
-            if compute_span is not None:
-                cycle_attrs = {
-                    f"cycles.{phase}": total for phase, total
-                    in kernel_tracker.phase_totals().items()}
-                cycle_attrs["cycles_total"] = \
-                    kernel_tracker.total_cycles()
-                if quant_mode is not None:
-                    cycle_attrs["quant.mode"] = quant_mode
-                    cycle_attrs["quant.bits"] = QUANT_BITS[quant_mode]
-                    cycle_attrs["quant.rerank"] = \
-                        self.params.rerank_factor
-                tracer.spans[compute_span].attributes.update(
-                    cycle_attrs)
-                for event in consumed:
-                    tracer.event(compute_span, slots.compute_start,
-                                 "fault", {"kind": event.kind,
-                                           "fatal": False})
-            if breaker is not None:
-                breaker.record_success(completion)
-            gpu_busy += timing.compute_seconds
-            in_flight.append((completion, len(queries)))
-            record_batch(batch, len(queries))
-            if batch_span is not None:
-                tracer.end(batch_span, completion,
-                           attributes={"outcome": "served",
-                                       "tier": tier,
-                                       "n_attempts": attempt + 1})
-
-            offset = 0
-            for req in live:
-                ids = stream.ids[offset:offset + req.n_queries]
-                dists = stream.dists[offset:offset + req.n_queries]
-                offset += req.n_queries
-                deadline = self._deadline_of(req)
-                finish(req, status=RequestStatus.SERVED,
-                       ids=ids.copy(), dists=dists.copy(),
-                       completion_seconds=completion,
-                       queue_seconds=start - req.arrival_seconds,
-                       compute_seconds=completion - start,
-                       batch_index=batch.index,
-                       degraded_tier=tier,
-                       deadline_missed=(deadline is not None
-                                        and completion > deadline),
-                       n_retries=attempt)
-                # Only full-quality answers enter the cache: a degraded
-                # result under the tier-0 signature would be a silent
-                # quality lie on the next hit.
-                if self.cache is not None and tier == 0:
-                    for row in range(req.n_queries):
-                        self.cache.put(req.queries[row], signature,
-                                       ids[row], dists[row])
-
-        last_arrival = float("-inf")
-        for pos, req in enumerate(trace):
-            if req.arrival_seconds < last_arrival:
-                raise ServeError(
-                    f"trace is not arrival-ordered: request "
-                    f"{req.request_id} at {req.arrival_seconds} after "
-                    f"{last_arrival}"
-                )
-            last_arrival = req.arrival_seconds
-            if req.queries.shape[1] != self.points.shape[1]:
-                raise ServeError(
-                    f"request {req.request_id}: query dimensionality "
-                    f"{req.queries.shape[1]} does not match the index "
-                    f"({self.points.shape[1]})"
-                )
-            now = req.arrival_seconds
-            registry.counter("serve.requests").inc()
-            if tracer is not None:
-                request_spans[id(req)] = tracer.begin(
-                    "request", now, parent_id=root_span,
-                    lane_group="requests",
-                    attributes={"request_id": req.request_id,
-                                "n_queries": req.n_queries})
-            for batch in scheduler.poll(now):
-                dispatch(batch)
-
-            hit = self._cache_lookup(req, signature)
-            if hit is not None:
-                ids, dists = hit
-                registry.counter("serve.cache_hits").inc()
-                finish(req, status=RequestStatus.CACHE_HIT,
-                       ids=ids, dists=dists, completion_seconds=now)
-                continue
-
-            in_flight[:] = [(c, n) for c, n in in_flight if c > now]
-            backlog = scheduler.pending_queries \
-                + sum(n for _, n in in_flight)
-            if backlog + req.n_queries > self.policy.max_queue:
-                finish(req, status=RequestStatus.REJECTED,
-                       ids=None, dists=None, completion_seconds=now,
-                       detail="admission queue full")
-                continue
-
-            for batch in scheduler.submit(req, now):
-                dispatch(batch)
-
-        for batch in scheduler.drain():
-            dispatch(batch)
-
-        assert all(outcome is not None for outcome in outcomes)
-        if breaker is not None:
-            fault_report.breaker_transitions = list(breaker.transitions)
-            fault_report.probe_successes = breaker.probe_successes
-            for transition in breaker.transitions:
-                registry.counter(
-                    f"faults.breaker.{transition.to_state}").inc()
-            registry.counter("faults.breaker.probe_successes").inc(
-                breaker.probe_successes)
-        first_arrival = trace[0].arrival_seconds if trace else 0.0
-        last_completion = max(
-            (o.completion_seconds for o in outcomes), default=0.0)
-        makespan = max(last_completion - first_arrival, 0.0)
-        registry.gauge("serve.makespan_seconds").set(makespan)
-        registry.gauge("serve.gpu_busy_seconds").set(gpu_busy)
+        run = _Replay(self, trace, tracer, registry)
+        for req in trace:
+            run.admit(req)
+        for batch in run.scheduler.drain():
+            run.dispatch(batch)
+        report = run.close()
         # Host wall-clock of this replay — the one *volatile* metric the
         # engine publishes (excluded from canonical snapshots; see
         # repro.observability.metrics.VOLATILE_PREFIX).
-        wallclock = time.perf_counter() - wall_start
-        registry.gauge("perf.wallclock_seconds").set(wallclock)
-        if tracer is not None:
-            root_end = max(last_completion, last_arrival, root_start) \
-                if trace else root_start
-            tracer.end(root_span, root_end)
-        has_fault_machinery = (self.faults is not None
-                               or self.breaker_policy is not None
-                               or self.governor is not None
-                               or self.default_deadline_seconds is not None)
-        return ServeReport(
-            outcomes=outcomes,
-            batch_sizes=batch_sizes,
-            batch_triggers=batch_triggers,
-            makespan_seconds=makespan,
-            gpu_busy_seconds=gpu_busy,
-            cache_stats=self.cache.stats if self.cache is not None
-            else None,
-            fault_report=fault_report if has_fault_machinery else None,
-            metrics=registry,
-            wallclock_seconds=wallclock,
-            quant=quant_mode,
-        )
+        report.wallclock_seconds = time.perf_counter() - wall_start
+        registry.gauge("perf.wallclock_seconds").set(
+            report.wallclock_seconds)
+        return report
 
     def _cache_lookup(self, req: QueryRequest, signature: tuple
                       ) -> Optional[tuple]:
@@ -784,3 +276,492 @@ class ServeEngine:
         ids = np.stack([r[0] for r in rows], axis=0)
         dists = np.stack([r[1] for r in rows], axis=0)
         return ids, dists
+
+
+class _Replay:
+    """State of one :meth:`ServeEngine.replay`, one method per stage.
+
+    ``admit`` takes each arrival through cache and admission control
+    into the micro-batch queue; every batch the scheduler flushes goes
+    through ``dispatch`` = ``shed_expired`` → ``breaker_gate`` →
+    ``select_tier`` → ``run_attempts`` → ``deliver``; ``close`` turns
+    the finished replay into its report.  Span ids are creation-ordered
+    and the golden trace pins them, so the stages emit spans as they
+    go, never retroactively.
+    """
+
+    def __init__(self, engine: ServeEngine, trace: List[QueryRequest],
+                 tracer: Optional[SpanTracer],
+                 registry: MetricsRegistry):
+        self.engine = engine
+        self.trace = trace
+        self.tracer = tracer
+        self.registry = registry
+        self.positions: Dict[int, int] = {}
+        for pos, req in enumerate(trace):
+            if id(req) in self.positions:
+                raise ServeError(
+                    f"trace contains the same request object twice "
+                    f"(request_id {req.request_id}); construct a fresh "
+                    f"QueryRequest per arrival"
+                )
+            self.positions[id(req)] = pos
+        params = engine.params
+        # Quantized serving is lossy, so its results live in their own
+        # cache namespace: the signature gains a quant component and a
+        # compressed-traversal hit can never answer an exact request
+        # (or a request under a different mode / rerank factor).
+        namespace: tuple = (engine.family,)
+        if params.quant is not None:
+            namespace += (f"quant:{params.quant}:rf"
+                          f"{params.rerank_factor}",)
+        self.signature = namespace + params.signature()
+        self.scheduler = MicroBatchScheduler(engine.policy)
+        self.clock = EngineClock()
+        self.injector = (FaultInjector(engine.faults)
+                         if engine.faults is not None else None)
+        self.breaker = (CircuitBreaker(engine.breaker_policy)
+                        if engine.breaker_policy is not None else None)
+        self.jitter_rng = (self.injector.jitter_rng
+                           if self.injector is not None
+                           else np.random.default_rng(0))
+        #: The ledger the stages write as they go; the registry is the
+        #: independent second account of the same events.
+        self.report = ServeReport(
+            outcomes=[None] * len(trace),
+            cache_stats=(engine.cache.stats if engine.cache is not None
+                         else None),
+            fault_report=FaultReport(
+                scheduled_faults=len(engine.faults.kernel_events())
+                if engine.faults is not None else 0),
+            metrics=registry, quant=params.quant)
+        self.fault_report = self.report.fault_report
+        registry.counter("faults.scheduled").inc(
+            self.fault_report.scheduled_faults)
+        self.latency_hist = registry.histogram(
+            "serve.latency_seconds", DEFAULT_LATENCY_BUCKETS)
+        self.queue_hist = registry.histogram(
+            "serve.queue_seconds", DEFAULT_LATENCY_BUCKETS)
+        self.size_hist = registry.histogram(
+            "serve.batch_size", DEFAULT_SIZE_BUCKETS)
+        # Quant metrics exist only when the replay actually runs the
+        # staged pipeline — an exact replay publishes nothing under
+        # ``quant.*``, so committed golden traces are quant-silent.
+        self.rerank_hist = (registry.histogram("quant.rerank_pool_size",
+                                               DEFAULT_SIZE_BUCKETS)
+                            if params.quant is not None else None)
+        #: ``(completion_seconds, n_queries)`` of dispatched batches.
+        self.in_flight: List[Tuple[float, int]] = []
+        self.root_start = trace[0].arrival_seconds if trace else 0.0
+        self.root_span = (tracer.begin(
+            "serve.replay", self.root_start, lane="engine",
+            attributes={"n_requests": len(trace)})
+            if tracer is not None else None)
+        self.request_spans: Dict[int, int] = {}
+
+    # ---- Bookkeeping shared by the stages --------------------------
+
+    def deadline(self, req: QueryRequest) -> Optional[float]:
+        """Absolute deadline of one request, or ``None``."""
+        relative = req.deadline_or(self.engine.default_deadline_seconds)
+        return None if relative is None else req.arrival_seconds + relative
+
+    def _event(self, span: Optional[int], when: float, name: str,
+               attributes: Optional[dict] = None) -> None:
+        if span is not None:
+            self.tracer.event(span, when, name, attributes)
+
+    def _end(self, span: Optional[int], when: float, **attributes
+             ) -> None:
+        if span is not None:
+            self.tracer.end(span, when, attributes=attributes)
+
+    def finish(self, req: QueryRequest, **kwargs) -> None:
+        """Record one request's outcome: ledger, registry, span."""
+        registry = self.registry
+        outcome = RequestOutcome(
+            request_id=req.request_id,
+            arrival_seconds=req.arrival_seconds, **kwargs)
+        self.report.outcomes[self.positions[id(req)]] = outcome
+        registry.counter(f"serve.outcomes.{outcome.status.value}").inc()
+        if outcome.served:
+            registry.counter("serve.served").inc()
+            registry.counter("serve.queries_served").inc(req.n_queries)
+            registry.counter(
+                f"serve.served_tier.{outcome.degraded_tier}").inc()
+            self.latency_hist.observe(outcome.latency_seconds)
+            self.queue_hist.observe(outcome.queue_seconds)
+            if outcome.degraded:
+                registry.counter("serve.degraded").inc()
+            if outcome.deadline_missed:
+                registry.counter("serve.deadline_missed").inc()
+        span_id = self.request_spans.pop(id(req), None)
+        if span_id is None:
+            return
+        if outcome.status is RequestStatus.SERVED:
+            service_start = (outcome.arrival_seconds
+                             + outcome.queue_seconds)
+            self.tracer.add("request.queue", outcome.arrival_seconds,
+                            service_start, parent_id=span_id)
+            self.tracer.add("request.compute", service_start,
+                            outcome.completion_seconds,
+                            parent_id=span_id)
+        close_attrs = {
+            "status": outcome.status.value,
+            "batch_index": outcome.batch_index,
+            "tier": outcome.degraded_tier,
+            "n_retries": outcome.n_retries,
+            "deadline_missed": outcome.deadline_missed,
+        }
+        if outcome.detail:
+            close_attrs["detail"] = outcome.detail
+        self.tracer.end(span_id, outcome.completion_seconds,
+                        attributes=close_attrs)
+
+    def fail_batch(self, live: List[QueryRequest], batch: Batch,
+                   when: float, detail: str) -> None:
+        for req in live:
+            self.finish(req, status=RequestStatus.FAILED,
+                        ids=None, dists=None, completion_seconds=when,
+                        queue_seconds=when - req.arrival_seconds,
+                        batch_index=batch.index, detail=detail)
+
+    def record_batch(self, batch: Batch, n_queries: int) -> None:
+        """Count one batch that occupied the device."""
+        registry = self.registry
+        self.report.batch_sizes.append(n_queries)
+        self.report.batch_triggers.append(batch.trigger)
+        registry.counter("serve.batches").inc()
+        registry.counter(f"serve.batches.{batch.trigger}").inc()
+        registry.counter("serve.queries_dispatched").inc(n_queries)
+        self.size_hist.observe(n_queries)
+        if self.rerank_hist is not None:
+            registry.counter("quant.batches").inc()
+            self.rerank_hist.observe(self.engine.params.rerank_factor
+                                     * self.engine.params.l_n)
+
+    def attempt_spans(self, batch_span: Optional[int], ready: float,
+                      attempt: int, slots: EngineSlots,
+                      fatal_kind: Optional[str] = None) -> Optional[int]:
+        """Trace one dispatch attempt's engine occupancy.
+
+        ``fatal_kind`` names the fault that killed a failed attempt
+        (nothing downloaded).  Returns the compute span's id.
+        """
+        tracer = self.tracer
+        if tracer is None:
+            return None
+        failed = fatal_kind is not None
+        span = tracer.begin("attempt", ready, parent_id=batch_span,
+                            attributes={"attempt": attempt})
+        tracer.add("upload", slots.upload_start, slots.upload_end,
+                   parent_id=span, lane="engine/upload")
+        compute_id = tracer.add(
+            "compute", slots.compute_start, slots.compute_end,
+            parent_id=span, lane="engine/compute")
+        if failed:
+            tracer.event(span, slots.download_end, "fault",
+                         {"kind": fatal_kind, "fatal": True})
+        else:
+            tracer.add("download", slots.download_start,
+                       slots.download_end, parent_id=span,
+                       lane="engine/download")
+        tracer.end(span, slots.download_end, attributes={
+            "outcome": "failed" if failed else "ok"})
+        return compute_id
+
+    # ---- Stages, in replay order -----------------------------------
+
+    def admit(self, req: QueryRequest) -> None:
+        """One arrival: flush due batches, then cache, admission
+        control and the micro-batch queue."""
+        engine, now = self.engine, req.arrival_seconds
+        self.registry.counter("serve.requests").inc()
+        if self.tracer is not None:
+            self.request_spans[id(req)] = self.tracer.begin(
+                "request", now, parent_id=self.root_span,
+                lane_group="requests",
+                attributes={"request_id": req.request_id,
+                            "n_queries": req.n_queries})
+        for batch in self.scheduler.poll(now):
+            self.dispatch(batch)
+
+        hit = engine._cache_lookup(req, self.signature)
+        if hit is not None:
+            self.registry.counter("serve.cache_hits").inc()
+            self.finish(req, status=RequestStatus.CACHE_HIT,
+                        ids=hit[0], dists=hit[1], completion_seconds=now)
+            return
+
+        self.in_flight = [(c, n) for c, n in self.in_flight if c > now]
+        backlog = self.scheduler.pending_queries \
+            + sum(n for _, n in self.in_flight)
+        if backlog + req.n_queries > engine.policy.max_queue:
+            self.finish(req, status=RequestStatus.REJECTED,
+                        ids=None, dists=None, completion_seconds=now,
+                        detail="admission queue full")
+            return
+
+        for batch in self.scheduler.submit(req, now):
+            self.dispatch(batch)
+
+    def dispatch(self, batch: Batch) -> None:
+        """Run one flushed batch through the dispatch stages."""
+        now = batch.flush_seconds
+        span = None
+        if self.tracer is not None:
+            span = self.tracer.begin(
+                "batch", batch.open_seconds, parent_id=self.root_span,
+                lane_group="batches",
+                attributes={"batch_index": batch.index,
+                            "trigger": batch.trigger,
+                            "n_requests": batch.n_requests,
+                            "n_queries": batch.n_queries})
+            self.tracer.add("batch.form", batch.open_seconds, now,
+                            parent_id=span)
+        live = self.shed_expired(batch, span)
+        if not live:
+            self._end(span, now, outcome="all_dropped")
+            return
+        if not self.breaker_gate(batch, live, span):
+            return
+        tier, params = self.select_tier(batch, span)
+        queries = np.concatenate([req.queries for req in live], axis=0)
+        won = self.run_attempts(batch, live, queries, params, span)
+        if won is not None:
+            self.deliver(batch, live, tier, span, *won)
+
+    def shed_expired(self, batch: Batch, span: Optional[int]
+                     ) -> List[QueryRequest]:
+        """Deadline load-shedding: a request already past its deadline
+        gains nothing from dispatch — drop it before it wastes device
+        time.  Returns the requests still worth dispatching."""
+        now = batch.flush_seconds
+        live = []
+        for req in batch.requests:
+            deadline = self.deadline(req)
+            if deadline is None or deadline > now:
+                live.append(req)
+                continue
+            self._event(span, now, "deadline_drop",
+                        {"request_id": req.request_id})
+            self.finish(req, status=RequestStatus.TIMED_OUT,
+                        ids=None, dists=None, completion_seconds=now,
+                        queue_seconds=now - req.arrival_seconds,
+                        batch_index=batch.index,
+                        detail="deadline expired while queued")
+            self.fault_report.deadline_dropped_requests += 1
+            self.registry.counter("faults.deadline_dropped").inc()
+        return live
+
+    def breaker_gate(self, batch: Batch, live: List[QueryRequest],
+                     span: Optional[int]) -> bool:
+        """Circuit breaker: while open, fail the batch fast instead of
+        feeding a dying kernel more work.  True when dispatch may go on."""
+        now = batch.flush_seconds
+        if self.breaker is None or self.breaker.allow(now):
+            return True
+        self._event(span, now, "breaker_open")
+        self.fail_batch(live, batch, now, "circuit breaker open")
+        self.fault_report.fast_failed_requests += len(live)
+        self.registry.counter("faults.fast_failed").inc(len(live))
+        self._end(span, now, outcome="fast_failed")
+        return False
+
+    def select_tier(self, batch: Batch, span: Optional[int]
+                    ) -> Tuple[int, SearchParams]:
+        """Graceful degradation: pick this dispatch's quality tier."""
+        engine, now = self.engine, batch.flush_seconds
+        if engine.governor is None:
+            return 0, engine.params
+        inflight_queries = sum(n for c, n in self.in_flight if c > now)
+        pressure = ((batch.n_queries + inflight_queries
+                     + self.scheduler.pending_queries)
+                    / engine.policy.max_queue)
+        impaired = self.breaker is not None and self.breaker.impaired
+        tier = engine.governor.select_tier(pressure, impaired)
+        if tier == 0:
+            return 0, engine.params
+        reason = DEGRADE_BREAKER if impaired else DEGRADE_PRESSURE
+        self.fault_report.degradations.append(DegradationRecord(
+            seconds=now, batch_index=batch.index, tier=tier,
+            reason=reason))
+        self.registry.counter("faults.degraded_batches").inc()
+        self._event(span, now, "degrade",
+                    {"tier": tier, "reason": reason})
+        return tier, engine.governor.params_for(tier, engine.params)
+
+    def run_attempts(self, batch: Batch, live: List[QueryRequest],
+                     queries: np.ndarray, params: SearchParams,
+                     span: Optional[int]
+                     ) -> Optional[Tuple[StreamResult, list, float, int]]:
+        """Dispatch until an attempt survives its injected faults.
+
+        Returns ``(stream, consumed, ready, attempt)`` of the winning
+        attempt — its results, the survivable faults it absorbed, when
+        it was ready and its attempt number — or ``None`` once the
+        batch failed for good (retries exhausted or breaker tripped).
+        """
+        engine = self.engine
+        ready, attempt = batch.flush_seconds, 0
+        while True:
+            consumed: list = []
+            hook = (self.injector.hook(ready, sink=consumed,
+                                       metrics=self.registry)
+                    if self.injector is not None else None)
+            try:
+                stream = stream_batches(
+                    engine.graph, engine.points, queries, params,
+                    batch_size=len(queries), device=engine.device,
+                    costs=engine.costs, entry=engine.entry,
+                    fault_hook=hook)
+            except FaultError as err:
+                failed_at, detail = self._attempt_failed(
+                    batch, span, ready, attempt, err)
+            else:
+                return stream, consumed, ready, attempt
+            if detail is not None:
+                self.fail_batch(live, batch, failed_at, detail)
+                self.in_flight.append((failed_at, len(queries)))
+                self.record_batch(batch, len(queries))
+                self._end(span, failed_at, outcome="failed",
+                          detail=detail)
+                return None
+            attempt += 1
+            backoff = engine.retry.backoff_seconds(attempt,
+                                                   self.jitter_rng)
+            self.fault_report.retries.append(RetryRecord(
+                seconds=failed_at, batch_index=batch.index,
+                attempt=attempt, backoff_seconds=backoff))
+            self.registry.counter("faults.retries").inc()
+            if span is not None:
+                self.tracer.add("retry.backoff", failed_at,
+                                failed_at + backoff, parent_id=span,
+                                attributes={"attempt": attempt})
+            ready = failed_at + backoff
+
+    def _attempt_failed(self, batch: Batch, span: Optional[int],
+                        ready: float, attempt: int, err: FaultError
+                        ) -> Tuple[float, Optional[str]]:
+        """Charge one attempt a fatal fault killed.
+
+        Returns when the failure was detected, and why the batch must
+        now be given up (``None``: back off and retry).
+        """
+        engine, breaker = self.engine, self.breaker
+        self.fault_report.injections.append(InjectionRecord(
+            seconds=ready, kind=err.kind, batch_index=batch.index,
+            attempt=attempt, fatal=True))
+        self.registry.counter("faults.injected").inc()
+        self.registry.counter("faults.fatal").inc()
+        slots = self.clock.schedule(ready, err.upload_seconds,
+                                    err.compute_seconds, None)
+        failed_at = slots.compute_end
+        self.report.gpu_busy_seconds += err.compute_seconds
+        self.attempt_spans(span, ready, attempt, slots,
+                           fatal_kind=err.kind)
+        if breaker is not None:
+            breaker.record_failure(failed_at)
+        if breaker is not None and not breaker.allow(failed_at):
+            return failed_at, "circuit breaker open"
+        if engine.retry is None or attempt >= engine.retry.max_retries:
+            return failed_at, (f"retries exhausted after {attempt + 1} "
+                               f"attempts ({err.kind})")
+        return failed_at, None
+
+    def deliver(self, batch: Batch, live: List[QueryRequest], tier: int,
+                span: Optional[int], stream: StreamResult,
+                consumed: list, ready: float, attempt: int) -> None:
+        """Schedule the winning attempt and hand out its results."""
+        engine, registry = self.engine, self.registry
+        # Survivable faults (stalls) consumed by the winning attempt.
+        for event in consumed:
+            self.fault_report.injections.append(InjectionRecord(
+                seconds=ready, kind=event.kind, batch_index=batch.index,
+                attempt=attempt, fatal=False))
+            registry.counter("faults.injected").inc()
+        timing = stream.batches[0]
+        slots = self.clock.schedule(
+            ready, timing.upload_seconds, timing.compute_seconds,
+            timing.download_seconds)
+        start, completion = slots.upload_start, slots.download_end
+        compute_span = self.attempt_spans(span, ready, attempt, slots)
+        kernel_tracker = stream.reports[0].tracker
+        publish_tracker_totals(registry, kernel_tracker)
+        if compute_span is not None:
+            cycle_attrs = {
+                f"cycles.{phase}": total for phase, total
+                in kernel_tracker.phase_totals().items()}
+            cycle_attrs["cycles_total"] = kernel_tracker.total_cycles()
+            if engine.params.quant is not None:
+                cycle_attrs["quant.mode"] = engine.params.quant
+                cycle_attrs["quant.bits"] = QUANT_BITS[engine.params.quant]
+                cycle_attrs["quant.rerank"] = engine.params.rerank_factor
+            self.tracer.spans[compute_span].attributes.update(
+                cycle_attrs)
+            for event in consumed:
+                self.tracer.event(compute_span, slots.compute_start,
+                                  "fault", {"kind": event.kind,
+                                            "fatal": False})
+        if self.breaker is not None:
+            self.breaker.record_success(completion)
+        self.report.gpu_busy_seconds += timing.compute_seconds
+        self.in_flight.append((completion, len(stream.ids)))
+        self.record_batch(batch, len(stream.ids))
+        self._end(span, completion, outcome="served", tier=tier,
+                  n_attempts=attempt + 1)
+
+        offset = 0
+        for req in live:
+            ids = stream.ids[offset:offset + req.n_queries]
+            dists = stream.dists[offset:offset + req.n_queries]
+            offset += req.n_queries
+            deadline = self.deadline(req)
+            self.finish(req, status=RequestStatus.SERVED,
+                        ids=ids.copy(), dists=dists.copy(),
+                        completion_seconds=completion,
+                        queue_seconds=start - req.arrival_seconds,
+                        compute_seconds=completion - start,
+                        batch_index=batch.index, degraded_tier=tier,
+                        deadline_missed=(deadline is not None
+                                         and completion > deadline),
+                        n_retries=attempt)
+            # Only full-quality answers enter the cache: a degraded
+            # result under the tier-0 signature would be a silent
+            # quality lie on the next hit.
+            if engine.cache is not None and tier == 0:
+                for row in range(req.n_queries):
+                    engine.cache.put(req.queries[row], self.signature,
+                                     ids[row], dists[row])
+
+    def close(self) -> ServeReport:
+        """Quiescence: publish the closing metrics, end the root span
+        and hand over the report (wall-clock is the driver's to add)."""
+        engine, registry, report = self.engine, self.registry, self.report
+        assert all(outcome is not None for outcome in report.outcomes)
+        if self.breaker is not None:
+            self.fault_report.breaker_transitions = list(
+                self.breaker.transitions)
+            self.fault_report.probe_successes = \
+                self.breaker.probe_successes
+            for transition in self.breaker.transitions:
+                registry.counter(
+                    f"faults.breaker.{transition.to_state}").inc()
+            registry.counter("faults.breaker.probe_successes").inc(
+                self.breaker.probe_successes)
+        last_completion = max(
+            (o.completion_seconds for o in report.outcomes), default=0.0)
+        report.makespan_seconds = max(last_completion - self.root_start,
+                                      0.0)
+        registry.gauge("serve.makespan_seconds").set(
+            report.makespan_seconds)
+        registry.gauge("serve.gpu_busy_seconds").set(
+            report.gpu_busy_seconds)
+        last_arrival = (self.trace[-1].arrival_seconds if self.trace
+                        else self.root_start)
+        self._end(self.root_span, max(last_completion, last_arrival))
+        if (engine.faults is None and engine.breaker_policy is None
+                and engine.governor is None
+                and engine.default_deadline_seconds is None):
+            report.fault_report = None  # no fault machinery configured
+        return report

@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ObservabilityError
 from repro.faults.report import FaultReport
+from repro.observability.metrics import MetricRow
 from repro.serve.request import RequestOutcome, RequestStatus
 
 
@@ -98,29 +98,28 @@ class ServeReport:
         """Requests answered (batched or from cache)."""
         return sum(1 for o in self.outcomes if o.served)
 
+    def _count(self, status: RequestStatus) -> int:
+        return sum(1 for o in self.outcomes if o.status is status)
+
     @property
     def n_cache_hits(self) -> int:
         """Requests answered entirely from the result cache."""
-        return sum(1 for o in self.outcomes
-                   if o.status is RequestStatus.CACHE_HIT)
+        return self._count(RequestStatus.CACHE_HIT)
 
     @property
     def n_rejected(self) -> int:
         """Requests refused by admission control."""
-        return sum(1 for o in self.outcomes
-                   if o.status is RequestStatus.REJECTED)
+        return self._count(RequestStatus.REJECTED)
 
     @property
     def n_failed(self) -> int:
         """Requests whose dispatch failed permanently."""
-        return sum(1 for o in self.outcomes
-                   if o.status is RequestStatus.FAILED)
+        return self._count(RequestStatus.FAILED)
 
     @property
     def n_timed_out(self) -> int:
         """Requests dropped because their deadline expired in queue."""
-        return sum(1 for o in self.outcomes
-                   if o.status is RequestStatus.TIMED_OUT)
+        return self._count(RequestStatus.TIMED_OUT)
 
     @property
     def n_degraded(self) -> int:
@@ -214,7 +213,7 @@ class ServeReport:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Cache hits over all non-rejected requests."""
+        """Cache hits over all served requests."""
         served = self.n_served
         if served == 0:
             return 0.0
@@ -306,19 +305,17 @@ class ServeReport:
     # Registry view
     # ------------------------------------------------------------------
 
-    def verify_against_metrics(self) -> None:
-        """Assert this report is an exact view over its registry.
+    def metric_rows(self) -> List[MetricRow]:
+        """The metric table: every derived count above, as the registry
+        the replay published into must hold it.
 
-        Every derived count above must equal the corresponding counter
-        the engine published while replaying — the two accounting paths
-        (outcome records vs. live metric publication) are allowed zero
-        drift.  Raises :class:`repro.errors.ObservabilityError` on the
-        first mismatch; a no-op when the report carries no registry.
+        The wall-clock gauge is volatile, but report and registry take
+        it from one ``perf_counter`` delta.  A quantized replay ticks
+        ``quant.batches`` and observes one rerank pool per dispatched
+        batch; an exact replay publishes nothing under ``quant.*``.
+        The fault rows are the ledger's own.
         """
-        registry = self.metrics
-        if registry is None:
-            return
-        expectations = {
+        counters = {
             "serve.requests": self.n_requests,
             "serve.served": self.n_served,
             "serve.outcomes.cache_hit": self.n_cache_hits,
@@ -329,71 +326,42 @@ class ServeReport:
             "serve.deadline_missed": self.n_deadline_missed,
             "serve.queries_served": self.served_queries,
             "serve.batches": self.n_batches,
-            "serve.makespan_seconds": self.makespan_seconds,
-            "serve.gpu_busy_seconds": self.gpu_busy_seconds,
         }
         for trigger, count in self.trigger_counts().items():
-            expectations[f"serve.batches.{trigger}"] = count
+            counters[f"serve.batches.{trigger}"] = count
         for tier, count in self.per_tier_counts().items():
-            expectations[f"serve.served_tier.{tier}"] = count
+            counters[f"serve.served_tier.{tier}"] = count
+        quant_batches = self.n_batches if self.quant is not None else 0
+        counters["quant.batches"] = quant_batches
+        rows = [MetricRow(name, "counter", count)
+                for name, count in counters.items()]
+        rows += [
+            MetricRow("serve.makespan_seconds", "gauge",
+                      self.makespan_seconds),
+            MetricRow("serve.gpu_busy_seconds", "gauge",
+                      self.gpu_busy_seconds),
+            MetricRow("perf.wallclock_seconds", "gauge",
+                      self.wallclock_seconds),
+            MetricRow("serve.latency_seconds", "histogram",
+                      self.n_served),
+            MetricRow("quant.rerank_pool_size", "histogram",
+                      quant_batches),
+        ]
         if self.fault_report is not None:
-            fr = self.fault_report
-            expectations.update({
-                "faults.scheduled": fr.scheduled_faults,
-                "faults.injected": fr.n_injected,
-                "faults.fatal": fr.n_fatal,
-                "faults.retries": fr.n_retries,
-                "faults.fast_failed": fr.fast_failed_requests,
-                "faults.deadline_dropped":
-                    fr.deadline_dropped_requests,
-                "faults.degraded_batches": fr.n_degraded_batches,
-            })
-            if fr.n_breaker_trips:
-                expectations["faults.breaker.open"] = \
-                    fr.n_breaker_trips
-        # The wall-clock gauge is volatile (varies run to run), but
-        # within one replay the report and the registry must still hold
-        # the same reading — the engine publishes both from the same
-        # perf_counter delta.
-        if "perf.wallclock_seconds" in registry:
-            expectations["perf.wallclock_seconds"] = \
-                self.wallclock_seconds
-        # A quantized replay records one quant.batches tick per
-        # dispatched batch; an exact replay must publish no quant
-        # metrics at all.
-        if self.quant is not None:
-            expectations["quant.batches"] = self.n_batches
-        elif "quant.batches" in registry:
-            raise ObservabilityError(
-                "report/registry drift: exact replay published "
-                "quant.batches"
-            )
-        for name, expected in expectations.items():
-            actual = registry.value(name, default=0.0)
-            if actual != expected:
-                raise ObservabilityError(
-                    f"report/registry drift on {name!r}: report says "
-                    f"{expected}, registry says {actual}"
-                )
-        hist = (registry.snapshot().get("serve.latency_seconds")
-                if "serve.latency_seconds" in registry else None)
-        if hist is not None and hist["count"] != self.n_served:
-            raise ObservabilityError(
-                f"report/registry drift on latency histogram count: "
-                f"{self.n_served} served, {hist['count']} observed"
-            )
-        if self.quant is not None:
-            pool_hist = (registry.snapshot().get("quant.rerank_pool_size")
-                         if "quant.rerank_pool_size" in registry
-                         else None)
-            if pool_hist is None or pool_hist["count"] != self.n_batches:
-                observed = (pool_hist["count"] if pool_hist is not None
-                            else "no histogram")
-                raise ObservabilityError(
-                    f"report/registry drift on rerank-pool histogram "
-                    f"count: {self.n_batches} batches, {observed} "
-                    f"observed"
-                )
+            rows += self.fault_report.metric_rows()
+        return rows
+
+    def verify_against_metrics(self) -> None:
+        """Assert this report is an exact view over its registry.
+
+        Every row of :meth:`metric_rows` must equal the metric the
+        engine published while replaying — the two accounting paths
+        (outcome records vs. live metric publication) are allowed zero
+        drift.  Raises :class:`repro.errors.ObservabilityError` on the
+        first mismatch; a no-op when the report carries no registry.
+        """
+        if self.metrics is not None:
+            self.metrics.reconcile(self.metric_rows())
 
     # ------------------------------------------------------------------
     # Canonical form

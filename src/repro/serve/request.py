@@ -11,8 +11,9 @@ latency split the serving benchmarks plot (queue wait vs compute).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,16 +69,60 @@ class QueryRequest:
                 f"request {self.request_id}: arrival_seconds must be "
                 f">= 0, got {self.arrival_seconds}"
             )
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ServeError(
-                f"request {self.request_id}: deadline_seconds must be "
-                f"positive, got {self.deadline_seconds}"
-            )
+        if self.deadline_seconds is not None:
+            check_deadline(self.deadline_seconds,
+                           f"request {self.request_id}: deadline_seconds")
 
     @property
     def n_queries(self) -> int:
         """Number of query vectors bundled in this request."""
         return len(self.queries)
+
+    def deadline_or(self, default_seconds: Optional[float]
+                    ) -> Optional[float]:
+        """This request's relative deadline, else the engine default."""
+        return (self.deadline_seconds if self.deadline_seconds is not None
+                else default_seconds)
+
+
+def check_deadline(seconds: Optional[float], what: str,
+                   error: type = ServeError) -> Optional[float]:
+    """Validate a relative deadline: ``None``, or finite and positive.
+
+    One rule for a request's own deadline and an engine's default: a
+    non-positive default fails every request, and NaN compares false
+    against every clock reading, i.e. silently means "no deadline".
+    """
+    if seconds is not None and not (math.isfinite(seconds)
+                                    and seconds > 0):
+        raise error(
+            f"{what} must be finite and positive, got {seconds}"
+        )
+    return seconds
+
+
+def validate_trace(trace: Sequence[QueryRequest], n_dims: int,
+                   error: type = ServeError) -> None:
+    """Reject a trace an engine cannot replay, before any side effect.
+
+    Raises ``error`` unless arrivals are non-decreasing and every query
+    matrix has the served index's dimensionality.
+    """
+    last_arrival = float("-inf")
+    for req in trace:
+        if req.arrival_seconds < last_arrival:
+            raise error(
+                f"trace is not arrival-ordered: request "
+                f"{req.request_id} at {req.arrival_seconds} after "
+                f"{last_arrival}"
+            )
+        last_arrival = req.arrival_seconds
+        if req.queries.shape[1] != n_dims:
+            raise error(
+                f"request {req.request_id}: query dimensionality "
+                f"{req.queries.shape[1]} does not match the index "
+                f"({n_dims})"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ subsystem to modules; these tests keep those tables honest as the code
 evolves.
 """
 
+import ast
 import os
 import re
 
@@ -106,3 +107,19 @@ class TestPaperMapping:
         for bench_file in set(re.findall(r"`(bench_\w+\.py)`", text)):
             assert os.path.exists(os.path.join(ROOT, "benchmarks",
                                                bench_file)), bench_file
+
+
+class TestReplayStaysStaged:
+    """The replay loops are short drivers over named stages; a stage
+    that grows past 100 lines is two stages fused back together."""
+
+    @pytest.mark.parametrize("module", ["serve", "cluster"])
+    def test_no_function_longer_than_100_lines(self, module):
+        tree = ast.parse(_read(f"src/repro/{module}/engine.py"))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)]
+        assert any(node.name == "replay" for node in functions)
+        too_long = [(node.name, node.end_lineno - node.lineno + 1)
+                    for node in functions
+                    if node.end_lineno - node.lineno + 1 > 100]
+        assert not too_long, too_long

@@ -33,11 +33,9 @@ from repro.faults import (
     RetryPolicy,
     named_fault_plan,
 )
-from repro.gpusim.tracker import CycleTracker
 from repro.observability import (
     MetricsRegistry,
     SpanTracer,
-    TrackerMirror,
     iter_descendants,
 )
 from repro.serve import BatchPolicy, ResultCache, ServeEngine, synthetic_trace
@@ -251,28 +249,6 @@ class TestByteDeterminism:
 
 
 class TestTrackerMirror:
-    @settings(max_examples=25, deadline=None)
-    @given(charges=st.lists(
-        st.tuples(st.sampled_from(["sorting", "bulk_distance",
-                                   "candidate_update"]),
-                  st.floats(min_value=0.0, max_value=1e6,
-                            allow_nan=False),
-                  st.one_of(st.none(),
-                            st.integers(min_value=0, max_value=7))),
-        min_size=0, max_size=40))
-    def test_mirror_totals_match_source_exactly(self, charges):
-        source = CycleTracker(n_lanes=8)
-        mirror = TrackerMirror(source).attach()
-        for phase, cycles, lane in charges:
-            lanes = None if lane is None else np.array([lane])
-            source.charge(phase, cycles, lanes)
-        assert mirror.tracker.phase_totals() == source.phase_totals()
-        assert mirror.tracker.total_cycles() == source.total_cycles()
-        frozen = mirror.tracker.total_cycles()
-        mirror.detach()
-        source.charge("sorting", 10.0)
-        assert mirror.tracker.total_cycles() == frozen
-
     def test_descendant_iteration_covers_the_tree(self):
         tracer = SpanTracer()
         root = tracer.begin("root", 0.0)
