@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.knng import build_knn_graph_gpu
+from repro.core.knng import CHUNK_ELEMENTS, build_knn_graph_gpu
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
@@ -47,13 +47,14 @@ from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
+from repro.perf.construction import dedup_merge_rows, rank_in_run
 
 
 def rank_prune(cand_ids: np.ndarray, cand_dists: np.ndarray,
                points: np.ndarray, degree: int,
                metric: str = "euclidean"
                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Prune one vertex's candidate list to ``degree`` rank-selected edges.
+    """Prune candidate lists to ``degree`` rank-selected edges each.
 
     The candidates are first put into canonical rank order — sorted by
     ``(distance, id)`` with padding (``-1`` ids) and duplicates removed —
@@ -65,51 +66,59 @@ def rank_prune(cand_ids: np.ndarray, cand_dists: np.ndarray,
     survive, ties broken by rank.
 
     Args:
-        cand_ids: ``(m,)`` candidate vertex ids (``-1`` entries ignored).
-        cand_dists: ``(m,)`` distances from the vertex to each candidate.
+        cand_ids: ``(m,)`` candidate ids of one vertex, or ``(r, m)`` —
+            one row per vertex (``-1`` entries ignored).
+        cand_dists: Distances from each vertex to its candidates.
         points: ``(n, d)`` point matrix (used for candidate-candidate
             distances).
         degree: Target out-degree.
         metric: Metric name (must match ``cand_dists``).
 
     Returns:
-        ``(kept_ids, kept_dists)`` sorted by ``(distance, id)``, at most
-        ``degree`` entries.
+        ``(kept_ids, kept_dists)`` sorted by ``(distance, id)``: at most
+        ``degree`` entries for one vertex, ``(r, degree)`` matrices
+        padded with ``-1`` / ``inf`` for a batch.
     """
     cand_ids = np.asarray(cand_ids, dtype=np.int64)
     cand_dists = np.asarray(cand_dists, dtype=np.float64)
-    valid = cand_ids >= 0
-    cand_ids = cand_ids[valid]
-    cand_dists = cand_dists[valid]
-    if len(cand_ids) == 0:
-        return cand_ids, cand_dists
+    if cand_ids.ndim == 1:
+        ids, dists = rank_prune(cand_ids[None, :], cand_dists[None, :],
+                                points, degree, metric)
+        return ids[0][ids[0] >= 0], dists[0][ids[0] >= 0]
+    points = np.asarray(points, dtype=np.float64)
+    n_rows, width = cand_ids.shape
     # Canonical rank order, duplicates collapsed to their first rank.
-    order = np.lexsort((cand_ids, cand_dists))
-    cand_ids = cand_ids[order]
-    cand_dists = cand_dists[order]
-    _, first = np.unique(cand_ids, return_index=True)
-    keep = np.zeros(len(cand_ids), dtype=bool)
-    keep[first] = True
-    cand_ids = cand_ids[keep]
-    cand_dists = cand_dists[keep]
-    order = np.lexsort((cand_ids, cand_dists))
-    cand_ids = cand_ids[order]
-    cand_dists = cand_dists[order]
-    m = len(cand_ids)
-    if m <= degree:
-        return cand_ids, cand_dists
+    pad = cand_ids < 0
+    ids, dists, valid = dedup_merge_rows(
+        np.where(pad, len(points) + np.arange(width), cand_ids),
+        np.where(pad, np.inf, cand_dists), width, len(points))
+    counts = valid.sum(axis=1)
+    out_ids = np.full((n_rows, degree), PAD_ID, dtype=np.int64)
+    out_dists = np.full((n_rows, degree), PAD_DIST, dtype=np.float64)
+    keep = min(width, degree)
+    out_ids[:, :keep] = np.where(valid, ids, PAD_ID)[:, :keep]
+    out_dists[:, :keep] = np.where(valid, dists, PAD_DIST)[:, :keep]
 
+    # Rows with more than `degree` candidates are pruned, batched by
+    # candidate count so every stacked pairwise matrix has the shape (and
+    # the arithmetic) of the one-row call.
     metric_obj = get_metric(metric)
-    gathered = np.asarray(points, dtype=np.float64)[cand_ids]
-    pair = metric_obj.pairwise(gathered, gathered)
-    # detours[j] = |{ i < j : d(c_i, c_j) < d(u, c_j) }|
-    upper = np.tril(np.ones((m, m), dtype=bool), k=-1).T  # i < j
-    detourable = upper & (pair < cand_dists[None, :])
-    detours = detourable.sum(axis=0)
-    ranks = np.arange(m)
-    selected = np.lexsort((ranks, detours))[:degree]
-    selected.sort()  # back to rank order == (dist, id) order
-    return cand_ids[selected], cand_dists[selected]
+    for m in np.unique(counts[counts > degree]):
+        rows = np.flatnonzero(counts == m)
+        upper = np.triu(np.ones((m, m), dtype=bool), k=1)  # i < j
+        step = max(1, CHUNK_ELEMENTS // (m * max(m, points.shape[1])))
+        for lo in range(0, len(rows), step):
+            part = rows[lo:lo + step]
+            gathered = points[ids[part, :m]]
+            pair = metric_obj.pairwise(gathered, gathered)
+            # detours[j] = |{ i < j : d(c_i, c_j) < d(u, c_j) }|
+            detours = (upper & (pair < dists[part, None, :m])).sum(axis=1)
+            selected = np.sort(np.argsort(detours, axis=1,
+                                          kind="stable")[:, :degree], axis=1)
+            out_ids[part] = np.take_along_axis(ids[part], selected, axis=1)
+            out_dists[part] = np.take_along_axis(dists[part], selected,
+                                                 axis=1)
+    return out_ids, out_dists
 
 
 def reverse_merge(forward_ids: np.ndarray, forward_dists: np.ndarray,
@@ -138,51 +147,36 @@ def reverse_merge(forward_ids: np.ndarray, forward_dists: np.ndarray,
     n, width = forward_ids.shape
     pinned = max(1, math.ceil(degree / 2))
 
-    # Bounded reverse table: for every vertex, the closest `degree`
-    # incoming edges, found by one global (dst, dist, src) sort.
-    src = np.repeat(np.arange(n, dtype=np.int64), width)
-    dst = forward_ids.ravel()
-    dist = forward_dists.ravel()
-    live = dst >= 0
-    src, dst, dist = src[live], dst[live], dist[live]
-    order = np.lexsort((src, dist, dst))
-    src, dst, dist = src[order], dst[order], dist[order]
-    starts = np.searchsorted(dst, np.arange(n), side="left")
-    ends = np.searchsorted(dst, np.arange(n), side="right")
+    # One record per (row, id, dist) claim: every forward edge v -> u
+    # claims a slot in row v — pinned when it is among v's first
+    # `pinned`, else in the pool — and, reversed, a pool slot in row u.
+    live = forward_ids.ravel() >= 0
+    src = np.repeat(np.arange(n), width)[live]
+    dst = forward_ids.ravel()[live]
+    row = np.concatenate([src, dst])
+    ids = np.concatenate([dst, src])
+    dists = np.tile(forward_dists.ravel()[live], 2)
+    pool = np.concatenate([np.tile(np.arange(width), n)[live] >= pinned,
+                           np.ones(len(src), dtype=bool)])
+    claims = np.flatnonzero(~pool | (ids != row))
+    # A pool claim loses to a pinned or closer claim on the same id ...
+    claims = claims[np.lexsort((dists[claims], pool[claims], ids[claims],
+                                row[claims]))]
+    first = np.ones(len(claims), dtype=bool)
+    first[1:] = ((row[claims[1:]] != row[claims[:-1]])
+                 | (ids[claims[1:]] != ids[claims[:-1]]))
+    claims = claims[first | ~pool[claims]]
+    # ... and the pool fills what the pinned edges leave, by (dist, id).
+    claims = claims[np.lexsort((ids[claims], dists[claims], pool[claims],
+                                row[claims]))]
+    claims = claims[rank_in_run(row[claims]) < degree]
+    claims = claims[np.lexsort((ids[claims], dists[claims], row[claims]))]
 
     out_ids = np.full((n, degree), PAD_ID, dtype=np.int64)
     out_dists = np.full((n, degree), PAD_DIST, dtype=np.float64)
-    for v in range(n):
-        f_deg = int((forward_ids[v] >= 0).sum())
-        keep_ids = list(forward_ids[v, :min(pinned, f_deg)])
-        keep_dists = list(forward_dists[v, :min(pinned, f_deg)])
-        kept = set(keep_ids)
-        # Candidate pool: reverse edges first, forward leftovers after,
-        # all competing by (dist, id).
-        pool_ids = np.concatenate([
-            src[starts[v]:ends[v]],
-            forward_ids[v, min(pinned, f_deg):f_deg],
-        ])
-        pool_dists = np.concatenate([
-            dist[starts[v]:ends[v]],
-            forward_dists[v, min(pinned, f_deg):f_deg],
-        ])
-        order_p = np.lexsort((pool_ids, pool_dists))
-        for idx in order_p:
-            if len(keep_ids) == degree:
-                break
-            u = int(pool_ids[idx])
-            if u in kept or u == v:
-                continue
-            kept.add(u)
-            keep_ids.append(u)
-            keep_dists.append(float(pool_dists[idx]))
-        row_order = np.lexsort((np.asarray(keep_ids, dtype=np.int64),
-                                np.asarray(keep_dists)))
-        out_ids[v, :len(keep_ids)] = np.asarray(keep_ids,
-                                                dtype=np.int64)[row_order]
-        out_dists[v, :len(keep_ids)] = np.asarray(
-            keep_dists, dtype=np.float64)[row_order]
+    slot = rank_in_run(row[claims])
+    out_ids[row[claims], slot] = ids[claims]
+    out_dists[row[claims], slot] = dists[claims]
     return out_ids, out_dists
 
 
@@ -193,8 +187,8 @@ def build_cagra_gpu(points: np.ndarray,
                     intermediate_degree: Optional[int] = None,
                     knn_iterations: int = 8,
                     device: DeviceSpec = QUADRO_P5000,
-                    costs: CostTable = DEFAULT_COSTS,
-                    **_ignored) -> ConstructionReport:
+                    costs: CostTable = DEFAULT_COSTS
+                    ) -> ConstructionReport:
     """Build a CAGRA-style fixed-degree graph on the simulated GPU.
 
     Args:
@@ -252,15 +246,8 @@ def build_cagra_gpu(points: np.ndarray,
     # Stage 2: rank-based reorder + detour pruning (one block per vertex:
     # load the candidate vectors, compute the candidate-candidate
     # distance triangle, sort by detour count).
-    pruned_ids = np.full((n, degree), PAD_ID, dtype=np.int64)
-    pruned_dists = np.full((n, degree), PAD_DIST, dtype=np.float64)
-    for v in range(n):
-        d_v = int(knn.degrees[v])
-        kept_ids, kept_dists = rank_prune(
-            knn.neighbor_ids[v, :d_v], knn.neighbor_dists[v, :d_v],
-            points, degree, metric=metric)
-        pruned_ids[v, :len(kept_ids)] = kept_ids
-        pruned_dists[v, :len(kept_ids)] = kept_dists
+    pruned_ids, pruned_dists = rank_prune(
+        knn.neighbor_ids, knn.neighbor_dists, points, degree, metric=metric)
 
     m = intermediate
     pair_computes = m * (m - 1) // 2

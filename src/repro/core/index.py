@@ -24,7 +24,7 @@ from repro.core.backend import STRATEGIES, get_backend  # noqa: F401 - STRATEGIE
 from repro.core.hnsw import recover_original_ids
 from repro.core.params import BuildParams, SearchParams
 from repro.core.results import ConstructionReport, SearchReport
-from repro.errors import ConfigurationError, SearchError
+from repro.errors import ConfigurationError, ConstructionError, SearchError
 from repro.graphs.adjacency import HierarchicalGraph, ProximityGraph
 from repro.graphs.validation import validate_graph
 from repro.gpusim.sorting import next_pow2
@@ -92,11 +92,16 @@ class GannsIndex:
 
         Raises:
             UnknownFamilyError: When ``graph_type`` is not registered.
+            ConstructionError: When ``points`` holds NaN or infinity.
         """
         if params is None:
             params = BuildParams()
         points = np.asarray(points)
         backend = get_backend(graph_type)
+        if not np.isfinite(points).all():
+            row = np.argwhere(~np.isfinite(np.atleast_1d(points)))[0][0]
+            raise ConstructionError(
+                f"points must be finite: row {row} holds NaN or inf")
         report = backend.build(points, params, metric=metric,
                                strategy=strategy,
                                search_kernel=search_kernel, knn_k=knn_k,

@@ -7,10 +7,15 @@ pair of neighbors of each vertex and the update of adjacency lists", both
 of which map onto the kernels already built — bulk distance computation
 (Figure 3) and the adjacency merge of Algorithm 2's Step 3.
 
-This implementation runs the refinement fully batched: one iteration
-evaluates every neighbor-of-neighbor candidate of every vertex in a single
-vectorised pass (one block per vertex on the simulated device) and merges
-candidates into the rows with the bounded bitonic merge.
+Every stage runs over the whole vertex set at once (one block per vertex
+on the simulated device): the bounded reverse table is one stable sort,
+the neighbor-of-neighbor join one gather, the adjacency update one
+batched bounded merge.  The simulated kernel evaluates — and is charged
+for — all ``4k²`` candidate slots of a vertex; the host evaluates one
+distance per *distinct* ``(vertex, candidate)`` pair, which yields the
+same rows because a pair's distance does not depend on the slot asking
+for it and the merge collapses duplicate ids anyway
+(``tests/oracles/knng_pervertex.py`` is the per-slot, per-vertex form).
 """
 
 from __future__ import annotations
@@ -26,8 +31,50 @@ from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
+from repro.gpusim.scan import csr_offsets_from_sorted_ids
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
+from repro.perf.construction import merge_segments_batch, rank_in_run
+
+#: Elements per gathered distance temporary: 256 KB of float64, so the
+#: gather, the difference and the reduction of a chunk stay in cache.
+CHUNK_ELEMENTS = 1 << 15
+
+
+def _pair_distances(vectors: np.ndarray, metric: str, v: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """Distances of the flat pairs ``(v[i], u[i])``, chunked by pair count.
+
+    ``vectors`` holds the float64 points, unit-normalised under cosine.
+    """
+    out = np.empty(len(v))
+    step = max(1, CHUNK_ELEMENTS // max(vectors.shape[1], 1))
+    for lo in range(0, len(v), step):
+        a, b = vectors[u[lo:lo + step]], vectors[v[lo:lo + step]]
+        if metric == "euclidean":
+            a -= b
+            out[lo:lo + step] = np.einsum("pd,pd->p", a, a)
+        else:
+            out[lo:lo + step] = 1.0 - np.einsum("pd,pd->p", a, b)
+    return out
+
+
+def _init_distances(vectors: np.ndarray, metric: str,
+                    ids: np.ndarray) -> np.ndarray:
+    """``one_to_many`` from every vertex to its ``(n, k)`` drawn ids."""
+    n, k = ids.shape
+    if metric == "euclidean":
+        return _pair_distances(vectors, metric, np.repeat(np.arange(n), k),
+                               ids.ravel()).reshape(n, k)
+    # Cosine's one_to_many is a matrix-vector product; its last ulp can
+    # differ from the join's row-wise form, so it keeps that arithmetic.
+    out = np.empty((n, k))
+    step = max(1, CHUNK_ELEMENTS // max(k * vectors.shape[1], 1))
+    for lo in range(0, n, step):
+        out[lo:lo + step] = 1.0 - np.matmul(
+            vectors[ids[lo:lo + step]],
+            vectors[lo:lo + step, :, None])[..., 0]
+    return out
 
 
 def build_knn_graph_gpu(points: np.ndarray, k: int,
@@ -63,25 +110,29 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
     n = len(points)
     if not 1 <= k < n:
         raise ConstructionError(f"k must lie in [1, {n - 1}], got {k}")
-    metric_obj = get_metric(metric)
+    get_metric(metric)  # rejects unknown metric names
     rng = np.random.default_rng(params.seed)
     n_t = params.n_threads
     n_dims = points.shape[1]
     kernel = KernelLaunch(device, n_t, costs=costs)
 
-    # Random initialisation (one block per vertex).
-    graph = ProximityGraph(n, k, metric)
-    init_choices = np.empty((n, k), dtype=np.int64)
+    vectors = points.astype(np.float64)
+    if metric == "cosine":
+        norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+        vectors /= np.where(norms > 0.0, norms, 1.0)
+
+    # Random initialisation (one block per vertex).  The RNG stream is
+    # contract, so the draws stay one call per vertex, in order.
+    own = np.arange(n)
+    init_ids = np.empty((n, k), dtype=np.int64)
     for v in range(n):
-        choices = rng.choice(n - 1, size=k, replace=False)
-        choices[choices >= v] += 1
-        init_choices[v] = choices
-    init_dists = np.empty((n, k))
-    for v in range(n):
-        init_dists[v] = metric_obj.one_to_many(points[v],
-                                               points[init_choices[v]])
-        order = np.lexsort((init_choices[v], init_dists[v]))
-        graph.set_row(v, init_choices[v][order], init_dists[v][order])
+        init_ids[v] = rng.choice(n - 1, size=k, replace=False)
+    init_ids += init_ids >= own[:, None]
+    init_dists = _init_distances(vectors, metric, init_ids)
+    order = np.lexsort((init_ids, init_dists), axis=1)
+    graph = ProximityGraph.from_rows(
+        np.take_along_axis(init_ids, order, axis=1),
+        np.take_along_axis(init_dists, order, axis=1), metric=metric)
 
     per_vector = costs.single_distance_cycles(n_dims, n_t)
     init_cycles = k * per_vector + costs.bitonic_sort_cycles(k, n_t)
@@ -98,48 +149,32 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
     threshold = max(1, int(min_update_fraction * n * k))
     updates_history: List[int] = []
     for _ in range(max_iterations):
-        rows = graph.neighbor_ids[:, :k]
+        rows = graph.neighbor_ids  # always full: k < n distinct others
         # General neighborhoods B[v] = forward ∪ reverse neighbors (Dong
-        # et al.); the reverse table is built with a bounded scatter, the
-        # GPU-friendly fixed-width equivalent of reverse adjacency.
+        # et al.).  The reverse table is a bounded scatter — the first k
+        # sources of every vertex in (v, slot) scan order, which a stable
+        # sort by destination reproduces.
+        order = np.argsort(rows, axis=None, kind="stable")
+        dst = rows.ravel()[order]
+        slot = rank_in_run(dst)
+        fits = slot < k
         rev = np.full((n, k), -1, dtype=np.int64)
-        rev_counts = np.zeros(n, dtype=np.int64)
-        for v in range(n):
-            for u in rows[v]:
-                u = int(u)
-                if u >= 0 and rev_counts[u] < k:
-                    rev[u, rev_counts[u]] = v
-                    rev_counts[u] += 1
+        rev[dst[fits], slot[fits]] = order[fits] // k
         both = np.concatenate([rows, rev], axis=1)  # (n, 2k)
         # Candidate generation: neighbors-of-neighbors over B.  Batched
         # form of "each pair of neighbors of each vertex proposes edges".
-        safe = np.where(both < 0, 0, both)
-        cand = both[safe.reshape(-1)].reshape(n, 4 * k * k)
-        cand[np.repeat(both < 0, 2 * k, axis=1)] = -1
-        own = np.arange(n)[:, None]
-        invalid = (cand == own) | (cand < 0)
+        cand = both[both]  # (n, 2k, 2k); a pad wraps to the last row ...
+        cand[both < 0] = -1  # ... and proposes nothing
+        cand = cand.reshape(n, -1)
 
-        # Bulk distance computation, one block per vertex, chunked over
-        # vertices to bound the gathered-tensor footprint.
-        width = cand.shape[1]
-        dists = np.empty((n, width))
-        chunk = max(1, (1 << 24) // max(width * n_dims, 1))
-        if metric == "cosine":
-            def unit(m):
-                norms = np.linalg.norm(m, axis=-1, keepdims=True)
-                return m / np.where(norms > 0.0, norms, 1.0)
-            unit_points = unit(points.astype(np.float64))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            block = np.where(invalid[lo:hi], 0, cand[lo:hi])
-            if metric == "euclidean":
-                gathered = points[block].astype(np.float64)
-                diff = gathered - points[lo:hi, None, :]
-                dists[lo:hi] = np.einsum("nkd,nkd->nk", diff, diff)
-            else:
-                dists[lo:hi] = 1.0 - np.einsum(
-                    "nkd,nd->nk", unit_points[block], unit_points[lo:hi])
-        dists[invalid] = np.inf
+        # Bulk distance computation.  The device evaluates every slot;
+        # the host sorts each row's slots and evaluates the first
+        # occurrence of every id that is a real other vertex.
+        cand.sort(axis=1)
+        fresh = (cand >= 0) & (cand != own[:, None])
+        fresh[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+        v_idx, u_idx = np.nonzero(fresh)[0], cand[fresh]
+        dists = _pair_distances(vectors, metric, v_idx, u_idx)
 
         distance_cycles = cand.shape[1] * per_vector
         merge_cycles = costs.adjacency_merge_cycles(k, cand.shape[1], n_t)
@@ -153,15 +188,20 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
         category[PhaseCategory.STRUCTURE] += launch.seconds * (
             merge_cycles / mix)
 
-        # Adjacency update (Step 3 style bounded merge per vertex).
-        updates = 0
-        for v in range(n):
-            live = ~invalid[v]
-            if not live.any():
-                continue
-            before = graph.neighbor_ids[v, :k].copy()
-            graph.merge_row(v, cand[v][live], dists[v][live])
-            updates += int((graph.neighbor_ids[v, :k] != before).sum())
+        # Adjacency update (Step 3 style bounded merge, all rows at
+        # once: the pairs are CSR segments keyed by vertex).  Only the k
+        # closest candidates of a row can enter it, so the rest are
+        # dropped before the merge pays for them.
+        before = rows.copy()
+        if len(v_idx):
+            slots = np.full((n, max(k, np.bincount(v_idx).max())), np.inf)
+            slots[v_idx, rank_in_run(v_idx)] = dists
+            kth = np.partition(slots, k - 1, axis=1)[:, k - 1]
+            enters = dists <= kth[v_idx]
+            v_idx, u_idx, dists = v_idx[enters], u_idx[enters], dists[enters]
+            merge_segments_batch(graph, v_idx, u_idx, dists,
+                                 csr_offsets_from_sorted_ids(v_idx))
+        updates = int((graph.neighbor_ids != before).sum())
         updates_history.append(updates)
         if updates < threshold:
             break

@@ -231,6 +231,7 @@ class ProximityGraph:
         """Build a graph from dense ``(n, w)`` id/distance matrices.
 
         Padding entries must use ``-1`` / ``+inf``; rows must be sorted.
+        Every row is held to :meth:`set_row`'s checks, all rows at once.
         """
         rows_ids = np.asarray(rows_ids)
         rows_dists = np.asarray(rows_dists)
@@ -243,9 +244,25 @@ class ProximityGraph:
         if d_max is None:
             d_max = width
         graph = cls(n, d_max, metric, dtype=dtype)
-        for v in range(n):
-            valid = rows_ids[v] >= 0
-            graph.set_row(v, rows_ids[v][valid], rows_dists[v][valid])
+        # Front-pack the valid entries of every row, order preserved.
+        pack = np.argsort(rows_ids < 0, axis=1, kind="stable")
+        ids = np.take_along_axis(rows_ids, pack, axis=1).astype(np.int64)
+        dists = np.take_along_axis(rows_dists, pack,
+                                   axis=1).astype(graph.dtype)
+        valid = ids >= 0
+        graph.degrees[:] = valid.sum(axis=1)
+        if graph.degrees.max() > d_max:
+            raise GraphError(
+                f"row of length {graph.degrees.max()} exceeds d_max={d_max}"
+            )
+        with np.errstate(invalid="ignore"):
+            unsorted = ~(np.diff(dists, axis=1) >= 0) & valid[:, 1:]
+        if unsorted.any():
+            raise GraphError("row distances must be sorted ascending")
+        keep = min(width, d_max)
+        graph.neighbor_ids[:, :keep] = np.where(valid, ids, PAD_ID)[:, :keep]
+        graph.neighbor_dists[:, :keep] = np.where(valid, dists,
+                                                  PAD_DIST)[:, :keep]
         return graph
 
 

@@ -35,7 +35,12 @@ class Metric(abc.ABC):
 
     @abc.abstractmethod
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """All-pairs distances: ``(len(a), len(b))`` matrix."""
+        """All-pairs distances: ``(len(a), len(b))`` matrix.
+
+        Leading dimensions batch like ``matmul``: ``(..., m, d)`` against
+        ``(..., p, d)`` gives ``(..., m, p)``, each matrix of the stack
+        computed exactly as a 2-D call would compute it.
+        """
 
     @abc.abstractmethod
     def one_to_many(self, query: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -67,9 +72,9 @@ class EuclideanMetric(Metric):
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        a_sq = np.einsum("ij,ij->i", a, a)[:, None]
-        b_sq = np.einsum("ij,ij->i", b, b)[None, :]
-        cross = a @ b.T
+        a_sq = np.einsum("...ij,...ij->...i", a, a)[..., :, None]
+        b_sq = np.einsum("...ij,...ij->...i", b, b)[..., None, :]
+        cross = a @ np.swapaxes(b, -1, -2)
         out = a_sq + b_sq - 2.0 * cross
         np.maximum(out, 0.0, out=out)
         return out
@@ -105,7 +110,8 @@ class CosineMetric(Metric):
         return matrix / safe
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return 1.0 - self._normalize(a) @ self._normalize(b).T
+        return 1.0 - self._normalize(a) @ np.swapaxes(self._normalize(b),
+                                                      -1, -2)
 
     def one_to_many(self, query: np.ndarray, points: np.ndarray) -> np.ndarray:
         q = self._normalize(np.asarray(query)[None, :])[0]

@@ -31,9 +31,18 @@ import numpy as np
 from repro.graphs.adjacency import PAD_DIST, PAD_ID, ProximityGraph
 
 
-def _dedup_rows(ids: np.ndarray, dists: np.ndarray, limit: int,
-                pad_base: int
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def rank_in_run(keys: np.ndarray) -> np.ndarray:
+    """Position of every element of sorted ``keys`` within its run of
+    equal keys — the slot a bounded per-key scatter writes it to."""
+    index = np.arange(len(keys))
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return index - np.maximum.accumulate(np.where(head, index, 0))
+
+
+def dedup_merge_rows(ids: np.ndarray, dists: np.ndarray, limit: int,
+                     pad_base: int
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise: drop duplicate ids (keep min dist), sort, truncate.
 
     Args:
@@ -146,8 +155,8 @@ def merge_forward_batch(graph: ProximityGraph, group: np.ndarray,
         all_ids[row, lo:hi] = fwd[row, fwd_valid[row]]
         all_dists[row, lo:hi] = fwd_d[row, fwd_valid[row]]
 
-    ids_f, dists_f, valid = _dedup_rows(all_ids, all_dists, d_min,
-                                        n_vertices)
+    ids_f, dists_f, valid = dedup_merge_rows(all_ids, all_dists, d_min,
+                                             n_vertices)
     counts = valid.sum(axis=1)
 
     row_ids = np.full((g_size, graph.d_max), PAD_ID, dtype=np.int64)
@@ -198,8 +207,8 @@ def merge_segments_batch(graph: ProximityGraph, src: np.ndarray,
     all_ids[:, d_max:] = np.where(in_seg, dst[take], all_ids[:, d_max:])
     all_dists[:, d_max:] = np.where(in_seg, dist[take], np.inf)
 
-    ids_f, dists_f, valid = _dedup_rows(all_ids, all_dists, d_max,
-                                        n_vertices)
+    ids_f, dists_f, valid = dedup_merge_rows(all_ids, all_dists, d_max,
+                                             n_vertices)
     graph.neighbor_ids[vertices] = np.where(valid, ids_f, PAD_ID)
     graph.neighbor_dists[vertices] = np.where(valid, dists_f, PAD_DIST)
     graph.degrees[vertices] = valid.sum(axis=1)

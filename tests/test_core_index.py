@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.index import GannsIndex
 from repro.core.params import BuildParams
-from repro.errors import ConfigurationError, SearchError
+from repro.core.backend import backend_families
+from repro.errors import ConfigurationError, ConstructionError, SearchError
 
 PARAMS = BuildParams(d_min=6, d_max=12, n_blocks=8)
 
@@ -66,6 +67,23 @@ class TestBuild:
     def test_hnsw_rejects_other_strategies(self, points):
         with pytest.raises(ConfigurationError, match="ggraphcon"):
             GannsIndex.build(points, graph_type="hnsw", strategy="serial")
+
+    @pytest.mark.parametrize("family", backend_families())
+    def test_misspelt_build_option_raises(self, points, family):
+        # "cagra" used to swallow unknown keywords and build at defaults.
+        with pytest.raises(TypeError, match="graph_degre"):
+            GannsIndex.build(points[:60], family, params=PARAMS,
+                             graph_degre=4)
+
+    @pytest.mark.parametrize("family", backend_families())
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, points, family, poison):
+        # "nsw" used to build over NaN distances silently; "cagra" failed
+        # late with an unrelated "row distances must be sorted" GraphError.
+        bad = points[:60].copy()
+        bad[17, 3] = poison
+        with pytest.raises(ConstructionError, match="row 17"):
+            GannsIndex.build(bad, family, params=PARAMS)
 
     def test_from_graph(self, points):
         from repro.baselines.nsw_cpu import build_nsw_cpu

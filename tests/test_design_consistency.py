@@ -123,3 +123,32 @@ class TestReplayStaysStaged:
                     for node in functions
                     if node.end_lineno - node.lineno + 1 > 100]
         assert not too_long, too_long
+
+
+class TestConstructionStaysBulk:
+    """NN-descent and CAGRA run every stage over the whole vertex set.
+    The RNG draws are the one per-vertex loop left (the stream is
+    contract); ``range(max_iterations)`` and the three-argument chunk
+    ranges do not walk the vertex set."""
+
+    @staticmethod
+    def _per_vertex_loops(module):
+        tree = ast.parse(_read(f"src/repro/core/{module}.py"))
+        loops = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.For, ast.comprehension))]
+        return [node for node in loops
+                if isinstance(node.iter, ast.Call)
+                and getattr(node.iter.func, "id", "") in ("range",
+                                                          "enumerate")
+                and len(node.iter.args) == 1
+                and ast.unparse(node.iter) != "range(max_iterations)"]
+
+    def test_knng_loops_over_vertices_only_to_draw(self):
+        loops = self._per_vertex_loops("knng")
+        assert [ast.unparse(loop.iter) for loop in loops] == ["range(n)"]
+        (draw,) = loops[0].body
+        assert "rng.choice(" in ast.unparse(draw)
+
+    def test_cagra_has_no_per_vertex_loop(self):
+        loops = self._per_vertex_loops("cagra")
+        assert not loops, [ast.unparse(loop.iter) for loop in loops]
