@@ -19,12 +19,12 @@ Builds every registered index family (``nsw``, ``hnsw``, ``knn``,
 All cycle figures come from the family's :class:`~repro.core.backend.
 IndexBackend` cost-model hooks, so the comparison is apples-to-apples
 across families.  The headline contract — checked by
-``scripts/check_bakeoff_smoke.py`` in CI — is that CAGRA's fixed-degree
+``scripts/gates.py bakeoff`` in CI — is that CAGRA's fixed-degree
 construction lands below NSW's construction cycles while both hold
 recall@10 >= 0.9.
 
     python benchmarks/bench_bakeoff.py --quick --output bakeoff.json
-    python scripts/check_bakeoff_smoke.py bakeoff.json
+    python scripts/gates.py bakeoff    # the quick grid + its floors
 """
 
 from __future__ import annotations

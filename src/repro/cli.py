@@ -203,13 +203,14 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_engine(args: argparse.Namespace, dataset, graph, params,
-                  policy, cache):
-    """Fault plan + fully armed engine from the chaos argument block."""
+def chaos_scenario(args: argparse.Namespace):
+    """Trace, fault plan and fully armed engine of the replay that
+    ``chaos-sim``, ``trace`` and the chaos gate (``scripts/gates.py``) run."""
     from repro.faults import (AdmissionGovernor, BreakerPolicy,
                               RetryPolicy, named_fault_plan)
     from repro.serve import ServeEngine
 
+    dataset, graph, params, policy, cache, trace = _serve_fixture(args)
     # Cover the whole trace (plus quiescence tail) with the plan.
     horizon = 2.0 * args.requests / args.qps
     plan = named_fault_plan(args.fault_plan, horizon_seconds=horizon,
@@ -228,13 +229,11 @@ def _chaos_engine(args: argparse.Namespace, dataset, graph, params,
         governor=governor,
         default_deadline_seconds=(args.deadline_ms * 1e-3
                                   if args.deadline_ms > 0 else None))
-    return plan, engine
+    return trace, plan, engine
 
 
 def _cmd_chaos_sim(args: argparse.Namespace) -> int:
-    dataset, graph, params, policy, cache, trace = _serve_fixture(args)
-    plan, engine = _chaos_engine(args, dataset, graph, params, policy,
-                                 cache)
+    trace, plan, engine = chaos_scenario(args)
     print(f"  chaos: plan={args.fault_plan} "
           f"({len(plan)} scheduled events, seed={args.fault_seed}), "
           f"retries={args.retries}, "
@@ -256,9 +255,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                                      export_chrome_trace_bytes,
                                      parse_chrome_trace)
 
-    dataset, graph, params, policy, cache, trace = _serve_fixture(args)
-    plan, engine = _chaos_engine(args, dataset, graph, params, policy,
-                                 cache)
+    trace, plan, engine = chaos_scenario(args)
     print(f"  chaos: plan={args.fault_plan} "
           f"({len(plan)} scheduled events, seed={args.fault_seed})")
     tracer = SpanTracer()

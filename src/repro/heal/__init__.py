@@ -15,7 +15,7 @@ moment a verified replica is back.
 long seeded replays across the cluster, mutable-index, and quantized
 paths whose invariant oracles (zero silently-wrong answers, bounded
 MTTR, byte-identical reruns) gate CI via ``repro soak-sim`` and
-``scripts/check_heal_smoke.py``.
+``scripts/gates.py heal``.
 """
 
 from repro.heal.controller import (
@@ -26,7 +26,12 @@ from repro.heal.controller import (
     RepairRecord,
 )
 from repro.heal.policy import HealPolicy
-from repro.heal.soak import SoakPhaseResult, SoakReport, run_soak_sim
+from repro.heal.soak import (
+    SoakPhaseResult,
+    SoakReport,
+    count_wrong_answers,
+    run_soak_sim,
+)
 from repro.heal.source import (
     StaticShardSource,
     StoreShardSource,
@@ -44,6 +49,7 @@ __all__ = [
     "SoakReport",
     "StaticShardSource",
     "StoreShardSource",
+    "count_wrong_answers",
     "run_soak_sim",
     "shard_payload_bytes",
 ]

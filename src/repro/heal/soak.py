@@ -21,7 +21,7 @@ metrics registry, span-tree validation) and an offline oracle: each
 merge over the same placement — a wrong answer is never silent.  The
 :class:`SoakReport` is canonical (:meth:`SoakReport.to_bytes` /
 :meth:`SoakReport.digest`): two runs of the same seed are
-byte-identical, which is exactly what ``scripts/check_heal_smoke.py``
+byte-identical, which is exactly what ``scripts/gates.py heal``
 asserts.
 """
 
@@ -29,16 +29,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from functools import partial
+from typing import List, Optional
 
 import numpy as np
 
+from repro.core.ganns import ganns_search
+from repro.core.params import SearchParams
+from repro.datasets.catalog import load_dataset
 from repro.errors import HealError
-
-#: Phase names, replay order.
-PHASE_CLUSTER = "cluster"
-PHASE_MUTABLE = "mutable"
-PHASE_QUANT = "quant"
+from repro.faults import named_fault_plan
+from repro.heal.policy import HealPolicy
+from repro.mutable import recover, run_mutation_sim
+from repro.observability import MetricsRegistry, SpanTracer
+from repro.serve import synthetic_trace
 
 
 @dataclass(frozen=True)
@@ -199,10 +203,17 @@ class SoakReport:
 # ----------------------------------------------------------------------
 
 
-def _oracle_reference(engine, pool: np.ndarray, params):
-    """Offline per-shard GANNS merge every complete answer must equal."""
+def count_wrong_answers(engine, report, trace, pool: np.ndarray, params,
+                        live_ids: Optional[np.ndarray] = None) -> int:
+    """Oracle violations in one cluster replay.
+
+    The reference is offline: a direct GANNS search of ``pool`` on
+    every shard, merged exactly.  A violation is a complete tier-0
+    answer diverging from it, an answered-but-partial outcome that
+    fails to name its missing shards, or (snapshot-served engines) a
+    tombstoned slot id appearing in any complete answer.
+    """
     from repro.cluster import merge_topk
-    from repro.core.ganns import ganns_search
 
     shard_ids, shard_dists = [], []
     for shard in range(engine.n_shards):
@@ -210,19 +221,7 @@ def _oracle_reference(engine, pool: np.ndarray, params):
                               engine.shard_points[shard], pool, params)
         shard_ids.append(engine.shard_map.to_global(shard, result.ids))
         shard_dists.append(result.dists)
-    return merge_topk(params.k, shard_ids, shard_dists)
-
-
-def _count_wrong(engine, report, trace, pool: np.ndarray, params,
-                 live_ids: Optional[np.ndarray] = None) -> int:
-    """Oracle violations in one cluster replay.
-
-    A violation is: a complete tier-0 answer diverging from the
-    offline merge, an answered-but-partial outcome that fails to name
-    its missing shards, or (snapshot-served engines) a tombstoned slot
-    id appearing in any complete answer.
-    """
-    ref_ids, ref_dists = _oracle_reference(engine, pool, params)
+    ref_ids, ref_dists = merge_topk(params.k, shard_ids, shard_dists)
     pool_row = {pool[i].tobytes(): i for i in range(len(pool))}
     n_wrong = 0
     for pos, outcome in enumerate(report.outcomes):
@@ -245,9 +244,31 @@ def _count_wrong(engine, report, trace, pool: np.ndarray, params,
     return n_wrong
 
 
-def _phase_from_report(name: str, report, n_wrong: int,
-                       bound_seconds: float,
-                       detail: str = "") -> SoakPhaseResult:
+def _cluster_phase(name: str, make_engine, n_workers: int,
+                   pool: np.ndarray, params, n_requests: int, seed: int,
+                   mean_qps: float,
+                   live_ids: Optional[np.ndarray] = None,
+                   n_wrong: int = 0, detail: str = "") -> SoakPhaseResult:
+    """One healing cluster under the ``soak`` recipe, verified.
+
+    ``make_engine(params=, faults=)`` builds the phase's cluster; its
+    replay runs the zero-drift verification inline (span tree, report
+    vs registry) and then the offline oracle, whose violations are
+    added to ``n_wrong``.
+    """
+    trace = synthetic_trace(pool, n_requests, mean_qps=mean_qps,
+                            queries_per_request=2, seed=seed)
+    plan = named_fault_plan("soak",
+                            horizon_seconds=2.0 * n_requests / mean_qps,
+                            seed=seed, n_workers=n_workers)
+    engine = make_engine(params=params, faults=plan)
+    tracer = SpanTracer()
+    report = engine.replay(trace, tracer=tracer)
+    tracer.finish()
+    tracer.validate()
+    report.verify_against_metrics()
+    n_wrong += count_wrong_answers(engine, report, trace, pool, params,
+                                   live_ids)
     return SoakPhaseResult(
         name=name,
         n_requests=report.n_requests,
@@ -262,22 +283,50 @@ def _phase_from_report(name: str, report, n_wrong: int,
         n_quarantines=report.n_quarantines,
         max_mttr_seconds=report.max_mttr_seconds,
         n_unhealed_within_bound=len(
-            report.unhealed_within(bound_seconds)),
+            report.unhealed_within(engine.heal.mttr_bound_seconds)),
         report_digest=report.digest()[:16],
         detail=detail,
     )
 
 
-def _replay_verified(engine, trace):
-    """Replay with inline zero-drift verification; returns the report."""
-    from repro.observability import SpanTracer
+def _mutable_phase(seed: int, mutation_ops: int, n_pool: int,
+                   n_requests: int, mean_qps: float, n_replicas: int,
+                   heal: HealPolicy) -> SoakPhaseResult:
+    """Mutation sim under crash chaos, then a healing cluster served
+    from the surviving store's snapshot and repaired from that store
+    (every rebuild is charged the store's WAL catch-up)."""
+    from repro.cluster import ClusterEngine
 
     tracer = SpanTracer()
-    report = engine.replay(trace, tracer=tracer)
+    metrics = MetricsRegistry()
+    mreport = run_mutation_sim(
+        n_points=240, n_dims=16, n_ops=mutation_ops, seed=seed,
+        batch_size=8, k=5, l_n=32, compact_every=6, checkpoint_every=9,
+        fault_plan=named_fault_plan(
+            "compaction-crash", horizon_seconds=float(mutation_ops + 5),
+            seed=seed),
+        tracer=tracer, metrics=metrics)
     tracer.finish()
     tracer.validate()
-    report.verify_against_metrics()
-    return report
+    mreport.verify_against_metrics()
+    store = mreport.store
+    recovered = recover(store)
+    handle = recovered.snapshot()
+    pool = np.random.default_rng(seed + 101).standard_normal(
+        (n_pool, handle.points.shape[1])).astype(handle.points.dtype)
+    return _cluster_phase(
+        "mutable",
+        partial(ClusterEngine.from_snapshot, handle, 2, n_replicas,
+                heal=heal, repair_store=store),
+        2 * n_replicas, pool, SearchParams(k=5, l_n=32), n_requests,
+        seed + 1, mean_qps, live_ids=handle.live_ids(),
+        # Recovery infidelity is a wrong answer waiting to happen.
+        n_wrong=mreport.n_wrong_answers + int(
+            recovered.digest() != mreport.final_digest),
+        detail=(f"{mreport.n_crashes} crashes, "
+                f"{mreport.n_recoveries} recoveries, "
+                f"{len(store.surviving_records())} wal records "
+                f"replayed per rebuild"))
 
 
 def run_soak_sim(seed: int = 0, *,
@@ -299,8 +348,8 @@ def run_soak_sim(seed: int = 0, *,
             from it deterministically.
         n_points: Cluster corpus size (phases 1 and 3).
         n_pool: Query-pool size.
-        n_requests: Requests in the cluster/quant phases (the mutable
-            phase replays half as many over the snapshot cluster).
+        n_requests: Requests in the cluster phase (the mutable and
+            quant phases replay half as many).
         mean_qps: Trace arrival rate.
         n_shards: Shards in the cluster/quant phases.
         n_replicas: Replicas per shard.
@@ -310,110 +359,30 @@ def run_soak_sim(seed: int = 0, *,
         mutation_ops: Mutation ops in the mutable phase.
     """
     from repro.cluster import ClusterEngine
-    from repro.core.params import SearchParams
-    from repro.datasets.catalog import load_dataset
-    from repro.faults import named_fault_plan
-    from repro.heal import HealPolicy
-    from repro.mutable import run_mutation_sim
-    from repro.mutable.recovery import recover
-    from repro.observability import MetricsRegistry, SpanTracer
-    from repro.serve import synthetic_trace
 
     if n_requests <= 0 or mutation_ops <= 0:
-        raise HealError(
-            f"soak needs positive n_requests/mutation_ops, got "
-            f"{n_requests}/{mutation_ops}"
-        )
+        raise HealError(f"soak needs positive n_requests/mutation_ops, "
+                        f"got {n_requests}/{mutation_ops}")
     heal = HealPolicy(corruption_probability=corruption_probability,
                       max_rebuild_attempts=4,
                       mttr_bound_seconds=mttr_bound_seconds)
-    horizon = 2.0 * n_requests / mean_qps
-    phases: List[SoakPhaseResult] = []
-
-    # -- phase 1: healing cluster under the soak recipe -----------------
     dataset = load_dataset("sift1m", n_points=n_points,
                            n_queries=n_pool)
-    params = SearchParams(k=8, l_n=32)
-    trace = synthetic_trace(dataset.queries, n_requests,
-                            mean_qps=mean_qps, queries_per_request=2,
-                            seed=seed)
-    plan = named_fault_plan("soak", horizon_seconds=horizon, seed=seed,
-                            n_workers=n_shards * n_replicas)
-    engine = ClusterEngine(dataset.points, n_shards=n_shards,
-                           n_replicas=n_replicas, params=params,
-                           faults=plan, heal=heal)
-    report = _replay_verified(engine, trace)
-    n_wrong = _count_wrong(engine, report, trace, dataset.queries,
-                           params)
-    phases.append(_phase_from_report(PHASE_CLUSTER, report, n_wrong,
-                                     mttr_bound_seconds))
-
-    # -- phase 2: mutable store -> snapshot cluster healed from it ------
-    mut_plan = named_fault_plan("compaction-crash",
-                                horizon_seconds=float(mutation_ops + 5),
-                                seed=seed)
-    tracer = SpanTracer()
-    metrics = MetricsRegistry()
-    mreport = run_mutation_sim(
-        n_points=240, n_dims=16, n_ops=mutation_ops, seed=seed,
-        batch_size=8, k=5, l_n=32, compact_every=6, checkpoint_every=9,
-        fault_plan=mut_plan, tracer=tracer, metrics=metrics)
-    tracer.finish()
-    tracer.validate()
-    mreport.verify_against_metrics()
-    mut_wrong = mreport.n_wrong_answers
-    recovered = recover(mreport.store)
-    if recovered.digest() != mreport.final_digest:
-        # Recovery infidelity is a wrong answer waiting to happen.
-        mut_wrong += 1
-    handle = recovered.snapshot()
-    mut_params = SearchParams(k=5, l_n=32)
-    rng = np.random.default_rng(seed + 101)
-    mut_pool = rng.standard_normal(
-        (n_pool // 2, handle.points.shape[1])).astype(
-            handle.points.dtype)
-    mut_requests = max(n_requests // 2, 1)
-    mut_trace = synthetic_trace(mut_pool, mut_requests,
-                                mean_qps=mean_qps,
-                                queries_per_request=2, seed=seed + 1)
-    snap_plan = named_fault_plan(
-        "soak", horizon_seconds=2.0 * mut_requests / mean_qps,
-        seed=seed + 1, n_workers=2 * n_replicas)
-    snap_engine = ClusterEngine.from_snapshot(
-        handle, 2, n_replicas, params=mut_params, faults=snap_plan,
-        heal=heal, repair_store=mreport.store)
-    snap_report = _replay_verified(snap_engine, mut_trace)
-    snap_wrong = _count_wrong(snap_engine, snap_report, mut_trace,
-                              mut_pool, mut_params,
-                              live_ids=handle.live_ids())
-    phases.append(_phase_from_report(
-        PHASE_MUTABLE, snap_report, mut_wrong + snap_wrong,
-        mttr_bound_seconds,
-        detail=(f"{mreport.n_crashes} crashes, "
-                f"{mreport.n_recoveries} recoveries, "
-                f"{snap_engine._repair_sources()[0].wal_records} wal "
-                f"records replayed per rebuild")))
-
-    # -- phase 3: quantized staged pipeline under the same chaos --------
-    quant_params = SearchParams(k=8, l_n=32, quant="fp16",
-                                rerank_factor=2)
-    quant_requests = max(n_requests // 2, 1)
-    quant_trace = synthetic_trace(dataset.queries, quant_requests,
-                                  mean_qps=mean_qps,
-                                  queries_per_request=2, seed=seed + 2)
-    quant_plan = named_fault_plan(
-        "soak", horizon_seconds=2.0 * quant_requests / mean_qps,
-        seed=seed + 2, n_workers=n_shards * n_replicas)
-    quant_engine = ClusterEngine(dataset.points, n_shards=n_shards,
-                                 n_replicas=n_replicas,
-                                 params=quant_params,
-                                 faults=quant_plan, heal=heal)
-    quant_report = _replay_verified(quant_engine, quant_trace)
-    quant_wrong = _count_wrong(quant_engine, quant_report, quant_trace,
-                               dataset.queries, quant_params)
-    phases.append(_phase_from_report(PHASE_QUANT, quant_report,
-                                     quant_wrong, mttr_bound_seconds))
-
+    make_cluster = partial(ClusterEngine, dataset.points, n_shards,
+                           n_replicas, heal=heal)
+    half = max(n_requests // 2, 1)
+    phases = [
+        _cluster_phase("cluster", make_cluster, n_shards * n_replicas,
+                       dataset.queries, SearchParams(k=8, l_n=32),
+                       n_requests, seed, mean_qps),
+        _mutable_phase(seed, mutation_ops, n_pool // 2, half, mean_qps,
+                       n_replicas, heal),
+        _cluster_phase("quant", make_cluster, n_shards * n_replicas,
+                       dataset.queries,
+                       SearchParams(k=8, l_n=32, quant="fp16",
+                                    rerank_factor=2),
+                       half, seed + 2, mean_qps),
+    ]
     return SoakReport(seed=seed,
                       mttr_bound_seconds=mttr_bound_seconds,
                       phases=phases)

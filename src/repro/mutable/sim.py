@@ -13,19 +13,20 @@ Everything is a pure function of ``(workload knobs, seed, fault
 plan)``: the RNG stream, the op schedule, the simulated timestamps and
 the recovery replay are all deterministic, so two runs produce
 byte-identical :class:`~repro.mutable.report.MutationReport` encodings.
-The smoke gate (``scripts/check_mutate_smoke.py``) and the golden
+The smoke gate (``scripts/gates.py mutate``) and the golden
 mutation-trace test pin exactly this.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.core.params import BuildParams, SearchParams
 from repro.datasets.synthetic import gaussian_mixture
-from repro.errors import ProcessCrashError
+from repro.errors import ConfigurationError, ProcessCrashError
 from repro.faults.injector import CrashInjector
 from repro.faults.plan import FaultPlan
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
@@ -49,6 +50,103 @@ def default_build_params(n_threads: int = 32) -> BuildParams:
                        n_threads=n_threads)
 
 
+@dataclass
+class _Workload:
+    """One mutation workload in flight: the live index (rebound by every
+    recovery) and the report being written; an op's sequence number is
+    its position in ``report.ops``."""
+
+    index: MutableIndex
+    rng: np.random.Generator
+    report: MutationReport
+    search_params: SearchParams
+    batch_size: int
+    crash: Optional[CrashInjector]
+    observers: dict  # tracer= / metrics=, as every index op takes them
+
+    def record(self, kind: str, at: float, count: int = 0,
+               status: str = "ok", phase: str = "") -> None:
+        self.report.ops.append(OpRecord(
+            seq=len(self.report.ops), kind=kind, at_seconds=at,
+            epoch_after=self.index.epoch, count=count, status=status,
+            phase=phase))
+
+    def search(self, now: float) -> None:
+        index, params = self.index, self.search_params
+        n_queries = 1 + int(self.rng.integers(0, 4))
+        queries = self.rng.standard_normal(
+            (n_queries, index.points.shape[1]))
+        k_eff = min(params.k, index.n_live)
+        ids, dists = index.search(
+            queries, params.with_overrides(k=k_eff)
+            if k_eff != params.k else params)
+        returned = ids[ids >= 0]
+        n_wrong = int(index.tombstones[returned].sum())
+        metrics = self.observers["metrics"]
+        if metrics is not None:
+            metrics.counter("mutate.searches").inc()
+            if n_wrong:
+                metrics.counter("mutate.wrong_answers").inc(n_wrong)
+        self.report.searches.append(SearchRecord(
+            seq=len(self.report.ops), at_seconds=now, epoch=index.epoch,
+            ids=ids, dists=dists, n_wrong=n_wrong))
+        self.record("search", now, count=n_queries)
+
+    def insert(self, now: float) -> None:
+        batch = 1 + int(self.rng.integers(0, self.batch_size))
+        points = 0.5 * self.rng.standard_normal(
+            (batch, self.index.points.shape[1]))
+        self.index.insert(points, now=now, **self.observers)
+        self.record("insert", now, count=batch)
+
+    def delete(self, now: float) -> None:
+        n_del = min(1 + int(self.rng.integers(0, 3)),
+                    self.index.n_live - 1)
+        if n_del <= 0:
+            self.search(now)
+            return
+        ids = np.sort(self.rng.choice(self.index.live_ids(), size=n_del,
+                                      replace=False))
+        self.index.delete(ids, now=now, **self.observers)
+        self.record("delete", now, count=n_del)
+
+    def lifecycle(self, kind: str, now: float) -> None:
+        """Compact or checkpoint: the crash-prone phases.  A delivered
+        crash kills the op mid-phase; the durable store survives, and a
+        replacement process recovers from it."""
+        index = self.index
+        try:
+            if kind == "compact":
+                stats = index.compact(now=now, crash=self.crash,
+                                      **self.observers)
+                self.record("compact", now, count=stats.n_dead)
+            else:
+                self.report.checkpoint_lsn = index.checkpoint(
+                    now=now, crash=self.crash, **self.observers)
+                self.record("checkpoint", now,
+                            count=self.report.checkpoint_lsn)
+        except ProcessCrashError as crashed:
+            self.record(kind, now, status="crashed", phase=crashed.phase)
+            recover_at = now + RECOVERY_DELAY_SECONDS
+            self.index = recover(index.store, device=index.device,
+                                 costs=index.costs, now=recover_at,
+                                 **self.observers)
+            self.index.validate()
+            self.record("recover", recover_at,
+                        count=self.index.last_recovery["n_replayed"])
+
+    def close(self) -> MutationReport:
+        index, report = self.index, self.report
+        index.validate()
+        report.final_digest = index.digest()
+        report.store_digest = index.store.digest()
+        report.final_epoch = index.epoch
+        report.n_live = index.n_live
+        report.n_slots = index.n_slots
+        report.store = index.store
+        return report
+
+
 def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
                      n_ops: int = 24, seed: int = 0,
                      batch_size: int = 8, k: int = 5, l_n: int = 32,
@@ -64,15 +162,15 @@ def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
     Args:
         n_points: Seed corpus size (offline-built at ``t = 0``).
         n_dims: Point dimensionality.
-        n_ops: Scheduled operations after the seed build.
+        n_ops: Scheduled operations after the seed build (``>= 0``).
         seed: Workload RNG seed (corpus, batches, delete picks,
             queries).
-        batch_size: Maximum points per insert batch.
+        batch_size: Maximum points per insert batch (``>= 1``).
         k: Neighbors per search query.
         l_n: Search candidate-pool length (power of two).
-        compact_every: A compaction every this many ops.
-        checkpoint_every: A checkpoint every this many ops (checked
-            before ``compact_every``; both count from 1).
+        compact_every: A compaction every this many ops (0 = never).
+        checkpoint_every: A checkpoint every this many ops (0 = never;
+            checked before ``compact_every``; both count from 1).
         build_params: Seed-build parameters; defaults to
             :func:`default_build_params`.
         fault_plan: Optional chaos schedule; only its ``crash`` events
@@ -89,109 +187,39 @@ def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
     Returns:
         A byte-deterministic :class:`MutationReport`.
     """
+    for name, value, floor in (("batch_size", batch_size, 1),
+                               ("n_ops", n_ops, 0),
+                               ("compact_every", compact_every, 0),
+                               ("checkpoint_every", checkpoint_every, 0)):
+        if value < floor:
+            raise ConfigurationError(
+                f"{name} must be >= {floor}, got {value}")
     params = build_params or default_build_params()
     rng = np.random.default_rng(seed)
     corpus = gaussian_mixture(n_points, n_dims,
                               n_clusters=min(8, n_points),
                               seed=seed).astype(np.float64)
-    index = MutableIndex.build(corpus, params, metric=metric,
-                               device=device, costs=costs)
-    store = index.store
-    crash = CrashInjector(fault_plan) if fault_plan is not None else None
-    search_params = SearchParams(k=k, l_n=l_n,
-                                 n_threads=params.n_threads)
-    report = MutationReport(seed=seed, metrics=metrics)
-    checkpoint_lsn = 0
-    seq = 0
-
-    def record(kind: str, at: float, count: int = 0,
-               status: str = "ok", phase: str = "") -> None:
-        nonlocal seq
-        report.ops.append(OpRecord(seq=seq, kind=kind, at_seconds=at,
-                                   epoch_after=index.epoch,
-                                   count=count, status=status,
-                                   phase=phase))
-        seq += 1
-
-    def do_search(now: float) -> None:
-        n_queries = 1 + int(rng.integers(0, 4))
-        queries = rng.standard_normal((n_queries, n_dims))
-        k_eff = min(k, index.n_live)
-        ids, dists = index.search(
-            queries, search_params.with_overrides(k=k_eff)
-            if k_eff != k else search_params)
-        returned = ids[ids >= 0]
-        n_wrong = int(index.tombstones[returned].sum())
-        if metrics is not None:
-            metrics.counter("mutate.searches").inc()
-            if n_wrong:
-                metrics.counter("mutate.wrong_answers").inc(n_wrong)
-        report.searches.append(SearchRecord(
-            seq=seq, at_seconds=now, epoch=index.epoch, ids=ids,
-            dists=dists, n_wrong=n_wrong))
-        record("search", now, count=n_queries)
-
+    sim = _Workload(
+        index=MutableIndex.build(corpus, params, metric=metric,
+                                 device=device, costs=costs),
+        rng=rng, report=MutationReport(seed=seed, metrics=metrics),
+        search_params=SearchParams(k=k, l_n=l_n,
+                                   n_threads=params.n_threads),
+        batch_size=batch_size,
+        crash=CrashInjector(fault_plan) if fault_plan is not None else None,
+        observers={"tracer": tracer, "metrics": metrics})
     for step in range(n_ops):
         now = (step + 1) * OP_SPACING_SECONDS
         if checkpoint_every and (step + 1) % checkpoint_every == 0:
-            kind = "checkpoint"
+            sim.lifecycle("checkpoint", now)
         elif compact_every and (step + 1) % compact_every == 0:
-            kind = "compact"
+            sim.lifecycle("compact", now)
         else:
             roll = rng.random()
-            kind = ("insert" if roll < 0.40
-                    else "delete" if roll < 0.65 else "search")
-
-        if kind == "search":
-            do_search(now)
-            continue
-        if kind == "insert":
-            batch = 1 + int(rng.integers(0, batch_size))
-            points = 0.5 * rng.standard_normal((batch, n_dims))
-            index.insert(points, now=now, tracer=tracer,
-                         metrics=metrics)
-            record("insert", now, count=batch)
-            continue
-        if kind == "delete":
-            n_del = min(1 + int(rng.integers(0, 3)), index.n_live - 1)
-            if n_del <= 0:
-                do_search(now)
-                continue
-            ids = np.sort(rng.choice(index.live_ids(), size=n_del,
-                                     replace=False))
-            index.delete(ids, now=now, tracer=tracer, metrics=metrics)
-            record("delete", now, count=n_del)
-            continue
-
-        # compact / checkpoint: the crash-prone lifecycle phases.  A
-        # delivered crash kills the op mid-phase; the durable store
-        # survives, and a replacement process recovers from it.
-        try:
-            if kind == "compact":
-                stats = index.compact(now=now, crash=crash,
-                                      tracer=tracer, metrics=metrics)
-                record("compact", now, count=stats.n_dead)
+            if roll < 0.40:
+                sim.insert(now)
+            elif roll < 0.65:
+                sim.delete(now)
             else:
-                checkpoint_lsn = index.checkpoint(
-                    now=now, crash=crash, tracer=tracer,
-                    metrics=metrics)
-                record("checkpoint", now, count=checkpoint_lsn)
-        except ProcessCrashError as crashed:
-            record(kind, now, status="crashed", phase=crashed.phase)
-            recover_at = now + RECOVERY_DELAY_SECONDS
-            index = recover(store, device=device, costs=costs,
-                            tracer=tracer, metrics=metrics,
-                            now=recover_at)
-            index.validate()
-            record("recover", recover_at,
-                   count=index.last_recovery["n_replayed"])
-
-    index.validate()
-    report.final_digest = index.digest()
-    report.store_digest = store.digest()
-    report.final_epoch = index.epoch
-    report.n_live = index.n_live
-    report.n_slots = index.n_slots
-    report.checkpoint_lsn = checkpoint_lsn
-    report.store = store
-    return report
+                sim.search(now)
+    return sim.close()

@@ -28,7 +28,7 @@ nothing else — ``None`` is the exact search):
 **Honesty contract**: all three are lossy.  A quantized traversal can
 rank candidates differently from the exact kernel, so the staged
 pipeline must rerank and the harnesses must report recall deltas
-(``scripts/check_quant_smoke.py``'s ``recall_delta`` gate, the
+(``scripts/gates.py quant``'s ``recall_delta`` gate, the
 conformance suite's per-family ``quant_recall_delta`` floors).  The
 serving layers namespace their result caches by quant mode so a lossy
 hit can never answer an exact request.

@@ -110,19 +110,38 @@ class TestPaperMapping:
 
 
 class TestReplayStaysStaged:
-    """The replay loops are short drivers over named stages; a stage
-    that grows past 100 lines is two stages fused back together."""
+    """The replay loops and the two sims are short drivers over named
+    stages; a stage that grows past 100 lines is two stages fused back
+    together."""
 
-    @pytest.mark.parametrize("module", ["serve", "cluster"])
+    STAGED = {"serve": ("serve/engine.py", "replay"),
+              "cluster": ("cluster/engine.py", "replay"),
+              "mutable": ("mutable/sim.py", "run_mutation_sim"),
+              "heal": ("heal/soak.py", "run_soak_sim")}
+
+    @pytest.mark.parametrize("module", list(STAGED))
     def test_no_function_longer_than_100_lines(self, module):
-        tree = ast.parse(_read(f"src/repro/{module}/engine.py"))
+        path, driver = self.STAGED[module]
+        tree = ast.parse(_read(f"src/repro/{path}"))
         functions = [node for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef)]
-        assert any(node.name == "replay" for node in functions)
+        assert any(node.name == driver for node in functions)
         too_long = [(node.name, node.end_lineno - node.lineno + 1)
                     for node in functions
                     if node.end_lineno - node.lineno + 1 > 100]
         assert not too_long, too_long
+
+    @pytest.mark.parametrize("module", ["mutable", "heal"])
+    def test_sim_stages_are_not_closures(self, module):
+        tree = ast.parse(_read(f"src/repro/{self.STAGED[module][0]}"))
+        nested = [inner.name for outer in ast.walk(tree)
+                  if isinstance(outer, ast.FunctionDef)
+                  for inner in ast.walk(outer)
+                  if isinstance(inner, ast.FunctionDef)
+                  and inner is not outer]
+        assert not nested, nested
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Nonlocal)]
 
 
 class TestConstructionStaysBulk:
