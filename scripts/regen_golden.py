@@ -22,7 +22,10 @@ CAGRA build digest + GANNS search results of
 ``--construction`` rewrites ``tests/data/construction_golden.json`` —
 graph digests, simulated seconds and phase seconds of the frozen
 GGraphCon scenarios of ``tests/test_perf_equivalence.py``
-(``TestConstructionEquivalence``).
+(``TestConstructionEquivalence``): the GPU-clock rows (``nsw_*``,
+``hnsw``, ``insert_exclude_mask``, ``gserial_*``) and the CPU-clock
+rows (``multicore_*``, ``distributed``).  A change to one clock's
+pricing rule must move only that clock's rows.
 (The GANNS search golden has its own legacy path:
 ``PYTHONPATH=src python tests/test_golden_determinism.py
 --regenerate``.)

@@ -31,9 +31,12 @@ from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core.construction import build_nsw_gpu, insert_batch_nsw
 from repro.core.ganns import ganns_search
 from repro.core.hnsw import build_hnsw_gpu
+from repro.core.naive import build_nsw_serial_gpu
 from repro.core.params import BuildParams, SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
+from repro.extensions.distributed import build_nsw_distributed
+from repro.extensions.multicore import build_nsw_multicore
 from repro.graphs.stats import graph_digest
 from repro.mutable.index import _grown_graph
 from repro.perf.arena import _ARENA_CACHE, get_arena
@@ -197,7 +200,14 @@ def _insert_with_exclude_mask():
                             entry=1, exclude_mask=tombstones)
 
 
+def _on(build, n, d, seed, params, **kwargs):
+    """``build`` over a seeded mixture — the other clocks' scenarios."""
+    return lambda: build(gaussian_mixture(n, d, seed=seed), params,
+                         **kwargs)
+
+
 _SMALL = BuildParams(d_min=4, d_max=8)
+_SIX_GROUPS = _SMALL.with_overrides(n_blocks=6)
 
 #: The frozen construction scenarios.  Never change one without
 #: regenerating the golden file (and saying so in the commit message).
@@ -219,6 +229,22 @@ CONSTRUCTION_SCENARIOS = {
         gaussian_mixture(250, 8, seed=12),
         BuildParams(d_min=4, d_max=8, n_blocks=4, seed=3)),
     "insert_exclude_mask": _insert_with_exclude_mask,
+    # The same body on the CPU clock: six groups over one core (a plain
+    # sum) and over four (LPT makespans in both phases).
+    "multicore_1": _on(build_nsw_multicore, 240, 8, 16, _SIX_GROUPS,
+                       n_cores=1),
+    "multicore_4": _on(build_nsw_multicore, 240, 8, 16, _SIX_GROUPS,
+                       n_cores=4),
+    "multicore_exact_1": _on(build_nsw_multicore, 120, 8, 10, _SIX_GROUPS,
+                             n_cores=1, exact=True),
+    "multicore_exact_4": _on(build_nsw_multicore, 120, 8, 10, _SIX_GROUPS,
+                             n_cores=4, exact=True),
+    "distributed": _on(build_nsw_distributed, 240, 8, 16, _SIX_GROUPS),
+    # GSerial: the GPU clock with a single group.
+    "gserial_song": _on(build_nsw_serial_gpu, 200, 8, 17, _SMALL,
+                        search_kernel="song"),
+    "gserial_ganns": _on(build_nsw_serial_gpu, 200, 8, 17, _SMALL,
+                         search_kernel="ganns"),
 }
 
 
@@ -273,6 +299,16 @@ class TestConstructionEquivalence:
 
     def test_insert_batch_with_exclude_mask(self):
         self._assert_reproduces("insert_exclude_mask")
+
+    @pytest.mark.parametrize("name", ["multicore_1", "multicore_4",
+                                      "multicore_exact_1",
+                                      "multicore_exact_4", "distributed"])
+    def test_cpu_clock_byte_identical(self, name):
+        self._assert_reproduces(name)
+
+    @pytest.mark.parametrize("kernel", ["song", "ganns"])
+    def test_gserial_byte_identical(self, kernel):
+        self._assert_reproduces(f"gserial_{kernel}")
 
 
 class TestDescentEquivalence:
