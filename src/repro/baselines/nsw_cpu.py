@@ -20,7 +20,7 @@ Two search modes are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,20 +46,33 @@ class NswBuildReport:
     n_points: int
 
 
+def nearest_in_prefix(points: np.ndarray, vertex: int, prefix_end: int,
+                      k: int, metric: Metric
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact ``k`` nearest of ``points[vertex]`` among ``points[:prefix_end]``.
+
+    Returns ``(ids, dists)`` sorted by ``(distance, id)`` — ties break by
+    id, matching the library-wide rule; fewer than ``k`` when the prefix
+    is shorter.
+    """
+    if prefix_end == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    dists = metric.one_to_many(points[vertex], points[:prefix_end])
+    k = min(k, prefix_end)
+    part = (np.argpartition(dists, k - 1)[:k] if k < prefix_end
+            else np.arange(prefix_end))
+    ids = part[np.lexsort((part, dists[part]))].astype(np.int64)
+    return ids, dists[ids]
+
+
 def exact_prefix_knn(points: np.ndarray, vertex: int, k: int,
                      metric: Metric) -> np.ndarray:
     """Exact ``k`` nearest earlier points of ``points[vertex]``.
 
     "Earlier" means smaller insertion id — the set the sequential insertion
-    searches.  Ties break by id, matching the library-wide rule.
+    searches.
     """
-    if vertex == 0:
-        return np.empty(0, dtype=np.int64)
-    dists = metric.one_to_many(points[vertex], points[:vertex])
-    k = min(k, vertex)
-    part = np.argpartition(dists, k - 1)[:k] if k < vertex else np.arange(vertex)
-    order = np.lexsort((part, dists[part]))
-    return part[order][:k].astype(np.int64)
+    return nearest_in_prefix(points, vertex, vertex, k, metric)[0]
 
 
 def build_nsw_cpu(points: np.ndarray, d_min: int, d_max: int,

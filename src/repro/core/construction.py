@@ -29,22 +29,20 @@ and Figure 12's benchmark shows the approximate-search quality match.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.beam import BeamSearchResult, beam_search
-from repro.baselines.nsw_cpu import exact_prefix_knn
-from repro.core.construction_costs import price_search
+from repro.baselines.beam import beam_search
+from repro.baselines.nsw_cpu import exact_prefix_knn, nearest_in_prefix
+from repro.core.construction_costs import GpuClock, report_from_clock
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
-from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.scan import csr_offsets_from_sorted_ids
-from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
 from repro.perf.construction import (
     insert_bidirectional_batch,
@@ -53,114 +51,113 @@ from repro.perf.construction import (
 )
 
 
-def _exact_beam_stub(n_candidates: int) -> BeamSearchResult:
-    """Counter stub for exact-mode searches (used by the theorem tests)."""
-    return BeamSearchResult(
-        ids=np.empty(0, dtype=np.int64), dists=np.empty(0),
-        n_iterations=max(n_candidates, 1),
-        n_distance_computations=n_candidates,
-        n_heap_ops=0, n_hash_probes=n_candidates)
-
-
-class _TimeAccumulator:
-    """Collects per-phase seconds and the distance/structure split."""
-
-    def __init__(self) -> None:
-        self.phase_seconds: Dict[str, float] = {}
-        self.category_seconds: Dict[PhaseCategory, float] = {
-            PhaseCategory.DISTANCE: 0.0,
-            PhaseCategory.STRUCTURE: 0.0,
-        }
-        self.total_seconds = 0.0
-
-    def add(self, phase: str, seconds: float, distance_cycles: float,
-            structure_cycles: float) -> None:
-        """Record a launch, splitting its time by the cycle mix."""
-        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
-        self.total_seconds += seconds
-        mix = distance_cycles + structure_cycles
-        if mix > 0:
-            self.category_seconds[PhaseCategory.DISTANCE] += (
-                seconds * distance_cycles / mix)
-            self.category_seconds[PhaseCategory.STRUCTURE] += (
-                seconds * structure_cycles / mix)
-        else:
-            self.category_seconds[PhaseCategory.STRUCTURE] += seconds
-
-
-def _insert_into_local_graph(local_graph: ProximityGraph,
-                             local_points: np.ndarray, local_vertex: int,
-                             d_min: int, ef: int, metric, exact: bool
-                             ) -> Tuple[np.ndarray, np.ndarray,
-                                        BeamSearchResult]:
-    """One sequential NSW insertion into a group's local graph.
-
-    Returns the chosen neighbor ids (local), their distances, and the
-    counted traversal for pricing.
-    """
-    if exact:
-        neighbor_ids = exact_prefix_knn(local_points, local_vertex, d_min,
-                                        metric)
-        traversal = _exact_beam_stub(local_vertex)
-    elif local_vertex <= d_min:
-        neighbor_ids = np.arange(local_vertex, dtype=np.int64)
-        traversal = _exact_beam_stub(local_vertex)
-    else:
-        result = beam_search(local_graph, local_points,
-                             local_points[local_vertex], k=d_min, ef=ef,
-                             entry=0, metric=metric)
-        neighbor_ids = result.ids
-        traversal = result
-    if len(neighbor_ids):
-        dists = metric.one_to_many(local_points[local_vertex],
-                                   local_points[neighbor_ids])
-    else:
-        dists = np.empty(0)
-    return neighbor_ids, dists, traversal
+def validated_points(points: np.ndarray) -> np.ndarray:
+    """``points`` as an array, or :class:`ConstructionError` if it is not
+    a non-empty 2-D matrix."""
+    points = np.asarray(points)
+    if points.ndim != 2 or len(points) == 0:
+        raise ConstructionError(
+            f"points must be a non-empty 2-D matrix, got shape {points.shape}"
+        )
+    return points
 
 
 def _build_local_graph(points: np.ndarray, group: np.ndarray,
-                       params: BuildParams, search_kernel: str,
-                       metric_obj, exact: bool, costs: CostTable,
-                       forward_ids: np.ndarray, forward_dists: np.ndarray
-                       ) -> Tuple[ProximityGraph, float, float]:
-    """Phase 1 for one group: a local NSW graph built inside one block.
+                       params: BuildParams, metric_obj, exact: bool,
+                       clock, unit: int, forward_ids: np.ndarray,
+                       forward_dists: np.ndarray) -> ProximityGraph:
+    """Phase 1 for one group: a local NSW graph built by one working unit.
 
-    Inserts the group's points sequentially into a fresh local graph and
+    Inserts the group's points sequentially into a fresh local graph,
     records each point's forward set ``v.N'`` (global ids) into
-    ``forward_ids`` / ``forward_dists``.
-
-    Returns:
-        ``(local_graph, distance_cycles, structure_cycles)`` of the block.
+    ``forward_ids`` / ``forward_dists`` and reports the work to
+    ``clock`` as ``unit``'s.
     """
-    d_min, d_max = params.d_min, params.d_max
+    d_min = params.d_min
     ef = params.effective_ef
-    l_n = params.effective_search_l_n
-    n_t = params.n_threads
     local_points = points[group]
-    local_graph = ProximityGraph(len(group), d_max, metric_obj.name)
-    insert_cost = costs.backward_insert_cycles(d_max, n_t)
-    distance_cycles = 0.0
-    structure_cycles = 0.0
+    local_graph = ProximityGraph(len(group), params.d_max, metric_obj.name)
     for local_vertex in range(1, len(group)):
-        neighbor_ids, dists, traversal = _insert_into_local_graph(
-            local_graph, local_points, local_vertex, d_min, ef,
-            metric_obj, exact)
-        charge = price_search(search_kernel, traversal, l_n, d_max,
-                              points.shape[1], n_t, ef, costs)
-        distance_cycles += charge.distance_cycles
-        structure_cycles += charge.structure_cycles
+        if exact:
+            neighbor_ids = exact_prefix_knn(local_points, local_vertex,
+                                            d_min, metric_obj)
+            clock.scan(unit, local_vertex)
+        elif local_vertex <= d_min:
+            # Fewer points than d_min in the graph: select all of them.
+            neighbor_ids = np.arange(local_vertex, dtype=np.int64)
+            clock.scan(unit, local_vertex)
+        else:
+            result = beam_search(local_graph, local_points,
+                                 local_points[local_vertex], k=d_min, ef=ef,
+                                 entry=0, metric=metric_obj)
+            neighbor_ids = result.ids
+            clock.search(unit, result)
         count = len(neighbor_ids)
-        if count:
-            insert_bidirectional_batch(local_graph, local_vertex,
-                                       np.asarray(neighbor_ids),
-                                       np.asarray(dists, dtype=np.float64))
-            # One forward and one backward insert per neighbor;
-            # insert_cost is integral, so the product is exact.
-            structure_cycles += count * 2 * insert_cost
+        dists = metric_obj.one_to_many(local_points[local_vertex],
+                                       local_points[neighbor_ids])
+        insert_bidirectional_batch(local_graph, local_vertex, neighbor_ids,
+                                   np.asarray(dists, dtype=np.float64))
+        clock.link(unit, count)
         forward_ids[group[local_vertex], :count] = group[neighbor_ids]
         forward_dists[group[local_vertex], :count] = dists
-    return local_graph, distance_cycles, structure_cycles
+    return local_graph
+
+
+def ggraphcon(points: np.ndarray, params: BuildParams, metric: str,
+              exact: bool, clock) -> Tuple[ProximityGraph, int]:
+    """Algorithm 2, reporting its work to ``clock``.
+
+    This is the one GGraphCon body: :func:`build_nsw_gpu` runs it on a
+    :class:`~repro.core.construction_costs.GpuClock`,
+    :func:`repro.extensions.multicore.build_nsw_multicore` on a
+    :class:`~repro.core.construction_costs.CpuClock`.
+
+    Returns:
+        ``(G_0, number of groups)``.
+    """
+    n = len(points)
+    metric_obj = get_metric(metric)
+    d_min = params.d_min
+    n_groups = min(params.n_blocks, n)
+
+    # Partition into contiguous groups (insertion ids are preserved, which
+    # is what the Section IV-C proof needs).
+    boundaries = np.linspace(0, n, n_groups + 1).astype(np.int64)
+    groups: List[np.ndarray] = [
+        np.arange(boundaries[i], boundaries[i + 1])
+        for i in range(n_groups) if boundaries[i] < boundaries[i + 1]
+    ]
+    n_groups = len(groups)
+
+    graph = ProximityGraph(n, params.d_max, metric)
+    # G': forward neighbors of each vertex within its own group.
+    forward_ids = np.full((n, d_min), -1, dtype=np.int64)
+    forward_dists = np.full((n, d_min), np.inf, dtype=np.float64)
+
+    # Phase 1 — local graph construction (one working unit per group).
+    clock.units(n_groups)
+    local_graphs = [
+        _build_local_graph(points, group, params, metric_obj, exact, clock,
+                           unit, forward_ids, forward_dists)
+        for unit, group in enumerate(groups)
+    ]
+    clock.launch("local_construction")
+
+    # Seed G_0 with group 0's local graph.
+    group0 = groups[0]
+    for local_vertex, global_vertex in enumerate(group0):
+        degree = local_graphs[0].degrees[local_vertex]
+        local_row = local_graphs[0].neighbor_ids[local_vertex, :degree]
+        graph.set_row(global_vertex, group0[local_row],
+                      local_graphs[0].neighbor_dists[local_vertex, :degree])
+
+    # Phase 2 — iteratively merge local graphs into G_0.
+    for group in groups[1:]:
+        merge_group_into_graph(
+            graph, points, group, forward_ids, forward_dists,
+            params=params, metric_obj=metric_obj, exact=exact, clock=clock,
+            grid_blocks=n_groups)
+    return graph, n_groups
 
 
 def build_nsw_gpu(points: np.ndarray, params: BuildParams,
@@ -187,103 +184,31 @@ def build_nsw_gpu(points: np.ndarray, params: BuildParams,
         A :class:`repro.core.results.ConstructionReport` whose ``graph``
         is the merged ``G_0``.
     """
-    points = np.asarray(points)
-    if points.ndim != 2 or len(points) == 0:
-        raise ConstructionError(
-            f"points must be a non-empty 2-D matrix, got shape {points.shape}"
-        )
-    n = len(points)
-    metric_obj = get_metric(metric)
-    d_min, d_max = params.d_min, params.d_max
-    n_t = params.n_threads
-    n_groups = min(params.n_blocks, n)
-
-    kernel = KernelLaunch(device, n_t, costs=costs)
-    times = _TimeAccumulator()
-
-    # Partition into contiguous groups (insertion ids are preserved, which
-    # is what the Section IV-C proof needs).
-    boundaries = np.linspace(0, n, n_groups + 1).astype(np.int64)
-    groups: List[np.ndarray] = [
-        np.arange(boundaries[i], boundaries[i + 1])
-        for i in range(n_groups) if boundaries[i] < boundaries[i + 1]
-    ]
-    n_groups = len(groups)
-
-    graph = ProximityGraph(n, d_max, metric)
-    # G': forward neighbors of each vertex within its own group.
-    forward_ids = np.full((n, d_min), -1, dtype=np.int64)
-    forward_dists = np.full((n, d_min), np.inf, dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    # Phase 1 — local graph construction (one block per group).
-    # ------------------------------------------------------------------
-    local_graphs: List[ProximityGraph] = []
-    block_distance = np.zeros(n_groups)
-    block_structure = np.zeros(n_groups)
-    for g, group in enumerate(groups):
-        local_graph, block_distance[g], block_structure[g] = \
-            _build_local_graph(points, group, params, search_kernel,
-                               metric_obj, exact, costs, forward_ids,
-                               forward_dists)
-        local_graphs.append(local_graph)
-    block_cycles = block_distance + block_structure
-
-    launch = kernel.run(block_cycles)
-    times.add("local_construction", launch.seconds,
-              float(block_distance.sum()), float(block_structure.sum()))
-
-    # Seed G_0 with group 0's local graph.
-    group0 = groups[0]
-    for local_vertex, global_vertex in enumerate(group0):
-        degree = local_graphs[0].degrees[local_vertex]
-        local_row = local_graphs[0].neighbor_ids[local_vertex, :degree]
-        graph.set_row(global_vertex, group0[local_row],
-                      local_graphs[0].neighbor_dists[local_vertex, :degree])
-
-    # ------------------------------------------------------------------
-    # Phase 2 — iteratively merge local graphs into G_0.
-    # ------------------------------------------------------------------
-    merge_iterations = 0
-    grid_threads = max(n_groups * n_t, n_t)
-    for i in range(1, n_groups):
-        merge_iterations += 1
-        merge_group_into_graph(
-            graph, points, groups[i], forward_ids, forward_dists,
-            params=params, search_kernel=search_kernel,
-            metric_obj=metric_obj, exact=exact, kernel=kernel,
-            times=times, costs=costs, grid_threads=grid_threads)
-
-    return ConstructionReport(
-        algorithm=f"ggraphcon-{search_kernel}",
-        graph=graph,
-        seconds=times.total_seconds,
-        phase_seconds=times.phase_seconds,
-        category_seconds=times.category_seconds,
-        n_points=n,
+    points = validated_points(points)
+    clock = GpuClock(params, search_kernel, points.shape[1], device, costs)
+    graph, n_groups = ggraphcon(points, params, metric, exact, clock)
+    return report_from_clock(
+        clock, f"ggraphcon-{search_kernel}", graph, len(points),
         details={
             "n_groups": float(n_groups),
-            "merge_iterations": float(merge_iterations),
-            "d_min": float(d_min),
-            "d_max": float(d_max),
-        },
-    )
+            "merge_iterations": float(n_groups - 1),
+            "d_min": float(params.d_min),
+            "d_max": float(params.d_max),
+        })
 
 
 def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
                            group: np.ndarray, forward_ids: np.ndarray,
                            forward_dists: np.ndarray, *,
-                           params: BuildParams, search_kernel: str,
-                           metric_obj, exact: bool, kernel: KernelLaunch,
-                           times: _TimeAccumulator, costs: CostTable,
-                           grid_threads: int, entry: int = 0,
+                           params: BuildParams, metric_obj, exact: bool,
+                           clock, grid_blocks: int, entry: int = 0,
                            exclude_mask: Optional[np.ndarray] = None
                            ) -> None:
     """Merge one local group into ``G_0`` (Algorithm 2's Phase-2 body).
 
-    This is the three-step merge iteration shared by
-    :func:`build_nsw_gpu` (which calls it once per local graph) and
-    :func:`insert_batch_nsw` (which calls it once per streaming batch):
+    This is the three-step merge iteration shared by :func:`ggraphcon`
+    (which calls it once per local graph) and :func:`insert_batch_nsw`
+    (which calls it once per streaming batch):
     (step 1) every group vertex searches ``d_min`` neighbors against the
     current ``G_0`` and unions them with its saved forward set ``v.N'``,
     emitting the implied backward edges into ``E``; (step 2) ``E`` is
@@ -298,14 +223,12 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
         forward_ids: ``(n, d_min)`` forward-neighbor ids (``v.N'``),
             ``-1``-padded; only ``group``'s rows are read.
         forward_dists: Matching distances, ``inf``-padded.
-        params: Build parameters (degree bounds, beam widths, threads).
-        search_kernel: ``"ganns"`` or ``"song"`` for pricing.
+        params: Build parameters (degree bounds, beam widths).
         metric_obj: Resolved metric object.
         exact: Exact-search mode (the Section IV-C theorem hypothesis).
-        kernel: Launch context charging the shared accumulator.
-        times: Accumulator collecting per-phase seconds.
-        costs: Cycle cost table.
-        grid_threads: Grid width of the gather-scatter launches.
+        clock: The clock pricing the work (one working unit per group
+            vertex); see :mod:`repro.core.construction_costs`.
+        grid_blocks: Grid width, in working units, of the gather-scatter.
         entry: Start vertex for the step-1 searches (``0`` during a
             build; the current live entry for streaming inserts).
         exclude_mask: Optional ``(n,)`` boolean mask of vertices that
@@ -313,55 +236,33 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
             vertices may still route the search; they are filtered from
             its results.
     """
-    d_min, d_max = params.d_min, params.d_max
+    d_min = params.d_min
     ef = params.effective_ef
-    l_n = params.effective_search_l_n
-    n_t = params.n_threads
-    n_dims = points.shape[1]
     prefix_end = int(group[0])  # G_0 currently holds points[:prefix_end]
 
-    # Step 1 — per-vertex forward-edge search against G_0 (one block
-    # per vertex) and backward-edge emission into E.
-    vertex_cycles = np.zeros(len(group))
-    step_distance = 0.0
-    step_structure = 0.0
+    # Step 1 — per-vertex forward-edge search against G_0 (one working
+    # unit per vertex) and backward-edge emission into E.
+    clock.units(len(group))
     search_ids: List[np.ndarray] = []
     search_dists: List[np.ndarray] = []
-    merge_forward_cost = costs.ganns_merge_cycles(d_min, d_min, n_t)
-    for j, v in enumerate(group):
+    for unit, v in enumerate(group):
         if exact:
             # Exact d_min neighbors among G_0's points only; the
             # within-group part comes from v.N', exercising the
             # N ∪ N' merge the Section IV-C proof relies on.
-            all_prefix = metric_obj.one_to_many(points[v],
-                                                points[:prefix_end])
-            take = min(d_min, prefix_end)
-            part = np.argpartition(all_prefix, take - 1)[:take] \
-                if take < prefix_end else np.arange(prefix_end)
-            sub_order = np.lexsort((part, all_prefix[part]))
-            ids = part[sub_order][:take].astype(np.int64)
-            dists = all_prefix[ids]
-            traversal = _exact_beam_stub(prefix_end)
+            ids, dists = nearest_in_prefix(points, v, prefix_end, d_min,
+                                           metric_obj)
+            clock.scan(unit, prefix_end)
         else:
             result = beam_search(graph, points, points[v], k=d_min,
                                  ef=ef, entry=entry, metric=metric_obj)
             ids, dists = result.ids, result.dists
-            traversal = result
+            clock.search(unit, result)
         if exclude_mask is not None and len(ids):
             keep = ~exclude_mask[ids]
             ids, dists = ids[keep], dists[keep]
-        charge = price_search(search_kernel, traversal, l_n, d_max,
-                              n_dims, n_t, ef, costs)
-        vertex_cycles[j] = charge.total + merge_forward_cost
-        step_distance += charge.distance_cycles
-        step_structure += charge.structure_cycles + merge_forward_cost
-
         search_ids.append(np.asarray(ids, dtype=np.int64))
         search_dists.append(np.asarray(dists, dtype=np.float64))
-
-    launch = kernel.run(vertex_cycles)
-    times.add("merge_search", launch.seconds, step_distance,
-              step_structure)
 
     # v.N := top d_min of (search results ∪ v.N') for the whole group.
     # Searches only reach G_0's prefix (nothing links to this group's
@@ -370,6 +271,8 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
     src, dst, dist = merge_forward_batch(
         graph, group, search_ids, search_dists, forward_ids,
         forward_dists, d_min)
+    clock.forward_merge(graph.degrees[group])
+    clock.launch("merge_search")
     if len(src) == 0:
         return
 
@@ -380,22 +283,10 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
     src, dst, dist = src[order], dst[order], dist[order]
     offsets = csr_offsets_from_sorted_ids(src)
 
-    sort_cycles = costs.bitonic_sort_cycles(len(src), grid_threads)
-    scan_cycles = costs.prefix_sum_cycles(len(src), grid_threads)
-    seconds = kernel.cycles_to_seconds(sort_cycles + scan_cycles)
-    times.add("merge_gather_scatter", seconds, 0.0,
-              sort_cycles + scan_cycles)
-
-    # Step 3 — one block per starting vertex merges its backward-edge
-    # segment into the adjacency row (best d_max survive).
+    # Step 3 — one working unit per starting vertex merges its
+    # backward-edge segment into the adjacency row (best d_max survive).
     merge_segments_batch(graph, src, dst, dist, offsets)
-    segment_cycles = np.array([
-        costs.adjacency_merge_cycles(d_max, int(length), n_t)
-        for length in np.diff(offsets)
-    ])
-    launch = kernel.run(segment_cycles)
-    times.add("merge_update", launch.seconds, 0.0,
-              float(segment_cycles.sum()))
+    clock.backward_merge(np.diff(offsets), grid_blocks)
 
 
 def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
@@ -458,43 +349,30 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
             "rows for new_ids must be empty before the insert")
 
     metric_obj = get_metric(metric)
-    d_min, d_max = params.d_min, params.d_max
-    n_t = params.n_threads
-
-    kernel = KernelLaunch(device, n_t, costs=costs)
-    times = _TimeAccumulator()
+    d_min = params.d_min
+    clock = GpuClock(params, search_kernel, points.shape[1], device, costs)
 
     # Phase 1 — local graph over the batch (one block), recording N'.
     forward_ids = np.full((graph.n_vertices, d_min), -1, dtype=np.int64)
     forward_dists = np.full((graph.n_vertices, d_min), np.inf,
                             dtype=np.float64)
-    _, block_distance, block_structure = _build_local_graph(
-        points, group, params, search_kernel, metric_obj, exact=False,
-        costs=costs, forward_ids=forward_ids, forward_dists=forward_dists)
-    launch = kernel.run(np.array([block_distance + block_structure]))
-    times.add("local_construction", launch.seconds, block_distance,
-              block_structure)
+    clock.units(1)
+    _build_local_graph(points, group, params, metric_obj, False, clock, 0,
+                       forward_ids, forward_dists)
+    clock.launch("local_construction")
 
     # Phase 2 — merge the batch into the live graph.
-    grid_threads = max(params.n_blocks * n_t, n_t)
     merge_group_into_graph(
         graph, points, group, forward_ids, forward_dists,
-        params=params, search_kernel=search_kernel,
-        metric_obj=metric_obj, exact=False, kernel=kernel, times=times,
-        costs=costs, grid_threads=grid_threads, entry=entry,
+        params=params, metric_obj=metric_obj, exact=False, clock=clock,
+        grid_blocks=params.n_blocks, entry=entry,
         exclude_mask=exclude_mask)
 
-    return ConstructionReport(
-        algorithm=f"streaming-insert-{search_kernel}",
-        graph=graph,
-        seconds=times.total_seconds,
-        phase_seconds=times.phase_seconds,
-        category_seconds=times.category_seconds,
-        n_points=len(group),
+    return report_from_clock(
+        clock, f"streaming-insert-{search_kernel}", graph, len(group),
         details={
             "batch_size": float(len(group)),
             "d_min": float(d_min),
-            "d_max": float(d_max),
+            "d_max": float(params.d_max),
             "entry": float(entry),
-        },
-    )
+        })

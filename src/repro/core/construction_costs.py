@@ -1,27 +1,68 @@
-"""Cycle pricing of construction-time searches.
+"""The two clocks that price Algorithm 2.
 
-GGraphCon runs one nearest-neighbor search per inserted point, with either
-GANNS or SONG as the search kernel (the GGraphCon_GANNS / GGraphCon_SONG
-variants of Section V-B).  The two kernels traverse the graph the same way
-— the paper shows GANNS follows the same search path — so the construction
-code performs each traversal once (via the counted CPU beam search, which
-is exact about iterations, neighbor scans and fresh-candidate counts) and
-prices it under the chosen kernel's cost model:
+``repro.core.construction`` is the only executable statement of
+GGraphCon.  It never computes a time itself: it reports its work to a
+*clock* — a beam traversal (:meth:`search`), a brute-force scan of ``n``
+candidates (:meth:`scan`), ``c`` bidirectional links (:meth:`link`), the
+forward ``N ∪ N'`` merges of a group (:meth:`forward_merge`), "the open
+working units ran in parallel" (:meth:`launch`) and the backward-edge
+sort + scan + per-segment row merges (:meth:`backward_merge`).  The
+working units are opened with :meth:`units`: one per local graph in
+Phase 1, one per vertex in a Phase-2 merge iteration — the Section IV-B
+portability remark ("each working unit can be individually responsible
+for the construction of one local graph and the search of nearest
+neighbors of one point").  Two pricing models exist, so two clocks do:
 
-- GANNS computes a distance for *every* scanned neighbor (lazy check) but
-  runs all structure phases in parallel;
-- SONG computes distances only for *unvisited* neighbors (hash check) but
-  serialises stages 1 and 3 on the host thread.
+**:class:`GpuClock`** — a working unit is a thread block; time is cycles.
+
+- A traversal is priced by :func:`price_search` under the chosen search
+  kernel.  The two kernels traverse the graph the same way (the paper
+  shows GANNS follows the same search path), so the traversal runs once
+  (the counted CPU beam search, exact about iterations, neighbor scans
+  and fresh-candidate counts) and only its price differs: GANNS computes
+  a distance for *every* scanned neighbor (lazy check) but runs all
+  structure phases in parallel; SONG computes distances only for
+  *unvisited* neighbors (hash check) but serialises stages 1 and 3 on
+  the host thread.
+- A scan of ``n`` candidates is a traversal of ``n`` iterations that
+  scans and computes ``n`` neighbors; a link is two sorted adjacency
+  inserts; a forward merge is one bitonic merge of two ``d_min`` runs.
+- Parallel units are blocks of one launch: elapsed time is the LPT
+  makespan over the device's resident-block concurrency.  The backward
+  edges cost a grid-wide bitonic sort + prefix sum, then one block per
+  CSR segment.
+- Seconds split into distance / structure by each launch's cycle mix
+  (Figure 14's two series).
+
+**:class:`CpuClock`** — a working unit is a job on one of ``n_cores``
+cores; time is :meth:`repro.baselines.cpu_cost.CpuModel.seconds` of the
+unit's :class:`~repro.baselines.cpu_cost.CpuOpCounters`.
+
+- A traversal costs its distance computations, heap operations and hash
+  probes; a forward merge and a backward-edge merge cost one adjacency
+  insert per record.
+- Parallel units spread over the cores by the same LPT makespan; the
+  backward-edge sort + scan + merges run on one core (a sliver of the
+  phase — parallelising them would not change its shape).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict
+
+import numpy as np
 
 from repro.baselines.beam import BeamSearchResult
+from repro.baselines.cpu_cost import CpuModel, CpuOpCounters
+from repro.core.params import BuildParams
+from repro.core.results import ConstructionReport
 from repro.errors import ConfigurationError
 from repro.gpusim.costs import CostTable
+from repro.gpusim.device import DeviceSpec
+from repro.gpusim.kernel import KernelLaunch, _makespan
+from repro.gpusim.tracker import PhaseCategory
 
 
 VALID_KERNELS = ("ganns", "song")
@@ -84,3 +125,191 @@ def price_search(kernel: str, result: BeamSearchResult, l_n: int, l_t: int,
     distance = n_fresh * per_vector + per_vector
     return SearchCycleCharge(distance_cycles=distance,
                              structure_cycles=locate + update)
+
+
+class GpuClock:
+    """Algorithm 2's work priced in simulated-GPU cycles (module docstring).
+
+    Args:
+        params: Build parameters (degree bounds, beam widths, threads).
+        search_kernel: ``"ganns"`` or ``"song"``.
+        n_dims: Point dimensionality.
+        device: Simulated device.
+        costs: Cycle cost table.
+    """
+
+    def __init__(self, params: BuildParams, search_kernel: str, n_dims: int,
+                 device: DeviceSpec, costs: CostTable) -> None:
+        n_t = params.n_threads
+        self.kernel = KernelLaunch(device, n_t, costs=costs)
+        self.phase_seconds: Dict[str, float] = {}
+        self.category_seconds: Dict[PhaseCategory, float] = {
+            PhaseCategory.DISTANCE: 0.0,
+            PhaseCategory.STRUCTURE: 0.0,
+        }
+        self.seconds = 0.0
+        self._costs = costs
+        self._d_max = params.d_max
+        self._search_kernel = search_kernel
+        self._search_shape = (params.effective_search_l_n, params.d_max,
+                              n_dims, n_t, params.effective_ef, costs)
+        self._insert_cycles = costs.backward_insert_cycles(params.d_max, n_t)
+        self._forward_merge_cycles = costs.ganns_merge_cycles(
+            params.d_min, params.d_min, n_t)
+
+    def price(self, traversal: BeamSearchResult) -> SearchCycleCharge:
+        """:func:`price_search` under this clock's kernel and parameters."""
+        return price_search(self._search_kernel, traversal,
+                            *self._search_shape)
+
+    def add(self, phase: str, seconds: float, distance_cycles: float,
+            structure_cycles: float) -> None:
+        """Record a launch, splitting its time by the cycle mix."""
+        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
+        self.seconds += seconds
+        mix = distance_cycles + structure_cycles
+        if mix > 0:
+            self.category_seconds[PhaseCategory.DISTANCE] += (
+                seconds * distance_cycles / mix)
+            self.category_seconds[PhaseCategory.STRUCTURE] += (
+                seconds * structure_cycles / mix)
+        else:
+            self.category_seconds[PhaseCategory.STRUCTURE] += seconds
+
+    def units(self, n_units: int) -> None:
+        """Open ``n_units`` parallel working units (thread blocks)."""
+        self._distance = np.zeros(n_units)
+        self._structure = np.zeros(n_units)
+
+    def search(self, unit: int, traversal: BeamSearchResult) -> None:
+        """``unit`` ran one beam traversal."""
+        charge = self.price(traversal)
+        self._distance[unit] += charge.distance_cycles
+        self._structure[unit] += charge.structure_cycles
+
+    def scan(self, unit: int, n_candidates: int) -> None:
+        """``unit`` scanned ``n_candidates`` points by brute force."""
+        self.search(unit, BeamSearchResult(
+            ids=np.empty(0, dtype=np.int64), dists=np.empty(0),
+            n_iterations=max(n_candidates, 1),
+            n_distance_computations=n_candidates,
+            n_heap_ops=0, n_hash_probes=n_candidates))
+
+    def link(self, unit: int, count: int) -> None:
+        """``unit`` linked a vertex to ``count`` neighbors, both ways."""
+        # insert_cycles is integral, so the product is exact.
+        self._structure[unit] += count * 2 * self._insert_cycles
+
+    def forward_merge(self, counts: np.ndarray) -> None:
+        """Every unit merged its search result with ``v.N'``."""
+        self._structure += self._forward_merge_cycles
+
+    def launch(self, phase: str) -> None:
+        """The open units ran in parallel: one launch, one block each."""
+        launch = self.kernel.run(self._distance + self._structure)
+        self.add(phase, launch.seconds, float(self._distance.sum()),
+                 float(self._structure.sum()))
+
+    def backward_merge(self, segment_lengths: np.ndarray,
+                       grid_blocks: int) -> None:
+        """``E`` was sorted and scanned into CSR segments over a grid of
+        ``grid_blocks`` blocks, then one block per segment merged it
+        into its adjacency row."""
+        costs, n_t = self._costs, self.kernel.n_threads
+        n_edges = int(segment_lengths.sum())
+        grid_threads = grid_blocks * n_t
+        cycles = (costs.bitonic_sort_cycles(n_edges, grid_threads)
+                  + costs.prefix_sum_cycles(n_edges, grid_threads))
+        self.add("merge_gather_scatter",
+                 self.kernel.cycles_to_seconds(cycles), 0.0, cycles)
+        segment_cycles = np.array([
+            costs.adjacency_merge_cycles(self._d_max, int(length), n_t)
+            for length in segment_lengths
+        ])
+        launch = self.kernel.run(segment_cycles)
+        self.add("merge_update", launch.seconds, 0.0,
+                 float(segment_cycles.sum()))
+
+
+class CpuClock:
+    """Algorithm 2's work priced on ``n_cores`` CPU cores (module docstring).
+
+    Args:
+        n_cores: Worker cores the parallel units spread over.
+        cpu: Per-core timing model.
+        flops_per_distance: FLOPs of one distance at the workload's
+            dimensionality.
+    """
+
+    def __init__(self, n_cores: int, cpu: CpuModel,
+                 flops_per_distance: int) -> None:
+        self.phase_seconds: Dict[str, float] = {"local_construction": 0.0,
+                                                "merge": 0.0}
+        self.category_seconds: Dict[PhaseCategory, float] = {}
+        self._n_cores = n_cores
+        self._cpu = cpu
+        self._launched = False
+        self._flops = flops_per_distance
+
+    @property
+    def seconds(self) -> float:
+        """Total elapsed seconds."""
+        return sum(self.phase_seconds.values())
+
+    def _add(self, phase: str, seconds: float) -> None:
+        # The three merge steps of the body are one CPU phase.
+        key = phase if phase in self.phase_seconds else "merge"
+        self.phase_seconds[key] += seconds
+
+    def units(self, n_units: int) -> None:
+        """Open ``n_units`` parallel working units (jobs for the cores)."""
+        self._units = [CpuOpCounters() for _ in range(n_units)]
+
+    def search(self, unit: int, traversal: BeamSearchResult) -> None:
+        """``unit`` ran one beam traversal."""
+        counters = self._units[unit]
+        counters.n_distances += traversal.n_distance_computations
+        counters.n_heap_ops += traversal.n_heap_ops
+        counters.n_hash_probes += traversal.n_hash_probes
+
+    def scan(self, unit: int, n_candidates: int) -> None:
+        """``unit`` scanned ``n_candidates`` points by brute force."""
+        counters = self._units[unit]
+        counters.n_distances += n_candidates
+        if not self._launched:  # Phase 1 only
+            counters.n_hash_probes += n_candidates
+
+    def link(self, unit: int, count: int) -> None:
+        """``unit`` linked a vertex to ``count`` neighbors, both ways."""
+        self._units[unit].n_adjacency_inserts += 2 * count
+
+    def forward_merge(self, counts: np.ndarray) -> None:
+        """Every unit merged its search result with ``v.N'`` into a row
+        of ``counts[unit]`` records."""
+        for counters, count in zip(self._units, counts):
+            counters.n_adjacency_inserts += int(count)
+
+    def launch(self, phase: str) -> None:
+        """The open units ran in parallel: LPT over the cores."""
+        seconds = np.array([self._cpu.seconds(counters, self._flops)
+                            for counters in self._units])
+        self._add(phase, _makespan(seconds, self._n_cores))
+        self._launched = True
+
+    def backward_merge(self, segment_lengths: np.ndarray,
+                       grid_blocks: int) -> None:
+        """One core merged every backward edge into its row."""
+        merges = CpuOpCounters(
+            n_adjacency_inserts=int(segment_lengths.sum()))
+        self._add("merge_update",
+                  self._cpu.seconds(merges, flops_per_distance=0))
+
+
+def report_from_clock(clock, algorithm: str, graph, n_points: int,
+                      details: Dict[str, float]) -> ConstructionReport:
+    """A :class:`ConstructionReport` carrying ``clock``'s elapsed times."""
+    return ConstructionReport(
+        algorithm=algorithm, graph=graph, seconds=clock.seconds,
+        phase_seconds=clock.phase_seconds,
+        category_seconds=clock.category_seconds, n_points=n_points,
+        details=details)

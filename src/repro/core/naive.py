@@ -15,30 +15,21 @@ Both exist to be beaten:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.baselines.beam import beam_search
-from repro.core.construction import _TimeAccumulator, _exact_beam_stub
-from repro.core.construction_costs import price_search
+from repro.core.construction import build_nsw_gpu, validated_points
+from repro.core.construction_costs import GpuClock, report_from_clock
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
-from repro.gpusim.kernel import KernelLaunch
 from repro.metrics.distance import get_metric
-
-
-def _validated_points(points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points)
-    if points.ndim != 2 or len(points) == 0:
-        raise ConstructionError(
-            f"points must be a non-empty 2-D matrix, got shape {points.shape}"
-        )
-    return points
 
 
 def build_nsw_serial_gpu(points: np.ndarray, params: BuildParams,
@@ -49,58 +40,20 @@ def build_nsw_serial_gpu(points: np.ndarray, params: BuildParams,
                          ) -> ConstructionReport:
     """GSerial: sequential insertion, one active block at a time.
 
-    Produces exactly the graph of the CPU sequential construction (same
+    This is GGraphCon with a single group: Phase 1 inserts every point
+    sequentially inside one block and there is nothing to merge.  It
+    produces exactly the graph of the CPU sequential construction (same
     traversals), but the elapsed time is the *sum* of all insertion
     kernels — no inter-block overlap whatsoever.
     """
-    points = _validated_points(points)
-    n = len(points)
-    n_dims = points.shape[1]
-    metric_obj = get_metric(metric)
-    d_min, d_max = params.d_min, params.d_max
-    ef = params.effective_ef
-    l_n = params.effective_search_l_n
-    n_t = params.n_threads
-    kernel = KernelLaunch(device, n_t, costs=costs)
-    times = _TimeAccumulator()
-
-    graph = ProximityGraph(n, d_max, metric)
-    total_distance = 0.0
-    total_structure = 0.0
-    insert_cost = costs.backward_insert_cycles(d_max, n_t)
-    for vertex in range(1, n):
-        if vertex <= d_min:
-            neighbor_ids = np.arange(vertex, dtype=np.int64)
-            traversal = _exact_beam_stub(vertex)
-        else:
-            result = beam_search(graph, points, points[vertex], k=d_min,
-                                 ef=ef, entry=0, metric=metric_obj)
-            neighbor_ids = result.ids
-            traversal = result
-        charge = price_search(search_kernel, traversal, l_n, d_max, n_dims,
-                              n_t, ef, costs)
-        total_distance += charge.distance_cycles
-        total_structure += charge.structure_cycles
-        if len(neighbor_ids):
-            dists = metric_obj.one_to_many(points[vertex],
-                                           points[neighbor_ids])
-            for u, dist in zip(neighbor_ids, dists):
-                graph.insert_edge(vertex, int(u), float(dist))
-                graph.insert_edge(int(u), vertex, float(dist))
-                total_structure += 2 * insert_cost
-
-    # Every insertion is its own single-block launch; nothing overlaps.
-    seconds = kernel.cycles_to_seconds(total_distance + total_structure)
-    times.add("serial_insertion", seconds, total_distance, total_structure)
-    return ConstructionReport(
-        algorithm=f"gserial-{search_kernel}",
-        graph=graph,
-        seconds=times.total_seconds,
-        phase_seconds=times.phase_seconds,
-        category_seconds=times.category_seconds,
-        n_points=n,
-        details={"d_min": float(d_min), "d_max": float(d_max)},
-    )
+    report = build_nsw_gpu(points, params.with_overrides(n_blocks=1),
+                           search_kernel=search_kernel, metric=metric,
+                           device=device, costs=costs)
+    return dataclasses.replace(
+        report, algorithm=f"gserial-{search_kernel}",
+        phase_seconds={"serial_insertion": report.seconds},
+        details={"d_min": float(params.d_min),
+                 "d_max": float(params.d_max)})
 
 
 def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
@@ -126,13 +79,12 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
         A :class:`ConstructionReport`; expect the graph's search quality to
         be visibly worse than GGraphCon's (that is the point).
     """
-    points = _validated_points(points)
+    points = validated_points(points)
     n = len(points)
     n_dims = points.shape[1]
     metric_obj = get_metric(metric)
-    d_min, d_max = params.d_min, params.d_max
+    d_min = params.d_min
     ef = params.effective_ef
-    l_n = params.effective_search_l_n
     n_t = params.n_threads
     if batch_size is None:
         batch_size = params.n_blocks
@@ -140,11 +92,11 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
         raise ConstructionError(
             f"batch_size must be positive, got {batch_size}"
         )
-    kernel = KernelLaunch(device, n_t, costs=costs)
-    times = _TimeAccumulator()
+    clock = GpuClock(params, search_kernel, n_dims, device, costs)
+    kernel = clock.kernel
 
-    graph = ProximityGraph(n, d_max, metric)
-    insert_cost = costs.backward_insert_cycles(d_max, n_t)
+    graph = ProximityGraph(n, params.d_max, metric)
+    insert_cost = costs.backward_insert_cycles(params.d_max, n_t)
 
     # Bootstrap: the first d_min + 1 points insert sequentially (a batch
     # against an empty graph has nothing to search).
@@ -159,28 +111,20 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
             graph.insert_edge(u, vertex, float(dists[u]))
             boot_structure += 2 * insert_cost
     seconds = kernel.cycles_to_seconds(boot_distance + boot_structure)
-    times.add("bootstrap", seconds, boot_distance, boot_structure)
+    clock.add("bootstrap", seconds, boot_distance, boot_structure)
 
     start = bootstrap
     while start < n:
         stop = min(start + batch_size, n)
         batch = np.arange(start, stop)
-        vertex_cycles = np.zeros(len(batch))
-        step_distance = 0.0
-        step_structure = 0.0
+        clock.units(len(batch))
         batch_edges: List = []
-        for j, v in enumerate(batch):
+        for unit, v in enumerate(batch):
             result = beam_search(graph, points, points[v], k=d_min, ef=ef,
                                  entry=0, metric=metric_obj)
-            charge = price_search(search_kernel, result, l_n, d_max,
-                                  n_dims, n_t, ef, costs)
-            vertex_cycles[j] = charge.total
-            step_distance += charge.distance_cycles
-            step_structure += charge.structure_cycles
+            clock.search(unit, result)
             batch_edges.append((int(v), result.ids, result.dists))
-        launch = kernel.run(vertex_cycles)
-        times.add("batch_search", launch.seconds, step_distance,
-                  step_structure)
+        clock.launch("batch_search")
 
         # Aggregate edge application after the batch completes.  Points
         # of the batch never link to each other, and — the scheme's
@@ -203,16 +147,10 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
         n_update_blocks = max(len(batch_edges), 1)
         launch = kernel.run(update_cycles / n_update_blocks,
                             n_blocks=n_update_blocks)
-        times.add("batch_update", launch.seconds, 0.0, update_cycles)
+        clock.add("batch_update", launch.seconds, 0.0, update_cycles)
         start = stop
 
-    return ConstructionReport(
-        algorithm=f"gnaiveparallel-{search_kernel}",
-        graph=graph,
-        seconds=times.total_seconds,
-        phase_seconds=times.phase_seconds,
-        category_seconds=times.category_seconds,
-        n_points=n,
+    return report_from_clock(
+        clock, f"gnaiveparallel-{search_kernel}", graph, n,
         details={"batch_size": float(batch_size), "d_min": float(d_min),
-                 "d_max": float(d_max)},
-    )
+                 "d_max": float(params.d_max)})

@@ -12,47 +12,25 @@ local graph in each iteration".  Here the working units are CPU cores:
   searches spread across the cores; the backward-edge organisation is a
   sort + scan priced at single-core speed (it is a tiny fraction).
 
-The resulting graph is *identical* to the GPU construction's (same
-traversals, same merges); only the clock differs — priced by the
-single-core :class:`repro.baselines.cpu_cost.CpuModel` divided across
-cores with explicit makespans, no magical linear speedup.
+The resulting graph is *identical* to the GPU construction's because it
+is the same code: :func:`repro.core.construction.ggraphcon` runs here on
+a :class:`repro.core.construction_costs.CpuClock` — the single-core
+:class:`repro.baselines.cpu_cost.CpuModel` divided across cores with
+explicit makespans, no magical linear speedup — instead of the GPU
+clock.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List
-
 import numpy as np
 
-from repro.baselines.beam import beam_search
-from repro.baselines.cpu_cost import CpuModel, CpuOpCounters, DEFAULT_CPU
-from repro.baselines.nsw_cpu import exact_prefix_knn
-from repro.core.construction import _insert_into_local_graph
+from repro.baselines.cpu_cost import CpuModel, DEFAULT_CPU
+from repro.core.construction import ggraphcon, validated_points
+from repro.core.construction_costs import CpuClock, report_from_clock
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
-from repro.graphs.adjacency import ProximityGraph
 from repro.metrics.distance import get_metric
-
-
-def _makespan_seconds(job_seconds: List[float], n_cores: int) -> float:
-    """LPT makespan of jobs over cores."""
-    if not job_seconds:
-        return 0.0
-    if n_cores >= len(job_seconds):
-        return max(job_seconds)
-    cores = [0.0] * n_cores
-    heapq.heapify(cores)
-    for job in sorted(job_seconds, reverse=True):
-        earliest = heapq.heappop(cores)
-        heapq.heappush(cores, earliest + job)
-    return max(cores)
-
-
-def _traversal_seconds(counters: CpuOpCounters, flops: int,
-                       cpu: CpuModel) -> float:
-    return cpu.seconds(counters, flops)
 
 
 def build_nsw_multicore(points: np.ndarray, params: BuildParams,
@@ -73,135 +51,12 @@ def build_nsw_multicore(points: np.ndarray, params: BuildParams,
         A :class:`ConstructionReport` whose ``algorithm`` is
         ``"ggraphcon-multicore"``.
     """
-    points = np.asarray(points)
-    if points.ndim != 2 or len(points) == 0:
-        raise ConstructionError(
-            f"points must be a non-empty 2-D matrix, got shape {points.shape}"
-        )
+    points = validated_points(points)
     if n_cores <= 0:
         raise ConstructionError(f"n_cores must be positive, got {n_cores}")
-    n = len(points)
-    n_dims = points.shape[1]
-    metric_obj = get_metric(metric)
-    flops = metric_obj.flops_per_distance(n_dims)
-    d_min, d_max = params.d_min, params.d_max
-    ef = params.effective_ef
-    n_groups = min(params.n_blocks, n)
-
-    boundaries = np.linspace(0, n, n_groups + 1).astype(np.int64)
-    groups = [np.arange(boundaries[i], boundaries[i + 1])
-              for i in range(n_groups) if boundaries[i] < boundaries[i + 1]]
-    n_groups = len(groups)
-
-    graph = ProximityGraph(n, d_max, metric)
-    forward_ids = np.full((n, d_min), -1, dtype=np.int64)
-    forward_dists = np.full((n, d_min), np.inf, dtype=np.float64)
-
-    # Phase 1 — one core per local graph.
-    local_graphs: List[ProximityGraph] = []
-    group_seconds: List[float] = []
-    for group in groups:
-        local_points = points[group]
-        local_graph = ProximityGraph(len(group), d_max, metric)
-        counters = CpuOpCounters()
-        for local_vertex in range(1, len(group)):
-            neighbor_ids, dists, traversal = _insert_into_local_graph(
-                local_graph, local_points, local_vertex, d_min, ef,
-                metric_obj, exact)
-            counters.n_distances += traversal.n_distance_computations
-            counters.n_heap_ops += traversal.n_heap_ops
-            counters.n_hash_probes += traversal.n_hash_probes
-            for u, dist in zip(neighbor_ids, dists):
-                local_graph.insert_edge(local_vertex, int(u), float(dist))
-                local_graph.insert_edge(int(u), local_vertex, float(dist))
-                counters.n_adjacency_inserts += 2
-            count = len(neighbor_ids)
-            forward_ids[group[local_vertex], :count] = group[neighbor_ids]
-            forward_dists[group[local_vertex], :count] = dists
-        local_graphs.append(local_graph)
-        group_seconds.append(_traversal_seconds(counters, flops, cpu))
-    local_seconds = _makespan_seconds(group_seconds, n_cores)
-
-    group0 = groups[0]
-    for local_vertex, global_vertex in enumerate(group0):
-        degree = local_graphs[0].degrees[local_vertex]
-        row = local_graphs[0].neighbor_ids[local_vertex, :degree]
-        graph.set_row(global_vertex, group0[row],
-                      local_graphs[0].neighbor_dists[local_vertex, :degree])
-
-    # Phase 2 — merge iterations; searches fan out over the cores.
-    merge_seconds = 0.0
-    for i in range(1, n_groups):
-        group = groups[i]
-        prefix_end = int(group[0])
-        search_seconds: List[float] = []
-        edge_src: List[int] = []
-        edge_dst: List[int] = []
-        edge_dist: List[float] = []
-        for v in group:
-            counters = CpuOpCounters()
-            if exact:
-                all_prefix = metric_obj.one_to_many(points[v],
-                                                    points[:prefix_end])
-                take = min(d_min, prefix_end)
-                part = (np.argpartition(all_prefix, take - 1)[:take]
-                        if take < prefix_end else np.arange(prefix_end))
-                order = np.lexsort((part, all_prefix[part]))
-                ids = part[order][:take].astype(np.int64)
-                dists = all_prefix[ids]
-                counters.n_distances += prefix_end
-            else:
-                result = beam_search(graph, points, points[v], k=d_min,
-                                     ef=ef, entry=0, metric=metric_obj)
-                ids, dists = result.ids, result.dists
-                counters.n_distances += result.n_distance_computations
-                counters.n_heap_ops += result.n_heap_ops
-                counters.n_hash_probes += result.n_hash_probes
-
-            mask = forward_ids[v] >= 0
-            all_ids = np.concatenate([ids, forward_ids[v][mask]])
-            all_dists = np.concatenate([dists, forward_dists[v][mask]])
-            order = np.lexsort((all_ids, all_dists))
-            all_ids, all_dists = all_ids[order], all_dists[order]
-            _, unique_idx = np.unique(all_ids, return_index=True)
-            unique_idx.sort()
-            all_ids = all_ids[unique_idx][:d_min]
-            all_dists = all_dists[unique_idx][:d_min]
-            order = np.lexsort((all_ids, all_dists))
-            graph.set_row(int(v), all_ids[order], all_dists[order])
-            for u, dist in zip(all_ids, all_dists):
-                edge_src.append(int(u))
-                edge_dst.append(int(v))
-                edge_dist.append(float(dist))
-            counters.n_adjacency_inserts += len(all_ids)
-            search_seconds.append(_traversal_seconds(counters, flops, cpu))
-        merge_seconds += _makespan_seconds(search_seconds, n_cores)
-
-        if edge_src:
-            src = np.asarray(edge_src)
-            dst = np.asarray(edge_dst)
-            dist = np.asarray(edge_dist)
-            order = np.lexsort((dst, dist, src))
-            src, dst, dist = src[order], dst[order], dist[order]
-            from repro.gpusim.scan import csr_offsets_from_sorted_ids
-            offsets = csr_offsets_from_sorted_ids(src)
-            update = CpuOpCounters()
-            for s in range(len(offsets) - 1):
-                lo, hi = offsets[s], offsets[s + 1]
-                graph.merge_row(int(src[lo]), dst[lo:hi], dist[lo:hi])
-                update.n_adjacency_inserts += int(hi - lo)
-            # Sort + scan + merges priced on one core; they are a sliver
-            # of the phase and parallelising them would not change shape.
-            merge_seconds += cpu.seconds(update, flops_per_distance=0)
-
-    total = local_seconds + merge_seconds
-    return ConstructionReport(
-        algorithm="ggraphcon-multicore",
-        graph=graph,
-        seconds=total,
-        phase_seconds={"local_construction": local_seconds,
-                       "merge": merge_seconds},
-        n_points=n,
-        details={"n_cores": float(n_cores),
-                 "n_groups": float(n_groups)},
-    )
+    flops = get_metric(metric).flops_per_distance(points.shape[1])
+    clock = CpuClock(n_cores, cpu, flops)
+    graph, n_groups = ggraphcon(points, params, metric, exact, clock)
+    return report_from_clock(
+        clock, "ggraphcon-multicore", graph, len(points),
+        details={"n_cores": float(n_cores), "n_groups": float(n_groups)})

@@ -171,3 +171,47 @@ class TestConstructionStaysBulk:
     def test_cagra_has_no_per_vertex_loop(self):
         loops = self._per_vertex_loops("cagra")
         assert not loops, [ast.unparse(loop.iter) for loop in loops]
+
+
+class TestOneGGraphConBody:
+    """``core/construction.py`` is the only executable Algorithm 2: the
+    multicore build and GSerial call it, priced by a clock, and never
+    traverse, insert or merge on their own."""
+
+    FILES = ("core/construction.py", "core/naive.py",
+             "baselines/nsw_cpu.py", "extensions/multicore.py")
+    BODY_CALLS = {"beam_search", "insert_edge", "merge_row", "set_row",
+                  "unique"}
+
+    @staticmethod
+    def _called_names(tree):
+        return {getattr(node.func, "attr", getattr(node.func, "id", ""))
+                for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+    def test_multicore_runs_no_algorithm_of_its_own(self):
+        tree = ast.parse(_read("src/repro/extensions/multicore.py"))
+        assert not self._called_names(tree) & self.BODY_CALLS
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert "heapq" not in imported
+
+    def test_gserial_runs_no_algorithm_of_its_own(self):
+        tree = ast.parse(_read("src/repro/core/naive.py"))
+        (gserial,) = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "build_nsw_serial_gpu"]
+        assert not self._called_names(gserial) & self.BODY_CALLS
+        statements = [node for node in ast.walk(gserial)
+                      if isinstance(node, ast.stmt)
+                      and node is not gserial]
+        assert len(statements) <= 15
+
+    def test_prefix_knn_is_written_once(self):
+        holders = []
+        for path in self.FILES:
+            tree = ast.parse(_read(f"src/repro/{path}"))
+            holders += [f"{path}:{node.name}" for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)
+                        and "argpartition" in self._called_names(node)]
+        assert holders == ["baselines/nsw_cpu.py:nearest_in_prefix"]

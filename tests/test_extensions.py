@@ -9,23 +9,27 @@ from repro.core.construction import build_nsw_gpu
 from repro.core.params import BuildParams
 from repro.errors import ConstructionError
 from repro.extensions.mips import InnerProductMetric, register_ip_metric
-from repro.extensions.multicore import _makespan_seconds, build_nsw_multicore
+from repro.extensions.multicore import build_nsw_multicore
+from repro.gpusim.kernel import _makespan
 
 PARAMS = BuildParams(d_min=6, d_max=12, n_blocks=8)
 
 
 class TestMakespan:
+    """The CPU clock spreads job seconds over cores with the same LPT
+    makespan the GPU clock spreads block cycles over resident slots."""
+
     def test_one_core_sums(self):
-        assert _makespan_seconds([1.0, 2.0, 3.0], 1) == 6.0
+        assert _makespan(np.array([1.0, 2.0, 3.0]), 1) == 6.0
 
     def test_many_cores_take_max(self):
-        assert _makespan_seconds([1.0, 2.0, 3.0], 8) == 3.0
+        assert _makespan(np.array([1.0, 2.0, 3.0]), 8) == 3.0
 
     def test_lpt_balancing(self):
-        assert _makespan_seconds([4.0, 3.0, 2.0, 1.0], 2) == 5.0
+        assert _makespan(np.array([4.0, 3.0, 2.0, 1.0]), 2) == 5.0
 
     def test_empty(self):
-        assert _makespan_seconds([], 4) == 0.0
+        assert _makespan(np.array([]), 4) == 0.0
 
 
 class TestMulticoreConstruction:
