@@ -38,9 +38,13 @@ neighbors of one point").  Two pricing models exist, so two clocks do:
 cores; time is :meth:`repro.baselines.cpu_cost.CpuModel.seconds` of the
 unit's :class:`~repro.baselines.cpu_cost.CpuOpCounters`.
 
-- A traversal costs its distance computations, heap operations and hash
-  probes; a forward merge and a backward-edge merge cost one adjacency
-  insert per record.
+- This is :func:`repro.baselines.nsw_cpu.build_nsw_cpu`'s rule (Table II
+  is calibrated against it), so one core running one group prices
+  exactly like the sequential baseline: a traversal costs its distance
+  computations, heap operations and hash probes; a scan of ``n``
+  candidates costs ``n`` distances and no probes; a link costs the
+  recomputed link distance plus two adjacency inserts; a forward merge
+  and a backward-edge merge cost one adjacency insert per record.
 - Parallel units spread over the cores by the same LPT makespan; the
   backward-edge sort + scan + merges run on one core (a sliver of the
   phase — parallelising them would not change its shape).
@@ -248,7 +252,6 @@ class CpuClock:
         self.category_seconds: Dict[PhaseCategory, float] = {}
         self._n_cores = n_cores
         self._cpu = cpu
-        self._launched = False
         self._flops = flops_per_distance
 
     @property
@@ -274,14 +277,13 @@ class CpuClock:
 
     def scan(self, unit: int, n_candidates: int) -> None:
         """``unit`` scanned ``n_candidates`` points by brute force."""
-        counters = self._units[unit]
-        counters.n_distances += n_candidates
-        if not self._launched:  # Phase 1 only
-            counters.n_hash_probes += n_candidates
+        self._units[unit].n_distances += n_candidates
 
     def link(self, unit: int, count: int) -> None:
         """``unit`` linked a vertex to ``count`` neighbors, both ways."""
-        self._units[unit].n_adjacency_inserts += 2 * count
+        counters = self._units[unit]
+        counters.n_distances += count
+        counters.n_adjacency_inserts += 2 * count
 
     def forward_merge(self, counts: np.ndarray) -> None:
         """Every unit merged its search result with ``v.N'`` into a row
@@ -294,7 +296,6 @@ class CpuClock:
         seconds = np.array([self._cpu.seconds(counters, self._flops)
                             for counters in self._units])
         self._add(phase, _makespan(seconds, self._n_cores))
-        self._launched = True
 
     def backward_merge(self, segment_lengths: np.ndarray,
                        grid_blocks: int) -> None:

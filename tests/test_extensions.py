@@ -67,6 +67,19 @@ class TestMulticoreConstruction:
             baseline.counters, 3 * points.shape[1])
         assert 0.3 < one.seconds / baseline_seconds < 3.0
 
+    def test_one_core_one_group_is_the_sequential_baseline(self,
+                                                           small_points):
+        """One core building one group *is* GraphCon_NSW: same
+        insertions, and the CPU clock counts them by the same rule."""
+        from repro.baselines.cpu_cost import DEFAULT_CPU
+        points = small_points[:300]
+        one = build_nsw_multicore(points, PARAMS.with_overrides(n_blocks=1),
+                                  n_cores=1)
+        baseline = build_nsw_cpu(points, PARAMS.d_min, PARAMS.d_max)
+        assert one.graph.edge_set() == baseline.graph.edge_set()
+        assert one.seconds == DEFAULT_CPU.seconds(baseline.counters,
+                                                  3 * points.shape[1])
+
     def test_phase_seconds(self, small_points):
         report = build_nsw_multicore(small_points[:150], PARAMS, n_cores=4)
         assert set(report.phase_seconds) == {"local_construction", "merge"}

@@ -268,15 +268,13 @@ def write_construction_golden(golden):
 class TestConstructionEquivalence:
     """The batched construction reproduces the per-vertex branches' bytes."""
 
-    def _assert_reproduces(self, name, rel=0.0):
+    def _assert_reproduces(self, name):
         with open(CONSTRUCTION_GOLDEN_PATH) as handle:
             expected = json.load(handle)[name]
         report = CONSTRUCTION_SCENARIOS[name]()
         assert graph_digest(report.graph) == expected["graph_digest"]
-        assert report.seconds == pytest.approx(expected["seconds"],
-                                               rel=rel, abs=0.0)
-        assert report.phase_seconds == pytest.approx(
-            expected["phase_seconds"], rel=rel, abs=0.0)
+        assert report.seconds == expected["seconds"]
+        assert report.phase_seconds == expected["phase_seconds"]
 
     def test_golden_covers_every_scenario(self):
         with open(CONSTRUCTION_GOLDEN_PATH) as handle:
@@ -306,10 +304,7 @@ class TestConstructionEquivalence:
                                       "multicore_exact_1",
                                       "multicore_exact_4", "distributed"])
     def test_cpu_clock_byte_identical(self, name):
-        # The row was recorded from a per-job heap sum; six equal jobs on
-        # one core now take _makespan's closed form (6 * x), one ulp off.
-        self._assert_reproduces(
-            name, rel=1e-12 if name == "multicore_exact_1" else 0.0)
+        self._assert_reproduces(name)
 
     @pytest.mark.parametrize("kernel", ["song", "ganns"])
     def test_gserial_byte_identical(self, kernel):
