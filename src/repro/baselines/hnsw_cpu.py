@@ -125,18 +125,10 @@ def build_hnsw_cpu(points: np.ndarray, d_min: int, d_max: int,
         report = build_nsw_cpu(shuffled_points[:size], d_min, d_max,
                                metric=metric,
                                ef_construction=ef_construction)
-        # Layer graphs must all address the full id space for uniformity.
-        if size < len(points):
-            widened = ProximityGraph(len(points), d_max, metric)
-            widened.neighbor_ids[:size] = report.graph.neighbor_ids
-            widened.neighbor_dists[:size] = report.graph.neighbor_dists
-            widened.degrees[:size] = report.graph.degrees
-            layers.append(widened)
-        else:
-            layers.append(report.graph)
+        layers.append(report.graph)
         counters.add(report.counters)
 
-    hierarchical = HierarchicalGraph(layers, sizes)
+    hierarchical = HierarchicalGraph.from_prefix_layers(layers)
     return HnswBuildReport(graph=hierarchical, order=order,
                            counters=counters, n_points=len(points))
 

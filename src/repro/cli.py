@@ -203,11 +203,29 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fault_tolerance(args: argparse.Namespace, params) -> dict:
+    """The retry / breaker / governor / deadline keyword arguments the
+    ``--retries`` ... ``--deadline-ms`` flags describe; ``ServeEngine``
+    and ``ClusterEngine`` take the same four."""
+    from repro.faults import AdmissionGovernor, BreakerPolicy, RetryPolicy
+
+    return dict(
+        retry=RetryPolicy(max_retries=args.retries,
+                          base_seconds=args.backoff_ms * 1e-3,
+                          cap_seconds=args.backoff_cap_ms * 1e-3),
+        breaker=BreakerPolicy(
+            failure_threshold=args.breaker_threshold,
+            cooldown_seconds=args.breaker_cooldown_ms * 1e-3),
+        governor=(None if args.no_governor
+                  else AdmissionGovernor.default_for(params)),
+        default_deadline_seconds=(args.deadline_ms * 1e-3
+                                  if args.deadline_ms > 0 else None))
+
+
 def chaos_scenario(args: argparse.Namespace):
     """Trace, fault plan and fully armed engine of the replay that
     ``chaos-sim``, ``trace`` and the chaos gate (``scripts/gates.py``) run."""
-    from repro.faults import (AdmissionGovernor, BreakerPolicy,
-                              RetryPolicy, named_fault_plan)
+    from repro.faults import named_fault_plan
     from repro.serve import ServeEngine
 
     dataset, graph, params, policy, cache, trace = _serve_fixture(args)
@@ -215,20 +233,9 @@ def chaos_scenario(args: argparse.Namespace):
     horizon = 2.0 * args.requests / args.qps
     plan = named_fault_plan(args.fault_plan, horizon_seconds=horizon,
                             seed=args.fault_seed)
-    governor = (None if args.no_governor
-                else AdmissionGovernor.default_for(params))
     engine = ServeEngine(
         graph, dataset.points, params, policy=policy, cache=cache,
-        faults=plan,
-        retry=RetryPolicy(max_retries=args.retries,
-                          base_seconds=args.backoff_ms * 1e-3,
-                          cap_seconds=args.backoff_cap_ms * 1e-3),
-        breaker=BreakerPolicy(
-            failure_threshold=args.breaker_threshold,
-            cooldown_seconds=args.breaker_cooldown_ms * 1e-3),
-        governor=governor,
-        default_deadline_seconds=(args.deadline_ms * 1e-3
-                                  if args.deadline_ms > 0 else None))
+        faults=plan, **_fault_tolerance(args, params))
     return trace, plan, engine
 
 
@@ -287,8 +294,7 @@ def _cmd_cluster_sim(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterEngine, RouterPolicy
     from repro.core.params import SearchParams
     from repro.datasets.catalog import load_dataset
-    from repro.faults import (AdmissionGovernor, BreakerPolicy,
-                              RetryPolicy, named_fault_plan)
+    from repro.faults import named_fault_plan
     from repro.observability import SpanTracer
     from repro.serve import BatchPolicy, synthetic_trace
 
@@ -307,22 +313,12 @@ def _cmd_cluster_sim(args: argparse.Namespace) -> int:
     plan = named_fault_plan(args.fault_plan, horizon_seconds=horizon,
                             seed=args.fault_seed,
                             n_workers=args.shards * args.replicas)
-    governor = (None if args.no_governor
-                else AdmissionGovernor.default_for(params))
     engine = ClusterEngine(
         dataset.points, n_shards=args.shards, n_replicas=args.replicas,
         params=params, d_min=args.d_min, d_max=args.d_max,
         metric=dataset.metric_name, policy=policy,
         cache_capacity=args.cache_size, faults=plan,
-        retry=RetryPolicy(max_retries=args.retries,
-                          base_seconds=args.backoff_ms * 1e-3,
-                          cap_seconds=args.backoff_cap_ms * 1e-3),
-        breaker=BreakerPolicy(
-            failure_threshold=args.breaker_threshold,
-            cooldown_seconds=args.breaker_cooldown_ms * 1e-3),
-        governor=governor,
-        default_deadline_seconds=(args.deadline_ms * 1e-3
-                                  if args.deadline_ms > 0 else None),
+        **_fault_tolerance(args, params),
         router_policy=RouterPolicy(
             heartbeat_seconds=args.heartbeat_ms * 1e-3,
             failover_penalty_seconds=args.failover_penalty_ms * 1e-3))

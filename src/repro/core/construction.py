@@ -129,27 +129,21 @@ def ggraphcon(points: np.ndarray, params: BuildParams, metric: str,
     ]
     n_groups = len(groups)
 
-    graph = ProximityGraph(n, params.d_max, metric)
     # G': forward neighbors of each vertex within its own group.
     forward_ids = np.full((n, d_min), -1, dtype=np.int64)
     forward_dists = np.full((n, d_min), np.inf, dtype=np.float64)
 
     # Phase 1 — local graph construction (one working unit per group).
+    # Only group 0's local graph outlives the phase: it seeds G_0 (its
+    # local ids are global ids); the others survive as v.N'.
     clock.units(n_groups)
-    local_graphs = [
-        _build_local_graph(points, group, params, metric_obj, exact, clock,
-                           unit, forward_ids, forward_dists)
-        for unit, group in enumerate(groups)
-    ]
+    for unit, group in enumerate(groups):
+        local_graph = _build_local_graph(points, group, params, metric_obj,
+                                         exact, clock, unit, forward_ids,
+                                         forward_dists)
+        if unit == 0:
+            graph = local_graph.widened(n)
     clock.launch("local_construction")
-
-    # Seed G_0 with group 0's local graph.
-    group0 = groups[0]
-    for local_vertex, global_vertex in enumerate(group0):
-        degree = local_graphs[0].degrees[local_vertex]
-        local_row = local_graphs[0].neighbor_ids[local_vertex, :degree]
-        graph.set_row(global_vertex, group0[local_row],
-                      local_graphs[0].neighbor_dists[local_vertex, :degree])
 
     # Phase 2 — iteratively merge local graphs into G_0.
     for group in groups[1:]:

@@ -161,11 +161,6 @@ class GpuClock:
         self._forward_merge_cycles = costs.ganns_merge_cycles(
             params.d_min, params.d_min, n_t)
 
-    def price(self, traversal: BeamSearchResult) -> SearchCycleCharge:
-        """:func:`price_search` under this clock's kernel and parameters."""
-        return price_search(self._search_kernel, traversal,
-                            *self._search_shape)
-
     def add(self, phase: str, seconds: float, distance_cycles: float,
             structure_cycles: float) -> None:
         """Record a launch, splitting its time by the cycle mix."""
@@ -187,7 +182,8 @@ class GpuClock:
 
     def search(self, unit: int, traversal: BeamSearchResult) -> None:
         """``unit`` ran one beam traversal."""
-        charge = self.price(traversal)
+        charge = price_search(self._search_kernel, traversal,
+                              *self._search_shape)
         self._distance[unit] += charge.distance_cycles
         self._structure[unit] += charge.structure_cycles
 

@@ -22,10 +22,9 @@ from repro.baselines.hnsw_cpu import (
     layer_sizes_from_levels,
     shuffled_order_from_levels,
 )
-from repro.core.construction import build_nsw_gpu
+from repro.core.construction import build_nsw_gpu, validated_points
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
-from repro.errors import ConstructionError
 from repro.graphs.adjacency import HierarchicalGraph, ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
@@ -55,11 +54,7 @@ def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
         ``order`` attribute mapping ``shuffled id -> original id``
         (``report.details`` keeps scalar metadata only).
     """
-    points = np.asarray(points)
-    if points.ndim != 2 or len(points) == 0:
-        raise ConstructionError(
-            f"points must be a non-empty 2-D matrix, got shape {points.shape}"
-        )
+    points = validated_points(points)
     n = len(points)
 
     levels = draw_levels(n, params.d_min, seed=params.seed)
@@ -91,18 +86,9 @@ def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
         for category, value in report.category_seconds.items():
             category_seconds[category] = (
                 category_seconds.get(category, 0.0) + value)
+        layers.append(report.graph)
 
-        layer_graph: ProximityGraph = report.graph
-        if size < n:
-            widened = ProximityGraph(n, params.d_max, metric)
-            widened.neighbor_ids[:size] = layer_graph.neighbor_ids
-            widened.neighbor_dists[:size] = layer_graph.neighbor_dists
-            widened.degrees[:size] = layer_graph.degrees
-            layers.append(widened)
-        else:
-            layers.append(layer_graph)
-
-    hierarchical = HierarchicalGraph(layers, sizes)
+    hierarchical = HierarchicalGraph.from_prefix_layers(layers)
     result = ConstructionReport(
         algorithm=f"ggraphcon-hnsw-{search_kernel}",
         graph=hierarchical,

@@ -93,7 +93,6 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
             f"batch_size must be positive, got {batch_size}"
         )
     clock = GpuClock(params, search_kernel, n_dims, device, costs)
-    kernel = clock.kernel
 
     graph = ProximityGraph(n, params.d_max, metric)
     insert_cost = costs.backward_insert_cycles(params.d_max, n_t)
@@ -110,7 +109,7 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
             graph.insert_edge(vertex, u, float(dists[u]))
             graph.insert_edge(u, vertex, float(dists[u]))
             boot_structure += 2 * insert_cost
-    seconds = kernel.cycles_to_seconds(boot_distance + boot_structure)
+    seconds = clock.kernel.cycles_to_seconds(boot_distance + boot_structure)
     clock.add("bootstrap", seconds, boot_distance, boot_structure)
 
     start = bootstrap
@@ -145,8 +144,8 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
             graph.insert_edge(u, v, dist)
             update_cycles += insert_cost
         n_update_blocks = max(len(batch_edges), 1)
-        launch = kernel.run(update_cycles / n_update_blocks,
-                            n_blocks=n_update_blocks)
+        launch = clock.kernel.run(update_cycles / n_update_blocks,
+                                  n_blocks=n_update_blocks)
         clock.add("batch_update", launch.seconds, 0.0, update_cycles)
         start = stop
 

@@ -107,6 +107,15 @@ class ProximityGraph:
                 f"vertex {vertex} out of range [0, {self.n_vertices})"
             )
 
+    def widened(self, n_vertices: int) -> "ProximityGraph":
+        """A copy with empty rows appended up to ``n_vertices`` rows."""
+        wide = ProximityGraph(n_vertices, self.d_max, self.metric_name,
+                              dtype=self.dtype)
+        wide.neighbor_ids[:self.n_vertices] = self.neighbor_ids
+        wide.neighbor_dists[:self.n_vertices] = self.neighbor_dists
+        wide.degrees[:self.n_vertices] = self.degrees
+        return wide
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -297,6 +306,21 @@ class HierarchicalGraph:
                 )
         self.layers = layers
         self.layer_sizes = sizes
+
+    @classmethod
+    def from_prefix_layers(cls, layers: List[ProximityGraph]
+                           ) -> "HierarchicalGraph":
+        """Stack per-layer graphs built over shuffled-id prefixes.
+
+        ``layers[i]`` holds exactly layer ``i``'s vertices (ids
+        ``0 .. n_i - 1``, bottom layer first).  Every layer above the
+        bottom is widened to the bottom's row count — empty rows beyond
+        its prefix — so all layers address the full id space.
+        """
+        n = layers[0].n_vertices
+        return cls([layer if layer.n_vertices == n else layer.widened(n)
+                    for layer in layers],
+                   [layer.n_vertices for layer in layers])
 
     @property
     def n_layers(self) -> int:

@@ -55,16 +55,6 @@ from repro.mutable.wal import (
 )
 
 
-def _grown_graph(graph: ProximityGraph, n_new: int) -> ProximityGraph:
-    """A copy of ``graph`` with ``n_new`` extra empty rows at the tail."""
-    grown = ProximityGraph(graph.n_vertices + n_new, graph.d_max,
-                           graph.metric_name, dtype=graph.dtype)
-    grown.neighbor_ids[:graph.n_vertices] = graph.neighbor_ids
-    grown.neighbor_dists[:graph.n_vertices] = graph.neighbor_dists
-    grown.degrees[:graph.n_vertices] = graph.degrees
-    return grown
-
-
 class MutableIndex:
     """A proximity-graph index that accepts inserts and deletes online.
 
@@ -253,6 +243,10 @@ class MutableIndex:
             raise MutableIndexError(
                 f"insert dimensionality {new_points.shape[1]} != index "
                 f"dimensionality {self.points.shape[1]}")
+        if not np.isfinite(new_points).all():
+            row = int(np.argwhere(~np.isfinite(new_points))[0][0])
+            raise MutableIndexError(
+                f"insert points must be finite: row {row} holds NaN or inf")
         self.store.append(OP_INSERT, now, points=new_points)
         return self._apply_insert(new_points, now, tracer=tracer,
                                   metrics=metrics)
@@ -264,7 +258,7 @@ class MutableIndex:
         start = self.n_slots
         new_ids = np.arange(start, start + len(new_points),
                             dtype=np.int64)
-        self.graph = _grown_graph(self.graph, len(new_points))
+        self.graph = self.graph.widened(start + len(new_points))
         self.points = np.concatenate([self.points, new_points])
         self.tombstones = np.concatenate(
             [self.tombstones, np.zeros(len(new_points), dtype=bool)])
@@ -298,7 +292,11 @@ class MutableIndex:
         detaches them.  Deleting every live point is rejected — an
         index always keeps a search entry.
         """
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        ids = np.asarray(ids)
+        if len(ids) and not np.issubdtype(ids.dtype, np.integer):
+            raise MutableIndexError(
+                f"delete ids must be integers, got dtype {ids.dtype}")
+        ids = np.unique(ids.astype(np.int64))
         if len(ids) == 0:
             return 0
         if ids[0] < 0 or ids[-1] >= self.n_slots:

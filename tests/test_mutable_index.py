@@ -91,6 +91,18 @@ class TestInsert:
         with pytest.raises(MutableIndexError, match="dimensionality"):
             _fresh().insert(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch_never_reaches_the_wal(self, poison):
+        index = _fresh()
+        records = len(index.store.surviving_records())
+        batch = _corpus(4, seed=9)
+        batch[2, 5] = poison
+        with pytest.raises(MutableIndexError, match="row 2"):
+            index.insert(batch, now=1.0)
+        assert len(index.store.surviving_records()) == records
+        assert index.epoch == 0
+        assert index.n_slots == 120
+
     def test_publishes_metrics(self):
         index = _fresh()
         metrics = MetricsRegistry()
@@ -130,6 +142,16 @@ class TestDelete:
         index.delete([0], now=1.0)
         assert index.entry == index._first_live()
         assert not index.tombstones[index.entry]
+
+    @pytest.mark.parametrize("ids", [[1.5], [2.0], [True]])
+    def test_non_integer_ids_never_reach_the_wal(self, ids):
+        index = _fresh()
+        records = len(index.store.surviving_records())
+        with pytest.raises(MutableIndexError, match="integers"):
+            index.delete(ids, now=1.0)
+        assert len(index.store.surviving_records()) == records
+        assert index.epoch == 0
+        assert index.n_tombstones == 0
 
     def test_empty_delete_is_a_no_op(self):
         index = _fresh()

@@ -38,7 +38,6 @@ from repro.datasets.synthetic import gaussian_mixture
 from repro.extensions.distributed import build_nsw_distributed
 from repro.extensions.multicore import build_nsw_multicore
 from repro.graphs.stats import graph_digest
-from repro.mutable.index import _grown_graph
 from repro.perf.arena import _ARENA_CACHE, get_arena
 from repro.perf.descent import hnsw_entry_descent_batch
 from tests.oracles.ganns_batched import ganns_search_oracle
@@ -193,7 +192,7 @@ def _insert_with_exclude_mask():
     """One streaming batch into a built graph, tombstones excluded."""
     points = gaussian_mixture(240, 8, seed=15)
     params = BuildParams(d_min=4, d_max=8, n_blocks=6)
-    grown = _grown_graph(build_nsw_gpu(points[:200], params).graph, 40)
+    grown = build_nsw_gpu(points[:200], params).graph.widened(240)
     tombstones = np.zeros(240, dtype=bool)
     tombstones[[0, 3, 17, 42, 99, 150]] = True
     return insert_batch_nsw(grown, points, np.arange(200, 240), params,
