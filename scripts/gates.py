@@ -7,7 +7,8 @@
 Each gate is a function in ``GATES``.  It states its scenario once, runs
 CLI commands in-process through :func:`run_cli` (exit code read
 directly, stdout echoed), asserts every bar with :func:`require`, and
-returns the one-line summary CI keeps as its record.  A gate that also
+returns the one-line summary CI keeps as its record (the runner appends
+the gate's host seconds).  A gate that also
 replays its scenario in-process reads the numbers from the CLI line it
 just ran, so the two cannot drift apart.
 
@@ -24,6 +25,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from functools import partial
 from pathlib import Path
 
@@ -487,12 +489,14 @@ def main(argv=None) -> int:
         return 2
     for name in names or GATES:
         print(f"== gate {name}", flush=True)
+        start = time.perf_counter()
         try:
             summary = GATES[name]()
         except GateFailure as failure:
             print(f"FAIL {name}: {failure}", file=sys.stderr)
             return 1
-        print(f"ok {name}: {summary}", flush=True)
+        print(f"ok {name}: {summary} "
+              f"[{time.perf_counter() - start:.1f} s host]", flush=True)
     return 0
 
 

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.params import SearchParams
-from repro.core.pipeline import stream_batches
+from repro.core.pipeline import _LaneStore, stream_batches
 from repro.errors import ClusterError
 from repro.extensions.distributed import NetworkModel, _EDGE_BYTES
 from repro.faults.plan import FaultPlan
@@ -346,12 +346,13 @@ class ClusterEngine:
             calls with the same inputs.
 
         Raises:
-            ClusterError: On an out-of-order trace or a dimensionality
-                mismatch.
+            ClusterError: On an out-of-order trace, or a query matrix
+                whose dimensionality or dtype does not match the corpus
+                or that holds NaN / infinite values.
         """
         wall_start = time.perf_counter()
         trace = list(trace)
-        validate_trace(trace, self.points.shape[1], ClusterError)
+        validate_trace(trace, self.points, ClusterError)
         registry = metrics if metrics is not None else MetricsRegistry()
         run = _ClusterReplay(self, trace)
         run.route()
@@ -401,6 +402,8 @@ class _ClusterReplay:
                                               float]]]] = []
         #: Slot -> ``(sub_arrival, request position)`` routed at it.
         self.slot_subtrace: Dict[int, List[Tuple[float, int]]] = {}
+        #: Per shard: where its slots and its retry lane are searched.
+        self.lanes: List[_LaneStore] = []
         #: Slot -> request position -> the replica's outcome.
         self.slot_outcomes: Dict[int, Dict[int, object]] = {}
         #: Slot -> (first arrival, last completion, requests, served).
@@ -456,7 +459,17 @@ class _ClusterReplay:
     def replay_slots(self) -> None:
         """Replay every routed slot's sub-trace on a fresh engine."""
         engine, trace = self.engine, self.trace
+        routed: List[List[int]] = [[] for _ in range(engine.n_shards)]
+        for slot, entries in self.slot_subtrace.items():
+            routed[slot // engine.n_replicas] += [pos for _, pos in entries]
+        self.lanes = [
+            _LaneStore(engine.shard_graphs[shard],
+                       engine.shard_points[shard],
+                       [trace[pos].queries for pos in sorted(positions)],
+                       engine.params, costs=engine.costs)
+            for shard, positions in enumerate(routed)]
         for slot in sorted(self.slot_subtrace):
+            shard = slot // engine.n_replicas
             entries = sorted(self.slot_subtrace[slot])
             sub_trace = [
                 QueryRequest(
@@ -465,8 +478,8 @@ class _ClusterReplay:
                     arrival_seconds=sub_arrival,
                     deadline_seconds=trace[pos].deadline_seconds)
                 for sub_arrival, pos in entries]
-            sub_report = engine._make_engine(
-                slot // engine.n_replicas).replay(sub_trace)
+            sub_report = engine._make_engine(shard).replay(
+                sub_trace, _lanes=self.lanes[shard])
             self.slot_outcomes[slot] = {
                 o.request_id: o for o in sub_report.outcomes}
             first = entries[0][0]
@@ -611,7 +624,8 @@ class _ClusterReplay:
         stream = stream_batches(
             engine.shard_graphs[shard], engine.shard_points[shard],
             req.queries, engine.params, batch_size=req.n_queries,
-            device=engine.device, costs=engine.costs)
+            device=engine.device, costs=engine.costs,
+            _lanes=self.lanes[shard])
         return ((stream.ids, stream.dists),
                 retry_at + stream.serial_seconds, failovers + 1, 0)
 

@@ -11,18 +11,26 @@ results download concurrently.  The elapsed time of the whole stream is
 therefore ``upload(first) + sum(max(compute_i, transfers overlapping
 it)) + download(last)`` — which collapses to compute-bound for every
 realistic ANN workload, the paper's point.
+
+*Which simulated batch a query is charged to* and *which host call
+computes it* are two decisions.  The first is the caller's (a
+scheduler's micro-batches, a ``batch_size``); the second is
+:class:`_LaneStore`'s: a replay lends :func:`stream_batches` a store
+built over its upcoming queries, the store searches them a host width
+at a time, and every batch receives the lane slice of those wide
+reports — byte for byte the report a search of the batch alone returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
-from repro.core.results import SearchReport
+from repro.core.results import SearchReport, make_search_tracker
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
@@ -126,6 +134,106 @@ class StreamResult:
         return 1.0 - self.overlapped_seconds / self.serial_seconds
 
 
+#: Queries one host call of a :class:`_LaneStore` searches: wide enough
+#: that the ~100 NumPy calls of a traversal iteration are amortised
+#: (``docs/performance.md``, "host width vs simulated batch").
+_HOST_WIDTH = 512
+
+#: Ceiling on the lazy-check bitmap of one such call
+#: (:class:`repro.perf.arena.PoolMembership`, ``ceil(n / 8)`` bytes per
+#: query): past ~1M vertices the width shrinks instead.
+_MEMBERSHIP_BUDGET_BYTES = 64 << 20
+
+
+class _LaneStore:
+    """Searches a replay's queries wide, answers its batches narrow.
+
+    A *lane* is one distinct query vector of the replay, numbered in
+    arrival order.  :meth:`search` is :func:`ganns_search` for a batch
+    of them: lanes it does not hold yet are searched in one wide call
+    together with the not-yet-searched lanes that follow, up to the host
+    width, and the batch's report is the lane slice
+    (:meth:`SearchReport.take`) — so no lane is ever traversed twice, a
+    retried batch or a failover re-dispatch costs a gather, and nothing
+    is searched before a batch asks.  The store lives as long as the
+    replay that built it.
+
+    Args:
+        graph, points, params, entry, costs: The search every lane is
+            answered by; a call under anything else (a degraded tier's
+            ``params``) goes straight to :func:`ganns_search`.
+        queries: The replay's query matrices in arrival order.
+    """
+
+    def __init__(self, graph: ProximityGraph, points: np.ndarray,
+                 queries: Iterable[np.ndarray], params: SearchParams,
+                 entry: int = 0, costs: CostTable = DEFAULT_COSTS):
+        self.graph, self.points, self.params = graph, points, params
+        self.entry, self.costs = entry, costs
+        self._lane_of: Dict[bytes, int] = {}
+        self._queries: List[np.ndarray] = []
+        for matrix in queries:
+            for row in matrix:
+                key = row.tobytes()
+                if key not in self._lane_of:
+                    self._lane_of[key] = len(self._queries)
+                    self._queries.append(row)
+        self._searched = np.zeros(len(self._queries), dtype=bool)
+        self._width = max(1, min(
+            _HOST_WIDTH,
+            _MEMBERSHIP_BUDGET_BYTES // -(-graph.n_vertices // 8)))
+        #: Every searched lane's results, one row per lane.
+        self._report: Optional[SearchReport] = None
+
+    def search(self, graph: ProximityGraph, points: np.ndarray,
+               queries: np.ndarray, params: SearchParams,
+               entry: Union[int, np.ndarray], costs: CostTable
+               ) -> SearchReport:
+        """:func:`ganns_search` of the same arguments."""
+        lanes = [self._lane_of.get(row.tobytes()) for row in queries]
+        if (None in lanes or graph is not self.graph
+                or points is not self.points or params != self.params
+                or costs != self.costs or np.ndim(entry) != 0
+                or entry != self.entry):
+            return ganns_search(graph, points, queries, params,
+                                entry=entry, costs=costs)
+        lanes = np.array(lanes)
+        missing = np.unique(lanes[~self._searched[lanes]])
+        if len(missing):
+            ahead = np.flatnonzero(~self._searched)
+            ahead = ahead[(ahead > missing[0]) & ~np.isin(ahead, missing)]
+            self._fill(np.union1d(
+                missing, ahead[:max(self._width - len(missing), 0)]))
+        return self._report.take(lanes)
+
+    def _fill(self, lanes: np.ndarray) -> None:
+        """One wide search of ``lanes``, scattered into the report."""
+        wide = ganns_search(
+            self.graph, self.points,
+            np.stack([self._queries[lane] for lane in lanes]),
+            self.params, entry=self.entry, costs=self.costs)
+        if self._report is None:
+            n = len(self._queries)
+            self._report = replace(
+                wide,
+                ids=np.empty((n,) + wide.ids.shape[1:], wide.ids.dtype),
+                dists=np.empty((n,) + wide.dists.shape[1:],
+                               wide.dists.dtype),
+                tracker=make_search_tracker(n, wide.algorithm),
+                iterations=np.zeros(n, dtype=np.int64),
+                lane_distance_computations=np.zeros(n, dtype=np.int64))
+        held = self._report
+        held.ids[lanes] = wide.ids
+        held.dists[lanes] = wide.dists
+        held.iterations[lanes] = wide.iterations
+        held.lane_distance_computations[lanes] = \
+            wide.lane_distance_computations
+        for phase in wide.tracker.phase_names:
+            held.tracker.charge(phase, wide.tracker.lane_cycles(phase),
+                                lanes)
+        self._searched[lanes] = True
+
+
 def stream_batches(graph: ProximityGraph, points: np.ndarray,
                    queries: np.ndarray, params: SearchParams,
                    batch_size: int = 2000,
@@ -134,7 +242,8 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
                    entry: Union[int, np.ndarray] = 0,
                    fault_hook: Optional[
                        Callable[[int, BatchTiming], BatchTiming]
-                   ] = None) -> StreamResult:
+                   ] = None,
+                   _lanes: Optional[_LaneStore] = None) -> StreamResult:
     """Search a query stream in batches with simulated stream overlap.
 
     Args:
@@ -153,6 +262,9 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
             (e.g. a stalled kernel) or raise a
             :class:`repro.errors.FaultError` to kill the whole stream
             dispatch, discarding its results.
+        _lanes: Package-internal: the calling replay's
+            :class:`_LaneStore`, searched in place of
+            :func:`ganns_search`; every result is the same.
 
     Returns:
         A :class:`StreamResult` with both serial and overlapped timings.
@@ -177,6 +289,7 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
             f"{len(queries)} queries"
         )
     transfer = TransferModel(device)
+    search = ganns_search if _lanes is None else _lanes.search
 
     reports: List[SearchReport] = []
     timings: List[BatchTiming] = []
@@ -186,8 +299,8 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
         batch = queries[start:start + batch_size]
         batch_entry = (entries if entries.ndim == 0
                        else entries[start:start + batch_size])
-        report = ganns_search(graph, points, batch, params,
-                              entry=batch_entry, costs=costs)
+        report = search(graph, points, batch, params,
+                        entry=batch_entry, costs=costs)
         launch = report.launch(device, costs)
         upload = transfer.transfer_seconds(
             transfer.query_upload_bytes(len(batch), queries.shape[1]))

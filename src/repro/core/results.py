@@ -9,11 +9,12 @@ timing rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro.errors import SearchError
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch, LaunchResult
@@ -34,6 +35,9 @@ class SearchReport:
         iterations: ``(n_queries,)`` search iterations per query.
         n_distance_computations: Total point distances evaluated — the
             quantity lazy check trades for structure-op savings.
+        lane_distance_computations: The same count per query,
+            ``(n_queries,)``; ``None`` on reports whose producer keeps
+            only the total (the baselines), which cannot be sliced.
     """
 
     algorithm: str
@@ -44,11 +48,35 @@ class SearchReport:
     shared_mem_bytes: int
     iterations: np.ndarray
     n_distance_computations: int
+    lane_distance_computations: Optional[np.ndarray] = None
 
     @property
     def n_queries(self) -> int:
         """Queries answered by this report."""
         return len(self.ids)
+
+    def take(self, lanes: np.ndarray) -> "SearchReport":
+        """The report of the selected queries alone, in ``lanes`` order.
+
+        A query's traversal depends only on (graph, points, params,
+        entry, query), never on its batch mates, so the slice equals —
+        field for field — the report of a search over just those
+        queries.  ``lanes`` is an integer index array; a lane may
+        repeat.
+        """
+        if self.lane_distance_computations is None:
+            raise SearchError(
+                f"a {self.algorithm!r} report without per-query distance "
+                f"counts cannot be sliced by lane"
+            )
+        lanes = np.asarray(lanes, dtype=np.int64)
+        per_lane = self.lane_distance_computations[lanes]
+        return replace(
+            self, ids=self.ids[lanes], dists=self.dists[lanes],
+            tracker=self.tracker.take(lanes),
+            iterations=self.iterations[lanes],
+            n_distance_computations=int(per_lane.sum()),
+            lane_distance_computations=per_lane)
 
     def launch(self, device: DeviceSpec = QUADRO_P5000,
                costs: CostTable = DEFAULT_COSTS) -> LaunchResult:

@@ -164,6 +164,20 @@ class CycleTracker:
             if name not in self._categories:
                 self._categories[name] = other.category_of(name)
 
+    def take(self, lanes: np.ndarray) -> "CycleTracker":
+        """A tracker over the selected lanes only, in ``lanes`` order.
+
+        Phases keep their order and categories, so every readout of the
+        result equals that of a tracker the same lanes had been charged
+        on alone.  ``lanes`` is an integer index array; a lane may
+        repeat.
+        """
+        lanes = np.asarray(lanes, dtype=np.int64)
+        taken = CycleTracker(len(lanes), self._categories)
+        taken._phases = {name: bucket[lanes]
+                         for name, bucket in self._phases.items()}
+        return taken
+
     def reset(self) -> None:
         """Zero all accumulated cycles, keeping category registrations."""
         self._phases.clear()

@@ -153,7 +153,7 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
               costs: CostTable, *, l_pool: int, e_budget: int, n_t: int,
               out_width: int, dist_dims: int, entries: np.ndarray,
               lazy_check: bool, out_ids: np.ndarray,
-              out_dists: np.ndarray) -> Tuple[np.ndarray, int]:
+              out_dists: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Run the six-phase GANNS loop over ``engine`` until every query
     retires.
 
@@ -177,7 +177,7 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
             path's rerank input).
 
     Returns:
-        ``(iterations, n_distance_computations)``.
+        ``(iterations, n_distance_computations)``, both per query.
     """
     n_queries = len(out_ids)
     l_t = graph.d_max
@@ -194,7 +194,7 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
         members.insert(arena.query_rows[:m], entries)
     tracker.charge("bulk_distance",
                    costs.single_distance_cycles(dist_dims, n_t))
-    n_distance_computations = n_queries
+    n_distance_computations = np.ones(n_queries, dtype=np.int64)
 
     locate_cost = costs.ganns_candidate_locate_cycles(l_pool, n_t)
     explore_cost = costs.ganns_explore_cycles(l_t, n_t)
@@ -246,7 +246,7 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
         # (pad lanes clip to point 0 in the engine; ``alive`` masks them).
         t_dists = engine.pairs(act, t_ids)
         tracker.charge("bulk_distance", degrees * per_vector_cost, act)
-        n_distance_computations += int(degrees.sum())
+        n_distance_computations[act] += degrees
 
         # Phase 4 — lazy check: one gather from the membership bitmap.
         if lazy_check:
@@ -292,7 +292,7 @@ def ganns_search_fast(graph: ProximityGraph, points: np.ndarray,
     out_ids = np.empty((n_queries, k), dtype=np.int64)
     out_dists = np.empty((n_queries, k), dtype=compute_dtype)
 
-    iterations, n_distance_computations = _traverse(
+    iterations, lane_distances = _traverse(
         graph, engine, arena, tracker, costs,
         l_pool=l_n, e_budget=e_budget, n_t=n_t, out_width=k,
         dist_dims=points.shape[1], entries=entries,
@@ -307,7 +307,8 @@ def ganns_search_fast(graph: ProximityGraph, points: np.ndarray,
         n_threads=n_t,
         shared_mem_bytes=shared_mem,
         iterations=iterations,
-        n_distance_computations=n_distance_computations,
+        n_distance_computations=int(lane_distances.sum()),
+        lane_distance_computations=lane_distances,
     )
 
 
@@ -357,7 +358,7 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
     pool_ids = np.empty((n_queries, l_q), dtype=np.int64)
     pool_dists = np.empty((n_queries, l_q), dtype=_STAGED_TRAVERSAL_DTYPE)
 
-    iterations, n_distance_computations = _traverse(
+    iterations, lane_distances = _traverse(
         graph, engine, arena, tracker, costs,
         l_pool=l_q, e_budget=e_budget, n_t=n_t, out_width=l_q,
         dist_dims=charged_dims(table), entries=entries,
@@ -375,9 +376,9 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
     exact_dists = exact.pairs(all_rows, pool_ids)
     exact_dists[~valid] = np.inf
     per_vector_cost = costs.single_distance_cycles(n_dims, n_t)
-    tracker.charge("bulk_distance",
-                   valid.sum(axis=1) * per_vector_cost, all_rows)
-    n_distance_computations += int(valid.sum())
+    n_reranked = valid.sum(axis=1)
+    tracker.charge("bulk_distance", n_reranked * per_vector_cost, all_rows)
+    lane_distances += n_reranked
     tracker.charge("sorting", costs.bitonic_sort_cycles(l_q, n_t),
                    all_rows)
     order = np.lexsort((pool_ids, exact_dists), axis=1)[:, :k]
@@ -395,5 +396,6 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
         n_threads=n_t,
         shared_mem_bytes=shared_mem,
         iterations=iterations,
-        n_distance_computations=n_distance_computations,
+        n_distance_computations=int(lane_distances.sum()),
+        lane_distance_computations=lane_distances,
     )

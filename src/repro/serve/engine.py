@@ -49,6 +49,7 @@ from repro.core.pipeline import (
     EngineClock,
     EngineSlots,
     StreamResult,
+    _LaneStore,
     stream_batches,
 )
 from repro.errors import FaultError, ServeError
@@ -205,7 +206,8 @@ class ServeEngine:
 
     def replay(self, trace: Sequence[QueryRequest],
                tracer: Optional[SpanTracer] = None,
-               metrics: Optional[MetricsRegistry] = None) -> ServeReport:
+               metrics: Optional[MetricsRegistry] = None,
+               _lanes: Optional[_LaneStore] = None) -> ServeReport:
         """Replay an arrival-ordered trace to quiescence.
 
         A short driver over the stages of :class:`_Replay`: every
@@ -226,6 +228,9 @@ class ServeEngine:
                 (``report.metrics``), whose derived properties are
                 views that reconcile with it exactly
                 (:meth:`ServeReport.verify_against_metrics`).
+            _lanes: Package-internal: a lane store to dispatch through
+                in place of this replay's own (a cluster shard's,
+                shared by its replica slots).
 
         Returns:
             A :class:`ServeReport` holding every request's outcome and,
@@ -233,15 +238,20 @@ class ServeEngine:
             :class:`FaultReport` of every fault-tolerance event.
 
         Raises:
-            ServeError: On an out-of-order trace, a query whose
-                dimensionality does not match the served points, or a
+            ServeError: On an out-of-order trace, a query matrix whose
+                dimensionality or dtype does not match the served
+                points or that holds NaN / infinite values, or a
                 request object that appears twice.
         """
         wall_start = time.perf_counter()
         trace = list(trace)
-        validate_trace(trace, self.points.shape[1])
+        validate_trace(trace, self.points)
         registry = metrics if metrics is not None else MetricsRegistry()
-        run = _Replay(self, trace, tracer, registry)
+        if _lanes is None:
+            _lanes = _LaneStore(self.graph, self.points,
+                                [req.queries for req in trace],
+                                self.params, self.entry, self.costs)
+        run = _Replay(self, trace, tracer, registry, _lanes)
         for req in trace:
             run.admit(req)
         for batch in run.scheduler.drain():
@@ -292,11 +302,13 @@ class _Replay:
 
     def __init__(self, engine: ServeEngine, trace: List[QueryRequest],
                  tracer: Optional[SpanTracer],
-                 registry: MetricsRegistry):
+                 registry: MetricsRegistry, lanes: _LaneStore):
         self.engine = engine
         self.trace = trace
         self.tracer = tracer
         self.registry = registry
+        #: Where every dispatch attempt of this replay is searched.
+        self.lanes = lanes
         self.positions: Dict[int, int] = {}
         for pos, req in enumerate(trace):
             if id(req) in self.positions:
@@ -614,7 +626,7 @@ class _Replay:
                     engine.graph, engine.points, queries, params,
                     batch_size=len(queries), device=engine.device,
                     costs=engine.costs, entry=engine.entry,
-                    fault_hook=hook)
+                    fault_hook=hook, _lanes=self.lanes)
             except FaultError as err:
                 failed_at, detail = self._attempt_failed(
                     batch, span, ready, attempt, err)

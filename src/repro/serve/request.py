@@ -101,13 +101,17 @@ def check_deadline(seconds: Optional[float], what: str,
     return seconds
 
 
-def validate_trace(trace: Sequence[QueryRequest], n_dims: int,
+def validate_trace(trace: Sequence[QueryRequest], points: np.ndarray,
                    error: type = ServeError) -> None:
     """Reject a trace an engine cannot replay, before any side effect.
 
     Raises ``error`` unless arrivals are non-decreasing and every query
-    matrix has the served index's dimensionality.
+    matrix is searchable over ``points``: same dimensionality, same
+    dtype, finite.  The kernel refuses each of these too, but only once
+    a batch reaches it — mid-replay, and for every request that shares
+    the batch.
     """
+    n_dims = points.shape[1]
     last_arrival = float("-inf")
     for req in trace:
         if req.arrival_seconds < last_arrival:
@@ -122,6 +126,17 @@ def validate_trace(trace: Sequence[QueryRequest], n_dims: int,
                 f"request {req.request_id}: query dimensionality "
                 f"{req.queries.shape[1]} does not match the index "
                 f"({n_dims})"
+            )
+        if req.queries.dtype != points.dtype:
+            raise error(
+                f"request {req.request_id}: queries are "
+                f"{req.queries.dtype} but the index holds {points.dtype} "
+                f"points; cast them explicitly"
+            )
+        if not np.isfinite(req.queries).all():
+            raise error(
+                f"request {req.request_id}: queries contain NaN or "
+                f"infinite values"
             )
 
 

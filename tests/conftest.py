@@ -58,3 +58,34 @@ def cosine_graph(cosine_points):
 def rng():
     """Fresh deterministic RNG per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def searched_rows(monkeypatch):
+    """Every query row a replay (or ``stream_batches``) hands to
+    ``ganns_search``, as bytes, one list per host call."""
+    from repro.core import pipeline
+    calls = []
+    real = pipeline.ganns_search
+
+    def recording(graph, points, queries, *args, **kwargs):
+        calls.append([row.tobytes() for row in queries])
+        return real(graph, points, queries, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ganns_search", recording)
+    return calls
+
+
+@pytest.fixture()
+def traversed(monkeypatch):
+    """``(graph, n_lanes)`` of every ``_traverse`` call, whoever asked."""
+    from repro.perf import engine
+    calls = []
+    real = engine._traverse
+
+    def counting(graph, *args, **kwargs):
+        calls.append((graph, len(kwargs["out_ids"])))
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_traverse", counting)
+    return calls

@@ -26,6 +26,7 @@ from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import ClusterError
 from repro.extensions.distributed import shard_ground_truth
+from repro.faults import RetryPolicy, named_fault_plan
 from repro.faults.plan import (
     FAULT_NETWORK_PARTITION,
     FAULT_WORKER_LOSS,
@@ -35,6 +36,7 @@ from repro.faults.plan import (
 from repro.metrics.recall import recall_per_query
 from repro.observability import MetricsRegistry, SpanTracer
 from repro.serve import QueryRequest, ServeEngine, synthetic_trace
+from tests.oracles.narrow_dispatch import narrow_dispatch
 
 PARAMS = SearchParams(k=8, l_n=32, e=2)
 
@@ -245,6 +247,25 @@ class TestClusterReplay:
         with pytest.raises(ClusterError):
             cluster.replay([req])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "dtype"])
+    def test_hostile_queries_rejected_with_the_trace(self, cluster, pool,
+                                                     bad):
+        hostile = pool[2:4].copy()
+        if bad == "dtype":
+            hostile = hostile.astype(np.float64)
+            message = "request 5: queries are float64"
+        else:
+            hostile[0, 1] = bad
+            message = "request 5: queries contain NaN or infinite"
+        trace = [QueryRequest(request_id=0, queries=pool[:2],
+                              arrival_seconds=0.0),
+                 QueryRequest(request_id=5, queries=hostile,
+                              arrival_seconds=0.5)]
+        tracer = SpanTracer()
+        with pytest.raises(ClusterError, match=message):
+            cluster.replay(trace, tracer=tracer)
+        assert len(tracer.spans) == 0
+
     def test_undersized_shards_rejected_at_construction(self):
         tiny = gaussian_mixture(20, 8, seed=3)
         with pytest.raises(ClusterError):
@@ -262,6 +283,73 @@ class TestClusterReplay:
                              params=PARAMS)
         assert (slow.replay(trace).p99_latency
                 > fast.replay(trace).p99_latency)
+
+
+class TestWideSearches:
+    """One lane store per shard, shared by the shard's replica slots,
+    their fatal-fault re-dispatches and the sibling retry lane: under
+    chaos every (shard, query) is traversed at most once per replay."""
+
+    @staticmethod
+    def _chaos(corpus, pool, plan_name, seed):
+        trace = synthetic_trace(pool, 40, mean_qps=2500.0,
+                                queries_per_request=2, seed=seed)
+        plan = named_fault_plan(
+            plan_name, trace[-1].arrival_seconds + 0.05, seed=seed,
+            n_workers=8)
+        engine = ClusterEngine(corpus, n_shards=4, n_replicas=2,
+                               params=PARAMS, faults=plan,
+                               retry=RetryPolicy(max_retries=1))
+        return engine, trace
+
+    @pytest.mark.parametrize("plan_name, seed", [("replica-loss", 5),
+                                                 ("aggressive", 0)])
+    def test_each_shard_traverses_each_query_once(
+            self, corpus, pool, traversed, searched_rows, plan_name,
+            seed):
+        engine, trace = self._chaos(corpus, pool, plan_name, seed)
+        tracer = SpanTracer()
+        report = engine.replay(trace, tracer=tracer)
+        tracer.finish()
+        stages = [event.attributes.get("stage") for span in tracer.spans
+                  for event in span.events
+                  if event.name == "cluster.failover"]
+        # replica-loss bounces requests at routing; the aggressive
+        # plan's kernel faults exhaust a slot's retries, which sends
+        # the request down the sibling retry lane.
+        assert report.n_failovers > 0
+        assert ("retry" in stages) == (plan_name == "aggressive")
+        distinct = len({row.tobytes() for req in trace
+                        for row in req.queries})
+        for graph in engine.shard_graphs:
+            lanes = sum(n for g, n in traversed if g is graph)
+            assert 0 < lanes <= distinct
+        # One wide call per shard, and no row in two of them.
+        assert len(searched_rows) == engine.n_shards
+        assert all(len(call) == len(set(call)) for call in searched_rows)
+
+    def test_the_stores_die_with_their_replay(self, corpus, pool,
+                                              traversed):
+        engine, trace = self._chaos(corpus, pool, "replica-loss", 5)
+        first = engine.replay(trace)
+        lanes = sum(n for _, n in traversed)
+        second = engine.replay(trace)
+        assert sum(n for _, n in traversed) == 2 * lanes
+        assert first.to_bytes() == second.to_bytes()
+
+    def test_chaos_replays_to_the_narrow_bytes(self, corpus, pool):
+        engine, trace = self._chaos(corpus, pool, "aggressive", 0)
+
+        def replay():
+            tracer, metrics = SpanTracer(), MetricsRegistry()
+            report = engine.replay(trace, tracer=tracer, metrics=metrics)
+            tracer.finish()
+            report.verify_against_metrics()
+            return (report.to_bytes(), tracer.to_json_bytes(),
+                    metrics.to_json_bytes())
+        wide = replay()
+        with narrow_dispatch():
+            assert replay() == wide
 
 
 class TestShardGroundTruth:

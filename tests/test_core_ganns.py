@@ -7,7 +7,7 @@ from repro.baselines.beam import beam_search_batch
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
 from repro.datasets.ground_truth import exact_knn
-from repro.errors import SearchError
+from repro.errors import SearchError, ServeError
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.recall import recall_at_k
 
@@ -220,7 +220,9 @@ class TestNonFiniteQueries:
                              params=SearchParams(k=5, l_n=32))
         trace = [QueryRequest(0, small_queries[:2], 0.0),
                  QueryRequest(1, bad_queries, 1e-4)]
-        with pytest.raises(SearchError, match="NaN or infinite"):
+        # Rejected with the trace, before any batch forms — not by the
+        # kernel in the middle of the replay.
+        with pytest.raises(ServeError, match="request 1.*NaN or infinite"):
             engine.replay(trace)
 
 

@@ -1,12 +1,16 @@
 """Tests for the streamed multi-batch pipeline (the Section III-B
 stream-overlap remark)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import pipeline
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
-from repro.core.pipeline import stream_batches
+from repro.core.pipeline import _LaneStore, stream_batches
 from repro.errors import SearchError
 
 
@@ -91,3 +95,131 @@ class TestValidation:
         with pytest.raises(SearchError, match="batch_size"):
             stream_batches(small_graph, small_points, small_queries,
                            params, batch_size=0)
+
+
+def assert_same_report(got, want):
+    """Field for field, byte for byte."""
+    for field in ("ids", "dists", "iterations",
+                  "lane_distance_computations"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert got.n_distance_computations == want.n_distance_computations
+    assert (got.algorithm, got.n_threads, got.shared_mem_bytes) == (
+        want.algorithm, want.n_threads, want.shared_mem_bytes)
+    names = tuple(want.tracker.phase_names)
+    assert tuple(got.tracker.phase_names) == names
+    for name in names:
+        assert (got.tracker.lane_cycles(name).tobytes()
+                == want.tracker.lane_cycles(name).tobytes()), name
+        assert (got.tracker.category_of(name)
+                is want.tracker.category_of(name))
+    assert got.launch().seconds == want.launch().seconds
+
+
+class TestLaneStore:
+    """Which simulated batch a lane is charged to and which host call
+    computes it are two decisions: whatever the store's host width,
+    every batch gets the report a search of that batch alone returns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_batch_equals_its_own_search(self, small_graph,
+                                               small_points,
+                                               small_queries, data):
+        quant = data.draw(st.sampled_from([None, "pca", "int8", "fp16"]))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        width = data.draw(st.integers(1, 48))
+        entry = data.draw(st.integers(0, len(small_points) - 1))
+        # Rows drawn with replacement: a permutation of a subset with
+        # duplicates, cut into batches at random places.
+        rows = data.draw(st.lists(st.integers(0, len(small_queries) - 1),
+                                  min_size=1, max_size=24))
+        sizes = data.draw(st.lists(st.integers(1, 7), min_size=len(rows),
+                                   max_size=len(rows)))
+        points = small_points.astype(dtype)
+        queries = small_queries.astype(dtype)[rows]
+        params = SearchParams(k=5, l_n=32, quant=quant)
+        batches, start = [], 0
+        for size in sizes:
+            if start < len(queries):
+                batches.append(queries[start:start + size])
+                start += size
+        # The store may be built over more than is ever dispatched.
+        upcoming = batches + [small_queries.astype(dtype)[:3]]
+        with mock.patch.object(pipeline, "_HOST_WIDTH", width):
+            store = _LaneStore(small_graph, points, upcoming, params,
+                               entry=entry)
+        order = data.draw(st.permutations(range(len(batches))))
+        for index in order:
+            got = store.search(small_graph, points, batches[index],
+                               params, entry=entry, costs=store.costs)
+            want = ganns_search(small_graph, points, batches[index],
+                                params, entry=entry)
+            assert_same_report(got, want)
+
+    def test_nothing_is_searched_until_asked_and_no_lane_twice(
+            self, small_graph, small_points, small_queries, params,
+            searched_rows):
+        with mock.patch.object(pipeline, "_HOST_WIDTH", 16):
+            store = _LaneStore(small_graph, small_points,
+                               [small_queries], params)
+        assert searched_rows == []
+        for start in (0, 4, 8, 30, 12, 0):
+            stream_batches(small_graph, small_points,
+                           small_queries[start:start + 4], params,
+                           _lanes=store)
+        flat = [row for call in searched_rows for row in call]
+        assert len(flat) == len(set(flat)) <= len(small_queries)
+        # Rows 0..15 in one call, 30..39 in a second (nothing follows
+        # them), 12..15 and the second 0..3 are already held.
+        assert [len(call) for call in searched_rows] == [16, 10]
+
+    def test_a_wide_batch_is_one_call_whatever_the_width(
+            self, small_graph, small_points, small_queries, params,
+            searched_rows):
+        with mock.patch.object(pipeline, "_HOST_WIDTH", 4):
+            store = _LaneStore(small_graph, small_points,
+                               [small_queries], params)
+        streamed = stream_batches(small_graph, small_points,
+                                  small_queries[:20], params,
+                                  batch_size=20, _lanes=store)
+        assert [len(call) for call in searched_rows] == [20]
+        assert_same_report(streamed.reports[0],
+                           ganns_search(small_graph, small_points,
+                                        small_queries[:20], params))
+
+    def test_width_shrinks_to_the_membership_budget(
+            self, small_graph, small_points, small_queries, params,
+            searched_rows):
+        per_query = -(-small_graph.n_vertices // 8)
+        with mock.patch.object(pipeline, "_MEMBERSHIP_BUDGET_BYTES",
+                               3 * per_query + 1):
+            store = _LaneStore(small_graph, small_points,
+                               [small_queries], params)
+        stream_batches(small_graph, small_points, small_queries[:1],
+                       params, _lanes=store)
+        assert [len(call) for call in searched_rows] == [3]
+
+    @pytest.mark.parametrize("change", ["params", "entry", "points",
+                                        "unknown query"])
+    def test_a_call_the_store_was_not_built_for_goes_direct(
+            self, small_graph, small_points, small_queries, params,
+            searched_rows, change):
+        store = _LaneStore(small_graph, small_points,
+                           [small_queries[:20]], params)
+        points, batch, entry = small_points, small_queries[:4], 0
+        if change == "params":
+            params = SearchParams(k=5, l_n=16)
+        elif change == "entry":
+            entry = np.arange(4)
+        elif change == "points":
+            points = small_points.copy()
+        else:
+            batch = small_queries[18:22]
+        got = stream_batches(small_graph, points, batch, params,
+                             entry=entry, _lanes=store)
+        assert [len(call) for call in searched_rows] == [4]
+        assert_same_report(got.reports[0],
+                           ganns_search(small_graph, points, batch,
+                                        params, entry=entry))

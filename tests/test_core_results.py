@@ -8,6 +8,7 @@ from repro.core.results import (
     SearchReport,
     make_search_tracker,
 )
+from repro.errors import SearchError
 from repro.gpusim.tracker import PhaseCategory
 
 
@@ -71,6 +72,25 @@ class TestSearchReport:
                 is PhaseCategory.STRUCTURE)
         assert (tracker.category_of("structures_updating")
                 is PhaseCategory.STRUCTURE)
+
+
+class TestTake:
+    def test_total_only_report_cannot_be_sliced(self):
+        with pytest.raises(SearchError, match="per-query distance"):
+            _report().take([0])
+
+    def test_take_selects_lanes_and_recounts_distances(self):
+        report = _report()
+        report.ids[:] = np.arange(4)[:, None]
+        report.lane_distance_computations = np.array([10, 20, 30, 40])
+        taken = report.take([2, 2, 0])
+        assert taken.n_queries == 3
+        assert np.array_equal(taken.ids[:, 0], [2, 2, 0])
+        assert taken.n_distance_computations == 70
+        assert np.array_equal(taken.lane_distance_computations,
+                              [30, 30, 10])
+        assert taken.tracker.n_lanes == 3
+        assert (taken.n_threads, taken.shared_mem_bytes) == (32, 1024)
 
 
 class TestConstructionReport:

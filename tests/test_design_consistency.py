@@ -144,6 +144,48 @@ class TestReplayStaysStaged:
                     if isinstance(node, ast.Nonlocal)]
 
 
+class TestOneDoorToTheTraversal:
+    """Host width is decided in one place: the replays dispatch through
+    ``stream_batches`` and never search on their own, ``ganns_search``
+    is the only caller of the two kernels, and the lane store added no
+    public name."""
+
+    @staticmethod
+    def _callers(name):
+        src = os.path.join(ROOT, "src", "repro")
+        found = set()
+        for dirpath, _dirs, files in os.walk(src):
+            for filename in files:
+                if not filename.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, filename)
+                with open(path) as handle:
+                    tree = ast.parse(handle.read())
+                if any(isinstance(node, ast.Call)
+                       and getattr(node.func, "id",
+                                   getattr(node.func, "attr", "")) == name
+                       for node in ast.walk(tree)):
+                    found.add(os.path.relpath(path, src))
+        return found
+
+    def test_kernels_are_reached_only_through_ganns_search(self):
+        assert self._callers("_traverse") == {"perf/engine.py"}
+        assert self._callers("ganns_search_fast") == {"core/ganns.py"}
+        assert self._callers("ganns_search_staged") == {"core/ganns.py"}
+
+    def test_replays_dispatch_through_stream_batches(self):
+        searching = self._callers("ganns_search")
+        assert "core/pipeline.py" in searching
+        assert not {"serve/engine.py", "cluster/engine.py"} & searching
+        assert {"serve/engine.py", "cluster/engine.py"} \
+            <= self._callers("stream_batches")
+
+    def test_package_surface_is_unchanged(self):
+        import repro
+        assert len(repro.__all__) == 78
+        assert "_LaneStore" not in repro.__all__
+
+
 class TestConstructionStaysBulk:
     """NN-descent and CAGRA run every stage over the whole vertex set.
     The RNG draws are the one per-vertex loop left (the stream is

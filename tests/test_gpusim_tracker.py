@@ -137,3 +137,23 @@ class TestMergeAndReset:
         t.reset()
         assert t.total_cycles() == 0.0
         assert t.category_of("p") is PhaseCategory.DISTANCE
+
+
+class TestTake:
+    def test_take_slices_every_phase_in_order(self):
+        t = CycleTracker(4, {"p": PhaseCategory.DISTANCE})
+        t.charge("q", np.array([1.0, 2.0, 3.0, 4.0]))
+        t.charge("p", np.array([10.0, 20.0, 30.0, 40.0]))
+        taken = t.take([3, 0, 3])
+        assert taken.n_lanes == 3
+        assert tuple(taken.phase_names) == ("q", "p")
+        assert np.array_equal(taken.lane_cycles("p"), [40, 10, 40])
+        assert np.array_equal(taken.lane_cycles(), [44, 11, 44])
+        assert taken.category_of("p") is PhaseCategory.DISTANCE
+
+    def test_take_copies(self):
+        t = CycleTracker(2)
+        t.charge("p", 1.0)
+        taken = t.take([0, 1])
+        taken.charge("p", 5.0)
+        assert np.array_equal(t.lane_cycles("p"), [1, 1])

@@ -7,6 +7,8 @@ import pytest
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
 from repro.errors import ServeError
+from repro.faults import AdmissionGovernor, named_fault_plan
+from repro.observability import MetricsRegistry, SpanTracer
 from repro.serve import (
     BatchPolicy,
     QueryRequest,
@@ -14,6 +16,7 @@ from repro.serve import (
     ResultCache,
     ServeEngine,
 )
+from tests.oracles.narrow_dispatch import narrow_dispatch
 
 PARAMS = SearchParams(k=5, l_n=32)
 
@@ -251,3 +254,122 @@ class TestEngineValidation:
         assert report.n_batches == 0
         assert report.qps == 0.0
         assert report.summary()  # must not crash on empty populations
+
+
+class TestHostileQueries:
+    """A request the kernel would refuse is refused with the trace —
+    by id, before a batch forms — not from inside a host call that
+    carries other requests' lanes."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "dtype"])
+    def test_rejected_up_front_without_side_effects(
+            self, small_graph, small_points, small_queries, bad):
+        hostile = small_queries[8:10].copy()
+        if bad == "dtype":
+            assert small_points.dtype == np.float32
+            hostile = hostile.astype(np.float64)
+            message = "request 8: queries are float64"
+        else:
+            hostile[1, 3] = bad
+            message = "request 8: queries contain NaN or infinite"
+        cache = ResultCache(64)
+        engine = ServeEngine(
+            small_graph, small_points, PARAMS, cache=cache,
+            policy=BatchPolicy(max_batch=4, max_wait_seconds=1e-4,
+                               max_queue=64))
+        # Eight good requests (two full batches) arrive first.
+        trace = _trace_from(small_queries[:8])
+        trace.append(QueryRequest(8, hostile, 1.0))
+        tracer = SpanTracer()
+        with pytest.raises(ServeError, match=message):
+            engine.replay(trace, tracer=tracer)
+        assert len(cache) == 0 and cache.stats.lookups == 0
+        assert len(tracer.spans) == 0
+
+
+def _replay_bytes(engine_factory, trace):
+    """Report, span and metric bytes of one traced replay."""
+    tracer, metrics = SpanTracer(), MetricsRegistry()
+    report = engine_factory().replay(trace, tracer=tracer,
+                                     metrics=metrics)
+    tracer.finish()
+    report.verify_against_metrics()
+    return report, (report.to_bytes(), tracer.to_json_bytes(),
+                    metrics.to_json_bytes())
+
+
+class TestWideSearches:
+    """Replays search their queries wide and charge them per batch:
+    same bytes as one host search per batch, fewer lanes traversed."""
+
+    def test_retried_batches_traverse_each_query_once(
+            self, small_graph, small_points, small_queries, traversed):
+        trace = _trace_from(np.concatenate([small_queries,
+                                            small_queries[:10]]))
+        plan = named_fault_plan("aggressive",
+                                2.0 * trace[-1].arrival_seconds, seed=0)
+        engine = ServeEngine(
+            small_graph, small_points, PARAMS, faults=plan,
+            policy=BatchPolicy(max_batch=8, max_wait_seconds=1e-3,
+                               max_queue=64))
+        report = engine.replay(trace)
+        assert report.fault_report.n_retries > 0
+        dispatched = sum(report.batch_sizes)
+        lanes = sum(n for _, n in traversed)
+        assert lanes <= len(small_queries) < dispatched
+        # Nothing outlives the replay: the next one does equal work.
+        engine.replay(trace)
+        assert sum(n for _, n in traversed) == 2 * lanes
+
+    def test_degraded_tier_replays_to_the_narrow_bytes(
+            self, small_graph, small_points, small_queries):
+        def factory():
+            return ServeEngine(
+                small_graph, small_points, PARAMS,
+                cache=ResultCache(16),
+                policy=BatchPolicy(max_batch=16, max_wait_seconds=2e-3,
+                                   max_queue=16),
+                governor=AdmissionGovernor(tiers=((16, 8),),
+                                           pressure_thresholds=(0.5,)))
+        # A burst that fills the queue (tier 1), then a trickle of
+        # repeats and fresh queries at tier 0.
+        trace = _trace_from(small_queries[:16], spacing=1e-7)
+        trace += [QueryRequest(100 + i, small_queries[10 + i:12 + i],
+                               1.0 + i * 1e-2) for i in range(12)]
+        report, wide = _replay_bytes(factory, trace)
+        assert {o.degraded_tier for o in report.outcomes
+                if o.served} == {0, 1}
+        with narrow_dispatch():
+            _, narrow = _replay_bytes(factory, trace)
+        assert wide == narrow
+
+    def test_quantised_engine_replays_to_the_narrow_bytes(
+            self, small_graph, small_points, small_queries):
+        def factory():
+            return ServeEngine(
+                small_graph, small_points,
+                SearchParams(k=5, l_n=32, quant="pca"),
+                cache=ResultCache(16),
+                policy=BatchPolicy(max_batch=8, max_wait_seconds=1e-3,
+                                   max_queue=64))
+        trace = _trace_from(np.concatenate([small_queries,
+                                            small_queries[5:25]]),
+                            per_request=3)
+        report, wide = _replay_bytes(factory, trace)
+        assert report.quant == "pca" and report.n_served == len(trace)
+        with narrow_dispatch():
+            _, narrow = _replay_bytes(factory, trace)
+        assert wide == narrow
+
+    def test_overload_searches_no_more_than_the_distinct_queries(
+            self, small_graph, small_points, small_queries,
+            searched_rows):
+        engine = ServeEngine(
+            small_graph, small_points, PARAMS,
+            policy=BatchPolicy(max_batch=4, max_wait_seconds=1.0,
+                               max_queue=4))
+        queries = np.concatenate([small_queries, small_queries])
+        report = engine.replay(_trace_from(queries, spacing=1e-7))
+        assert report.n_rejected > report.n_served > 0
+        rows = [row for call in searched_rows for row in call]
+        assert len(rows) == len(set(rows)) <= len(small_queries)
