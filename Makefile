@@ -28,11 +28,14 @@ bench-full:
 # (the README's protocol for a claimed gain).  Parent = HEAD's src/,
 # change = this checkout.
 #   make bench-ab WORKLOADS="search_lowdim serve_replay" PAIRS=6
+# LAYERS=1 adds one traced pass per side and prints the layers that moved.
 WORKLOADS ?=
 PAIRS ?= 10
+LAYERS ?=
 bench-ab:
-	python3 scripts/bench_ab.py --pairs $(PAIRS) \
-		$(foreach w,$(WORKLOADS),--workload $(w))
+	$(PYTHON) scripts/bench_ab.py --pairs $(PAIRS) \
+		$(foreach w,$(WORKLOADS),--workload $(w)) \
+		$(if $(LAYERS),--layers)
 
 # Regenerate the committed recovery benchmark (MTTR vs shard size and
 # WAL depth), BENCH_recovery.json.

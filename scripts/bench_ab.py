@@ -18,6 +18,12 @@ pairs and the change first on odd ones.  The runs of each side are merged into o
 ``every run`` — whether each run of the change beats each run of the
 parent, the condition under which ``compare.py`` can never answer
 ``unresolved``.  The exit status is ``compare.py``'s.
+
+``--layers`` (``make bench-ab LAYERS=1``) then runs one ``--trace 1``
+pass per side and workload at ``--seed`` and prints, side by side, the
+per-layer rows that differ by more than 5 % — which layer moved is the
+command's output, not prose.  One pass each: orientation for the pairs
+above it, never a claim of its own.
 """
 
 from __future__ import annotations
@@ -50,13 +56,14 @@ def archive_head_src(target: Path) -> Path:
     return target
 
 
-def run_once(tree: Path, workload: str, seed: int, output: Path) -> dict:
-    """One ``--runs 1 --trace 0`` run against ``tree/src``."""
+def run_once(tree: Path, workload: str, seed: int, output: Path,
+             trace: int = 0) -> dict:
+    """One ``--runs 1 --trace <trace>`` run against ``tree/src``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     output.unlink(missing_ok=True)  # never read a previous run's document
     done = subprocess.run(
         [sys.executable, str(E2E / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--runs", "1", "--trace", "0",
+         "--seed", str(seed), "--runs", "1", "--trace", str(trace),
          "--output", str(output)],
         cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
     if done.returncode not in (0, 1) or not output.exists():
@@ -80,6 +87,25 @@ def wins_every_run(parent: list, change: list, better: str) -> bool:
     return max(change) < min(parent)
 
 
+#: ``--layers`` prints a per-layer row when the sides differ by more.
+LAYER_TOLERANCE = 0.05
+
+
+def print_layers(workload: str, parent: dict, change: dict) -> None:
+    """The per-layer rows of two ``--trace 1`` runs that differ."""
+    print(f"## {workload} layers: one --trace 1 pass per side, rows "
+          f"that differ by more than {LAYER_TOLERANCE:.0%}")
+    print(f"{'layer':<44}{'unit':<8}{'parent':>14}{'change':>14}  ratio")
+    for name, cell in parent["metrics"].items():
+        before = cell["value"]
+        after = change["metrics"][name]["value"]
+        if abs(after - before) <= LAYER_TOLERANCE * abs(before):
+            continue
+        ratio = f"{after / before:.2f}x" if before else "new"
+        print(f"{name:<44}{cell['unit']:<8}{before:>14.6g}{after:>14.6g}"
+              f"  {ratio}")
+
+
 def main(argv=None) -> int:
     with open(ROOT / "BENCHMARK.json") as handle:
         spec = json.load(handle)
@@ -96,6 +122,9 @@ def main(argv=None) -> int:
                         help="workload to run (repeatable; default all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=100)
+    parser.add_argument("--layers", action="store_true",
+                        help="after the pairs, one --trace 1 pass per "
+                             "side: print the per-layer rows that differ")
     args = parser.parse_args(argv)
     workloads = args.workload or names
 
@@ -120,6 +149,14 @@ def main(argv=None) -> int:
                                       run["metrics"].items())
                           + ("" if run["correct"] else "  CHECKS FAILED"),
                           flush=True)
+        layers = {}
+        if args.layers:
+            for workload in workloads:
+                layers[workload] = [
+                    run_once(trees[side].resolve(), workload, args.seed,
+                             scratch / f"{side}_layers.json",
+                             trace=1)["runs"][0]
+                    for side in ("parent", "change")]
         paths = {side: scratch / f"{side}.json" for side in docs}
         for side, path in paths.items():
             with open(path, "w") as handle:
@@ -144,6 +181,8 @@ def main(argv=None) -> int:
                 parent[workload][metric], change[workload][metric],
                 better[metric]) else "no")
         print(line)
+    for workload, sides in layers.items():
+        print_layers(workload, *sides)
     sys.stderr.write(compared.stderr)
     return compared.returncode
 

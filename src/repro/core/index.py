@@ -14,6 +14,8 @@ Example:
 from __future__ import annotations
 
 import os
+import zipfile
+import zlib
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -254,27 +256,38 @@ class GannsIndex:
 
     @classmethod
     def load(cls, path: Union[str, os.PathLike]) -> "GannsIndex":
-        """Read an index written by :meth:`save`."""
-        with np.load(path, allow_pickle=False) as archive:
-            version = int(archive["format_version"])
-            if version != _INDEX_FORMAT_VERSION:
-                raise ConfigurationError(
-                    f"index file {path!r} has format version {version}, "
-                    f"expected {_INDEX_FORMAT_VERSION}"
-                )
-            metric = str(archive["metric"])
-            d_max = int(archive["d_max"])
-            points = archive["points"]
-            graph_type = str(archive["graph_type"])
-            backend = get_backend(graph_type)
-            kind = str(archive["kind"])
-            expected = "hierarchical" if backend.hierarchical else "flat"
-            if kind != expected:
-                raise ConfigurationError(
-                    f"index file {path!r} stores a {kind!r} graph but "
-                    f"family {graph_type!r} expects {expected!r}"
-                )
-            graph = backend.deserialize_graph(archive, len(points),
-                                              d_max, metric)
-            order = archive["order"] if "order" in archive.files else None
-            return cls(points, graph, graph_type, metric, order=order)
+        """Read an index written by :meth:`save`.
+
+        Raises:
+            ConfigurationError: On a format-version or layout mismatch,
+                and on a truncated, corrupt or incomplete archive.
+        """
+        try:
+            with np.load(path, allow_pickle=False) as archive:
+                version = int(archive["format_version"])
+                if version != _INDEX_FORMAT_VERSION:
+                    raise ConfigurationError(
+                        f"index file {path!r} has format version {version}, "
+                        f"expected {_INDEX_FORMAT_VERSION}"
+                    )
+                metric = str(archive["metric"])
+                d_max = int(archive["d_max"])
+                points = archive["points"]
+                graph_type = str(archive["graph_type"])
+                backend = get_backend(graph_type)
+                kind = str(archive["kind"])
+                expected = "hierarchical" if backend.hierarchical else "flat"
+                if kind != expected:
+                    raise ConfigurationError(
+                        f"index file {path!r} stores a {kind!r} graph but "
+                        f"family {graph_type!r} expects {expected!r}"
+                    )
+                graph = backend.deserialize_graph(archive, len(points),
+                                                  d_max, metric)
+                order = archive["order"] if "order" in archive.files else None
+                return cls(points, graph, graph_type, metric, order=order)
+        except (zipfile.BadZipFile, EOFError, zlib.error, KeyError) as exc:
+            raise ConfigurationError(
+                f"index file {path!r} is truncated or corrupt "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc

@@ -139,8 +139,9 @@ class StreamResult:
 #: (``docs/performance.md``, "host width vs simulated batch").
 _HOST_WIDTH = 512
 
-#: Ceiling on the lazy-check bitmap of one such call
-#: (:class:`repro.perf.arena.PoolMembership`, ``ceil(n / 8)`` bytes per
+#: Ceiling on the lazy-check bitmap of one such call — membership in
+#: the call's set of evaluated (query, vertex) pairs
+#: (:class:`repro.perf.arena.EvaluatedPairs`, ``ceil(n / 8)`` bytes per
 #: query): past ~1M vertices the width shrinks instead.
 _MEMBERSHIP_BUDGET_BYTES = 64 << 20
 
@@ -221,13 +222,16 @@ class _LaneStore:
                                wide.dists.dtype),
                 tracker=make_search_tracker(n, wide.algorithm),
                 iterations=np.zeros(n, dtype=np.int64),
-                lane_distance_computations=np.zeros(n, dtype=np.int64))
+                lane_distance_computations=np.zeros(n, dtype=np.int64),
+                lane_distance_evaluations=np.zeros(n, dtype=np.int64))
         held = self._report
         held.ids[lanes] = wide.ids
         held.dists[lanes] = wide.dists
         held.iterations[lanes] = wide.iterations
         held.lane_distance_computations[lanes] = \
             wide.lane_distance_computations
+        held.lane_distance_evaluations[lanes] = \
+            wide.lane_distance_evaluations
         for phase in wide.tracker.phase_names:
             held.tracker.charge(phase, wide.tracker.lane_cycles(phase),
                                 lanes)

@@ -38,6 +38,11 @@ class SearchReport:
         lane_distance_computations: The same count per query,
             ``(n_queries,)``; ``None`` on reports whose producer keeps
             only the total (the baselines), which cannot be sliced.
+        lane_distance_evaluations: Distances the *host* evaluated per
+            query — one per distinct (query, vertex) pair under the
+            lazy check, however often the kernel is charged for it
+            (``docs/performance.md``).  Host-side observability only:
+            in no digest, canonical bytes or golden.
     """
 
     algorithm: str
@@ -49,6 +54,7 @@ class SearchReport:
     iterations: np.ndarray
     n_distance_computations: int
     lane_distance_computations: Optional[np.ndarray] = None
+    lane_distance_evaluations: Optional[np.ndarray] = None
 
     @property
     def n_queries(self) -> int:
@@ -71,12 +77,15 @@ class SearchReport:
             )
         lanes = np.asarray(lanes, dtype=np.int64)
         per_lane = self.lane_distance_computations[lanes]
+        evaluated = self.lane_distance_evaluations
         return replace(
             self, ids=self.ids[lanes], dists=self.dists[lanes],
             tracker=self.tracker.take(lanes),
             iterations=self.iterations[lanes],
             n_distance_computations=int(per_lane.sum()),
-            lane_distance_computations=per_lane)
+            lane_distance_computations=per_lane,
+            lane_distance_evaluations=(None if evaluated is None
+                                       else evaluated[lanes]))
 
     def launch(self, device: DeviceSpec = QUADRO_P5000,
                costs: CostTable = DEFAULT_COSTS) -> LaunchResult:

@@ -6,8 +6,8 @@ pricing, reports); this package owns their single execution path — there
 is no second implementation and no switch to ask for one:
 
 - :mod:`repro.perf.arena` — preallocated, reusable search buffers with
-  active-query compaction, and the per-call pool-membership bitmap
-  behind the lazy check;
+  active-query compaction, and the per-call evaluated-pairs bitmap
+  behind the lazy check (a distance is evaluated once, charged always);
 - :mod:`repro.perf.distance` — GEMM-style dtype-preserving distance
   engines with precomputed norms;
 - :mod:`repro.perf.engine` — the GANNS traversal (one insertion merge:

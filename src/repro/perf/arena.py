@@ -1,5 +1,5 @@
 """Working state of the GANNS traversal: the reusable arena and the
-per-call pool-membership bitmap.
+per-call evaluated-pairs bitmap.
 
 A textbook batched search allocates fresh arrays every iteration
 (``np.concatenate`` for the merge input, a ``pool[act]`` gather per
@@ -16,7 +16,7 @@ phase).  A :class:`SearchArena` avoids that:
 
 Arenas are cached per ``(l_n, l_t, dtype)`` shape class and reused
 across calls when capacity allows (a serving replay dispatches thousands
-of identically-shaped micro-batches).  :class:`PoolMembership` is sized
+of identically-shaped micro-batches).  :class:`EvaluatedPairs` is sized
 by the corpus instead, so it is allocated per call and dropped on
 return: no search leaves behind anything the next one could read.
 """
@@ -31,13 +31,16 @@ import numpy as np
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
 
-class PoolMembership:
-    """Exact "this id is in this query's pool *now*" bitmap.
+class EvaluatedPairs:
+    """"This (query, vertex) distance was evaluated in this call" bitmap.
 
-    The paper's lazy-check predicate, one bit per (query, vertex): set
-    when a record enters the pool, cleared when it is evicted — not a
-    visited set, so an evicted vertex may re-enter, as under a scan of
-    the pool.  Keyed by the caller's query row, so compaction moves
+    The lazy check's host form, one bit per (query, vertex): set when a
+    T record is evaluated, never cleared.  It admits the same entrants
+    as the paper's scan of the pool — a record that is out of the pool
+    again sits at or behind a last pool record that only ever moves
+    forward (``docs/performance.md``, "Charged vs evaluated distances")
+    — so a distance is computed once per pair however often it is
+    charged.  Keyed by the caller's query row, so compaction moves
     nothing.  ``n_queries * ceil(n / 8)`` bytes.
     """
 
@@ -58,17 +61,9 @@ class PoolMembership:
 
     def insert(self, query_rows: np.ndarray, ids: np.ndarray) -> None:
         """Set ``ids[j]`` in query ``query_rows[j]`` (flat, aligned).
-        ``ufunc.at``, here and in :meth:`evict`, because two records of
-        one call may share a byte."""
+        ``ufunc.at`` because two records of one call may share a byte."""
         flat = query_rows * self.stride + ids
         np.bitwise_or.at(self.bits, flat >> 3, _BIT.take(flat & 7))
-
-    def evict(self, query_rows: np.ndarray, ids: np.ndarray) -> None:
-        """Clear ``ids[j]`` in query ``query_rows[j]``; negative ids are
-        pool pads and skipped."""
-        real = ids >= 0
-        flat = query_rows[real] * self.stride + ids[real]
-        np.bitwise_and.at(self.bits, flat >> 3, ~_BIT.take(flat & 7))
 
 
 class SearchArena:
@@ -93,6 +88,9 @@ class SearchArena:
         self.pool_explored = np.empty(shape_n, dtype=bool)
         #: Neighbor buffer T (adjacency rows stream into it in place).
         self.t_ids = np.empty((self.capacity, self.l_t), dtype=np.int64)
+        #: Its distances: only the lanes evaluated this iteration are
+        #: written, the rest keep stale (finite) values.
+        self.t_dists = np.zeros((self.capacity, self.l_t), dtype=self.dtype)
         #: Compact row -> original query row (always sorted ascending).
         self.query_rows = np.empty(self.capacity, dtype=np.int64)
         self.rows = np.arange(self.capacity, dtype=np.int64)

@@ -11,8 +11,11 @@ a whole query batch in lock-step:
   (precomputed norms, one gather + one GEMM-style einsum per iteration,
   compute dtype preserved);
 - phase 4's duplicate check is one gather from a per-call
-  :class:`repro.perf.arena.PoolMembership` bitmap (set on insertion,
-  cleared on eviction: the paper's scan of N, not a visited set);
+  :class:`repro.perf.arena.EvaluatedPairs` bitmap, taken *before*
+  phase 3: a (query, vertex) distance is evaluated once per call and
+  charged every time the simulated kernel would recompute it (same
+  entrants as the paper's scan of N — ``docs/performance.md``,
+  "Charged vs evaluated distances");
 - phases 5+6 are one insertion merge (:func:`_insert_merge`): only the
   T records that beat their row's last pool record — about two of the
   ``l_t`` computed — are sorted, ranked and written, and only the rows
@@ -45,7 +48,7 @@ staged path is **lossy** (see :mod:`repro.perf.quant`); only
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -55,7 +58,7 @@ from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable
 from repro.gpusim.memory import SharedMemoryBudget
-from repro.perf.arena import PoolMembership, SearchArena, get_arena
+from repro.perf.arena import EvaluatedPairs, SearchArena, get_arena
 from repro.perf.distance import make_distance_engine
 from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
     quantize_points
@@ -67,8 +70,7 @@ _MAX_ITERATION_FACTOR = 64
 
 
 def _insert_merge(arena: SearchArena, m: int, t_dists: np.ndarray,
-                  t_ids: np.ndarray, alive: np.ndarray,
-                  members: Optional[PoolMembership]) -> None:
+                  t_ids: np.ndarray, alive: np.ndarray) -> None:
     """Phases 5+6 for compact rows ``0..m-1``: merge T into the pools.
 
     Same result as the oracle's stable lexsort of pool + sorted T
@@ -84,16 +86,14 @@ def _insert_merge(arena: SearchArena, m: int, t_dists: np.ndarray,
        past the pool width fall off (always a run's tail);
     3. *rewrite* the touched rows: slots no survivor took are
        pool-sourced in pool order, so a running count of taken slots
-       gives each its source column.  A row that takes ``c`` records
-       evicts its last ``c``; ``members`` (``None`` when the lazy check
-       is off) trades exactly those ids.
+       gives each its source column.
 
     ``alive`` masks the ``(m, l_t)`` T lanes that may enter (not pads,
     not lazy-check victims); the other lanes may hold anything.
     """
     width = arena.l_n
     pool_dists, pool_ids = arena.pool_dists, arena.pool_ids
-    flat_dists, flat_ids = pool_dists.ravel(), pool_ids.ravel()
+    flat_dists = pool_dists.ravel()
     last_dist = pool_dists[:m, width - 1, None]
     last_id = pool_ids[:m, width - 1, None]
     accept = alive & ((t_dists < last_dist)
@@ -126,10 +126,10 @@ def _insert_merge(arena: SearchArena, m: int, t_dists: np.ndarray,
     within = np.arange(len(row)) - first[group]
     slot = ahead + within
     # A run's first record always lands (it beat the last pool record):
-    # every touched row keeps one, ``within`` stays 0..c-1 over the kept.
+    # every touched row keeps one.
     kept = np.flatnonzero(slot < width)
-    row, group, within = row[kept], group[kept], within[kept]
-    slot, dist, ident = slot[kept], dist[kept], ident[kept]
+    group, slot = group[kept], slot[kept]
+    dist, ident = dist[kept], ident[kept]
 
     taken = np.zeros((len(touched), width), dtype=bool)
     taken[group, slot] = True
@@ -137,23 +137,19 @@ def _insert_merge(arena: SearchArena, m: int, t_dists: np.ndarray,
     # column to its left (-1 at worst, hence the clip) and is overwritten.
     source = (np.arange(width) - np.cumsum(taken, axis=1)
               + (touched * width)[:, None])
-    evicted = flat_ids.take(row * width + (width - 1 - within))
     for pool, entering in ((pool_dists, dist), (pool_ids, ident),
                            (arena.pool_explored, False)):
         merged = pool.ravel().take(source, mode="clip")
         merged[group, slot] = entering
         pool[touched] = merged
-    if members is not None:
-        queries = arena.query_rows[row]
-        members.evict(queries, evicted)
-        members.insert(queries, ident)
 
 
 def _traverse(graph: ProximityGraph, engine, arena, tracker,
               costs: CostTable, *, l_pool: int, e_budget: int, n_t: int,
               out_width: int, dist_dims: int, entries: np.ndarray,
               lazy_check: bool, out_ids: np.ndarray,
-              out_dists: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+              out_dists: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the six-phase GANNS loop over ``engine`` until every query
     retires.
 
@@ -177,7 +173,9 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
             path's rerank input).
 
     Returns:
-        ``(iterations, n_distance_computations)``, both per query.
+        ``(iterations, n_distance_computations, n_evaluations)``, each
+        per query: distances the simulated kernel is charged for, and
+        distances the host evaluated.
     """
     n_queries = len(out_ids)
     l_t = graph.d_max
@@ -188,13 +186,13 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
     arena.pool_dists[:m, 0] = entry_dists
     arena.pool_ids[:m, 0] = entries
     arena.pool_explored[:m, 0] = False
-    members = None
     if lazy_check:
-        members = PoolMembership(n_queries, graph.n_vertices)
-        members.insert(arena.query_rows[:m], entries)
+        seen = EvaluatedPairs(n_queries, graph.n_vertices)
+        seen.insert(arena.query_rows[:m], entries)
     tracker.charge("bulk_distance",
                    costs.single_distance_cycles(dist_dims, n_t))
     n_distance_computations = np.ones(n_queries, dtype=np.int64)
+    n_evaluations = np.ones(n_queries, dtype=np.int64)
 
     locate_cost = costs.ganns_candidate_locate_cycles(l_pool, n_t)
     explore_cost = costs.ganns_explore_cycles(l_t, n_t)
@@ -212,14 +210,15 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
         # ascending original order, so the tracker sees the same lanes.
         act = arena.query_rows[:m]
         tracker.charge("candidate_locating", locate_cost, act)
-        window = ~arena.pool_explored[:m, :e_budget]
-        has_work = window.any(axis=1)
-        slot = np.argmax(window[has_work], axis=1)
+        explored = arena.pool_explored[:m, :e_budget]
+        slot = np.argmin(explored, axis=1)  # the first unexplored
+        has_work = ~explored.all(axis=1)
         if not has_work.all():
             done = np.flatnonzero(~has_work)
             done_queries = arena.query_rows[done]
             out_ids[done_queries] = arena.pool_ids[done, :out_width]
             out_dists[done_queries] = arena.pool_dists[done, :out_width]
+            slot = slot[has_work]
             m = arena.compact(m, has_work)
             if m == 0:
                 break
@@ -242,27 +241,31 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
         valid = t_ids >= 0
         degrees = graph.degrees[exploring]
 
-        # Phase 3 — bulk distance computation over the full (m, l_t) T
-        # (pad lanes clip to point 0 in the engine; ``alive`` masks them).
-        t_dists = engine.pairs(act, t_ids)
+        # Phases 3+4 — bulk distance computation and lazy check, both
+        # charged per slot as the kernel runs them.  The host takes the
+        # check first (one gather from the evaluated-pairs bitmap) and
+        # evaluates only the pairs this call has never seen: no other
+        # record can enter a pool (docs/performance.md).
+        alive = valid & ~seen.contains(act, t_ids) if lazy_check else valid
+        row, lane = np.nonzero(alive)
+        queries, fresh = act[row], t_ids[row, lane]
+        t_dists = arena.t_dists[:m]
+        t_dists[row, lane] = engine.pairs(queries, fresh[:, None])[:, 0]
         tracker.charge("bulk_distance", degrees * per_vector_cost, act)
         n_distance_computations[act] += degrees
-
-        # Phase 4 — lazy check: one gather from the membership bitmap.
+        n_evaluations[act] += alive.sum(axis=1)
         if lazy_check:
+            seen.insert(queries, fresh)
             tracker.charge("lazy_check", check_cost, act)
-            alive = valid & ~members.contains(act, t_ids)
-        else:
-            alive = valid
 
         # Phases 5+6 — sort T, merge it into N.  The simulated kernel
         # runs both networks whatever T holds, so the charges are
         # unconditional; the host pays for the records that enter.
         tracker.charge("sorting", sort_cost, act)
         tracker.charge("candidate_update", merge_cost, act)
-        _insert_merge(arena, m, t_dists, t_ids, alive, members)
+        _insert_merge(arena, m, t_dists, t_ids, alive)
 
-    return iterations, n_distance_computations
+    return iterations, n_distance_computations, n_evaluations
 
 
 def ganns_search_fast(graph: ProximityGraph, points: np.ndarray,
@@ -292,7 +295,7 @@ def ganns_search_fast(graph: ProximityGraph, points: np.ndarray,
     out_ids = np.empty((n_queries, k), dtype=np.int64)
     out_dists = np.empty((n_queries, k), dtype=compute_dtype)
 
-    iterations, lane_distances = _traverse(
+    iterations, lane_distances, lane_evaluations = _traverse(
         graph, engine, arena, tracker, costs,
         l_pool=l_n, e_budget=e_budget, n_t=n_t, out_width=k,
         dist_dims=points.shape[1], entries=entries,
@@ -309,6 +312,7 @@ def ganns_search_fast(graph: ProximityGraph, points: np.ndarray,
         iterations=iterations,
         n_distance_computations=int(lane_distances.sum()),
         lane_distance_computations=lane_distances,
+        lane_distance_evaluations=lane_evaluations,
     )
 
 
@@ -358,7 +362,7 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
     pool_ids = np.empty((n_queries, l_q), dtype=np.int64)
     pool_dists = np.empty((n_queries, l_q), dtype=_STAGED_TRAVERSAL_DTYPE)
 
-    iterations, lane_distances = _traverse(
+    iterations, lane_distances, lane_evaluations = _traverse(
         graph, engine, arena, tracker, costs,
         l_pool=l_q, e_budget=e_budget, n_t=n_t, out_width=l_q,
         dist_dims=charged_dims(table), entries=entries,
@@ -379,6 +383,7 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
     n_reranked = valid.sum(axis=1)
     tracker.charge("bulk_distance", n_reranked * per_vector_cost, all_rows)
     lane_distances += n_reranked
+    lane_evaluations += n_reranked
     tracker.charge("sorting", costs.bitonic_sort_cycles(l_q, n_t),
                    all_rows)
     order = np.lexsort((pool_ids, exact_dists), axis=1)[:, :k]
@@ -398,4 +403,5 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
         iterations=iterations,
         n_distance_computations=int(lane_distances.sum()),
         lane_distance_computations=lane_distances,
+        lane_distance_evaluations=lane_evaluations,
     )

@@ -10,7 +10,15 @@ lock-step batches with mixed retirement — the single-query warp kernel
 
 Contract: ids, iterations, distance counts and per-phase per-lane cycle
 charges are *equal*; distances agree to dtype tolerance (the library's
-GEMM norm expansion of the euclidean metric differs in the last ulp).
+GEMM norm expansion of the euclidean metric differs in the last ulp; on
+integer coordinates both forms are exact and the bytes are equal).
+
+It is also the reference for what the library *skips*: phase 3 here
+evaluates every slot of T every iteration and phase 4 scans the pool,
+where ``repro.perf.engine`` evaluates a (query, vertex) pair once per
+call.  Under ``params.quant`` the same loop runs over the library's
+compressed distances (the arithmetic is not what is under test, the
+traversal is) with the widened pool, followed by the exact rerank.
 """
 
 from typing import Optional, Union
@@ -24,6 +32,8 @@ from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.memory import SharedMemoryBudget
 from repro.perf.distance import resolve_compute_dtype
+from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
+    quantize_points
 
 _MAX_ITERATION_FACTOR = 64
 
@@ -61,7 +71,7 @@ def ganns_search_oracle(graph: ProximityGraph, points: np.ndarray,
                         costs: CostTable = DEFAULT_COSTS,
                         lazy_check: bool = True,
                         dtype: Optional[object] = None) -> SearchReport:
-    """Exact (``params.quant`` is ignored) lock-step batched search."""
+    """Lock-step batched search: exact, or staged under ``params.quant``."""
     points = np.asarray(points)
     queries = np.asarray(queries)
     n_queries = len(queries)
@@ -75,29 +85,37 @@ def ganns_search_oracle(graph: ProximityGraph, points: np.ndarray,
                               (n_queries,))
 
     tracker = make_search_tracker(n_queries, "ganns")
-    distance_fn = _group_distance_fn(graph.metric_name, points, queries,
-                                     compute_dtype)
+    exact_fn = _group_distance_fn(graph.metric_name, points, queries,
+                                  compute_dtype)
+    if params.quant is None:
+        distance_fn, l_pool, dist_dims = exact_fn, l_n, n_dims
+        pool_dtype = compute_dtype
+    else:
+        table = quantize_points(points, params.quant, graph.metric_name)
+        distance_fn = QuantizedGroupEngine(table, queries).pairs
+        l_pool, dist_dims = l_n * params.rerank_factor, charged_dims(table)
+        pool_dtype = np.float32
 
     # Pool N: (dist, id, explored) sorted by (dist, id); padding is
     # (+inf, -1, explored=True) so it is never selected for exploration.
-    pool_dists = np.full((n_queries, l_n), np.inf, dtype=compute_dtype)
-    pool_ids = np.full((n_queries, l_n), -1, dtype=np.int64)
-    pool_explored = np.ones((n_queries, l_n), dtype=bool)
+    pool_dists = np.full((n_queries, l_pool), np.inf, dtype=pool_dtype)
+    pool_ids = np.full((n_queries, l_pool), -1, dtype=np.int64)
+    pool_explored = np.ones((n_queries, l_pool), dtype=bool)
 
     pool_dists[:, 0] = distance_fn(np.arange(n_queries),
                                    entries[:, None])[:, 0]
     pool_ids[:, 0] = entries
     pool_explored[:, 0] = False
     tracker.charge("bulk_distance",
-                   costs.single_distance_cycles(n_dims, n_t))
+                   costs.single_distance_cycles(dist_dims, n_t))
     n_distance_computations = n_queries
 
-    locate_cost = costs.ganns_candidate_locate_cycles(l_n, n_t)
+    locate_cost = costs.ganns_candidate_locate_cycles(l_pool, n_t)
     explore_cost = costs.ganns_explore_cycles(l_t, n_t)
-    check_cost = costs.ganns_lazy_check_cycles(l_n, l_t, n_t)
+    check_cost = costs.ganns_lazy_check_cycles(l_pool, l_t, n_t)
     sort_cost = costs.ganns_sort_cycles(l_t, n_t)
-    merge_cost = costs.ganns_merge_cycles(l_n, l_t, n_t)
-    per_vector_cost = costs.single_distance_cycles(n_dims, n_t)
+    merge_cost = costs.ganns_merge_cycles(l_pool, l_t, n_t)
+    per_vector_cost = costs.single_distance_cycles(dist_dims, n_t)
 
     active = np.ones(n_queries, dtype=bool)
     iterations = np.zeros(n_queries, dtype=np.int64)
@@ -154,17 +172,32 @@ def ganns_search_oracle(graph: ProximityGraph, points: np.ndarray,
         t_dists = np.take_along_axis(t_dists, order, axis=1)
         t_ids = np.take_along_axis(t_ids, order, axis=1)
 
-        # Phase 6 — candidate update: keep the l_n best of N ∪ T (the
+        # Phase 6 — candidate update: keep the best of N ∪ T (the
         # pool wins ties: lexsort is stable and the pool comes first).
         tracker.charge("candidate_update", merge_cost, act)
         all_dists = np.concatenate([pool_dists[act], t_dists], axis=1)
         all_ids = np.concatenate([pool_ids[act], t_ids], axis=1)
         all_explored = np.concatenate([pool_explored[act], t_ids < 0], 1)
-        merge_order = np.lexsort((all_ids, all_dists), axis=1)[:, :l_n]
+        merge_order = np.lexsort((all_ids, all_dists), axis=1)[:, :l_pool]
         pool_dists[act] = np.take_along_axis(all_dists, merge_order, axis=1)
         pool_ids[act] = np.take_along_axis(all_ids, merge_order, axis=1)
         pool_explored[act] = np.take_along_axis(all_explored, merge_order,
                                                 axis=1)
+
+    if params.quant is not None:
+        # Stage 2 — exact rerank of the whole over-fetched pool.
+        real = pool_ids >= 0
+        pool_dists = exact_fn(np.arange(n_queries),
+                              np.where(real, pool_ids, 0))
+        pool_dists[~real] = np.inf
+        reranked = real.sum(axis=1)
+        tracker.charge("bulk_distance", reranked
+                       * costs.single_distance_cycles(n_dims, n_t))
+        n_distance_computations += int(reranked.sum())
+        tracker.charge("sorting", costs.bitonic_sort_cycles(l_pool, n_t))
+        order = np.lexsort((pool_ids, pool_dists), axis=1)
+        pool_ids = np.take_along_axis(pool_ids, order, axis=1)
+        pool_dists = np.take_along_axis(pool_dists, order, axis=1)
 
     return SearchReport(
         algorithm="ganns",
@@ -172,7 +205,8 @@ def ganns_search_oracle(graph: ProximityGraph, points: np.ndarray,
         dists=pool_dists[:, :params.k].copy(),
         tracker=tracker,
         n_threads=n_t,
-        shared_mem_bytes=SharedMemoryBudget(l_n=l_n, l_t=l_t).total_bytes(),
+        shared_mem_bytes=SharedMemoryBudget(l_n=l_pool,
+                                            l_t=l_t).total_bytes(),
         iterations=iterations,
         n_distance_computations=n_distance_computations,
     )

@@ -1,5 +1,9 @@
 """Tests for the high-level GannsIndex API."""
 
+import struct
+import zipfile
+import zlib
+
 import numpy as np
 import pytest
 
@@ -170,3 +174,47 @@ class TestPersistence:
         np.savez(path, **arrays)
         with pytest.raises(ConfigurationError, match="format version"):
             GannsIndex.load(path)
+
+    @pytest.mark.parametrize("graph_type", ["nsw", "hnsw"])
+    @pytest.mark.parametrize("corruption, cause", [
+        ("truncated", zipfile.BadZipFile),
+        ("bit_flipped", zipfile.BadZipFile),      # caught by the CRC
+        ("bit_flipped_early", zlib.error),        # caught by inflate
+        ("empty", EOFError),
+        ("key_missing", KeyError),
+    ])
+    def test_corrupt_archive_is_a_typed_error(self, points, tmp_path,
+                                              graph_type, corruption,
+                                              cause):
+        """A damaged file surfaces as the ``ConfigurationError`` the
+        version check raises, naming the path — never the zip / zlib /
+        NumPy exception underneath."""
+        index = GannsIndex.build(points[:200], graph_type=graph_type,
+                                 params=PARAMS)
+        path = tmp_path / "index.npz"
+        index.save(path)
+        blob = bytearray(path.read_bytes())
+        if corruption == "truncated":
+            path.write_bytes(blob[:len(blob) // 2])
+        elif corruption.startswith("bit_flipped"):
+            with zipfile.ZipFile(path) as archive:
+                member = archive.getinfo("points.npy")
+            n_name, n_extra = struct.unpack_from(
+                "<HH", blob, member.header_offset + 26)
+            stream = member.header_offset + 30 + n_name + n_extra
+            if corruption == "bit_flipped":
+                blob[stream + member.compress_size // 2] ^= 0x10
+            else:
+                blob[stream + 5] ^= 0xFF
+            path.write_bytes(blob)
+        elif corruption == "empty":
+            path.write_bytes(b"")
+        else:
+            with np.load(path, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files
+                          if name != "points"}
+            np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigurationError, match="index.npz") as raised:
+            GannsIndex.load(path)
+        assert "truncated or corrupt" in str(raised.value)
+        assert isinstance(raised.value.__cause__, cause)

@@ -100,7 +100,8 @@ class TestValidation:
 def assert_same_report(got, want):
     """Field for field, byte for byte."""
     for field in ("ids", "dists", "iterations",
-                  "lane_distance_computations"):
+                  "lane_distance_computations",
+                  "lane_distance_evaluations"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field

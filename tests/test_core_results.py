@@ -83,12 +83,15 @@ class TestTake:
         report = _report()
         report.ids[:] = np.arange(4)[:, None]
         report.lane_distance_computations = np.array([10, 20, 30, 40])
+        assert report.take([1]).lane_distance_evaluations is None
+        report.lane_distance_evaluations = np.array([4, 5, 6, 7])
         taken = report.take([2, 2, 0])
         assert taken.n_queries == 3
         assert np.array_equal(taken.ids[:, 0], [2, 2, 0])
         assert taken.n_distance_computations == 70
         assert np.array_equal(taken.lane_distance_computations,
                               [30, 30, 10])
+        assert np.array_equal(taken.lane_distance_evaluations, [6, 6, 4])
         assert taken.tracker.n_lanes == 3
         assert (taken.n_threads, taken.shared_mem_bytes) == (32, 1024)
 

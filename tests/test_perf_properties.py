@@ -12,16 +12,22 @@ workloads representative of what the kernels actually see.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.core.ganns import ganns_search
 from repro.core.ganns_kernel import ganns_search_kernel
 from repro.core.params import SearchParams
 from repro.datasets.synthetic import gaussian_mixture
-from repro.perf.arena import PoolMembership, SearchArena
+from repro.perf.arena import EvaluatedPairs, SearchArena
+from repro.perf.distance import GroupDistanceEngine
 from repro.perf.engine import _insert_merge
-from tests.test_perf_equivalence import assert_matches_oracle
+from repro.perf.quant import QuantizedGroupEngine
+from tests.oracles.ganns_batched import ganns_search_oracle
+from tests.test_perf_equivalence import _assert_trackers_equal, \
+    assert_matches_oracle
 
 
 @st.composite
@@ -78,6 +84,97 @@ class TestBackendProperty:
 
 
 # ----------------------------------------------------------------------
+# Evaluate once, charge every time
+# ----------------------------------------------------------------------
+
+@st.composite
+def tie_heavy_workload(draw):
+    """Integer coordinates and duplicated points (equal distances with
+    different ids everywhere; every distance form is exact, so bytes
+    can be compared) searched with pools so small that records are
+    evicted on nearly every iteration."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = draw(st.integers(min_value=24, max_value=96))
+    dims = draw(st.sampled_from([2, 4, 8]))
+    levels = draw(st.integers(min_value=2, max_value=4))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    distinct = rng.integers(0, levels, (max(2, n // 2), dims))
+    points = distinct[rng.integers(0, len(distinct), n)].astype(dtype)
+    n_queries = draw(st.integers(min_value=1, max_value=8))
+    queries = rng.integers(0, levels, (n_queries, dims)).astype(dtype)
+    l_n = draw(st.sampled_from([4, 8]))
+    params = SearchParams(
+        k=draw(st.integers(min_value=1, max_value=l_n)), l_n=l_n,
+        e=draw(st.one_of(st.none(), st.integers(1, l_n))),
+        quant=draw(st.sampled_from([None, "pca", "int8", "fp16"])),
+        rerank_factor=draw(st.sampled_from([1, 2])))
+    return {
+        "points": points, "queries": queries, "params": params,
+        "dtype": dtype,
+        "metric": draw(st.sampled_from(["euclidean", "cosine", "ip"])),
+        "lazy_check": draw(st.booleans()),
+        "entry": draw(st.integers(min_value=0, max_value=n - 1)),
+    }
+
+
+class TestEvaluateOnceProperty:
+    @given(tie_heavy_workload())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_oracle_that_evaluates_everything(self, w):
+        """The oracle computes every slot of T every iteration and
+        scans the pool; the library evaluates a pair once per call.
+        Same ids, same distance bytes, same charges — exact and staged."""
+        graph = build_nsw_cpu(w["points"], d_min=3, d_max=6).graph
+        graph.metric_name = w["metric"]
+        args = (graph, w["points"], w["queries"], w["params"])
+        kwargs = dict(entry=w["entry"], lazy_check=w["lazy_check"],
+                      dtype=w["dtype"])
+        oracle = ganns_search_oracle(*args, **kwargs)
+        report = ganns_search(*args, **kwargs)
+        assert oracle.ids.tobytes() == report.ids.tobytes()
+        assert oracle.dists.tobytes() == report.dists.tobytes()
+        assert np.array_equal(oracle.iterations, report.iterations)
+        assert oracle.n_distance_computations == \
+            report.n_distance_computations
+        _assert_trackers_equal(oracle.tracker, report.tracker)
+        charged = report.lane_distance_computations
+        evaluated = report.lane_distance_evaluations
+        if w["lazy_check"]:
+            assert (evaluated <= charged).all()
+        else:
+            assert np.array_equal(evaluated, charged)
+
+    @pytest.mark.parametrize("quant", [None, "pca"])
+    def test_no_pair_is_evaluated_twice(self, monkeypatch, quant):
+        """Every ``pairs`` call of one search recorded: under the lazy
+        check a (query row, id) pair reaches an engine at most once."""
+        points = gaussian_mixture(400, 16, seed=3).astype(np.float32)
+        queries = gaussian_mixture(20, 16, seed=4).astype(np.float32)
+        graph = build_nsw_cpu(points, d_min=8, d_max=16).graph
+        seen_by = {}
+        for engine in (GroupDistanceEngine, QuantizedGroupEngine):
+            def recording(self, query_rows, cand_ids, _inner=engine.pairs):
+                rows = np.broadcast_to(query_rows[:, None], cand_ids.shape)
+                real = cand_ids >= 0
+                seen_by.setdefault(id(self), []).append(
+                    np.stack([rows[real], cand_ids[real]], axis=1))
+                return _inner(self, query_rows, cand_ids)
+            monkeypatch.setattr(engine, "pairs", recording)
+
+        report = ganns_search(graph, points, queries,
+                              SearchParams(k=10, l_n=16, quant=quant))
+
+        evaluated = 0
+        for calls in seen_by.values():  # one entry per engine instance
+            pairs = np.concatenate(calls)
+            assert len(np.unique(pairs, axis=0)) == len(pairs)
+            evaluated += len(pairs)
+        assert evaluated == report.lane_distance_evaluations.sum()
+        # The kernel is charged for several times that many.
+        assert 2 * evaluated < report.n_distance_computations
+
+
+# ----------------------------------------------------------------------
 # The merge step on its own
 # ----------------------------------------------------------------------
 
@@ -123,6 +220,10 @@ class TestInsertMergeProperty:
     @given(merge_scenario())
     @settings(max_examples=150, deadline=None)
     def test_equals_lexsort_of_the_concatenated_runs(self, sc):
+        """The merge fed what ``_traverse`` feeds it — under the lazy
+        check only the never-evaluated lanes are alive and every other
+        lane holds junk — against the oracle's merge fed true distances
+        and a scan of the pool."""
         rng = np.random.default_rng(sc["seed"])
         width, l_t, m = sc["width"], sc["l_t"], sc["m"]
         n_vertices = max(width, l_t) + sc["spare_vertices"]
@@ -137,8 +238,9 @@ class TestInsertMergeProperty:
         arena.reset(m + 1)
         query_rows = np.sort(rng.choice(n_queries, m, replace=False))
         arena.query_rows[:m] = query_rows
-        members = (PoolMembership(n_queries, n_vertices)
-                   if sc["lazy_check"] else None)
+        seen = (EvaluatedPairs(n_queries, n_vertices)
+                if sc["lazy_check"] else None)
+        ever = np.zeros((m, n_vertices), dtype=bool)
 
         for row in range(m):  # non-full pools of distinct ids
             fill = int(rng.integers(0, width + 1))
@@ -147,8 +249,9 @@ class TestInsertMergeProperty:
             arena.pool_ids[row, :fill] = ids
             arena.pool_dists[row, :fill] = dist_of[ids]
             arena.pool_explored[row, :fill] = rng.random(fill) < 0.5
-            if members is not None:
-                members.insert(np.full(fill, query_rows[row]), ids)
+            ever[row, ids] = True
+            if seen is not None:
+                seen.insert(np.full(fill, query_rows[row]), ids)
         canary = [a[m].copy() for a in (arena.pool_dists, arena.pool_ids,
                                         arena.pool_explored)]
 
@@ -158,23 +261,31 @@ class TestInsertMergeProperty:
                               for _ in range(m)])
             t_ids[rng.random((m, l_t)) < 0.3] = -1  # short adjacency rows
             valid = t_ids >= 0
-            # Pad lanes carry whatever the engine computed for point 0.
-            t_dists = np.where(valid, dist_of[t_ids],
-                               rng.random((m, l_t))).astype(sc["dtype"])
+            true_dists = dist_of[t_ids]
             in_pool = (t_ids[:, :, None]
                        == arena.pool_ids[:m, None, :]).any(axis=2)
-            if members is not None:
-                assert np.array_equal(
-                    members.contains(query_rows, t_ids)[valid],
-                    in_pool[valid])
-                alive = valid & ~in_pool
+            if seen is not None:
+                alive = valid & ~seen.contains(query_rows, t_ids)
+                # Everything resident was evaluated once; nothing alive
+                # is resident.
+                assert not (alive & in_pool).any()
+                expected_dead = ~valid | in_pool
             else:
                 alive = valid
+                expected_dead = ~valid
             expected = _oracle_merge(
                 arena.pool_dists[:m], arena.pool_ids[:m],
-                arena.pool_explored[:m], t_dists, t_ids, ~alive)
+                arena.pool_explored[:m], true_dists, t_ids, expected_dead)
 
-            _insert_merge(arena, m, t_dists, t_ids, alive, members)
+            # Lanes that are not alive carry whatever an earlier
+            # iteration left in the arena's T buffer.
+            t_dists = np.where(alive, true_dists,
+                               rng.random((m, l_t))).astype(sc["dtype"])
+            _insert_merge(arena, m, t_dists, t_ids, alive)
+            if seen is not None:
+                row, lane = np.nonzero(alive)
+                ever[row, t_ids[row, lane]] = True
+                seen.insert(query_rows[row], t_ids[row, lane])
 
             for got, want in zip((arena.pool_dists, arena.pool_ids,
                                   arena.pool_explored), expected):
@@ -182,12 +293,10 @@ class TestInsertMergeProperty:
             for got, want in zip((arena.pool_dists, arena.pool_ids,
                                   arena.pool_explored), canary):
                 assert np.array_equal(got[m], want)
-            if members is not None:
-                resident = (every_id[:, :, None]
-                            == arena.pool_ids[:m, None, :]).any(axis=2)
+            if seen is not None:
                 assert np.array_equal(
-                    members.contains(query_rows, every_id), resident)
+                    seen.contains(query_rows, every_id), ever)
                 others = np.setdiff1d(np.arange(n_queries), query_rows)
-                assert not members.contains(
+                assert not seen.contains(
                     others, np.broadcast_to(every_id[0], (len(others),
                                                           n_vertices))).any()
