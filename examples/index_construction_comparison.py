@@ -34,7 +34,6 @@ from repro import (
     load_dataset,
     recall_at_k,
 )
-from repro.baselines.cpu_cost import DEFAULT_CPU
 from repro.bench.workloads import construction_device
 
 
@@ -48,8 +47,7 @@ def main() -> None:
     rows = []
 
     cpu = build_nsw_cpu(dataset.points, params.d_min, params.d_max)
-    cpu_seconds = DEFAULT_CPU.seconds(
-        cpu.counters, dataset.metric.flops_per_distance(dataset.n_dims))
+    cpu_seconds = cpu.seconds
     rows.append(("GraphCon_NSW (CPU, 1 thread)", cpu_seconds, cpu.graph))
 
     serial = build_nsw_serial_gpu(dataset.points, params, device=device)

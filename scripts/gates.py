@@ -472,9 +472,18 @@ def gate_bench() -> str:
     return "benchmarks/e2e/run.py --smoke --check passed"
 
 
+def gate_examples() -> str:
+    """Every example script runs to completion."""
+    scripts = sorted((ROOT / "examples").glob("*.py"))
+    for script in scripts:
+        run_script(str(script.relative_to(ROOT)))
+    return f"{len(scripts)} example scripts exited 0"
+
+
 GATES = {"serve": gate_serve, "chaos": gate_chaos, "trace": gate_trace,
          "cluster": gate_cluster, "mutate": gate_mutate, "heal": gate_heal,
-         "quant": gate_quant, "bakeoff": gate_bakeoff, "bench": gate_bench}
+         "quant": gate_quant, "bakeoff": gate_bakeoff, "bench": gate_bench,
+         "examples": gate_examples}
 
 
 def main(argv=None) -> int:

@@ -49,6 +49,17 @@ from repro.errors import (
     MemoryFaultError,
     DeviceMemoryError,
 )
+# The baselines load first: GraphCon_NSW/HNSW run the core's GGraphCon
+# body, and the core's own imports of repro.baselines.* submodules must
+# not re-enter this package's half-initialised baseline modules.
+from repro.baselines import (
+    beam_search,
+    song_search,
+    SongParams,
+    build_nsw_cpu,
+    build_hnsw_cpu,
+    build_knn_graph_nn_descent,
+)
 from repro.core import (
     GannsIndex,
     IndexBackend,
@@ -69,14 +80,6 @@ from repro.core import (
     build_cagra_gpu,
     build_nsw_serial_gpu,
     build_nsw_naive_parallel,
-)
-from repro.baselines import (
-    beam_search,
-    song_search,
-    SongParams,
-    build_nsw_cpu,
-    build_hnsw_cpu,
-    build_knn_graph_nn_descent,
 )
 from repro.datasets import load_dataset, dataset_names, exact_knn
 from repro.graphs import ProximityGraph, HierarchicalGraph, validate_graph

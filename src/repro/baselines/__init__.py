@@ -3,9 +3,9 @@
 - :mod:`repro.baselines.beam` — Algorithm 1, the classical CPU beam search
   on a proximity graph (min-heap candidates, max-heap results, visited set).
 - :mod:`repro.baselines.nsw_cpu` — GraphCon_NSW: single-thread sequential
-  NSW insertion.
+  NSW insertion (GGraphCon with one group on a one-core CPU clock).
 - :mod:`repro.baselines.hnsw_cpu` — GraphCon_HNSW: single-thread HNSW
-  construction.
+  construction, and CPU HNSW search.
 - :mod:`repro.baselines.nn_descent` — NN-Descent KNN-graph construction.
 - :mod:`repro.baselines.song` — SONG, the state-of-the-art GPU search the
   paper benchmarks against, under the shared gpusim cost model.
@@ -14,8 +14,8 @@
 """
 
 from repro.baselines.beam import BeamSearchResult, beam_search, beam_search_batch
-from repro.baselines.nsw_cpu import build_nsw_cpu, NswBuildReport
-from repro.baselines.hnsw_cpu import build_hnsw_cpu, HnswBuildReport, draw_levels
+from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.baselines.hnsw_cpu import build_hnsw_cpu
 from repro.baselines.nn_descent import build_knn_graph_nn_descent, NnDescentReport
 from repro.baselines.song import song_search, SongParams
 from repro.baselines.cpu_cost import CpuModel, DEFAULT_CPU
@@ -25,10 +25,7 @@ __all__ = [
     "beam_search",
     "beam_search_batch",
     "build_nsw_cpu",
-    "NswBuildReport",
     "build_hnsw_cpu",
-    "HnswBuildReport",
-    "draw_levels",
     "build_knn_graph_nn_descent",
     "NnDescentReport",
     "song_search",

@@ -19,6 +19,7 @@ from typing import List
 import numpy as np
 
 from repro.baselines.cpu_cost import CpuOpCounters
+from repro.core.construction import validated_points
 from repro.errors import ConstructionError
 from repro.graphs.adjacency import ProximityGraph
 from repro.metrics.distance import get_metric
@@ -79,11 +80,7 @@ def build_knn_graph_nn_descent(points: np.ndarray, k: int,
     Returns:
         An :class:`NnDescentReport`.
     """
-    points = np.asarray(points)
-    if points.ndim != 2 or len(points) == 0:
-        raise ConstructionError(
-            f"points must be a non-empty 2-D matrix, got shape {points.shape}"
-        )
+    points = validated_points(points)
     n = len(points)
     if not 1 <= k < n:
         raise ConstructionError(f"k must lie in [1, {n - 1}], got {k}")

@@ -5,6 +5,10 @@ each new point searches its ``d_min`` nearest neighbors in the *current*
 graph and links to them bidirectionally, with every adjacency row bounded
 at ``d_max`` (worst entry evicted when full).
 
+That is GGraphCon's Phase 1 for a single group, so the baseline runs the
+one Algorithm 2 body, :func:`repro.core.construction.ggraphcon`, with one
+group on a one-core :class:`~repro.core.construction_costs.CpuClock`.
+
 Two search modes are provided:
 
 - ``exact=False`` (default): neighbors come from Algorithm 1 beam search on
@@ -12,72 +16,42 @@ Two search modes are provided:
 - ``exact=True``: neighbors come from brute force over the already-inserted
   prefix.  This mode exists to exercise the paper's Section IV-C theorem —
   "given exact nearest neighbors, Algorithm 2 can generate the NSW graph
-  which is the same as that constructed by sequential insertions" — the
-  test suite builds both constructions in exact mode and asserts edge-set
-  equality.
+  which is the same as that constructed by sequential insertions".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.baselines.beam import beam_search
-from repro.baselines.cpu_cost import CpuOpCounters
-from repro.errors import ConstructionError
-from repro.graphs.adjacency import ProximityGraph
-from repro.metrics.distance import Metric, get_metric
+from repro.baselines.cpu_cost import DEFAULT_CPU
+from repro.core.construction import ggraphcon, validated_points
+from repro.core.construction_costs import CpuClock, report_from_clock
+from repro.core.params import BuildParams
+from repro.core.results import ConstructionReport
+from repro.errors import ConfigurationError, ConstructionError
+from repro.metrics.distance import get_metric
 
 
-@dataclass
-class NswBuildReport:
-    """Outcome of one sequential NSW construction.
+def sequential_params(d_min: int, d_max: int,
+                      ef_construction: Optional[int]) -> BuildParams:
+    """One-group :class:`BuildParams` of a sequential build.
 
-    Attributes:
-        graph: The built NSW graph.
-        counters: CPU operation counts for the timing model.
-        n_points: Points inserted.
+    Raises:
+        ConstructionError: On inconsistent parameters (``BuildParams``'
+            own checks and messages).
     """
-
-    graph: ProximityGraph
-    counters: CpuOpCounters
-    n_points: int
-
-
-def nearest_in_prefix(points: np.ndarray, vertex: int, prefix_end: int,
-                      k: int, metric: Metric
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact ``k`` nearest of ``points[vertex]`` among ``points[:prefix_end]``.
-
-    Returns ``(ids, dists)`` sorted by ``(distance, id)`` — ties break by
-    id, matching the library-wide rule; fewer than ``k`` when the prefix
-    is shorter.
-    """
-    if prefix_end == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    dists = metric.one_to_many(points[vertex], points[:prefix_end])
-    k = min(k, prefix_end)
-    part = (np.argpartition(dists, k - 1)[:k] if k < prefix_end
-            else np.arange(prefix_end))
-    ids = part[np.lexsort((part, dists[part]))].astype(np.int64)
-    return ids, dists[ids]
-
-
-def exact_prefix_knn(points: np.ndarray, vertex: int, k: int,
-                     metric: Metric) -> np.ndarray:
-    """Exact ``k`` nearest earlier points of ``points[vertex]``.
-
-    "Earlier" means smaller insertion id — the set the sequential insertion
-    searches.
-    """
-    return nearest_in_prefix(points, vertex, vertex, k, metric)[0]
+    try:
+        return BuildParams(d_min=d_min, d_max=d_max, n_blocks=1,
+                           ef_construction=ef_construction)
+    except ConfigurationError as exc:
+        raise ConstructionError(str(exc)) from exc
 
 
 def build_nsw_cpu(points: np.ndarray, d_min: int, d_max: int,
                   metric: str = "euclidean", ef_construction: Optional[int] = None,
-                  exact: bool = False) -> NswBuildReport:
+                  exact: bool = False) -> ConstructionReport:
     """Build an NSW graph by sequential insertion (GraphCon_NSW).
 
     Args:
@@ -90,60 +64,17 @@ def build_nsw_cpu(points: np.ndarray, d_min: int, d_max: int,
         exact: Use brute-force exact neighbor search (theorem mode).
 
     Returns:
-        An :class:`NswBuildReport`.
+        A :class:`ConstructionReport` priced on one core of
+        :data:`~repro.baselines.cpu_cost.DEFAULT_CPU`.
 
     Raises:
-        ConstructionError: On inconsistent parameters.
+        ConstructionError: On a bad corpus or inconsistent parameters.
     """
-    points = np.asarray(points)
-    if points.ndim != 2 or len(points) == 0:
-        raise ConstructionError(
-            f"points must be a non-empty 2-D matrix, got shape {points.shape}"
-        )
-    if d_min <= 0 or d_max <= 0:
-        raise ConstructionError(
-            f"d_min and d_max must be positive, got {d_min}, {d_max}"
-        )
-    if d_min > d_max:
-        raise ConstructionError(
-            f"d_min ({d_min}) cannot exceed d_max ({d_max})"
-        )
-    if ef_construction is None:
-        ef_construction = 2 * d_min
-    if ef_construction < d_min:
-        raise ConstructionError(
-            f"ef_construction ({ef_construction}) must be >= d_min ({d_min})"
-        )
-
-    metric_obj = get_metric(metric)
-    n = len(points)
-    graph = ProximityGraph(n, d_max, metric)
-    counters = CpuOpCounters()
-
-    for vertex in range(1, n):
-        if exact:
-            neighbor_ids = exact_prefix_knn(points, vertex, d_min, metric_obj)
-            counters.n_distances += vertex
-        elif vertex <= d_min:
-            # Fewer points than d_min in the graph: select all of them.
-            neighbor_ids = np.arange(vertex, dtype=np.int64)
-            counters.n_distances += vertex
-        else:
-            result = beam_search(graph, points, points[vertex],
-                                 k=d_min, ef=ef_construction, entry=0,
-                                 metric=metric_obj)
-            neighbor_ids = result.ids
-            counters.n_distances += result.n_distance_computations
-            counters.n_heap_ops += result.n_heap_ops
-            counters.n_hash_probes += result.n_hash_probes
-
-        if len(neighbor_ids):
-            dists = metric_obj.one_to_many(points[vertex],
-                                           points[neighbor_ids])
-            counters.n_distances += len(neighbor_ids)
-            for u, dist in zip(neighbor_ids, dists):
-                graph.insert_edge(vertex, int(u), float(dist))
-                graph.insert_edge(int(u), vertex, float(dist))
-                counters.n_adjacency_inserts += 2
-
-    return NswBuildReport(graph=graph, counters=counters, n_points=n)
+    points = validated_points(points)
+    params = sequential_params(d_min, d_max, ef_construction)
+    clock = CpuClock(1, DEFAULT_CPU,
+                     get_metric(metric).flops_per_distance(points.shape[1]))
+    graph, _ = ggraphcon(points, params, metric, exact, clock)
+    return report_from_clock(
+        clock, "graphcon-nsw", graph, len(points),
+        details={"d_min": float(d_min), "d_max": float(d_max)})

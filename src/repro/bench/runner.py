@@ -88,16 +88,10 @@ def _run_construction(dataset: Dataset, params: BuildParams,
             dataset.points, params, search_kernel="song",
             metric=metric_name, device=device))
     if algorithm == "cpu-nsw":
-        from repro.baselines.cpu_cost import DEFAULT_CPU
         from repro.baselines.nsw_cpu import build_nsw_cpu
-        report = build_nsw_cpu(dataset.points, params.d_min, params.d_max,
-                               metric=metric_name,
-                               ef_construction=params.effective_ef)
-        seconds = DEFAULT_CPU.seconds(
-            report.counters,
-            dataset.metric.flops_per_distance(dataset.n_dims))
-        return ConstructionTiming(seconds=seconds, distance_seconds=0.0,
-                                  structure_seconds=0.0)
+        return from_report(build_nsw_cpu(
+            dataset.points, params.d_min, params.d_max, metric=metric_name,
+            ef_construction=params.effective_ef))
     if algorithm in ("hnsw-ganns", "hnsw-song"):
         from repro.core.hnsw import build_hnsw_gpu
         kernel = algorithm.split("-")[1]
@@ -106,17 +100,10 @@ def _run_construction(dataset: Dataset, params: BuildParams,
                                           metric=metric_name,
                                           device=device))
     if algorithm == "cpu-hnsw":
-        from repro.baselines.cpu_cost import DEFAULT_CPU
         from repro.baselines.hnsw_cpu import build_hnsw_cpu
-        report = build_hnsw_cpu(dataset.points, params.d_min, params.d_max,
-                                metric=metric_name,
-                                ef_construction=params.effective_ef,
-                                seed=params.seed)
-        seconds = DEFAULT_CPU.seconds(
-            report.counters,
-            dataset.metric.flops_per_distance(dataset.n_dims))
-        return ConstructionTiming(seconds=seconds, distance_seconds=0.0,
-                                  structure_seconds=0.0)
+        return from_report(build_hnsw_cpu(
+            dataset.points, params.d_min, params.d_max, metric=metric_name,
+            ef_construction=params.effective_ef, seed=params.seed))
     raise ConfigurationError(
         f"unknown construction algorithm {algorithm!r}"
     )

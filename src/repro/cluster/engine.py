@@ -46,9 +46,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.construction import validated_points
 from repro.core.params import SearchParams
 from repro.core.pipeline import _LaneStore, stream_batches
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ConstructionError
 from repro.extensions.distributed import NetworkModel, _EDGE_BYTES
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import (
@@ -137,7 +138,8 @@ class ClusterEngine:
             :mod:`repro.mutable.recovery`.
 
     Raises:
-        ClusterError: On an invalid topology, an empty shard, a shard
+        ClusterError: On a corpus that is not a non-empty finite 2-D
+            matrix, an invalid topology, an empty shard, a shard
             holding fewer than ``params.k`` points, or a default
             deadline that is not finite and positive.
     """
@@ -164,12 +166,10 @@ class ClusterEngine:
                  repair_store=None):
         from repro.core.backend import get_backend
         backend = get_backend(family)  # typed error on unknown names
-        points = np.asarray(points)
-        if points.ndim != 2 or len(points) == 0:
-            raise ClusterError(
-                f"points must be a non-empty 2-D matrix, got shape "
-                f"{points.shape}"
-            )
+        try:
+            points = validated_points(points)
+        except ConstructionError as exc:
+            raise ClusterError(str(exc)) from exc
         if n_replicas <= 0:
             raise ClusterError(
                 f"n_replicas must be positive, got {n_replicas}"

@@ -37,6 +37,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.construction import validated_points
 from repro.core.knng import CHUNK_ELEMENTS, build_knn_graph_gpu
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
@@ -209,11 +210,7 @@ def build_cagra_gpu(points: np.ndarray,
         :class:`ProximityGraph` with exactly ``graph_degree`` edges per
         vertex (fewer only when ``n - 1 < graph_degree``).
     """
-    points = np.asarray(points)
-    if points.ndim != 2 or len(points) == 0:
-        raise ConstructionError(
-            f"points must be a non-empty 2-D matrix, got shape {points.shape}"
-        )
+    points = validated_points(points)
     n = len(points)
     if n < 2:
         raise ConstructionError("CAGRA construction needs at least 2 points")

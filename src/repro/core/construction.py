@@ -34,7 +34,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.baselines.beam import beam_search
-from repro.baselines.nsw_cpu import exact_prefix_knn, nearest_in_prefix
 from repro.core.construction_costs import GpuClock, report_from_clock
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
@@ -43,7 +42,7 @@ from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.scan import csr_offsets_from_sorted_ids
-from repro.metrics.distance import get_metric
+from repro.metrics.distance import Metric, get_metric
 from repro.perf.construction import (
     insert_bidirectional_batch,
     merge_forward_batch,
@@ -53,13 +52,50 @@ from repro.perf.construction import (
 
 def validated_points(points: np.ndarray) -> np.ndarray:
     """``points`` as an array, or :class:`ConstructionError` if it is not
-    a non-empty 2-D matrix."""
+    a non-empty 2-D matrix of finite values (naming the first bad row).
+
+    The one corpus check every graph builder runs.
+    """
     points = np.asarray(points)
     if points.ndim != 2 or len(points) == 0:
         raise ConstructionError(
             f"points must be a non-empty 2-D matrix, got shape {points.shape}"
         )
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ConstructionError(
+            f"points must be finite: row {int(np.argmin(finite))} holds "
+            f"NaN or inf")
     return points
+
+
+def nearest_in_prefix(points: np.ndarray, vertex: int, prefix_end: int,
+                      k: int, metric: Metric
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact ``k`` nearest of ``points[vertex]`` among ``points[:prefix_end]``.
+
+    Returns ``(ids, dists)`` sorted by ``(distance, id)`` — ties break by
+    id, matching the library-wide rule; fewer than ``k`` when the prefix
+    is shorter.
+    """
+    if prefix_end == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    dists = metric.one_to_many(points[vertex], points[:prefix_end])
+    k = min(k, prefix_end)
+    part = (np.argpartition(dists, k - 1)[:k] if k < prefix_end
+            else np.arange(prefix_end))
+    ids = part[np.lexsort((part, dists[part]))].astype(np.int64)
+    return ids, dists[ids]
+
+
+def exact_prefix_knn(points: np.ndarray, vertex: int, k: int,
+                     metric: Metric) -> np.ndarray:
+    """Exact ``k`` nearest earlier points of ``points[vertex]``.
+
+    "Earlier" means smaller insertion id — the set a sequential insertion
+    searches.
+    """
+    return nearest_in_prefix(points, vertex, vertex, k, metric)[0]
 
 
 def _build_local_graph(points: np.ndarray, group: np.ndarray,
@@ -110,7 +146,10 @@ def ggraphcon(points: np.ndarray, params: BuildParams, metric: str,
     This is the one GGraphCon body: :func:`build_nsw_gpu` runs it on a
     :class:`~repro.core.construction_costs.GpuClock`,
     :func:`repro.extensions.multicore.build_nsw_multicore` on a
-    :class:`~repro.core.construction_costs.CpuClock`.
+    :class:`~repro.core.construction_costs.CpuClock`, and the sequential
+    baseline :func:`repro.baselines.nsw_cpu.build_nsw_cpu` with one group
+    on a one-core ``CpuClock`` (Phase 1 of a single group *is*
+    sequential insertion).
 
     Returns:
         ``(G_0, number of groups)``.

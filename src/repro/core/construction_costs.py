@@ -38,11 +38,11 @@ neighbors of one point").  Two pricing models exist, so two clocks do:
 cores; time is :meth:`repro.baselines.cpu_cost.CpuModel.seconds` of the
 unit's :class:`~repro.baselines.cpu_cost.CpuOpCounters`.
 
-- This is :func:`repro.baselines.nsw_cpu.build_nsw_cpu`'s rule (Table II
-  is calibrated against it), so one core running one group prices
-  exactly like the sequential baseline: a traversal costs its distance
-  computations, heap operations and hash probes; a scan of ``n``
-  candidates costs ``n`` distances and no probes; a link costs the
+- One core running one group *is* the sequential baseline
+  (:func:`repro.baselines.nsw_cpu.build_nsw_cpu`, Table II's
+  GraphCon_NSW), priced by the classical CPU rule: a traversal costs
+  its distance computations, heap operations and hash probes; a scan of
+  ``n`` candidates costs ``n`` distances and no probes; a link costs the
   recomputed link distance plus two adjacency inserts; a forward merge
   and a backward-edge merge cost one adjacency insert per record.
 - Parallel units spread over the cores by the same LPT makespan; the

@@ -26,7 +26,7 @@ from repro.core.backend import STRATEGIES, get_backend  # noqa: F401 - STRATEGIE
 from repro.core.hnsw import recover_original_ids
 from repro.core.params import BuildParams, SearchParams
 from repro.core.results import ConstructionReport, SearchReport
-from repro.errors import ConfigurationError, ConstructionError, SearchError
+from repro.errors import ConfigurationError, SearchError
 from repro.graphs.adjacency import HierarchicalGraph, ProximityGraph
 from repro.graphs.validation import validate_graph
 from repro.gpusim.sorting import next_pow2
@@ -100,10 +100,6 @@ class GannsIndex:
             params = BuildParams()
         points = np.asarray(points)
         backend = get_backend(graph_type)
-        if not np.isfinite(points).all():
-            row = np.argwhere(~np.isfinite(np.atleast_1d(points)))[0][0]
-            raise ConstructionError(
-                f"points must be finite: row {row} holds NaN or inf")
         report = backend.build(points, params, metric=metric,
                                strategy=strategy,
                                search_kernel=search_kernel, knn_k=knn_k,
@@ -215,7 +211,13 @@ class GannsIndex:
     def search(self, queries: np.ndarray, k: int = 10,
                algorithm: str = "ganns", **kwargs
                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Search; returns ``(ids, dists)`` arrays of shape ``(m, k)``."""
+        """Search; returns ``(ids, dists)`` arrays of shape ``(m, k)``.
+
+        A row always has ``k`` slots.  When the search reaches fewer than
+        ``k`` vertices — ``k`` larger than the corpus, or than what the
+        pool reached — the tail pads with id ``-1`` and distance ``inf``
+        (``"beam"`` reports no distances: its ``dists`` are all NaN).
+        """
         report = self.search_report(queries, k, algorithm, **kwargs)
         return report.ids, report.dists
 

@@ -24,6 +24,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.core.construction import validated_points
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
@@ -35,6 +36,7 @@ from repro.gpusim.scan import csr_offsets_from_sorted_ids
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
 from repro.perf.construction import merge_segments_batch, rank_in_run
+from repro.perf.distance import _unit_rows
 
 #: Elements per gathered distance temporary: 256 KB of float64, so the
 #: gather, the difference and the reduction of a chunk stay in cache.
@@ -102,11 +104,7 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
         A :class:`ConstructionReport`; ``details["n_iterations"]`` records
         convergence.
     """
-    points = np.asarray(points)
-    if points.ndim != 2 or len(points) == 0:
-        raise ConstructionError(
-            f"points must be a non-empty 2-D matrix, got shape {points.shape}"
-        )
+    points = validated_points(points)
     n = len(points)
     if not 1 <= k < n:
         raise ConstructionError(f"k must lie in [1, {n - 1}], got {k}")
@@ -118,8 +116,7 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
 
     vectors = points.astype(np.float64)
     if metric == "cosine":
-        norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
-        vectors /= np.where(norms > 0.0, norms, 1.0)
+        vectors = _unit_rows(vectors)
 
     # Random initialisation (one block per vertex).  The RNG stream is
     # contract, so the draws stay one call per vertex, in order.

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.baselines.cpu_cost import CpuModel, DEFAULT_CPU
+from repro.core.construction import validated_points
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
@@ -120,19 +121,15 @@ def shard_ground_truth(points: np.ndarray, queries: np.ndarray,
         ``inf``-padded), both sorted by ``(distance, id)`` per row.
 
     Raises:
-        ConstructionError: On an empty corpus, a non-positive ``k``,
+        ConstructionError: On an empty or non-finite corpus, a
+            non-positive ``k``,
             or an assignment that does not cover the corpus.
     """
     from repro.datasets.ground_truth import exact_knn
 
-    points = np.asarray(points)
+    points = validated_points(points)
     queries = np.asarray(queries)
     assignment = np.asarray(assignment, dtype=np.int64)
-    if points.ndim != 2 or len(points) == 0:
-        raise ConstructionError(
-            f"points must be a non-empty 2-D matrix, got shape "
-            f"{points.shape}"
-        )
     if assignment.shape != (len(points),):
         raise ConstructionError(
             f"assignment shape {assignment.shape} does not cover "

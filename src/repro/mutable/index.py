@@ -480,36 +480,48 @@ class MutableIndex:
                               device: DeviceSpec = QUADRO_P5000,
                               costs: CostTable = DEFAULT_COSTS
                               ) -> "MutableIndex":
-        """Rebuild an index from a checkpoint blob (no WAL replay)."""
-        payload = json.loads(blob.decode("utf-8"))
-        ef = payload.get("ef_construction")
-        l_n = payload.get("search_l_n")
-        params = BuildParams(d_min=int(payload["d_min"]),
-                             d_max=int(payload["d_max"]),
-                             n_blocks=int(payload["n_blocks"]),
-                             n_threads=int(payload["n_threads"]),
-                             ef_construction=None if ef is None
-                             else int(ef),
-                             search_l_n=None if l_n is None
-                             else int(l_n),
-                             seed=int(payload.get("seed", 0)))
-        points = decode_array(payload["points"])
-        graph = ProximityGraph(len(points), params.d_max,
-                               payload["metric"],
-                               dtype=np.dtype(payload["graph_dtype"]))
-        graph.neighbor_ids = decode_array(payload["neighbor_ids"])
-        graph.neighbor_dists = decode_array(payload["neighbor_dists"])
-        graph.degrees = decode_array(payload["degrees"])
-        index = cls(graph=graph, points=points,
-                    tombstones=decode_array(payload["tombstones"]),
-                    entry=int(payload["entry"]), build_params=params,
-                    metric=payload["metric"], store=store,
-                    epoch=int(payload["epoch"]),
-                    search_kernel=payload["search_kernel"],
+        """Rebuild an index from a checkpoint blob (no WAL replay).
+
+        Raises:
+            MutableIndexError: The blob is empty, truncated, not valid
+                JSON / base64, or lacks a field (chained from the decode
+                error).
+        """
+        try:
+            payload = json.loads(blob.decode("utf-8"))
+            ef = payload.get("ef_construction")
+            l_n = payload.get("search_l_n")
+            params = BuildParams(d_min=int(payload["d_min"]),
+                                 d_max=int(payload["d_max"]),
+                                 n_blocks=int(payload["n_blocks"]),
+                                 n_threads=int(payload["n_threads"]),
+                                 ef_construction=None if ef is None
+                                 else int(ef),
+                                 search_l_n=None if l_n is None
+                                 else int(l_n),
+                                 seed=int(payload.get("seed", 0)))
+            points = decode_array(payload["points"])
+            graph = ProximityGraph(len(points), params.d_max,
+                                   payload["metric"],
+                                   dtype=np.dtype(payload["graph_dtype"]))
+            graph.neighbor_ids = decode_array(payload["neighbor_ids"])
+            graph.neighbor_dists = decode_array(payload["neighbor_dists"])
+            graph.degrees = decode_array(payload["degrees"])
+            tombstones = decode_array(payload["tombstones"])
+            compacted = decode_array(payload["compacted_tombstones"])
+            entry, epoch = int(payload["entry"]), int(payload["epoch"])
+            search_kernel = payload["search_kernel"]
+            mutation_seconds = float(payload["mutation_seconds"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise MutableIndexError(
+                f"corrupt checkpoint blob ({len(blob)} bytes): {exc!r}"
+            ) from exc
+        index = cls(graph=graph, points=points, tombstones=tombstones,
+                    entry=entry, build_params=params, metric=graph.metric_name,
+                    store=store, epoch=epoch, search_kernel=search_kernel,
                     device=device, costs=costs)
-        index.mutation_seconds = float(payload["mutation_seconds"])
-        index.compacted_tombstones = decode_array(
-            payload["compacted_tombstones"]).astype(bool)
+        index.mutation_seconds = mutation_seconds
+        index.compacted_tombstones = compacted.astype(bool)
         return index
 
     # ------------------------------------------------------------------

@@ -47,6 +47,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, SearchError
+from repro.perf.distance import _unit_rows
 from repro.perf.identity_cache import IdentityCache
 
 #: The lossy representations the staged pipeline can traverse on.
@@ -69,12 +70,6 @@ def pca_rank(n_dims: int) -> int:
     reduction, and only exercises the pipeline.
     """
     return min(int(n_dims), max(16, int(n_dims) // 8))
-
-
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-normalise (zero rows pass through)."""
-    norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
-    return matrix / np.where(norms > 0.0, norms, 1.0)
 
 
 class QuantizedTable:

@@ -5,9 +5,10 @@ import pytest
 
 from repro.baselines.hnsw_cpu import (
     build_hnsw_cpu,
-    draw_levels,
     hnsw_entry_descent,
-    hnsw_search,
+)
+from repro.core.hnsw import (
+    draw_levels,
     layer_sizes_from_levels,
     shuffled_order_from_levels,
 )
@@ -94,8 +95,17 @@ class TestBuildHnswCpu:
     def test_order_is_permutation(self, built):
         assert sorted(built.order.tolist()) == list(range(400))
 
-    def test_counters_accumulate_across_layers(self, built):
-        assert built.counters.n_distances > 400
+    def test_counters_accumulate_across_layers(self, built, small_points):
+        """Every layer's work lands on the one clock: the seconds are the
+        per-layer sequential tallies priced and summed."""
+        from repro.baselines.cpu_cost import DEFAULT_CPU
+        from tests.oracles.nsw_sequential import build_hnsw_sequential
+        _, _, counters = build_hnsw_sequential(small_points[:400], 4, 8)
+        assert len(counters) == built.graph.n_layers
+        assert sum(c.n_distances for c in counters) > 400
+        flops = 3 * small_points.shape[1]
+        assert built.seconds == sum(DEFAULT_CPU.seconds(c, flops)
+                                    for c in counters)
 
     def test_rejects_empty(self):
         with pytest.raises(ConstructionError, match="non-empty"):
@@ -112,6 +122,7 @@ class TestHnswSearch:
         assert n_dist >= 1
 
     def test_search_high_recall(self, small_points, small_queries):
+        from repro.baselines.beam import beam_search
         from repro.datasets.ground_truth import exact_knn
         points = small_points[:400]
         built = build_hnsw_cpu(points, d_min=8, d_max=16, seed=0)
@@ -119,7 +130,9 @@ class TestHnswSearch:
         gt = exact_knn(shuffled, small_queries[:10], 5)
         hits = 0
         for row in range(10):
-            result = hnsw_search(built.graph, shuffled, small_queries[row],
-                                 k=5, ef=32)
+            entry, _ = hnsw_entry_descent(built.graph, shuffled,
+                                          small_queries[row])
+            result = beam_search(built.graph.bottom, shuffled,
+                                 small_queries[row], 5, 32, entry=entry)
             hits += len(np.intersect1d(result.ids, gt[row]))
         assert hits / 50 > 0.8

@@ -2,12 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines.nsw_cpu import build_nsw_cpu, exact_prefix_knn
+from repro.baselines.cpu_cost import DEFAULT_CPU
+from repro.baselines.hnsw_cpu import build_hnsw_cpu
+from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.core.construction import exact_prefix_knn
 from repro.errors import ConstructionError
 from repro.graphs.stats import reachable_fraction
 from repro.graphs.validation import validate_graph
+from repro.datasets.synthetic import gaussian_mixture
 from repro.metrics.distance import get_metric
+from tests.oracles.nsw_sequential import (
+    build_hnsw_sequential,
+    build_nsw_sequential,
+)
 
 
 class TestExactPrefixKnn:
@@ -76,10 +86,15 @@ class TestBuildStructure:
             assert expected <= got
 
     def test_counters_populated(self, small_points):
-        report = build_nsw_cpu(small_points[:150], d_min=4, d_max=8)
-        assert report.counters.n_distances > 150
-        assert report.counters.n_adjacency_inserts >= 2 * 4
-        assert report.counters.n_heap_ops > 0
+        """The seconds price the sequential build's whole tally."""
+        points = small_points[:150]
+        report = build_nsw_cpu(points, d_min=4, d_max=8)
+        _, counters = build_nsw_sequential(points, 4, 8)
+        assert counters.n_distances > 150
+        assert counters.n_adjacency_inserts >= 2 * 4
+        assert counters.n_heap_ops > 0
+        assert report.seconds == DEFAULT_CPU.seconds(
+            counters, 3 * points.shape[1])
         assert report.n_points == 150
 
     def test_cosine_metric_build(self, cosine_points):
@@ -125,3 +140,47 @@ class TestQuality:
         r_hi = recall_at_k(beam_search_batch(hi, points, small_queries,
                                              10, ef=32), gt)
         assert r_hi >= r_lo - 0.02
+
+
+class TestMatchesSequentialOracle:
+    """GraphCon_NSW / GraphCon_HNSW run GGraphCon with one group on one
+    core; the per-edge sequential insertion is their oracle."""
+
+    @staticmethod
+    def _assert_same_graph(got, want):
+        assert np.array_equal(got.neighbor_ids, want.neighbor_ids)
+        assert got.neighbor_dists.tobytes() == want.neighbor_dists.tobytes()
+        assert np.array_equal(got.degrees, want.degrees)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 90),
+           d_min=st.integers(2, 6), slack=st.integers(0, 6),
+           metric=st.sampled_from(["euclidean", "cosine"]),
+           exact=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_nsw_matches_oracle(self, seed, n, d_min, slack, metric, exact):
+        points = gaussian_mixture(n, 6, n_clusters=3, intrinsic_dim=4,
+                                  seed=seed)
+        report = build_nsw_cpu(points, d_min, d_min + slack, metric=metric,
+                               exact=exact)
+        graph, counters = build_nsw_sequential(
+            points, d_min, d_min + slack, metric=metric, exact=exact)
+        self._assert_same_graph(report.graph, graph)
+        flops = get_metric(metric).flops_per_distance(points.shape[1])
+        assert report.seconds == DEFAULT_CPU.seconds(counters, flops)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 150),
+           metric=st.sampled_from(["euclidean", "cosine"]))
+    @settings(max_examples=15, deadline=None)
+    def test_hnsw_matches_oracle(self, seed, n, metric):
+        points = gaussian_mixture(n, 6, n_clusters=3, intrinsic_dim=4,
+                                  seed=seed)
+        report = build_hnsw_cpu(points, 3, 6, metric=metric, seed=seed)
+        graph, order, counters = build_hnsw_sequential(
+            points, 3, 6, metric=metric, seed=seed)
+        assert np.array_equal(report.order, order)
+        assert report.graph.n_layers == graph.n_layers
+        for got, want in zip(report.graph.layers, graph.layers):
+            self._assert_same_graph(got, want)
+        flops = get_metric(metric).flops_per_distance(points.shape[1])
+        assert report.seconds == sum(DEFAULT_CPU.seconds(c, flops)
+                                     for c in counters)

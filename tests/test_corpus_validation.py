@@ -1,0 +1,54 @@
+"""Every graph builder runs the one corpus check, ``validated_points``."""
+
+import numpy as np
+import pytest
+
+from repro.baselines.hnsw_cpu import build_hnsw_cpu
+from repro.baselines.nn_descent import build_knn_graph_nn_descent
+from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.cluster.engine import ClusterEngine
+from repro.core.cagra import build_cagra_gpu
+from repro.core.construction import build_nsw_gpu
+from repro.core.hnsw import build_hnsw_gpu
+from repro.core.knng import build_knn_graph_gpu
+from repro.core.naive import build_nsw_naive_parallel, build_nsw_serial_gpu
+from repro.core.params import BuildParams
+from repro.datasets.synthetic import gaussian_mixture
+from repro.errors import ClusterError, ConstructionError
+from repro.extensions.distributed import build_nsw_distributed
+from repro.extensions.multicore import build_nsw_multicore
+from repro.mutable import MutableIndex
+
+PARAMS = BuildParams(d_min=4, d_max=8, n_blocks=4)
+
+BUILDERS = {
+    "nsw_gpu": lambda p: build_nsw_gpu(p, PARAMS),
+    "nsw_serial_gpu": lambda p: build_nsw_serial_gpu(p, PARAMS),
+    "nsw_naive_parallel": lambda p: build_nsw_naive_parallel(p, PARAMS),
+    "nsw_cpu": lambda p: build_nsw_cpu(p, 4, 8),
+    "nsw_multicore": lambda p: build_nsw_multicore(p, PARAMS, n_cores=2),
+    "nsw_distributed": lambda p: build_nsw_distributed(p, PARAMS,
+                                                       n_workers=2),
+    "hnsw_gpu": lambda p: build_hnsw_gpu(p, PARAMS),
+    "hnsw_cpu": lambda p: build_hnsw_cpu(p, 4, 8),
+    "knn_gpu": lambda p: build_knn_graph_gpu(p, 4, PARAMS),
+    "knn_nn_descent": lambda p: build_knn_graph_nn_descent(p, 4),
+    "cagra_gpu": lambda p: build_cagra_gpu(p, PARAMS),
+    "mutable_index": lambda p: MutableIndex.build(p, PARAMS),
+}
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_non_finite_corpus_is_refused_naming_the_row(builder, poison):
+    points = gaussian_mixture(300, 8, seed=0)
+    points[5, 2] = poison
+    with pytest.raises(ConstructionError, match="row 5 holds NaN or inf"):
+        BUILDERS[builder](points)
+
+
+def test_cluster_engine_refuses_a_non_finite_corpus():
+    points = gaussian_mixture(300, 8, seed=0)
+    points[5, 2] = np.nan
+    with pytest.raises(ClusterError, match="row 5 holds NaN or inf"):
+        ClusterEngine(points, n_shards=2, n_replicas=1)

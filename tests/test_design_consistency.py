@@ -217,8 +217,8 @@ class TestConstructionStaysBulk:
 
 class TestOneGGraphConBody:
     """``core/construction.py`` is the only executable Algorithm 2: the
-    multicore build and GSerial call it, priced by a clock, and never
-    traverse, insert or merge on their own."""
+    multicore build, GSerial and the sequential CPU baselines call it,
+    priced by a clock, and never traverse, insert or merge on their own."""
 
     FILES = ("core/construction.py", "core/naive.py",
              "baselines/nsw_cpu.py", "extensions/multicore.py")
@@ -256,4 +256,28 @@ class TestOneGGraphConBody:
             holders += [f"{path}:{node.name}" for node in ast.walk(tree)
                         if isinstance(node, ast.FunctionDef)
                         and "argpartition" in self._called_names(node)]
-        assert holders == ["baselines/nsw_cpu.py:nearest_in_prefix"]
+        assert holders == ["core/construction.py:nearest_in_prefix"]
+
+    @pytest.mark.parametrize("path", ["baselines/nsw_cpu.py",
+                                      "baselines/hnsw_cpu.py"])
+    def test_sequential_baselines_run_no_algorithm_of_their_own(self, path):
+        """GraphCon_NSW / GraphCon_HNSW are GGraphCon with one group on
+        one core: no traversal, insertion or merge of their own."""
+        tree = ast.parse(_read(f"src/repro/{path}"))
+        assert not self._called_names(tree) & self.BODY_CALLS
+
+    def test_levels_are_drawn_in_one_place(self):
+        """Both HNSW builders share one level draw → shuffle → layers
+        sequence: ``draw_levels`` has exactly one caller in ``src/``."""
+        callers = []
+        for root, _, names in os.walk(os.path.join(ROOT, "src", "repro")):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    with open(path) as handle:
+                        tree = ast.parse(handle.read())
+                    callers += [
+                        os.path.relpath(path, ROOT) for node in ast.walk(tree)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", "") == "draw_levels"]
+        assert callers == ["src/repro/core/hnsw.py"]

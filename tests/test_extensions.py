@@ -11,6 +11,7 @@ from repro.errors import ConstructionError
 from repro.extensions.mips import InnerProductMetric, register_ip_metric
 from repro.extensions.multicore import build_nsw_multicore
 from repro.gpusim.kernel import _makespan
+from tests.oracles.nsw_sequential import build_nsw_sequential
 
 PARAMS = BuildParams(d_min=6, d_max=12, n_blocks=8)
 
@@ -44,9 +45,9 @@ class TestMulticoreConstruction:
         points = small_points[:180]
         multicore = build_nsw_multicore(points, PARAMS, n_cores=4,
                                         exact=True)
-        sequential = build_nsw_cpu(points, PARAMS.d_min, PARAMS.d_max,
-                                   exact=True)
-        assert multicore.graph.edge_set() == sequential.graph.edge_set()
+        sequential, _ = build_nsw_sequential(points, PARAMS.d_min,
+                                             PARAMS.d_max, exact=True)
+        assert multicore.graph.edge_set() == sequential.edge_set()
 
     def test_more_cores_build_faster(self, small_points):
         points = small_points[:300]
@@ -59,13 +60,10 @@ class TestMulticoreConstruction:
     def test_single_core_close_to_sequential_baseline(self, small_points):
         """On one core GGraphCon does roughly the sequential build's work
         (same total searches, cheaper local ones)."""
-        from repro.baselines.cpu_cost import DEFAULT_CPU
         points = small_points[:300]
         one = build_nsw_multicore(points, PARAMS, n_cores=1)
         baseline = build_nsw_cpu(points, PARAMS.d_min, PARAMS.d_max)
-        baseline_seconds = DEFAULT_CPU.seconds(
-            baseline.counters, 3 * points.shape[1])
-        assert 0.3 < one.seconds / baseline_seconds < 3.0
+        assert 0.3 < one.seconds / baseline.seconds < 3.0
 
     def test_one_core_one_group_is_the_sequential_baseline(self,
                                                            small_points):
@@ -75,9 +73,10 @@ class TestMulticoreConstruction:
         points = small_points[:300]
         one = build_nsw_multicore(points, PARAMS.with_overrides(n_blocks=1),
                                   n_cores=1)
-        baseline = build_nsw_cpu(points, PARAMS.d_min, PARAMS.d_max)
-        assert one.graph.edge_set() == baseline.graph.edge_set()
-        assert one.seconds == DEFAULT_CPU.seconds(baseline.counters,
+        sequential, counters = build_nsw_sequential(points, PARAMS.d_min,
+                                                    PARAMS.d_max)
+        assert one.graph.edge_set() == sequential.edge_set()
+        assert one.seconds == DEFAULT_CPU.seconds(counters,
                                                   3 * points.shape[1])
 
     def test_phase_seconds(self, small_points):
@@ -213,9 +212,9 @@ class TestDistributedConstruction:
         points = small_points[:150]
         dist = build_nsw_distributed(points, PARAMS, n_workers=4,
                                      exact=True)
-        sequential = build_nsw_cpu(points, PARAMS.d_min, PARAMS.d_max,
-                                   exact=True)
-        assert dist.graph.edge_set() == sequential.graph.edge_set()
+        sequential, _ = build_nsw_sequential(points, PARAMS.d_min,
+                                             PARAMS.d_max, exact=True)
+        assert dist.graph.edge_set() == sequential.edge_set()
 
     def test_rejects_bad_cluster(self, small_points):
         from repro.extensions.distributed import build_nsw_distributed

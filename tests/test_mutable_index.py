@@ -1,5 +1,8 @@
 """Tests for the crash-safe mutable index: lifecycle, WAL, snapshots."""
 
+import binascii
+import json
+
 import numpy as np
 import pytest
 
@@ -316,6 +319,44 @@ class TestCheckpoint:
         assert np.array_equal(restored.compacted_tombstones,
                               index.compacted_tombstones)
         assert restored.mutation_seconds == index.mutation_seconds
+
+    @staticmethod
+    def _blob():
+        index = _fresh()
+        return index._to_checkpoint_bytes(index.store.next_lsn - 1), index
+
+    def _assert_corrupt(self, blob, store, cause):
+        with pytest.raises(MutableIndexError, match="corrupt checkpoint") \
+                as info:
+            MutableIndex.from_checkpoint_bytes(blob, store)
+        assert isinstance(info.value.__cause__, cause)
+
+    def test_truncated_blob_is_a_typed_error(self):
+        blob, index = self._blob()
+        self._assert_corrupt(blob[:len(blob) // 2], index.store,
+                             json.JSONDecodeError)
+
+    def test_bit_flipped_blob_is_a_typed_error(self):
+        blob, index = self._blob()
+        # Flip 0x40 on a lowercase base64 letter: it becomes punctuation
+        # that JSON accepts and base64 rejects.
+        head = b'"points": {"data": "'
+        at = blob.index(head) + len(head)
+        while not chr(blob[at]).islower():
+            at += 1
+        flipped = blob[:at] + bytes([blob[at] ^ 0x40]) + blob[at + 1:]
+        self._assert_corrupt(flipped, index.store, binascii.Error)
+
+    def test_empty_blob_is_a_typed_error(self):
+        _, index = self._blob()
+        self._assert_corrupt(b"", index.store, json.JSONDecodeError)
+
+    def test_missing_key_is_a_typed_error(self):
+        blob, index = self._blob()
+        payload = json.loads(blob)
+        del payload["degrees"]
+        self._assert_corrupt(json.dumps(payload).encode(), index.store,
+                             KeyError)
 
     def test_checkpoint_installs_and_truncates(self):
         index = _fresh()

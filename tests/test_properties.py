@@ -11,6 +11,7 @@ from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
+from tests.oracles.nsw_sequential import build_nsw_sequential
 
 
 @st.composite
@@ -92,8 +93,8 @@ class TestConstructionInvariants:
                                   seed=seed)
         params = BuildParams(d_min=3, d_max=6, n_blocks=n_blocks)
         gpu = build_nsw_gpu(points, params, exact=True)
-        cpu = build_nsw_cpu(points, 3, 6, exact=True)
-        assert gpu.graph.edge_set() == cpu.graph.edge_set()
+        sequential, _ = build_nsw_sequential(points, 3, 6, exact=True)
+        assert gpu.graph.edge_set() == sequential.edge_set()
 
     @given(st.integers(min_value=0, max_value=5000))
     @settings(max_examples=10, deadline=None)
