@@ -29,13 +29,17 @@ bench-full:
 # change = this checkout.
 #   make bench-ab WORKLOADS="search_lowdim serve_replay" PAIRS=6
 # LAYERS=1 adds one traced pass per side and prints the layers that moved.
+# RECORD=1 appends the judged pairs to BENCH_e2e.json under LABEL.
 WORKLOADS ?=
 PAIRS ?= 10
 LAYERS ?=
+RECORD ?=
+LABEL ?= unlabelled
 bench-ab:
 	$(PYTHON) scripts/bench_ab.py --pairs $(PAIRS) \
 		$(foreach w,$(WORKLOADS),--workload $(w)) \
-		$(if $(LAYERS),--layers)
+		$(if $(LAYERS),--layers) \
+		$(if $(RECORD),--record BENCH_e2e.json --label "$(LABEL)")
 
 # Regenerate the committed recovery benchmark (MTTR vs shard size and
 # WAL depth), BENCH_recovery.json.

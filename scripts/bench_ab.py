@@ -24,6 +24,13 @@ pass per side and workload at ``--seed`` and prints, side by side, the
 per-layer rows that differ by more than 5 % — which layer moved is the
 command's output, not prose.  One pass each: orientation for the pairs
 above it, never a claim of its own.
+
+``--record PATH`` (``make bench-ab RECORD=1``, which records into the
+committed ``BENCH_e2e.json``) appends the judged pair set to a
+trajectory file: the ``--label``, the seeds, both sides' fingerprints
+and failed-check shares, and per workload x end-to-end metric both
+sides' per-run values, medians and quartiles, the verdict and the
+``every run`` column.  Entries are only ever appended.
 """
 
 from __future__ import annotations
@@ -106,6 +113,53 @@ def print_layers(workload: str, parent: dict, change: dict) -> None:
               f"  {ratio}")
 
 
+def judged_rows(spec: dict, parent: dict, change: dict) -> list:
+    """One record per workload x end-to-end metric both sides ran."""
+    rows = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        for metric in spec["end_to_end"]:
+            name, better = metric["name"], metric["better"]
+            runs = {"parent": parent.get(workload, {}).get(name),
+                    "change": change.get(workload, {}).get(name)}
+            if not all(runs.values()):
+                continue
+            worse_by, verdict = compare.judge(
+                runs["parent"], runs["change"], better == "higher",
+                metric["bound"])
+            row = {"workload": workload, "metric": name,
+                   "unit": metric["unit"], "better": better,
+                   "bound": metric["bound"], "worse_by": worse_by,
+                   "verdict": verdict,
+                   "every_run": wins_every_run(runs["parent"],
+                                               runs["change"], better)}
+            for side, values in runs.items():
+                median, q1, q3, _ = compare.summary(values)
+                row[side] = {"runs": values, "median": median,
+                             "q1": q1, "q3": q3}
+            rows.append(row)
+    return rows
+
+
+def record(path: Path, entry: dict) -> None:
+    """Append ``entry`` to the trajectory file at ``path``."""
+    trajectory = {"schema": 1, "entries": []}
+    if path.exists():
+        with open(path) as handle:
+            trajectory = json.load(handle)
+    trajectory["entries"].append(entry)
+    with open(path, "w") as handle:
+        json.dump(trajectory, handle, indent=1)
+        handle.write("\n")
+
+
+def failed_share(docs: list) -> float:
+    """Failed checks over attempted checks, across a side's runs."""
+    runs = [run for doc in docs for run in doc["runs"]]
+    attempted = sum(run["attempted"] for run in runs)
+    return sum(run["failed"] for run in runs) / attempted if attempted \
+        else 0.0
+
+
 def main(argv=None) -> int:
     with open(ROOT / "BENCHMARK.json") as handle:
         spec = json.load(handle)
@@ -125,6 +179,11 @@ def main(argv=None) -> int:
     parser.add_argument("--layers", action="store_true",
                         help="after the pairs, one --trace 1 pass per "
                              "side: print the per-layer rows that differ")
+    parser.add_argument("--record", type=Path,
+                        help="append the judged pair set to this "
+                             "trajectory file (e.g. BENCH_e2e.json)")
+    parser.add_argument("--label", default="unlabelled",
+                        help="what the change is, for --record")
     args = parser.parse_args(argv)
     workloads = args.workload or names
 
@@ -168,6 +227,19 @@ def main(argv=None) -> int:
         # compare.py's own reader: {workload: {metric: [value per run]}}.
         parent, change = (compare.load(paths[side])[1]
                           for side in ("parent", "change"))
+
+    if args.record:
+        fingerprints = {side: {key: value for key, value in
+                               docs[side][0]["fingerprint"].items()
+                               if key != "repro_path"}
+                        for side in docs}
+        record(args.record, {
+            "label": args.label,
+            "seeds": [args.seed + pair for pair in range(args.pairs)],
+            "fingerprint": fingerprints,
+            "failed_share": {side: failed_share(docs[side])
+                             for side in docs},
+            "rows": judged_rows(spec, parent, change)})
 
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     for line in compared.stdout.splitlines():

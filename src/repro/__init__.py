@@ -8,7 +8,7 @@ The package provides:
 - **GGraphCon** (:func:`repro.core.construction.build_nsw_gpu` and the
   HNSW/KNN extensions): divide-and-conquer GPU graph construction.
 - **Baselines**: SONG, Algorithm 1 beam search, sequential CPU NSW/HNSW
-  construction, NN-Descent.
+  construction.
 - **Substrates**: a simulated SIMT device with calibrated cycle costs
   (:mod:`repro.gpusim`), proximity-graph storage (:mod:`repro.graphs`),
   metrics (:mod:`repro.metrics`) and synthetic stand-ins for the paper's
@@ -58,7 +58,6 @@ from repro.baselines import (
     SongParams,
     build_nsw_cpu,
     build_hnsw_cpu,
-    build_knn_graph_nn_descent,
 )
 from repro.core import (
     GannsIndex,
@@ -163,7 +162,6 @@ __all__ = [
     "SongParams",
     "build_nsw_cpu",
     "build_hnsw_cpu",
-    "build_knn_graph_nn_descent",
     "load_dataset",
     "dataset_names",
     "exact_knn",

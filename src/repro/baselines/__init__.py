@@ -5,8 +5,7 @@
 - :mod:`repro.baselines.nsw_cpu` — GraphCon_NSW: single-thread sequential
   NSW insertion (GGraphCon with one group on a one-core CPU clock).
 - :mod:`repro.baselines.hnsw_cpu` — GraphCon_HNSW: single-thread HNSW
-  construction, and CPU HNSW search.
-- :mod:`repro.baselines.nn_descent` — NN-Descent KNN-graph construction.
+  construction.
 - :mod:`repro.baselines.song` — SONG, the state-of-the-art GPU search the
   paper benchmarks against, under the shared gpusim cost model.
 - :mod:`repro.baselines.cpu_cost` — single-core CPU timing model for the
@@ -16,7 +15,6 @@
 from repro.baselines.beam import BeamSearchResult, beam_search, beam_search_batch
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.baselines.hnsw_cpu import build_hnsw_cpu
-from repro.baselines.nn_descent import build_knn_graph_nn_descent, NnDescentReport
 from repro.baselines.song import song_search, SongParams
 from repro.baselines.cpu_cost import CpuModel, DEFAULT_CPU
 
@@ -26,8 +24,6 @@ __all__ = [
     "beam_search_batch",
     "build_nsw_cpu",
     "build_hnsw_cpu",
-    "build_knn_graph_nn_descent",
-    "NnDescentReport",
     "song_search",
     "SongParams",
     "CpuModel",

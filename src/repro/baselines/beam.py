@@ -148,11 +148,10 @@ def beam_search_batch(graph: ProximityGraph, points: np.ndarray,
     Rows whose search returns fewer than ``k`` reachable vertices are padded
     with ``-1``.
     """
-    queries = np.asarray(queries)
-    if queries.ndim != 2:
-        raise SearchError(
-            f"queries must be 2-D (n_queries, d), got shape {queries.shape}"
-        )
+    # Deferred: the core imports this module while it initialises.
+    from repro.core.ganns import check_queries
+    points, queries = np.asarray(points), np.asarray(queries)
+    check_queries(points, queries, graph, entry)
     out = np.full((len(queries), k), -1, dtype=np.int64)
     for row, query in enumerate(queries):
         result = beam_search(graph, points, query, k, ef, entry, metric)

@@ -17,7 +17,7 @@ the model, so every reported *ratio* is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -89,11 +89,3 @@ class CpuModel:
 
 DEFAULT_CPU = CpuModel()
 """The paper's evaluation CPU, single-threaded."""
-
-
-@dataclass
-class TimedCounters:
-    """Counters plus the resolved seconds, for report tables."""
-
-    counters: CpuOpCounters = field(default_factory=CpuOpCounters)
-    seconds: float = 0.0

@@ -33,8 +33,9 @@ import numpy as np
 
 from repro.baselines.minmax_heap import MinMaxHeap
 from repro.baselines.visited import make_visited_set
+from repro.core.ganns import check_queries
 from repro.core.results import SearchReport, make_search_tracker
-from repro.errors import ConfigurationError, SearchError
+from repro.errors import ConfigurationError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.memory import SharedMemoryBudget
@@ -108,31 +109,12 @@ def song_search(graph: ProximityGraph, points: np.ndarray,
         A :class:`repro.core.results.SearchReport` with
         ``algorithm == "song"``.
     """
-    points = np.asarray(points)
-    queries = np.asarray(queries)
-    if queries.ndim != 2:
-        raise SearchError(
-            f"queries must be 2-D (n_queries, d), got shape {queries.shape}"
-        )
-    if points.ndim != 2 or points.shape[1] != queries.shape[1]:
-        raise SearchError(
-            f"points {points.shape} and queries {queries.shape} disagree "
-            f"on dimensionality"
-        )
-    n_queries = len(queries)
-    if n_queries == 0:
-        raise SearchError("queries must not be empty")
-    n_dims = points.shape[1]
+    points, queries = np.asarray(points), np.asarray(queries)
+    entries = check_queries(points, queries, graph, entry)
+    n_queries, n_dims = queries.shape
     metric = graph.metric
     bound = params.pq_bound
     n_t = params.n_threads
-
-    entries = np.broadcast_to(np.asarray(entry, dtype=np.int64),
-                              (n_queries,)).copy()
-    if entries.min() < 0 or entries.max() >= graph.n_vertices:
-        raise SearchError(
-            f"entry vertices must lie in [0, {graph.n_vertices})"
-        )
 
     tracker = make_search_tracker(n_queries, "song")
     ids_out = np.full((n_queries, params.k), -1, dtype=np.int64)

@@ -140,12 +140,9 @@ class GraphCache:
         if os.path.exists(path):
             try:
                 with np.load(path, allow_pickle=False) as archive:
-                    graph = ProximityGraph(dataset.n_points, params.d_max,
-                                           dataset.metric_name)
-                    graph.neighbor_ids = archive["ids"]
-                    graph.neighbor_dists = archive["dists"]
-                    graph.degrees = archive["degrees"]
-                    return graph
+                    return ProximityGraph.from_arrays(
+                        archive["ids"], archive["dists"], archive["degrees"],
+                        dataset.metric_name)
             except (OSError, ValueError, KeyError):
                 # Corrupted or stale cache entry: drop it and rebuild.
                 os.remove(path)

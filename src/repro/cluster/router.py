@@ -188,12 +188,6 @@ class ReplicaRouter:
                 return (death, revive)
         return None
 
-    def death_time(self, shard: int, replica: int) -> float:
-        """Simulated instant of the replica's *first* death (``inf``
-        if it never dies)."""
-        windows = self.down_windows.get(self._slot(shard, replica))
-        return windows[0][0] if windows else math.inf
-
     def revive_time(self, shard: int, replica: int) -> float:
         """Re-admission instant of the replica's last down window
         (``inf`` while it is dead forever, also ``inf`` if it never

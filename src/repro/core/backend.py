@@ -151,12 +151,14 @@ class IndexBackend(abc.ABC):
 
     def deserialize_graph(self, archive, n_points: int, d_max: int,
                           metric: str):
-        """Rebuild the graph from arrays written by :meth:`serialize_graph`."""
-        graph = ProximityGraph(n_points, d_max, metric)
-        graph.neighbor_ids = archive["graph_ids"]
-        graph.neighbor_dists = archive["graph_dists"]
-        graph.degrees = archive["graph_degrees"]
-        return graph
+        """Rebuild the graph from arrays written by :meth:`serialize_graph`.
+
+        ``n_points`` and ``d_max`` are the archive's header, for layouts
+        that need them; the flat layout reads both off its arrays.
+        """
+        return ProximityGraph.from_arrays(
+            archive["graph_ids"], archive["graph_dists"],
+            archive["graph_degrees"], metric)
 
     # ------------------------------------------------------------------
     # Cost-model hooks (the bake-off's common currency)
@@ -287,15 +289,11 @@ class HnswBackend(IndexBackend):
 
     def deserialize_graph(self, archive, n_points: int, d_max: int,
                           metric: str):
-        sizes = archive["layer_sizes"].tolist()
-        layers = []
-        for i in range(int(archive["n_layers"])):
-            layer = ProximityGraph(n_points, d_max, metric)
-            layer.neighbor_ids = archive[f"layer{i}_ids"]
-            layer.neighbor_dists = archive[f"layer{i}_dists"]
-            layer.degrees = archive[f"layer{i}_degrees"]
-            layers.append(layer)
-        return HierarchicalGraph(layers, sizes)
+        layers = [ProximityGraph.from_arrays(
+                      archive[f"layer{i}_ids"], archive[f"layer{i}_dists"],
+                      archive[f"layer{i}_degrees"], metric)
+                  for i in range(int(archive["n_layers"]))]
+        return HierarchicalGraph(layers, archive["layer_sizes"].tolist())
 
     def conformance_profile(self) -> ConformanceProfile:
         return ConformanceProfile(recall_floor=0.9, reachable_floor=0.98)

@@ -88,16 +88,6 @@ def nearest_in_prefix(points: np.ndarray, vertex: int, prefix_end: int,
     return ids, dists[ids]
 
 
-def exact_prefix_knn(points: np.ndarray, vertex: int, k: int,
-                     metric: Metric) -> np.ndarray:
-    """Exact ``k`` nearest earlier points of ``points[vertex]``.
-
-    "Earlier" means smaller insertion id — the set a sequential insertion
-    searches.
-    """
-    return nearest_in_prefix(points, vertex, vertex, k, metric)[0]
-
-
 def _build_local_graph(points: np.ndarray, group: np.ndarray,
                        params: BuildParams, metric_obj, exact: bool,
                        clock, unit: int, forward_ids: np.ndarray,
@@ -115,8 +105,9 @@ def _build_local_graph(points: np.ndarray, group: np.ndarray,
     local_graph = ProximityGraph(len(group), params.d_max, metric_obj.name)
     for local_vertex in range(1, len(group)):
         if exact:
-            neighbor_ids = exact_prefix_knn(local_points, local_vertex,
-                                            d_min, metric_obj)
+            neighbor_ids = nearest_in_prefix(local_points, local_vertex,
+                                             local_vertex, d_min,
+                                             metric_obj)[0]
             clock.scan(unit, local_vertex)
         elif local_vertex <= d_min:
             # Fewer points than d_min in the graph: select all of them.

@@ -25,6 +25,10 @@ in the cycle tracker is charged with the paper's per-phase cost formulas.
 ``params.quant`` routes the same traversal through compressed distances
 plus an exact rerank (:func:`repro.perf.engine.ganns_search_staged`).
 
+:func:`check_queries` is the one query check: ``ganns_search``, SONG,
+the CPU beam search, ``stream_batches``, ``GannsIndex.search`` and the
+serving engines' trace validation all run it.
+
 The oracles the implementation answers to live elsewhere: the faithful
 single-query kernel assembled from warp primitives in
 :mod:`repro.core.ganns_kernel`, the lock-step batched specification in
@@ -45,6 +49,68 @@ from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.perf.distance import resolve_compute_dtype
 from repro.perf.engine import ganns_search_fast, ganns_search_staged
+
+
+def check_queries(points: np.ndarray, queries: np.ndarray,
+                  graph: Optional[ProximityGraph] = None,
+                  entry: Union[int, np.ndarray, None] = None
+                  ) -> Optional[np.ndarray]:
+    """Refuse a query batch no search can rank.
+
+    ``queries`` must be a non-empty 2-D matrix of finite values with the
+    dimensionality of ``points``; ``points`` must be the matrix ``graph``
+    was built over (when a graph is given); ``entry`` (when given) must
+    be one vertex, or one vertex per query, inside ``points``.  Both
+    matrices are ndarrays already.
+
+    Returns:
+        The ``(n_queries,)`` entry vertices (a read-only broadcast view),
+        or ``None`` when no ``entry`` was given.
+
+    Raises:
+        SearchError: Naming the first check that failed.
+    """
+    if queries.ndim != 2:
+        raise SearchError(
+            f"queries must be 2-D (n_queries, d), got shape {queries.shape}"
+        )
+    if points.ndim != 2 or points.shape[1] != queries.shape[1]:
+        raise SearchError(
+            f"points {points.shape} and queries {queries.shape} disagree "
+            f"on dimensionality"
+        )
+    if graph is not None and len(points) != graph.n_vertices:
+        # Out-of-range neighbour ids would clip to the last point and
+        # an answer would still come back.
+        raise SearchError(
+            f"points has {len(points)} rows but the graph has "
+            f"{graph.n_vertices} vertices; search the matrix the graph "
+            f"was built over"
+        )
+    n_queries = len(queries)
+    if n_queries == 0:
+        raise SearchError("queries must be non-empty")
+    if not np.isfinite(queries).all():
+        raise SearchError(
+            "queries contain NaN or infinite values; distances to them "
+            "have no order, so the search cannot rank candidates"
+        )
+    if entry is None:
+        return None
+    entries = np.asarray(entry, dtype=np.int64)
+    if entries.shape not in ((), (n_queries,)):
+        raise SearchError(
+            f"entry must be a scalar or a ({n_queries},) array, one "
+            f"vertex per query; got shape {entries.shape}"
+        )
+    # Entries are never mutated by a search, so the read-only broadcast
+    # view is enough.
+    entries = np.broadcast_to(entries, (n_queries,))
+    if entries.min() < 0 or entries.max() >= len(points):
+        raise SearchError(
+            f"entry vertices must lie in [0, {len(points)})"
+        )
+    return entries
 
 
 def ganns_search(graph: ProximityGraph, points: np.ndarray,
@@ -78,48 +144,9 @@ def ganns_search(graph: ProximityGraph, points: np.ndarray,
     Returns:
         A :class:`repro.core.results.SearchReport`.
     """
-    points = np.asarray(points)
-    queries = np.asarray(queries)
-    if queries.ndim != 2:
-        raise SearchError(
-            f"queries must be 2-D (n_queries, d), got shape {queries.shape}"
-        )
-    if points.ndim != 2 or points.shape[1] != queries.shape[1]:
-        raise SearchError(
-            f"points {points.shape} and queries {queries.shape} disagree "
-            f"on dimensionality"
-        )
-    if len(points) != graph.n_vertices:
-        # Out-of-range neighbour ids would clip to the last point and
-        # an answer would still come back.
-        raise SearchError(
-            f"points has {len(points)} rows but the graph has "
-            f"{graph.n_vertices} vertices; search the matrix the graph "
-            f"was built over"
-        )
-    n_queries = len(queries)
-    if n_queries == 0:
-        raise SearchError("queries must not be empty")
-    if not np.isfinite(queries).all():
-        raise SearchError(
-            "queries contain NaN or infinite values; distances to them "
-            "have no order, so the search cannot rank candidates"
-        )
+    points, queries = np.asarray(points), np.asarray(queries)
+    entries = check_queries(points, queries, graph, entry)
     compute_dtype = resolve_compute_dtype(points, queries, dtype)
-
-    entries = np.asarray(entry, dtype=np.int64)
-    if entries.shape not in ((), (n_queries,)):
-        raise SearchError(
-            f"entry must be a scalar or a ({n_queries},) array, one "
-            f"vertex per query; got shape {entries.shape}"
-        )
-    # Entries are never mutated by the traversal, so the read-only
-    # broadcast view is enough.
-    entries = np.broadcast_to(entries, (n_queries,))
-    if entries.min() < 0 or entries.max() >= graph.n_vertices:
-        raise SearchError(
-            f"entry vertices must lie in [0, {graph.n_vertices})"
-        )
 
     if params.quant is not None:
         return ganns_search_staged(graph, points, queries, params,

@@ -23,6 +23,7 @@ import numpy as np
 from repro.baselines.beam import beam_search_batch
 from repro.baselines.song import SongParams, song_search
 from repro.core.backend import STRATEGIES, get_backend  # noqa: F401 - STRATEGIES re-exported
+from repro.core.ganns import check_queries
 from repro.core.hnsw import recover_original_ids
 from repro.core.params import BuildParams, SearchParams
 from repro.core.results import ConstructionReport, SearchReport
@@ -175,6 +176,8 @@ class GannsIndex:
         if l_n is None:
             l_n = max(32, next_pow2(4 * k))
         flat = self._flat_graph()
+        # Before the HNSW descent, which would walk a NaN query anywhere.
+        check_queries(self.points, queries, flat)
         entries = self._entries(queries)
 
         if algorithm == "ganns":

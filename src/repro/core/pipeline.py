@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.core.ganns import ganns_search
+from repro.core.ganns import check_queries, ganns_search
 from repro.core.params import SearchParams
 from repro.core.results import SearchReport, make_search_tracker
 from repro.errors import SearchError
@@ -191,11 +191,14 @@ class _LaneStore:
                entry: Union[int, np.ndarray], costs: CostTable
                ) -> SearchReport:
         """:func:`ganns_search` of the same arguments."""
-        lanes = [self._lane_of.get(row.tobytes()) for row in queries]
-        if (None in lanes or graph is not self.graph
-                or points is not self.points or params != self.params
-                or costs != self.costs or np.ndim(entry) != 0
-                or entry != self.entry):
+        # The cheap identity checks first: a batch the store was not
+        # built for (a degraded tier's params) hashes no row.
+        same = (graph is self.graph and points is self.points
+                and params == self.params and costs == self.costs
+                and np.ndim(entry) == 0 and entry == self.entry)
+        lanes = ([self._lane_of.get(row.tobytes()) for row in queries]
+                 if same else None)
+        if lanes is None or None in lanes:
             return ganns_search(graph, points, queries, params,
                                 entry=entry, costs=costs)
         lanes = np.array(lanes)
@@ -274,24 +277,10 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
         A :class:`StreamResult` with both serial and overlapped timings.
     """
     queries = np.asarray(queries)
-    if queries.ndim != 2 or len(queries) == 0:
-        raise SearchError(
-            f"queries must be a non-empty 2-D matrix, got shape "
-            f"{queries.shape}"
-        )
+    check_queries(np.asarray(points), queries, graph, entry)
     if batch_size <= 0:
         raise SearchError(f"batch_size must be positive, got {batch_size}")
     entries = np.asarray(entry, dtype=np.int64)
-    if entries.ndim not in (0, 1):
-        raise SearchError(
-            f"entry must be a scalar or a (n_queries,) array, got shape "
-            f"{entries.shape}"
-        )
-    if entries.ndim == 1 and len(entries) != len(queries):
-        raise SearchError(
-            f"per-query entry array has {len(entries)} entries for "
-            f"{len(queries)} queries"
-        )
     transfer = TransferModel(device)
     search = ganns_search if _lanes is None else _lanes.search
 

@@ -147,23 +147,6 @@ class CycleTracker:
             return {name: 0.0 for name in totals}
         return {name: value / grand for name, value in totals.items()}
 
-    def merge_from(self, other: "CycleTracker") -> None:
-        """Fold another tracker's totals into this one, lane-wise.
-
-        Both trackers must have the same number of lanes.  Categories
-        registered on ``other`` are adopted for phases this tracker has not
-        categorised yet.
-        """
-        if other.n_lanes != self._n_lanes:
-            raise ConfigurationError(
-                f"cannot merge trackers with different lane counts "
-                f"({other.n_lanes} != {self._n_lanes})"
-            )
-        for name in other.phase_names:
-            self.charge(name, other.lane_cycles(name))
-            if name not in self._categories:
-                self._categories[name] = other.category_of(name)
-
     def take(self, lanes: np.ndarray) -> "CycleTracker":
         """A tracker over the selected lanes only, in ``lanes`` order.
 

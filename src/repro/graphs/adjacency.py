@@ -217,12 +217,27 @@ class ProximityGraph:
 
     def copy(self) -> "ProximityGraph":
         """Deep copy of the graph."""
-        clone = ProximityGraph(self.n_vertices, self.d_max, self.metric_name,
-                               dtype=self.dtype)
-        clone.neighbor_ids = self.neighbor_ids.copy()
-        clone.neighbor_dists = self.neighbor_dists.copy()
-        clone.degrees = self.degrees.copy()
-        return clone
+        return ProximityGraph.from_arrays(
+            self.neighbor_ids.copy(), self.neighbor_dists.copy(),
+            self.degrees.copy(), self.metric_name)
+
+    @classmethod
+    def from_arrays(cls, neighbor_ids: np.ndarray, neighbor_dists: np.ndarray,
+                    degrees: np.ndarray,
+                    metric: str = "euclidean") -> "ProximityGraph":
+        """Adopt stored adjacency arrays as they are — the one decoder of
+        a persisted graph.
+
+        ``(n, d_max)`` ids and distances plus ``(n,)`` degrees, as read
+        off a graph's attributes; the distance dtype is the stored one.
+        Nothing is copied or re-sorted.
+        """
+        n_vertices, d_max = np.shape(neighbor_ids)
+        graph = cls(n_vertices, d_max, metric, dtype=neighbor_dists.dtype)
+        graph.neighbor_ids = neighbor_ids
+        graph.neighbor_dists = neighbor_dists
+        graph.degrees = degrees
+        return graph
 
     def edge_set(self) -> set:
         """All directed edges as a set of (src, dst) tuples."""

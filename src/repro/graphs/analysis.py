@@ -17,7 +17,7 @@ behind the paper's design choices, measurable on any
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.adjacency import ProximityGraph
+from repro.graphs.stats import hop_distances
 
 
 @dataclass(frozen=True)
@@ -91,26 +92,7 @@ def hop_histogram(graph: ProximityGraph, entry: int = 0,
     weighted mean approximates the length of greedy search paths, which
     is what drives per-query iteration counts.
     """
-    if not 0 <= entry < graph.n_vertices:
-        raise GraphError(
-            f"entry {entry} out of range [0, {graph.n_vertices})"
-        )
-    dist = np.full(graph.n_vertices, -1, dtype=np.int64)
-    dist[entry] = 0
-    frontier = deque([entry])
-    while frontier:
-        v = frontier.popleft()
-        if max_hops is not None and dist[v] >= max_hops:
-            continue
-        for u in graph.neighbor_ids[v, :graph.degrees[v]]:
-            u = int(u)
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                frontier.append(u)
-    histogram: Dict[int, int] = {}
-    for value in dist:
-        histogram[int(value)] = histogram.get(int(value), 0) + 1
-    return histogram
+    return dict(Counter(hop_distances(graph, entry, max_hops).tolist()))
 
 
 def mean_hops(graph: ProximityGraph, entry: int = 0) -> float:

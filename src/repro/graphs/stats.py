@@ -1,7 +1,8 @@
 """Graph statistics and quality measures.
 
-Besides simple degree statistics, this module provides the two quality
-measures the evaluation leans on:
+Besides simple degree statistics, this module provides the library's one
+BFS, :func:`hop_distances`, and the two quality measures the evaluation
+leans on:
 
 - :func:`reachable_fraction` — share of vertices reachable from the entry
   point (a disconnected graph caps achievable recall);
@@ -13,8 +14,8 @@ measures the evaluation leans on:
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -40,23 +41,36 @@ def average_out_degree(graph: ProximityGraph) -> float:
     return float(graph.degrees.mean())
 
 
-def reachable_fraction(graph: ProximityGraph, entry: int = 0) -> float:
-    """Fraction of vertices reachable from ``entry`` by directed BFS."""
+def hop_distances(graph: ProximityGraph, entry: int = 0,
+                  max_hops: Optional[int] = None) -> np.ndarray:
+    """Directed BFS hop distance of every vertex from ``entry``.
+
+    The one BFS over a graph: ``(n,)`` int64 hops, ``-1`` where
+    unreachable (or farther than ``max_hops``).  Level-synchronous — one
+    gather of the frontier's rows per hop — which yields the same
+    distances as a vertex-at-a-time queue.
+    """
     if not 0 <= entry < graph.n_vertices:
         raise GraphError(
             f"entry {entry} out of range [0, {graph.n_vertices})"
         )
-    seen = np.zeros(graph.n_vertices, dtype=bool)
-    seen[entry] = True
-    frontier = deque([entry])
-    while frontier:
-        v = frontier.popleft()
-        for u in graph.neighbor_ids[v, :graph.degrees[v]]:
-            u = int(u)
-            if not seen[u]:
-                seen[u] = True
-                frontier.append(u)
-    return float(seen.mean())
+    hops = np.full(graph.n_vertices, -1, dtype=np.int64)
+    hops[entry] = 0
+    frontier = np.array([entry])
+    level = 0
+    while len(frontier) and (max_hops is None or level < max_hops):
+        rows = graph.neighbor_ids[frontier]
+        live = np.arange(graph.d_max) < graph.degrees[frontier, None]
+        reached = np.unique(rows[live])
+        frontier = reached[hops[reached] < 0]
+        level += 1
+        hops[frontier] = level
+    return hops
+
+
+def reachable_fraction(graph: ProximityGraph, entry: int = 0) -> float:
+    """Fraction of vertices reachable from ``entry`` by directed BFS."""
+    return float((hop_distances(graph, entry) >= 0).mean())
 
 
 def graph_digest(graph) -> str:

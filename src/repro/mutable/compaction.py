@@ -30,15 +30,15 @@ adjacency merges, bulk distance computations for bridge candidates).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import MutableIndexError
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.graphs.adjacency import ProximityGraph
+from repro.graphs.stats import hop_distances
 
 #: Phase names, in execution order (also crash points; see
 #: :data:`repro.faults.plan.CRASH_PHASES`).
@@ -180,20 +180,6 @@ def compact_graph(graph: ProximityGraph, points: np.ndarray,
     return stats
 
 
-def _directed_reach(graph: ProximityGraph, root: int) -> Set[int]:
-    """Vertices reachable from ``root`` following directed edges."""
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbor_ids[u, :int(graph.degrees[u])]:
-            v = int(v)
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def _reconnect(graph: ProximityGraph, points: np.ndarray,
                tombstones: np.ndarray, *, costs: CostTable,
                n_threads: int, stats: CompactionStats) -> None:
@@ -214,16 +200,14 @@ def _reconnect(graph: ProximityGraph, points: np.ndarray,
     root = int(live[0])
     n_dims = points.shape[1]
     for _ in range(len(live)):
-        seen = _directed_reach(graph, root)
+        reached = hop_distances(graph, root) >= 0
         stats.structure_cycles += costs.prefix_sum_cycles(
             len(live), n_threads)
-        unreachable = [int(v) for v in live if int(v) not in seen]
-        if not unreachable:
+        unreachable = live[~reached[live]]
+        if not len(unreachable):
             return
-        v = unreachable[0]
-        sources = np.array(
-            sorted(u for u in seen if not tombstones[u]),
-            dtype=np.int64)
+        v = int(unreachable[0])
+        sources = np.flatnonzero(reached & ~tombstones)
         dists = graph.metric.one_to_many(points[v], points[sources])
         stats.distance_cycles += costs.bulk_distance_cycles(
             len(sources), n_dims, n_threads)

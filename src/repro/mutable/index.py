@@ -28,7 +28,6 @@ slot 7 forever, so a result id means the same point at every epoch.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Optional, Tuple
 
@@ -44,14 +43,16 @@ from repro.gpusim.kernel import KernelLaunch
 from repro.graphs.adjacency import PAD_DIST, PAD_ID, ProximityGraph
 from repro.graphs.validation import validate_graph
 from repro.mutable.compaction import CompactionStats, compact_graph
-from repro.mutable.snapshot import SnapshotHandle
+from repro.mutable.snapshot import SnapshotHandle, state_digest
 from repro.mutable.wal import (
     OP_COMPACT,
     OP_DELETE,
     OP_INSERT,
     DurableStore,
     decode_array,
+    decode_params,
     encode_array,
+    encode_params,
 )
 
 
@@ -128,13 +129,8 @@ class MutableIndex:
             )
         points = np.ascontiguousarray(points, dtype=np.float64)
         store = DurableStore()
-        store.meta = {
-            "d_min": params.d_min, "d_max": params.d_max,
-            "n_blocks": params.n_blocks, "n_threads": params.n_threads,
-            "ef_construction": params.ef_construction,
-            "search_l_n": params.search_l_n, "seed": params.seed,
-            "metric": metric, "search_kernel": search_kernel,
-        }
+        store.meta = {**encode_params(params), "metric": metric,
+                      "search_kernel": search_kernel}
         store.append(OP_INSERT, 0.0, points=points)
         index = cls._apply_base_build(
             store, points, params, metric=metric,
@@ -190,16 +186,10 @@ class MutableIndex:
         same order have equal digests — the crash-recovery acceptance
         bar compares exactly this.
         """
-        h = hashlib.sha256()
-        h.update(b"epoch=%d entry=%d n=%d " % (self.epoch, self.entry,
-                                               self.n_slots))
-        h.update(np.ascontiguousarray(self.points).tobytes())
-        h.update(np.ascontiguousarray(self.graph.neighbor_ids).tobytes())
-        h.update(np.ascontiguousarray(
-            self.graph.neighbor_dists).tobytes())
-        h.update(np.ascontiguousarray(self.graph.degrees).tobytes())
-        h.update(np.ascontiguousarray(self.tombstones).tobytes())
-        return h.hexdigest()
+        return state_digest(
+            b"epoch=%d entry=%d n=%d " % (self.epoch, self.entry,
+                                          self.n_slots),
+            self.points, self.graph, self.tombstones)
 
     def validate(self) -> None:
         """Structural + tombstone validation of the live graph.
@@ -456,13 +446,7 @@ class MutableIndex:
             "last_lsn": int(last_lsn),
             "metric": self.metric,
             "search_kernel": self.search_kernel,
-            "d_min": self.build_params.d_min,
-            "d_max": self.build_params.d_max,
-            "n_blocks": self.build_params.n_blocks,
-            "n_threads": self.build_params.n_threads,
-            "ef_construction": self.build_params.ef_construction,
-            "search_l_n": self.build_params.search_l_n,
-            "seed": self.build_params.seed,
+            **encode_params(self.build_params),
             "mutation_seconds": self.mutation_seconds,
             "graph_dtype": str(self.graph.dtype),
             "points": encode_array(self.points),
@@ -489,24 +473,12 @@ class MutableIndex:
         """
         try:
             payload = json.loads(blob.decode("utf-8"))
-            ef = payload.get("ef_construction")
-            l_n = payload.get("search_l_n")
-            params = BuildParams(d_min=int(payload["d_min"]),
-                                 d_max=int(payload["d_max"]),
-                                 n_blocks=int(payload["n_blocks"]),
-                                 n_threads=int(payload["n_threads"]),
-                                 ef_construction=None if ef is None
-                                 else int(ef),
-                                 search_l_n=None if l_n is None
-                                 else int(l_n),
-                                 seed=int(payload.get("seed", 0)))
+            params = decode_params(payload)
             points = decode_array(payload["points"])
-            graph = ProximityGraph(len(points), params.d_max,
-                                   payload["metric"],
-                                   dtype=np.dtype(payload["graph_dtype"]))
-            graph.neighbor_ids = decode_array(payload["neighbor_ids"])
-            graph.neighbor_dists = decode_array(payload["neighbor_dists"])
-            graph.degrees = decode_array(payload["degrees"])
+            graph = ProximityGraph.from_arrays(
+                decode_array(payload["neighbor_ids"]),
+                decode_array(payload["neighbor_dists"]),
+                decode_array(payload["degrees"]), payload["metric"])
             tombstones = decode_array(payload["tombstones"])
             compacted = decode_array(payload["compacted_tombstones"])
             entry, epoch = int(payload["entry"]), int(payload["epoch"])

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.params import BuildParams
 from repro.errors import MutableIndexError
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
@@ -27,19 +26,8 @@ from repro.mutable.wal import (
     OP_DELETE,
     OP_INSERT,
     DurableStore,
+    decode_params,
 )
-
-
-def _params_from_meta(meta: dict) -> BuildParams:
-    ef = meta.get("ef_construction")
-    l_n = meta.get("search_l_n")
-    return BuildParams(d_min=int(meta["d_min"]),
-                       d_max=int(meta["d_max"]),
-                       n_blocks=int(meta["n_blocks"]),
-                       n_threads=int(meta["n_threads"]),
-                       ef_construction=None if ef is None else int(ef),
-                       search_l_n=None if l_n is None else int(l_n),
-                       seed=int(meta.get("seed", 0)))
 
 
 def recover(store: DurableStore,
@@ -82,7 +70,7 @@ def recover(store: DurableStore,
                 "with the base-build insert record")
         index = MutableIndex._apply_base_build(
             store, np.asarray(records[0].points),
-            _params_from_meta(store.meta),
+            decode_params(store.meta),
             metric=str(store.meta["metric"]),
             search_kernel=str(store.meta["search_kernel"]),
             device=device, costs=costs)

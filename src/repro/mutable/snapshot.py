@@ -92,11 +92,16 @@ class SnapshotHandle:
 
     def digest(self) -> str:
         """SHA-256 over the pinned state's canonical bytes."""
-        h = hashlib.sha256()
-        h.update(b"epoch=%d entry=%d " % (self.epoch, self.entry))
-        h.update(np.ascontiguousarray(self.points).tobytes())
-        h.update(np.ascontiguousarray(self.graph.neighbor_ids).tobytes())
-        h.update(np.ascontiguousarray(self.graph.neighbor_dists).tobytes())
-        h.update(np.ascontiguousarray(self.graph.degrees).tobytes())
-        h.update(np.ascontiguousarray(self.tombstones).tobytes())
-        return h.hexdigest()
+        return state_digest(b"epoch=%d entry=%d " % (self.epoch, self.entry),
+                            self.points, self.graph, self.tombstones)
+
+
+def state_digest(header: bytes, points: np.ndarray, graph: ProximityGraph,
+                 tombstones: np.ndarray) -> str:
+    """SHA-256 over ``header`` and then the canonical bytes of an index
+    state: points, the graph's three arrays, the tombstone mask."""
+    h = hashlib.sha256(header)
+    for array in (points, graph.neighbor_ids, graph.neighbor_dists,
+                  graph.degrees, tombstones):
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()

@@ -20,11 +20,12 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.params import BuildParams
 from repro.errors import MutableIndexError
 
 #: Operation kinds a WAL record may carry.
@@ -46,6 +47,23 @@ def decode_array(data: Dict[str, object]) -> np.ndarray:
     raw = base64.b64decode(str(data["data"]))
     arr = np.frombuffer(raw, dtype=np.dtype(str(data["dtype"])))
     return arr.reshape([int(s) for s in data["shape"]]).copy()
+
+
+def encode_params(params: BuildParams) -> Dict[str, object]:
+    """JSON-safe build parameters, keyed by field name — the keys the
+    superblock meta and every checkpoint carry."""
+    return asdict(params)
+
+
+def decode_params(data: Dict[str, object]) -> BuildParams:
+    """Inverse of :func:`encode_params`; ``seed`` may be absent (0)."""
+    ef, l_n = data.get("ef_construction"), data.get("search_l_n")
+    return BuildParams(d_min=int(data["d_min"]), d_max=int(data["d_max"]),
+                       n_blocks=int(data["n_blocks"]),
+                       n_threads=int(data["n_threads"]),
+                       ef_construction=None if ef is None else int(ef),
+                       search_l_n=None if l_n is None else int(l_n),
+                       seed=int(data.get("seed", 0)))
 
 
 @dataclass(eq=False)

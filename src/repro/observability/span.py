@@ -371,15 +371,6 @@ class SpanTracer:
         """All spans with the given taxonomy name, id order."""
         return tuple(s for s in self._spans if s.name == name)
 
-    def depth_of(self, span_id: int) -> int:
-        """Root distance of a span (roots are depth 0)."""
-        depth = 0
-        parent = self._spans[span_id].parent_id
-        while parent is not None:
-            depth += 1
-            parent = self._spans[parent].parent_id
-        return depth
-
     def validate(self) -> None:
         """Check well-formedness of the whole forest.
 

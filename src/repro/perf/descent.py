@@ -1,4 +1,4 @@
-"""Batched HNSW entry descent.
+"""Batched HNSW entry descent — the one descent the library runs.
 
 :meth:`repro.core.index.GannsIndex._entries` needs one greedy top-down
 descent per query before every HNSW search — as a per-query Python loop
@@ -7,8 +7,8 @@ walks all queries in lock-step: each pass gathers the current vertices'
 adjacency rows for every still-walking query at once and evaluates the
 candidate distances with one einsum.
 
-Equivalence with the per-query
-:func:`repro.baselines.hnsw_cpu.hnsw_entry_descent`: queries walk
+Equivalence with the per-query oracle
+``tests/oracles/hnsw_descent.py::hnsw_entry_descent``: queries walk
 independently, so lock-stepping changes neither the visit sequence nor
 the distance counts — a query that stops improving on a layer simply
 goes inactive while others keep walking.  Euclidean arithmetic is
@@ -45,8 +45,8 @@ def hnsw_entry_descent_batch(graph: HierarchicalGraph, points: np.ndarray,
 
     Returns:
         ``(entries, n_dists)`` — per-query entry vertex ids ``(m,)`` and
-        per-query distance-computation counts ``(m,)``, matching the
-        per-query CPU baseline descent.
+        per-query distance-computation counts ``(m,)``, matching a
+        per-query greedy descent.
     """
     if metric_name is None:
         metric_name = graph.bottom.metric_name
@@ -95,7 +95,7 @@ def hnsw_entry_descent_batch(graph: HierarchicalGraph, points: np.ndarray,
             dists[~valid] = np.inf
             n_dists[act] += degrees[has_neighbors]
             # Valid neighbors are front-packed, so argmin over the
-            # padded row resolves ties exactly like the baseline's
+            # padded row resolves ties exactly like the per-query
             # argmin over the first `degree` entries.
             best = np.argmin(dists, axis=1)
             best_dist = dists[np.arange(len(act)), best]

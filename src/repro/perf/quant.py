@@ -121,11 +121,6 @@ class QuantizedTable:
     # ------------------------------------------------------------------
 
     @property
-    def bits_per_component(self) -> int:
-        """Stored bits per retained component (32 for PCA float32)."""
-        return int(self.codes.dtype.itemsize) * 8
-
-    @property
     def rank(self) -> int:
         """Retained components per vector (``d`` for fp16/int8)."""
         return int(self.codes.shape[1])

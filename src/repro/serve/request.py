@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ServeError
+from repro.core.ganns import check_queries
+from repro.errors import SearchError, ServeError
 
 
 class RequestStatus(enum.Enum):
@@ -106,12 +107,11 @@ def validate_trace(trace: Sequence[QueryRequest], points: np.ndarray,
     """Reject a trace an engine cannot replay, before any side effect.
 
     Raises ``error`` unless arrivals are non-decreasing and every query
-    matrix is searchable over ``points``: same dimensionality, same
-    dtype, finite.  The kernel refuses each of these too, but only once
-    a batch reaches it — mid-replay, and for every request that shares
-    the batch.
+    matrix is searchable over ``points``: the search's own query check
+    (:func:`repro.core.ganns.check_queries`), and the same dtype.  The
+    kernel refuses each of these too, but only once a batch reaches it —
+    mid-replay, and for every request that shares the batch.
     """
-    n_dims = points.shape[1]
     last_arrival = float("-inf")
     for req in trace:
         if req.arrival_seconds < last_arrival:
@@ -121,22 +121,15 @@ def validate_trace(trace: Sequence[QueryRequest], points: np.ndarray,
                 f"{last_arrival}"
             )
         last_arrival = req.arrival_seconds
-        if req.queries.shape[1] != n_dims:
-            raise error(
-                f"request {req.request_id}: query dimensionality "
-                f"{req.queries.shape[1]} does not match the index "
-                f"({n_dims})"
-            )
+        try:
+            check_queries(points, req.queries)
+        except SearchError as exc:
+            raise error(f"request {req.request_id}: {exc}") from exc
         if req.queries.dtype != points.dtype:
             raise error(
                 f"request {req.request_id}: queries are "
                 f"{req.queries.dtype} but the index holds {points.dtype} "
                 f"points; cast them explicitly"
-            )
-        if not np.isfinite(req.queries).all():
-            raise error(
-                f"request {req.request_id}: queries contain NaN or "
-                f"infinite values"
             )
 
 

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.hnsw_cpu import (
-    build_hnsw_cpu,
-    hnsw_entry_descent,
-)
+from repro.baselines.hnsw_cpu import build_hnsw_cpu
 from repro.core.hnsw import (
     draw_levels,
     layer_sizes_from_levels,
@@ -14,6 +11,7 @@ from repro.core.hnsw import (
 )
 from repro.errors import ConstructionError
 from repro.graphs.validation import validate_graph
+from tests.oracles.hnsw_descent import hnsw_entry_descent
 
 
 class TestDrawLevels:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.baselines.cpu_cost import DEFAULT_CPU
 from repro.baselines.hnsw_cpu import build_hnsw_cpu
 from repro.baselines.nsw_cpu import build_nsw_cpu
-from repro.core.construction import exact_prefix_knn
+from repro.core.construction import nearest_in_prefix
 from repro.errors import ConstructionError
 from repro.graphs.stats import reachable_fraction
 from repro.graphs.validation import validate_graph
@@ -23,24 +23,24 @@ from tests.oracles.nsw_sequential import (
 class TestExactPrefixKnn:
     def test_first_vertex_has_no_prefix(self):
         points = np.random.default_rng(0).normal(size=(5, 3))
-        assert exact_prefix_knn(points, 0, 3,
-                                get_metric("euclidean")).size == 0
+        assert nearest_in_prefix(points, 0, 0, 3,
+                                 get_metric("euclidean"))[0].size == 0
 
     def test_only_earlier_points_considered(self):
         points = np.array([[0.0], [10.0], [0.1]])
-        ids = exact_prefix_knn(points, 2, 2, get_metric("euclidean"))
+        ids = nearest_in_prefix(points, 2, 2, 2, get_metric("euclidean"))[0]
         assert np.array_equal(ids, [0, 1])
 
     def test_k_capped_at_prefix_size(self):
         points = np.array([[0.0], [1.0]])
-        ids = exact_prefix_knn(points, 1, 5, get_metric("euclidean"))
+        ids = nearest_in_prefix(points, 1, 1, 5, get_metric("euclidean"))[0]
         assert np.array_equal(ids, [0])
 
     def test_sorted_by_distance(self):
         rng = np.random.default_rng(1)
         points = rng.normal(size=(20, 4))
         metric = get_metric("euclidean")
-        ids = exact_prefix_knn(points, 19, 6, metric)
+        ids = nearest_in_prefix(points, 19, 19, 6, metric)[0]
         dists = metric.one_to_many(points[19], points[ids])
         assert (np.diff(dists) >= 0).all()
 
@@ -81,7 +81,8 @@ class TestBuildStructure:
         # With d_max large enough that nothing is evicted, each vertex's
         # row contains its exact d_min prefix-NN (forward edges).
         for v in range(5, 40):
-            expected = set(exact_prefix_knn(points, v, 3, metric).tolist())
+            expected = set(nearest_in_prefix(points, v, v, 3,
+                                             metric)[0].tolist())
             got = set(report.graph.neighbors(v).tolist())
             assert expected <= got
 

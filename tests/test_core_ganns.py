@@ -226,6 +226,85 @@ class TestNonFiniteQueries:
             engine.replay(trace)
 
 
+def _hostile(kind, queries):
+    """A query batch no search can rank, and the message that says why."""
+    if kind in ("nan", "inf"):
+        bad = queries[:4].copy()
+        bad[2, 5] = np.nan if kind == "nan" else np.inf
+        return bad, "NaN or infinite"
+    if kind == "wrong dims":
+        return queries[:4, :10], "disagree on dimensionality"
+    if kind == "1-D":
+        return queries[0], "2-D"
+    return queries[:0], "non-empty"
+
+
+HOSTILE = ["nan", "inf", "wrong dims", "1-D", "empty"]
+
+
+class TestEveryAlgorithmChecksQueries:
+    """GANNS, SONG and the beam baseline run one query check: a query
+    they cannot rank is a typed error, never ids with NaN distances or
+    a NumPy broadcast traceback."""
+
+    @pytest.mark.parametrize("kind", HOSTILE)
+    @pytest.mark.parametrize("algorithm", ["ganns", "song", "beam"])
+    @pytest.mark.parametrize("graph_type", ["nsw", "hnsw"])
+    def test_index_search(self, small_points, small_queries, flat_index,
+                          hnsw_index, graph_type, algorithm, kind):
+        index = flat_index if graph_type == "nsw" else hnsw_index
+        queries, message = _hostile(kind, small_queries)
+        with pytest.raises(SearchError, match=message):
+            index.search(queries, k=5, algorithm=algorithm)
+
+    @pytest.mark.parametrize("kind", HOSTILE)
+    def test_song_search(self, small_graph, small_points, small_queries,
+                         kind):
+        from repro.baselines.song import SongParams, song_search
+        queries, message = _hostile(kind, small_queries)
+        with pytest.raises(SearchError, match=message):
+            song_search(small_graph, small_points, queries, SongParams(k=5))
+
+    @pytest.mark.parametrize("kind", HOSTILE)
+    def test_beam_search_batch(self, small_graph, small_points,
+                               small_queries, kind):
+        queries, message = _hostile(kind, small_queries)
+        with pytest.raises(SearchError, match=message):
+            beam_search_batch(small_graph, small_points, queries, 5)
+
+    def test_song_rejects_an_entry_matrix(self, small_graph, small_points,
+                                          small_queries):
+        from repro.baselines.song import SongParams, song_search
+        with pytest.raises(SearchError, match="one vertex per query"):
+            song_search(small_graph, small_points, small_queries,
+                        SongParams(k=5),
+                        entry=np.zeros((len(small_queries), 1), dtype=int))
+
+    def test_tune_search_song(self, small_graph, small_points,
+                              small_queries):
+        from repro.core.tuner import tune_search
+        queries, _ = _hostile("nan", small_queries)
+        with pytest.raises(SearchError, match="NaN or infinite"):
+            tune_search(small_graph, small_points, queries, 0.9, k=5,
+                        algorithm="song",
+                        ground_truth=np.zeros((4, 5), dtype=int))
+
+
+@pytest.fixture(scope="module")
+def flat_index(small_points, small_graph):
+    from repro.core.index import GannsIndex
+    return GannsIndex.from_graph(small_points, small_graph)
+
+
+@pytest.fixture(scope="module")
+def hnsw_index(small_points):
+    from repro.core.index import GannsIndex
+    from repro.core.params import BuildParams
+    return GannsIndex.build(small_points[:300], graph_type="hnsw",
+                            params=BuildParams(d_min=4, d_max=8,
+                                               n_blocks=8))
+
+
 class TestMismatchedInputs:
     """A point matrix that is not the graph's, or a per-query entry
     array of the wrong length, is a typed error at every entry point —

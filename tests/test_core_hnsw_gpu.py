@@ -54,7 +54,7 @@ class TestSearchQuality:
     def test_end_to_end_recall(self, small_points, small_queries):
         from repro.core.ganns import ganns_search
         from repro.core.params import SearchParams
-        from repro.baselines.hnsw_cpu import hnsw_entry_descent
+        from tests.oracles.hnsw_descent import hnsw_entry_descent
         from repro.datasets.ground_truth import exact_knn
         from repro.metrics.recall import recall_at_k
 

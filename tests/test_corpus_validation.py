@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.hnsw_cpu import build_hnsw_cpu
-from repro.baselines.nn_descent import build_knn_graph_nn_descent
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.cluster.engine import ClusterEngine
 from repro.core.cagra import build_cagra_gpu
@@ -32,7 +31,6 @@ BUILDERS = {
     "hnsw_gpu": lambda p: build_hnsw_gpu(p, PARAMS),
     "hnsw_cpu": lambda p: build_hnsw_cpu(p, 4, 8),
     "knn_gpu": lambda p: build_knn_graph_gpu(p, 4, PARAMS),
-    "knn_nn_descent": lambda p: build_knn_graph_nn_descent(p, 4),
     "cagra_gpu": lambda p: build_cagra_gpu(p, PARAMS),
     "mutable_index": lambda p: MutableIndex.build(p, PARAMS),
 }

@@ -182,7 +182,7 @@ class TestOneDoorToTheTraversal:
 
     def test_package_surface_is_unchanged(self):
         import repro
-        assert len(repro.__all__) == 78
+        assert len(repro.__all__) == 77
         assert "_LaneStore" not in repro.__all__
 
 
@@ -281,3 +281,87 @@ class TestOneGGraphConBody:
                         if isinstance(node, ast.Call)
                         and getattr(node.func, "id", "") == "draw_levels"]
         assert callers == ["src/repro/core/hnsw.py"]
+
+
+def _src_trees():
+    """``(path relative to src/repro, AST)`` of every module in ``src/``."""
+    src = os.path.join(ROOT, "src", "repro")
+    for dirpath, _dirs, files in sorted(os.walk(src)):
+        for filename in sorted(files):
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                with open(path) as handle:
+                    yield os.path.relpath(path, src), ast.parse(handle.read())
+
+
+class TestOneOfEach:
+    """Every algorithm and every durable format is written once in
+    ``src/``; the forms the library does not run live under
+    ``tests/oracles/``."""
+
+    #: Wording of the one query check (``core.ganns.check_queries``).
+    QUERY_CHECK_MESSAGES = ("queries must be 2-D (n_queries",
+                            "queries must be non-empty",
+                            "NaN or infinite", "entry vertices must lie",
+                            "one vertex per query")
+
+    def test_one_nn_descent(self):
+        modules = [path for path, _ in _src_trees()]
+        assert "core/knng.py" in modules
+        assert not [path for path in modules if "nn_descent" in path]
+
+    def test_per_query_hnsw_descent_is_an_oracle(self):
+        holders = []
+        for dirpath, _dirs, files in os.walk(ROOT):
+            if ".git" in dirpath:
+                continue
+            for filename in files:
+                path = os.path.join(dirpath, filename)
+                if filename.endswith(".py") and not os.path.samefile(
+                        path, __file__):
+                    with open(path) as handle:
+                        if "def hnsw_entry_descent(" in handle.read():
+                            holders.append(os.path.relpath(path, ROOT))
+        assert holders == [os.path.join("tests", "oracles",
+                                        "hnsw_descent.py")]
+
+    def test_query_check_is_written_once(self):
+        holders = set()
+        for path, tree in _src_trees():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                text = " ".join(
+                    const.value for const in ast.walk(node)
+                    if isinstance(const, ast.Constant)
+                    and isinstance(const.value, str))
+                if any(message in text
+                       for message in self.QUERY_CHECK_MESSAGES):
+                    holders.add(f"{path}:{node.name}")
+        assert holders == {"core/ganns.py:check_queries"}
+
+    def test_one_bfs(self):
+        importers = set()
+        for path, tree in _src_trees():
+            if path.split("/")[0] not in ("graphs", "mutable"):
+                continue
+            if any(isinstance(node, ast.ImportFrom)
+                   and node.module == "collections"
+                   and "deque" in {alias.name for alias in node.names}
+                   for node in ast.walk(tree)):
+                importers.add(path)
+        assert importers <= {"graphs/stats.py"}
+
+    def test_one_arrays_to_graph_decoder(self):
+        """Stored adjacency arrays become a graph only through
+        ``ProximityGraph.from_arrays``."""
+        writers = set()
+        for path, tree in _src_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(target, ast.Attribute)
+                        and target.attr in ("neighbor_ids", "neighbor_dists",
+                                            "degrees")
+                        for target in node.targets):
+                    writers.add(path)
+        assert writers == {"graphs/adjacency.py"}

@@ -112,25 +112,6 @@ class TestCategories:
 
 
 class TestMergeAndReset:
-    def test_merge_from(self):
-        a = CycleTracker(2, {"p": PhaseCategory.DISTANCE})
-        b = CycleTracker(2)
-        a.charge("p", 1.0)
-        b.charge("p", np.array([1.0, 2.0]), np.array([0, 1]))
-        a.merge_from(b)
-        assert np.array_equal(a.lane_cycles("p"), [2, 3])
-
-    def test_merge_adopts_categories(self):
-        a = CycleTracker(1)
-        b = CycleTracker(1, {"p": PhaseCategory.STRUCTURE})
-        b.charge("p", 1.0)
-        a.merge_from(b)
-        assert a.category_of("p") is PhaseCategory.STRUCTURE
-
-    def test_merge_lane_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError, match="lane counts"):
-            CycleTracker(2).merge_from(CycleTracker(3))
-
     def test_reset_clears_cycles_keeps_categories(self):
         t = CycleTracker(1, {"p": PhaseCategory.DISTANCE})
         t.charge("p", 5.0)

@@ -65,10 +65,10 @@ class TestLongLinks:
         """The structural reason NSW is navigable and KNN graphs are not
         (Section II-B's short-range/long-range link distinction)."""
         from repro.baselines.nsw_cpu import build_nsw_cpu
-        from repro.baselines.nn_descent import build_knn_graph_nn_descent
+        from repro.core.knng import build_knn_graph_gpu
         points = small_points[:300]
         nsw = build_nsw_cpu(points, d_min=6, d_max=12).graph
-        knn = build_knn_graph_nn_descent(points, k=6, seed=0).graph
+        knn = build_knn_graph_gpu(points, k=6).graph
         assert long_link_fraction(nsw) > long_link_fraction(knn)
 
 

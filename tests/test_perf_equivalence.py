@@ -26,7 +26,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.baselines.hnsw_cpu import hnsw_entry_descent
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core.construction import build_nsw_gpu, insert_batch_nsw
 from repro.core.ganns import ganns_search
@@ -41,6 +40,7 @@ from repro.graphs.stats import graph_digest
 from repro.perf.arena import _ARENA_CACHE, get_arena
 from repro.perf.descent import hnsw_entry_descent_batch
 from tests.oracles.ganns_batched import ganns_search_oracle
+from tests.oracles.hnsw_descent import hnsw_entry_descent
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "ganns_golden.npz")
