@@ -25,20 +25,26 @@ quality.  GGraphCon gets both properties at once:
 With exact neighbor search the result provably equals the sequentially
 inserted NSW graph (Section IV-C); the test suite verifies that theorem,
 and Figure 12's benchmark shows the approximate-search quality match.
+
+The host runs the blocks the way the device does, side by side: each
+Phase-1 step searches the next point of every group, and each Phase-2
+merge iteration all of its group's points, in one
+:func:`~repro.baselines.beam.beam_search_lanes` call — every lane the
+exact traversal a one-query Algorithm 1 search would make.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.beam import beam_search
+from repro.baselines.beam import beam_search_lanes
 from repro.core.construction_costs import GpuClock, report_from_clock
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
-from repro.graphs.adjacency import ProximityGraph
+from repro.graphs.adjacency import PAD_DIST, PAD_ID, ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.scan import csr_offsets_from_sorted_ids
@@ -88,46 +94,68 @@ def nearest_in_prefix(points: np.ndarray, vertex: int, prefix_end: int,
     return ids, dists[ids]
 
 
-def _build_local_graph(points: np.ndarray, group: np.ndarray,
-                       params: BuildParams, metric_obj, exact: bool,
-                       clock, unit: int, forward_ids: np.ndarray,
-                       forward_dists: np.ndarray) -> ProximityGraph:
-    """Phase 1 for one group: a local NSW graph built by one working unit.
+def _build_local_graphs(points: np.ndarray, boundaries: np.ndarray,
+                        params: BuildParams, metric_obj, exact: bool,
+                        clock, forward_ids: np.ndarray,
+                        forward_dists: np.ndarray) -> ProximityGraph:
+    """Phase 1: every group's local NSW graph, all groups side by side.
 
-    Inserts the group's points sequentially into a fresh local graph,
-    records each point's forward set ``v.N'`` (global ids) into
-    ``forward_ids`` / ``forward_dists`` and reports the work to
-    ``clock`` as ``unit``'s.
+    Group ``i`` is the id range ``boundaries[i] .. boundaries[i + 1]``
+    and working unit ``i``.  Contiguous groups make the local graphs the
+    block-diagonal components of one scratch graph over
+    ``points[boundaries[0]:boundaries[-1]]`` (local id = id −
+    ``boundaries[0]``, so ties break exactly as in a graph of the group's
+    own).  Step ``j`` inserts the ``j``-th point of every group that has
+    one: one lock-step search of all of them (each lane enters at its
+    group's first point and stays inside its group), one link call.
+    Each point's forward set ``v.N'`` (global ids) goes into
+    ``forward_ids`` / ``forward_dists``.
+
+    Returns:
+        The scratch graph.
     """
     d_min = params.d_min
     ef = params.effective_ef
-    local_points = points[group]
-    local_graph = ProximityGraph(len(group), params.d_max, metric_obj.name)
-    for local_vertex in range(1, len(group)):
+    base = int(boundaries[0])
+    local_points = points[base:boundaries[-1]]
+    starts = boundaries[:-1] - base
+    sizes = np.diff(boundaries)
+    scratch = ProximityGraph(len(local_points), params.d_max,
+                             metric_obj.name)
+    for step in range(1, int(sizes.max())):
+        units = np.flatnonzero(sizes > step)
+        vertices = starts[units] + step
+        # Each vertex's neighbors, one row per vertex, -1 past the last.
         if exact:
-            neighbor_ids = nearest_in_prefix(local_points, local_vertex,
-                                             local_vertex, d_min,
-                                             metric_obj)[0]
-            clock.scan(unit, local_vertex)
-        elif local_vertex <= d_min:
+            neighbor_ids = np.full((len(units), d_min), -1, dtype=np.int64)
+            for row, start in enumerate(starts[units]):
+                ids = nearest_in_prefix(local_points[start:], step, step,
+                                        d_min, metric_obj)[0]
+                neighbor_ids[row, :len(ids)] = ids + start
+            clock.scan(units, step)
+        elif step <= d_min:
             # Fewer points than d_min in the graph: select all of them.
-            neighbor_ids = np.arange(local_vertex, dtype=np.int64)
-            clock.scan(unit, local_vertex)
+            neighbor_ids = starts[units, None] + np.arange(step)
+            clock.scan(units, step)
         else:
-            result = beam_search(local_graph, local_points,
-                                 local_points[local_vertex], k=d_min, ef=ef,
-                                 entry=0, metric=metric_obj)
-            neighbor_ids = result.ids
-            clock.search(unit, result)
-        count = len(neighbor_ids)
-        dists = metric_obj.one_to_many(local_points[local_vertex],
-                                       local_points[neighbor_ids])
-        insert_bidirectional_batch(local_graph, local_vertex, neighbor_ids,
-                                   np.asarray(dists, dtype=np.float64))
-        clock.link(unit, count)
-        forward_ids[group[local_vertex], :count] = group[neighbor_ids]
-        forward_dists[group[local_vertex], :count] = dists
-    return local_graph
+            lanes = beam_search_lanes(
+                scratch, local_points, local_points[vertices], k=d_min,
+                ef=ef, entries=starts[units], metric=metric_obj,
+                window=int(sizes.max()))
+            neighbor_ids = lanes.ids
+            clock.search(units, lanes)
+        found = neighbor_ids >= 0
+        counts = found.sum(axis=1)
+        dists = np.full(neighbor_ids.shape, np.inf)
+        dists[found] = metric_obj.one_to_many_runs(
+            local_points[vertices], local_points[neighbor_ids[found]], counts)
+        insert_bidirectional_batch(scratch, vertices, neighbor_ids, dists)
+        clock.link(units, counts)
+        width = neighbor_ids.shape[1]
+        forward_ids[vertices + base, :width] = np.where(
+            found, neighbor_ids + base, -1)
+        forward_dists[vertices + base, :width] = dists
+    return scratch
 
 
 def ggraphcon(points: np.ndarray, params: BuildParams, metric: str,
@@ -150,14 +178,10 @@ def ggraphcon(points: np.ndarray, params: BuildParams, metric: str,
     d_min = params.d_min
     n_groups = min(params.n_blocks, n)
 
-    # Partition into contiguous groups (insertion ids are preserved, which
-    # is what the Section IV-C proof needs).
-    boundaries = np.linspace(0, n, n_groups + 1).astype(np.int64)
-    groups: List[np.ndarray] = [
-        np.arange(boundaries[i], boundaries[i + 1])
-        for i in range(n_groups) if boundaries[i] < boundaries[i + 1]
-    ]
-    n_groups = len(groups)
+    # Partition into contiguous, non-empty groups (insertion ids are
+    # preserved, which is what the Section IV-C proof needs).
+    boundaries = np.unique(np.linspace(0, n, n_groups + 1).astype(np.int64))
+    n_groups = len(boundaries) - 1
 
     # G': forward neighbors of each vertex within its own group.
     forward_ids = np.full((n, d_min), -1, dtype=np.int64)
@@ -167,20 +191,19 @@ def ggraphcon(points: np.ndarray, params: BuildParams, metric: str,
     # Only group 0's local graph outlives the phase: it seeds G_0 (its
     # local ids are global ids); the others survive as v.N'.
     clock.units(n_groups)
-    for unit, group in enumerate(groups):
-        local_graph = _build_local_graph(points, group, params, metric_obj,
-                                         exact, clock, unit, forward_ids,
-                                         forward_dists)
-        if unit == 0:
-            graph = local_graph.widened(n)
+    graph = _build_local_graphs(points, boundaries, params, metric_obj,
+                                exact, clock, forward_ids, forward_dists)
     clock.launch("local_construction")
+    graph.neighbor_ids[boundaries[1]:] = PAD_ID
+    graph.neighbor_dists[boundaries[1]:] = PAD_DIST
+    graph.degrees[boundaries[1]:] = 0
 
     # Phase 2 — iteratively merge local graphs into G_0.
-    for group in groups[1:]:
+    for start, stop in zip(boundaries[1:-1], boundaries[2:]):
         merge_group_into_graph(
-            graph, points, group, forward_ids, forward_dists,
-            params=params, metric_obj=metric_obj, exact=exact, clock=clock,
-            grid_blocks=n_groups)
+            graph, points, np.arange(start, stop), forward_ids,
+            forward_dists, params=params, metric_obj=metric_obj,
+            exact=exact, clock=clock, grid_blocks=n_groups)
     return graph, n_groups
 
 
@@ -261,37 +284,39 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
             its results.
     """
     d_min = params.d_min
-    ef = params.effective_ef
     prefix_end = int(group[0])  # G_0 currently holds points[:prefix_end]
 
-    # Step 1 — per-vertex forward-edge search against G_0 (one working
-    # unit per vertex) and backward-edge emission into E.
+    # Step 1 — forward-edge search against G_0 (one working unit per
+    # vertex, all in one lock-step call) and backward-edge emission
+    # into E.
     clock.units(len(group))
-    search_ids: List[np.ndarray] = []
-    search_dists: List[np.ndarray] = []
-    for unit, v in enumerate(group):
-        if exact:
-            # Exact d_min neighbors among G_0's points only; the
-            # within-group part comes from v.N', exercising the
-            # N ∪ N' merge the Section IV-C proof relies on.
+    units = np.arange(len(group))
+    if exact:
+        # Exact d_min neighbors among G_0's points only; the within-group
+        # part comes from v.N', exercising the N ∪ N' merge the Section
+        # IV-C proof relies on.
+        search_ids = np.full((len(group), d_min), -1, dtype=np.int64)
+        search_dists = np.full((len(group), d_min), np.inf)
+        for row, v in enumerate(group):
             ids, dists = nearest_in_prefix(points, v, prefix_end, d_min,
                                            metric_obj)
-            clock.scan(unit, prefix_end)
-        else:
-            result = beam_search(graph, points, points[v], k=d_min,
-                                 ef=ef, entry=entry, metric=metric_obj)
-            ids, dists = result.ids, result.dists
-            clock.search(unit, result)
-        if exclude_mask is not None and len(ids):
-            keep = ~exclude_mask[ids]
-            ids, dists = ids[keep], dists[keep]
-        search_ids.append(np.asarray(ids, dtype=np.int64))
-        search_dists.append(np.asarray(dists, dtype=np.float64))
+            search_ids[row, :len(ids)] = ids
+            search_dists[row, :len(ids)] = dists
+        clock.scan(units, prefix_end)
+    else:
+        lanes = beam_search_lanes(graph, points, points[group], k=d_min,
+                                  ef=params.effective_ef, entries=entry,
+                                  metric=metric_obj)
+        search_ids, search_dists = lanes.ids, lanes.dists
+        clock.search(units, lanes)
+    if exclude_mask is not None:
+        search_ids = np.where(exclude_mask[search_ids] & (search_ids >= 0),
+                              -1, search_ids)
 
     # v.N := top d_min of (search results ∪ v.N') for the whole group.
     # Searches only reach G_0's prefix (nothing links to this group's
-    # vertices until Step 3 applies the backward edges), so the row
-    # writes batch safely after the search loop.
+    # vertices until Step 3 applies the backward edges), so the searches
+    # are independent and the row writes batch safely after them.
     src, dst, dist = merge_forward_batch(
         graph, group, search_ids, search_dists, forward_ids,
         forward_dists, d_min)
@@ -381,8 +406,8 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
     forward_dists = np.full((graph.n_vertices, d_min), np.inf,
                             dtype=np.float64)
     clock.units(1)
-    _build_local_graph(points, group, params, metric_obj, False, clock, 0,
-                       forward_ids, forward_dists)
+    _build_local_graphs(points, np.array([group[0], group[-1] + 1]), params,
+                        metric_obj, False, clock, forward_ids, forward_dists)
     clock.launch("local_construction")
 
     # Phase 2 — merge the batch into the live graph.

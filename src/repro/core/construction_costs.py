@@ -2,8 +2,8 @@
 
 ``repro.core.construction`` is the only executable statement of
 GGraphCon.  It never computes a time itself: it reports its work to a
-*clock* — a beam traversal (:meth:`search`), a brute-force scan of ``n``
-candidates (:meth:`scan`), ``c`` bidirectional links (:meth:`link`), the
+*clock* — beam traversals (:meth:`search`), brute-force scans of ``n``
+candidates (:meth:`scan`), bidirectional links (:meth:`link`), the
 forward ``N ∪ N'`` merges of a group (:meth:`forward_merge`), "the open
 working units ran in parallel" (:meth:`launch`) and the backward-edge
 sort + scan + per-segment row merges (:meth:`backward_merge`).  The
@@ -11,7 +11,11 @@ working units are opened with :meth:`units`: one per local graph in
 Phase 1, one per vertex in a Phase-2 merge iteration — the Section IV-B
 portability remark ("each working unit can be individually responsible
 for the construction of one local graph and the search of nearest
-neighbors of one point").  Two pricing models exist, so two clocks do:
+neighbors of one point").  :meth:`search`, :meth:`scan` and :meth:`link`
+take the work of many distinct units in one call (a lock-step step's
+lanes), priced unit by unit with the same arithmetic, so each unit
+accumulates exactly what one call per unit would give it.  Two pricing
+models exist, so two clocks do:
 
 **:class:`GpuClock`** — a working unit is a thread block; time is cycles.
 
@@ -54,11 +58,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Union
 
 import numpy as np
 
-from repro.baselines.beam import BeamSearchResult
+from repro.baselines.beam import BeamLanes, BeamSearchResult
 from repro.baselines.cpu_cost import CpuModel, CpuOpCounters
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
@@ -85,14 +89,16 @@ class SearchCycleCharge:
         return self.distance_cycles + self.structure_cycles
 
 
-def price_search(kernel: str, result: BeamSearchResult, l_n: int, l_t: int,
-                 n_dims: int, n_threads: int, pq_bound: int,
-                 costs: CostTable) -> SearchCycleCharge:
-    """Price one traversal under a search kernel's cost model.
+def price_search(kernel: str, result: Union[BeamSearchResult, BeamLanes],
+                 l_n: int, l_t: int, n_dims: int, n_threads: int,
+                 pq_bound: int, costs: CostTable) -> SearchCycleCharge:
+    """Price traversals under a search kernel's cost model.
 
     Args:
         kernel: ``"ganns"`` or ``"song"``.
-        result: Counted traversal (iterations, scans, fresh candidates).
+        result: Counted traversal (iterations, scans, fresh candidates),
+            or one per lane (:class:`~repro.baselines.beam.BeamLanes`,
+            priced lane by lane into arrays with the same arithmetic).
         l_n: GANNS pool length used during construction searches.
         l_t: Neighbor-buffer length (the graph's ``d_max``).
         n_dims: Point dimensionality.
@@ -111,7 +117,7 @@ def price_search(kernel: str, result: BeamSearchResult, l_n: int, l_t: int,
     per_vector = costs.single_distance_cycles(n_dims, n_threads)
     n_scanned = result.n_hash_probes
     n_fresh = result.n_distance_computations
-    n_iter = max(result.n_iterations, 1)
+    n_iter = np.maximum(result.n_iterations, 1)
 
     if kernel == "ganns":
         structure = n_iter * costs.ganns_structure_cycles(l_n, l_t,
@@ -180,25 +186,29 @@ class GpuClock:
         self._distance = np.zeros(n_units)
         self._structure = np.zeros(n_units)
 
-    def search(self, unit: int, traversal: BeamSearchResult) -> None:
-        """``unit`` ran one beam traversal."""
-        charge = price_search(self._search_kernel, traversal,
+    def search(self, units: np.ndarray,
+               traversals: Union[BeamSearchResult, BeamLanes]) -> None:
+        """Distinct ``units[i]`` ran lane ``i``'s beam traversal (one
+        traversal's counters apply to every unit)."""
+        charge = price_search(self._search_kernel, traversals,
                               *self._search_shape)
-        self._distance[unit] += charge.distance_cycles
-        self._structure[unit] += charge.structure_cycles
+        self._distance[units] += charge.distance_cycles
+        self._structure[units] += charge.structure_cycles
 
-    def scan(self, unit: int, n_candidates: int) -> None:
-        """``unit`` scanned ``n_candidates`` points by brute force."""
-        self.search(unit, BeamSearchResult(
+    def scan(self, units: np.ndarray, n_candidates: int) -> None:
+        """Each of ``units`` scanned ``n_candidates`` points by brute
+        force."""
+        self.search(units, BeamSearchResult(
             ids=np.empty(0, dtype=np.int64), dists=np.empty(0),
             n_iterations=max(n_candidates, 1),
             n_distance_computations=n_candidates,
             n_heap_ops=0, n_hash_probes=n_candidates))
 
-    def link(self, unit: int, count: int) -> None:
-        """``unit`` linked a vertex to ``count`` neighbors, both ways."""
+    def link(self, units: np.ndarray, counts: np.ndarray) -> None:
+        """Distinct ``units[i]`` linked a vertex to ``counts[i]``
+        neighbors, both ways."""
         # insert_cycles is integral, so the product is exact.
-        self._structure[unit] += count * 2 * self._insert_cycles
+        self._structure[units] += counts * 2 * self._insert_cycles
 
     def forward_merge(self, counts: np.ndarray) -> None:
         """Every unit merged its search result with ``v.N'``."""
@@ -222,10 +232,12 @@ class GpuClock:
                   + costs.prefix_sum_cycles(n_edges, grid_threads))
         self.add("merge_gather_scatter",
                  self.kernel.cycles_to_seconds(cycles), 0.0, cycles)
+        lengths, segment_length = np.unique(segment_lengths,
+                                            return_inverse=True)
         segment_cycles = np.array([
             costs.adjacency_merge_cycles(self._d_max, int(length), n_t)
-            for length in segment_lengths
-        ])
+            for length in lengths
+        ])[segment_length]
         launch = self.kernel.run(segment_cycles)
         self.add("merge_update", launch.seconds, 0.0,
                  float(segment_cycles.sum()))
@@ -261,36 +273,40 @@ class CpuClock:
         self.phase_seconds[key] += seconds
 
     def units(self, n_units: int) -> None:
-        """Open ``n_units`` parallel working units (jobs for the cores)."""
-        self._units = [CpuOpCounters() for _ in range(n_units)]
+        """Open ``n_units`` parallel working units (jobs for the cores);
+        their counters are arrays indexed by unit."""
+        self._units = CpuOpCounters(
+            *(np.zeros(n_units, dtype=np.int64) for _ in range(4)))
 
-    def search(self, unit: int, traversal: BeamSearchResult) -> None:
-        """``unit`` ran one beam traversal."""
-        counters = self._units[unit]
-        counters.n_distances += traversal.n_distance_computations
-        counters.n_heap_ops += traversal.n_heap_ops
-        counters.n_hash_probes += traversal.n_hash_probes
+    def search(self, units: np.ndarray, traversals: BeamLanes) -> None:
+        """Distinct ``units[i]`` ran lane ``i``'s beam traversal."""
+        counters = self._units
+        counters.n_distances[units] += traversals.n_distance_computations
+        counters.n_heap_ops[units] += traversals.n_heap_ops
+        counters.n_hash_probes[units] += traversals.n_hash_probes
 
-    def scan(self, unit: int, n_candidates: int) -> None:
-        """``unit`` scanned ``n_candidates`` points by brute force."""
-        self._units[unit].n_distances += n_candidates
+    def scan(self, units: np.ndarray, n_candidates: int) -> None:
+        """Each of ``units`` scanned ``n_candidates`` points by brute
+        force."""
+        self._units.n_distances[units] += n_candidates
 
-    def link(self, unit: int, count: int) -> None:
-        """``unit`` linked a vertex to ``count`` neighbors, both ways."""
-        counters = self._units[unit]
-        counters.n_distances += count
-        counters.n_adjacency_inserts += 2 * count
+    def link(self, units: np.ndarray, counts: np.ndarray) -> None:
+        """Distinct ``units[i]`` linked a vertex to ``counts[i]``
+        neighbors, both ways."""
+        counters = self._units
+        counters.n_distances[units] += counts
+        counters.n_adjacency_inserts[units] += 2 * counts
 
     def forward_merge(self, counts: np.ndarray) -> None:
         """Every unit merged its search result with ``v.N'`` into a row
         of ``counts[unit]`` records."""
-        for counters, count in zip(self._units, counts):
-            counters.n_adjacency_inserts += int(count)
+        self._units.n_adjacency_inserts += counts
 
     def launch(self, phase: str) -> None:
         """The open units ran in parallel: LPT over the cores."""
-        seconds = np.array([self._cpu.seconds(counters, self._flops)
-                            for counters in self._units])
+        # CpuModel.seconds is elementwise arithmetic: over unit arrays it
+        # prices every unit exactly as it prices one.
+        seconds = self._cpu.seconds(self._units, self._flops)
         self._add(phase, _makespan(seconds, self._n_cores))
 
     def backward_merge(self, segment_lengths: np.ndarray,

@@ -20,7 +20,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines.beam import beam_search_batch
+from repro.baselines.beam import beam_search_lanes
 from repro.baselines.song import SongParams, song_search
 from repro.core.backend import STRATEGIES, get_backend  # noqa: F401 - STRATEGIES re-exported
 from repro.core.ganns import check_queries
@@ -190,17 +190,16 @@ class GannsIndex:
             report = song_search(flat, self.points, queries, params,
                                  entry=entries)
         elif algorithm == "beam":
-            entry0 = int(entries[0]) if isinstance(entries, np.ndarray) else 0
-            ids = beam_search_batch(flat, self.points, queries, k,
-                                    ef=e or l_n, entry=entry0)
+            lanes = beam_search_lanes(flat, self.points, queries, k,
+                                      ef=e or l_n, entries=entries)
             from repro.core.results import make_search_tracker
             report = SearchReport(
-                algorithm="beam", ids=ids,
-                dists=np.full(ids.shape, np.nan),
+                algorithm="beam", ids=lanes.ids, dists=lanes.dists,
                 tracker=make_search_tracker(len(queries), "beam"),
                 n_threads=1, shared_mem_bytes=0,
-                iterations=np.zeros(len(queries), dtype=np.int64),
-                n_distance_computations=0)
+                iterations=lanes.n_iterations,
+                n_distance_computations=int(
+                    lanes.n_distance_computations.sum()))
         else:
             raise SearchError(
                 f"unknown algorithm {algorithm!r}; valid: "
@@ -218,8 +217,7 @@ class GannsIndex:
 
         A row always has ``k`` slots.  When the search reaches fewer than
         ``k`` vertices — ``k`` larger than the corpus, or than what the
-        pool reached — the tail pads with id ``-1`` and distance ``inf``
-        (``"beam"`` reports no distances: its ``dists`` are all NaN).
+        pool reached — the tail pads with id ``-1`` and distance ``inf``.
         """
         report = self.search_report(queries, k, algorithm, **kwargs)
         return report.ids, report.dists

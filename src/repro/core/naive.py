@@ -16,11 +16,11 @@ Both exist to be beaten:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.beam import beam_search
+from repro.baselines.beam import beam_search_lanes
 from repro.core.construction import build_nsw_gpu, validated_points
 from repro.core.construction_costs import GpuClock, report_from_clock
 from repro.core.params import BuildParams
@@ -117,12 +117,12 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
         stop = min(start + batch_size, n)
         batch = np.arange(start, stop)
         clock.units(len(batch))
-        batch_edges: List = []
-        for unit, v in enumerate(batch):
-            result = beam_search(graph, points, points[v], k=d_min, ef=ef,
-                                 entry=0, metric=metric_obj)
-            clock.search(unit, result)
-            batch_edges.append((int(v), result.ids, result.dists))
+        lanes = beam_search_lanes(graph, points, points[batch], k=d_min,
+                                  ef=ef, entries=0, metric=metric_obj)
+        clock.search(np.arange(len(batch)), lanes)
+        found = lanes.ids >= 0
+        batch_edges = [(int(v), ids[keep], dists[keep]) for v, ids, dists,
+                       keep in zip(batch, lanes.ids, lanes.dists, found)]
         clock.launch("batch_search")
 
         # Aggregate edge application after the batch completes.  Points

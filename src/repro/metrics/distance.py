@@ -46,6 +46,23 @@ class Metric(abc.ABC):
     def one_to_many(self, query: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Distances from one query vector to each row of ``points``."""
 
+    def one_to_many_runs(self, queries: np.ndarray, points: np.ndarray,
+                         counts: np.ndarray) -> np.ndarray:
+        """:meth:`one_to_many` for many queries in one call.
+
+        ``points`` holds one run of ``counts[i]`` rows per query, back to
+        back; run ``i`` gets exactly the bytes
+        ``one_to_many(queries[i], run)`` would return (overrides compute
+        all runs at once in a form that is byte-equal per run).
+        """
+        ends = np.cumsum(counts)
+        out = np.empty(len(points))
+        for run in np.flatnonzero(counts):
+            start, end = ends[run] - counts[run], ends[run]
+            out[start:end] = self.one_to_many(queries[run],
+                                              points[start:end])
+        return out
+
     def rows_to_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise distances between two equal-shaped matrices."""
         if a.shape != b.shape:
@@ -84,6 +101,14 @@ class EuclideanMetric(Metric):
             query, dtype=np.float64)
         return np.einsum("ij,ij->i", diff, diff)
 
+    def one_to_many_runs(self, queries: np.ndarray, points: np.ndarray,
+                         counts: np.ndarray) -> np.ndarray:
+        # One flat diff + einsum: a row's reduction never depends on the
+        # rows beside it, so every run matches its own one_to_many call.
+        return self._rows_to_rows(
+            points, np.repeat(np.asarray(queries, dtype=np.float64),
+                              counts, axis=0))
+
     def _rows_to_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
         return np.einsum("ij,ij->i", diff, diff)
@@ -116,6 +141,20 @@ class CosineMetric(Metric):
     def one_to_many(self, query: np.ndarray, points: np.ndarray) -> np.ndarray:
         q = self._normalize(np.asarray(query)[None, :])[0]
         return 1.0 - self._normalize(points) @ q
+
+    def one_to_many_runs(self, queries: np.ndarray, points: np.ndarray,
+                         counts: np.ndarray) -> np.ndarray:
+        # Rows normalise independently, so one pass serves every run; the
+        # product stays one gemv per run — a gemv's blocking depends on
+        # its row count, so a shared product would round differently.
+        rows = self._normalize(points)
+        unit_queries = self._normalize(queries)
+        ends = np.cumsum(counts)
+        out = np.empty(len(points))
+        for run in np.flatnonzero(counts):
+            start, end = ends[run] - counts[run], ends[run]
+            out[start:end] = 1.0 - rows[start:end] @ unit_queries[run]
+        return out
 
     def _rows_to_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return 1.0 - np.einsum(

@@ -33,10 +33,18 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.construction import build_nsw_gpu, insert_batch_nsw
+from repro.core.construction import (
+    build_nsw_gpu,
+    insert_batch_nsw,
+    validated_points,
+)
 from repro.core.ganns import ganns_search
 from repro.core.params import BuildParams, SearchParams
-from repro.errors import MutableIndexError, ProcessCrashError
+from repro.errors import (
+    ConstructionError,
+    MutableIndexError,
+    ProcessCrashError,
+)
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
@@ -233,10 +241,12 @@ class MutableIndex:
             raise MutableIndexError(
                 f"insert dimensionality {new_points.shape[1]} != index "
                 f"dimensionality {self.points.shape[1]}")
-        if not np.isfinite(new_points).all():
-            row = int(np.argwhere(~np.isfinite(new_points))[0][0])
-            raise MutableIndexError(
-                f"insert points must be finite: row {row} holds NaN or inf")
+        # Before the WAL: a record the apply would refuse would make every
+        # later recovery refuse it too.
+        try:
+            validated_points(new_points)
+        except ConstructionError as exc:
+            raise MutableIndexError(f"insert {exc}") from None
         self.store.append(OP_INSERT, now, points=new_points)
         return self._apply_insert(new_points, now, tracer=tracer,
                                   metrics=metrics)

@@ -24,7 +24,7 @@ written back.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -75,92 +75,96 @@ def dedup_merge_rows(ids: np.ndarray, dists: np.ndarray, limit: int,
     return ids_f, dists_f, ids_f < pad_base
 
 
-def insert_bidirectional_batch(graph: ProximityGraph, vertex: int,
+def insert_bidirectional_batch(graph: ProximityGraph, vertices: np.ndarray,
                                neighbor_ids: np.ndarray,
                                dists: np.ndarray) -> None:
-    """Insert ``vertex <-> u`` edges for a whole search result at once.
+    """Insert ``v <-> u`` edges for many vertices' search results at once.
 
-    Equivalent to the sequential ``insert_edge`` pairs of local
-    construction under its invariants: ``vertex``'s row is empty (it was
-    just created), the ``u`` are distinct, no row contains ``vertex``
-    yet, and all distances are finite.
+    Row ``i`` of the ``(m, w)`` ``neighbor_ids`` / ``dists`` holds
+    ``vertices[i]``'s neighbors, ``-1`` / ``inf`` where it has fewer than
+    ``w``.  Equivalent to each vertex's sequential ``insert_edge`` pairs
+    of local construction under their invariants: every ``vertices`` row
+    is empty (just created), no row contains one of ``vertices`` yet, all
+    distances are finite, and every target row ``u`` appears once in the
+    whole call — one vertex's neighbors are distinct, and GGraphCon's
+    Phase-1 step links one vertex per local graph, whose rows no other
+    local graph touches.
     """
     d_max = graph.d_max
+    n_rows, width = neighbor_ids.shape
+    found = neighbor_ids >= 0
+    counts = found.sum(axis=1)
     # Forward: inserting k <= d_max records into an empty row one by one
-    # just builds the (dist, id)-sorted row.
-    order = np.lexsort((neighbor_ids, dists))
-    count = len(order)
-    graph.neighbor_ids[vertex, :count] = neighbor_ids[order]
-    graph.neighbor_dists[vertex, :count] = dists[order]
-    graph.degrees[vertex] = count
+    # just builds the (dist, id)-sorted row; the (inf, -1) pads sort last
+    # and are the empty row's own padding.
+    order = (np.lexsort((neighbor_ids, dists), axis=1)
+             + (np.arange(n_rows) * width)[:, None])
+    graph.neighbor_ids[vertices, :width] = neighbor_ids.take(order)
+    graph.neighbor_dists[vertices, :width] = dists.take(order)
+    graph.degrees[vertices] = counts
 
     # Backward: a one-element sorted insert per (distinct) target row.
-    rows_d = graph.neighbor_dists[neighbor_ids]
-    rows_i = graph.neighbor_ids[neighbor_ids]
-    degrees = graph.degrees[neighbor_ids]
+    targets = neighbor_ids[found]
+    edge_d = dists[found]
+    edge_src = np.repeat(vertices, counts)
+    rows_d = graph.neighbor_dists[targets]
+    rows_i = graph.neighbor_ids[targets]
+    degrees = graph.degrees[targets]
     # Closed-form insert position; +inf row padding contributes nothing
     # because the inserted distances are finite.
-    position = ((rows_d < dists[:, None]).sum(axis=1)
-                + ((rows_d == dists[:, None])
-                   & (rows_i < vertex)).sum(axis=1))
+    position = ((rows_d < edge_d[:, None]).sum(axis=1)
+                + ((rows_d == edge_d[:, None])
+                   & (rows_i < edge_src[:, None])).sum(axis=1))
     accepted = np.flatnonzero((degrees < d_max) | (position < d_max))
     if len(accepted) == 0:
         return
-    rows = neighbor_ids[accepted]
+    rows = targets[accepted]
     pos = position[accepted]
     col = np.arange(d_max)
     # new[j] = old[j] for j <= pos, old[j - 1] for j > pos; the tail
     # entry falls off a full row exactly as insert_edge discards it.
-    shifted = np.where(col[None, :] > pos[:, None], col[None, :] - 1,
-                       col[None, :])
-    new_i = np.take_along_axis(rows_i[accepted], shifted, axis=1)
-    new_d = np.take_along_axis(rows_d[accepted], shifted, axis=1)
-    lanes = np.arange(len(accepted))
-    new_i[lanes, pos] = vertex
-    new_d[lanes, pos] = dists[accepted]
+    flat = (np.arange(len(accepted)) * d_max)[:, None]
+    shifted = flat + col - (col > pos[:, None])
+    new_i = rows_i[accepted].take(shifted)
+    new_d = rows_d[accepted].take(shifted)
+    new_i.put(flat[:, 0] + pos, edge_src[accepted])
+    new_d.put(flat[:, 0] + pos, edge_d[accepted])
     graph.neighbor_ids[rows] = new_i
     graph.neighbor_dists[rows] = new_d
     graph.degrees[rows] = np.minimum(degrees[accepted] + 1, d_max)
 
 
 def merge_forward_batch(graph: ProximityGraph, group: np.ndarray,
-                        search_ids: List[np.ndarray],
-                        search_dists: List[np.ndarray],
+                        search_ids: np.ndarray, search_dists: np.ndarray,
                         forward_ids: np.ndarray,
                         forward_dists: np.ndarray, d_min: int
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge Step 1's ``N := top d_min of (search ∪ N')`` for a group.
 
-    Writes every group vertex's adjacency row and returns the backward
-    edge list ``(src, dst, dist)``.  The edges come out grouped by
-    destination vertex rather than in per-vertex append order, which is
-    immaterial: Step 2 sorts ``E`` by the unique key (src, dist, dst).
+    ``search_ids`` / ``search_dists`` hold one row per group vertex,
+    ``-1`` wherever there is no result.  Writes every group vertex's
+    adjacency row and returns the backward edge list ``(src, dst,
+    dist)``.  The edges come out grouped by destination vertex rather
+    than in per-vertex append order, which is immaterial: Step 2 sorts
+    ``E`` by the unique key (src, dist, dst).
     """
     n_vertices = graph.n_vertices
-    g_size = len(group)
-    width = max(d_min + d_min, 1)
-    pad_cols = n_vertices + np.arange(width, dtype=np.int64)
-    all_ids = np.broadcast_to(pad_cols, (g_size, width)).copy()
-    all_dists = np.full((g_size, width), np.inf, dtype=np.float64)
-    for row, (ids, dists) in enumerate(zip(search_ids, search_dists)):
-        all_ids[row, :len(ids)] = ids
-        all_dists[row, :len(ids)] = dists
-    fwd = forward_ids[group]
-    fwd_d = forward_dists[group]
-    fwd_valid = fwd >= 0
-    fwd_counts = fwd_valid.sum(axis=1)
-    for row in range(g_size):
-        lo = len(search_ids[row])
-        hi = lo + fwd_counts[row]
-        all_ids[row, lo:hi] = fwd[row, fwd_valid[row]]
-        all_dists[row, lo:hi] = fwd_d[row, fwd_valid[row]]
+    all_ids = np.concatenate([search_ids, forward_ids[group]], axis=1)
+    all_dists = np.concatenate([search_dists, forward_dists[group]], axis=1)
+    # The merge sorts every row, so where a record sits is immaterial;
+    # empty slots become distinct pads.
+    empty = all_ids < 0
+    pad_cols = n_vertices + np.arange(all_ids.shape[1], dtype=np.int64)
+    all_ids = np.where(empty, pad_cols, all_ids)
+    all_dists = np.where(empty, np.inf, all_dists)
 
     ids_f, dists_f, valid = dedup_merge_rows(all_ids, all_dists, d_min,
                                              n_vertices)
     counts = valid.sum(axis=1)
 
-    row_ids = np.full((g_size, graph.d_max), PAD_ID, dtype=np.int64)
-    row_dists = np.full((g_size, graph.d_max), PAD_DIST, dtype=np.float64)
+    row_ids = np.full((len(group), graph.d_max), PAD_ID, dtype=np.int64)
+    row_dists = np.full((len(group), graph.d_max), PAD_DIST,
+                        dtype=np.float64)
     row_ids[:, :d_min] = np.where(valid, ids_f, PAD_ID)
     row_dists[:, :d_min] = np.where(valid, dists_f, PAD_DIST)
     graph.neighbor_ids[group] = row_ids

@@ -1,12 +1,23 @@
 """Tests for Algorithm 1 beam search."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines.beam import beam_search, beam_search_batch
+from repro.baselines import beam
+from repro.baselines.beam import (
+    _LOCKSTEP_MIN_LANES,
+    beam_search,
+    beam_search_batch,
+    beam_search_lanes,
+)
 from repro.datasets.ground_truth import exact_knn
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
+from repro.metrics.distance import get_metric
 
 
 def _line_graph():
@@ -128,3 +139,115 @@ class TestBatch:
         ids = beam_search_batch(g, points, np.array([[0.2]]), k=4, ef=8)
         assert set(ids[0][ids[0] >= 0].tolist()) == {0, 1}
         assert (ids[0][2:] == -1).all()
+
+
+class TestBatchEntries:
+    def test_per_query_entries(self, small_graph, small_points,
+                               small_queries):
+        entries = np.arange(5) * 7
+        batch = beam_search_batch(small_graph, small_points,
+                                  small_queries[:5], k=5, ef=16,
+                                  entry=entries)
+        for row in range(5):
+            single = beam_search(small_graph, small_points,
+                                 small_queries[row], k=5, ef=16,
+                                 entry=int(entries[row]))
+            assert np.array_equal(batch[row], single.ids)
+
+    def test_entry_shape_checked(self, small_graph, small_points,
+                                 small_queries):
+        with pytest.raises(SearchError, match="one vertex per query"):
+            beam_search_batch(small_graph, small_points, small_queries[:5],
+                              k=5, entry=np.zeros(4, dtype=np.int64))
+
+
+@st.composite
+def lanes_workload(draw):
+    """A random graph (full rows, or any degrees; optionally
+    block-diagonal), points with or without forced ties, and one lane
+    per query with its own or a shared entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 90))
+    dims = draw(st.sampled_from([1, 3, 8, 17]))
+    d_max = draw(st.integers(1, 10))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    metric = draw(st.sampled_from(["euclidean", "cosine"]))
+    k = draw(st.integers(1, 6))
+    ef = k + draw(st.sampled_from([0, 0, 1, 5, 12]))
+    n_lanes = draw(st.integers(1, 3 * _LOCKSTEP_MIN_LANES))
+    if draw(st.booleans()):
+        # Duplicated points: distance ties everywhere.
+        points = rng.integers(0, 3, size=(n, dims)).astype(dtype)
+    else:
+        points = rng.normal(size=(n, dims)).astype(dtype)
+    blocks = np.unique(np.concatenate(
+        [[0, n], rng.integers(0, n, draw(st.integers(0, 4)))]))
+    full_rows = draw(st.booleans())
+    graph = ProximityGraph(n, d_max, metric)
+    for lo, hi in zip(blocks[:-1], blocks[1:]):
+        for v in range(lo, hi):
+            others = np.delete(np.arange(lo, hi), v - lo)
+            degree = min(d_max, len(others))
+            if not full_rows:
+                degree = int(rng.integers(0, degree + 1))
+            graph.neighbor_ids[v, :degree] = rng.choice(others, degree,
+                                                        replace=False)
+            graph.degrees[v] = degree
+    block = rng.integers(0, len(blocks) - 1, n_lanes)
+    queries = np.where(rng.random((n_lanes, 1)) < 0.3,
+                       points[rng.integers(0, n, n_lanes)],
+                       rng.normal(size=(n_lanes, dims)))
+    window = None
+    if draw(st.booleans()):
+        # Lanes confined to their block (GGraphCon's Phase 1 shape).
+        entries = blocks[block]
+        window = int(np.diff(blocks).max())
+    elif draw(st.booleans()):
+        entries = rng.integers(0, n, n_lanes)
+    else:
+        entries = int(rng.integers(0, n))
+    return graph, points, queries, k, ef, entries, metric, window
+
+
+class TestLanesProperty:
+    """``beam_search_lanes`` is ``beam_search`` once per lane: ids,
+    distance bytes and the four counters the clocks price, on both
+    sides of the heap/lock-step crossover."""
+
+    @given(lanes_workload(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_lanes_equal_per_query_beam_search(self, workload, lockstep):
+        graph, points, queries, k, ef, entries, metric, window = workload
+        metric = get_metric(metric)
+        # Also drive the lock-step body below the crossover.
+        with mock.patch.object(beam, "_LOCKSTEP_MIN_LANES",
+                               1 if lockstep else _LOCKSTEP_MIN_LANES):
+            lanes = beam_search_lanes(graph, points, queries, k, ef,
+                                      entries, metric, window)
+        entries = np.broadcast_to(entries, (len(queries),))
+        for lane, query in enumerate(queries):
+            want = beam_search(graph, points, query, k, ef,
+                               int(entries[lane]), metric)
+            found = len(want.ids)
+            assert np.array_equal(lanes.ids[lane, :found], want.ids)
+            assert (lanes.ids[lane, found:] == -1).all()
+            assert lanes.dists[lane, :found].tobytes() == \
+                want.dists.tobytes()
+            assert (lanes.dists[lane, found:] == np.inf).all()
+            assert (lanes.n_iterations[lane],
+                    lanes.n_distance_computations[lane],
+                    lanes.n_heap_ops[lane], lanes.n_hash_probes[lane]) == (
+                want.n_iterations, want.n_distance_computations,
+                want.n_heap_ops, want.n_hash_probes)
+
+
+def test_lanes_split_when_bitmaps_pass_the_budget(small_graph, small_points,
+                                                  small_queries):
+    """Past the visited-bitmap budget a lanes call searches its lanes in
+    several lock-step calls; every lane's answer is unchanged."""
+    args = (small_graph, small_points, small_queries, 5, 16, 0)
+    whole = beam_search_lanes(*args)
+    with mock.patch.object(beam, "_VISITED_BUDGET_BYTES", 1):
+        split = beam_search_lanes(*args)
+    for field, value in vars(whole).items():
+        assert np.array_equal(getattr(split, field), value), field

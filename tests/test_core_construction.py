@@ -1,16 +1,23 @@
 """Tests for GGraphCon NSW construction, including the Section IV-C
 equivalence theorem."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.baselines import beam
+from repro.baselines.cpu_cost import DEFAULT_CPU
 from repro.baselines.nsw_cpu import build_nsw_cpu
-from repro.core.construction import build_nsw_gpu
+from repro.core.construction import _build_local_graphs, build_nsw_gpu
+from repro.core.construction_costs import CpuClock
 from repro.core.params import BuildParams
 from repro.errors import ConstructionError
 from repro.graphs.stats import edge_recall_against, reachable_fraction
 from repro.graphs.validation import validate_graph
 from repro.gpusim.tracker import PhaseCategory
+from repro.metrics.distance import get_metric
+from tests.oracles.nsw_sequential import build_nsw_sequential
 
 
 PARAMS = BuildParams(d_min=6, d_max=12, n_blocks=8)
@@ -137,3 +144,47 @@ class TestValidation:
                                BuildParams(d_min=2, d_max=4, n_blocks=100))
         assert report.details["n_groups"] <= 20
         validate_graph(report.graph)
+
+
+class TestBlockDiagonalPhase1:
+    """Phase 1 builds every group's local graph as one block of a scratch
+    graph, the groups' j-th insertions in one lock-step search: each block
+    is the graph the group builds on its own by sequential insertion, and
+    each group's working unit is charged that build's work."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("lockstep", [False, True])
+    @pytest.mark.parametrize("n_blocks", [1, 7, 120])
+    def test_blocks_equal_per_group_builds(self, small_points, n_blocks,
+                                           lockstep, exact):
+        points = small_points[:120]
+        params = BuildParams(d_min=4, d_max=8, n_blocks=n_blocks)
+        boundaries = np.unique(
+            np.linspace(0, 120, n_blocks + 1).astype(np.int64))
+        clock = CpuClock(1, DEFAULT_CPU, flops_per_distance=1)
+        clock.units(len(boundaries) - 1)
+        forward_ids = np.full((120, 4), -1, dtype=np.int64)
+        forward_dists = np.full((120, 4), np.inf)
+        # Below the crossover the lanes run the heap; drive both bodies.
+        with mock.patch.object(beam, "_LOCKSTEP_MIN_LANES",
+                               1 if lockstep else beam._LOCKSTEP_MIN_LANES):
+            scratch = _build_local_graphs(
+                points, boundaries, params, get_metric("euclidean"), exact,
+                clock, forward_ids, forward_dists)
+        for unit, (lo, hi) in enumerate(zip(boundaries[:-1],
+                                            boundaries[1:])):
+            local, counters = build_nsw_sequential(points[lo:hi], 4, 8,
+                                                   exact=exact)
+            assert np.array_equal(
+                scratch.neighbor_ids[lo:hi],
+                np.where(local.neighbor_ids >= 0, local.neighbor_ids + lo,
+                         -1))
+            assert scratch.neighbor_dists[lo:hi].tobytes() == \
+                local.neighbor_dists.tobytes()
+            assert np.array_equal(scratch.degrees[lo:hi], local.degrees)
+            charged = clock._units
+            assert (charged.n_distances[unit], charged.n_heap_ops[unit],
+                    charged.n_hash_probes[unit],
+                    charged.n_adjacency_inserts[unit]) == (
+                counters.n_distances, counters.n_heap_ops,
+                counters.n_hash_probes, counters.n_adjacency_inserts)

@@ -7,6 +7,8 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.baselines.beam import beam_search
+from repro.core.hnsw import recover_original_ids
 from repro.core.index import GannsIndex
 from repro.core.params import BuildParams
 from repro.core.backend import backend_families
@@ -141,6 +143,48 @@ class TestHnswIdMapping:
         # Self-queries must return the original row numbers.
         ids, _ = index.search(points[:6], k=3, l_n=64)
         assert np.array_equal(ids[:, 0], np.arange(6))
+
+
+class TestBeamAlgorithm:
+    """``algorithm="beam"`` is Algorithm 1 once per query: each query
+    enters at its own entry (HNSW: its own descent) and the report
+    carries the distances, iterations and distance count it computed."""
+
+    @pytest.fixture(scope="class", params=["nsw", "hnsw"])
+    def index(self, request, points):
+        return GannsIndex.build(points, graph_type=request.param,
+                                params=PARAMS)
+
+    @staticmethod
+    def _per_query(index, queries, ef):
+        entries = np.broadcast_to(index._entries(queries), len(queries))
+        return entries, [beam_search(index._flat_graph(), index.points,
+                                     query, 10, ef, int(entry))
+                         for query, entry in zip(queries, entries)]
+
+    @pytest.mark.parametrize("ef", [10, 32])
+    def test_every_query_searches_from_its_own_entry(self, index, queries,
+                                                     ef):
+        report = index.search_report(queries, k=10, algorithm="beam",
+                                     l_n=32, e=ef)
+        entries, results = self._per_query(index, queries, ef)
+        want = np.array([result.ids for result in results])
+        if index.order is not None:
+            want = recover_original_ids(want, index.order)
+            assert len(set(entries.tolist())) > 1
+        assert np.array_equal(report.ids, want)
+
+    def test_reports_what_the_search_computed(self, index, queries):
+        report = index.search_report(queries, k=10, algorithm="beam",
+                                     l_n=32)
+        _, results = self._per_query(index, queries, 32)
+        assert report.dists.tobytes() == np.array(
+            [result.dists for result in results]).tobytes()
+        assert np.array_equal(report.iterations,
+                              [result.n_iterations for result in results])
+        assert report.n_distance_computations == sum(
+            result.n_distance_computations for result in results)
+        assert (report.iterations > 0).all()
 
 
 class TestPersistence:

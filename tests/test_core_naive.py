@@ -8,6 +8,7 @@ from repro.core.construction import build_nsw_gpu
 from repro.core.naive import build_nsw_naive_parallel, build_nsw_serial_gpu
 from repro.core.params import BuildParams
 from repro.errors import ConstructionError
+from repro.graphs import graph_digest
 from repro.graphs.validation import validate_graph
 
 PARAMS = BuildParams(d_min=6, d_max=12, n_blocks=8)
@@ -94,6 +95,25 @@ class TestGNaiveParallel:
         ggc = build_nsw_gpu(points, PARAMS.with_overrides(n_blocks=4),
                             search_kernel="song")
         assert naive.seconds < ggc.seconds
+
+    @pytest.mark.parametrize("kwargs, digest, seconds", [
+        ({"batch_size": 64}, "db45c7dc4230772ea6dcd4382e6b4c28",
+         0.0003692701388772095),
+        ({"batch_size": 250, "search_kernel": "ganns"},
+         "18804a63611dc329d3c1f0823fab2c23", 3.847310523436709e-05),
+        ({}, "6a3ff9adbc4be4f559d914ff21a8c08e", 0.007674204455507157),
+        ({"batch_size": 100, "metric": "cosine"},
+         "fb4c7897b47bc5cda2b995b03992a547", 0.00016541101535620371),
+    ])
+    def test_graph_and_seconds_are_pinned(self, small_points, kwargs,
+                                          digest, seconds):
+        """Recorded when every batch still searched one vertex at a time:
+        one lock-step search per batch builds the same graph at the same
+        price (default batch = ``n_blocks`` = 8 lanes)."""
+        report = build_nsw_naive_parallel(small_points[:300], PARAMS,
+                                          **kwargs)
+        assert graph_digest(report.graph) == digest
+        assert report.seconds == seconds
 
     def test_rejects_bad_batch_size(self, small_points):
         with pytest.raises(ConstructionError, match="batch_size"):

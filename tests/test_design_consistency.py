@@ -266,6 +266,34 @@ class TestOneGGraphConBody:
         tree = ast.parse(_read(f"src/repro/{path}"))
         assert not self._called_names(tree) & self.BODY_CALLS
 
+    def test_construction_searches_are_lock_step(self):
+        """A Phase-1 step, a Phase-2 merge iteration and a GNaiveParallel
+        batch each search all of their vertices in one
+        ``beam_search_lanes`` call: no loop over vertices searches, and
+        the one-query ``beam_search`` is not called at all."""
+        for path in ("core/construction.py", "core/naive.py"):
+            tree = ast.parse(_read(f"src/repro/{path}"))
+            assert "beam_search" not in self._called_names(tree), path
+            loops = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.For, ast.comprehension))
+                     and "beam_search_lanes" in self._called_names(node)]
+            assert [ast.unparse(loop.target) for loop in loops] in (
+                [], ["step"]), path
+
+    def test_heap_body_is_written_once(self):
+        """Algorithm 1's heap loop (pop a candidate, scan its adjacency
+        row) exists once in ``src/``; the lanes call runs it below its
+        crossover."""
+        holders = []
+        for path, tree in _src_trees():
+            holders += [
+                f"{path}:{node.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and "heappop" in self._called_names(node)
+                and "neighbor_ids" in {attr.attr for attr in ast.walk(node)
+                                       if isinstance(attr, ast.Attribute)}]
+        assert holders == ["baselines/beam.py:beam_search"]
+
     def test_levels_are_drawn_in_one_place(self):
         """Both HNSW builders share one level draw → shuffle → layers
         sequence: ``draw_levels`` has exactly one caller in ``src/``."""

@@ -19,6 +19,7 @@ from repro.mutable import (
     WriteAheadLog,
     compact_graph,
     default_build_params,
+    recover,
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.span import SpanTracer
@@ -94,17 +95,23 @@ class TestInsert:
         with pytest.raises(MutableIndexError, match="dimensionality"):
             _fresh().insert(np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf, "empty"])
     def test_non_finite_batch_never_reaches_the_wal(self, poison):
         index = _fresh()
         records = len(index.store.surviving_records())
-        batch = _corpus(4, seed=9)
-        batch[2, 5] = poison
-        with pytest.raises(MutableIndexError, match="row 2"):
+        if poison == "empty":
+            batch, message = np.empty((0, 8)), "non-empty"
+        else:
+            batch, message = _corpus(4, seed=9), "row 2"
+            batch[2, 5] = poison
+        with pytest.raises(MutableIndexError, match=message):
             index.insert(batch, now=1.0)
         assert len(index.store.surviving_records()) == records
         assert index.epoch == 0
         assert index.n_slots == 120
+        # The store stays recoverable: the refused batch left no record.
+        index.insert(_corpus(3, seed=9), now=2.0)
+        assert recover(index.store).digest() == index.digest()
 
     def test_publishes_metrics(self):
         index = _fresh()
