@@ -74,12 +74,16 @@ def cli_args(argv):
     return cli.build_parser().parse_args(argv)
 
 
-def run_script(*argv: str) -> None:
-    """Run a repo script with this interpreter, from the repo root."""
+def run_script(*argv: str) -> str:
+    """Run a repo script with this interpreter, from the repo root;
+    echo and return its stdout."""
     sys.stdout.flush()
-    done = subprocess.run([sys.executable, *argv], cwd=ROOT)
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT,
+                          stdout=subprocess.PIPE, text=True)
+    sys.stdout.write(done.stdout)
     require(done.returncode == 0,
             f"{' '.join(argv)} exited {done.returncode}")
+    return done.stdout
 
 
 def same_bytes(make, what: str):
@@ -467,8 +471,14 @@ def gate_bakeoff() -> str:
 
 
 def gate_bench() -> str:
-    """The end-to-end ruler's smoke pass (benchmarks/e2e/README.md)."""
-    run_script("benchmarks/e2e/run.py", "--smoke", "--check")
+    """The end-to-end ruler's smoke pass (benchmarks/e2e/README.md).
+    Every traced seam must still resolve: a renamed one would read 0 in
+    its per-layer rows instead of failing."""
+    text = run_script("benchmarks/e2e/run.py", "--smoke", "--check")
+    prefix = "# missing_layers: "
+    missing = sorted({line[len(prefix):] for line in text.splitlines()
+                      if line.startswith(prefix)})
+    require(not missing, f"traced seams no longer resolve: {missing}")
     return "benchmarks/e2e/run.py --smoke --check passed"
 
 

@@ -112,13 +112,10 @@ def ganns_search_kernel(graph: ProximityGraph, points: np.ndarray,
             f"entry vertex {entry} out of range [0, {graph.n_vertices})"
         )
     metric_name = graph.metric_name
-    if metric_name == "cosine":
-        # The kernel operates on pre-normalised vectors in global memory.
-        def unit(m):
-            norms = np.linalg.norm(m, axis=-1, keepdims=True)
-            return m / np.where(norms > 0.0, norms, 1.0)
-        points = unit(points)
-        query = unit(query[None, :])[0]
+    # The kernel operates on prepared (cosine: pre-normalised) vectors in
+    # global memory.
+    points = graph.metric.prepare(points)
+    query = graph.metric.prepare(query[None, :])[0]
 
     l_n = params.l_n
     l_t = graph.d_max

@@ -82,7 +82,8 @@ class GannsIndex:
                 (``"nsw"``, ``"hnsw"``, ``"knn"``, ``"cagra"``, ...).
             strategy: ``"ggraphcon"`` (the paper's scheme),
                 ``"naive-parallel"`` or ``"serial"`` (NSW only).
-            metric: ``"euclidean"`` or ``"cosine"``.
+            metric: A registered metric name: ``"euclidean"``,
+                ``"cosine"``, or ``"ip"`` once registered.
             params: Build parameters (defaults to the evaluation defaults,
                 d_max=32 / d_min=16).
             search_kernel: ``"ganns"`` or ``"song"`` construction searches.

@@ -34,48 +34,40 @@ from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.scan import csr_offsets_from_sorted_ids
 from repro.gpusim.tracker import PhaseCategory
-from repro.metrics.distance import get_metric
+from repro.metrics.distance import Metric, get_metric
 from repro.perf.construction import merge_segments_batch, rank_in_run
-from repro.perf.distance import _unit_rows
 
 #: Elements per gathered distance temporary: 256 KB of float64, so the
 #: gather, the difference and the reduction of a chunk stay in cache.
 CHUNK_ELEMENTS = 1 << 15
 
 
-def _pair_distances(vectors: np.ndarray, metric: str, v: np.ndarray,
+def _pair_distances(metric: Metric, vectors: np.ndarray, v: np.ndarray,
                     u: np.ndarray) -> np.ndarray:
     """Distances of the flat pairs ``(v[i], u[i])``, chunked by pair count.
 
-    ``vectors`` holds the float64 points, unit-normalised under cosine.
+    ``vectors`` holds the float64 points through ``metric.prepare``.
     """
     out = np.empty(len(v))
     step = max(1, CHUNK_ELEMENTS // max(vectors.shape[1], 1))
     for lo in range(0, len(v), step):
-        a, b = vectors[u[lo:lo + step]], vectors[v[lo:lo + step]]
-        if metric == "euclidean":
-            a -= b
-            out[lo:lo + step] = np.einsum("pd,pd->p", a, a)
-        else:
-            out[lo:lo + step] = 1.0 - np.einsum("pd,pd->p", a, b)
+        out[lo:lo + step] = metric.prepared_rows_to_rows(
+            vectors[u[lo:lo + step]], vectors[v[lo:lo + step]])
     return out
 
 
-def _init_distances(vectors: np.ndarray, metric: str,
+def _init_distances(metric: Metric, points: np.ndarray,
                     ids: np.ndarray) -> np.ndarray:
-    """``one_to_many`` from every vertex to its ``(n, k)`` drawn ids."""
+    """``one_to_many`` bytes from every vertex to its ``(n, k)`` drawn
+    ids (the float64 ``points`` unprepared: the metric prepares them)."""
     n, k = ids.shape
-    if metric == "euclidean":
-        return _pair_distances(vectors, metric, np.repeat(np.arange(n), k),
-                               ids.ravel()).reshape(n, k)
-    # Cosine's one_to_many is a matrix-vector product; its last ulp can
-    # differ from the join's row-wise form, so it keeps that arithmetic.
     out = np.empty((n, k))
-    step = max(1, CHUNK_ELEMENTS // max(k * vectors.shape[1], 1))
+    step = max(1, CHUNK_ELEMENTS // max(k * points.shape[1], 1))
     for lo in range(0, n, step):
-        out[lo:lo + step] = 1.0 - np.matmul(
-            vectors[ids[lo:lo + step]],
-            vectors[lo:lo + step, :, None])[..., 0]
+        chunk = ids[lo:lo + step]
+        out[lo:lo + step] = metric.one_to_many_runs(
+            points[lo:lo + step], points[chunk.ravel()],
+            np.full(len(chunk), k)).reshape(chunk.shape)
     return out
 
 
@@ -108,15 +100,14 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
     n = len(points)
     if not 1 <= k < n:
         raise ConstructionError(f"k must lie in [1, {n - 1}], got {k}")
-    get_metric(metric)  # rejects unknown metric names
+    metric_obj = get_metric(metric)  # rejects unknown metric names
     rng = np.random.default_rng(params.seed)
     n_t = params.n_threads
     n_dims = points.shape[1]
     kernel = KernelLaunch(device, n_t, costs=costs)
 
-    vectors = points.astype(np.float64)
-    if metric == "cosine":
-        vectors = _unit_rows(vectors)
+    points64 = points.astype(np.float64)
+    vectors = metric_obj.prepare(points64)
 
     # Random initialisation (one block per vertex).  The RNG stream is
     # contract, so the draws stay one call per vertex, in order.
@@ -125,7 +116,7 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
     for v in range(n):
         init_ids[v] = rng.choice(n - 1, size=k, replace=False)
     init_ids += init_ids >= own[:, None]
-    init_dists = _init_distances(vectors, metric, init_ids)
+    init_dists = _init_distances(metric_obj, points64, init_ids)
     order = np.lexsort((init_ids, init_dists), axis=1)
     graph = ProximityGraph.from_rows(
         np.take_along_axis(init_ids, order, axis=1),
@@ -171,7 +162,7 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
         fresh = (cand >= 0) & (cand != own[:, None])
         fresh[:, 1:] &= cand[:, 1:] != cand[:, :-1]
         v_idx, u_idx = np.nonzero(fresh)[0], cand[fresh]
-        dists = _pair_distances(vectors, metric, v_idx, u_idx)
+        dists = _pair_distances(metric_obj, vectors, v_idx, u_idx)
 
         distance_cycles = cand.shape[1] * per_vector
         merge_cycles = costs.adjacency_merge_cycles(k, cand.shape[1], n_t)

@@ -8,11 +8,14 @@ non-negative), but proximity-graph search only needs a comparable
 library's metric interface.
 
 Call :func:`register_ip_metric` once to add ``"ip"`` to the metric
-registry; every component (ground truth, graph construction, beam
-search, SONG, GANNS) then accepts ``metric="ip"``.
+registry; every component (ground truth, every index family's
+construction, beam search, SONG, GANNS and its quantized tiers) then
+accepts ``metric="ip"``.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -28,18 +31,11 @@ class InnerProductMetric(Metric):
 
     name = "ip"
 
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return -(np.asarray(a, dtype=np.float64)
-                 @ np.asarray(b, dtype=np.float64).T)
-
-    def one_to_many(self, query: np.ndarray, points: np.ndarray
-                    ) -> np.ndarray:
-        return -(np.asarray(points, dtype=np.float64)
-                 @ np.asarray(query, dtype=np.float64))
-
-    def _rows_to_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return -np.einsum("ij,ij->i", np.asarray(a, dtype=np.float64),
-                          np.asarray(b, dtype=np.float64))
+    def from_products(self, products: np.ndarray,
+                      point_norms: Optional[np.ndarray] = None,
+                      query_norms: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
+        return -products
 
     def flops_per_distance(self, n_dims: int) -> int:
         return 2 * n_dims

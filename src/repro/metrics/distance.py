@@ -1,8 +1,24 @@
 """Distance metrics: squared Euclidean and cosine distance.
 
-Both are exposed through a small strategy interface so graphs, searches and
-ground-truth computation share one code path.  All implementations operate
-on float32 matrices and are fully vectorised.
+A :class:`Metric` is the only code that knows a metric's arithmetic:
+graphs, searches, construction and ground truth call its distance forms,
+which cast their inputs to float64, and the GEMM and quantized engines,
+the HNSW descent and NN-Descent ask its three hooks, never its name:
+
+- :meth:`Metric.prepare` — the rows a distance is taken over, in their
+  own dtype: cosine unit-normalises them (zero rows pass through), the
+  others pass them through;
+- :meth:`Metric.sq_norms` — the squared row norms the euclidean norm
+  expansion needs (``None`` for every other metric);
+- :meth:`Metric.from_products` — products of prepared rows to distances:
+  ``‖p‖² − 2·p·q + ‖q‖²``, or ``1 − s`` in the products' dtype, or
+  ``−s``.
+
+A metric defined by products alone (cosine, inner product) gets every
+distance form from the base class, in the product form with matmul
+batching.  Euclidean keeps its own diff-einsum forms and ``pairwise``:
+they are the byte contract of Algorithm 1, the HNSW descent and ground
+truth.
 
 Notes on conventions:
 
@@ -16,7 +32,7 @@ Notes on conventions:
 from __future__ import annotations
 
 import abc
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -33,7 +49,30 @@ class Metric(abc.ABC):
     #: Registry key and display name, e.g. ``"euclidean"``.
     name: str = ""
 
+    def prepare(self, rows: np.ndarray) -> np.ndarray:
+        """The rows distances are taken over (same dtype as ``rows``)."""
+        return rows
+
+    def sq_norms(self, rows: np.ndarray) -> Optional[np.ndarray]:
+        """Squared norms of ``(n, d)`` rows for the norm expansion, or
+        ``None`` when products alone define the distance."""
+        return None
+
     @abc.abstractmethod
+    def from_products(self, products: np.ndarray,
+                      point_norms: Optional[np.ndarray] = None,
+                      query_norms: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
+        """Distances from products of prepared rows.
+
+        ``point_norms`` / ``query_norms`` are the :meth:`sq_norms` of the
+        two sides, broadcast against ``products``; metrics without norms
+        ignore them.
+        """
+
+    def _prepared64(self, rows: np.ndarray) -> np.ndarray:
+        return self.prepare(np.asarray(rows, dtype=np.float64))
+
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """All-pairs distances: ``(len(a), len(b))`` matrix.
 
@@ -41,10 +80,13 @@ class Metric(abc.ABC):
         ``(..., p, d)`` gives ``(..., m, p)``, each matrix of the stack
         computed exactly as a 2-D call would compute it.
         """
+        return self.from_products(
+            self._prepared64(a) @ np.swapaxes(self._prepared64(b), -1, -2))
 
-    @abc.abstractmethod
     def one_to_many(self, query: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Distances from one query vector to each row of ``points``."""
+        q = self._prepared64(np.asarray(query)[None, :])[0]
+        return self.from_products(self._prepared64(points) @ q)
 
     def one_to_many_runs(self, queries: np.ndarray, points: np.ndarray,
                          counts: np.ndarray) -> np.ndarray:
@@ -52,15 +94,19 @@ class Metric(abc.ABC):
 
         ``points`` holds one run of ``counts[i]`` rows per query, back to
         back; run ``i`` gets exactly the bytes
-        ``one_to_many(queries[i], run)`` would return (overrides compute
-        all runs at once in a form that is byte-equal per run).
+        ``one_to_many(queries[i], run)`` would return.
         """
+        # Rows prepare independently, so one pass serves every run; the
+        # product stays one gemv per run — a gemv's blocking depends on
+        # its row count, so a shared product would round differently.
+        rows = self._prepared64(points)
+        prepared_queries = self._prepared64(queries)
         ends = np.cumsum(counts)
         out = np.empty(len(points))
         for run in np.flatnonzero(counts):
             start, end = ends[run] - counts[run], ends[run]
-            out[start:end] = self.one_to_many(queries[run],
-                                              points[start:end])
+            out[start:end] = self.from_products(
+                rows[start:end] @ prepared_queries[run])
         return out
 
     def rows_to_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,11 +116,18 @@ class Metric(abc.ABC):
                 f"rows_to_rows requires equal shapes, got {a.shape} and "
                 f"{b.shape}"
             )
-        return self._rows_to_rows(a, b)
+        return self.prepared_rows_to_rows(
+            self.prepare(np.array(a, dtype=np.float64)), self._prepared64(b))
 
-    @abc.abstractmethod
-    def _rows_to_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise distance implementation (shapes already validated)."""
+    def prepared_rows_to_rows(self, a: np.ndarray,
+                              b: np.ndarray) -> np.ndarray:
+        """Distances between aligned rows already through :meth:`prepare`.
+
+        ``b`` broadcasts against ``a``: ``(..., d)`` rows give ``(...)``
+        distances.  ``a`` is scratch the call may overwrite, so callers
+        pass a fresh array (a gather, a copy).
+        """
+        return self.from_products(np.einsum("...d,...d->...", a, b))
 
     @abc.abstractmethod
     def flops_per_distance(self, n_dims: int) -> int:
@@ -85,6 +138,15 @@ class EuclideanMetric(Metric):
     """Squared Euclidean distance (ordering-equivalent to L2)."""
 
     name = "euclidean"
+
+    def sq_norms(self, rows: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", rows, rows)
+
+    def from_products(self, products: np.ndarray,
+                      point_norms: Optional[np.ndarray] = None,
+                      query_norms: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
+        return point_norms - 2.0 * products + query_norms
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
@@ -105,13 +167,17 @@ class EuclideanMetric(Metric):
                          counts: np.ndarray) -> np.ndarray:
         # One flat diff + einsum: a row's reduction never depends on the
         # rows beside it, so every run matches its own one_to_many call.
-        return self._rows_to_rows(
-            points, np.repeat(np.asarray(queries, dtype=np.float64),
-                              counts, axis=0))
+        return self.prepared_rows_to_rows(
+            np.repeat(np.asarray(queries, dtype=np.float64), counts, axis=0),
+            np.asarray(points, dtype=np.float64))
 
-    def _rows_to_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-        return np.einsum("ij,ij->i", diff, diff)
+    def prepared_rows_to_rows(self, a: np.ndarray,
+                              b: np.ndarray) -> np.ndarray:
+        # In place: a fresh difference buffer per call costs more than
+        # the reduction at NN-Descent's chunk size.  q - p and p - q
+        # square to the same bytes.
+        a -= b
+        return np.einsum("...d,...d->...", a, a)
 
     def flops_per_distance(self, n_dims: int) -> int:
         # One subtract + one FMA per dimension, plus the reduction adds.
@@ -127,38 +193,15 @@ class CosineMetric(Metric):
 
     name = "cosine"
 
-    @staticmethod
-    def _normalize(matrix: np.ndarray) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        return matrix / safe
+    def prepare(self, rows: np.ndarray) -> np.ndarray:
+        norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+        return rows / np.where(norms > 0.0, norms, 1.0)
 
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return 1.0 - self._normalize(a) @ np.swapaxes(self._normalize(b),
-                                                      -1, -2)
-
-    def one_to_many(self, query: np.ndarray, points: np.ndarray) -> np.ndarray:
-        q = self._normalize(np.asarray(query)[None, :])[0]
-        return 1.0 - self._normalize(points) @ q
-
-    def one_to_many_runs(self, queries: np.ndarray, points: np.ndarray,
-                         counts: np.ndarray) -> np.ndarray:
-        # Rows normalise independently, so one pass serves every run; the
-        # product stays one gemv per run — a gemv's blocking depends on
-        # its row count, so a shared product would round differently.
-        rows = self._normalize(points)
-        unit_queries = self._normalize(queries)
-        ends = np.cumsum(counts)
-        out = np.empty(len(points))
-        for run in np.flatnonzero(counts):
-            start, end = ends[run] - counts[run], ends[run]
-            out[start:end] = 1.0 - rows[start:end] @ unit_queries[run]
-        return out
-
-    def _rows_to_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return 1.0 - np.einsum(
-            "ij,ij->i", self._normalize(a), self._normalize(b))
+    def from_products(self, products: np.ndarray,
+                      point_norms: Optional[np.ndarray] = None,
+                      query_norms: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
+        return products.dtype.type(1.0) - products
 
     def flops_per_distance(self, n_dims: int) -> int:
         # Dot product + two norms (amortised: data vectors are usually

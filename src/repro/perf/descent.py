@@ -11,8 +11,9 @@ Equivalence with the per-query oracle
 ``tests/oracles/hnsw_descent.py::hnsw_entry_descent``: queries walk
 independently, so lock-stepping changes neither the visit sequence nor
 the distance counts — a query that stops improving on a layer simply
-goes inactive while others keep walking.  Euclidean arithmetic is
-bit-identical (same float64 diff-einsum per row); cosine/ip replace a
+goes inactive while others keep walking.  Distances are the metric's
+``prepared_rows_to_rows`` over rows prepared once: euclidean arithmetic
+is bit-identical (same float64 diff-einsum per row); cosine/ip replace a
 per-row BLAS matvec with a batched einsum, which can differ in the last
 ulp — entry choices still agree whenever neighbor distance gaps exceed
 that noise, which the equivalence suite checks on every covered
@@ -25,9 +26,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SearchError
 from repro.graphs.adjacency import HierarchicalGraph
-from repro.perf.distance import _unit_rows
+from repro.metrics.distance import get_metric
 
 
 def hnsw_entry_descent_batch(graph: HierarchicalGraph, points: np.ndarray,
@@ -48,29 +48,16 @@ def hnsw_entry_descent_batch(graph: HierarchicalGraph, points: np.ndarray,
         per-query distance-computation counts ``(m,)``, matching a
         per-query greedy descent.
     """
-    if metric_name is None:
-        metric_name = graph.bottom.metric_name
+    metric = get_metric(metric_name or graph.bottom.metric_name)
     m = len(queries)
-    qs = np.asarray(queries, dtype=np.float64)
-    pts = np.asarray(points, dtype=np.float64)
-    if metric_name == "euclidean":
-        pass
-    elif metric_name == "cosine":
-        pts = _unit_rows(pts)
-        qs = _unit_rows(qs)
-    elif metric_name != "ip":
-        raise SearchError(
-            f"unsupported metric for HNSW descent: {metric_name!r}"
-        )
+    qs = metric.prepare(np.asarray(queries, dtype=np.float64))
+    pts = metric.prepare(np.asarray(points, dtype=np.float64))
 
     def to_rows(query_rows: np.ndarray, cand_ids: np.ndarray) -> np.ndarray:
         """(a,) query rows x (a, w) candidate ids -> (a, w) distances."""
-        gathered = np.take(pts, cand_ids, axis=0, mode="clip")
-        if metric_name == "euclidean":
-            diff = gathered - qs[query_rows][:, None, :]
-            return np.einsum("atd,atd->at", diff, diff)
-        sims = np.einsum("atd,ad->at", gathered, qs[query_rows])
-        return 1.0 - sims if metric_name == "cosine" else -sims
+        return metric.prepared_rows_to_rows(
+            np.take(pts, cand_ids, axis=0, mode="clip"),
+            qs[query_rows][:, None, :])
 
     current = np.full(m, graph.entry_vertex(), dtype=np.int64)
     current_dist = to_rows(np.arange(m), current[:, None])[:, 0]

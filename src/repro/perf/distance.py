@@ -7,11 +7,13 @@ The engines here avoid both costs:
 
 - **dtype preservation** — float32 data stays float32 end to end (the
   compute dtype is explicit, never silently widened);
-- **precomputed norms** — euclidean distances are evaluated as
-  ``‖p‖² − 2·p·q + ‖q‖²`` with ``‖p‖²`` computed once per engine and
-  ``‖q‖²`` once per batch, so the per-iteration work is a single
-  gather plus one GEMM-shaped einsum (cosine pre-normalises, inner
-  product is the einsum alone);
+- **precomputed norms** — the engine prepares the rows and takes the
+  squared norms once through the metric's hooks
+  (:mod:`repro.metrics.distance`: cosine pre-normalises, euclidean
+  keeps ``‖p‖²`` per engine and ``‖q‖²`` per batch), so the
+  per-iteration work is a single gather plus one GEMM-shaped einsum,
+  turned into distances by ``metric.from_products`` — the engine never
+  names a metric;
 - **preparation caching** — the cast matrix and its norms are cached
   per ``(points, metric, dtype)`` and reused across search calls (the
   serving engine dispatches thousands of small batches against one
@@ -36,6 +38,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import SearchError
+from repro.metrics.distance import Metric
 from repro.perf.identity_cache import IdentityCache
 
 #: Compute dtypes the engines accept.
@@ -103,29 +106,31 @@ class _PreparedPoints:
 _PREPARED_CACHE = IdentityCache()
 
 
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-normalise (zero rows pass through)."""
-    norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
-    return matrix / np.where(norms > 0.0, norms, 1.0)
-
-
-def _prepare_points(points: np.ndarray, metric_name: str,
+def _prepare_points(points: np.ndarray, metric: Metric,
                     dtype: np.dtype) -> _PreparedPoints:
     """Cast + precompute for one point matrix, cached by identity."""
-    if metric_name not in ("euclidean", "cosine", "ip"):
-        raise SearchError(
-            f"unsupported metric for GANNS search: {metric_name!r}"
-        )
 
     def build() -> _PreparedPoints:
         cast = np.ascontiguousarray(points, dtype=dtype)
-        if metric_name == "cosine":
-            return _PreparedPoints(_unit_rows(cast), None)
-        norms = (np.einsum("nd,nd->n", cast, cast)
-                 if metric_name == "euclidean" else None)
-        return _PreparedPoints(None if cast is points else cast, norms)
+        rows = metric.prepare(cast)
+        return _PreparedPoints(None if rows is points else rows,
+                               metric.sq_norms(cast))
 
-    return _PREPARED_CACHE.get(points, (metric_name, dtype), build)
+    return _PREPARED_CACHE.get(points, (metric.name, dtype), build)
+
+
+def _gathered_distances(metric: Metric, products: np.ndarray,
+                        point_norms: Optional[np.ndarray],
+                        query_norms: Optional[np.ndarray],
+                        query_rows: np.ndarray,
+                        cand_ids: np.ndarray) -> np.ndarray:
+    """``metric.from_products`` for a ``(query rows, candidate ids)``
+    gather, with the norms gathered alongside when the metric has them."""
+    if point_norms is None:
+        return metric.from_products(products)
+    return metric.from_products(
+        products, np.take(point_norms, cand_ids, mode="clip"),
+        query_norms[query_rows, None])
 
 
 class GroupDistanceEngine:
@@ -136,30 +141,23 @@ class GroupDistanceEngine:
     :meth:`pairs` method is invoked once per iteration.
 
     Args:
-        metric_name: ``"euclidean"``, ``"cosine"`` or ``"ip"``.
+        metric: The graph's :class:`~repro.metrics.distance.Metric`.
         points: ``(n, d)`` data matrix.
         queries: ``(m, d)`` query matrix.
         dtype: Compute dtype (see :func:`resolve_compute_dtype`).
     """
 
-    def __init__(self, metric_name: str, points: np.ndarray,
+    def __init__(self, metric: Metric, points: np.ndarray,
                  queries: np.ndarray, dtype: np.dtype):
-        self.metric_name = metric_name
+        self.metric = metric
         self.dtype = np.dtype(dtype)
-        prepared = _prepare_points(points, metric_name, self.dtype)
+        prepared = _prepare_points(points, metric, self.dtype)
         self.points = (points if prepared.matrix is None
                        else prepared.matrix)
         self.point_norms = prepared.norms
         queries = np.ascontiguousarray(queries, dtype=self.dtype)
-        if metric_name == "euclidean":
-            self.queries = queries
-            self.query_norms = np.einsum("md,md->m", queries, queries)
-        elif metric_name == "cosine":
-            self.queries = _unit_rows(queries)
-            self.query_norms = None
-        else:  # ip (validated in _prepare_points)
-            self.queries = queries
-            self.query_norms = None
+        self.queries = metric.prepare(queries)
+        self.query_norms = metric.sq_norms(queries)
 
     def pairs(self, query_rows: np.ndarray,
               cand_ids: np.ndarray) -> np.ndarray:
@@ -175,19 +173,13 @@ class GroupDistanceEngine:
             ``(m, w)`` distances in the engine's compute dtype.
         """
         gathered = np.take(self.points, cand_ids, axis=0, mode="clip")
-        qs = self.queries[query_rows]
-        if self.metric_name == "euclidean":
-            dots = np.einsum("mtd,md->mt", gathered, qs)
-            return (np.take(self.point_norms, cand_ids, mode="clip")
-                    - 2.0 * dots + self.query_norms[query_rows, None])
-        sims = np.einsum("mtd,md->mt", gathered, qs)
-        if self.metric_name == "cosine":
-            return self.dtype.type(1.0) - sims
-        return -sims
+        dots = np.einsum("mtd,md->mt", gathered, self.queries[query_rows])
+        return _gathered_distances(self.metric, dots, self.point_norms,
+                                   self.query_norms, query_rows, cand_ids)
 
 
-def make_distance_engine(metric_name: str, points: np.ndarray,
+def make_distance_engine(metric: Metric, points: np.ndarray,
                          queries: np.ndarray,
                          dtype: np.dtype) -> GroupDistanceEngine:
     """Build the distance engine for one search invocation."""
-    return GroupDistanceEngine(metric_name, points, queries, dtype)
+    return GroupDistanceEngine(metric, points, queries, dtype)

@@ -288,7 +288,7 @@ def ganns_search_fast(graph: ProximityGraph, points: np.ndarray,
     k = params.k
 
     tracker = make_search_tracker(n_queries, "ganns")
-    engine = make_distance_engine(graph.metric_name, points, queries,
+    engine = make_distance_engine(graph.metric, points, queries,
                                   compute_dtype)
     arena = get_arena(n_queries, l_n, l_t, compute_dtype)
 
@@ -373,7 +373,7 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
     # (invalid pads clip to point 0 in the engine and are masked to
     # +inf), then a (dist, id) sort of the l_q records per query —
     # charged as one bitonic sort, the kernel that would run it.
-    exact = make_distance_engine(graph.metric_name, points, queries,
+    exact = make_distance_engine(graph.metric, points, queries,
                                  compute_dtype)
     all_rows = np.arange(n_queries, dtype=np.int64)
     valid = pool_ids >= 0

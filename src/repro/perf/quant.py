@@ -47,7 +47,8 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, SearchError
-from repro.perf.distance import _unit_rows
+from repro.metrics.distance import Metric, get_metric
+from repro.perf.distance import _gathered_distances
 from repro.perf.identity_cache import IdentityCache
 
 #: The lossy representations the staged pipeline can traverse on.
@@ -82,23 +83,24 @@ class QuantizedTable:
 
     Attributes:
         mode: ``"fp16"``, ``"int8"`` or ``"pca"``.
-        metric_name: Metric the table was prepared for (cosine tables
-            store normalised rows).
+        metric: :class:`~repro.metrics.distance.Metric` the table was
+            prepared for (its rows went through ``metric.prepare``, so
+            cosine tables store normalised rows).
         codes: The stored matrix — ``(n, d)`` float16/int8, or
             ``(n, rank)`` float32 for PCA.
-        code_norms: ``(n,)`` float32 squared norms of the represented
-            vectors (euclidean only; ``None`` otherwise).
+        code_norms: ``(n,)`` float32 ``metric.sq_norms`` of the
+            represented vectors (``None`` for metrics without norms).
         scales / betas: int8 affine parameters (``x_hat = scale * code
             + beta``); ``None`` for other modes.
         mean / components: PCA centering vector and ``(d, rank)``
-            projection; ``mean`` is ``None`` for inner-product metrics
-            (centering would shift the products).
+            projection; ``mean`` is ``None`` for metrics without norms
+            (centering would shift their products).
     """
 
-    __slots__ = ("mode", "metric_name", "n_points", "n_dims", "codes",
+    __slots__ = ("mode", "metric", "n_points", "n_dims", "codes",
                  "code_norms", "scales", "betas", "mean", "components")
 
-    def __init__(self, mode: str, metric_name: str, n_points: int,
+    def __init__(self, mode: str, metric: Metric, n_points: int,
                  n_dims: int, codes: np.ndarray,
                  code_norms: Optional[np.ndarray] = None,
                  scales: Optional[np.ndarray] = None,
@@ -106,7 +108,7 @@ class QuantizedTable:
                  mean: Optional[np.ndarray] = None,
                  components: Optional[np.ndarray] = None):
         self.mode = mode
-        self.metric_name = metric_name
+        self.metric = metric
         self.n_points = int(n_points)
         self.n_dims = int(n_dims)
         self.codes = codes
@@ -168,30 +170,16 @@ class QuantizedTable:
         return back.astype(np.float32, copy=False)
 
 
-def _prepare_source(points: np.ndarray, metric_name: str) -> np.ndarray:
-    """The float32 matrix a table represents (cosine pre-normalises)."""
-    if metric_name not in ("euclidean", "cosine", "ip"):
-        raise SearchError(
-            f"unsupported metric for quantized search: {metric_name!r}"
-        )
-    source = np.ascontiguousarray(points, dtype=np.float32)
-    if metric_name == "cosine":
-        source = _unit_rows(source)
-    return source
-
-
 def _build_table(points: np.ndarray, mode: str,
-                 metric_name: str) -> QuantizedTable:
-    source = _prepare_source(points, metric_name)
+                 metric: Metric) -> QuantizedTable:
+    # The float32 rows the table represents (cosine: normalised).
+    source = metric.prepare(np.ascontiguousarray(points, dtype=np.float32))
     n, d = source.shape
 
     if mode == "fp16":
         codes = source.astype(np.float16)
-        represented = codes.astype(np.float32)
-        norms = (np.einsum("nd,nd->n", represented, represented)
-                 if metric_name == "euclidean" else None)
-        return QuantizedTable(mode, metric_name, n, d, codes,
-                              code_norms=norms)
+        norms = metric.sq_norms(codes.astype(np.float32))
+        return QuantizedTable(mode, metric, n, d, codes, code_norms=norms)
 
     if mode == "int8":
         lo = source.min(axis=0)
@@ -203,20 +191,18 @@ def _build_table(points: np.ndarray, mode: str,
         codes = np.clip(np.rint((source - lo) / scales) - 128.0,
                         -128, 127).astype(np.int8)
         betas = (lo + 128.0 * scales).astype(np.float32)
-        represented = codes.astype(np.float32) * scales + betas
-        norms = (np.einsum("nd,nd->n", represented, represented)
-                 if metric_name == "euclidean" else None)
-        return QuantizedTable(mode, metric_name, n, d, codes,
+        norms = metric.sq_norms(codes.astype(np.float32) * scales + betas)
+        return QuantizedTable(mode, metric, n, d, codes,
                               code_norms=norms, scales=scales,
                               betas=betas)
 
     if mode == "pca":
         rank = min(pca_rank(d), n)
-        # Centering is distance-preserving for euclidean but shifts
-        # inner products, so cosine/ip project the raw (normalised)
-        # rows.
+        # Centering preserves a norm-expansion distance (a shared shift
+        # cancels in p - q) but shifts bare products, so metrics without
+        # norms project the raw (prepared) rows.
         mean = (source.mean(axis=0, dtype=np.float64).astype(np.float32)
-                if metric_name == "euclidean" else None)
+                if metric.sq_norms(source[:1]) is not None else None)
         centered = source - mean if mean is not None else source
         # Thin SVD of the (possibly centered) corpus; the top right
         # singular vectors are the PCA basis.  Deterministic for a
@@ -225,10 +211,8 @@ def _build_table(points: np.ndarray, mode: str,
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         components = np.ascontiguousarray(vt[:rank].T, dtype=np.float32)
         codes = np.ascontiguousarray(centered @ components)
-        norms = (np.einsum("nr,nr->n", codes, codes)
-                 if metric_name == "euclidean" else None)
-        return QuantizedTable(mode, metric_name, n, d, codes,
-                              code_norms=norms, mean=mean,
+        return QuantizedTable(mode, metric, n, d, codes,
+                              code_norms=metric.sq_norms(codes), mean=mean,
                               components=components)
 
     raise ConfigurationError(
@@ -246,7 +230,8 @@ def quantize_points(points: np.ndarray, mode: str,
     Args:
         points: ``(n, d)`` data matrix.
         mode: A mode from :data:`QUANT_MODES`.
-        metric_name: ``"euclidean"``, ``"cosine"`` or ``"ip"``.
+        metric_name: A registered metric name (see
+            :func:`~repro.metrics.distance.get_metric`).
 
     Returns:
         The corpus's :class:`QuantizedTable` in that representation.
@@ -257,9 +242,10 @@ def quantize_points(points: np.ndarray, mode: str,
             f"points must be a non-empty 2-D matrix, got shape "
             f"{points.shape}"
         )
+    metric = get_metric(metric_name)
     return _TABLE_CACHE.get(
         points, (mode, metric_name),
-        lambda: _build_table(points, mode, metric_name))
+        lambda: _build_table(points, mode, metric))
 
 
 class QuantizedGroupEngine:
@@ -284,11 +270,11 @@ class QuantizedGroupEngine:
 
     def __init__(self, table: QuantizedTable, queries: np.ndarray):
         self.table = table
-        self.metric_name = table.metric_name
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
-        if table.metric_name == "cosine":
-            queries = _unit_rows(queries)
+        self.metric = table.metric
+        queries = self.metric.prepare(
+            np.ascontiguousarray(queries, dtype=np.float32))
 
+        self.query_bias = None
         if table.mode == "int8":
             # Fold the per-dimension affine map into the query:
             # x_hat . q = (scales * q) . code + betas . q.
@@ -299,20 +285,12 @@ class QuantizedGroupEngine:
                 else queries
             self.queries = np.ascontiguousarray(
                 projected @ table.components)
-            self.query_bias = None
         else:  # fp16
             self.queries = queries
-            self.query_bias = None
-
-        if table.metric_name == "euclidean":
-            self.query_norms = np.einsum("mr,mr->m", self.queries,
-                                         self.queries)
-            if table.mode == "int8":
-                # ||q||^2 must be in the *ambient* space (the folded
-                # queries are scaled); recompute from the raw rows.
-                self.query_norms = np.einsum("md,md->m", queries, queries)
-        else:
-            self.query_norms = None
+        # ||q||^2 lives where the codes do: in the ambient space for int8
+        # (its folded queries are scaled), in the retained one for pca.
+        self.query_norms = self.metric.sq_norms(
+            queries if table.mode == "int8" else self.queries)
 
     def pairs(self, query_rows: np.ndarray,
               cand_ids: np.ndarray) -> np.ndarray:
@@ -325,16 +303,11 @@ class QuantizedGroupEngine:
         gathered = np.take(table.codes, cand_ids, axis=0, mode="clip")
         if gathered.dtype != np.float32:
             gathered = gathered.astype(np.float32)
-        qs = self.queries[query_rows]
-        sims = np.einsum("mtr,mr->mt", gathered, qs)
+        sims = np.einsum("mtr,mr->mt", gathered, self.queries[query_rows])
         if self.query_bias is not None:
             sims = sims + self.query_bias[query_rows, None]
-        if self.metric_name == "euclidean":
-            return (np.take(table.code_norms, cand_ids, mode="clip")
-                    - 2.0 * sims + self.query_norms[query_rows, None])
-        if self.metric_name == "cosine":
-            return np.float32(1.0) - sims
-        return -sims
+        return _gathered_distances(self.metric, sims, table.code_norms,
+                                   self.query_norms, query_rows, cand_ids)
 
 
 def charged_dims(table: QuantizedTable) -> int:

@@ -37,8 +37,10 @@ from repro.core import backend_families, get_backend
 from repro.core.params import BuildParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
+from repro.extensions.mips import register_ip_metric
 from repro.graphs import HierarchicalGraph, validate_graph
 from repro.graphs.stats import graph_digest, reachable_fraction
+from repro.metrics.distance import get_metric
 from repro.gpusim import DEFAULT_COSTS, QUADRO_P5000
 from repro.metrics import recall_at_k
 from repro.observability import MetricsRegistry
@@ -57,6 +59,10 @@ SATURATING_L_N = 256
 SEED = 7
 
 FAMILIES = backend_families()
+
+register_ip_metric()
+#: Every registered metric, inner product included.
+METRIC_NAMES = ("euclidean", "cosine", "ip")
 
 #: One build per family, shared across the battery (builds dominate
 #: this suite's wall clock; every test below is read-only on these).
@@ -196,6 +202,28 @@ class TestBackendConformance:
                 f"{profile.quant_recall_delta} below exact "
                 f"{exact_recall:.3f}"
             )
+
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    def test_every_metric_builds_validates_and_searches(self, family,
+                                                         metric):
+        """Each family builds under each metric, stores the metric's own
+        distances, and answers an exact and an int8 staged search with
+        the metric's own distances of the ids it returns."""
+        points, queries = _dataset()
+        points, queries = points[:120], queries[:8]
+        index = GannsIndex.build(
+            points, graph_type=family, metric=metric,
+            params=BuildParams(d_min=8, d_max=16, seed=SEED),
+            **get_backend(family).conformance_profile().build_kwargs)
+        validate_graph(_bottom(index.graph), points=index.points,
+                       check_distances=True)
+        for quant in (None, "int8"):
+            ids, dists = index.search(queries, k=K, l_n=L_N, quant=quant)
+            assert ids.shape == (len(queries), K)
+            for row, query in enumerate(queries):
+                expected = get_metric(metric).one_to_many(
+                    query, points[ids[row]])
+                assert np.allclose(dists[row], expected), (family, quant)
 
     def test_exact_at_saturating_pool(self, family):
         index = _built(family)

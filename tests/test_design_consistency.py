@@ -380,6 +380,40 @@ class TestOneOfEach:
                 importers.add(path)
         assert importers <= {"graphs/stats.py"}
 
+    #: Registry names of the metrics ``src/`` ships.
+    METRIC_NAMES = {"euclidean", "cosine", "ip"}
+    #: The metric classes, and the single-query reference kernel, which
+    #: keeps its own arithmetic as an oracle.
+    METRIC_OWNERS = {"metrics/distance.py", "extensions/mips.py",
+                     "core/ganns_kernel.py"}
+
+    def test_metric_arithmetic_lives_in_metrics(self):
+        """Outside the metric classes no code compares a metric's name,
+        and rows are unit-normalised by exactly one function."""
+        def names(node):
+            elements = node.elts if isinstance(
+                node, (ast.Tuple, ast.List, ast.Set)) else [node]
+            return {element.value for element in elements
+                    if isinstance(element, ast.Constant)}
+
+        comparisons, normalisers = [], []
+        for path, tree in _src_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Compare) and path not in \
+                        self.METRIC_OWNERS:
+                    operands = [node.left] + node.comparators
+                    if any(names(operand) & self.METRIC_NAMES
+                           for operand in operands):
+                        comparisons.append(f"{path}:{node.lineno}")
+                if isinstance(node, ast.FunctionDef):
+                    called = {getattr(call.func, "attr", "")
+                              for call in ast.walk(node)
+                              if isinstance(call, ast.Call)}
+                    if {"norm", "where"} <= called:
+                        normalisers.append(f"{path}:{node.name}")
+        assert not comparisons, comparisons
+        assert normalisers == ["metrics/distance.py:prepare"]
+
     def test_one_arrays_to_graph_decoder(self):
         """Stored adjacency arrays become a graph only through
         ``ProximityGraph.from_arrays``."""

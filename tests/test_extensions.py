@@ -161,6 +161,27 @@ class TestInnerProductMetric:
         batched = ganns_search(graph, points, query[None, :], params)
         assert np.array_equal(single.ids[0], batched.ids[0])
 
+    def test_knn_graph_stores_negative_inner_products(self):
+        """NN-Descent under ``ip`` stores ``-<u, v>``, not ``1 - <u, v>``."""
+        register_ip_metric()
+        from repro.core.knng import build_knn_graph_gpu
+        from repro.graphs import validate_graph
+
+        points = np.random.default_rng(5).normal(size=(150, 12))
+        graph = build_knn_graph_gpu(points, 8, metric="ip").graph
+        validate_graph(graph, points=points, check_distances=True)
+
+    def test_cagra_builds_and_validates(self):
+        """Rank pruning's stacked ``pairwise`` works under ``ip``."""
+        register_ip_metric()
+        from repro import GannsIndex
+        from repro.graphs import validate_graph
+
+        points = np.random.default_rng(6).normal(size=(150, 12))
+        index = GannsIndex.build(points, "cagra", metric="ip",
+                                 params=BuildParams(d_min=6, d_max=12))
+        validate_graph(index.graph, points=points, check_distances=True)
+
 
 class TestDistributedConstruction:
     from repro.core.params import BuildParams as _BP

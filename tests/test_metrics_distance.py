@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConfigurationError
+from repro.extensions.mips import register_ip_metric
 from repro.metrics.distance import (
     CosineMetric,
     EuclideanMetric,
     METRICS,
     get_metric,
 )
+
+register_ip_metric()
+
+#: Every registered metric, inner product included.
+METRIC_NAMES = ("euclidean", "cosine", "ip")
 
 finite_vectors = arrays(np.float64, (8,),
                         elements=st.floats(min_value=-100, max_value=100))
@@ -39,15 +45,6 @@ class TestEuclidean:
         points = np.array([[3.0, 4.0], [1.0, 0.0]])
         assert np.allclose(self.metric.one_to_many(query, points), [25, 1])
 
-    def test_pairwise_matches_one_to_many(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 8))
-        b = rng.normal(size=(7, 8))
-        matrix = self.metric.pairwise(a, b)
-        for i in range(5):
-            assert np.allclose(matrix[i], self.metric.one_to_many(a[i], b),
-                               atol=1e-9)
-
     def test_pairwise_never_negative(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(20, 4)) * 1e-4
@@ -70,10 +67,6 @@ class TestEuclidean:
         a = np.array([[0.0, 0.0], [1.0, 1.0]])
         b = np.array([[3.0, 4.0], [1.0, 1.0]])
         assert np.allclose(self.metric.rows_to_rows(a, b), [25, 0])
-
-    def test_rows_to_rows_shape_mismatch(self):
-        with pytest.raises(ConfigurationError, match="equal shapes"):
-            self.metric.rows_to_rows(np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_flops_positive(self):
         assert self.metric.flops_per_distance(128) == 3 * 128
@@ -119,14 +112,6 @@ class TestCosine:
         assert d.min() >= -1e-9 and d.max() <= 2.0 + 1e-9
         assert np.allclose(np.diag(d), 0.0, atol=1e-9)
 
-    def test_rows_to_rows_matches_pairwise_diagonal(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(6, 5))
-        b = rng.normal(size=(6, 5))
-        rows = self.metric.rows_to_rows(a, b)
-        full = self.metric.pairwise(a, b)
-        assert np.allclose(rows, np.diag(full))
-
 
 class TestOrderingConsistency:
     """Squared Euclidean must induce the same neighbor ranking as true L2
@@ -139,3 +124,66 @@ class TestOrderingConsistency:
         squared = EuclideanMetric().one_to_many(q, points)
         true = np.linalg.norm(points - q, axis=1)
         assert np.array_equal(np.argsort(squared), np.argsort(true))
+
+
+@pytest.mark.parametrize("name", METRIC_NAMES)
+class TestMetricContract:
+    """The contracts every registered metric's four forms keep."""
+
+    @staticmethod
+    def _rows(seed, *shape):
+        return np.random.default_rng(seed).normal(size=shape)
+
+    def test_pairwise_matches_one_to_many(self, name):
+        metric = get_metric(name)
+        a, b = self._rows(0, 5, 8), self._rows(1, 7, 8)
+        matrix = metric.pairwise(a, b)
+        for i in range(5):
+            assert np.allclose(matrix[i], metric.one_to_many(a[i], b),
+                               atol=1e-9)
+
+    def test_stacked_pairwise_equals_per_matrix_bytes(self, name):
+        metric = get_metric(name)
+        a, b = self._rows(2, 3, 5, 8), self._rows(3, 3, 6, 8)
+        stacked = metric.pairwise(a, b)
+        assert stacked.shape == (3, 5, 6)
+        for i in range(3):
+            single = metric.pairwise(a[i], b[i])
+            assert stacked[i].tobytes() == single.tobytes()
+
+    def test_runs_equal_per_run_one_to_many_bytes(self, name):
+        metric = get_metric(name)
+        counts = np.array([3, 0, 5, 1])
+        queries, points = self._rows(4, 4, 8), self._rows(5, 9, 8)
+        runs = metric.one_to_many_runs(queries, points, counts)
+        ends = np.cumsum(counts)
+        for i, count in enumerate(counts):
+            run = points[ends[i] - count:ends[i]]
+            assert runs[ends[i] - count:ends[i]].tobytes() == \
+                metric.one_to_many(queries[i], run).tobytes()
+
+    def test_rows_to_rows_matches_pairwise_diagonal(self, name):
+        metric = get_metric(name)
+        a, b = self._rows(6, 6, 5), self._rows(7, 6, 5)
+        assert np.allclose(metric.rows_to_rows(a, b),
+                           np.diag(metric.pairwise(a, b)), atol=1e-12)
+
+    def test_rows_to_rows_shape_mismatch(self, name):
+        with pytest.raises(ConfigurationError, match="equal shapes"):
+            get_metric(name).rows_to_rows(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_hooks_rebuild_the_distances(self, name):
+        """``from_products`` over prepared rows and their norms is the
+        metric's distance (the form the search engines evaluate)."""
+        metric = get_metric(name)
+        a, b = self._rows(8, 4, 6), self._rows(9, 7, 6)
+        pa, pb = metric.prepare(a), metric.prepare(b)
+        norms_a, norms_b = metric.sq_norms(pa), metric.sq_norms(pb)
+        products = pb @ pa.T  # (points, queries)
+        if norms_a is None:
+            assert norms_b is None
+            rebuilt = metric.from_products(products)
+        else:
+            rebuilt = metric.from_products(products, norms_b[:, None],
+                                           norms_a[None, :])
+        assert np.allclose(rebuilt.T, metric.pairwise(a, b), atol=1e-9)

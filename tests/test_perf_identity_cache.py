@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.synthetic import gaussian_mixture
+from repro.metrics.distance import get_metric
 from repro.perf.distance import _PREPARED_CACHE, _prepare_points
 from repro.perf.identity_cache import IdentityCache
 from repro.perf.quant import _TABLE_CACHE, quantize_points
@@ -27,7 +28,7 @@ def _corpus(seed):
 
 
 def _prepare(points):
-    return _prepare_points(points, "euclidean", F64)
+    return _prepare_points(points, get_metric("euclidean"), F64)
 
 
 def _quantize(points):
