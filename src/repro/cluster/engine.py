@@ -86,6 +86,18 @@ from repro.heal.policy import HealPolicy
 from repro.heal.source import StaticShardSource, StoreShardSource
 
 
+def _count(value, name: str, minimum: int) -> int:
+    """``value`` as a count: an integer (not a ``bool``) >= ``minimum``."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, np.integer))):
+        raise ClusterError(
+            f"{name} must be an integer, got {value!r}"
+        )
+    if value < minimum:
+        raise ClusterError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 class ClusterEngine:
     """Scatter-gather serving over a sharded, replicated GANNS index.
 
@@ -170,14 +182,11 @@ class ClusterEngine:
             points = validated_points(points)
         except ConstructionError as exc:
             raise ClusterError(str(exc)) from exc
-        if n_replicas <= 0:
-            raise ClusterError(
-                f"n_replicas must be positive, got {n_replicas}"
-            )
+        self.n_shards = _count(n_shards, "n_shards", 1)
+        self.n_replicas = _count(n_replicas, "n_replicas", 1)
+        self.cache_capacity = _count(cache_capacity, "cache_capacity", 0)
         self.points = points
         self.params = params if params is not None else SearchParams()
-        self.n_shards = int(n_shards)
-        self.n_replicas = int(n_replicas)
         self.ring = ConsistentHashRing(n_shards, n_vnodes=n_vnodes,
                                        salt=placement_salt)
         self.shard_map = ShardMap.from_ring(len(points), self.ring)
@@ -191,7 +200,6 @@ class ClusterEngine:
                 f"{self.shard_map.shard_sizes()})"
             )
         self.policy = policy
-        self.cache_capacity = int(cache_capacity)
         self.device = device
         self.costs = costs
         self.faults = faults
@@ -402,8 +410,9 @@ class _ClusterReplay:
                                               float]]]] = []
         #: Slot -> ``(sub_arrival, request position)`` routed at it.
         self.slot_subtrace: Dict[int, List[Tuple[float, int]]] = {}
-        #: Per shard: where its slots and its retry lane are searched.
-        self.lanes: List[_LaneStore] = []
+        #: Where every slot and retry lane is searched: one store over
+        #: every shard, built by :meth:`replay_slots`.
+        self.lanes: Optional[_LaneStore] = None
         #: Slot -> request position -> the replica's outcome.
         self.slot_outcomes: Dict[int, Dict[int, object]] = {}
         #: Slot -> (first arrival, last completion, requests, served).
@@ -462,12 +471,11 @@ class _ClusterReplay:
         routed: List[List[int]] = [[] for _ in range(engine.n_shards)]
         for slot, entries in self.slot_subtrace.items():
             routed[slot // engine.n_replicas] += [pos for _, pos in entries]
-        self.lanes = [
-            _LaneStore(engine.shard_graphs[shard],
-                       engine.shard_points[shard],
-                       [trace[pos].queries for pos in sorted(positions)],
-                       engine.params, costs=engine.costs)
-            for shard, positions in enumerate(routed)]
+        self.lanes = _LaneStore(
+            [(engine.shard_graphs[shard], engine.shard_points[shard],
+              [trace[pos].queries for pos in sorted(positions)])
+             for shard, positions in enumerate(routed)],
+            engine.params, costs=engine.costs)
         for slot in sorted(self.slot_subtrace):
             shard = slot // engine.n_replicas
             entries = sorted(self.slot_subtrace[slot])
@@ -479,7 +487,7 @@ class _ClusterReplay:
                     deadline_seconds=trace[pos].deadline_seconds)
                 for sub_arrival, pos in entries]
             sub_report = engine._make_engine(shard).replay(
-                sub_trace, _lanes=self.lanes[shard])
+                sub_trace, _lanes=self.lanes)
             self.slot_outcomes[slot] = {
                 o.request_id: o for o in sub_report.outcomes}
             first = entries[0][0]
@@ -625,7 +633,7 @@ class _ClusterReplay:
             engine.shard_graphs[shard], engine.shard_points[shard],
             req.queries, engine.params, batch_size=req.n_queries,
             device=engine.device, costs=engine.costs,
-            _lanes=self.lanes[shard])
+            _lanes=self.lanes)
         return ((stream.ids, stream.dists),
                 retry_at + stream.serial_seconds, failovers + 1, 0)
 

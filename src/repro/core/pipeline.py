@@ -24,7 +24,8 @@ reports — byte for byte the report a search of the batch alone returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -149,40 +150,75 @@ _MEMBERSHIP_BUDGET_BYTES = 64 << 20
 class _LaneStore:
     """Searches a replay's queries wide, answers its batches narrow.
 
-    A *lane* is one distinct query vector of the replay, numbered in
-    arrival order.  :meth:`search` is :func:`ganns_search` for a batch
-    of them: lanes it does not hold yet are searched in one wide call
-    together with the not-yet-searched lanes that follow, up to the host
-    width, and the batch's report is the lane slice
+    A *part* is one ``(graph, points)`` pair the replay searches (a
+    serving engine's index, or each shard of a cluster); a *lane* is one
+    distinct query vector of one part, numbered part by part and in
+    arrival order within a part.  :meth:`search` is :func:`ganns_search`
+    for a batch of them: lanes it does not hold yet are searched in one
+    wide call together with the not-yet-searched lanes that follow, up
+    to the host width, and the batch's report is the lane slice
     (:meth:`SearchReport.take`) — so no lane is ever traversed twice, a
     retried batch or a failover re-dispatch costs a gather, and nothing
     is searched before a batch asks.  The store lives as long as the
     replay that built it.
 
+    Several parts are one call: the search runs over their block-diagonal
+    stack (:meth:`ProximityGraph.block_diagonal`, the points concatenated)
+    with each lane entered at its part's row offset + ``entry``.  A lane
+    never leaves its block and a constant offset keeps its ``(dist, id)``
+    order, so with the offset taken off again every lane's report is its
+    part's.  Under ``params.quant`` each part is its own call: the
+    compressed tables are fitted per point matrix.
+
     Args:
-        graph, points, params, entry, costs: The search every lane is
-            answered by; a call under anything else (a degraded tier's
-            ``params``) goes straight to :func:`ganns_search`.
-        queries: The replay's query matrices in arrival order.
+        parts: Per part, its graph and points (a batch finds its part by
+            identity) and the replay's query matrices for it in arrival
+            order.
+        params, entry, costs: The search every lane is answered by; a
+            call under anything else (a degraded tier's ``params``, a
+            graph that is no part) goes straight to :func:`ganns_search`.
     """
 
-    def __init__(self, graph: ProximityGraph, points: np.ndarray,
-                 queries: Iterable[np.ndarray], params: SearchParams,
-                 entry: int = 0, costs: CostTable = DEFAULT_COSTS):
-        self.graph, self.points, self.params = graph, points, params
-        self.entry, self.costs = entry, costs
-        self._lane_of: Dict[bytes, int] = {}
+    def __init__(self,
+                 parts: Sequence[Tuple[ProximityGraph, np.ndarray,
+                                       Iterable[np.ndarray]]],
+                 params: SearchParams, entry: int = 0,
+                 costs: CostTable = DEFAULT_COSTS):
+        self.params, self.entry, self.costs = params, entry, costs
+        self._parts = [(graph, points) for graph, points, _ in parts]
+        self._lane_of: List[Dict[bytes, int]] = []
         self._queries: List[np.ndarray] = []
-        for matrix in queries:
-            for row in matrix:
-                key = row.tobytes()
-                if key not in self._lane_of:
-                    self._lane_of[key] = len(self._queries)
-                    self._queries.append(row)
+        # A request fanned out to several parts is hashed once (keyed by
+        # identity, so the matrix is held to keep its id from reuse).
+        hashed: Dict[int, Tuple[np.ndarray, List[bytes]]] = {}
+        for _, _, queries in parts:
+            lane_of: Dict[bytes, int] = {}
+            for matrix in queries:
+                if id(matrix) not in hashed:
+                    hashed[id(matrix)] = (matrix, [row.tobytes()
+                                                   for row in matrix])
+                for row, key in zip(matrix, hashed[id(matrix)][1]):
+                    if key not in lane_of:
+                        lane_of[key] = len(self._queries)
+                        self._queries.append(row)
+            self._lane_of.append(lane_of)
+        self._part = np.repeat(np.arange(len(parts)),
+                               [len(lane_of) for lane_of in self._lane_of])
+        graphs = [graph for graph, _ in self._parts]
+        if params.quant is None and len(parts) > 1:
+            self._blocks = [(ProximityGraph.block_diagonal(graphs),
+                             np.concatenate([p for _, p in self._parts]))]
+            self._block_of = np.zeros(len(parts), dtype=np.int64)
+            self._offset = np.cumsum(
+                [0] + [graph.n_vertices for graph in graphs[:-1]])
+        else:
+            self._blocks = self._parts
+            self._block_of = np.arange(len(parts))
+            self._offset = np.zeros(len(parts), dtype=np.int64)
         self._searched = np.zeros(len(self._queries), dtype=bool)
+        n_vertices = max(graph.n_vertices for graph, _ in self._blocks)
         self._width = max(1, min(
-            _HOST_WIDTH,
-            _MEMBERSHIP_BUDGET_BYTES // -(-graph.n_vertices // 8)))
+            _HOST_WIDTH, _MEMBERSHIP_BUDGET_BYTES // -(-n_vertices // 8)))
         #: Every searched lane's results, one row per lane.
         self._report: Optional[SearchReport] = None
 
@@ -193,11 +229,13 @@ class _LaneStore:
         """:func:`ganns_search` of the same arguments."""
         # The cheap identity checks first: a batch the store was not
         # built for (a degraded tier's params) hashes no row.
-        same = (graph is self.graph and points is self.points
-                and params == self.params and costs == self.costs
+        part = next((i for i, (g, p) in enumerate(self._parts)
+                     if g is graph and p is points), None)
+        same = (part is not None and params == self.params
+                and costs == self.costs
                 and np.ndim(entry) == 0 and entry == self.entry)
-        lanes = ([self._lane_of.get(row.tobytes()) for row in queries]
-                 if same else None)
+        lanes = ([self._lane_of[part].get(row.tobytes())
+                  for row in queries] if same else None)
         if lanes is None or None in lanes:
             return ganns_search(graph, points, queries, params,
                                 entry=entry, costs=costs)
@@ -211,11 +249,24 @@ class _LaneStore:
         return self._report.take(lanes)
 
     def _fill(self, lanes: np.ndarray) -> None:
-        """One wide search of ``lanes``, scattered into the report."""
-        wide = ganns_search(
-            self.graph, self.points,
-            np.stack([self._queries[lane] for lane in lanes]),
-            self.params, entry=self.entry, costs=self.costs)
+        """One wide search of ``lanes`` per block they touch, scattered
+        into the report with part-local ids."""
+        parts = self._part[lanes]
+        blocks = self._block_of[parts]
+        for block in np.unique(blocks):
+            mine = blocks == block
+            graph, points = self._blocks[block]
+            offset = self._offset[parts[mine]]
+            wide = ganns_search(
+                graph, points,
+                np.stack([self._queries[lane] for lane in lanes[mine]]),
+                self.params, entry=self.entry + offset, costs=self.costs)
+            wide.ids[...] = np.where(wide.ids >= 0,
+                                     wide.ids - offset[:, None], wide.ids)
+            self._scatter(lanes[mine], wide)
+
+    def _scatter(self, lanes: np.ndarray, wide: SearchReport) -> None:
+        """Hold the report of ``lanes``, one row per lane."""
         if self._report is None:
             n = len(self._queries)
             self._report = replace(

@@ -239,6 +239,35 @@ class ProximityGraph:
         graph.degrees = degrees
         return graph
 
+    @classmethod
+    def block_diagonal(cls, parts: Sequence["ProximityGraph"]
+                       ) -> "ProximityGraph":
+        """Disjoint ``parts`` as one graph, each a block in order.
+
+        Part ``i``'s vertex ``v`` becomes vertex ``offset_i + v``, where
+        ``offset_i`` is the vertex count of the parts before it; pads
+        stay ``-1``.  No edge crosses a block, so a search entered in
+        one block walks exactly its part's graph, shifted.
+
+        Raises:
+            GraphError: When the parts differ in ``d_max``, metric or
+                distance dtype.
+        """
+        shapes = {(g.d_max, g.metric_name, g.dtype.name) for g in parts}
+        if len(shapes) != 1:
+            raise GraphError(
+                f"stacked graphs must share d_max, metric and distance "
+                f"dtype, got {sorted(shapes)}"
+            )
+        offsets = np.cumsum([0] + [g.n_vertices for g in parts[:-1]])
+        ids = np.concatenate([
+            np.where(g.neighbor_ids >= 0, g.neighbor_ids + offset, PAD_ID)
+            for g, offset in zip(parts, offsets)])
+        return cls.from_arrays(
+            ids, np.concatenate([g.neighbor_dists for g in parts]),
+            np.concatenate([g.degrees for g in parts]),
+            parts[0].metric_name)
+
     def edge_set(self) -> set:
         """All directed edges as a set of (src, dst) tuples."""
         edges = set()

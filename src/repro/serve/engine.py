@@ -229,8 +229,8 @@ class ServeEngine:
                 views that reconcile with it exactly
                 (:meth:`ServeReport.verify_against_metrics`).
             _lanes: Package-internal: a lane store to dispatch through
-                in place of this replay's own (a cluster shard's,
-                shared by its replica slots).
+                in place of this replay's own (a cluster replay's,
+                shared by every shard's replica slots).
 
         Returns:
             A :class:`ServeReport` holding every request's outcome and,
@@ -248,9 +248,9 @@ class ServeEngine:
         validate_trace(trace, self.points)
         registry = metrics if metrics is not None else MetricsRegistry()
         if _lanes is None:
-            _lanes = _LaneStore(self.graph, self.points,
-                                [req.queries for req in trace],
-                                self.params, self.entry, self.costs)
+            _lanes = _LaneStore(
+                [(self.graph, self.points, [req.queries for req in trace])],
+                self.params, self.entry, self.costs)
         run = _Replay(self, trace, tracer, registry, _lanes)
         for req in trace:
             run.admit(req)

@@ -65,10 +65,13 @@ class QueryRequest:
                 f"{np.asarray(self.queries).shape}"
             )
         object.__setattr__(self, "queries", queries)
-        if self.arrival_seconds < 0:
+        # NaN passes a ``< 0`` test, and a non-finite arrival only
+        # surfaces after the search, in the latency histogram.
+        if not (math.isfinite(self.arrival_seconds)
+                and self.arrival_seconds >= 0):
             raise ServeError(
                 f"request {self.request_id}: arrival_seconds must be "
-                f">= 0, got {self.arrival_seconds}"
+                f"finite and >= 0, got {self.arrival_seconds}"
             )
         if self.deadline_seconds is not None:
             check_deadline(self.deadline_seconds,

@@ -7,6 +7,8 @@ reconciliation, and the per-shard ground-truth helper's small-shard
 denominator fix.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.cluster import (
     merge_topk,
 )
 from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.core import pipeline
 from repro.core.params import SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
@@ -266,6 +269,24 @@ class TestClusterReplay:
             cluster.replay(trace, tracer=tracer)
         assert len(tracer.spans) == 0
 
+    @pytest.mark.parametrize("topology, message", [
+        ({"n_shards": 2.5}, "n_shards must be an integer, got 2.5"),
+        ({"n_replicas": 1.7}, "n_replicas must be an integer, got 1.7"),
+        ({"n_shards": True}, "n_shards must be an integer, got True"),
+        ({"n_replicas": True}, "n_replicas must be an integer, got True"),
+        ({"n_replicas": 0}, "n_replicas must be >= 1, got 0"),
+        ({"cache_capacity": -1}, "cache_capacity must be >= 0, got -1"),
+        ({"cache_capacity": 8.5},
+         "cache_capacity must be an integer, got 8.5"),
+    ])
+    def test_topology_is_never_truncated(self, corpus, topology, message):
+        """A count that is not an integer (or a bool standing in for
+        one) is refused, not truncated; a negative cache is refused
+        rather than run as no cache."""
+        kwargs = {"n_shards": 2, "n_replicas": 1, **topology}
+        with pytest.raises(ClusterError, match=re.escape(message)):
+            ClusterEngine(corpus, params=PARAMS, **kwargs)
+
     def test_undersized_shards_rejected_at_construction(self):
         tiny = gaussian_mixture(20, 8, seed=3)
         with pytest.raises(ClusterError):
@@ -286,9 +307,10 @@ class TestClusterReplay:
 
 
 class TestWideSearches:
-    """One lane store per shard, shared by the shard's replica slots,
-    their fatal-fault re-dispatches and the sibling retry lane: under
-    chaos every (shard, query) is traversed at most once per replay."""
+    """One lane store per replay over every shard, shared by the replica
+    slots, their fatal-fault re-dispatches and the sibling retry lane:
+    under chaos every (shard, query) is traversed at most once per
+    replay, all shards in one call."""
 
     @staticmethod
     def _chaos(corpus, pool, plan_name, seed):
@@ -305,8 +327,18 @@ class TestWideSearches:
     @pytest.mark.parametrize("plan_name, seed", [("replica-loss", 5),
                                                  ("aggressive", 0)])
     def test_each_shard_traverses_each_query_once(
-            self, corpus, pool, traversed, searched_rows, plan_name,
-            seed):
+            self, corpus, pool, monkeypatch, plan_name, seed):
+        calls = []
+        real = pipeline.ganns_search
+
+        def recording(graph, points, queries, *args, entry, **kwargs):
+            entries = np.broadcast_to(entry, len(queries)).tolist()
+            calls.append([(int(first), row.tobytes())
+                          for first, row in zip(entries, queries)])
+            return real(graph, points, queries, *args, entry=entry,
+                        **kwargs)
+
+        monkeypatch.setattr(pipeline, "ganns_search", recording)
         engine, trace = self._chaos(corpus, pool, plan_name, seed)
         tracer = SpanTracer()
         report = engine.replay(trace, tracer=tracer)
@@ -319,14 +351,13 @@ class TestWideSearches:
         # the request down the sibling retry lane.
         assert report.n_failovers > 0
         assert ("retry" in stages) == (plan_name == "aggressive")
-        distinct = len({row.tobytes() for req in trace
-                        for row in req.queries})
-        for graph in engine.shard_graphs:
-            lanes = sum(n for g, n in traversed if g is graph)
-            assert 0 < lanes <= distinct
-        # One wide call per shard, and no row in two of them.
-        assert len(searched_rows) == engine.n_shards
-        assert all(len(call) == len(set(call)) for call in searched_rows)
+        # One wide call over the stacked shard graphs; a lane's entry
+        # is its shard's first row in the stack, so (entry, row) names
+        # a (shard, query) and none is searched twice.
+        (call,) = calls
+        assert len(call) == len(set(call))
+        starts = np.cumsum([0, *engine.shard_map.shard_sizes()[:-1]])
+        assert {first for first, _ in call} == set(starts.tolist())
 
     def test_the_stores_die_with_their_replay(self, corpus, pool,
                                               traversed):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core import pipeline
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
@@ -149,7 +150,7 @@ class TestLaneStore:
         # The store may be built over more than is ever dispatched.
         upcoming = batches + [small_queries.astype(dtype)[:3]]
         with mock.patch.object(pipeline, "_HOST_WIDTH", width):
-            store = _LaneStore(small_graph, points, upcoming, params,
+            store = _LaneStore([(small_graph, points, upcoming)], params,
                                entry=entry)
         order = data.draw(st.permutations(range(len(batches))))
         for index in order:
@@ -163,8 +164,8 @@ class TestLaneStore:
             self, small_graph, small_points, small_queries, params,
             searched_rows):
         with mock.patch.object(pipeline, "_HOST_WIDTH", 16):
-            store = _LaneStore(small_graph, small_points,
-                               [small_queries], params)
+            store = _LaneStore([(small_graph, small_points,
+                                 [small_queries])], params)
         assert searched_rows == []
         for start in (0, 4, 8, 30, 12, 0):
             stream_batches(small_graph, small_points,
@@ -180,8 +181,8 @@ class TestLaneStore:
             self, small_graph, small_points, small_queries, params,
             searched_rows):
         with mock.patch.object(pipeline, "_HOST_WIDTH", 4):
-            store = _LaneStore(small_graph, small_points,
-                               [small_queries], params)
+            store = _LaneStore([(small_graph, small_points,
+                                 [small_queries])], params)
         streamed = stream_batches(small_graph, small_points,
                                   small_queries[:20], params,
                                   batch_size=20, _lanes=store)
@@ -196,8 +197,8 @@ class TestLaneStore:
         per_query = -(-small_graph.n_vertices // 8)
         with mock.patch.object(pipeline, "_MEMBERSHIP_BUDGET_BYTES",
                                3 * per_query + 1):
-            store = _LaneStore(small_graph, small_points,
-                               [small_queries], params)
+            store = _LaneStore([(small_graph, small_points,
+                                 [small_queries])], params)
         stream_batches(small_graph, small_points, small_queries[:1],
                        params, _lanes=store)
         assert [len(call) for call in searched_rows] == [3]
@@ -207,8 +208,8 @@ class TestLaneStore:
     def test_a_call_the_store_was_not_built_for_goes_direct(
             self, small_graph, small_points, small_queries, params,
             searched_rows, change):
-        store = _LaneStore(small_graph, small_points,
-                           [small_queries[:20]], params)
+        store = _LaneStore([(small_graph, small_points,
+                             [small_queries[:20]])], params)
         points, batch, entry = small_points, small_queries[:4], 0
         if change == "params":
             params = SearchParams(k=5, l_n=16)
@@ -224,3 +225,72 @@ class TestLaneStore:
         assert_same_report(got.reports[0],
                            ganns_search(small_graph, points, batch,
                                         params, entry=entry))
+
+
+def _nsw_part(rng, n, dtype, metric):
+    points = rng.normal(size=(n, 12)).astype(dtype)
+    return build_nsw_cpu(points, d_min=4, d_max=8, metric=metric).graph, \
+        points
+
+
+class TestManyParts:
+    """A store over several graphs searches them as one block-diagonal
+    graph, and every batch still gets exactly the report a search of
+    its own part returns."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_batch_equals_its_own_parts_search(self, data):
+        n_parts = data.draw(st.integers(1, 5))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        metric = data.draw(st.sampled_from(["euclidean", "cosine"]))
+        quant = data.draw(st.sampled_from([None, None, "int8", "fp16",
+                                           "pca"]))
+        width = data.draw(st.integers(1, 48))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        params = SearchParams(k=4, l_n=16, quant=quant)
+        # Part sizes from below l_n upward.
+        parts = [_nsw_part(rng, data.draw(st.integers(8, 48)), dtype,
+                           metric) for _ in range(n_parts)]
+        entry = data.draw(st.integers(0, 7))
+        # One query pool for every part: rows repeat within a part and
+        # across parts.
+        pool = rng.normal(size=(10, 12)).astype(dtype)
+        batches, upcoming = [], []
+        for part, (graph, points) in enumerate(parts):
+            rows = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                      min_size=1, max_size=12))
+            cuts = sorted(set(data.draw(st.lists(
+                st.integers(1, len(rows)), max_size=4))) | {len(rows)})
+            mine = [pool[rows[lo:hi]]
+                    for lo, hi in zip([0] + cuts[:-1], cuts)]
+            batches += [(part, batch) for batch in mine]
+            upcoming.append((graph, points, mine))
+        with mock.patch.object(pipeline, "_HOST_WIDTH", width):
+            store = _LaneStore(upcoming, params, entry=entry)
+        for index in data.draw(st.permutations(range(len(batches)))):
+            part, batch = batches[index]
+            graph, points = parts[part]
+            got = store.search(graph, points, batch, params, entry=entry,
+                               costs=store.costs)
+            assert_same_report(got, ganns_search(graph, points, batch,
+                                                 params, entry=entry))
+
+    @pytest.mark.parametrize("quant", [None, "int8"])
+    def test_one_call_over_every_part_unless_quantized(
+            self, small_graph, small_points, small_queries, searched_rows,
+            quant):
+        params = SearchParams(k=5, l_n=32, quant=quant)
+        other = (small_graph.copy(), small_points.copy())
+        store = _LaneStore([(small_graph, small_points, [small_queries]),
+                            (*other, [small_queries[:10]])], params)
+        for graph, points in ((small_graph, small_points), other):
+            got = stream_batches(graph, points, small_queries[:4], params,
+                                 _lanes=store)
+            assert_same_report(got.reports[0],
+                               ganns_search(graph, points,
+                                            small_queries[:4], params))
+        # The same four rows, once per part: 50 lanes in one call over
+        # the stack, or one call per part when the tables are per part.
+        expected = [50] if quant is None else [40, 10]
+        assert [len(call) for call in searched_rows] == expected

@@ -51,3 +51,24 @@ def test_valid_deadlines_still_construct(small_graph, small_points):
     req = QueryRequest(0, np.zeros(4), 2.0, deadline_seconds=0.5)
     assert req.deadline_or(1e-3) == 0.5
     assert QueryRequest(1, np.zeros(4), 2.0).deadline_or(1e-3) == 1e-3
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"),
+                                     float("-inf")])
+@pytest.mark.parametrize("engine", ["serve", "cluster"])
+def test_non_finite_arrival_never_reaches_a_replay(
+        small_graph, small_points, small_queries, searched_rows, seconds,
+        engine):
+    """Regression: NaN and +inf arrivals used to pass ``< 0``, and the
+    replay died after searching, in the latency histogram, naming no
+    request."""
+    if engine == "serve":
+        replay = ServeEngine(small_graph, small_points).replay
+    else:
+        replay = ClusterEngine(small_points, n_shards=2, n_replicas=1,
+                               params=SearchParams(k=5, l_n=32)).replay
+    with pytest.raises(ServeError, match=(
+            r"request 7: arrival_seconds must be finite and >= 0")):
+        replay([QueryRequest(0, small_queries[:2], 0.0),
+                QueryRequest(7, small_queries[2:4], seconds)])
+    assert searched_rows == []

@@ -180,6 +180,14 @@ class TestOneDoorToTheTraversal:
         assert {"serve/engine.py", "cluster/engine.py"} \
             <= self._callers("stream_batches")
 
+    def test_a_cluster_replay_builds_one_store(self):
+        """One store over every shard, so one traversal per round."""
+        tree = ast.parse(_read("src/repro/cluster/engine.py"))
+        built = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", "") == "_LaneStore"]
+        assert len(built) == 1
+
     def test_package_surface_is_unchanged(self):
         import repro
         assert len(repro.__all__) == 77

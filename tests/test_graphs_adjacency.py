@@ -188,6 +188,24 @@ class TestAccessors:
                                            g.neighbor_dists)
         assert rebuilt.edge_set() == g.edge_set()
 
+    def test_block_diagonal_shifts_each_part_by_its_offset(self):
+        a, b = ProximityGraph(3, 2), ProximityGraph(4, 2)
+        a.set_row(0, [1, 2], [0.1, 0.2])
+        b.set_row(3, [0], [0.5])
+        stacked = ProximityGraph.block_diagonal([a, b])
+        assert stacked.n_vertices == 7 and stacked.d_max == 2
+        assert stacked.edge_set() == {(0, 1), (0, 2), (6, 3)}
+        assert stacked.neighbor_ids[6].tolist() == [3, PAD_ID]
+        assert stacked.degrees.tolist() == [2, 0, 0, 0, 0, 0, 1]
+        assert stacked.neighbor_dists[6, 0] == 0.5
+
+    @pytest.mark.parametrize("other", [
+        ProximityGraph(3, 4), ProximityGraph(3, 2, "cosine"),
+        ProximityGraph(3, 2, dtype=np.float32)])
+    def test_block_diagonal_refuses_parts_that_differ(self, other):
+        with pytest.raises(GraphError, match="must share d_max"):
+            ProximityGraph.block_diagonal([ProximityGraph(3, 2), other])
+
 
 class TestHierarchicalGraph:
     def _layers(self, n=10, d_max=4, sizes=(10, 4, 1)):
