@@ -12,7 +12,7 @@
   construction baselines (Tables II/III).
 """
 
-from repro.baselines.beam import BeamSearchResult, beam_search, beam_search_batch
+from repro.baselines.beam import BeamSearchResult, beam_search
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.baselines.hnsw_cpu import build_hnsw_cpu
 from repro.baselines.song import song_search, SongParams
@@ -21,7 +21,6 @@ from repro.baselines.cpu_cost import CpuModel, DEFAULT_CPU
 __all__ = [
     "BeamSearchResult",
     "beam_search",
-    "beam_search_batch",
     "build_nsw_cpu",
     "build_hnsw_cpu",
     "song_search",

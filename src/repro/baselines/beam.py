@@ -448,20 +448,3 @@ def _repack(cand_d, cand_i, worst, dropped, counts, ef, room):
         cand_d = np.pad(cand_d, extra, constant_values=np.inf)
         cand_i = np.pad(cand_i, extra, constant_values=-1)
     return cand_d, cand_i, fill
-
-
-def beam_search_batch(graph: ProximityGraph, points: np.ndarray,
-                      queries: np.ndarray, k: int, ef: Optional[int] = None,
-                      entry: Union[int, np.ndarray] = 0,
-                      metric: Optional[Metric] = None) -> np.ndarray:
-    """Beam-search many queries; returns ``(n_queries, k)`` ids.
-
-    ``entry`` is one start vertex or one per query.  Rows whose search
-    returns fewer than ``k`` reachable vertices are padded with ``-1``.
-    """
-    # Deferred: the core imports this module while it initialises.
-    from repro.core.ganns import check_queries
-    points, queries = np.asarray(points), np.asarray(queries)
-    entries = check_queries(points, queries, graph, entry)
-    return beam_search_lanes(graph, points, queries, k, ef, entries,
-                             metric).ids

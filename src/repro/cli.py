@@ -163,15 +163,15 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _serve_fixture(args: argparse.Namespace):
     """Dataset, graph, params, policy, cache, trace shared by the
     serving commands."""
-    from repro.baselines.nsw_cpu import build_nsw_cpu
+    from repro.core.backend import get_backend
     from repro.core.params import SearchParams
     from repro.datasets.catalog import load_dataset
     from repro.serve import BatchPolicy, ResultCache, synthetic_trace
 
     dataset = load_dataset(args.dataset, n_points=args.points,
                            n_queries=args.queries)
-    graph = build_nsw_cpu(dataset.points, d_min=args.d_min,
-                          d_max=args.d_max).graph
+    graph = get_backend("nsw").serving_graph(
+        dataset.points, d_min=args.d_min, d_max=args.d_max)
     params = SearchParams(k=args.k, l_n=args.l_n, e=args.e)
     policy = BatchPolicy(max_batch=args.max_batch,
                          max_wait_seconds=args.max_wait_ms * 1e-3,

@@ -6,8 +6,9 @@ construction-time helper to a *query-path* topology — the ROADMAP's
 demonstrates for multi-GPU graph ANN:
 
 1. **Placement** — a consistent-hash ring assigns every corpus point to
-   one of ``n_shards`` disjoint shards; each shard gets its own NSW
-   graph (:mod:`repro.cluster.placement`).
+   one of ``n_shards`` disjoint shards; each shard gets its own graph,
+   built by its family's own build (:mod:`repro.cluster.placement`,
+   :meth:`repro.core.backend.IndexBackend.serving_graph`).
 2. **Replication** — each shard runs ``n_replicas`` interchangeable
    :class:`~repro.serve.engine.ServeEngine` instances over identical
    shard data, all on the shared simulated clock.
@@ -47,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.construction import validated_points
-from repro.core.params import SearchParams
+from repro.core.params import SearchParams, as_count
 from repro.core.pipeline import _LaneStore, stream_batches
 from repro.errors import ClusterError, ConstructionError
 from repro.extensions.distributed import NetworkModel, _EDGE_BYTES
@@ -86,18 +87,6 @@ from repro.heal.policy import HealPolicy
 from repro.heal.source import StaticShardSource, StoreShardSource
 
 
-def _count(value, name: str, minimum: int) -> int:
-    """``value`` as a count: an integer (not a ``bool``) >= ``minimum``."""
-    if (isinstance(value, (bool, np.bool_))
-            or not isinstance(value, (int, np.integer))):
-        raise ClusterError(
-            f"{name} must be an integer, got {value!r}"
-        )
-    if value < minimum:
-        raise ClusterError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
 class ClusterEngine:
     """Scatter-gather serving over a sharded, replicated GANNS index.
 
@@ -107,8 +96,13 @@ class ClusterEngine:
         n_shards: Index shard count.
         n_replicas: Serving replicas per shard.
         params: Search parameters every shard serves with.
-        d_min: NSW degree lower bound for the per-shard graph builds.
-        d_max: NSW degree upper bound.
+        d_min: Degree lower bound of every shard graph.
+        d_max: Degree upper bound (and ``knn_k``) of every shard graph.
+            Each shard graph is ``family``'s own build at
+            ``BuildParams(d_min, d_max, n_blocks=SERVING_N_BLOCKS)``
+            (:meth:`repro.core.backend.IndexBackend.serving_graph`), so
+            invalid degrees raise its
+            :class:`~repro.errors.ConfigurationError`.
         metric: Distance metric name.
         policy: Micro-batching policy of every shard replica.
         cache_capacity: Per-replica result-cache entries (0 disables).
@@ -182,9 +176,11 @@ class ClusterEngine:
             points = validated_points(points)
         except ConstructionError as exc:
             raise ClusterError(str(exc)) from exc
-        self.n_shards = _count(n_shards, "n_shards", 1)
-        self.n_replicas = _count(n_replicas, "n_replicas", 1)
-        self.cache_capacity = _count(cache_capacity, "cache_capacity", 0)
+        self.n_shards = as_count(n_shards, "n_shards", 1, ClusterError)
+        self.n_replicas = as_count(n_replicas, "n_replicas", 1,
+                                   ClusterError)
+        self.cache_capacity = as_count(cache_capacity, "cache_capacity", 0,
+                                       ClusterError)
         self.points = points
         self.params = params if params is not None else SearchParams()
         self.ring = ConsistentHashRing(n_shards, n_vnodes=n_vnodes,

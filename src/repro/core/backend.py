@@ -11,7 +11,8 @@ family-specific:
   index format (flat vs hierarchical layouts);
 - **cost-model hooks**: search cycles, construction cycles and memory
   bytes, so the bake-off harness compares families apples-to-apples;
-- **serving_graph**: the flat graph the cluster layer shards over;
+- **serving_graph**: the flat graph the cluster layer shards over — one
+  rule, the family's own build, not a per-family hook;
 - **conformance_profile**: the thresholds the shared conformance suite
   (``tests/test_backend_conformance.py``) holds the family to.
 
@@ -49,6 +50,14 @@ from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 
 STRATEGIES = ("ggraphcon", "naive-parallel", "serial")
+
+#: GGraphCon groups of every served graph.  On the ``cluster_replay``
+#: corpus (4 shards of ~1,000 points, seeds 100-109) 100 groups raise
+#: the median recall@10 from 0.962 (one group, GraphCon_NSW) to 0.967
+#: and win on every seed; 50 groups read 0.88-0.90 and 200 read
+#: 0.95-0.96.  Up to 100 points this is one point per group, where the
+#: GGraphCon merge is sequential insertion.
+SERVING_N_BLOCKS = 100
 
 
 @dataclass(frozen=True)
@@ -125,11 +134,21 @@ class IndexBackend(abc.ABC):
 
     def serving_graph(self, points: np.ndarray, d_min: int, d_max: int,
                       metric: str = "euclidean") -> ProximityGraph:
-        """A flat graph for the cluster layer's per-shard serving path."""
-        raise UnsupportedOperationError(
-            f"index family {self.family!r} has no flat serving graph; "
-            f"shard the cluster over a flat family instead"
-        )
+        """The flat graph a shard serves: this family's own :meth:`build`.
+
+        One rule for every family — ``BuildParams(d_min, d_max,
+        n_blocks=SERVING_N_BLOCKS)``, ``knn_k=d_max`` — so a shard is
+        built exactly like a whole index.  Hierarchical families have no
+        flat graph to serve.
+        """
+        if self.hierarchical:
+            raise UnsupportedOperationError(
+                f"index family {self.family!r} has no flat serving graph; "
+                f"shard the cluster over a flat family instead"
+            )
+        params = BuildParams(d_min=d_min, d_max=d_max,
+                             n_blocks=SERVING_N_BLOCKS)
+        return self.build(points, params, metric, knn_k=d_max).graph
 
     # ------------------------------------------------------------------
     # Persistence (the family's slice of the .npz index format)
@@ -236,12 +255,6 @@ class NswBackend(IndexBackend):
             f"unknown strategy {strategy!r}; valid: {STRATEGIES}"
         )
 
-    def serving_graph(self, points: np.ndarray, d_min: int, d_max: int,
-                      metric: str = "euclidean") -> ProximityGraph:
-        from repro.baselines.nsw_cpu import build_nsw_cpu
-        return build_nsw_cpu(points, d_min=d_min, d_max=d_max,
-                             metric=metric).graph
-
     def conformance_profile(self) -> ConformanceProfile:
         return ConformanceProfile(recall_floor=0.9, reachable_floor=0.98)
 
@@ -313,11 +326,6 @@ class KnnBackend(IndexBackend):
         return build_knn_graph_gpu(points, knn_k, params, metric=metric,
                                    **kwargs)
 
-    def serving_graph(self, points: np.ndarray, d_min: int, d_max: int,
-                      metric: str = "euclidean") -> ProximityGraph:
-        return build_knn_graph_gpu(points, d_max, BuildParams(seed=0),
-                                   metric=metric).graph
-
     def conformance_profile(self) -> ConformanceProfile:
         # A pure KNN digraph may be disconnected; hold it to honest but
         # lower floors and skip the exact-at-saturation contract.  Its
@@ -341,13 +349,6 @@ class CagraBackend(IndexBackend):
         # strategy / search_kernel do not apply: the graph is derived
         # from a KNN initialisation, never grown by insertion searches.
         return build_cagra_gpu(points, params, metric=metric, **kwargs)
-
-    def serving_graph(self, points: np.ndarray, d_min: int, d_max: int,
-                      metric: str = "euclidean") -> ProximityGraph:
-        return build_cagra_gpu(
-            points, BuildParams(d_min=min(d_min, d_max), d_max=d_max,
-                                seed=0),
-            metric=metric).graph
 
     def conformance_profile(self) -> ConformanceProfile:
         return ConformanceProfile(recall_floor=0.9, reachable_floor=0.98)

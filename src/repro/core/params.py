@@ -6,11 +6,28 @@ with one clear message instead of deep inside a kernel loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Type
 
-from repro.errors import ConfigurationError
+import numpy as np
+
+from repro.errors import ConfigurationError, ReproError
 from repro.gpusim.sorting import is_pow2, next_pow2
+
+
+def as_count(value, name: str, minimum: Optional[int] = None,
+             error: Type[ReproError] = ConfigurationError) -> int:
+    """``value`` as an integer (``np.integer`` too, never a ``bool``).
+
+    Raises ``error`` naming the field when ``value`` is not an integer
+    or lies below ``minimum`` (when one is given).
+    """
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, np.integer))):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -46,10 +63,9 @@ class SearchParams:
     rerank_factor: int = 2
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ConfigurationError(f"k must be positive, got {self.k}")
-        if self.l_n <= 0:
-            raise ConfigurationError(f"l_n must be positive, got {self.l_n}")
+        as_count(self.k, "k", 1)
+        as_count(self.l_n, "l_n", 1)
+        as_count(self.n_threads, "n_threads", 1)
         if not is_pow2(self.l_n):
             raise ConfigurationError(
                 f"l_n must be a power of two (the paper's GPU memory "
@@ -60,14 +76,9 @@ class SearchParams:
             raise ConfigurationError(
                 f"k ({self.k}) cannot exceed l_n ({self.l_n})"
             )
-        if self.e is not None:
-            if not 1 <= self.e <= self.l_n:
-                raise ConfigurationError(
-                    f"e must lie in [1, l_n={self.l_n}], got {self.e}"
-                )
-        if self.n_threads <= 0:
+        if self.e is not None and not 1 <= as_count(self.e, "e") <= self.l_n:
             raise ConfigurationError(
-                f"n_threads must be positive, got {self.n_threads}"
+                f"e must lie in [1, l_n={self.l_n}], got {self.e}"
             )
         if self.quant is not None:
             from repro.perf.quant import QUANT_MODES
@@ -76,7 +87,8 @@ class SearchParams:
                     f"unknown quantization mode {self.quant!r}; valid: "
                     f"{QUANT_MODES} (None is the exact search)"
                 )
-        if self.rerank_factor < 1 or not is_pow2(self.rerank_factor):
+        if (as_count(self.rerank_factor, "rerank_factor") < 1
+                or not is_pow2(self.rerank_factor)):
             raise ConfigurationError(
                 f"rerank_factor must be a positive power of two (the "
                 f"staged pool stays bitonic-friendly), got "
@@ -139,29 +151,22 @@ class BuildParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d_min <= 0 or self.d_max <= 0:
-            raise ConfigurationError(
-                f"d_min and d_max must be positive, got {self.d_min}, "
-                f"{self.d_max}"
-            )
+        for name in ("d_min", "d_max", "n_blocks", "n_threads"):
+            as_count(getattr(self, name), name, 1)
+        as_count(self.seed, "seed", 0)
         if self.d_min > self.d_max:
             raise ConfigurationError(
                 f"d_min ({self.d_min}) cannot exceed d_max ({self.d_max})"
             )
-        if self.n_blocks <= 0:
-            raise ConfigurationError(
-                f"n_blocks must be positive, got {self.n_blocks}"
-            )
-        if self.n_threads <= 0:
-            raise ConfigurationError(
-                f"n_threads must be positive, got {self.n_threads}"
-            )
-        if self.ef_construction is not None and self.ef_construction < self.d_min:
+        if (self.ef_construction is not None
+                and as_count(self.ef_construction,
+                             "ef_construction") < self.d_min):
             raise ConfigurationError(
                 f"ef_construction ({self.ef_construction}) must be >= "
                 f"d_min ({self.d_min})"
             )
-        if self.search_l_n is not None and not is_pow2(self.search_l_n):
+        if (self.search_l_n is not None
+                and not is_pow2(as_count(self.search_l_n, "search_l_n"))):
             raise ConfigurationError(
                 f"search_l_n must be a power of two, got {self.search_l_n}"
             )

@@ -11,9 +11,10 @@ from repro.baselines import beam
 from repro.baselines.beam import (
     _LOCKSTEP_MIN_LANES,
     beam_search,
-    beam_search_batch,
     beam_search_lanes,
 )
+from repro.core.ganns import check_queries
+from repro.core.index import GannsIndex
 from repro.datasets.ground_truth import exact_knn
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
@@ -110,23 +111,23 @@ class TestValidation:
 class TestBatch:
     def test_batch_shape_and_padding(self):
         g, points = _line_graph()
-        ids = beam_search_batch(g, points, points[:3], k=4, ef=8)
+        ids = beam_search_lanes(g, points, points[:3], k=4, ef=8).ids
         assert ids.shape == (3, 4)
         assert (ids >= 0).all()
 
     def test_batch_matches_single(self, small_graph, small_points,
                                   small_queries):
-        batch = beam_search_batch(small_graph, small_points,
-                                  small_queries[:5], k=5, ef=16)
+        batch = beam_search_lanes(small_graph, small_points,
+                                  small_queries[:5], k=5, ef=16).ids
         for row in range(5):
             single = beam_search(small_graph, small_points,
                                  small_queries[row], k=5, ef=16)
             assert np.array_equal(batch[row], single.ids)
 
     def test_batch_rejects_1d_queries(self, small_graph, small_points):
+        index = GannsIndex(small_points, small_graph, "nsw", "euclidean")
         with pytest.raises(SearchError, match="2-D"):
-            beam_search_batch(small_graph, small_points, small_points[0],
-                              k=2)
+            index.search(small_points[0], k=2, algorithm="beam")
 
     def test_unreachable_vertices_padded(self):
         # Two disconnected pairs; searching from entry 0 reaches only 2.
@@ -136,7 +137,8 @@ class TestBatch:
         g.insert_edge(1, 0, 1.0)
         g.insert_edge(2, 3, 1.0)
         g.insert_edge(3, 2, 1.0)
-        ids = beam_search_batch(g, points, np.array([[0.2]]), k=4, ef=8)
+        ids = beam_search_lanes(g, points, np.array([[0.2]]), k=4,
+                                ef=8).ids
         assert set(ids[0][ids[0] >= 0].tolist()) == {0, 1}
         assert (ids[0][2:] == -1).all()
 
@@ -145,9 +147,9 @@ class TestBatchEntries:
     def test_per_query_entries(self, small_graph, small_points,
                                small_queries):
         entries = np.arange(5) * 7
-        batch = beam_search_batch(small_graph, small_points,
+        batch = beam_search_lanes(small_graph, small_points,
                                   small_queries[:5], k=5, ef=16,
-                                  entry=entries)
+                                  entries=entries).ids
         for row in range(5):
             single = beam_search(small_graph, small_points,
                                  small_queries[row], k=5, ef=16,
@@ -156,9 +158,11 @@ class TestBatchEntries:
 
     def test_entry_shape_checked(self, small_graph, small_points,
                                  small_queries):
+        # Callers of beam_search_lanes pass per-lane entries through
+        # the one query check every search entry point runs.
         with pytest.raises(SearchError, match="one vertex per query"):
-            beam_search_batch(small_graph, small_points, small_queries[:5],
-                              k=5, entry=np.zeros(4, dtype=np.int64))
+            check_queries(small_points, small_queries[:5], small_graph,
+                          np.zeros(4, dtype=np.int64))
 
 
 @st.composite

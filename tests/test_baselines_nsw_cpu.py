@@ -128,7 +128,7 @@ class TestQuality:
                                                    small_queries):
         """A graph built with a wider construction beam supports equal or
         better search recall (the ef_construction knob works)."""
-        from repro.baselines.beam import beam_search_batch
+        from repro.baselines.beam import beam_search_lanes
         from repro.datasets.ground_truth import exact_knn
         from repro.metrics.recall import recall_at_k
 
@@ -136,10 +136,10 @@ class TestQuality:
         gt = exact_knn(points, small_queries, 10)
         lo = build_nsw_cpu(points, 4, 8, ef_construction=4).graph
         hi = build_nsw_cpu(points, 4, 8, ef_construction=32).graph
-        r_lo = recall_at_k(beam_search_batch(lo, points, small_queries,
-                                             10, ef=32), gt)
-        r_hi = recall_at_k(beam_search_batch(hi, points, small_queries,
-                                             10, ef=32), gt)
+        r_lo = recall_at_k(beam_search_lanes(lo, points, small_queries,
+                                             10, ef=32).ids, gt)
+        r_hi = recall_at_k(beam_search_lanes(hi, points, small_queries,
+                                             10, ef=32).ids, gt)
         assert r_hi >= r_lo - 0.02
 
 

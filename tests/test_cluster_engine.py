@@ -22,8 +22,8 @@ from repro.cluster import (
     hash64,
     merge_topk,
 )
-from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core import pipeline
+from repro.core.backend import get_backend
 from repro.core.params import SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
@@ -202,7 +202,9 @@ class TestClusterReplay:
         single = ClusterEngine(corpus, n_shards=1, n_replicas=1,
                                params=PARAMS)
         creport = single.replay(trace)
-        graph = build_nsw_cpu(corpus, d_min=8, d_max=16).graph
+        # The one serving-graph rule: the shard graph is the family's own
+        # build, so a one-shard cluster serves exactly this graph.
+        graph = get_backend("nsw").serving_graph(corpus, 8, 16)
         sreport = ServeEngine(graph, corpus, PARAMS).replay(trace)
         for cout, sout in zip(creport.outcomes, sreport.outcomes):
             # Normalize the engine's rows to the merge's (dist, id)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines.beam import beam_search_batch
+from repro.baselines.beam import beam_search_lanes
+from repro.core.index import GannsIndex
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
 from repro.datasets.ground_truth import exact_knn
@@ -20,8 +21,8 @@ class TestResultQuality:
         gt = exact_knn(small_points, small_queries, 10)
         ganns = ganns_search(small_graph, small_points, small_queries,
                              SearchParams(k=10, l_n=64))
-        beam = beam_search_batch(small_graph, small_points, small_queries,
-                                 10, ef=64)
+        beam = beam_search_lanes(small_graph, small_points, small_queries,
+                                 10, ef=64).ids
         assert recall_at_k(ganns.ids, gt) == pytest.approx(
             recall_at_k(beam, gt), abs=0.05)
 
@@ -268,9 +269,10 @@ class TestEveryAlgorithmChecksQueries:
     @pytest.mark.parametrize("kind", HOSTILE)
     def test_beam_search_batch(self, small_graph, small_points,
                                small_queries, kind):
+        index = GannsIndex(small_points, small_graph, "nsw", "euclidean")
         queries, message = _hostile(kind, small_queries)
         with pytest.raises(SearchError, match=message):
-            beam_search_batch(small_graph, small_points, queries, 5)
+            index.search(queries, k=5, algorithm="beam")
 
     def test_song_rejects_an_entry_matrix(self, small_graph, small_points,
                                           small_queries):

@@ -1,8 +1,11 @@
 """Tests for search/build parameter validation."""
 
+import numpy as np
 import pytest
 
+from repro.cluster import ClusterEngine
 from repro.core.params import BuildParams, SearchParams
+from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import ConfigurationError
 
 
@@ -83,3 +86,41 @@ class TestBuildParams:
     def test_with_overrides(self):
         p = BuildParams().with_overrides(n_blocks=50)
         assert p.n_blocks == 50
+
+
+def _cluster(**kwargs):
+    """A two-shard cluster; its degrees reach ``BuildParams`` per shard."""
+    return ClusterEngine(gaussian_mixture(60, 4, seed=3), n_shards=2,
+                         n_replicas=1, **kwargs)
+
+
+#: Every integer field of the parameter bundles, and the cluster's
+#: degrees, which become ``BuildParams`` fields.
+INTEGER_FIELDS = (
+    [(SearchParams, name) for name in ("k", "l_n", "e", "n_threads",
+                                       "rerank_factor")]
+    + [(BuildParams, name) for name in ("d_min", "d_max", "n_blocks",
+                                        "n_threads", "ef_construction",
+                                        "search_l_n", "seed")]
+    + [(_cluster, "d_min"), (_cluster, "d_max")])
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("bad", [10.5, True])
+    @pytest.mark.parametrize(
+        "make,name", INTEGER_FIELDS,
+        ids=[f"{make.__name__.strip('_')}.{name}"
+             for make, name in INTEGER_FIELDS])
+    def test_floats_and_bools_are_refused(self, make, name, bad):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{name} must be an integer, got {bad!r}$"):
+            make(**{name: bad})
+
+    def test_numpy_integers_and_none_are_accepted(self):
+        search = SearchParams(k=np.int64(10), l_n=np.int32(64),
+                              e=np.int64(32), n_threads=np.uint8(16))
+        assert search.explore_budget == 32
+        build = BuildParams(d_min=np.int64(8), d_max=np.int32(16),
+                            n_blocks=np.int64(100), seed=np.uint32(3),
+                            ef_construction=None, search_l_n=None)
+        assert build.effective_ef == 16

@@ -435,3 +435,32 @@ class TestOneOfEach:
                         for target in node.targets):
                     writers.add(path)
         assert writers == {"graphs/adjacency.py"}
+
+    def test_one_serving_graph_rule(self):
+        """A served graph is its family's own build: ``serving_graph`` is
+        defined once, on the base backend, and the serving commands do
+        not reach for the GraphCon_NSW baseline."""
+        definers, cli_imports = [], set()
+        for path, tree in _src_trees():
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "serving_graph"):
+                    definers.append(path)
+                if path == "cli.py" and isinstance(node, ast.ImportFrom):
+                    cli_imports |= {alias.name for alias in node.names}
+        assert definers == ["core/backend.py"]
+        assert "build_nsw_cpu" not in cli_imports
+
+    def test_integer_fields_are_checked_once(self):
+        """Parameter bundles and the cluster topology refuse floats and
+        bools through the one ``core.params.as_count``."""
+        holders = set()
+        for path, tree in _src_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and any(
+                        isinstance(const, ast.Constant)
+                        and isinstance(const.value, str)
+                        and "must be an integer" in const.value
+                        for const in ast.walk(node)):
+                    holders.add(f"{path}:{node.name}")
+        assert holders == {"core/params.py:as_count"}
