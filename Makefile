@@ -18,8 +18,8 @@ bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The acceptance gates CI runs; scripts/gates.py states each scenario
-# and every bar (`--list` names them: serve chaos trace cluster mutate
-# heal quant bakeoff bench).
+# and every bar (`--list` names the ten: serve chaos trace cluster
+# mutate heal quant bakeoff bench examples).
 #   make chaos-smoke
 %-smoke:
 	$(PYTHON) scripts/gates.py $*

@@ -48,8 +48,8 @@ def shard_size_sweep(controller):
     for n_points in SHARD_SIZES:
         points = gaussian_mixture(n_points, N_DIMS, n_clusters=8,
                                   cluster_std=0.4, seed=13)
-        graph = backend.serving_graph(points, d_min=8, d_max=16,
-                                      metric="euclidean")
+        [graph] = backend.serving_graphs((points,), d_min=8, d_max=16,
+                                         metric="euclidean")
         source = StaticShardSource(graph, points)
         transfer = controller.transfer_seconds(source.snapshot_bytes)
         deserialize = controller.deserialize_seconds(

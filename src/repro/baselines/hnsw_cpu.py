@@ -46,8 +46,8 @@ def build_hnsw_cpu(points: np.ndarray, d_min: int, d_max: int,
                      get_metric(metric).flops_per_distance(points.shape[1]))
     hierarchical, order, sizes = build_hierarchy(
         points, d_min, seed,
-        lambda layer_points: ggraphcon(layer_points, params, metric,
-                                       False, clock)[0])
+        lambda layer_points: ggraphcon((layer_points,), params, metric,
+                                       False, [clock])[0][0])
     report = report_from_clock(
         clock, "graphcon-hnsw", hierarchical, len(points),
         details={"n_layers": float(len(sizes)),

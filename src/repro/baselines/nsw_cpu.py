@@ -74,7 +74,7 @@ def build_nsw_cpu(points: np.ndarray, d_min: int, d_max: int,
     params = sequential_params(d_min, d_max, ef_construction)
     clock = CpuClock(1, DEFAULT_CPU,
                      get_metric(metric).flops_per_distance(points.shape[1]))
-    graph, _ = ggraphcon(points, params, metric, exact, clock)
+    [(graph, _)] = ggraphcon((points,), params, metric, exact, [clock])
     return report_from_clock(
         clock, "graphcon-nsw", graph, len(points),
         details={"d_min": float(d_min), "d_max": float(d_max)})

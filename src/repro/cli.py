@@ -170,8 +170,8 @@ def _serve_fixture(args: argparse.Namespace):
 
     dataset = load_dataset(args.dataset, n_points=args.points,
                            n_queries=args.queries)
-    graph = get_backend("nsw").serving_graph(
-        dataset.points, d_min=args.d_min, d_max=args.d_max)
+    [graph] = get_backend("nsw").serving_graphs(
+        (dataset.points,), d_min=args.d_min, d_max=args.d_max)
     params = SearchParams(k=args.k, l_n=args.l_n, e=args.e)
     policy = BatchPolicy(max_batch=args.max_batch,
                          max_wait_seconds=args.max_wait_ms * 1e-3,

@@ -8,7 +8,7 @@ demonstrates for multi-GPU graph ANN:
 1. **Placement** — a consistent-hash ring assigns every corpus point to
    one of ``n_shards`` disjoint shards; each shard gets its own graph,
    built by its family's own build (:mod:`repro.cluster.placement`,
-   :meth:`repro.core.backend.IndexBackend.serving_graph`).
+   :meth:`repro.core.backend.IndexBackend.serving_graphs`).
 2. **Replication** — each shard runs ``n_replicas`` interchangeable
    :class:`~repro.serve.engine.ServeEngine` instances over identical
    shard data, all on the shared simulated clock.
@@ -100,7 +100,7 @@ class ClusterEngine:
         d_max: Degree upper bound (and ``knn_k``) of every shard graph.
             Each shard graph is ``family``'s own build at
             ``BuildParams(d_min, d_max, n_blocks=SERVING_N_BLOCKS)``
-            (:meth:`repro.core.backend.IndexBackend.serving_graph`), so
+            (:meth:`repro.core.backend.IndexBackend.serving_graphs`), so
             invalid degrees raise its
             :class:`~repro.errors.ConfigurationError`.
         metric: Distance metric name.
@@ -212,15 +212,13 @@ class ClusterEngine:
         #: Index family the per-shard graphs are built as (the shard
         #: engines fold it into their cache signatures).
         self.family = family
-        self.shard_points: List[np.ndarray] = []
-        self.shard_graphs: List[object] = []
-        for shard in range(self.n_shards):
-            shard_pts = np.ascontiguousarray(
-                points[self.shard_map.members[shard]])
-            self.shard_points.append(shard_pts)
-            self.shard_graphs.append(
-                backend.serving_graph(shard_pts, d_min=d_min,
-                                      d_max=d_max, metric=metric))
+        self.shard_points: List[np.ndarray] = [
+            np.ascontiguousarray(points[self.shard_map.members[shard]])
+            for shard in range(self.n_shards)]
+        # Every shard graph in one build: NSW shards share one GGraphCon
+        # run, each byte-equal to its solo build.
+        self.shard_graphs: List[object] = backend.serving_graphs(
+            self.shard_points, d_min=d_min, d_max=d_max, metric=metric)
         #: Dense-row -> external-id mapping when the cluster serves a
         #: mutable-index snapshot (``None`` for a plain corpus).
         self.external_ids: Optional[np.ndarray] = None

@@ -11,8 +11,10 @@ family-specific:
   index format (flat vs hierarchical layouts);
 - **cost-model hooks**: search cycles, construction cycles and memory
   bytes, so the bake-off harness compares families apples-to-apples;
-- **serving_graph**: the flat graph the cluster layer shards over — one
-  rule, the family's own build, not a per-family hook;
+- **build_parts**: many corpora built at once (by default one
+  :meth:`~IndexBackend.build` each);
+- **serving_graphs**: the flat graphs the cluster layer shards over —
+  one rule, the family's own build, not a per-family hook;
 - **conformance_profile**: the thresholds the shared conformance suite
   (``tests/test_backend_conformance.py``) holds the family to.
 
@@ -27,12 +29,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cagra import build_cagra_gpu
-from repro.core.construction import build_nsw_gpu
+from repro.core.construction import build_nsw_gpu, build_nsw_gpu_parts
 from repro.core.ganns import ganns_search
 from repro.core.hnsw import build_hnsw_gpu
 from repro.core.knng import build_knn_graph_gpu
@@ -132,14 +134,27 @@ class IndexBackend(abc.ABC):
         """Run the GANNS kernels over this family's flat graph."""
         return ganns_search(graph, points, queries, params, entry=entry)
 
-    def serving_graph(self, points: np.ndarray, d_min: int, d_max: int,
-                      metric: str = "euclidean") -> ProximityGraph:
-        """The flat graph a shard serves: this family's own :meth:`build`.
+    def build_parts(self, parts: Sequence[np.ndarray], params: BuildParams,
+                    metric: str = "euclidean",
+                    **kwargs) -> List[ConstructionReport]:
+        """:meth:`build` of every part, in order.
+
+        A family that can build many corpora in one run overrides this;
+        report ``p`` must still equal ``build(parts[p], ...)``.
+        """
+        return [self.build(points, params, metric, **kwargs)
+                for points in parts]
+
+    def serving_graphs(self, parts: Sequence[np.ndarray], d_min: int,
+                       d_max: int, metric: str = "euclidean"
+                       ) -> List[ProximityGraph]:
+        """The flat graph each part serves: this family's own build.
 
         One rule for every family — ``BuildParams(d_min, d_max,
         n_blocks=SERVING_N_BLOCKS)``, ``knn_k=d_max`` — so a shard is
-        built exactly like a whole index.  Hierarchical families have no
-        flat graph to serve.
+        built exactly like a whole index, every part through one
+        :meth:`build_parts` call.  Hierarchical families have no flat
+        graph to serve.
         """
         if self.hierarchical:
             raise UnsupportedOperationError(
@@ -148,7 +163,8 @@ class IndexBackend(abc.ABC):
             )
         params = BuildParams(d_min=d_min, d_max=d_max,
                              n_blocks=SERVING_N_BLOCKS)
-        return self.build(points, params, metric, knn_k=d_max).graph
+        return [report.graph for report
+                in self.build_parts(parts, params, metric, knn_k=d_max)]
 
     # ------------------------------------------------------------------
     # Persistence (the family's slice of the .npz index format)
@@ -254,6 +270,20 @@ class NswBackend(IndexBackend):
         raise ConfigurationError(
             f"unknown strategy {strategy!r}; valid: {STRATEGIES}"
         )
+
+    def build_parts(self, parts: Sequence[np.ndarray], params: BuildParams,
+                    metric: str = "euclidean", strategy: str = "ggraphcon",
+                    search_kernel: str = "ganns", knn_k: int = 16,
+                    **kwargs) -> List[ConstructionReport]:
+        # GGraphCon builds every part in one Algorithm 2 run.
+        if strategy != "ggraphcon":
+            return super().build_parts(parts, params, metric,
+                                       strategy=strategy,
+                                       search_kernel=search_kernel,
+                                       **kwargs)
+        return build_nsw_gpu_parts(parts, params,
+                                   search_kernel=search_kernel,
+                                   metric=metric, **kwargs)
 
     def conformance_profile(self) -> ConformanceProfile:
         return ConformanceProfile(recall_floor=0.9, reachable_floor=0.98)

@@ -30,16 +30,19 @@ The host runs the blocks the way the device does, side by side: each
 Phase-1 step searches the next point of every group, and each Phase-2
 merge iteration all of its group's points, in one
 :func:`~repro.baselines.beam.beam_search_lanes` call — every lane the
-exact traversal a one-query Algorithm 1 search would make.
+exact traversal a one-query Algorithm 1 search would make.  Several
+corpora ("parts") build side by side the same way, each byte-equal to
+its solo build (:func:`ggraphcon`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import fields
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.beam import beam_search_lanes
+from repro.baselines.beam import BeamLanes, beam_search_lanes
 from repro.core.construction_costs import GpuClock, report_from_clock
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
@@ -75,6 +78,33 @@ def validated_points(points: np.ndarray) -> np.ndarray:
     return points
 
 
+def validated_parts(parts: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """``parts`` as a tuple of checked corpora, or
+    :class:`ConstructionError`.
+
+    Every part runs :func:`validated_points` (a failure names the part
+    when there are several), and the parts must share their dimension
+    and dtype: a many-part build stacks them into one matrix.
+    """
+    parts = tuple(parts)
+    if not parts:
+        raise ConstructionError("at least one part of points is required")
+    checked = []
+    for index, part in enumerate(parts):
+        try:
+            checked.append(validated_points(part))
+        except ConstructionError as exc:
+            if len(parts) == 1:
+                raise
+            raise ConstructionError(f"part {index}: {exc}") from exc
+    shapes = {(part.shape[1], part.dtype.name) for part in checked}
+    if len(shapes) > 1:
+        raise ConstructionError(
+            f"parts must share their dimension and dtype, got "
+            f"{sorted(shapes)}")
+    return tuple(checked)
+
+
 def nearest_in_prefix(points: np.ndarray, vertex: int, prefix_end: int,
                       k: int, metric: Metric
                       ) -> Tuple[np.ndarray, np.ndarray]:
@@ -101,7 +131,8 @@ def _build_local_graphs(points: np.ndarray, boundaries: np.ndarray,
     """Phase 1: every group's local NSW graph, all groups side by side.
 
     Group ``i`` is the id range ``boundaries[i] .. boundaries[i + 1]``
-    and working unit ``i``.  Contiguous groups make the local graphs the
+    and working unit ``i`` (the groups of stacked parts follow one
+    another).  Contiguous groups make the local graphs the
     block-diagonal components of one scratch graph over
     ``points[boundaries[0]:boundaries[-1]]`` (local id = id −
     ``boundaries[0]``, so ties break exactly as in a graph of the group's
@@ -158,9 +189,120 @@ def _build_local_graphs(points: np.ndarray, boundaries: np.ndarray,
     return scratch
 
 
-def ggraphcon(points: np.ndarray, params: BuildParams, metric: str,
-              exact: bool, clock) -> Tuple[ProximityGraph, int]:
-    """Algorithm 2, reporting its work to ``clock``.
+class _SoloClock:
+    """One part's clock behind :class:`_StackedClocks`' interface: there
+    is nothing to route, so the work goes straight through."""
+
+    def __init__(self, clock, grid_blocks: int) -> None:
+        self._clock = clock
+        self._grid_blocks = grid_blocks
+        self.search, self.scan, self.link = clock.search, clock.scan, \
+            clock.link
+        self.forward_merge, self.launch = clock.forward_merge, clock.launch
+
+    def units(self, firsts: np.ndarray) -> None:
+        """Open one working unit per entry of ``firsts``."""
+        self._clock.units(len(firsts))
+
+    def first_rows(self, group: np.ndarray):
+        """The part starts at row 0 and spans the whole graph."""
+        return 0, None
+
+    def backward_merge(self, sources: np.ndarray,
+                       offsets: np.ndarray) -> None:
+        """``E``'s CSR segments (offsets into the sorted ``sources``)
+        were merged into their rows."""
+        self._clock.backward_merge(np.diff(offsets), self._grid_blocks)
+
+
+class _StackedClocks:
+    """The clocks of parts stacked into one id space, behind one clock.
+
+    Part ``p`` owns rows ``offsets[p] .. offsets[p + 1]`` and merges
+    over a grid of ``grid_blocks[p]`` blocks.  A launch's working units
+    are numbered part after part; each part's clock is handed only its
+    own units, renumbered from 0, so it sees exactly the calls of the
+    part's solo build, and a part with no open unit sits the launch out.
+    """
+
+    def __init__(self, clocks: Sequence, offsets: np.ndarray,
+                 grid_blocks: Sequence[int]) -> None:
+        self._clocks = clocks
+        self._offsets = offsets
+        self._grid_blocks = grid_blocks
+
+    def units(self, firsts: np.ndarray) -> None:
+        """Open one working unit per entry of ``firsts``, the ascending
+        first row of each unit (a Phase-1 group, a Phase-2 vertex)."""
+        self._cuts = np.searchsorted(firsts, self._offsets)
+        self._open = np.flatnonzero(np.diff(self._cuts)).tolist()
+        for part in self._open:
+            self._clocks[part].units(
+                int(self._cuts[part + 1] - self._cuts[part]))
+
+    def first_rows(self, group: np.ndarray):
+        """Each vertex's part's first row, and the widest part: a lane
+        entered there stays inside that window."""
+        part = np.searchsorted(self._offsets, group, side="right") - 1
+        return self._offsets[part], int(np.diff(self._offsets).max())
+
+    def _route(self, rows_of, ids: np.ndarray):
+        """``(clock, slice of ids, part)`` for every open part holding
+        some of the ascending ``ids``; ``rows_of`` are the parts' edges
+        in the ids' numbering."""
+        cuts = np.searchsorted(ids, rows_of)
+        for part in self._open:
+            if cuts[part] < cuts[part + 1]:
+                yield (self._clocks[part], slice(cuts[part], cuts[part + 1]),
+                       part)
+
+    def search(self, units: np.ndarray, traversals: BeamLanes) -> None:
+        for clock, rows, part in self._route(self._cuts, units):
+            clock.search(units[rows] - self._cuts[part], BeamLanes(*(
+                getattr(traversals, f.name)[rows]
+                for f in fields(BeamLanes))))
+
+    def scan(self, units: np.ndarray, n_candidates) -> None:
+        n_candidates = np.broadcast_to(n_candidates, units.shape)
+        for clock, rows, part in self._route(self._cuts, units):
+            clock.scan(units[rows] - self._cuts[part], n_candidates[rows])
+
+    def link(self, units: np.ndarray, counts: np.ndarray) -> None:
+        for clock, rows, part in self._route(self._cuts, units):
+            clock.link(units[rows] - self._cuts[part], counts[rows])
+
+    def forward_merge(self, counts: np.ndarray) -> None:
+        for part in self._open:
+            self._clocks[part].forward_merge(
+                counts[self._cuts[part]:self._cuts[part + 1]])
+
+    def launch(self, phase: str) -> None:
+        for part in self._open:
+            self._clocks[part].launch(phase)
+
+    def backward_merge(self, sources: np.ndarray,
+                       offsets: np.ndarray) -> None:
+        """``E``'s CSR segments (offsets into the sorted ``sources``)
+        were merged into their rows; a segment is its row's part's."""
+        lengths = np.diff(offsets)
+        for clock, rows, part in self._route(self._offsets,
+                                             sources[offsets[:-1]]):
+            clock.backward_merge(lengths[rows], self._grid_blocks[part])
+
+
+def _part_clocks(clocks: Sequence, offsets: np.ndarray,
+                 grid_blocks: Sequence[int]):
+    """The clocks of the parts at row ``offsets``, as one clock."""
+    if len(clocks) == 1:
+        return _SoloClock(clocks[0], grid_blocks[0])
+    return _StackedClocks(clocks, offsets, grid_blocks)
+
+
+def ggraphcon(parts: Sequence[np.ndarray], params: BuildParams, metric: str,
+              exact: bool, clocks: Sequence
+              ) -> List[Tuple[ProximityGraph, int]]:
+    """Algorithm 2 over each of ``parts``, part ``p``'s work reported to
+    ``clocks[p]``.
 
     This is the one GGraphCon body: :func:`build_nsw_gpu` runs it on a
     :class:`~repro.core.construction_costs.GpuClock`,
@@ -168,43 +310,66 @@ def ggraphcon(points: np.ndarray, params: BuildParams, metric: str,
     :class:`~repro.core.construction_costs.CpuClock`, and the sequential
     baseline :func:`repro.baselines.nsw_cpu.build_nsw_cpu` with one group
     on a one-core ``CpuClock`` (Phase 1 of a single group *is*
-    sequential insertion).
+    sequential insertion) — each with one part.
+
+    Several parts (:func:`build_nsw_gpu_parts`) run as one: stacked into
+    one id space, their groups are the block-diagonal components of one
+    scratch graph, so Phase-1 step ``j`` inserts the ``j``-th point of
+    every group of every part in one search, and merge iteration ``i``
+    merges group ``i`` of every part that has one in one
+    :func:`merge_group_into_graph` call.  A lane never leaves its part's
+    block, a constant id shift keeps every ``(distance, id)`` order, and
+    each clock is handed only its own part's units, so every part's
+    graph and clock readings equal its solo build's byte for byte.
 
     Returns:
-        ``(G_0, number of groups)``.
+        One ``(G_0, number of groups)`` per part.
     """
-    n = len(points)
     metric_obj = get_metric(metric)
     d_min = params.d_min
-    n_groups = min(params.n_blocks, n)
+    sizes = [len(part) for part in parts]
+    offsets = np.cumsum([0] + sizes)
+    points = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    n = int(offsets[-1])
 
-    # Partition into contiguous, non-empty groups (insertion ids are
-    # preserved, which is what the Section IV-C proof needs).
-    boundaries = np.unique(np.linspace(0, n, n_groups + 1).astype(np.int64))
-    n_groups = len(boundaries) - 1
+    # Partition every part into contiguous, non-empty groups (insertion
+    # ids are preserved, which is what the Section IV-C proof needs).
+    part_bounds = [
+        offset + np.unique(np.linspace(0, size, min(params.n_blocks, size)
+                                       + 1).astype(np.int64))
+        for offset, size in zip(offsets, sizes)]
+    n_groups = [len(bounds) - 1 for bounds in part_bounds]
+    boundaries = np.concatenate([bounds[:-1] for bounds in part_bounds]
+                                + [[n]])
 
     # G': forward neighbors of each vertex within its own group.
     forward_ids = np.full((n, d_min), -1, dtype=np.int64)
     forward_dists = np.full((n, d_min), np.inf, dtype=np.float64)
 
     # Phase 1 — local graph construction (one working unit per group).
-    # Only group 0's local graph outlives the phase: it seeds G_0 (its
-    # local ids are global ids); the others survive as v.N'.
-    clock.units(n_groups)
+    # Only each part's group-0 local graph outlives the phase: it seeds
+    # the part's G_0; the others survive as v.N'.
+    clock = _part_clocks(clocks, offsets, n_groups)
+    clock.units(boundaries[:-1])
     graph = _build_local_graphs(points, boundaries, params, metric_obj,
                                 exact, clock, forward_ids, forward_dists)
     clock.launch("local_construction")
-    graph.neighbor_ids[boundaries[1]:] = PAD_ID
-    graph.neighbor_dists[boundaries[1]:] = PAD_DIST
-    graph.degrees[boundaries[1]:] = 0
+    for bounds in part_bounds:
+        graph.neighbor_ids[bounds[1]:bounds[-1]] = PAD_ID
+        graph.neighbor_dists[bounds[1]:bounds[-1]] = PAD_DIST
+        graph.degrees[bounds[1]:bounds[-1]] = 0
 
-    # Phase 2 — iteratively merge local graphs into G_0.
-    for start, stop in zip(boundaries[1:-1], boundaries[2:]):
+    # Phase 2 — iteratively merge local graphs into G_0: iteration i
+    # merges group i of every part that has one.
+    for i in range(1, max(n_groups)):
+        group = np.concatenate([np.arange(bounds[i], bounds[i + 1])
+                                for bounds in part_bounds
+                                if len(bounds) > i + 1])
         merge_group_into_graph(
-            graph, points, np.arange(start, stop), forward_ids,
-            forward_dists, params=params, metric_obj=metric_obj,
-            exact=exact, clock=clock, grid_blocks=n_groups)
-    return graph, n_groups
+            graph, points, group, forward_ids, forward_dists,
+            params=params, metric_obj=metric_obj, exact=exact, clock=clock)
+    graphs = [graph] if len(parts) == 1 else graph.blocks(offsets)
+    return list(zip(graphs, n_groups))
 
 
 def build_nsw_gpu(points: np.ndarray, params: BuildParams,
@@ -231,24 +396,49 @@ def build_nsw_gpu(points: np.ndarray, params: BuildParams,
         A :class:`repro.core.results.ConstructionReport` whose ``graph``
         is the merged ``G_0``.
     """
-    points = validated_points(points)
-    clock = GpuClock(params, search_kernel, points.shape[1], device, costs)
-    graph, n_groups = ggraphcon(points, params, metric, exact, clock)
-    return report_from_clock(
-        clock, f"ggraphcon-{search_kernel}", graph, len(points),
-        details={
-            "n_groups": float(n_groups),
-            "merge_iterations": float(n_groups - 1),
-            "d_min": float(params.d_min),
-            "d_max": float(params.d_max),
-        })
+    return build_nsw_gpu_parts((points,), params, search_kernel, metric,
+                               exact, device, costs)[0]
+
+
+def build_nsw_gpu_parts(parts: Sequence[np.ndarray], params: BuildParams,
+                        search_kernel: str = "ganns",
+                        metric: str = "euclidean", exact: bool = False,
+                        device: DeviceSpec = QUADRO_P5000,
+                        costs: CostTable = DEFAULT_COSTS
+                        ) -> List[ConstructionReport]:
+    """:func:`build_nsw_gpu` of every part, in one :func:`ggraphcon` run.
+
+    Report ``p`` equals ``build_nsw_gpu(parts[p], ...)`` byte for byte —
+    graph, seconds, phase and category seconds, details — while the
+    parts' searches share lock-step calls.
+
+    Raises:
+        ConstructionError: When there is no part, a part is not a
+            non-empty finite 2-D matrix, or the parts differ in
+            dimension or dtype (:func:`validated_parts`).
+    """
+    parts = validated_parts(parts)
+    clocks = [GpuClock(params, search_kernel, parts[0].shape[1], device,
+                       costs) for _ in parts]
+    return [
+        report_from_clock(
+            clock, f"ggraphcon-{search_kernel}", graph, len(points),
+            details={
+                "n_groups": float(n_groups),
+                "merge_iterations": float(n_groups - 1),
+                "d_min": float(params.d_min),
+                "d_max": float(params.d_max),
+            })
+        for points, clock, (graph, n_groups)
+        in zip(parts, clocks, ggraphcon(parts, params, metric, exact,
+                                        clocks))]
 
 
 def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
                            group: np.ndarray, forward_ids: np.ndarray,
                            forward_dists: np.ndarray, *,
                            params: BuildParams, metric_obj, exact: bool,
-                           clock, grid_blocks: int, entry: int = 0,
+                           clock, entry: Optional[int] = None,
                            exclude_mask: Optional[np.ndarray] = None
                            ) -> None:
     """Merge one local group into ``G_0`` (Algorithm 2's Phase-2 body).
@@ -260,7 +450,10 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
     current ``G_0`` and unions them with its saved forward set ``v.N'``,
     emitting the implied backward edges into ``E``; (step 2) ``E`` is
     bitonic-sorted and prefix-summed into CSR segments; (step 3) each
-    segment bitonic-merges into its vertex's adjacency row.
+    segment bitonic-merges into its vertex's adjacency row.  The group
+    may hold one group of each of several stacked parts: each vertex
+    then searches its own part's ``G_0`` and its backward edges stay
+    there.
 
     Args:
         graph: The accumulated ``G_0``; mutated in place.  Rows for
@@ -273,40 +466,46 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
         params: Build parameters (degree bounds, beam widths).
         metric_obj: Resolved metric object.
         exact: Exact-search mode (the Section IV-C theorem hypothesis).
-        clock: The clock pricing the work (one working unit per group
-            vertex); see :mod:`repro.core.construction_costs`.
-        grid_blocks: Grid width, in working units, of the gather-scatter.
-        entry: Start vertex for the step-1 searches (``0`` during a
-            build; the current live entry for streaming inserts).
+        clock: The parts' clocks (:func:`_part_clocks`), pricing one
+            working unit per group vertex on its part's clock; see
+            :mod:`repro.core.construction_costs`.
+        entry: Start vertex of every step-1 search (a streaming
+            insert's live entry, one part only), or ``None`` during a
+            build: each vertex enters its part's first row.
         exclude_mask: Optional ``(n,)`` boolean mask of vertices that
             must never be chosen as neighbors (tombstones).  Excluded
             vertices may still route the search; they are filtered from
             its results.
     """
     d_min = params.d_min
-    prefix_end = int(group[0])  # G_0 currently holds points[:prefix_end]
+    # A part's G_0 currently holds its rows from `first` to its first
+    # group vertex.
+    first, window = clock.first_rows(group)
 
     # Step 1 — forward-edge search against G_0 (one working unit per
     # vertex, all in one lock-step call) and backward-edge emission
     # into E.
-    clock.units(len(group))
+    clock.units(group)
     units = np.arange(len(group))
     if exact:
         # Exact d_min neighbors among G_0's points only; the within-group
         # part comes from v.N', exercising the N ∪ N' merge the Section
         # IV-C proof relies on.
+        first = np.broadcast_to(first, group.shape)
+        prefix_ends = group[np.searchsorted(group, first)]
         search_ids = np.full((len(group), d_min), -1, dtype=np.int64)
         search_dists = np.full((len(group), d_min), np.inf)
-        for row, v in enumerate(group):
-            ids, dists = nearest_in_prefix(points, v, prefix_end, d_min,
-                                           metric_obj)
-            search_ids[row, :len(ids)] = ids
+        for row, (v, lo, hi) in enumerate(zip(group, first, prefix_ends)):
+            ids, dists = nearest_in_prefix(points[lo:], v - lo, hi - lo,
+                                           d_min, metric_obj)
+            search_ids[row, :len(ids)] = ids + lo
             search_dists[row, :len(ids)] = dists
-        clock.scan(units, prefix_end)
+        clock.scan(units, prefix_ends - first)
     else:
-        lanes = beam_search_lanes(graph, points, points[group], k=d_min,
-                                  ef=params.effective_ef, entries=entry,
-                                  metric=metric_obj)
+        lanes = beam_search_lanes(
+            graph, points, points[group], k=d_min, ef=params.effective_ef,
+            entries=first if entry is None else entry, metric=metric_obj,
+            window=window)
         search_ids, search_dists = lanes.ids, lanes.dists
         clock.search(units, lanes)
     if exclude_mask is not None:
@@ -335,7 +534,7 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
     # Step 3 — one working unit per starting vertex merges its
     # backward-edge segment into the adjacency row (best d_max survive).
     merge_segments_batch(graph, src, dst, dist, offsets)
-    clock.backward_merge(np.diff(offsets), grid_blocks)
+    clock.backward_merge(src, offsets)
 
 
 def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
@@ -399,13 +598,14 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
 
     metric_obj = get_metric(metric)
     d_min = params.d_min
-    clock = GpuClock(params, search_kernel, points.shape[1], device, costs)
+    gpu = GpuClock(params, search_kernel, points.shape[1], device, costs)
+    clock = _SoloClock(gpu, params.n_blocks)
 
     # Phase 1 — local graph over the batch (one block), recording N'.
     forward_ids = np.full((graph.n_vertices, d_min), -1, dtype=np.int64)
     forward_dists = np.full((graph.n_vertices, d_min), np.inf,
                             dtype=np.float64)
-    clock.units(1)
+    clock.units(group[:1])
     _build_local_graphs(points, np.array([group[0], group[-1] + 1]), params,
                         metric_obj, False, clock, forward_ids, forward_dists)
     clock.launch("local_construction")
@@ -414,11 +614,10 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
     merge_group_into_graph(
         graph, points, group, forward_ids, forward_dists,
         params=params, metric_obj=metric_obj, exact=False, clock=clock,
-        grid_blocks=params.n_blocks, entry=entry,
-        exclude_mask=exclude_mask)
+        entry=entry, exclude_mask=exclude_mask)
 
     return report_from_clock(
-        clock, f"streaming-insert-{search_kernel}", graph, len(group),
+        gpu, f"streaming-insert-{search_kernel}", graph, len(group),
         details={
             "batch_size": float(len(group)),
             "d_min": float(d_min),

@@ -195,12 +195,12 @@ class GpuClock:
         self._distance[units] += charge.distance_cycles
         self._structure[units] += charge.structure_cycles
 
-    def scan(self, units: np.ndarray, n_candidates: int) -> None:
-        """Each of ``units`` scanned ``n_candidates`` points by brute
-        force."""
+    def scan(self, units: np.ndarray, n_candidates) -> None:
+        """Each of ``units`` scanned ``n_candidates`` points (one count,
+        or one per unit) by brute force."""
         self.search(units, BeamSearchResult(
             ids=np.empty(0, dtype=np.int64), dists=np.empty(0),
-            n_iterations=max(n_candidates, 1),
+            n_iterations=np.maximum(n_candidates, 1),
             n_distance_computations=n_candidates,
             n_heap_ops=0, n_hash_probes=n_candidates))
 
@@ -285,9 +285,9 @@ class CpuClock:
         counters.n_heap_ops[units] += traversals.n_heap_ops
         counters.n_hash_probes[units] += traversals.n_hash_probes
 
-    def scan(self, units: np.ndarray, n_candidates: int) -> None:
-        """Each of ``units`` scanned ``n_candidates`` points by brute
-        force."""
+    def scan(self, units: np.ndarray, n_candidates) -> None:
+        """Each of ``units`` scanned ``n_candidates`` points (one count,
+        or one per unit) by brute force."""
         self._units.n_distances[units] += n_candidates
 
     def link(self, units: np.ndarray, counts: np.ndarray) -> None:

@@ -6,6 +6,7 @@ with one clear message instead of deep inside a kernel loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Type
 
@@ -28,6 +29,21 @@ def as_count(value, name: str, minimum: Optional[int] = None,
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def as_finite(value, name: str,
+              error: Type[ReproError] = ConfigurationError) -> float:
+    """``value`` as a float (never a ``bool``), or ``error`` naming the
+    field when it is not a finite real number.
+
+    NaN compares false against every bound, so a range check alone lets
+    it through; callers check their range after this.
+    """
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value)):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

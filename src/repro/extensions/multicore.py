@@ -56,7 +56,8 @@ def build_nsw_multicore(points: np.ndarray, params: BuildParams,
         raise ConstructionError(f"n_cores must be positive, got {n_cores}")
     flops = get_metric(metric).flops_per_distance(points.shape[1])
     clock = CpuClock(n_cores, cpu, flops)
-    graph, n_groups = ggraphcon(points, params, metric, exact, clock)
+    [(graph, n_groups)] = ggraphcon((points,), params, metric, exact,
+                                    [clock])
     return report_from_clock(
         clock, "ggraphcon-multicore", graph, len(points),
         details={"n_cores": float(n_cores), "n_groups": float(n_groups)})

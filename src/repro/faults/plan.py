@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.params import as_count, as_finite
 from repro.errors import ConfigurationError
 
 #: Fault kinds delivered inside the kernel-dispatch path.
@@ -238,10 +239,11 @@ class FaultPlan:
             A :class:`FaultPlan` whose events are a deterministic
             function of the arguments.
         """
-        if horizon_seconds <= 0:
+        if as_finite(horizon_seconds, "horizon_seconds") <= 0:
             raise ConfigurationError(
                 f"horizon_seconds must be positive, got {horizon_seconds}"
             )
+        as_count(n_workers, "n_workers", 0)
         defaults = {
             FAULT_KERNEL_TIMEOUT: 2e-3,
             FAULT_KERNEL_STALL: 4.0,

@@ -268,6 +268,21 @@ class ProximityGraph:
             np.concatenate([g.degrees for g in parts]),
             parts[0].metric_name)
 
+    def blocks(self, offsets: Sequence[int]) -> List["ProximityGraph"]:
+        """The inverse of :meth:`block_diagonal`: block ``i`` is rows
+        ``offsets[i] .. offsets[i + 1]``, ids shifted back to start at 0.
+
+        No edge may leave its block.
+        """
+        parts = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            ids = self.neighbor_ids[lo:hi]
+            parts.append(ProximityGraph.from_arrays(
+                np.where(ids >= 0, ids - lo, PAD_ID),
+                self.neighbor_dists[lo:hi].copy(),
+                self.degrees[lo:hi].copy(), self.metric_name))
+        return parts
+
     def edge_set(self) -> set:
         """All directed edges as a set of (src, dst) tuples."""
         edges = set()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.params import as_count, as_finite
 from repro.errors import HealError
 
 
@@ -78,35 +79,25 @@ class HealPolicy:
                 f"repair_bandwidth_fraction must lie in (0, 1], got "
                 f"{self.repair_bandwidth_fraction}"
             )
-        if self.deserialize_cycles_per_byte < 0:
+        if as_finite(self.deserialize_cycles_per_byte,
+                     "deserialize_cycles_per_byte", HealError) < 0:
             raise HealError(
                 f"deserialize_cycles_per_byte must be >= 0, got "
                 f"{self.deserialize_cycles_per_byte}"
             )
-        if self.digest_bytes <= 0:
-            raise HealError(
-                f"digest_bytes must be positive, got {self.digest_bytes}"
-            )
-        if self.max_rebuild_attempts < 1:
-            raise HealError(
-                f"max_rebuild_attempts must be >= 1, got "
-                f"{self.max_rebuild_attempts}"
-            )
+        as_count(self.digest_bytes, "digest_bytes", 1, HealError)
+        as_count(self.max_rebuild_attempts, "max_rebuild_attempts", 1,
+                 HealError)
         if not 0.0 <= self.corruption_probability < 1.0:
             raise HealError(
                 f"corruption_probability must lie in [0, 1), got "
                 f"{self.corruption_probability}"
             )
-        if self.mttr_bound_seconds <= 0:
+        if as_finite(self.mttr_bound_seconds, "mttr_bound_seconds",
+                     HealError) <= 0:
             raise HealError(
                 f"mttr_bound_seconds must be positive, got "
                 f"{self.mttr_bound_seconds}"
             )
-        if self.n_repair_lanes < 1:
-            raise HealError(
-                f"n_repair_lanes must be >= 1, got {self.n_repair_lanes}"
-            )
-        if self.n_threads < 1:
-            raise HealError(
-                f"n_threads must be >= 1, got {self.n_threads}"
-            )
+        as_count(self.n_repair_lanes, "n_repair_lanes", 1, HealError)
+        as_count(self.n_threads, "n_threads", 1, HealError)

@@ -29,6 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.params import as_count
 from repro.errors import ConfigurationError
 
 
@@ -83,16 +84,8 @@ class ResultCache:
 
     def __init__(self, capacity: int = 4096, decimals: int = 6,
                  version: int = 0):
-        if capacity < 0:
-            raise ConfigurationError(
-                f"cache capacity must be >= 0, got {capacity}"
-            )
-        if decimals < 0:
-            raise ConfigurationError(
-                f"cache decimals must be >= 0, got {decimals}"
-            )
-        self.capacity = capacity
-        self.decimals = decimals
+        self.capacity = as_count(capacity, "cache capacity", 0)
+        self.decimals = as_count(decimals, "cache decimals", 0)
         self.version = int(version)
         self.stats = CacheStats()
         # key -> (exact query vector, ids, dists); most recent last.

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.params import as_count, as_finite
 from repro.errors import ConfigurationError, ServeError
 from repro.serve.request import QueryRequest
 
@@ -46,11 +47,9 @@ class BatchPolicy:
     max_queue: int = 8192
 
     def __post_init__(self) -> None:
-        if self.max_batch <= 0:
-            raise ConfigurationError(
-                f"max_batch must be positive, got {self.max_batch}"
-            )
-        if self.max_wait_seconds < 0:
+        as_count(self.max_batch, "max_batch", 1)
+        as_count(self.max_queue, "max_queue", 1)
+        if as_finite(self.max_wait_seconds, "max_wait_seconds") < 0:
             raise ConfigurationError(
                 f"max_wait_seconds must be >= 0, got "
                 f"{self.max_wait_seconds}"

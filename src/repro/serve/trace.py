@@ -13,6 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.params import as_count, as_finite
 from repro.errors import ServeError
 from repro.serve.request import QueryRequest
 
@@ -47,9 +48,9 @@ def synthetic_trace(query_pool: np.ndarray, n_requests: int,
             f"query_pool must be a non-empty 2-D matrix, got shape "
             f"{query_pool.shape}"
         )
-    if n_requests <= 0:
-        raise ServeError(f"n_requests must be positive, got {n_requests}")
-    if mean_qps <= 0:
+    as_count(n_requests, "n_requests", 1, ServeError)
+    as_count(queries_per_request, "queries_per_request", 1, ServeError)
+    if as_finite(mean_qps, "mean_qps", ServeError) <= 0:
         raise ServeError(f"mean_qps must be positive, got {mean_qps}")
     if not 0.0 <= repeat_fraction <= 1.0:
         raise ServeError(
@@ -58,11 +59,6 @@ def synthetic_trace(query_pool: np.ndarray, n_requests: int,
     if not 0.0 < hot_fraction <= 1.0:
         raise ServeError(
             f"hot_fraction must lie in (0, 1], got {hot_fraction}"
-        )
-    if queries_per_request <= 0:
-        raise ServeError(
-            f"queries_per_request must be positive, got "
-            f"{queries_per_request}"
         )
 
     rng = np.random.default_rng(seed)

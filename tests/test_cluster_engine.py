@@ -204,7 +204,7 @@ class TestClusterReplay:
         creport = single.replay(trace)
         # The one serving-graph rule: the shard graph is the family's own
         # build, so a one-shard cluster serves exactly this graph.
-        graph = get_backend("nsw").serving_graph(corpus, 8, 16)
+        graph = get_backend("nsw").serving_graphs((corpus,), 8, 16)[0]
         sreport = ServeEngine(graph, corpus, PARAMS).replay(trace)
         for cout, sout in zip(creport.outcomes, sreport.outcomes):
             # Normalize the engine's rows to the merge's (dist, id)

@@ -5,11 +5,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import beam
 from repro.baselines.cpu_cost import DEFAULT_CPU
 from repro.baselines.nsw_cpu import build_nsw_cpu
-from repro.core.construction import _build_local_graphs, build_nsw_gpu
+from repro.core import construction
+from repro.core.construction import (
+    _build_local_graphs,
+    build_nsw_gpu,
+    build_nsw_gpu_parts,
+)
 from repro.core.construction_costs import CpuClock
 from repro.core.params import BuildParams
 from repro.errors import ConstructionError
@@ -17,7 +23,10 @@ from repro.graphs.stats import edge_recall_against, reachable_fraction
 from repro.graphs.validation import validate_graph
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
+from repro.extensions.mips import register_ip_metric
 from tests.oracles.nsw_sequential import build_nsw_sequential
+
+register_ip_metric()
 
 
 PARAMS = BuildParams(d_min=6, d_max=12, n_blocks=8)
@@ -188,3 +197,88 @@ class TestBlockDiagonalPhase1:
                     charged.n_adjacency_inserts[unit]) == (
                 counters.n_distances, counters.n_heap_ops,
                 counters.n_hash_probes, counters.n_adjacency_inserts)
+
+
+def assert_same_build(got, want):
+    """Byte-equal graphs and equal clock readings and details."""
+    for name in ("neighbor_ids", "neighbor_dists", "degrees"):
+        a, b = getattr(got.graph, name), getattr(want.graph, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.graph.metric_name == want.graph.metric_name
+    assert (got.algorithm, got.n_points, got.details) == (
+        want.algorithm, want.n_points, want.details)
+    assert got.seconds == want.seconds
+    assert got.phase_seconds == want.phase_seconds
+    assert got.category_seconds == want.category_seconds
+
+
+class TestManyParts:
+    """Several corpora run through one GGraphCon body, their searches
+    sharing lock-step calls, and every part still gets exactly the
+    report its solo build returns."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_every_part_equals_its_solo_build(self, data):
+        n_parts = data.draw(st.integers(1, 5))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        metric = data.draw(st.sampled_from(["euclidean", "cosine", "ip"]))
+        kernel = data.draw(st.sampled_from(["ganns", "song"]))
+        # Exact search (brute force over each prefix) on small parts.
+        exact = data.draw(st.booleans())
+        sizes = data.draw(st.lists(st.integers(1, 60 if exact else 300),
+                                   min_size=n_parts, max_size=n_parts))
+        lockstep = data.draw(st.booleans())
+        params = BuildParams(d_min=4, d_max=8,
+                             n_blocks=data.draw(st.integers(1, 120)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        parts = [rng.normal(size=(size, 6)).astype(dtype)
+                 for size in sizes]
+        # Below the crossover the lanes run the heap; drive both bodies.
+        with mock.patch.object(beam, "_LOCKSTEP_MIN_LANES",
+                               1 if lockstep else beam._LOCKSTEP_MIN_LANES):
+            reports = build_nsw_gpu_parts(parts, params, kernel, metric,
+                                          exact)
+        assert len(reports) == n_parts
+        for points, report in zip(parts, reports):
+            assert_same_build(report, build_nsw_gpu(points, params, kernel,
+                                                    metric, exact))
+
+    @pytest.mark.parametrize("sizes", [(3, 300), (300, 3, 40)])
+    def test_parts_merge_over_their_own_grids(self, small_points, sizes):
+        """A part with fewer points than ``n_blocks`` has fewer groups,
+        so its merges sort over a narrower grid than its neighbors'."""
+        parts = [small_points[:size] for size in sizes]
+        params = PARAMS.with_overrides(n_blocks=5)
+        for points, report in zip(parts,
+                                  build_nsw_gpu_parts(parts, params)):
+            assert_same_build(report, build_nsw_gpu(points, params))
+
+    def test_one_merge_call_per_iteration_for_every_part(self,
+                                                         small_points):
+        parts = [small_points[lo:lo + 150] for lo in range(0, 600, 150)]
+        params = PARAMS.with_overrides(n_blocks=10)
+        with mock.patch.object(
+                construction, "merge_group_into_graph",
+                wraps=construction.merge_group_into_graph) as merge:
+            build_nsw_gpu_parts(parts, params)
+        assert merge.call_count == 9
+        assert [len(call.args[2]) for call in merge.call_args_list] == \
+            [60] * 9
+
+    def test_no_parts_is_refused(self):
+        with pytest.raises(ConstructionError, match="at least one part"):
+            build_nsw_gpu_parts((), PARAMS)
+
+    @pytest.mark.parametrize("other", [
+        np.zeros((20, 5)), np.zeros((20, 4), dtype=np.float32)])
+    def test_parts_must_share_dimension_and_dtype(self, other):
+        with pytest.raises(ConstructionError, match="dimension and dtype"):
+            build_nsw_gpu_parts((np.zeros((20, 4)), other), PARAMS)
+
+    def test_non_finite_row_names_its_part_and_row(self, small_points):
+        bad = small_points[:30].copy()
+        bad[17, 2] = np.nan
+        with pytest.raises(ConstructionError,
+                           match="^part 1: points must be finite: row 17"):
+            build_nsw_gpu_parts((small_points[:30], bad), PARAMS)

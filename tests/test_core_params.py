@@ -1,12 +1,18 @@
 """Tests for search/build parameter validation."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterEngine
 from repro.core.params import BuildParams, SearchParams
 from repro.datasets.synthetic import gaussian_mixture
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, HealError, ServeError
+from repro.faults.plan import named_fault_plan
+from repro.heal import HealPolicy
+from repro.serve import BatchPolicy, ResultCache, synthetic_trace
 
 
 class TestSearchParams:
@@ -124,3 +130,52 @@ class TestIntegerFields:
                             n_blocks=np.int64(100), seed=np.uint32(3),
                             ef_construction=None, search_l_n=None)
         assert build.effective_ef == 16
+
+
+def _trace(**kwargs):
+    return synthetic_trace(gaussian_mixture(8, 4, seed=3),
+                           **{"n_requests": 10, **kwargs})
+
+
+#: Counts and durations at the serving boundary: ``(make, field, bad
+#: value, error class, message)``.  Each field goes through ``as_count``
+#: or ``as_finite`` and raises its module's own error.
+SERVING_FIELDS = [
+    (BatchPolicy, "max_batch", 10.5, ConfigurationError, "an integer"),
+    (BatchPolicy, "max_batch", True, ConfigurationError, "an integer"),
+    (BatchPolicy, "max_queue", 64.5, ConfigurationError, "an integer"),
+    (BatchPolicy, "max_wait_seconds", math.nan, ConfigurationError,
+     "a finite number"),
+    (BatchPolicy, "max_wait_seconds", math.inf, ConfigurationError,
+     "a finite number"),
+    (ResultCache, "capacity", 10.5, ConfigurationError, "an integer"),
+    (HealPolicy, "n_repair_lanes", 1.5, HealError, "an integer"),
+    (HealPolicy, "max_rebuild_attempts", 2.5, HealError, "an integer"),
+    (HealPolicy, "digest_bytes", 8.5, HealError, "an integer"),
+    (HealPolicy, "n_threads", 8.5, HealError, "an integer"),
+    (HealPolicy, "mttr_bound_seconds", math.nan, HealError,
+     "a finite number"),
+    (HealPolicy, "deserialize_cycles_per_byte", math.nan, HealError,
+     "a finite number"),
+    (_trace, "n_requests", 10.5, ServeError, "an integer"),
+    (_trace, "queries_per_request", 2.5, ServeError, "an integer"),
+    (functools.partial(named_fault_plan, "replica-loss", 1.0),
+     "n_workers", 2.5, ConfigurationError, "an integer"),
+    (functools.partial(named_fault_plan, "replica-loss", 1.0),
+     "n_workers", -3, ConfigurationError, ">= 0"),
+]
+
+
+class TestServingFields:
+    @pytest.mark.parametrize(
+        "make,name,bad,error,message", SERVING_FIELDS,
+        ids=[f"{name}={bad!r}" for _, name, bad, _, _ in SERVING_FIELDS])
+    def test_bad_value_raises_the_module_error(self, make, name, bad,
+                                               error, message):
+        with pytest.raises(error, match=f"{name} must be {message}"):
+            make(**{name: bad})
+
+    def test_untargeted_plan_stays_valid(self):
+        plan = named_fault_plan("replica-loss", 1.0, n_workers=0)
+        assert all(e.target == -1 for e in plan.events
+                   if e.kind == "worker_loss")

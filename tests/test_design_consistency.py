@@ -437,19 +437,39 @@ class TestOneOfEach:
         assert writers == {"graphs/adjacency.py"}
 
     def test_one_serving_graph_rule(self):
-        """A served graph is its family's own build: ``serving_graph`` is
-        defined once, on the base backend, and the serving commands do
-        not reach for the GraphCon_NSW baseline."""
-        definers, cli_imports = [], set()
+        """A served graph is its family's own build: ``serving_graphs``
+        is defined once, on the base backend; the cluster builds every
+        shard through one call of it, not one per shard; the serving
+        commands do not reach for the GraphCon_NSW baseline; and the
+        merge iteration is driven only by the one Algorithm 2 body and
+        the streaming insert."""
+        definers, cli_imports, merge_callers = [], set(), []
         for path, tree in _src_trees():
             for node in ast.walk(tree):
                 if (isinstance(node, ast.FunctionDef)
-                        and node.name == "serving_graph"):
+                        and node.name == "serving_graphs"):
                     definers.append(path)
+                if (isinstance(node, ast.FunctionDef)
+                        and "merge_group_into_graph"
+                        in TestOneGGraphConBody._called_names(node)):
+                    merge_callers.append(f"{path}:{node.name}")
                 if path == "cli.py" and isinstance(node, ast.ImportFrom):
                     cli_imports |= {alias.name for alias in node.names}
         assert definers == ["core/backend.py"]
         assert "build_nsw_cpu" not in cli_imports
+        assert sorted(merge_callers) == ["core/construction.py:ggraphcon",
+                                         "core/construction.py:"
+                                         "insert_batch_nsw"]
+        engine = ast.parse(_read("src/repro/cluster/engine.py"))
+        calls = [node for node in ast.walk(engine)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", "") == "serving_graphs"]
+        assert len(calls) == 1
+        loops = [node for node in ast.walk(engine)
+                 if isinstance(node, (ast.For, ast.While, ast.ListComp,
+                                      ast.GeneratorExp))
+                 and any(call in ast.walk(node) for call in calls)]
+        assert loops == []
 
     def test_integer_fields_are_checked_once(self):
         """Parameter bundles and the cluster topology refuse floats and

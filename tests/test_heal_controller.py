@@ -34,8 +34,8 @@ from repro.heal import (
 def _shard(n_points=60, seed=11):
     points = gaussian_mixture(n_points, 8, n_clusters=3,
                               cluster_std=0.4, seed=seed)
-    graph = get_backend("nsw").serving_graph(points, d_min=4, d_max=8,
-                                             metric="euclidean")
+    [graph] = get_backend("nsw").serving_graphs((points,), d_min=4,
+                                                d_max=8, metric="euclidean")
     return graph, points
 
 

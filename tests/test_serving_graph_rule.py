@@ -1,11 +1,14 @@
 """The one serving-graph rule: a served graph is its family's own build.
 
-:meth:`repro.core.backend.IndexBackend.serving_graph` is written once,
+:meth:`repro.core.backend.IndexBackend.serving_graphs` is written once,
 on the base class, and holds for every registered family:
 
 - a flat family's served graph is byte-equal to its ``build`` at
   ``BuildParams(d_min, d_max, n_blocks=SERVING_N_BLOCKS)`` with
   ``knn_k=d_max``;
+- every cluster shard graph is byte-equal to its part served alone,
+  although the cluster serves all shards through one call (one
+  GGraphCon run for NSW);
 - the KNN and CAGRA graphs are byte-equal to what their former
   hand-written calls built (written out below as the reference): those
   builders read only ``d_max``, ``seed`` and ``n_threads``;
@@ -68,8 +71,21 @@ def test_served_graph_is_the_family_build(family, metric):
         points, BuildParams(d_min=D_MIN, d_max=D_MAX,
                             n_blocks=SERVING_N_BLOCKS),
         metric, knn_k=D_MAX).graph
-    _assert_same_graph(backend.serving_graph(points, D_MIN, D_MAX, metric),
-                       want)
+    _assert_same_graph(
+        backend.serving_graphs((points,), D_MIN, D_MAX, metric)[0], want)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("family", FLAT)
+def test_cluster_shard_graph_is_its_part_served_alone(family, metric):
+    cluster = ClusterEngine(_points(500, seed=9), n_shards=3, n_replicas=1,
+                            d_min=D_MIN, d_max=D_MAX, metric=metric,
+                            family=family)
+    backend = get_backend(family)
+    for points, graph in zip(cluster.shard_points, cluster.shard_graphs):
+        _assert_same_graph(
+            graph, backend.serving_graphs((points,), D_MIN, D_MAX,
+                                          metric)[0])
 
 
 #: What the KNN and CAGRA families served before the rule.
@@ -88,7 +104,8 @@ def test_knn_and_cagra_serve_the_graphs_they_served(family, metric):
     points = _points(150, seed=6)
     want = FORMER_SERVING_GRAPHS[family](points, D_MIN, D_MAX, metric)
     _assert_same_graph(
-        get_backend(family).serving_graph(points, D_MIN, D_MAX, metric),
+        get_backend(family).serving_graphs((points,), D_MIN, D_MAX,
+                                           metric)[0],
         want)
 
 
@@ -97,7 +114,8 @@ def test_knn_and_cagra_serve_the_graphs_they_served(family, metric):
 def test_small_nsw_shard_is_graphcon_nsw(n, metric):
     points = _points(n, seed=n)
     _assert_same_graph(
-        get_backend("nsw").serving_graph(points, D_MIN, D_MAX, metric),
+        get_backend("nsw").serving_graphs((points,), D_MIN, D_MAX,
+                                          metric)[0],
         build_nsw_cpu(points, D_MIN, D_MAX, metric=metric).graph,
         dists_rtol=None if metric == "euclidean" else 1e-12)
 
@@ -106,7 +124,7 @@ def test_small_nsw_shard_is_graphcon_nsw(n, metric):
 def test_hierarchical_family_has_no_serving_graph(family):
     with pytest.raises(UnsupportedOperationError,
                        match="no flat serving graph"):
-        get_backend(family).serving_graph(_points(40), D_MIN, D_MAX)
+        get_backend(family).serving_graphs((_points(40),), D_MIN, D_MAX)
 
 
 @pytest.mark.parametrize("family", FLAT)
