@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.baselines.beam import BeamLanes, beam_search_lanes
 from repro.core.construction_costs import GpuClock, report_from_clock
-from repro.core.params import BuildParams
+from repro.core.params import BuildParams, as_count
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
 from repro.graphs.adjacency import PAD_DIST, PAD_ID, ProximityGraph
@@ -61,11 +61,15 @@ from repro.perf.construction import (
 
 def validated_points(points: np.ndarray) -> np.ndarray:
     """``points`` as an array, or :class:`ConstructionError` if it is not
-    a non-empty 2-D matrix of finite values (naming the first bad row).
+    a non-empty 2-D matrix of finite real values (naming the dtype, or
+    the first bad row).  Integer and bool corpora are real data.
 
     The one corpus check every graph builder runs.
     """
     points = np.asarray(points)
+    if points.dtype.kind not in "biuf":
+        raise ConstructionError(
+            f"points must hold real numbers, got dtype {points.dtype}")
     if points.ndim != 2 or len(points) == 0:
         raise ConstructionError(
             f"points must be a non-empty 2-D matrix, got shape {points.shape}"
@@ -567,24 +571,40 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
         metric: Metric name (must match the graph's).
         device: Simulated device.
         costs: Cycle cost table.
-        entry: Entry vertex for the merge searches (a live vertex).
-        exclude_mask: Optional ``(n,)`` tombstone mask; tombstoned
-            vertices are never chosen as neighbors of the batch.
+        entry: Entry vertex for the merge searches (a live vertex
+            before the batch).
+        exclude_mask: Optional ``(n,)`` boolean tombstone mask;
+            tombstoned vertices are never chosen as neighbors of the
+            batch.
 
     Returns:
         A :class:`repro.core.results.ConstructionReport` whose ``graph``
         is the mutated live graph and whose timings cover this batch
         only.
+
+    Raises:
+        ConstructionError: When an argument breaks the contract above:
+            ``new_ids`` not a non-empty 1-D integer tail with empty
+            rows, ``points`` of the wrong shape or not finite real
+            values, a metric or ``d_max`` other than the graph's, an
+            ``entry`` outside ``[0, new_ids[0])`` or a malformed
+            ``exclude_mask``.
     """
     points = np.asarray(points)
-    group = np.asarray(new_ids, dtype=np.int64)
+    group = np.asarray(new_ids)
+    if group.ndim != 1 or group.dtype.kind not in "iu":
+        raise ConstructionError(
+            f"new_ids must be a 1-D integer array, got dtype {group.dtype} "
+            f"and shape {group.shape}")
     if len(group) == 0:
         raise ConstructionError("insert batch must be non-empty")
+    group = group.astype(np.int64)
     if points.ndim != 2 or len(points) != graph.n_vertices:
         raise ConstructionError(
             f"points must be ({graph.n_vertices}, d) to match the grown "
             f"graph, got shape {points.shape}"
         )
+    points = validated_points(points)
     if int(group[-1]) != graph.n_vertices - 1 \
             or not np.array_equal(group,
                                   np.arange(group[0], group[-1] + 1)):
@@ -595,6 +615,29 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
     if np.any(graph.degrees[group] != 0):
         raise ConstructionError(
             "rows for new_ids must be empty before the insert")
+    if metric != graph.metric_name:
+        raise ConstructionError(
+            f"metric {metric!r} does not match the graph's "
+            f"{graph.metric_name!r}")
+    if params.d_max != graph.d_max:
+        raise ConstructionError(
+            f"params.d_max ({params.d_max}) does not match the graph's "
+            f"d_max ({graph.d_max})")
+    # The entry must already be in G_0: a batch vertex is unreachable
+    # until Step 3, and would be its own search result.
+    entry = as_count(entry, "entry", error=ConstructionError)
+    if not 0 <= entry < group[0]:
+        raise ConstructionError(
+            f"entry must be a vertex before the batch, in [0, {group[0]}), "
+            f"got {entry}")
+    if exclude_mask is not None:
+        exclude_mask = np.asarray(exclude_mask)
+        if exclude_mask.dtype != bool \
+                or exclude_mask.shape != (graph.n_vertices,):
+            raise ConstructionError(
+                f"exclude_mask must be a ({graph.n_vertices},) bool array, "
+                f"got dtype {exclude_mask.dtype} and shape "
+                f"{exclude_mask.shape}")
 
     metric_obj = get_metric(metric)
     d_min = params.d_min

@@ -166,6 +166,7 @@ class GpuClock:
         self._insert_cycles = costs.backward_insert_cycles(params.d_max, n_t)
         self._forward_merge_cycles = costs.ganns_merge_cycles(
             params.d_min, params.d_min, n_t)
+        self._merge_cycles = np.empty(0)
 
     def add(self, phase: str, seconds: float, distance_cycles: float,
             structure_cycles: float) -> None:
@@ -232,12 +233,13 @@ class GpuClock:
                   + costs.prefix_sum_cycles(n_edges, grid_threads))
         self.add("merge_gather_scatter",
                  self.kernel.cycles_to_seconds(cycles), 0.0, cycles)
-        lengths, segment_length = np.unique(segment_lengths,
-                                            return_inverse=True)
-        segment_cycles = np.array([
-            costs.adjacency_merge_cycles(self._d_max, int(length), n_t)
-            for length in lengths
-        ])[segment_length]
+        longest = int(segment_lengths.max())
+        if longest >= len(self._merge_cycles):
+            # Each segment length is priced once per clock.
+            self._merge_cycles = np.array([
+                costs.adjacency_merge_cycles(self._d_max, length, n_t)
+                for length in range(longest + 1)])
+        segment_cycles = self._merge_cycles[segment_lengths]
         launch = self.kernel.run(segment_cycles)
         self.add("merge_update", launch.seconds, 0.0,
                  float(segment_cycles.sum()))

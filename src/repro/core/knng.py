@@ -177,15 +177,20 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
             merge_cycles / mix)
 
         # Adjacency update (Step 3 style bounded merge, all rows at
-        # once: the pairs are CSR segments keyed by vertex).  Only the k
-        # closest candidates of a row can enter it, so the rest are
-        # dropped before the merge pays for them.
+        # once: the pairs are CSR segments keyed by vertex, each sorted
+        # by (dist, id)).  Only the k closest candidates of a row can
+        # enter it, and none farther than its last record (rows are
+        # full), so the rest are dropped before the merge pays for them.
         before = rows.copy()
         if len(v_idx):
             slots = np.full((n, max(k, np.bincount(v_idx).max())), np.inf)
             slots[v_idx, rank_in_run(v_idx)] = dists
-            kth = np.partition(slots, k - 1, axis=1)[:, k - 1]
-            enters = dists <= kth[v_idx]
+            kth = np.minimum(np.partition(slots, k - 1, axis=1)[:, k - 1],
+                             graph.neighbor_dists[:, k - 1])
+            enters = np.flatnonzero(dists <= kth[v_idx])
+            # A row's candidates are in id order, so a stable sort by
+            # distance within the row orders them by (dist, id).
+            enters = enters[np.lexsort((dists[enters], v_idx[enters]))]
             v_idx, u_idx, dists = v_idx[enters], u_idx[enters], dists[enters]
             merge_segments_batch(graph, v_idx, u_idx, dists,
                                  csr_offsets_from_sorted_ids(v_idx))

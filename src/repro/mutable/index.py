@@ -135,7 +135,8 @@ class MutableIndex:
                 f"mutation; its graphs are batch-built — rebuild (or "
                 f"snapshot-and-rebuild) instead, or use family 'nsw'"
             )
-        points = np.ascontiguousarray(points, dtype=np.float64)
+        points = np.ascontiguousarray(validated_points(points),
+                                      dtype=np.float64)
         store = DurableStore()
         store.meta = {**encode_params(params), "metric": metric,
                       "search_kernel": search_kernel}
@@ -235,8 +236,7 @@ class MutableIndex:
         a crash mid-apply loses only volatile state, and recovery
         replays the record to the identical result.
         """
-        new_points = np.ascontiguousarray(np.atleast_2d(new_points),
-                                          dtype=np.float64)
+        new_points = np.atleast_2d(new_points)
         if new_points.shape[1] != self.points.shape[1]:
             raise MutableIndexError(
                 f"insert dimensionality {new_points.shape[1]} != index "
@@ -244,7 +244,8 @@ class MutableIndex:
         # Before the WAL: a record the apply would refuse would make every
         # later recovery refuse it too.
         try:
-            validated_points(new_points)
+            new_points = np.ascontiguousarray(validated_points(new_points),
+                                              dtype=np.float64)
         except ConstructionError as exc:
             raise MutableIndexError(f"insert {exc}") from None
         self.store.append(OP_INSERT, now, points=new_points)

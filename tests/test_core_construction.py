@@ -15,6 +15,7 @@ from repro.core.construction import (
     _build_local_graphs,
     build_nsw_gpu,
     build_nsw_gpu_parts,
+    insert_batch_nsw,
 )
 from repro.core.construction_costs import CpuClock
 from repro.core.params import BuildParams
@@ -153,6 +154,55 @@ class TestValidation:
                                BuildParams(d_min=2, d_max=4, n_blocks=100))
         assert report.details["n_groups"] <= 20
         validate_graph(report.graph)
+
+
+def _grown_graph_and_points():
+    """A 30-point euclidean ``d_max = 8`` graph grown to 40 rows."""
+    points = np.random.default_rng(7).normal(size=(40, 6))
+    params = BuildParams(d_min=4, d_max=8, n_blocks=3)
+    return build_nsw_gpu(points[:30], params).graph.widened(40), points
+
+
+class TestInsertBatchContract:
+    """``insert_batch_nsw`` enforces its own docstring with a typed
+    :class:`ConstructionError` instead of writing a bad graph or raising
+    a raw NumPy error."""
+
+    @pytest.mark.parametrize("change, match", [
+        ({"entry": 35}, "entry must be a vertex before the batch"),
+        ({"entry": 2.5}, "entry must be an integer"),
+        ({"metric": "cosine"}, "does not match the graph's 'euclidean'"),
+        ({"params": BuildParams(d_min=4, d_max=16, n_blocks=3)},
+         r"params.d_max \(16\) does not match"),
+        ({"new_ids": np.arange(30, 40) + 0.5}, "1-D integer array"),
+        ({"new_ids": np.arange(30, 40).reshape(2, 5)}, "1-D integer array"),
+        ({"exclude_mask": np.zeros(10, dtype=bool)},
+         r"exclude_mask must be a \(40,\) bool array"),
+        ({"exclude_mask": np.zeros(40)}, "exclude_mask must be a"),
+        ({"nan_row": 33}, "row 33 holds NaN or inf"),
+        ({"points_dtype": np.complex128}, "real numbers"),
+    ])
+    def test_bad_argument_is_refused(self, change, match):
+        graph, points = _grown_graph_and_points()
+        if "nan_row" in change:
+            points[change.pop("nan_row"), 1] = np.nan
+        if "points_dtype" in change:
+            points = points.astype(change.pop("points_dtype"))
+        kwargs = {"entry": 0, "metric": "euclidean",
+                  "params": BuildParams(d_min=4, d_max=8, n_blocks=3),
+                  "new_ids": np.arange(30, 40), **change}
+        before = graph.copy()
+        with pytest.raises(ConstructionError, match=match):
+            insert_batch_nsw(graph, points, kwargs.pop("new_ids"),
+                             kwargs.pop("params"), **kwargs)
+        assert graph.neighbor_ids.tobytes() == before.neighbor_ids.tobytes()
+
+    def test_good_arguments_insert(self):
+        graph, points = _grown_graph_and_points()
+        insert_batch_nsw(graph, points, np.arange(30, 40),
+                         BuildParams(d_min=4, d_max=8, n_blocks=3), entry=29)
+        validate_graph(graph)
+        assert graph.degrees[30:].min() > 0
 
 
 class TestBlockDiagonalPhase1:

@@ -13,7 +13,8 @@ from repro.core.knng import build_knn_graph_gpu
 from repro.core.naive import build_nsw_naive_parallel, build_nsw_serial_gpu
 from repro.core.params import BuildParams
 from repro.datasets.synthetic import gaussian_mixture
-from repro.errors import ClusterError, ConstructionError
+from repro.errors import (ClusterError, ConstructionError,
+                          MutableIndexError)
 from repro.extensions.distributed import build_nsw_distributed
 from repro.extensions.multicore import build_nsw_multicore
 from repro.mutable import MutableIndex
@@ -50,3 +51,27 @@ def test_cluster_engine_refuses_a_non_finite_corpus():
     points[5, 2] = np.nan
     with pytest.raises(ClusterError, match="row 5 holds NaN or inf"):
         ClusterEngine(points, n_shards=2, n_replicas=1)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, object, str])
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_non_real_corpus_is_refused_naming_the_dtype(builder, dtype):
+    """Complex corpora are not silently cut to their real parts, and
+    str / object matrices fail typed, not inside ``np.isfinite``."""
+    points = gaussian_mixture(300, 8, seed=0).astype(dtype)
+    with pytest.raises(ConstructionError,
+                       match=f"real numbers, got dtype {points.dtype}"):
+        BUILDERS[builder](points)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, bool])
+def test_integer_and_bool_corpora_are_real_data(dtype):
+    points = (gaussian_mixture(120, 8, seed=0) * 40 + 128).clip(0, 255)
+    build_nsw_gpu(points.astype(dtype), PARAMS)
+
+
+def test_mutable_insert_refuses_complex_rows():
+    index = MutableIndex.build(gaussian_mixture(60, 8, seed=0), PARAMS)
+    with pytest.raises(MutableIndexError, match="real numbers"):
+        index.insert(gaussian_mixture(3, 8, seed=1).astype(np.complex128))
+    assert index.n_slots == 60

@@ -21,6 +21,7 @@ from repro.core.ganns import ganns_search
 from repro.core.ganns_kernel import ganns_search_kernel
 from repro.core.params import SearchParams
 from repro.datasets.synthetic import gaussian_mixture
+from repro.extensions.mips import register_ip_metric
 from repro.perf.arena import EvaluatedPairs, SearchArena
 from repro.perf.distance import GroupDistanceEngine
 from repro.perf.engine import _insert_merge
@@ -28,6 +29,8 @@ from repro.perf.quant import QuantizedGroupEngine
 from tests.oracles.ganns_batched import ganns_search_oracle
 from tests.test_perf_equivalence import _assert_trackers_equal, \
     assert_matches_oracle
+
+register_ip_metric()
 
 
 @st.composite
