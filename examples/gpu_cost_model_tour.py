@@ -4,9 +4,9 @@ The reproduction's substrate is a SIMT execution/cost model; this example
 walks through the pieces the search kernels are made of, so you can see
 what "running on the virtual GPU" means:
 
-1. warp primitives (``shfl_down``, ``ballot``/``ffs``) computing a real
-   distance reduction and a candidate-locating step,
-2. the bitonic sorting network ordering a neighbor buffer,
+1. the warp steps (``shfl_down`` distance reduction, ``ballot``/``ffs``
+   candidate locating) priced by the cost table,
+2. the bitonic sort and merge networks of the candidate update,
 3. a kernel launch turning per-block cycles into wall time via the
    occupancy model,
 4. the PCIe transfer model behind the paper's "data transfer is
@@ -20,17 +20,12 @@ Run it with::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpusim import (
-    CycleTracker,
     DEFAULT_COSTS,
     KernelLaunch,
     QUADRO_P5000,
     TransferModel,
 )
-from repro.gpusim.sorting import bitonic_sort_network
-from repro.gpusim.warp import first_set_lane, warp_reduce_sum
 
 
 def main() -> None:
@@ -40,32 +35,22 @@ def main() -> None:
           f"{device.cores_per_sm} cores @ {device.clock_ghz} GHz")
 
     # 1a. A 32-lane warp computes one 128-dim squared distance: each lane
-    # accumulates 4 dimensions, then shfl_down folds the partial sums.
-    rng = np.random.default_rng(0)
-    query, point = rng.normal(size=(2, 128))
-    partials = np.array([((query - point) ** 2)[lane::32].sum()
-                         for lane in range(32)])
-    tracker = CycleTracker(1)
-    total = warp_reduce_sum(partials, tracker=tracker, phase="reduce")
-    print(f"\nwarp distance reduction: {total:.4f} "
-          f"(numpy check {((query - point) ** 2).sum():.4f}), "
-          f"{tracker.total_cycles():.0f} cycles")
+    # accumulates 4 dimensions, then log2(32) = 5 shfl_down steps fold
+    # the partial sums — GANNS phase (3).
+    print(f"\nwarp distance (d=128, 32 lanes): "
+          f"{costs.distance_compute_cycles(128, 32):.0f} cycles "
+          f"(one lane alone: {costs.distance_compute_cycles(128, 1):.0f})")
 
     # 1b. Candidate locating: ballot over the explored flags, ffs picks
     # the first unexplored pool slot — GANNS phase (1).
-    explored = np.ones(32, dtype=bool)
-    explored[7] = explored[20] = False
-    slot = first_set_lane(~explored)
-    print(f"candidate locating: first unexplored slot = {slot}")
+    print(f"candidate locating over l_n=64 flags: "
+          f"{costs.ganns_candidate_locate_cycles(64, 32):.0f} cycles")
 
-    # 2. Bitonic sort of a 32-entry neighbor buffer by (distance, id).
-    dists = rng.normal(size=32) ** 2
-    ids = rng.permutation(32).astype(np.float64)
-    sorted_dists, sorted_ids = bitonic_sort_network(dists, ids)
-    assert (np.diff(sorted_dists) >= 0).all()
-    print(f"bitonic sort: 32 entries ordered, best id "
-          f"{int(sorted_ids[0])} at distance {sorted_dists[0]:.4f}; "
-          f"charged {costs.ganns_sort_cycles(32, 32):.0f} cycles")
+    # 2. Bitonic sort of a 32-entry neighbor buffer by (distance, id),
+    # then the bitonic merge of it into a 64-entry pool — phases (5)/(6).
+    print(f"bitonic sort of l_t=32: {costs.ganns_sort_cycles(32, 32):.0f} "
+          f"cycles; merge into l_n=64: "
+          f"{costs.ganns_merge_cycles(64, 32, 32):.0f} cycles")
 
     # 3. Kernel launch: 2000 one-warp blocks, 100k cycles each.
     kernel = KernelLaunch(device, n_threads=32)

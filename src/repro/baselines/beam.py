@@ -119,16 +119,27 @@ def beam_search(graph: ProximityGraph, points: np.ndarray,
 
     Returns:
         A :class:`BeamSearchResult` with ids closest-first and counters.
-    """
-    ef = _beam_width(k, ef)
-    if not 0 <= entry < graph.n_vertices:
-        raise SearchError(
-            f"entry vertex {entry} out of range [0, {graph.n_vertices})"
-        )
-    if metric is None:
-        metric = graph.metric
-    query = np.asarray(query, dtype=np.float64)
 
+    Raises:
+        SearchError: On a query :func:`repro.core.ganns.check_queries`
+            refuses, a non-integer or non-positive ``k``, or ``ef < k``.
+    """
+    # ``repro.core`` imports this module, so its helpers load per call.
+    from repro.core.ganns import check_queries
+    from repro.core.params import as_count
+
+    query = np.asarray(query, dtype=np.float64)
+    check_queries(np.asarray(points), query[None, :], graph, entry)
+    k = as_count(k, "k", error=SearchError)
+    ef = _beam_width(k, ef)
+    return _heap_search(graph, points, query, k, ef, entry,
+                        graph.metric if metric is None else metric)
+
+
+def _heap_search(graph: ProximityGraph, points: np.ndarray,
+                 query: np.ndarray, k: int, ef: int, entry: int,
+                 metric: Metric) -> BeamSearchResult:
+    """:func:`beam_search`'s heap loop over inputs already checked."""
     n_dist = 0
     n_heap = 0
     n_hash = 0
@@ -241,8 +252,8 @@ def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
     if entries.ndim == 0:
         entries = np.full(n_lanes, entries)
     if n_lanes < _LOCKSTEP_MIN_LANES:
-        return _stack([beam_search(graph, points, query, k, ef, entry,
-                                   metric)
+        return _stack([_heap_search(graph, points, query, k, ef, entry,
+                                    metric)
                        for query, entry in zip(queries, entries.tolist())],
                       k)
     span = graph.n_vertices if window is None else window

@@ -10,7 +10,8 @@ than any single shard's candidate list, and empty shards.
 Semantics:
 
 - Candidates are ``(distance, id)`` pairs; ties on distance break by
-  ascending id, matching :func:`repro.gpusim.sorting.merge_sorted_topm`.
+  ascending id, the library-wide tie rule
+  (``tests/test_cluster_merge_properties.py`` is its contract here).
 - An id ``< 0`` is *padding* (a shard holding fewer than ``k`` points
   pads its answer); padding never beats a real candidate and re-pads
   the tail of the merged list when the union holds fewer than ``k``

@@ -25,6 +25,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.params import as_count
 from repro.errors import ClusterError
 
 
@@ -46,16 +47,8 @@ class ConsistentHashRing:
     """
 
     def __init__(self, n_shards: int, n_vnodes: int = 64, salt: int = 0):
-        if n_shards <= 0:
-            raise ClusterError(
-                f"n_shards must be positive, got {n_shards}"
-            )
-        if n_vnodes <= 0:
-            raise ClusterError(
-                f"n_vnodes must be positive, got {n_vnodes}"
-            )
-        self.n_shards = int(n_shards)
-        self.n_vnodes = int(n_vnodes)
+        self.n_shards = as_count(n_shards, "n_shards", 1, ClusterError)
+        self.n_vnodes = as_count(n_vnodes, "n_vnodes", 1, ClusterError)
         self.salt = int(salt)
         entries: List[Tuple[int, int]] = []
         for shard in range(self.n_shards):

@@ -4,10 +4,9 @@
 - :mod:`repro.core.results` — search reports with per-phase cycle
   accounting and throughput conversion.
 - :mod:`repro.core.ganns` — the 6-phase GPU-friendly search (lazy update +
-  lazy check), batched across queries in lock-step.
-- :mod:`repro.core.ganns_kernel` — a faithful single-query kernel built
-  from warp primitives and the bitonic networks; the reference the batched
-  path is tested against.
+  lazy check), batched across queries in lock-step.  The faithful
+  single-query kernel built from warp primitives and the bitonic networks
+  is a test oracle (``tests/oracles/ganns_kernel.py``).
 - :mod:`repro.core.construction` — GGraphCon divide-and-conquer NSW
   construction (local graphs + CSR-organised merges).
 - :mod:`repro.core.naive` — the GSerial and GNaiveParallel strawmen of

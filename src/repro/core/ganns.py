@@ -29,9 +29,9 @@ plus an exact rerank (:func:`repro.perf.engine.ganns_search_staged`).
 the CPU beam search, ``stream_batches``, ``GannsIndex.search`` and the
 serving engines' trace validation all run it.
 
-The oracles the implementation answers to live elsewhere: the faithful
-single-query kernel assembled from warp primitives in
-:mod:`repro.core.ganns_kernel`, the lock-step batched specification in
+The oracles the implementation answers to live under ``tests/``: the
+faithful single-query kernel assembled from warp primitives in
+``tests/oracles/ganns_kernel.py``, the lock-step batched specification in
 ``tests/oracles/ganns_batched.py``, and the byte goldens under
 ``tests/data/``.
 """

@@ -25,12 +25,11 @@ from repro.baselines.song import SongParams, song_search
 from repro.core.backend import STRATEGIES, get_backend  # noqa: F401 - STRATEGIES re-exported
 from repro.core.ganns import check_queries
 from repro.core.hnsw import recover_original_ids
-from repro.core.params import BuildParams, SearchParams
+from repro.core.params import BuildParams, SearchParams, next_pow2
 from repro.core.results import ConstructionReport, SearchReport
 from repro.errors import ConfigurationError, SearchError
 from repro.graphs.adjacency import HierarchicalGraph, ProximityGraph
 from repro.graphs.validation import validate_graph
-from repro.gpusim.sorting import next_pow2
 from repro.metrics.recall import recall_at_k
 from repro.perf.descent import hnsw_entry_descent_batch
 

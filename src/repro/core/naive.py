@@ -23,7 +23,7 @@ import numpy as np
 from repro.baselines.beam import beam_search_lanes
 from repro.core.construction import build_nsw_gpu, validated_points
 from repro.core.construction_costs import GpuClock, report_from_clock
-from repro.core.params import BuildParams
+from repro.core.params import BuildParams, as_count
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
 from repro.graphs.adjacency import ProximityGraph
@@ -88,10 +88,7 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
     n_t = params.n_threads
     if batch_size is None:
         batch_size = params.n_blocks
-    if batch_size <= 0:
-        raise ConstructionError(
-            f"batch_size must be positive, got {batch_size}"
-        )
+    batch_size = as_count(batch_size, "batch_size", 1, ConstructionError)
     clock = GpuClock(params, search_kernel, n_dims, device, costs)
 
     graph = ProximityGraph(n, params.d_max, metric)

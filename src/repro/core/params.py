@@ -13,7 +13,18 @@ from typing import Optional, Type
 import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
-from repro.gpusim.sorting import is_pow2, next_pow2
+
+
+def is_pow2(n: int) -> bool:
+    """True when ``n`` is a positive power of two."""
+    return n > 0 and (n & (n - 1)) == 0
+
+
+def next_pow2(n: int) -> int:
+    """Smallest power of two that is ``>= n`` (1 for ``n <= 1``)."""
+    if n <= 1:
+        return 1
+    return 1 << (n - 1).bit_length()
 
 
 def as_count(value, name: str, minimum: Optional[int] = None,

@@ -30,7 +30,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 import numpy as np
 
 from repro.core.ganns import check_queries, ganns_search
-from repro.core.params import SearchParams
+from repro.core.params import SearchParams, as_count
 from repro.core.results import SearchReport, make_search_tracker
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
@@ -329,8 +329,7 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
     """
     queries = np.asarray(queries)
     check_queries(np.asarray(points), queries, graph, entry)
-    if batch_size <= 0:
-        raise SearchError(f"batch_size must be positive, got {batch_size}")
+    batch_size = as_count(batch_size, "batch_size", 1, SearchError)
     entries = np.asarray(entry, dtype=np.int64)
     transfer = TransferModel(device)
     search = ganns_search if _lanes is None else _lanes.search

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.params import as_count
 from repro.datasets import synthetic
 from repro.datasets.ground_truth import exact_knn
 from repro.errors import DatasetError
@@ -218,10 +219,8 @@ def load_dataset(name: str, n_points: Optional[int] = None,
         raise DatasetError(f"unknown dataset {name!r}; valid names: {valid}")
     if n_points is None:
         n_points = spec.scaled_points(base_points)
-    if n_points <= 0:
-        raise DatasetError(f"n_points must be positive, got {n_points}")
-    if n_queries <= 0:
-        raise DatasetError(f"n_queries must be positive, got {n_queries}")
+    n_points = as_count(n_points, "n_points", 1, DatasetError)
+    n_queries = as_count(n_queries, "n_queries", 1, DatasetError)
 
     generator: Callable[..., np.ndarray] = getattr(synthetic, spec.generator)
     points = generator(n_points, spec.n_dims, seed=seed,

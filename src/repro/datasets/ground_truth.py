@@ -12,6 +12,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from repro.core.params import as_count
 from repro.errors import DatasetError
 from repro.metrics.distance import Metric, get_metric
 
@@ -35,6 +36,11 @@ def exact_knn(points: np.ndarray, queries: np.ndarray, k: int,
     Returns:
         ``(m, k)`` int64 ids ordered by increasing distance (ties by id),
         optionally with the matching distances.
+
+    Raises:
+        DatasetError: On non-2-D or mismatched matrices, a non-finite
+            coordinate, or a ``k`` that is not an integer in
+            ``[1, n]``.
     """
     points = np.asarray(points)
     queries = np.asarray(queries)
@@ -48,7 +54,13 @@ def exact_knn(points: np.ndarray, queries: np.ndarray, k: int,
             f"dimensionality mismatch: points are {points.shape[1]}-d, "
             f"queries are {queries.shape[1]}-d"
         )
+    if not (np.isfinite(points).all() and np.isfinite(queries).all()):
+        raise DatasetError(
+            "points and queries must be finite: a non-finite coordinate "
+            "has no distance order, so there is no true neighbor set"
+        )
     n = len(points)
+    k = as_count(k, "k", error=DatasetError)
     if not 1 <= k <= n:
         raise DatasetError(f"k must lie in [1, {n}], got {k}")
     if chunk_size <= 0:

@@ -46,8 +46,8 @@ class DeviceError(ReproError):
     """A simulated-device constraint was violated.
 
     Examples: a kernel requests more shared memory per block than the device
-    spec provides, or a warp primitive is invoked with a lane count that does
-    not match the warp width.
+    spec provides, a PCIe transfer of negative size is priced, or the
+    merge-step segment scan is given a non-1-D id array.
     """
 
 

@@ -25,9 +25,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.params import SearchParams
+from repro.core.params import SearchParams, next_pow2
 from repro.errors import ConfigurationError
-from repro.gpusim.sorting import next_pow2
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,8 @@ timed, on a laptop:
   taken from the paper's complexity analysis (Sections III-C and IV-C).
 - :mod:`repro.gpusim.tracker` — per-phase cycle accounting, vectorised over
   queries so a batched search can charge each query lane independently.
-- :mod:`repro.gpusim.warp` — functional semantics of the warp-level
-  primitives the paper relies on (``__shfl_down_sync``, ``__shfl_xor_sync``,
-  ``__ballot_sync``, ``__ffs``).
-- :mod:`repro.gpusim.sorting` — bitonic sorting/merging networks (Batcher),
-  both a faithful compare-exchange network and batched helpers.
-- :mod:`repro.gpusim.scan` — work-efficient parallel prefix sum.
+- :mod:`repro.gpusim.scan` — segment flags and CSR offsets, the result of
+  GGraphCon's merge-step prefix sum.
 - :mod:`repro.gpusim.memory` — shared-memory budgets and the PCIe transfer
   model used in the paper's "Remarks" on CPU-GPU data transfer.
 - :mod:`repro.gpusim.kernel` — kernel-launch scheduling: maps per-block cycle
@@ -24,34 +20,28 @@ timed, on a laptop:
 
 The algorithm logic that runs on top of this substrate is executed for real
 (actual graph traversals, actual floating-point distances), so accuracy
-numbers are genuine; only the *clock* is simulated.
+numbers are genuine; only the *clock* is simulated.  The warp primitives
+(``__shfl_down_sync``, ``__ballot_sync``, ``__ffs``) and bitonic networks
+the kernels are made of are priced here by formula, not executed; the
+executed forms live in the single-query kernel oracle under
+``tests/oracles/``.
 """
 
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000, quadro_p5000
+from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.tracker import CycleTracker, PhaseCategory
-from repro.gpusim.kernel import (
-    KernelLaunch,
-    LaunchResult,
-    ScheduledBlock,
-    schedule_blocks,
-    render_timeline,
-)
+from repro.gpusim.kernel import KernelLaunch, LaunchResult
 from repro.gpusim.memory import SharedMemoryBudget, TransferModel
 
 __all__ = [
     "DeviceSpec",
     "QUADRO_P5000",
-    "quadro_p5000",
     "CostTable",
     "DEFAULT_COSTS",
     "CycleTracker",
     "PhaseCategory",
     "KernelLaunch",
     "LaunchResult",
-    "ScheduledBlock",
-    "schedule_blocks",
-    "render_timeline",
     "SharedMemoryBudget",
     "TransferModel",
 ]

@@ -174,11 +174,3 @@ QUADRO_P5000 = DeviceSpec(
 )
 """The paper's evaluation GPU: 2560 cores / 20 SMs, 16 GB, PCIe 3.0 x16."""
 
-
-def quadro_p5000() -> DeviceSpec:
-    """Return a fresh reference to the Quadro P5000 preset.
-
-    Provided as a callable for symmetry with test fixtures; the preset is a
-    frozen dataclass, so sharing the module-level instance is also safe.
-    """
-    return QUADRO_P5000

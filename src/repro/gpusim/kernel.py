@@ -160,70 +160,3 @@ class KernelLaunch:
             return float("inf")
         return result.n_blocks / result.seconds
 
-
-@dataclass(frozen=True)
-class ScheduledBlock:
-    """Placement of one block in a simulated launch schedule."""
-
-    block: int
-    slot: int
-    start_cycles: float
-    end_cycles: float
-
-
-def schedule_blocks(block_cycles: Union[Sequence[float], np.ndarray],
-                    concurrency: int) -> "list[ScheduledBlock]":
-    """Full schedule of the LPT dispatch used by :func:`_makespan`.
-
-    Returns one :class:`ScheduledBlock` per block with its slot and
-    start/end times, so callers can render timelines or compute slot
-    utilisation.  ``max(end_cycles)`` equals the makespan the launch
-    reports.
-    """
-    cycles = np.asarray(block_cycles, dtype=np.float64).ravel()
-    if concurrency <= 0:
-        raise ConfigurationError(
-            f"concurrency must be positive, got {concurrency}"
-        )
-    if np.any(cycles < 0):
-        raise ConfigurationError("block cycle counts must be non-negative")
-    order = np.argsort(cycles)[::-1]
-    slots = [(0.0, s) for s in range(concurrency)]
-    heapq.heapify(slots)
-    placements = []
-    for idx in order:
-        start, slot = heapq.heappop(slots)
-        end = start + float(cycles[idx])
-        placements.append(ScheduledBlock(block=int(idx), slot=slot,
-                                         start_cycles=start,
-                                         end_cycles=end))
-        heapq.heappush(slots, (end, slot))
-    placements.sort(key=lambda p: p.block)
-    return placements
-
-
-def render_timeline(placements: "list[ScheduledBlock]", width: int = 60,
-                    max_slots: int = 12) -> str:
-    """ASCII Gantt chart of a launch schedule (one row per slot)."""
-    if not placements:
-        return "(empty schedule)"
-    makespan = max(p.end_cycles for p in placements)
-    if makespan <= 0:
-        return "(zero-length schedule)"
-    n_slots = max(p.slot for p in placements) + 1
-    rows = []
-    for slot in range(min(n_slots, max_slots)):
-        line = [" "] * width
-        for p in placements:
-            if p.slot != slot:
-                continue
-            lo = int(p.start_cycles / makespan * (width - 1))
-            hi = max(int(p.end_cycles / makespan * (width - 1)), lo)
-            marker = str(p.block % 10)
-            for col in range(lo, hi + 1):
-                line[col] = marker
-        rows.append(f"slot {slot:>3} |{''.join(line)}|")
-    if n_slots > max_slots:
-        rows.append(f"... {n_slots - max_slots} more slots ...")
-    rows.append(f"0 cycles {' ' * (width - 18)} {makespan:,.0f} cycles")
-    return "\n".join(rows)

@@ -1,10 +1,9 @@
-"""Work-efficient parallel prefix sum (Blelloch scan).
+"""Segment flags and CSR offsets over a sorted id array.
 
 GGraphCon's merge phase organises the backward-edge list ``E`` into CSR
 form by flagging the first edge of each starting vertex and prefix-summing
-the flags (Section IV-B, merge Step 2).  This module provides the scan with
-the up-sweep/down-sweep schedule a GPU block would run, plus the plain
-NumPy fast path used by batched code.
+the flags (Section IV-B, merge Step 2).  The prefix sum itself is priced
+by :mod:`repro.gpusim.costs`; these helpers compute its result.
 """
 
 from __future__ import annotations
@@ -12,64 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DeviceError
-from repro.gpusim.sorting import is_pow2, next_pow2
-
-
-def exclusive_scan(values: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum along the last axis (NumPy fast path).
-
-    ``out[..., i] = sum(values[..., :i])``; ``out[..., 0] = 0``.
-    """
-    values = np.asarray(values)
-    out = np.zeros_like(values)
-    np.cumsum(values[..., :-1], axis=-1, out=out[..., 1:])
-    return out
-
-
-def inclusive_scan(values: np.ndarray) -> np.ndarray:
-    """Inclusive prefix sum along the last axis (NumPy fast path)."""
-    return np.cumsum(np.asarray(values), axis=-1)
-
-
-def blelloch_exclusive_scan(values: np.ndarray) -> np.ndarray:
-    """Exclusive scan via the Blelloch up-sweep/down-sweep schedule.
-
-    Runs the exact sequence of compare-free add/swap steps a GPU block
-    performs in shared memory.  Input length is padded to a power of two
-    internally; the result has the input's length.
-
-    Raises:
-        DeviceError: If the input is not 1-D (the per-block kernel operates
-            on a single shared-memory buffer).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise DeviceError(
-            f"blelloch scan operates on a 1-D block buffer, got shape "
-            f"{values.shape}"
-        )
-    n = len(values)
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    size = n if is_pow2(n) else next_pow2(n)
-    buf = np.zeros(size, dtype=np.float64)
-    buf[:n] = values
-    # Up-sweep (reduce) phase.
-    stride = 1
-    while stride < size:
-        idx = np.arange(2 * stride - 1, size, 2 * stride)
-        buf[idx] += buf[idx - stride]
-        stride *= 2
-    # Down-sweep phase.
-    buf[size - 1] = 0.0
-    stride = size // 2
-    while stride >= 1:
-        idx = np.arange(2 * stride - 1, size, 2 * stride)
-        left = buf[idx - stride].copy()
-        buf[idx - stride] = buf[idx]
-        buf[idx] += left
-        stride //= 2
-    return buf[:n]
 
 
 def segment_starts(sorted_ids: np.ndarray) -> np.ndarray:

@@ -49,7 +49,8 @@ def validate_graph(graph: ProximityGraph, points: Optional[np.ndarray] = None,
 
     Args:
         graph: Graph to validate.
-        points: Point matrix for distance re-checks.
+        points: Point matrix for distance re-checks; must hold one row
+            per vertex.
         d_min: Construction lower bound to verify, if any.
         check_distances: Recompute and compare stored distances (slower).
         atol: Absolute tolerance for distance comparison.
@@ -58,7 +59,8 @@ def validate_graph(graph: ProximityGraph, points: Optional[np.ndarray] = None,
             vertices are exempt from the ``d_min`` floor.
 
     Raises:
-        GraphError: Describing the first violated invariant.
+        GraphError: Describing the first violated invariant, or a
+            ``points`` matrix whose row count is not the vertex count.
         ValidationError: A tombstone invariant was violated (the mask
             was supplied and a dead vertex is still wired in).
     """
@@ -67,6 +69,12 @@ def validate_graph(graph: ProximityGraph, points: Optional[np.ndarray] = None,
     dists = graph.neighbor_dists
     degrees = graph.degrees
 
+    if points is not None and len(points) != n:
+        raise GraphError(
+            f"points has {len(points)} rows but the graph has {n} "
+            f"vertices; validate against the matrix the graph was built "
+            f"over"
+        )
     if tombstones is not None:
         tombstones = np.asarray(tombstones, dtype=bool)
         if tombstones.shape != (n,):

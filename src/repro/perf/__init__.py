@@ -23,9 +23,8 @@ is no second implementation and no switch to ask for one:
   GGraphCon;
 - :mod:`repro.perf.descent` — batched HNSW entry descent.
 
-What the implementation answers to: the single-query warp kernel
-(:mod:`repro.core.ganns_kernel`), the batched oracle under
-``tests/oracles/`` (``tests/test_perf_equivalence.py``,
+What the implementation answers to: the single-query warp kernel and
+the batched oracle under ``tests/oracles/`` (``tests/test_perf_equivalence.py``,
 ``tests/test_perf_properties.py``) and the byte goldens under
 ``tests/data/``.  See ``docs/performance.md``.
 """

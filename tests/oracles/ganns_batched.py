@@ -6,7 +6,7 @@ phase of Figure 3 is a plain NumPy expression over the active queries
 ``lexsort`` for the bitonic sort and merge).  It is the only executable
 spec covering the ``lazy_check=False`` ablation, float32 compute and
 lock-step batches with mixed retirement — the single-query warp kernel
-(:mod:`repro.core.ganns_kernel`) covers none of those.
+(:mod:`tests.oracles.ganns_kernel`) covers none of those.
 
 Contract: ids, iterations, distance counts and per-phase per-lane cycle
 charges are *equal*; distances agree to dtype tolerance (the library's

@@ -107,6 +107,32 @@ class TestValidation:
             beam_search(small_graph, small_points, small_points[0], k=1,
                         entry=10 ** 6)
 
+    @pytest.mark.parametrize("case,match", [
+        ("nan_query", "NaN or infinite"),
+        ("2d_query", "2-D"),
+        ("wrong_dims", "dimensionality"),
+        ("short_points", "rows but the graph has"),
+        ("float_k", "k must be an integer"),
+        ("bool_k", "k must be an integer"),
+    ])
+    def test_runs_the_one_query_check(self, small_graph, small_points,
+                                      case, match):
+        """Algorithm 1 refuses what every other search refuses, with a
+        ``SearchError`` instead of a NaN answer or a NumPy traceback."""
+        query, points, k = small_points[0], small_points, 3
+        if case == "nan_query":
+            query = np.full_like(query, np.nan)
+        elif case == "2d_query":
+            query = small_points[:2]
+        elif case == "wrong_dims":
+            query = query[:-1]
+        elif case == "short_points":
+            points = small_points[:10]
+        else:
+            k = 2.5 if case == "float_k" else True
+        with pytest.raises(SearchError, match=match):
+            beam_search(small_graph, points, query, k)
+
 
 class TestBatch:
     def test_batch_shape_and_padding(self):

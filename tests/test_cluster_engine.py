@@ -28,7 +28,6 @@ from repro.core.params import SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import ClusterError
-from repro.extensions.distributed import shard_ground_truth
 from repro.faults import RetryPolicy, named_fault_plan
 from repro.faults.plan import (
     FAULT_NETWORK_PARTITION,
@@ -40,6 +39,7 @@ from repro.metrics.recall import recall_per_query
 from repro.observability import MetricsRegistry, SpanTracer
 from repro.serve import QueryRequest, ServeEngine, synthetic_trace
 from tests.oracles.narrow_dispatch import narrow_dispatch
+from tests.oracles.shard_truth import shard_ground_truth
 
 PARAMS = SearchParams(k=8, l_n=32, e=2)
 

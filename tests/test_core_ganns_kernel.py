@@ -1,17 +1,18 @@
 """Equivalence: the faithful warp-primitive kernel vs the batched path.
 
-The batched implementation is what benchmarks run; the kernel built from
-``ballot/ffs/shfl_down`` and the real bitonic networks is what the paper
-describes.  They must agree.
+The batched implementation is what benchmarks run; the kernel oracle
+built from ``ballot/ffs/shfl_down`` and the real bitonic networks
+(``tests/oracles/ganns_kernel.py``) is what the paper describes.  They
+must agree.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.ganns import ganns_search
-from repro.core.ganns_kernel import ganns_search_kernel
 from repro.core.params import SearchParams
 from repro.errors import SearchError
+from tests.oracles.ganns_kernel import ganns_search_kernel
 
 
 @pytest.fixture(scope="module")

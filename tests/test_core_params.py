@@ -6,10 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterEngine
+from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.cluster import ClusterEngine, ConsistentHashRing
+from repro.core.naive import build_nsw_naive_parallel
 from repro.core.params import BuildParams, SearchParams
+from repro.core.pipeline import stream_batches
+from repro.datasets.catalog import load_dataset
 from repro.datasets.synthetic import gaussian_mixture
-from repro.errors import ConfigurationError, HealError, ServeError
+from repro.errors import (ClusterError, ConfigurationError,
+                          ConstructionError, DatasetError, HealError,
+                          SearchError, ServeError)
 from repro.faults.plan import named_fault_plan
 from repro.heal import HealPolicy
 from repro.serve import BatchPolicy, ResultCache, synthetic_trace
@@ -130,6 +136,42 @@ class TestIntegerFields:
                             n_blocks=np.int64(100), seed=np.uint32(3),
                             ef_construction=None, search_l_n=None)
         assert build.effective_ef == 16
+
+
+def _stream(**kwargs):
+    points = gaussian_mixture(40, 4, seed=3)
+    graph = build_nsw_cpu(points, d_min=4, d_max=8).graph
+    return stream_batches(graph, points, points[:5], SearchParams(k=2),
+                          **kwargs)
+
+
+#: Integer arguments of entry points outside the parameter bundles:
+#: ``(make, field, error class)``.  Each goes through ``as_count``.
+ENTRY_POINT_COUNTS = [
+    (functools.partial(load_dataset, "sift1m"), "n_points", DatasetError),
+    (functools.partial(load_dataset, "sift1m", n_points=50), "n_queries",
+     DatasetError),
+    (functools.partial(build_nsw_naive_parallel,
+                       gaussian_mixture(40, 4, seed=3),
+                       BuildParams(d_min=4, d_max=8, n_blocks=4)),
+     "batch_size", ConstructionError),
+    (_stream, "batch_size", SearchError),
+    (ConsistentHashRing, "n_shards", ClusterError),
+    (functools.partial(ConsistentHashRing, 2), "n_vnodes", ClusterError),
+    (_cluster, "n_vnodes", ClusterError),
+]
+
+
+class TestEntryPointCounts:
+    @pytest.mark.parametrize("bad", [2.5, True])
+    @pytest.mark.parametrize(
+        "make,name,error", ENTRY_POINT_COUNTS,
+        ids=[f"{getattr(make, 'func', make).__name__.strip('_')}.{name}"
+             for make, name, _ in ENTRY_POINT_COUNTS])
+    def test_floats_and_bools_are_refused(self, make, name, error, bad):
+        with pytest.raises(error,
+                           match=f"^{name} must be an integer, got {bad!r}$"):
+            make(**{name: bad})
 
 
 def _trace(**kwargs):

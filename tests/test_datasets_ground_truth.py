@@ -77,3 +77,27 @@ class TestExactKnn:
             exact_knn(points, np.zeros((2, 4)), 2)
         with pytest.raises(DatasetError, match="2-D"):
             exact_knn(np.zeros(10), queries, 2)
+
+    @pytest.mark.parametrize("bad,match", [
+        ("nan_query", "must be finite"),
+        ("nan_corpus", "must be finite"),
+        ("inf_corpus", "must be finite"),
+        ("float_k", "k must be an integer"),
+        ("bool_k", "k must be an integer"),
+    ])
+    def test_refuses_what_has_no_true_neighbors(self, bad, match):
+        """A non-finite coordinate has no distance order and a
+        fractional ``k`` no meaning: ``DatasetError``, not an answer."""
+        points = np.arange(30.0).reshape(10, 3)
+        queries = np.zeros((2, 3))
+        k = 3
+        if bad == "nan_query":
+            queries[1, 0] = np.nan
+        elif bad == "nan_corpus":
+            points[:] = np.nan
+        elif bad == "inf_corpus":
+            points[4, 2] = np.inf
+        else:
+            k = 2.5 if bad == "float_k" else True
+        with pytest.raises(DatasetError, match=match):
+            exact_knn(points, queries, k)

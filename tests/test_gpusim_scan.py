@@ -1,4 +1,4 @@
-"""Tests for prefix sums and the CSR gather/scatter helpers."""
+"""Tests for the segment-flag and CSR-offset helpers."""
 
 import numpy as np
 import pytest
@@ -6,107 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeviceError
-from repro.gpusim.scan import (
-    blelloch_exclusive_scan,
-    csr_offsets_from_sorted_ids,
-    exclusive_scan,
-    inclusive_scan,
-    segment_starts,
-)
-
-
-class TestNumpyScans:
-    def test_exclusive_scan_basic(self):
-        assert np.array_equal(exclusive_scan(np.array([1, 2, 3])),
-                              [0, 1, 3])
-
-    def test_inclusive_scan_basic(self):
-        assert np.array_equal(inclusive_scan(np.array([1, 2, 3])),
-                              [1, 3, 6])
-
-    def test_exclusive_scan_2d_rows(self):
-        values = np.array([[1, 1, 1], [2, 2, 2]])
-        out = exclusive_scan(values)
-        assert np.array_equal(out, [[0, 1, 2], [0, 2, 4]])
-
-
-class TestBlellochScan:
-    @given(st.lists(st.integers(min_value=0, max_value=100),
-                    min_size=0, max_size=130))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_numpy_exclusive_scan(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        assert np.allclose(blelloch_exclusive_scan(arr),
-                           exclusive_scan(arr))
-
-    def test_non_pow2_length(self):
-        arr = np.arange(37, dtype=np.float64)
-        assert np.allclose(blelloch_exclusive_scan(arr),
-                           exclusive_scan(arr))
-
-    def test_rejects_2d_input(self):
-        with pytest.raises(DeviceError, match="1-D"):
-            blelloch_exclusive_scan(np.zeros((2, 2)))
-
-    def test_empty(self):
-        assert blelloch_exclusive_scan(np.zeros(0)).shape == (0,)
-
-
-class TestScanProperties:
-    """Algebraic properties pinning the scan beyond example equality."""
-
-    @given(st.sampled_from(["float64", "float32", "int64", "int32"]),
-           st.integers(min_value=0, max_value=130),
-           st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_blelloch_matches_numpy_across_dtypes(self, dtype, n, seed):
-        rng = np.random.default_rng(seed)
-        if dtype.startswith("float"):
-            values = rng.normal(size=n).astype(dtype)
-        else:
-            values = rng.integers(0, 100, size=n).astype(dtype)
-        assert np.allclose(blelloch_exclusive_scan(values),
-                           exclusive_scan(values.astype(np.float64)))
-
-    @given(st.lists(st.integers(min_value=0, max_value=50),
-                    min_size=1, max_size=100))
-    @settings(max_examples=60, deadline=None)
-    def test_inclusive_is_exclusive_shifted_by_input(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        assert np.allclose(inclusive_scan(arr),
-                           exclusive_scan(arr) + arr)
-
-    @given(st.lists(st.integers(min_value=0, max_value=50),
-                    min_size=1, max_size=100))
-    @settings(max_examples=60, deadline=None)
-    def test_last_exclusive_plus_last_equals_total(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        out = blelloch_exclusive_scan(arr)
-        assert out[0] == 0.0
-        assert out[-1] + arr[-1] == pytest.approx(arr.sum())
-
-    @given(st.integers(min_value=1, max_value=100),
-           st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_scan_is_monotone_on_nonnegative_input(self, n, seed):
-        rng = np.random.default_rng(seed)
-        arr = rng.integers(0, 9, size=n).astype(np.float64)
-        out = blelloch_exclusive_scan(arr)
-        assert (np.diff(out) >= 0).all()
-
-    @given(st.integers(min_value=1, max_value=4),
-           st.integers(min_value=1, max_value=64),
-           st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_exclusive_scan_rows_independent_any_shape(self, n_rows, n,
-                                                       seed):
-        """The NumPy fast path scans each row of any (rows, n) batch
-        exactly as it scans the row alone."""
-        rng = np.random.default_rng(seed)
-        values = rng.integers(0, 100, size=(n_rows, n))
-        out = exclusive_scan(values)
-        for row in range(n_rows):
-            assert np.array_equal(out[row], exclusive_scan(values[row]))
+from repro.gpusim.scan import csr_offsets_from_sorted_ids, segment_starts
 
 
 class TestSegmentStarts:

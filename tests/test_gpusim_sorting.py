@@ -1,19 +1,17 @@
-"""Tests for the bitonic sorting/merging networks, incl. property tests."""
+"""Tests for the bitonic sorting/merging networks, incl. property tests.
+
+The networks are the kernel oracle's (``tests/oracles/bitonic.py``); the
+power-of-two helpers are the library's (``repro.core.params``).
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.params import is_pow2, next_pow2
 from repro.errors import DeviceError
-from repro.gpusim.sorting import (
-    bitonic_merge_network,
-    bitonic_sort_network,
-    is_pow2,
-    merge_sorted_topm,
-    next_pow2,
-    pad_pow2,
-)
+from tests.oracles.bitonic import bitonic_merge_network, bitonic_sort_network
 
 
 class TestPow2Helpers:
@@ -29,18 +27,6 @@ class TestPow2Helpers:
     ])
     def test_next_pow2(self, n, expected):
         assert next_pow2(n) == expected
-
-    def test_pad_pow2_pads_keys_and_payloads(self):
-        keys = np.array([3.0, 1.0, 2.0])
-        ids = np.array([7, 8, 9])
-        pk, pi = pad_pow2(keys, ids)
-        assert pk.shape == (4,) and pi.shape == (4,)
-        assert pk[3] == np.inf and pi[3] == -1
-
-    def test_pad_pow2_noop_on_pow2(self):
-        keys = np.arange(4.0)
-        (out,) = pad_pow2(keys)
-        assert out is keys
 
 
 class TestBitonicSortNetwork:
@@ -122,22 +108,9 @@ class TestBitonicMergeNetwork:
 
 
 class TestMergeSortedTopm:
-    @given(st.integers(min_value=1, max_value=64),
-           st.integers(min_value=1, max_value=64),
-           st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_keeps_m_smallest_sorted(self, la, lb, seed):
-        rng = np.random.default_rng(seed)
-        a = np.sort(rng.normal(size=la))
-        b = np.sort(rng.normal(size=lb))
-        m = min(la, 8)
-        (out,) = merge_sorted_topm([a], [b], m)
-        expected = np.sort(np.concatenate([a, b]))[:m]
-        assert np.array_equal(out, expected)
-
     def test_matches_faithful_network_with_unique_ids(self):
-        """The fast lexsort path and the compare-exchange network must
-        agree record-for-record when ids are unique (the library's global
+        """The compare-exchange network keeps the same top-m records as a
+        lexsort of the two runs when ids are unique (the library's global
         tie-break invariant)."""
         rng = np.random.default_rng(7)
         dists = rng.normal(size=16)
@@ -146,19 +119,8 @@ class TestMergeSortedTopm:
         b_order = np.argsort(dists[8:]) + 8
         a_d, a_i = dists[a_order], ids[a_order]
         b_d, b_i = dists[b_order], ids[b_order]
-        fast_d, fast_i = merge_sorted_topm([a_d, a_i], [b_d, b_i], 8)
+        want = np.lexsort((ids, dists))[:8]
         net_d, net_i = bitonic_merge_network(
             np.concatenate([a_d, b_d]), np.concatenate([a_i, b_i]))
-        assert np.array_equal(fast_d, net_d[:8])
-        assert np.array_equal(fast_i, net_i[:8])
-
-    def test_rejects_key_count_mismatch(self):
-        with pytest.raises(DeviceError, match="same number"):
-            merge_sorted_topm([np.zeros(2)], [np.zeros(2), np.zeros(2)], 2)
-
-    def test_batch_rows(self):
-        a = np.sort(np.random.default_rng(0).normal(size=(3, 4)), axis=1)
-        b = np.sort(np.random.default_rng(1).normal(size=(3, 4)), axis=1)
-        (out,) = merge_sorted_topm([a], [b], 4)
-        expected = np.sort(np.concatenate([a, b], axis=1), axis=1)[:, :4]
-        assert np.array_equal(out, expected)
+        assert np.array_equal(dists[want], net_d[:8])
+        assert np.array_equal(ids[want], net_i[:8])

@@ -1,4 +1,8 @@
-"""Tests for warp-primitive semantics against their CUDA definitions."""
+"""Tests for warp-primitive semantics against their CUDA definitions.
+
+The primitives are the executed forms the single-query kernel oracle is
+built from (``tests/oracles/warp.py``); the library prices them by formula.
+"""
 
 import numpy as np
 import pytest
@@ -6,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeviceError
-from repro.gpusim import warp
-from repro.gpusim.tracker import CycleTracker
+from tests.oracles import warp
 
 
 class TestShflDown:
@@ -36,23 +39,6 @@ class TestShflDown:
         assert np.array_equal(out, [2, 3, 4, 5, 6, 7, 6, 7])
 
 
-class TestShflXor:
-    def test_butterfly_pairs(self):
-        values = np.arange(32, dtype=np.float64)
-        out = warp.shfl_xor_sync(values, 1)
-        assert out[0] == 1 and out[1] == 0 and out[30] == 31
-
-    def test_self_inverse(self):
-        values = np.random.default_rng(0).normal(size=32)
-        once = warp.shfl_xor_sync(values, 8)
-        twice = warp.shfl_xor_sync(once, 8)
-        assert np.array_equal(twice, values)
-
-    def test_mask_out_of_range_rejected(self):
-        with pytest.raises(DeviceError, match="lane mask"):
-            warp.shfl_xor_sync(np.zeros(32), 32)
-
-
 class TestReductions:
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6),
                     min_size=32, max_size=32))
@@ -62,22 +48,6 @@ class TestReductions:
         assert warp.warp_reduce_sum(arr) == pytest.approx(arr.sum(),
                                                           rel=1e-9,
                                                           abs=1e-6)
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6),
-                    min_size=16, max_size=16))
-    @settings(max_examples=50, deadline=None)
-    def test_xor_reduce_equals_sum(self, values):
-        arr = np.asarray(values)
-        assert warp.warp_reduce_sum_xor(arr, warp_size=16) == pytest.approx(
-            arr.sum(), rel=1e-9, abs=1e-6)
-
-    def test_reduce_charges_log_steps(self):
-        tracker = CycleTracker(1)
-        warp.warp_reduce_sum(np.ones(32), tracker=tracker, phase="r")
-        # 5 steps of (shuffle + add).
-        from repro.gpusim.costs import DEFAULT_COSTS as c
-        assert tracker.total_cycles("r") == pytest.approx(
-            5 * (c.shuffle_cycles + c.alu_cycles))
 
     def test_sub_warp_reduction(self):
         arr = np.arange(4, dtype=np.float64)
@@ -112,8 +82,3 @@ class TestBallotFfs:
     def test_first_set_lane_none(self):
         assert warp.first_set_lane(np.zeros(32, dtype=bool)) == -1
 
-    def test_ballot_ffs_charges_tracker(self):
-        tracker = CycleTracker(1)
-        warp.first_set_lane(np.ones(32, dtype=bool), tracker=tracker,
-                            phase="locate")
-        assert tracker.total_cycles("locate") > 0

@@ -94,6 +94,17 @@ class TestViolationsDetected:
         with pytest.raises(GraphError, match="deviating"):
             validate_graph(g, points=points, check_distances=True)
 
+    @pytest.mark.parametrize("rows,check", [(8, False), (2, True),
+                                            (2, False)])
+    def test_points_must_hold_one_row_per_vertex(self, rows, check):
+        """A matrix that is not the graph's is refused, not reported
+        valid or crashed into with an ``IndexError``."""
+        g = ProximityGraph(4, 2)
+        g.set_row(0, [1, 2], [1.0, 4.0])
+        with pytest.raises(GraphError, match="rows but the graph has 4"):
+            validate_graph(g, points=np.zeros((rows, 1)),
+                           check_distances=check)
+
     def test_distance_check_skipped_without_flag(self):
         points = np.array([[0.0], [1.0], [2.0], [4.0]])
         g = ProximityGraph(4, 2)

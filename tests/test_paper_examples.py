@@ -24,9 +24,9 @@ import pytest
 from repro.baselines.beam import beam_search
 from repro.baselines.song import SongParams, song_search
 from repro.core.ganns import ganns_search
-from repro.core.ganns_kernel import ganns_search_kernel
 from repro.core.params import SearchParams
 from repro.graphs.adjacency import ProximityGraph
+from tests.oracles.ganns_kernel import ganns_search_kernel
 
 # Distance of each vertex to q (vertex v_i at index i-1):
 #   v12 < v9 < v8 < v10 < v4 < v7 < v2 < v5 < v3 < v1 < v6 < v11

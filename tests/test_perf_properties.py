@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core.ganns import ganns_search
-from repro.core.ganns_kernel import ganns_search_kernel
 from repro.core.params import SearchParams
 from repro.datasets.synthetic import gaussian_mixture
 from repro.extensions.mips import register_ip_metric
@@ -27,6 +26,7 @@ from repro.perf.distance import GroupDistanceEngine
 from repro.perf.engine import _insert_merge
 from repro.perf.quant import QuantizedGroupEngine
 from tests.oracles.ganns_batched import ganns_search_oracle
+from tests.oracles.ganns_kernel import ganns_search_kernel
 from tests.test_perf_equivalence import _assert_trackers_equal, \
     assert_matches_oracle
 

@@ -1,8 +1,9 @@
 """Deeper property tests on the bitonic networks.
 
-The networks are the load-bearing data-parallel primitives of GANNS
-phases (5)/(6) and GGraphCon's merge step; these properties pin their
-semantics beyond simple sortedness.
+The networks (``tests/oracles/bitonic.py``) are the data-parallel
+primitives of GANNS phases (5)/(6) as the single-query kernel oracle
+executes them; these properties pin their semantics beyond simple
+sortedness.
 """
 
 import numpy as np
@@ -10,13 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim.sorting import (
-    bitonic_merge_network,
-    bitonic_sort_network,
-    merge_sorted_topm,
-    next_pow2,
-    pad_pow2,
-)
+from repro.core.params import next_pow2
+from tests.oracles.bitonic import bitonic_merge_network, bitonic_sort_network
 
 
 def _random_records(rng, n):
@@ -88,42 +84,16 @@ class TestMergeProperties:
         (merged,) = bitonic_merge_network(np.concatenate([a, b]))
         assert np.array_equal(merged, np.sort(np.concatenate([a, b])))
 
-    @given(st.integers(min_value=1, max_value=48),
-           st.integers(min_value=1, max_value=48),
-           st.integers(min_value=1, max_value=16),
-           st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_topm_is_exact_selection(self, la, lb, m, seed):
-        rng = np.random.default_rng(seed)
-        a = np.sort(rng.normal(size=la))
-        b = np.sort(rng.normal(size=lb))
-        m = min(m, la + lb)
-        (kept,) = merge_sorted_topm([a], [b], m)
-        expected = np.sort(np.concatenate([a, b]))[:m]
-        assert np.array_equal(kept, expected)
-
     def test_pad_then_merge_matches_unpadded_selection(self):
         """The GANNS phase-6 path: pad T with +inf to the pool width,
         merge, truncate — identical to exact top-l_n selection."""
         rng = np.random.default_rng(1)
         pool = np.sort(rng.normal(size=64))
         buffer = np.sort(rng.normal(size=20))
-        padded, = pad_pow2(buffer)
-        padded = np.concatenate([padded,
-                                 np.full(64 - len(padded), np.inf)])
+        padded = np.concatenate([buffer, np.full(64 - len(buffer), np.inf)])
         merged, = bitonic_merge_network(np.concatenate([pool, padded]))
         expected = np.sort(np.concatenate([pool, buffer]))[:64]
         assert np.array_equal(merged[:64], expected)
-
-
-class TestPadProperties:
-    @given(st.integers(min_value=1, max_value=100))
-    @settings(max_examples=50, deadline=None)
-    def test_pad_reaches_power_of_two(self, n):
-        keys = np.zeros(n)
-        (padded,) = pad_pow2(keys)
-        assert len(padded) == next_pow2(n)
-        assert np.isinf(padded[n:]).all()
 
 
 class TestNumpyEquivalenceAcrossDtypesAndShapes:
@@ -168,7 +138,7 @@ class TestNumpyEquivalenceAcrossDtypesAndShapes:
         truncate — identical to np.sort of the raw values."""
         rng = np.random.default_rng(seed)
         keys = rng.normal(size=n)
-        padded, = pad_pow2(keys)
+        padded = np.concatenate([keys, np.full(next_pow2(n) - n, np.inf)])
         (out,) = bitonic_sort_network(padded)
         assert np.array_equal(out[:n], np.sort(keys))
         assert np.isinf(out[n:]).all()
