@@ -11,14 +11,13 @@ Builds every registered index family (``nsw``, ``hnsw``, ``knn``,
   through the device clock),
 - **graph memory bytes**,
 - **vector footprint** — bytes per vector of the raw float64/float32
-  representations next to the family's quantized tables (fp16, int8,
-  pca; built through the :meth:`~repro.core.backend.IndexBackend.
-  quantize` hook, same code path the staged search traverses — see
-  ``docs/quantization.md``).
+  representations next to the quantized tables (fp16, int8, pca; built
+  by :func:`~repro.perf.quant.quantize_points`, the tables the staged
+  search traverses for every family — see ``docs/quantization.md``).
 
-All cycle figures come from the family's :class:`~repro.core.backend.
-IndexBackend` cost-model hooks, so the comparison is apples-to-apples
-across families.  The headline contract — checked by
+Every family is searched by the same GANNS kernel and priced by the
+same cost model, so the comparison is apples-to-apples across
+families.  The headline contract — checked by
 ``scripts/gates.py bakeoff`` in CI — is that CAGRA's fixed-degree
 construction lands below NSW's construction cycles while both hold
 recall@10 >= 0.9.
@@ -36,8 +35,9 @@ import sys
 import numpy as np
 
 from repro import GannsIndex, load_dataset, recall_at_k
-from repro.core import BuildParams, backend_families, get_backend
+from repro.core import BuildParams, backend_families
 from repro.gpusim import DEFAULT_COSTS, QUADRO_P5000
+from repro.perf.quant import quantize_points
 
 SCHEMA = "repro.bench_bakeoff/v2"
 
@@ -54,7 +54,7 @@ DATASETS = [
 ]
 
 
-def _vector_footprint(backend, index):
+def _vector_footprint(index):
     """Bytes/vector of the raw and quantized point representations.
 
     The quantized figures amortize side tables (PCA basis, int8 scale
@@ -67,32 +67,34 @@ def _vector_footprint(backend, index):
         "float32": float(4 * n_dims),
     }
     for mode in QUANT_MODES:
-        table = backend.quantize(index.points, mode, metric=index.metric)
+        table = quantize_points(index.points, mode, index.metric)
         footprint[mode] = table.bytes_per_vector()
     return footprint
 
 
 def _bakeoff_cell(dataset, family, k=10, l_n=64, seed=7):
     """Build + search one (dataset, family) cell; returns its metrics."""
-    backend = get_backend(family)
     params = BuildParams(d_min=8, d_max=16, seed=seed)
     index = GannsIndex.build(dataset.points, graph_type=family,
                              params=params)
     report = index.search_report(dataset.queries, k=k, l_n=l_n)
     recall = recall_at_k(report.ids, dataset.ground_truth(k))
+    search_cycles = float(report.tracker.total_cycles())
     return {
         "dataset": dataset.name,
         "family": family,
         "n_points": int(dataset.n_points),
         "n_queries": int(dataset.n_queries),
         "recall_at_10": float(recall),
-        "search_cycles": backend.search_cycles(report),
-        "search_cycles_per_query": (
-            backend.search_cycles(report) / dataset.n_queries),
-        "construction_cycles": backend.construction_cycles(
-            index.build_report, QUADRO_P5000, DEFAULT_COSTS),
-        "memory_bytes": backend.memory_bytes(index.graph),
-        "vector_bytes": _vector_footprint(backend, index),
+        "search_cycles": search_cycles,
+        "search_cycles_per_query": search_cycles / dataset.n_queries,
+        # The build's makespan cycles: its simulated seconds through the
+        # inverse of the kernel clock conversion.
+        "construction_cycles": (float(index.build_report.seconds)
+                                * QUADRO_P5000.clock_hz
+                                / DEFAULT_COSTS.time_scale),
+        "memory_bytes": int(index.graph.memory_bytes()),
+        "vector_bytes": _vector_footprint(index),
     }
 
 

@@ -1,10 +1,10 @@
-"""Recommendation retrieval: maximum inner-product search (extension).
+"""Recommendation retrieval: maximum inner-product search.
 
 Recommendation and advertising — applications the paper's introduction
 cites for GPU ANN — rank items by the *inner product* of user and item
 latent factors.  Inner product is not a metric, but proximity-graph
-search only needs a comparable score; the :mod:`repro.extensions.mips`
-extension registers ``metric="ip"`` across the whole stack.
+search only needs a comparable score, so ``metric="ip"`` (negative
+inner product) is built in across the whole stack.
 
 This example builds an item index from matrix-factorization-style
 embeddings, serves top-k recommendations for a batch of users with
@@ -24,7 +24,7 @@ import numpy as np
 from repro import BuildParams, SearchParams, ganns_search, recall_at_k
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.datasets.ground_truth import exact_knn
-from repro.extensions import build_nsw_multicore, register_ip_metric
+from repro.extensions import build_nsw_multicore
 
 
 def make_embeddings(n_items: int, n_users: int, latent_dim: int,
@@ -41,7 +41,6 @@ def make_embeddings(n_items: int, n_users: int, latent_dim: int,
 
 
 def main() -> None:
-    register_ip_metric()
     items, users = make_embeddings(n_items=5000, n_users=300,
                                    latent_dim=12, ambient_dim=48)
     print(f"catalog: {len(items)} items x {items.shape[1]} dims; "

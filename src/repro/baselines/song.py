@@ -34,11 +34,12 @@ import numpy as np
 from repro.baselines.minmax_heap import MinMaxHeap
 from repro.baselines.visited import make_visited_set
 from repro.core.ganns import check_queries
-from repro.core.results import SearchReport, make_search_tracker
+from repro.core.results import SearchReport
 from repro.errors import ConfigurationError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.memory import SharedMemoryBudget
+from repro.gpusim.tracker import CycleTracker
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def song_search(graph: ProximityGraph, points: np.ndarray,
     bound = params.pq_bound
     n_t = params.n_threads
 
-    tracker = make_search_tracker(n_queries, "song")
+    tracker = CycleTracker(n_queries)
     ids_out = np.full((n_queries, params.k), -1, dtype=np.int64)
     dists_out = np.full((n_queries, params.k), np.inf, dtype=np.float64)
     iterations = np.zeros(n_queries, dtype=np.int64)

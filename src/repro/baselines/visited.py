@@ -20,7 +20,6 @@ benchmark can reproduce the paper's argument quantitatively.
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 
@@ -153,12 +152,6 @@ class BloomFilter(VisitedSet):
         # stand-in for the packed words.
         return (len(self._bits) + 7) // 8
 
-    def false_positive_rate(self, n_inserted: int) -> float:
-        """Expected false-positive rate after ``n_inserted`` adds."""
-        m = len(self._bits)
-        k = self._n_hashes
-        return (1.0 - np.exp(-k * n_inserted / m)) ** k
-
 
 class Bitmap(VisitedSet):
     """One bit per vertex in (simulated) off-chip memory.
@@ -192,8 +185,7 @@ class Bitmap(VisitedSet):
 
 
 def make_visited_set(strategy: str, n_vertices: int, budget: int,
-                     costs: CostTable = DEFAULT_COSTS,
-                     bloom_bits: Optional[int] = None) -> VisitedSet:
+                     costs: CostTable = DEFAULT_COSTS) -> VisitedSet:
     """Factory over the three Section III-A strategies.
 
     Args:
@@ -201,13 +193,13 @@ def make_visited_set(strategy: str, n_vertices: int, budget: int,
         n_vertices: Total vertices in the graph (bitmap sizing).
         budget: Expected number of visited vertices (hash/bloom sizing).
         costs: Cycle cost table.
-        bloom_bits: Bloom filter size; defaults to ``8 * budget`` bits.
+
+    The Bloom filter gets ``8 * budget`` bits (at least 64).
     """
     if strategy == "hash":
         return OpenAddressingHash(capacity=max(budget, 1), costs=costs)
     if strategy == "bloom":
-        return BloomFilter(n_bits=bloom_bits or max(8 * budget, 64),
-                           costs=costs)
+        return BloomFilter(n_bits=max(8 * budget, 64), costs=costs)
     if strategy == "bitmap":
         return Bitmap(n_vertices=n_vertices, costs=costs)
     raise ConfigurationError(

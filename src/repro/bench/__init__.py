@@ -18,7 +18,7 @@ from repro.bench.runner import (
     qps_at_recall,
     CurvePoint,
 )
-from repro.bench.report import format_table, paper_vs_measured_row
+from repro.bench.report import format_table
 
 __all__ = [
     "BenchConfig",
@@ -31,5 +31,4 @@ __all__ = [
     "qps_at_recall",
     "CurvePoint",
     "format_table",
-    "paper_vs_measured_row",
 ]

@@ -56,14 +56,6 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def paper_vs_measured_row(name: str, paper: float, measured: float,
-                          unit: str = "") -> List[Cell]:
-    """A standard (name, paper, measured, ratio) row."""
-    ratio = measured / paper if paper else float("nan")
-    return [name, f"{_render(paper)}{unit}", f"{_render(measured)}{unit}",
-            f"{ratio:.2f}x"]
-
-
 def speedup_band_note(low: float, high: float, measured: float) -> str:
     """Human-readable in-band/out-of-band verdict for a speedup."""
     if low <= measured <= high:

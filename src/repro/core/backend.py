@@ -2,45 +2,42 @@
 
 Every graph family the library can build — NSW, HNSW, the plain KNN
 graph and the CAGRA-style fixed-degree graph — registers one
-:class:`IndexBackend` here.  The backend owns everything that is
-family-specific:
+:class:`IndexBackend` here.  The backend owns what is family-specific:
 
 - **build**: turning points into a :class:`ConstructionReport`;
-- **search**: running the GANNS kernels over the (flat) graph;
-- **serialize / deserialize**: the family's slice of the ``.npz``
-  index format (flat vs hierarchical layouts);
-- **cost-model hooks**: search cycles, construction cycles and memory
-  bytes, so the bake-off harness compares families apples-to-apples;
 - **build_parts**: many corpora built at once (by default one
   :meth:`~IndexBackend.build` each);
 - **serving_graphs**: the flat graphs the cluster layer shards over —
   one rule, the family's own build, not a per-family hook;
+- **serialize / deserialize**: the family's slice of the ``.npz``
+  index format (flat vs hierarchical layouts);
 - **conformance_profile**: the thresholds the shared conformance suite
   (``tests/test_backend_conformance.py``) holds the family to.
 
-Everything else — :class:`~repro.core.index.GannsIndex`, the CLI, the
-serving and cluster engines — resolves families by name through
-:func:`get_backend`, so adding a family is one subclass plus one
-:func:`register_backend` call; the conformance suite picks it up by
-registration.
+Searching, pricing and quantizing are the same for every family — one
+GANNS kernel over the (bottom-layer) flat graph, one cost model, one
+set of quantized tables — so they are not hooks.  Everything else —
+:class:`~repro.core.index.GannsIndex`, the CLI, the serving and cluster
+engines — resolves families by name through :func:`get_backend`, so
+adding a family is one subclass plus one :func:`register_backend`
+call; the conformance suite picks it up by registration.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cagra import build_cagra_gpu
 from repro.core.construction import build_nsw_gpu, build_nsw_gpu_parts
-from repro.core.ganns import ganns_search
 from repro.core.hnsw import build_hnsw_gpu
 from repro.core.knng import build_knn_graph_gpu
 from repro.core.naive import build_nsw_naive_parallel, build_nsw_serial_gpu
-from repro.core.params import BuildParams, SearchParams
-from repro.core.results import ConstructionReport, SearchReport
+from repro.core.params import BuildParams
+from repro.core.results import ConstructionReport
 from repro.errors import (
     ConfigurationError,
     GraphError,
@@ -48,8 +45,6 @@ from repro.errors import (
     UnsupportedOperationError,
 )
 from repro.graphs.adjacency import HierarchicalGraph, ProximityGraph
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 
 STRATEGIES = ("ggraphcon", "naive-parallel", "serial")
 
@@ -74,32 +69,25 @@ class ConformanceProfile:
         exact_at_saturation: Whether search with ``l_n >= n`` must
             return exactly the brute-force answer whenever the graph is
             fully connected.
-        build_kwargs: Extra keyword arguments the suite passes to
-            :meth:`GannsIndex.build` for this family (e.g. ``knn_k``).
-        quant_modes: Quantization modes the conformance suite runs this
-            family's graphs under (every registered family is exercised
-            quantized by default).
         quant_recall_delta: Maximum recall@10 the staged quantized
             search may lose versus the exact search on the suite's
-            dataset, for each mode in ``quant_modes`` — the family's
-            honest lossiness bound.
+            dataset, for each quantization mode — the family's honest
+            lossiness bound.
     """
 
     recall_floor: float = 0.9
     reachable_floor: float = 0.95
     exact_at_saturation: bool = True
-    build_kwargs: Dict[str, object] = field(default_factory=dict)
-    quant_modes: Tuple[str, ...] = ("fp16", "int8", "pca")
     quant_recall_delta: float = 0.05
 
 
 class IndexBackend(abc.ABC):
-    """One registered index family: build, search, persist, account.
+    """One registered index family: build and persist.
 
     Subclasses set :attr:`family` (the registry key, also the value of
     ``GannsIndex.graph_type`` and the serving cache's family component)
     and implement :meth:`build`; everything else has a flat-graph
-    default that hierarchical families override.
+    default that some family overrides.
     """
 
     #: Registry key, e.g. ``"nsw"``.
@@ -111,28 +99,13 @@ class IndexBackend(abc.ABC):
     hierarchical: bool = False
 
     # ------------------------------------------------------------------
-    # Build / search
+    # Build
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
     def build(self, points: np.ndarray, params: BuildParams,
               metric: str = "euclidean", **kwargs) -> ConstructionReport:
         """Build this family's graph; returns a construction report."""
-
-    def index_points(self, points: np.ndarray,
-                     report: ConstructionReport) -> np.ndarray:
-        """The point matrix the index should store (HNSW reorders)."""
-        return points
-
-    def order_of(self, report: ConstructionReport) -> Optional[np.ndarray]:
-        """``order[shuffled_id] = original_id`` for reordering families."""
-        return None
-
-    def search(self, graph: ProximityGraph, points: np.ndarray,
-               queries: np.ndarray, params: SearchParams,
-               entry=0) -> SearchReport:
-        """Run the GANNS kernels over this family's flat graph."""
-        return ganns_search(graph, points, queries, params, entry=entry)
 
     def build_parts(self, parts: Sequence[np.ndarray], params: BuildParams,
                     metric: str = "euclidean",
@@ -194,51 +167,6 @@ class IndexBackend(abc.ABC):
         return ProximityGraph.from_arrays(
             archive["graph_ids"], archive["graph_dists"],
             archive["graph_degrees"], metric)
-
-    # ------------------------------------------------------------------
-    # Cost-model hooks (the bake-off's common currency)
-    # ------------------------------------------------------------------
-
-    def search_cycles(self, report: SearchReport) -> float:
-        """Total device cycles one search charged to its tracker."""
-        return float(report.tracker.total_cycles())
-
-    def construction_cycles(self, report: ConstructionReport,
-                            device: DeviceSpec = QUADRO_P5000,
-                            costs: CostTable = DEFAULT_COSTS) -> float:
-        """Makespan cycles of the build, inverted from simulated seconds.
-
-        Exact inverse of
-        :meth:`repro.gpusim.kernel.KernelLaunch.cycles_to_seconds`, so
-        ``cycles_to_seconds(construction_cycles(r)) == r.seconds`` up to
-        float rounding — the reconciliation the conformance suite pins.
-        """
-        return float(report.seconds) * device.clock_hz / costs.time_scale
-
-    def memory_bytes(self, graph) -> int:
-        """Bytes of the graph's dense adjacency representation."""
-        return int(graph.memory_bytes())
-
-    def quantize(self, points: np.ndarray, mode: str,
-                 metric: str = "euclidean"):
-        """Compressed distance table for this family's staged search.
-
-        The default delegates to :func:`repro.perf.quant.quantize_points`
-        — every family traverses the same fp16/int8/PCA tables, since
-        the staged pipeline runs over the family's graph through the
-        unmodified GANNS kernels.  A family with its own storage layout
-        (e.g. a future product-quantized one) overrides this; the
-        bake-off's footprint columns and the conformance suite's
-        quantized battery both go through this hook, so an override is
-        automatically measured and tested.
-
-        Returns:
-            A :class:`repro.perf.quant.QuantizedTable` (or an object
-            with its ``bytes_per_vector``/``memory_bytes``/
-            ``dequantize`` surface).
-        """
-        from repro.perf.quant import quantize_points
-        return quantize_points(points, mode, metric)
 
     def conformance_profile(self) -> ConformanceProfile:
         """Thresholds the shared conformance suite applies to this family."""
@@ -306,13 +234,6 @@ class HnswBackend(IndexBackend):
         return build_hnsw_gpu(points, params, search_kernel=search_kernel,
                               metric=metric, **kwargs)
 
-    def index_points(self, points: np.ndarray,
-                     report: ConstructionReport) -> np.ndarray:
-        return points[report.order]
-
-    def order_of(self, report: ConstructionReport) -> Optional[np.ndarray]:
-        return report.order
-
     def serialize_graph(self, graph) -> Dict[str, np.ndarray]:
         if not isinstance(graph, HierarchicalGraph):
             raise GraphError(
@@ -342,6 +263,23 @@ class HnswBackend(IndexBackend):
         return ConformanceProfile(recall_floor=0.9, reachable_floor=0.98)
 
 
+def _refuse_insertion_options(family: str, strategy: str,
+                              search_kernel: str) -> None:
+    """KNN and CAGRA graphs come from NN-Descent, never from insertion
+    searches: the generic entry points pass the defaults, and any other
+    ``strategy`` or ``search_kernel`` would be silently ignored."""
+    if strategy != "ggraphcon":
+        raise ConfigurationError(
+            f"{family!r} construction supports only the ggraphcon "
+            f"strategy, got {strategy!r}"
+        )
+    if search_kernel != "ganns":
+        raise ConfigurationError(
+            f"{family!r} construction runs no insertion searches; "
+            f"search_kernel must be 'ganns', got {search_kernel!r}"
+        )
+
+
 class KnnBackend(IndexBackend):
     """The plain KNN-graph extension (batched NN-Descent)."""
 
@@ -351,8 +289,7 @@ class KnnBackend(IndexBackend):
               metric: str = "euclidean", knn_k: int = 16,
               strategy: str = "ggraphcon", search_kernel: str = "ganns",
               **kwargs) -> ConstructionReport:
-        # strategy / search_kernel are accepted (the generic entry
-        # points pass them) but NN-Descent has no use for either.
+        _refuse_insertion_options(self.family, strategy, search_kernel)
         return build_knn_graph_gpu(points, knn_k, params, metric=metric,
                                    **kwargs)
 
@@ -363,7 +300,6 @@ class KnnBackend(IndexBackend):
         # the quantized-recall bound is looser than the default.
         return ConformanceProfile(recall_floor=0.7, reachable_floor=0.6,
                                   exact_at_saturation=False,
-                                  build_kwargs={"knn_k": 16},
                                   quant_recall_delta=0.1)
 
 
@@ -376,8 +312,7 @@ class CagraBackend(IndexBackend):
               metric: str = "euclidean", strategy: str = "ggraphcon",
               search_kernel: str = "ganns", knn_k: int = 16,
               **kwargs) -> ConstructionReport:
-        # strategy / search_kernel do not apply: the graph is derived
-        # from a KNN initialisation, never grown by insertion searches.
+        _refuse_insertion_options(self.family, strategy, search_kernel)
         return build_cagra_gpu(points, params, metric=metric, **kwargs)
 
     def conformance_profile(self) -> ConformanceProfile:

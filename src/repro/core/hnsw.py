@@ -36,12 +36,11 @@ from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.tracker import PhaseCategory
 
 
-def draw_levels(n_points: int, d_min: int, seed: int = 0,
-                max_levels: int = 16) -> np.ndarray:
+def draw_levels(n_points: int, d_min: int, seed: int = 0) -> np.ndarray:
     """Draw an HNSW level for each point.
 
     Uses the standard exponential rule ``level = floor(-ln(U) * mL)`` with
-    ``mL = 1 / ln(d_min)``, capped at ``max_levels - 1``.
+    ``mL = 1 / ln(d_min)``, capped at 15 (16 levels).
 
     Returns:
         ``(n_points,)`` int array of levels (0 = bottom only).
@@ -54,7 +53,7 @@ def draw_levels(n_points: int, d_min: int, seed: int = 0,
     m_l = 1.0 / math.log(d_min)
     uniforms = rng.uniform(np.finfo(np.float64).tiny, 1.0, size=n_points)
     levels = np.floor(-np.log(uniforms) * m_l).astype(np.int64)
-    return np.minimum(levels, max_levels - 1)
+    return np.minimum(levels, 15)
 
 
 def shuffled_order_from_levels(levels: np.ndarray,
@@ -124,9 +123,7 @@ def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
     Returns:
         A :class:`ConstructionReport` whose ``graph`` is a
         :class:`repro.graphs.adjacency.HierarchicalGraph` over *shuffled*
-        ids; ``details["order"]`` is stored on the report as the
-        ``order`` attribute mapping ``shuffled id -> original id``
-        (``report.details`` keeps scalar metadata only).
+        ids; ``report.order`` maps ``shuffled id -> original id``.
     """
     points = validated_points(points)
     n = len(points)
@@ -164,7 +161,7 @@ def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
             category_seconds[category] = (
                 category_seconds.get(category, 0.0) + value)
 
-    result = ConstructionReport(
+    return ConstructionReport(
         algorithm=f"ggraphcon-hnsw-{search_kernel}",
         graph=hierarchical,
         seconds=total_seconds,
@@ -177,12 +174,10 @@ def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
             "d_min": float(params.d_min),
             "d_max": float(params.d_max),
         },
+        # "Vertex IDs are recovered based on the stored mapping after
+        # construction."
+        order=order,
     )
-    # The shuffled-id mapping rides along for callers that need to recover
-    # original ids ("vertex IDs are recovered based on the stored mapping
-    # after construction").
-    result.order = order
-    return result
 
 
 def recover_original_ids(ids: np.ndarray, order: np.ndarray) -> np.ndarray:

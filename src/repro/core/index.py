@@ -23,13 +23,15 @@ import numpy as np
 from repro.baselines.beam import beam_search_lanes
 from repro.baselines.song import SongParams, song_search
 from repro.core.backend import STRATEGIES, get_backend  # noqa: F401 - STRATEGIES re-exported
-from repro.core.ganns import check_queries
+from repro.core.ganns import check_queries, ganns_search
 from repro.core.hnsw import recover_original_ids
 from repro.core.params import BuildParams, SearchParams, next_pow2
 from repro.core.results import ConstructionReport, SearchReport
 from repro.errors import ConfigurationError, SearchError
+from repro.gpusim.tracker import CycleTracker
 from repro.graphs.adjacency import HierarchicalGraph, ProximityGraph
 from repro.graphs.validation import validate_graph
+from repro.metrics.distance import get_metric
 from repro.metrics.recall import recall_at_k
 from repro.perf.descent import hnsw_entry_descent_batch
 
@@ -71,7 +73,7 @@ class GannsIndex:
               strategy: str = "ggraphcon", metric: str = "euclidean",
               params: Optional[BuildParams] = None,
               search_kernel: str = "ganns", knn_k: int = 16,
-              validate: bool = True, **kwargs) -> "GannsIndex":
+              **kwargs) -> "GannsIndex":
         """Build an index.
 
         Args:
@@ -81,20 +83,22 @@ class GannsIndex:
                 (``"nsw"``, ``"hnsw"``, ``"knn"``, ``"cagra"``, ...).
             strategy: ``"ggraphcon"`` (the paper's scheme),
                 ``"naive-parallel"`` or ``"serial"`` (NSW only).
-            metric: A registered metric name: ``"euclidean"``,
-                ``"cosine"``, or ``"ip"`` once registered.
+            metric: ``"euclidean"``, ``"cosine"`` or ``"ip"`` (negative
+                inner product: maximum inner-product search).
             params: Build parameters (defaults to the evaluation defaults,
                 d_max=32 / d_min=16).
-            search_kernel: ``"ganns"`` or ``"song"`` construction searches.
+            search_kernel: ``"ganns"`` or ``"song"`` construction searches
+                (NSW / HNSW only).
             knn_k: Row width for ``graph_type="knn"``.
-            validate: Run structural validation on the result.
             **kwargs: Forwarded to the family's construction function.
 
         Returns:
-            A ready-to-search :class:`GannsIndex`.
+            A ready-to-search :class:`GannsIndex`, its graph validated.
 
         Raises:
             UnknownFamilyError: When ``graph_type`` is not registered.
+            ConfigurationError: When the family ignores ``strategy`` or
+                ``search_kernel`` and either is not the default.
             ConstructionError: When ``points`` holds NaN or infinity.
         """
         if params is None:
@@ -106,14 +110,11 @@ class GannsIndex:
                                search_kernel=search_kernel, knn_k=knn_k,
                                **kwargs)
         graph = report.graph
-        order = backend.order_of(report)
-        index_points = backend.index_points(points, report)
-
-        if validate:
-            flat = graph.bottom if isinstance(graph, HierarchicalGraph) \
-                else graph
-            validate_graph(flat)
-        return cls(index_points, graph, graph_type, metric, order=order,
+        validate_graph(graph.bottom if isinstance(graph, HierarchicalGraph)
+                       else graph)
+        if report.order is not None:
+            points = points[report.order]
+        return cls(points, graph, graph_type, metric, order=report.order,
                    build_report=report)
 
     @classmethod
@@ -183,8 +184,8 @@ class GannsIndex:
         if algorithm == "ganns":
             params = SearchParams(k=k, l_n=l_n, e=e, n_threads=n_threads,
                                   quant=quant, rerank_factor=rerank_factor)
-            report = self.backend.search(flat, self.points, queries,
-                                         params, entry=entries)
+            report = ganns_search(flat, self.points, queries, params,
+                                  entry=entries)
         elif algorithm == "song":
             params = SongParams(k=k, pq_bound=e or l_n, n_threads=n_threads)
             report = song_search(flat, self.points, queries, params,
@@ -192,10 +193,9 @@ class GannsIndex:
         elif algorithm == "beam":
             lanes = beam_search_lanes(flat, self.points, queries, k,
                                       ef=e or l_n, entries=entries)
-            from repro.core.results import make_search_tracker
             report = SearchReport(
                 algorithm="beam", ids=lanes.ids, dists=lanes.dists,
-                tracker=make_search_tracker(len(queries), "beam"),
+                tracker=CycleTracker(len(queries)),
                 n_threads=1, shared_mem_bytes=0,
                 iterations=lanes.n_iterations,
                 n_distance_computations=int(
@@ -263,7 +263,8 @@ class GannsIndex:
 
         Raises:
             ConfigurationError: On a format-version or layout mismatch,
-                and on a truncated, corrupt or incomplete archive.
+                an unknown metric, and on a truncated, corrupt or
+                incomplete archive.
         """
         try:
             with np.load(path, allow_pickle=False) as archive:
@@ -274,6 +275,7 @@ class GannsIndex:
                         f"expected {_INDEX_FORMAT_VERSION}"
                     )
                 metric = str(archive["metric"])
+                get_metric(metric)
                 d_max = int(archive["d_max"])
                 points = archive["points"]
                 graph_type = str(archive["graph_type"])

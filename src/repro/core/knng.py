@@ -75,7 +75,6 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
                         params: BuildParams = BuildParams(),
                         metric: str = "euclidean",
                         max_iterations: int = 12,
-                        min_update_fraction: float = 0.001,
                         device: DeviceSpec = QUADRO_P5000,
                         costs: CostTable = DEFAULT_COSTS
                         ) -> ConstructionReport:
@@ -86,9 +85,8 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
         k: Neighbors per vertex (``d_min == d_max == k``).
         params: Supplies ``n_threads``, ``n_blocks`` and ``seed``.
         metric: Metric name.
-        max_iterations: Hard refinement cap.
-        min_update_fraction: Stop when an iteration updates fewer than
-            this fraction of all ``n * k`` slots.
+        max_iterations: Hard refinement cap; refinement also stops once
+            an iteration updates fewer than 0.1 % of all ``n * k`` slots.
         device: Simulated device.
         costs: Cycle cost table.
 
@@ -134,7 +132,7 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
         * costs.bitonic_sort_cycles(k, n_t) / init_cycles,
     }
 
-    threshold = max(1, int(min_update_fraction * n * k))
+    threshold = max(1, int(0.001 * n * k))
     updates_history: List[int] = []
     for _ in range(max_iterations):
         rows = graph.neighbor_ids  # always full: k < n distinct others

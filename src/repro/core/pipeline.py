@@ -31,12 +31,13 @@ import numpy as np
 
 from repro.core.ganns import check_queries, ganns_search
 from repro.core.params import SearchParams, as_count
-from repro.core.results import SearchReport, make_search_tracker
+from repro.core.results import SearchReport
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.memory import TransferModel
+from repro.gpusim.tracker import CycleTracker
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ class _LaneStore:
                 ids=np.empty((n,) + wide.ids.shape[1:], wide.ids.dtype),
                 dists=np.empty((n,) + wide.dists.shape[1:],
                                wide.dists.dtype),
-                tracker=make_search_tracker(n, wide.algorithm),
+                tracker=CycleTracker(n),
                 iterations=np.zeros(n, dtype=np.int64),
                 lane_distance_computations=np.zeros(n, dtype=np.int64),
                 lane_distance_evaluations=np.zeros(n, dtype=np.int64))

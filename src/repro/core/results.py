@@ -145,6 +145,8 @@ class ConstructionReport:
             structure — Figure 14's two series).
         n_points: Points inserted.
         details: Free-form extras (group count, merge iterations, ...).
+        order: HNSW only: ``order[shuffled_id] = original_id``, the ID
+            shuffle's mapping (the graph is over shuffled ids).
     """
 
     algorithm: str
@@ -154,31 +156,4 @@ class ConstructionReport:
     category_seconds: Dict[PhaseCategory, float] = field(default_factory=dict)
     n_points: int = 0
     details: Dict[str, float] = field(default_factory=dict)
-
-    def speedup_over(self, baseline_seconds: float) -> float:
-        """Speedup factor of this construction over a baseline time."""
-        if self.seconds <= 0:
-            return float("inf")
-        return baseline_seconds / self.seconds
-
-
-def make_search_tracker(n_queries: int, algorithm: str) -> CycleTracker:
-    """Tracker pre-registered with the algorithm's phase categories."""
-    if algorithm == "ganns":
-        categories = {
-            "candidate_locating": PhaseCategory.STRUCTURE,
-            "neighborhood_exploration": PhaseCategory.STRUCTURE,
-            "bulk_distance": PhaseCategory.DISTANCE,
-            "lazy_check": PhaseCategory.STRUCTURE,
-            "sorting": PhaseCategory.STRUCTURE,
-            "candidate_update": PhaseCategory.STRUCTURE,
-        }
-    elif algorithm == "song":
-        categories = {
-            "candidates_locating": PhaseCategory.STRUCTURE,
-            "bulk_distance": PhaseCategory.DISTANCE,
-            "structures_updating": PhaseCategory.STRUCTURE,
-        }
-    else:
-        categories = {}
-    return CycleTracker(n_queries, categories)
+    order: Optional[np.ndarray] = None

@@ -23,7 +23,6 @@ from repro.datasets.catalog import (
     dataset_names,
 )
 from repro.datasets.ground_truth import exact_knn
-from repro.datasets.io import save_dataset, load_dataset_file
 
 __all__ = [
     "gaussian_mixture",
@@ -36,6 +35,4 @@ __all__ = [
     "load_dataset",
     "dataset_names",
     "exact_knn",
-    "save_dataset",
-    "load_dataset_file",
 ]

@@ -123,23 +123,6 @@ class Dataset:
             spec=self.spec,
         )
 
-    def subsample(self, n_points: int, seed: int = 0) -> "Dataset":
-        """A dataset over a random subset of the points (scalability sweeps)."""
-        if not 1 <= n_points <= self.n_points:
-            raise DatasetError(
-                f"n_points must lie in [1, {self.n_points}], got {n_points}"
-            )
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(self.n_points, size=n_points, replace=False)
-        chosen.sort()
-        return Dataset(
-            name=f"{self.name}-n{n_points}",
-            points=self.points[chosen],
-            queries=self.queries,
-            metric_name=self.metric_name,
-            spec=self.spec,
-        )
-
 
 def _image_like(n_clusters: int = 48, cluster_std: float = 0.18,
                 intrinsic_dim: int = 12) -> Dict[str, object]:

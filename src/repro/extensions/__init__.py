@@ -8,19 +8,13 @@
 - :mod:`repro.extensions.distributed` — GGraphCon across cluster
   workers with an explicit network cost model (the same remark's
   "distributed systems" case).
-- :mod:`repro.extensions.mips` — maximum inner-product search: the
-  inner-product "distance" wired through the whole stack (a common
-  production requirement the paper leaves implicit).
 """
 
 from repro.extensions.multicore import build_nsw_multicore
 from repro.extensions.distributed import NetworkModel, build_nsw_distributed
-from repro.extensions.mips import InnerProductMetric, register_ip_metric
 
 __all__ = [
     "build_nsw_multicore",
     "build_nsw_distributed",
     "NetworkModel",
-    "InnerProductMetric",
-    "register_ip_metric",
 ]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -224,15 +224,13 @@ class FaultPlan:
 
     @classmethod
     def poisson(cls, rates: Dict[str, float], horizon_seconds: float,
-                seed: int = 0, magnitudes: Optional[Dict[str, float]] = None,
-                n_workers: int = 0) -> "FaultPlan":
+                seed: int = 0, n_workers: int = 0) -> "FaultPlan":
         """Poisson-process fault schedule over a time horizon.
 
         Args:
             rates: ``kind -> events per simulated second``.
             horizon_seconds: Schedule length.
             seed: Plan seed (also drives event placement).
-            magnitudes: Optional ``kind -> magnitude`` overrides.
             n_workers: Cluster size for ``worker_loss`` targeting.
 
         Returns:
@@ -244,7 +242,8 @@ class FaultPlan:
                 f"horizon_seconds must be positive, got {horizon_seconds}"
             )
         as_count(n_workers, "n_workers", 0)
-        defaults = {
+        # Every event of a kind carries the kind's one magnitude.
+        magnitude_of = {
             FAULT_KERNEL_TIMEOUT: 2e-3,
             FAULT_KERNEL_STALL: 4.0,
             FAULT_ECC_BITFLIP: 1.0,
@@ -253,8 +252,6 @@ class FaultPlan:
             FAULT_NETWORK_PARTITION: 1e-2,
             FAULT_CRASH: 1.0,
         }
-        if magnitudes:
-            defaults.update(magnitudes)
         events: List[FaultEvent] = []
         # One independent, label-derived RNG stream per kind, so adding
         # a kind never perturbs the schedule of the others.
@@ -280,7 +277,7 @@ class FaultPlan:
                     phase = CRASH_PHASES[int(rng.integers(
                         0, len(CRASH_PHASES)))]
                 events.append(FaultEvent(kind=kind, at_seconds=t,
-                                         magnitude=defaults[kind],
+                                         magnitude=magnitude_of[kind],
                                          target=target, phase=phase))
         return cls(events=events, seed=seed)
 

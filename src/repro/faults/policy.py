@@ -286,13 +286,13 @@ class AdmissionGovernor:
         return len(self.tiers) + 1
 
     @classmethod
-    def default_for(cls, params: SearchParams,
-                    n_degraded_tiers: int = 2) -> "AdmissionGovernor":
-        """Halve ``l_n`` per tier down to the smallest pool holding ``k``."""
+    def default_for(cls, params: SearchParams) -> "AdmissionGovernor":
+        """Two degraded tiers, halving ``l_n`` per tier down to the
+        smallest pool holding ``k``."""
         floor = next_pow2(params.k)
         tiers = []
         l_n = params.l_n
-        for _ in range(n_degraded_tiers):
+        for _ in range(2):
             l_n //= 2
             if l_n < floor:
                 break

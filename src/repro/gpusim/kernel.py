@@ -44,14 +44,6 @@ class LaunchResult:
     makespan_cycles: float
     seconds: float
 
-    @property
-    def parallel_efficiency(self) -> float:
-        """Work / (time x concurrency): 1.0 means a perfectly packed schedule."""
-        denom = self.makespan_cycles * self.concurrency
-        if denom <= 0:
-            return 1.0
-        return min(1.0, self.total_cycles / denom)
-
 
 def _makespan(block_cycles: np.ndarray, concurrency: int) -> float:
     """Makespan of a longest-processing-time greedy schedule.

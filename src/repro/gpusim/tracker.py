@@ -6,15 +6,15 @@ vectorised over *lanes* so that a batched search — where each thread block
 query independently: pass an index array or boolean mask to
 :meth:`CycleTracker.charge` and only the active lanes are billed.
 
-Phases carry a :class:`PhaseCategory` so the Figure 7 breakdown (distance
-computation vs data-structure operations) falls straight out of the
-accounting.
+Every phase the search kernels charge has one :class:`PhaseCategory` in
+one table, so the Figure 7 breakdown (distance computation vs
+data-structure operations) falls straight out of the accounting.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Mapping, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
 import numpy as np
 
@@ -26,9 +26,21 @@ class PhaseCategory(enum.Enum):
 
     DISTANCE = "distance"
     STRUCTURE = "structure"
-    MEMORY = "memory"
     OTHER = "other"
 
+
+#: Category of every phase GANNS (Section III-B) and SONG charge; any
+#: other phase is :attr:`PhaseCategory.OTHER`.
+_PHASE_CATEGORIES: Dict[str, PhaseCategory] = {
+    "candidate_locating": PhaseCategory.STRUCTURE,
+    "neighborhood_exploration": PhaseCategory.STRUCTURE,
+    "bulk_distance": PhaseCategory.DISTANCE,
+    "lazy_check": PhaseCategory.STRUCTURE,
+    "sorting": PhaseCategory.STRUCTURE,
+    "candidate_update": PhaseCategory.STRUCTURE,
+    "candidates_locating": PhaseCategory.STRUCTURE,
+    "structures_updating": PhaseCategory.STRUCTURE,
+}
 
 LaneSelector = Union[None, np.ndarray]
 
@@ -39,20 +51,15 @@ class CycleTracker:
     Args:
         n_lanes: Number of independent lanes (e.g. queries, one thread block
             each).  ``1`` gives scalar accounting.
-        phase_categories: Optional mapping from phase name to
-            :class:`PhaseCategory`.  Phases charged without a registered
-            category fall into :attr:`PhaseCategory.OTHER`.
     """
 
-    def __init__(self, n_lanes: int = 1,
-                 phase_categories: Optional[Mapping[str, PhaseCategory]] = None):
+    def __init__(self, n_lanes: int = 1):
         if n_lanes <= 0:
             raise ConfigurationError(
                 f"CycleTracker n_lanes must be positive, got {n_lanes}"
             )
         self._n_lanes = int(n_lanes)
         self._phases: Dict[str, np.ndarray] = {}
-        self._categories: Dict[str, PhaseCategory] = dict(phase_categories or {})
 
     @property
     def n_lanes(self) -> int:
@@ -64,21 +71,17 @@ class CycleTracker:
         """Names of all phases that have been charged at least once."""
         return tuple(self._phases)
 
-    def register_category(self, phase: str, category: PhaseCategory) -> None:
-        """Associate ``phase`` with ``category`` for breakdown reports."""
-        self._categories[phase] = category
-
     def category_of(self, phase: str) -> PhaseCategory:
         """Category of ``phase`` (:attr:`PhaseCategory.OTHER` if unknown)."""
-        return self._categories.get(phase, PhaseCategory.OTHER)
+        return _PHASE_CATEGORIES.get(phase, PhaseCategory.OTHER)
 
     def charge(self, phase: str, cycles: Union[float, np.ndarray],
                lanes: LaneSelector = None) -> None:
         """Add ``cycles`` to ``phase``.
 
         Args:
-            phase: Phase name (free-form; register a category for nice
-                breakdowns).
+            phase: Phase name (free-form; the phases in the category
+                table get their category in breakdowns).
             cycles: Scalar, or an array matching the selected lanes.
             lanes: ``None`` to charge every lane; a boolean mask of length
                 ``n_lanes``; or an integer index array.
@@ -131,14 +134,6 @@ class CycleTracker:
             totals[category] = totals.get(category, 0.0) + float(bucket.sum())
         return totals
 
-    def category_lane_cycles(self, category: PhaseCategory) -> np.ndarray:
-        """Per-lane cycle totals restricted to one category."""
-        total = np.zeros(self._n_lanes, dtype=np.float64)
-        for name, bucket in self._phases.items():
-            if self.category_of(name) is category:
-                total += bucket
-        return total
-
     def breakdown(self) -> Dict[str, float]:
         """Fractional share of total cycles per phase (sums to 1.0)."""
         totals = self.phase_totals()
@@ -150,17 +145,16 @@ class CycleTracker:
     def take(self, lanes: np.ndarray) -> "CycleTracker":
         """A tracker over the selected lanes only, in ``lanes`` order.
 
-        Phases keep their order and categories, so every readout of the
-        result equals that of a tracker the same lanes had been charged
-        on alone.  ``lanes`` is an integer index array; a lane may
-        repeat.
+        Phases keep their order, so every readout of the result equals
+        that of a tracker the same lanes had been charged on alone.
+        ``lanes`` is an integer index array; a lane may repeat.
         """
         lanes = np.asarray(lanes, dtype=np.int64)
-        taken = CycleTracker(len(lanes), self._categories)
+        taken = CycleTracker(len(lanes))
         taken._phases = {name: bucket[lanes]
                          for name, bucket in self._phases.items()}
         return taken
 
     def reset(self) -> None:
-        """Zero all accumulated cycles, keeping category registrations."""
+        """Zero all accumulated cycles."""
         self._phases.clear()

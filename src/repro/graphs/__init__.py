@@ -9,10 +9,7 @@ layout every search and construction kernel in this library consumes.
 from repro.graphs.adjacency import ProximityGraph, HierarchicalGraph
 from repro.graphs.validation import validate_graph
 from repro.graphs.stats import (
-    GraphStats,
     graph_digest,
-    graph_stats,
-    average_out_degree,
     reachable_fraction,
     edge_recall_against,
 )
@@ -30,10 +27,7 @@ __all__ = [
     "ProximityGraph",
     "HierarchicalGraph",
     "validate_graph",
-    "GraphStats",
     "graph_digest",
-    "graph_stats",
-    "average_out_degree",
     "reachable_fraction",
     "edge_recall_against",
     "NavigabilityReport",

@@ -13,7 +13,7 @@ for HNSW-style indices.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -394,14 +394,6 @@ class HierarchicalGraph:
     def entry_vertex(self) -> int:
         """Entry point for search: the first vertex of the top layer."""
         return 0
-
-    def layer_vertices(self, layer: int) -> Tuple[int, int]:
-        """Half-open id range ``[0, size)`` of vertices on ``layer``."""
-        if not 0 <= layer < self.n_layers:
-            raise GraphError(
-                f"layer {layer} out of range [0, {self.n_layers})"
-            )
-        return 0, self.layer_sizes[layer]
 
     def memory_bytes(self) -> int:
         """Total bytes across layers."""

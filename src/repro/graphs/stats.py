@@ -1,8 +1,8 @@
 """Graph statistics and quality measures.
 
-Besides simple degree statistics, this module provides the library's one
-BFS, :func:`hop_distances`, and the two quality measures the evaluation
-leans on:
+This module provides the library's one BFS, :func:`hop_distances`, the
+byte digest :func:`graph_digest`, and the two quality measures the
+evaluation leans on:
 
 - :func:`reachable_fraction` — share of vertices reachable from the entry
   point (a disconnected graph caps achievable recall);
@@ -14,31 +14,12 @@ leans on:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.adjacency import HierarchicalGraph, ProximityGraph
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Summary statistics of one proximity graph."""
-
-    n_vertices: int
-    n_edges: int
-    min_degree: int
-    max_degree: int
-    mean_degree: float
-    reachable_from_entry: float
-    memory_bytes: int
-
-
-def average_out_degree(graph: ProximityGraph) -> float:
-    """Mean out-degree."""
-    return float(graph.degrees.mean())
 
 
 def hop_distances(graph: ProximityGraph, entry: int = 0,
@@ -115,15 +96,3 @@ def edge_recall_against(candidate: ProximityGraph,
     shared = len(reference_edges & candidate_edges)
     return shared / len(reference_edges)
 
-
-def graph_stats(graph: ProximityGraph, entry: int = 0) -> GraphStats:
-    """Collect a :class:`GraphStats` summary."""
-    return GraphStats(
-        n_vertices=graph.n_vertices,
-        n_edges=graph.n_edges(),
-        min_degree=int(graph.degrees.min()),
-        max_degree=int(graph.degrees.max()),
-        mean_degree=average_out_degree(graph),
-        reachable_from_entry=reachable_fraction(graph, entry),
-        memory_bytes=graph.memory_bytes(),
-    )

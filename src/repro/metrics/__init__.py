@@ -2,7 +2,8 @@
 
 The paper evaluates under two metrics (Table I): Euclidean distance for the
 image/video/audio datasets and cosine similarity for the text datasets
-(NYTimes, GloVe200).  Accuracy is recall — "the ratio of correct nearest
+(NYTimes, GloVe200); negative inner product (``"ip"``) serves maximum
+inner-product search.  Accuracy is recall — "the ratio of correct nearest
 neighbors to returned neighbors".
 """
 
@@ -11,6 +12,7 @@ from repro.metrics.distance import (
     METRICS,
     EuclideanMetric,
     CosineMetric,
+    InnerProductMetric,
     get_metric,
 )
 from repro.metrics.recall import (
@@ -24,6 +26,7 @@ __all__ = [
     "METRICS",
     "EuclideanMetric",
     "CosineMetric",
+    "InnerProductMetric",
     "get_metric",
     "mask_deleted_ground_truth",
     "recall_at_k",

@@ -1,4 +1,4 @@
-"""Distance metrics: squared Euclidean and cosine distance.
+"""Distance metrics: squared Euclidean, cosine and inner product.
 
 A :class:`Metric` is the only code that knows a metric's arithmetic:
 graphs, searches, construction and ground truth call its distance forms,
@@ -27,6 +27,11 @@ Notes on conventions:
   paper's CUDA kernels compute (no square root on the hot path).
 - Cosine *similarity* ``s`` is converted to the distance ``1 - s`` so that
   "smaller is closer" holds uniformly for every metric.
+- Inner product ``s`` becomes ``-s``: not a metric (no triangle
+  inequality, not even non-negative), but proximity-graph search only
+  needs a comparable score, and the top-k under ``-s`` are exactly the
+  maximum-inner-product results — the ranking recommendation systems
+  (an application the paper's introduction names) retrieve by.
 """
 
 from __future__ import annotations
@@ -209,9 +214,29 @@ class CosineMetric(Metric):
         return 4 * n_dims
 
 
+class InnerProductMetric(Metric):
+    """Negative inner product: ``dist(a, b) = -⟨a, b⟩``.
+
+    Smaller is better, so the top-k under this "distance" are exactly
+    the maximum-inner-product results.
+    """
+
+    name = "ip"
+
+    def from_products(self, products: np.ndarray,
+                      point_norms: Optional[np.ndarray] = None,
+                      query_norms: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
+        return -products
+
+    def flops_per_distance(self, n_dims: int) -> int:
+        return 2 * n_dims
+
+
 METRICS: Dict[str, Metric] = {
     EuclideanMetric.name: EuclideanMetric(),
     CosineMetric.name: CosineMetric(),
+    InnerProductMetric.name: InnerProductMetric(),
 }
 """Registry of shared, stateless metric instances."""
 

@@ -17,8 +17,7 @@ KERNEL_CYCLES_PREFIX = "kernel.cycles."
 
 
 def publish_tracker_totals(registry: MetricsRegistry,
-                           tracker: CycleTracker,
-                           prefix: str = KERNEL_CYCLES_PREFIX) -> None:
+                           tracker: CycleTracker) -> None:
     """Add one tracker's per-phase cycle totals to registry counters.
 
     Phase iteration follows the tracker's charge order (insertion
@@ -27,6 +26,6 @@ def publish_tracker_totals(registry: MetricsRegistry,
     snapshot guarantee.
     """
     for phase, total in tracker.phase_totals().items():
-        registry.counter(prefix + phase).inc(total)
-    registry.counter(prefix.rstrip(".") + "_total").inc(
+        registry.counter(KERNEL_CYCLES_PREFIX + phase).inc(total)
+    registry.counter(KERNEL_CYCLES_PREFIX.rstrip(".") + "_total").inc(
         tracker.total_cycles())

@@ -53,11 +53,12 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.params import SearchParams
-from repro.core.results import SearchReport, make_search_tracker
+from repro.core.results import SearchReport
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable
 from repro.gpusim.memory import SharedMemoryBudget
+from repro.gpusim.tracker import CycleTracker
 from repro.perf.arena import EvaluatedPairs, SearchArena, get_arena
 from repro.perf.distance import make_distance_engine
 from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
@@ -287,7 +288,7 @@ def ganns_search_fast(graph: ProximityGraph, points: np.ndarray,
     n_t = params.n_threads
     k = params.k
 
-    tracker = make_search_tracker(n_queries, "ganns")
+    tracker = CycleTracker(n_queries)
     engine = make_distance_engine(graph.metric, points, queries,
                                   compute_dtype)
     arena = get_arena(n_queries, l_n, l_t, compute_dtype)
@@ -355,7 +356,7 @@ def ganns_search_staged(graph: ProximityGraph, points: np.ndarray,
     n_t = params.n_threads
     k = params.k
 
-    tracker = make_search_tracker(n_queries, "ganns")
+    tracker = CycleTracker(n_queries)
     table = quantize_points(points, quant_mode, graph.metric_name)
     engine = QuantizedGroupEngine(table, queries)
     arena = get_arena(n_queries, l_q, l_t, _STAGED_TRAVERSAL_DTYPE)

@@ -26,11 +26,12 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.params import SearchParams
-from repro.core.results import SearchReport, make_search_tracker
+from repro.core.results import SearchReport
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.memory import SharedMemoryBudget
+from repro.gpusim.tracker import CycleTracker
 from repro.perf.distance import resolve_compute_dtype
 from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
     quantize_points
@@ -84,7 +85,7 @@ def ganns_search_oracle(graph: ProximityGraph, points: np.ndarray,
     entries = np.broadcast_to(np.asarray(entry, dtype=np.int64),
                               (n_queries,))
 
-    tracker = make_search_tracker(n_queries, "ganns")
+    tracker = CycleTracker(n_queries)
     exact_fn = _group_distance_fn(graph.metric_name, points, queries,
                                   compute_dtype)
     if params.quant is None:

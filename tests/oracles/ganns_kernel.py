@@ -16,11 +16,12 @@ and identical per-phase cycle charges on the same inputs.
 import numpy as np
 
 from repro.core.params import SearchParams, is_pow2, next_pow2
-from repro.core.results import SearchReport, make_search_tracker
+from repro.core.results import SearchReport
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.memory import SharedMemoryBudget
+from repro.gpusim.tracker import CycleTracker
 from tests.oracles import warp
 from tests.oracles.bitonic import bitonic_merge_network, bitonic_sort_network
 
@@ -114,7 +115,7 @@ def ganns_search_kernel(graph: ProximityGraph, points: np.ndarray,
     e_budget = min(params.explore_budget, l_n)
     n_t = params.n_threads
     n_dims = points.shape[1]
-    tracker = make_search_tracker(1, "ganns")
+    tracker = CycleTracker(1)
 
     pool_dists = np.full(l_n, np.inf)
     pool_ids = np.full(l_n, -1, dtype=np.int64)

@@ -40,7 +40,6 @@ def build_knn_graph_oracle(points: np.ndarray, k: int,
                            params: BuildParams = BuildParams(),
                            metric: str = "euclidean",
                            max_iterations: int = 12,
-                           min_update_fraction: float = 0.001,
                            device: DeviceSpec = QUADRO_P5000,
                            costs: CostTable = DEFAULT_COSTS
                            ) -> ConstructionReport:
@@ -73,7 +72,7 @@ def build_knn_graph_oracle(points: np.ndarray, k: int,
         * costs.bitonic_sort_cycles(k, n_t) / init_cycles,
     }
 
-    threshold = max(1, int(min_update_fraction * n * k))
+    threshold = max(1, int(0.001 * n * k))
     updates_history: List[int] = []
     for _ in range(max_iterations):
         rows = graph.neighbor_ids[:, :k]

@@ -13,9 +13,9 @@ list.  Per family, on a small fixed-seed synthetic dataset:
 - **structure** — the (bottom-layer) graph passes
   :func:`validate_graph` and clears the family's reachability floor;
 - **recall** — recall@10 clears the family's declared floor;
-- **cost-model reconciliation** — the backend's cycle hooks agree with
-  the tracker and with the simulated-seconds inverse, with zero drift
-  through the observability bridge;
+- **cost-model reconciliation** — a search's tracker total is the sum
+  of its phase lanes and crosses the observability bridge with zero
+  drift, and the build's cycles invert its simulated seconds;
 - **exactness at saturation** — with ``l_n >= n`` over a fully
   reachable graph, GANNS search *is* brute force (families that permit
   disconnection opt out via their profile).
@@ -33,15 +33,16 @@ import numpy as np
 import pytest
 
 from repro import GannsIndex
-from repro.core import backend_families, get_backend
+from repro.core import backend_families
 from repro.core.params import BuildParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
-from repro.extensions.mips import register_ip_metric
 from repro.graphs import HierarchicalGraph, validate_graph
 from repro.graphs.stats import graph_digest, reachable_fraction
 from repro.metrics.distance import get_metric
 from repro.gpusim import DEFAULT_COSTS, QUADRO_P5000
+from repro.gpusim.kernel import KernelLaunch
+from repro.perf.quant import QUANT_MODES
 from repro.metrics import recall_at_k
 from repro.observability import MetricsRegistry
 from repro.observability.bridge import (
@@ -60,7 +61,6 @@ SEED = 7
 
 FAMILIES = backend_families()
 
-register_ip_metric()
 #: Every registered metric, inner product included.
 METRIC_NAMES = ("euclidean", "cosine", "ip")
 
@@ -78,11 +78,9 @@ def _dataset():
 
 
 def _build(family):
-    profile = get_backend(family).conformance_profile()
     points, _ = _dataset()
     params = BuildParams(d_min=8, d_max=16, seed=SEED)
-    return GannsIndex.build(points, graph_type=family, params=params,
-                            **profile.build_kwargs)
+    return GannsIndex.build(points, graph_type=family, params=params)
 
 
 def _built(family):
@@ -142,14 +140,12 @@ class TestBackendConformance:
 
     def test_cost_model_reconciles(self, family):
         index = _built(family)
-        backend = index.backend
         _, queries = _dataset()
         report = index.search_report(queries, k=K, l_n=L_N)
 
-        # Search cycles are exactly the tracker total, which is exactly
-        # the sum of its per-phase lanes.
-        cycles = backend.search_cycles(report)
-        assert cycles == report.tracker.total_cycles()
+        # Search cycles are the tracker total, which is exactly the sum
+        # of its per-phase lanes.
+        cycles = report.tracker.total_cycles()
         assert cycles == pytest.approx(
             sum(report.tracker.phase_totals().values()), rel=1e-12)
         assert cycles > 0
@@ -161,16 +157,16 @@ class TestBackendConformance:
         total_key = KERNEL_CYCLES_PREFIX.rstrip(".") + "_total"
         assert registry.value(total_key) == pytest.approx(cycles, rel=1e-12)
 
-        # Construction cycles invert the simulated clock exactly.
+        # The bake-off's construction cycles invert the kernel clock.
         build = index.build_report
-        cycles = backend.construction_cycles(build, QUADRO_P5000,
-                                             DEFAULT_COSTS)
-        seconds = cycles * DEFAULT_COSTS.time_scale / QUADRO_P5000.clock_hz
+        cycles = (build.seconds * QUADRO_P5000.clock_hz
+                  / DEFAULT_COSTS.time_scale)
+        seconds = KernelLaunch(QUADRO_P5000).cycles_to_seconds(cycles)
         assert seconds == pytest.approx(build.seconds, rel=1e-12)
-        assert backend.memory_bytes(index.graph) > 0
+        assert index.graph.memory_bytes() > 0
 
     def test_quantized_recall_within_family_floor(self, family):
-        """Staged search holds recall for every declared quant mode.
+        """Staged search holds recall for every quantization mode.
 
         The quantized traversal is lossy, so instead of id equality the
         profile declares ``quant_recall_delta`` — how much recall@10
@@ -184,7 +180,7 @@ class TestBackendConformance:
         exact_ids, _ = index.search(queries, k=K, l_n=L_N)
         truth = exact_knn(points, queries, K)
         exact_recall = recall_at_k(exact_ids, truth)
-        for mode in profile.quant_modes:
+        for mode in QUANT_MODES:
             ids, dists = index.search(queries, k=K, l_n=L_N, quant=mode)
             again_ids, again_dists = index.search(queries, k=K, l_n=L_N,
                                                   quant=mode)
@@ -213,8 +209,7 @@ class TestBackendConformance:
         points, queries = points[:120], queries[:8]
         index = GannsIndex.build(
             points, graph_type=family, metric=metric,
-            params=BuildParams(d_min=8, d_max=16, seed=SEED),
-            **get_backend(family).conformance_profile().build_kwargs)
+            params=BuildParams(d_min=8, d_max=16, seed=SEED))
         validate_graph(_bottom(index.graph), points=index.points,
                        check_distances=True)
         for quant in (None, "int8"):

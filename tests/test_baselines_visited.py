@@ -75,13 +75,6 @@ class TestBloomFilter:
         hits = sum(1 for v in range(10_000, 10_200) if v in bloom)
         assert hits > 0  # saturated filter must misfire
 
-    def test_false_positive_rate_formula(self):
-        bloom = BloomFilter(n_bits=1024, n_hashes=3)
-        assert bloom.false_positive_rate(0) == 0.0
-        assert 0.0 < bloom.false_positive_rate(100) < 1.0
-        assert (bloom.false_positive_rate(500)
-                > bloom.false_positive_rate(100))
-
     def test_memory_is_bits(self):
         assert BloomFilter(n_bits=1024).memory_bytes() == 128
 

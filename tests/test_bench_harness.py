@@ -11,7 +11,6 @@ from repro.bench.figures import (
 )
 from repro.bench.report import (
     format_table,
-    paper_vs_measured_row,
     speedup_band_note,
 )
 from repro.bench.runner import GraphCache, _run_construction
@@ -76,10 +75,6 @@ class TestReport:
         assert "123,456" in text
         assert "1.235" in text
         assert "12.3" in text
-
-    def test_paper_vs_measured_row(self):
-        row = paper_vs_measured_row("x", 10.0, 20.0)
-        assert row[-1] == "2.00x"
 
     def test_speedup_band_note(self):
         assert "in paper band" in speedup_band_note(1.0, 2.0, 1.5)

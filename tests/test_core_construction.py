@@ -24,10 +24,7 @@ from repro.graphs.stats import edge_recall_against, reachable_fraction
 from repro.graphs.validation import validate_graph
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
-from repro.extensions.mips import register_ip_metric
 from tests.oracles.nsw_sequential import build_nsw_sequential
-
-register_ip_metric()
 
 
 PARAMS = BuildParams(d_min=6, d_max=12, n_blocks=8)

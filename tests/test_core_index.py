@@ -1,12 +1,16 @@
 """Tests for the high-level GannsIndex API."""
 
+import os
 import struct
+import subprocess
+import sys
 import zipfile
 import zlib
 
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines.beam import beam_search
 from repro.core.hnsw import recover_original_ids
 from repro.core.index import GannsIndex
@@ -73,6 +77,18 @@ class TestBuild:
     def test_hnsw_rejects_other_strategies(self, points):
         with pytest.raises(ConfigurationError, match="ggraphcon"):
             GannsIndex.build(points, graph_type="hnsw", strategy="serial")
+
+    @pytest.mark.parametrize("family", ["knn", "cagra"])
+    @pytest.mark.parametrize("option, value", [
+        ("strategy", "naive-parallel"),
+        ("search_kernel", "song"),
+    ])
+    def test_nn_descent_families_refuse_options_they_ignore(
+            self, points, family, option, value):
+        # Both used to build their NN-Descent graph and drop the option.
+        with pytest.raises(ConfigurationError, match=option):
+            GannsIndex.build(points[:60], family, params=PARAMS,
+                             **{option: value})
 
     @pytest.mark.parametrize("family", backend_families())
     def test_misspelt_build_option_raises(self, points, family):
@@ -206,6 +222,43 @@ class TestPersistence:
         a, _ = index.search(queries, k=5, l_n=64)
         b, _ = loaded.search(queries, k=5, l_n=64)
         assert np.array_equal(a, b)
+
+    def test_unknown_metric_is_refused_at_load(self, points, tmp_path):
+        # It used to load, and fail only at the first search.
+        index = GannsIndex.build(points[:200], params=PARAMS)
+        path = tmp_path / "index.npz"
+        index.save(path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["metric"] = np.array("bogus")
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigurationError, match="unknown metric"):
+            GannsIndex.load(path)
+
+    def test_ip_index_searches_in_a_fresh_process(self, points, queries,
+                                                  tmp_path):
+        """``ip`` is built in: a new interpreter loads and searches a
+        saved inner-product index with no set-up call."""
+        index = GannsIndex.build(points[:200], metric="ip", params=PARAMS)
+        path = tmp_path / "ip.npz"
+        index.save(path)
+        np.save(tmp_path / "queries.npy", queries)
+        ids, _ = index.search(queries, k=5, l_n=64)
+        script = (
+            "import sys, numpy as np\n"
+            "from repro import GannsIndex\n"
+            "index = GannsIndex.load(sys.argv[1])\n"
+            "ids, _ = index.search(np.load(sys.argv[2]), k=5, l_n=64)\n"
+            "np.save(sys.argv[3], ids)\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path),
+             str(tmp_path / "queries.npy"), str(tmp_path / "ids.npy")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert np.array_equal(np.load(tmp_path / "ids.npy"), ids)
 
     def test_version_check(self, points, tmp_path):
         index = GannsIndex.build(points, params=PARAMS)

@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.results import (
-    ConstructionReport,
-    SearchReport,
-    make_search_tracker,
-)
+from repro.core.results import SearchReport
 from repro.errors import SearchError
-from repro.gpusim.tracker import PhaseCategory
+from repro.gpusim.tracker import CycleTracker, PhaseCategory
 
 
 def _report(n_queries=4, cycles=1000.0):
-    tracker = make_search_tracker(n_queries, "ganns")
+    tracker = CycleTracker(n_queries)
     tracker.charge("bulk_distance", cycles)
     tracker.charge("sorting", cycles / 2)
     return SearchReport(
@@ -59,14 +55,14 @@ class TestSearchReport:
         assert set(breakdown) == {"bulk_distance", "sorting"}
 
     def test_ganns_tracker_categories(self):
-        tracker = make_search_tracker(1, "ganns")
+        tracker = CycleTracker(1)
         assert tracker.category_of("bulk_distance") is PhaseCategory.DISTANCE
         for phase in ("candidate_locating", "neighborhood_exploration",
                       "lazy_check", "sorting", "candidate_update"):
             assert tracker.category_of(phase) is PhaseCategory.STRUCTURE
 
     def test_song_tracker_categories(self):
-        tracker = make_search_tracker(1, "song")
+        tracker = CycleTracker(1)
         assert tracker.category_of("bulk_distance") is PhaseCategory.DISTANCE
         assert (tracker.category_of("candidates_locating")
                 is PhaseCategory.STRUCTURE)
@@ -95,12 +91,3 @@ class TestTake:
         assert taken.tracker.n_lanes == 3
         assert (taken.n_threads, taken.shared_mem_bytes) == (32, 1024)
 
-
-class TestConstructionReport:
-    def test_speedup_over(self):
-        report = ConstructionReport(algorithm="x", graph=None, seconds=2.0)
-        assert report.speedup_over(10.0) == 5.0
-
-    def test_speedup_with_zero_seconds(self):
-        report = ConstructionReport(algorithm="x", graph=None, seconds=0.0)
-        assert report.speedup_over(1.0) == float("inf")

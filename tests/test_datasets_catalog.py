@@ -114,19 +114,5 @@ class TestDatasetMethods:
         with pytest.raises(DatasetError):
             dataset.truncate_dims(dataset.n_dims + 1)
 
-    def test_subsample(self, dataset):
-        sub = dataset.subsample(100, seed=0)
-        assert sub.n_points == 100
-        assert sub.n_queries == dataset.n_queries
-        # Every subsampled point exists in the original.
-        assert all((dataset.points == p).all(axis=1).any()
-                   for p in sub.points[:5])
-
-    def test_subsample_bounds(self, dataset):
-        with pytest.raises(DatasetError):
-            dataset.subsample(0)
-        with pytest.raises(DatasetError):
-            dataset.subsample(dataset.n_points + 1)
-
     def test_metric_object(self, dataset):
         assert dataset.metric.name == "euclidean"

@@ -6,6 +6,7 @@ evolves.
 """
 
 import ast
+import collections
 import os
 import re
 
@@ -391,7 +392,7 @@ class TestOneOfEach:
     #: Registry names of the metrics ``src/`` ships.
     METRIC_NAMES = {"euclidean", "cosine", "ip"}
     #: The metric classes.
-    METRIC_OWNERS = {"metrics/distance.py", "extensions/mips.py"}
+    METRIC_OWNERS = {"metrics/distance.py"}
 
     def test_metric_arithmetic_lives_in_metrics(self):
         """Outside the metric classes no code compares a metric's name,
@@ -485,11 +486,29 @@ class TestOneOfEach:
 
 
 class TestSrcHoldsWhatRuns:
-    """``src/`` holds what the product runs: a simulator helper with no
-    product caller is deleted, and reference implementations live under
+    """``src/`` holds what the product runs: a simulator helper or
+    method with no product caller is deleted, a backend hook no family
+    overrides is not a hook, and reference implementations live under
     ``tests/oracles/``, which ``src/`` never imports."""
 
     PRODUCT_DIRS = ("src", "scripts", "benchmarks", "examples")
+
+    #: What a family may override on ``IndexBackend``.
+    BACKEND_METHODS = {"build", "build_parts", "serving_graphs",
+                       "serialize_graph", "deserialize_graph",
+                       "conformance_profile"}
+
+    @classmethod
+    def _product_trees(cls):
+        """``(path relative to the repo, AST)`` of every product file."""
+        for top in cls.PRODUCT_DIRS:
+            for dirpath, _dirs, files in sorted(os.walk(os.path.join(ROOT,
+                                                                     top))):
+                for filename in sorted(files):
+                    if filename.endswith(".py"):
+                        path = os.path.relpath(
+                            os.path.join(dirpath, filename), ROOT)
+                        yield path, ast.parse(_read(path))
 
     @staticmethod
     def _named(tree, skip=()):
@@ -514,24 +533,89 @@ class TestSrcHoldsWhatRuns:
                         defined[node.name] = path
         assert defined
         named = set()
-        for top in self.PRODUCT_DIRS:
-            for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
-                for filename in files:
-                    if not filename.endswith(".py"):
-                        continue
-                    path = os.path.relpath(os.path.join(dirpath, filename),
-                                           ROOT)
-                    tree = ast.parse(_read(path))
-                    # A definition naming itself (recursion, a method
-                    # building its own class) is not a caller.
-                    own = [node for node in tree.body
-                           if isinstance(node, (ast.FunctionDef,
-                                                ast.ClassDef))
-                           and defined.get(node.name) == path]
-                    for node in own:
-                        named |= self._named(node) - {node.name}
-                    named |= self._named(tree, own)
+        for path, tree in self._product_trees():
+            # A definition naming itself (recursion, a method building
+            # its own class) is not a caller.
+            own = [node for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and defined.get(node.name) == path]
+            for node in own:
+                named |= self._named(node) - {node.name}
+            named |= self._named(tree, own)
         assert not set(defined) - named, sorted(set(defined) - named)
+
+    def test_every_gpusim_method_has_a_product_caller(self):
+        """A public method or property of a ``gpusim`` class is named by
+        product code outside its own definition (another method of the
+        class counts)."""
+        gpusim = os.path.join("src", "repro", "gpusim")
+        methods = {}
+        for filename in sorted(os.listdir(os.path.join(ROOT, gpusim))):
+            if filename.endswith(".py"):
+                path = os.path.join(gpusim, filename)
+                for node in ast.parse(_read(path)).body:
+                    if isinstance(node, ast.ClassDef):
+                        methods.update(
+                            ((path, f"{node.name}.{item.name}"), item)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+        assert methods
+        references = collections.Counter()
+        own = collections.Counter()
+        for path, tree in self._product_trees():
+            references.update(self._references(tree))
+            for (where, qualified), node in methods.items():
+                if where == path:
+                    own[qualified] = self._references(node).count(
+                        node.name)
+        uncalled = sorted(qualified
+                          for (_, qualified), node in methods.items()
+                          if references[node.name] <= own[qualified])
+        assert not uncalled, uncalled
+
+    @staticmethod
+    def _references(tree):
+        """Every name and attribute ``tree`` references, with repeats."""
+        return [node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))]
+
+    def test_every_backend_hook_is_overridden(self):
+        """A non-abstract ``IndexBackend`` method is overridden by a
+        registered family, or reads a ``self.`` attribute one does (so
+        ``serving_graphs`` stays, through ``hierarchical`` and
+        ``build_parts``); its public methods are exactly the hooks."""
+        from repro.core.backend import IndexBackend, backend_families, \
+            get_backend
+        overridden = set()
+        for family in backend_families():
+            for cls in type(get_backend(family)).__mro__:
+                if cls is IndexBackend:
+                    break
+                overridden |= set(vars(cls))
+        tree = ast.parse(_read(os.path.join("src", "repro", "core",
+                                            "backend.py")))
+        base = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == "IndexBackend")
+        methods = [node for node in base.body
+                   if isinstance(node, ast.FunctionDef)]
+        unneeded = []
+        for node in methods:
+            if any(ast.unparse(deco) == "abc.abstractmethod"
+                   for deco in node.decorator_list):
+                continue
+            reads = {child.attr for child in ast.walk(node)
+                     if isinstance(child, ast.Attribute)
+                     and isinstance(child.value, ast.Name)
+                     and child.value.id == "self"}
+            if node.name not in overridden and not reads & overridden:
+                unneeded.append(node.name)
+        assert not unneeded, unneeded
+        public = {node.name for node in methods
+                  if not node.name.startswith("_")}
+        assert public == self.BACKEND_METHODS, sorted(public)
 
     def test_src_never_imports_tests(self):
         importers = []

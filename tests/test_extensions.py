@@ -1,4 +1,5 @@
-"""Tests for the extension modules (multicore GGraphCon, MIPS metric)."""
+"""Tests for the extension modules (multicore GGraphCon) and the
+built-in MIPS metric."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core.construction import build_nsw_gpu
 from repro.core.params import BuildParams
 from repro.errors import ConstructionError
-from repro.extensions.mips import InnerProductMetric, register_ip_metric
 from repro.extensions.multicore import build_nsw_multicore
 from repro.gpusim.kernel import _makespan
+from repro.metrics.distance import METRICS, InnerProductMetric, get_metric
 from tests.oracles.nsw_sequential import build_nsw_sequential
 
 PARAMS = BuildParams(d_min=6, d_max=12, n_blocks=8)
@@ -102,12 +103,9 @@ class TestMulticoreConstruction:
 
 
 class TestInnerProductMetric:
-    def test_registration_idempotent(self):
-        first = register_ip_metric()
-        second = register_ip_metric()
-        assert first is second
-        from repro.metrics.distance import get_metric
-        assert get_metric("ip") is first
+    def test_ip_is_a_built_in_metric(self):
+        assert isinstance(get_metric("ip"), InnerProductMetric)
+        assert get_metric("ip") is METRICS["ip"]
 
     def test_orders_by_inner_product(self):
         metric = InnerProductMetric()
@@ -128,7 +126,6 @@ class TestInnerProductMetric:
     def test_end_to_end_mips_search(self):
         """Graph build + GANNS search under metric='ip' finds the true
         maximum-inner-product neighbors."""
-        register_ip_metric()
         from repro.core.ganns import ganns_search
         from repro.core.params import SearchParams
         from repro.datasets.ground_truth import exact_knn
@@ -147,7 +144,6 @@ class TestInnerProductMetric:
         assert recall_at_k(report.ids, gt) > 0.7
 
     def test_kernel_supports_ip(self):
-        register_ip_metric()
         from repro.core.ganns import ganns_search
         from tests.oracles.ganns_kernel import ganns_search_kernel
         from repro.core.params import SearchParams
@@ -163,7 +159,6 @@ class TestInnerProductMetric:
 
     def test_knn_graph_stores_negative_inner_products(self):
         """NN-Descent under ``ip`` stores ``-<u, v>``, not ``1 - <u, v>``."""
-        register_ip_metric()
         from repro.core.knng import build_knn_graph_gpu
         from repro.graphs import validate_graph
 
@@ -173,7 +168,6 @@ class TestInnerProductMetric:
 
     def test_cagra_builds_and_validates(self):
         """Rank pruning's stacked ``pairwise`` works under ``ip``."""
-        register_ip_metric()
         from repro import GannsIndex
         from repro.graphs import validate_graph
 

@@ -82,55 +82,47 @@ class TestReadout:
 
 class TestCategories:
     def test_registered_category(self):
-        t = CycleTracker(1, {"dist": PhaseCategory.DISTANCE})
-        assert t.category_of("dist") is PhaseCategory.DISTANCE
+        t = CycleTracker(1)
+        assert t.category_of("bulk_distance") is PhaseCategory.DISTANCE
+        assert t.category_of("sorting") is PhaseCategory.STRUCTURE
 
     def test_unknown_phase_is_other(self):
         t = CycleTracker(1)
         assert t.category_of("x") is PhaseCategory.OTHER
 
     def test_category_totals(self):
-        t = CycleTracker(1, {"d": PhaseCategory.DISTANCE,
-                             "s": PhaseCategory.STRUCTURE})
-        t.charge("d", 3.0)
-        t.charge("s", 1.0)
+        t = CycleTracker(1)
+        t.charge("bulk_distance", 3.0)
+        t.charge("sorting", 1.0)
+        t.charge("x", 2.0)
         totals = t.category_totals()
         assert totals[PhaseCategory.DISTANCE] == 3.0
         assert totals[PhaseCategory.STRUCTURE] == 1.0
-
-    def test_category_lane_cycles(self):
-        t = CycleTracker(2, {"d": PhaseCategory.DISTANCE})
-        t.charge("d", 2.0, np.array([0]))
-        assert np.array_equal(
-            t.category_lane_cycles(PhaseCategory.DISTANCE), [2, 0])
-
-    def test_register_category_later(self):
-        t = CycleTracker(1)
-        t.charge("x", 1.0)
-        t.register_category("x", PhaseCategory.MEMORY)
-        assert t.category_totals()[PhaseCategory.MEMORY] == 1.0
+        assert totals[PhaseCategory.OTHER] == 2.0
 
 
 class TestMergeAndReset:
     def test_reset_clears_cycles_keeps_categories(self):
-        t = CycleTracker(1, {"p": PhaseCategory.DISTANCE})
-        t.charge("p", 5.0)
+        t = CycleTracker(1)
+        t.charge("bulk_distance", 5.0)
         t.reset()
         assert t.total_cycles() == 0.0
-        assert t.category_of("p") is PhaseCategory.DISTANCE
+        assert t.category_of("bulk_distance") is PhaseCategory.DISTANCE
 
 
 class TestTake:
     def test_take_slices_every_phase_in_order(self):
-        t = CycleTracker(4, {"p": PhaseCategory.DISTANCE})
+        t = CycleTracker(4)
         t.charge("q", np.array([1.0, 2.0, 3.0, 4.0]))
-        t.charge("p", np.array([10.0, 20.0, 30.0, 40.0]))
+        t.charge("bulk_distance", np.array([10.0, 20.0, 30.0, 40.0]))
         taken = t.take([3, 0, 3])
         assert taken.n_lanes == 3
-        assert tuple(taken.phase_names) == ("q", "p")
-        assert np.array_equal(taken.lane_cycles("p"), [40, 10, 40])
+        assert tuple(taken.phase_names) == ("q", "bulk_distance")
+        assert np.array_equal(taken.lane_cycles("bulk_distance"),
+                              [40, 10, 40])
         assert np.array_equal(taken.lane_cycles(), [44, 11, 44])
-        assert taken.category_of("p") is PhaseCategory.DISTANCE
+        assert taken.category_totals() == {PhaseCategory.OTHER: 9.0,
+                                           PhaseCategory.DISTANCE: 90.0}
 
     def test_take_copies(self):
         t = CycleTracker(2)

@@ -218,11 +218,6 @@ class TestHierarchicalGraph:
         assert h.bottom is layers[0]
         assert h.entry_vertex() == 0
 
-    def test_layer_vertices_prefix_property(self):
-        layers, sizes = self._layers()
-        h = HierarchicalGraph(layers, sizes)
-        assert h.layer_vertices(1) == (0, 4)
-
     def test_rejects_increasing_sizes(self):
         layers, _ = self._layers()
         with pytest.raises(GraphError, match="non-increasing"):
@@ -246,9 +241,3 @@ class TestHierarchicalGraph:
         layers, sizes = self._layers()
         h = HierarchicalGraph(layers, sizes)
         assert h.memory_bytes() == sum(l.memory_bytes() for l in layers)
-
-    def test_layer_vertices_bounds(self):
-        layers, sizes = self._layers()
-        h = HierarchicalGraph(layers, sizes)
-        with pytest.raises(GraphError, match="out of range"):
-            h.layer_vertices(3)

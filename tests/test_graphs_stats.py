@@ -5,12 +5,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs.adjacency import ProximityGraph
-from repro.graphs.stats import (
-    average_out_degree,
-    edge_recall_against,
-    graph_stats,
-    reachable_fraction,
-)
+from repro.graphs.stats import edge_recall_against, reachable_fraction
 
 
 def _chain_graph(n=5):
@@ -64,19 +59,3 @@ class TestEdgeRecall:
     def test_vertex_count_mismatch(self):
         with pytest.raises(GraphError, match="vertex counts"):
             edge_recall_against(_chain_graph(3), _chain_graph(4))
-
-
-class TestGraphStats:
-    def test_summary_fields(self):
-        g = _chain_graph(5)
-        stats = graph_stats(g)
-        assert stats.n_vertices == 5
-        assert stats.n_edges == 4
-        assert stats.min_degree == 0  # the tail vertex
-        assert stats.max_degree == 1
-        assert stats.mean_degree == pytest.approx(0.8)
-        assert stats.reachable_from_entry == 1.0
-        assert stats.memory_bytes == g.memory_bytes()
-
-    def test_average_out_degree(self):
-        assert average_out_degree(_chain_graph(5)) == pytest.approx(0.8)

@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConfigurationError
-from repro.extensions.mips import register_ip_metric
 from repro.metrics.distance import (
     CosineMetric,
     EuclideanMetric,
     METRICS,
     get_metric,
 )
-
-register_ip_metric()
 
 #: Every registered metric, inner product included.
 METRIC_NAMES = ("euclidean", "cosine", "ip")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.extensions.mips import InnerProductMetric
+from repro.metrics.distance import InnerProductMetric
 from repro.metrics.distance import CosineMetric, EuclideanMetric
 
 vectors = arrays(np.float64, (6,),

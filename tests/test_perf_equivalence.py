@@ -36,14 +36,11 @@ from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
 from repro.extensions.distributed import build_nsw_distributed
 from repro.extensions.multicore import build_nsw_multicore
-from repro.extensions.mips import register_ip_metric
 from repro.graphs.stats import graph_digest
 from repro.perf.arena import _ARENA_CACHE, get_arena
 from repro.perf.descent import hnsw_entry_descent_batch
 from tests.oracles.ganns_batched import ganns_search_oracle
 from tests.oracles.hnsw_descent import hnsw_entry_descent
-
-register_ip_metric()
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "ganns_golden.npz")

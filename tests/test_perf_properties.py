@@ -20,7 +20,6 @@ from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
 from repro.datasets.synthetic import gaussian_mixture
-from repro.extensions.mips import register_ip_metric
 from repro.perf.arena import EvaluatedPairs, SearchArena
 from repro.perf.distance import GroupDistanceEngine
 from repro.perf.engine import _insert_merge
@@ -29,8 +28,6 @@ from tests.oracles.ganns_batched import ganns_search_oracle
 from tests.oracles.ganns_kernel import ganns_search_kernel
 from tests.test_perf_equivalence import _assert_trackers_equal, \
     assert_matches_oracle
-
-register_ip_metric()
 
 
 @st.composite

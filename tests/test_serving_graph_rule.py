@@ -34,9 +34,6 @@ from repro.core.knng import build_knn_graph_gpu
 from repro.core.params import BuildParams
 from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import ConfigurationError, UnsupportedOperationError
-from repro.extensions.mips import register_ip_metric
-
-register_ip_metric()
 
 FLAT = [f for f in backend_families() if not get_backend(f).hierarchical]
 HIERARCHICAL = [f for f in backend_families()
