@@ -9,7 +9,7 @@ inner product) is built in across the whole stack.
 This example builds an item index from matrix-factorization-style
 embeddings, serves top-k recommendations for a batch of users with
 GANNS, and verifies against exact MIPS.  It also demonstrates the
-multicore GGraphCon extension (Section IV-B's portability remark)
+multicore GGraphCon build (Section IV-B's portability remark)
 building the same index on CPU cores.
 
 Run it with::
@@ -22,9 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import BuildParams, SearchParams, ganns_search, recall_at_k
-from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.baselines.nsw_cpu import build_nsw_cpu, build_nsw_multicore
 from repro.datasets.ground_truth import exact_knn
-from repro.extensions import build_nsw_multicore
 
 
 def make_embeddings(n_items: int, n_users: int, latent_dim: int,

@@ -24,7 +24,7 @@ graph digests, simulated seconds and phase seconds of the frozen
 GGraphCon scenarios of ``tests/test_perf_equivalence.py``
 (``TestConstructionEquivalence``): the GPU-clock rows (``nsw_*``,
 ``hnsw``, ``insert_exclude_mask``, ``gserial_*``) and the CPU-clock
-rows (``multicore_*``, ``distributed``).  A change to one clock's
+rows (``multicore_*``).  A change to one clock's
 pricing rule must move only that clock's rows.
 (The GANNS search golden has its own legacy path:
 ``PYTHONPATH=src python tests/test_golden_determinism.py

@@ -3,7 +3,9 @@
 - :mod:`repro.baselines.beam` — Algorithm 1, the classical CPU beam search
   on a proximity graph (min-heap candidates, max-heap results, visited set).
 - :mod:`repro.baselines.nsw_cpu` — GraphCon_NSW: single-thread sequential
-  NSW insertion (GGraphCon with one group on a one-core CPU clock).
+  NSW insertion (GGraphCon with one group on a one-core CPU clock), and
+  ``build_nsw_multicore``, GGraphCon over every group on a many-core
+  CPU clock.
 - :mod:`repro.baselines.hnsw_cpu` — GraphCon_HNSW: single-thread HNSW
   construction.
 - :mod:`repro.baselines.song` — SONG, the state-of-the-art GPU search the

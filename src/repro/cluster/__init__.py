@@ -1,8 +1,7 @@
 """Sharded multi-replica serving cluster with scatter-gather top-k.
 
-The package promotes the construction-time sharding helpers of
-:mod:`repro.extensions.distributed` into a real serving topology:
-consistent-hash placement (:mod:`repro.cluster.placement`), a
+The package is the query-path serving topology: consistent-hash
+placement (:mod:`repro.cluster.placement`), a
 health-masking round-robin replica router
 (:mod:`repro.cluster.router`), an exact cost-charged top-k merge
 (:mod:`repro.cluster.merge`), the scatter-gather

@@ -1,9 +1,8 @@
 """The sharded serving cluster: N index shards x M replicas, one clock.
 
-This module promotes :mod:`repro.extensions.distributed` from a
-construction-time helper to a *query-path* topology — the ROADMAP's
-"serving heavy traffic" step and the shard/replica decomposition GGNN
-demonstrates for multi-GPU graph ANN:
+This module is the *query-path* topology — the "serving heavy traffic"
+step and the shard/replica decomposition GGNN demonstrates for
+multi-GPU graph ANN:
 
 1. **Placement** — a consistent-hash ring assigns every corpus point to
    one of ``n_shards`` disjoint shards; each shard gets its own graph,
@@ -18,7 +17,7 @@ demonstrates for multi-GPU graph ANN:
    (:mod:`repro.cluster.router`).
 4. **Scatter-gather** — every request fans out to all shards (queries
    are broadcast, charged to the
-   :class:`~repro.extensions.distributed.NetworkModel`), each shard
+   :class:`~repro.gpusim.memory.NetworkModel`), each shard
    answers its local top-k, and the coordinator reduces the runs with
    the exact bitonic-cost merge (:mod:`repro.cluster.merge`), waiting
    on the *slowest* shard — the tail-amplification structure the
@@ -51,7 +50,6 @@ from repro.core.construction import validated_points
 from repro.core.params import SearchParams, as_count
 from repro.core.pipeline import _LaneStore, stream_batches
 from repro.errors import ClusterError, ConstructionError
-from repro.extensions.distributed import NetworkModel, _EDGE_BYTES
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import (
     AdmissionGovernor,
@@ -60,6 +58,7 @@ from repro.faults.policy import (
 )
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
+from repro.gpusim.memory import NetworkModel
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.span import SpanTracer
 from repro.serve.cache import ResultCache
@@ -85,6 +84,9 @@ from repro.cluster.router import (
 from repro.heal.controller import RepairController, RepairRecord
 from repro.heal.policy import HealPolicy
 from repro.heal.source import StaticShardSource, StoreShardSource
+
+#: Bytes of one result entry on the wire (id + distance).
+_EDGE_BYTES = 12
 
 
 class ClusterEngine:

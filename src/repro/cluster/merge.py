@@ -33,6 +33,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.params import as_count
 from repro.errors import ClusterError
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
@@ -62,8 +63,7 @@ def merge_topk(k: int, shard_ids: Sequence[np.ndarray],
         ``(ids, dists)`` of shape ``(m, k)`` — int64 / float64, sorted
         by ``(distance, id)`` per row, padded with ``-1`` / ``inf``.
     """
-    if k <= 0:
-        raise ClusterError(f"k must be positive, got {k}")
+    k = as_count(k, "k", 1, ClusterError)
     if len(shard_ids) != len(shard_dists):
         raise ClusterError(
             f"got {len(shard_ids)} id matrices but {len(shard_dists)} "

@@ -310,7 +310,7 @@ def ggraphcon(parts: Sequence[np.ndarray], params: BuildParams, metric: str,
 
     This is the one GGraphCon body: :func:`build_nsw_gpu` runs it on a
     :class:`~repro.core.construction_costs.GpuClock`,
-    :func:`repro.extensions.multicore.build_nsw_multicore` on a
+    :func:`repro.baselines.nsw_cpu.build_nsw_multicore` on a
     :class:`~repro.core.construction_costs.CpuClock`, and the sequential
     baseline :func:`repro.baselines.nsw_cpu.build_nsw_cpu` with one group
     on a one-core ``CpuClock`` (Phase 1 of a single group *is*

@@ -291,7 +291,8 @@ class GannsIndex:
                                                   d_max, metric)
                 order = archive["order"] if "order" in archive.files else None
                 return cls(points, graph, graph_type, metric, order=order)
-        except (zipfile.BadZipFile, EOFError, zlib.error, KeyError) as exc:
+        except (zipfile.BadZipFile, EOFError, zlib.error, KeyError,
+                ValueError) as exc:
             raise ConfigurationError(
                 f"index file {path!r} is truncated or corrupt "
                 f"({type(exc).__name__}: {exc})"

@@ -20,10 +20,10 @@ Fault taxonomy (the ``FAULT_*`` constants):
   charged and the attempt fails, results discarded.
 - ``mem_exhaustion`` — device allocation fails before compute; only the
   attempted upload is charged.
-- ``worker_loss``    — a distributed-construction worker (``target``)
-  dies; its shard must be re-executed elsewhere.
+- ``worker_loss``    — a serving-cluster shard-replica slot
+  (``target``) dies; its queries fail over to a live sibling.
 - ``network_partition`` — the cluster interconnect stalls for
-  ``magnitude`` seconds; merge-round communication blocks.
+  ``magnitude`` seconds; scatter deliveries inside the window wait.
 - ``crash``          — the (simulated) index process dies at a named
   lifecycle ``phase`` (e.g. mid-compaction); volatile state is lost and
   recovery must replay the durable write-ahead log.
@@ -45,7 +45,7 @@ FAULT_KERNEL_TIMEOUT = "kernel_timeout"
 FAULT_KERNEL_STALL = "kernel_stall"
 FAULT_ECC_BITFLIP = "ecc_bitflip"
 FAULT_MEM_EXHAUSTION = "mem_exhaustion"
-#: Fault kinds delivered to the distributed-construction cluster.
+#: Fault kinds delivered to the serving cluster.
 FAULT_WORKER_LOSS = "worker_loss"
 FAULT_NETWORK_PARTITION = "network_partition"
 #: Fault kinds delivered to the mutable-index lifecycle.
@@ -80,6 +80,15 @@ CRASH_PHASES = (
 )
 
 
+def _check_kind(kind: str) -> None:
+    """Refuse a fault kind outside :data:`ALL_FAULT_KINDS`."""
+    if kind not in ALL_FAULT_KINDS:
+        raise ConfigurationError(
+            f"unknown fault kind {kind!r}; expected one of "
+            f"{sorted(ALL_FAULT_KINDS)}"
+        )
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault.
@@ -106,11 +115,7 @@ class FaultEvent:
     phase: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ALL_FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault kind {self.kind!r}; expected one of "
-                f"{sorted(ALL_FAULT_KINDS)}"
-            )
+        _check_kind(self.kind)
         if self.at_seconds < 0:
             raise ConfigurationError(
                 f"fault at_seconds must be >= 0, got {self.at_seconds}"
@@ -181,7 +186,7 @@ class FaultPlan:
         return [e for e in self.events if e.kind in KERNEL_FAULT_KINDS]
 
     def cluster_events(self) -> List[FaultEvent]:
-        """Events delivered to the distributed cluster, schedule order."""
+        """Events delivered to the serving cluster, schedule order."""
         return [e for e in self.events if e.kind in CLUSTER_FAULT_KINDS]
 
     def mutation_events(self) -> List[FaultEvent]:
@@ -242,6 +247,8 @@ class FaultPlan:
                 f"horizon_seconds must be positive, got {horizon_seconds}"
             )
         as_count(n_workers, "n_workers", 0)
+        for kind in rates:
+            _check_kind(kind)
         # Every event of a kind carries the kind's one magnitude.
         magnitude_of = {
             FAULT_KERNEL_TIMEOUT: 2e-3,

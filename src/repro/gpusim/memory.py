@@ -1,6 +1,6 @@
-"""Memory-side models: shared-memory budgets and PCIe transfers.
+"""Memory-side models: shared-memory budgets and data links.
 
-Two concerns from the paper live here:
+Two concerns from the paper live here, plus the cluster interconnect:
 
 - Section III-C argues GANNS keeps per-block shared memory small (``N`` and
   ``T`` only) to preserve occupancy, and stages vectors in registers.
@@ -10,13 +10,19 @@ Two concerns from the paper live here:
   relative to querying (~1 MB of results for 2000 queries at k=100 against
   ~10 GB/s of PCIe 3.0 x16 bandwidth).  :class:`TransferModel` quantifies
   that claim so the benchmark suite can reproduce it.
+- :class:`NetworkModel` prices the same ``latency + bytes / bandwidth``
+  link between cluster workers: the scatter/gather of
+  :mod:`repro.cluster.engine` and the repair lane of
+  :mod:`repro.heal.controller`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import DeviceError
+import numpy as np
+
+from repro.errors import ConstructionError, DeviceError
 from repro.gpusim.device import DeviceSpec
 
 
@@ -113,3 +119,47 @@ class TransferModel:
                      compute_seconds: float) -> float:
         """Exposed transfer time once stream overlap hides it behind compute."""
         return max(0.0, transfer_seconds - compute_seconds)
+
+
+@dataclass(frozen=True)
+class NetworkModel:
+    """Point-to-point cluster network.
+
+    Attributes:
+        bandwidth_gbps: Link bandwidth in gigabytes per second.
+        latency_ms: One-way message latency in milliseconds.
+    """
+
+    bandwidth_gbps: float = 1.25   # ~10 GbE
+    latency_ms: float = 0.05       # datacenter RTT/2
+
+    def __post_init__(self) -> None:
+        if self.bandwidth_gbps <= 0:
+            raise ConstructionError(
+                f"bandwidth must be positive, got {self.bandwidth_gbps}"
+            )
+        if self.latency_ms < 0:
+            raise ConstructionError(
+                f"latency must be non-negative, got {self.latency_ms}"
+            )
+
+    def transfer_seconds(self, n_bytes: float) -> float:
+        """One message of ``n_bytes``: latency + serialization."""
+        return (self.latency_ms * 1e-3
+                + n_bytes / (self.bandwidth_gbps * 1e9))
+
+    def broadcast_seconds(self, n_bytes: float, n_workers: int) -> float:
+        """Binomial-tree broadcast to ``n_workers`` receivers."""
+        if n_workers <= 0:
+            return 0.0
+        rounds = max(int(np.ceil(np.log2(n_workers + 1))), 1)
+        return rounds * self.transfer_seconds(n_bytes)
+
+    def gather_seconds(self, n_bytes_total: float,
+                       n_workers: int) -> float:
+        """Gather of ``n_bytes_total`` spread over the workers."""
+        if n_workers <= 0:
+            return 0.0
+        rounds = max(int(np.ceil(np.log2(n_workers + 1))), 1)
+        return (rounds * self.latency_ms * 1e-3
+                + n_bytes_total / (self.bandwidth_gbps * 1e9))

@@ -154,7 +154,3 @@ class CycleTracker:
         taken._phases = {name: bucket[lanes]
                          for name, bucket in self._phases.items()}
         return taken
-
-    def reset(self) -> None:
-        """Zero all accumulated cycles."""
-        self._phases.clear()

@@ -59,11 +59,17 @@ def validate_graph(graph: ProximityGraph, points: Optional[np.ndarray] = None,
             vertices are exempt from the ``d_min`` floor.
 
     Raises:
-        GraphError: Describing the first violated invariant, or a
+        GraphError: Describing the first violated invariant, a
+            ``graph`` that is not a :class:`ProximityGraph`, or a
             ``points`` matrix whose row count is not the vertex count.
         ValidationError: A tombstone invariant was violated (the mask
             was supplied and a dead vertex is still wired in).
     """
+    if not isinstance(graph, ProximityGraph):
+        raise GraphError(
+            f"validate_graph expects a ProximityGraph, got "
+            f"{type(graph).__name__}"
+        )
     n = graph.n_vertices
     ids = graph.neighbor_ids
     dists = graph.neighbor_dists

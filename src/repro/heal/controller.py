@@ -36,11 +36,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HealError
-from repro.extensions.distributed import NetworkModel
 from repro.faults.plan import FaultPlan
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
+from repro.gpusim.memory import NetworkModel
 from repro.heal.policy import HealPolicy
 
 #: Terminal states of one repair.

@@ -30,9 +30,20 @@ def recall_per_query(returned: np.ndarray, ground_truth: np.ndarray) -> np.ndarr
     Returns:
         ``(n_queries,)`` float array of recall values in ``[0, 1]``.  A
         row whose ground truth is entirely padding has recall ``0.0``.
+
+    Raises:
+        ConfigurationError: On a non-integer id dtype (a float matrix
+            would score its NaN entries as silent misses), arrays that
+            are not 2-D, or differing query counts.
     """
     returned = np.asarray(returned)
     ground_truth = np.asarray(ground_truth)
+    for name, ids in (("returned", returned), ("ground truth", ground_truth)):
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise ConfigurationError(
+                f"recall expects integer id arrays, got {name} of dtype "
+                f"{ids.dtype}"
+            )
     if returned.ndim != 2 or ground_truth.ndim != 2:
         raise ConfigurationError(
             "recall expects 2-D (n_queries, k) id arrays, got shapes "

@@ -2,7 +2,7 @@
 
 The registry is the single publication point for every quantitative
 fact the stack produces — the serving engine, the fault injector, the
-kernel cycle trackers and the distributed builder all write here, and
+kernel cycle trackers and the serving cluster all write here, and
 :class:`repro.serve.report.ServeReport` /
 :class:`repro.faults.report.FaultReport` are *views* whose derived
 properties must reconcile with it exactly (the invariant suite enforces

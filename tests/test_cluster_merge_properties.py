@@ -149,6 +149,11 @@ class TestMergeEdgeCases:
             [np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]])])
         np.testing.assert_array_equal(ids, [[10, 20, 30, 40]])
 
+    @pytest.mark.parametrize("k", [2.5, True, 0])
+    def test_k_must_be_a_positive_count(self, k):
+        with pytest.raises(ClusterError, match="k must be"):
+            merge_topk(k, [np.zeros((1, 3), dtype=int)], [np.zeros((1, 3))])
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ClusterError):
             merge_topk(2, [np.zeros((2, 3), dtype=int)],

@@ -279,6 +279,7 @@ class TestPersistence:
         ("bit_flipped_early", zlib.error),        # caught by inflate
         ("empty", EOFError),
         ("key_missing", KeyError),
+        ("not_a_zip", ValueError),                # NumPy reads it as pickle
     ])
     def test_corrupt_archive_is_a_typed_error(self, points, tmp_path,
                                               graph_type, corruption,
@@ -306,6 +307,8 @@ class TestPersistence:
             path.write_bytes(blob)
         elif corruption == "empty":
             path.write_bytes(b"")
+        elif corruption == "not_a_zip":
+            path.write_bytes(b"not an index archive\n")
         else:
             with np.load(path, allow_pickle=False) as archive:
                 arrays = {name: archive[name] for name in archive.files

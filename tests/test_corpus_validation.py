@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.hnsw_cpu import build_hnsw_cpu
-from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.baselines.nsw_cpu import build_nsw_cpu, build_nsw_multicore
 from repro.cluster.engine import ClusterEngine
 from repro.core.cagra import build_cagra_gpu
 from repro.core.construction import build_nsw_gpu
@@ -15,8 +15,6 @@ from repro.core.params import BuildParams
 from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import (ClusterError, ConstructionError,
                           MutableIndexError)
-from repro.extensions.distributed import build_nsw_distributed
-from repro.extensions.multicore import build_nsw_multicore
 from repro.mutable import MutableIndex
 
 PARAMS = BuildParams(d_min=4, d_max=8, n_blocks=4)
@@ -27,8 +25,6 @@ BUILDERS = {
     "nsw_naive_parallel": lambda p: build_nsw_naive_parallel(p, PARAMS),
     "nsw_cpu": lambda p: build_nsw_cpu(p, 4, 8),
     "nsw_multicore": lambda p: build_nsw_multicore(p, PARAMS, n_cores=2),
-    "nsw_distributed": lambda p: build_nsw_distributed(p, PARAMS,
-                                                       n_workers=2),
     "hnsw_gpu": lambda p: build_hnsw_gpu(p, PARAMS),
     "hnsw_cpu": lambda p: build_hnsw_cpu(p, 4, 8),
     "knn_gpu": lambda p: build_knn_graph_gpu(p, 4, PARAMS),

@@ -78,11 +78,23 @@ class TestReadme:
             assert hasattr(repro, name)
 
 
+def _prose_docs():
+    """Every prose document: ``docs/*.md``, README.md and DESIGN.md."""
+    docs = sorted(os.path.join("docs", name)
+                  for name in os.listdir(os.path.join(ROOT, "docs"))
+                  if name.endswith(".md"))
+    return docs + ["README.md", "DESIGN.md"]
+
+
 class TestPaperMapping:
     def test_mapping_doc_module_references_resolve(self):
+        """Every backquoted dotted ``repro.`` name in the prose docs
+        resolves, so a deleted or moved name cannot linger in them."""
         import importlib
-        text = _read(os.path.join("docs", "paper_mapping.md"))
-        for dotted in set(re.findall(r"`(repro(?:\.\w+)+)`", text)):
+        dotted_names = {(doc, dotted) for doc in _prose_docs()
+                        for dotted in re.findall(r"`(repro(?:\.\w+)+)`",
+                                                 _read(doc))}
+        for doc, dotted in sorted(dotted_names):
             parts = dotted.split(".")
             # Resolve progressively: module path then attribute chain.
             module = None
@@ -94,10 +106,10 @@ class TestPaperMapping:
                     break
                 except ImportError:
                     continue
-            assert module is not None, dotted
+            assert module is not None, (doc, dotted)
             obj = module
             for attr in remainder:
-                assert hasattr(obj, attr), dotted
+                assert hasattr(obj, attr), (doc, dotted)
                 obj = getattr(obj, attr)
 
     def test_mapping_doc_test_references_exist(self):
@@ -230,7 +242,7 @@ class TestOneGGraphConBody:
     priced by a clock, and never traverse, insert or merge on their own."""
 
     FILES = ("core/construction.py", "core/naive.py",
-             "baselines/nsw_cpu.py", "extensions/multicore.py")
+             "baselines/nsw_cpu.py")
     BODY_CALLS = {"beam_search", "insert_edge", "merge_row", "set_row",
                   "unique"}
 
@@ -240,8 +252,11 @@ class TestOneGGraphConBody:
                 for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
     def test_multicore_runs_no_algorithm_of_its_own(self):
-        tree = ast.parse(_read("src/repro/extensions/multicore.py"))
-        assert not self._called_names(tree) & self.BODY_CALLS
+        tree = ast.parse(_read("src/repro/baselines/nsw_cpu.py"))
+        (multicore,) = [node for node in tree.body
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "build_nsw_multicore"]
+        assert not self._called_names(multicore) & self.BODY_CALLS
         imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                     for alias in node.names}

@@ -1,15 +1,14 @@
-"""Tests for the extension modules (multicore GGraphCon) and the
-built-in MIPS metric."""
+"""Tests for GGraphCon beyond the paper's evaluated configurations:
+multicore GGraphCon and the built-in MIPS metric."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.cpu_cost import CpuModel
-from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.baselines.nsw_cpu import build_nsw_cpu, build_nsw_multicore
 from repro.core.construction import build_nsw_gpu
 from repro.core.params import BuildParams
 from repro.errors import ConstructionError
-from repro.extensions.multicore import build_nsw_multicore
 from repro.gpusim.kernel import _makespan
 from repro.metrics.distance import METRICS, InnerProductMetric, get_metric
 from tests.oracles.nsw_sequential import build_nsw_sequential
@@ -175,148 +174,3 @@ class TestInnerProductMetric:
         index = GannsIndex.build(points, "cagra", metric="ip",
                                  params=BuildParams(d_min=6, d_max=12))
         validate_graph(index.graph, points=points, check_distances=True)
-
-
-class TestDistributedConstruction:
-    from repro.core.params import BuildParams as _BP
-
-    def test_graph_matches_gpu_construction(self, small_points):
-        from repro.extensions.distributed import build_nsw_distributed
-        points = small_points[:200]
-        dist = build_nsw_distributed(points, PARAMS, n_workers=4)
-        gpu = build_nsw_gpu(points, PARAMS)
-        assert dist.graph.edge_set() == gpu.graph.edge_set()
-
-    def test_communication_accounted_separately(self, small_points):
-        from repro.extensions.distributed import build_nsw_distributed
-        report = build_nsw_distributed(small_points[:200], PARAMS,
-                                       n_workers=4)
-        assert "communication" in report.phase_seconds
-        assert report.details["comm_seconds"] > 0
-        assert report.seconds == pytest.approx(
-            report.details["compute_seconds"]
-            + report.details["comm_seconds"])
-
-    def test_more_workers_help_until_network_binds(self, small_points):
-        from repro.extensions.distributed import (NetworkModel,
-                                                  build_nsw_distributed)
-        points = small_points[:300]
-        slow_net = NetworkModel(bandwidth_gbps=0.01, latency_ms=5.0)
-        few = build_nsw_distributed(points, PARAMS, n_workers=1,
-                                    network=slow_net)
-        many = build_nsw_distributed(points, PARAMS, n_workers=16,
-                                     network=slow_net)
-        # Compute shrinks with workers but the rounds' communication
-        # grows with the broadcast tree depth: on a slow network the
-        # 16-worker cluster must NOT deliver anything close to 16x.
-        assert few.seconds / many.seconds < 8.0
-
-    def test_fast_network_approaches_multicore(self, small_points):
-        from repro.extensions.distributed import (NetworkModel,
-                                                  build_nsw_distributed)
-        points = small_points[:200]
-        fast_net = NetworkModel(bandwidth_gbps=100.0, latency_ms=0.001)
-        dist = build_nsw_distributed(points, PARAMS, n_workers=4,
-                                     cores_per_worker=2,
-                                     network=fast_net)
-        multicore = build_nsw_multicore(points, PARAMS, n_cores=8)
-        assert dist.seconds == pytest.approx(multicore.seconds, rel=0.2)
-
-    def test_exact_mode_theorem(self, small_points):
-        from repro.extensions.distributed import build_nsw_distributed
-        points = small_points[:150]
-        dist = build_nsw_distributed(points, PARAMS, n_workers=4,
-                                     exact=True)
-        sequential, _ = build_nsw_sequential(points, PARAMS.d_min,
-                                             PARAMS.d_max, exact=True)
-        assert dist.graph.edge_set() == sequential.edge_set()
-
-    def test_rejects_bad_cluster(self, small_points):
-        from repro.extensions.distributed import build_nsw_distributed
-        with pytest.raises(ConstructionError):
-            build_nsw_distributed(small_points[:50], PARAMS, n_workers=0)
-
-    def test_network_model_validation(self):
-        from repro.extensions.distributed import NetworkModel
-        with pytest.raises(ConstructionError):
-            NetworkModel(bandwidth_gbps=0)
-        with pytest.raises(ConstructionError):
-            NetworkModel(latency_ms=-1)
-
-
-class TestDistributedFailover:
-    def _plan(self, *events, seed=0):
-        from repro.faults import FaultPlan
-        return FaultPlan(events, seed=seed)
-
-    def _loss(self, at=0.1, target=0):
-        from repro.faults import FaultEvent
-        from repro.faults.plan import FAULT_WORKER_LOSS
-        return FaultEvent(kind=FAULT_WORKER_LOSS, at_seconds=at,
-                          target=target)
-
-    def test_worker_loss_costs_time_never_correctness(self, small_points):
-        from repro.extensions.distributed import build_nsw_distributed
-        points = small_points[:200]
-        clean = build_nsw_distributed(points, PARAMS, n_workers=4)
-        failed = build_nsw_distributed(points, PARAMS, n_workers=4,
-                                       fault_plan=self._plan(self._loss()))
-        # The shard is reassigned and re-executed: same graph, more time.
-        assert failed.graph.edge_set() == clean.graph.edge_set()
-        assert failed.seconds > clean.seconds
-        assert failed.phase_seconds["failover"] > 0
-        assert failed.details["n_worker_losses"] == 1.0
-        assert failed.seconds == pytest.approx(
-            clean.seconds + failed.details["failover_seconds"])
-
-    def test_each_loss_adds_failover_cost(self, small_points):
-        from repro.extensions.distributed import build_nsw_distributed
-        points = small_points[:200]
-        one = build_nsw_distributed(points, PARAMS, n_workers=4,
-                                    fault_plan=self._plan(self._loss()))
-        two = build_nsw_distributed(
-            points, PARAMS, n_workers=4,
-            fault_plan=self._plan(self._loss(0.1, 0),
-                                  self._loss(0.2, 1)))
-        assert two.details["n_worker_losses"] == 2.0
-        assert two.details["failover_seconds"] > \
-            one.details["failover_seconds"]
-
-    def test_losing_every_worker_raises(self, small_points):
-        from repro.extensions.distributed import build_nsw_distributed
-        plan = self._plan(*[self._loss(0.1 * (i + 1), i)
-                            for i in range(2)])
-        with pytest.raises(ConstructionError, match="all 2 workers"):
-            build_nsw_distributed(small_points[:100], PARAMS,
-                                  n_workers=2, fault_plan=plan)
-
-    def test_partition_stalls_communication(self, small_points):
-        from repro.extensions.distributed import build_nsw_distributed
-        from repro.faults import FaultEvent
-        from repro.faults.plan import FAULT_NETWORK_PARTITION
-        points = small_points[:200]
-        clean = build_nsw_distributed(points, PARAMS, n_workers=4)
-        plan = self._plan(FaultEvent(kind=FAULT_NETWORK_PARTITION,
-                                     at_seconds=0.05, magnitude=0.25))
-        parted = build_nsw_distributed(points, PARAMS, n_workers=4,
-                                       fault_plan=plan)
-        assert parted.graph.edge_set() == clean.graph.edge_set()
-        assert parted.details["partition_seconds"] == \
-            pytest.approx(0.25)
-        assert parted.phase_seconds["communication"] == pytest.approx(
-            clean.phase_seconds["communication"] + 0.25)
-        assert parted.seconds == pytest.approx(clean.seconds + 0.25)
-
-    def test_kernel_scope_events_ignored_by_the_cluster(self,
-                                                       small_points):
-        from repro.extensions.distributed import build_nsw_distributed
-        from repro.faults import FaultEvent
-        from repro.faults.plan import FAULT_KERNEL_TIMEOUT
-        points = small_points[:150]
-        plan = self._plan(FaultEvent(kind=FAULT_KERNEL_TIMEOUT,
-                                     at_seconds=0.1))
-        clean = build_nsw_distributed(points, PARAMS, n_workers=4)
-        faulted = build_nsw_distributed(points, PARAMS, n_workers=4,
-                                        fault_plan=plan)
-        assert faulted.seconds == pytest.approx(clean.seconds)
-        assert faulted.details["n_worker_losses"] == 0.0

@@ -132,6 +132,12 @@ class TestPoissonGenerator:
         with pytest.raises(ConfigurationError, match="rate"):
             FaultPlan.poisson({FAULT_KERNEL_STALL: -1.0},
                               horizon_seconds=1.0)
+        # An unknown kind is refused up front, as ``FaultEvent`` refuses
+        # it — even at rate 0, which draws no event.
+        for rate in (1.0, 0.0):
+            with pytest.raises(ConfigurationError,
+                               match="unknown fault kind"):
+                FaultPlan.poisson({"bogus": rate}, horizon_seconds=10.0)
 
 
 class TestNamedPlans:

@@ -1,11 +1,13 @@
-"""Tests for shared-memory budgets and the PCIe transfer model."""
+"""Tests for shared-memory budgets, the PCIe transfer model and the
+cluster network model."""
 
 import pytest
 
-from repro.errors import DeviceError
+from repro.errors import ConstructionError, DeviceError
 from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.memory import (
     POOL_ENTRY_BYTES,
+    NetworkModel,
     SharedMemoryBudget,
     TransferModel,
 )
@@ -80,3 +82,11 @@ class TestTransferModel:
         the ~4 ms the calibrated search spends."""
         round_trip = model.round_trip_seconds(2000, 128, 10)
         assert round_trip < 0.5 * 4.3e-3
+
+
+class TestNetworkModel:
+    def test_network_model_validation(self):
+        with pytest.raises(ConstructionError):
+            NetworkModel(bandwidth_gbps=0)
+        with pytest.raises(ConstructionError):
+            NetworkModel(latency_ms=-1)

@@ -101,15 +101,6 @@ class TestCategories:
         assert totals[PhaseCategory.OTHER] == 2.0
 
 
-class TestMergeAndReset:
-    def test_reset_clears_cycles_keeps_categories(self):
-        t = CycleTracker(1)
-        t.charge("bulk_distance", 5.0)
-        t.reset()
-        assert t.total_cycles() == 0.0
-        assert t.category_of("bulk_distance") is PhaseCategory.DISTANCE
-
-
 class TestTake:
     def test_take_slices_every_phase_in_order(self):
         t = CycleTracker(4)

@@ -35,6 +35,10 @@ class TestValidGraphPasses:
 
 
 class TestViolationsDetected:
+    def test_not_a_graph(self):
+        with pytest.raises(GraphError, match="expects a ProximityGraph"):
+            validate_graph(None, np.zeros((4, 2)))
+
     def test_degree_above_dmax(self):
         g = _valid_graph()
         g.degrees[0] = 5

@@ -51,6 +51,17 @@ class TestRecallPerQuery:
             recall_per_query(np.zeros((1, 0), dtype=int),
                              np.zeros((1, 0), dtype=int))
 
+    @pytest.mark.parametrize("side", ["returned", "ground truth"])
+    def test_rejects_non_integer_ids(self, side):
+        """A float id matrix would score its NaN entries as silent
+        misses; it is refused instead."""
+        ints = np.array([[1, 2, 3]])
+        floats = np.array([[1.0, np.nan, 3.0]])
+        args = (floats, ints) if side == "returned" else (ints, floats)
+        with pytest.raises(ConfigurationError,
+                           match=f"{side} of dtype float64"):
+            recall_at_k(*args)
+
 
 class TestRecallEdgeCases:
     """Degenerate shapes the serving/tuning layers can produce."""

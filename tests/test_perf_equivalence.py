@@ -26,7 +26,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.baselines.nsw_cpu import build_nsw_cpu, build_nsw_multicore
 from repro.core.construction import build_nsw_gpu, insert_batch_nsw
 from repro.core.ganns import ganns_search
 from repro.core.hnsw import build_hnsw_gpu
@@ -34,8 +34,6 @@ from repro.core.naive import build_nsw_serial_gpu
 from repro.core.params import BuildParams, SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
-from repro.extensions.distributed import build_nsw_distributed
-from repro.extensions.multicore import build_nsw_multicore
 from repro.graphs.stats import graph_digest
 from repro.perf.arena import _ARENA_CACHE, get_arena
 from repro.perf.descent import hnsw_entry_descent_batch
@@ -238,7 +236,6 @@ CONSTRUCTION_SCENARIOS = {
                              n_cores=1, exact=True),
     "multicore_exact_4": _on(build_nsw_multicore, 120, 8, 10, _SIX_GROUPS,
                              n_cores=4, exact=True),
-    "distributed": _on(build_nsw_distributed, 240, 8, 16, _SIX_GROUPS),
     # GSerial: the GPU clock with a single group.
     "gserial_song": _on(build_nsw_serial_gpu, 200, 8, 17, _SMALL,
                         search_kernel="song"),
@@ -301,7 +298,7 @@ class TestConstructionEquivalence:
 
     @pytest.mark.parametrize("name", ["multicore_1", "multicore_4",
                                       "multicore_exact_1",
-                                      "multicore_exact_4", "distributed"])
+                                      "multicore_exact_4"])
     def test_cpu_clock_byte_identical(self, name):
         self._assert_reproduces(name)
 

@@ -30,7 +30,7 @@ class TestTopLevelExports:
     @pytest.mark.parametrize("module", [
         "repro.core", "repro.baselines", "repro.gpusim", "repro.graphs",
         "repro.datasets", "repro.metrics", "repro.bench",
-        "repro.extensions", "repro.cli", "repro.serve", "repro.faults",
+        "repro.cli", "repro.serve", "repro.faults",
         "repro.observability", "repro.cluster", "repro.heal",
     ])
     def test_subpackages_import(self, module):
@@ -38,7 +38,7 @@ class TestTopLevelExports:
 
     @pytest.mark.parametrize("module", [
         "repro.core", "repro.baselines", "repro.gpusim", "repro.bench",
-        "repro.extensions", "repro.serve", "repro.faults",
+        "repro.serve", "repro.faults",
         "repro.observability", "repro.cluster", "repro.heal",
     ])
     def test_subpackage_alls_resolve(self, module):
