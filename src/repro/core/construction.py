@@ -74,12 +74,21 @@ def validated_points(points: np.ndarray) -> np.ndarray:
         raise ConstructionError(
             f"points must be a non-empty 2-D matrix, got shape {points.shape}"
         )
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise ConstructionError(
-            f"points must be finite: row {int(np.argmin(finite))} holds "
-            f"NaN or inf")
+    row = first_non_finite_row(points)
+    if row >= 0:
+        raise ConstructionError(non_finite_message(row))
     return points
+
+
+def first_non_finite_row(points: np.ndarray) -> int:
+    """The first row of the 2-D ``points`` holding NaN or inf, or -1."""
+    finite = np.isfinite(points).all(axis=1)
+    return -1 if finite.all() else int(np.argmin(finite))
+
+
+def non_finite_message(row: int) -> str:
+    """The refusal of a corpus whose ``row`` holds NaN or inf."""
+    return f"points must be finite: row {row} holds NaN or inf"
 
 
 def validated_parts(parts: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:

@@ -27,7 +27,8 @@ plus an exact rerank (:func:`repro.perf.engine.ganns_search_staged`).
 
 :func:`check_queries` is the one query check: ``ganns_search``, SONG,
 the CPU beam search, ``stream_batches``, ``GannsIndex.search`` and the
-serving engines' trace validation all run it.
+serving engines' trace validation all run it.  ``ganns_search`` also
+refuses a corpus holding NaN or inf, scanned once per matrix object.
 
 The oracles the implementation answers to live under ``tests/``: the
 faithful single-query kernel assembled from warp primitives in
@@ -42,6 +43,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.construction import first_non_finite_row, \
+    non_finite_message
 from repro.core.params import SearchParams
 from repro.core.results import SearchReport
 from repro.errors import SearchError
@@ -49,6 +52,21 @@ from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.perf.distance import resolve_compute_dtype
 from repro.perf.engine import ganns_search_fast, ganns_search_staged
+from repro.perf.identity_cache import IdentityCache
+
+#: First non-finite row of each corpus searched (``-1``: none), kept
+#: as long as the matrix lives — a replay searches one corpus many
+#: times and scans it once.
+_NON_FINITE_ROW = IdentityCache()
+
+
+def _check_corpus(points: np.ndarray) -> None:
+    """Refuse a corpus holding NaN or inf: distances to such a row have
+    no order, and the traversal's merge relies on sorted pool rows."""
+    row = _NON_FINITE_ROW.get(points, "rows",
+                              lambda: first_non_finite_row(points))
+    if row >= 0:
+        raise SearchError(non_finite_message(row))
 
 
 def check_queries(points: np.ndarray, queries: np.ndarray,
@@ -146,6 +164,7 @@ def ganns_search(graph: ProximityGraph, points: np.ndarray,
     """
     points, queries = np.asarray(points), np.asarray(queries)
     entries = check_queries(points, queries, graph, entry)
+    _check_corpus(points)
     compute_dtype = resolve_compute_dtype(points, queries, dtype)
 
     if params.quant is not None:

@@ -200,6 +200,15 @@ class CosineMetric(Metric):
 
     def prepare(self, rows: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+        # A row whose squared norm falls below the normal range lost
+        # bits (or underflowed to a "zero" vector): scale it to unit
+        # peak first.  Every other row keeps its exact arithmetic.
+        small = norms < np.sqrt(np.finfo(norms.dtype).tiny)
+        if small.any():
+            peak = np.abs(rows).max(axis=-1, keepdims=True)
+            rows = np.where(small, rows / np.where(peak > 0.0, peak, 1.0),
+                            rows)
+            norms = np.linalg.norm(rows, axis=-1, keepdims=True)
         return rows / np.where(norms > 0.0, norms, 1.0)
 
     def from_products(self, products: np.ndarray,

@@ -530,13 +530,12 @@ class MutableIndex:
                               entry=self.entry)
         ids = np.full((len(queries), k), PAD_ID, dtype=np.int64)
         dists = np.full((len(queries), k), PAD_DIST, dtype=np.float64)
-        for row in range(len(queries)):
-            got_ids = report.ids[row]
-            got_dists = report.dists[row]
-            keep = (got_ids >= 0) & ~self.tombstones[
-                np.where(got_ids < 0, 0, got_ids)]
-            kept_ids = got_ids[keep][:k]
-            kept_dists = got_dists[keep][:k]
-            ids[row, :len(kept_ids)] = kept_ids
-            dists[row, :len(kept_dists)] = kept_dists
+        # Compact each row's live results to its front, in order.
+        got_ids = report.ids
+        keep = (got_ids >= 0) & ~self.tombstones[np.maximum(got_ids, 0)]
+        column = np.cumsum(keep, axis=1) - 1
+        row, source = np.nonzero(keep & (column < k))
+        target = column[row, source]
+        ids[row, target] = got_ids[row, source]
+        dists[row, target] = report.dists[row, source]
         return ids, dists

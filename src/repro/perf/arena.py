@@ -5,14 +5,17 @@ A textbook batched search allocates fresh arrays every iteration
 (``np.concatenate`` for the merge input, a ``pool[act]`` gather per
 phase).  A :class:`SearchArena` avoids that:
 
-- the pool and the neighbor buffer are allocated **once** and sliced per
-  iteration; the insertion merge rewrites touched pool rows in place, so
+- the pool and the neighbor-id buffer T are allocated **once** and
+  sliced per iteration; T's distances never take matrix form (phase 3
+  evaluates the fresh records as a flat vector and the insertion merge
+  takes that), and the merge rewrites touched pool rows in place, so
   there is one copy of the pool and no merge scratch;
 - active queries live in **compact** rows ``0..m-1``: when queries
   finish, survivors are copied up once and finished queries never pay
   gather costs again.  ``query_rows[:m]`` maps compact rows back to the
-  caller's query indices (always sorted ascending, so cycle charges hit
-  the tracker with exactly the lane sets of the active queries).
+  caller's query indices (always sorted ascending, so per-iteration
+  cycle charges hit the tracker with exactly the lane sets of the
+  active queries).
 
 Arenas are cached per ``(l_n, l_t, dtype)`` shape class and reused
 across calls when capacity allows (a serving replay dispatches thousands
@@ -88,9 +91,6 @@ class SearchArena:
         self.pool_explored = np.empty(shape_n, dtype=bool)
         #: Neighbor buffer T (adjacency rows stream into it in place).
         self.t_ids = np.empty((self.capacity, self.l_t), dtype=np.int64)
-        #: Its distances: only the lanes evaluated this iteration are
-        #: written, the rest keep stale (finite) values.
-        self.t_dists = np.zeros((self.capacity, self.l_t), dtype=self.dtype)
         #: Compact row -> original query row (always sorted ascending).
         self.query_rows = np.empty(self.capacity, dtype=np.int64)
         self.rows = np.arange(self.capacity, dtype=np.int64)

@@ -15,7 +15,8 @@ property suite):
   sorted segment into a sorted row, not a re-sort;
 - the row's own records keep their order and fill the slots no run
   record took, so a running count of taken slots gives each its source
-  column (the construction of the search's ``_insert_merge``);
+  column (the construction the search's ``_insert_merge`` applies to
+  each iteration's fresh records);
 - only the run records are ranked, so a call costs what enters the
   rows, not ``rows × (d_max + run)``; ids are compared only where a row
   record ties a run record's distance or holds its id.

@@ -16,11 +16,16 @@ a whole query batch in lock-step:
   charged every time the simulated kernel would recompute it (same
   entrants as the paper's scan of N — ``docs/performance.md``,
   "Charged vs evaluated distances");
-- phases 5+6 are one insertion merge (:func:`_insert_merge`): only the
-  T records that beat their row's last pool record — about two of the
-  ``l_t`` computed — are sorted, ranked and written, and only the rows
-  they touch are rewritten.  Cycle charges are issued for every lane
-  regardless: the simulated kernel's networks have a fixed cost.
+- phases 5+6 are one insertion merge (:func:`_insert_merge`) of the
+  flat records phase 3 evaluated — no ``(m, l_t)`` T-distance matrix
+  exists: only those that beat their row's last pool record — about
+  two of the ``l_t`` computed — are sorted, ranked and written, and
+  only the rows they touch are rewritten;
+- the per-iteration host cost follows those records, not the phase
+  count: ``bulk_distance`` is charged every iteration (its addends vary
+  per lane), the five constant-cost phases once per call, for each
+  lane's pass count (:func:`_charge_passes`; the simulated kernel runs
+  its networks whatever T holds, so the bill is the same).
 
 Contract (``tests/test_perf_equivalence.py``,
 ``tests/test_perf_properties.py``, ``tests/test_core_ganns_kernel.py``):
@@ -34,7 +39,7 @@ Distances are bit-identical to the oracle for cosine/ip and agree to
 last-ulp rounding for euclidean (GEMM norm expansion vs diff-einsum).
 
 Keys must form a total order, so :func:`repro.core.ganns.ganns_search`
-rejects non-finite queries before they reach the traversal.
+rejects non-finite queries and corpora before they reach the traversal.
 
 The traversal loop itself is engine-agnostic (:func:`_traverse`): it
 runs identically over the exact :class:`GroupDistanceEngine` and over a
@@ -70,50 +75,66 @@ from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
 _MAX_ITERATION_FACTOR = 64
 
 
-def _insert_merge(arena: SearchArena, m: int, t_dists: np.ndarray,
-                  t_ids: np.ndarray, alive: np.ndarray) -> None:
-    """Phases 5+6 for compact rows ``0..m-1``: merge T into the pools.
+def _insert_merge(arena: SearchArena, row: np.ndarray, dist: np.ndarray,
+                  ident: np.ndarray) -> None:
+    """Phases 5+6: merge this iteration's fresh T records into the pools.
 
-    Same result as the oracle's stable lexsort of pool + sorted T
-    truncated to the pool width (pool wins ties), computed from the
+    ``(row, dist, ident)`` are the records phase 3 evaluated, flat and
+    row-ascending (compact rows; pads and lazy-check victims never get
+    here).  Same result as the oracle's stable lexsort of pool + sorted
+    T truncated to the pool width (pool wins ties), computed from the
     records that enter a pool (``docs/performance.md`` has the
     argument):
 
-    1. *accept* the T records that strictly precede their row's last
-       pool record — truncation drops the rest anyway;
-    2. *rank*: sort the flat survivors by ``(row, dist, id)``; a
-       survivor's slot is the number of its row's pool records that
-       precede or tie it plus its index within the row's run, and slots
-       past the pool width fall off (always a run's tail);
+    1. *accept* the records that strictly precede their row's last pool
+       record — truncation drops the rest anyway;
+    2. *rank*: sort the survivors by ``(row, dist, id)``; a survivor's
+       slot is the number of its row's pool records that precede or tie
+       it plus its index within the row's run, and slots past the pool
+       width fall off (always a run's tail);
     3. *rewrite* the touched rows: slots no survivor took are
        pool-sourced in pool order, so a running count of taken slots
        gives each its source column.
-
-    ``alive`` masks the ``(m, l_t)`` T lanes that may enter (not pads,
-    not lazy-check victims); the other lanes may hold anything.
     """
     width = arena.l_n
     pool_dists, pool_ids = arena.pool_dists, arena.pool_ids
     flat_dists = pool_dists.ravel()
-    last_dist = pool_dists[:m, width - 1, None]
-    last_id = pool_ids[:m, width - 1, None]
-    accept = alive & ((t_dists < last_dist)
-                      | ((t_dists == last_dist) & (t_ids < last_id)))
-    row, lane = np.nonzero(accept)
-    if len(row) == 0:
+    last = row * width + (width - 1)
+    last_dist = flat_dists.take(last)
+    accept = np.flatnonzero(
+        (dist < last_dist)
+        | ((dist == last_dist) & (ident < pool_ids.ravel().take(last))))
+    if len(accept) == 0:
         return
-    dist = t_dists[row, lane]
-    ident = t_ids[row, lane]
-    # ``row`` is the primary key and already ascending, so the
-    # permutation only reorders within rows.
-    order = np.lexsort((ident, dist, row))
-    dist = dist[order]
-    ident = ident[order]
+    row, dist, ident = row.take(accept), dist.take(accept), \
+        ident.take(accept)
+    # Sort by ``(row, dist, id)`` with three single-key sorts, where
+    # ``lexsort`` would run three stable indirect ones (a wide batch's
+    # first iterations offer thousands of survivors): rank by
+    # ``(dist, id)`` — a distance sort, then a stable sort of
+    # ``(distance rank, id)`` keys that are already in order except
+    # where distances tie — and sort by row, then that rank.  No key
+    # reaches ``n * (max id + 1)`` or ``m * n``.
+    n = len(row)
+    by_dist = np.argsort(dist)
+    sorted_dist = dist.take(by_dist)
+    dist_rank = np.concatenate(
+        ([0], np.cumsum(sorted_dist[1:] != sorted_dist[:-1])))
+    by_dist = by_dist.take(np.argsort(
+        dist_rank * (int(ident.max()) + 1) + ident.take(by_dist),
+        kind="stable"))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_dist] = np.arange(n)
+    order = np.argsort(row * n + rank)
+    dist = dist.take(order)
+    ident = ident.take(order)
 
-    # Pool records ahead of each survivor: the strictly nearer ones,
-    # plus, where the record it would displace is equidistant (rows are
-    # sorted, so one probe finds every tie), those with an id <= its own.
-    ahead = (pool_dists[row] < dist[:, None]).sum(axis=1)
+    # Pool records ahead of each survivor: the strictly nearer ones —
+    # a sorted row's prefix, which ends before the last record (the
+    # survivor beat it), so the first record that is not nearer counts
+    # them — plus, where the record it would displace is equidistant
+    # (one probe finds every tie), those with an id <= its own.
+    ahead = (pool_dists.take(row, axis=0) < dist[:, None]).argmin(axis=1)
     tied = np.flatnonzero(flat_dists.take(row * width + ahead) == dist)
     if len(tied):
         tied_row = row[tied]
@@ -122,15 +143,15 @@ def _insert_merge(arena: SearchArena, m: int, t_dists: np.ndarray,
                         ).sum(axis=1)
     run_start = np.concatenate(([True], row[1:] != row[:-1]))
     first = np.flatnonzero(run_start)
-    touched = row[first]
+    touched = row.take(first)
     group = np.cumsum(run_start) - 1
-    within = np.arange(len(row)) - first[group]
+    within = np.arange(n) - first.take(group)
     slot = ahead + within
     # A run's first record always lands (it beat the last pool record):
     # every touched row keeps one.
     kept = np.flatnonzero(slot < width)
-    group, slot = group[kept], slot[kept]
-    dist, ident = dist[kept], ident[kept]
+    group, slot = group.take(kept), slot.take(kept)
+    dist, ident = dist.take(kept), ident.take(kept)
 
     taken = np.zeros((len(touched), width), dtype=bool)
     taken[group, slot] = True
@@ -143,6 +164,17 @@ def _insert_merge(arena: SearchArena, m: int, t_dists: np.ndarray,
         merged = pool.ravel().take(source, mode="clip")
         merged[group, slot] = entering
         pool[touched] = merged
+
+
+def _charge_passes(tracker: CycleTracker, phase: str, cost: float,
+                   passes: np.ndarray, max_passes: int) -> None:
+    """Charge ``phase`` ``cost`` once per pass, ``passes`` per lane, in
+    one call.  The running sum is sequential, so each lane gets exactly
+    the float that ``passes`` repeated ``+= cost`` would leave — for any
+    cost, not just integral ones (a product would round differently)."""
+    running = np.zeros(max_passes + 2)
+    running[1:] = cost
+    tracker.charge(phase, np.add.accumulate(running).take(passes))
 
 
 def _traverse(graph: ProximityGraph, engine, arena, tracker,
@@ -195,76 +227,90 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
     n_distance_computations = np.ones(n_queries, dtype=np.int64)
     n_evaluations = np.ones(n_queries, dtype=np.int64)
 
-    locate_cost = costs.ganns_candidate_locate_cycles(l_pool, n_t)
-    explore_cost = costs.ganns_explore_cycles(l_t, n_t)
-    check_cost = costs.ganns_lazy_check_cycles(l_pool, l_t, n_t)
-    sort_cost = costs.ganns_sort_cycles(l_t, n_t)
-    merge_cost = costs.ganns_merge_cycles(l_pool, l_t, n_t)
     per_vector_cost = costs.single_distance_cycles(dist_dims, n_t)
+    flat_pool_ids = arena.pool_ids.ravel()
+    flat_explored = arena.pool_explored.ravel()
 
     iterations = np.zeros(n_queries, dtype=np.int64)
     max_iterations = _MAX_ITERATION_FACTOR * e_budget + 256
+    loops = 0  # passes that explored: every lane's count so far
 
     while m > 0:
         # Phase 1 — candidate locating.  query_rows[:m] is exactly the
         # oracle's np.flatnonzero(active): compaction keeps rows in
-        # ascending original order, so the tracker sees the same lanes.
+        # ascending original order, so retiring rows leave in order.
         act = arena.query_rows[:m]
-        tracker.charge("candidate_locating", locate_cost, act)
-        explored = arena.pool_explored[:m, :e_budget]
-        slot = np.argmin(explored, axis=1)  # the first unexplored
-        has_work = ~explored.all(axis=1)
+        # The first unexplored slot; a row with none reads an explored
+        # slot 0 and retires.
+        slot = np.argmin(arena.pool_explored[:m, :e_budget], axis=1)
+        cell = arena.rows[:m] * l_pool + slot
+        has_work = ~flat_explored.take(cell)
         if not has_work.all():
             done = np.flatnonzero(~has_work)
-            done_queries = arena.query_rows[done]
+            done_queries = act[done]
+            iterations[done_queries] = loops
             out_ids[done_queries] = arena.pool_ids[done, :out_width]
             out_dists[done_queries] = arena.pool_dists[done, :out_width]
-            slot = slot[has_work]
             m = arena.compact(m, has_work)
             if m == 0:
                 break
             act = arena.query_rows[:m]
-        rows = arena.rows[:m]
-        iterations[act] += 1
-        if iterations.max() > max_iterations:
+            cell = arena.rows[:m] * l_pool + slot[has_work]
+        loops += 1
+        if loops > max_iterations:
             raise SearchError(
                 f"search exceeded {max_iterations} iterations; the graph "
                 f"is likely structurally corrupt"
             )
-        exploring = arena.pool_ids[rows, slot]
-        arena.pool_explored[rows, slot] = True
+        exploring = flat_pool_ids.take(cell)
+        flat_explored[cell] = True
 
         # Phase 2 — neighborhood exploration: stream adjacency rows
         # into the arena's T buffer (no intermediate copy).
-        tracker.charge("neighborhood_exploration", explore_cost, act)
         t_ids = arena.t_ids[:m]
         np.take(graph.neighbor_ids, exploring, axis=0, out=t_ids)
-        valid = t_ids >= 0
-        degrees = graph.degrees[exploring]
+        degrees = graph.degrees.take(exploring)
 
         # Phases 3+4 — bulk distance computation and lazy check, both
         # charged per slot as the kernel runs them.  The host takes the
         # check first (one gather from the evaluated-pairs bitmap) and
         # evaluates only the pairs this call has never seen: no other
         # record can enter a pool (docs/performance.md).
-        alive = valid & ~seen.contains(act, t_ids) if lazy_check else valid
-        row, lane = np.nonzero(alive)
-        queries, fresh = act[row], t_ids[row, lane]
-        t_dists = arena.t_dists[:m]
-        t_dists[row, lane] = engine.pairs(queries, fresh[:, None])[:, 0]
+        alive = t_ids >= 0
+        if lazy_check:
+            alive &= ~seen.contains(act, t_ids)
+        flat = np.flatnonzero(alive)
+        row = flat // l_t
+        queries, fresh = act.take(row), t_ids.ravel().take(flat)
+        dist = engine.pairs(queries, fresh[:, None])[:, 0]
         tracker.charge("bulk_distance", degrees * per_vector_cost, act)
         n_distance_computations[act] += degrees
-        n_evaluations[act] += alive.sum(axis=1)
+        n_evaluations[act] += np.bincount(row, minlength=m)
         if lazy_check:
             seen.insert(queries, fresh)
-            tracker.charge("lazy_check", check_cost, act)
 
-        # Phases 5+6 — sort T, merge it into N.  The simulated kernel
-        # runs both networks whatever T holds, so the charges are
-        # unconditional; the host pays for the records that enter.
-        tracker.charge("sorting", sort_cost, act)
-        tracker.charge("candidate_update", merge_cost, act)
-        _insert_merge(arena, m, t_dists, t_ids, alive)
+        # Phases 5+6 — sort T, merge it into N: the host pays for the
+        # fresh records that enter.
+        _insert_merge(arena, row, dist, fresh)
+
+    # The other five phases cost the same on every pass (the kernel's
+    # networks run whatever T holds): each is charged once, for every
+    # lane's pass count.  Phase 1 also ran on the pass that retired the
+    # lane.
+    _charge_passes(tracker, "candidate_locating",
+                   costs.ganns_candidate_locate_cycles(l_pool, n_t),
+                   iterations + 1, loops)
+    _charge_passes(tracker, "neighborhood_exploration",
+                   costs.ganns_explore_cycles(l_t, n_t), iterations, loops)
+    if lazy_check:
+        _charge_passes(tracker, "lazy_check",
+                       costs.ganns_lazy_check_cycles(l_pool, l_t, n_t),
+                       iterations, loops)
+    _charge_passes(tracker, "sorting", costs.ganns_sort_cycles(l_t, n_t),
+                   iterations, loops)
+    _charge_passes(tracker, "candidate_update",
+                   costs.ganns_merge_cycles(l_pool, l_t, n_t), iterations,
+                   loops)
 
     return iterations, n_distance_computations, n_evaluations
 

@@ -1,4 +1,7 @@
-"""Every graph builder runs the one corpus check, ``validated_points``."""
+"""Every graph builder runs the one corpus check, ``validated_points``;
+``ganns_search`` refuses a non-finite corpus too."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +10,15 @@ from repro.baselines.hnsw_cpu import build_hnsw_cpu
 from repro.baselines.nsw_cpu import build_nsw_cpu, build_nsw_multicore
 from repro.cluster.engine import ClusterEngine
 from repro.core.cagra import build_cagra_gpu
+from repro.core import ganns
 from repro.core.construction import build_nsw_gpu
 from repro.core.hnsw import build_hnsw_gpu
 from repro.core.knng import build_knn_graph_gpu
 from repro.core.naive import build_nsw_naive_parallel, build_nsw_serial_gpu
-from repro.core.params import BuildParams
+from repro.core.params import BuildParams, SearchParams
 from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import (ClusterError, ConstructionError,
-                          MutableIndexError)
+                          MutableIndexError, SearchError)
 from repro.mutable import MutableIndex
 
 PARAMS = BuildParams(d_min=4, d_max=8, n_blocks=4)
@@ -71,3 +75,27 @@ def test_mutable_insert_refuses_complex_rows():
     with pytest.raises(MutableIndexError, match="real numbers"):
         index.insert(gaussian_mixture(3, 8, seed=1).astype(np.complex128))
     assert index.n_slots == 60
+
+
+@pytest.mark.parametrize("quant", [None, "int8"])
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_search_refuses_a_non_finite_corpus_once_per_matrix(poison, quant):
+    """Refused before either path traverses, without a NumPy warning;
+    the scan's verdict is kept per matrix, not redone per call."""
+    points = gaussian_mixture(300, 8, seed=0)
+    graph = build_nsw_gpu(points, PARAMS).graph
+    poisoned = points.copy()
+    poisoned[5, 2] = poison
+    params = SearchParams(k=5, l_n=16, quant=quant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(SearchError, match="row 5 holds NaN or inf"):
+                ganns.ganns_search(graph, poisoned, points[:4], params)
+
+    def rescan():
+        raise AssertionError("the corpus was scanned twice")
+
+    assert ganns._NON_FINITE_ROW.get(poisoned, "rows", rescan) == 5
+    ganns.ganns_search(graph, points, points[:4], params)
+    assert ganns._NON_FINITE_ROW.get(points, "rows", rescan) == -1

@@ -8,7 +8,7 @@ cosine distance is bounded and shift-free, inner product is bilinear.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -58,11 +58,26 @@ class TestCosineAxioms:
     @given(vectors, st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=60, deadline=None)
     def test_positive_scaling_invariance(self, x, scale):
+        # A component that is, or that scaling makes, subnormal loses
+        # bits (or becomes zero), so ``scale * x`` need not point the
+        # same way: only inputs whose direction scaling keeps apply.
+        assume(np.all((x == 0) | (np.abs(x) * min(scale, 1.0)
+                                  >= np.finfo(np.float64).tiny)))
         rng = np.random.default_rng(0)
         others = rng.normal(size=(4, len(x)))
         base = self.metric.one_to_many(x, others)
         scaled = self.metric.one_to_many(scale * x, others)
         assert np.allclose(base, scaled, atol=1e-9)
+
+    def test_scaling_invariance_below_the_normal_range(self):
+        """A vector whose squared norm underflows is still a direction."""
+        x = np.zeros(6)
+        x[0] = 7.23364209e-163
+        others = np.random.default_rng(0).normal(size=(4, 6))
+        assert np.array_equal(self.metric.one_to_many(x, others),
+                              self.metric.one_to_many(3.0 * x, others))
+        assert np.array_equal(self.metric.one_to_many(x, others),
+                              self.metric.one_to_many(np.eye(6)[0], others))
 
     @given(vectors)
     @settings(max_examples=60, deadline=None)

@@ -19,6 +19,7 @@ suite pins it from outside:
   and distance counts exactly.
 """
 
+import dataclasses
 import functools
 import json
 import os
@@ -34,7 +35,11 @@ from repro.core.naive import build_nsw_serial_gpu
 from repro.core.params import BuildParams, SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
+from repro.errors import SearchError
+from repro.gpusim.costs import DEFAULT_COSTS
+from repro.gpusim.tracker import CycleTracker
 from repro.graphs.stats import graph_digest
+from repro.perf import engine as perf_engine
 from repro.perf.arena import _ARENA_CACHE, get_arena
 from repro.perf.descent import hnsw_entry_descent_batch
 from tests.oracles.ganns_batched import ganns_search_oracle
@@ -179,6 +184,82 @@ class TestSearchEquivalence:
             for phase in alone.tracker.phase_names:
                 assert (report.tracker.lane_cycles(phase)[at]
                         == alone.tracker.lane_cycles(phase)[0]), phase
+
+
+#: Non-integral cycle costs: a sum of n charges then differs from
+#: ``n * cost`` in the last bits, which the default table's integers hide.
+FRACTIONAL_COSTS = dataclasses.replace(
+    DEFAULT_COSTS, alu_cycles=1.1, shared_access_cycles=3.37,
+    ballot_cycles=2.2, sync_cycles=6.1, mem_word_cycles=6.1,
+    compare_exchange_cycles=18.13)
+
+
+class TestCycleCharges:
+    @pytest.mark.parametrize("lazy_check", [True, False])
+    def test_fractional_costs_charge_bit_for_bit(self, lazy_check):
+        """Each lane's per-phase total equals the oracle's repeated
+        ``+= cost``, byte for byte, in the same phase order."""
+        graph, points, queries = _graph_and_data("euclidean")
+        params = SearchParams(k=10, l_n=32, e=24)
+        oracle = ganns_search_oracle(graph, points, queries, params,
+                                     costs=FRACTIONAL_COSTS,
+                                     lazy_check=lazy_check)
+        report = ganns_search(graph, points, queries, params,
+                              costs=FRACTIONAL_COSTS, lazy_check=lazy_check)
+        assert oracle.tracker.phase_names == report.tracker.phase_names
+        for phase in oracle.tracker.phase_names:
+            assert (oracle.tracker.lane_cycles(phase).tobytes()
+                    == report.tracker.lane_cycles(phase).tobytes()), phase
+        # Every constant-cost phase tells a sum from a product here.
+        costs, l_t, n_t = FRACTIONAL_COSTS, graph.d_max, params.n_threads
+        passes = oracle.iterations
+        constant = [
+            ("candidate_locating",
+             costs.ganns_candidate_locate_cycles(32, n_t) * (passes + 1)),
+            ("neighborhood_exploration",
+             costs.ganns_explore_cycles(l_t, n_t) * passes),
+            ("sorting", costs.ganns_sort_cycles(l_t, n_t) * passes),
+            ("candidate_update",
+             costs.ganns_merge_cycles(32, l_t, n_t) * passes)]
+        if lazy_check:
+            constant.append(("lazy_check", passes * costs
+                             .ganns_lazy_check_cycles(32, l_t, n_t)))
+        for phase, product in constant:
+            assert not np.array_equal(
+                product, oracle.tracker.lane_cycles(phase)), phase
+
+    def test_charge_calls_do_not_grow_per_phase(self, monkeypatch):
+        """One ``bulk_distance`` charge per iteration, plus the entry
+        load and one charge per constant-cost phase."""
+        graph, points, queries = _wide_graph_and_data("euclidean")
+        calls = []
+        charge = CycleTracker.charge
+
+        def counting(self, phase, *args, **kwargs):
+            calls.append(phase)
+            return charge(self, phase, *args, **kwargs)
+
+        monkeypatch.setattr(CycleTracker, "charge", counting)
+        report = ganns_search(graph, points, queries,
+                              SearchParams(k=10, l_n=64))
+        assert len(calls) <= report.iterations.max() + 7
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        graph, points, queries = _graph_and_data("euclidean")
+        params = SearchParams(k=10, l_n=32)
+        needed = int(ganns_search(graph, points, queries,
+                                  params).iterations.max())
+
+        def cap_at(cap):  # the cap is factor * l_n + 256
+            monkeypatch.setattr(perf_engine, "_MAX_ITERATION_FACTOR",
+                                (cap - 256) / params.l_n)
+
+        cap_at(needed)
+        ganns_search(graph, points, queries, params)
+        cap_at(needed - 1)
+        with pytest.raises(SearchError,
+                           match=f"exceeded {needed - 1}.0 iterations"):
+            ganns_search(graph, points, queries, params)
 
 
 def _nsw(n, d, seed, params, **kwargs):

@@ -191,6 +191,8 @@ def merge_scenario(draw):
         "spare_vertices": draw(st.integers(min_value=0, max_value=20)),
         # Few distinct distances: equal keys with different ids.
         "levels": draw(st.integers(min_value=1, max_value=6)),
+        # Shifts every distance below zero, as the ip metric's are.
+        "negative": draw(st.booleans()),
         "lazy_check": draw(st.booleans()),
         "dtype": draw(st.sampled_from([np.float64, np.float32])),
         "steps": draw(st.integers(min_value=1, max_value=5)),
@@ -220,16 +222,17 @@ class TestInsertMergeProperty:
     @given(merge_scenario())
     @settings(max_examples=150, deadline=None)
     def test_equals_lexsort_of_the_concatenated_runs(self, sc):
-        """The merge fed what ``_traverse`` feeds it — under the lazy
-        check only the never-evaluated lanes are alive and every other
-        lane holds junk — against the oracle's merge fed true distances
-        and a scan of the pool."""
+        """The merge fed what ``_traverse`` feeds it — the alive lanes
+        (under the lazy check, only the never-evaluated ones) as flat
+        row-major records — against the oracle's merge fed every lane's
+        true distance and a scan of the pool."""
         rng = np.random.default_rng(sc["seed"])
         width, l_t, m = sc["width"], sc["l_t"], sc["m"]
         n_vertices = max(width, l_t) + sc["spare_vertices"]
         # An id's distance never changes, so with the lazy check off a
         # re-discovered vertex is an identical (dist, id) record.
-        dist_of = (rng.integers(0, sc["levels"], n_vertices) / 2.0
+        dist_of = ((rng.integers(0, sc["levels"], n_vertices)
+                    - sc["negative"] * sc["levels"]) / 2.0
                    ).astype(sc["dtype"])
         # Compact rows map to a scattered subset of the caller's rows,
         # as after a few retirements; one arena row past m is a canary.
@@ -277,13 +280,10 @@ class TestInsertMergeProperty:
                 arena.pool_dists[:m], arena.pool_ids[:m],
                 arena.pool_explored[:m], true_dists, t_ids, expected_dead)
 
-            # Lanes that are not alive carry whatever an earlier
-            # iteration left in the arena's T buffer.
-            t_dists = np.where(alive, true_dists,
-                               rng.random((m, l_t))).astype(sc["dtype"])
-            _insert_merge(arena, m, t_dists, t_ids, alive)
+            row, lane = np.nonzero(alive)
+            _insert_merge(arena, row, true_dists[row, lane],
+                          t_ids[row, lane])
             if seen is not None:
-                row, lane = np.nonzero(alive)
                 ever[row, t_ids[row, lane]] = True
                 seen.insert(query_rows[row], t_ids[row, lane])
 
