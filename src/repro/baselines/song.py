@@ -111,7 +111,7 @@ def song_search(graph: ProximityGraph, points: np.ndarray,
         ``algorithm == "song"``.
     """
     points, queries = np.asarray(points), np.asarray(queries)
-    entries = check_queries(points, queries, graph, entry)
+    entries = check_queries(points, queries, graph, entry, params.k)
     n_queries, n_dims = queries.shape
     metric = graph.metric
     bound = params.pq_bound

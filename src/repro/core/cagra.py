@@ -38,7 +38,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.construction import validated_points
-from repro.core.knng import CHUNK_ELEMENTS, build_knn_graph_gpu
+from repro.core.knng import build_knn_graph_gpu
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
@@ -49,6 +49,7 @@ from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
 from repro.perf.construction import dedup_merge_rows, rank_in_run
+from repro.perf.distance import row_blocks
 
 
 def rank_prune(cand_ids: np.ndarray, cand_dists: np.ndarray,
@@ -107,9 +108,8 @@ def rank_prune(cand_ids: np.ndarray, cand_dists: np.ndarray,
     for m in np.unique(counts[counts > degree]):
         rows = np.flatnonzero(counts == m)
         upper = np.triu(np.ones((m, m), dtype=bool), k=1)  # i < j
-        step = max(1, CHUNK_ELEMENTS // (m * max(m, points.shape[1])))
-        for lo in range(0, len(rows), step):
-            part = rows[lo:lo + step]
+        for block in row_blocks(len(rows), m * max(m, points.shape[1])):
+            part = rows[block]
             gathered = points[ids[part, :m]]
             pair = metric_obj.pairwise(gathered, gathered)
             # detours[j] = |{ i < j : d(c_i, c_j) < d(u, c_j) }|

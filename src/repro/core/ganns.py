@@ -71,15 +71,18 @@ def _check_corpus(points: np.ndarray) -> None:
 
 def check_queries(points: np.ndarray, queries: np.ndarray,
                   graph: Optional[ProximityGraph] = None,
-                  entry: Union[int, np.ndarray, None] = None
-                  ) -> Optional[np.ndarray]:
+                  entry: Union[int, np.ndarray, None] = None,
+                  k: Optional[int] = None) -> Optional[np.ndarray]:
     """Refuse a query batch no search can rank.
 
     ``queries`` must be a non-empty 2-D matrix of finite values with the
     dimensionality of ``points``; ``points`` must be the matrix ``graph``
     was built over (when a graph is given); ``entry`` (when given) must
-    be one vertex, or one vertex per query, inside ``points``.  Both
-    matrices are ndarrays already.
+    be one vertex, or one vertex per query, inside ``points``; ``k``
+    (when given) must not exceed the points' count, as
+    :func:`repro.datasets.ground_truth.exact_knn` requires too — no
+    search has more neighbours to return.  Both matrices are ndarrays
+    already.
 
     Returns:
         The ``(n_queries,)`` entry vertices (a read-only broadcast view),
@@ -104,6 +107,11 @@ def check_queries(points: np.ndarray, queries: np.ndarray,
             f"points has {len(points)} rows but the graph has "
             f"{graph.n_vertices} vertices; search the matrix the graph "
             f"was built over"
+        )
+    if k is not None and k > len(points):
+        raise SearchError(
+            f"k={k} exceeds the {len(points)} points searched; ask for "
+            f"at most {len(points)} neighbours"
         )
     n_queries = len(queries)
     if n_queries == 0:
@@ -163,7 +171,7 @@ def ganns_search(graph: ProximityGraph, points: np.ndarray,
         A :class:`repro.core.results.SearchReport`.
     """
     points, queries = np.asarray(points), np.asarray(queries)
-    entries = check_queries(points, queries, graph, entry)
+    entries = check_queries(points, queries, graph, entry, params.k)
     _check_corpus(points)
     compute_dtype = resolve_compute_dtype(points, queries, dtype)
 

@@ -178,7 +178,7 @@ class GannsIndex:
             l_n = max(32, next_pow2(4 * k))
         flat = self._flat_graph()
         # Before the HNSW descent, which would walk a NaN query anywhere.
-        check_queries(self.points, queries, flat)
+        check_queries(self.points, queries, flat, k=k)
         entries = self._entries(queries)
 
         if algorithm == "ganns":
@@ -215,9 +215,10 @@ class GannsIndex:
                ) -> Tuple[np.ndarray, np.ndarray]:
         """Search; returns ``(ids, dists)`` arrays of shape ``(m, k)``.
 
-        A row always has ``k`` slots.  When the search reaches fewer than
-        ``k`` vertices — ``k`` larger than the corpus, or than what the
-        pool reached — the tail pads with id ``-1`` and distance ``inf``.
+        A row always has ``k`` slots.  A ``k`` larger than the corpus
+        raises :class:`~repro.errors.SearchError`; when the search
+        reaches fewer than ``k`` vertices (the pool saw fewer), the tail
+        pads with id ``-1`` and distance ``inf``.
         """
         report = self.search_report(queries, k, algorithm, **kwargs)
         return report.ids, report.dists

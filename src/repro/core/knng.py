@@ -36,23 +36,20 @@ from repro.gpusim.scan import csr_offsets_from_sorted_ids
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import Metric, get_metric
 from repro.perf.construction import merge_segments_batch, rank_in_run
-
-#: Elements per gathered distance temporary: 256 KB of float64, so the
-#: gather, the difference and the reduction of a chunk stay in cache.
-CHUNK_ELEMENTS = 1 << 15
+from repro.perf.distance import row_blocks
 
 
 def _pair_distances(metric: Metric, vectors: np.ndarray, v: np.ndarray,
                     u: np.ndarray) -> np.ndarray:
-    """Distances of the flat pairs ``(v[i], u[i])``, chunked by pair count.
+    """Distances of the flat pairs ``(v[i], u[i])``, in cache-sized
+    blocks of pairs (:func:`repro.perf.distance.row_blocks`).
 
     ``vectors`` holds the float64 points through ``metric.prepare``.
     """
     out = np.empty(len(v))
-    step = max(1, CHUNK_ELEMENTS // max(vectors.shape[1], 1))
-    for lo in range(0, len(v), step):
-        out[lo:lo + step] = metric.prepared_rows_to_rows(
-            vectors[u[lo:lo + step]], vectors[v[lo:lo + step]])
+    for block in row_blocks(len(v), vectors.shape[1]):
+        out[block] = metric.prepared_rows_to_rows(vectors[u[block]],
+                                                  vectors[v[block]])
     return out
 
 
@@ -62,11 +59,10 @@ def _init_distances(metric: Metric, points: np.ndarray,
     ids (the float64 ``points`` unprepared: the metric prepares them)."""
     n, k = ids.shape
     out = np.empty((n, k))
-    step = max(1, CHUNK_ELEMENTS // max(k * points.shape[1], 1))
-    for lo in range(0, n, step):
-        chunk = ids[lo:lo + step]
-        out[lo:lo + step] = metric.one_to_many_runs(
-            points[lo:lo + step], points[chunk.ravel()],
+    for block in row_blocks(n, k * points.shape[1]):
+        chunk = ids[block]
+        out[block] = metric.one_to_many_runs(
+            points[block], points[chunk.ravel()],
             np.full(len(chunk), k)).reshape(chunk.shape)
     return out
 

@@ -329,7 +329,7 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
         A :class:`StreamResult` with both serial and overlapped timings.
     """
     queries = np.asarray(queries)
-    check_queries(np.asarray(points), queries, graph, entry)
+    check_queries(np.asarray(points), queries, graph, entry, params.k)
     batch_size = as_count(batch_size, "batch_size", 1, SearchError)
     entries = np.asarray(entry, dtype=np.int64)
     transfer = TransferModel(device)

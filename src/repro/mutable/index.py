@@ -516,14 +516,15 @@ class MutableIndex:
         """Search the *live* corpus; tombstoned ids are never returned.
 
         Pre-compaction tombstones still route, so the search over-
-        fetches (``k + pending tombstones``, capped by ``l_n``) and
-        filters dead ids from the results; short rows pad with
-        ``-1``/``inf``.  For byte-stable serving use a
+        fetches (``k + pending tombstones``, capped by ``l_n`` and by
+        the vertex count) and filters dead ids from the results; short
+        rows pad with ``-1``/``inf``.  For byte-stable serving use a
         :meth:`snapshot` and its ``serving_view`` instead.
         """
         queries = np.atleast_2d(np.asarray(queries))
         k = params.k
-        k_eff = min(int(params.l_n), k + self.n_tombstones)
+        k_eff = min(int(params.l_n), k + self.n_tombstones,
+                    self.graph.n_vertices)
         report = ganns_search(self.graph, self.points, queries,
                               params.with_overrides(k=k_eff)
                               if k_eff != k else params,

@@ -11,9 +11,20 @@ The engines here avoid both costs:
   squared norms once through the metric's hooks
   (:mod:`repro.metrics.distance`: cosine pre-normalises, euclidean
   keeps ``‖p‖²`` per engine and ``‖q‖²`` per batch), so the
-  per-iteration work is a single gather plus one GEMM-shaped einsum,
-  turned into distances by ``metric.from_products`` — the engine never
-  names a metric;
+  per-iteration work is row gathers and GEMM-shaped einsums, turned
+  into distances by ``metric.from_products`` — the engine never names a
+  metric;
+- **cache-blocked gathers** — a call gathers and reduces its rows in
+  blocks of about :data:`CHUNK_ELEMENTS` gathered elements
+  (:func:`row_blocks`, 256 KB of float64), so a block's gathered rows
+  are still in cache when the einsum reads them back; a whole
+  high-dimensional iteration in one piece (8,000 rows of d=960 per
+  operand) would stream tens of MB through DRAM twice.  Each product
+  is one row's own dot product, so the blocks' bytes are the whole
+  call's; the norm gathers and ``from_products`` are elementwise and
+  run once per call.  NN-descent's and CAGRA's distance chunks
+  (:mod:`repro.core.knng`, :mod:`repro.core.cagra`) follow the same
+  rule;
 - **preparation caching** — the cast matrix and its norms are cached
   per ``(points, metric, dtype)`` and reused across search calls (the
   serving engine dispatches thousands of small batches against one
@@ -33,7 +44,7 @@ workload.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -119,6 +130,41 @@ def _prepare_points(points: np.ndarray, metric: Metric,
     return _PREPARED_CACHE.get(points, (metric.name, dtype), build)
 
 
+#: Elements per gathered block: 256 KB of float64, so the gather, the
+#: product and the reduction of a block stay in cache.
+CHUNK_ELEMENTS = 1 << 15
+
+
+def row_blocks(n_rows: int, row_elements: int) -> Iterator[slice]:
+    """Consecutive slices covering ``range(n_rows)``, each at most
+    :data:`CHUNK_ELEMENTS` elements at ``row_elements`` a row (one row
+    at least) — the one chunk rule of every bulk distance gather."""
+    step = max(1, CHUNK_ELEMENTS // max(row_elements, 1))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, lo + step)
+
+
+def _gathered_products(rows: np.ndarray, queries: np.ndarray,
+                       query_rows: np.ndarray,
+                       cand_ids: np.ndarray) -> np.ndarray:
+    """``(m, w)`` products of each listed query with its candidate rows,
+    gathered and reduced a :func:`row_blocks` block at a time.
+
+    Negative ids clip to row 0.  Rows stored narrower than the queries
+    (float16 / int8 codes) are cast to the queries' dtype a block at a
+    time.
+    """
+    products = np.empty(cand_ids.shape, dtype=queries.dtype)
+    for block in row_blocks(len(query_rows),
+                            cand_ids.shape[1] * rows.shape[1]):
+        gathered = np.take(rows, cand_ids[block], axis=0, mode="clip")
+        if gathered.dtype != queries.dtype:
+            gathered = gathered.astype(queries.dtype)
+        np.einsum("mtd,md->mt", gathered, queries[query_rows[block]],
+                  out=products[block])
+    return products
+
+
 def _gathered_distances(metric: Metric, products: np.ndarray,
                         point_norms: Optional[np.ndarray],
                         query_norms: Optional[np.ndarray],
@@ -170,10 +216,11 @@ class GroupDistanceEngine:
                 ``inf`` afterwards).
 
         Returns:
-            ``(m, w)`` distances in the engine's compute dtype.
+            ``(m, w)`` distances in the engine's compute dtype, the
+            products taken a :func:`row_blocks` block at a time.
         """
-        gathered = np.take(self.points, cand_ids, axis=0, mode="clip")
-        dots = np.einsum("mtd,md->mt", gathered, self.queries[query_rows])
+        dots = _gathered_products(self.points, self.queries, query_rows,
+                                  cand_ids)
         return _gathered_distances(self.metric, dots, self.point_norms,
                                    self.query_norms, query_rows, cand_ids)
 

@@ -8,8 +8,11 @@ a whole query batch in lock-step:
   to the output arrays the moment they retire, so no phase ever gathers
   ``pool[act]`` or pays for queries that are done;
 - distances come from :class:`repro.perf.distance.GroupDistanceEngine`
-  (precomputed norms, one gather + one GEMM-style einsum per iteration,
-  compute dtype preserved);
+  (precomputed norms, compute dtype preserved): each iteration's fresh
+  records are gathered and reduced in cache-sized row blocks
+  (:func:`repro.perf.distance.row_blocks`), one gather + one GEMM-style
+  einsum per block, so a wide high-dimensional iteration never streams
+  its gathered rows through DRAM;
 - phase 4's duplicate check is one gather from a per-call
   :class:`repro.perf.arena.EvaluatedPairs` bitmap, taken *before*
   phase 3: a (query, vertex) distance is evaluated once per call and

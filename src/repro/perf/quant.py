@@ -18,7 +18,7 @@ nothing else — ``None`` is the exact search):
 - ``"int8"`` — per-dimension affine quantization (1 byte/component plus
   two float32 per *dimension*): ``x_hat = scale * code + beta``.  The
   per-dimension scales fold into the query once per batch, so the
-  per-iteration work is one int8 gather plus one float32 GEMM — the
+  per-iteration work is an int8 gather plus a float32 GEMM — the
   traversal never dequantizes the table.
 - ``"pca"`` — PCA-reduced float32 (``pca_rank(d)`` components,
   4 bytes each).  This is the raw-speed lever: the traversal GEMM
@@ -48,7 +48,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SearchError
 from repro.metrics.distance import Metric, get_metric
-from repro.perf.distance import _gathered_distances
+from repro.perf.distance import _gathered_distances, \
+    _gathered_products
 from repro.perf.identity_cache import IdentityCache
 
 #: The lossy representations the staged pipeline can traverse on.
@@ -252,8 +253,11 @@ class QuantizedGroupEngine:
     """Compressed-space drop-in for :class:`GroupDistanceEngine`.
 
     Same ``pairs(query_rows, cand_ids)`` interface as the exact engine,
-    so the traversal loop in :mod:`repro.perf.engine` runs unchanged —
-    only the arithmetic differs:
+    so the traversal loop in :mod:`repro.perf.engine` runs unchanged,
+    and the same cache-blocked gather
+    (:func:`repro.perf.distance.row_blocks`: each block's codes are cast
+    to float32 and reduced while they are in cache) — only the
+    arithmetic differs:
 
     - fp16: gather half floats, accumulate the GEMM in float32;
     - int8: the affine map folds into the query (``scales * q`` once
@@ -300,12 +304,10 @@ class QuantizedGroupEngine:
         lanes with ``inf`` afterwards, exactly as the exact path does.
         """
         table = self.table
-        gathered = np.take(table.codes, cand_ids, axis=0, mode="clip")
-        if gathered.dtype != np.float32:
-            gathered = gathered.astype(np.float32)
-        sims = np.einsum("mtr,mr->mt", gathered, self.queries[query_rows])
+        sims = _gathered_products(table.codes, self.queries, query_rows,
+                                  cand_ids)
         if self.query_bias is not None:
-            sims = sims + self.query_bias[query_rows, None]
+            sims += self.query_bias[query_rows, None]
         return _gathered_distances(self.metric, sims, table.code_norms,
                                    self.query_norms, query_rows, cand_ids)
 

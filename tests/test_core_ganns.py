@@ -363,3 +363,43 @@ class TestMismatchedInputs:
                          SearchParams(k=5, l_n=32),
                          entry=np.zeros((len(small_queries), 1),
                                         dtype=np.int64))
+
+
+@pytest.fixture(scope="module")
+def tiny_index():
+    """200 points: fewer than the k the refusal tests ask for."""
+    from repro.core.params import BuildParams
+    from repro.datasets.synthetic import gaussian_mixture
+    return GannsIndex.build(gaussian_mixture(200, 8, seed=11),
+                            params=BuildParams(d_min=4, d_max=8,
+                                               n_blocks=8))
+
+
+class TestKBeyondCorpus:
+    """``k`` above the vertex count is refused at the search's door, as
+    ``exact_knn`` refuses it — never rows of ``-1`` / ``inf`` pads."""
+
+    @pytest.mark.parametrize("algorithm", ["ganns", "song", "beam"])
+    def test_index_search(self, tiny_index, algorithm):
+        queries = tiny_index.points[:5]
+        with pytest.raises(SearchError, match="k=500 exceeds the 200"):
+            tiny_index.search(queries, k=500, algorithm=algorithm)
+        ids, _ = tiny_index.search(queries, k=200, algorithm=algorithm)
+        assert ids.shape == (5, 200)
+
+    @pytest.mark.parametrize("quant", [None, "int8"])
+    def test_ganns_search(self, tiny_index, quant):
+        graph, points = tiny_index.graph, tiny_index.points
+        with pytest.raises(SearchError, match="k=201 exceeds the 200"):
+            ganns_search(graph, points, points[:3],
+                         SearchParams(k=201, l_n=256, quant=quant))
+        report = ganns_search(graph, points, points[:3],
+                              SearchParams(k=200, l_n=256, quant=quant))
+        assert report.ids.shape == (3, 200)
+
+    def test_stream_batches(self, tiny_index):
+        from repro.core.pipeline import stream_batches
+        graph, points = tiny_index.graph, tiny_index.points
+        with pytest.raises(SearchError, match="k=201 exceeds the 200"):
+            stream_batches(graph, points, points[:6],
+                           SearchParams(k=201, l_n=256), batch_size=4)

@@ -112,6 +112,32 @@ class TestPaperMapping:
                 assert hasattr(obj, attr), (doc, dotted)
                 obj = getattr(obj, attr)
 
+    def test_doc_path_name_references_resolve(self):
+        """Every backquoted ``x.py::Name`` in the prose docs names a
+        def, class or assignment in that file (``x.py`` relative to the
+        repository, ``src/repro``, ``tests`` or ``benchmarks``)."""
+        refs = {(doc, path, name) for doc in _prose_docs()
+                for path, name in re.findall(r"`([\w/.]+\.py)::(\w+)",
+                                             _read(doc))}
+        assert refs
+        for doc, path, name in sorted(refs):
+            found = [os.path.join(base, path)
+                     for base in ("", os.path.join("src", "repro"),
+                                  "tests", "benchmarks")
+                     if os.path.isfile(os.path.join(ROOT, base, path))]
+            assert found, (doc, path)
+            defined = set()
+            for node in ast.walk(ast.parse(_read(found[0]))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    defined.update(target.id for target in targets
+                                   if isinstance(target, ast.Name))
+            assert name in defined, (doc, f"{path}::{name}")
+
     def test_mapping_doc_test_references_exist(self):
         text = _read(os.path.join("docs", "paper_mapping.md"))
         for test_file in set(re.findall(r"`(test_\w+\.py)", text)):

@@ -261,6 +261,17 @@ class TestSearchOverfetch:
         assert np.all(ids >= 0)
         assert np.all(np.isfinite(dists))
 
+    def test_overfetch_clamps_to_the_vertex_count(self):
+        """``k + tombstones`` beyond the 120 vertices fetches all 120
+        instead of tripping the search's ``k > n`` refusal."""
+        index = _fresh()
+        index.delete(np.arange(30), now=1.0)
+        ids, _ = index.search(index.points[40:44].copy(),
+                              SearchParams(k=100, l_n=128))
+        assert ids.shape == (4, 100)
+        assert not np.isin(ids, np.arange(30)).any()
+        assert (ids >= 0).sum(axis=1).max() <= 90
+
     def test_results_sorted_by_distance(self):
         index = _fresh()
         index.delete([1, 2], now=1.0)

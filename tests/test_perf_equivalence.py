@@ -31,6 +31,7 @@ from repro.baselines.nsw_cpu import build_nsw_cpu, build_nsw_multicore
 from repro.core.construction import build_nsw_gpu, insert_batch_nsw
 from repro.core.ganns import ganns_search
 from repro.core.hnsw import build_hnsw_gpu
+from repro.core.knng import build_knn_graph_gpu
 from repro.core.naive import build_nsw_serial_gpu
 from repro.core.params import BuildParams, SearchParams
 from repro.datasets.ground_truth import exact_knn
@@ -39,6 +40,8 @@ from repro.errors import SearchError
 from repro.gpusim.costs import DEFAULT_COSTS
 from repro.gpusim.tracker import CycleTracker
 from repro.graphs.stats import graph_digest
+from repro.metrics.distance import get_metric
+from repro.perf import distance as perf_distance
 from repro.perf import engine as perf_engine
 from repro.perf.arena import _ARENA_CACHE, get_arena
 from repro.perf.descent import hnsw_entry_descent_batch
@@ -184,6 +187,63 @@ class TestSearchEquivalence:
             for phase in alone.tracker.phase_names:
                 assert (report.tracker.lane_cycles(phase)[at]
                         == alone.tracker.lane_cycles(phase)[0]), phase
+
+
+def _report_bytes(report):
+    """Everything a search returns that must not depend on blocking."""
+    return ([report.ids.tobytes(), report.dists.tobytes(),
+             report.iterations.tobytes(),
+             report.lane_distance_evaluations.tobytes()]
+            + [report.tracker.lane_cycles(phase).tobytes()
+               for phase in report.tracker.phase_names])
+
+
+class TestBlockedGather:
+    """The engines gather and reduce in :func:`row_blocks` blocks; a
+    block a few rows tall — splitting a query's run of fresh records
+    and leaving a partial last block — changes no byte."""
+
+    #: Rows per block at width 1 and d=16 (pca keeps all 16 there):
+    #: three, so most iterations end on a partial block.
+    TINY = 3 * 16
+
+    @pytest.mark.parametrize("quant", [None, "fp16", "int8", "pca"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "ip"])
+    def test_search_bytes_do_not_depend_on_block_size(
+            self, monkeypatch, metric, dtype, quant):
+        graph, points, queries = _graph_and_data(metric)
+        points, queries = points.astype(dtype), queries.astype(dtype)
+        params = SearchParams(k=10, l_n=32, quant=quant)
+        default = ganns_search(graph, points, queries, params, dtype=dtype)
+        monkeypatch.setattr(perf_distance, "CHUNK_ELEMENTS", self.TINY)
+        blocked = ganns_search(graph, points, queries, params, dtype=dtype)
+        assert _report_bytes(blocked) == _report_bytes(default)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "ip"])
+    def test_rerank_shaped_pairs(self, monkeypatch, metric):
+        """The staged rerank's call: every query against a ``(m, l_q)``
+        pool with ``-1`` pads, blocks of two queries over seven."""
+        _, points, queries = _graph_and_data(metric)
+        engine = perf_distance.make_distance_engine(
+            get_metric(metric), points, queries[:7], np.dtype(np.float64))
+        rows = np.arange(7)
+        ids = np.random.default_rng(3).integers(-1, len(points), (7, 40))
+        default = engine.pairs(rows, ids)
+        monkeypatch.setattr(perf_distance, "CHUNK_ELEMENTS",
+                            2 * 40 * points.shape[1])
+        assert engine.pairs(rows, ids).tobytes() == default.tobytes()
+        # Negative ids are row 0's distance, as the contract says.
+        assert np.array_equal(default[ids < 0],
+                              engine.pairs(rows, np.zeros_like(ids))[ids < 0])
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_nn_descent_shares_the_rule(self, monkeypatch, metric):
+        points = gaussian_mixture(120, 16, seed=8)
+        default = build_knn_graph_gpu(points, 8, metric=metric)
+        monkeypatch.setattr(perf_distance, "CHUNK_ELEMENTS", self.TINY)
+        blocked = build_knn_graph_gpu(points, 8, metric=metric)
+        assert graph_digest(blocked.graph) == graph_digest(default.graph)
 
 
 #: Non-integral cycle costs: a sum of n charges then differs from
