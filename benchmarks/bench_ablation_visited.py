@@ -11,7 +11,7 @@ shows the quantitative version of that argument.
 from __future__ import annotations
 
 from repro.baselines.song import SongParams, song_search
-from repro.baselines.visited import Bitmap, make_visited_set
+from repro.baselines.visited import Bitmap
 from repro.bench.report import format_table
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams

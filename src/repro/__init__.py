@@ -62,7 +62,6 @@ from repro.baselines import (
 from repro.core import (
     GannsIndex,
     IndexBackend,
-    ConformanceProfile,
     backend_families,
     get_backend,
     register_backend,
@@ -140,7 +139,6 @@ __all__ = [
     "DeviceMemoryError",
     "GannsIndex",
     "IndexBackend",
-    "ConformanceProfile",
     "backend_families",
     "get_backend",
     "register_backend",

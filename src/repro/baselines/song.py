@@ -1,9 +1,8 @@
 """SONG: the state-of-the-art GPU proximity-graph search (Section II-D).
 
-SONG keeps Algorithm 1's data structures — a bounded min-max candidate
-queue ``C``, a bounded result queue ``N`` and an open-addressing visited
-hash ``H`` over ``N ∪ C`` — and decomposes each iteration into three
-stages:
+SONG keeps Algorithm 1's data structures — a bounded candidate queue
+``C``, a bounded result queue ``N`` and a visited hash ``H`` over
+``N ∪ C`` — and decomposes each iteration into three stages:
 
 1. *candidates locating* — the host thread pops the best candidate,
    compares it against the worst result, and walks the popped vertex's
@@ -19,7 +18,11 @@ charges deliberately do not divide by ``n_t``.
 
 The traversal itself is executed faithfully (visited-hash semantics mean
 SONG never recomputes a distance, unlike GANNS's lazy check), so recall
-numbers are real.
+numbers are real.  ``C`` and ``N`` are bounded ascending lists of
+``(dist, id)`` and ``H`` a Python set: the stage formulas
+(:meth:`~repro.gpusim.costs.CostTable.song_locate_cycles`,
+:meth:`~repro.gpusim.costs.CostTable.song_update_cycles`) price SONG's
+min-max heap and open-addressing table, so neither structure is built.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines.minmax_heap import MinMaxHeap
 from repro.baselines.visited import make_visited_set
 from repro.core.ganns import check_queries
 from repro.core.results import SearchReport
@@ -53,9 +55,10 @@ class SongParams:
         n_threads: Threads per block; only the bulk-distance stage
             benefits from them.
         visited_strategy: Visited-marking structure — ``"hash"`` (SONG's
-            open-addressing table, the default), ``"bloom"`` or
-            ``"bitmap"`` (the Section III-A alternatives; see
-            :mod:`repro.baselines.visited`).
+            open-addressing table, the default; a set whose probes the
+            stage formulas price), ``"bloom"`` or ``"bitmap"`` (the
+            Section III-A alternatives, built and charged per access;
+            see :mod:`repro.baselines.visited`).
         visited_deletion: SONG's visited-deletion optimization: keep H at
             its fixed ``2k`` size by holding exactly the members of
             ``N ∪ C`` and *deleting* entries the bounded queues evict.
@@ -90,6 +93,28 @@ class SongParams:
             raise ConfigurationError(
                 "visited_deletion applies to the hash strategy only"
             )
+
+
+def _push_bounded(queue: List[Tuple[float, int]], key: Tuple[float, int],
+                  bound: int) -> Tuple[bool, Optional[Tuple[float, int]]]:
+    """Insert ``key`` into the ascending ``queue`` of at most ``bound`` keys.
+
+    A full queue rejects a key no better than its worst, and otherwise
+    evicts the worst — SONG's "if C is full and the new point is better
+    than the worst point in C, the worst point is removed".
+
+    Returns:
+        ``(inserted, evicted)``: whether ``key`` is in the queue now,
+        and the key dropped to make room (or None) — visited deletion
+        forgets it.
+    """
+    evicted = None
+    if len(queue) >= bound:
+        if key >= queue[-1]:
+            return False, None
+        evicted = queue.pop()
+    insort(queue, key)
+    return True, evicted
 
 
 def song_search(graph: ProximityGraph, points: np.ndarray,
@@ -133,11 +158,10 @@ def song_search(graph: ProximityGraph, points: np.ndarray,
         tracker.charge("bulk_distance", per_vector_cost, np.asarray([row]))
         n_distance_computations += 1
 
-        # C: a bounded min-max heap of (dist, id) — SONG's actual
-        # candidate structure.  N: ascending (dist, id) list of the best
-        # results, bounded.  H: the visited structure over N ∪ C.
-        candidates = MinMaxHeap(bound=bound)
-        candidates.push((start_dist, start))
+        # C: ascending (dist, id) candidates, bounded.  N: ascending
+        # (dist, id) list of the best results, bounded.  H: the visited
+        # structure over N ∪ C.
+        candidates = [(start_dist, start)]
         results = []
         if params.visited_strategy == "hash":
             # The calibrated default: a plain set with hash probes priced
@@ -159,7 +183,7 @@ def song_search(graph: ProximityGraph, points: np.ndarray,
         while candidates:
             n_iter += 1
             # Stage 1 — candidates locating (host thread).
-            cand_dist, cand_id = candidates.pop_min()
+            cand_dist, cand_id = candidates.pop(0)
             if len(results) == bound and cand_dist > results[-1][0]:
                 locate_cycles += costs.song_locate_cycles(0, bound)
                 break
@@ -197,8 +221,8 @@ def song_search(graph: ProximityGraph, points: np.ndarray,
                                                               bound)
                     for u, dist in zip(fresh, dists):
                         visited.add(u)
-                        inserted, evicted = candidates.push_with_eviction(
-                            (float(dist), u))
+                        inserted, evicted = _push_bounded(
+                            candidates, (float(dist), u), bound)
                         if params.visited_deletion:
                             # H mirrors N ∪ C exactly (fixed 2k size):
                             # rejected or evicted vertices leave H and
@@ -213,7 +237,7 @@ def song_search(graph: ProximityGraph, points: np.ndarray,
                     before = visited_obj.cycles
                     for u, dist in zip(fresh, dists):
                         visited_obj.add(u)
-                        candidates.push((float(dist), u))
+                        _push_bounded(candidates, (float(dist), u), bound)
                     update_cycles += (len(fresh) * sift
                                       + visited_obj.cycles - before)
 

@@ -12,9 +12,11 @@ can remember which vertices it has seen:
   in the warp threads and the limited on-chip memory": one bit per
   vertex cannot fit in shared memory for million-point datasets.
 
-This module implements all three behind one interface with per-operation
-cycle charges, so SONG can be run under any of them and the ablation
-benchmark can reproduce the paper's argument quantitatively.
+SONG's default hash is a Python set whose probes the stage formulas
+price (:mod:`repro.baselines.song`); this module implements the two
+alternatives behind one interface with per-operation cycle charges, so
+SONG can be run under any of the three and the ablation benchmark can
+reproduce the paper's argument quantitatively.
 """
 
 from __future__ import annotations
@@ -51,61 +53,6 @@ class VisitedSet(abc.ABC):
     @abc.abstractmethod
     def memory_bytes(self) -> int:
         """On-chip memory footprint of the structure."""
-
-
-class OpenAddressingHash(VisitedSet):
-    """SONG's fixed-size open-addressing hash with linear probing.
-
-    The table's size is fixed up front (SONG uses ``2k`` slots for the
-    points in ``N ∪ C``); when it overflows, the oldest semantics don't
-    matter for search correctness — SONG sizes it to never overflow, and
-    so do we (raising if violated keeps the model honest).
-    """
-
-    _EMPTY = -1
-
-    def __init__(self, capacity: int, costs: CostTable = DEFAULT_COSTS):
-        super().__init__(costs)
-        if capacity <= 0:
-            raise ConfigurationError(
-                f"hash capacity must be positive, got {capacity}"
-            )
-        # Size to the next power of two at twice the capacity so linear
-        # probing stays short.
-        size = 1
-        while size < 2 * capacity:
-            size *= 2
-        self._slots = np.full(size, self._EMPTY, dtype=np.int64)
-        self._mask = size - 1
-        self._count = 0
-
-    def _probe(self, vertex: int) -> int:
-        """Return the slot holding ``vertex`` or the first empty slot."""
-        index = (vertex * 0x9E3779B1) & self._mask
-        probes = 1
-        while (self._slots[index] != self._EMPTY
-               and self._slots[index] != vertex):
-            index = (index + 1) & self._mask
-            probes += 1
-        self.cycles += probes * self.costs.hash_probe_cycles
-        return index
-
-    def add(self, vertex: int) -> None:
-        index = self._probe(vertex)
-        if self._slots[index] == self._EMPTY:
-            if self._count >= len(self._slots) - 1:
-                raise ConfigurationError(
-                    "open-addressing hash overflow: size the table to "
-                    "the search budget"
-                )
-            self._slots[index] = vertex
-            self._count += 1
-
-    def __contains__(self, vertex: int) -> bool:
-        return self._slots[self._probe(vertex)] == vertex
-
-    def memory_bytes(self) -> int:
-        return self._slots.nbytes
 
 
 class BloomFilter(VisitedSet):
@@ -186,23 +133,20 @@ class Bitmap(VisitedSet):
 
 def make_visited_set(strategy: str, n_vertices: int, budget: int,
                      costs: CostTable = DEFAULT_COSTS) -> VisitedSet:
-    """Factory over the three Section III-A strategies.
+    """Factory over the two built Section III-A alternatives.
 
     Args:
-        strategy: ``"hash"``, ``"bloom"`` or ``"bitmap"``.
+        strategy: ``"bloom"`` or ``"bitmap"``.
         n_vertices: Total vertices in the graph (bitmap sizing).
-        budget: Expected number of visited vertices (hash/bloom sizing).
+        budget: Expected number of visited vertices (bloom sizing).
         costs: Cycle cost table.
 
     The Bloom filter gets ``8 * budget`` bits (at least 64).
     """
-    if strategy == "hash":
-        return OpenAddressingHash(capacity=max(budget, 1), costs=costs)
     if strategy == "bloom":
         return BloomFilter(n_bits=max(8 * budget, 64), costs=costs)
     if strategy == "bitmap":
         return Bitmap(n_vertices=n_vertices, costs=costs)
     raise ConfigurationError(
-        f"unknown visited strategy {strategy!r}; valid: hash, bloom, "
-        f"bitmap"
+        f"unknown visited strategy {strategy!r}; valid: bloom, bitmap"
     )

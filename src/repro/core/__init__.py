@@ -30,7 +30,6 @@ from repro.core.hnsw import build_hnsw_gpu
 from repro.core.knng import build_knn_graph_gpu
 from repro.core.cagra import build_cagra_gpu
 from repro.core.backend import (
-    ConformanceProfile,
     IndexBackend,
     backend_families,
     get_backend,
@@ -52,7 +51,6 @@ __all__ = [
     "build_hnsw_gpu",
     "build_knn_graph_gpu",
     "build_cagra_gpu",
-    "ConformanceProfile",
     "IndexBackend",
     "backend_families",
     "get_backend",

@@ -10,9 +10,7 @@ graph and the CAGRA-style fixed-degree graph — registers one
 - **serving_graphs**: the flat graphs the cluster layer shards over —
   one rule, the family's own build, not a per-family hook;
 - **serialize / deserialize**: the family's slice of the ``.npz``
-  index format (flat vs hierarchical layouts);
-- **conformance_profile**: the thresholds the shared conformance suite
-  (``tests/test_backend_conformance.py``) holds the family to.
+  index format (flat vs hierarchical layouts).
 
 Searching, pricing and quantizing are the same for every family — one
 GANNS kernel over the (bottom-layer) flat graph, one cost model, one
@@ -20,13 +18,13 @@ set of quantized tables — so they are not hooks.  Everything else —
 :class:`~repro.core.index.GannsIndex`, the CLI, the serving and cluster
 engines — resolves families by name through :func:`get_backend`, so
 adding a family is one subclass plus one :func:`register_backend`
-call; the conformance suite picks it up by registration.
+call; the conformance suite (``tests/test_backend_conformance.py``)
+picks it up by registration and keeps each family's thresholds.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -55,30 +53,6 @@ STRATEGIES = ("ggraphcon", "naive-parallel", "serial")
 #: 0.95-0.96.  Up to 100 points this is one point per group, where the
 #: GGraphCon merge is sequential insertion.
 SERVING_N_BLOCKS = 100
-
-
-@dataclass(frozen=True)
-class ConformanceProfile:
-    """Per-family thresholds for the shared backend conformance suite.
-
-    Attributes:
-        recall_floor: Minimum recall@10 on the suite's small synthetic
-            dataset at the standard ``l_n``.
-        reachable_floor: Minimum fraction of vertices reachable from the
-            search entry (KNN graphs may legitimately be disconnected).
-        exact_at_saturation: Whether search with ``l_n >= n`` must
-            return exactly the brute-force answer whenever the graph is
-            fully connected.
-        quant_recall_delta: Maximum recall@10 the staged quantized
-            search may lose versus the exact search on the suite's
-            dataset, for each quantization mode — the family's honest
-            lossiness bound.
-    """
-
-    recall_floor: float = 0.9
-    reachable_floor: float = 0.95
-    exact_at_saturation: bool = True
-    quant_recall_delta: float = 0.05
 
 
 class IndexBackend(abc.ABC):
@@ -168,10 +142,6 @@ class IndexBackend(abc.ABC):
             archive["graph_ids"], archive["graph_dists"],
             archive["graph_degrees"], metric)
 
-    def conformance_profile(self) -> ConformanceProfile:
-        """Thresholds the shared conformance suite applies to this family."""
-        return ConformanceProfile()
-
 
 class NswBackend(IndexBackend):
     """The paper's NSW family (GGraphCon and the strawman strategies)."""
@@ -212,9 +182,6 @@ class NswBackend(IndexBackend):
         return build_nsw_gpu_parts(parts, params,
                                    search_kernel=search_kernel,
                                    metric=metric, **kwargs)
-
-    def conformance_profile(self) -> ConformanceProfile:
-        return ConformanceProfile(recall_floor=0.9, reachable_floor=0.98)
 
 
 class HnswBackend(IndexBackend):
@@ -259,9 +226,6 @@ class HnswBackend(IndexBackend):
                   for i in range(int(archive["n_layers"]))]
         return HierarchicalGraph(layers, archive["layer_sizes"].tolist())
 
-    def conformance_profile(self) -> ConformanceProfile:
-        return ConformanceProfile(recall_floor=0.9, reachable_floor=0.98)
-
 
 def _refuse_insertion_options(family: str, strategy: str,
                               search_kernel: str) -> None:
@@ -293,15 +257,6 @@ class KnnBackend(IndexBackend):
         return build_knn_graph_gpu(points, knn_k, params, metric=metric,
                                    **kwargs)
 
-    def conformance_profile(self) -> ConformanceProfile:
-        # A pure KNN digraph may be disconnected; hold it to honest but
-        # lower floors and skip the exact-at-saturation contract.  Its
-        # weaker structure also amplifies traversal perturbations, so
-        # the quantized-recall bound is looser than the default.
-        return ConformanceProfile(recall_floor=0.7, reachable_floor=0.6,
-                                  exact_at_saturation=False,
-                                  quant_recall_delta=0.1)
-
 
 class CagraBackend(IndexBackend):
     """CAGRA-style fixed-degree family (KNN init + rank pruning)."""
@@ -314,9 +269,6 @@ class CagraBackend(IndexBackend):
               **kwargs) -> ConstructionReport:
         _refuse_insertion_options(self.family, strategy, search_kernel)
         return build_cagra_gpu(points, params, metric=metric, **kwargs)
-
-    def conformance_profile(self) -> ConformanceProfile:
-        return ConformanceProfile(recall_floor=0.9, reachable_floor=0.98)
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,6 @@ scale that runs on a laptop.
 from repro.datasets.synthetic import (
     gaussian_mixture,
     zipf_clustered,
-    uniform_hypercube,
-    hypersphere_shell,
 )
 from repro.datasets.catalog import (
     Dataset,
@@ -27,8 +25,6 @@ from repro.datasets.ground_truth import exact_knn
 __all__ = [
     "gaussian_mixture",
     "zipf_clustered",
-    "uniform_hypercube",
-    "hypersphere_shell",
     "Dataset",
     "DatasetSpec",
     "DATASET_SPECS",

@@ -176,11 +176,6 @@ class CrashInjector:
         self._delivered = 0
 
     @property
-    def pending(self) -> int:
-        """Crash events not yet delivered."""
-        return len(self._pending)
-
-    @property
     def delivered(self) -> int:
         """Crash events consumed so far."""
         return self._delivered

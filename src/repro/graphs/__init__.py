@@ -10,8 +10,6 @@ from repro.graphs.adjacency import ProximityGraph, HierarchicalGraph
 from repro.graphs.validation import validate_graph
 from repro.graphs.stats import (
     graph_digest,
-    reachable_fraction,
-    edge_recall_against,
 )
 from repro.graphs.pruning import prune_diversify, pruning_stats
 from repro.graphs.analysis import (
@@ -28,8 +26,6 @@ __all__ = [
     "HierarchicalGraph",
     "validate_graph",
     "graph_digest",
-    "reachable_fraction",
-    "edge_recall_against",
     "NavigabilityReport",
     "navigability_report",
     "degree_distribution",

@@ -1,15 +1,5 @@
-"""Graph statistics and quality measures.
-
-This module provides the library's one BFS, :func:`hop_distances`, the
-byte digest :func:`graph_digest`, and the two quality measures the
-evaluation leans on:
-
-- :func:`reachable_fraction` — share of vertices reachable from the entry
-  point (a disconnected graph caps achievable recall);
-- :func:`edge_recall_against` — how much of a reference graph's edge set a
-  candidate graph reproduces, used to verify the Section IV-C claim that
-  GGraphCon's output matches sequential insertion.
-"""
+"""Graph statistics: the library's one BFS, :func:`hop_distances`, and
+the byte digest :func:`graph_digest`."""
 
 from __future__ import annotations
 
@@ -49,11 +39,6 @@ def hop_distances(graph: ProximityGraph, entry: int = 0,
     return hops
 
 
-def reachable_fraction(graph: ProximityGraph, entry: int = 0) -> float:
-    """Fraction of vertices reachable from ``entry`` by directed BFS."""
-    return float((hop_distances(graph, entry) >= 0).mean())
-
-
 def graph_digest(graph) -> str:
     """Byte-level BLAKE2b digest of a graph's adjacency arrays.
 
@@ -74,25 +59,3 @@ def graph_digest(graph) -> str:
         digest.update(np.ascontiguousarray(layer.neighbor_dists).tobytes())
         digest.update(np.ascontiguousarray(layer.degrees).tobytes())
     return digest.hexdigest()
-
-
-def edge_recall_against(candidate: ProximityGraph,
-                        reference: ProximityGraph) -> float:
-    """Fraction of the reference graph's directed edges present in
-    ``candidate``.
-
-    1.0 means the candidate contains every reference edge; this is the
-    measure used to check GGraphCon-vs-sequential equivalence.
-    """
-    if candidate.n_vertices != reference.n_vertices:
-        raise GraphError(
-            f"graphs have different vertex counts: {candidate.n_vertices} "
-            f"vs {reference.n_vertices}"
-        )
-    reference_edges = reference.edge_set()
-    if not reference_edges:
-        return 1.0
-    candidate_edges = candidate.edge_set()
-    shared = len(reference_edges & candidate_edges)
-    return shared / len(reference_edges)
-

@@ -16,7 +16,6 @@ from repro.metrics.distance import (
     get_metric,
 )
 from repro.metrics.recall import (
-    mask_deleted_ground_truth,
     recall_at_k,
     recall_per_query,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "CosineMetric",
     "InnerProductMetric",
     "get_metric",
-    "mask_deleted_ground_truth",
     "recall_at_k",
     "recall_per_query",
 ]

@@ -114,16 +114,6 @@ class Metric(abc.ABC):
                 rows[start:end] @ prepared_queries[run])
         return out
 
-    def rows_to_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise distances between two equal-shaped matrices."""
-        if a.shape != b.shape:
-            raise ConfigurationError(
-                f"rows_to_rows requires equal shapes, got {a.shape} and "
-                f"{b.shape}"
-            )
-        return self.prepared_rows_to_rows(
-            self.prepare(np.array(a, dtype=np.float64)), self._prepared64(b))
-
     def prepared_rows_to_rows(self, a: np.ndarray,
                               b: np.ndarray) -> np.ndarray:
         """Distances between aligned rows already through :meth:`prepare`.

@@ -71,43 +71,3 @@ def recall_per_query(returned: np.ndarray, ground_truth: np.ndarray) -> np.ndarr
 def recall_at_k(returned: np.ndarray, ground_truth: np.ndarray) -> float:
     """Mean recall across queries (the number Figures 6/8/12 plot)."""
     return float(recall_per_query(returned, ground_truth).mean())
-
-
-def mask_deleted_ground_truth(ground_truth: np.ndarray,
-                              tombstones: np.ndarray) -> np.ndarray:
-    """Exclude deleted ids from a ground-truth matrix.
-
-    After deletes land on a mutable index, the exact neighbor sets
-    computed against the original corpus still name the tombstoned
-    points — which no correct search may return.  This masks those
-    entries to ``-1`` (the padding value :func:`recall_per_query`
-    excludes from its denominator), so recall-after-delete measures
-    retrieval of the *surviving* true neighbors instead of punishing
-    the index for honoring deletes.
-
-    Args:
-        ground_truth: ``(n_queries, k)`` int array of exact neighbor
-            ids (``-1`` padding allowed).
-        tombstones: ``(n_slots,)`` boolean mask of deleted ids.
-
-    Returns:
-        A new ``(n_queries, k)`` array with tombstoned ids replaced by
-        ``-1``; the input is not modified.
-    """
-    ground_truth = np.asarray(ground_truth)
-    tombstones = np.asarray(tombstones, dtype=bool)
-    if ground_truth.ndim != 2:
-        raise ConfigurationError(
-            f"ground truth must be 2-D (n_queries, k), got shape "
-            f"{ground_truth.shape}")
-    if tombstones.ndim != 1:
-        raise ConfigurationError(
-            f"tombstones must be 1-D (n_slots,), got shape "
-            f"{tombstones.shape}")
-    valid = ground_truth >= 0
-    if np.any(ground_truth[valid] >= len(tombstones)):
-        raise ConfigurationError(
-            "ground truth names ids beyond the tombstone mask")
-    safe = np.where(valid, ground_truth, 0)
-    dead = valid & tombstones[safe]
-    return np.where(dead, -1, ground_truth)

@@ -42,7 +42,6 @@ from repro.observability.span import (
     Span,
     SpanEvent,
     SpanTracer,
-    iter_descendants,
     jsonable_scalar,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "SpanTracer",
     "export_chrome_trace",
     "export_chrome_trace_bytes",
-    "iter_descendants",
     "jsonable_scalar",
     "parse_chrome_trace",
     "publish_tracker_totals",

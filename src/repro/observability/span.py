@@ -29,7 +29,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 
@@ -121,15 +121,6 @@ class Span:
     def open(self) -> bool:
         """True while the span has not been closed."""
         return self.end_seconds is None
-
-    @property
-    def duration_seconds(self) -> float:
-        """Closed interval length (raises while open)."""
-        if self.end_seconds is None:
-            raise ObservabilityError(
-                f"span {self.span_id} ({self.name!r}) is still open"
-            )
-        return self.end_seconds - self.start_seconds
 
     def overlaps(self, other: "Span") -> bool:
         """Strict interval overlap (zero-width spans never overlap)."""
@@ -496,11 +487,3 @@ class SpanTracer:
             lines.append(f"  … {len(ranked) - max_names} more span "
                          f"kinds")
         return "\n".join(lines)
-
-
-def iter_descendants(tracer: SpanTracer,
-                     span_id: int) -> Iterable[Span]:
-    """Yield every descendant of ``span_id``, depth-first."""
-    for child in tracer.children_of(span_id):
-        yield child
-        yield from iter_descendants(tracer, child.span_id)

@@ -149,27 +149,6 @@ class QuantizedTable:
         """Total device bytes of this representation."""
         return int(round(self.bytes_per_vector() * self.n_points))
 
-    # ------------------------------------------------------------------
-    # Reconstruction (property tests pin the round-trip error bound)
-    # ------------------------------------------------------------------
-
-    def dequantize(self) -> np.ndarray:
-        """Reconstruct the represented vectors as float32.
-
-        fp16/int8 reconstruct in the ambient space (the round-trip
-        error bound of the property suite); PCA back-projects through
-        its components, which only recovers the retained subspace.
-        """
-        if self.mode == "fp16":
-            return self.codes.astype(np.float32)
-        if self.mode == "int8":
-            return (self.codes.astype(np.float32) * self.scales
-                    + self.betas)
-        back = self.codes @ self.components.T
-        if self.mean is not None:
-            back = back + self.mean
-        return back.astype(np.float32, copy=False)
-
 
 def _build_table(points: np.ndarray, mode: str,
                  metric: Metric) -> QuantizedTable:

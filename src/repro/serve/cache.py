@@ -57,18 +57,6 @@ class CacheStats:
     evictions: int = 0
     invalidations: int = 0
 
-    @property
-    def lookups(self) -> int:
-        """Total lookups (collisions count as misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
 
 class ResultCache:
     """Bounded LRU cache of per-query search results.

@@ -167,6 +167,10 @@ class ServeEngine:
             # Fail at construction if any tier cannot hold k results.
             for tier in range(1, governor.n_tiers):
                 governor.params_for(tier, self.params)
+        if self.params.k > graph.n_vertices:
+            raise ServeError(
+                f"k={self.params.k} exceeds the {graph.n_vertices} "
+                f"vertices of the served graph")
         self.default_deadline_seconds = check_deadline(
             default_deadline_seconds, "default_deadline_seconds")
         #: Epoch of the pinned snapshot this engine serves, or ``None``

@@ -117,11 +117,6 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
 
     @property
-    def pending_requests(self) -> int:
-        """Requests currently accumulating."""
-        return len(self._pending)
-
-    @property
     def pending_queries(self) -> int:
         """Query vectors currently accumulating."""
         return self._pending_queries

@@ -42,7 +42,7 @@ def small_graph(small_points):
 @pytest.fixture(scope="session")
 def cosine_points():
     """Unit-norm points for cosine-metric tests."""
-    from repro.datasets.synthetic import hypersphere_shell
+    from tests.oracles.synthetic import hypersphere_shell
     return hypersphere_shell(600, 20, n_clusters=10, concentration=6.0,
                              intrinsic_dim=8, seed=5)
 

@@ -10,7 +10,6 @@ from repro.baselines.hnsw_cpu import build_hnsw_cpu
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core.construction import nearest_in_prefix
 from repro.errors import ConstructionError
-from repro.graphs.stats import reachable_fraction
 from repro.graphs.validation import validate_graph
 from repro.datasets.synthetic import gaussian_mixture
 from repro.metrics.distance import get_metric
@@ -18,6 +17,7 @@ from tests.oracles.nsw_sequential import (
     build_hnsw_sequential,
     build_nsw_sequential,
 )
+from tests.oracles.graph_measures import reachable_fraction
 
 
 class TestExactPrefixKnn:

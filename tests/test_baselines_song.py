@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.beam import beam_search
-from repro.baselines.song import SongParams, song_search
+from repro.baselines.song import SongParams, _push_bounded, song_search
 from repro.errors import ConfigurationError, SearchError
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.recall import recall_at_k
@@ -189,3 +191,44 @@ class TestVisitedDeletion:
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError, match="hash"):
             SongParams(visited_strategy="bloom", visited_deletion=True)
+
+
+#: A push of a ``(dist, id)`` key (few distinct distances, so ties are
+#: broken by id) or, as ``None``, a pop of the minimum.
+_queue_ops = st.lists(
+    st.one_of(st.none(),
+              st.tuples(st.integers(0, 6).map(float),
+                        st.integers(0, 40))),
+    max_size=120)
+
+
+class TestBoundedQueue:
+    """SONG's ``C``: an ascending list of at most ``pq_bound`` keys."""
+
+    @given(_queue_ops, st.integers(min_value=1, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_model(self, operations, bound):
+        """Any interleaving of pushes and pops keeps exactly the
+        ``bound`` smallest keys: a full queue rejects a key no better
+        than its worst and otherwise evicts (and returns) the worst."""
+        queue, model = [], []
+        for key in operations:
+            if key is None:
+                if model:
+                    smallest = min(model)
+                    model.remove(smallest)
+                    assert queue.pop(0) == smallest
+                continue
+            if len(model) == bound and key >= max(model):
+                expected = (False, None)
+            elif len(model) == bound:
+                worst = max(model)
+                model.remove(worst)
+                model.append(key)
+                expected = (True, worst)
+            else:
+                model.append(key)
+                expected = (True, None)
+            assert _push_bounded(queue, key, bound) == expected
+            assert queue == sorted(model)
+            assert len(queue) <= bound

@@ -20,11 +20,12 @@ from repro.core.construction import (
 from repro.core.construction_costs import CpuClock
 from repro.core.params import BuildParams
 from repro.errors import ConstructionError
-from repro.graphs.stats import edge_recall_against, reachable_fraction
 from repro.graphs.validation import validate_graph
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
 from tests.oracles.nsw_sequential import build_nsw_sequential
+from tests.oracles.graph_measures import edge_recall_against, \
+    reachable_fraction
 
 
 PARAMS = BuildParams(d_min=6, d_max=12, n_blocks=8)

@@ -54,7 +54,7 @@ class TestQuality:
         assert (report.graph.degrees == 8).all()
 
     def test_cosine_metric(self):
-        from repro.datasets.synthetic import hypersphere_shell
+        from tests.oracles.synthetic import hypersphere_shell
         points = hypersphere_shell(200, 16, n_clusters=5,
                                    intrinsic_dim=6, seed=2)
         report = build_knn_graph_gpu(points, k=6, metric="cosine")

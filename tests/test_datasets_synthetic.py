@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.datasets.synthetic import (
-    gaussian_mixture,
-    hypersphere_shell,
-    uniform_hypercube,
-    zipf_clustered,
-)
+from repro.datasets.synthetic import gaussian_mixture, zipf_clustered
 from repro.errors import DatasetError
+from tests.oracles.synthetic import hypersphere_shell, uniform_hypercube
 
 
 class TestCommonContracts:

@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs.adjacency import ProximityGraph
-from repro.graphs.stats import edge_recall_against, reachable_fraction
+from tests.oracles.graph_measures import edge_recall_against, \
+    reachable_fraction
 
 
 def _chain_graph(n=5):

@@ -63,7 +63,7 @@ class TestEuclidean:
     def test_rows_to_rows(self):
         a = np.array([[0.0, 0.0], [1.0, 1.0]])
         b = np.array([[3.0, 4.0], [1.0, 1.0]])
-        assert np.allclose(self.metric.rows_to_rows(a, b), [25, 0])
+        assert np.allclose(self.metric.prepared_rows_to_rows(a, b), [25, 0])
 
     def test_flops_positive(self):
         assert self.metric.flops_per_distance(128) == 3 * 128
@@ -162,12 +162,10 @@ class TestMetricContract:
     def test_rows_to_rows_matches_pairwise_diagonal(self, name):
         metric = get_metric(name)
         a, b = self._rows(6, 6, 5), self._rows(7, 6, 5)
-        assert np.allclose(metric.rows_to_rows(a, b),
-                           np.diag(metric.pairwise(a, b)), atol=1e-12)
-
-    def test_rows_to_rows_shape_mismatch(self, name):
-        with pytest.raises(ConfigurationError, match="equal shapes"):
-            get_metric(name).rows_to_rows(np.zeros((2, 3)), np.zeros((3, 2)))
+        assert np.allclose(
+            metric.prepared_rows_to_rows(metric.prepare(a.copy()),
+                                         metric.prepare(b)),
+            np.diag(metric.pairwise(a, b)), atol=1e-12)
 
     def test_hooks_rebuild_the_distances(self, name):
         """``from_products`` over prepared rows and their norms is the

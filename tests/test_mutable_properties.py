@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from repro.core.params import BuildParams, SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
-from repro.metrics.recall import mask_deleted_ground_truth, recall_at_k
+from repro.metrics.recall import recall_at_k
 from repro.mutable import MutableIndex, recover
+from tests.oracles.recall import mask_deleted_ground_truth
 
 # Denser than default_build_params(): the d_max=8 sim default leaves a
 # tiny clustered corpus weakly connected (baseline recall ~0.35 with

@@ -33,13 +33,10 @@ from repro.faults import (
     RetryPolicy,
     named_fault_plan,
 )
-from repro.observability import (
-    MetricsRegistry,
-    SpanTracer,
-    iter_descendants,
-)
+from repro.observability import MetricsRegistry, SpanTracer
 from repro.serve import BatchPolicy, ResultCache, ServeEngine, synthetic_trace
 from repro.serve.report import _percentile
+from tests.oracles.spans import iter_descendants
 
 PARAMS = SearchParams(k=10, l_n=32)
 MEAN_QPS = 300_000.0
@@ -163,8 +160,8 @@ class TestExactReconciliation:
                                          query_pool, 200, 3, 7)
         served = [s for s in tracer.find("request")
                   if s.attributes["status"] in ("served", "cache_hit")]
-        durations = np.array([s.duration_seconds for s in served],
-                             dtype=np.float64)
+        durations = np.array([s.end_seconds - s.start_seconds
+                              for s in served], dtype=np.float64)
         assert len(durations) == report.n_served
         # Bit-exact: span endpoints are the same floats the outcomes
         # carry, so the same percentile rule must return the same bits.

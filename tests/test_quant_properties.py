@@ -27,12 +27,13 @@ from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
-from repro.graphs.stats import reachable_fraction
 from repro.perf.quant import QUANT_MODES, quantize_points
 from repro.serve.cache import ResultCache
 from repro.serve.engine import ServeEngine
 from repro.serve.scheduler import BatchPolicy
 from repro.serve.trace import synthetic_trace
+from tests.oracles.graph_measures import reachable_fraction
+from tests.oracles.quant import dequantize
 
 K = 10
 
@@ -65,7 +66,7 @@ class TestInt8RoundTrip:
         source = (rng.standard_normal((n, d)) * scale + offset) \
             .astype(np.float32)
         table = quantize_points(source, "int8")
-        err = np.abs(table.dequantize() - source)
+        err = np.abs(dequantize(table) - source)
         # Half a quantization step per dimension, plus float32 slack on
         # the affine reconstruction.
         bound = 0.5 * table.scales + 1e-4 * (1.0 + np.abs(table.betas))
@@ -80,7 +81,7 @@ class TestInt8RoundTrip:
         source = np.repeat(rng.standard_normal((1, 6)), n, axis=0) \
             .astype(np.float32)
         table = quantize_points(source, "int8")
-        assert np.allclose(table.dequantize(), source, atol=1e-5)
+        assert np.allclose(dequantize(table), source, atol=1e-5)
 
 
 class TestExactnessAtSaturation:

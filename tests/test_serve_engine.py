@@ -248,6 +248,16 @@ class TestEngineValidation:
         with pytest.raises(ServeError, match="twice"):
             engine.replay([req, req])
 
+    def test_rejects_k_above_the_vertex_count(self, small_points):
+        """Refused at construction, not by the first replayed batch."""
+        from repro.baselines.nsw_cpu import build_nsw_cpu
+        points = small_points[:50]
+        graph = build_nsw_cpu(points, d_min=4, d_max=8).graph
+        with pytest.raises(ServeError, match="k=64 exceeds the 50 "
+                                             "vertices"):
+            ServeEngine(graph, points, SearchParams(k=64, l_n=64))
+        ServeEngine(graph, points, SearchParams(k=50, l_n=64))
+
     def test_empty_trace_gives_empty_report(self, engine):
         report = engine.replay([])
         assert report.n_requests == 0
@@ -283,7 +293,8 @@ class TestHostileQueries:
         tracer = SpanTracer()
         with pytest.raises(ServeError, match=message):
             engine.replay(trace, tracer=tracer)
-        assert len(cache) == 0 and cache.stats.lookups == 0
+        assert len(cache) == 0
+        assert cache.stats.hits == cache.stats.misses == 0
         assert len(tracer.spans) == 0
 
 

@@ -51,7 +51,7 @@ class TestSizeTrigger:
         assert batch.trigger == TRIGGER_SIZE
         assert batch.n_queries == 3
         assert batch.flush_seconds == 0.2
-        assert sched.pending_requests == 0
+        assert sched.pending_queries == 0
 
     def test_multi_query_request_counts_queries_not_requests(self):
         sched = MicroBatchScheduler(BatchPolicy(max_batch=4,
@@ -86,7 +86,7 @@ class TestDeadlineTrigger:
                                                 max_wait_seconds=0.5))
         sched.submit(_req(0, 0.0), 0.0)
         assert sched.poll(0.4) == []
-        assert sched.pending_requests == 1
+        assert sched.pending_queries == 1
 
     def test_flush_is_stamped_with_deadline_not_poll_time(self):
         """A timer fires at the deadline; noticing it late (at the next

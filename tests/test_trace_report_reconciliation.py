@@ -71,7 +71,8 @@ class TestLatencyReconciliation:
             self, replayed):
         report, tracer = replayed
         durations = np.array(
-            [s.duration_seconds for s in served_request_spans(tracer)],
+            [s.end_seconds - s.start_seconds
+             for s in served_request_spans(tracer)],
             dtype=np.float64)
         assert len(durations) == report.n_served > 0
         assert _percentile(durations, 50) == report.p50_latency
@@ -91,9 +92,12 @@ class TestLatencyReconciliation:
                         for c in tracer.children_of(span.span_id)}
             queue = children["request.queue"]
             compute = children["request.compute"]
-            assert queue.duration_seconds == outcome.queue_seconds
-            assert compute.duration_seconds == outcome.compute_seconds
-            assert span.duration_seconds == outcome.latency_seconds
+            assert (queue.end_seconds - queue.start_seconds
+                    == outcome.queue_seconds)
+            assert (compute.end_seconds - compute.start_seconds
+                    == outcome.compute_seconds)
+            assert (span.end_seconds - span.start_seconds
+                    == outcome.latency_seconds)
             checked += 1
         assert checked == sum(
             1 for o in report.outcomes
