@@ -145,6 +145,8 @@ def _heap_search(graph: ProximityGraph, points: np.ndarray,
     n_hash = 0
     n_iter = 0
 
+    # Cast once per search, not in every one_to_many call below.
+    query = np.asarray(query, dtype=np.float64)
     entry_dist = float(metric.one_to_many(query, points[entry:entry + 1])[0])
     n_dist += 1
 
@@ -178,7 +180,8 @@ def _heap_search(graph: ProximityGraph, points: np.ndarray,
                 visited.add(u)
                 fresh.append(u)
         if fresh:
-            dists = metric.one_to_many(query, points[fresh]).tolist()
+            dists = metric.one_to_many(
+                query, points.take(fresh, axis=0)).tolist()
             n_dist += len(fresh)
             n_heap += len(fresh)
             for item in zip(dists, fresh):

@@ -32,8 +32,11 @@ def hop_distances(graph: ProximityGraph, entry: int = 0,
     while len(frontier) and (max_hops is None or level < max_hops):
         rows = graph.neighbor_ids[frontier]
         live = np.arange(graph.d_max) < graph.degrees[frontier, None]
-        reached = np.unique(rows[live])
-        frontier = reached[hops[reached] < 0]
+        # A scatter into a vertex mask: cheaper than ``np.unique`` of
+        # the rows, and the new frontier comes out ascending all the same.
+        reached = np.zeros(graph.n_vertices, dtype=bool)
+        reached[rows[live]] = True
+        frontier = np.flatnonzero(reached & (hops < 0))
         level += 1
         hops[frontier] = level
     return hops

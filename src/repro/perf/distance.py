@@ -154,15 +154,25 @@ def _gathered_products(rows: np.ndarray, queries: np.ndarray,
     (float16 / int8 codes) are cast to the queries' dtype a block at a
     time.
     """
+    row_elements = cand_ids.shape[1] * rows.shape[1]
+    if len(query_rows) * row_elements <= CHUNK_ELEMENTS:
+        # One block: no generator, output buffer or sliced ``out=``.
+        return _block_products(rows, queries, query_rows, cand_ids)
     products = np.empty(cand_ids.shape, dtype=queries.dtype)
-    for block in row_blocks(len(query_rows),
-                            cand_ids.shape[1] * rows.shape[1]):
-        gathered = np.take(rows, cand_ids[block], axis=0, mode="clip")
-        if gathered.dtype != queries.dtype:
-            gathered = gathered.astype(queries.dtype)
-        np.einsum("mtd,md->mt", gathered, queries[query_rows[block]],
-                  out=products[block])
+    for block in row_blocks(len(query_rows), row_elements):
+        _block_products(rows, queries, query_rows[block], cand_ids[block],
+                        out=products[block])
     return products
+
+
+def _block_products(rows: np.ndarray, queries: np.ndarray,
+                    query_rows: np.ndarray, cand_ids: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One block of :func:`_gathered_products`: one gather, one einsum."""
+    gathered = np.take(rows, cand_ids, axis=0, mode="clip")
+    if gathered.dtype != queries.dtype:
+        gathered = gathered.astype(queries.dtype)
+    return np.einsum("mtd,md->mt", gathered, queries[query_rows], out=out)
 
 
 def _gathered_distances(metric: Metric, products: np.ndarray,
