@@ -98,7 +98,8 @@ def build_nsw_multicore(points: np.ndarray, params: BuildParams,
 
     Args:
         points: ``(n, d)`` float matrix, insertion order = row order.
-        params: Build parameters (``n_blocks`` = group count).
+        params: Build parameters (``params.blocks_for(len(points))`` =
+            group count).
         n_cores: Worker cores (the paper's evaluation host has 26).
         metric: Metric name.
         cpu: Per-core timing model.

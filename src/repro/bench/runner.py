@@ -120,9 +120,10 @@ class GraphCache:
 
     @staticmethod
     def _key(dataset: Dataset, params: BuildParams, builder: str) -> str:
+        blocks = params.blocks_for(dataset.n_points)
         return (f"{dataset.name}-n{dataset.n_points}-d{dataset.n_dims}"
                 f"-dmin{params.d_min}-dmax{params.d_max}"
-                f"-ef{params.effective_ef}-b{params.n_blocks}-{builder}")
+                f"-ef{params.effective_ef}-b{blocks}-{builder}")
 
     def nsw_graph(self, dataset: Dataset, params: BuildParams,
                   builder: str = "ggraphcon") -> ProximityGraph:

@@ -348,7 +348,8 @@ def ggraphcon(parts: Sequence[np.ndarray], params: BuildParams, metric: str,
     # Partition every part into contiguous, non-empty groups (insertion
     # ids are preserved, which is what the Section IV-C proof needs).
     part_bounds = [
-        offset + np.unique(np.linspace(0, size, min(params.n_blocks, size)
+        offset + np.unique(np.linspace(0, size,
+                                       min(params.blocks_for(size), size)
                                        + 1).astype(np.int64))
         for offset, size in zip(offsets, sizes)]
     n_groups = [len(bounds) - 1 for bounds in part_bounds]
@@ -394,8 +395,9 @@ def build_nsw_gpu(points: np.ndarray, params: BuildParams,
 
     Args:
         points: ``(n, d)`` float matrix; row order is insertion order.
-        params: Build parameters; ``params.n_blocks`` is both the group
-            count ``t + 1`` and the grid width of the merge launches.
+        params: Build parameters; ``params.blocks_for(len(points))`` is
+            both the group count ``t + 1`` and the grid width of the
+            merge launches.
         search_kernel: ``"ganns"`` or ``"song"`` — which search kernel the
             construction uses (GGraphCon_GANNS vs GGraphCon_SONG).
         metric: Metric name.
@@ -651,7 +653,7 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
     metric_obj = get_metric(metric)
     d_min = params.d_min
     gpu = GpuClock(params, search_kernel, points.shape[1], device, costs)
-    clock = _SoloClock(gpu, params.n_blocks)
+    clock = _SoloClock(gpu, params.blocks_for(graph.n_vertices))
 
     # Phase 1 — local graph over the batch (one block), recording N'.
     forward_ids = np.full((graph.n_vertices, d_min), -1, dtype=np.int64)

@@ -86,7 +86,9 @@ class GannsIndex:
             metric: ``"euclidean"``, ``"cosine"`` or ``"ip"`` (negative
                 inner product: maximum inner-product search).
             params: Build parameters (defaults to the evaluation defaults,
-                d_max=32 / d_min=16).
+                d_max=32 / d_min=16, with GGraphCon's grid following the
+                corpus: ``BuildParams.blocks_for(len(points))`` groups of
+                about ten points, at most 800).
             search_kernel: ``"ganns"`` or ``"song"`` construction searches
                 (NSW / HNSW only).
             knn_k: Row width for ``graph_type="knn"``.

@@ -71,7 +71,7 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
         search_kernel: ``"ganns"`` or ``"song"``.
         metric: Metric name.
         batch_size: Points per parallel batch; defaults to
-            ``params.n_blocks`` (one block per point).
+            ``params.blocks_for(n)`` (one block per point).
         device: Simulated device.
         costs: Cycle cost table.
 
@@ -87,7 +87,7 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
     ef = params.effective_ef
     n_t = params.n_threads
     if batch_size is None:
-        batch_size = params.n_blocks
+        batch_size = params.blocks_for(n)
     batch_size = as_count(batch_size, "batch_size", 1, ConstructionError)
     clock = GpuClock(params, search_kernel, n_dims, device, costs)
 

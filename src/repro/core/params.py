@@ -149,6 +149,16 @@ class SearchParams:
         return ("ganns", self.k, self.l_n, self.explore_budget)
 
 
+#: Points per GGraphCon group when ``BuildParams.n_blocks`` is not
+#: given (see ``docs/performance.md``, "The default grid", for the
+#: recall gate that chose it).
+POINTS_PER_GROUP = 10
+
+#: The widest default grid: the paper's largest block count (Fig. 14
+#: sweeps 50..800), reached at ``800 * POINTS_PER_GROUP`` points.
+MAX_BLOCKS = 800
+
+
 @dataclass(frozen=True)
 class BuildParams:
     """Parameters of one proximity-graph construction.
@@ -160,7 +170,11 @@ class BuildParams:
             ``d_max=32, d_min=16``.
         n_blocks: Thread blocks used by construction kernels (``n_b``);
             Figure 14 sweeps 50..800.  Also the number of local-graph
-            groups GGraphCon partitions the points into.
+            groups GGraphCon partitions the points into.  ``None`` (the
+            default) lets the grid follow the corpus: a build over ``n``
+            points uses :meth:`blocks_for` ``(n)`` =
+            ``clamp(n // POINTS_PER_GROUP, 1, MAX_BLOCKS)`` blocks.  An
+            explicit value is used as given.
         n_threads: Threads per block inside construction kernels.
         ef_construction: Beam/pool width of insertion-time searches;
             defaults to ``2 * d_min``.
@@ -171,15 +185,17 @@ class BuildParams:
 
     d_min: int = 16
     d_max: int = 32
-    n_blocks: int = 800
+    n_blocks: Optional[int] = None
     n_threads: int = 32
     ef_construction: Optional[int] = None
     search_l_n: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("d_min", "d_max", "n_blocks", "n_threads"):
+        for name in ("d_min", "d_max", "n_threads"):
             as_count(getattr(self, name), name, 1)
+        if self.n_blocks is not None:
+            as_count(self.n_blocks, "n_blocks", 1)
         as_count(self.seed, "seed", 0)
         if self.d_min > self.d_max:
             raise ConfigurationError(
@@ -210,6 +226,16 @@ class BuildParams:
         if self.search_l_n is not None:
             return self.search_l_n
         return max(next_pow2(self.effective_ef), next_pow2(self.d_min))
+
+    def blocks_for(self, n: int) -> int:
+        """GGraphCon's grid for a corpus (or a part of one) of ``n``
+        points: ``n_blocks`` when it is given, else
+        ``clamp(n // POINTS_PER_GROUP, 1, MAX_BLOCKS)``.  Every reader
+        of the grid asks here.
+        """
+        if self.n_blocks is not None:
+            return self.n_blocks
+        return min(max(n // POINTS_PER_GROUP, 1), MAX_BLOCKS)
 
     def with_overrides(self, **kwargs) -> "BuildParams":
         """Copy with some fields replaced (re-validated)."""

@@ -127,16 +127,21 @@ def validate_graph(graph: ProximityGraph, points: Optional[np.ndarray] = None,
             f"({dists[bad, col]}) at slot {col}"
         )
 
-    for v in range(n):
-        degree = degrees[v]
-        row = ids[v, :degree]
-        if len(np.unique(row)) != degree:
+    # Live ids are in range and every pad is PAD_ID (< 0), so equal
+    # neighbours of a row are adjacent non-negative entries once the row
+    # is sorted.  The first bad vertex is named; within a row the
+    # duplicate check comes before the order check.
+    ordered = np.sort(ids, axis=1)
+    duplicate = np.any((ordered[:, 1:] == ordered[:, :-1])
+                       & (ordered[:, 1:] >= 0), axis=1)
+    unsorted = np.any(live[:, 1:] & (dists[:, 1:] < dists[:, :-1]), axis=1)
+    if np.any(duplicate | unsorted):
+        v = int(np.flatnonzero(duplicate | unsorted)[0])
+        if duplicate[v]:
             raise GraphError(f"vertex {v} has duplicate neighbors")
-        row_dists = dists[v, :degree]
-        if np.any(np.diff(row_dists) < 0):
-            raise GraphError(
-                f"vertex {v}'s row is not sorted ascending by distance"
-            )
+        raise GraphError(
+            f"vertex {v}'s row is not sorted ascending by distance"
+        )
 
     if tombstones is not None and np.any(tombstones):
         wired = tombstones & (degrees > 0)

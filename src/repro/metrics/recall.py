@@ -56,16 +56,29 @@ def recall_per_query(returned: np.ndarray, ground_truth: np.ndarray) -> np.ndarr
         )
     if ground_truth.shape[1] == 0:
         raise ConfigurationError("ground truth must contain at least 1 neighbor")
+    truth, truth_first = _distinct_ids(ground_truth)
+    found, found_first = _distinct_ids(returned)
+    # Each row's distinct truth ids and distinct returned ids side by
+    # side (everything else -1): an id in both sets is an adjacent pair
+    # once the row is sorted.
+    both = np.sort(np.concatenate(
+        [np.where(truth_first, truth, -1),
+         np.where(found_first, found, -1)], axis=1), axis=1)
+    hits = np.count_nonzero((both[:, 1:] == both[:, :-1])
+                            & (both[:, 1:] >= 0), axis=1)
+    sizes = np.count_nonzero(truth_first, axis=1)
     recall = np.zeros(returned.shape[0], dtype=np.float64)
-    for i in range(returned.shape[0]):
-        row = returned[i]
-        row = row[row >= 0]
-        truth = ground_truth[i]
-        truth = np.unique(truth[truth >= 0])
-        if truth.size == 0:
-            continue
-        recall[i] = np.intersect1d(row, truth).size / truth.size
+    np.divide(hits, sizes, out=recall, where=sizes > 0)
     return recall
+
+
+def _distinct_ids(ids: np.ndarray):
+    """``ids`` sorted row-wise as int64, and a mask of each row's first
+    occurrence of every non-negative id (padding and repeats masked)."""
+    ordered = np.sort(ids.astype(np.int64, copy=False), axis=1)
+    first = ordered >= 0
+    first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
+    return ordered, first
 
 
 def recall_at_k(returned: np.ndarray, ground_truth: np.ndarray) -> float:

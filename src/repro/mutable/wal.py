@@ -56,10 +56,12 @@ def encode_params(params: BuildParams) -> Dict[str, object]:
 
 
 def decode_params(data: Dict[str, object]) -> BuildParams:
-    """Inverse of :func:`encode_params`; ``seed`` may be absent (0)."""
+    """Inverse of :func:`encode_params`; ``seed`` may be absent (0), and
+    ``n_blocks`` is ``None`` for the corpus-sized default grid."""
     ef, l_n = data.get("ef_construction"), data.get("search_l_n")
+    blocks = data["n_blocks"]
     return BuildParams(d_min=int(data["d_min"]), d_max=int(data["d_max"]),
-                       n_blocks=int(data["n_blocks"]),
+                       n_blocks=None if blocks is None else int(blocks),
                        n_threads=int(data["n_threads"]),
                        ef_construction=None if ef is None else int(ef),
                        search_l_n=None if l_n is None else int(l_n),

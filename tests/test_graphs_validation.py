@@ -1,11 +1,19 @@
 """Tests for structural graph validation."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.core.construction import build_nsw_gpu
+from repro.core.hnsw import build_hnsw_gpu
+from repro.core.params import BuildParams
+from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import GraphError, ValidationError
 from repro.graphs.adjacency import ProximityGraph
 from repro.graphs.validation import validate_graph
+from tests.oracles.validation import check_rows
 
 
 def _valid_graph():
@@ -177,3 +185,76 @@ class TestTombstoneValidation:
 
     def test_validation_error_is_a_graph_error(self):
         assert issubclass(ValidationError, GraphError)
+
+
+@functools.lru_cache(maxsize=None)
+def _built(which):
+    """Flat graph ``which`` of three builders over one small mixture."""
+    points = gaussian_mixture(160, 6, seed=21)
+    params = BuildParams(d_min=4, d_max=8)
+    return (lambda: build_nsw_cpu(points, d_min=4, d_max=8).graph,
+            lambda: build_nsw_gpu(points, params).graph,
+            lambda: build_hnsw_gpu(points, params).graph.bottom)[which]()
+
+
+def _built_graph(which):
+    """A copy of built graph ``which``, free to corrupt."""
+    return _built(which).copy()
+
+
+def _message(check, graph):
+    """The ``GraphError`` message ``check`` raises, or ``None``."""
+    try:
+        check(graph)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+def _plant_duplicate(graph, v):
+    graph.neighbor_ids[v, 1] = graph.neighbor_ids[v, 0]
+
+
+def _plant_unsorted(graph, v):
+    last = graph.degrees[v] - 1
+    graph.neighbor_dists[v, last] = graph.neighbor_dists[v, 0] - 1.0
+
+
+class TestRowChecksMatchTheLoop:
+    """The vectorised duplicate and order checks name the vertex, and
+    give the message, of the per-row loop they replaced."""
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_built_graphs_pass_both(self, which):
+        graph = _built_graph(which)
+        assert _message(check_rows, graph) is None
+        assert _message(validate_graph, graph) is None
+
+    @pytest.mark.parametrize("first,second", [
+        (_plant_duplicate, _plant_unsorted),
+        (_plant_unsorted, _plant_duplicate)])
+    @pytest.mark.parametrize("which", range(3))
+    def test_first_corrupted_vertex_is_named(self, which, first, second):
+        graph = _built_graph(which)
+        a, b = np.flatnonzero(graph.degrees >= 2)[[3, 40]]
+        first(graph, a)
+        second(graph, b)
+        expected = _message(check_rows, graph)
+        assert expected.startswith(f"vertex {a}")
+        assert _message(validate_graph, graph) == expected
+        # With the earlier vertex repaired, the later one is named.
+        repaired = _built_graph(which)
+        second(repaired, b)
+        expected = _message(check_rows, repaired)
+        assert expected.startswith(f"vertex {b}")
+        assert _message(validate_graph, repaired) == expected
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_duplicate_wins_within_a_row(self, which):
+        graph = _built_graph(which)
+        v = int(np.flatnonzero(graph.degrees >= 3)[5])
+        _plant_unsorted(graph, v)
+        _plant_duplicate(graph, v)
+        assert (_message(validate_graph, graph)
+                == _message(check_rows, graph)
+                == f"vertex {v} has duplicate neighbors")

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ConfigurationError
 from repro.metrics.recall import recall_at_k, recall_per_query
+from tests.oracles.recall import recall_per_query_rows
 
 
 class TestRecallPerQuery:
@@ -114,6 +118,38 @@ class TestRecallEdgeCases:
         truth = rng.integers(-1, 10, size=(50, 4))
         values = recall_per_query(returned, truth)
         assert (values >= 0.0).all() and (values <= 1.0).all()
+
+
+@st.composite
+def _id_matrices(draw):
+    """``(returned, truth)`` over a small id range: ``-1`` padding on
+    either side, repeated ids, unequal widths, all-padding truth rows."""
+    n_queries = draw(st.integers(0, 8))
+    ids = st.integers(-1, 12)
+    returned = draw(hnp.arrays(np.int64, (n_queries, draw(st.integers(0, 7))),
+                               elements=ids))
+    truth = draw(hnp.arrays(np.int64, (n_queries, draw(st.integers(1, 7))),
+                            elements=ids))
+    if n_queries and draw(st.booleans()):
+        truth[draw(st.integers(0, n_queries - 1))] = -1
+    return returned, truth
+
+
+class TestRecallMatchesTheRowLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(_id_matrices())
+    def test_bit_equal_to_the_per_row_loop(self, matrices):
+        returned, truth = matrices
+        got = recall_per_query(returned, truth)
+        expected = recall_per_query_rows(returned, truth)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    def test_mixed_integer_dtypes(self):
+        returned = np.array([[3, 1, 3, -1], [7, 7, 8, 2]], dtype=np.int32)
+        truth = np.array([[1, 2, 3], [-1, -1, -1]], dtype=np.int64)
+        assert (recall_per_query(returned, truth).tobytes()
+                == recall_per_query_rows(returned, truth).tobytes())
 
 
 class TestRecallAtK:

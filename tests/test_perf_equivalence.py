@@ -361,8 +361,10 @@ CONSTRUCTION_SCENARIOS = {
                              exact=True, metric="cosine"),
     "nsw_blocks_1": _nsw(257, 8, 11, _SMALL.with_overrides(n_blocks=1)),
     "nsw_blocks_257": _nsw(257, 8, 11, _SMALL.with_overrides(n_blocks=257)),
-    # The default n_blocks (800) over 1000 points: groups of one or two.
-    "nsw_blocks_default": _nsw(1000, 8, 11, _SMALL),
+    # 800 blocks over 1000 points: groups of one or two.
+    "nsw_blocks_800": _nsw(1000, 8, 11, _SMALL.with_overrides(n_blocks=800)),
+    # The default grid over the same points: 100 groups of ten.
+    "nsw_grid_rule": _nsw(1000, 8, 11, _SMALL),
     "hnsw": lambda: build_hnsw_gpu(
         gaussian_mixture(250, 8, seed=12),
         BuildParams(d_min=4, d_max=8, n_blocks=4, seed=3)),
@@ -427,9 +429,12 @@ class TestConstructionEquivalence:
     def test_exact_mode_cosine(self):
         self._assert_reproduces("nsw_exact_cosine")
 
-    @pytest.mark.parametrize("n_blocks", [1, 257, "default"])
+    @pytest.mark.parametrize("n_blocks", [1, 257, 800])
     def test_block_count_extremes(self, n_blocks):
         self._assert_reproduces(f"nsw_blocks_{n_blocks}")
+
+    def test_default_grid_byte_identical(self):
+        self._assert_reproduces("nsw_grid_rule")
 
     def test_hnsw_build_byte_identical(self):
         self._assert_reproduces("hnsw")
