@@ -443,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="ganns")
     build.add_argument("--d-min", type=int, default=16)
     build.add_argument("--d-max", type=int, default=32)
-    build.add_argument("--blocks", type=int, default=64)
+    build.add_argument("--blocks", type=int, default=None,
+                       help="GGraphCon thread blocks / groups (default: "
+                            "follows the corpus, BuildParams.blocks_for)")
 
     search = sub.add_parser("search", help="search a saved index")
     _add_dataset_arguments(search)
