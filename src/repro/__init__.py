@@ -53,7 +53,6 @@ from repro.errors import (
 # body, and the core's own imports of repro.baselines.* submodules must
 # not re-enter this package's half-initialised baseline modules.
 from repro.baselines import (
-    beam_search,
     song_search,
     SongParams,
     build_nsw_cpu,
@@ -155,7 +154,6 @@ __all__ = [
     "build_cagra_gpu",
     "build_nsw_serial_gpu",
     "build_nsw_naive_parallel",
-    "beam_search",
     "song_search",
     "SongParams",
     "build_nsw_cpu",

@@ -14,15 +14,15 @@
   construction baselines (Tables II/III).
 """
 
-from repro.baselines.beam import BeamSearchResult, beam_search
+from repro.baselines.beam import BeamLanes, beam_search_lanes
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.baselines.hnsw_cpu import build_hnsw_cpu
 from repro.baselines.song import song_search, SongParams
 from repro.baselines.cpu_cost import CpuModel, DEFAULT_CPU
 
 __all__ = [
-    "BeamSearchResult",
-    "beam_search",
+    "BeamLanes",
+    "beam_search_lanes",
     "build_nsw_cpu",
     "build_hnsw_cpu",
     "song_search",

@@ -12,10 +12,12 @@ Every result carries operation counters (iterations, distance computations,
 heap operations, hash probes) so the single-core CPU cost model can price a
 run — that is how Tables II/III obtain CPU construction times.
 
-:func:`beam_search_lanes` runs many such searches in lock-step, one lane
-per query — how GGraphCon's blocks search side by side — and returns,
-lane for lane, exactly what :func:`beam_search` returns
-(``docs/performance.md``, "Lock-step Algorithm 1").
+:func:`beam_search_lanes` is the one entry: one search per query, each a
+lane.  Below ``_LOCKSTEP_MIN_LANES`` lanes it runs the heap loop above once
+per lane; from there on the lanes advance in lock-step — how GGraphCon's
+blocks search side by side — with, lane for lane, the heap loop's ids,
+distance bytes and counters (``docs/performance.md``, "Lock-step
+Algorithm 1").
 """
 
 from __future__ import annotations
@@ -46,33 +48,11 @@ _NO_ID = np.iinfo(np.int64).max
 
 
 @dataclass
-class BeamSearchResult:
-    """Outcome of one beam search.
-
-    Attributes:
-        ids: Neighbor ids, closest first, length ``min(k, reachable)``.
-        dists: Matching distances.
-        n_iterations: Loop iterations executed (candidate pops).
-        n_distance_computations: Point-to-query distances evaluated.
-        n_heap_ops: Heap pushes + pops across both heaps.
-        n_hash_probes: Visited-set membership checks.
-    """
-
-    ids: np.ndarray
-    dists: np.ndarray
-    n_iterations: int
-    n_distance_computations: int
-    n_heap_ops: int
-    n_hash_probes: int
-
-
-@dataclass
 class BeamLanes:
     """Outcome of one beam search per lane (:func:`beam_search_lanes`).
 
-    Row ``i`` of every field is what :func:`beam_search` returns for
-    lane ``i``; the counters have the same names, so a clock prices a
-    :class:`BeamLanes` exactly as it prices a :class:`BeamSearchResult`.
+    Row ``i`` of every field is lane ``i``'s search; a clock prices the
+    four counters lane by lane.
 
     Attributes:
         ids: ``(m, k)`` neighbor ids, closest first; ``-1`` pads.
@@ -101,45 +81,11 @@ def _beam_width(k: int, ef: Optional[int]) -> int:
     return ef
 
 
-def beam_search(graph: ProximityGraph, points: np.ndarray,
-                query: np.ndarray, k: int, ef: Optional[int] = None,
-                entry: int = 0,
-                metric: Optional[Metric] = None) -> BeamSearchResult:
-    """Search ``k`` approximate nearest neighbors of ``query`` (Algorithm 1).
-
-    Args:
-        graph: Proximity graph over ``points``.
-        points: ``(n, d)`` data matrix the graph was built on.
-        query: ``(d,)`` query vector.
-        k: Number of neighbors to return.
-        ef: Beam width (backtracking budget); defaults to ``k``.  Must be
-            ``>= k``.
-        entry: Start vertex ``v_s``.
-        metric: Distance metric; defaults to the graph's metric.
-
-    Returns:
-        A :class:`BeamSearchResult` with ids closest-first and counters.
-
-    Raises:
-        SearchError: On a query :func:`repro.core.ganns.check_queries`
-            refuses, a non-integer or non-positive ``k``, or ``ef < k``.
-    """
-    # ``repro.core`` imports this module, so its helpers load per call.
-    from repro.core.ganns import check_queries
-    from repro.core.params import as_count
-
-    query = np.asarray(query, dtype=np.float64)
-    check_queries(np.asarray(points), query[None, :], graph, entry)
-    k = as_count(k, "k", error=SearchError)
-    ef = _beam_width(k, ef)
-    return _heap_search(graph, points, query, k, ef, entry,
-                        graph.metric if metric is None else metric)
-
-
 def _heap_search(graph: ProximityGraph, points: np.ndarray,
                  query: np.ndarray, k: int, ef: int, entry: int,
-                 metric: Metric) -> BeamSearchResult:
-    """:func:`beam_search`'s heap loop over inputs already checked."""
+                 metric: Metric, out: BeamLanes, row: int) -> None:
+    """Algorithm 1's heap loop for one query, written into lane ``row``
+    of ``out`` (whose pads are already ``-1`` / ``inf``)."""
     n_dist = 0
     n_heap = 0
     n_hash = 0
@@ -187,18 +133,13 @@ def _heap_search(graph: ProximityGraph, points: np.ndarray,
             for item in zip(dists, fresh):
                 heapq.heappush(candidates, item)
 
-    ordered = sorted((-neg_d, -neg_i) for neg_d, neg_i in results)
-    top = ordered[:k]
-    ids = np.asarray([i for _, i in top], dtype=np.int64)
-    dists = np.asarray([d for d, _ in top], dtype=np.float64)
-    return BeamSearchResult(
-        ids=ids,
-        dists=dists,
-        n_iterations=n_iter,
-        n_distance_computations=n_dist,
-        n_heap_ops=n_heap,
-        n_hash_probes=n_hash,
-    )
+    top = sorted((-neg_d, -neg_i) for neg_d, neg_i in results)[:k]
+    out.ids[row, :len(top)] = [i for _, i in top]
+    out.dists[row, :len(top)] = [d for d, _ in top]
+    out.n_iterations[row] = n_iter
+    out.n_distance_computations[row] = n_dist
+    out.n_heap_ops[row] = n_heap
+    out.n_hash_probes[row] = n_hash
 
 
 def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
@@ -207,12 +148,13 @@ def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
                       entries: Union[int, np.ndarray] = 0,
                       metric: Optional[Metric] = None,
                       window: Optional[int] = None) -> BeamLanes:
-    """:func:`beam_search` for every row of ``queries``, in lock-step.
+    """Algorithm 1 for every row of ``queries``, one lane each.
 
     Lane ``i`` searches ``queries[i]`` from ``entries[i]`` (or the one
-    ``entries``) and gets :func:`beam_search`'s ids, distance bytes and
-    counters.  Below ``_LOCKSTEP_MIN_LANES`` lanes the heap body runs per
-    lane; from there on every lane advances one candidate per step:
+    ``entries``) for its ``k`` nearest, keeping a beam of ``ef``.  Below
+    ``_LOCKSTEP_MIN_LANES`` lanes the heap loop (:func:`_heap_search`)
+    runs per lane; from there on every lane advances one candidate per
+    step, with the heap loop's ids, distance bytes and counters:
 
     - pop the minimum ``(dist, id)`` of ``C``; a lane stops when ``N``
       is full and the popped distance exceeds ``N``'s worst (the pop is
@@ -255,30 +197,18 @@ def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
     if entries.ndim == 0:
         entries = np.full(n_lanes, entries)
     if n_lanes < _LOCKSTEP_MIN_LANES:
-        return _stack([_heap_search(graph, points, query, k, ef, entry,
-                                    metric)
-                       for query, entry in zip(queries, entries.tolist())],
-                      k)
+        out = BeamLanes(np.full((n_lanes, k), -1, dtype=np.int64),
+                        np.full((n_lanes, k), np.inf),
+                        *np.empty((4, n_lanes), dtype=np.int64))
+        for row, (query, entry) in enumerate(zip(queries, entries.tolist())):
+            _heap_search(graph, points, query, k, ef, entry, metric, out, row)
+        return out
     span = graph.n_vertices if window is None else window
     width = max(_LOCKSTEP_MIN_LANES, _VISITED_BUDGET_BYTES // -(-span // 8))
     parts = [_lockstep(graph, points, queries[lo:lo + width], k, ef,
                        entries[lo:lo + width], metric, window)
              for lo in range(0, n_lanes, width)]
     return BeamLanes(*(np.concatenate(field) for field in zip(*parts)))
-
-
-def _stack(results, k: int) -> BeamLanes:
-    """Per-lane heap results as one :class:`BeamLanes`."""
-    ids = np.full((len(results), k), -1, dtype=np.int64)
-    dists = np.full((len(results), k), np.inf)
-    counters = np.empty((4, len(results)), dtype=np.int64)
-    for row, result in enumerate(results):
-        ids[row, :len(result.ids)] = result.ids
-        dists[row, :len(result.ids)] = result.dists
-        counters[:, row] = (result.n_iterations,
-                            result.n_distance_computations,
-                            result.n_heap_ops, result.n_hash_probes)
-    return BeamLanes(ids, dists, *counters)
 
 
 def _lockstep(graph: ProximityGraph, points: np.ndarray,

@@ -36,13 +36,6 @@ class CpuOpCounters:
     n_hash_probes: int = 0
     n_adjacency_inserts: int = 0
 
-    def add(self, other: "CpuOpCounters") -> None:
-        """Accumulate another run's counts into this one."""
-        self.n_distances += other.n_distances
-        self.n_heap_ops += other.n_heap_ops
-        self.n_hash_probes += other.n_hash_probes
-        self.n_adjacency_inserts += other.n_adjacency_inserts
-
 
 @dataclass(frozen=True)
 class CpuModel:

@@ -62,7 +62,7 @@ from repro.gpusim.memory import NetworkModel
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.span import SpanTracer
 from repro.serve.cache import ResultCache
-from repro.serve.engine import ServeEngine
+from repro.serve.engine import ServeEngine, check_pool_fits
 from repro.serve.request import (
     QueryRequest,
     check_deadline,
@@ -148,7 +148,9 @@ class ClusterEngine:
     Raises:
         ClusterError: On a corpus that is not a non-empty finite 2-D
             matrix, an invalid topology, an empty shard, a shard
-            holding fewer than ``params.k`` points, or a default
+            holding fewer than ``params.k`` points, a search block
+            that does not fit the device's shared memory
+            (:func:`repro.serve.engine.check_pool_fits`), or a default
             deadline that is not finite and positive.
     """
 
@@ -197,6 +199,7 @@ class ClusterEngine:
                 f"{self.params.k} points; use fewer shards (sizes: "
                 f"{self.shard_map.shard_sizes()})"
             )
+        check_pool_fits(self.params, d_max, device, ClusterError)
         self.policy = policy
         self.device = device
         self.costs = costs

@@ -188,13 +188,6 @@ class ReplicaRouter:
                 return (death, revive)
         return None
 
-    def revive_time(self, shard: int, replica: int) -> float:
-        """Re-admission instant of the replica's last down window
-        (``inf`` while it is dead forever, also ``inf`` if it never
-        died)."""
-        windows = self.down_windows.get(self._slot(shard, replica))
-        return windows[-1][1] if windows else math.inf
-
     def is_alive(self, shard: int, replica: int, now: float) -> bool:
         """True while the replica is not inside a down window."""
         return self._window_at(self._slot(shard, replica), now) is None
@@ -207,10 +200,6 @@ class ReplicaRouter:
             return False
         death, _ = window
         return death + self.policy.heartbeat_seconds <= now
-
-    def reset(self) -> None:
-        """Rewind the round-robin pointers (health state is static)."""
-        self._rr = [0] * self.n_shards
 
     def route(self, shard: int, now: float) -> RouteDecision:
         """Route one shard-query arriving at simulated time ``now``."""

@@ -202,32 +202,6 @@ def _build_local_graphs(points: np.ndarray, boundaries: np.ndarray,
     return scratch
 
 
-class _SoloClock:
-    """One part's clock behind :class:`_StackedClocks`' interface: there
-    is nothing to route, so the work goes straight through."""
-
-    def __init__(self, clock, grid_blocks: int) -> None:
-        self._clock = clock
-        self._grid_blocks = grid_blocks
-        self.search, self.scan, self.link = clock.search, clock.scan, \
-            clock.link
-        self.forward_merge, self.launch = clock.forward_merge, clock.launch
-
-    def units(self, firsts: np.ndarray) -> None:
-        """Open one working unit per entry of ``firsts``."""
-        self._clock.units(len(firsts))
-
-    def first_rows(self, group: np.ndarray):
-        """The part starts at row 0 and spans the whole graph."""
-        return 0, None
-
-    def backward_merge(self, sources: np.ndarray,
-                       offsets: np.ndarray) -> None:
-        """``E``'s CSR segments (offsets into the sorted ``sources``)
-        were merged into their rows."""
-        self._clock.backward_merge(np.diff(offsets), self._grid_blocks)
-
-
 class _StackedClocks:
     """The clocks of parts stacked into one id space, behind one clock.
 
@@ -255,7 +229,11 @@ class _StackedClocks:
 
     def first_rows(self, group: np.ndarray):
         """Each vertex's part's first row, and the widest part: a lane
-        entered there stays inside that window."""
+        entered there stays inside that window.  One part starts at row
+        0 and spans the graph: no window, so a search may enter anywhere
+        (a streaming insert's ``entry``)."""
+        if len(self._clocks) == 1:
+            return 0, None
         part = np.searchsorted(self._offsets, group, side="right") - 1
         return self._offsets[part], int(np.diff(self._offsets).max())
 
@@ -301,14 +279,6 @@ class _StackedClocks:
         for clock, rows, part in self._route(self._offsets,
                                              sources[offsets[:-1]]):
             clock.backward_merge(lengths[rows], self._grid_blocks[part])
-
-
-def _part_clocks(clocks: Sequence, offsets: np.ndarray,
-                 grid_blocks: Sequence[int]):
-    """The clocks of the parts at row ``offsets``, as one clock."""
-    if len(clocks) == 1:
-        return _SoloClock(clocks[0], grid_blocks[0])
-    return _StackedClocks(clocks, offsets, grid_blocks)
 
 
 def ggraphcon(parts: Sequence[np.ndarray], params: BuildParams, metric: str,
@@ -363,7 +333,7 @@ def ggraphcon(parts: Sequence[np.ndarray], params: BuildParams, metric: str,
     # Phase 1 — local graph construction (one working unit per group).
     # Only each part's group-0 local graph outlives the phase: it seeds
     # the part's G_0; the others survive as v.N'.
-    clock = _part_clocks(clocks, offsets, n_groups)
+    clock = _StackedClocks(clocks, offsets, n_groups)
     clock.units(boundaries[:-1])
     graph = _build_local_graphs(points, boundaries, params, metric_obj,
                                 exact, clock, forward_ids, forward_dists)
@@ -481,7 +451,7 @@ def merge_group_into_graph(graph: ProximityGraph, points: np.ndarray,
         params: Build parameters (degree bounds, beam widths).
         metric_obj: Resolved metric object.
         exact: Exact-search mode (the Section IV-C theorem hypothesis).
-        clock: The parts' clocks (:func:`_part_clocks`), pricing one
+        clock: The parts' clocks (:class:`_StackedClocks`), pricing one
             working unit per group vertex on its part's clock; see
             :mod:`repro.core.construction_costs`.
         entry: Start vertex of every step-1 search (a streaming
@@ -653,7 +623,8 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
     metric_obj = get_metric(metric)
     d_min = params.d_min
     gpu = GpuClock(params, search_kernel, points.shape[1], device, costs)
-    clock = _SoloClock(gpu, params.blocks_for(graph.n_vertices))
+    clock = _StackedClocks([gpu], np.array([0, graph.n_vertices]),
+                           [params.blocks_for(graph.n_vertices)])
 
     # Phase 1 — local graph over the batch (one block), recording N'.
     forward_ids = np.full((graph.n_vertices, d_min), -1, dtype=np.int64)

@@ -58,11 +58,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict
 
 import numpy as np
 
-from repro.baselines.beam import BeamLanes, BeamSearchResult
+from repro.baselines.beam import BeamLanes
 from repro.baselines.cpu_cost import CpuModel, CpuOpCounters
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
@@ -83,22 +83,17 @@ class SearchCycleCharge:
     distance_cycles: float
     structure_cycles: float
 
-    @property
-    def total(self) -> float:
-        """Distance + structure cycles."""
-        return self.distance_cycles + self.structure_cycles
 
-
-def price_search(kernel: str, result: Union[BeamSearchResult, BeamLanes],
+def price_search(kernel: str, result: BeamLanes,
                  l_n: int, l_t: int, n_dims: int, n_threads: int,
                  pq_bound: int, costs: CostTable) -> SearchCycleCharge:
     """Price traversals under a search kernel's cost model.
 
     Args:
         kernel: ``"ganns"`` or ``"song"``.
-        result: Counted traversal (iterations, scans, fresh candidates),
-            or one per lane (:class:`~repro.baselines.beam.BeamLanes`,
-            priced lane by lane into arrays with the same arithmetic).
+        result: Counted traversals, one per lane (iterations, scans,
+            fresh candidates), priced lane by lane into arrays; scalar
+            counters price one traversal.
         l_n: GANNS pool length used during construction searches.
         l_t: Neighbor-buffer length (the graph's ``d_max``).
         n_dims: Point dimensionality.
@@ -187,8 +182,7 @@ class GpuClock:
         self._distance = np.zeros(n_units)
         self._structure = np.zeros(n_units)
 
-    def search(self, units: np.ndarray,
-               traversals: Union[BeamSearchResult, BeamLanes]) -> None:
+    def search(self, units: np.ndarray, traversals: BeamLanes) -> None:
         """Distinct ``units[i]`` ran lane ``i``'s beam traversal (one
         traversal's counters apply to every unit)."""
         charge = price_search(self._search_kernel, traversals,
@@ -199,8 +193,8 @@ class GpuClock:
     def scan(self, units: np.ndarray, n_candidates) -> None:
         """Each of ``units`` scanned ``n_candidates`` points (one count,
         or one per unit) by brute force."""
-        self.search(units, BeamSearchResult(
-            ids=np.empty(0, dtype=np.int64), dists=np.empty(0),
+        self.search(units, BeamLanes(
+            ids=np.empty((0, 0), dtype=np.int64), dists=np.empty((0, 0)),
             n_iterations=np.maximum(n_candidates, 1),
             n_distance_computations=n_candidates,
             n_heap_ops=0, n_hash_probes=n_candidates))

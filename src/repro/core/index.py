@@ -25,7 +25,7 @@ from repro.baselines.song import SongParams, song_search
 from repro.core.backend import STRATEGIES, get_backend  # noqa: F401 - STRATEGIES re-exported
 from repro.core.ganns import check_queries, ganns_search
 from repro.core.hnsw import recover_original_ids
-from repro.core.params import BuildParams, SearchParams, next_pow2
+from repro.core.params import BuildParams, SearchParams, as_count, next_pow2
 from repro.core.results import ConstructionReport, SearchReport
 from repro.errors import ConfigurationError, SearchError
 from repro.gpusim.tracker import CycleTracker
@@ -43,9 +43,10 @@ _INDEX_FORMAT_VERSION = 1
 class GannsIndex:
     """A built proximity-graph index over a fixed point set.
 
-    Build with :meth:`build` (or :meth:`from_graph` for a pre-built graph);
-    query with :meth:`search`.  For HNSW indices, ids returned by search
-    are automatically mapped back to the caller's original point ids.
+    Build with :meth:`build` (or call the constructor on a pre-built
+    graph); query with :meth:`search`.  For HNSW indices, ids returned by
+    search are automatically mapped back to the caller's original point
+    ids.
     """
 
     def __init__(self, points: np.ndarray,
@@ -119,23 +120,6 @@ class GannsIndex:
         return cls(points, graph, graph_type, metric, order=report.order,
                    build_report=report)
 
-    @classmethod
-    def from_graph(cls, points: np.ndarray, graph: ProximityGraph,
-                   metric: Optional[str] = None,
-                   graph_type: str = "nsw") -> "GannsIndex":
-        """Wrap an externally built flat graph into an index.
-
-        Args:
-            points: The point matrix the graph was built over.
-            graph: A flat :class:`ProximityGraph`.
-            metric: Metric name; defaults to the graph's.
-            graph_type: The registered family the graph belongs to
-                (resolved through the backend registry, so unknown names
-                raise :class:`~repro.errors.UnknownFamilyError`).
-        """
-        return cls(points, graph, graph_type,
-                   metric or graph.metric_name)
-
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
@@ -176,6 +160,7 @@ class GannsIndex:
                 (pool of ``rerank_factor * l_n`` reranked exactly).
         """
         queries = np.asarray(queries)
+        k = as_count(k, "k", error=SearchError)
         if l_n is None:
             l_n = max(32, next_pow2(4 * k))
         flat = self._flat_graph()

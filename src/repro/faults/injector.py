@@ -52,11 +52,6 @@ class FaultInjector:
         self.jitter_rng: np.random.Generator = plan.rng("jitter")
 
     @property
-    def pending(self) -> int:
-        """Kernel-scope events not yet delivered."""
-        return len(self._pending) - self._cursor
-
-    @property
     def delivered(self) -> int:
         """Kernel-scope events consumed so far."""
         return self._cursor

@@ -99,11 +99,6 @@ class KernelLaunch:
         self._concurrency = device.concurrent_blocks(
             slot_threads, shared_mem_bytes)
 
-    @property
-    def concurrency(self) -> int:
-        """Blocks the device keeps resident for this launch."""
-        return self._concurrency
-
     def run(self, block_cycles: Union[float, Sequence[float], np.ndarray],
             n_blocks: int = 0) -> LaunchResult:
         """Schedule the grid and return its elapsed time.

@@ -62,11 +62,6 @@ class CycleTracker:
         self._phases: Dict[str, np.ndarray] = {}
 
     @property
-    def n_lanes(self) -> int:
-        """Number of lanes this tracker bills independently."""
-        return self._n_lanes
-
-    @property
     def phase_names(self) -> Iterable[str]:
         """Names of all phases that have been charged at least once."""
         return tuple(self._phases)

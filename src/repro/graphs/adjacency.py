@@ -71,25 +71,10 @@ class ProximityGraph:
         """Metric instance the graph was built under."""
         return get_metric(self.metric_name)
 
-    def degree(self, vertex: int) -> int:
-        """Current out-degree of ``vertex``."""
-        self._check_vertex(vertex)
-        return int(self.degrees[vertex])
-
     def neighbors(self, vertex: int) -> np.ndarray:
         """Out-neighbor ids of ``vertex``, closest first (no padding)."""
         self._check_vertex(vertex)
         return self.neighbor_ids[vertex, :self.degrees[vertex]].copy()
-
-    def neighbor_distances(self, vertex: int) -> np.ndarray:
-        """Distances matching :meth:`neighbors`."""
-        self._check_vertex(vertex)
-        return self.neighbor_dists[vertex, :self.degrees[vertex]].copy()
-
-    def has_edge(self, src: int, dst: int) -> bool:
-        """Whether the directed edge ``src -> dst`` exists."""
-        self._check_vertex(src)
-        return dst in self.neighbor_ids[src, :self.degrees[src]]
 
     def n_edges(self) -> int:
         """Total number of directed edges."""
@@ -182,35 +167,6 @@ class ProximityGraph:
         self.neighbor_dists[vertex, :len(ids)] = dists
         self.degrees[vertex] = len(ids)
 
-    def merge_row(self, vertex: int, ids: Sequence[int],
-                  dists: Sequence[float]) -> None:
-        """Merge candidate neighbors into a row, keeping the best ``d_max``.
-
-        This is merge Step 3 of GGraphCon: the existing (sorted) row and a
-        batch of new edges are merged and "we use the first d_max elements
-        as the adjacency list".  Duplicates collapse to one entry.
-        """
-        self._check_vertex(vertex)
-        degree = int(self.degrees[vertex])
-        all_ids = np.concatenate([self.neighbor_ids[vertex, :degree],
-                                  np.asarray(ids, dtype=np.int64)])
-        all_dists = np.concatenate([self.neighbor_dists[vertex, :degree],
-                                    np.asarray(dists, dtype=self.dtype)])
-        if len(all_ids) == 0:
-            return
-        order = np.lexsort((all_ids, all_dists))
-        all_ids = all_ids[order]
-        all_dists = all_dists[order]
-        _, unique_idx = np.unique(all_ids, return_index=True)
-        keep = np.zeros(len(all_ids), dtype=bool)
-        keep[unique_idx] = True
-        all_ids = all_ids[keep]
-        all_dists = all_dists[keep]
-        order = np.lexsort((all_ids, all_dists))
-        all_ids = all_ids[order][:self.d_max]
-        all_dists = all_dists[order][:self.d_max]
-        self.set_row(vertex, all_ids, all_dists)
-
     # ------------------------------------------------------------------
     # Construction helpers / conversions
     # ------------------------------------------------------------------
@@ -282,14 +238,6 @@ class ProximityGraph:
                 self.neighbor_dists[lo:hi].copy(),
                 self.degrees[lo:hi].copy(), self.metric_name))
         return parts
-
-    def edge_set(self) -> set:
-        """All directed edges as a set of (src, dst) tuples."""
-        edges = set()
-        for v in range(self.n_vertices):
-            for u in self.neighbor_ids[v, :self.degrees[v]]:
-                edges.add((v, int(u)))
-        return edges
 
     @classmethod
     def from_rows(cls, rows_ids: np.ndarray, rows_dists: np.ndarray,

@@ -4,10 +4,10 @@ Algorithm 2 writes adjacency rows in three places: the bidirectional
 ``insert_edge`` pairs of local construction, the per-vertex ``N ∪ N'``
 merge of merge Step 1, and the per-segment ``merge_row`` of merge
 Step 3.  Each is one call of :func:`rank_merge` over its whole
-frontier, and every row it writes equals
-:meth:`~repro.graphs.adjacency.ProximityGraph.merge_row` of that row and
-its run (pinned by ``tests/data/construction_golden.json`` and the
-property suite):
+frontier, and every row it writes equals the per-row ``merge_row`` of
+that row and its run (the reference ``tests/oracles/merge_row.py``;
+pinned by ``tests/data/construction_golden.json`` and the property
+suite):
 
 - the run records are sorted by ``(row, dist, id)``; a record's merged
   slot is the number of its row's records that precede it plus its
@@ -278,7 +278,7 @@ def merge_segments_batch(graph: ProximityGraph, src: np.ndarray,
     The edges are sorted by ``(src, dist, dst)`` and segment ``i`` is
     ``offsets[i] .. offsets[i + 1]``, one per distinct source, each with
     distinct ``dst``; each merge keeps the best ``d_max`` records,
-    exactly like :meth:`repro.graphs.adjacency.ProximityGraph.merge_row`.
+    exactly like the per-row ``merge_row`` (``tests/oracles/merge_row.py``).
     """
     rows = src.take(offsets[:-1])
     rank_merge(graph, rows, np.searchsorted(rows, src), dst, dist)

@@ -40,7 +40,7 @@ tests pin both properties).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.core.pipeline import (
     _LaneStore,
     stream_batches,
 )
-from repro.errors import FaultError, ServeError
+from repro.errors import DeviceError, FaultError, ReproError, ServeError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import (
@@ -72,6 +72,7 @@ from repro.faults.report import (
 from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
+from repro.gpusim.memory import SharedMemoryBudget
 from repro.observability.bridge import publish_tracker_totals
 from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -90,6 +91,22 @@ from repro.serve.request import (
     validate_trace,
 )
 from repro.serve.scheduler import Batch, BatchPolicy, MicroBatchScheduler
+
+
+def check_pool_fits(params: SearchParams, d_max: int, device: DeviceSpec,
+                    error: Type[ReproError]) -> None:
+    """Refuse ``params`` whose search block would not fit ``device``'s
+    shared memory: the pool the search allocates (``rerank_factor *
+    l_n`` under ``quant``) beside a ``d_max``-wide neighbor buffer.
+    Without this, the first dispatched batch raises instead."""
+    pool = params.l_n * (params.rerank_factor
+                         if params.quant is not None else 1)
+    try:
+        SharedMemoryBudget(l_n=pool, l_t=d_max).validate(device)
+    except DeviceError as exc:
+        raise error(
+            f"l_n={params.l_n} (a pool of {pool}) over graph d_max={d_max} "
+            f"does not fit in shared memory: {exc}") from exc
 
 
 class ServeEngine:
@@ -121,6 +138,11 @@ class ServeEngine:
             ``"nsw"``).  Folded into every result-cache signature, so a
             cache shared across engines can never serve one family's
             results for another's.
+
+    Raises:
+        ServeError: On ``points`` that is not a 2-D matrix, ``k`` above
+            the graph's vertex count, or a search block that does not
+            fit the device's shared memory (:func:`check_pool_fits`).
     """
 
     def __init__(self, graph: ProximityGraph, points: np.ndarray,
@@ -171,6 +193,7 @@ class ServeEngine:
             raise ServeError(
                 f"k={self.params.k} exceeds the {graph.n_vertices} "
                 f"vertices of the served graph")
+        check_pool_fits(self.params, graph.d_max, device, ServeError)
         self.default_deadline_seconds = check_deadline(
             default_deadline_seconds, "default_deadline_seconds")
         #: Epoch of the pinned snapshot this engine serves, or ``None``

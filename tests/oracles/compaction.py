@@ -24,6 +24,7 @@ from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.graphs.adjacency import ProximityGraph
 from repro.graphs.stats import hop_distances
 from repro.mutable.compaction import CompactionStats
+from tests.oracles.merge_row import merge_row
 
 
 def compact_graph_oracle(graph: ProximityGraph, points: np.ndarray,
@@ -112,7 +113,7 @@ def compact_graph_oracle(graph: ProximityGraph, points: np.ndarray,
             u = int(u)
             candidates = members[members != u]
             dists = metric.one_to_many(points[u], points[candidates])
-            graph.merge_row(u, candidates, dists)
+            merge_row(graph, u, candidates, dists)
             stats.n_bridge_candidates += len(candidates)
             stats.distance_cycles += costs.bulk_distance_cycles(
                 len(candidates), n_dims, n_threads)

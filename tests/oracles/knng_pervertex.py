@@ -29,6 +29,7 @@ from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
+from tests.oracles.merge_row import merge_row
 
 
 def _unit(matrix):
@@ -130,7 +131,7 @@ def build_knn_graph_oracle(points: np.ndarray, k: int,
             if not live.any():
                 continue
             before = graph.neighbor_ids[v, :k].copy()
-            graph.merge_row(v, cand[v][live], dists[v][live])
+            merge_row(graph, v, cand[v][live], dists[v][live])
             updates += int((graph.neighbor_ids[v, :k] != before).sum())
         updates_history.append(updates)
         if updates < threshold:

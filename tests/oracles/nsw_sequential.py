@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.baselines.beam import beam_search
+from repro.baselines.beam import beam_search_lanes
 from repro.baselines.cpu_cost import CpuOpCounters
 from repro.core.hnsw import (
     draw_levels,
@@ -54,13 +54,13 @@ def build_nsw_sequential(points: np.ndarray, d_min: int, d_max: int,
             neighbor_ids = np.arange(vertex, dtype=np.int64)
             counters.n_distances += vertex
         else:
-            result = beam_search(graph, points, points[vertex], k=d_min,
-                                 ef=ef_construction, entry=0,
-                                 metric=metric_obj)
-            neighbor_ids = result.ids
-            counters.n_distances += result.n_distance_computations
-            counters.n_heap_ops += result.n_heap_ops
-            counters.n_hash_probes += result.n_hash_probes
+            lane = beam_search_lanes(graph, points, points[vertex:vertex + 1],
+                                     k=d_min, ef=ef_construction, entries=0,
+                                     metric=metric_obj)
+            neighbor_ids = lane.ids[0][lane.ids[0] >= 0]
+            counters.n_distances += int(lane.n_distance_computations[0])
+            counters.n_heap_ops += int(lane.n_heap_ops[0])
+            counters.n_hash_probes += int(lane.n_hash_probes[0])
         dists = metric_obj.one_to_many(points[vertex], points[neighbor_ids])
         counters.n_distances += len(neighbor_ids)
         for u, dist in zip(neighbor_ids, dists):

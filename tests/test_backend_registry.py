@@ -57,8 +57,7 @@ class TestUnknownFamilyIsTyped:
         index = GannsIndex.build(POINTS,
                                  params=BuildParams(d_min=4, d_max=8))
         with pytest.raises(UnknownFamilyError):
-            GannsIndex.from_graph(index.points, index.graph,
-                                  graph_type="bogus")
+            GannsIndex(index.points, index.graph, "bogus", "euclidean")
 
     def test_serve_engine(self):
         index = GannsIndex.build(POINTS,

@@ -1,4 +1,6 @@
-"""Tests for Algorithm 1 beam search."""
+"""Tests for Algorithm 1 beam search (``beam_search_lanes``, one lane
+per query: the heap loop below ``_LOCKSTEP_MIN_LANES`` lanes, lock-step
+from there on)."""
 
 from unittest import mock
 
@@ -8,11 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import beam
-from repro.baselines.beam import (
-    _LOCKSTEP_MIN_LANES,
-    beam_search,
-    beam_search_lanes,
-)
+from repro.baselines.beam import _LOCKSTEP_MIN_LANES, beam_search_lanes
 from repro.core.ganns import check_queries
 from repro.core.index import GannsIndex
 from repro.datasets.ground_truth import exact_knn
@@ -31,15 +29,25 @@ def _line_graph():
     return g, points
 
 
+def _one(graph, points, query, k, ef=None, entry=0):
+    """One query as a one-lane call (the heap loop): its found ids and
+    distances, and the lanes' four counters."""
+    lanes = beam_search_lanes(graph, points, np.asarray(query)[None], k,
+                              ef, entry)
+    found = lanes.ids[0] >= 0
+    lanes.ids, lanes.dists = lanes.ids[0, found], lanes.dists[0, found]
+    return lanes
+
+
 class TestExactOnEasyGraph:
     def test_finds_true_neighbors_on_line(self):
         g, points = _line_graph()
-        result = beam_search(g, points, np.array([4.6]), k=3, ef=6)
+        result = _one(g, points, np.array([4.6]), k=3, ef=6)
         assert np.array_equal(result.ids, [5, 4, 6])
 
     def test_distances_sorted_ascending(self):
         g, points = _line_graph()
-        result = beam_search(g, points, np.array([2.2]), k=5, ef=8)
+        result = _one(g, points, np.array([2.2]), k=5, ef=8)
         assert (np.diff(result.dists) >= 0).all()
 
     def test_high_ef_matches_brute_force(self, small_graph, small_points,
@@ -47,8 +55,8 @@ class TestExactOnEasyGraph:
         gt = exact_knn(small_points, small_queries[:10], 5)
         hits = 0
         for row in range(10):
-            result = beam_search(small_graph, small_points,
-                                 small_queries[row], k=5, ef=128)
+            result = _one(small_graph, small_points, small_queries[row],
+                          k=5, ef=128)
             hits += len(np.intersect1d(result.ids, gt[row]))
         assert hits / 50 > 0.9
 
@@ -56,26 +64,26 @@ class TestExactOnEasyGraph:
 class TestBudgetSemantics:
     def test_ef_defaults_to_k(self):
         g, points = _line_graph()
-        result = beam_search(g, points, np.array([0.0]), k=2)
+        result = _one(g, points, np.array([0.0]), k=2)
         assert len(result.ids) == 2
 
     def test_larger_ef_never_reduces_recall(self, small_graph, small_points,
                                             small_queries):
         gt = exact_knn(small_points, small_queries[:5], 10)
         for row in range(5):
-            small = beam_search(small_graph, small_points,
-                                small_queries[row], k=10, ef=10)
-            large = beam_search(small_graph, small_points,
-                                small_queries[row], k=10, ef=64)
+            small = _one(small_graph, small_points, small_queries[row],
+                         k=10, ef=10)
+            large = _one(small_graph, small_points, small_queries[row],
+                         k=10, ef=64)
             assert (len(np.intersect1d(large.ids, gt[row]))
                     >= len(np.intersect1d(small.ids, gt[row])) - 1)
 
     def test_counters_grow_with_ef(self, small_graph, small_points,
                                    small_queries):
-        small = beam_search(small_graph, small_points, small_queries[0],
-                            k=5, ef=8)
-        large = beam_search(small_graph, small_points, small_queries[0],
-                            k=5, ef=64)
+        small = _one(small_graph, small_points, small_queries[0], k=5,
+                     ef=8)
+        large = _one(small_graph, small_points, small_queries[0], k=5,
+                     ef=64)
         assert large.n_distance_computations > small.n_distance_computations
         assert large.n_iterations > small.n_iterations
 
@@ -85,8 +93,8 @@ class TestCounters:
                                        small_queries):
         """With the visited hash, each vertex's distance is computed at
         most once: count <= number of distinct visited vertices."""
-        result = beam_search(small_graph, small_points, small_queries[0],
-                             k=5, ef=32)
+        result = _one(small_graph, small_points, small_queries[0], k=5,
+                      ef=32)
         assert result.n_distance_computations <= small_graph.n_vertices
         # Hash probes cover every scanned neighbor (>= distances).
         assert result.n_hash_probes >= result.n_distance_computations - 1
@@ -95,43 +103,49 @@ class TestCounters:
 class TestValidation:
     def test_rejects_bad_k(self, small_graph, small_points):
         with pytest.raises(SearchError, match="k must be positive"):
-            beam_search(small_graph, small_points, small_points[0], k=0)
+            beam_search_lanes(small_graph, small_points, small_points[:1],
+                              k=0)
 
     def test_rejects_ef_below_k(self, small_graph, small_points):
         with pytest.raises(SearchError, match="at least k"):
-            beam_search(small_graph, small_points, small_points[0], k=5,
-                        ef=3)
+            beam_search_lanes(small_graph, small_points, small_points[:1],
+                              k=5, ef=3)
 
     def test_rejects_bad_entry(self, small_graph, small_points):
+        # Callers of beam_search_lanes pass their entries through the
+        # one query check every search entry point runs.
         with pytest.raises(SearchError, match="entry"):
-            beam_search(small_graph, small_points, small_points[0], k=1,
-                        entry=10 ** 6)
+            check_queries(small_points, small_points[:1], small_graph,
+                          10 ** 6)
 
     @pytest.mark.parametrize("case,match", [
         ("nan_query", "NaN or infinite"),
         ("2d_query", "2-D"),
         ("wrong_dims", "dimensionality"),
-        ("short_points", "rows but the graph has"),
+        ("short_points", "rows but the gr"),
         ("float_k", "k must be an integer"),
         ("bool_k", "k must be an integer"),
     ])
     def test_runs_the_one_query_check(self, small_graph, small_points,
                                       case, match):
-        """Algorithm 1 refuses what every other search refuses, with a
+        """Algorithm 1's public door, ``GannsIndex.search(algorithm=
+        "beam")``, refuses what every other search refuses, with a
         ``SearchError`` instead of a NaN answer or a NumPy traceback."""
-        query, points, k = small_points[0], small_points, 3
+        queries, points, k = small_points[:1], small_points, 3
         if case == "nan_query":
-            query = np.full_like(query, np.nan)
+            queries = np.full_like(queries, np.nan)
         elif case == "2d_query":
-            query = small_points[:2]
+            # Not an (m, d) query matrix.
+            queries = queries[0]
         elif case == "wrong_dims":
-            query = query[:-1]
+            queries = queries[:, :-1]
         elif case == "short_points":
             points = small_points[:10]
         else:
             k = 2.5 if case == "float_k" else True
+        index = GannsIndex(points, small_graph, "nsw", "euclidean")
         with pytest.raises(SearchError, match=match):
-            beam_search(small_graph, points, query, k)
+            index.search(queries, k, algorithm="beam")
 
 
 class TestBatch:
@@ -146,8 +160,8 @@ class TestBatch:
         batch = beam_search_lanes(small_graph, small_points,
                                   small_queries[:5], k=5, ef=16).ids
         for row in range(5):
-            single = beam_search(small_graph, small_points,
-                                 small_queries[row], k=5, ef=16)
+            single = _one(small_graph, small_points, small_queries[row],
+                          k=5, ef=16)
             assert np.array_equal(batch[row], single.ids)
 
     def test_batch_rejects_1d_queries(self, small_graph, small_points):
@@ -177,9 +191,8 @@ class TestBatchEntries:
                                   small_queries[:5], k=5, ef=16,
                                   entries=entries).ids
         for row in range(5):
-            single = beam_search(small_graph, small_points,
-                                 small_queries[row], k=5, ef=16,
-                                 entry=int(entries[row]))
+            single = _one(small_graph, small_points, small_queries[row],
+                          k=5, ef=16, entry=int(entries[row]))
             assert np.array_equal(batch[row], single.ids)
 
     def test_entry_shape_checked(self, small_graph, small_points,
@@ -240,35 +253,36 @@ def lanes_workload(draw):
 
 
 class TestLanesProperty:
-    """``beam_search_lanes`` is ``beam_search`` once per lane: ids,
-    distance bytes and the four counters the clocks price, on both
-    sides of the heap/lock-step crossover."""
+    """Lock-step lanes are the heap loop once per lane: ids, distance
+    bytes and the four counters the clocks price.  The same queries go
+    through ``beam_search_lanes`` as one-lane calls, as one call of
+    fewer than ``_LOCKSTEP_MIN_LANES`` lanes (both the heap loop) and,
+    repeated up to at least that many lanes, as one lock-step call."""
 
-    @given(lanes_workload(), st.booleans())
+    @given(lanes_workload())
     @settings(max_examples=150, deadline=None)
-    def test_lanes_equal_per_query_beam_search(self, workload, lockstep):
+    def test_lanes_equal_per_query_beam_search(self, workload):
         graph, points, queries, k, ef, entries, metric, window = workload
         metric = get_metric(metric)
-        # Also drive the lock-step body below the crossover.
-        with mock.patch.object(beam, "_LOCKSTEP_MIN_LANES",
-                               1 if lockstep else _LOCKSTEP_MIN_LANES):
-            lanes = beam_search_lanes(graph, points, queries, k, ef,
-                                      entries, metric, window)
         entries = np.broadcast_to(entries, (len(queries),))
-        for lane, query in enumerate(queries):
-            want = beam_search(graph, points, query, k, ef,
-                               int(entries[lane]), metric)
-            found = len(want.ids)
-            assert np.array_equal(lanes.ids[lane, :found], want.ids)
-            assert (lanes.ids[lane, found:] == -1).all()
-            assert lanes.dists[lane, :found].tobytes() == \
-                want.dists.tobytes()
-            assert (lanes.dists[lane, found:] == np.inf).all()
-            assert (lanes.n_iterations[lane],
-                    lanes.n_distance_computations[lane],
-                    lanes.n_heap_ops[lane], lanes.n_hash_probes[lane]) == (
-                want.n_iterations, want.n_distance_computations,
-                want.n_heap_ops, want.n_hash_probes)
+        wide = -(-_LOCKSTEP_MIN_LANES // len(queries)) * len(queries)
+        lanes = beam_search_lanes(graph, points, np.resize(queries, (
+            wide, queries.shape[1])), k, ef, np.resize(entries, wide),
+            metric, window)
+        narrow = _LOCKSTEP_MIN_LANES - 1
+        heap = beam_search_lanes(graph, points, queries[:narrow], k, ef,
+                                 entries[:narrow], metric, window)
+        for lane in range(len(queries)):
+            want = beam_search_lanes(graph, points, queries[lane:lane + 1],
+                                     k, ef, entries[lane:lane + 1], metric,
+                                     window)
+            rows = [(lanes, copy)
+                    for copy in range(lane, wide, len(queries))]
+            rows += [(heap, lane)] if lane < narrow else []
+            for got, row in rows:
+                for field, value in vars(want).items():
+                    assert getattr(got, field)[row].tobytes() == \
+                        value[0].tobytes(), field
 
 
 def test_lanes_split_when_bitmaps_pass_the_budget(small_graph, small_points,

@@ -6,15 +6,6 @@ from repro.baselines.cpu_cost import CpuModel, CpuOpCounters, DEFAULT_CPU
 
 
 class TestCounters:
-    def test_add_accumulates(self):
-        a = CpuOpCounters(n_distances=1, n_heap_ops=2, n_hash_probes=3,
-                          n_adjacency_inserts=4)
-        b = CpuOpCounters(n_distances=10, n_heap_ops=20, n_hash_probes=30,
-                          n_adjacency_inserts=40)
-        a.add(b)
-        assert (a.n_distances, a.n_heap_ops, a.n_hash_probes,
-                a.n_adjacency_inserts) == (11, 22, 33, 44)
-
     def test_default_zero(self):
         c = CpuOpCounters()
         assert c.n_distances == 0

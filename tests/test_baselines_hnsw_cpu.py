@@ -120,7 +120,7 @@ class TestHnswSearch:
         assert n_dist >= 1
 
     def test_search_high_recall(self, small_points, small_queries):
-        from repro.baselines.beam import beam_search
+        from repro.baselines.beam import beam_search_lanes
         from repro.datasets.ground_truth import exact_knn
         points = small_points[:400]
         built = build_hnsw_cpu(points, d_min=8, d_max=16, seed=0)
@@ -130,7 +130,8 @@ class TestHnswSearch:
         for row in range(10):
             entry, _ = hnsw_entry_descent(built.graph, shuffled,
                                           small_queries[row])
-            result = beam_search(built.graph.bottom, shuffled,
-                                 small_queries[row], 5, 32, entry=entry)
-            hits += len(np.intersect1d(result.ids, gt[row]))
+            result = beam_search_lanes(built.graph.bottom, shuffled,
+                                       small_queries[row:row + 1], 5, 32,
+                                       entries=entry)
+            hits += len(np.intersect1d(result.ids[0], gt[row]))
         assert hits / 50 > 0.8

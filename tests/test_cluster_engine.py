@@ -295,6 +295,14 @@ class TestClusterReplay:
             ClusterEngine(tiny, n_shards=8, n_replicas=1,
                           params=SearchParams(k=8, l_n=32))
 
+    def test_pool_beyond_shared_memory_rejected_at_construction(self,
+                                                                 corpus):
+        """Before any shard graph is built, not by the first replay."""
+        with pytest.raises(ClusterError, match=(
+                "l_n=4096 .*d_max=16 .*limit of 49152 B")):
+            ClusterEngine(corpus, n_shards=2, n_replicas=1,
+                          params=SearchParams(k=10, l_n=4096))
+
     def test_network_partition_delays_scatter(self, corpus, pool):
         trace = synthetic_trace(pool, 5, mean_qps=2000.0, seed=10)
         horizon = trace[-1].arrival_seconds + 1.0

@@ -182,7 +182,7 @@ class TestRegressions:
         first = np.arange(7) == 3
         graph, _ = _both(graph, points, first)
         assert graph.neighbors(0).tolist() == [4, 1]
-        tie = graph.neighbor_distances(0)
+        tie = graph.neighbor_dists[0, :2]
         assert tie[0] == tie[1]
         graph, _ = _both(graph, points, first | (np.arange(7) == 5))
         assert graph.neighbors(0).tolist() == [1, 6]

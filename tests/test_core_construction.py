@@ -24,7 +24,7 @@ from repro.graphs.validation import validate_graph
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
 from tests.oracles.nsw_sequential import build_nsw_sequential
-from tests.oracles.graph_measures import edge_recall_against, \
+from tests.oracles.graph_measures import edge_recall_against, edge_set, \
     reachable_fraction
 
 
@@ -42,7 +42,7 @@ class TestEquivalenceTheorem:
         params = PARAMS.with_overrides(n_blocks=n_blocks)
         gpu = build_nsw_gpu(points, params, exact=True)
         cpu = build_nsw_cpu(points, params.d_min, params.d_max, exact=True)
-        assert gpu.graph.edge_set() == cpu.graph.edge_set()
+        assert edge_set(gpu.graph) == edge_set(cpu.graph)
 
     def test_exact_mode_cosine(self, cosine_points):
         points = cosine_points[:200]
@@ -50,14 +50,14 @@ class TestEquivalenceTheorem:
         gpu = build_nsw_gpu(points, params, metric="cosine", exact=True)
         cpu = build_nsw_cpu(points, params.d_min, params.d_max,
                             metric="cosine", exact=True)
-        assert gpu.graph.edge_set() == cpu.graph.edge_set()
+        assert edge_set(gpu.graph) == edge_set(cpu.graph)
 
     def test_single_group_is_sequential(self, small_points):
         points = small_points[:150]
         params = PARAMS.with_overrides(n_blocks=1)
         gpu = build_nsw_gpu(points, params, exact=True)
         cpu = build_nsw_cpu(points, params.d_min, params.d_max, exact=True)
-        assert gpu.graph.edge_set() == cpu.graph.edge_set()
+        assert edge_set(gpu.graph) == edge_set(cpu.graph)
 
 
 class TestApproximateQuality:
@@ -117,7 +117,7 @@ class TestTimingModel:
         song = build_nsw_gpu(points, PARAMS, search_kernel="song")
         assert song.seconds / ganns.seconds > 1.2
         # Same construction, same traversals: identical graphs.
-        assert ganns.graph.edge_set() == song.graph.edge_set()
+        assert edge_set(ganns.graph) == edge_set(song.graph)
 
     def test_more_blocks_build_faster(self, small_points):
         """Inter-block parallelism pays (Figure 14's direction)."""

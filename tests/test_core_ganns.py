@@ -91,12 +91,12 @@ class TestLazyCheck:
         """Lazy check trades recomputation for hash removal: GANNS
         computes more distances than the visited-hash beam search, but
         not explosively more."""
-        from repro.baselines.beam import beam_search
+        from repro.baselines.beam import beam_search_lanes
         report = ganns_search(small_graph, small_points, small_queries,
                               SearchParams(k=10, l_n=64))
-        beam_total = sum(
-            beam_search(small_graph, small_points, q, 10, ef=64)
-            .n_distance_computations for q in small_queries)
+        beam_total = beam_search_lanes(
+            small_graph, small_points, small_queries, 10,
+            ef=64).n_distance_computations.sum()
         assert report.n_distance_computations >= beam_total
         assert report.n_distance_computations < 10 * beam_total
 
@@ -209,7 +209,7 @@ class TestNonFiniteQueries:
 
     def test_index_search(self, small_graph, small_points, bad_queries):
         from repro.core.index import GannsIndex
-        index = GannsIndex.from_graph(small_points, small_graph)
+        index = GannsIndex(small_points, small_graph, "nsw", "euclidean")
         with pytest.raises(SearchError, match="NaN or infinite"):
             index.search(bad_queries, k=5)
 
@@ -295,7 +295,7 @@ class TestEveryAlgorithmChecksQueries:
 @pytest.fixture(scope="module")
 def flat_index(small_points, small_graph):
     from repro.core.index import GannsIndex
-    return GannsIndex.from_graph(small_points, small_graph)
+    return GannsIndex(small_points, small_graph, "nsw", "euclidean")
 
 
 @pytest.fixture(scope="module")
@@ -333,7 +333,8 @@ class TestMismatchedInputs:
                                                  small_points,
                                                  small_queries):
         from repro.core.index import GannsIndex
-        index = GannsIndex.from_graph(small_points[:100], small_graph)
+        index = GannsIndex(small_points[:100], small_graph, "nsw",
+                           "euclidean")
         with pytest.raises(SearchError, match="vertices"):
             index.search(small_queries, k=5)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.baselines.beam import beam_search
+from repro.baselines.beam import beam_search_lanes
 from repro.core.hnsw import recover_original_ids
 from repro.core.index import GannsIndex
 from repro.core.params import BuildParams
@@ -108,9 +108,10 @@ class TestBuild:
             GannsIndex.build(bad, family, params=PARAMS)
 
     def test_from_graph(self, points):
+        """The constructor wraps an externally built graph."""
         from repro.baselines.nsw_cpu import build_nsw_cpu
         graph = build_nsw_cpu(points, 8, 16).graph
-        index = GannsIndex.from_graph(points, graph)
+        index = GannsIndex(points, graph, "nsw", "euclidean")
         ids, dists = index.search(points[:3], k=5, l_n=64)
         assert np.array_equal(ids[:, 0], np.arange(3))
         assert np.allclose(dists[:, 0], 0.0, atol=1e-9)
@@ -174,8 +175,9 @@ class TestBeamAlgorithm:
     @staticmethod
     def _per_query(index, queries, ef):
         entries = np.broadcast_to(index._entries(queries), len(queries))
-        return entries, [beam_search(index._flat_graph(), index.points,
-                                     query, 10, ef, int(entry))
+        return entries, [beam_search_lanes(index._flat_graph(),
+                                           index.points, query[None, :], 10,
+                                           ef, int(entry))
                          for query, entry in zip(queries, entries)]
 
     @pytest.mark.parametrize("ef", [10, 32])
@@ -184,7 +186,7 @@ class TestBeamAlgorithm:
         report = index.search_report(queries, k=10, algorithm="beam",
                                      l_n=32, e=ef)
         entries, results = self._per_query(index, queries, ef)
-        want = np.array([result.ids for result in results])
+        want = np.concatenate([result.ids for result in results])
         if index.order is not None:
             want = recover_original_ids(want, index.order)
             assert len(set(entries.tolist())) > 1
@@ -194,12 +196,12 @@ class TestBeamAlgorithm:
         report = index.search_report(queries, k=10, algorithm="beam",
                                      l_n=32)
         _, results = self._per_query(index, queries, 32)
-        assert report.dists.tobytes() == np.array(
+        assert report.dists.tobytes() == np.concatenate(
             [result.dists for result in results]).tobytes()
-        assert np.array_equal(report.iterations,
-                              [result.n_iterations for result in results])
+        assert np.array_equal(report.iterations, np.concatenate(
+            [result.n_iterations for result in results]))
         assert report.n_distance_computations == sum(
-            result.n_distance_computations for result in results)
+            int(result.n_distance_computations[0]) for result in results)
         assert (report.iterations > 0).all()
 
 

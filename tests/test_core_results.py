@@ -88,6 +88,6 @@ class TestTake:
         assert np.array_equal(taken.lane_distance_computations,
                               [30, 30, 10])
         assert np.array_equal(taken.lane_distance_evaluations, [6, 6, 4])
-        assert taken.tracker.n_lanes == 3
+        assert taken.tracker.lane_cycles().shape == (3,)
         assert (taken.n_threads, taken.shared_mem_bytes) == (32, 1024)
 

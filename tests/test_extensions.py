@@ -12,6 +12,7 @@ from repro.errors import ConstructionError
 from repro.gpusim.kernel import _makespan
 from repro.metrics.distance import METRICS, InnerProductMetric, get_metric
 from tests.oracles.nsw_sequential import build_nsw_sequential
+from tests.oracles.graph_measures import edge_set
 
 PARAMS = BuildParams(d_min=6, d_max=12, n_blocks=8)
 
@@ -39,7 +40,7 @@ class TestMulticoreConstruction:
         points = small_points[:250]
         multicore = build_nsw_multicore(points, PARAMS, n_cores=4)
         gpu = build_nsw_gpu(points, PARAMS)
-        assert multicore.graph.edge_set() == gpu.graph.edge_set()
+        assert edge_set(multicore.graph) == edge_set(gpu.graph)
 
     def test_exact_mode_satisfies_theorem(self, small_points):
         points = small_points[:180]
@@ -47,7 +48,7 @@ class TestMulticoreConstruction:
                                         exact=True)
         sequential, _ = build_nsw_sequential(points, PARAMS.d_min,
                                              PARAMS.d_max, exact=True)
-        assert multicore.graph.edge_set() == sequential.edge_set()
+        assert edge_set(multicore.graph) == edge_set(sequential)
 
     def test_more_cores_build_faster(self, small_points):
         points = small_points[:300]
@@ -75,7 +76,7 @@ class TestMulticoreConstruction:
                                   n_cores=1)
         sequential, counters = build_nsw_sequential(points, PARAMS.d_min,
                                                     PARAMS.d_max)
-        assert one.graph.edge_set() == sequential.edge_set()
+        assert edge_set(one.graph) == edge_set(sequential)
         assert one.seconds == DEFAULT_CPU.seconds(counters,
                                                   3 * points.shape[1])
 

@@ -246,11 +246,11 @@ class TestFaultInjector:
                                      at_seconds=1.0)])
         injector = FaultInjector(plan)
         assert injector.poll(0.5) is None
-        assert injector.pending == 1
+        assert injector.delivered == 0
         event = injector.poll(1.5)
         assert event is not None and event.kind == FAULT_KERNEL_STALL
         assert injector.poll(2.0) is None  # consumed exactly once
-        assert injector.pending == 0
+        assert injector.delivered == 1
 
     def test_stall_stretches_compute_only(self):
         injector = FaultInjector(FaultPlan())

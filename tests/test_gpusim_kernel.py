@@ -41,15 +41,21 @@ class TestMakespan:
 
 class TestKernelLaunch:
     def test_concurrency_from_occupancy(self):
+        """The device keeps ``concurrent_blocks`` blocks resident: that
+        many run in one wave, one more queues behind them."""
         kernel = KernelLaunch(QUADRO_P5000, n_threads=32)
-        assert kernel.concurrency == QUADRO_P5000.concurrent_blocks(32)
+        c = QUADRO_P5000.concurrent_blocks(32)
+        assert kernel.run(100.0, n_blocks=c).concurrency == c
+        assert kernel.run(100.0, n_blocks=c).makespan_cycles == 100.0
+        assert kernel.run(100.0, n_blocks=c + 1).makespan_cycles == 200.0
 
     def test_sub_warp_block_occupies_full_warp_slot(self):
         """A 4-thread block still takes a warp slot: Figure 10's n_t sweep
         changes per-block speed, not device-level concurrency."""
         small = KernelLaunch(QUADRO_P5000, n_threads=4)
         full = KernelLaunch(QUADRO_P5000, n_threads=32)
-        assert small.concurrency == full.concurrency
+        assert (small.run(1.0, n_blocks=1).concurrency
+                == full.run(1.0, n_blocks=1).concurrency)
 
     def test_run_scalar_cycles(self):
         kernel = KernelLaunch(QUADRO_P5000, n_threads=32)
@@ -99,7 +105,7 @@ class TestKernelLaunch:
         """Scaling work past device concurrency grows elapsed time
         linearly — the saturation regime of Figure 14."""
         kernel = KernelLaunch(QUADRO_P5000, n_threads=32)
-        c = kernel.concurrency
+        c = kernel.run(1.0, n_blocks=1).concurrency
         one_wave = kernel.run(100.0, n_blocks=c).seconds
         four_waves = kernel.run(100.0, n_blocks=4 * c).seconds
         assert four_waves == pytest.approx(4 * one_wave)

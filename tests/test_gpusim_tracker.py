@@ -107,7 +107,6 @@ class TestTake:
         t.charge("q", np.array([1.0, 2.0, 3.0, 4.0]))
         t.charge("bulk_distance", np.array([10.0, 20.0, 30.0, 40.0]))
         taken = t.take([3, 0, 3])
-        assert taken.n_lanes == 3
         assert tuple(taken.phase_names) == ("q", "bulk_distance")
         assert np.array_equal(taken.lane_cycles("bulk_distance"),
                               [40, 10, 40])

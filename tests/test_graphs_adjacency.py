@@ -11,6 +11,8 @@ from repro.graphs.adjacency import (
     PAD_ID,
     ProximityGraph,
 )
+from tests.oracles.graph_measures import edge_set
+from tests.oracles.merge_row import merge_row
 
 
 class TestConstruction:
@@ -41,7 +43,7 @@ class TestInsertEdge:
         for dst, dist in [(1, 0.5), (2, 0.2), (3, 0.9), (4, 0.1)]:
             assert g.insert_edge(0, dst, dist)
         assert np.array_equal(g.neighbors(0), [4, 2, 1, 3])
-        assert np.array_equal(g.neighbor_distances(0), [0.1, 0.2, 0.5, 0.9])
+        assert np.array_equal(g.neighbor_dists[0, :4], [0.1, 0.2, 0.5, 0.9])
 
     def test_full_row_evicts_worst(self):
         g = ProximityGraph(10, 2)
@@ -61,7 +63,7 @@ class TestInsertEdge:
         g = ProximityGraph(10, 4)
         assert g.insert_edge(0, 1, 0.5)
         assert not g.insert_edge(0, 1, 0.5)
-        assert g.degree(0) == 1
+        assert g.degrees[0] == 1
 
     def test_self_loop_rejected(self):
         g = ProximityGraph(10, 4)
@@ -96,9 +98,9 @@ class TestInsertEdge:
             g.insert_edge(0, dst, dist)
             if dst not in best or dist < best[dst]:
                 best.setdefault(dst, dist)
-        degree = g.degree(0)
+        degree = g.degrees[0]
         assert degree <= 4
-        dists = g.neighbor_distances(0)
+        dists = g.neighbor_dists[0, :degree]
         assert (np.diff(dists) >= 0).all()
         ids = g.neighbors(0)
         assert len(set(ids.tolist())) == degree
@@ -121,7 +123,7 @@ class TestRowOperations:
         g = ProximityGraph(10, 4)
         g.set_row(2, [5, 7], [0.1, 0.4])
         assert np.array_equal(g.neighbors(2), [5, 7])
-        assert g.degree(2) == 2
+        assert g.degrees[2] == 2
 
     def test_set_row_rejects_unsorted(self):
         g = ProximityGraph(10, 4)
@@ -143,42 +145,36 @@ class TestRowOperations:
     def test_merge_row_keeps_best_dmax(self):
         g = ProximityGraph(10, 3)
         g.set_row(0, [1, 2], [0.1, 0.4])
-        g.merge_row(0, [3, 4], [0.2, 0.9])
+        merge_row(g, 0, [3, 4], [0.2, 0.9])
         assert np.array_equal(g.neighbors(0), [1, 3, 2])
 
     def test_merge_row_deduplicates(self):
         g = ProximityGraph(10, 4)
         g.set_row(0, [1, 2], [0.1, 0.4])
-        g.merge_row(0, [2, 3], [0.4, 0.2])
+        merge_row(g, 0, [2, 3], [0.4, 0.2])
         assert np.array_equal(g.neighbors(0), [1, 3, 2])
 
     def test_merge_row_empty_batch(self):
         g = ProximityGraph(10, 4)
         g.set_row(0, [1], [0.1])
-        g.merge_row(0, [], [])
+        merge_row(g, 0, [], [])
         assert np.array_equal(g.neighbors(0), [1])
 
 
 class TestAccessors:
-    def test_has_edge(self):
-        g = ProximityGraph(10, 4)
-        g.insert_edge(0, 3, 0.5)
-        assert g.has_edge(0, 3)
-        assert not g.has_edge(3, 0)
-
     def test_edge_set(self):
         g = ProximityGraph(5, 4)
         g.insert_edge(0, 1, 0.1)
         g.insert_edge(1, 0, 0.1)
-        assert g.edge_set() == {(0, 1), (1, 0)}
+        assert edge_set(g) == {(0, 1), (1, 0)}
 
     def test_copy_is_deep(self):
         g = ProximityGraph(5, 4)
         g.insert_edge(0, 1, 0.1)
         clone = g.copy()
         clone.insert_edge(0, 2, 0.05)
-        assert g.degree(0) == 1
-        assert clone.degree(0) == 2
+        assert g.degrees[0] == 1
+        assert clone.degrees[0] == 2
 
     def test_from_rows_round_trip(self):
         g = ProximityGraph(5, 3)
@@ -186,7 +182,7 @@ class TestAccessors:
         g.set_row(3, [4], [0.7])
         rebuilt = ProximityGraph.from_rows(g.neighbor_ids,
                                            g.neighbor_dists)
-        assert rebuilt.edge_set() == g.edge_set()
+        assert edge_set(rebuilt) == edge_set(g)
 
     def test_block_diagonal_shifts_each_part_by_its_offset(self):
         a, b = ProximityGraph(3, 2), ProximityGraph(4, 2)
@@ -194,7 +190,7 @@ class TestAccessors:
         b.set_row(3, [0], [0.5])
         stacked = ProximityGraph.block_diagonal([a, b])
         assert stacked.n_vertices == 7 and stacked.d_max == 2
-        assert stacked.edge_set() == {(0, 1), (0, 2), (6, 3)}
+        assert edge_set(stacked) == {(0, 1), (0, 2), (6, 3)}
         assert stacked.neighbor_ids[6].tolist() == [3, PAD_ID]
         assert stacked.degrees.tolist() == [2, 0, 0, 0, 0, 0, 1]
         assert stacked.neighbor_dists[6, 0] == 0.5

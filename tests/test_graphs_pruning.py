@@ -42,7 +42,7 @@ class TestRuleSemantics:
         g.insert_edge(0, 2, 4.0)
         g.insert_edge(0, 3, 9.0)
         pruned = prune_diversify(g, points, min_degree=3)
-        assert pruned.degree(0) == 3
+        assert pruned.degrees[0] == 3
 
     def test_pruned_graph_validates(self, small_graph, small_points):
         pruned = prune_diversify(small_graph, small_points)

@@ -116,7 +116,6 @@ class TestRouterWindows:
         router.install_downtime(1, [(0.002, 0.004)])
         assert not router.is_alive(0, 1, 0.003)
         assert router.is_alive(0, 1, 0.004)
-        assert router.revive_time(0, 1) == 0.004
 
     def test_install_downtime_validates(self):
         router = ReplicaRouter(2, 2)

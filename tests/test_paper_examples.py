@@ -21,7 +21,7 @@ then assert the exact traversal and result for Algorithm 1, GANNS
 import numpy as np
 import pytest
 
-from repro.baselines.beam import beam_search
+from repro.baselines.beam import beam_search_lanes
 from repro.baselines.song import SongParams, song_search
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
@@ -72,26 +72,32 @@ def _names(ids):
     return [int(i) + 1 for i in ids]
 
 
+def _algorithm_1(graph, points, query):
+    """Example 1's search: one lane, ``k = ef = 4`` from ``v_1``."""
+    return beam_search_lanes(graph, points, query[None, :], k=4, ef=4,
+                             entries=0)
+
+
 class TestExample1Algorithm1:
     def test_returns_v12_v9_v8_v10(self, g1):
         graph, points, query = g1
-        result = beam_search(graph, points, query, k=4, ef=4, entry=0)
-        assert _names(result.ids) == [12, 9, 8, 10]
+        result = _algorithm_1(graph, points, query)
+        assert _names(result.ids[0]) == [12, 9, 8, 10]
 
     def test_terminates_after_five_iterations(self, g1):
         """Example 1: 'After iteration 5 ... traversal terminates.'"""
         graph, points, query = g1
-        result = beam_search(graph, points, query, k=4, ef=4, entry=0)
-        assert result.n_iterations == 6  # 5 expansions + terminating pop
+        result = _algorithm_1(graph, points, query)
+        assert result.n_iterations[0] == 6  # 5 expansions + terminating pop
 
     def test_v4_never_expanded(self, g1):
         """v_4 is the best remaining candidate when the search stops, so
         its neighbors (v_6) must never be visited."""
         graph, points, query = g1
-        result = beam_search(graph, points, query, k=4, ef=4, entry=0)
-        assert 6 - 1 not in result.ids  # v_6 absent
+        result = _algorithm_1(graph, points, query)
+        assert 6 - 1 not in result.ids[0]  # v_6 absent
         # v_6 and v_11 were never even distance-computed: 12 - 2 = 10
-        assert result.n_distance_computations <= 10
+        assert result.n_distance_computations[0] <= 10
 
 
 class TestExample2Ganns:
@@ -139,5 +145,5 @@ class TestExample2Ganns:
         graph, points, query = g1
         ganns = ganns_search(graph, points, query[None, :],
                              SearchParams(k=4, l_n=32))
-        beam = beam_search(graph, points, query, k=4, ef=4, entry=0)
-        assert np.array_equal(ganns.ids[0], beam.ids)
+        beam = _algorithm_1(graph, points, query)
+        assert np.array_equal(ganns.ids[0], beam.ids[0])

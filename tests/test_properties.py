@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.beam import beam_search
+from repro.baselines.beam import beam_search_lanes
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
 from tests.oracles.nsw_sequential import build_nsw_sequential
+from tests.oracles.graph_measures import edge_set
 
 
 @st.composite
@@ -32,11 +33,13 @@ class TestSearchInvariants:
     def test_beam_results_sorted_unique_valid(self, workload):
         points, query = workload
         graph = build_nsw_cpu(points, d_min=4, d_max=8).graph
-        result = beam_search(graph, points, query, k=5, ef=16)
-        assert (np.diff(result.dists) >= 0).all()
-        assert len(set(result.ids.tolist())) == len(result.ids)
-        assert (result.ids >= 0).all()
-        assert (result.ids < len(points)).all()
+        lanes = beam_search_lanes(graph, points, query[None, :], k=5, ef=16)
+        found = lanes.ids[0] >= 0
+        ids, dists = lanes.ids[0, found], lanes.dists[0, found]
+        assert found.sum() == min(5, len(points))
+        assert (np.diff(dists) >= 0).all()
+        assert len(set(ids.tolist())) == len(ids)
+        assert (ids < len(points)).all()
 
     @given(small_workload())
     @settings(max_examples=20, deadline=None)
@@ -94,7 +97,7 @@ class TestConstructionInvariants:
         params = BuildParams(d_min=3, d_max=6, n_blocks=n_blocks)
         gpu = build_nsw_gpu(points, params, exact=True)
         sequential, _ = build_nsw_sequential(points, 3, 6, exact=True)
-        assert gpu.graph.edge_set() == sequential.edge_set()
+        assert edge_set(gpu.graph) == edge_set(sequential)
 
     @given(st.integers(min_value=0, max_value=5000))
     @settings(max_examples=10, deadline=None)

@@ -29,6 +29,7 @@ from repro.perf.construction import (
     merge_segments_batch,
     rank_merge,
 )
+from tests.oracles.merge_row import merge_row
 
 N_VERTICES = 24
 DISTANCES = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 2.0, 3.5])
@@ -82,7 +83,7 @@ class TestRankMergeProperty:
         graph, rows, runs = case
         want = graph.copy()
         for vertex, (ids, dists) in zip(rows, runs):
-            want.merge_row(vertex, ids, dists)
+            merge_row(want, vertex, ids, dists)
         rank_merge(graph, np.asarray(rows, dtype=np.int64),
                    np.repeat(np.arange(len(rows)), [len(r[0]) for r in runs]),
                    np.concatenate([r[0] for r in runs]),
@@ -95,7 +96,7 @@ class TestRankMergeProperty:
         graph, rows, runs = case
         want = graph.copy()
         for vertex, (ids, dists) in zip(rows, runs):
-            want.merge_row(vertex, ids, dists)
+            merge_row(want, vertex, ids, dists)
         src = np.concatenate([np.full(len(ids), vertex, dtype=np.int64)
                               for vertex, (ids, _) in zip(rows, runs)])
         dst = np.concatenate([ids for ids, _ in runs])
@@ -181,7 +182,7 @@ def test_an_infinite_record_ranks_behind_the_row_not_its_pads():
     graph = ProximityGraph(4, 4)
     graph.set_row(0, [1, 2], [0.5, 1.0])
     want = graph.copy()
-    want.merge_row(0, [3], [np.inf])
+    merge_row(want, 0, [3], [np.inf])
     rank_merge(graph, np.array([0]), np.array([0]), np.array([3]),
                np.array([np.inf]))
     _assert_graphs_equal(graph, want)
@@ -197,10 +198,10 @@ class TestKernelsEqualMergeRow:
         want = graph.copy()
         for vertex, ids, row_dists in zip(vertices, neighbor_ids, dists):
             found = ids >= 0
-            want.merge_row(vertex, *_sorted_records(ids[found],
+            merge_row(want, vertex, *_sorted_records(ids[found],
                                                     row_dists[found]))
             for u, dist in zip(ids[found], row_dists[found]):
-                want.merge_row(u, [vertex], [dist])
+                merge_row(want, u, [vertex], [dist])
         insert_bidirectional_batch(graph, vertices, neighbor_ids, dists)
         _assert_graphs_equal(graph, want)
 
@@ -217,7 +218,7 @@ class TestKernelsEqualMergeRow:
                                     forward_dists[vertex]])
             ids, dists = _sorted_records(ids[ids >= 0], dists[ids >= 0])
             # N := the best d_min of search ∪ N', into an empty row.
-            want.merge_row(vertex, ids[:d_min], dists[:d_min])
+            merge_row(want, vertex, ids[:d_min], dists[:d_min])
             edges += [(u, vertex, d) for u, d in zip(ids[:d_min],
                                                      dists[:d_min])]
         src, dst, dist = merge_forward_batch(

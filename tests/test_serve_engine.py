@@ -258,6 +258,21 @@ class TestEngineValidation:
             ServeEngine(graph, points, SearchParams(k=64, l_n=64))
         ServeEngine(graph, points, SearchParams(k=50, l_n=64))
 
+    @pytest.mark.parametrize("params", [
+        SearchParams(k=10, l_n=4096),
+        SearchParams(k=10, l_n=2048, quant="int8", rerank_factor=2),
+    ], ids=["exact", "quant"])
+    def test_rejects_a_pool_the_device_cannot_hold(self, small_graph,
+                                                   small_points, params):
+        """Refused at construction, not by the first replayed batch: a
+        4,096-record pool (``rerank_factor * l_n`` under ``quant``) over
+        ``d_max=16`` needs 49,344 B of the device's 49,152 B."""
+        with pytest.raises(ServeError, match=(
+                f"l_n={params.l_n} .*d_max=16 .*limit of 49152 B")):
+            ServeEngine(small_graph, small_points, params)
+        fits = params.with_overrides(l_n=params.l_n // 2)
+        ServeEngine(small_graph, small_points, fits)
+
     def test_empty_trace_gives_empty_report(self, engine):
         report = engine.replay([])
         assert report.n_requests == 0
