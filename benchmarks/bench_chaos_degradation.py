@@ -53,7 +53,7 @@ def _replay(setup, governor):
     return engine.replay(trace)
 
 
-def test_degradation_vs_rejection(chaos_setup, emit):
+def test_degradation_vs_rejection(chaos_setup, emit, benchmark):
     dataset, graph, _, _ = chaos_setup
     governor = AdmissionGovernor.default_for(PARAMS)
     governed = _replay(chaos_setup, governor)
@@ -104,3 +104,5 @@ def test_degradation_vs_rejection(chaos_setup, emit):
     # The baseline never degrades; the governor visibly does.
     assert baseline.n_degraded == 0
     assert governed.n_degraded > 0
+
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

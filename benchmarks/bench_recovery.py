@@ -113,9 +113,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     from repro.heal import HealPolicy, RepairController
+    from repro.heal.policy import (DESERIALIZE_CYCLES_PER_BYTE,
+                                   DIGEST_BYTES, REPAIR_BANDWIDTH_FRACTION)
 
-    policy = HealPolicy()
-    controller = RepairController(policy)
+    controller = RepairController(HealPolicy())
     print("recovery benchmark (simulated seconds, deterministic)")
     print(f"shard-size sweep (dims={N_DIMS}, heartbeat "
           f"{HEARTBEAT_SECONDS * 1e3:g} ms):")
@@ -127,11 +128,9 @@ def main(argv=None):
         "schema": "recovery-v1",
         "heartbeat_seconds": HEARTBEAT_SECONDS,
         "policy": {
-            "repair_bandwidth_fraction":
-                policy.repair_bandwidth_fraction,
-            "deserialize_cycles_per_byte":
-                policy.deserialize_cycles_per_byte,
-            "digest_bytes": policy.digest_bytes,
+            "repair_bandwidth_fraction": REPAIR_BANDWIDTH_FRACTION,
+            "deserialize_cycles_per_byte": DESERIALIZE_CYCLES_PER_BYTE,
+            "digest_bytes": DIGEST_BYTES,
         },
         "shard_size_sweep": shard_rows,
         "wal_depth_sweep": wal_rows,

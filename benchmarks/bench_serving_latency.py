@@ -54,7 +54,7 @@ def _replay(setup, window_ms: float, cache_entries: int):
     return engine.replay(trace)
 
 
-def test_serving_latency_vs_window(serving_setup, emit):
+def test_serving_latency_vs_window(serving_setup, emit, benchmark):
     rows = []
     reports = []
     for window_ms in WINDOWS_MS:
@@ -95,3 +95,5 @@ def test_serving_latency_vs_window(serving_setup, emit):
     # The cache strictly reduces dispatched work on a repeating trace.
     assert cached.served_queries == reports[2].served_queries
     assert sum(cached.batch_sizes) < sum(reports[2].batch_sizes)
+
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -27,8 +27,8 @@ from repro.graphs.analysis import navigability_report
 from repro.graphs.pruning import prune_diversify, pruning_stats
 
 
-def describe(name, graph, entry=0):
-    report = navigability_report(graph, entry)
+def describe(name, graph):
+    report = navigability_report(graph)
     print(f"\n{name}:")
     print(f"  out-degree {report.degrees.out_mean:.1f} mean / "
           f"{report.degrees.out_max} max; in-degree skew "

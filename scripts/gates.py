@@ -32,9 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import (BatchPolicy, ClusterEngine, SearchParams, ServeEngine,
-                   build_nsw_cpu, clean_replay_digest, cli, exact_knn,
+                   build_nsw_cpu, cli, exact_knn,
                    ganns_search, load_dataset, named_fault_plan,
-                   recall_at_k, run_mutation_sim, synthetic_trace)
+                   recall_at_k, recover, run_mutation_sim,
+                   synthetic_trace)
 from repro.datasets.synthetic import gaussian_mixture
 from repro.heal import HealPolicy, count_wrong_answers, run_soak_sim
 from repro.observability import (MetricsRegistry, SpanTracer,
@@ -296,7 +297,7 @@ def gate_mutate() -> str:
                 f"ids leaked into search results")
         # Recovery is exact: the store the run leaves behind replays
         # to the digest the surviving index reported.
-        replayed = clean_replay_digest(report.store)
+        replayed = recover(report.store).digest()
         require(replayed == report.final_digest,
                 f"seed {seed}: clean-replay digest {replayed[:16]} != "
                 f"surviving index digest {report.final_digest[:16]}")

@@ -113,7 +113,6 @@ from repro.mutable import (
     MutableIndex,
     MutationReport,
     SnapshotHandle,
-    clean_replay_digest,
     recover,
     run_mutation_sim,
 )
@@ -191,7 +190,6 @@ __all__ = [
     "MutableIndex",
     "MutationReport",
     "SnapshotHandle",
-    "clean_replay_digest",
     "recover",
     "run_mutation_sim",
 ]

@@ -39,7 +39,7 @@ from repro.core.ganns import check_queries
 from repro.core.results import SearchReport
 from repro.errors import ConfigurationError
 from repro.graphs.adjacency import ProximityGraph
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
+from repro.gpusim.costs import DEFAULT_COSTS
 from repro.gpusim.memory import SharedMemoryBudget
 from repro.gpusim.tracker import CycleTracker
 
@@ -119,9 +119,9 @@ def _push_bounded(queue: List[Tuple[float, int]], key: Tuple[float, int],
 
 def song_search(graph: ProximityGraph, points: np.ndarray,
                 queries: np.ndarray, params: SongParams,
-                entry: Union[int, np.ndarray] = 0,
-                costs: CostTable = DEFAULT_COSTS) -> SearchReport:
-    """Run SONG's three-stage search for a batch of queries.
+                entry: Union[int, np.ndarray] = 0) -> SearchReport:
+    """Run SONG's three-stage search for a batch of queries, priced on
+    the default cost table (shared with GANNS).
 
     Args:
         graph: Proximity graph over ``points``.
@@ -129,7 +129,6 @@ def song_search(graph: ProximityGraph, points: np.ndarray,
         queries: ``(m, d)`` query matrix.
         params: SONG parameters.
         entry: Start vertex, or per-query ``(m,)`` id array.
-        costs: Cycle cost table (shared with GANNS).
 
     Returns:
         A :class:`repro.core.results.SearchReport` with
@@ -141,6 +140,7 @@ def song_search(graph: ProximityGraph, points: np.ndarray,
     metric = graph.metric
     bound = params.pq_bound
     n_t = params.n_threads
+    costs = DEFAULT_COSTS
 
     tracker = CycleTracker(n_queries)
     ids_out = np.full((n_queries, params.k), -1, dtype=np.int64)
@@ -172,7 +172,7 @@ def song_search(graph: ProximityGraph, points: np.ndarray,
         else:
             visited_obj = make_visited_set(
                 params.visited_strategy, graph.n_vertices,
-                budget=4 * bound, costs=costs)
+                budget=4 * bound)
             visited_obj.add(start)
             visited = visited_obj
         n_iter = 0

@@ -26,7 +26,7 @@ import abc
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
+from repro.gpusim.costs import DEFAULT_COSTS
 
 
 class VisitedSet(abc.ABC):
@@ -37,8 +37,7 @@ class VisitedSet(abc.ABC):
     one-sided approximate depending on the structure.
     """
 
-    def __init__(self, costs: CostTable = DEFAULT_COSTS):
-        self.costs = costs
+    def __init__(self):
         #: Accumulated simulated cycles of all probe/insert operations.
         self.cycles = 0.0
 
@@ -63,9 +62,8 @@ class BloomFilter(VisitedSet):
     candidate — the accuracy hazard the paper notes.
     """
 
-    def __init__(self, n_bits: int, n_hashes: int = 3,
-                 costs: CostTable = DEFAULT_COSTS):
-        super().__init__(costs)
+    def __init__(self, n_bits: int, n_hashes: int = 3):
+        super().__init__()
         if n_bits <= 0:
             raise ConfigurationError(
                 f"bloom filter size must be positive, got {n_bits}"
@@ -88,10 +86,10 @@ class BloomFilter(VisitedSet):
 
     def add(self, vertex: int) -> None:
         self._bits[self._positions(vertex)] = True
-        self.cycles += self._n_hashes * self.costs.hash_probe_cycles
+        self.cycles += self._n_hashes * DEFAULT_COSTS.hash_probe_cycles
 
     def __contains__(self, vertex: int) -> bool:
-        self.cycles += self._n_hashes * self.costs.hash_probe_cycles
+        self.cycles += self._n_hashes * DEFAULT_COSTS.hash_probe_cycles
         return bool(self._bits[self._positions(vertex)].all())
 
     def memory_bytes(self) -> int:
@@ -111,8 +109,8 @@ class Bitmap(VisitedSet):
     #: Cycles of one random global-memory access (uncoalesced).
     RANDOM_ACCESS_CYCLES = 380.0
 
-    def __init__(self, n_vertices: int, costs: CostTable = DEFAULT_COSTS):
-        super().__init__(costs)
+    def __init__(self, n_vertices: int):
+        super().__init__()
         if n_vertices <= 0:
             raise ConfigurationError(
                 f"bitmap needs a positive vertex count, got {n_vertices}"
@@ -131,22 +129,21 @@ class Bitmap(VisitedSet):
         return (len(self._bits) + 7) // 8
 
 
-def make_visited_set(strategy: str, n_vertices: int, budget: int,
-                     costs: CostTable = DEFAULT_COSTS) -> VisitedSet:
+def make_visited_set(strategy: str, n_vertices: int,
+                     budget: int) -> VisitedSet:
     """Factory over the two built Section III-A alternatives.
 
     Args:
         strategy: ``"bloom"`` or ``"bitmap"``.
         n_vertices: Total vertices in the graph (bitmap sizing).
         budget: Expected number of visited vertices (bloom sizing).
-        costs: Cycle cost table.
 
     The Bloom filter gets ``8 * budget`` bits (at least 64).
     """
     if strategy == "bloom":
-        return BloomFilter(n_bits=max(8 * budget, 64), costs=costs)
+        return BloomFilter(n_bits=max(8 * budget, 64))
     if strategy == "bitmap":
-        return Bitmap(n_vertices=n_vertices, costs=costs)
+        return Bitmap(n_vertices=n_vertices)
     raise ConfigurationError(
         f"unknown visited strategy {strategy!r}; valid: bloom, bitmap"
     )

@@ -27,19 +27,15 @@ def _nice_number(value: float) -> str:
 
 
 def ascii_plot(series: Dict[str, Sequence[Tuple[float, float]]],
-               width: int = 64, height: int = 18,
-               log_y: bool = True, x_label: str = "recall",
-               y_label: str = "queries/s") -> str:
-    """Render named (x, y) series as an ASCII scatter plot.
+               width: int = 64, height: int = 18) -> str:
+    """Render named (recall, queries/s) series as an ASCII scatter plot
+    with a ``log10`` y-axis (the standard ANN-benchmark axes).
 
     Args:
         series: Mapping of series name to ``(x, y)`` points.  Each series
             gets its own marker; a legend is appended.
         width: Plot width in characters (axis excluded).
         height: Plot height in rows.
-        log_y: Plot ``log10(y)`` (the standard ANN-benchmark y-axis).
-        x_label: X-axis caption.
-        y_label: Y-axis caption.
 
     Returns:
         The plot as a multi-line string.
@@ -55,17 +51,10 @@ def ascii_plot(series: Dict[str, Sequence[Tuple[float, float]]],
         raise ConfigurationError("ascii_plot needs at least one point")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    if log_y:
-        if min(ys) <= 0:
-            raise ConfigurationError(
-                "log-scale y requires positive values"
-            )
-        transform = math.log10
-    else:
-        def transform(v: float) -> float:
-            return v
+    if min(ys) <= 0:
+        raise ConfigurationError("log-scale y requires positive values")
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = transform(min(ys)), transform(max(ys))
+    y_lo, y_hi = math.log10(min(ys)), math.log10(max(ys))
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -73,7 +62,8 @@ def ascii_plot(series: Dict[str, Sequence[Tuple[float, float]]],
     for marker, (name, pts) in zip(_MARKERS, series.items()):
         for x, y in pts:
             col = int(round((x - x_lo) / x_span * (width - 1)))
-            row = int(round((transform(y) - y_lo) / y_span * (height - 1)))
+            row = int(round((math.log10(y) - y_lo) / y_span
+                            * (height - 1)))
             grid[height - 1 - row][col] = marker
 
     lines = []
@@ -93,14 +83,14 @@ def ascii_plot(series: Dict[str, Sequence[Tuple[float, float]]],
     lines.append(" " * (gutter + 1) + x_axis)
     legend = "  ".join(f"{marker}={name}" for marker, name
                        in zip(_MARKERS, series))
-    lines.append(f"{y_label} ({'log' if log_y else 'lin'}) vs {x_label}"
-                 f":  {legend}")
+    lines.append(f"queries/s (log) vs recall:  {legend}")
     return "\n".join(lines)
 
 
-def curve_plot(curves: Dict[str, Sequence], **kwargs) -> str:
+def curve_plot(curves: Dict[str, Sequence], width: int = 64,
+               height: int = 18) -> str:
     """ASCII plot straight from :class:`repro.bench.runner.CurvePoint`
     lists (the output of ``sweep_ganns`` / ``sweep_song``)."""
     series = {name: [(p.recall, p.qps) for p in pts]
               for name, pts in curves.items()}
-    return ascii_plot(series, **kwargs)
+    return ascii_plot(series, width=width, height=height)

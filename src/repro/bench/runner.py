@@ -212,14 +212,12 @@ class GraphCache:
 
 def sweep_ganns(graph: ProximityGraph, dataset: Dataset, k: int,
                 settings: Iterable[Tuple[int, int]],
-                n_threads: int = 32,
                 keep_reports: bool = False) -> List[CurvePoint]:
     """GANNS recall/throughput curve over ``(l_n, e)`` settings."""
     ground_truth = dataset.ground_truth(k)
     curve = []
     for l_n, e in settings:
-        params = SearchParams(k=k, l_n=l_n, e=min(e, l_n),
-                              n_threads=n_threads)
+        params = SearchParams(k=k, l_n=l_n, e=min(e, l_n))
         report = ganns_search(graph, dataset.points, dataset.queries, params)
         curve.append(CurvePoint(
             recall=recall_at_k(report.ids, ground_truth),
@@ -231,14 +229,13 @@ def sweep_ganns(graph: ProximityGraph, dataset: Dataset, k: int,
 
 
 def sweep_song(graph: ProximityGraph, dataset: Dataset, k: int,
-               settings: Iterable[int], n_threads: int = 32,
+               settings: Iterable[int],
                keep_reports: bool = False) -> List[CurvePoint]:
     """SONG recall/throughput curve over ``pq_bound`` settings."""
     ground_truth = dataset.ground_truth(k)
     curve = []
     for pq_bound in settings:
-        params = SongParams(k=k, pq_bound=max(pq_bound, k),
-                            n_threads=n_threads)
+        params = SongParams(k=k, pq_bound=max(pq_bound, k))
         report = song_search(graph, dataset.points, dataset.queries, params)
         curve.append(CurvePoint(
             recall=recall_at_k(report.ids, ground_truth),

@@ -121,10 +121,7 @@ class ClusterEngine:
         governor: Optional graceful-degradation governor (per replica).
         default_deadline_seconds: Default per-request deadline applied
             by every replica.
-        network: Cluster interconnect model for scatter/gather costs.
         router_policy: Heartbeat and failover-penalty knobs.
-        n_vnodes: Virtual nodes per shard on the placement ring.
-        placement_salt: Namespace for the placement hashes.
         family: Registered index family the per-shard graphs are built
             as (default ``"nsw"``); resolved through
             :func:`repro.core.backend.get_backend`, so unknown names
@@ -168,9 +165,7 @@ class ClusterEngine:
                  breaker: Optional[BreakerPolicy] = None,
                  governor: Optional[AdmissionGovernor] = None,
                  default_deadline_seconds: Optional[float] = None,
-                 network: Optional[NetworkModel] = None,
                  router_policy: Optional[RouterPolicy] = None,
-                 n_vnodes: int = 64, placement_salt: int = 0,
                  family: str = "nsw",
                  heal: Optional[HealPolicy] = None,
                  repair_store=None):
@@ -187,8 +182,7 @@ class ClusterEngine:
                                        ClusterError)
         self.points = points
         self.params = params if params is not None else SearchParams()
-        self.ring = ConsistentHashRing(n_shards, n_vnodes=n_vnodes,
-                                       salt=placement_salt)
+        self.ring = ConsistentHashRing(n_shards)
         self.shard_map = ShardMap.from_ring(len(points), self.ring)
         undersized = [s for s, size
                       in enumerate(self.shard_map.shard_sizes())
@@ -210,7 +204,8 @@ class ClusterEngine:
         self.default_deadline_seconds = check_deadline(
             default_deadline_seconds, "default_deadline_seconds",
             ClusterError)
-        self.network = network if network is not None else NetworkModel()
+        #: Cluster interconnect model for scatter/gather costs.
+        self.network = NetworkModel()
         self.router_policy = (router_policy if router_policy is not None
                               else RouterPolicy())
         self.metric = metric
@@ -395,7 +390,6 @@ class _ClusterReplay:
         self.repairs: List[RepairRecord] = []
         if engine.heal is not None:
             controller = RepairController(engine.heal,
-                                          network=engine.network,
                                           device=engine.device,
                                           costs=engine.costs)
             self.repairs = controller.plan_repairs(

@@ -9,8 +9,8 @@ property a production deployment would rely on when resharding.
 
 Python's built-in ``hash`` is salted per process, so the ring hashes
 with BLAKE2b instead: :func:`hash64` is a pure function of its input
-bytes everywhere.  Each shard owns ``n_vnodes`` virtual nodes on a
-64-bit ring; a key belongs to the first virtual node clockwise from its
+bytes everywhere.  Each shard owns :data:`N_VNODES` virtual nodes on
+a 64-bit ring; a key belongs to the first virtual node clockwise from its
 own hash.
 
 :class:`ShardMap` materializes the assignment: per-shard member arrays
@@ -28,6 +28,10 @@ import numpy as np
 from repro.core.params import as_count
 from repro.errors import ClusterError
 
+#: Virtual nodes per shard; more vnodes flatten the shard-size
+#: distribution at O(n_shards * N_VNODES) ring size.
+N_VNODES = 64
+
 
 def hash64(data: bytes) -> int:
     """Deterministic 64-bit hash (BLAKE2b; stable across processes)."""
@@ -38,23 +42,21 @@ def hash64(data: bytes) -> int:
 class ConsistentHashRing:
     """A 64-bit consistent-hash ring with virtual nodes.
 
+    Every hash input starts with the namespace ``0:``: another prefix
+    would move keys to other shards, and the cluster goldens pin the
+    placement.
+
     Args:
         n_shards: Number of shards owning positions on the ring.
-        n_vnodes: Virtual nodes per shard; more vnodes flatten the
-            shard-size distribution at O(n_shards * n_vnodes) ring size.
-        salt: Namespace mixed into every hash, so two rings over the
-            same ids can be made independent.
     """
 
-    def __init__(self, n_shards: int, n_vnodes: int = 64, salt: int = 0):
+    def __init__(self, n_shards: int):
         self.n_shards = as_count(n_shards, "n_shards", 1, ClusterError)
-        self.n_vnodes = as_count(n_vnodes, "n_vnodes", 1, ClusterError)
-        self.salt = int(salt)
         entries: List[Tuple[int, int]] = []
         for shard in range(self.n_shards):
-            for vnode in range(self.n_vnodes):
+            for vnode in range(N_VNODES):
                 position = hash64(
-                    f"{self.salt}:vnode:{shard}:{vnode}".encode("ascii"))
+                    f"0:vnode:{shard}:{vnode}".encode("ascii"))
                 entries.append((position, shard))
         # Sort by (position, shard): position collisions (astronomically
         # unlikely at 64 bits) still resolve deterministically.
@@ -65,8 +67,7 @@ class ConsistentHashRing:
 
     def shard_of(self, key: int) -> int:
         """Owning shard of one integer key."""
-        h = np.uint64(hash64(f"{self.salt}:key:{int(key)}"
-                             .encode("ascii")))
+        h = np.uint64(hash64(f"0:key:{int(key)}".encode("ascii")))
         index = int(np.searchsorted(self._positions, h, side="left"))
         return int(self._owners[index % len(self._owners)])
 

@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.params import as_finite
 from repro.errors import ClusterError
 from repro.faults.plan import FAULT_WORKER_LOSS, FaultPlan
 
@@ -56,12 +57,14 @@ class RouterPolicy:
     failover_penalty_seconds: float = 2e-4
 
     def __post_init__(self) -> None:
-        if self.heartbeat_seconds < 0:
+        if as_finite(self.heartbeat_seconds, "heartbeat_seconds",
+                     ClusterError) < 0:
             raise ClusterError(
                 f"heartbeat_seconds must be >= 0, got "
                 f"{self.heartbeat_seconds}"
             )
-        if self.failover_penalty_seconds < 0:
+        if as_finite(self.failover_penalty_seconds,
+                     "failover_penalty_seconds", ClusterError) < 0:
             raise ClusterError(
                 f"failover_penalty_seconds must be >= 0, got "
                 f"{self.failover_penalty_seconds}"

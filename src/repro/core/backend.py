@@ -175,18 +175,10 @@ class NswBackend(IndexBackend):
         )
 
     def build_parts(self, parts: Sequence[np.ndarray], params: BuildParams,
-                    metric: str = "euclidean", strategy: str = "ggraphcon",
-                    search_kernel: str = "ganns", knn_k: int = 16,
+                    metric: str = "euclidean", knn_k: int = 16,
                     **kwargs) -> List[ConstructionReport]:
         # GGraphCon builds every part in one Algorithm 2 run.
-        if strategy != "ggraphcon":
-            return super().build_parts(parts, params, metric,
-                                       strategy=strategy,
-                                       search_kernel=search_kernel,
-                                       **kwargs)
-        return build_nsw_gpu_parts(parts, params,
-                                   search_kernel=search_kernel,
-                                   metric=metric, **kwargs)
+        return build_nsw_gpu_parts(parts, params, metric=metric, **kwargs)
 
 
 class HnswBackend(IndexBackend):

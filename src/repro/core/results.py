@@ -94,23 +94,22 @@ class SearchReport:
                               self.shared_mem_bytes, costs)
         return kernel.run(self.tracker.lane_cycles())
 
-    def queries_per_second(self, device: DeviceSpec = QUADRO_P5000,
-                           costs: CostTable = DEFAULT_COSTS) -> float:
-        """Simulated throughput — the y-axis of Figures 6/8/9."""
-        result = self.launch(device, costs)
+    def queries_per_second(self) -> float:
+        """Simulated throughput on the default device and cost table —
+        the y-axis of Figures 6/8/9."""
+        result = self.launch()
         if result.seconds <= 0:
             return float("inf")
         return self.n_queries / result.seconds
 
-    def category_seconds(self, device: DeviceSpec = QUADRO_P5000,
-                         costs: CostTable = DEFAULT_COSTS
-                         ) -> Dict[PhaseCategory, float]:
+    def category_seconds(self) -> Dict[PhaseCategory, float]:
         """Elapsed seconds attributed to each phase category.
 
-        Total launch time is split in proportion to the categories' cycle
-        shares — the Figure 7 breakdown and the Figure 10 per-stage times.
+        Total launch time on the default device and cost table is split
+        in proportion to the categories' cycle shares — the Figure 7
+        breakdown and the Figure 10 per-stage times.
         """
-        result = self.launch(device, costs)
+        result = self.launch()
         totals = self.tracker.category_totals()
         grand = sum(totals.values())
         if grand <= 0:

@@ -61,18 +61,15 @@ class TuningResult:
 
 def _evaluate(algorithm: str, graph: ProximityGraph, points: np.ndarray,
               queries: np.ndarray, ground_truth: np.ndarray, k: int,
-              setting: Tuple[int, ...], n_threads: int
-              ) -> Tuple[float, float]:
+              setting: Tuple[int, ...]) -> Tuple[float, float]:
     if algorithm == "ganns":
         l_n, e = setting
         report = ganns_search(graph, points, queries,
-                              SearchParams(k=k, l_n=l_n, e=min(e, l_n),
-                                           n_threads=n_threads))
+                              SearchParams(k=k, l_n=l_n, e=min(e, l_n)))
     else:
         (pq_bound,) = setting
         report = song_search(graph, points, queries,
-                             SongParams(k=k, pq_bound=max(pq_bound, k),
-                                        n_threads=n_threads))
+                             SongParams(k=k, pq_bound=max(pq_bound, k)))
     return (recall_at_k(report.ids, ground_truth),
             report.queries_per_second())
 
@@ -81,7 +78,6 @@ def tune_search(graph: ProximityGraph, points: np.ndarray,
                 validation_queries: np.ndarray, target_recall: float,
                 k: int = 10, algorithm: str = "ganns",
                 grid: Optional[Sequence[Tuple[int, ...]]] = None,
-                n_threads: int = 32,
                 ground_truth: Optional[np.ndarray] = None) -> TuningResult:
     """Find the fastest setting meeting a recall target.
 
@@ -99,7 +95,6 @@ def tune_search(graph: ProximityGraph, points: np.ndarray,
         algorithm: ``"ganns"`` or ``"song"``.
         grid: Candidate settings ordered by increasing budget; defaults
             to :data:`DEFAULT_GANNS_GRID` / :data:`DEFAULT_SONG_GRID`.
-        n_threads: Threads per block.
         ground_truth: Pre-computed exact ids, if the caller has them.
 
     Returns:
@@ -129,7 +124,7 @@ def tune_search(graph: ProximityGraph, points: np.ndarray,
     def measure(index: int) -> Tuple[float, float]:
         recall, qps = _evaluate(algorithm, graph, points,
                                 validation_queries, ground_truth, k,
-                                grid[index], n_threads)
+                                grid[index])
         evaluations.append((grid[index], recall, qps))
         return recall, qps
 

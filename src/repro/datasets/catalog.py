@@ -180,16 +180,14 @@ def dataset_names() -> Tuple[str, ...]:
 
 def load_dataset(name: str, n_points: Optional[int] = None,
                  n_queries: int = DEFAULT_QUERIES,
-                 base_points: int = DEFAULT_BASE_POINTS,
                  seed: int = 7) -> Dataset:
     """Materialise one Table I stand-in.
 
     Args:
         name: Registry name (case-insensitive), e.g. ``"sift1m"``.
-        n_points: Exact point count; defaults to the spec's scaled size.
+        n_points: Exact point count; defaults to the spec's scaled size
+            (a 1M-point dataset stands in at :data:`DEFAULT_BASE_POINTS`).
         n_queries: Held-out query count (drawn from the same distribution).
-        base_points: Stand-in size of a 1M-point dataset when ``n_points``
-            is not given.
         seed: RNG seed; queries use ``seed + 1`` so they are disjoint draws.
 
     Returns:
@@ -201,7 +199,7 @@ def load_dataset(name: str, n_points: Optional[int] = None,
         valid = ", ".join(dataset_names())
         raise DatasetError(f"unknown dataset {name!r}; valid names: {valid}")
     if n_points is None:
-        n_points = spec.scaled_points(base_points)
+        n_points = spec.scaled_points()
     n_points = as_count(n_points, "n_points", 1, DatasetError)
     n_queries = as_count(n_queries, "n_queries", 1, DatasetError)
 

@@ -25,8 +25,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.params import SearchParams, next_pow2
+from repro.core.params import SearchParams, as_count, as_finite, next_pow2
 from repro.errors import ConfigurationError
+
+#: Each retry backoff is stretched by up to this fraction, drawn from
+#: the fault plan's RNG — desynchronising retries exactly as production
+#: backoff jitter does.
+RETRY_JITTER_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -38,22 +43,18 @@ class RetryPolicy:
             (``0`` disables retrying).
         base_seconds: Backoff before the first retry.
         cap_seconds: Upper bound on any single backoff.
-        jitter_fraction: Each backoff is stretched by up to this
-            fraction, drawn from the fault plan's RNG — desynchronising
-            retries exactly as production backoff jitter does.
+
+    Each backoff is stretched by up to :data:`RETRY_JITTER_FRACTION`.
     """
 
     max_retries: int = 2
     base_seconds: float = 2e-4
     cap_seconds: float = 2e-3
-    jitter_fraction: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.base_seconds <= 0 or self.cap_seconds <= 0:
+        as_count(self.max_retries, "max_retries", 0)
+        if (as_finite(self.base_seconds, "base_seconds") <= 0
+                or as_finite(self.cap_seconds, "cap_seconds") <= 0):
             raise ConfigurationError(
                 f"backoff base/cap must be positive, got "
                 f"{self.base_seconds}, {self.cap_seconds}"
@@ -63,19 +64,13 @@ class RetryPolicy:
                 f"cap_seconds ({self.cap_seconds}) must be >= "
                 f"base_seconds ({self.base_seconds})"
             )
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ConfigurationError(
-                f"jitter_fraction must lie in [0, 1], got "
-                f"{self.jitter_fraction}"
-            )
 
     def backoff_seconds(self, attempt: int,
                         rng: np.random.Generator) -> float:
         """Backoff before retry number ``attempt`` (1-based).
 
-        Always draws from ``rng`` (even at zero jitter) so the plan's
-        jitter stream advances identically whatever the fraction —
-        changing the knob never re-times *other* random decisions.
+        Draws once from ``rng`` per backoff, so the plan's jitter
+        stream advances one value per retry.
         """
         if attempt <= 0:
             raise ConfigurationError(
@@ -84,7 +79,7 @@ class RetryPolicy:
         delay = min(self.base_seconds * (2.0 ** (attempt - 1)),
                     self.cap_seconds)
         draw = float(rng.random())
-        return delay * (1.0 + self.jitter_fraction * draw)
+        return delay * (1.0 + RETRY_JITTER_FRACTION * draw)
 
 
 #: Circuit-breaker states.
@@ -101,33 +96,19 @@ class BreakerPolicy:
         failure_threshold: Consecutive failed attempts that trip the
             breaker open.
         cooldown_seconds: How long an open breaker blocks dispatches
-            before allowing a half-open probe.
-        half_open_probes: Consecutive successful probe dispatches a
-            half-open breaker requires before it closes again (default
-            ``1`` reproduces the classic close-on-first-success
-            breaker).  Any probe failure re-opens immediately, whatever
-            the streak.
+            before allowing a half-open probe.  The first successful
+            probe closes the breaker; a failed one re-opens it.
     """
 
     failure_threshold: int = 3
     cooldown_seconds: float = 2e-3
-    half_open_probes: int = 1
 
     def __post_init__(self) -> None:
-        if self.failure_threshold <= 0:
-            raise ConfigurationError(
-                f"failure_threshold must be positive, got "
-                f"{self.failure_threshold}"
-            )
-        if self.cooldown_seconds < 0:
+        as_count(self.failure_threshold, "failure_threshold", 1)
+        if as_finite(self.cooldown_seconds, "cooldown_seconds") < 0:
             raise ConfigurationError(
                 f"cooldown_seconds must be >= 0, got "
                 f"{self.cooldown_seconds}"
-            )
-        if self.half_open_probes <= 0:
-            raise ConfigurationError(
-                f"half_open_probes must be positive, got "
-                f"{self.half_open_probes}"
             )
 
 
@@ -157,7 +138,6 @@ class CircuitBreaker:
         #: Successful dispatches recorded while half-open (total across
         #: the replay — the ``faults.breaker.probe_successes`` metric).
         self.probe_successes = 0
-        self._half_open_streak = 0
 
     def _move(self, now: float, to_state: str) -> None:
         if to_state == self.state:
@@ -165,14 +145,13 @@ class CircuitBreaker:
         self.transitions.append(BreakerTransition(
             seconds=now, from_state=self.state, to_state=to_state))
         self.state = to_state
-        self._half_open_streak = 0
 
     def allow(self, now: float) -> bool:
         """May a dispatch proceed at ``now``?
 
         An open breaker whose cooldown has elapsed moves to half-open
-        and admits probe dispatches until either one fails (re-open)
-        or ``policy.half_open_probes`` in a row succeed (close).
+        and admits a probe dispatch: its failure re-opens the breaker,
+        its success closes it.
         """
         if self.state == BREAKER_OPEN and now >= self.open_until:
             self._move(now, BREAKER_HALF_OPEN)
@@ -186,18 +165,12 @@ class CircuitBreaker:
     def record_success(self, now: float) -> None:
         """A dispatch attempt succeeded.
 
-        A closed breaker just resets its failure count.  A half-open
-        breaker counts the probe; it closes only once
-        ``policy.half_open_probes`` consecutive probes have succeeded
-        — until then further dispatches remain probes (and a single
-        failure re-opens).
+        A closed breaker just resets its failure count; a half-open one
+        counts the successful probe and closes.
         """
         self.consecutive_failures = 0
         if self.state == BREAKER_HALF_OPEN:
             self.probe_successes += 1
-            self._half_open_streak += 1
-            if self._half_open_streak < self.policy.half_open_probes:
-                return
         self._move(now, BREAKER_CLOSED)
 
     def record_failure(self, now: float) -> None:
@@ -236,17 +209,15 @@ class AdmissionGovernor:
         pressure_thresholds: Backlog fractions (backlog / ``max_queue``)
             at which each successive tier engages; same length as
             ``tiers``, ascending, in ``(0, 1]``.
-        degrade_on_breaker: Jump to the deepest tier while the breaker
-            is open or half-open.
     """
 
     tiers: Tuple[Tuple[int, int], ...] = ((32, 16), (16, 8))
     pressure_thresholds: Tuple[float, ...] = (0.5, 0.8)
-    degrade_on_breaker: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tiers",
-                           tuple((int(l), int(e)) for l, e in self.tiers))
+        object.__setattr__(self, "tiers", tuple(
+            (as_count(l, "tiers"), as_count(e, "tiers"))
+            for l, e in self.tiers))
         object.__setattr__(self, "pressure_thresholds",
                            tuple(float(p) for p in self.pressure_thresholds))
         if not self.tiers:
@@ -308,7 +279,7 @@ class AdmissionGovernor:
 
     def select_tier(self, pressure: float, breaker_impaired: bool) -> int:
         """Tier for a dispatch at the given backlog fraction."""
-        if breaker_impaired and self.degrade_on_breaker:
+        if breaker_impaired:
             return len(self.tiers)
         tier = 0
         for threshold in self.pressure_thresholds:

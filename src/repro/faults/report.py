@@ -150,17 +150,6 @@ class FaultReport:
         return [MetricRow(name, "counter", total)
                 for name, total in totals.items()]
 
-    def verify_against_metrics(self, registry) -> None:
-        """Assert this ledger is an exact view over ``registry``.
-
-        The engine publishes every fault-tolerance event into the
-        :class:`repro.observability.metrics.MetricsRegistry` at the
-        moment it appends the matching record here; the two paths are
-        allowed zero drift.  Raises
-        :class:`repro.errors.ObservabilityError` on the first mismatch.
-        """
-        registry.reconcile(self.metric_rows())
-
     # ------------------------------------------------------------------
     # Rendering / canonical form
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ callers multiply or vectorise as needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -88,10 +88,6 @@ class CostTable:
                 raise ConfigurationError(
                     f"CostTable.{field_name} must be positive, got {value!r}"
                 )
-
-    def with_overrides(self, **kwargs) -> "CostTable":
-        """Return a copy of this table with some fields replaced."""
-        return replace(self, **kwargs)
 
     # ------------------------------------------------------------------
     # Shared building blocks

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.params import as_finite
 from repro.errors import ConstructionError, DeviceError
 from repro.gpusim.device import DeviceSpec
 
@@ -134,11 +135,13 @@ class NetworkModel:
     latency_ms: float = 0.05       # datacenter RTT/2
 
     def __post_init__(self) -> None:
-        if self.bandwidth_gbps <= 0:
+        if as_finite(self.bandwidth_gbps, "bandwidth_gbps",
+                     ConstructionError) <= 0:
             raise ConstructionError(
                 f"bandwidth must be positive, got {self.bandwidth_gbps}"
             )
-        if self.latency_ms < 0:
+        if as_finite(self.latency_ms, "latency_ms",
+                     ConstructionError) < 0:
             raise ConstructionError(
                 f"latency must be non-negative, got {self.latency_ms}"
             )

@@ -242,9 +242,9 @@ class ProximityGraph:
     @classmethod
     def from_rows(cls, rows_ids: np.ndarray, rows_dists: np.ndarray,
                   d_max: Optional[int] = None,
-                  metric: str = "euclidean",
-                  dtype: object = np.float64) -> "ProximityGraph":
-        """Build a graph from dense ``(n, w)`` id/distance matrices.
+                  metric: str = "euclidean") -> "ProximityGraph":
+        """Build a float64 graph from dense ``(n, w)`` id/distance
+        matrices.
 
         Padding entries must use ``-1`` / ``+inf``; rows must be sorted.
         Every row is held to :meth:`set_row`'s checks, all rows at once.
@@ -259,7 +259,7 @@ class ProximityGraph:
         n, width = rows_ids.shape
         if d_max is None:
             d_max = width
-        graph = cls(n, d_max, metric, dtype=dtype)
+        graph = cls(n, d_max, metric, dtype=np.float64)
         # Front-pack the valid entries of every row, order preserved.
         pack = np.argsort(rows_ids < 0, axis=1, kind="stable")
         ids = np.take_along_axis(rows_ids, pack, axis=1).astype(np.int64)

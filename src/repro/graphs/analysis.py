@@ -104,8 +104,9 @@ def mean_hops(graph: ProximityGraph, entry: int = 0) -> float:
 
 
 def neighborhood_overlap(graph: ProximityGraph,
-                         sample: int = 200, seed: int = 0) -> float:
-    """Mean Jaccard overlap between the rows of adjacent vertices.
+                         sample: int = 200) -> float:
+    """Mean Jaccard overlap between the rows of adjacent vertices, over
+    ``sample`` vertices drawn with seed 0.
 
     High overlap means a GANNS exploration step re-discovers many
     vertices already in the pool — the redundancy that lazy check
@@ -113,7 +114,7 @@ def neighborhood_overlap(graph: ProximityGraph,
     """
     if sample <= 0:
         raise GraphError(f"sample must be positive, got {sample}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     candidates = np.flatnonzero(graph.degrees > 0)
     if candidates.size == 0:
         return 0.0
@@ -142,15 +143,14 @@ class NavigabilityReport:
     neighborhood_overlap: float
 
 
-def navigability_report(graph: ProximityGraph,
-                        entry: int = 0) -> NavigabilityReport:
-    """Collect the full structural profile."""
-    histogram = hop_histogram(graph, entry)
+def navigability_report(graph: ProximityGraph) -> NavigabilityReport:
+    """Collect the full structural profile (hops from vertex 0)."""
+    histogram = hop_histogram(graph)
     unreachable = histogram.get(-1, 0) / graph.n_vertices
     return NavigabilityReport(
         degrees=degree_distribution(graph),
         long_link_fraction=long_link_fraction(graph),
-        mean_hops_from_entry=mean_hops(graph, entry),
+        mean_hops_from_entry=mean_hops(graph),
         unreachable_fraction=unreachable,
         neighborhood_overlap=neighborhood_overlap(graph),
     )

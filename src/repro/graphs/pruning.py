@@ -17,19 +17,15 @@ measurably improves recall per explored vertex on NSW graphs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.adjacency import ProximityGraph
-from repro.metrics.distance import Metric
 
 
 def prune_diversify(graph: ProximityGraph, points: np.ndarray,
                     alpha: float = 1.0,
-                    min_degree: int = 1,
-                    metric: Optional[Metric] = None) -> ProximityGraph:
+                    min_degree: int = 1) -> ProximityGraph:
     """Prune each row with the relative-neighborhood (diversity) rule.
 
     Rows are scanned closest-first; a neighbor ``u`` is kept unless some
@@ -42,7 +38,8 @@ def prune_diversify(graph: ProximityGraph, points: np.ndarray,
         alpha: Pruning aggressiveness (``> 0``).
         min_degree: Keep at least this many neighbors per row regardless
             of the rule (guards connectivity).
-        metric: Distance metric; defaults to the graph's.
+
+    Distances are the graph's own metric.
 
     Returns:
         A new pruned :class:`ProximityGraph` with the same ``d_max``.
@@ -57,8 +54,7 @@ def prune_diversify(graph: ProximityGraph, points: np.ndarray,
             f"points shape {points.shape} does not match the graph's "
             f"{graph.n_vertices} vertices"
         )
-    if metric is None:
-        metric = graph.metric
+    metric = graph.metric
 
     pruned = ProximityGraph(graph.n_vertices, graph.d_max,
                             graph.metric_name)

@@ -16,11 +16,13 @@ import numpy as np
 from repro.errors import GraphError, ValidationError
 from repro.graphs.adjacency import PAD_ID, ProximityGraph
 
+#: Absolute tolerance of the stored-versus-recomputed distance check.
+DISTANCE_ATOL = 1e-4
+
 
 def validate_graph(graph: ProximityGraph, points: Optional[np.ndarray] = None,
                    d_min: Optional[int] = None,
                    check_distances: bool = False,
-                   atol: float = 1e-4,
                    tombstones: Optional[np.ndarray] = None) -> None:
     """Validate a graph's structural invariants.
 
@@ -45,7 +47,7 @@ def validate_graph(graph: ProximityGraph, points: Optional[np.ndarray] = None,
        detached (degree ``0``).  Violations raise the more specific
        :class:`repro.errors.ValidationError`.
     7. When ``points`` is given and ``check_distances`` is set, stored
-       distances match recomputed ones to within ``atol``.
+       distances match recomputed ones to within :data:`DISTANCE_ATOL`.
 
     Args:
         graph: Graph to validate.
@@ -53,7 +55,6 @@ def validate_graph(graph: ProximityGraph, points: Optional[np.ndarray] = None,
             per vertex.
         d_min: Construction lower bound to verify, if any.
         check_distances: Recompute and compare stored distances (slower).
-        atol: Absolute tolerance for distance comparison.
         tombstones: Optional boolean mask of deleted vertices; enables
             the post-compaction unreachability checks.  Tombstoned
             vertices are exempt from the ``d_min`` floor.
@@ -189,7 +190,7 @@ def validate_graph(graph: ProximityGraph, points: Optional[np.ndarray] = None,
             row = ids[v, :degree]
             expected = metric.one_to_many(points[v], points[row])
             stored = dists[v, :degree]
-            if not np.allclose(stored, expected, atol=atol):
+            if not np.allclose(stored, expected, atol=DISTANCE_ATOL):
                 worst = float(np.abs(stored - expected).max())
                 raise GraphError(
                     f"vertex {v} stores distances deviating from recomputed "

@@ -7,18 +7,21 @@ windows, entirely on the simulated clock:
    (the same window during which the router still bounces queries off
    the corpse).
 2. **Rebuild** — the owning shard's latest snapshot ships over the
-   rate-limited repair lane of the network model and is deserialized
-   at a per-byte cycle charge on the device.
+   one rate-limited repair lane of the network model (repairs queue
+   FIFO in death order) and is deserialized at a per-byte cycle charge
+   on the device.
 3. **Catch up** — the WAL delta between snapshot and current shard
    state replays (cost supplied by the repair source, computed through
    :mod:`repro.mutable.recovery` for store-backed shards).
-4. **Verify** — the rebuilt replica exchanges a graph digest with the
-   shard's authoritative copy (anti-entropy).  A mismatch quarantines
-   the rebuild: the replica is *never* admitted with a mismatched
-   digest; the controller re-rebuilds from scratch, up to the policy's
-   attempt budget, and abandons the slot (dead forever) if the budget
-   runs out.
-5. **Admit** — on a matching digest the controller installs the
+4. **Verify** — one anti-entropy digest round trip of
+   :data:`repro.heal.policy.DIGEST_BYTES` is charged, and the attempt's
+   verdict is drawn from the fault plan's ``"heal:corruption"`` stream
+   at the policy's ``corruption_probability`` (no digest is computed).
+   A corrupted attempt is quarantined: the replica is *never* admitted
+   from it; the controller re-rebuilds from scratch, up to the
+   policy's attempt budget, and abandons the slot (dead forever) if
+   the budget runs out.
+5. **Admit** — on a clean attempt the controller installs the
    revival instant into the router; from that moment the slot serves
    again and a shard that had degraded to ``PARTIAL`` is healthy.
 
@@ -41,7 +44,9 @@ from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import NetworkModel
-from repro.heal.policy import HealPolicy
+from repro.heal.policy import (DESERIALIZE_CYCLES_PER_BYTE,
+                               DESERIALIZE_THREADS, DIGEST_BYTES,
+                               REPAIR_BANDWIDTH_FRACTION, HealPolicy)
 
 #: Terminal states of one repair.
 REPAIR_HEALED = "healed"
@@ -58,9 +63,10 @@ class RepairAttempt:
         deserialize_seconds: Device time decoding the snapshot.
         catchup_seconds: WAL-delta replay time.
         verify_seconds: Anti-entropy digest exchange round trip.
-        digest_matched: Whether the rebuilt graph digest matched the
-            shard's authoritative digest.  ``False`` means the attempt
-            was quarantined — its state was discarded, never admitted.
+        digest_matched: Whether the attempt passed verification (its
+            ``"heal:corruption"`` draw came up clean).  ``False`` means
+            the attempt was quarantined — its state was discarded,
+            never admitted.
     """
 
     start_seconds: float
@@ -173,24 +179,25 @@ class RepairRecord:
 class RepairController:
     """Deterministic replica-rebuild scheduler on the simulated clock.
 
+    The repair lane uses :data:`repro.heal.policy.REPAIR_BANDWIDTH_FRACTION`
+    of the cluster interconnect's bandwidth (the default
+    :class:`~repro.gpusim.memory.NetworkModel`, as the cluster's).
+
     Args:
         policy: Timing and safety knobs.
-        network: Cluster interconnect (the repair lane uses
-            ``policy.repair_bandwidth_fraction`` of its bandwidth).
         device: Simulated device the deserialize kernel runs on.
         costs: Cycle cost table.
     """
 
     def __init__(self, policy: HealPolicy,
-                 network: Optional[NetworkModel] = None,
                  device: DeviceSpec = QUADRO_P5000,
                  costs: CostTable = DEFAULT_COSTS):
         self.policy = policy
-        self.network = (network if network is not None
-                        else NetworkModel())
+        #: Cluster interconnect the repair lane rides on.
+        self.network = NetworkModel()
         self.device = device
         self.costs = costs
-        self._launch = KernelLaunch(device, policy.n_threads,
+        self._launch = KernelLaunch(device, DESERIALIZE_THREADS,
                                     costs=costs)
 
     # ------------------------------------------------------------------
@@ -201,17 +208,16 @@ class RepairController:
         """Rate-limited snapshot transfer (repair lane bandwidth)."""
         return (self.network.latency_ms * 1e-3
                 + n_bytes / (self.network.bandwidth_gbps * 1e9
-                             * self.policy.repair_bandwidth_fraction))
+                             * REPAIR_BANDWIDTH_FRACTION))
 
     def deserialize_seconds(self, n_bytes: float) -> float:
         """Device time decoding a snapshot into serving form."""
         return self._launch.cycles_to_seconds(
-            n_bytes * self.policy.deserialize_cycles_per_byte)
+            n_bytes * DESERIALIZE_CYCLES_PER_BYTE)
 
     def verify_seconds(self) -> float:
         """Anti-entropy digest exchange: one full-bandwidth round trip."""
-        return 2.0 * self.network.transfer_seconds(
-            self.policy.digest_bytes)
+        return 2.0 * self.network.transfer_seconds(DIGEST_BYTES)
 
     # ------------------------------------------------------------------
     # Planning
@@ -249,7 +255,7 @@ class RepairController:
             (at, index, slot)
             for index, (at, slot) in enumerate(router.loss_schedule))
         windows: Dict[int, List[Tuple[float, float]]] = {}
-        lanes = [0.0] * self.policy.n_repair_lanes
+        lane_free = 0.0
         records: List[RepairRecord] = []
         for death, _, slot in ordered:
             current = windows.get(slot)
@@ -259,8 +265,7 @@ class RepairController:
             shard, replica = divmod(slot, router.n_replicas)
             source = sources[shard]
             detect = death + router.policy.heartbeat_seconds
-            lane = min(range(len(lanes)), key=lambda j: (lanes[j], j))
-            start = max(detect, lanes[lane])
+            start = max(detect, lane_free)
             transfer = self.transfer_seconds(source.snapshot_bytes)
             deserialize = self.deserialize_seconds(
                 source.snapshot_bytes)
@@ -283,7 +288,7 @@ class RepairController:
                 if not corrupted:
                     admitted = now
                     break
-            lanes[lane] = now
+            lane_free = now
             status = (REPAIR_HEALED if math.isfinite(admitted)
                       else REPAIR_ABANDONED)
             windows.setdefault(slot, []).append((death, admitted))

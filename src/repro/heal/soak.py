@@ -44,6 +44,14 @@ from repro.mutable import recover, run_mutation_sim
 from repro.observability import MetricsRegistry, SpanTracer
 from repro.serve import synthetic_trace
 
+#: Query-pool size every soak phase draws its trace from (the mutable
+#: phase uses half).
+SOAK_N_POOL = 100
+#: Trace arrival rate of every soak phase, requests per second.
+SOAK_MEAN_QPS = 20_000.0
+#: Mutation ops in the mutable phase.
+SOAK_MUTATION_OPS = 20
+
 
 @dataclass(frozen=True)
 class SoakPhaseResult:
@@ -246,7 +254,6 @@ def count_wrong_answers(engine, report, trace, pool: np.ndarray, params,
 
 def _cluster_phase(name: str, make_engine, n_workers: int,
                    pool: np.ndarray, params, n_requests: int, seed: int,
-                   mean_qps: float,
                    live_ids: Optional[np.ndarray] = None,
                    n_wrong: int = 0, detail: str = "") -> SoakPhaseResult:
     """One healing cluster under the ``soak`` recipe, verified.
@@ -256,10 +263,11 @@ def _cluster_phase(name: str, make_engine, n_workers: int,
     vs registry) and then the offline oracle, whose violations are
     added to ``n_wrong``.
     """
-    trace = synthetic_trace(pool, n_requests, mean_qps=mean_qps,
+    trace = synthetic_trace(pool, n_requests, mean_qps=SOAK_MEAN_QPS,
                             queries_per_request=2, seed=seed)
     plan = named_fault_plan("soak",
-                            horizon_seconds=2.0 * n_requests / mean_qps,
+                            horizon_seconds=2.0 * n_requests
+                            / SOAK_MEAN_QPS,
                             seed=seed, n_workers=n_workers)
     engine = make_engine(params=params, faults=plan)
     tracer = SpanTracer()
@@ -289,8 +297,7 @@ def _cluster_phase(name: str, make_engine, n_workers: int,
     )
 
 
-def _mutable_phase(seed: int, mutation_ops: int, n_pool: int,
-                   n_requests: int, mean_qps: float, n_replicas: int,
+def _mutable_phase(seed: int, n_requests: int, n_replicas: int,
                    heal: HealPolicy) -> SoakPhaseResult:
     """Mutation sim under crash chaos, then a healing cluster served
     from the surviving store's snapshot and repaired from that store
@@ -300,10 +307,11 @@ def _mutable_phase(seed: int, mutation_ops: int, n_pool: int,
     tracer = SpanTracer()
     metrics = MetricsRegistry()
     mreport = run_mutation_sim(
-        n_points=240, n_dims=16, n_ops=mutation_ops, seed=seed,
+        n_points=240, n_dims=16, n_ops=SOAK_MUTATION_OPS, seed=seed,
         batch_size=8, k=5, l_n=32, compact_every=6, checkpoint_every=9,
         fault_plan=named_fault_plan(
-            "compaction-crash", horizon_seconds=float(mutation_ops + 5),
+            "compaction-crash",
+            horizon_seconds=float(SOAK_MUTATION_OPS + 5),
             seed=seed),
         tracer=tracer, metrics=metrics)
     tracer.finish()
@@ -313,13 +321,14 @@ def _mutable_phase(seed: int, mutation_ops: int, n_pool: int,
     recovered = recover(store)
     handle = recovered.snapshot()
     pool = np.random.default_rng(seed + 101).standard_normal(
-        (n_pool, handle.points.shape[1])).astype(handle.points.dtype)
+        (SOAK_N_POOL // 2, handle.points.shape[1])
+    ).astype(handle.points.dtype)
     return _cluster_phase(
         "mutable",
         partial(ClusterEngine.from_snapshot, handle, 2, n_replicas,
                 heal=heal, repair_store=store),
         2 * n_replicas, pool, SearchParams(k=5, l_n=32), n_requests,
-        seed + 1, mean_qps, live_ids=handle.live_ids(),
+        seed + 1, live_ids=handle.live_ids(),
         # Recovery infidelity is a wrong answer waiting to happen.
         n_wrong=mreport.n_wrong_answers + int(
             recovered.digest() != mreport.final_digest),
@@ -330,12 +339,10 @@ def _mutable_phase(seed: int, mutation_ops: int, n_pool: int,
 
 
 def run_soak_sim(seed: int = 0, *,
-                 n_points: int = 500, n_pool: int = 100,
-                 n_requests: int = 300, mean_qps: float = 20_000.0,
+                 n_points: int = 500, n_requests: int = 300,
                  n_shards: int = 4, n_replicas: int = 2,
                  mttr_bound_seconds: float = 0.05,
-                 corruption_probability: float = 0.2,
-                 mutation_ops: int = 20) -> SoakReport:
+                 corruption_probability: float = 0.2) -> SoakReport:
     """Run the three-phase whole-stack chaos soak.
 
     Everything downstream is a pure function of the arguments: traces,
@@ -343,45 +350,45 @@ def run_soak_sim(seed: int = 0, *,
     calls with the same inputs return byte-identical
     :class:`SoakReport` encodings.
 
+    Every phase draws its trace at :data:`SOAK_MEAN_QPS` from a pool of
+    :data:`SOAK_N_POOL` queries; the mutable phase runs
+    :data:`SOAK_MUTATION_OPS` ops.
+
     Args:
         seed: Master seed; each phase derives its own trace/plan seeds
             from it deterministically.
         n_points: Cluster corpus size (phases 1 and 3).
-        n_pool: Query-pool size.
         n_requests: Requests in the cluster phase (the mutable and
             quant phases replay half as many).
-        mean_qps: Trace arrival rate.
         n_shards: Shards in the cluster/quant phases.
         n_replicas: Replicas per shard.
         mttr_bound_seconds: Bound every healed repair must meet.
         corruption_probability: Per-rebuild corruption rate — keeps the
             quarantine + re-rebuild path honest.
-        mutation_ops: Mutation ops in the mutable phase.
     """
     from repro.cluster import ClusterEngine
 
-    if n_requests <= 0 or mutation_ops <= 0:
-        raise HealError(f"soak needs positive n_requests/mutation_ops, "
-                        f"got {n_requests}/{mutation_ops}")
+    if n_requests <= 0:
+        raise HealError(f"soak needs positive n_requests, "
+                        f"got {n_requests}")
     heal = HealPolicy(corruption_probability=corruption_probability,
                       max_rebuild_attempts=4,
                       mttr_bound_seconds=mttr_bound_seconds)
     dataset = load_dataset("sift1m", n_points=n_points,
-                           n_queries=n_pool)
+                           n_queries=SOAK_N_POOL)
     make_cluster = partial(ClusterEngine, dataset.points, n_shards,
                            n_replicas, heal=heal)
     half = max(n_requests // 2, 1)
     phases = [
         _cluster_phase("cluster", make_cluster, n_shards * n_replicas,
                        dataset.queries, SearchParams(k=8, l_n=32),
-                       n_requests, seed, mean_qps),
-        _mutable_phase(seed, mutation_ops, n_pool // 2, half, mean_qps,
-                       n_replicas, heal),
+                       n_requests, seed),
+        _mutable_phase(seed, half, n_replicas, heal),
         _cluster_phase("quant", make_cluster, n_shards * n_replicas,
                        dataset.queries,
                        SearchParams(k=8, l_n=32, quant="fp16",
                                     rerank_factor=2),
-                       half, seed + 2, mean_qps),
+                       half, seed + 2),
     ]
     return SoakReport(seed=seed,
                       mttr_bound_seconds=mttr_bound_seconds,

@@ -1,6 +1,6 @@
 """Rebuild sources: where a dead replica's replacement state comes from.
 
-A repair source answers three questions for the controller, all
+A repair source answers two questions for the controller, both
 deterministically:
 
 1. **How many bytes ship?**  (:attr:`snapshot_bytes` — charged to the
@@ -9,9 +9,10 @@ deterministically:
    :attr:`wal_records` — the WAL delta between the snapshot and the
    shard's current state, replayed through the mutable-index recovery
    machinery.)
-3. **What must the rebuilt graph digest to?**  (:meth:`digest` — the
-   anti-entropy currency; a rebuilt replica whose graph digest does
-   not match is quarantined, never admitted.)
+
+Verification needs nothing from the source: the controller charges one
+digest round trip and draws the attempt's verdict from the fault plan's
+``"heal:corruption"`` stream (see :mod:`repro.heal.controller`).
 
 Two implementations cover the two cluster shapes:
 
@@ -28,12 +29,9 @@ Two implementations cover the two cluster shapes:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import HealError
-from repro.graphs.stats import graph_digest
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 
@@ -73,10 +71,6 @@ class StaticShardSource:
         self.snapshot_bytes = shard_payload_bytes(graph, self.points)
         self.catchup_seconds = float(catchup_seconds)
         self.wal_records = int(wal_records)
-
-    def digest(self) -> str:
-        """Authoritative anti-entropy digest of the shard graph."""
-        return graph_digest(self.graph)
 
 
 class StoreShardSource:
@@ -142,7 +136,3 @@ class StoreShardSource:
     def wal_records(self) -> int:
         """Surviving WAL records the rebuilt replica replays."""
         return len(self.store.surviving_records())
-
-    def digest(self) -> str:
-        """Anti-entropy digest of the recovered serving graph."""
-        return graph_digest(self.recovered.graph)

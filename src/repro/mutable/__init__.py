@@ -12,7 +12,7 @@ from repro.mutable.compaction import (
     compact_graph,
 )
 from repro.mutable.index import MutableIndex
-from repro.mutable.recovery import clean_replay_digest, recover
+from repro.mutable.recovery import recover
 from repro.mutable.report import (
     OP_RECORD_KINDS,
     MutationReport,
@@ -47,7 +47,6 @@ __all__ = [
     "SnapshotHandle",
     "WalRecord",
     "WriteAheadLog",
-    "clean_replay_digest",
     "compact_graph",
     "default_build_params",
     "recover",

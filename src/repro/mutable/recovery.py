@@ -107,14 +107,3 @@ def recover(store: DurableStore,
             "epoch": index.epoch})
     return index
 
-
-def clean_replay_digest(store: DurableStore,
-                        device: DeviceSpec = QUADRO_P5000,
-                        costs: CostTable = DEFAULT_COSTS) -> str:
-    """Digest of an independent, from-scratch replay of the store.
-
-    The crash-recovery battery compares :func:`recover`'s digest
-    against this — a separately constructed index from the same
-    surviving log — to prove recovery hides no torn state.
-    """
-    return recover(store, device=device, costs=costs).digest()

@@ -29,8 +29,6 @@ from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import ConfigurationError, ProcessCrashError
 from repro.faults.injector import CrashInjector
 from repro.faults.plan import FaultPlan
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.mutable.index import MutableIndex
 from repro.mutable.recovery import recover
 from repro.mutable.report import MutationReport, OpRecord, SearchRecord
@@ -44,10 +42,9 @@ OP_SPACING_SECONDS = 1.0
 RECOVERY_DELAY_SECONDS = 0.5
 
 
-def default_build_params(n_threads: int = 32) -> BuildParams:
+def default_build_params() -> BuildParams:
     """Small-corpus build parameters the sim (and its gates) use."""
-    return BuildParams(d_min=4, d_max=8, n_blocks=8,
-                       n_threads=n_threads)
+    return BuildParams(d_min=4, d_max=8, n_blocks=8)
 
 
 @dataclass
@@ -151,13 +148,12 @@ def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
                      n_ops: int = 24, seed: int = 0,
                      batch_size: int = 8, k: int = 5, l_n: int = 32,
                      compact_every: int = 6, checkpoint_every: int = 9,
-                     build_params: Optional[BuildParams] = None,
                      fault_plan: Optional[FaultPlan] = None,
-                     metric: str = "euclidean",
-                     device: DeviceSpec = QUADRO_P5000,
-                     costs: CostTable = DEFAULT_COSTS,
                      tracer=None, metrics=None) -> MutationReport:
     """Run one deterministic mutation workload, chaos and all.
+
+    The seed build uses :func:`default_build_params` and the euclidean
+    metric, on the default device and cost table.
 
     Args:
         n_points: Seed corpus size (offline-built at ``t = 0``).
@@ -171,13 +167,8 @@ def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
         compact_every: A compaction every this many ops (0 = never).
         checkpoint_every: A checkpoint every this many ops (0 = never;
             checked before ``compact_every``; both count from 1).
-        build_params: Seed-build parameters; defaults to
-            :func:`default_build_params`.
         fault_plan: Optional chaos schedule; only its ``crash`` events
             apply here.
-        metric: Distance metric name.
-        device: Simulated device.
-        costs: Cycle cost table.
         tracer: Optional span tracer (``mutate.*``, ``compaction.*``,
             ``recovery.*`` spans on the ``mutate`` lane).
         metrics: Optional metrics registry; the returned report's
@@ -194,14 +185,13 @@ def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
         if value < floor:
             raise ConfigurationError(
                 f"{name} must be >= {floor}, got {value}")
-    params = build_params or default_build_params()
+    params = default_build_params()
     rng = np.random.default_rng(seed)
     corpus = gaussian_mixture(n_points, n_dims,
                               n_clusters=min(8, n_points),
                               seed=seed).astype(np.float64)
     sim = _Workload(
-        index=MutableIndex.build(corpus, params, metric=metric,
-                                 device=device, costs=costs),
+        index=MutableIndex.build(corpus, params),
         rng=rng, report=MutationReport(seed=seed, metrics=metrics),
         search_params=SearchParams(k=k, l_n=l_n,
                                    n_threads=params.n_threads),

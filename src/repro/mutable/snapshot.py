@@ -52,16 +52,6 @@ class SnapshotHandle:
         self.entry = int(entry)
         self._view: Optional[Tuple[ProximityGraph, np.ndarray, int]] = None
 
-    @property
-    def n_slots(self) -> int:
-        """Total id slots (live + tombstoned) at pin time."""
-        return self.graph.n_vertices
-
-    @property
-    def n_live(self) -> int:
-        """Live points at pin time."""
-        return int((~self.tombstones).sum())
-
     def live_ids(self) -> np.ndarray:
         """External ids alive at pin time, ascending."""
         return np.flatnonzero(~self.tombstones)
@@ -89,11 +79,6 @@ class SnapshotHandle:
         view_graph, view_points, entry = self.serving_view()
         return ganns_search(view_graph, view_points, queries, params,
                             entry=entry)
-
-    def digest(self) -> str:
-        """SHA-256 over the pinned state's canonical bytes."""
-        return state_digest(b"epoch=%d entry=%d " % (self.epoch, self.entry),
-                            self.points, self.graph, self.tombstones)
 
 
 def state_digest(header: bytes, points: np.ndarray, graph: ProximityGraph,

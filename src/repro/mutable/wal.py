@@ -106,16 +106,6 @@ class WalRecord:
                                                   dtype=np.int64))
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "WalRecord":
-        """Inverse of :meth:`to_dict`."""
-        points = data.get("points")
-        ids = data.get("ids")
-        return cls(lsn=int(data["lsn"]), op=str(data["op"]),
-                   at_seconds=float(data["at_seconds"]),
-                   points=None if points is None else decode_array(points),
-                   ids=None if ids is None else decode_array(ids))
-
     def to_json(self) -> str:
         """Canonical JSON encoding (sorted keys)."""
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -124,8 +114,8 @@ class WalRecord:
 class WriteAheadLog:
     """Append-only record log; appends are atomic, order is the truth."""
 
-    def __init__(self, records: Tuple[WalRecord, ...] = ()):
-        self._records: List[WalRecord] = list(records)
+    def __init__(self):
+        self._records: List[WalRecord] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -153,10 +143,6 @@ class WriteAheadLog:
     def to_bytes(self) -> bytes:
         """Canonical byte encoding (one record JSON per line)."""
         return "\n".join(r.to_json() for r in self._records).encode("utf-8")
-
-    def digest(self) -> str:
-        """SHA-256 hex digest of :meth:`to_bytes`."""
-        return hashlib.sha256(self.to_bytes()).hexdigest()
 
 
 @dataclass

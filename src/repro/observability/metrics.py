@@ -48,6 +48,9 @@ DEFAULT_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 #: identical replays still produce identical :meth:`to_json_bytes`.
 VOLATILE_PREFIX = "perf."
 
+#: Lines :meth:`MetricsRegistry.summary` prints before it elides the rest.
+SUMMARY_MAX_LINES = 24
+
 
 class MetricRow(NamedTuple):
     """One line of a report's metric table: what the registry must hold.
@@ -73,9 +76,8 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value: float = 0.0
 
     def inc(self, amount: Number = 1) -> None:
@@ -98,9 +100,8 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value: float = 0.0
 
     def set(self, value: Number) -> None:
@@ -126,8 +127,7 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(self, name: str, bounds: Sequence[Number],
-                 help: str = ""):
+    def __init__(self, name: str, bounds: Sequence[Number]):
         edges = tuple(float(b) for b in bounds)
         if not edges:
             raise ObservabilityError(
@@ -143,7 +143,6 @@ class Histogram:
                 f"increasing, got {edges}"
             )
         self.name = name
-        self.help = help
         self.bounds: Tuple[float, ...] = edges
         self.counts: List[int] = [0] * (len(edges) + 1)
         self.sum: float = 0.0
@@ -195,10 +194,6 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    def names(self) -> Tuple[str, ...]:
-        """Registered metric names, sorted."""
-        return tuple(sorted(self._metrics))
-
     def _get_or_create(self, name: str, kind: type, **kwargs):
         existing = self._metrics.get(name)
         if existing is not None:
@@ -213,20 +208,19 @@ class MetricsRegistry:
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         """Get or create a counter."""
-        return self._get_or_create(name, Counter, help=help)
+        return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         """Get or create a gauge."""
-        return self._get_or_create(name, Gauge, help=help)
+        return self._get_or_create(name, Gauge)
 
     def histogram(self, name: str,
-                  bounds: Sequence[Number] = DEFAULT_LATENCY_BUCKETS,
-                  help: str = "") -> Histogram:
+                  bounds: Sequence[Number] = DEFAULT_LATENCY_BUCKETS
+                  ) -> Histogram:
         """Get or create a fixed-bucket histogram."""
-        return self._get_or_create(name, Histogram, bounds=bounds,
-                                   help=help)
+        return self._get_or_create(name, Histogram, bounds=bounds)
 
     def value(self, name: str, default: Optional[float] = None
               ) -> float:
@@ -267,21 +261,15 @@ class MetricsRegistry:
     # Serialization
     # ------------------------------------------------------------------
 
-    def snapshot(self, include_volatile: bool = False
-                 ) -> Dict[str, Dict[str, object]]:
-        """Name-sorted plain-data snapshot of every instrument.
-
-        Args:
-            include_volatile: Also include metrics under
-                :data:`VOLATILE_PREFIX` (host wall-clock and friends).
-                Off by default so the snapshot — and everything built on
-                it, like :meth:`to_json_bytes` and :meth:`digest` —
-                stays byte-identical across replays of the same run.
-        """
+    def snapshot(self) -> Dict[str, Dict[str, object]]:
+        """Name-sorted plain-data snapshot of every instrument outside
+        :data:`VOLATILE_PREFIX` (host wall-clock and friends), so the
+        snapshot — and everything built on it, like
+        :meth:`to_json_bytes` and :meth:`digest` — stays byte-identical
+        across replays of the same run."""
         return {name: self._metrics[name].snapshot()
                 for name in sorted(self._metrics)
-                if include_volatile
-                or not name.startswith(VOLATILE_PREFIX)}
+                if not name.startswith(VOLATILE_PREFIX)}
 
     def to_json_bytes(self) -> bytes:
         """Canonical byte encoding of :meth:`snapshot` (no volatiles)."""
@@ -294,7 +282,7 @@ class MetricsRegistry:
         """SHA-256 hex digest of :meth:`to_json_bytes`."""
         return hashlib.sha256(self.to_json_bytes()).hexdigest()
 
-    def summary(self, prefix: str = "", max_lines: int = 24) -> str:
+    def summary(self, prefix: str = "") -> str:
         """Human-readable snapshot block (what the CLI prints)."""
         lines: List[str] = []
         for name in sorted(self._metrics):
@@ -306,7 +294,8 @@ class MetricsRegistry:
                              f"mean={metric.mean:.6g}")
             else:
                 lines.append(f"  {name:<34} {metric.value:g}")
-        if len(lines) > max_lines:
-            hidden = len(lines) - max_lines
-            lines = lines[:max_lines] + [f"  … {hidden} more metrics"]
+        if len(lines) > SUMMARY_MAX_LINES:
+            hidden = len(lines) - SUMMARY_MAX_LINES
+            lines = (lines[:SUMMARY_MAX_LINES]
+                     + [f"  … {hidden} more metrics"])
         return "\n".join(lines)

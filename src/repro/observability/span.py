@@ -36,6 +36,10 @@ from repro.errors import ObservabilityError
 #: Lane used when a root span does not name one.
 DEFAULT_LANE = "main"
 
+#: Span kinds :meth:`SpanTracer.tree_summary` lists before it elides
+#: the rest.
+TREE_SUMMARY_MAX_NAMES = 12
+
 
 def jsonable_scalar(value: object) -> object:
     """Coerce ``value`` to a deterministically serializable JSON scalar.
@@ -308,12 +312,10 @@ class SpanTracer:
     def add(self, name: str, start_seconds: float, end_seconds: float,
             parent_id: Optional[int] = None,
             lane: Optional[str] = None,
-            lane_group: Optional[str] = None,
             attributes: Optional[Dict[str, object]] = None) -> int:
         """Record a complete span whose endpoints are both known."""
         span_id = self.begin(name, start_seconds, parent_id=parent_id,
-                             lane=lane, lane_group=lane_group,
-                             attributes=attributes)
+                             lane=lane, attributes=attributes)
         self.end(span_id, end_seconds)
         return span_id
 
@@ -472,7 +474,7 @@ class SpanTracer:
     # Rendering
     # ------------------------------------------------------------------
 
-    def tree_summary(self, max_names: int = 12) -> str:
+    def tree_summary(self) -> str:
         """Compact human-readable span census (what the CLI prints)."""
         counts: Dict[str, int] = {}
         for span in self._spans:
@@ -481,9 +483,9 @@ class SpanTracer:
         lines = [f"trace: {len(self._spans)} spans on {len(lanes)} "
                  f"lanes"]
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        for name, count in ranked[:max_names]:
+        for name, count in ranked[:TREE_SUMMARY_MAX_NAMES]:
             lines.append(f"  {name:<18} {count}")
-        if len(ranked) > max_names:
-            lines.append(f"  … {len(ranked) - max_names} more span "
-                         f"kinds")
+        if len(ranked) > TREE_SUMMARY_MAX_NAMES:
+            lines.append(f"  … {len(ranked) - TREE_SUMMARY_MAX_NAMES} "
+                         f"more span kinds")
         return "\n".join(lines)

@@ -5,8 +5,8 @@ retried calls) arrive many times within seconds.  Answering a repeat
 from a cache costs a hash lookup instead of a graph traversal, so the
 GPU batches stay full of *novel* work.
 
-The key quantizes the query vector to a fixed number of decimals — two
-float vectors that differ below the quantization step share a bucket.
+The key quantizes the query vector to :data:`QUERY_DECIMALS` decimals —
+two float vectors that differ below the quantization step share a bucket.
 Because approximate matches could silently return another query's
 neighbors, every hit is verified against the exact vector stored in the
 entry; a bucket collision is counted and treated as a miss, never
@@ -32,8 +32,11 @@ import numpy as np
 from repro.core.params import as_count
 from repro.errors import ConfigurationError
 
+#: Decimals the bucket key rounds each query coordinate to.
+QUERY_DECIMALS = 6
 
-def quantize_query(query: np.ndarray, decimals: int = 6) -> bytes:
+
+def quantize_query(query: np.ndarray) -> bytes:
     """Bucket key for a query vector: rounded float64 bytes.
 
     Rounding collapses float noise (e.g. a re-encoded float32 upload of
@@ -41,7 +44,7 @@ def quantize_query(query: np.ndarray, decimals: int = 6) -> bytes:
     it shares the bucket of ``+0.0``.
     """
     rounded = np.round(np.asarray(query, dtype=np.float64).ravel(),
-                       decimals)
+                       QUERY_DECIMALS)
     rounded += 0.0  # -0.0 + 0.0 == +0.0
     return rounded.tobytes()
 
@@ -64,16 +67,13 @@ class ResultCache:
     Args:
         capacity: Maximum resident entries; ``0`` disables the cache
             (every lookup misses, every put is dropped).
-        decimals: Quantization decimals for the bucket key.
         version: Initial index version the cache serves; entries are
             keyed by it, and :meth:`bump_version` invalidates the
             entries of superseded versions.
     """
 
-    def __init__(self, capacity: int = 4096, decimals: int = 6,
-                 version: int = 0):
+    def __init__(self, capacity: int = 4096, version: int = 0):
         self.capacity = as_count(capacity, "cache capacity", 0)
-        self.decimals = as_count(decimals, "cache decimals", 0)
         self.version = int(version)
         self.stats = CacheStats()
         # key -> (exact query vector, ids, dists); most recent last.
@@ -83,8 +83,7 @@ class ResultCache:
         return len(self._entries)
 
     def _key(self, query: np.ndarray, signature: tuple) -> tuple:
-        return (quantize_query(query, self.decimals), signature,
-                self.version)
+        return quantize_query(query), signature, self.version
 
     def bump_version(self, version: Optional[int] = None) -> int:
         """Advance the index version, invalidating all older entries.
@@ -156,7 +155,3 @@ class ResultCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        self._entries.clear()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -160,11 +160,6 @@ class ServeReport:
         return np.array([o.latency_seconds for o in self.outcomes
                          if o.served], dtype=np.float64)
 
-    def queue_seconds(self) -> np.ndarray:
-        """Queue-wait component of every served request's latency."""
-        return np.array([o.queue_seconds for o in self.outcomes
-                         if o.served], dtype=np.float64)
-
     @property
     def p50_latency(self) -> float:
         """Median served latency (seconds)."""
@@ -239,15 +234,6 @@ class ServeReport:
         for trigger in self.batch_triggers:
             counts[trigger] = counts.get(trigger, 0) + 1
         return counts
-
-    # ------------------------------------------------------------------
-    # Result access
-    # ------------------------------------------------------------------
-
-    def results(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Demultiplexed ``request_id -> (ids, dists)`` for served requests."""
-        return {o.request_id: (o.ids, o.dists)
-                for o in self.outcomes if o.served}
 
     # ------------------------------------------------------------------
     # Rendering

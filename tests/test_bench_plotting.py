@@ -33,10 +33,6 @@ class TestAsciiPlot:
         assert "250k" in plot
         assert "1.0k" in plot
 
-    def test_linear_scale(self):
-        plot = ascii_plot({"a": [(0.0, -5.0), (1.0, 5.0)]}, log_y=False)
-        assert "(lin)" in plot
-
     def test_log_scale_rejects_non_positive(self):
         with pytest.raises(ConfigurationError, match="positive"):
             ascii_plot({"a": [(0.0, 0.0)]})

@@ -81,10 +81,22 @@ class TestPlacement:
         moved = np.mean(before != after)
         assert moved < 0.5
 
-    def test_salt_namespaces_rings(self):
-        a = ConsistentHashRing(4, salt=0).assign(300)
-        b = ConsistentHashRing(4, salt=1).assign(300)
-        assert not np.array_equal(a, b)
+    def test_placement_hashes_keep_the_zero_namespace(self):
+        """Every vnode and key hash starts with ``0:``: the placement the
+        cluster goldens pin."""
+        from repro.cluster.placement import N_VNODES, hash64
+
+        ring = sorted((hash64(f"0:vnode:{shard}:{vnode}".encode("ascii")),
+                       shard)
+                      for shard in range(4) for vnode in range(N_VNODES))
+        positions = [position for position, _ in ring]
+        want = [ring[int(np.searchsorted(
+                    np.array(positions, dtype=np.uint64),
+                    np.uint64(hash64(f"0:key:{key}".encode("ascii"))))
+                     % len(ring))][1]
+                for key in range(300)]
+        np.testing.assert_array_equal(ConsistentHashRing(4).assign(300),
+                                      want)
 
     def test_shard_map_members_partition_the_corpus(self):
         ring = ConsistentHashRing(3)

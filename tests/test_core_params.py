@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.nsw_cpu import build_nsw_cpu
-from repro.cluster import ClusterEngine, ConsistentHashRing
+from repro.cluster import ClusterEngine, ConsistentHashRing, RouterPolicy
 from repro.core.construction import build_nsw_gpu, build_nsw_gpu_parts
 from repro.core.hnsw import build_hnsw_gpu
 from repro.core.naive import build_nsw_naive_parallel
@@ -22,7 +22,9 @@ from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import (ClusterError, ConfigurationError,
                           ConstructionError, DatasetError, HealError,
                           SearchError, ServeError)
+from repro.faults import AdmissionGovernor, BreakerPolicy, RetryPolicy
 from repro.faults.plan import named_fault_plan
+from repro.gpusim.memory import NetworkModel
 from repro.graphs.stats import graph_digest
 from repro.heal import HealPolicy
 from repro.mutable import MutableIndex, recover
@@ -261,8 +263,6 @@ ENTRY_POINT_COUNTS = [
      "batch_size", ConstructionError),
     (_stream, "batch_size", SearchError),
     (ConsistentHashRing, "n_shards", ClusterError),
-    (functools.partial(ConsistentHashRing, 2), "n_vnodes", ClusterError),
-    (_cluster, "n_vnodes", ClusterError),
 ]
 
 
@@ -295,14 +295,23 @@ SERVING_FIELDS = [
     (BatchPolicy, "max_wait_seconds", math.inf, ConfigurationError,
      "a finite number"),
     (ResultCache, "capacity", 10.5, ConfigurationError, "an integer"),
-    (HealPolicy, "n_repair_lanes", 1.5, HealError, "an integer"),
     (HealPolicy, "max_rebuild_attempts", 2.5, HealError, "an integer"),
-    (HealPolicy, "digest_bytes", 8.5, HealError, "an integer"),
-    (HealPolicy, "n_threads", 8.5, HealError, "an integer"),
     (HealPolicy, "mttr_bound_seconds", math.nan, HealError,
      "a finite number"),
-    (HealPolicy, "deserialize_cycles_per_byte", math.nan, HealError,
+    (RetryPolicy, "max_retries", 2.5, ConfigurationError, "an integer"),
+    (RetryPolicy, "max_retries", True, ConfigurationError, "an integer"),
+    (RetryPolicy, "base_seconds", math.nan, ConfigurationError,
      "a finite number"),
+    (BreakerPolicy, "failure_threshold", 2.5, ConfigurationError,
+     "an integer"),
+    (BreakerPolicy, "cooldown_seconds", math.nan, ConfigurationError,
+     "a finite number"),
+    (RouterPolicy, "heartbeat_seconds", math.nan, ClusterError,
+     "a finite number"),
+    (NetworkModel, "bandwidth_gbps", math.nan, ConstructionError,
+     "a finite number"),
+    (AdmissionGovernor, "tiers", ((32.9, 16), (16, 8)), ConfigurationError,
+     "an integer"),
     (_trace, "n_requests", 10.5, ServeError, "an integer"),
     (_trace, "queries_per_request", 2.5, ServeError, "an integer"),
     (functools.partial(named_fault_plan, "replica-loss", 1.0),

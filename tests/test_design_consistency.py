@@ -255,7 +255,7 @@ class TestOneDoorToTheTraversal:
 
     def test_package_surface_is_unchanged(self):
         import repro
-        assert len(repro.__all__) == 75
+        assert len(repro.__all__) == 74
         assert "_LaneStore" not in repro.__all__
 
 
@@ -567,6 +567,117 @@ class TestSrcHoldsWhatRuns:
     #: that documents it.
     DOCUMENTED = {"FaultPlan.from_json": "docs/fault_model.md"}
 
+    _PRICED = ("a device= / costs= pass-through: tests price the same "
+               "call on fractional CostTables or scaled devices")
+    _COST_MODEL = ("a field of the calibrated cycle-cost model, one "
+                   "table documented in docs/cost_model.md")
+    _CPU_MODEL = ("a field of the CPU baselines' calibrated cost model, "
+                  "one table in baselines/cpu_cost.py")
+    _BENCH = ("a BenchConfig sizing: the paper evaluation's settings in the "
+              "one bundle every benchmark reads as config.<name>")
+    _FAMILY = ("family= selects the index family; the conformance and heal "
+               "suites run every registered family through it")
+    _GENERATOR = ("a synthetic-generator knob, set by name through "
+                  "DatasetSpec.generator_kwargs (datasets/catalog.py), "
+                  "which the census cannot follow")
+    _SHAPE = ("a shape knob of the synthetic generators "
+              "(datasets/synthetic.py), of the family a DatasetSpec sets "
+              "by name through generator_kwargs")
+    _THEOREM = ("exact= is Algorithm 2's exact-neighbour mode, the paper's "
+                "theorem (docs/paper_mapping.md); tests build with it")
+    _ANALYSIS = ("a knob of a graph-analysis measure (graphs/analysis.py, "
+                 "printed by examples/graph_anatomy.py); tests vary it")
+    _VALIDATE = ("one of validate_graph's documented checks "
+                 "(docs/index_families.md); tests run it on built graphs")
+
+    #: Options no product call site sets, each with why it stays an
+    #: option (``test_every_option_is_set_by_a_product_caller``).
+    OPTIONS_KEPT = {
+        **dict.fromkeys((
+            "ClusterEngine(costs)", "ClusterEngine(device)",
+            "ServeEngine(costs)", "ServeEngine(device)",
+            "MutableIndex.build(costs)", "MutableIndex.build(device)",
+            "StoreShardSource(costs)", "StoreShardSource(device)",
+            "build_cagra_gpu(costs)", "build_cagra_gpu(device)",
+            "build_hnsw_gpu(costs)", "build_knn_graph_gpu(costs)",
+            "build_nsw_naive_parallel(costs)",
+            "build_nsw_serial_gpu(costs)"), _PRICED),
+        **dict.fromkeys(
+            (f"CostTable({name})" for name in (
+                "alu_cycles", "ballot_cycles", "compare_exchange_cycles",
+                "ffs_cycles", "fma_cycles", "hash_probe_cycles",
+                "heap_op_cycles", "host_insert_cycles", "mem_fixed_cycles",
+                "mem_word_cycles", "shared_access_cycles",
+                "shuffle_cycles", "sync_cycles", "time_scale")),
+            _COST_MODEL),
+        **dict.fromkeys(
+            (f"CpuModel({name})" for name in (
+                "adjacency_insert_ns", "clock_ghz", "effective_flops",
+                "hash_probe_ns", "heap_op_ns", "name")), _CPU_MODEL),
+        **dict.fromkeys(
+            (f"BenchConfig({name})" for name in (
+                "base_points", "d_max", "d_min", "ganns_settings", "k",
+                "max_points", "n_blocks", "n_queries", "song_settings")),
+            _BENCH),
+        **dict.fromkeys(("ClusterEngine(family)", "ServeEngine(family)",
+                         "MutableIndex.build(family)"), _FAMILY),
+        **dict.fromkeys((
+            "gaussian_mixture(intrinsic_dim)", "zipf_clustered(anisotropy)",
+            "zipf_clustered(cluster_std)", "zipf_clustered(intrinsic_dim)",
+            "zipf_clustered(n_clusters)", "zipf_clustered(seed)",
+            "zipf_clustered(zipf_exponent)"), _GENERATOR),
+        **dict.fromkeys((
+            "gaussian_mixture(ambient_noise)", "gaussian_mixture(spread)",
+            "zipf_clustered(ambient_noise)", "zipf_clustered(spread)"),
+            _SHAPE),
+        **dict.fromkeys((
+            "build_nsw_cpu(exact)", "build_nsw_gpu(exact)",
+            "build_nsw_gpu_parts(exact)", "build_nsw_multicore(exact)"),
+            _THEOREM),
+        **dict.fromkeys((
+            "hop_histogram(entry)", "hop_histogram(max_hops)",
+            "mean_hops(entry)", "long_link_fraction(factor)",
+            "neighborhood_overlap(sample)", "hop_distances(max_hops)"),
+            _ANALYSIS),
+        **dict.fromkeys((
+            "validate_graph(points)", "validate_graph(d_min)",
+            "validate_graph(check_distances)"), _VALIDATE),
+        "NetworkModel(bandwidth_gbps)": "the interconnect model's link "
+        "bandwidth; tests price transfers on other links",
+        "NetworkModel(latency_ms)": "the interconnect model's latency; "
+        "tests price transfers on other links",
+        "build_cagra_gpu(intermediate_degree)": "CAGRA's construction "
+        "degree before pruning, named in docs/index_families.md",
+        "build_cagra_gpu(graph_degree)": "CAGRA's final degree, the second "
+        "of the two construction degrees it exposes; tests vary it",
+        "build_cagra_gpu(knn_iterations)": "NN-descent rounds under CAGRA; "
+        "tests stop early to compare against the per-vertex oracle",
+        "build_knn_graph_gpu(max_iterations)": "NN-descent's round cap; "
+        "tests stop early to compare against the per-vertex oracle",
+        "build_nsw_multicore(cpu)": "the CPU the multicore baseline is "
+        "priced on; tests compare a fast and a slow CpuModel",
+        "BloomFilter(n_hashes)": "the Bloom filter's hash count; tests "
+        "check its false-positive behaviour and refuse zero",
+        "CycleTracker.total_cycles(phase)": "one phase's cycles; tests "
+        "compare kernels phase by phase",
+        "GraphCache(cache_dir)": "where the benchmark graph cache lives; "
+        "tests point it at tmp_path",
+        "ResultCache(version)": "the index version a cache starts at; "
+        "tests start at an epoch to pin bump_version's order check",
+        "merge_topk(n_queries)": "the row count of a merge over no shard "
+        "runs; tests merge an empty list",
+        "exact_knn(chunk_size)": "the ground-truth block size; tests "
+        "check that results do not depend on it",
+        "exact_knn(return_distances)": "tests read the exact distances "
+        "beside the ids",
+        "format_phase_bars(title)": "a heading over the phase bars; "
+        "tests render one",
+        "tune_search(grid)": "the tuner's candidate settings; tests pass "
+        "a small grid",
+        "tune_search(ground_truth)": "precomputed truth for the tuner "
+        "(README); tests pass it to skip the exact scan",
+    }
+
     @classmethod
     def _product_trees(cls):
         """``(path relative to the repo, AST)`` of every product file."""
@@ -758,3 +869,223 @@ class TestSrcHoldsWhatRuns:
                        for module in modules):
                     importers.append(f"{path}:{node.lineno}")
         assert not importers, importers
+
+    # ------------------------------------------------------------------
+    # Options: a settable value some product call site sets
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _defaulted(function, bound):
+        """``{parameter: position}`` of ``function``'s defaulted
+        parameters (``None`` for keyword-only ones); ``bound`` skips the
+        leading ``self`` / ``cls``."""
+        args = function.args
+        positional = (args.posonlyargs + args.args)[int(bound):]
+        first = len(positional) - len(args.defaults)
+        found = {arg.arg: index for index, arg in enumerate(positional)
+                 if index >= first}
+        found.update((arg.arg, None) for arg, default
+                     in zip(args.kwonlyargs, args.kw_defaults)
+                     if default is not None)
+        return found
+
+    @classmethod
+    def _signatures(cls, tree):
+        """``(callee, label, function, owner, {parameter: position})``
+        for every top-level function, method and settings dataclass of
+        a module.  A constructor's callee is its class; a settings
+        dataclass is a frozen one whose every field has a default (its
+        fields are the constructor's parameters, ``function`` None)."""
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield (node.name, node.name, node, None,
+                       cls._defaulted(node, False))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and "ClassVar" not in ast.unparse(item.annotation)]
+            if (fields and all(item.value is not None for item in fields)
+                    and any("frozen=True" in ast.unparse(decorator)
+                            for decorator in node.decorator_list)):
+                yield (node.name, node.name, None, node,
+                       {item.target.id: index
+                        for index, item in enumerate(fields)})
+            for item in node.body:
+                decorators = {ast.unparse(decorator)
+                              for decorator in getattr(item,
+                                                       "decorator_list",
+                                                       ())}
+                if (not isinstance(item, ast.FunctionDef)
+                        or "property" in decorators):
+                    continue
+                if item.name == "__init__":
+                    callee, label = node.name, node.name
+                else:
+                    callee, label = item.name, f"{node.name}.{item.name}"
+                yield (callee, label, item, node,
+                       cls._defaulted(item, "staticmethod"
+                                      not in decorators))
+
+    @staticmethod
+    def _returned_keys(forest):
+        """``{function: keys}`` of the functions every ``return`` of
+        which is a dict display or a ``dict(...)`` call."""
+        keys = {}
+        for _, tree in forest:
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                found, whole = set(), True
+                returns = [ret.value for ret in ast.walk(node)
+                           if isinstance(ret, ast.Return)]
+                for value in returns:
+                    if (isinstance(value, ast.Call) and not value.args
+                            and getattr(value.func, "id", "") == "dict"
+                            and all(kw.arg for kw in value.keywords)):
+                        found |= {kw.arg for kw in value.keywords}
+                    elif isinstance(value, ast.Dict) and all(
+                            isinstance(key, ast.Constant)
+                            for key in value.keys):
+                        found |= {key.value for key in value.keys}
+                    else:
+                        whole = False
+                if returns and whole:
+                    keys[node.name] = found
+        return keys
+
+    def _unset_options(self):
+        """The options no product call site sets, as ``label(name)``.
+
+        A call sets a parameter by keyword, by position, through a
+        ``**`` dict whose keys are known, or through a ``**`` it cannot
+        see into (which sets every parameter); ``replace(x, name=...)``
+        sets the field ``name`` of every dataclass.  Passing on a
+        caller's own option (``name=name``, ``name=self.name``, or the
+        caller's ``**kwargs``) sets the parameter only when the
+        caller's option is set, so the census runs to a fixed point."""
+        forest = list(self._product_trees())
+        src = os.path.join("src", "repro", "")
+        errors = os.path.join("src", "repro", "errors.py")
+        options, reported, scope, attributes = {}, set(), {}, {}
+        for path, tree in forest:
+            for callee, label, function, owner, params in \
+                    self._signatures(tree):
+                public = not (label.startswith("_") or function is not None
+                              and function.name.startswith("_")
+                              and function.name != "__init__")
+                for name, position in params.items():
+                    options.setdefault((callee, name), set()).add(position)
+                    if public and path.startswith(src) and path != errors:
+                        reported.add((callee, name, f"{label}({name})"))
+                if function is not None:
+                    scope[id(function)] = {name: (callee, name)
+                                           for name in params}
+                if owner is not None and callee == owner.name:
+                    attributes.setdefault(owner.name, {}).update(
+                        (name, (callee, name)) for name in params)
+        returned = self._returned_keys(forest)
+        sites, forwards = [], []
+
+        def visit(node, function, owner, caller):
+            if isinstance(node, ast.ClassDef):
+                owner = node
+            if isinstance(node, ast.FunctionDef):
+                function = node
+                caller = (owner.name if node.name == "__init__"
+                          and owner is not None else node.name)
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", getattr(func, "attr", None))
+            args = getattr(node, "args", [])
+            if name == "partial" and args:
+                # partial(f, *args, **kwargs) is a call of f.
+                func, args = args[0], args[1:]
+                name = getattr(func, "id", getattr(func, "attr", None))
+            if isinstance(node, ast.Call) and name is not None:
+                if name == "cls" and owner is not None:
+                    name = owner.name
+
+                def condition(value):
+                    if isinstance(value, ast.Name) and function:
+                        return scope.get(id(function), {}).get(value.id)
+                    if (isinstance(value, ast.Attribute) and owner
+                            and getattr(value.value, "id", "") == "self"):
+                        return attributes.get(owner.name, {}).get(
+                            value.attr)
+                    return None
+
+                for keyword in node.keywords:
+                    value = keyword.value
+                    if keyword.arg:
+                        sites.append((name, keyword.arg, None,
+                                      condition(value)))
+                    elif isinstance(value, ast.Dict) and all(
+                            isinstance(key, ast.Constant)
+                            for key in value.keys):
+                        sites.extend((name, key.value, None,
+                                      condition(item))
+                                     for key, item in zip(value.keys,
+                                                          value.values))
+                    elif (isinstance(value, ast.Call)
+                          and getattr(value.func, "id", "") in returned):
+                        sites.extend((name, key, None, None)
+                                     for key in returned[value.func.id])
+                    elif (isinstance(value, ast.Name) and function
+                          and function.args.kwarg is not None
+                          and function.args.kwarg.arg == value.id):
+                        forwards.append((name, caller))
+                    else:
+                        sites.append((name, "**", None, None))
+                for index, arg in enumerate(args):
+                    if isinstance(arg, ast.Starred):
+                        sites.append((name, None, index, None))
+                        break
+                    sites.append((name, None, -index - 1, condition(arg)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function, owner, caller)
+
+        for _, tree in forest:
+            visit(tree, None, None, None)
+        # A site (callee, keyword, from, condition) sets a keyword (every
+        # parameter for ``**``), the one position ``-from - 1``, or every
+        # position from ``from`` on.
+        settled, grown = set(), True
+        while grown:
+            before = len(settled)
+            for name, keyword, start, condition in sites:
+                if condition is not None and condition not in settled:
+                    continue
+                if keyword == "**":
+                    settled |= {key for key in options if key[0] == name}
+                elif keyword is not None:
+                    settled.add((name, keyword))
+                    if name == "replace":
+                        settled |= {key for key in options
+                                    if key[1] == keyword}
+                else:
+                    settled |= {
+                        key for key, positions in options.items()
+                        if key[0] == name and any(
+                            position is not None and (
+                                position == -start - 1 if start < 0
+                                else position >= start)
+                            for position in positions)}
+            for name, caller in forwards:
+                settled |= {(name, key[1]) for key in list(settled)
+                            if key[0] == caller}
+            grown = len(settled) > before
+        return {label for callee, name, label in reported
+                if (callee, name) not in settled}
+
+    def test_every_option_is_set_by_a_product_caller(self):
+        """A defaulted parameter of a public ``src/repro`` function or
+        method, or a field of a settings dataclass, is set by some
+        product call site; an option nothing sets is a module constant.
+        ``OPTIONS_KEPT`` names the exceptions with their reasons, and an
+        entry leaves it once its option is set or gone."""
+        unset = self._unset_options()
+        unexplained = sorted(unset - set(self.OPTIONS_KEPT))
+        assert not unexplained, ", ".join(unexplained)
+        stale = sorted(set(self.OPTIONS_KEPT) - unset)
+        assert not stale, ", ".join(stale)
+        assert all(self.OPTIONS_KEPT.values())

@@ -10,35 +10,42 @@ from repro.faults.policy import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+    RETRY_JITTER_FRACTION,
     CircuitBreaker,
 )
+
+
+class _ZeroDraws:
+    """An RNG whose every draw is 0.0: backoffs without jitter."""
+
+    def random(self):
+        return 0.0
 
 
 class TestRetryPolicy:
     def test_backoff_doubles_then_caps(self):
         policy = RetryPolicy(max_retries=5, base_seconds=1e-4,
-                             cap_seconds=4e-4, jitter_fraction=0.0)
-        rng = np.random.default_rng(0)
+                             cap_seconds=4e-4)
+        rng = _ZeroDraws()
         delays = [policy.backoff_seconds(a, rng) for a in (1, 2, 3, 4, 5)]
         assert delays[:3] == pytest.approx([1e-4, 2e-4, 4e-4])
         assert delays[3] == pytest.approx(4e-4)  # capped
         assert delays[4] == pytest.approx(4e-4)
 
     def test_jitter_bounded_and_deterministic(self):
-        policy = RetryPolicy(base_seconds=1e-4, cap_seconds=1e-3,
-                             jitter_fraction=0.5)
+        policy = RetryPolicy(base_seconds=1e-4, cap_seconds=1e-3)
         a = [policy.backoff_seconds(1, np.random.default_rng(7))
              for _ in range(3)]
         assert a[0] == a[1] == a[2]  # same rng state, same draw
         rng = np.random.default_rng(7)
         for _ in range(50):
             delay = policy.backoff_seconds(1, rng)
-            assert 1e-4 <= delay <= 1.5e-4
+            assert 1e-4 <= delay <= 1e-4 * (1.0 + RETRY_JITTER_FRACTION)
 
-    def test_zero_jitter_still_advances_the_stream(self):
-        """The draw happens whatever the fraction, so toggling jitter
-        never re-times other random decisions sharing the stream."""
-        policy = RetryPolicy(jitter_fraction=0.0)
+    def test_each_backoff_advances_the_stream_once(self):
+        """One draw per backoff, so the jitter stream's position is a
+        function of the retry count alone."""
+        policy = RetryPolicy()
         rng_a = np.random.default_rng(3)
         rng_b = np.random.default_rng(3)
         policy.backoff_seconds(1, rng_a)
@@ -50,8 +57,6 @@ class TestRetryPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ConfigurationError, match="cap_seconds"):
             RetryPolicy(base_seconds=2e-3, cap_seconds=1e-3)
-        with pytest.raises(ConfigurationError, match="jitter"):
-            RetryPolicy(jitter_fraction=1.5)
         with pytest.raises(ConfigurationError, match="attempt"):
             RetryPolicy().backoff_seconds(0, np.random.default_rng(0))
 
@@ -116,45 +121,8 @@ class TestCircuitBreaker:
             BreakerPolicy(failure_threshold=0)
         with pytest.raises(ConfigurationError, match="cooldown"):
             BreakerPolicy(cooldown_seconds=-1.0)
-        with pytest.raises(ConfigurationError, match="half_open_probes"):
-            BreakerPolicy(half_open_probes=0)
-
-    def test_multi_probe_half_open_needs_a_streak(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1,
-                                               cooldown_seconds=1.0,
-                                               half_open_probes=3))
-        breaker.record_failure(0.0)
-        assert breaker.allow(1.5)
-        assert breaker.state == BREAKER_HALF_OPEN
-        breaker.record_success(1.6)
-        breaker.record_success(1.7)
-        # Two of three probes in: still half-open, still impaired.
-        assert breaker.state == BREAKER_HALF_OPEN
-        assert breaker.impaired
-        assert breaker.probe_successes == 2
-        breaker.record_success(1.8)
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.probe_successes == 3
-
-    def test_probe_failure_resets_the_streak(self):
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1,
-                                               cooldown_seconds=1.0,
-                                               half_open_probes=2))
-        breaker.record_failure(0.0)
-        assert breaker.allow(1.5)
-        breaker.record_success(1.6)
-        breaker.record_failure(1.7)  # probe failed: back to open
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.allow(3.0)
-        breaker.record_success(3.1)
-        # The pre-failure probe does not count toward the new streak.
-        assert breaker.state == BREAKER_HALF_OPEN
-        breaker.record_success(3.2)
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.probe_successes == 3
 
     def test_default_policy_is_close_on_first_success(self):
-        assert BreakerPolicy().half_open_probes == 1
         breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1,
                                                cooldown_seconds=1.0))
         breaker.record_failure(0.0)
@@ -184,10 +152,6 @@ class TestAdmissionGovernor:
         governor = AdmissionGovernor(tiers=((32, 16), (16, 8)),
                                      pressure_thresholds=(0.5, 0.8))
         assert governor.select_tier(0.0, True) == 2
-        relaxed = AdmissionGovernor(tiers=((32, 16),),
-                                    pressure_thresholds=(0.5,),
-                                    degrade_on_breaker=False)
-        assert relaxed.select_tier(0.0, True) == 0
 
     def test_params_for_swaps_the_pool(self):
         base = SearchParams(k=5, l_n=64)

@@ -14,11 +14,6 @@ class TestCostTableValidation:
         with pytest.raises(ConfigurationError, match="shuffle_cycles"):
             CostTable(shuffle_cycles=0)
 
-    def test_with_overrides(self):
-        other = DEFAULT_COSTS.with_overrides(time_scale=1.0)
-        assert other.time_scale == 1.0
-        assert other.alu_cycles == DEFAULT_COSTS.alu_cycles
-
 
 class TestDistanceCosts:
     def test_vector_load_scales_inversely_with_threads(self):

@@ -2,8 +2,8 @@
 
 The self-healing layer's safety argument lives here: repairs are a
 pure function of (loss schedule, policy, sources, plan seed), a
-digest-mismatched rebuild is quarantined and never admitted, repair
-lanes serialize FIFO so repair traffic is rate-limited, and the
+corrupted rebuild is quarantined and never admitted, the one repair
+lane serializes FIFO so repair traffic is rate-limited, and the
 router's ``[death, revive)`` windows reproduce the pre-heal
 dead-forever router exactly until the controller installs bounded
 windows.
@@ -19,7 +19,6 @@ from repro.core.backend import get_backend
 from repro.datasets.synthetic import gaussian_mixture
 from repro.errors import ClusterError, HealError
 from repro.faults.plan import FAULT_WORKER_LOSS, FaultEvent, FaultPlan
-from repro.graphs.stats import graph_digest
 from repro.heal import (
     REPAIR_ABANDONED,
     REPAIR_HEALED,
@@ -29,6 +28,7 @@ from repro.heal import (
     StoreShardSource,
     shard_payload_bytes,
 )
+from repro.heal.policy import REPAIR_BANDWIDTH_FRACTION
 
 
 def _shard(n_points=60, seed=11):
@@ -52,14 +52,14 @@ class TestHealPolicy:
         HealPolicy()
 
     @pytest.mark.parametrize("kwargs", [
-        {"repair_bandwidth_fraction": 0.0},
-        {"repair_bandwidth_fraction": 1.5},
+        {"max_rebuild_attempts": True},
+        {"corruption_probability": math.nan},
         {"max_rebuild_attempts": 0},
         {"corruption_probability": 1.0},
         {"corruption_probability": -0.1},
         {"mttr_bound_seconds": 0.0},
-        {"n_repair_lanes": 0},
-        {"n_threads": 0},
+        {"mttr_bound_seconds": math.inf},
+        {"max_rebuild_attempts": 1.5},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(HealError):
@@ -67,10 +67,9 @@ class TestHealPolicy:
 
 
 class TestSources:
-    def test_static_source_digest_is_graph_digest(self):
+    def test_static_source_ships_its_payload(self):
         graph, points = _shard()
         source = StaticShardSource(graph, points)
-        assert source.digest() == graph_digest(graph)
         assert source.snapshot_bytes == shard_payload_bytes(graph,
                                                             points)
         assert source.catchup_seconds == 0.0
@@ -91,7 +90,7 @@ class TestSources:
                                   seed=3, checkpoint_every=5)
         source = StoreShardSource(report.store)
         recovered = recover(report.store)
-        assert source.digest() == graph_digest(recovered.graph)
+        assert source.recovered.digest() == recovered.digest()
         assert source.wal_records == len(
             report.store.surviving_records())
         assert source.snapshot_bytes > 0
@@ -135,16 +134,15 @@ class TestRouterWindows:
 
 class TestRepairController:
     def test_transfer_is_rate_limited(self):
-        fast = RepairController(
-            HealPolicy(repair_bandwidth_fraction=1.0))
-        slow = RepairController(
-            HealPolicy(repair_bandwidth_fraction=0.1))
+        controller = RepairController(HealPolicy())
+        network = controller.network
         n_bytes = 1_000_000
-        assert slow.transfer_seconds(n_bytes) > \
-            fast.transfer_seconds(n_bytes)
-        # The repair lane never beats the full-bandwidth interconnect.
-        assert fast.transfer_seconds(n_bytes) >= \
-            fast.network.transfer_seconds(n_bytes)
+        assert controller.transfer_seconds(n_bytes) == (
+            network.latency_ms * 1e-3 + n_bytes
+            / (network.bandwidth_gbps * 1e9 * REPAIR_BANDWIDTH_FRACTION))
+        # The repair lane is slower than the full-bandwidth interconnect.
+        assert controller.transfer_seconds(n_bytes) > \
+            network.transfer_seconds(n_bytes)
 
     def test_requires_one_source_per_shard(self):
         graph, points = _shard()
@@ -200,21 +198,11 @@ class TestRepairController:
         graph, points = _shard()
         plan = _loss_plan([(0.002, 0), (0.0021, 1)])
         router = ReplicaRouter(2, 1, plan=plan)
-        controller = RepairController(HealPolicy(n_repair_lanes=1))
+        controller = RepairController(HealPolicy())
         records = controller.plan_repairs(
             router, [StaticShardSource(graph, points)] * 2, plan=plan)
         first, second = records
         assert second.start_seconds >= first.attempts[-1].end_seconds
-
-    def test_two_lanes_overlap_repairs(self):
-        graph, points = _shard()
-        plan = _loss_plan([(0.002, 0), (0.0021, 1)])
-        router = ReplicaRouter(2, 1, plan=plan)
-        controller = RepairController(HealPolicy(n_repair_lanes=2))
-        records = controller.plan_repairs(
-            router, [StaticShardSource(graph, points)] * 2, plan=plan)
-        first, second = records
-        assert second.start_seconds < first.attempts[-1].end_seconds
 
     def test_planning_is_deterministic(self):
         graph, points = _shard()

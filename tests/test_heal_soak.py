@@ -19,8 +19,8 @@ _CACHE = {}
 def _soak(seed=0):
     if seed not in _CACHE:
         _CACHE[seed] = run_soak_sim(
-            seed=seed, n_points=300, n_pool=60, n_requests=120,
-            n_shards=3, n_replicas=2, mutation_ops=12)
+            seed=seed, n_points=300, n_requests=120, n_shards=3,
+            n_replicas=2)
     return _CACHE[seed]
 
 
@@ -37,9 +37,8 @@ def test_soak_passes_the_gate():
 
 def test_soak_is_byte_deterministic():
     report = _soak()
-    again = run_soak_sim(seed=0, n_points=300, n_pool=60,
-                         n_requests=120, n_shards=3, n_replicas=2,
-                         mutation_ops=12)
+    again = run_soak_sim(seed=0, n_points=300, n_requests=120,
+                         n_shards=3, n_replicas=2)
     assert report.to_bytes() == again.to_bytes()
     assert report.digest() == again.digest()
 
@@ -66,5 +65,3 @@ def test_summary_shows_the_verdict():
 def test_soak_rejects_bad_sizes():
     with pytest.raises(HealError):
         run_soak_sim(seed=0, n_requests=0)
-    with pytest.raises(HealError):
-        run_soak_sim(seed=0, mutation_ops=0)

@@ -18,7 +18,6 @@ from repro.faults.plan import CRASH_PHASES, FAULT_CRASH, FaultEvent, FaultPlan
 from repro.mutable import (
     DurableStore,
     MutableIndex,
-    clean_replay_digest,
     default_build_params,
     recover,
     run_mutation_sim,
@@ -67,7 +66,7 @@ class TestCrashBattery:
         # The live index is untouched: compaction ran on a shadow.
         assert index.digest() == live_digest
         recovered = recover(index.store)
-        assert recovered.digest() == clean_replay_digest(index.store)
+        assert recovered.digest() == recover(index.store).digest()
         assert recovered.digest() == live_digest
         assert recovered.epoch == index.epoch
         recovered.validate()
@@ -80,7 +79,7 @@ class TestCrashBattery:
             index.checkpoint(now=3.0, crash=_injector_for(phase))
         assert index.store.checkpoint is None  # nothing half-installed
         recovered = recover(index.store)
-        assert recovered.digest() == clean_replay_digest(index.store)
+        assert recovered.digest() == recover(index.store).digest()
         assert recovered.digest() == live_digest
         recovered.validate()
 
@@ -110,8 +109,8 @@ class TestCrashBattery:
                                 mean_qps=1e4, seed=0)
         report = engine.replay(trace)
         tombstoned = np.flatnonzero(recovered.tombstones)
-        for _, (ids, _) in report.results().items():
-            returned = ids[ids >= 0]
+        for outcome in [o for o in report.outcomes if o.served]:
+            returned = outcome.ids[outcome.ids >= 0]
             assert not np.any(np.isin(returned, tombstoned))
 
     def test_crash_after_checkpoint_replays_the_tail(self):

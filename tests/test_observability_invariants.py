@@ -152,7 +152,7 @@ class TestExactReconciliation:
             trace_seed, fault_seed)
         assert report.metrics is metrics
         report.verify_against_metrics()
-        report.fault_report.verify_against_metrics(metrics)
+        metrics.reconcile(report.fault_report.metric_rows())
 
     def test_request_span_durations_reproduce_percentiles(
             self, small_graph, small_points, query_pool):

@@ -115,7 +115,7 @@ class TestRegistry:
         registry.counter("a")
         assert "a" in registry and "c" not in registry
         assert len(registry) == 2
-        assert registry.names() == ("a", "b")
+        assert tuple(registry.snapshot()) == ("a", "b")
 
     def test_snapshot_encoding_is_byte_stable(self):
         def build():

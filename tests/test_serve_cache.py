@@ -24,12 +24,12 @@ class TestQuantizeQuery:
     def test_collapses_sub_step_noise(self):
         a = np.array([0.12345678])
         b = np.array([0.12345681])
-        assert quantize_query(a, decimals=6) == quantize_query(b, decimals=6)
+        assert quantize_query(a) == quantize_query(b)
 
     def test_distinguishes_above_step(self):
-        a = np.array([0.1234])
-        b = np.array([0.1244])
-        assert quantize_query(a, decimals=3) != quantize_query(b, decimals=3)
+        a = np.array([0.123456])
+        b = np.array([0.123458])
+        assert quantize_query(a) != quantize_query(b)
 
     def test_negative_zero_normalised(self):
         assert quantize_query(np.array([-0.0])) == \
@@ -81,15 +81,6 @@ class TestResultCacheBasics:
         found = cache.get(q, SIG)
         assert not np.array_equal(found[0], ids)
 
-    def test_clear_keeps_counters(self):
-        cache = ResultCache(capacity=4)
-        q, ids, dists = _entry(4)
-        cache.put(q, SIG, ids, dists)
-        cache.get(q, SIG)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.hits == 1
-
 
 class TestLruEviction:
     def test_evicts_least_recently_used(self):
@@ -124,8 +115,12 @@ class TestCacheStatsSurfacedInServeReport:
             policy=BatchPolicy(max_batch=64, max_wait_seconds=1e-4,
                                max_queue=256),
             cache=cache)
+        # b differs from a by one ulp in one coordinate: same bucket,
+        # different vector.
         a = points[0].copy()
-        b = a + 0.004  # same bucket at decimals=1, different vector
+        a[0] = 0.5
+        b = a.copy()
+        b[0] = np.nextafter(a[0], a.dtype.type(1))
         trace = [QueryRequest(request_id=0, queries=a[None, :],
                               arrival_seconds=0.0),
                  QueryRequest(request_id=1, queries=b[None, :],
@@ -134,11 +129,11 @@ class TestCacheStatsSurfacedInServeReport:
 
     def test_collision_rejects_counted_through_the_report(
             self, small_graph, small_points):
-        cache = ResultCache(capacity=64, decimals=1)
+        cache = ResultCache(capacity=64)
         engine, trace = self._engine_and_trace(small_graph, small_points,
                                                cache)
-        assert quantize_query(trace[0].queries[0], 1) == \
-            quantize_query(trace[1].queries[0], 1)
+        assert quantize_query(trace[0].queries[0]) == \
+            quantize_query(trace[1].queries[0])
         report = engine.replay(trace)
 
         # The colliding lookup must recompute, never serve the cached
@@ -154,7 +149,7 @@ class TestCacheStatsSurfacedInServeReport:
                                                 small_points):
         from repro.serve import QueryRequest
 
-        cache = ResultCache(capacity=64, decimals=1)
+        cache = ResultCache(capacity=64)
         engine, trace = self._engine_and_trace(small_graph, small_points,
                                                cache)
         # The bucket's current occupant is the *latest* insertion
@@ -174,10 +169,10 @@ class TestCollisionSafety:
         """Two distinct vectors in one quantization bucket: the second
         lookup must miss (and count a collision), never return the first
         vector's neighbors."""
-        cache = ResultCache(capacity=4, decimals=1)
-        a = np.array([0.50001])
-        b = np.array([0.50002])  # same bucket at 1 decimal
-        assert quantize_query(a, 1) == quantize_query(b, 1)
+        cache = ResultCache(capacity=4)
+        a = np.array([0.5000001])
+        b = np.array([0.5000002])  # same bucket at 6 decimals
+        assert quantize_query(a) == quantize_query(b)
         _, ids, dists = _entry(20, d=1)
         cache.put(a, SIG, ids, dists)
         assert cache.get(b, SIG) is None

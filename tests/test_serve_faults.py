@@ -170,12 +170,11 @@ class TestCircuitBreaker:
         assert ("open", "half_open") in states
         assert ("half_open", "closed") in states
 
-    def test_multi_probe_half_open_reconciles_metrics(
+    def test_half_open_probe_reconciles_metrics(
             self, small_graph, small_points):
-        # With half_open_probes=2 the first post-cooldown success
-        # leaves the breaker half-open; the second closes it.  Both
-        # probes surface as faults.breaker.probe_successes and the
-        # ledger reconciles with zero drift.
+        # The first post-cooldown success closes the breaker; the probe
+        # surfaces as faults.breaker.probe_successes and the ledger
+        # reconciles with zero drift.
         from repro.observability import MetricsRegistry
 
         plan = _plan(
@@ -189,21 +188,20 @@ class TestCircuitBreaker:
                                max_queue=256),
             faults=plan, retry=RetryPolicy(max_retries=0),
             breaker=BreakerPolicy(failure_threshold=2,
-                                  cooldown_seconds=5e-3,
-                                  half_open_probes=2))
+                                  cooldown_seconds=5e-3))
         trace = _requests(small_points,
                           [0.0, 1e-3, 20e-3, 40e-3, 60e-3])
         registry = MetricsRegistry()
         report = engine.replay(trace, metrics=registry)
         fr = report.fault_report
-        assert fr.probe_successes == 2
+        assert fr.probe_successes == 1
         states = [(t.from_state, t.to_state)
                   for t in fr.breaker_transitions]
         assert ("open", "half_open") in states
         assert ("half_open", "closed") in states
         assert registry.value("faults.breaker.probe_successes",
-                              default=0.0) == 2
-        fr.verify_against_metrics(registry)
+                              default=0.0) == 1
+        registry.reconcile(fr.metric_rows())
 
     def test_breaker_reports_deterministically(self, small_graph,
                                                small_points):
