@@ -11,7 +11,10 @@ Both sides run this checkout's ``benchmarks/e2e/run.py``; only the
 ``src`` tree on ``PYTHONPATH`` differs.  ``--parent`` defaults to
 ``git archive HEAD src`` unpacked into a temporary directory (so run it
 before committing the change, or pass the tree to compare against),
-``--change`` to this checkout.  Pair *i* runs both sides at seed
+``--change`` to this checkout.  Each side must be a checkout holding
+``src/repro`` (``run.py`` would otherwise import this checkout's own
+``src``): any other tree is refused before a run, and the first run of
+each side prints the ``repro`` path it imported.  Pair *i* runs both sides at seed
 ``--seed + i``, each run a process of its own, the parent first on even
 pairs and the change first on odd ones.  The runs of each side are merged into one result document,
 ``compare.py`` judges the two, and every row gains one column:
@@ -61,6 +64,29 @@ def archive_head_src(target: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(target, **safe)
     return target
+
+
+def checked_tree(side: str, tree: Path) -> Path:
+    """``tree``, resolved, if it holds ``src/repro``; otherwise exit
+    naming the path.  ``run.py`` falls back to this checkout's own
+    ``src`` when ``PYTHONPATH`` holds no ``repro``, so a wrong tree
+    would silently measure this checkout on that side."""
+    tree = tree.resolve()
+    if not (tree / "src" / "repro" / "__init__.py").is_file():
+        raise SystemExit(f"bench_ab: --{side} {tree} holds no "
+                         f"src/repro/__init__.py; pass a checkout (the "
+                         f"directory above src), not src itself")
+    return tree
+
+
+def imported_repro(side: str, tree: Path, doc: dict) -> str:
+    """The ``repro`` path a run imported, or exit if it is not
+    ``tree``'s own."""
+    path = doc["fingerprint"]["repro_path"]
+    if Path(path).resolve() != tree / "src" / "repro":
+        raise SystemExit(f"bench_ab: the {side} run imported repro from "
+                         f"{path}, not from {tree / 'src' / 'repro'}")
+    return path
 
 
 def run_once(tree: Path, workload: str, seed: int, output: Path,
@@ -192,15 +218,21 @@ def main(argv=None) -> int:
         trees = {"parent": args.parent or archive_head_src(
                      scratch / "parent"),
                  "change": args.change}
+        trees = {side: checked_tree(side, tree)
+                 for side, tree in trees.items()}
         docs = {"parent": [], "change": []}
         for workload in workloads:
             for pair in range(args.pairs):
                 order = (("parent", "change") if pair % 2 == 0
                          else ("change", "parent"))
                 for side in order:
-                    doc = run_once(trees[side].resolve(), workload,
+                    doc = run_once(trees[side], workload,
                                    args.seed + pair,
                                    scratch / f"{side}_run.json")
+                    path = imported_repro(side, trees[side], doc)
+                    if not docs[side]:
+                        print(f"## {side} imports repro from {path}",
+                              flush=True)
                     docs[side].append(doc)
                     run = doc["runs"][0]
                     print(f"## {workload} seed={args.seed + pair} {side}: "
@@ -212,7 +244,7 @@ def main(argv=None) -> int:
         if args.layers:
             for workload in workloads:
                 layers[workload] = [
-                    run_once(trees[side].resolve(), workload, args.seed,
+                    run_once(trees[side], workload, args.seed,
                              scratch / f"{side}_layers.json",
                              trace=1)["runs"][0]
                     for side in ("parent", "change")]

@@ -13,18 +13,20 @@ heap operations, hash probes) so the single-core CPU cost model can price a
 run — that is how Tables II/III obtain CPU construction times.
 
 :func:`beam_search_lanes` is the one entry: one search per query, each a
-lane.  Below ``_LOCKSTEP_MIN_LANES`` lanes it runs the heap loop above once
-per lane; from there on the lanes advance in lock-step — how GGraphCon's
-blocks search side by side — with, lane for lane, the heap loop's ids,
-distance bytes and counters (``docs/performance.md``, "Lock-step
-Algorithm 1").
+lane whose ids, distance bytes and counters are those of the one-query
+heap loop (its reference: ``tests/oracles/beam_heap.py``).  The lanes
+search side by side — how GGraphCon's blocks do.  Below
+``_LOCKSTEP_MIN_LANES`` lanes each runs that heap loop as a coroutine
+and the lanes' distance requests are answered together, one call per
+round; from there on the lanes advance in lock-step over arrays
+(``docs/performance.md``, "Lock-step Algorithm 1").
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush, heappushpop
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -33,12 +35,13 @@ from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.metrics.distance import Metric
 from repro.perf.arena import EvaluatedPairs
+from repro.perf.distance import CHUNK_ELEMENTS
 
-#: Lanes below which :func:`beam_search_lanes` runs the heap body once per
-#: lane: a lock-step step costs ~60 NumPy calls whatever its width, and
-#: the heap stays ahead up to 12-16 lanes (the crossover table in
-#: ``docs/performance.md``).
-_LOCKSTEP_MIN_LANES = 16
+#: Lanes below which :func:`beam_search_lanes` runs per-lane heap loops
+#: (:func:`_narrow`): a lock-step step costs ~60 NumPy calls whatever
+#: its width, and the heap loops stay ahead below this width (the
+#: crossover table in ``docs/performance.md``).
+_LOCKSTEP_MIN_LANES = 40
 
 #: Ceiling on one lock-step call's visited bitmap (``ceil(n / 8)``
 #: bytes per lane): past ~1M vertices, wide calls split.
@@ -81,65 +84,153 @@ def _beam_width(k: int, ef: Optional[int]) -> int:
     return ef
 
 
-def _heap_search(graph: ProximityGraph, points: np.ndarray,
-                 query: np.ndarray, k: int, ef: int, entry: int,
-                 metric: Metric, out: BeamLanes, row: int) -> None:
-    """Algorithm 1's heap loop for one query, written into lane ``row``
-    of ``out`` (whose pads are already ``-1`` / ``inf``)."""
-    n_dist = 0
-    n_heap = 0
-    n_hash = 0
-    n_iter = 0
+def _lane(graph: ProximityGraph, ef: int, entry: int):
+    """Algorithm 1's heap loop for one lane, as a coroutine that asks for
+    its distances: it yields the ids it needs evaluated (first its
+    entry, then each popped vertex's fresh neighbors) and is sent their
+    distances, in order.
 
-    # Cast once per search, not in every one_to_many call below.
-    query = np.asarray(query, dtype=np.float64)
-    entry_dist = float(metric.one_to_many(query, points[entry:entry + 1])[0])
-    n_dist += 1
+    ``C`` is a min-heap of ``(dist, id)``, ``N`` a max-heap of
+    ``(-dist, -id)`` bounded at ``ef``, ``H`` a set.  A fresh candidate
+    farther than a full ``N``'s worst is dropped, not pushed into ``C``:
+    ``N``'s worst only falls, so it could only be a stopping pop, and
+    ``stop_pop`` records that ``C`` still holds one.
 
-    # C: min-heap of (dist, id).  N: max-heap of (-dist, -id) bounded at ef.
-    candidates = [(entry_dist, entry)]
-    results = []
-    visited = {entry}
-    n_heap += 1
-    n_hash += 1
-
-    while candidates:
-        n_iter += 1
-        cand_dist, cand_id = heapq.heappop(candidates)
-        n_heap += 1
-        if len(results) == ef:
-            worst = -results[0][0]
-            if cand_dist > worst:
-                break
-        heapq.heappush(results, (-cand_dist, -cand_id))
-        n_heap += 1
-        if len(results) > ef:
-            heapq.heappop(results)
-            n_heap += 1
-
-        neighbor_ids = graph.neighbor_ids[cand_id,
-                                          :graph.degrees[cand_id]].tolist()
-        n_hash += len(neighbor_ids)
+    Returns (as ``StopIteration.value``):
+        ``(N, pushes into N, stop_pop, neighbors scanned, distances
+        evaluated)``.
+    """
+    neighbor_ids, degree_of = graph.neighbor_ids, graph.degrees.item
+    cands = [((yield [entry])[0], entry)]
+    top, visited = [], {entry}
+    # Whether the search ends on a counted pop: one farther than a full
+    # N's worst, popped or dropped.
+    stop_pop = False
+    pushes = scanned = 0
+    evaluated = 1
+    while cands:
+        dist, vertex = heappop(cands)
+        if len(top) < ef:
+            heappush(top, (-dist, -vertex))
+        elif dist <= -top[0][0]:
+            heappushpop(top, (-dist, -vertex))
+        else:
+            stop_pop = True
+            break
+        pushes += 1
+        degree = degree_of(vertex)
+        scanned += degree
         fresh = []
-        for u in neighbor_ids:
+        for u in neighbor_ids[vertex, :degree].tolist():
             if u not in visited:
-                visited.add(u)
                 fresh.append(u)
-        if fresh:
-            dists = metric.one_to_many(
-                query, points.take(fresh, axis=0)).tolist()
-            n_dist += len(fresh)
-            n_heap += len(fresh)
-            for item in zip(dists, fresh):
-                heapq.heappush(candidates, item)
+        if not fresh:
+            continue
+        visited.update(fresh)
+        evaluated += len(fresh)
+        pairs = zip((yield fresh), fresh)
+        if len(top) < ef:
+            for pair in pairs:
+                heappush(cands, pair)
+            continue
+        worst = -top[0][0]
+        for pair in pairs:
+            if pair[0] > worst:
+                stop_pop = True
+            else:
+                heappush(cands, pair)
+    return top, pushes, stop_pop, scanned, evaluated
 
-    top = sorted((-neg_d, -neg_i) for neg_d, neg_i in results)[:k]
-    out.ids[row, :len(top)] = [i for _, i in top]
-    out.dists[row, :len(top)] = [d for d, _ in top]
-    out.n_iterations[row] = n_iter
-    out.n_distance_computations[row] = n_dist
-    out.n_heap_ops[row] = n_heap
-    out.n_hash_probes[row] = n_hash
+
+def _narrow(graph: ProximityGraph, points: np.ndarray,
+             queries: np.ndarray, k: int, ef: int, entries: np.ndarray,
+             metric: Metric) -> BeamLanes:
+    """The narrow body of :func:`beam_search_lanes`: one :func:`_lane`
+    coroutine per lane, their distance requests answered together.
+
+    Each round gathers every waiting lane's ids and evaluates them with
+    one :meth:`~repro.metrics.distance.Metric.one_to_many_runs` call
+    (one run per lane; past :data:`~repro.perf.distance.CHUNK_ELEMENTS`
+    gathered elements, one call per cache-sized block of whole runs),
+    then sends each lane its run.  A lane runs on until it needs
+    distances again or finishes.  Once one lane is left waiting — a
+    one-lane call, or the last lane of a wider one — it runs alone, each
+    request answered by one ``one_to_many`` call (the bytes of its
+    run), with no round bookkeeping.  A lane that pushed ``t`` pairs into
+    ``N`` made ``t`` pops, one more if it ended on a counted pop; its
+    heap operations are those pops, the ``t`` pushes, ``N``'s
+    ``max(t - ef, 0)`` overflow pops and one push into ``C`` per
+    evaluated distance (the entry's included).
+    """
+    n_lanes = len(queries)
+    queries = np.asarray(queries, dtype=np.float64)
+    limit = max(1, CHUNK_ELEMENTS // points.shape[1])
+    lanes = [_lane(graph, ef, entry) for entry in entries.tolist()]
+    asks = [(row, lane, next(lane)) for row, lane in enumerate(lanes)]
+    done = [None] * n_lanes
+    while len(asks) > 1:
+        counts = [0] * n_lanes
+        flat = []
+        for row, _, ids in asks:
+            counts[row] = len(ids)
+            flat += ids
+        if len(flat) <= limit:
+            dists = metric.one_to_many_runs(
+                queries, points.take(flat, axis=0), counts).tolist()
+        else:
+            dists = _blocked_distances(metric, queries, points, flat,
+                                       counts, limit)
+        waiting, at = [], 0
+        for row, lane, ids in asks:
+            end = at + len(ids)
+            try:
+                waiting.append((row, lane, lane.send(dists[at:end])))
+            except StopIteration as finished:
+                done[row] = finished.value
+            at = end
+        asks = waiting
+    for row, lane, ids in asks:
+        query = queries[row]
+        try:
+            while True:
+                ids = lane.send(metric.one_to_many(
+                    query, points.take(ids, axis=0)).tolist())
+        except StopIteration as finished:
+            done[row] = finished.value
+
+    out_i, out_d, counters = [], [], []
+    for top, t, stop_pop, scanned, evaluated in done:
+        best = sorted(top, reverse=True)[:k]
+        pad = k - len(best)
+        out_i.append([-i for _, i in best] + [-1] * pad)
+        out_d.append([-d for d, _ in best] + [np.inf] * pad)
+        pops = t + stop_pop
+        counters.append((pops, evaluated,
+                         pops + t + max(t - ef, 0) + evaluated,
+                         1 + scanned))
+    return BeamLanes(np.array(out_i, dtype=np.int64).reshape(n_lanes, k),
+                     np.array(out_d).reshape(n_lanes, k),
+                     *np.array(counters, dtype=np.int64).reshape(
+                         n_lanes, 4).T)
+
+
+def _blocked_distances(metric: Metric, queries: np.ndarray,
+                       points: np.ndarray, flat: list, counts: list,
+                       limit: int) -> list:
+    """``metric.one_to_many_runs(queries, points[flat], counts)`` as a
+    list, one call per block of whole runs: at most ``limit`` rows, or
+    one run that alone is longer, so each gather stays cache-sized."""
+    out = []
+    lo = at = size = 0
+    for lane, count in enumerate(counts):
+        if size and size + count > limit:
+            out += metric.one_to_many_runs(
+                queries[lo:lane], points.take(flat[at:at + size], axis=0),
+                counts[lo:lane]).tolist()
+            lo, at, size = lane, at + size, 0
+        size += count
+    return out + metric.one_to_many_runs(
+        queries[lo:], points.take(flat[at:], axis=0), counts[lo:]).tolist()
 
 
 def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
@@ -151,25 +242,28 @@ def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
     """Algorithm 1 for every row of ``queries``, one lane each.
 
     Lane ``i`` searches ``queries[i]`` from ``entries[i]`` (or the one
-    ``entries``) for its ``k`` nearest, keeping a beam of ``ef``.  Below
-    ``_LOCKSTEP_MIN_LANES`` lanes the heap loop (:func:`_heap_search`)
-    runs per lane; from there on every lane advances one candidate per
-    step, with the heap loop's ids, distance bytes and counters:
+    ``entries``) for its ``k`` nearest, keeping a beam of ``ef``, with
+    the heap loop's ids, distance bytes and counters:
 
     - pop the minimum ``(dist, id)`` of ``C``; a lane stops when ``N``
       is full and the popped distance exceeds ``N``'s worst (the pop is
       counted), or when ``C`` is empty (it is not);
     - ``N`` keeps the ``ef`` smallest ``(dist, id)`` pairs;
-    - the popped vertex's unvisited neighbors are evaluated by one
+    - the popped vertex's unvisited neighbors are evaluated and pushed
+      into ``C``, by one
       :meth:`~repro.metrics.distance.Metric.one_to_many_runs` call for
-      all lanes and pushed into ``C``.
+      all the lanes that need distances.
 
-    ``C`` holds its open candidates in a row per lane.  A candidate that
-    can only be a stopping pop — farther than a full ``N``'s worst, or
-    than ``C``'s ``ef``-th nearest — is dropped, and the lane remembers
-    that ``C`` is not empty.  The visited set ``H`` is a bitmap of
-    ``window`` (default ``n``) bits per lane; lanes whose bitmaps would
-    pass ``_VISITED_BUDGET_BYTES`` are searched in several calls.
+    A candidate that can only be a stopping pop — farther than a full
+    ``N``'s worst — is dropped, and the lane remembers that ``C`` is not
+    empty.  Below ``_LOCKSTEP_MIN_LANES`` lanes, ``C``, ``N`` and ``H``
+    are each lane's Python heaps and set, and a lane runs on until it
+    needs distances (:func:`_narrow`).  From there on every lane
+    advances one candidate per step: ``C`` holds its open candidates in
+    a row per lane, and also drops any candidate farther than its
+    ``ef``-th nearest; the visited set ``H`` is a bitmap of ``window``
+    (default ``n``) bits per lane; lanes whose bitmaps would pass
+    ``_VISITED_BUDGET_BYTES`` are searched in several calls.
 
     Args:
         graph: Proximity graph over ``points``; rows hold distinct ids
@@ -197,12 +291,7 @@ def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
     if entries.ndim == 0:
         entries = np.full(n_lanes, entries)
     if n_lanes < _LOCKSTEP_MIN_LANES:
-        out = BeamLanes(np.full((n_lanes, k), -1, dtype=np.int64),
-                        np.full((n_lanes, k), np.inf),
-                        *np.empty((4, n_lanes), dtype=np.int64))
-        for row, (query, entry) in enumerate(zip(queries, entries.tolist())):
-            _heap_search(graph, points, query, k, ef, entry, metric, out, row)
-        return out
+        return _narrow(graph, points, queries, k, ef, entries, metric)
     span = graph.n_vertices if window is None else window
     width = max(_LOCKSTEP_MIN_LANES, _VISITED_BUDGET_BYTES // -(-span // 8))
     parts = [_lockstep(graph, points, queries[lo:lo + width], k, ef,

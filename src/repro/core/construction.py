@@ -312,7 +312,11 @@ def ggraphcon(parts: Sequence[np.ndarray], params: BuildParams, metric: str,
     d_min = params.d_min
     sizes = [len(part) for part in parts]
     offsets = np.cumsum([0] + sizes)
-    points = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # Every distance form casts its rows to float64: cast the corpus
+    # once here, not each gathered block of every search.
+    points = np.ascontiguousarray(
+        parts[0] if len(parts) == 1 else np.concatenate(parts),
+        dtype=np.float64)
     n = int(offsets[-1])
 
     # Partition every part into contiguous, non-empty groups (insertion

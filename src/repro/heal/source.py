@@ -17,9 +17,10 @@ digest round trip and draws the attempt's verdict from the fault plan's
 Two implementations cover the two cluster shapes:
 
 - :class:`StaticShardSource` — an immutable shard built straight from
-  a corpus: the shard's own graph + points *are* the snapshot and
-  there is no WAL delta (unless the cluster pins a mutable-index
-  epoch, in which case the engine attaches the store's delta).
+  a corpus: the shard's own graph + points *are* the snapshot (only
+  their size is kept) and there is no WAL delta (unless the cluster
+  pins a mutable-index epoch, in which case the engine attaches the
+  store's delta).
 - :class:`StoreShardSource` — a :class:`repro.mutable.wal.DurableStore`
   is the ground truth: the snapshot is the durable checkpoint and the
   catch-up is the surviving WAL replayed through
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.params import as_count, as_finite
 from repro.errors import HealError
 from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
@@ -46,31 +48,37 @@ def shard_payload_bytes(graph, points: np.ndarray) -> int:
 class StaticShardSource:
     """Snapshot source for a shard whose serving state is immutable.
 
+    Only the three answers are kept: the shard's arrays are read once,
+    for their wire size.
+
     Args:
         graph: The shard's authoritative proximity graph.
         points: The shard's point matrix.
         catchup_seconds: Simulated cost of replaying the WAL delta a
             rebuilt replica must catch up (``0.0`` for a plain corpus
             shard; the cluster engine supplies the durable store's
-            delta when it serves a pinned mutable-index epoch).
-        wal_records: Records in that delta.
+            delta when it serves a pinned mutable-index epoch); a
+            finite number ``>= 0``.
+        wal_records: Records in that delta; an integer ``>= 0``.
+
+    Raises:
+        HealError: When ``catchup_seconds`` is NaN, infinite or
+            negative, or ``wal_records`` is not an integer (a ``bool``
+            included) or is negative.
     """
 
     def __init__(self, graph, points: np.ndarray,
                  catchup_seconds: float = 0.0, wal_records: int = 0):
+        catchup_seconds = as_finite(catchup_seconds, "catchup_seconds",
+                                    HealError)
         if catchup_seconds < 0:
             raise HealError(
                 f"catchup_seconds must be >= 0, got {catchup_seconds}"
             )
-        if wal_records < 0:
-            raise HealError(
-                f"wal_records must be >= 0, got {wal_records}"
-            )
-        self.graph = graph
-        self.points = np.asarray(points)
-        self.snapshot_bytes = shard_payload_bytes(graph, self.points)
-        self.catchup_seconds = float(catchup_seconds)
-        self.wal_records = int(wal_records)
+        self.snapshot_bytes = shard_payload_bytes(graph, points)
+        self.catchup_seconds = catchup_seconds
+        self.wal_records = as_count(wal_records, "wal_records", 0,
+                                    HealError)
 
 
 class StoreShardSource:

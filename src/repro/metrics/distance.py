@@ -163,7 +163,7 @@ class EuclideanMetric(Metric):
         # One flat diff + einsum: a row's reduction never depends on the
         # rows beside it, so every run matches its own one_to_many call.
         return self.prepared_rows_to_rows(
-            np.repeat(np.asarray(queries, dtype=np.float64), counts, axis=0),
+            np.asarray(queries, dtype=np.float64).repeat(counts, axis=0),
             np.asarray(points, dtype=np.float64))
 
     def prepared_rows_to_rows(self, a: np.ndarray,

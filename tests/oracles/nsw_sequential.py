@@ -4,8 +4,9 @@ The differential oracle for :func:`repro.baselines.nsw_cpu.build_nsw_cpu`
 and :func:`repro.baselines.hnsw_cpu.build_hnsw_cpu` (which run GGraphCon
 with one group on a one-core CPU clock), and the sequential side of the
 Section IV-C theorem tests.  Each point searches its ``d_min`` nearest
-neighbors in the current graph — Algorithm 1 beam search, or brute force
-over the inserted prefix in exact mode — and links to them with
+neighbors in the current graph — Algorithm 1's heap loop
+(``tests/oracles/beam_heap.py``), or brute force over the inserted
+prefix in exact mode — and links to them with
 :meth:`~repro.graphs.adjacency.ProximityGraph.insert_edge` both ways,
 tallying :class:`~repro.baselines.cpu_cost.CpuOpCounters` as it goes.
 
@@ -18,7 +19,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.baselines.beam import beam_search_lanes
 from repro.baselines.cpu_cost import CpuOpCounters
 from repro.core.hnsw import (
     draw_levels,
@@ -27,6 +27,7 @@ from repro.core.hnsw import (
 )
 from repro.graphs.adjacency import HierarchicalGraph, ProximityGraph
 from repro.metrics.distance import get_metric
+from tests.oracles.beam_heap import heap_search
 
 
 def _exact_prefix(points, vertex, k, metric) -> np.ndarray:
@@ -54,13 +55,13 @@ def build_nsw_sequential(points: np.ndarray, d_min: int, d_max: int,
             neighbor_ids = np.arange(vertex, dtype=np.int64)
             counters.n_distances += vertex
         else:
-            lane = beam_search_lanes(graph, points, points[vertex:vertex + 1],
-                                     k=d_min, ef=ef_construction, entries=0,
-                                     metric=metric_obj)
-            neighbor_ids = lane.ids[0][lane.ids[0] >= 0]
-            counters.n_distances += int(lane.n_distance_computations[0])
-            counters.n_heap_ops += int(lane.n_heap_ops[0])
-            counters.n_hash_probes += int(lane.n_hash_probes[0])
+            ids, _, _, n_dist, n_heap, n_hash = heap_search(
+                graph, points, points[vertex], d_min, ef_construction, 0,
+                metric_obj)
+            neighbor_ids = np.array(ids, dtype=np.int64)
+            counters.n_distances += n_dist
+            counters.n_heap_ops += n_heap
+            counters.n_hash_probes += n_hash
         dists = metric_obj.one_to_many(points[vertex], points[neighbor_ids])
         counters.n_distances += len(neighbor_ids)
         for u, dist in zip(neighbor_ids, dists):

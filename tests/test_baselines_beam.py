@@ -1,6 +1,7 @@
 """Tests for Algorithm 1 beam search (``beam_search_lanes``, one lane
-per query: the heap loop below ``_LOCKSTEP_MIN_LANES`` lanes, lock-step
-from there on)."""
+per query: per-lane heap loops sharing their distance calls below
+``_LOCKSTEP_MIN_LANES`` lanes, lock-step from there on; both held to
+``tests/oracles/beam_heap.py``)."""
 
 from unittest import mock
 
@@ -17,6 +18,7 @@ from repro.datasets.ground_truth import exact_knn
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.metrics.distance import get_metric
+from tests.oracles.beam_heap import heap_lanes
 
 
 def _line_graph():
@@ -207,17 +209,21 @@ class TestBatchEntries:
 @st.composite
 def lanes_workload(draw):
     """A random graph (full rows, or any degrees; optionally
-    block-diagonal), points with or without forced ties, and one lane
-    per query with its own or a shared entry."""
+    block-diagonal), points with or without forced ties, one lane per
+    query with its own or a shared entry, and a distance block of any
+    size.  Some lanes query their own entry with ``ef == k``: ``N``
+    fills on the first pop and every farther neighbor is dropped, so
+    ``C`` runs dry on a dropped candidate and its stopping pop must
+    still be counted."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(2, 90))
     dims = draw(st.sampled_from([1, 3, 8, 17]))
     d_max = draw(st.integers(1, 10))
     dtype = draw(st.sampled_from([np.float64, np.float32]))
-    metric = draw(st.sampled_from(["euclidean", "cosine"]))
+    metric = draw(st.sampled_from(["euclidean", "cosine", "ip"]))
     k = draw(st.integers(1, 6))
     ef = k + draw(st.sampled_from([0, 0, 1, 5, 12]))
-    n_lanes = draw(st.integers(1, 3 * _LOCKSTEP_MIN_LANES))
+    n_lanes = draw(st.integers(1, 48))
     if draw(st.booleans()):
         # Duplicated points: distance ties everywhere.
         points = rng.integers(0, 3, size=(n, dims)).astype(dtype)
@@ -237,9 +243,6 @@ def lanes_workload(draw):
                                                         replace=False)
             graph.degrees[v] = degree
     block = rng.integers(0, len(blocks) - 1, n_lanes)
-    queries = np.where(rng.random((n_lanes, 1)) < 0.3,
-                       points[rng.integers(0, n, n_lanes)],
-                       rng.normal(size=(n_lanes, dims)))
     window = None
     if draw(st.booleans()):
         # Lanes confined to their block (GGraphCon's Phase 1 shape).
@@ -248,41 +251,89 @@ def lanes_workload(draw):
     elif draw(st.booleans()):
         entries = rng.integers(0, n, n_lanes)
     else:
-        entries = int(rng.integers(0, n))
-    return graph, points, queries, k, ef, entries, metric, window
+        entries = np.full(n_lanes, rng.integers(0, n))
+    queries = np.where(rng.random((n_lanes, 1)) < 0.3,
+                       points[rng.integers(0, n, n_lanes)],
+                       rng.normal(size=(n_lanes, dims)))
+    if draw(st.booleans()):
+        queries[::2] = points[entries[::2]]
+        ef = k
+    # Rows per distance block of the narrow body: one, a few, or the
+    # cache-sized default.
+    chunk = draw(st.sampled_from([dims, 3 * dims, beam.CHUNK_ELEMENTS]))
+    return graph, points, queries, k, ef, entries, metric, window, chunk
+
+
+def _assert_lanes_equal(got, want, rows):
+    for field, value in vars(want).items():
+        assert getattr(got, field).tobytes() == value[rows].tobytes(), \
+            field
 
 
 class TestLanesProperty:
-    """Lock-step lanes are the heap loop once per lane: ids, distance
-    bytes and the four counters the clocks price.  The same queries go
-    through ``beam_search_lanes`` as one-lane calls, as one call of
-    fewer than ``_LOCKSTEP_MIN_LANES`` lanes (both the heap loop) and,
-    repeated up to at least that many lanes, as one lock-step call."""
+    """Every width of ``beam_search_lanes`` is the one-query heap loop
+    (``tests/oracles/beam_heap.py``), lane for lane: ids, distance bytes
+    and the four counters the clocks price.  The first three queries go
+    through as one-lane calls, up to ``_LOCKSTEP_MIN_LANES - 1`` of them
+    as one call of per-lane heap loops and all of them, repeated up to
+    at least ``_LOCKSTEP_MIN_LANES`` lanes, as one lock-step call."""
 
     @given(lanes_workload())
     @settings(max_examples=150, deadline=None)
     def test_lanes_equal_per_query_beam_search(self, workload):
-        graph, points, queries, k, ef, entries, metric, window = workload
+        (graph, points, queries, k, ef, entries, metric, window,
+         chunk) = workload
         metric = get_metric(metric)
-        entries = np.broadcast_to(entries, (len(queries),))
-        wide = -(-_LOCKSTEP_MIN_LANES // len(queries)) * len(queries)
-        lanes = beam_search_lanes(graph, points, np.resize(queries, (
-            wide, queries.shape[1])), k, ef, np.resize(entries, wide),
-            metric, window)
-        narrow = _LOCKSTEP_MIN_LANES - 1
-        heap = beam_search_lanes(graph, points, queries[:narrow], k, ef,
-                                 entries[:narrow], metric, window)
-        for lane in range(len(queries)):
-            want = beam_search_lanes(graph, points, queries[lane:lane + 1],
-                                     k, ef, entries[lane:lane + 1], metric,
-                                     window)
-            rows = [(lanes, copy)
-                    for copy in range(lane, wide, len(queries))]
-            rows += [(heap, lane)] if lane < narrow else []
-            for got, row in rows:
-                for field, value in vars(want).items():
-                    assert getattr(got, field)[row].tobytes() == \
-                        value[0].tobytes(), field
+        want = heap_lanes(graph, points, queries, k, ef, entries, metric)
+        n = len(queries)
+        narrow = min(n, _LOCKSTEP_MIN_LANES - 1)
+        wide = -(-_LOCKSTEP_MIN_LANES // n) * n
+        with mock.patch.object(beam, "CHUNK_ELEMENTS", chunk):
+            for lane in range(min(n, 3)):
+                _assert_lanes_equal(beam_search_lanes(
+                    graph, points, queries[lane:lane + 1], k, ef,
+                    entries[lane:lane + 1], metric, window), want,
+                    slice(lane, lane + 1))
+            _assert_lanes_equal(beam_search_lanes(
+                graph, points, queries[:narrow], k, ef, entries[:narrow],
+                metric, window), want, slice(0, narrow))
+        _assert_lanes_equal(beam_search_lanes(
+            graph, points, np.resize(queries, (wide, queries.shape[1])), k,
+            ef, np.resize(entries, wide), metric, window), want,
+            np.resize(np.arange(n), wide))
+
+    @pytest.mark.parametrize("n_lanes", [1, 5, _LOCKSTEP_MIN_LANES])
+    def test_dropped_candidate_keeps_the_stopping_pop(self, n_lanes):
+        """A query at its entry with ``ef == 1``: ``N`` fills on the
+        first pop, the farther neighbor is dropped and ``C`` is empty,
+        yet the heap loop pops that neighbor to stop — two iterations."""
+        g, points = _line_graph()
+        lanes = beam_search_lanes(g, points, np.zeros((n_lanes, 1)), k=1,
+                                  ef=1)
+        want = heap_lanes(g, points, np.zeros((1, 1)), 1, 1, [0],
+                          get_metric("euclidean"))
+        assert want.n_iterations[0] == 2
+        _assert_lanes_equal(lanes, want, np.zeros(n_lanes, dtype=int))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("n_lanes", [1, 7, _LOCKSTEP_MIN_LANES])
+    def test_tied_distances_break_by_id(self, metric, n_lanes):
+        """Points on a few shared directions and norms: every pop and
+        every ``N`` rank is a tie that only the ids decide."""
+        rng = np.random.default_rng(7)
+        points = rng.integers(1, 3, size=(60, 4)).astype(np.float64)
+        graph = ProximityGraph(60, 6, metric)
+        for v in range(60):
+            row = rng.choice(np.delete(np.arange(60), v), 6, replace=False)
+            graph.neighbor_ids[v] = row
+            graph.degrees[v] = 6
+        queries = points[rng.integers(0, 60, n_lanes)]
+        entries = rng.integers(0, 60, n_lanes)
+        want = heap_lanes(graph, points, queries, 4, 9, entries,
+                          get_metric(metric))
+        _assert_lanes_equal(beam_search_lanes(
+            graph, points, queries, 4, 9, entries), want,
+            slice(0, n_lanes))
 
 
 def test_lanes_split_when_bitmaps_pass_the_budget(small_graph, small_points,

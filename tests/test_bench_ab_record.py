@@ -1,10 +1,13 @@
-"""``scripts/bench_ab.py --record``: the judged pair set becomes one
-appended entry of the trajectory file, judged by ``compare.py``'s own
-rule.  No benchmark runs here; the tables are made up."""
+"""``scripts/bench_ab.py``: ``--record`` appends the judged pair set as
+one entry of the trajectory file, judged by ``compare.py``'s own rule,
+and a side whose tree holds no ``src/repro`` is refused before any run.
+No benchmark runs here; the tables are made up."""
 
 import importlib.util
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +64,32 @@ def test_failed_share(bench_ab):
             {"runs": [{"attempted": 5, "failed": 2}]}]
     assert bench_ab.failed_share(docs) == 0.25
     assert bench_ab.failed_share([{"runs": []}]) == 0.0
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("tree", ["empty", "src"])
+def test_a_tree_without_src_repro_is_refused_before_any_run(
+        bench_ab, tmp_path, monkeypatch, side, tree):
+    """``run.py`` imports this checkout's ``src`` when the side's tree
+    holds none, so both sides would measure the same code."""
+    bad = tmp_path if tree == "empty" else Path(ROOT, "src")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a workload ran")
+
+    monkeypatch.setattr(bench_ab, "run_once", no_run)
+    argv = [f"--{side}", str(bad), "--workload", "build", "--pairs", "1"]
+    if side == "change":
+        argv += ["--parent", ROOT]
+    with pytest.raises(SystemExit, match=re.escape(str(bad.resolve()))):
+        bench_ab.main(argv)
+
+
+def test_a_run_that_imported_another_repro_is_refused(bench_ab, tmp_path):
+    tree = Path(ROOT).resolve()
+    own = {"fingerprint": {"repro_path": str(tree / "src" / "repro")}}
+    assert bench_ab.imported_repro("change", tree, own) == \
+        own["fingerprint"]["repro_path"]
+    other = {"fingerprint": {"repro_path": str(tmp_path / "repro")}}
+    with pytest.raises(SystemExit, match="imported repro from"):
+        bench_ab.imported_repro("parent", tree, other)

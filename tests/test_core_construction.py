@@ -18,8 +18,10 @@ from repro.core.construction import (
     insert_batch_nsw,
 )
 from repro.core.construction_costs import CpuClock
+from repro.core.hnsw import build_hnsw_gpu
 from repro.core.params import BuildParams
 from repro.errors import ConstructionError
+from repro.graphs.stats import graph_digest
 from repro.graphs.validation import validate_graph
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
@@ -222,7 +224,8 @@ class TestBlockDiagonalPhase1:
         clock.units(len(boundaries) - 1)
         forward_ids = np.full((120, 4), -1, dtype=np.int64)
         forward_dists = np.full((120, 4), np.inf)
-        # Below the crossover the lanes run the heap; drive both bodies.
+        # Below the crossover each lane runs the heap loop; drive both
+        # bodies.
         with mock.patch.object(beam, "_LOCKSTEP_MIN_LANES",
                                1 if lockstep else beam._LOCKSTEP_MIN_LANES):
             scratch = _build_local_graphs(
@@ -260,6 +263,24 @@ def assert_same_build(got, want):
     assert got.category_seconds == want.category_seconds
 
 
+class TestCorpusCast:
+    """GGraphCon casts its corpus to float64 once per build.  Every
+    distance form already casts its rows, so a float32 corpus and the
+    same values as float64 build the same graph at the same price."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("builder", [build_nsw_gpu, build_hnsw_gpu])
+    def test_float32_builds_as_its_float64_copy(self, small_points,
+                                                builder, metric):
+        points = small_points[:200].astype(np.float32)
+        params = BuildParams(d_min=6, d_max=12)
+        narrow = builder(points, params, metric=metric)
+        wide = builder(points.astype(np.float64), params, metric=metric)
+        assert graph_digest(narrow.graph) == graph_digest(wide.graph)
+        assert narrow.seconds == wide.seconds
+        assert narrow.phase_seconds == wide.phase_seconds
+
+
 class TestManyParts:
     """Several corpora run through one GGraphCon body, their searches
     sharing lock-step calls, and every part still gets exactly the
@@ -282,7 +303,8 @@ class TestManyParts:
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
         parts = [rng.normal(size=(size, 6)).astype(dtype)
                  for size in sizes]
-        # Below the crossover the lanes run the heap; drive both bodies.
+        # Below the crossover each lane runs the heap loop; drive both
+        # bodies.
         with mock.patch.object(beam, "_LOCKSTEP_MIN_LANES",
                                1 if lockstep else beam._LOCKSTEP_MIN_LANES):
             reports = build_nsw_gpu_parts(parts, params, kernel, metric,

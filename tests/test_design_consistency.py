@@ -356,8 +356,9 @@ class TestOneGGraphConBody:
 
     def test_heap_body_is_written_once(self):
         """Algorithm 1's heap loop (pop a candidate, scan its adjacency
-        row) exists once in ``src/``; the lanes call runs it below its
-        crossover."""
+        row) exists once in ``src/``: the lanes call runs it per lane
+        below its crossover (the one-query loop is
+        ``tests/oracles/beam_heap.py``)."""
         holders = []
         for path, tree in _src_trees():
             holders += [
@@ -366,7 +367,7 @@ class TestOneGGraphConBody:
                 and "heappop" in self._called_names(node)
                 and "neighbor_ids" in {attr.attr for attr in ast.walk(node)
                                        if isinstance(attr, ast.Attribute)}]
-        assert holders == ["baselines/beam.py:_heap_search"]
+        assert holders == ["baselines/beam.py:_lane"]
 
     def test_levels_are_drawn_in_one_place(self):
         """Both HNSW builders share one level draw → shuffle → layers

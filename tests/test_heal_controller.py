@@ -82,6 +82,27 @@ class TestSources:
         with pytest.raises(HealError):
             StaticShardSource(graph, points, wal_records=-1)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"catchup_seconds": math.nan}, "catchup_seconds must be a finite"),
+        ({"catchup_seconds": math.inf}, "catchup_seconds must be a finite"),
+        ({"wal_records": 2.5}, "wal_records must be an integer"),
+        ({"wal_records": True}, "wal_records must be an integer"),
+    ])
+    def test_static_source_rejects_a_bad_number(self, kwargs, match):
+        """NaN / inf seconds were stored as given, ``2.5`` records became
+        2 and ``True`` became 1."""
+        graph, points = _shard()
+        with pytest.raises(HealError, match=match):
+            StaticShardSource(graph, points, **kwargs)
+
+    def test_static_source_keeps_only_its_answers(self):
+        graph, points = _shard()
+        source = StaticShardSource(graph, points, catchup_seconds=2,
+                                   wal_records=np.int64(3))
+        assert vars(source) == {
+            "snapshot_bytes": shard_payload_bytes(graph, points),
+            "catchup_seconds": 2.0, "wal_records": 3}
+
     def test_store_source_matches_recovery(self):
         from repro.mutable import run_mutation_sim
         from repro.mutable.recovery import recover
