@@ -39,8 +39,8 @@ from repro.perf.distance import CHUNK_ELEMENTS
 
 #: Lanes below which :func:`beam_search_lanes` runs per-lane heap loops
 #: (:func:`_narrow`): a lock-step step costs ~60 NumPy calls whatever
-#: its width, and the heap loops stay ahead below this width (the
-#: crossover table in ``docs/performance.md``).
+#: its width, and the heap loops stay ahead below this width
+#: (``docs/performance.md``, "The crossover").
 _LOCKSTEP_MIN_LANES = 40
 
 #: Ceiling on one lock-step call's visited bitmap (``ceil(n / 8)``

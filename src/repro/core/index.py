@@ -251,8 +251,8 @@ class GannsIndex:
 
         Raises:
             ConfigurationError: On a format-version or layout mismatch,
-                an unknown metric, and on a truncated, corrupt or
-                incomplete archive.
+                an unknown metric, on a truncated, corrupt or
+                incomplete archive, and on a path that cannot be read.
         """
         try:
             with np.load(path, allow_pickle=False) as archive:
@@ -284,4 +284,9 @@ class GannsIndex:
             raise ConfigurationError(
                 f"index file {path!r} is truncated or corrupt "
                 f"({type(exc).__name__}: {exc})"
+            ) from exc
+        except OSError as exc:
+            raise ConfigurationError(
+                f"index file {path!r} cannot be read "
+                f"({type(exc).__name__}: {exc.strerror or exc})"
             ) from exc

@@ -41,7 +41,8 @@ class SearchReport:
         lane_distance_evaluations: Distances the *host* evaluated per
             query — one per distinct (query, vertex) pair under the
             lazy check, however often the kernel is charged for it
-            (``docs/performance.md``).  Host-side observability only:
+            (``docs/performance.md``, "Charged vs evaluated
+            distances").  Host-side observability only:
             in no digest, canonical bytes or golden.
     """
 

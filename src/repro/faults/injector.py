@@ -51,11 +51,6 @@ class FaultInjector:
         #: Jitter stream handed to the retry policy, per the plan seed.
         self.jitter_rng: np.random.Generator = plan.rng("jitter")
 
-    @property
-    def delivered(self) -> int:
-        """Kernel-scope events consumed so far."""
-        return self._cursor
-
     def poll(self, now: float) -> Optional[FaultEvent]:
         """Consume the earliest event armed at or before ``now``."""
         if self._cursor >= len(self._pending):
@@ -168,12 +163,6 @@ class CrashInjector:
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self._pending: List[FaultEvent] = plan.mutation_events()
-        self._delivered = 0
-
-    @property
-    def delivered(self) -> int:
-        """Crash events consumed so far."""
-        return self._delivered
 
     def poll(self, phase: str, now: float) -> Optional[FaultEvent]:
         """Consume the earliest armed event matching ``phase``, if any."""
@@ -182,7 +171,6 @@ class CrashInjector:
                 break
             if event.phase in ("", phase):
                 self._pending.pop(i)
-                self._delivered += 1
                 return event
         return None
 

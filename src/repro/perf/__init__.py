@@ -26,7 +26,8 @@ is no second implementation and no switch to ask for one:
 What the implementation answers to: the single-query warp kernel and
 the batched oracle under ``tests/oracles/`` (``tests/test_perf_equivalence.py``,
 ``tests/test_perf_properties.py``) and the byte goldens under
-``tests/data/``.  See ``docs/performance.md``.
+``tests/data/``.  See ``docs/performance.md``, "Where the oracles
+live".
 """
 
 from repro.perf.arena import SearchArena, get_arena

@@ -86,8 +86,8 @@ def _insert_merge(arena: SearchArena, row: np.ndarray, dist: np.ndarray,
     row-ascending (compact rows; pads and lazy-check victims never get
     here).  Same result as the oracle's stable lexsort of pool + sorted
     T truncated to the pool width (pool wins ties), computed from the
-    records that enter a pool (``docs/performance.md`` has the
-    argument):
+    records that enter a pool (``docs/performance.md``, "Charged vs
+    evaluated distances", has the argument):
 
     1. *accept* the records that strictly precede their row's last pool
        record — truncation drops the rest anyway;
@@ -278,7 +278,8 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
         # charged per slot as the kernel runs them.  The host takes the
         # check first (one gather from the evaluated-pairs bitmap) and
         # evaluates only the pairs this call has never seen: no other
-        # record can enter a pool (docs/performance.md).
+        # record can enter a pool (docs/performance.md, "Charged vs
+        # evaluated distances").
         alive = t_ids >= 0
         if lazy_check:
             alive &= ~seen.contains(act, t_ids)

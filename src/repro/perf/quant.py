@@ -145,10 +145,6 @@ class QuantizedTable:
                 shared += side.nbytes
         return float(per_vector) + shared / max(self.n_points, 1)
 
-    def memory_bytes(self) -> int:
-        """Total device bytes of this representation."""
-        return int(round(self.bytes_per_vector() * self.n_points))
-
 
 def _build_table(points: np.ndarray, mode: str,
                  metric: Metric) -> QuantizedTable:

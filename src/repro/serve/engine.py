@@ -1,10 +1,9 @@
 """The serving engine: admission, batching, dispatch, fault tolerance.
 
-This is the layer the ROADMAP's "serving heavy traffic" goal needs on
-top of the paper's kernel: individual requests arrive at arbitrary
-times, but the GPU only pays off on large batches (Section III-B's
-stream-overlap remark assumes thousands of queries in flight).  The
-engine closes that gap:
+Serving heavy traffic needs this layer on top of the paper's kernel:
+individual requests arrive at arbitrary times, but the GPU only pays
+off on large batches (Section III-B's stream-overlap remark assumes
+thousands of queries in flight).  The engine closes that gap:
 
 1. **Admission** — a bounded queue; requests beyond ``max_queue``
    waiting-or-in-flight queries are rejected explicitly

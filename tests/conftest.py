@@ -7,10 +7,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.baselines.nsw_cpu import build_nsw_cpu
 from repro.datasets.catalog import load_dataset
 from repro.datasets.synthetic import gaussian_mixture
+
+# A failing draw prints its ``@reproduce_failure`` blob, so it can be
+# replayed from a CI log.  Nothing else departs from Hypothesis's
+# defaults: draws stay random, not derandomized.
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

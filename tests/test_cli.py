@@ -106,6 +106,16 @@ class TestErrorHandling:
         assert code == 2
         assert "repro chaos-sim: error:" in capsys.readouterr().err
 
+    def test_search_without_an_index_file_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "index.npz")
+        code = main(["search", "sift1m", "--points", "2000", "--queries",
+                     "50", "--algorithm", "beam", "-i", missing])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro search: error:")
+        assert missing in err and "cannot be read" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_fault_plan_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos-sim", "--fault-plan",

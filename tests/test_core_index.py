@@ -320,3 +320,18 @@ class TestPersistence:
             GannsIndex.load(path)
         assert "truncated or corrupt" in str(raised.value)
         assert isinstance(raised.value.__cause__, cause)
+
+    @pytest.mark.parametrize("name, cause", [
+        ("missing.npz", FileNotFoundError),
+        ("a_directory", IsADirectoryError),
+    ])
+    def test_unreadable_path_is_a_typed_error(self, tmp_path, name, cause):
+        """A path that cannot be opened is the same ``ConfigurationError``
+        naming the path, never the ``OSError`` from ``numpy.load``."""
+        path = tmp_path / name
+        if cause is IsADirectoryError:
+            path.mkdir()
+        with pytest.raises(ConfigurationError, match=name) as raised:
+            GannsIndex.load(path)
+        assert "cannot be read" in str(raised.value)
+        assert isinstance(raised.value.__cause__, cause)

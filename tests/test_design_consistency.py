@@ -164,6 +164,88 @@ class TestPaperMapping:
                                                             "repro"))))
         assert not dangling, dangling
 
+    @staticmethod
+    def _headings(doc):
+        """The headings of a markdown file, lower-cased."""
+        return {line.lstrip("#").strip().lower()
+                for line in _read(doc).splitlines()
+                if re.match(r"#+ ", line)}
+
+    @staticmethod
+    def _slug(heading):
+        """The anchor a markdown renderer gives ``heading``: lower case,
+        punctuation dropped, each space a hyphen."""
+        return re.sub(r"[^\w\- ]", "", heading.lower()).replace(" ", "-")
+
+    def test_doc_heading_citations_resolve(self):
+        """Every ``docs/x.md``, "Heading" citation in ``src/``,
+        ``tests/oracles/`` and the prose docs names a heading of that
+        file (case aside), even where the citation wraps a line."""
+        sources = (sorted(glob.glob(os.path.join(ROOT, "src", "repro", "**",
+                                                 "*.py"), recursive=True))
+                   + sorted(glob.glob(os.path.join(ROOT, "tests", "oracles",
+                                                   "*.py")))
+                   + [os.path.join(ROOT, doc) for doc in _prose_docs()])
+        citations = set()
+        for source in sources:
+            with open(source) as handle:
+                # One line: a citation may wrap, inside a comment too.
+                text = re.sub(r"\s*\n\s*(?:#:?\s*)?", " ", handle.read())
+            citations.update(
+                (os.path.relpath(source, ROOT), target, heading)
+                for target, heading in re.findall(
+                    r"docs/(\w+\.md)[`\]]*(?:\([\w.#-]+\))?,\s+"
+                    r"\"([^\"]+)\"", text))
+        assert len(citations) > 5
+        missing = sorted(
+            (source, target, heading) for source, target, heading in citations
+            if heading.lower() not in self._headings(
+                os.path.join("docs", target)))
+        assert not missing, missing
+
+    def test_doc_anchor_links_resolve(self):
+        """Every ``x.md#anchor`` (or ``#anchor``) link in the prose docs
+        matches the slug of a heading of the file it points at."""
+        links = set()
+        for doc in _prose_docs():
+            for target, anchor in re.findall(
+                    r"\]\(([\w/.]*\.md)?#([\w-]+)\)", _read(doc)):
+                path = (os.path.normpath(os.path.join(os.path.dirname(doc),
+                                                      target))
+                        if target else doc)
+                links.add((doc, path, anchor))
+        assert links
+        dangling = sorted(
+            (doc, path, anchor) for doc, path, anchor in links
+            if anchor not in {self._slug(h) for h in self._headings(path)})
+        assert not dangling, dangling
+
+    def test_performance_doc_stays_short(self):
+        """``docs/performance.md`` says how the hot paths run today;
+        each change's numbers live in CHANGES.md and ``BENCH_e2e.json``,
+        so the doc does not grow a write-up per change."""
+        lines = _read(os.path.join("docs", "performance.md")).splitlines()
+        assert len(lines) <= 350, len(lines)
+
+    def test_performance_doc_records_exist(self):
+        """Each "CHANGES.md PR N" pointer in ``docs/performance.md``
+        names an entry of CHANGES.md, and each quoted ``BENCH_e2e.json``
+        label an entry of that file."""
+        import json
+        text = " ".join(_read(os.path.join("docs", "performance.md")).split())
+        changes = _read("CHANGES.md")
+        entries = sorted(set(re.findall(r"CHANGES\.md PR (\d+)", text)))
+        assert entries
+        missing = [n for n in entries
+                   if not re.search(rf"^- (?:\*\*)?PR {n}\b", changes,
+                                    re.MULTILINE)]
+        assert not missing, missing
+        labels = set(re.findall(r'`BENCH_e2e\.json` "([^"]+)"', text))
+        assert labels
+        recorded = {entry["label"] for entry in
+                    json.loads(_read("BENCH_e2e.json"))["entries"]}
+        assert labels <= recorded, sorted(labels - recorded)
+
     def test_mapping_doc_test_references_exist(self):
         text = _read(os.path.join("docs", "paper_mapping.md"))
         for test_file in set(re.findall(r"`(test_\w+\.py)", text)):
