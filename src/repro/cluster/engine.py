@@ -56,8 +56,6 @@ from repro.faults.policy import (
     BreakerPolicy,
     RetryPolicy,
 )
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.memory import NetworkModel
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.span import SpanTracer
@@ -109,8 +107,6 @@ class ClusterEngine:
         policy: Micro-batching policy of every shard replica.
         cache_capacity: Per-replica result-cache entries (0 disables).
             Caches are rebuilt per replay so repeated replays match.
-        device: Simulated device each replica runs on.
-        costs: Cycle cost table (also charges the merge).
         faults: Optional :class:`FaultPlan`.  Kernel-scope events are
             delivered inside every replica's dispatch path;
             ``worker_loss`` events kill shard-replica slots on the
@@ -158,8 +154,6 @@ class ClusterEngine:
                  metric: str = "euclidean",
                  policy: Optional[BatchPolicy] = None,
                  cache_capacity: int = 0,
-                 device: DeviceSpec = QUADRO_P5000,
-                 costs: CostTable = DEFAULT_COSTS,
                  faults: Optional[FaultPlan] = None,
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[BreakerPolicy] = None,
@@ -193,10 +187,8 @@ class ClusterEngine:
                 f"{self.params.k} points; use fewer shards (sizes: "
                 f"{self.shard_map.shard_sizes()})"
             )
-        check_pool_fits(self.params, d_max, device, ClusterError)
+        check_pool_fits(self.params, d_max, ClusterError)
         self.policy = policy
-        self.device = device
-        self.costs = costs
         self.faults = faults
         self.retry = retry
         self.breaker = breaker
@@ -292,9 +284,7 @@ class ClusterEngine:
             catchup = 0.0
             wal_records = 0
             if self.repair_store is not None:
-                delta = StoreShardSource(self.repair_store,
-                                         device=self.device,
-                                         costs=self.costs)
+                delta = StoreShardSource(self.repair_store)
                 catchup = delta.catchup_seconds
                 wal_records = delta.wal_records
             self._repair_sources_cache = [
@@ -312,7 +302,7 @@ class ClusterEngine:
         return ServeEngine(
             self.shard_graphs[shard], self.shard_points[shard],
             self.params, policy=self.policy, cache=cache,
-            device=self.device, costs=self.costs, faults=self.faults,
+            faults=self.faults,
             retry=self.retry, breaker=self.breaker,
             governor=self.governor,
             default_deadline_seconds=self.default_deadline_seconds,
@@ -389,9 +379,7 @@ class _ClusterReplay:
                                     plan=engine.faults)
         self.repairs: List[RepairRecord] = []
         if engine.heal is not None:
-            controller = RepairController(engine.heal,
-                                          device=engine.device,
-                                          costs=engine.costs)
+            controller = RepairController(engine.heal)
             self.repairs = controller.plan_repairs(
                 self.router, engine._repair_sources(),
                 plan=engine.faults)
@@ -468,7 +456,7 @@ class _ClusterReplay:
             [(engine.shard_graphs[shard], engine.shard_points[shard],
               [trace[pos].queries for pos in sorted(positions)])
              for shard, positions in enumerate(routed)],
-            engine.params, costs=engine.costs)
+            engine.params)
         for slot in sorted(self.slot_subtrace):
             shard = slot // engine.n_replicas
             entries = sorted(self.slot_subtrace[slot])
@@ -566,8 +554,7 @@ class _ClusterReplay:
             len(run_ids))
         cycles, merge_seconds = merge_launch(
             req.n_queries, len(run_ids), k,
-            n_threads=engine.params.n_threads,
-            device=engine.device, costs=engine.costs)
+            n_threads=engine.params.n_threads)
         ids, dists = merge_topk(k, run_ids, run_dists)
         return ClusterOutcome(
             request_id=req.request_id,
@@ -625,7 +612,6 @@ class _ClusterReplay:
         stream = stream_batches(
             engine.shard_graphs[shard], engine.shard_points[shard],
             req.queries, engine.params, batch_size=req.n_queries,
-            device=engine.device, costs=engine.costs,
             _lanes=self.lanes)
         return ((stream.ids, stream.dists),
                 retry_at + stream.serial_seconds, failovers + 1, 0)

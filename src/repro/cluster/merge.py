@@ -35,8 +35,8 @@ import numpy as np
 
 from repro.core.params import as_count
 from repro.errors import ClusterError
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
+from repro.gpusim.costs import DEFAULT_COSTS
+from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
 
 #: Sort key given to padding entries so they lose every comparison
@@ -121,8 +121,8 @@ def merge_topk(k: int, shard_ids: Sequence[np.ndarray],
     return merged_ids, merged_dists
 
 
-def merge_cycles_per_query(n_runs: int, k: int, n_threads: int = 32,
-                           costs: CostTable = DEFAULT_COSTS) -> float:
+def merge_cycles_per_query(n_runs: int, k: int,
+                           n_threads: int = 32) -> float:
     """Cycle cost of reducing ``n_runs`` sorted ``k``-runs to one.
 
     A serial fold of ``n_runs - 1`` pairwise bitonic merges, each
@@ -137,15 +137,12 @@ def merge_cycles_per_query(n_runs: int, k: int, n_threads: int = 32,
         )
     if n_runs == 1:
         return 0.0
-    per_pair = costs.ganns_merge_cycles(k, k, n_threads)
+    per_pair = DEFAULT_COSTS.ganns_merge_cycles(k, k, n_threads)
     return float(n_runs - 1) * per_pair
 
 
 def merge_launch(n_queries: int, n_runs: int, k: int,
-                 n_threads: int = 32,
-                 device: DeviceSpec = QUADRO_P5000,
-                 costs: CostTable = DEFAULT_COSTS
-                 ) -> Tuple[float, float]:
+                 n_threads: int = 32) -> Tuple[float, float]:
     """Charge one merge launch: one thread block per query row.
 
     Returns:
@@ -154,10 +151,9 @@ def merge_launch(n_queries: int, n_runs: int, k: int,
     """
     if n_queries <= 0:
         return 0.0, 0.0
-    per_block = merge_cycles_per_query(n_runs, k, n_threads, costs)
+    per_block = merge_cycles_per_query(n_runs, k, n_threads)
     if per_block == 0.0:
         return 0.0, 0.0
-    launch = KernelLaunch(device=device, n_threads=n_threads,
-                          costs=costs)
+    launch = KernelLaunch(QUADRO_P5000, n_threads)
     result = launch.run(per_block, n_blocks=n_queries)
     return per_block * n_queries, float(result.seconds)

@@ -43,8 +43,8 @@ from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
 from repro.graphs.adjacency import PAD_DIST, PAD_ID, ProximityGraph
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
+from repro.gpusim.costs import DEFAULT_COSTS
+from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
@@ -186,9 +186,7 @@ def build_cagra_gpu(points: np.ndarray,
                     metric: str = "euclidean",
                     graph_degree: Optional[int] = None,
                     intermediate_degree: Optional[int] = None,
-                    knn_iterations: int = 8,
-                    device: DeviceSpec = QUADRO_P5000,
-                    costs: CostTable = DEFAULT_COSTS
+                    knn_iterations: int = 8
                     ) -> ConstructionReport:
     """Build a CAGRA-style fixed-degree graph on the simulated GPU.
 
@@ -202,8 +200,6 @@ def build_cagra_gpu(points: np.ndarray,
         intermediate_degree: Width of the initial k-NN graph the pruning
             selects from; defaults to ~1.5x the target degree.
         knn_iterations: NN-Descent refinement cap for the initial graph.
-        device: Simulated device.
-        costs: Cycle cost table.
 
     Returns:
         A :class:`ConstructionReport` whose graph is a flat
@@ -228,13 +224,13 @@ def build_cagra_gpu(points: np.ndarray,
         )
     n_t = params.n_threads
     n_dims = points.shape[1]
-    kernel = KernelLaunch(device, n_t, costs=costs)
+    kernel = KernelLaunch(QUADRO_P5000, n_t)
+    costs = DEFAULT_COSTS
 
     # Stage 1: k-NN initialisation at the intermediate degree.
     knn_report = build_knn_graph_gpu(points, intermediate, params,
                                      metric=metric,
-                                     max_iterations=knn_iterations,
-                                     device=device, costs=costs)
+                                     max_iterations=knn_iterations)
     knn = knn_report.graph
     total_seconds = knn_report.seconds
     phase_seconds: Dict[str, float] = {"knn_init": knn_report.seconds}

@@ -48,7 +48,6 @@ from repro.core.params import BuildParams, as_count
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
 from repro.graphs.adjacency import PAD_DIST, PAD_ID, ProximityGraph
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.scan import csr_offsets_from_sorted_ids
 from repro.metrics.distance import Metric, get_metric
@@ -363,8 +362,7 @@ def ggraphcon(parts: Sequence[np.ndarray], params: BuildParams, metric: str,
 def build_nsw_gpu(points: np.ndarray, params: BuildParams,
                   search_kernel: str = "ganns", metric: str = "euclidean",
                   exact: bool = False,
-                  device: DeviceSpec = QUADRO_P5000,
-                  costs: CostTable = DEFAULT_COSTS) -> ConstructionReport:
+                  device: DeviceSpec = QUADRO_P5000) -> ConstructionReport:
     """Build an NSW graph with GGraphCon on the simulated GPU.
 
     Args:
@@ -379,21 +377,19 @@ def build_nsw_gpu(points: np.ndarray, params: BuildParams,
             hypothesis of the Section IV-C equivalence theorem; slower, and
             meant for tests and small inputs.
         device: Simulated device.
-        costs: Cycle cost table.
 
     Returns:
         A :class:`repro.core.results.ConstructionReport` whose ``graph``
         is the merged ``G_0``.
     """
     return build_nsw_gpu_parts((points,), params, search_kernel, metric,
-                               exact, device, costs)[0]
+                               exact, device)[0]
 
 
 def build_nsw_gpu_parts(parts: Sequence[np.ndarray], params: BuildParams,
                         search_kernel: str = "ganns",
                         metric: str = "euclidean", exact: bool = False,
-                        device: DeviceSpec = QUADRO_P5000,
-                        costs: CostTable = DEFAULT_COSTS
+                        device: DeviceSpec = QUADRO_P5000
                         ) -> List[ConstructionReport]:
     """:func:`build_nsw_gpu` of every part, in one :func:`ggraphcon` run.
 
@@ -407,8 +403,8 @@ def build_nsw_gpu_parts(parts: Sequence[np.ndarray], params: BuildParams,
             dimension or dtype (:func:`validated_parts`).
     """
     parts = validated_parts(parts)
-    clocks = [GpuClock(params, search_kernel, parts[0].shape[1], device,
-                       costs) for _ in parts]
+    clocks = [GpuClock(params, search_kernel, parts[0].shape[1], device)
+              for _ in parts]
     return [
         report_from_clock(
             clock, f"ggraphcon-{search_kernel}", graph, len(points),
@@ -530,8 +526,6 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
                      new_ids: np.ndarray, params: BuildParams,
                      search_kernel: str = "ganns",
                      metric: str = "euclidean",
-                     device: DeviceSpec = QUADRO_P5000,
-                     costs: CostTable = DEFAULT_COSTS,
                      entry: int = 0,
                      exclude_mask: Optional[np.ndarray] = None
                      ) -> ConstructionReport:
@@ -554,8 +548,6 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
         params: Build parameters (same knobs as the offline build).
         search_kernel: ``"ganns"`` or ``"song"`` for pricing.
         metric: Metric name (must match the graph's).
-        device: Simulated device.
-        costs: Cycle cost table.
         entry: Entry vertex for the merge searches (a live vertex
             before the batch).
         exclude_mask: Optional ``(n,)`` boolean tombstone mask;
@@ -626,7 +618,7 @@ def insert_batch_nsw(graph: ProximityGraph, points: np.ndarray,
 
     metric_obj = get_metric(metric)
     d_min = params.d_min
-    gpu = GpuClock(params, search_kernel, points.shape[1], device, costs)
+    gpu = GpuClock(params, search_kernel, points.shape[1], QUADRO_P5000)
     clock = _StackedClocks([gpu], np.array([0, graph.n_vertices]),
                            [params.blocks_for(graph.n_vertices)])
 

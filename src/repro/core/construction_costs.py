@@ -67,7 +67,7 @@ from repro.baselines.cpu_cost import CpuModel, CpuOpCounters
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConfigurationError
-from repro.gpusim.costs import CostTable
+from repro.gpusim.costs import DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelLaunch, _makespan
 from repro.gpusim.tracker import PhaseCategory
@@ -86,7 +86,7 @@ class SearchCycleCharge:
 
 def price_search(kernel: str, result: BeamLanes,
                  l_n: int, l_t: int, n_dims: int, n_threads: int,
-                 pq_bound: int, costs: CostTable) -> SearchCycleCharge:
+                 pq_bound: int) -> SearchCycleCharge:
     """Price traversals under a search kernel's cost model.
 
     Args:
@@ -99,7 +99,6 @@ def price_search(kernel: str, result: BeamLanes,
         n_dims: Point dimensionality.
         n_threads: Threads per block.
         pq_bound: SONG's queue bound (the construction ``ef``).
-        costs: Cycle cost table.
 
     Returns:
         A :class:`SearchCycleCharge`.
@@ -109,6 +108,7 @@ def price_search(kernel: str, result: BeamLanes,
             f"unknown search kernel {kernel!r}; valid kernels: "
             f"{', '.join(VALID_KERNELS)}"
         )
+    costs = DEFAULT_COSTS
     per_vector = costs.single_distance_cycles(n_dims, n_threads)
     n_scanned = result.n_hash_probes
     n_fresh = result.n_distance_computations
@@ -140,26 +140,25 @@ class GpuClock:
         search_kernel: ``"ganns"`` or ``"song"``.
         n_dims: Point dimensionality.
         device: Simulated device.
-        costs: Cycle cost table.
     """
 
     def __init__(self, params: BuildParams, search_kernel: str, n_dims: int,
-                 device: DeviceSpec, costs: CostTable) -> None:
+                 device: DeviceSpec) -> None:
         n_t = params.n_threads
-        self.kernel = KernelLaunch(device, n_t, costs=costs)
+        self.kernel = KernelLaunch(device, n_t)
         self.phase_seconds: Dict[str, float] = {}
         self.category_seconds: Dict[PhaseCategory, float] = {
             PhaseCategory.DISTANCE: 0.0,
             PhaseCategory.STRUCTURE: 0.0,
         }
         self.seconds = 0.0
-        self._costs = costs
         self._d_max = params.d_max
         self._search_kernel = search_kernel
         self._search_shape = (params.effective_search_l_n, params.d_max,
-                              n_dims, n_t, params.effective_ef, costs)
-        self._insert_cycles = costs.backward_insert_cycles(params.d_max, n_t)
-        self._forward_merge_cycles = costs.ganns_merge_cycles(
+                              n_dims, n_t, params.effective_ef)
+        self._insert_cycles = DEFAULT_COSTS.backward_insert_cycles(
+            params.d_max, n_t)
+        self._forward_merge_cycles = DEFAULT_COSTS.ganns_merge_cycles(
             params.d_min, params.d_min, n_t)
         self._merge_cycles = np.empty(0)
 
@@ -220,7 +219,7 @@ class GpuClock:
         """``E`` was sorted and scanned into CSR segments over a grid of
         ``grid_blocks`` blocks, then one block per segment merged it
         into its adjacency row."""
-        costs, n_t = self._costs, self.kernel.n_threads
+        costs, n_t = DEFAULT_COSTS, self.kernel.n_threads
         n_edges = int(segment_lengths.sum())
         grid_threads = grid_blocks * n_t
         cycles = (costs.bitonic_sort_cycles(n_edges, grid_threads)

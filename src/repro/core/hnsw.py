@@ -31,7 +31,6 @@ from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
 from repro.graphs.adjacency import HierarchicalGraph, ProximityGraph
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.tracker import PhaseCategory
 
@@ -107,8 +106,7 @@ def build_hierarchy(points: np.ndarray, d_min: int, seed: int,
 def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
                    search_kernel: str = "ganns",
                    metric: str = "euclidean",
-                   device: DeviceSpec = QUADRO_P5000,
-                   costs: CostTable = DEFAULT_COSTS) -> ConstructionReport:
+                   device: DeviceSpec = QUADRO_P5000) -> ConstructionReport:
     """Build an HNSW graph level-by-level with GGraphCon per layer.
 
     Args:
@@ -118,7 +116,6 @@ def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
         search_kernel: ``"ganns"`` or ``"song"``.
         metric: Metric name.
         device: Simulated device.
-        costs: Cycle cost table.
 
     Returns:
         A :class:`ConstructionReport` whose ``graph`` is a
@@ -140,8 +137,7 @@ def build_hnsw_gpu(points: np.ndarray, params: BuildParams,
             n_blocks=min(layer_blocks, size))
         reports.append(build_nsw_gpu(layer_points, layer_params,
                                      search_kernel=search_kernel,
-                                     metric=metric, device=device,
-                                     costs=costs))
+                                     metric=metric, device=device))
         return reports[-1].graph
 
     hierarchical, order, sizes = build_hierarchy(points, params.d_min,

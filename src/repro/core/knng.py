@@ -29,7 +29,7 @@ from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
 from repro.graphs.adjacency import ProximityGraph
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
+from repro.gpusim.costs import DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.scan import csr_offsets_from_sorted_ids
@@ -71,8 +71,7 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
                         params: BuildParams = BuildParams(),
                         metric: str = "euclidean",
                         max_iterations: int = 12,
-                        device: DeviceSpec = QUADRO_P5000,
-                        costs: CostTable = DEFAULT_COSTS
+                        device: DeviceSpec = QUADRO_P5000
                         ) -> ConstructionReport:
     """Build a KNN graph with batched NN-Descent on the simulated GPU.
 
@@ -84,7 +83,6 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
         max_iterations: Hard refinement cap; refinement also stops once
             an iteration updates fewer than 0.1 % of all ``n * k`` slots.
         device: Simulated device.
-        costs: Cycle cost table.
 
     Returns:
         A :class:`ConstructionReport`; ``details["n_iterations"]`` records
@@ -98,7 +96,8 @@ def build_knn_graph_gpu(points: np.ndarray, k: int,
     rng = np.random.default_rng(params.seed)
     n_t = params.n_threads
     n_dims = points.shape[1]
-    kernel = KernelLaunch(device, n_t, costs=costs)
+    kernel = KernelLaunch(device, n_t)
+    costs = DEFAULT_COSTS
 
     points64 = points.astype(np.float64)
     vectors = metric_obj.prepare(points64)

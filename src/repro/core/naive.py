@@ -27,7 +27,7 @@ from repro.core.params import BuildParams, as_count
 from repro.core.results import ConstructionReport
 from repro.errors import ConstructionError
 from repro.graphs.adjacency import ProximityGraph
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
+from repro.gpusim.costs import DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.metrics.distance import get_metric
 
@@ -35,8 +35,7 @@ from repro.metrics.distance import get_metric
 def build_nsw_serial_gpu(points: np.ndarray, params: BuildParams,
                          search_kernel: str = "song",
                          metric: str = "euclidean",
-                         device: DeviceSpec = QUADRO_P5000,
-                         costs: CostTable = DEFAULT_COSTS
+                         device: DeviceSpec = QUADRO_P5000
                          ) -> ConstructionReport:
     """GSerial: sequential insertion, one active block at a time.
 
@@ -48,7 +47,7 @@ def build_nsw_serial_gpu(points: np.ndarray, params: BuildParams,
     """
     report = build_nsw_gpu(points, params.with_overrides(n_blocks=1),
                            search_kernel=search_kernel, metric=metric,
-                           device=device, costs=costs)
+                           device=device)
     return dataclasses.replace(
         report, algorithm=f"gserial-{search_kernel}",
         phase_seconds={"serial_insertion": report.seconds},
@@ -60,8 +59,7 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
                              search_kernel: str = "song",
                              metric: str = "euclidean",
                              batch_size: Optional[int] = None,
-                             device: DeviceSpec = QUADRO_P5000,
-                             costs: CostTable = DEFAULT_COSTS
+                             device: DeviceSpec = QUADRO_P5000
                              ) -> ConstructionReport:
     """GNaiveParallel: batch-parallel insertion that ignores in-batch links.
 
@@ -73,7 +71,6 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
         batch_size: Points per parallel batch; defaults to
             ``params.blocks_for(n)`` (one block per point).
         device: Simulated device.
-        costs: Cycle cost table.
 
     Returns:
         A :class:`ConstructionReport`; expect the graph's search quality to
@@ -89,10 +86,10 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
     if batch_size is None:
         batch_size = params.blocks_for(n)
     batch_size = as_count(batch_size, "batch_size", 1, ConstructionError)
-    clock = GpuClock(params, search_kernel, n_dims, device, costs)
+    clock = GpuClock(params, search_kernel, n_dims, device)
 
     graph = ProximityGraph(n, params.d_max, metric)
-    insert_cost = costs.backward_insert_cycles(params.d_max, n_t)
+    insert_cost = DEFAULT_COSTS.backward_insert_cycles(params.d_max, n_t)
 
     # Bootstrap: the first d_min + 1 points insert sequentially (a batch
     # against an empty graph has nothing to search).
@@ -101,7 +98,8 @@ def build_nsw_naive_parallel(points: np.ndarray, params: BuildParams,
     boot_distance = 0.0
     for vertex in range(1, bootstrap):
         dists = metric_obj.one_to_many(points[vertex], points[:vertex])
-        boot_distance += vertex * costs.single_distance_cycles(n_dims, n_t)
+        boot_distance += vertex * DEFAULT_COSTS.single_distance_cycles(
+            n_dims, n_t)
         for u in range(vertex):
             graph.insert_edge(vertex, u, float(dists[u]))
             graph.insert_edge(u, vertex, float(dists[u]))

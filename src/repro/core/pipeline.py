@@ -34,8 +34,7 @@ from repro.core.params import SearchParams, as_count
 from repro.core.results import SearchReport
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
+from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.memory import TransferModel
 from repro.gpusim.tracker import CycleTracker
 
@@ -175,17 +174,16 @@ class _LaneStore:
         parts: Per part, its graph and points (a batch finds its part by
             identity) and the replay's query matrices for it in arrival
             order.
-        params, entry, costs: The search every lane is answered by; a
-            call under anything else (a degraded tier's ``params``, a
-            graph that is no part) goes straight to :func:`ganns_search`.
+        params, entry: The search every lane is answered by; a call
+            under anything else (a degraded tier's ``params``, a graph
+            that is no part) goes straight to :func:`ganns_search`.
     """
 
     def __init__(self,
                  parts: Sequence[Tuple[ProximityGraph, np.ndarray,
                                        Iterable[np.ndarray]]],
-                 params: SearchParams, entry: int = 0,
-                 costs: CostTable = DEFAULT_COSTS):
-        self.params, self.entry, self.costs = params, entry, costs
+                 params: SearchParams, entry: int = 0):
+        self.params, self.entry = params, entry
         self._parts = [(graph, points) for graph, points, _ in parts]
         self._lane_of: List[Dict[bytes, int]] = []
         self._queries: List[np.ndarray] = []
@@ -225,21 +223,19 @@ class _LaneStore:
 
     def search(self, graph: ProximityGraph, points: np.ndarray,
                queries: np.ndarray, params: SearchParams,
-               entry: Union[int, np.ndarray], costs: CostTable
-               ) -> SearchReport:
+               entry: Union[int, np.ndarray]) -> SearchReport:
         """:func:`ganns_search` of the same arguments."""
         # The cheap identity checks first: a batch the store was not
         # built for (a degraded tier's params) hashes no row.
         part = next((i for i, (g, p) in enumerate(self._parts)
                      if g is graph and p is points), None)
         same = (part is not None and params == self.params
-                and costs == self.costs
                 and np.ndim(entry) == 0 and entry == self.entry)
         lanes = ([self._lane_of[part].get(row.tobytes())
                   for row in queries] if same else None)
         if lanes is None or None in lanes:
             return ganns_search(graph, points, queries, params,
-                                entry=entry, costs=costs)
+                                entry=entry)
         lanes = np.array(lanes)
         missing = np.unique(lanes[~self._searched[lanes]])
         if len(missing):
@@ -261,7 +257,7 @@ class _LaneStore:
             wide = ganns_search(
                 graph, points,
                 np.stack([self._queries[lane] for lane in lanes[mine]]),
-                self.params, entry=self.entry + offset, costs=self.costs)
+                self.params, entry=self.entry + offset)
             wide.ids[...] = np.where(wide.ids >= 0,
                                      wide.ids - offset[:, None], wide.ids)
             self._scatter(lanes[mine], wide)
@@ -296,8 +292,6 @@ class _LaneStore:
 def stream_batches(graph: ProximityGraph, points: np.ndarray,
                    queries: np.ndarray, params: SearchParams,
                    batch_size: int = 2000,
-                   device: DeviceSpec = QUADRO_P5000,
-                   costs: CostTable = DEFAULT_COSTS,
                    entry: Union[int, np.ndarray] = 0,
                    fault_hook: Optional[
                        Callable[[int, BatchTiming], BatchTiming]
@@ -311,8 +305,6 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
         queries: ``(m, d)`` query stream.
         params: GANNS search parameters.
         batch_size: Queries per batch (the paper's example uses 2000).
-        device: Simulated device (provides PCIe figures).
-        costs: Cycle cost table.
         entry: Start vertex, or a per-query ``(m,)`` id array; sliced
             along with the queries when per-query entries are given.
         fault_hook: Fault-injection point (:mod:`repro.faults`): called
@@ -332,7 +324,7 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
     check_queries(np.asarray(points), queries, graph, entry, params.k)
     batch_size = as_count(batch_size, "batch_size", 1, SearchError)
     entries = np.asarray(entry, dtype=np.int64)
-    transfer = TransferModel(device)
+    transfer = TransferModel(QUADRO_P5000)
     search = ganns_search if _lanes is None else _lanes.search
 
     reports: List[SearchReport] = []
@@ -343,9 +335,8 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
         batch = queries[start:start + batch_size]
         batch_entry = (entries if entries.ndim == 0
                        else entries[start:start + batch_size])
-        report = search(graph, points, batch, params,
-                        entry=batch_entry, costs=costs)
-        launch = report.launch(device, costs)
+        report = search(graph, points, batch, params, entry=batch_entry)
+        launch = report.launch()
         upload = transfer.transfer_seconds(
             transfer.query_upload_bytes(len(batch), queries.shape[1]))
         download = transfer.transfer_seconds(

@@ -15,8 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import SearchError
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
+from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch, LaunchResult
 from repro.gpusim.tracker import CycleTracker, PhaseCategory
 
@@ -88,11 +87,10 @@ class SearchReport:
             lane_distance_evaluations=(None if evaluated is None
                                        else evaluated[lanes]))
 
-    def launch(self, device: DeviceSpec = QUADRO_P5000,
-               costs: CostTable = DEFAULT_COSTS) -> LaunchResult:
-        """Schedule the one-block-per-query grid on ``device``."""
-        kernel = KernelLaunch(device, self.n_threads,
-                              self.shared_mem_bytes, costs)
+    def launch(self) -> LaunchResult:
+        """Schedule the one-block-per-query grid on the paper's device."""
+        kernel = KernelLaunch(QUADRO_P5000, self.n_threads,
+                              self.shared_mem_bytes)
         return kernel.run(self.tracker.lane_cycles())
 
     def queries_per_second(self) -> float:

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
+from repro.gpusim.costs import DEFAULT_COSTS
 from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 
 
@@ -79,12 +79,10 @@ class KernelLaunch:
             of nothing in particular — sub-warp blocks of 4..32 threads are
             exactly what Figure 10 sweeps.
         shared_mem_bytes: Shared memory per block, for the occupancy bound.
-        costs: Cost table supplying the calibration ``time_scale``.
     """
 
     def __init__(self, device: DeviceSpec = QUADRO_P5000, n_threads: int = 32,
-                 shared_mem_bytes: int = 0,
-                 costs: CostTable = DEFAULT_COSTS):
+                 shared_mem_bytes: int = 0):
         if n_threads <= 0:
             raise ConfigurationError(
                 f"n_threads must be positive, got {n_threads}"
@@ -92,7 +90,6 @@ class KernelLaunch:
         self.device = device
         self.n_threads = int(n_threads)
         self.shared_mem_bytes = int(shared_mem_bytes)
-        self.costs = costs
         # Scheduling granularity is one warp even for sub-warp blocks: a
         # 4-thread block still occupies a full warp slot on the SM.
         slot_threads = max(self.n_threads, device.warp_size)
@@ -139,7 +136,7 @@ class KernelLaunch:
 
     def cycles_to_seconds(self, cycles: float) -> float:
         """Clock conversion including the calibration ``time_scale``."""
-        return float(cycles) * self.costs.time_scale / self.device.clock_hz
+        return float(cycles) * DEFAULT_COSTS.time_scale / self.device.clock_hz
 
     def queries_per_second(self, result: LaunchResult) -> float:
         """Throughput of a one-block-per-query launch."""

@@ -40,8 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HealError
 from repro.faults.plan import FaultPlan
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
+from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import NetworkModel
 from repro.heal.policy import (DESERIALIZE_CYCLES_PER_BYTE,
@@ -185,20 +184,13 @@ class RepairController:
 
     Args:
         policy: Timing and safety knobs.
-        device: Simulated device the deserialize kernel runs on.
-        costs: Cycle cost table.
     """
 
-    def __init__(self, policy: HealPolicy,
-                 device: DeviceSpec = QUADRO_P5000,
-                 costs: CostTable = DEFAULT_COSTS):
+    def __init__(self, policy: HealPolicy):
         self.policy = policy
         #: Cluster interconnect the repair lane rides on.
         self.network = NetworkModel()
-        self.device = device
-        self.costs = costs
-        self._launch = KernelLaunch(device, DESERIALIZE_THREADS,
-                                    costs=costs)
+        self._launch = KernelLaunch(QUADRO_P5000, DESERIALIZE_THREADS)
 
     # ------------------------------------------------------------------
     # Cost components

@@ -34,8 +34,6 @@ import numpy as np
 
 from repro.core.params import as_count, as_finite
 from repro.errors import HealError
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 
 
 def shard_payload_bytes(graph, points: np.ndarray) -> int:
@@ -92,15 +90,10 @@ class StoreShardSource:
     Args:
         store: The :class:`repro.mutable.wal.DurableStore` holding the
             shard's checkpoint and write-ahead log.
-        device: Simulated device recovery replays on.
-        costs: Cycle cost table.
     """
 
-    def __init__(self, store, device: DeviceSpec = QUADRO_P5000,
-                 costs: CostTable = DEFAULT_COSTS):
+    def __init__(self, store):
         self.store = store
-        self.device = device
-        self.costs = costs
         self._recovered = None
 
     @property
@@ -108,8 +101,7 @@ class StoreShardSource:
         """The index recovery rebuilds from the store (cached)."""
         if self._recovered is None:
             from repro.mutable.recovery import recover
-            self._recovered = recover(self.store, device=self.device,
-                                      costs=self.costs)
+            self._recovered = recover(self.store)
         return self._recovered
 
     @property
@@ -135,8 +127,7 @@ class StoreShardSource:
             return float(index.mutation_seconds)
         from repro.mutable.index import MutableIndex
         baseline = MutableIndex.from_checkpoint_bytes(
-            self.store.checkpoint, self.store, device=self.device,
-            costs=self.costs)
+            self.store.checkpoint, self.store)
         return float(index.mutation_seconds
                      - baseline.mutation_seconds)
 

@@ -45,8 +45,7 @@ from repro.errors import (
     MutableIndexError,
     ProcessCrashError,
 )
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
+from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
 from repro.graphs.adjacency import PAD_DIST, PAD_ID, ProximityGraph
 from repro.graphs.validation import validate_graph
@@ -82,9 +81,7 @@ class MutableIndex:
                  tombstones: np.ndarray, entry: int,
                  build_params: BuildParams, metric: str,
                  store: DurableStore, epoch: int = 0,
-                 search_kernel: str = "ganns",
-                 device: DeviceSpec = QUADRO_P5000,
-                 costs: CostTable = DEFAULT_COSTS):
+                 search_kernel: str = "ganns"):
         self.graph = graph
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.tombstones = np.asarray(tombstones, dtype=bool).copy()
@@ -94,8 +91,6 @@ class MutableIndex:
         self.store = store
         self.epoch = int(epoch)
         self.search_kernel = search_kernel
-        self.device = device
-        self.costs = costs
         self.mutation_seconds = 0.0
         self.last_compaction: Optional[CompactionStats] = None
         #: Tombstones already detached by a compaction pass — these are
@@ -109,8 +104,6 @@ class MutableIndex:
     @classmethod
     def build(cls, points: np.ndarray, params: BuildParams,
               metric: str = "euclidean", search_kernel: str = "ganns",
-              device: DeviceSpec = QUADRO_P5000,
-              costs: CostTable = DEFAULT_COSTS,
               family: str = "nsw") -> "MutableIndex":
         """Offline-build the seed corpus and open the durable store.
 
@@ -141,25 +134,20 @@ class MutableIndex:
         store.meta = {**encode_params(params), "metric": metric,
                       "search_kernel": search_kernel}
         store.append(OP_INSERT, 0.0, points=points)
-        index = cls._apply_base_build(
-            store, points, params, metric=metric,
-            search_kernel=search_kernel, device=device, costs=costs)
-        return index
+        return cls._apply_base_build(store, points, params, metric=metric,
+                                     search_kernel=search_kernel)
 
     @classmethod
     def _apply_base_build(cls, store: DurableStore, points: np.ndarray,
                           params: BuildParams, metric: str,
-                          search_kernel: str, device: DeviceSpec,
-                          costs: CostTable) -> "MutableIndex":
+                          search_kernel: str) -> "MutableIndex":
         """Deterministic seed build shared by :meth:`build` and recovery."""
         report = build_nsw_gpu(points, params,
-                               search_kernel=search_kernel,
-                               metric=metric, device=device, costs=costs)
+                               search_kernel=search_kernel, metric=metric)
         index = cls(graph=report.graph, points=points,
                     tombstones=np.zeros(len(points), dtype=bool),
                     entry=0, build_params=params, metric=metric,
-                    store=store, epoch=0, search_kernel=search_kernel,
-                    device=device, costs=costs)
+                    store=store, epoch=0, search_kernel=search_kernel)
         index.mutation_seconds += report.seconds
         return index
 
@@ -269,7 +257,7 @@ class MutableIndex:
         report = insert_batch_nsw(
             self.graph, self.points, new_ids, self.build_params,
             search_kernel=self.search_kernel, metric=self.metric,
-            device=self.device, costs=self.costs, entry=self.entry,
+            entry=self.entry,
             exclude_mask=self.tombstones if self.n_tombstones else None)
         self.mutation_seconds += report.seconds
         self.epoch += 1
@@ -371,12 +359,10 @@ class MutableIndex:
         try:
             shadow = self.graph.copy()
             stats = compact_graph(shadow, self.points, self.tombstones,
-                                  costs=self.costs,
                                   n_threads=self.build_params.n_threads,
                                   phase_hook=hook)
-            kernel = KernelLaunch(self.device,
-                                  self.build_params.n_threads,
-                                  costs=self.costs)
+            kernel = KernelLaunch(QUADRO_P5000,
+                                  self.build_params.n_threads)
             seconds = kernel.cycles_to_seconds(stats.total_cycles)
 
             # Commit point: durably log the compaction, then swap the
@@ -471,9 +457,7 @@ class MutableIndex:
         return json.dumps(payload, sort_keys=True).encode("utf-8")
 
     @classmethod
-    def from_checkpoint_bytes(cls, blob: bytes, store: DurableStore,
-                              device: DeviceSpec = QUADRO_P5000,
-                              costs: CostTable = DEFAULT_COSTS
+    def from_checkpoint_bytes(cls, blob: bytes, store: DurableStore
                               ) -> "MutableIndex":
         """Rebuild an index from a checkpoint blob (no WAL replay).
 
@@ -501,8 +485,7 @@ class MutableIndex:
             ) from exc
         index = cls(graph=graph, points=points, tombstones=tombstones,
                     entry=entry, build_params=params, metric=graph.metric_name,
-                    store=store, epoch=epoch, search_kernel=search_kernel,
-                    device=device, costs=costs)
+                    store=store, epoch=epoch, search_kernel=search_kernel)
         index.mutation_seconds = mutation_seconds
         index.compacted_tombstones = compacted.astype(bool)
         return index
@@ -516,15 +499,16 @@ class MutableIndex:
         """Search the *live* corpus; tombstoned ids are never returned.
 
         Pre-compaction tombstones still route, so the search over-
-        fetches (``k + pending tombstones``, capped by ``l_n`` and by
-        the vertex count) and filters dead ids from the results; short
-        rows pad with ``-1``/``inf``.  For byte-stable serving use a
-        :meth:`snapshot` and its ``serving_view`` instead.
+        fetches (``k`` plus the tombstones no compaction has detached
+        yet, capped by ``l_n`` and by the vertex count) and filters dead
+        ids from the results; short rows pad with ``-1``/``inf``.  For
+        byte-stable serving use a :meth:`snapshot` and its
+        ``serving_view`` instead.
         """
         queries = np.atleast_2d(np.asarray(queries))
         k = params.k
-        k_eff = min(int(params.l_n), k + self.n_tombstones,
-                    self.graph.n_vertices)
+        routing = int((self.tombstones & ~self.compacted_tombstones).sum())
+        k_eff = min(int(params.l_n), k + routing, self.graph.n_vertices)
         report = ganns_search(self.graph, self.points, queries,
                               params.with_overrides(k=k_eff)
                               if k_eff != k else params,

@@ -18,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MutableIndexError
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
 from repro.mutable.index import MutableIndex
 from repro.mutable.wal import (
     OP_COMPACT,
@@ -30,17 +28,12 @@ from repro.mutable.wal import (
 )
 
 
-def recover(store: DurableStore,
-            device: DeviceSpec = QUADRO_P5000,
-            costs: CostTable = DEFAULT_COSTS,
-            tracer=None, metrics=None,
+def recover(store: DurableStore, tracer=None, metrics=None,
             now: float = 0.0) -> MutableIndex:
     """Rebuild the index the durable store describes.
 
     Args:
         store: The surviving durable state (checkpoint + WAL + meta).
-        device: Simulated device for the replayed kernels.
-        costs: Cycle cost table.
         tracer: Optional span tracer (one ``recovery.replay`` span;
             replayed records emit no spans of their own).
         metrics: Optional metrics registry (``recovery.runs``,
@@ -56,8 +49,7 @@ def recover(store: DurableStore,
                         lane="mutate") if tracer else None
     records = store.surviving_records()
     if store.checkpoint is not None:
-        index = MutableIndex.from_checkpoint_bytes(
-            store.checkpoint, store, device=device, costs=costs)
+        index = MutableIndex.from_checkpoint_bytes(store.checkpoint, store)
         replay = records
     else:
         if store.meta is None:
@@ -72,8 +64,7 @@ def recover(store: DurableStore,
             store, np.asarray(records[0].points),
             decode_params(store.meta),
             metric=str(store.meta["metric"]),
-            search_kernel=str(store.meta["search_kernel"]),
-            device=device, costs=costs)
+            search_kernel=str(store.meta["search_kernel"]))
         replay = records[1:]
 
     # Replayed records deliberately publish no mutate.* metrics and no

@@ -32,6 +32,8 @@ from repro.faults.plan import FaultPlan
 from repro.mutable.index import MutableIndex
 from repro.mutable.recovery import recover
 from repro.mutable.report import MutationReport, OpRecord, SearchRecord
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.span import SpanTracer
 
 #: Seconds between scheduled workload operations.  Mutation kernel
 #: charges are micro-to-millisecond scale, so unit spacing keeps every
@@ -59,7 +61,8 @@ class _Workload:
     search_params: SearchParams
     batch_size: int
     crash: Optional[CrashInjector]
-    observers: dict  # tracer= / metrics=, as every index op takes them
+    tracer: Optional[SpanTracer]
+    metrics: Optional[MetricsRegistry]
 
     def record(self, kind: str, at: float, count: int = 0,
                status: str = "ok", phase: str = "") -> None:
@@ -79,11 +82,10 @@ class _Workload:
             if k_eff != params.k else params)
         returned = ids[ids >= 0]
         n_wrong = int(index.tombstones[returned].sum())
-        metrics = self.observers["metrics"]
-        if metrics is not None:
-            metrics.counter("mutate.searches").inc()
+        if self.metrics is not None:
+            self.metrics.counter("mutate.searches").inc()
             if n_wrong:
-                metrics.counter("mutate.wrong_answers").inc(n_wrong)
+                self.metrics.counter("mutate.wrong_answers").inc(n_wrong)
         self.report.searches.append(SearchRecord(
             seq=len(self.report.ops), at_seconds=now, epoch=index.epoch,
             ids=ids, dists=dists, n_wrong=n_wrong))
@@ -93,7 +95,8 @@ class _Workload:
         batch = 1 + int(self.rng.integers(0, self.batch_size))
         points = 0.5 * self.rng.standard_normal(
             (batch, self.index.points.shape[1]))
-        self.index.insert(points, now=now, **self.observers)
+        self.index.insert(points, now=now, tracer=self.tracer,
+                          metrics=self.metrics)
         self.record("insert", now, count=batch)
 
     def delete(self, now: float) -> None:
@@ -104,7 +107,8 @@ class _Workload:
             return
         ids = np.sort(self.rng.choice(self.index.live_ids(), size=n_del,
                                       replace=False))
-        self.index.delete(ids, now=now, **self.observers)
+        self.index.delete(ids, now=now, tracer=self.tracer,
+                          metrics=self.metrics)
         self.record("delete", now, count=n_del)
 
     def lifecycle(self, kind: str, now: float) -> None:
@@ -115,19 +119,20 @@ class _Workload:
         try:
             if kind == "compact":
                 stats = index.compact(now=now, crash=self.crash,
-                                      **self.observers)
+                                      tracer=self.tracer,
+                                      metrics=self.metrics)
                 self.record("compact", now, count=stats.n_dead)
             else:
                 self.report.checkpoint_lsn = index.checkpoint(
-                    now=now, crash=self.crash, **self.observers)
+                    now=now, crash=self.crash, tracer=self.tracer,
+                    metrics=self.metrics)
                 self.record("checkpoint", now,
                             count=self.report.checkpoint_lsn)
         except ProcessCrashError as crashed:
             self.record(kind, now, status="crashed", phase=crashed.phase)
             recover_at = now + RECOVERY_DELAY_SECONDS
-            self.index = recover(index.store, device=index.device,
-                                 costs=index.costs, now=recover_at,
-                                 **self.observers)
+            self.index = recover(index.store, tracer=self.tracer,
+                                 metrics=self.metrics, now=recover_at)
             self.index.validate()
             self.record("recover", recover_at,
                         count=self.index.last_recovery["n_replayed"])
@@ -153,7 +158,7 @@ def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
     """Run one deterministic mutation workload, chaos and all.
 
     The seed build uses :func:`default_build_params` and the euclidean
-    metric, on the default device and cost table.
+    metric.
 
     Args:
         n_points: Seed corpus size (offline-built at ``t = 0``).
@@ -197,7 +202,7 @@ def run_mutation_sim(n_points: int = 200, n_dims: int = 16,
                                    n_threads=params.n_threads),
         batch_size=batch_size,
         crash=CrashInjector(fault_plan) if fault_plan is not None else None,
-        observers={"tracer": tracer, "metrics": metrics})
+        tracer=tracer, metrics=metrics)
     for step in range(n_ops):
         now = (step + 1) * OP_SPACING_SECONDS
         if checkpoint_every and (step + 1) % checkpoint_every == 0:

@@ -69,8 +69,7 @@ from repro.faults.report import (
     RetryRecord,
 )
 from repro.graphs.adjacency import ProximityGraph
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
+from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.memory import SharedMemoryBudget
 from repro.observability.bridge import publish_tracker_totals
 from repro.observability.metrics import (
@@ -92,16 +91,17 @@ from repro.serve.request import (
 from repro.serve.scheduler import Batch, BatchPolicy, MicroBatchScheduler
 
 
-def check_pool_fits(params: SearchParams, d_max: int, device: DeviceSpec,
+def check_pool_fits(params: SearchParams, d_max: int,
                     error: Type[ReproError]) -> None:
-    """Refuse ``params`` whose search block would not fit ``device``'s
-    shared memory: the pool the search allocates (``rerank_factor *
-    l_n`` under ``quant``) beside a ``d_max``-wide neighbor buffer.
-    Without this, the first dispatched batch raises instead."""
+    """Refuse ``params`` whose search block would not fit the shared
+    memory of ``QUADRO_P5000``: the pool the search allocates
+    (``rerank_factor * l_n`` under ``quant``) beside a ``d_max``-wide
+    neighbor buffer.  Without this, the first dispatched batch raises
+    instead."""
     pool = params.l_n * (params.rerank_factor
                          if params.quant is not None else 1)
     try:
-        SharedMemoryBudget(l_n=pool, l_t=d_max).validate(device)
+        SharedMemoryBudget(l_n=pool, l_t=d_max).validate(QUADRO_P5000)
     except DeviceError as exc:
         raise error(
             f"l_n={params.l_n} (a pool of {pool}) over graph d_max={d_max} "
@@ -117,8 +117,6 @@ class ServeEngine:
         params: Search parameters applied to every dispatched batch.
         policy: Micro-batching and admission knobs.
         cache: Result cache; ``None`` disables caching entirely.
-        device: Simulated device (clock and PCIe figures).
-        costs: Cycle cost table.
         entry: Search entry vertex (scalar; shared by all queries).
         faults: Optional :class:`FaultPlan` to inject during dispatch.
             A fresh :class:`FaultInjector` is built per replay, so the
@@ -148,8 +146,6 @@ class ServeEngine:
                  params: Optional[SearchParams] = None,
                  policy: Optional[BatchPolicy] = None,
                  cache: Optional[ResultCache] = None,
-                 device: DeviceSpec = QUADRO_P5000,
-                 costs: CostTable = DEFAULT_COSTS,
                  entry: int = 0,
                  faults: Optional[FaultPlan] = None,
                  retry: Optional[RetryPolicy] = None,
@@ -174,8 +170,6 @@ class ServeEngine:
         self.params = params if params is not None else SearchParams()
         self.policy = policy if policy is not None else BatchPolicy()
         self.cache = cache
-        self.device = device
-        self.costs = costs
         self.entry = int(entry)
         self.faults = faults
         if faults is not None:
@@ -192,7 +186,7 @@ class ServeEngine:
             raise ServeError(
                 f"k={self.params.k} exceeds the {graph.n_vertices} "
                 f"vertices of the served graph")
-        check_pool_fits(self.params, graph.d_max, device, ServeError)
+        check_pool_fits(self.params, graph.d_max, ServeError)
         self.default_deadline_seconds = check_deadline(
             default_deadline_seconds, "default_deadline_seconds")
         #: Epoch of the pinned snapshot this engine serves, or ``None``
@@ -276,7 +270,7 @@ class ServeEngine:
         if _lanes is None:
             _lanes = _LaneStore(
                 [(self.graph, self.points, [req.queries for req in trace])],
-                self.params, self.entry, self.costs)
+                self.params, self.entry)
         run = _Replay(self, trace, tracer, registry, _lanes)
         for req in trace:
             run.admit(req)
@@ -650,8 +644,7 @@ class _Replay:
             try:
                 stream = stream_batches(
                     engine.graph, engine.points, queries, params,
-                    batch_size=len(queries), device=engine.device,
-                    costs=engine.costs, entry=engine.entry,
+                    batch_size=len(queries), entry=engine.entry,
                     fault_hook=hook, _lanes=self.lanes)
             except FaultError as err:
                 failed_at, detail = self._attempt_failed(

@@ -24,8 +24,8 @@ import numpy as np
 from repro.core.params import BuildParams
 from repro.core.results import ConstructionReport
 from repro.graphs.adjacency import PAD_DIST, PAD_ID, ProximityGraph
-from repro.gpusim.costs import CostTable, DEFAULT_COSTS
-from repro.gpusim.device import DeviceSpec, QUADRO_P5000
+from repro.gpusim.costs import DEFAULT_COSTS
+from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.distance import get_metric
@@ -40,9 +40,7 @@ def _unit(matrix):
 def build_knn_graph_oracle(points: np.ndarray, k: int,
                            params: BuildParams = BuildParams(),
                            metric: str = "euclidean",
-                           max_iterations: int = 12,
-                           device: DeviceSpec = QUADRO_P5000,
-                           costs: CostTable = DEFAULT_COSTS
+                           max_iterations: int = 12
                            ) -> ConstructionReport:
     """Batched NN-Descent, one vertex and one candidate slot at a time."""
     points = np.asarray(points)
@@ -50,7 +48,8 @@ def build_knn_graph_oracle(points: np.ndarray, k: int,
     metric_obj = get_metric(metric)
     rng = np.random.default_rng(params.seed)
     n_t = params.n_threads
-    kernel = KernelLaunch(device, n_t, costs=costs)
+    kernel = KernelLaunch(QUADRO_P5000, n_t)
+    costs = DEFAULT_COSTS
 
     # Random initialisation: k distinct others per vertex.
     graph = ProximityGraph(n, k, metric)
@@ -230,9 +229,7 @@ def build_cagra_oracle(points: np.ndarray,
                        metric: str = "euclidean",
                        graph_degree: Optional[int] = None,
                        intermediate_degree: Optional[int] = None,
-                       knn_iterations: int = 8,
-                       device: DeviceSpec = QUADRO_P5000,
-                       costs: CostTable = DEFAULT_COSTS
+                       knn_iterations: int = 8
                        ) -> ConstructionReport:
     """KNN initialisation, then prune and merge one vertex at a time."""
     points = np.asarray(points)
@@ -243,12 +240,12 @@ def build_cagra_oracle(points: np.ndarray,
         intermediate_degree = max(degree + 4, (degree * 3) // 2)
     intermediate = min(int(intermediate_degree), n - 1)
     n_t = params.n_threads
-    kernel = KernelLaunch(device, n_t, costs=costs)
+    kernel = KernelLaunch(QUADRO_P5000, n_t)
+    costs = DEFAULT_COSTS
 
     knn_report = build_knn_graph_oracle(points, intermediate, params,
                                         metric=metric,
-                                        max_iterations=knn_iterations,
-                                        device=device, costs=costs)
+                                        max_iterations=knn_iterations)
     knn = knn_report.graph
     total_seconds = knn_report.seconds
     phase_seconds: Dict[str, float] = {"knn_init": knn_report.seconds}

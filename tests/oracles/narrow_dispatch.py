@@ -13,9 +13,9 @@ from unittest import mock
 from repro.core import pipeline
 
 
-def _search_alone(self, graph, points, queries, params, entry, costs):
+def _search_alone(self, graph, points, queries, params, entry):
     return pipeline.ganns_search(graph, points, queries, params,
-                                 entry=entry, costs=costs)
+                                 entry=entry)
 
 
 @contextlib.contextmanager

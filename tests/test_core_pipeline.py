@@ -155,7 +155,7 @@ class TestLaneStore:
         order = data.draw(st.permutations(range(len(batches))))
         for index in order:
             got = store.search(small_graph, points, batches[index],
-                               params, entry=entry, costs=store.costs)
+                               params, entry=entry)
             want = ganns_search(small_graph, points, batches[index],
                                 params, entry=entry)
             assert_same_report(got, want)
@@ -271,8 +271,7 @@ class TestManyParts:
         for index in data.draw(st.permutations(range(len(batches)))):
             part, batch = batches[index]
             graph, points = parts[part]
-            got = store.search(graph, points, batch, params, entry=entry,
-                               costs=store.costs)
+            got = store.search(graph, points, batch, params, entry=entry)
             assert_same_report(got, ganns_search(graph, points, batch,
                                                  params, entry=entry))
 

@@ -7,6 +7,7 @@ evolves.
 
 import ast
 import collections
+import functools
 import glob
 import os
 import re
@@ -19,6 +20,13 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 def _read(path):
     with open(os.path.join(ROOT, path)) as handle:
         return handle.read()
+
+
+@functools.lru_cache(maxsize=None)
+def _tree(path):
+    """The AST of ``path`` (relative to the repository), parsed once
+    per session; callers only read it."""
+    return ast.parse(_read(path))
 
 
 class TestDesignDocument:
@@ -128,7 +136,7 @@ class TestPaperMapping:
                      if os.path.isfile(os.path.join(ROOT, base, path))]
             assert found, (doc, path)
             defined = set()
-            for node in ast.walk(ast.parse(_read(found[0]))):
+            for node in ast.walk(_tree(found[0])):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                     defined.add(node.name)
@@ -269,7 +277,7 @@ class TestReplayStaysStaged:
     @pytest.mark.parametrize("module", list(STAGED))
     def test_no_function_longer_than_100_lines(self, module):
         path, driver = self.STAGED[module]
-        tree = ast.parse(_read(f"src/repro/{path}"))
+        tree = _tree(f"src/repro/{path}")
         functions = [node for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef)]
         assert any(node.name == driver for node in functions)
@@ -280,7 +288,7 @@ class TestReplayStaysStaged:
 
     @pytest.mark.parametrize("module", ["mutable", "heal"])
     def test_sim_stages_are_not_closures(self, module):
-        tree = ast.parse(_read(f"src/repro/{self.STAGED[module][0]}"))
+        tree = _tree(f"src/repro/{self.STAGED[module][0]}")
         nested = [inner.name for outer in ast.walk(tree)
                   if isinstance(outer, ast.FunctionDef)
                   for inner in ast.walk(outer)
@@ -306,8 +314,7 @@ class TestOneDoorToTheTraversal:
                 if not filename.endswith(".py"):
                     continue
                 path = os.path.join(dirpath, filename)
-                with open(path) as handle:
-                    tree = ast.parse(handle.read())
+                tree = _tree(os.path.relpath(path, ROOT))
                 if any(isinstance(node, ast.Call)
                        and getattr(node.func, "id",
                                    getattr(node.func, "attr", "")) == name
@@ -329,7 +336,7 @@ class TestOneDoorToTheTraversal:
 
     def test_a_cluster_replay_builds_one_store(self):
         """One store over every shard, so one traversal per round."""
-        tree = ast.parse(_read("src/repro/cluster/engine.py"))
+        tree = _tree("src/repro/cluster/engine.py")
         built = [node for node in ast.walk(tree)
                  if isinstance(node, ast.Call)
                  and getattr(node.func, "id", "") == "_LaneStore"]
@@ -349,7 +356,7 @@ class TestConstructionStaysBulk:
 
     @staticmethod
     def _per_vertex_loops(module):
-        tree = ast.parse(_read(f"src/repro/core/{module}.py"))
+        tree = _tree(f"src/repro/core/{module}.py")
         loops = [node for node in ast.walk(tree)
                  if isinstance(node, (ast.For, ast.comprehension))]
         return [node for node in loops
@@ -386,7 +393,7 @@ class TestOneGGraphConBody:
                 for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
     def test_multicore_runs_no_algorithm_of_its_own(self):
-        tree = ast.parse(_read("src/repro/baselines/nsw_cpu.py"))
+        tree = _tree("src/repro/baselines/nsw_cpu.py")
         (multicore,) = [node for node in tree.body
                         if isinstance(node, ast.FunctionDef)
                         and node.name == "build_nsw_multicore"]
@@ -397,7 +404,7 @@ class TestOneGGraphConBody:
         assert "heapq" not in imported
 
     def test_gserial_runs_no_algorithm_of_its_own(self):
-        tree = ast.parse(_read("src/repro/core/naive.py"))
+        tree = _tree("src/repro/core/naive.py")
         (gserial,) = [node for node in tree.body
                       if isinstance(node, ast.FunctionDef)
                       and node.name == "build_nsw_serial_gpu"]
@@ -410,7 +417,7 @@ class TestOneGGraphConBody:
     def test_prefix_knn_is_written_once(self):
         holders = []
         for path in self.FILES:
-            tree = ast.parse(_read(f"src/repro/{path}"))
+            tree = _tree(f"src/repro/{path}")
             holders += [f"{path}:{node.name}" for node in ast.walk(tree)
                         if isinstance(node, ast.FunctionDef)
                         and "argpartition" in self._called_names(node)]
@@ -421,7 +428,7 @@ class TestOneGGraphConBody:
     def test_sequential_baselines_run_no_algorithm_of_their_own(self, path):
         """GraphCon_NSW / GraphCon_HNSW are GGraphCon with one group on
         one core: no traversal, insertion or merge of their own."""
-        tree = ast.parse(_read(f"src/repro/{path}"))
+        tree = _tree(f"src/repro/{path}")
         assert not self._called_names(tree) & self.BODY_CALLS
 
     def test_construction_searches_are_lock_step(self):
@@ -429,7 +436,7 @@ class TestOneGGraphConBody:
         batch each search all of their vertices in one
         ``beam_search_lanes`` call: no loop over vertices searches."""
         for path in ("core/construction.py", "core/naive.py"):
-            tree = ast.parse(_read(f"src/repro/{path}"))
+            tree = _tree(f"src/repro/{path}")
             loops = [node for node in ast.walk(tree)
                      if isinstance(node, (ast.For, ast.comprehension))
                      and "beam_search_lanes" in self._called_names(node)]
@@ -459,8 +466,7 @@ class TestOneGGraphConBody:
             for name in sorted(names):
                 if name.endswith(".py"):
                     path = os.path.join(root, name)
-                    with open(path) as handle:
-                        tree = ast.parse(handle.read())
+                    tree = _tree(os.path.relpath(path, ROOT))
                     callers += [
                         os.path.relpath(path, ROOT) for node in ast.walk(tree)
                         if isinstance(node, ast.Call)
@@ -475,8 +481,8 @@ def _src_trees():
         for filename in sorted(files):
             if filename.endswith(".py"):
                 path = os.path.join(dirpath, filename)
-                with open(path) as handle:
-                    yield os.path.relpath(path, src), ast.parse(handle.read())
+                yield (os.path.relpath(path, src),
+                       _tree(os.path.relpath(path, ROOT)))
 
 
 class TestOneOfEach:
@@ -607,7 +613,7 @@ class TestOneOfEach:
         assert sorted(merge_callers) == ["core/construction.py:ggraphcon",
                                          "core/construction.py:"
                                          "insert_batch_nsw"]
-        engine = ast.parse(_read("src/repro/cluster/engine.py"))
+        engine = _tree("src/repro/cluster/engine.py")
         calls = [node for node in ast.walk(engine)
                  if isinstance(node, ast.Call)
                  and getattr(node.func, "attr", "") == "serving_graphs"]
@@ -650,8 +656,6 @@ class TestSrcHoldsWhatRuns:
     #: that documents it.
     DOCUMENTED = {"FaultPlan.from_json": "docs/fault_model.md"}
 
-    _PRICED = ("a device= / costs= pass-through: tests price the same "
-               "call on fractional CostTables or scaled devices")
     _COST_MODEL = ("a field of the calibrated cycle-cost model, one "
                    "table documented in docs/cost_model.md")
     _CPU_MODEL = ("a field of the CPU baselines' calibrated cost model, "
@@ -676,15 +680,10 @@ class TestSrcHoldsWhatRuns:
     #: Options no product call site sets, each with why it stays an
     #: option (``test_every_option_is_set_by_a_product_caller``).
     OPTIONS_KEPT = {
-        **dict.fromkeys((
-            "ClusterEngine(costs)", "ClusterEngine(device)",
-            "ServeEngine(costs)", "ServeEngine(device)",
-            "MutableIndex.build(costs)", "MutableIndex.build(device)",
-            "StoreShardSource(costs)", "StoreShardSource(device)",
-            "build_cagra_gpu(costs)", "build_cagra_gpu(device)",
-            "build_hnsw_gpu(costs)", "build_knn_graph_gpu(costs)",
-            "build_nsw_naive_parallel(costs)",
-            "build_nsw_serial_gpu(costs)"), _PRICED),
+        "compact_graph(costs)": "the repair's cycle charges on another "
+        "table: test_compaction_oracle.py::TestAgainstPerRowPass holds "
+        "them to the oracle's on drawn FRACTIONAL tables, whose "
+        "non-integral charges show the order of a sum",
         **dict.fromkeys(
             (f"CostTable({name})" for name in (
                 "alu_cycles", "ballot_cycles", "compare_exchange_cycles",
@@ -771,7 +770,7 @@ class TestSrcHoldsWhatRuns:
                     if filename.endswith(".py"):
                         path = os.path.relpath(
                             os.path.join(dirpath, filename), ROOT)
-                        yield path, ast.parse(_read(path))
+                        yield path, _tree(path)
 
     @staticmethod
     def _references(tree, skip=()):
@@ -805,8 +804,7 @@ class TestSrcHoldsWhatRuns:
     @staticmethod
     def _exempt():
         """The ``repro.errors`` hierarchy: raised, not called."""
-        errors = ast.parse(_read(os.path.join("src", "repro",
-                                              "errors.py")))
+        errors = _tree(os.path.join("src", "repro", "errors.py"))
         return {node.name for node in errors.body
                 if isinstance(node, ast.ClassDef)}
 
@@ -917,8 +915,7 @@ class TestSrcHoldsWhatRuns:
                 if cls is IndexBackend:
                     break
                 overridden |= set(vars(cls))
-        tree = ast.parse(_read(os.path.join("src", "repro", "core",
-                                            "backend.py")))
+        tree = _tree(os.path.join("src", "repro", "core", "backend.py"))
         base = next(node for node in tree.body
                     if isinstance(node, ast.ClassDef)
                     and node.name == "IndexBackend")
@@ -958,31 +955,33 @@ class TestSrcHoldsWhatRuns:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _defaulted(function, bound):
-        """``{parameter: position}`` of ``function``'s defaulted
-        parameters (``None`` for keyword-only ones); ``bound`` skips the
-        leading ``self`` / ``cls``."""
+    def _parameters(function, bound):
+        """``({parameter: position}, {parameter: position})`` of
+        ``function``'s defaulted and required parameters (``None`` for
+        keyword-only ones); ``bound`` skips the leading ``self`` /
+        ``cls``."""
         args = function.args
         positional = (args.posonlyargs + args.args)[int(bound):]
         first = len(positional) - len(args.defaults)
-        found = {arg.arg: index for index, arg in enumerate(positional)
-                 if index >= first}
-        found.update((arg.arg, None) for arg, default
-                     in zip(args.kwonlyargs, args.kw_defaults)
-                     if default is not None)
-        return found
+        defaulted, required = {}, {}
+        for index, arg in enumerate(positional):
+            (defaulted if index >= first else required)[arg.arg] = index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            (defaulted if default is not None else required)[arg.arg] = None
+        return defaulted, required
 
     @classmethod
     def _signatures(cls, tree):
-        """``(callee, label, function, owner, {parameter: position})``
+        """``(callee, label, function, owner, defaulted, required)``
         for every top-level function, method and settings dataclass of
-        a module.  A constructor's callee is its class; a settings
-        dataclass is a frozen one whose every field has a default (its
-        fields are the constructor's parameters, ``function`` None)."""
+        a module, the last two as :meth:`_parameters` gives them.  A
+        constructor's callee is its class; a settings dataclass is a
+        frozen one whose every field has a default (its fields are the
+        constructor's parameters, ``function`` None)."""
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 yield (node.name, node.name, node, None,
-                       cls._defaulted(node, False))
+                       *cls._parameters(node, False))
             if not isinstance(node, ast.ClassDef):
                 continue
             fields = [item for item in node.body
@@ -993,7 +992,7 @@ class TestSrcHoldsWhatRuns:
                             for decorator in node.decorator_list)):
                 yield (node.name, node.name, None, node,
                        {item.target.id: index
-                        for index, item in enumerate(fields)})
+                        for index, item in enumerate(fields)}, {})
             for item in node.body:
                 decorators = {ast.unparse(decorator)
                               for decorator in getattr(item,
@@ -1007,8 +1006,8 @@ class TestSrcHoldsWhatRuns:
                 else:
                     callee, label = item.name, f"{node.name}.{item.name}"
                 yield (callee, label, item, node,
-                       cls._defaulted(item, "staticmethod"
-                                      not in decorators))
+                       *cls._parameters(item, "staticmethod"
+                                        not in decorators))
 
     @staticmethod
     def _returned_keys(forest):
@@ -1043,16 +1042,24 @@ class TestSrcHoldsWhatRuns:
         A call sets a parameter by keyword, by position, through a
         ``**`` dict whose keys are known, or through a ``**`` it cannot
         see into (which sets every parameter); ``replace(x, name=...)``
-        sets the field ``name`` of every dataclass.  Passing on a
-        caller's own option (``name=name``, ``name=self.name``, or the
-        caller's ``**kwargs``) sets the parameter only when the
-        caller's option is set, so the census runs to a fixed point."""
+        sets the field ``name`` of every dataclass.  Passing a value on
+        sets the parameter only when that value is set, so the census
+        runs to a fixed point.  A value passed on is a parameter of the
+        calling function or of a function enclosing it (``name=name``,
+        set when the caller's own callers set it, required parameters
+        included), an attribute stored from a constructor parameter
+        (``name=self.name`` from the caller's class, ``name=x.name``
+        from any class storing one), or the caller's ``**kwargs``.  A
+        function no product code calls (a pytest benchmark, a CLI
+        handler) receives outside input: its required parameters are
+        set."""
         forest = list(self._product_trees())
         src = os.path.join("src", "repro", "")
         errors = os.path.join("src", "repro", "errors.py")
         options, reported, scope, attributes = {}, set(), {}, {}
+        required_keys = set()
         for path, tree in forest:
-            for callee, label, function, owner, params in \
+            for callee, label, function, owner, params, required in \
                     self._signatures(tree):
                 public = not (label.startswith("_") or function is not None
                               and function.name.startswith("_")
@@ -1061,22 +1068,35 @@ class TestSrcHoldsWhatRuns:
                     options.setdefault((callee, name), set()).add(position)
                     if public and path.startswith(src) and path != errors:
                         reported.add((callee, name, f"{label}({name})"))
+                for name, position in required.items():
+                    options.setdefault((callee, name), set()).add(position)
+                    required_keys.add((callee, name))
+                keys = {name: (callee, name) for name in {**params,
+                                                          **required}}
                 if function is not None:
-                    scope[id(function)] = {name: (callee, name)
-                                           for name in params}
+                    scope[id(function)] = keys
                 if owner is not None and callee == owner.name:
-                    attributes.setdefault(owner.name, {}).update(
-                        (name, (callee, name)) for name in params)
+                    attributes.setdefault(owner.name, {}).update(keys)
         returned = self._returned_keys(forest)
         sites, forwards = [], []
 
-        def visit(node, function, owner, caller):
+        def argument_names(frame):
+            args = frame.args
+            return {arg.arg for arg in (args.posonlyargs + args.args
+                                        + args.kwonlyargs
+                                        + [args.vararg, args.kwarg])
+                    if arg is not None}
+
+        def visit(node, frames, owner, caller):
             if isinstance(node, ast.ClassDef):
                 owner = node
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                frames += (node,)
             if isinstance(node, ast.FunctionDef):
-                function = node
                 caller = (owner.name if node.name == "__init__"
                           and owner is not None else node.name)
+            function = next((frame for frame in reversed(frames)
+                             if isinstance(frame, ast.FunctionDef)), None)
             func = getattr(node, "func", None)
             name = getattr(func, "id", getattr(func, "attr", None))
             args = getattr(node, "args", [])
@@ -1089,13 +1109,25 @@ class TestSrcHoldsWhatRuns:
                     name = owner.name
 
                 def condition(value):
-                    if isinstance(value, ast.Name) and function:
-                        return scope.get(id(function), {}).get(value.id)
-                    if (isinstance(value, ast.Attribute) and owner
-                            and getattr(value.value, "id", "") == "self"):
-                        return attributes.get(owner.name, {}).get(
-                            value.attr)
-                    return None
+                    """The options ``value`` passes on (any one set sets
+                    the site), or ``None`` for a value set here."""
+                    if isinstance(value, ast.Name):
+                        # The innermost function binding the name.
+                        frame = next((frame for frame in reversed(frames)
+                                      if value.id in argument_names(frame)),
+                                     None)
+                        key = scope.get(id(frame), {}).get(value.id)
+                        return None if key is None else {key}
+                    if not isinstance(value, ast.Attribute):
+                        return None
+                    if getattr(value.value, "id", "") == "self":
+                        stored = ([attributes.get(owner.name, {})]
+                                  if owner is not None else [])
+                    else:
+                        stored = attributes.values()
+                    keys = {held[value.attr] for held in stored
+                            if value.attr in held}
+                    return keys or None
 
                 for keyword in node.keywords:
                     value = keyword.value
@@ -1125,21 +1157,26 @@ class TestSrcHoldsWhatRuns:
                         break
                     sites.append((name, None, -index - 1, condition(arg)))
             for child in ast.iter_child_nodes(node):
-                visit(child, function, owner, caller)
+                visit(child, frames, owner, caller)
 
         for _, tree in forest:
-            visit(tree, None, None, None)
+            visit(tree, (), None, None)
         # A site (callee, keyword, from, condition) sets a keyword (every
         # parameter for ``**``), the one position ``-from - 1``, or every
         # position from ``from`` on.
-        settled, grown = set(), True
+        called = {site[0] for site in sites} | {name for name, _ in forwards}
+        settled = {key for key in required_keys if key[0] not in called}
+        of_callee = collections.defaultdict(list)
+        for key, positions in options.items():
+            of_callee[key[0]].append((key, positions))
+        grown = True
         while grown:
             before = len(settled)
             for name, keyword, start, condition in sites:
-                if condition is not None and condition not in settled:
+                if condition is not None and not condition & settled:
                     continue
                 if keyword == "**":
-                    settled |= {key for key in options if key[0] == name}
+                    settled |= {key for key, _ in of_callee[name]}
                 elif keyword is not None:
                     settled.add((name, keyword))
                     if name == "replace":
@@ -1147,11 +1184,10 @@ class TestSrcHoldsWhatRuns:
                                     if key[1] == keyword}
                 else:
                     settled |= {
-                        key for key, positions in options.items()
-                        if key[0] == name and any(
-                            position is not None and (
-                                position == -start - 1 if start < 0
-                                else position >= start)
+                        key for key, positions in of_callee[name]
+                        if any(position is not None and (
+                            position == -start - 1 if start < 0
+                            else position >= start)
                             for position in positions)}
             for name, caller in forwards:
                 settled |= {(name, key[1]) for key in list(settled)

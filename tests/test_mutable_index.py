@@ -280,6 +280,27 @@ class TestSearchOverfetch:
         assert not np.isin(ids, np.arange(30)).any()
         assert (ids >= 0).sum(axis=1).max() <= 90
 
+    def test_compacted_tombstones_are_not_fetched_again(self,
+                                                        monkeypatch):
+        """Compaction detaches its tombstones, so they no longer route:
+        the over-fetch counts only the deletes since the pass."""
+        import repro.mutable.index as module
+        index = _fresh()
+        index.delete(np.arange(20), now=1.0)
+        index.compact(now=2.0)
+        index.delete([40, 41], now=3.0)
+        fetched, search = [], module.ganns_search
+
+        def spy(graph, points, queries, params, **kwargs):
+            fetched.append(params.k)
+            return search(graph, points, queries, params, **kwargs)
+
+        monkeypatch.setattr(module, "ganns_search", spy)
+        ids, _ = index.search(index.points[50:54].copy(), SEARCH)
+        assert fetched == [SEARCH.k + 2]
+        assert index.n_tombstones == 22
+        assert not np.isin(ids, np.r_[np.arange(20), 40, 41]).any()
+
     def test_results_sorted_by_distance(self):
         index = _fresh()
         index.delete([1, 2], now=1.0)
