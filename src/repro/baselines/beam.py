@@ -34,7 +34,7 @@ import numpy as np
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.metrics.distance import Metric
-from repro.perf.arena import EvaluatedPairs
+from repro.perf.arena import BITMAP_BUDGET_BYTES, EvaluatedPairs
 from repro.perf.distance import CHUNK_ELEMENTS
 
 #: Lanes below which :func:`beam_search_lanes` runs per-lane heap loops
@@ -42,10 +42,6 @@ from repro.perf.distance import CHUNK_ELEMENTS
 #: its width, and the heap loops stay ahead below this width
 #: (``docs/performance.md``, "The crossover").
 _LOCKSTEP_MIN_LANES = 40
-
-#: Ceiling on one lock-step call's visited bitmap (``ceil(n / 8)``
-#: bytes per lane): past ~1M vertices, wide calls split.
-_VISITED_BUDGET_BYTES = 64 << 20
 
 _NO_ID = np.iinfo(np.int64).max
 
@@ -263,7 +259,7 @@ def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
     a row per lane, and also drops any candidate farther than its
     ``ef``-th nearest; the visited set ``H`` is a bitmap of ``window``
     (default ``n``) bits per lane; lanes whose bitmaps would pass
-    ``_VISITED_BUDGET_BYTES`` are searched in several calls.
+    ``BITMAP_BUDGET_BYTES`` are searched in several calls.
 
     Args:
         graph: Proximity graph over ``points``; rows hold distinct ids
@@ -293,7 +289,7 @@ def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
     if n_lanes < _LOCKSTEP_MIN_LANES:
         return _narrow(graph, points, queries, k, ef, entries, metric)
     span = graph.n_vertices if window is None else window
-    width = max(_LOCKSTEP_MIN_LANES, _VISITED_BUDGET_BYTES // -(-span // 8))
+    width = max(_LOCKSTEP_MIN_LANES, BITMAP_BUDGET_BYTES // -(-span // 8))
     parts = [_lockstep(graph, points, queries[lo:lo + width], k, ef,
                        entries[lo:lo + width], metric, window)
              for lo in range(0, n_lanes, width)]

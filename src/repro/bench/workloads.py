@@ -10,8 +10,8 @@ dataset's *relative* size, dimensionality and metric.  One knob,
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.core.params import BuildParams
 from repro.datasets.catalog import Dataset, load_dataset

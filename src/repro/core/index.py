@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.baselines.beam import beam_search_lanes
 from repro.baselines.song import SongParams, song_search
-from repro.core.backend import STRATEGIES, get_backend  # noqa: F401 - STRATEGIES re-exported
+from repro.core.backend import get_backend
 from repro.core.ganns import check_queries, ganns_search
 from repro.core.hnsw import recover_original_ids
 from repro.core.params import BuildParams, SearchParams, as_count, next_pow2

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.memory import TransferModel
 from repro.gpusim.tracker import CycleTracker
+from repro.perf.arena import BITMAP_BUDGET_BYTES
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,6 @@ class StreamResult:
 #: (``docs/performance.md``, "host width vs simulated batch").
 _HOST_WIDTH = 512
 
-#: Ceiling on the lazy-check bitmap of one such call — membership in
-#: the call's set of evaluated (query, vertex) pairs
-#: (:class:`repro.perf.arena.EvaluatedPairs`, ``ceil(n / 8)`` bytes per
-#: query): past ~1M vertices the width shrinks instead.
-_MEMBERSHIP_BUDGET_BYTES = 64 << 20
-
 
 class _LaneStore:
     """Searches a replay's queries wide, answers its batches narrow.
@@ -164,7 +159,8 @@ class _LaneStore:
 
     Several parts are one call: the search runs over their block-diagonal
     stack (:meth:`ProximityGraph.block_diagonal`, the points concatenated)
-    with each lane entered at its part's row offset + ``entry``.  A lane
+    with each lane entered at its part's row offset (the part's vertex
+    0, where a search of the part alone enters).  A lane
     never leaves its block and a constant offset keeps its ``(dist, id)``
     order, so with the offset taken off again every lane's report is its
     part's.  Under ``params.quant`` each part is its own call: the
@@ -174,16 +170,16 @@ class _LaneStore:
         parts: Per part, its graph and points (a batch finds its part by
             identity) and the replay's query matrices for it in arrival
             order.
-        params, entry: The search every lane is answered by; a call
-            under anything else (a degraded tier's ``params``, a graph
-            that is no part) goes straight to :func:`ganns_search`.
+        params: The search every lane is answered by; a call under
+            anything else (a degraded tier's ``params``, a graph that is
+            no part) goes straight to :func:`ganns_search`.
     """
 
     def __init__(self,
                  parts: Sequence[Tuple[ProximityGraph, np.ndarray,
                                        Iterable[np.ndarray]]],
-                 params: SearchParams, entry: int = 0):
-        self.params, self.entry = params, entry
+                 params: SearchParams):
+        self.params = params
         self._parts = [(graph, points) for graph, points, _ in parts]
         self._lane_of: List[Dict[bytes, int]] = []
         self._queries: List[np.ndarray] = []
@@ -217,25 +213,23 @@ class _LaneStore:
         self._searched = np.zeros(len(self._queries), dtype=bool)
         n_vertices = max(graph.n_vertices for graph, _ in self._blocks)
         self._width = max(1, min(
-            _HOST_WIDTH, _MEMBERSHIP_BUDGET_BYTES // -(-n_vertices // 8)))
+            _HOST_WIDTH, BITMAP_BUDGET_BYTES // -(-n_vertices // 8)))
         #: Every searched lane's results, one row per lane.
         self._report: Optional[SearchReport] = None
 
     def search(self, graph: ProximityGraph, points: np.ndarray,
-               queries: np.ndarray, params: SearchParams,
-               entry: Union[int, np.ndarray]) -> SearchReport:
+               queries: np.ndarray, params: SearchParams
+               ) -> SearchReport:
         """:func:`ganns_search` of the same arguments."""
         # The cheap identity checks first: a batch the store was not
         # built for (a degraded tier's params) hashes no row.
         part = next((i for i, (g, p) in enumerate(self._parts)
                      if g is graph and p is points), None)
-        same = (part is not None and params == self.params
-                and np.ndim(entry) == 0 and entry == self.entry)
+        same = part is not None and params == self.params
         lanes = ([self._lane_of[part].get(row.tobytes())
                   for row in queries] if same else None)
         if lanes is None or None in lanes:
-            return ganns_search(graph, points, queries, params,
-                                entry=entry)
+            return ganns_search(graph, points, queries, params)
         lanes = np.array(lanes)
         missing = np.unique(lanes[~self._searched[lanes]])
         if len(missing):
@@ -257,7 +251,7 @@ class _LaneStore:
             wide = ganns_search(
                 graph, points,
                 np.stack([self._queries[lane] for lane in lanes[mine]]),
-                self.params, entry=self.entry + offset)
+                self.params, entry=offset)
             wide.ids[...] = np.where(wide.ids >= 0,
                                      wide.ids - offset[:, None], wide.ids)
             self._scatter(lanes[mine], wide)
@@ -292,7 +286,6 @@ class _LaneStore:
 def stream_batches(graph: ProximityGraph, points: np.ndarray,
                    queries: np.ndarray, params: SearchParams,
                    batch_size: int = 2000,
-                   entry: Union[int, np.ndarray] = 0,
                    fault_hook: Optional[
                        Callable[[int, BatchTiming], BatchTiming]
                    ] = None,
@@ -304,9 +297,9 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
         points: ``(n, d)`` data matrix.
         queries: ``(m, d)`` query stream.
         params: GANNS search parameters.
-        batch_size: Queries per batch (the paper's example uses 2000).
-        entry: Start vertex, or a per-query ``(m,)`` id array; sliced
-            along with the queries when per-query entries are given.
+        batch_size: Queries per batch (the paper's example uses 2000);
+            every batch enters at vertex 0, as :func:`ganns_search`
+            does by default.
         fault_hook: Fault-injection point (:mod:`repro.faults`): called
             per batch with ``(batch_index, timing)`` once the batch's
             fault-free timing is known; may return an adjusted timing
@@ -321,9 +314,8 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
         A :class:`StreamResult` with both serial and overlapped timings.
     """
     queries = np.asarray(queries)
-    check_queries(np.asarray(points), queries, graph, entry, params.k)
+    check_queries(np.asarray(points), queries, graph, k=params.k)
     batch_size = as_count(batch_size, "batch_size", 1, SearchError)
-    entries = np.asarray(entry, dtype=np.int64)
     transfer = TransferModel(QUADRO_P5000)
     search = ganns_search if _lanes is None else _lanes.search
 
@@ -333,9 +325,7 @@ def stream_batches(graph: ProximityGraph, points: np.ndarray,
     dists_parts = []
     for start in range(0, len(queries), batch_size):
         batch = queries[start:start + batch_size]
-        batch_entry = (entries if entries.ndim == 0
-                       else entries[start:start + batch_size])
-        report = search(graph, points, batch, params, entry=batch_entry)
+        report = search(graph, points, batch, params)
         launch = report.launch()
         upload = transfer.transfer_seconds(
             transfer.query_upload_bytes(len(batch), queries.shape[1]))

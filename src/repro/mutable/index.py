@@ -502,8 +502,8 @@ class MutableIndex:
         fetches (``k`` plus the tombstones no compaction has detached
         yet, capped by ``l_n`` and by the vertex count) and filters dead
         ids from the results; short rows pad with ``-1``/``inf``.  For
-        byte-stable serving use a :meth:`snapshot` and its
-        ``serving_view`` instead.
+        byte-stable serving pin a :meth:`snapshot` and serve it through
+        :meth:`repro.cluster.engine.ClusterEngine.from_snapshot`.
         """
         queries = np.atleast_2d(np.asarray(queries))
         k = params.k

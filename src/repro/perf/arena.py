@@ -33,6 +33,11 @@ import numpy as np
 #: Single-bit masks, indexed by bit position within a byte.
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
+#: Ceiling on the :class:`EvaluatedPairs` bitmaps of one search call
+#: (``ceil(n / 8)`` bytes per query or lane): past ~1M vertices, wide
+#: calls split (Algorithm 1's lock-step lanes, a replay's lane store).
+BITMAP_BUDGET_BYTES = 64 << 20
+
 
 class EvaluatedPairs:
     """"This (query, vertex) distance was evaluated in this call" bitmap.

@@ -12,13 +12,6 @@ neighbors, every hit is verified against the exact vector stored in the
 entry; a bucket collision is counted and treated as a miss, never
 served.  The cache therefore only ever returns results that are
 byte-identical to a fresh search of the same vector.
-
-The cache is additionally keyed by an index *version*: every entry
-remembers the version it was inserted under, and
-:meth:`ResultCache.bump_version` (called when the served index mutates
-— e.g. a delete tombstones a vertex) invalidates every entry of older
-versions.  A post-delete lookup therefore can never return a result
-computed against the previous corpus, such as a tombstoned id.
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.params import as_count
-from repro.errors import ConfigurationError
 
 #: Decimals the bucket key rounds each query coordinate to.
 QUERY_DECIMALS = 6
@@ -58,7 +50,6 @@ class CacheStats:
     collisions: int = 0
     insertions: int = 0
     evictions: int = 0
-    invalidations: int = 0
 
 
 class ResultCache:
@@ -67,53 +58,16 @@ class ResultCache:
     Args:
         capacity: Maximum resident entries; ``0`` disables the cache
             (every lookup misses, every put is dropped).
-        version: Initial index version the cache serves; entries are
-            keyed by it, and :meth:`bump_version` invalidates the
-            entries of superseded versions.
     """
 
-    def __init__(self, capacity: int = 4096, version: int = 0):
+    def __init__(self, capacity: int = 4096):
         self.capacity = as_count(capacity, "cache capacity", 0)
-        self.version = int(version)
         self.stats = CacheStats()
         # key -> (exact query vector, ids, dists); most recent last.
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _key(self, query: np.ndarray, signature: tuple) -> tuple:
-        return quantize_query(query), signature, self.version
-
-    def bump_version(self, version: Optional[int] = None) -> int:
-        """Advance the index version, invalidating all older entries.
-
-        Call whenever the served corpus changes (insert, delete,
-        compaction): results computed against the previous version —
-        including any that reference now-tombstoned ids — become
-        unreachable *and* are dropped immediately, each counted in
-        ``stats.invalidations``.
-
-        Args:
-            version: Explicit new version (e.g. the index epoch); must
-                not move backwards.  Defaults to ``current + 1``.
-
-        Returns:
-            The new version.
-        """
-        new_version = self.version + 1 if version is None else int(version)
-        if new_version < self.version:
-            raise ConfigurationError(
-                f"cache version cannot move backwards: "
-                f"{self.version} -> {new_version}"
-            )
-        if new_version == self.version:
-            return self.version
-        self.version = new_version
-        stale = len(self._entries)
-        self._entries.clear()
-        self.stats.invalidations += stale
-        return self.version
 
     def get(self, query: np.ndarray, signature: tuple
             ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -124,7 +78,7 @@ class ResultCache:
             signature: Result-affecting search-parameter identity, as
                 produced by :meth:`repro.core.params.SearchParams.signature`.
         """
-        key = self._key(query, signature)
+        key = quantize_query(query), signature
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -146,7 +100,7 @@ class ResultCache:
         """Insert one query's results, evicting the LRU entry if full."""
         if self.capacity == 0:
             return
-        key = self._key(query, signature)
+        key = quantize_query(query), signature
         exact = np.asarray(query, dtype=np.float64).ravel().copy()
         self._entries[key] = (exact, np.asarray(ids).copy(),
                               np.asarray(dists).copy())

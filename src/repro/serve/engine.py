@@ -117,7 +117,6 @@ class ServeEngine:
         params: Search parameters applied to every dispatched batch.
         policy: Micro-batching and admission knobs.
         cache: Result cache; ``None`` disables caching entirely.
-        entry: Search entry vertex (scalar; shared by all queries).
         faults: Optional :class:`FaultPlan` to inject during dispatch.
             A fresh :class:`FaultInjector` is built per replay, so the
             same engine replays identically any number of times.
@@ -146,7 +145,6 @@ class ServeEngine:
                  params: Optional[SearchParams] = None,
                  policy: Optional[BatchPolicy] = None,
                  cache: Optional[ResultCache] = None,
-                 entry: int = 0,
                  faults: Optional[FaultPlan] = None,
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[BreakerPolicy] = None,
@@ -170,7 +168,6 @@ class ServeEngine:
         self.params = params if params is not None else SearchParams()
         self.policy = policy if policy is not None else BatchPolicy()
         self.cache = cache
-        self.entry = int(entry)
         self.faults = faults
         if faults is not None:
             retry = retry if retry is not None else RetryPolicy()
@@ -189,36 +186,6 @@ class ServeEngine:
         check_pool_fits(self.params, graph.d_max, ServeError)
         self.default_deadline_seconds = check_deadline(
             default_deadline_seconds, "default_deadline_seconds")
-        #: Epoch of the pinned snapshot this engine serves, or ``None``
-        #: for an engine built directly over a graph.
-        self.snapshot_epoch: Optional[int] = None
-
-    @classmethod
-    def from_snapshot(cls, handle, **kwargs) -> "ServeEngine":
-        """Serve one pinned epoch of a mutable index.
-
-        Args:
-            handle: A :class:`repro.mutable.snapshot.SnapshotHandle`.
-                Its ``serving_view()`` — where tombstoned vertices are
-                already detached, so no answer can name a deleted id —
-                becomes the engine's graph, points and entry.
-            **kwargs: Everything :class:`ServeEngine` accepts except
-                ``graph``/``points``/``entry``.
-
-        The handle pins its arrays against later mutations, so replays
-        through the returned engine are byte-identical no matter what
-        lands on the live index afterwards.  A supplied ``cache`` is
-        version-bumped to the snapshot epoch, evicting entries cached
-        under any older epoch.
-        """
-        view_graph, view_points, view_entry = handle.serving_view()
-        cache = kwargs.get("cache")
-        if cache is not None and cache.version < handle.epoch:
-            cache.bump_version(handle.epoch)
-        engine = cls(view_graph, view_points, entry=view_entry,
-                     **kwargs)
-        engine.snapshot_epoch = handle.epoch
-        return engine
 
     # ------------------------------------------------------------------
     # Replay
@@ -270,7 +237,7 @@ class ServeEngine:
         if _lanes is None:
             _lanes = _LaneStore(
                 [(self.graph, self.points, [req.queries for req in trace])],
-                self.params, self.entry)
+                self.params)
         run = _Replay(self, trace, tracer, registry, _lanes)
         for req in trace:
             run.admit(req)
@@ -644,8 +611,8 @@ class _Replay:
             try:
                 stream = stream_batches(
                     engine.graph, engine.points, queries, params,
-                    batch_size=len(queries), entry=engine.entry,
-                    fault_hook=hook, _lanes=self.lanes)
+                    batch_size=len(queries), fault_hook=hook,
+                    _lanes=self.lanes)
             except FaultError as err:
                 failed_at, detail = self._attempt_failed(
                     batch, span, ready, attempt, err)

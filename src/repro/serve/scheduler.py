@@ -17,7 +17,7 @@ real clock, so every replay is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.params import as_count, as_finite

@@ -13,9 +13,8 @@ from unittest import mock
 from repro.core import pipeline
 
 
-def _search_alone(self, graph, points, queries, params, entry):
-    return pipeline.ganns_search(graph, points, queries, params,
-                                 entry=entry)
+def _search_alone(self, graph, points, queries, params):
+    return pipeline.ganns_search(graph, points, queries, params)
 
 
 @contextlib.contextmanager

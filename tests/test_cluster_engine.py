@@ -353,7 +353,7 @@ class TestWideSearches:
         calls = []
         real = pipeline.ganns_search
 
-        def recording(graph, points, queries, *args, entry, **kwargs):
+        def recording(graph, points, queries, *args, entry=0, **kwargs):
             entries = np.broadcast_to(entry, len(queries)).tolist()
             calls.append([(int(first), row.tobytes())
                           for first, row in zip(entries, queries)])

@@ -132,7 +132,6 @@ class TestLaneStore:
         quant = data.draw(st.sampled_from([None, "pca", "int8", "fp16"]))
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
         width = data.draw(st.integers(1, 48))
-        entry = data.draw(st.integers(0, len(small_points) - 1))
         # Rows drawn with replacement: a permutation of a subset with
         # duplicates, cut into batches at random places.
         rows = data.draw(st.lists(st.integers(0, len(small_queries) - 1),
@@ -150,14 +149,13 @@ class TestLaneStore:
         # The store may be built over more than is ever dispatched.
         upcoming = batches + [small_queries.astype(dtype)[:3]]
         with mock.patch.object(pipeline, "_HOST_WIDTH", width):
-            store = _LaneStore([(small_graph, points, upcoming)], params,
-                               entry=entry)
+            store = _LaneStore([(small_graph, points, upcoming)], params)
         order = data.draw(st.permutations(range(len(batches))))
         for index in order:
             got = store.search(small_graph, points, batches[index],
-                               params, entry=entry)
+                               params)
             want = ganns_search(small_graph, points, batches[index],
-                                params, entry=entry)
+                                params)
             assert_same_report(got, want)
 
     def test_nothing_is_searched_until_asked_and_no_lane_twice(
@@ -195,7 +193,7 @@ class TestLaneStore:
             self, small_graph, small_points, small_queries, params,
             searched_rows):
         per_query = -(-small_graph.n_vertices // 8)
-        with mock.patch.object(pipeline, "_MEMBERSHIP_BUDGET_BYTES",
+        with mock.patch.object(pipeline, "BITMAP_BUDGET_BYTES",
                                3 * per_query + 1):
             store = _LaneStore([(small_graph, small_points,
                                  [small_queries])], params)
@@ -203,28 +201,26 @@ class TestLaneStore:
                        params, _lanes=store)
         assert [len(call) for call in searched_rows] == [3]
 
-    @pytest.mark.parametrize("change", ["params", "entry", "points",
+    @pytest.mark.parametrize("change", ["params", "points",
                                         "unknown query"])
     def test_a_call_the_store_was_not_built_for_goes_direct(
             self, small_graph, small_points, small_queries, params,
             searched_rows, change):
         store = _LaneStore([(small_graph, small_points,
                              [small_queries[:20]])], params)
-        points, batch, entry = small_points, small_queries[:4], 0
+        points, batch = small_points, small_queries[:4]
         if change == "params":
             params = SearchParams(k=5, l_n=16)
-        elif change == "entry":
-            entry = np.arange(4)
         elif change == "points":
             points = small_points.copy()
         else:
             batch = small_queries[18:22]
         got = stream_batches(small_graph, points, batch, params,
-                             entry=entry, _lanes=store)
+                             _lanes=store)
         assert [len(call) for call in searched_rows] == [4]
         assert_same_report(got.reports[0],
                            ganns_search(small_graph, points, batch,
-                                        params, entry=entry))
+                                        params))
 
 
 def _nsw_part(rng, n, dtype, metric):
@@ -252,7 +248,6 @@ class TestManyParts:
         # Part sizes from below l_n upward.
         parts = [_nsw_part(rng, data.draw(st.integers(8, 48)), dtype,
                            metric) for _ in range(n_parts)]
-        entry = data.draw(st.integers(0, 7))
         # One query pool for every part: rows repeat within a part and
         # across parts.
         pool = rng.normal(size=(10, 12)).astype(dtype)
@@ -267,13 +262,13 @@ class TestManyParts:
             batches += [(part, batch) for batch in mine]
             upcoming.append((graph, points, mine))
         with mock.patch.object(pipeline, "_HOST_WIDTH", width):
-            store = _LaneStore(upcoming, params, entry=entry)
+            store = _LaneStore(upcoming, params)
         for index in data.draw(st.permutations(range(len(batches)))):
             part, batch = batches[index]
             graph, points = parts[part]
-            got = store.search(graph, points, batch, params, entry=entry)
+            got = store.search(graph, points, batch, params)
             assert_same_report(got, ganns_search(graph, points, batch,
-                                                 params, entry=entry))
+                                                 params))
 
     @pytest.mark.parametrize("quant", [None, "int8"])
     def test_one_call_over_every_part_unless_quantized(

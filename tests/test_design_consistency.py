@@ -744,8 +744,6 @@ class TestSrcHoldsWhatRuns:
         "compare kernels phase by phase",
         "GraphCache(cache_dir)": "where the benchmark graph cache lives; "
         "tests point it at tmp_path",
-        "ResultCache(version)": "the index version a cache starts at; "
-        "tests start at an epoch to pin bump_version's order check",
         "merge_topk(n_queries)": "the row count of a merge over no shard "
         "runs; tests merge an empty list",
         "exact_knn(chunk_size)": "the ground-truth block size; tests "
@@ -773,24 +771,67 @@ class TestSrcHoldsWhatRuns:
                         yield path, _tree(path)
 
     @staticmethod
-    def _references(tree, skip=()):
+    def _class_bases():
+        """``{class name: names of its bases}`` of every class under
+        ``src/repro``."""
+        bases = collections.defaultdict(set)
+        for _, tree in _src_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    bases[node.name].update(
+                        getattr(base, "id", getattr(base, "attr", ""))
+                        for base in node.bases)
+        return dict(bases)
+
+    @staticmethod
+    def _family(name, bases):
+        """``name`` with its ancestors and descendants among the
+        ``src`` classes ``bases`` maps."""
+        family = {name}
+        for step in (lambda cls: bases.get(cls, ()),
+                     lambda cls: [sub for sub, of in bases.items()
+                                  if cls in of]):
+            todo = [name]
+            while todo:
+                found = set(step(todo.pop())) - family
+                family |= found
+                todo.extend(found)
+        return family
+
+    @staticmethod
+    def _references(tree, classes, skip=(), owner=None):
         """Every name, attribute and identifier-shaped string ``tree``
-        references outside ``skip``, with repeats.  A string counts (a
-        generator is named in a ``DatasetSpec``); an ``__all__`` list,
-        the second half of a re-export, goes in ``skip``."""
+        references outside ``skip``, with repeats, as ``(identifier,
+        receiver)``.  An attribute's receiver is the ``src`` class it
+        binds to: ``C.name`` for a class ``C`` in ``classes``,
+        ``self.name`` / ``cls.name`` inside one (``owner`` when ``tree``
+        is a method); any other receiver, a bare name and a string are
+        ``None`` and match by name alone.  A string counts (a generator
+        is named in a ``DatasetSpec``); an ``__all__`` list, the second
+        half of a re-export, goes in ``skip``."""
         skipped = {id(node) for root in skip for node in ast.walk(root)}
         out = []
-        for node in ast.walk(tree):
+        todo = [(tree, owner)]
+        while todo:
+            node, owner = todo.pop()
             if id(node) in skipped:
                 continue
+            if isinstance(node, ast.ClassDef):
+                owner = node.name
             if isinstance(node, ast.Name):
-                out.append(node.id)
+                out.append((node.id, None))
             elif isinstance(node, ast.Attribute):
-                out.append(node.attr)
+                receiver = getattr(node.value, "id", None)
+                if receiver in ("self", "cls"):
+                    receiver = owner
+                out.append((node.attr,
+                            receiver if receiver in classes else None))
             elif (isinstance(node, ast.Constant)
                   and isinstance(node.value, str)
                   and node.value.isidentifier()):
-                out.append(node.value)
+                out.append((node.value, None))
+            todo.extend((child, owner)
+                        for child in ast.iter_child_nodes(node))
         return out
 
     @staticmethod
@@ -838,18 +879,46 @@ class TestSrcHoldsWhatRuns:
         """The qualified names in ``defined`` that no product code names
         outside their own definition.  A call inside the defining module
         counts; a definition naming itself (recursion, a method building
-        its own class) does not, and neither does a re-export."""
+        its own class) does not, and neither does a re-export.  A method
+        counts only the references that can bind to it: ``C.name`` or
+        ``self.name`` for ``C`` in its class's family (ancestors and
+        descendants), or ``x.name`` for an ``x`` that is not a ``src``
+        class."""
+        bases = self._class_bases()
         references = collections.Counter()
-        own = collections.Counter()
+        own = {}
         for path, tree in self._product_trees():
-            references.update(self._references(tree, self._exports(tree)))
+            references.update(self._tally(
+                self._references(tree, bases, self._exports(tree))))
             for (where, qualified), node in defined.items():
                 if where == path:
-                    own[qualified] = self._references(node).count(
-                        node.name)
+                    owner = qualified.rpartition(".")[0] or None
+                    own[qualified] = self._count(
+                        self._tally(self._references(node, bases,
+                                                     owner=owner)),
+                        qualified, bases)
         return sorted(f"{path}::{qualified}"
-                      for (path, qualified), node in defined.items()
-                      if references[node.name] <= own[qualified])
+                      for (path, qualified) in defined
+                      if self._count(references, qualified, bases)
+                      <= own[qualified])
+
+    @staticmethod
+    def _tally(references):
+        """Counts of each referenced name and of each ``(name,
+        receiver)`` pair."""
+        tally = collections.Counter(references)
+        tally.update(name for name, _ in references)
+        return tally
+
+    def _count(self, tally, qualified, bases):
+        """How many tallied references can name ``qualified``: any of
+        its name for a function or class; for a method, those bound to
+        its class's family or to no ``src`` class."""
+        owner, _, name = qualified.rpartition(".")
+        if not owner:
+            return tally[name]
+        return sum(tally[name, receiver]
+                   for receiver in self._family(owner, bases) | {None})
 
     def _uncalled_where(self, keep):
         """``_uncalled`` over the definitions ``keep(path, qualified)``
@@ -936,6 +1005,47 @@ class TestSrcHoldsWhatRuns:
         public = {node.name for node in methods
                   if not node.name.startswith("_")}
         assert public == self.BACKEND_METHODS, sorted(public)
+
+    @staticmethod
+    def _annotation_names(tree):
+        """Names read inside string annotations (``"ServeEngine"``)."""
+        annotations = [node.annotation for node in ast.walk(tree)
+                       if isinstance(node, (ast.arg, ast.AnnAssign))]
+        annotations += [node.returns for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))]
+        names = set()
+        for annotation in filter(None, annotations):
+            for node in ast.walk(annotation):
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)):
+                    names |= {name.id for name in ast.walk(
+                        ast.parse(node.value, mode="eval"))
+                        if isinstance(name, ast.Name)}
+        return names
+
+    def test_every_import_is_used(self):
+        """A module-level import under ``src/repro`` is read by its
+        module or listed in its ``__all__``; an ``__init__.py`` is a
+        package's re-export list and is exempt."""
+        unused = []
+        for path, tree in _src_trees():
+            if os.path.basename(path) == "__init__.py":
+                continue
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            used |= self._annotation_names(tree)
+            used |= {node.value for export in self._exports(tree)
+                     for node in ast.walk(export)
+                     if isinstance(node, ast.Constant)}
+            for node in tree.body:
+                if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                        or getattr(node, "module", "") == "__future__"):
+                    continue
+                unused += [f"{path}::{bound}" for bound in (
+                    alias.asname or alias.name.split(".")[0]
+                    for alias in node.names) if bound not in used]
+        assert not unused, unused
 
     def test_src_never_imports_tests(self):
         importers = []

@@ -95,7 +95,7 @@ class TestCrashBattery:
         assert not np.any(recovered.tombstones[returned])
 
     def test_serve_replay_over_recovered_index_never_lies(self):
-        from repro.serve.engine import ServeEngine
+        from repro.cluster.engine import ClusterEngine
         from repro.serve.trace import synthetic_trace
 
         index = _mutated_index()
@@ -103,14 +103,15 @@ class TestCrashBattery:
             index.compact(now=3.0,
                           crash=_injector_for("compaction.rewrite"))
         recovered = recover(index.store)
-        engine = ServeEngine.from_snapshot(recovered.snapshot(),
-                                           params=SEARCH)
+        engine = ClusterEngine.from_snapshot(recovered.snapshot(), 1, 1,
+                                             params=SEARCH)
         trace = synthetic_trace(_corpus(15, seed=22), 40,
                                 mean_qps=1e4, seed=0)
         report = engine.replay(trace)
         tombstoned = np.flatnonzero(recovered.tombstones)
-        for outcome in [o for o in report.outcomes if o.served]:
-            returned = outcome.ids[outcome.ids >= 0]
+        assert len(tombstoned)
+        for outcome in [o for o in report.outcomes if o.answered]:
+            returned = engine.map_to_external(outcome.ids)
             assert not np.any(np.isin(returned, tombstoned))
 
     def test_crash_after_checkpoint_replays_the_tail(self):
