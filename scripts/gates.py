@@ -100,10 +100,37 @@ SERVE_CLI = ("serve-sim --points 1000 --queries 200 --requests 2000 "
 
 
 def gate_serve() -> str:
-    """The single-engine replay runs and reports."""
+    """Every answer, cache hits included, is a direct search's."""
     text = run_cli(SERVE_CLI, "ServeReport:")
-    return next(line for line in text.splitlines()
-                if line.startswith("ServeReport:"))
+    # The same scenario again, built from the same argv by the CLI's
+    # own builder: it must print the same report, and every answer must
+    # be byte-identical to one direct search of the trace's queries.
+    trace, engine = cli.serve_scenario(cli_args(SERVE_CLI))
+    report = engine.replay(trace)
+    require(report.summary() in text, "the in-process replay's summary "
+            "is not the one serve-sim printed")
+    queries = np.concatenate([req.queries for req in trace])
+    direct = ganns_search(engine.graph, engine.points, queries,
+                          engine.params)
+    compared = collections.Counter()
+    wrong = row = 0
+    for req, outcome in zip(trace, report.outcomes):
+        rows = slice(row, row + req.n_queries)
+        row += req.n_queries
+        if not outcome.served:
+            continue
+        compared[outcome.status.name] += 1
+        wrong += not (np.array_equal(outcome.ids, direct.ids[rows])
+                      and np.array_equal(outcome.dists, direct.dists[rows]))
+    require(wrong == 0, f"{wrong} served answers diverge from direct "
+            f"search")
+    require(compared["CACHE_HIT"] > 0, "no cache hit was compared: the "
+            "cache half of the oracle is vacuous")
+    summary = next(line for line in text.splitlines()
+                   if line.startswith("ServeReport:"))
+    return (f"{summary}; compared {compared['SERVED']} searched and "
+            f"{compared['CACHE_HIT']} cache hits: {wrong} "
+            f"silently-wrong answers")
 
 
 CHAOS_CLI = ("chaos-sim --points 1000 --queries 200 --requests 2000 "

@@ -192,14 +192,20 @@ def _serve_fixture(args: argparse.Namespace):
     return dataset, graph, params, policy, cache, trace
 
 
-def _cmd_serve_sim(args: argparse.Namespace) -> int:
+def serve_scenario(args: argparse.Namespace):
+    """Trace and engine of the replay that ``serve-sim`` and the serve
+    gate (``scripts/gates.py``) run."""
     from repro.serve import ServeEngine
 
     dataset, graph, params, policy, cache, trace = _serve_fixture(args)
     engine = ServeEngine(graph, dataset.points, params, policy=policy,
                          cache=cache)
-    report = engine.replay(trace)
-    print(report.summary())
+    return trace, engine
+
+
+def _cmd_serve_sim(args: argparse.Namespace) -> int:
+    trace, engine = serve_scenario(args)
+    print(engine.replay(trace).summary())
     return 0
 
 

@@ -58,8 +58,9 @@ class ConsistentHashRing:
                 position = hash64(
                     f"0:vnode:{shard}:{vnode}".encode("ascii"))
                 entries.append((position, shard))
-        # Sort by (position, shard): position collisions (astronomically
-        # unlikely at 64 bits) still resolve deterministically.
+        # Sort by (position, shard): two vnodes at one position
+        # (astronomically unlikely at 64 bits) still resolve
+        # deterministically.
         entries.sort()
         self._positions = np.array([p for p, _ in entries],
                                    dtype=np.uint64)

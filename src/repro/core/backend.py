@@ -64,16 +64,12 @@ class IndexBackend(abc.ABC):
     """One registered index family: build and persist.
 
     Subclasses set :attr:`family` (the registry key, also the value of
-    ``GannsIndex.graph_type`` and the serving cache's family component)
-    and implement :meth:`build`; everything else has a flat-graph
+    ``GannsIndex.graph_type``) and implement :meth:`build`; everything else has a flat-graph
     default that some family overrides.
     """
 
     #: Registry key, e.g. ``"nsw"``.
     family: str = ""
-    #: Whether :class:`~repro.mutable.index.MutableIndex` can stream
-    #: inserts into graphs of this family.
-    supports_mutation: bool = False
     #: Whether :meth:`build` produces a :class:`HierarchicalGraph`.
     hierarchical: bool = False
 
@@ -152,7 +148,6 @@ class NswBackend(IndexBackend):
     """The paper's NSW family (GGraphCon and the strawman strategies)."""
 
     family = "nsw"
-    supports_mutation = True
 
     def build(self, points: np.ndarray, params: BuildParams,
               metric: str = "euclidean", strategy: str = "ggraphcon",

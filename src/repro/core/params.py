@@ -131,23 +131,6 @@ class SearchParams:
         """Copy with some fields replaced (re-validated)."""
         return replace(self, **kwargs)
 
-    def signature(self) -> tuple:
-        """Hashable identity of every result-affecting field.
-
-        Two invocations with equal signatures (on the same index) return
-        identical results, so the serving layer can key its result cache
-        on ``(quantized query, signature)``.  ``n_threads`` only shapes
-        the simulated clock, never the answer, and is excluded.
-
-        ``quant``/``rerank_factor`` are excluded too, although they are
-        **lossy**: equal signatures only promise identical results
-        within one quantization mode.  Serving layers therefore
-        namespace their cache keys by the mode (see
-        ``ServeEngine.replay``) — a quantized hit must never answer an
-        exact request.
-        """
-        return ("ganns", self.k, self.l_n, self.explore_budget)
-
 
 #: Points per GGraphCon group when ``BuildParams.n_blocks`` is not
 #: given (see ``docs/performance.md``, "The default grid", for the

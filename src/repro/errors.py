@@ -25,8 +25,8 @@ class UnknownFamilyError(ConfigurationError):
 
     Raised by :func:`repro.core.backend.get_backend` (and therefore by
     every entry point that selects an index family by name: the
-    :class:`~repro.core.index.GannsIndex` constructors, the serving and
-    cluster engines, and the ``repro build`` CLI).  Subclasses
+    :class:`~repro.core.index.GannsIndex` constructors, the cluster
+    engine, and the ``repro build`` CLI).  Subclasses
     :class:`ConfigurationError` so existing ``except ConfigurationError``
     call sites keep working.
     """
@@ -35,10 +35,8 @@ class UnknownFamilyError(ConfigurationError):
 class UnsupportedOperationError(ReproError):
     """A registered index family does not support the requested operation.
 
-    Examples: asking the mutable index to stream inserts into a family
-    whose builder is batch-only (CAGRA), or sharding a cluster over a
-    family with no flat serving graph.  Raised eagerly at configuration
-    time, never mid-mutation.
+    Example: sharding a cluster over a family with no flat serving graph
+    (HNSW).  Raised eagerly at configuration time.
     """
 
 

@@ -103,31 +103,16 @@ class MutableIndex:
 
     @classmethod
     def build(cls, points: np.ndarray, params: BuildParams,
-              metric: str = "euclidean", search_kernel: str = "ganns",
-              family: str = "nsw") -> "MutableIndex":
+              metric: str = "euclidean", search_kernel: str = "ganns"
+              ) -> "MutableIndex":
         """Offline-build the seed corpus and open the durable store.
 
-        The seed build is itself WAL-logged (as one big ``insert``
-        record at LSN 1), so a crash before the first checkpoint still
-        recovers by replaying from an empty store.
-
-        Args:
-            family: Registered index family of the seed graph.  Only
-                families whose backend sets ``supports_mutation`` can
-                host streaming inserts; others (CAGRA, HNSW, KNN) raise
-                :class:`~repro.errors.UnsupportedOperationError` here,
-                eagerly, instead of corrupting a batch-built graph
-                mid-mutation.
+        The seed graph is NSW, the one family that streams inserts
+        (GGraphCon's insertion step); the batch-built families are
+        rebuilt, not mutated.  The seed build is itself WAL-logged (as
+        one big ``insert`` record at LSN 1), so a crash before the first
+        checkpoint still recovers by replaying from an empty store.
         """
-        from repro.core.backend import get_backend
-        from repro.errors import UnsupportedOperationError
-        index_backend = get_backend(family)
-        if not index_backend.supports_mutation:
-            raise UnsupportedOperationError(
-                f"index family {family!r} does not support streaming "
-                f"mutation; its graphs are batch-built — rebuild (or "
-                f"snapshot-and-rebuild) instead, or use family 'nsw'"
-            )
         points = np.ascontiguousarray(validated_points(points),
                                       dtype=np.float64)
         store = DurableStore()

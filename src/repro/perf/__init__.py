@@ -5,8 +5,8 @@ the batched GGraphCon kernels.
 pricing, reports); this package owns their single execution path — there
 is no second implementation and no switch to ask for one:
 
-- :mod:`repro.perf.arena` — preallocated, reusable search buffers with
-  active-query compaction, and the per-call evaluated-pairs bitmap
+- :mod:`repro.perf.arena` — one search call's buffers, allocated once
+  per call, with active-query compaction, and the evaluated-pairs bitmap
   behind the lazy check (a distance is evaluated once, charged always);
 - :mod:`repro.perf.distance` — GEMM-style dtype-preserving distance
   engines with precomputed norms;

@@ -1,12 +1,12 @@
-"""Working state of the GANNS traversal: the reusable arena and the
-per-call evaluated-pairs bitmap.
+"""Working state of one GANNS traversal call: the search arena and the
+evaluated-pairs bitmap.
 
 A textbook batched search allocates fresh arrays every iteration
 (``np.concatenate`` for the merge input, a ``pool[act]`` gather per
 phase).  A :class:`SearchArena` avoids that:
 
-- the pool and the neighbor-id buffer T are allocated **once** and
-  sliced per iteration; T's distances never take matrix form (phase 3
+- the pool and the neighbor-id buffer T are allocated **once per call**
+  and sliced per iteration; T's distances never take matrix form (phase 3
   evaluates the fresh records as a flat vector and the insertion merge
   takes that), and the merge rewrites touched pool rows in place, so
   there is one copy of the pool and no merge scratch;
@@ -17,16 +17,13 @@ phase).  A :class:`SearchArena` avoids that:
   cycle charges hit the tracker with exactly the lane sets of the
   active queries).
 
-Arenas are cached per ``(l_n, l_t, dtype)`` shape class and reused
-across calls when capacity allows (a serving replay dispatches thousands
-of identically-shaped micro-batches).  :class:`EvaluatedPairs` is sized
-by the corpus instead, so it is allocated per call and dropped on
-return: no search leaves behind anything the next one could read.
+Both live for one call and are dropped on return: no search leaves
+behind anything the next one could read.  (A replay searches wide —
+``core/pipeline.py::_LaneStore`` — so a call is a whole batch of
+queries, and building its arena is a negligible share of it.)
 """
 
 from __future__ import annotations
-
-from typing import Dict, Tuple
 
 import numpy as np
 
@@ -75,51 +72,34 @@ class EvaluatedPairs:
 
 
 class SearchArena:
-    """Work buffers for one batched GANNS search.
+    """Work buffers for one batched GANNS search, ready to run.
+
+    Pools start padded with ``(+inf, -1, explored=True)`` — never
+    selected for exploration, always sorted to the tail — and every
+    query active in compact row ``i == query_rows[i]``.
 
     Args:
-        capacity: Maximum number of queries (compact rows).
+        n_queries: Number of queries (compact rows).
         l_n: Pool length.
         l_t: Neighbor-buffer length (the graph's ``d_max``).
         dtype: Distance compute dtype (pool distances are stored in it).
     """
 
-    def __init__(self, capacity: int, l_n: int, l_t: int,
+    def __init__(self, n_queries: int, l_n: int, l_t: int,
                  dtype: np.dtype):
-        self.capacity = int(capacity)
+        n_queries = int(n_queries)
         self.l_n = int(l_n)
         self.l_t = int(l_t)
         self.dtype = np.dtype(dtype)
-        shape_n = (self.capacity, self.l_n)
-        self.pool_dists = np.empty(shape_n, dtype=self.dtype)
-        self.pool_ids = np.empty(shape_n, dtype=np.int64)
-        self.pool_explored = np.empty(shape_n, dtype=bool)
+        shape_n = (n_queries, self.l_n)
+        self.pool_dists = np.full(shape_n, np.inf, dtype=self.dtype)
+        self.pool_ids = np.full(shape_n, -1, dtype=np.int64)
+        self.pool_explored = np.ones(shape_n, dtype=bool)
         #: Neighbor buffer T (adjacency rows stream into it in place).
-        self.t_ids = np.empty((self.capacity, self.l_t), dtype=np.int64)
+        self.t_ids = np.empty((n_queries, self.l_t), dtype=np.int64)
+        self.rows = np.arange(n_queries, dtype=np.int64)
         #: Compact row -> original query row (always sorted ascending).
-        self.query_rows = np.empty(self.capacity, dtype=np.int64)
-        self.rows = np.arange(self.capacity, dtype=np.int64)
-
-    def reset(self, n_queries: int) -> int:
-        """Prepare for a fresh search of ``n_queries`` queries.
-
-        Pools are padded with ``(+inf, -1, explored=True)`` — never
-        selected for exploration, always sorted to the tail.
-
-        Returns:
-            The number of active compact rows (== ``n_queries``).
-        """
-        if n_queries > self.capacity:
-            raise ValueError(
-                f"arena capacity {self.capacity} cannot hold "
-                f"{n_queries} queries"
-            )
-        m = int(n_queries)
-        self.pool_dists[:m] = np.inf
-        self.pool_ids[:m] = -1
-        self.pool_explored[:m] = True
-        self.query_rows[:m] = np.arange(m)
-        return m
+        self.query_rows = self.rows.copy()
 
     def compact(self, m: int, keep: np.ndarray) -> int:
         """Drop finished rows; survivors move up, order preserved.
@@ -144,20 +124,7 @@ class SearchArena:
         return new_m
 
 
-#: One cached arena per (l_n, l_t, dtype) shape class.  Capacity grows
-#: monotonically: a request larger than the cached arena replaces it.
-_ARENA_CACHE: Dict[Tuple[int, int, str], SearchArena] = {}
-_ARENA_CACHE_MAX = 8
-
-
 def get_arena(n_queries: int, l_n: int, l_t: int,
               dtype: np.dtype) -> SearchArena:
-    """Fetch (or build) an arena able to hold ``n_queries`` queries."""
-    key = (int(l_n), int(l_t), np.dtype(dtype).str)
-    arena = _ARENA_CACHE.get(key)
-    if arena is None or arena.capacity < n_queries:
-        if arena is None and len(_ARENA_CACHE) >= _ARENA_CACHE_MAX:
-            _ARENA_CACHE.clear()
-        arena = SearchArena(n_queries, l_n, l_t, dtype)
-        _ARENA_CACHE[key] = arena
-    return arena
+    """A fresh arena for one search call of ``n_queries`` queries."""
+    return SearchArena(n_queries, l_n, l_t, dtype)

@@ -3,10 +3,11 @@
 The six phases of Figure 3 with the paper's cycle charges, executed for
 a whole query batch in lock-step:
 
-- work buffers come from a reused :class:`repro.perf.arena.SearchArena`;
-  active queries occupy compact rows and finished queries are scattered
-  to the output arrays the moment they retire, so no phase ever gathers
-  ``pool[act]`` or pays for queries that are done;
+- work buffers come from the call's own
+  :class:`repro.perf.arena.SearchArena`; active queries occupy compact
+  rows and finished queries are scattered to the output arrays the
+  moment they retire, so no phase ever gathers ``pool[act]`` or pays
+  for queries that are done;
 - distances come from :class:`repro.perf.distance.GroupDistanceEngine`
   (precomputed norms, compute dtype preserved): each iteration's fresh
   records are gathered and reduced in cache-sized row blocks
@@ -213,9 +214,8 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
         per query: distances the simulated kernel is charged for, and
         distances the host evaluated.
     """
-    n_queries = len(out_ids)
+    n_queries = m = len(out_ids)
     l_t = graph.d_max
-    m = arena.reset(n_queries)
 
     # Initialisation: load the entry vertex into N.
     entry_dists = engine.pairs(arena.rows[:m], entries[:, None])[:, 0]

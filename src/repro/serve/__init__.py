@@ -2,7 +2,7 @@
 
 Turns the paper's batch-oriented GANNS kernel into a serving layer:
 individual requests are admitted through a bounded queue, answered from
-an exact-verified LRU result cache when possible, aggregated by a
+the engine's own LRU result cache when possible, aggregated by a
 dynamic micro-batching scheduler (flush on size or deadline), dispatched
 through the stream-overlap pipeline of :mod:`repro.core.pipeline`, and
 demultiplexed back into per-request results with queue/compute latency
@@ -12,7 +12,7 @@ deadlines, retries, a circuit breaker and graceful quality degradation.
 See ``docs/serving.md`` and ``docs/fault_model.md`` for the design.
 """
 
-from repro.serve.cache import CacheStats, ResultCache, quantize_query
+from repro.serve.cache import CacheStats, ResultCache
 from repro.serve.engine import ServeEngine
 from repro.serve.report import ServeReport
 from repro.serve.request import QueryRequest, RequestOutcome, RequestStatus
@@ -40,6 +40,5 @@ __all__ = [
     "TRIGGER_DEADLINE",
     "TRIGGER_DRAIN",
     "TRIGGER_SIZE",
-    "quantize_query",
     "synthetic_trace",
 ]

@@ -1,17 +1,16 @@
-"""LRU result cache keyed by quantized query vector + search params.
+"""LRU result cache of one serving engine, keyed by the query's bytes.
 
 Serving workloads repeat themselves: hot queries (trending searches,
 retried calls) arrive many times within seconds.  Answering a repeat
 from a cache costs a hash lookup instead of a graph traversal, so the
 GPU batches stay full of *novel* work.
 
-The key quantizes the query vector to :data:`QUERY_DECIMALS` decimals —
-two float vectors that differ below the quantization step share a bucket.
-Because approximate matches could silently return another query's
-neighbors, every hit is verified against the exact vector stored in the
-entry; a bucket collision is counted and treated as a miss, never
-served.  The cache therefore only ever returns results that are
-byte-identical to a fresh search of the same vector.
+A cache serves exactly one :class:`repro.serve.engine.ServeEngine`
+(one graph, one corpus, one set of tier-0 parameters), which binds it
+at construction and refuses a cache another engine already holds.  So
+the key is the query alone: its float64 bytes, with ``-0.0`` folded to
+``+0.0``.  A hit is therefore the answer a fresh search of the same
+vector would give, byte for byte.
 """
 
 from __future__ import annotations
@@ -24,21 +23,11 @@ import numpy as np
 
 from repro.core.params import as_count
 
-#: Decimals the bucket key rounds each query coordinate to.
-QUERY_DECIMALS = 6
 
-
-def quantize_query(query: np.ndarray) -> bytes:
-    """Bucket key for a query vector: rounded float64 bytes.
-
-    Rounding collapses float noise (e.g. a re-encoded float32 upload of
-    the same logical vector) into one bucket; ``-0.0`` is normalised so
-    it shares the bucket of ``+0.0``.
-    """
-    rounded = np.round(np.asarray(query, dtype=np.float64).ravel(),
-                       QUERY_DECIMALS)
-    rounded += 0.0  # -0.0 + 0.0 == +0.0
-    return rounded.tobytes()
+def _key(query: np.ndarray) -> bytes:
+    """The query's float64 bytes; ``-0.0 + 0.0 == +0.0`` folds the
+    signed zero, the one pair of equal values with different bytes."""
+    return (np.asarray(query, dtype=np.float64).ravel() + 0.0).tobytes()
 
 
 @dataclass
@@ -47,7 +36,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    collisions: int = 0
     insertions: int = 0
     evictions: int = 0
 
@@ -63,46 +51,34 @@ class ResultCache:
     def __init__(self, capacity: int = 4096):
         self.capacity = as_count(capacity, "cache capacity", 0)
         self.stats = CacheStats()
-        # key -> (exact query vector, ids, dists); most recent last.
-        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: The engine this cache serves (set by ``ServeEngine``).
+        self.owner: Optional[object] = None
+        # key -> (ids, dists); most recent last.
+        self._entries: "OrderedDict[bytes, tuple]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, query: np.ndarray, signature: tuple
+    def get(self, query: np.ndarray
             ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Look up one query vector; returns ``(ids, dists)`` or ``None``.
-
-        Args:
-            query: ``(d,)`` query vector.
-            signature: Result-affecting search-parameter identity, as
-                produced by :meth:`repro.core.params.SearchParams.signature`.
-        """
-        key = quantize_query(query), signature
+        """Look up one ``(d,)`` query vector; returns ``(ids, dists)``
+        or ``None``."""
+        key = _key(query)
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
-        stored_query, ids, dists = entry
-        if not np.array_equal(
-                np.asarray(query, dtype=np.float64).ravel(), stored_query):
-            # Two distinct vectors share the quantization bucket; serving
-            # the stored result would answer the wrong query.
-            self.stats.collisions += 1
-            self.stats.misses += 1
-            return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return ids, dists
+        return entry
 
-    def put(self, query: np.ndarray, signature: tuple,
-            ids: np.ndarray, dists: np.ndarray) -> None:
+    def put(self, query: np.ndarray, ids: np.ndarray,
+            dists: np.ndarray) -> None:
         """Insert one query's results, evicting the LRU entry if full."""
         if self.capacity == 0:
             return
-        key = quantize_query(query), signature
-        exact = np.asarray(query, dtype=np.float64).ravel().copy()
-        self._entries[key] = (exact, np.asarray(ids).copy(),
+        key = _key(query)
+        self._entries[key] = (np.asarray(ids).copy(),
                               np.asarray(dists).copy())
         self._entries.move_to_end(key)
         self.stats.insertions += 1

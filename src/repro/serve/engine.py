@@ -9,7 +9,7 @@ thousands of queries in flight).  The engine closes that gap:
    waiting-or-in-flight queries are rejected explicitly
    (:class:`repro.errors.OverloadError` semantics) instead of growing
    tail latency without bound.
-2. **Cache** — an exact-verified LRU result cache answers repeated
+2. **Cache** — the engine's own LRU result cache answers repeated
    queries without touching the device.
 3. **Micro-batching** — a :class:`MicroBatchScheduler` merges admitted
    requests and flushes on size or deadline.
@@ -116,7 +116,9 @@ class ServeEngine:
         points: ``(n, d)`` data matrix the graph was built on.
         params: Search parameters applied to every dispatched batch.
         policy: Micro-batching and admission knobs.
-        cache: Result cache; ``None`` disables caching entirely.
+        cache: Result cache; ``None`` disables caching entirely.  The
+            engine binds it: a cache serves one engine (its graph, corpus
+            and tier-0 parameters), so its key is the query alone.
         faults: Optional :class:`FaultPlan` to inject during dispatch.
             A fresh :class:`FaultInjector` is built per replay, so the
             same engine replays identically any number of times.
@@ -130,15 +132,12 @@ class ServeEngine:
         default_deadline_seconds: Deadline applied to requests that do
             not carry their own (relative to arrival); ``None`` means
             no deadline, anything else must be finite and positive.
-        family: Registered index family of the served graph (default
-            ``"nsw"``).  Folded into every result-cache signature, so a
-            cache shared across engines can never serve one family's
-            results for another's.
 
     Raises:
         ServeError: On ``points`` that is not a 2-D matrix, ``k`` above
-            the graph's vertex count, or a search block that does not
-            fit the device's shared memory (:func:`check_pool_fits`).
+            the graph's vertex count, a search block that does not
+            fit the device's shared memory (:func:`check_pool_fits`),
+            or a ``cache`` another engine already serves.
     """
 
     def __init__(self, graph: ProximityGraph, points: np.ndarray,
@@ -149,15 +148,7 @@ class ServeEngine:
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[BreakerPolicy] = None,
                  governor: Optional[AdmissionGovernor] = None,
-                 default_deadline_seconds: Optional[float] = None,
-                 family: str = "nsw"):
-        from repro.core.backend import get_backend
-        get_backend(family)  # typed error on unknown family names
-        #: Index family of the served graph.  Results are family-shaped,
-        #: so the family is folded into every cache signature — two
-        #: engines sharing one :class:`ResultCache` across families can
-        #: never serve each other's entries.
-        self.family = family
+                 default_deadline_seconds: Optional[float] = None):
         self.graph = graph
         self.points = np.asarray(points)
         if self.points.ndim != 2:
@@ -186,6 +177,13 @@ class ServeEngine:
         check_pool_fits(self.params, graph.d_max, ServeError)
         self.default_deadline_seconds = check_deadline(
             default_deadline_seconds, "default_deadline_seconds")
+        if cache is not None:
+            if cache.owner is not None:
+                raise ServeError(
+                    "this ResultCache already serves another ServeEngine; "
+                    "its entries answer that engine's graph and params, "
+                    "so give each engine its own cache")
+            cache.owner = self
 
     # ------------------------------------------------------------------
     # Replay
@@ -252,8 +250,7 @@ class ServeEngine:
             report.wallclock_seconds)
         return report
 
-    def _cache_lookup(self, req: QueryRequest, signature: tuple
-                      ) -> Optional[tuple]:
+    def _cache_lookup(self, req: QueryRequest) -> Optional[tuple]:
         """All-or-nothing cache lookup for one request.
 
         Every vector of the request must hit for the request to be a
@@ -266,7 +263,7 @@ class ServeEngine:
             return None
         rows = []
         for row in range(req.n_queries):
-            found = self.cache.get(req.queries[row], signature)
+            found = self.cache.get(req.queries[row])
             if found is None:
                 return None
             rows.append(found)
@@ -306,15 +303,6 @@ class _Replay:
                 )
             self.positions[id(req)] = pos
         params = engine.params
-        # Quantized serving is lossy, so its results live in their own
-        # cache namespace: the signature gains a quant component and a
-        # compressed-traversal hit can never answer an exact request
-        # (or a request under a different mode / rerank factor).
-        namespace: tuple = (engine.family,)
-        if params.quant is not None:
-            namespace += (f"quant:{params.quant}:rf"
-                          f"{params.rerank_factor}",)
-        self.signature = namespace + params.signature()
         self.scheduler = MicroBatchScheduler(engine.policy)
         self.clock = EngineClock()
         self.injector = (FaultInjector(engine.faults)
@@ -485,7 +473,7 @@ class _Replay:
         for batch in self.scheduler.poll(now):
             self.dispatch(batch)
 
-        hit = engine._cache_lookup(req, self.signature)
+        hit = engine._cache_lookup(req)
         if hit is not None:
             self.registry.counter("serve.cache_hits").inc()
             self.finish(req, status=RequestStatus.CACHE_HIT,
@@ -724,13 +712,12 @@ class _Replay:
                         deadline_missed=(deadline is not None
                                          and completion > deadline),
                         n_retries=attempt)
-            # Only full-quality answers enter the cache: a degraded
-            # result under the tier-0 signature would be a silent
-            # quality lie on the next hit.
+            # Only full-quality answers enter the cache: the cache holds
+            # the engine's tier-0 answers, and a degraded result would
+            # be a silent quality lie on the next hit.
             if engine.cache is not None and tier == 0:
                 for row in range(req.n_queries):
-                    engine.cache.put(req.queries[row], self.signature,
-                                     ids[row], dists[row])
+                    engine.cache.put(req.queries[row], ids[row], dists[row])
 
     def close(self) -> ServeReport:
         """Quiescence: publish the closing metrics, end the root span

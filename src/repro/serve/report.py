@@ -255,7 +255,8 @@ class ServeReport:
             + (f" ({self._trigger_note()})" if self.batch_triggers else ""),
             f"  cache         {self.n_cache_hits} hits, "
             f"hit rate {self.cache_hit_rate:.1%}"
-            + self._cache_detail_note(),
+            + (f" ({self.cache_stats.evictions} evictions)"
+               if self.cache_stats is not None else ""),
             f"  rejected      {self.n_rejected} "
             f"({self.rejection_rate:.1%})",
             f"  gpu busy      {self.gpu_utilisation:.1%} of makespan",
@@ -279,13 +280,6 @@ class ServeReport:
         if self.fault_report is not None:
             lines.append(self.fault_report.summary())
         return "\n".join(lines)
-
-    def _cache_detail_note(self) -> str:
-        stats = self.cache_stats
-        if stats is None:
-            return ""
-        return (f" ({stats.collisions} collision-rejects, "
-                f"{stats.evictions} evictions)")
 
     # ------------------------------------------------------------------
     # Registry view

@@ -4,12 +4,8 @@ An unknown family name must surface as
 :class:`~repro.errors.UnknownFamilyError` — a
 :class:`~repro.errors.ConfigurationError`, *never* a bare
 :class:`KeyError` — from each layer that resolves families by name:
-``GannsIndex.build`` / ``from_graph``, :class:`ServeEngine`,
-:class:`ClusterEngine`, ``MutableIndex.build`` and the CLI (exit code
-2, the typed-error path).  Separately, a registered family that cannot
-stream mutations raises the typed
-:class:`~repro.errors.UnsupportedOperationError` from
-``MutableIndex.build``.
+``GannsIndex.build`` / ``from_graph``, :class:`ClusterEngine` and the
+CLI (exit code 2, the typed-error path).
 """
 
 import numpy as np
@@ -28,8 +24,6 @@ from repro.errors import (
     UnknownFamilyError,
     UnsupportedOperationError,
 )
-from repro.mutable import MutableIndex
-from repro.serve import ServeEngine
 
 POINTS = gaussian_mixture(120, 8, n_clusters=4, cluster_std=0.4,
                           intrinsic_dim=4, seed=5)
@@ -59,21 +53,10 @@ class TestUnknownFamilyIsTyped:
         with pytest.raises(UnknownFamilyError):
             GannsIndex(index.points, index.graph, "bogus", "euclidean")
 
-    def test_serve_engine(self):
-        index = GannsIndex.build(POINTS,
-                                 params=BuildParams(d_min=4, d_max=8))
-        with pytest.raises(UnknownFamilyError):
-            ServeEngine(index.graph, index.points, family="bogus")
-
     def test_cluster_engine(self):
         with pytest.raises(UnknownFamilyError):
             ClusterEngine(POINTS, n_shards=2, n_replicas=1,
                           family="bogus")
-
-    def test_mutable_index_build(self):
-        with pytest.raises(UnknownFamilyError):
-            MutableIndex.build(POINTS, BuildParams(d_min=4, d_max=8),
-                               family="bogus")
 
     def test_cli_build_exits_2_not_traceback(self, tmp_path, capsys):
         code = cli_main(["build", "sift1m", "--points", "200",
@@ -85,13 +68,7 @@ class TestUnknownFamilyIsTyped:
         assert "Traceback" not in err
 
 
-class TestUnsupportedMutation:
-    def test_cagra_cannot_stream_mutations(self):
-        assert not get_backend("cagra").supports_mutation
-        with pytest.raises(UnsupportedOperationError, match="cagra"):
-            MutableIndex.build(POINTS, BuildParams(d_min=4, d_max=8),
-                               family="cagra")
-
+class TestUnsupportedOperation:
     def test_unsupported_operation_is_a_repro_error(self):
         assert issubclass(UnsupportedOperationError, ReproError)
 

@@ -701,8 +701,7 @@ class TestSrcHoldsWhatRuns:
                 "base_points", "d_max", "d_min", "ganns_settings", "k",
                 "max_points", "n_blocks", "n_queries", "song_settings")),
             _BENCH),
-        **dict.fromkeys(("ClusterEngine(family)", "ServeEngine(family)",
-                         "MutableIndex.build(family)"), _FAMILY),
+        "ClusterEngine(family)": _FAMILY,
         **dict.fromkeys((
             "gaussian_mixture(intrinsic_dim)", "zipf_clustered(anisotropy)",
             "zipf_clustered(cluster_std)", "zipf_clustered(intrinsic_dim)",

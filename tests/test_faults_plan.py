@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.params import SearchParams
 from repro.core.pipeline import BatchTiming
 from repro.errors import (
     ConfigurationError,
@@ -294,8 +293,3 @@ class TestFaultInjector:
         assert out.compute_seconds == \
             pytest.approx(2.0 * TIMING.compute_seconds)
         assert len(sink) == 1 and sink[0].kind == FAULT_KERNEL_STALL
-
-    def test_search_params_signature_unaffected(self):
-        """Plan machinery must not leak into cache-key signatures."""
-        assert SearchParams(k=5, l_n=32).signature() == \
-            SearchParams(k=5, l_n=32).signature()

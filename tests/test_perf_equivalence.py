@@ -43,7 +43,7 @@ from repro.graphs.stats import graph_digest
 from repro.metrics.distance import get_metric
 from repro.perf import distance as perf_distance
 from repro.perf import engine as perf_engine
-from repro.perf.arena import _ARENA_CACHE, get_arena
+from repro.perf.arena import get_arena
 from repro.perf.descent import hnsw_entry_descent_batch
 from tests.oracles.ganns_batched import ganns_search_oracle
 from tests.oracles.hnsw_descent import hnsw_entry_descent
@@ -470,19 +470,25 @@ class TestDescentEquivalence:
             assert n_dists[row] == count
 
 
-class TestArenaReuse:
-    def test_same_shape_reuses_buffers(self):
-        first = get_arena(40, 32, 16, np.dtype(np.float64))
-        second = get_arena(30, 32, 16, np.dtype(np.float64))
-        assert second is first  # smaller batch fits the cached arena
+class TestSearchesShareNoState:
+    """Each search call builds its own arena: a search answers the same
+    whatever ran before it."""
 
-    def test_capacity_grows_when_needed(self):
-        small = get_arena(8, 64, 16, np.dtype(np.float64))
-        large = get_arena(8 * 1024, 64, 16, np.dtype(np.float64))
-        assert large is not small
-        assert large.capacity >= 8 * 1024
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_each_call_gets_a_fresh_padded_arena(self, dtype):
+        first = get_arena(5, 32, 16, np.dtype(dtype))
+        first.pool_ids[:] = 7
+        second = get_arena(5, 32, 16, np.dtype(dtype))
+        assert second is not first
+        assert second.pool_dists.dtype == dtype
+        assert second.pool_dists.shape == (5, 32)
+        assert np.all(second.pool_dists == np.inf)
+        assert np.all(second.pool_ids == -1)
+        assert np.all(second.pool_explored)
+        assert second.t_ids.shape == (5, 16)
+        assert np.array_equal(second.query_rows, np.arange(5))
 
-    def test_reset_clears_state_between_searches(self):
+    def test_repeated_search_is_identical(self):
         graph, points, queries = _graph_and_data("euclidean", n=200, m=10)
         params = SearchParams(k=5, l_n=16)
         first = ganns_search(graph, points, queries, params)
@@ -491,14 +497,11 @@ class TestArenaReuse:
         assert first.dists.tobytes() == second.dists.tobytes()
         _assert_trackers_equal(first.tracker, second.tracker)
 
-    def test_narrow_search_after_wide_one_on_the_same_arena(self):
+    def test_narrow_search_after_wide_one(self):
         graph, points, queries = _wide_graph_and_data("euclidean")
         params = SearchParams(k=10, l_n=64)
-        _ARENA_CACHE.clear()
         fresh = ganns_search(graph, points, queries[:7], params)
         ganns_search(graph, points, queries, params)
-        arena = get_arena(7, 64, graph.d_max, np.dtype(np.float64))
-        assert arena.capacity >= WIDE  # the wide search's, still cached
         stale = ganns_search(graph, points, queries[:7], params)
         assert fresh.ids.tobytes() == stale.ids.tobytes()
         assert fresh.dists.tobytes() == stale.dists.tobytes()

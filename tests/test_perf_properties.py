@@ -238,7 +238,6 @@ class TestInsertMergeProperty:
         # as after a few retirements; one arena row past m is a canary.
         n_queries = m + sc["retired"]
         arena = SearchArena(m + 1, width, l_t, sc["dtype"])
-        arena.reset(m + 1)
         query_rows = np.sort(rng.choice(n_queries, m, replace=False))
         arena.query_rows[:m] = query_rows
         seen = (EvaluatedPairs(n_queries, n_vertices)

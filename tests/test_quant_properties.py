@@ -13,9 +13,9 @@ with Hypothesis:
 - **pool overlap** — at working pool widths the staged top-k keeps a
   floor of the exact top-k (the rerank can only choose from what the
   compressed walk retained, so this bounds the whole pipeline's loss);
-- **cache isolation** — a result cache shared between an exact and a
-  quantized serving engine never lets one answer the other: the quant
-  mode is folded into the cache signature.
+- **cache isolation** — a result cache serves one engine, so an exact
+  and a quantized serving engine never share one: the second is refused
+  the first one's cache.
 """
 
 import numpy as np
@@ -27,11 +27,11 @@ from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
 from repro.datasets.ground_truth import exact_knn
 from repro.datasets.synthetic import gaussian_mixture
+from repro.errors import ServeError
 from repro.perf.quant import QUANT_MODES, quantize_points
 from repro.serve.cache import ResultCache
 from repro.serve.engine import ServeEngine
 from repro.serve.scheduler import BatchPolicy
-from repro.serve.trace import synthetic_trace
 from tests.oracles.graph_measures import reachable_fraction
 from tests.oracles.quant import dequantize
 
@@ -141,56 +141,24 @@ class TestPoolOverlap:
 
 
 class TestCacheIsolation:
-    def _replay(self, cache, quant, graph, points, trace):
-        engine = ServeEngine(
+    @staticmethod
+    def _engine(cache, quant, graph, points):
+        return ServeEngine(
             graph, points,
             params=SearchParams(k=K, l_n=32, quant=quant),
             policy=BatchPolicy(max_batch=32, max_wait_seconds=0.002,
                                max_queue=4096),
             cache=cache)
-        return engine.replay(trace)
 
-    @given(mode=st.sampled_from(QUANT_MODES))
-    @settings(max_examples=3, deadline=None)
+    @pytest.mark.parametrize("mode", QUANT_MODES)
     def test_shared_cache_never_crosses_quant_boundary(self, mode):
-        """Warming a shared cache with exact results must not add a
-        single hit to a quantized replay (and vice versa) — the quant
-        mode namespaces the cache signature, so a lossy result can
-        never answer an exact request.
-
-        The trace repeats queries, so a replay hits entries it inserted
-        itself; the cross-mode leak is therefore measured as *extra*
-        hits relative to a cold cache, which must be exactly zero.
-        """
+        """A cache holds one engine's answers: an exact engine's cache
+        is refused to a quantized engine and vice versa, so a lossy
+        result can never answer an exact request."""
         graph, points = _fixture()
-        pool = gaussian_mixture(20, 24, n_clusters=5, cluster_std=0.4,
-                                intrinsic_dim=6, seed=3) \
-            .astype(np.float32)
-        trace = synthetic_trace(pool, 60, mean_qps=50_000.0,
-                                queries_per_request=2, seed=5)
-
-        quant_cold = self._replay(ResultCache(capacity=4096), mode,
-                                  graph, points, trace)
-
-        shared = ResultCache(capacity=4096)
-        exact_warmup = self._replay(shared, None, graph, points, trace)
-        exact_entries = len(shared)
-        assert exact_entries > 0
-        quant_warmed = self._replay(shared, mode, graph, points, trace)
-        assert quant_warmed.n_cache_hits == quant_cold.n_cache_hits, (
-            f"quant={mode} replay gained "
-            f"{quant_warmed.n_cache_hits - quant_cold.n_cache_hits} "
-            f"hits from exact-path cache entries"
-        )
-
-        # And the other direction: quantized entries never answer an
-        # exact request — a fully quant-warmed cache leaves the exact
-        # replay's hit count at its cold baseline.
-        quant_shared = ResultCache(capacity=4096)
-        self._replay(quant_shared, mode, graph, points, trace)
-        exact_over_quant = self._replay(quant_shared, None, graph,
-                                        points, trace)
-        assert (exact_over_quant.n_cache_hits
-                == exact_warmup.n_cache_hits), (
-            f"exact replay gained hits from quant={mode} entries"
-        )
+        for first, second in ((None, mode), (mode, None)):
+            cache = ResultCache(capacity=4096)
+            owner = self._engine(cache, first, graph, points)
+            with pytest.raises(ServeError, match="another ServeEngine"):
+                self._engine(cache, second, graph, points)
+            assert cache.owner is owner

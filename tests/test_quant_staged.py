@@ -64,14 +64,6 @@ class TestParamsValidation:
         with pytest.raises(ConfigurationError):
             SearchParams(k=10, l_n=32, rerank_factor=factor)
 
-    def test_quant_is_signature_excluded(self):
-        """Quant settings don't alter the signature tuple itself —
-        serving layers namespace explicitly (and honestly) instead of
-        silently forking result identities."""
-        exact = SearchParams(k=10, l_n=32)
-        quant = SearchParams(k=10, l_n=32, quant="pca", rerank_factor=4)
-        assert exact.signature() == quant.signature()
-
 
 class TestStagedSearch:
     def test_quant_off_is_byte_identical_to_reference(self):

@@ -8,10 +8,9 @@ through a :class:`ServeEngine` over an NSW graph and over a CAGRA graph
   that family's graph would (the engine adds batching, never answers),
 * reconcile with the metrics registry with zero drift for *both*
   families (:meth:`ServeReport.verify_against_metrics`), and
-* never cross-serve cached results between families: the result-cache
-  signature carries the family component, so a shared
-  :class:`ResultCache` keeps the two engines' entries disjoint even for
-  byte-identical queries.
+* never cross-serve cached results between families: a
+  :class:`ResultCache` serves the one engine that took it, so the second
+  family's engine is refused the first one's cache at construction.
 """
 
 import numpy as np
@@ -21,6 +20,7 @@ from repro import GannsIndex
 from repro.core.ganns import ganns_search
 from repro.core.params import BuildParams, SearchParams
 from repro.datasets.synthetic import gaussian_mixture
+from repro.errors import ServeError
 from repro.serve import (
     BatchPolicy,
     QueryRequest,
@@ -54,7 +54,7 @@ def _trace(queries, spacing=1e-4):
 
 def _engine(family, cache=None):
     return ServeEngine(_GRAPHS[family], _POINTS, PARAMS, policy=POLICY,
-                       cache=cache, family=family)
+                       cache=cache)
 
 
 class TestPerFamilyExactness:
@@ -75,31 +75,24 @@ class TestPerFamilyExactness:
 
 
 class TestFamiliesNeverCrossServe:
-    def test_shared_cache_keeps_family_entries_disjoint(self):
-        # Same corpus, same queries, same params, one shared cache:
-        # the second family must MISS everything the first cached.
+    def test_second_family_is_refused_a_shared_cache(self):
+        # Same corpus, same queries, same params: the nsw engine's cache
+        # holds nsw answers, so the cagra engine may not take it.
         cache = ResultCache(capacity=256)
+        nsw = _engine("nsw", cache=cache)
+        with pytest.raises(ServeError, match="another ServeEngine"):
+            _engine("cagra", cache=cache)
+        assert cache.owner is nsw
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_family_hits_its_own_answers(self, family):
         repeated = np.concatenate([_QUERIES[:8], _QUERIES[:8]])
-
-        nsw_report = _engine("nsw", cache=cache).replay(
+        report = _engine(family, cache=ResultCache(capacity=256)).replay(
             _trace(repeated, spacing=5e-3))
-        nsw_statuses = [o.status for o in nsw_report.outcomes]
-        assert nsw_statuses[8:] == [RequestStatus.CACHE_HIT] * 8
-
-        cagra_report = _engine("cagra", cache=cache).replay(
-            _trace(repeated, spacing=5e-3))
-        statuses = [o.status for o in cagra_report.outcomes]
-        # First 8 are fresh SERVED (no cross-family hit on the nsw
-        # entries); the repeats then hit cagra's own entries.
+        statuses = [o.status for o in report.outcomes]
         assert statuses[:8] == [RequestStatus.SERVED] * 8
         assert statuses[8:] == [RequestStatus.CACHE_HIT] * 8
-        for first, second in zip(cagra_report.outcomes[:8],
-                                 cagra_report.outcomes[8:]):
+        for first, second in zip(report.outcomes[:8],
+                                 report.outcomes[8:]):
             assert np.array_equal(first.ids, second.ids)
-
-    def test_cache_signatures_differ_only_by_family(self):
-        nsw_sig = (_engine("nsw").family,) + PARAMS.signature()
-        cagra_sig = (_engine("cagra").family,) + PARAMS.signature()
-        assert nsw_sig != cagra_sig
-        assert nsw_sig[1:] == cagra_sig[1:]
-        assert nsw_sig[0] == "nsw" and cagra_sig[0] == "cagra"
+            assert np.array_equal(first.dists, second.dists)
