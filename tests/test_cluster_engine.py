@@ -38,6 +38,7 @@ from repro.faults.plan import (
 from repro.metrics.recall import recall_per_query
 from repro.observability import MetricsRegistry, SpanTracer
 from repro.serve import QueryRequest, ServeEngine, synthetic_trace
+from repro.serve.cache import ResultCache
 from tests.oracles.narrow_dispatch import narrow_dispatch
 from tests.oracles.shard_truth import shard_ground_truth
 
@@ -226,6 +227,41 @@ class TestClusterReplay:
             want = np.take_along_axis(sout.ids.astype(np.int64),
                                       order, axis=1)
             np.testing.assert_array_equal(cout.ids, want)
+
+    def test_each_shard_engine_owns_a_fresh_cache(self, corpus):
+        cached = ClusterEngine(corpus, n_shards=2, n_replicas=1,
+                               params=PARAMS, cache_capacity=16)
+        first, second = cached._make_engine(0), cached._make_engine(0)
+        assert first.cache is not second.cache
+        assert first.cache.owner is first
+        assert second.cache.owner is second
+        assert len(second.cache) == 0 and second.cache.capacity == 16
+
+    def test_replica_caches_serve_the_uncached_answers(self, corpus, pool,
+                                                       monkeypatch):
+        """Repeated queries hit a replica's cache, and every hit is the
+        answer the same cluster gives without a cache."""
+        trace = synthetic_trace(pool, 40, mean_qps=2000.0,
+                                repeat_fraction=0.8, seed=9)
+        plain = ClusterEngine(corpus, n_shards=2, n_replicas=2,
+                              params=PARAMS).replay(trace)
+        hits = []
+        real_get = ResultCache.get
+
+        def counting_get(cache, query):
+            found = real_get(cache, query)
+            hits.append(found is not None)
+            return found
+
+        monkeypatch.setattr(ResultCache, "get", counting_get)
+        cached = ClusterEngine(corpus, n_shards=2, n_replicas=2,
+                               params=PARAMS,
+                               cache_capacity=64).replay(trace)
+        assert any(hits)
+        for a, b in zip(plain.outcomes, cached.outcomes):
+            assert a.status is b.status is ClusterStatus.SERVED
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.dists, b.dists)
 
     def test_report_reconciles_with_metrics(self, cluster, pool):
         trace = synthetic_trace(pool, 25, mean_qps=2000.0, seed=8)
