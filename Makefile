@@ -46,7 +46,9 @@ bench-ab:
 bench-recovery:
 	$(PYTHON) benchmarks/bench_recovery.py --output BENCH_recovery.json
 
-experiments:
+# Regenerate EXPERIMENTS.md from this checkout: the suite, then the
+# collector (its header names the commit the tables came from).
+experiments: bench
 	$(PYTHON) scripts/collect_experiments.py
 
 examples:

@@ -23,7 +23,7 @@ from repro.metrics.recall import recall_at_k
 GROUP_COUNTS = (4, 16, 64, 200, 400)
 
 
-def test_ablation_group_count(config, cache, datasets, emit, benchmark):
+def test_ablation_group_count(config, datasets, emit, benchmark):
     dataset = datasets["sift1m"]
     ground_truth = dataset.ground_truth(config.k)
 
@@ -60,9 +60,9 @@ def test_ablation_group_count(config, cache, datasets, emit, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_transfer_remark(config, cache, datasets, emit, benchmark):
+def test_transfer_remark(config, graph_of, datasets, emit, benchmark):
     dataset = datasets["sift1m"]
-    graph = cache.nsw_graph(dataset, config.build_params())
+    graph = graph_of(dataset, config.build_params())
     model = TransferModel(QUADRO_P5000)
 
     report = ganns_search(graph, dataset.points, dataset.queries,

@@ -22,9 +22,9 @@ from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.recall import recall_at_k
 
 
-def test_ablation_lazy_check(config, cache, datasets, emit, benchmark):
+def test_ablation_lazy_check(config, graph_of, datasets, emit, benchmark):
     dataset = datasets["sift1m"]
-    graph = cache.nsw_graph(dataset, config.build_params())
+    graph = graph_of(dataset, config.build_params())
     ground_truth = dataset.ground_truth(config.k)
     search = SearchParams(k=config.k, l_n=64)
 
@@ -55,10 +55,10 @@ def test_ablation_lazy_check(config, cache, datasets, emit, benchmark):
         kwargs={"lazy_check": False}, rounds=1, iterations=1)
 
 
-def test_ablation_lazy_update_vs_eager_queue(config, cache, datasets,
+def test_ablation_lazy_update_vs_eager_queue(config, graph_of, datasets,
                                              emit, benchmark):
     dataset = datasets["sift1m"]
-    graph = cache.nsw_graph(dataset, config.build_params())
+    graph = graph_of(dataset, config.build_params())
 
     ganns = ganns_search(graph, dataset.points, dataset.queries,
                          SearchParams(k=config.k, l_n=64))

@@ -16,11 +16,11 @@ from repro.graphs.pruning import prune_diversify, pruning_stats
 from repro.metrics.recall import recall_at_k
 
 
-def test_ablation_diversity_pruning(config, cache, datasets, emit,
+def test_ablation_diversity_pruning(config, graph_of, datasets, emit,
                                     benchmark):
     dataset = datasets["sift1m"]
     ground_truth = dataset.ground_truth(config.k)
-    raw = cache.nsw_graph(dataset, config.build_params())
+    raw = graph_of(dataset, config.build_params())
     pruned = prune_diversify(raw, dataset.points, alpha=1.0,
                              min_degree=8)
     stats = pruning_stats(raw, pruned)

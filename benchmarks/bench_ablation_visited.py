@@ -19,10 +19,10 @@ from repro.gpusim.device import QUADRO_P5000
 from repro.metrics.recall import recall_at_k
 
 
-def test_ablation_visited_strategies(config, cache, datasets, emit,
+def test_ablation_visited_strategies(config, graph_of, datasets, emit,
                                      benchmark):
     dataset = datasets["sift1m"]
-    graph = cache.nsw_graph(dataset, config.build_params())
+    graph = graph_of(dataset, config.build_params())
     ground_truth = dataset.ground_truth(config.k)
 
     rows = []

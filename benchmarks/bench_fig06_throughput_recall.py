@@ -12,30 +12,28 @@ Run the full ten-dataset version with ``REPRO_BENCH_FULL=1``.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.bench.figures import PAPER_FIG6
 from repro.bench.report import format_table, speedup_band_note
-from repro.bench.runner import qps_at_recall, sweep_ganns, sweep_song
+from repro.bench.runner import qps_at_recall, sweep
 from repro.bench.workloads import bench_datasets
 
-FULL = bool(os.environ.get("REPRO_BENCH_FULL"))
-DATASETS = bench_datasets(full=FULL)
+DATASETS = bench_datasets()
 TARGET_RECALL = 0.8
 
 
 @pytest.mark.parametrize("name", DATASETS)
-def test_fig06_throughput_vs_recall(name, config, cache, datasets, emit,
+def test_fig06_throughput_vs_recall(name, config, graph_of, datasets, emit,
                                     benchmark):
     dataset = datasets[name]
     params = config.build_params()
-    graph = cache.nsw_graph(dataset, params)
+    graph = graph_of(dataset, params)
 
-    ganns_curve = sweep_ganns(graph, dataset, config.k,
-                              config.ganns_settings)
-    song_curve = sweep_song(graph, dataset, config.k, config.song_settings)
+    ganns_curve = sweep(graph, dataset, config.k, "ganns",
+                        config.ganns_settings)
+    song_curve = sweep(graph, dataset, config.k, "song",
+                       config.song_settings)
 
     rows = []
     for point in ganns_curve:

@@ -9,30 +9,27 @@ higher on the hard datasets, which keep more candidates alive).
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.bench.figures import PAPER_FIG7_SONG_STRUCTURE_SHARE
 from repro.bench.report import format_table
-from repro.bench.runner import closest_point, sweep_ganns, sweep_song
+from repro.bench.runner import closest_point, sweep
 from repro.bench.workloads import bench_datasets
 from repro.gpusim.tracker import PhaseCategory
 
-FULL = bool(os.environ.get("REPRO_BENCH_FULL"))
-DATASETS = bench_datasets(full=FULL)
+DATASETS = bench_datasets()
 TARGET_RECALL = 0.8
 
 
 @pytest.mark.parametrize("name", DATASETS)
-def test_fig07_breakdown(name, config, cache, datasets, emit, benchmark):
+def test_fig07_breakdown(name, config, graph_of, datasets, emit, benchmark):
     dataset = datasets[name]
-    graph = cache.nsw_graph(dataset, config.build_params())
+    graph = graph_of(dataset, config.build_params())
 
-    ganns_curve = sweep_ganns(graph, dataset, config.k,
-                              config.ganns_settings, keep_reports=True)
-    song_curve = sweep_song(graph, dataset, config.k,
-                            config.song_settings, keep_reports=True)
+    ganns_curve = sweep(graph, dataset, config.k, "ganns",
+                        config.ganns_settings)
+    song_curve = sweep(graph, dataset, config.k, "song",
+                       config.song_settings)
     ganns_point = closest_point(ganns_curve, TARGET_RECALL)
     song_point = closest_point(song_curve, TARGET_RECALL)
 

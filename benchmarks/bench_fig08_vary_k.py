@@ -12,26 +12,25 @@ import pytest
 
 from repro.bench.figures import PAPER_FIG8
 from repro.bench.report import format_table
-from repro.bench.runner import qps_at_recall, sweep_ganns, sweep_song
+from repro.bench.runner import qps_at_recall, sweep
 
 K_VALUES = (1, 10, 50, 100)
 TARGET_RECALL = 0.8
 
 
 @pytest.mark.parametrize("name", ["sift1m", "gist"])
-def test_fig08_vary_k(name, config, cache, datasets, emit, benchmark):
+def test_fig08_vary_k(name, config, graph_of, datasets, emit, benchmark):
     dataset = datasets[name]
-    graph = cache.nsw_graph(dataset, config.build_params())
+    graph = graph_of(dataset, config.build_params())
 
     rows = []
     speedups = []
     for k in K_VALUES:
         # The pool must hold at least k results; scale settings with k.
-        ganns_settings = [(l_n, e) for l_n, e in config.ganns_settings
-                          if l_n >= k]
-        song_settings = [pq for pq in config.song_settings if pq >= k]
-        ganns_curve = sweep_ganns(graph, dataset, k, ganns_settings)
-        song_curve = sweep_song(graph, dataset, k, song_settings)
+        ganns_curve = sweep(graph, dataset, k, "ganns",
+                            [s for s in config.ganns_settings if s[0] >= k])
+        song_curve = sweep(graph, dataset, k, "song",
+                           [s for s in config.song_settings if s[0] >= k])
         ganns_at = qps_at_recall(ganns_curve, TARGET_RECALL)
         song_at = qps_at_recall(song_curve, TARGET_RECALL)
         speedup = ganns_at / song_at

@@ -10,24 +10,24 @@ from __future__ import annotations
 
 from repro.bench.figures import PAPER_FIG9
 from repro.bench.report import format_table
-from repro.bench.runner import qps_at_recall, sweep_ganns, sweep_song
+from repro.bench.runner import qps_at_recall, sweep
 
 DIMS = (960, 480, 240, 120, 60)
 TARGET_RECALL = 0.8
 
 
-def test_fig09_dimensionality(config, cache, datasets, emit, benchmark):
+def test_fig09_dimensionality(config, graph_of, datasets, emit, benchmark):
     base = datasets["gist"]
 
     rows = []
     speedups = {}
     for n_dims in DIMS:
         view = base.truncate_dims(n_dims)
-        graph = cache.nsw_graph(view, config.build_params())
-        ganns_curve = sweep_ganns(graph, view, config.k,
-                                  config.ganns_settings)
-        song_curve = sweep_song(graph, view, config.k,
-                                config.song_settings)
+        graph = graph_of(view, config.build_params())
+        ganns_curve = sweep(graph, view, config.k, "ganns",
+                            config.ganns_settings)
+        song_curve = sweep(graph, view, config.k, "song",
+                           config.song_settings)
         ganns_at = qps_at_recall(ganns_curve, TARGET_RECALL)
         song_at = qps_at_recall(song_curve, TARGET_RECALL)
         speedups[n_dims] = ganns_at / song_at
@@ -49,8 +49,8 @@ def test_fig09_dimensionality(config, cache, datasets, emit, benchmark):
     from repro.core.ganns import ganns_search
     from repro.core.params import SearchParams
     view = base.truncate_dims(60)
-    graph = cache.nsw_graph(view, config.build_params())
     benchmark.pedantic(
-        ganns_search, args=(graph, view.points, view.queries,
+        ganns_search, args=(graph_of(view, config.build_params()),
+                            view.points, view.queries,
                             SearchParams(k=config.k, l_n=64)),
         rounds=1, iterations=1)

@@ -26,9 +26,10 @@ def _category_ms(report):
             seconds.get(PhaseCategory.STRUCTURE, 0.0) * 1e3)
 
 
-def test_fig10_threads_per_block(config, cache, datasets, emit, benchmark):
+def test_fig10_threads_per_block(config, graph_of, datasets, emit,
+                                 benchmark):
     dataset = datasets["sift1m"]
-    graph = cache.nsw_graph(dataset, config.build_params())
+    graph = graph_of(dataset, config.build_params())
 
     rows = []
     ganns_struct = {}

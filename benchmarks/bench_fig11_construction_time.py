@@ -13,8 +13,6 @@ GGraphCon's 8.5 s in the text).  Expected shape:
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.bench.figures import PAPER_GGC_KERNEL_SPEEDUP
@@ -22,22 +20,18 @@ from repro.bench.report import format_table
 from repro.bench.workloads import bench_datasets
 from repro.datasets.catalog import DATASET_SPECS
 
-FULL = bool(os.environ.get("REPRO_BENCH_FULL"))
-DATASETS = bench_datasets(full=FULL)
+DATASETS = bench_datasets()
 
 
 @pytest.mark.parametrize("name", DATASETS)
-def test_fig11_construction_time(name, config, cache, datasets, emit,
+def test_fig11_construction_time(name, config, build, datasets, emit,
                                  benchmark, cdevice):
     dataset = datasets[name]
     params = config.build_params()
 
-    ganns = cache.construction_timing(dataset, params, "ggc-ganns",
-                                      device=cdevice)
-    song = cache.construction_timing(dataset, params, "ggc-song",
-                                     device=cdevice)
-    naive = cache.construction_timing(dataset, params, "naive",
-                                      device=cdevice)
+    ganns = build(dataset, params, "ggc-ganns", cdevice)
+    song = build(dataset, params, "ggc-song", cdevice)
+    naive = build(dataset, params, "naive", cdevice)
 
     rows = [
         ["ggraphcon_ganns", ganns.seconds],
@@ -62,8 +56,7 @@ def test_fig11_construction_time(name, config, cache, datasets, emit,
         f"(paper: 'only slightly outperforms')")
 
     if name == "sift1m":
-        serial = cache.construction_timing(dataset, params, "serial",
-                                           device=cdevice)
+        serial = build(dataset, params, "serial", cdevice)
         lines.append(
             f"GSerial: {serial.seconds:.1f} s — "
             f"{serial.seconds / ganns.seconds:.0f}x slower than "

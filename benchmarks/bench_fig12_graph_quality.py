@@ -23,14 +23,14 @@ E_VALUES = (8, 16, 32, 64, 100)
 
 
 @pytest.mark.parametrize("name", ["sift1m", "ukbench"])
-def test_fig12_graph_quality(name, config, cache, datasets, emit,
+def test_fig12_graph_quality(name, config, graph_of, datasets, emit,
                              benchmark):
     dataset = datasets[name]
     params = config.build_params()
     ground_truth = dataset.ground_truth(config.k)
 
-    ggc_graph = cache.nsw_graph(dataset, params)
-    cpu_graph = cache.nsw_graph(dataset, params, builder="cpu")
+    ggc_graph = graph_of(dataset, params)
+    cpu_graph = graph_of(dataset, params, "cpu-nsw")
     # GNaiveParallel at the paper's batching: one point per thread block
     # per round.  Its quality defect is structural (no in-batch links,
     # racy lost-update backward edges), not batch-size-dependent.

@@ -16,8 +16,8 @@ D_MAX_VALUES = (32, 64, 96, 128)
 
 
 @pytest.mark.parametrize("name", ["glove200", "ukbench"])
-def test_fig13_vary_dmax(name, config, cache, datasets, emit, benchmark,
-                                  cdevice):
+def test_fig13_vary_dmax(name, config, build, datasets, emit, benchmark,
+                         cdevice):
     dataset = datasets[name]
 
     rows = []
@@ -25,10 +25,8 @@ def test_fig13_vary_dmax(name, config, cache, datasets, emit, benchmark,
     song_times = []
     for d_max in D_MAX_VALUES:
         params = config.build_params(d_min=d_max // 2, d_max=d_max)
-        ganns = cache.construction_timing(dataset, params, "ggc-ganns",
-                                      device=cdevice)
-        song = cache.construction_timing(dataset, params, "ggc-song",
-                                     device=cdevice)
+        ganns = build(dataset, params, "ggc-ganns", cdevice)
+        song = build(dataset, params, "ggc-song", cdevice)
         ganns_times.append(ganns.seconds)
         song_times.append(song.seconds)
         rows.append([d_max, d_max // 2, ganns.seconds, song.seconds])

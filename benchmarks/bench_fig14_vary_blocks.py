@@ -13,12 +13,13 @@ import pytest
 
 from repro.bench.figures import PAPER_FIG14_SPEEDUP
 from repro.bench.report import format_table
+from repro.gpusim.tracker import PhaseCategory
 
 BLOCKS = (4, 8, 16, 32, 64)
 
 
 @pytest.mark.parametrize("kernel", ["ganns", "song"])
-def test_fig14_thread_blocks(kernel, config, cache, datasets, emit,
+def test_fig14_thread_blocks(kernel, config, build, datasets, emit,
                              benchmark, cdevice):
     dataset = datasets["sift1m"]
 
@@ -26,18 +27,16 @@ def test_fig14_thread_blocks(kernel, config, cache, datasets, emit,
     times = {}
     for n_blocks in BLOCKS:
         params = config.build_params(n_blocks=n_blocks)
-        timing = cache.construction_timing(dataset, params,
-                                           f"ggc-{kernel}",
-                                           device=cdevice)
-        times[n_blocks] = timing
-        rows.append([n_blocks, timing.seconds,
-                     timing.distance_seconds, timing.structure_seconds])
+        report = build(dataset, params, f"ggc-{kernel}", cdevice)
+        split = report.category_seconds
+        times[n_blocks] = (report.seconds,
+                           split.get(PhaseCategory.DISTANCE, 0.0),
+                           split.get(PhaseCategory.STRUCTURE, 0.0))
+        rows.append([n_blocks, *times[n_blocks]])
 
-    speedup = times[BLOCKS[0]].seconds / times[BLOCKS[-1]].seconds
-    dist_speedup = (times[BLOCKS[0]].distance_seconds
-                    / times[BLOCKS[-1]].distance_seconds)
-    struct_speedup = (times[BLOCKS[0]].structure_seconds
-                      / times[BLOCKS[-1]].structure_seconds)
+    speedup, dist_speedup, struct_speedup = (
+        first / last for first, last in zip(times[BLOCKS[0]],
+                                            times[BLOCKS[-1]]))
     lo, hi = PAPER_FIG14_SPEEDUP
 
     table = format_table(
@@ -52,7 +51,7 @@ def test_fig14_thread_blocks(kernel, config, cache, datasets, emit,
     assert speedup > 3.0, "block scaling must pay off substantially"
     assert speedup < 16.5, "cannot beat the theoretical maximum"
     # Monotone improvement across the sweep.
-    seconds = [times[b].seconds for b in BLOCKS]
+    seconds = [times[b][0] for b in BLOCKS]
     assert all(a >= b for a, b in zip(seconds, seconds[1:]))
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

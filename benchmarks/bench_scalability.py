@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.report import format_table
-from repro.bench.runner import sweep_ganns
 from repro.core.params import SearchParams
 from repro.core.ganns import ganns_search
 from repro.datasets.catalog import load_dataset
@@ -22,7 +21,7 @@ from repro.metrics.recall import recall_at_k
 SIZES = (2000, 4000, 8000)
 
 
-def test_scalability_dataset_size(config, cache, datasets, emit,
+def test_scalability_dataset_size(config, build, graph_of, emit,
                                   benchmark, cdevice):
     rows = []
     recalls = []
@@ -32,9 +31,8 @@ def test_scalability_dataset_size(config, cache, datasets, emit,
         dataset = load_dataset("sift1m", n_points=n,
                                n_queries=config.n_queries)
         params = config.build_params()
-        graph = cache.nsw_graph(dataset, params)
-        timing = cache.construction_timing(dataset, params, "ggc-ganns",
-                                           device=cdevice)
+        graph = graph_of(dataset, params)
+        timing = build(dataset, params, "ggc-ganns", cdevice)
         report = ganns_search(graph, dataset.points, dataset.queries,
                               SearchParams(k=config.k, l_n=128, e=96))
         recall = recall_at_k(report.ids, dataset.ground_truth(config.k))

@@ -15,19 +15,16 @@ from repro.bench.report import format_table
 from repro.bench.workloads import ALL_DATASETS
 
 
-def test_table2_nsw_construction(config, cache, datasets, emit, benchmark,
+def test_table2_nsw_construction(config, build, datasets, emit, benchmark,
                                   cdevice):
     params = config.build_params()
     rows = []
     ganns_speedups = {}
     for name in ALL_DATASETS:
         dataset = datasets[name]
-        cpu = cache.construction_timing(dataset, params, "cpu-nsw",
-                                        device=cdevice)
-        ganns = cache.construction_timing(dataset, params, "ggc-ganns",
-                                      device=cdevice)
-        song = cache.construction_timing(dataset, params, "ggc-song",
-                                     device=cdevice)
+        cpu = build(dataset, params, "cpu-nsw", cdevice)
+        ganns = build(dataset, params, "ggc-ganns", cdevice)
+        song = build(dataset, params, "ggc-song", cdevice)
         ganns_speedup = cpu.seconds / ganns.seconds
         song_speedup = cpu.seconds / song.seconds
         ganns_speedups[name] = ganns_speedup

@@ -12,19 +12,16 @@ from repro.bench.report import format_table
 from repro.bench.workloads import ALL_DATASETS
 
 
-def test_table3_hnsw_construction(config, cache, datasets, emit, benchmark,
+def test_table3_hnsw_construction(config, build, datasets, emit, benchmark,
                                   cdevice):
     params = config.build_params()
     rows = []
     speedups = {}
     for name in ALL_DATASETS:
         dataset = datasets[name]
-        cpu = cache.construction_timing(dataset, params, "cpu-hnsw",
-                                        device=cdevice)
-        ganns = cache.construction_timing(dataset, params, "hnsw-ganns",
-                                      device=cdevice)
-        song = cache.construction_timing(dataset, params, "hnsw-song",
-                                     device=cdevice)
+        cpu = build(dataset, params, "cpu-hnsw", cdevice)
+        ganns = build(dataset, params, "hnsw-ganns", cdevice)
+        song = build(dataset, params, "hnsw-song", cdevice)
         ganns_speedup = cpu.seconds / ganns.seconds
         song_speedup = cpu.seconds / song.seconds
         speedups[name] = ganns_speedup

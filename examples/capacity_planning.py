@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from repro import BuildParams, SearchParams, load_dataset, tune_search
 from repro.bench.plotting import curve_plot
-from repro.bench.runner import sweep_ganns, sweep_song
+from repro.bench.runner import sweep
+from repro.bench.workloads import DEFAULT_CONFIG
 from repro.core.construction import build_nsw_gpu
 from repro.core.pipeline import stream_batches
 
@@ -54,11 +55,10 @@ def main() -> None:
     print(f"  sustained throughput: {sustained:,.0f} queries/s")
 
     # (c) The whole trade-off, plotted in the terminal.
-    ganns_curve = sweep_ganns(graph, dataset, 10,
-                              [(32, 16), (64, 32), (64, 64), (128, 96),
-                               (128, 128), (256, 192)])
-    song_curve = sweep_song(graph, dataset, 10,
-                            [16, 32, 64, 96, 128, 192])
+    ganns_curve = sweep(graph, dataset, 10, "ganns",
+                        DEFAULT_CONFIG.ganns_settings)
+    song_curve = sweep(graph, dataset, 10, "song",
+                       DEFAULT_CONFIG.song_settings)
     print()
     print(curve_plot({"ganns": ganns_curve, "song": song_curve},
                      width=56, height=14))

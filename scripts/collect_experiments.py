@@ -1,28 +1,28 @@
 """Assemble EXPERIMENTS.md from the benchmark result files.
 
-Run the benchmark suite first::
+``make experiments`` runs the benchmark suite and then this script, so
+one command regenerates EXPERIMENTS.md from the checkout.  By hand::
 
     pytest benchmarks/ --benchmark-only
-
-then::
-
     python scripts/collect_experiments.py
 
 Each ``benchmarks/results/*.txt`` file holds one experiment's
 paper-vs-measured table; this script stitches them into EXPERIMENTS.md
 in the paper's order, with the standing commentary on what matches and
-what is scale-limited.
+what is scale-limited.  The header names the date and the checkout's
+short commit (``+dirty`` when the tree has uncommitted changes).
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 from datetime import date
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
-                           "results")
-OUTPUT = os.path.join(os.path.dirname(__file__), "..", "EXPERIMENTS.md")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+RESULTS_DIR = os.path.join(ROOT, "benchmarks", "results")
+OUTPUT = os.path.join(ROOT, "EXPERIMENTS.md")
 
 #: (section header, commentary, result-file prefixes) in paper order.
 SECTIONS = [
@@ -106,11 +106,11 @@ SECTIONS = [
 HEADER = """# EXPERIMENTS — paper vs measured
 
 Generated from `benchmarks/results/` by `scripts/collect_experiments.py`
-(last run: {date}). Regenerate with:
+(last run: {date}, tree {tree}). Regenerate with:
 
 ```bash
-pytest benchmarks/ --benchmark-only     # add REPRO_BENCH_FULL=1 for all 10 datasets
-python scripts/collect_experiments.py
+make experiments     # the benchmark suite, then this file
+REPRO_BENCH_FULL=1 make experiments     # all 10 datasets
 ```
 
 **Reading guide.** Recall, graph quality and all algorithm behaviour are
@@ -124,6 +124,21 @@ says so explicitly.
 """
 
 
+def tree_label() -> str:
+    """Short commit of the checkout, with ``+dirty`` for an unclean
+    tree."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown (not a git checkout)"
+    return commit + ("+dirty" if dirty else "")
+
+
 def main() -> int:
     if not os.path.isdir(RESULTS_DIR):
         print("no benchmarks/results directory; run the benchmarks first",
@@ -131,7 +146,8 @@ def main() -> int:
         return 1
     available = sorted(os.listdir(RESULTS_DIR))
     used = set()
-    parts = [HEADER.format(date=date.today().isoformat())]
+    parts = [HEADER.format(date=date.today().isoformat(),
+                           tree=tree_label())]
     for title, commentary, prefixes in SECTIONS:
         files = [name for name in available
                  if any(name.startswith(p) for p in prefixes)]

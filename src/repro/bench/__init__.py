@@ -3,32 +3,11 @@
 - :mod:`repro.bench.figures` — the paper's reported numbers, embedded, so
   every bench prints paper-vs-measured rows.
 - :mod:`repro.bench.workloads` — scaled-down workload definitions shared by
-  the benchmark files.
-- :mod:`repro.bench.runner` — graph caching, recall/throughput sweeps and
-  recall-targeted interpolation.
+  the benchmark files, and the two environment variables that size a run.
+- :mod:`repro.bench.runner` — construction by scheme name,
+  recall/throughput sweeps and recall-targeted interpolation.  Nothing is
+  cached on disk: every run measures the tree it runs from.
 - :mod:`repro.bench.report` — plain-text table rendering.
+- :mod:`repro.bench.plotting` — terminal plots of recall/throughput
+  curves.
 """
-
-from repro.bench.workloads import BenchConfig, DEFAULT_CONFIG, bench_datasets
-from repro.bench.runner import (
-    GraphCache,
-    ConstructionTiming,
-    sweep_ganns,
-    sweep_song,
-    qps_at_recall,
-    CurvePoint,
-)
-from repro.bench.report import format_table
-
-__all__ = [
-    "BenchConfig",
-    "DEFAULT_CONFIG",
-    "bench_datasets",
-    "GraphCache",
-    "ConstructionTiming",
-    "sweep_ganns",
-    "sweep_song",
-    "qps_at_recall",
-    "CurvePoint",
-    "format_table",
-]

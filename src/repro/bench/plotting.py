@@ -89,8 +89,8 @@ def ascii_plot(series: Dict[str, Sequence[Tuple[float, float]]],
 
 def curve_plot(curves: Dict[str, Sequence], width: int = 64,
                height: int = 18) -> str:
-    """ASCII plot straight from :class:`repro.bench.runner.CurvePoint`
-    lists (the output of ``sweep_ganns`` / ``sweep_song``)."""
+    """ASCII plot straight from :class:`repro.core.tuner.CurvePoint`
+    lists (the output of :func:`repro.bench.runner.sweep`)."""
     series = {name: [(p.recall, p.qps) for p in pts]
               for name, pts in curves.items()}
     return ascii_plot(series, width=width, height=height)

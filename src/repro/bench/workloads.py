@@ -2,29 +2,42 @@
 
 The paper's datasets range from 0.29M to 10M points; the stand-ins are
 scaled down so the whole suite runs on a laptop while preserving each
-dataset's *relative* size, dimensionality and metric.  One knob,
-``REPRO_BENCH_SCALE``, scales every workload up or down (e.g. set it to
-``4`` for a longer, higher-fidelity run).
+dataset's *relative* size, dimensionality and metric.  Two environment
+variables size a run, each read in one place here; a malformed value is a
+:class:`~repro.errors.ConfigurationError` naming it (empty counts as
+unset).  ``REPRO_BENCH_SCALE`` (a finite number >= 0.1, default 1)
+scales every workload, e.g. ``4`` for a longer, higher-fidelity run;
+``REPRO_BENCH_FULL=1`` runs the per-dataset figures on all ten Table I
+datasets instead of four (``0`` or unset).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Tuple
 
 from repro.core.params import BuildParams
 from repro.datasets.catalog import Dataset, load_dataset
+from repro.errors import ConfigurationError
 
 
 def _scale() -> float:
-    """Global workload scale from the environment (default 1.0)."""
-    raw = os.environ.get("REPRO_BENCH_SCALE", "1")
+    """Global workload scale from ``REPRO_BENCH_SCALE`` (default 1.0)."""
+    raw = os.environ.get("REPRO_BENCH_SCALE", "")
+    if not raw:
+        return 1.0
     try:
         value = float(raw)
     except ValueError:
-        return 1.0
-    return max(value, 0.1)
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.1):
+        raise ConfigurationError(
+            f"REPRO_BENCH_SCALE must be a finite number >= 0.1, "
+            f"got {raw!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -41,7 +54,7 @@ class BenchConfig:
         d_max: Construction upper degree bound (paper default 32).
         n_blocks: Construction thread blocks / group count.
         ganns_settings: ``(l_n, e)`` sweep for GANNS recall curves.
-        song_settings: ``pq_bound`` sweep for SONG recall curves.
+        song_settings: ``(pq_bound,)`` sweep for SONG recall curves.
     """
 
     base_points: int = 4_000
@@ -54,7 +67,9 @@ class BenchConfig:
     ganns_settings: Tuple[Tuple[int, int], ...] = (
         (32, 16), (64, 32), (64, 64), (128, 96), (128, 128), (256, 192),
     )
-    song_settings: Tuple[int, ...] = (16, 32, 64, 96, 128, 192)
+    song_settings: Tuple[Tuple[int], ...] = (
+        (16,), (32,), (64,), (96,), (128,), (192,),
+    )
 
     def dataset_points(self, name: str) -> int:
         """Scaled point count for one dataset."""
@@ -116,6 +131,17 @@ ALL_DATASETS: Tuple[str, ...] = (
 FAST_DATASETS: Tuple[str, ...] = ("sift1m", "gist", "nytimes", "ukbench")
 
 
-def bench_datasets(full: bool = False) -> Tuple[str, ...]:
-    """Dataset list for a benchmark (full Table I or the fast subset)."""
-    return ALL_DATASETS if full else FAST_DATASETS
+def bench_datasets() -> Tuple[str, ...]:
+    """Datasets of the per-dataset figures: all of Table I when
+    ``REPRO_BENCH_FULL=1``, else the fast subset.
+
+    Raises:
+        ConfigurationError: When the variable holds anything but ``0``
+            or ``1``.
+    """
+    raw = os.environ.get("REPRO_BENCH_FULL", "")
+    if raw not in ("", "0", "1"):
+        raise ConfigurationError(
+            f"REPRO_BENCH_FULL must be unset, 0 or 1, got {raw!r}"
+        )
+    return ALL_DATASETS if raw == "1" else FAST_DATASETS

@@ -108,22 +108,29 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.bench.report import format_table
-    from repro.bench.runner import GraphCache, sweep_ganns, sweep_song
+def _sweep_graph(args: argparse.Namespace):
+    """The dataset and its GGraphCon graph for ``sweep`` and ``tune``."""
+    from repro.core.construction import build_nsw_gpu
     from repro.core.params import BuildParams
     from repro.datasets.catalog import load_dataset
 
     dataset = load_dataset(args.dataset, n_points=args.points,
                            n_queries=args.queries)
-    cache = GraphCache()
-    graph = cache.nsw_graph(dataset,
-                            BuildParams(d_min=args.d_min,
-                                        d_max=args.d_max))
-    ganns = sweep_ganns(graph, dataset, args.k,
-                        [(32, 16), (64, 32), (64, 64), (128, 96),
-                         (128, 128), (256, 192)])
-    song = sweep_song(graph, dataset, args.k, [16, 32, 64, 96, 128, 192])
+    graph = build_nsw_gpu(dataset.points,
+                          BuildParams(d_min=args.d_min, d_max=args.d_max),
+                          metric=dataset.metric_name).graph
+    return dataset, graph
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.bench.report import format_table
+    from repro.bench.runner import sweep
+    from repro.bench.workloads import DEFAULT_CONFIG
+
+    dataset, graph = _sweep_graph(args)
+    ganns = sweep(graph, dataset, args.k, "ganns",
+                  DEFAULT_CONFIG.ganns_settings)
+    song = sweep(graph, dataset, args.k, "song", DEFAULT_CONFIG.song_settings)
     rows = ([["ganns", f"l_n={p.setting[0]} e={p.setting[1]}",
               p.recall, p.qps] for p in ganns]
             + [["song", f"pq={p.setting[0]}", p.recall, p.qps]
@@ -135,17 +142,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.bench.runner import GraphCache
-    from repro.core.params import BuildParams
     from repro.core.tuner import tune_search
-    from repro.datasets.catalog import load_dataset
 
-    dataset = load_dataset(args.dataset, n_points=args.points,
-                           n_queries=args.queries)
-    cache = GraphCache()
-    graph = cache.nsw_graph(dataset,
-                            BuildParams(d_min=args.d_min,
-                                        d_max=args.d_max))
+    dataset, graph = _sweep_graph(args)
     result = tune_search(graph, dataset.points, dataset.queries,
                          target_recall=args.target, k=args.k,
                          algorithm=args.algorithm)

@@ -7,7 +7,9 @@ wants the fastest configuration that clears it.  :func:`tune_search`
 automates that: it evaluates candidate settings on a validation query
 set (ground truth computed by brute force once) and returns the
 highest-throughput setting meeting the target, using the monotone
-recall-vs-budget structure to prune.
+recall-vs-budget structure to prune.  :func:`operating_point` is the
+one evaluator of a setting; the paper benchmarks' recall/throughput
+curves (:func:`repro.bench.runner.sweep`) are built from it too.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from repro.baselines.song import SongParams, song_search
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
+from repro.core.results import SearchReport
 from repro.datasets.ground_truth import exact_knn
 from repro.errors import ConfigurationError, SearchError
 from repro.graphs.adjacency import ProximityGraph
@@ -35,6 +38,16 @@ DEFAULT_GANNS_GRID: Tuple[Tuple[int, int], ...] = (
 #: Default SONG queue-bound grid.
 DEFAULT_SONG_GRID: Tuple[int, ...] = (16, 24, 32, 48, 64, 96, 128, 192,
                                       256, 384, 512)
+
+
+@dataclass(frozen=True)
+class CurvePoint:
+    """One operating point of a recall/throughput curve."""
+
+    recall: float
+    qps: float
+    setting: Tuple[int, ...]
+    report: Optional[SearchReport] = None
 
 
 @dataclass(frozen=True)
@@ -59,9 +72,34 @@ class TuningResult:
     target_met: bool
 
 
-def _evaluate(algorithm: str, graph: ProximityGraph, points: np.ndarray,
-              queries: np.ndarray, ground_truth: np.ndarray, k: int,
-              setting: Tuple[int, ...]) -> Tuple[float, float]:
+def _check_algorithm(algorithm: str) -> None:
+    if algorithm not in ("ganns", "song"):
+        raise SearchError(
+            f"unknown algorithm {algorithm!r}; valid: ganns, song"
+        )
+
+
+def operating_point(graph: ProximityGraph, points: np.ndarray,
+                    queries: np.ndarray, ground_truth: np.ndarray, k: int,
+                    algorithm: str, setting: Tuple[int, ...]) -> CurvePoint:
+    """Search once at one setting and score it against the truth.
+
+    Args:
+        graph: Proximity graph over ``points``.
+        points: ``(n, d)`` data matrix.
+        queries: ``(m, d)`` queries.
+        ground_truth: ``(m, >= k)`` exact ids of ``queries``.
+        k: Neighbors per query.
+        algorithm: ``"ganns"`` (``setting = (l_n, e)``; ``e`` is capped
+            at ``l_n``) or ``"song"`` (``setting = (pq_bound,)``; the
+            bound is raised to ``k``).
+        setting: The knob values.
+
+    Returns:
+        A :class:`CurvePoint` carrying the search report.
+    """
+    _check_algorithm(algorithm)
+    setting = tuple(setting)
     if algorithm == "ganns":
         l_n, e = setting
         report = ganns_search(graph, points, queries,
@@ -70,8 +108,9 @@ def _evaluate(algorithm: str, graph: ProximityGraph, points: np.ndarray,
         (pq_bound,) = setting
         report = song_search(graph, points, queries,
                              SongParams(k=k, pq_bound=max(pq_bound, k)))
-    return (recall_at_k(report.ids, ground_truth),
-            report.queries_per_second())
+    return CurvePoint(recall=recall_at_k(report.ids, ground_truth),
+                      qps=report.queries_per_second(), setting=setting,
+                      report=report)
 
 
 def tune_search(graph: ProximityGraph, points: np.ndarray,
@@ -105,10 +144,7 @@ def tune_search(graph: ProximityGraph, points: np.ndarray,
         raise ConfigurationError(
             f"target_recall must lie in (0, 1], got {target_recall}"
         )
-    if algorithm not in ("ganns", "song"):
-        raise SearchError(
-            f"unknown algorithm {algorithm!r}; valid: ganns, song"
-        )
+    _check_algorithm(algorithm)
     if grid is None:
         grid = (DEFAULT_GANNS_GRID if algorithm == "ganns"
                 else tuple((pq,) for pq in DEFAULT_SONG_GRID))
@@ -119,36 +155,25 @@ def tune_search(graph: ProximityGraph, points: np.ndarray,
         ground_truth = exact_knn(points, validation_queries, k,
                                  graph.metric)
 
-    evaluations: List[Tuple[Tuple[int, ...], float, float]] = []
-
-    def measure(index: int) -> Tuple[float, float]:
-        recall, qps = _evaluate(algorithm, graph, points,
-                                validation_queries, ground_truth, k,
-                                grid[index])
-        evaluations.append((grid[index], recall, qps))
-        return recall, qps
-
     # Binary search for the first qualifying index.
+    evaluations: List[CurvePoint] = []
+    best: Optional[CurvePoint] = None
     lo, hi = 0, len(grid) - 1
-    best: Optional[Tuple[int, float, float]] = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        recall, qps = measure(mid)
-        if recall >= target_recall:
-            best = (mid, recall, qps)
-            hi = mid - 1
+        point = operating_point(graph, points, validation_queries,
+                                ground_truth, k, algorithm, grid[mid])
+        evaluations.append(point)
+        if point.recall >= target_recall:
+            best, hi = point, mid - 1
         else:
             lo = mid + 1
-
-    if best is not None:
-        _, recall, qps = best
-        return TuningResult(algorithm=algorithm, setting=grid[best[0]],
-                            recall=recall, qps=qps,
-                            evaluations=evaluations, target_met=True)
-
-    # Nothing qualified: report the best achievable point (the largest
-    # budget, which the binary search has already evaluated).
-    top_eval = max(evaluations, key=lambda item: item[1])
-    return TuningResult(algorithm=algorithm, setting=top_eval[0],
-                        recall=top_eval[1], qps=top_eval[2],
-                        evaluations=evaluations, target_met=False)
+    target_met = best is not None
+    if best is None:
+        # Nothing qualified: report the best achievable point (the
+        # largest budget, which the binary search has already evaluated).
+        best = max(evaluations, key=lambda point: point.recall)
+    return TuningResult(
+        algorithm=algorithm, setting=best.setting, recall=best.recall,
+        qps=best.qps, target_met=target_met,
+        evaluations=[(p.setting, p.recall, p.qps) for p in evaluations])

@@ -1,5 +1,12 @@
-"""Tests for the benchmark harness: workloads, report rendering, figures
-registry, and the construction-timing runner."""
+"""Tests for the benchmark harness: workloads and their environment
+variables, report rendering, figures registry, and the construction
+table."""
+
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+from typing import Set
 
 import numpy as np
 import pytest
@@ -13,14 +20,25 @@ from repro.bench.report import (
     format_table,
     speedup_band_note,
 )
-from repro.bench.runner import GraphCache, _run_construction
+from repro.baselines.hnsw_cpu import build_hnsw_cpu
+from repro.baselines.nsw_cpu import build_nsw_cpu
+from repro.bench.runner import BUILDERS, build
 from repro.bench.workloads import (
     ALL_DATASETS,
+    FAST_DATASETS,
     BenchConfig,
     bench_datasets,
     construction_device,
 )
+from repro.core.construction import build_nsw_gpu
+from repro.core.hnsw import build_hnsw_gpu
+from repro.core.naive import build_nsw_naive_parallel, build_nsw_serial_gpu
+from repro.core.params import BuildParams
 from repro.datasets.catalog import DATASET_SPECS, load_dataset
+from repro.errors import ConfigurationError
+from repro.gpusim.device import QUADRO_P5000
+from repro.graphs.adjacency import HierarchicalGraph
+from repro.graphs.stats import graph_digest
 
 
 class TestWorkloads:
@@ -28,7 +46,7 @@ class TestWorkloads:
         assert set(ALL_DATASETS) == set(DATASET_SPECS)
 
     def test_fast_subset_is_subset(self):
-        assert set(bench_datasets()) <= set(bench_datasets(full=True))
+        assert set(FAST_DATASETS) <= set(ALL_DATASETS)
 
     def test_dataset_points_scale_with_paper_sizes(self):
         config = BenchConfig(base_points=4000, max_points=100_000)
@@ -96,52 +114,115 @@ class TestFiguresRegistry:
         assert PAPER_FIG6["sift1m"].ganns_qps == 458_500.0
 
 
+class TestBenchEnvironment:
+    """``REPRO_BENCH_FULL`` and ``REPRO_BENCH_SCALE``: each read in one
+    place, a malformed value refused naming its variable."""
+
+    @pytest.mark.parametrize("value", [None, "", "0"])
+    def test_full_unset_or_zero_is_the_fast_subset(self, monkeypatch,
+                                                   value):
+        if value is None:
+            monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BENCH_FULL", value)
+        assert bench_datasets() == FAST_DATASETS
+
+    def test_full_one_is_all_of_table1(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_FULL", "1")
+        assert bench_datasets() == ALL_DATASETS
+
+    @pytest.mark.parametrize("value", ["true", "yes", "2", " 1", "-1"])
+    def test_full_refuses_anything_else(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_BENCH_FULL", value)
+        with pytest.raises(ConfigurationError, match="REPRO_BENCH_FULL"):
+            bench_datasets()
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_scale_unset_is_one(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BENCH_SCALE", value)
+        assert BenchConfig().dataset_points("sift1m") == 4000
+
+    @pytest.mark.parametrize("value,points", [
+        ("0.1", 1000), ("0.5", 2000), ("2", 8000), ("4", 16000)])
+    def test_scale_scales_points(self, monkeypatch, value, points):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", value)
+        assert BenchConfig().dataset_points("sift1m") == points
+
+    @pytest.mark.parametrize("value", [
+        "abc", "0.01", "0", "-5", "nan", "inf", "-inf"])
+    def test_scale_refuses_malformed_values(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", value)
+        with pytest.raises(ConfigurationError, match="REPRO_BENCH_SCALE"):
+            BenchConfig().dataset_points("sift1m")
+
+
+def _digests(graph):
+    """Per-layer digests of a graph (one layer for a flat graph)."""
+    layers = (graph.layers if isinstance(graph, HierarchicalGraph)
+              else [graph])
+    return [graph_digest(layer) for layer in layers]
+
+
 class TestConstructionRunner:
+    """``build`` runs the named builder: its report is the direct
+    call's."""
+
+    PARAMS = BuildParams(d_min=4, d_max=8, n_blocks=8)
+
+    #: Each table name's builder, called directly.
+    DIRECT = {
+        "ggc-ganns": lambda points, params, device: build_nsw_gpu(
+            points, params, search_kernel="ganns", device=device),
+        "ggc-song": lambda points, params, device: build_nsw_gpu(
+            points, params, search_kernel="song", device=device),
+        "naive": lambda points, params, device: build_nsw_naive_parallel(
+            points, params, search_kernel="song", device=device),
+        "serial": lambda points, params, device: build_nsw_serial_gpu(
+            points, params, search_kernel="song", device=device),
+        "cpu-nsw": lambda points, params, device: build_nsw_cpu(
+            points, params.d_min, params.d_max,
+            ef_construction=params.effective_ef),
+        "hnsw-ganns": lambda points, params, device: build_hnsw_gpu(
+            points, params, search_kernel="ganns", device=device),
+        "hnsw-song": lambda points, params, device: build_hnsw_gpu(
+            points, params, search_kernel="song", device=device),
+        "cpu-hnsw": lambda points, params, device: build_hnsw_cpu(
+            points, params.d_min, params.d_max,
+            ef_construction=params.effective_ef, seed=params.seed),
+    }
+
     @pytest.fixture(scope="class")
     def tiny(self):
-        return load_dataset("sift1m", n_points=400, n_queries=10)
+        return load_dataset("sift1m", n_points=300, n_queries=10)
 
     @pytest.fixture(scope="class")
     def device(self):
         return construction_device()
 
-    @pytest.mark.parametrize("algorithm", [
-        "ggc-ganns", "ggc-song", "naive", "serial", "cpu-nsw",
-        "hnsw-ganns", "cpu-hnsw",
-    ])
-    def test_all_algorithms_produce_timing(self, tiny, device, algorithm):
-        from repro.core.params import BuildParams
-        params = BuildParams(d_min=4, d_max=8, n_blocks=8)
-        timing = _run_construction(tiny, params, algorithm, device)
-        assert timing.seconds > 0
+    def test_the_table_has_the_eight_schemes(self):
+        assert set(BUILDERS) == set(self.DIRECT)
+
+    @pytest.mark.parametrize("algorithm", sorted(DIRECT))
+    def test_each_name_runs_its_builder(self, tiny, device, algorithm):
+        ran = build(tiny, self.PARAMS, algorithm, device)
+        direct = self.DIRECT[algorithm](tiny.points, self.PARAMS, device)
+        assert _digests(ran.graph) == _digests(direct.graph)
+        assert ran.seconds == direct.seconds > 0
+        assert ran.category_seconds == direct.category_seconds
 
     def test_unknown_algorithm_rejected(self, tiny, device):
-        from repro.core.params import BuildParams
-        from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError, match="unknown"):
-            _run_construction(tiny, BuildParams(d_min=4, d_max=8),
-                              "magic", device)
+            build(tiny, BuildParams(d_min=4, d_max=8), "magic", device)
 
-    def test_timing_cache_round_trip(self, tiny, device, tmp_path):
-        from repro.core.params import BuildParams
-        cache = GraphCache(str(tmp_path))
-        params = BuildParams(d_min=4, d_max=8, n_blocks=8)
-        first = cache.construction_timing(tiny, params, "ggc-ganns",
-                                          device=device)
-        second = cache.construction_timing(tiny, params, "ggc-ganns",
-                                           device=device)
-        assert first.seconds == second.seconds
-        assert first.distance_seconds == second.distance_seconds
-
-    def test_cache_keys_distinguish_devices(self, tiny, tmp_path):
-        from repro.core.params import BuildParams
-        from repro.gpusim.device import QUADRO_P5000
-        cache = GraphCache(str(tmp_path))
-        params = BuildParams(d_min=4, d_max=8, n_blocks=8)
-        scaled = cache.construction_timing(tiny, params, "ggc-ganns",
-                                           device=construction_device())
-        full = cache.construction_timing(tiny, params, "ggc-ganns",
-                                         device=QUADRO_P5000)
+    def test_cache_keys_distinguish_devices(self, tiny):
+        """The device is part of what a build is: the same scheme prices
+        differently on the scaled construction device."""
+        scaled = build(tiny, self.PARAMS, "ggc-ganns",
+                       device=construction_device())
+        full = build(tiny, self.PARAMS, "ggc-ganns", device=QUADRO_P5000)
         # More concurrency -> strictly faster build on this workload.
         assert full.seconds < scaled.seconds
 
@@ -168,3 +249,74 @@ class TestPhaseBars:
         from repro.bench.report import format_phase_bars
         text = format_phase_bars({"a": 1.0}, title="Phases")
         assert text.splitlines()[0] == "Phases"
+
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _fixture_names(path: Path) -> Set[str]:
+    """Names of the functions a file decorates with ``pytest.fixture``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef) and any(
+                "fixture" in ast.unparse(decorator)
+                for decorator in node.decorator_list):
+            names.add(node.name)
+    return names
+
+
+def _parametrized(node: ast.FunctionDef) -> Set[str]:
+    """Argument names a test's ``parametrize`` marks supply."""
+    names = set()
+    for decorator in node.decorator_list:
+        if (isinstance(decorator, ast.Call)
+                and ast.unparse(decorator.func).endswith("parametrize")):
+            argnames = ast.literal_eval(decorator.args[0])
+            if isinstance(argnames, str):
+                argnames = argnames.split(",")
+            names.update(name.strip() for name in argnames)
+    return names
+
+
+class TestPaperBenchesWireUp:
+    """The paper suite takes minutes and no CI job runs it, so check here
+    that every ``benchmarks/bench_*.py`` imports and that each of its
+    tests requests only fixtures the suite defines: the shared ones in
+    ``benchmarks/conftest.py``, pytest-benchmark's, or the module's own."""
+
+    BENCHES = sorted(BENCH_DIR.glob("bench_*.py"))
+
+    def test_the_suite_is_found(self):
+        assert len(self.BENCHES) >= 20
+
+    @pytest.mark.parametrize("path", BENCHES, ids=lambda path: path.stem)
+    def test_bench_imports_and_requests_known_fixtures(self, path):
+        import pytest_benchmark.plugin
+
+        saved_path = list(sys.path)
+        for source in (BENCH_DIR / "conftest.py", path):
+            spec = importlib.util.spec_from_file_location(
+                f"_wired_{source.stem}", source)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[spec.name] = module
+            try:
+                spec.loader.exec_module(module)
+            finally:
+                del sys.modules[spec.name]
+                sys.path[:] = saved_path
+
+        own = _fixture_names(path)
+        known = (_fixture_names(BENCH_DIR / "conftest.py")
+                 | _fixture_names(Path(pytest_benchmark.plugin.__file__))
+                 | own | {"request"})
+        tests = 0
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name.startswith("test_") or node.name in own:
+                tests += node.name.startswith("test_")
+                requested = {arg.arg for arg in node.args.args}
+                unknown = requested - _parametrized(node) - known
+                assert not unknown, f"{node.name} requests {unknown}"
+        if path.stem not in ("bench_bakeoff", "bench_recovery"):
+            assert tests, "a paper bench runs at least one test"

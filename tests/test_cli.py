@@ -70,6 +70,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "target recall 0.5" in out
         assert "chosen ganns setting" in out
+        assert os.listdir(tmp_path) == []
+
+    def test_sweep_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["sweep", "sift1m", "--points", "700",
+                     "--queries", "20", "--d-min", "8", "--d-max", "16"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "l_n=256 e=192" in out and "pq=192" in out
+        assert os.listdir(tmp_path) == []
 
     def test_build_hnsw(self, tmp_path, capsys):
         index_path = str(tmp_path / "hidx.npz")

@@ -169,8 +169,8 @@ class TestGridRule:
     @pytest.mark.parametrize("n", [300, 1099])
     def test_hnsw_default_equals_its_resolved_grid(self, n):
         """HNSW splits the resolved grid across its layers by size, so a
-        default build and one given ``blocks_for(n)`` are the same build
-        (``GraphCache`` keys both by the resolved count)."""
+        default build and one given ``blocks_for(n)`` are the same
+        build."""
         points = gaussian_mixture(n, 4, seed=6)
         params = BuildParams(d_min=3, d_max=6)
         explicit = params.with_overrides(n_blocks=params.blocks_for(n))

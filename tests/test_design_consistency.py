@@ -741,8 +741,6 @@ class TestSrcHoldsWhatRuns:
         "check its false-positive behaviour and refuse zero",
         "CycleTracker.total_cycles(phase)": "one phase's cycles; tests "
         "compare kernels phase by phase",
-        "GraphCache(cache_dir)": "where the benchmark graph cache lives; "
-        "tests point it at tmp_path",
         "merge_topk(n_queries)": "the row count of a merge over no shard "
         "runs; tests merge an empty list",
         "exact_knn(chunk_size)": "the ground-truth block size; tests "

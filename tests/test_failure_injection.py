@@ -101,39 +101,6 @@ class TestCorruptedGraphDetection:
         validate_graph(index.graph)
 
 
-class TestCacheHealing:
-    def test_corrupted_graph_cache_rebuilds(self, tmp_path):
-        from repro.bench.runner import GraphCache
-        from repro.datasets.catalog import load_dataset
-
-        dataset = load_dataset("sift1m", n_points=300, n_queries=5)
-        cache = GraphCache(str(tmp_path))
-        params = BuildParams(d_min=4, d_max=8, n_blocks=4)
-        first = cache.nsw_graph(dataset, params)
-        # Corrupt the single cache file.
-        (cache_file,) = list(tmp_path.iterdir())
-        cache_file.write_bytes(b"not an npz archive")
-        healed = cache.nsw_graph(dataset, params)
-        assert np.array_equal(first.neighbor_ids, healed.neighbor_ids)
-
-    def test_corrupted_timing_cache_rebuilds(self, tmp_path):
-        from repro.bench.runner import GraphCache
-        from repro.bench.workloads import construction_device
-        from repro.datasets.catalog import load_dataset
-
-        dataset = load_dataset("sift1m", n_points=250, n_queries=5)
-        cache = GraphCache(str(tmp_path))
-        params = BuildParams(d_min=4, d_max=8, n_blocks=4)
-        device = construction_device()
-        first = cache.construction_timing(dataset, params, "ggc-ganns",
-                                          device=device)
-        (cache_file,) = list(tmp_path.iterdir())
-        cache_file.write_bytes(b"garbage")
-        healed = cache.construction_timing(dataset, params, "ggc-ganns",
-                                           device=device)
-        assert healed.seconds == pytest.approx(first.seconds)
-
-
 class TestDegenerateInputs:
     def test_single_point_dataset(self):
         from repro.baselines.nsw_cpu import build_nsw_cpu

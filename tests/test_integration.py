@@ -1,7 +1,6 @@
 """Cross-module integration flows: catalog dataset -> build -> search ->
 recall/timing, exercised the way the benchmark suite uses the library."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -16,13 +15,8 @@ from repro import (
     recall_at_k,
     song_search,
 )
-from repro.bench.runner import (
-    CurvePoint,
-    GraphCache,
-    qps_at_recall,
-    sweep_ganns,
-    sweep_song,
-)
+from repro.bench.runner import CurvePoint, qps_at_recall, sweep
+from repro.core.tuner import tune_search
 
 
 @pytest.fixture(scope="module")
@@ -66,16 +60,28 @@ class TestSearchPipeline:
 
 class TestSweepHelpers:
     def test_sweep_curves_monotone_in_budget(self, dataset, graph):
-        curve = sweep_ganns(graph, dataset, 10,
-                            [(32, 16), (64, 64), (128, 128)])
+        curve = sweep(graph, dataset, 10, "ganns",
+                      [(32, 16), (64, 64), (128, 128)])
         recalls = [p.recall for p in curve]
         assert recalls == sorted(recalls)
         qps = [p.qps for p in curve]
         assert qps == sorted(qps, reverse=True)
 
     def test_song_sweep(self, dataset, graph):
-        curve = sweep_song(graph, dataset, 10, [16, 64])
+        curve = sweep(graph, dataset, 10, "song", [(16,), (64,)])
         assert curve[1].recall >= curve[0].recall
+
+    @pytest.mark.parametrize("algorithm,setting", [
+        ("ganns", (64, 32)), ("song", (48,))])
+    def test_tuner_and_sweep_agree_at_a_shared_setting(self, dataset, graph,
+                                                       algorithm, setting):
+        """One evaluator: the tuner and a sweep score a setting alike."""
+        tuned = tune_search(graph, dataset.points, dataset.queries,
+                            target_recall=0.01, k=10, algorithm=algorithm,
+                            grid=[setting])
+        (point,) = sweep(graph, dataset, 10, algorithm, [setting])
+        assert tuned.setting == point.setting == setting
+        assert (tuned.recall, tuned.qps) == (point.recall, point.qps)
 
     def test_qps_at_recall_interpolates(self):
         curve = [CurvePoint(0.5, 1000.0, (1,)),
@@ -84,16 +90,6 @@ class TestSweepHelpers:
         assert 100.0 < mid < 1000.0
         assert qps_at_recall(curve, 0.3) == 1000.0
         assert qps_at_recall(curve, 0.99) == 100.0
-
-    def test_graph_cache_round_trip(self, dataset, tmp_path):
-        cache = GraphCache(str(tmp_path / "cache"))
-        params = BuildParams(d_min=4, d_max=8, n_blocks=8)
-        first = cache.nsw_graph(dataset, params)
-        second = cache.nsw_graph(dataset, params)
-        assert np.array_equal(first.neighbor_ids, second.neighbor_ids)
-        # Cached copy must be read from disk, not rebuilt (same content).
-        files = list((tmp_path / "cache").iterdir())
-        assert len(files) == 1
 
 
 class TestIndexOnCatalogData:
