@@ -13,7 +13,6 @@
 from __future__ import annotations
 
 from repro.bench.report import format_table
-from repro.core.construction import build_nsw_gpu
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
 from repro.gpusim.device import QUADRO_P5000
@@ -23,7 +22,7 @@ from repro.metrics.recall import recall_at_k
 GROUP_COUNTS = (4, 16, 64, 200, 400)
 
 
-def test_ablation_group_count(config, datasets, emit, benchmark):
+def test_ablation_group_count(config, build, datasets, emit, benchmark):
     dataset = datasets["sift1m"]
     ground_truth = dataset.ground_truth(config.k)
 
@@ -31,8 +30,7 @@ def test_ablation_group_count(config, datasets, emit, benchmark):
     recalls = []
     for n_groups in GROUP_COUNTS:
         params = config.build_params(n_blocks=n_groups)
-        report = build_nsw_gpu(dataset.points, params,
-                               metric=dataset.metric_name)
+        report = build(dataset, params, "ggc-ganns", QUADRO_P5000)
         search = ganns_search(report.graph, dataset.points,
                               dataset.queries,
                               SearchParams(k=config.k, l_n=64))

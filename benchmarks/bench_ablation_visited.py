@@ -11,7 +11,7 @@ shows the quantitative version of that argument.
 from __future__ import annotations
 
 from repro.baselines.song import SongParams, song_search
-from repro.baselines.visited import Bitmap
+from repro.baselines.visited import Bitmap, song_visited_ablation
 from repro.bench.report import format_table
 from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
@@ -25,20 +25,23 @@ def test_ablation_visited_strategies(config, graph_of, datasets, emit,
     graph = graph_of(dataset, config.build_params())
     ground_truth = dataset.ground_truth(config.k)
 
+    params = SongParams(k=config.k, pq_bound=64)
     rows = []
     qps = {}
     for strategy in ("hash", "bloom", "bitmap"):
-        report = song_search(graph, dataset.points, dataset.queries,
-                             SongParams(k=config.k, pq_bound=64,
-                                        visited_strategy=strategy))
+        if strategy == "hash":
+            report = song_search(graph, dataset.points, dataset.queries,
+                                 params)
+        else:
+            report = song_visited_ablation(graph, dataset.points,
+                                           dataset.queries, params, strategy)
         qps[strategy] = report.queries_per_second()
         rows.append([f"song/{strategy}",
                      recall_at_k(report.ids, ground_truth),
                      qps[strategy], report.structure_fraction()])
 
-    deleting = song_search(graph, dataset.points, dataset.queries,
-                           SongParams(k=config.k, pq_bound=64,
-                                      visited_deletion=True))
+    deleting = song_visited_ablation(graph, dataset.points, dataset.queries,
+                                     params, "deletion")
     qps["hash+deletion"] = deleting.queries_per_second()
     rows.append(["song/hash+deletion (fixed 2k H)",
                  recall_at_k(deleting.ids, ground_truth),
@@ -65,7 +68,6 @@ def test_ablation_visited_strategies(config, graph_of, datasets, emit,
     assert qps["ganns"] > qps["hash"]
 
     benchmark.pedantic(
-        song_search, args=(graph, dataset.points, dataset.queries[:50],
-                           SongParams(k=config.k, pq_bound=64,
-                                      visited_strategy="bitmap")),
+        song_visited_ablation, args=(graph, dataset.points,
+                                     dataset.queries[:50], params, "bitmap"),
         rounds=1, iterations=1)

@@ -45,8 +45,10 @@ def _memo_key(dataset: Dataset, params: BuildParams, algorithm: str,
 def build() -> Callable[..., ConstructionReport]:
     """:func:`repro.bench.runner.build`, run once per key per session.
 
-    The memo keeps each report without its graph (the construction
-    benches read seconds; searches ask :func:`graph_of`).
+    The one memo, which :func:`graph_of` reads too: each report is kept
+    with its graph when it was built on the serving device (what the
+    searches run on), and without it otherwise (the construction-device
+    benches read seconds), so the session's memory stays bounded.
     """
     memo: Dict[Tuple[Hashable, ...], ConstructionReport] = {}
 
@@ -55,7 +57,8 @@ def build() -> Callable[..., ConstructionReport]:
         key = _memo_key(dataset, params, algorithm, device)
         if key not in memo:
             report = runner.build(dataset, params, algorithm, device)
-            report.graph = None
+            if device != QUADRO_P5000:
+                report.graph = None
             memo[key] = report
         return memo[key]
 
@@ -63,17 +66,13 @@ def build() -> Callable[..., ConstructionReport]:
 
 
 @pytest.fixture(scope="session")
-def graph_of() -> Callable[..., ProximityGraph]:
+def graph_of(build) -> Callable[..., ProximityGraph]:
     """The graph of :func:`repro.bench.runner.build` on the serving
-    device, built once per key per session."""
-    memo: Dict[Tuple[Hashable, ...], ProximityGraph] = {}
+    device, read through the :func:`build` memo."""
 
     def _graph(dataset: Dataset, params: BuildParams,
                algorithm: str = "ggc-ganns") -> ProximityGraph:
-        key = _memo_key(dataset, params, algorithm, QUADRO_P5000)
-        if key not in memo:
-            memo[key] = runner.build(dataset, params, algorithm).graph
-        return memo[key]
+        return build(dataset, params, algorithm, QUADRO_P5000).graph
 
     return _graph
 

@@ -109,12 +109,15 @@ class Dataset:
 
         This is how the paper runs the Figure 9 dimensionality sweep — "we
         vary n_d from 960 to 60 on dataset GIST" — and how SIFT10M keeps
-        only the first 32 dimensions of SIFT1B vectors.
+        only the first 32 dimensions of SIFT1B vectors.  Keeping every
+        dimension returns this dataset itself.
         """
         if not 1 <= n_dims <= self.n_dims:
             raise DatasetError(
                 f"n_dims must lie in [1, {self.n_dims}], got {n_dims}"
             )
+        if n_dims == self.n_dims:
+            return self
         return Dataset(
             name=f"{self.name}-d{n_dims}",
             points=np.ascontiguousarray(self.points[:, :n_dims]),

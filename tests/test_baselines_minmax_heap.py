@@ -2,14 +2,15 @@
 
 SONG describes ``C`` as a bounded min-max heap: pop the minimum, and when
 full, drop the worst to admit a better key.  Here ``C`` is an ascending
-list of at most ``bound`` keys (``song._push_bounded``) with the same
+list of at most ``bound`` keys (``visited._push_bounded``, the queue of
+the visited-marking ablation) with the same
 semantics; these tests hold it to them.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.song import _push_bounded
+from repro.baselines.visited import _push_bounded
 
 
 def _pushed(keys, bound):

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.beam import beam_search_lanes
-from repro.baselines.song import SongParams, _push_bounded, song_search
+from repro.baselines.beam import _LOCKSTEP_MIN_LANES, beam_search_lanes
+from repro.baselines.song import SongParams, song_search
 from repro.errors import ConfigurationError, SearchError
+from repro.graphs.adjacency import ProximityGraph
+from repro.gpusim.costs import DEFAULT_COSTS
 from repro.gpusim.tracker import PhaseCategory
 from repro.metrics.recall import recall_at_k
+from tests.oracles.song_loop import song_loop
+
+PHASES = ("bulk_distance", "candidates_locating", "structures_updating")
 
 
 class TestParams:
@@ -151,86 +156,124 @@ class TestValidation:
                         SongParams(k=3), entry=10 ** 6)
 
 
-class TestVisitedDeletion:
-    """SONG's fixed-2k-hash visited-deletion optimization."""
-
-    def test_recall_preserved(self, small_graph, small_points,
-                              small_queries):
-        from repro.datasets.ground_truth import exact_knn
-        gt = exact_knn(small_points, small_queries, 10)
-        plain = song_search(small_graph, small_points, small_queries,
-                            SongParams(k=10, pq_bound=32))
-        deleting = song_search(small_graph, small_points, small_queries,
-                               SongParams(k=10, pq_bound=32,
-                                          visited_deletion=True))
-        assert recall_at_k(deleting.ids, gt) == pytest.approx(
-            recall_at_k(plain.ids, gt), abs=0.05)
-
-    def test_revisits_cost_extra_distances(self, small_graph,
-                                           small_points, small_queries):
-        """Deleting evicted entries means some vertices are visited (and
-        distance-computed) more than once — the memory/work trade."""
-        plain = song_search(small_graph, small_points, small_queries,
-                            SongParams(k=10, pq_bound=16))
-        deleting = song_search(small_graph, small_points, small_queries,
-                               SongParams(k=10, pq_bound=16,
-                                          visited_deletion=True))
-        assert (deleting.n_distance_computations
-                >= plain.n_distance_computations)
-
-    def test_memory_stays_bounded(self, small_graph, small_points,
-                                  small_queries):
-        """With deletion, H never holds more than |N| + |C| <= 2 x bound
-        entries — checked indirectly: the option is exactly what makes
-        the paper's 'fixed size 2k' claim true, and the search still
-        terminates and returns full results."""
-        report = song_search(small_graph, small_points, small_queries[:8],
-                             SongParams(k=5, pq_bound=8,
-                                        visited_deletion=True))
-        assert (report.ids[:, 0] >= 0).all()
-
-    def test_requires_hash_strategy(self):
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError, match="hash"):
-            SongParams(visited_strategy="bloom", visited_deletion=True)
+def _random_graph(rng, n, d_max, metric, full_rows=True):
+    graph = ProximityGraph(n, d_max, metric)
+    for v in range(n):
+        degree = min(d_max, n - 1)
+        if not full_rows:
+            degree = int(rng.integers(0, degree + 1))
+        graph.neighbor_ids[v, :degree] = rng.choice(
+            np.delete(np.arange(n), v), degree, replace=False)
+        graph.degrees[v] = degree
+    return graph
 
 
-#: A push of a ``(dist, id)`` key (few distinct distances, so ties are
-#: broken by id) or, as ``None``, a pop of the minimum.
-_queue_ops = st.lists(
-    st.one_of(st.none(),
-              st.tuples(st.integers(0, 6).map(float),
-                        st.integers(0, 40))),
-    max_size=120)
+@st.composite
+def song_workload(draw):
+    """A random graph (full rows or any degrees) over normal points — no
+    two distances tie — with own or shared entries, a queue bound from
+    ``k`` to ``k + 12`` and any thread count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 80))
+    dims = draw(st.sampled_from([3, 8, 17]))
+    metric = draw(st.sampled_from(["euclidean", "cosine", "ip"]))
+    graph = _random_graph(rng, n, draw(st.integers(1, 10)), metric,
+                          draw(st.booleans()))
+    k = draw(st.integers(1, min(n, 6)))
+    params = SongParams(k=k, pq_bound=k + draw(st.sampled_from([0, 1, 5,
+                                                                12])),
+                        n_threads=draw(st.sampled_from([1, 8, 32])))
+    n_lanes = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        entries = rng.integers(0, n, n_lanes)
+    else:
+        entries = np.full(n_lanes, rng.integers(0, n))
+    points = rng.normal(size=(n, dims))
+    queries = rng.normal(size=(n_lanes, dims))
+    return graph, points, queries, params, entries
 
 
-class TestBoundedQueue:
-    """SONG's ``C``: an ascending list of at most ``pq_bound`` keys."""
+def _assert_is_the_loop(report, want, rows, bound):
+    """``report``'s lanes are the loop's lanes ``rows``, byte for byte,
+    but for one stopping pop a lane may add: its ``C`` still holds a
+    candidate SONG's bounded ``C`` rejected when SONG's has run dry.
+    That pop costs one extract-and-compare in candidates locating."""
+    ids, dists, iterations, n_distances, tracker = want
+    assert np.array_equal(report.ids, ids[rows])
+    assert report.dists.tobytes() == dists[rows].tobytes()
+    extra = report.iterations - iterations[rows]
+    assert ((extra == 0) | (extra == 1)).all()
+    assert tuple(report.tracker.phase_names) == PHASES
+    for phase in ("bulk_distance", "structures_updating"):
+        assert (report.tracker.lane_cycles(phase).tobytes()
+                == tracker.lane_cycles(phase)[rows].tobytes())
+    assert (report.tracker.lane_cycles("candidates_locating").tobytes()
+            == (tracker.lane_cycles("candidates_locating")[rows]
+                + extra * DEFAULT_COSTS.song_locate_cycles(0, bound)
+                ).tobytes())
+    if len(rows) == len(ids):
+        assert report.n_distance_computations == n_distances
 
-    @given(_queue_ops, st.integers(min_value=1, max_value=12))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force_model(self, operations, bound):
-        """Any interleaving of pushes and pops keeps exactly the
-        ``bound`` smallest keys: a full queue rejects a key no better
-        than its worst and otherwise evicts (and returns) the worst."""
-        queue, model = [], []
-        for key in operations:
-            if key is None:
-                if model:
-                    smallest = min(model)
-                    model.remove(smallest)
-                    assert queue.pop(0) == smallest
-                continue
-            if len(model) == bound and key >= max(model):
-                expected = (False, None)
-            elif len(model) == bound:
-                worst = max(model)
-                model.remove(worst)
-                model.append(key)
-                expected = (True, worst)
-            else:
-                model.append(key)
-                expected = (True, None)
-            assert _push_bounded(queue, key, bound) == expected
-            assert queue == sorted(model)
-            assert len(queue) <= bound
+
+class TestLoopOracle:
+    """``song_search`` is Algorithm 1 priced by SONG's clock.  Without
+    distance ties it expands what SONG's own per-query loop
+    (``tests/oracles/song_loop.py``) expands: equal ids, distance bytes,
+    distance counts and per-lane bulk-distance and updating cycles, and
+    iterations and locating cycles up to one stopping pop — below the
+    40-lane crossover (per-lane heap loops) and from it (lock-step)."""
+
+    @given(song_workload())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_loop_on_both_sides_of_the_crossover(self, workload):
+        graph, points, queries, params, entries = workload
+        want = song_loop(graph, points, queries, params, entries)
+        n = len(queries)
+        _assert_is_the_loop(
+            song_search(graph, points, queries, params, entries), want,
+            np.arange(n), params.pq_bound)
+        wide = -(-_LOCKSTEP_MIN_LANES // n) * n
+        rows = np.resize(np.arange(n), wide)
+        _assert_is_the_loop(
+            song_search(graph, points, queries[rows], params,
+                        entries[rows]), want, rows, params.pq_bound)
+
+    @pytest.mark.parametrize("n_lanes", [1, _LOCKSTEP_MIN_LANES])
+    def test_a_dry_bounded_queue_skips_the_stopping_pop(self, n_lanes):
+        """``k = pq_bound = 1``: the entry's neighbors 1 and 2 are both
+        nearer than it, SONG's one-slot ``C`` keeps only 1 and runs dry
+        after expanding it (two iterations); Algorithm 1 kept 2 and pops
+        it to stop (three) — same ids, distances and distance count."""
+        points = np.array([[3.0], [0.1], [1.0]])
+        graph = ProximityGraph(3, 2, "euclidean")
+        graph.neighbor_ids[0] = [1, 2]
+        graph.degrees[:] = [2, 0, 0]
+        queries = np.zeros((n_lanes, 1))
+        params = SongParams(k=1, pq_bound=1)
+        want = song_loop(graph, points, queries, params,
+                         np.zeros(n_lanes, dtype=np.int64))
+        report = song_search(graph, points, queries, params)
+        assert (want[2] == 2).all() and (report.iterations == 3).all()
+        _assert_is_the_loop(report, want, np.arange(n_lanes), 1)
+
+    def test_tied_corpus_costs_algorithm_1_more_iterations(self):
+        """The declared tie difference: SONG's full ``C`` rejects a
+        candidate no better than its worst, which Algorithm 1 keeps and —
+        when its distance ties ``N``'s worst as it is popped — expands.
+        On this corpus of duplicated half-integer points, queried at
+        corpus points, the ids and distances agree and one lane runs
+        three more iterations.  (On other tied corpora the extra
+        expansion can also find other ids, or end a lane sooner.)"""
+        rng = np.random.default_rng(8)
+        points = rng.integers(0, 6, size=(60, 2)) / 2.0
+        graph = _random_graph(rng, 60, 8, "euclidean")
+        queries = points[rng.integers(0, 60, 8)]
+        params = SongParams(k=3, pq_bound=4)
+        report = song_search(graph, points, queries, params)
+        ids, dists, iterations, n_distances, _ = song_loop(
+            graph, points, queries, params, np.zeros(8, dtype=np.int64))
+        assert np.array_equal(report.ids, ids)
+        assert report.dists.tobytes() == dists.tobytes()
+        assert (report.iterations >= iterations).all()
+        assert (report.iterations - iterations).max() == 3
+        assert report.n_distance_computations > n_distances

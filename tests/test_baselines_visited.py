@@ -1,13 +1,21 @@
 """Tests for the visited-marking strategies (Section III-A design space)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.song import SongParams, song_search
 from repro.baselines.visited import (
     Bitmap,
     BloomFilter,
+    _push_bounded,
     make_visited_set,
+    song_visited_ablation,
 )
+from repro.datasets.ground_truth import exact_knn
 from repro.errors import ConfigurationError
+from repro.metrics.recall import recall_at_k
 
 
 class TestBloomFilter:
@@ -86,36 +94,129 @@ class TestFactory:
 
 
 class TestSongIntegration:
+    """SONG under the ablation's markings against its hash
+    (``song_search``)."""
+
     def test_bloom_false_positives_can_only_lose_candidates(
             self, small_graph, small_points, small_queries):
         """Bloom-filtered SONG never returns wrong distances, but may
         miss neighbors the exact-hash variant finds."""
-        from repro.baselines.song import SongParams, song_search
         exact = song_search(small_graph, small_points, small_queries,
                             SongParams(k=10, pq_bound=64))
-        bloom = song_search(small_graph, small_points, small_queries,
-                            SongParams(k=10, pq_bound=64,
-                                       visited_strategy="bloom"))
-        from repro.datasets.ground_truth import exact_knn
-        from repro.metrics.recall import recall_at_k
+        bloom = song_visited_ablation(small_graph, small_points,
+                                      small_queries,
+                                      SongParams(k=10, pq_bound=64),
+                                      "bloom")
         gt = exact_knn(small_points, small_queries, 10)
         assert (recall_at_k(bloom.ids, gt)
                 <= recall_at_k(exact.ids, gt) + 1e-9)
 
     def test_bitmap_costs_more_structure_time(self, small_graph,
                                               small_points, small_queries):
-        from repro.baselines.song import SongParams, song_search
+        params = SongParams(k=10, pq_bound=32)
         hash_run = song_search(small_graph, small_points,
-                               small_queries[:10],
-                               SongParams(k=10, pq_bound=32))
-        bitmap_run = song_search(small_graph, small_points,
-                                 small_queries[:10],
-                                 SongParams(k=10, pq_bound=32,
-                                            visited_strategy="bitmap"))
+                               small_queries[:10], params)
+        bitmap_run = song_visited_ablation(small_graph, small_points,
+                                           small_queries[:10], params,
+                                           "bitmap")
         assert (bitmap_run.tracker.total_cycles()
                 > hash_run.tracker.total_cycles())
 
-    def test_invalid_strategy_rejected(self):
-        from repro.baselines.song import SongParams
-        with pytest.raises(ConfigurationError, match="visited_strategy"):
-            SongParams(visited_strategy="cuckoo")
+    def test_bitmap_searches_as_the_hash_does(self, small_graph,
+                                              small_points, small_queries):
+        """The bitmap is exact: its traversal is Algorithm 1's."""
+        params = SongParams(k=10, pq_bound=32)
+        hash_run = song_search(small_graph, small_points, small_queries,
+                               params)
+        bitmap_run = song_visited_ablation(small_graph, small_points,
+                                           small_queries, params, "bitmap")
+        assert np.array_equal(bitmap_run.ids, hash_run.ids)
+        assert bitmap_run.dists.tobytes() == hash_run.dists.tobytes()
+        assert np.array_equal(bitmap_run.iterations, hash_run.iterations)
+
+    def test_invalid_strategy_rejected(self, small_graph, small_points,
+                                       small_queries):
+        with pytest.raises(ConfigurationError, match="visited strategy"):
+            song_visited_ablation(small_graph, small_points,
+                                  small_queries, SongParams(), "cuckoo")
+
+
+class TestVisitedDeletion:
+    """SONG's fixed-2k-hash visited-deletion optimization."""
+
+    def test_recall_preserved(self, small_graph, small_points,
+                              small_queries):
+        gt = exact_knn(small_points, small_queries, 10)
+        params = SongParams(k=10, pq_bound=32)
+        plain = song_search(small_graph, small_points, small_queries,
+                            params)
+        deleting = song_visited_ablation(small_graph, small_points,
+                                         small_queries, params, "deletion")
+        assert recall_at_k(deleting.ids, gt) == pytest.approx(
+            recall_at_k(plain.ids, gt), abs=0.05)
+
+    def test_revisits_cost_extra_distances(self, small_graph,
+                                           small_points, small_queries):
+        """Deleting evicted entries means some vertices are visited (and
+        distance-computed) more than once — the memory/work trade."""
+        params = SongParams(k=10, pq_bound=16)
+        plain = song_search(small_graph, small_points, small_queries,
+                            params)
+        deleting = song_visited_ablation(small_graph, small_points,
+                                         small_queries, params, "deletion")
+        assert (deleting.n_distance_computations
+                >= plain.n_distance_computations)
+
+    def test_memory_stays_bounded(self, small_graph, small_points,
+                                  small_queries):
+        """With deletion, H never holds more than |N| + |C| <= 2 x bound
+        entries — checked indirectly: the option is exactly what makes
+        the paper's 'fixed size 2k' claim true, and the search still
+        terminates and returns full results."""
+        report = song_visited_ablation(small_graph, small_points,
+                                       small_queries[:8],
+                                       SongParams(k=5, pq_bound=8),
+                                       "deletion")
+        assert (report.ids[:, 0] >= 0).all()
+
+
+#: A push of a ``(dist, id)`` key (few distinct distances, so ties are
+#: broken by id) or, as ``None``, a pop of the minimum.
+_queue_ops = st.lists(
+    st.one_of(st.none(),
+              st.tuples(st.integers(0, 6).map(float),
+                        st.integers(0, 40))),
+    max_size=120)
+
+
+class TestBoundedQueue:
+    """SONG's ``C`` in the ablation: an ascending list of at most
+    ``pq_bound`` keys."""
+
+    @given(_queue_ops, st.integers(min_value=1, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_model(self, operations, bound):
+        """Any interleaving of pushes and pops keeps exactly the
+        ``bound`` smallest keys: a full queue rejects a key no better
+        than its worst and otherwise evicts (and returns) the worst."""
+        queue, model = [], []
+        for key in operations:
+            if key is None:
+                if model:
+                    smallest = min(model)
+                    model.remove(smallest)
+                    assert queue.pop(0) == smallest
+                continue
+            if len(model) == bound and key >= max(model):
+                expected = (False, None)
+            elif len(model) == bound:
+                worst = max(model)
+                model.remove(worst)
+                model.append(key)
+                expected = (True, worst)
+            else:
+                model.append(key)
+                expected = (True, None)
+            assert _push_bounded(queue, key, bound) == expected
+            assert queue == sorted(model)
+            assert len(queue) <= bound

@@ -108,6 +108,10 @@ class TestDatasetMethods:
         assert np.array_equal(smaller.points, dataset.points[:, :32])
         assert smaller.n_points == dataset.n_points
 
+    def test_truncate_dims_keeping_every_dimension_is_the_dataset(
+            self, dataset):
+        assert dataset.truncate_dims(dataset.n_dims) is dataset
+
     def test_truncate_dims_bounds(self, dataset):
         with pytest.raises(DatasetError):
             dataset.truncate_dims(0)
