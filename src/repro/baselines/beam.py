@@ -27,14 +27,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush, heappushpop
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import SearchError
 from repro.graphs.adjacency import ProximityGraph
 from repro.metrics.distance import Metric
-from repro.perf.arena import BITMAP_BUDGET_BYTES, EvaluatedPairs
+from repro.perf.arena import EvaluatedPairs, lanes_per_call
 from repro.perf.distance import CHUNK_ELEMENTS
 
 #: Lanes below which :func:`beam_search_lanes` runs per-lane heap loops
@@ -44,6 +44,13 @@ from repro.perf.distance import CHUNK_ELEMENTS
 _LOCKSTEP_MIN_LANES = 40
 
 _NO_ID = np.iinfo(np.int64).max
+
+#: Gathered elements past which a lock-step step evaluates its fresh
+#: runs in cache-sized blocks, as :func:`_narrow` does: 3.7 times the
+#: widest step of the end-to-end benchmark's builds (282,624 elements),
+#: so only very wide high-dimensional calls block (SONG's 400 GIST
+#: lanes gathered up to 200 MB at once).
+_LOCKSTEP_GATHER_CAP = 1 << 20
 
 
 @dataclass
@@ -211,8 +218,8 @@ def _narrow(graph: ProximityGraph, points: np.ndarray,
 
 
 def _blocked_distances(metric: Metric, queries: np.ndarray,
-                       points: np.ndarray, flat: list, counts: list,
-                       limit: int) -> list:
+                       points: np.ndarray, flat: Sequence[int],
+                       counts: Sequence[int], limit: int) -> list:
     """``metric.one_to_many_runs(queries, points[flat], counts)`` as a
     list, one call per block of whole runs: at most ``limit`` rows, or
     one run that alone is longer, so each gather stays cache-sized."""
@@ -257,9 +264,10 @@ def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
     needs distances (:func:`_narrow`).  From there on every lane
     advances one candidate per step: ``C`` holds its open candidates in
     a row per lane, and also drops any candidate farther than its
-    ``ef``-th nearest; the visited set ``H`` is a bitmap of ``window``
-    (default ``n``) bits per lane; lanes whose bitmaps would pass
-    ``BITMAP_BUDGET_BYTES`` are searched in several calls.
+    ``ef``-th nearest; the visited set ``H`` is a map of ``window``
+    (default ``n``) flags per lane; lanes whose maps would pass
+    ``repro.perf.arena.BITMAP_BUDGET_BYTES`` are searched in several
+    calls.
 
     Args:
         graph: Proximity graph over ``points``; rows hold distinct ids
@@ -274,7 +282,7 @@ def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
         window: When given, every vertex lane ``i`` can reach lies in
             ``[entries[i], entries[i] + window)`` — the disjoint id
             ranges of a block-diagonal graph — and ``H`` costs
-            ``window`` bits per lane.
+            ``window`` bytes per lane.
 
     Returns:
         A :class:`BeamLanes`.
@@ -289,7 +297,7 @@ def beam_search_lanes(graph: ProximityGraph, points: np.ndarray,
     if n_lanes < _LOCKSTEP_MIN_LANES:
         return _narrow(graph, points, queries, k, ef, entries, metric)
     span = graph.n_vertices if window is None else window
-    width = max(_LOCKSTEP_MIN_LANES, BITMAP_BUDGET_BYTES // -(-span // 8))
+    width = lanes_per_call(span, 0, _LOCKSTEP_MIN_LANES)
     parts = [_lockstep(graph, points, queries[lo:lo + width], k, ef,
                        entries[lo:lo + width], metric, window)
              for lo in range(0, n_lanes, width)]
@@ -307,13 +315,16 @@ def _lockstep(graph: ProximityGraph, points: np.ndarray,
     pops pushed into ``N``, one more if the stopping pop happened), the
     degrees it scanned and the distances it evaluated — ``N``'s pushes
     overflow once ``N`` holds ``ef``, so the heap operations are ``pops
-    + t + max(t - ef, 0) + distances``.
+    + t + max(t - ef, 0) + distances``.  A step whose fresh rows pass
+    ``_LOCKSTEP_GATHER_CAP`` gathered elements evaluates them a
+    cache-sized block of whole runs at a time (:func:`_blocked_distances`).
 
     Returns:
         The :class:`BeamLanes` fields, in order.
     """
     n_lanes = len(queries)
     queries = np.asarray(queries, dtype=np.float64)
+    limit = max(1, CHUNK_ELEMENTS // points.shape[1])
     base = entries if window is not None else None
     visited = EvaluatedPairs(n_lanes, graph.n_vertices if window is None
                              else window)
@@ -410,8 +421,12 @@ def _lockstep(graph: ProximityGraph, points: np.ndarray,
         visited.insert(lanes[hit_rows], local.take(hits))
         counts = np.bincount(hit_rows, minlength=len(lanes))
         evaluated += counts
-        fresh_d = metric.one_to_many_runs(queries[lanes], points[fresh_ids],
-                                          counts)
+        if len(fresh_ids) * points.shape[1] <= _LOCKSTEP_GATHER_CAP:
+            fresh_d = metric.one_to_many_runs(
+                queries[lanes], points[fresh_ids], counts)
+        else:
+            fresh_d = np.array(_blocked_distances(
+                metric, queries[lanes], points, fresh_ids, counts, limit))
         worst = top_d[:, ef - 1]
         if step + 1 >= ef:
             # Every active lane has pushed `step + 1` pairs: N is full and

@@ -37,7 +37,7 @@ from repro.graphs.adjacency import ProximityGraph
 from repro.gpusim.device import QUADRO_P5000
 from repro.gpusim.memory import TransferModel
 from repro.gpusim.tracker import CycleTracker
-from repro.perf.arena import BITMAP_BUDGET_BYTES
+from repro.perf.arena import lanes_per_call
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,6 @@ class StreamResult:
         return 1.0 - self.overlapped_seconds / self.serial_seconds
 
 
-#: Queries one host call of a :class:`_LaneStore` searches: wide enough
-#: that the ~100 NumPy calls of a traversal iteration are amortised
-#: (``docs/performance.md``, "host width vs simulated batch").
-_HOST_WIDTH = 512
-
-
 class _LaneStore:
     """Searches a replay's queries wide, answers its batches narrow.
 
@@ -155,7 +149,11 @@ class _LaneStore:
     (:meth:`SearchReport.take`) — so no lane is ever traversed twice, a
     retried batch or a failover re-dispatch costs a gather, and nothing
     is searched before a batch asks.  The store lives as long as the
-    replay that built it.
+    replay that built it.  The host width is
+    :func:`repro.perf.arena.lanes_per_call`'s: as many lanes as keep
+    their pools within one cache budget, so that a traversal iteration's
+    fixed cost is paid once for them all (``docs/performance.md``, "Host
+    width vs simulated batch").
 
     Several parts are one call: the search runs over their block-diagonal
     stack (:meth:`ProximityGraph.block_diagonal`, the points concatenated)
@@ -212,8 +210,9 @@ class _LaneStore:
             self._offset = np.zeros(len(parts), dtype=np.int64)
         self._searched = np.zeros(len(self._queries), dtype=bool)
         n_vertices = max(graph.n_vertices for graph, _ in self._blocks)
-        self._width = max(1, min(
-            _HOST_WIDTH, BITMAP_BUDGET_BYTES // -(-n_vertices // 8)))
+        pool_width = params.l_n * (params.rerank_factor if params.quant
+                                   else 1)
+        self._width = lanes_per_call(n_vertices, pool_width, 1)
         #: Every searched lane's results, one row per lane.
         self._report: Optional[SearchReport] = None
 

@@ -6,7 +6,7 @@ pricing, reports); this package owns their single execution path — there
 is no second implementation and no switch to ask for one:
 
 - :mod:`repro.perf.arena` — one search call's buffers, allocated once
-  per call, with active-query compaction, and the evaluated-pairs bitmap
+  per call, with active-query compaction, and the evaluated-pairs map
   behind the lazy check (a distance is evaluated once, charged always);
 - :mod:`repro.perf.distance` — GEMM-style dtype-preserving distance
   engines with precomputed norms;

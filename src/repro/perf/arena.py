@@ -1,5 +1,5 @@
 """Working state of one GANNS traversal call: the search arena and the
-evaluated-pairs bitmap.
+evaluated-pairs map.
 
 A textbook batched search allocates fresh arrays every iteration
 (``np.concatenate`` for the merge input, a ``pool[act]`` gather per
@@ -21,54 +21,72 @@ Both live for one call and are dropped on return: no search leaves
 behind anything the next one could read.  (A replay searches wide —
 ``core/pipeline.py::_LaneStore`` — so a call is a whole batch of
 queries, and building its arena is a negligible share of it.)
+:func:`lanes_per_call` is how wide a call may be.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Single-bit masks, indexed by bit position within a byte.
-_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
-
-#: Ceiling on the :class:`EvaluatedPairs` bitmaps of one search call
-#: (``ceil(n / 8)`` bytes per query or lane): past ~1M vertices, wide
-#: calls split (Algorithm 1's lock-step lanes, a replay's lane store).
+#: Ceiling on the :class:`EvaluatedPairs` maps of one search call
+#: (``n`` bytes per query or lane: 16,777 lanes over 4,000 vertices, 67
+#: over a million); wider calls split (Algorithm 1's lock-step lanes, a
+#: replay's lane store).
 BITMAP_BUDGET_BYTES = 64 << 20
+
+#: Bytes of one pool slot at most: a float64 distance, an int64 id and
+#: an explored flag.
+POOL_SLOT_BYTES = 17
+
+#: Cache budget for the pools of one search call: every iteration pays
+#: a fixed cost once for the whole call, so a call takes as many lanes
+#: as keep their pools this size (1,927 at ``l_n = 64``).
+POOL_BUDGET_BYTES = 2 << 20
+
+
+def lanes_per_call(n_vertices: int, pool_width: int, at_least: int) -> int:
+    """Lanes one search call takes: the most whose
+    :class:`EvaluatedPairs` rows over ``n_vertices`` fit
+    :data:`BITMAP_BUDGET_BYTES` and, for a search with pools of
+    ``pool_width`` slots (``0``: none), whose pools fit
+    :data:`POOL_BUDGET_BYTES` — but never fewer than ``at_least``."""
+    lanes = BITMAP_BUDGET_BYTES // max(int(n_vertices), 1)
+    if pool_width:
+        lanes = min(lanes,
+                    POOL_BUDGET_BYTES // (pool_width * POOL_SLOT_BYTES))
+    return max(at_least, lanes)
 
 
 class EvaluatedPairs:
-    """"This (query, vertex) distance was evaluated in this call" bitmap.
+    """"This (query, vertex) distance was evaluated in this call" map.
 
-    The lazy check's host form, one bit per (query, vertex): set when a
+    The lazy check's host form, one flag per (query, vertex): set when a
     T record is evaluated, never cleared.  It admits the same entrants
     as the paper's scan of the pool — a record that is out of the pool
     again sits at or behind a last pool record that only ever moves
     forward (``docs/performance.md``, "Charged vs evaluated distances")
     — so a distance is computed once per pair however often it is
     charged.  Keyed by the caller's query row, so compaction moves
-    nothing.  ``n_queries * ceil(n / 8)`` bytes.
+    nothing.  ``n_queries * n`` bytes: a flag is a byte, not a bit, so
+    a lookup is one gather and an insert one scatter (two records of
+    one call may share a bitmap's byte, which needs ``ufunc.at``).
     """
 
     def __init__(self, n_queries: int, n_vertices: int):
-        #: Bits per query row, a whole number of bytes.
-        self.stride = -(-int(n_vertices) // 8) * 8
-        self.bits = np.zeros(int(n_queries) * (self.stride // 8),
-                             dtype=np.uint8)
+        self.stride = int(n_vertices)
+        self.flags = np.zeros(int(n_queries) * self.stride, dtype=bool)
 
     def contains(self, query_rows: np.ndarray,
                  ids: np.ndarray) -> np.ndarray:
         """``(m, w)`` membership of ``ids[j]`` in query ``query_rows[j]``.
-        Pad ids (``-1``) read the bit before the row's first: in bounds
-        and meaningless — callers mask those lanes."""
-        flat = query_rows[:, None] * self.stride + ids
-        return (self.bits.take(flat >> 3, mode="wrap")
-                & _BIT.take(flat & 7)) != 0
+        Pad ids (``-1``, or ``-1`` less a block offset) read a clipped
+        flag: in bounds and meaningless — callers mask those lanes."""
+        return self.flags.take(query_rows[:, None] * self.stride + ids,
+                               mode="clip")
 
     def insert(self, query_rows: np.ndarray, ids: np.ndarray) -> None:
-        """Set ``ids[j]`` in query ``query_rows[j]`` (flat, aligned).
-        ``ufunc.at`` because two records of one call may share a byte."""
-        flat = query_rows * self.stride + ids
-        np.bitwise_or.at(self.bits, flat >> 3, _BIT.take(flat & 7))
+        """Set ``ids[j]`` in query ``query_rows[j]`` (flat, aligned)."""
+        self.flags[query_rows * self.stride + ids] = True
 
 
 class SearchArena:
@@ -76,7 +94,9 @@ class SearchArena:
 
     Pools start padded with ``(+inf, -1, explored=True)`` — never
     selected for exploration, always sorted to the tail — and every
-    query active in compact row ``i == query_rows[i]``.
+    query active in compact row ``i == query_rows[i]``.  A lane's
+    running totals sit in its compact row too, written out once, when
+    it retires.
 
     Args:
         n_queries: Number of queries (compact rows).
@@ -95,32 +115,39 @@ class SearchArena:
         self.pool_dists = np.full(shape_n, np.inf, dtype=self.dtype)
         self.pool_ids = np.full(shape_n, -1, dtype=np.int64)
         self.pool_explored = np.ones(shape_n, dtype=bool)
+        #: Flat views of the pool, and views of its last column (the
+        #: record a newcomer must precede to enter).
+        self.flat_dists = self.pool_dists.ravel()
+        self.flat_ids = self.pool_ids.ravel()
+        self.flat_explored = self.pool_explored.ravel()
+        self.last_dists = self.pool_dists[:, -1]
+        self.last_ids = self.pool_ids[:, -1]
+        self.cols = np.arange(self.l_n)
         #: Neighbor buffer T (adjacency rows stream into it in place).
         self.t_ids = np.empty((n_queries, self.l_t), dtype=np.int64)
         self.rows = np.arange(n_queries, dtype=np.int64)
         #: Compact row -> original query row (always sorted ascending).
         self.query_rows = self.rows.copy()
+        #: Per-lane totals so far: ``bulk_distance`` cycles, and the
+        #: distances charged (column 0) and evaluated (column 1).
+        self.bulk_cycles = np.zeros(n_queries)
+        self.counts = np.zeros((n_queries, 2), dtype=np.int64)
 
-    def compact(self, m: int, keep: np.ndarray) -> int:
+    def compact(self, survivors: np.ndarray) -> int:
         """Drop finished rows; survivors move up, order preserved.
 
         Args:
-            m: Current number of active compact rows.
-            keep: ``(m,)`` boolean mask of rows that stay active.
+            survivors: Ascending compact rows that stay active.
 
         Returns:
             The new number of active rows.
         """
-        survivors = np.flatnonzero(keep)
         new_m = len(survivors)
-        if new_m == m:
-            return m
-        # One gather per live buffer; the temporaries are (new_m, l_n)
+        # One gather per row buffer; the temporaries are (new_m, l_n)
         # and only materialise on iterations where queries finished.
-        self.pool_dists[:new_m] = self.pool_dists[survivors]
-        self.pool_ids[:new_m] = self.pool_ids[survivors]
-        self.pool_explored[:new_m] = self.pool_explored[survivors]
-        self.query_rows[:new_m] = self.query_rows[survivors]
+        for rows in (self.pool_dists, self.pool_ids, self.pool_explored,
+                     self.query_rows, self.bulk_cycles, self.counts):
+            rows[:new_m] = rows[survivors]
         return new_m
 
 

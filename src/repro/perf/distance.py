@@ -169,7 +169,7 @@ def _block_products(rows: np.ndarray, queries: np.ndarray,
                     query_rows: np.ndarray, cand_ids: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """One block of :func:`_gathered_products`: one gather, one einsum."""
-    gathered = np.take(rows, cand_ids, axis=0, mode="clip")
+    gathered = rows.take(cand_ids, axis=0, mode="clip")
     if gathered.dtype != queries.dtype:
         gathered = gathered.astype(queries.dtype)
     return np.einsum("mtd,md->mt", gathered, queries[query_rows], out=out)
@@ -185,7 +185,7 @@ def _gathered_distances(metric: Metric, products: np.ndarray,
     if point_norms is None:
         return metric.from_products(products)
     return metric.from_products(
-        products, np.take(point_norms, cand_ids, mode="clip"),
+        products, point_norms.take(cand_ids, mode="clip"),
         query_norms[query_rows, None])
 
 

@@ -15,7 +15,7 @@ a whole query batch in lock-step:
   einsum per block, so a wide high-dimensional iteration never streams
   its gathered rows through DRAM;
 - phase 4's duplicate check is one gather from a per-call
-  :class:`repro.perf.arena.EvaluatedPairs` bitmap, taken *before*
+  :class:`repro.perf.arena.EvaluatedPairs` map, taken *before*
   phase 3: a (query, vertex) distance is evaluated once per call and
   charged every time the simulated kernel would recompute it (same
   entrants as the paper's scan of N — ``docs/performance.md``,
@@ -26,10 +26,11 @@ a whole query batch in lock-step:
   two of the ``l_t`` computed — are sorted, ranked and written, and
   only the rows they touch are rewritten;
 - the per-iteration host cost follows those records, not the phase
-  count: ``bulk_distance`` is charged every iteration (its addends vary
-  per lane), the five constant-cost phases once per call, for each
-  lane's pass count (:func:`_charge_passes`; the simulated kernel runs
-  its networks whatever T holds, so the bill is the same).
+  count: ``bulk_distance`` (its addends vary per lane) and the distance
+  counts add up in each lane's compact row and reach the tracker when
+  the lane retires, the five constant-cost phases once per call, for
+  each lane's pass count (:func:`_charge_passes`; the simulated kernel
+  runs its networks whatever T holds, so the bill is the same).
 
 Contract (``tests/test_perf_equivalence.py``,
 ``tests/test_perf_properties.py``, ``tests/test_core_ganns_kernel.py``):
@@ -79,6 +80,13 @@ from repro.perf.quant import QuantizedGroupEngine, charged_dims, \
 _MAX_ITERATION_FACTOR = 64
 
 
+#: Survivors up to which :func:`_insert_merge` ranks them with one
+#: ``lexsort``; past it, three single-key sorts are faster, since one
+#: ``lexsort`` runs three stable indirect sorts (at 356 survivors 11 µs
+#: against 25; at 2,000, 306 µs against 78).
+_LEXSORT_MAX_SURVIVORS = 400
+
+
 def _insert_merge(arena: SearchArena, row: np.ndarray, dist: np.ndarray,
                   ident: np.ndarray) -> None:
     """Phases 5+6: merge this iteration's fresh T records into the pools.
@@ -102,36 +110,34 @@ def _insert_merge(arena: SearchArena, row: np.ndarray, dist: np.ndarray,
     """
     width = arena.l_n
     pool_dists, pool_ids = arena.pool_dists, arena.pool_ids
-    flat_dists = pool_dists.ravel()
-    last = row * width + (width - 1)
-    last_dist = flat_dists.take(last)
-    accept = np.flatnonzero(
-        (dist < last_dist)
-        | ((dist == last_dist) & (ident < pool_ids.ravel().take(last))))
-    if len(accept) == 0:
+    last_dist = arena.last_dists[row]
+    accept = dist < last_dist
+    tie = dist == last_dist
+    if tie.any():
+        accept |= tie & (ident < arena.last_ids[row])
+    accept = accept.nonzero()[0]
+    n = len(accept)
+    if n == 0:
         return
-    row, dist, ident = row.take(accept), dist.take(accept), \
-        ident.take(accept)
-    # Sort by ``(row, dist, id)`` with three single-key sorts, where
-    # ``lexsort`` would run three stable indirect ones (a wide batch's
-    # first iterations offer thousands of survivors): rank by
-    # ``(dist, id)`` — a distance sort, then a stable sort of
-    # ``(distance rank, id)`` keys that are already in order except
-    # where distances tie — and sort by row, then that rank.  No key
-    # reaches ``n * (max id + 1)`` or ``m * n``.
-    n = len(row)
-    by_dist = np.argsort(dist)
-    sorted_dist = dist.take(by_dist)
-    dist_rank = np.concatenate(
-        ([0], np.cumsum(sorted_dist[1:] != sorted_dist[:-1])))
-    by_dist = by_dist.take(np.argsort(
-        dist_rank * (int(ident.max()) + 1) + ident.take(by_dist),
-        kind="stable"))
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_dist] = np.arange(n)
-    order = np.argsort(row * n + rank)
-    dist = dist.take(order)
-    ident = ident.take(order)
+    row, dist, ident = row[accept], dist[accept], ident[accept]
+    if n <= _LEXSORT_MAX_SURVIVORS:
+        order = np.lexsort((ident, dist, row))
+    else:
+        # A wide batch's first iterations offer thousands of survivors:
+        # rank by ``(dist, id)`` — a distance sort, then a stable sort
+        # of ``(distance rank, id)`` keys that are already in order
+        # except where distances tie — and sort by row, then that rank.
+        # No key reaches ``n * (max id + 1)`` or ``m * n``.
+        by_dist = dist.argsort()
+        sorted_dist = dist[by_dist]
+        dist_rank = np.concatenate(
+            ([0], (sorted_dist[1:] != sorted_dist[:-1]).cumsum()))
+        by_dist = by_dist[(dist_rank * (int(ident.max()) + 1)
+                           + ident[by_dist]).argsort(kind="stable")]
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_dist] = np.arange(n)
+        order = (row * n + rank).argsort()
+    row, dist, ident = row[order], dist[order], ident[order]
 
     # Pool records ahead of each survivor: the strictly nearer ones —
     # a sorted row's prefix, which ends before the last record (the
@@ -139,33 +145,34 @@ def _insert_merge(arena: SearchArena, row: np.ndarray, dist: np.ndarray,
     # them — plus, where the record it would displace is equidistant
     # (one probe finds every tie), those with an id <= its own.
     ahead = (pool_dists.take(row, axis=0) < dist[:, None]).argmin(axis=1)
-    tied = np.flatnonzero(flat_dists.take(row * width + ahead) == dist)
-    if len(tied):
+    tied = arena.flat_dists[row * width + ahead] == dist
+    if tied.any():
         tied_row = row[tied]
         ahead[tied] += ((pool_dists[tied_row] == dist[tied, None])
                         & (pool_ids[tied_row] <= ident[tied, None])
                         ).sum(axis=1)
     run_start = np.concatenate(([True], row[1:] != row[:-1]))
-    first = np.flatnonzero(run_start)
-    touched = row.take(first)
-    group = np.cumsum(run_start) - 1
-    within = np.arange(n) - first.take(group)
-    slot = ahead + within
+    first = run_start.nonzero()[0]
+    touched = row[first]
+    group = run_start.cumsum() - 1
+    slot = ahead + np.arange(n) - first[group]
     # A run's first record always lands (it beat the last pool record):
     # every touched row keeps one.
-    kept = np.flatnonzero(slot < width)
-    group, slot = group.take(kept), slot.take(kept)
-    dist, ident = dist.take(kept), ident.take(kept)
+    kept = slot < width
+    group, slot, dist, ident = group[kept], slot[kept], dist[kept], \
+        ident[kept]
 
     taken = np.zeros((len(touched), width), dtype=bool)
     taken[group, slot] = True
     # Flat source of every pool-sourced slot; a taken slot computes a
     # column to its left (-1 at worst, hence the clip) and is overwritten.
-    source = (np.arange(width) - np.cumsum(taken, axis=1)
+    source = (arena.cols - taken.cumsum(axis=1)
               + (touched * width)[:, None])
-    for pool, entering in ((pool_dists, dist), (pool_ids, ident),
-                           (arena.pool_explored, False)):
-        merged = pool.ravel().take(source, mode="clip")
+    for pool, flat, entering in (
+            (pool_dists, arena.flat_dists, dist),
+            (pool_ids, arena.flat_ids, ident),
+            (arena.pool_explored, arena.flat_explored, False)):
+        merged = flat.take(source, mode="clip")
         merged[group, slot] = entering
         pool[touched] = merged
 
@@ -216,8 +223,12 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
     """
     n_queries = m = len(out_ids)
     l_t = graph.d_max
+    per_vector_cost = costs.single_distance_cycles(dist_dims, n_t)
 
-    # Initialisation: load the entry vertex into N.
+    # Initialisation: load the entry vertex into N.  A lane's
+    # ``bulk_distance`` charge and distance counts run in its compact
+    # row and reach the tracker once, when it retires: the same float
+    # additions in the same order as a charge per pass.
     entry_dists = engine.pairs(arena.rows[:m], entries[:, None])[:, 0]
     arena.pool_dists[:m, 0] = entry_dists
     arena.pool_ids[:m, 0] = entries
@@ -225,16 +236,13 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
     if lazy_check:
         seen = EvaluatedPairs(n_queries, graph.n_vertices)
         seen.insert(arena.query_rows[:m], entries)
-    tracker.charge("bulk_distance",
-                   costs.single_distance_cycles(dist_dims, n_t))
-    n_distance_computations = np.ones(n_queries, dtype=np.int64)
-    n_evaluations = np.ones(n_queries, dtype=np.int64)
+    arena.bulk_cycles[:m] = per_vector_cost
+    arena.counts[:m] = 1
 
-    per_vector_cost = costs.single_distance_cycles(dist_dims, n_t)
-    flat_pool_ids = arena.pool_ids.ravel()
-    flat_explored = arena.pool_explored.ravel()
-
+    flat_pool_ids, flat_explored = arena.flat_ids, arena.flat_explored
     iterations = np.zeros(n_queries, dtype=np.int64)
+    n_distance_computations = np.empty(n_queries, dtype=np.int64)
+    n_evaluations = np.empty(n_queries, dtype=np.int64)
     max_iterations = _MAX_ITERATION_FACTOR * e_budget + 256
     loops = 0  # passes that explored: every lane's count so far
 
@@ -245,51 +253,56 @@ def _traverse(graph: ProximityGraph, engine, arena, tracker,
         act = arena.query_rows[:m]
         # The first unexplored slot; a row with none reads an explored
         # slot 0 and retires.
-        slot = np.argmin(arena.pool_explored[:m, :e_budget], axis=1)
+        slot = arena.pool_explored[:m, :e_budget].argmin(axis=1)
         cell = arena.rows[:m] * l_pool + slot
-        has_work = ~flat_explored.take(cell)
-        if not has_work.all():
-            done = np.flatnonzero(~has_work)
+        idle = flat_explored[cell]
+        if idle.any():
+            done = idle.nonzero()[0]
             done_queries = act[done]
             iterations[done_queries] = loops
             out_ids[done_queries] = arena.pool_ids[done, :out_width]
             out_dists[done_queries] = arena.pool_dists[done, :out_width]
-            m = arena.compact(m, has_work)
+            n_distance_computations[done_queries] = arena.counts[done, 0]
+            n_evaluations[done_queries] = arena.counts[done, 1]
+            tracker.charge("bulk_distance", arena.bulk_cycles[done],
+                           done_queries)
+            busy = (~idle).nonzero()[0]
+            m = arena.compact(busy)
             if m == 0:
                 break
             act = arena.query_rows[:m]
-            cell = arena.rows[:m] * l_pool + slot[has_work]
+            cell = arena.rows[:m] * l_pool + slot[busy]
         loops += 1
         if loops > max_iterations:
             raise SearchError(
                 f"search exceeded {max_iterations} iterations; the graph "
                 f"is likely structurally corrupt"
             )
-        exploring = flat_pool_ids.take(cell)
+        exploring = flat_pool_ids[cell]
         flat_explored[cell] = True
 
         # Phase 2 — neighborhood exploration: stream adjacency rows
         # into the arena's T buffer (no intermediate copy).
         t_ids = arena.t_ids[:m]
-        np.take(graph.neighbor_ids, exploring, axis=0, out=t_ids)
-        degrees = graph.degrees.take(exploring)
+        graph.neighbor_ids.take(exploring, axis=0, out=t_ids)
+        degrees = graph.degrees[exploring]
 
         # Phases 3+4 — bulk distance computation and lazy check, both
         # charged per slot as the kernel runs them.  The host takes the
-        # check first (one gather from the evaluated-pairs bitmap) and
+        # check first (one gather from the evaluated-pairs map) and
         # evaluates only the pairs this call has never seen: no other
         # record can enter a pool (docs/performance.md, "Charged vs
         # evaluated distances").
         alive = t_ids >= 0
         if lazy_check:
             alive &= ~seen.contains(act, t_ids)
-        flat = np.flatnonzero(alive)
+        flat = alive.ravel().nonzero()[0]
         row = flat // l_t
-        queries, fresh = act.take(row), t_ids.ravel().take(flat)
+        queries, fresh = act[row], t_ids.ravel()[flat]
         dist = engine.pairs(queries, fresh[:, None])[:, 0]
-        tracker.charge("bulk_distance", degrees * per_vector_cost, act)
-        n_distance_computations[act] += degrees
-        n_evaluations[act] += np.bincount(row, minlength=m)
+        arena.bulk_cycles[:m] += degrees * per_vector_cost
+        arena.counts[:m, 0] += degrees
+        arena.counts[:m, 1] += np.bincount(row, minlength=m)
         if lazy_check:
             seen.insert(queries, fresh)
 

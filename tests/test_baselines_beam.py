@@ -344,15 +344,42 @@ def test_lanes_split_when_bitmaps_pass_the_budget(small_graph, small_points,
     several lock-step calls; every lane's answer is unchanged."""
     args = (small_graph, small_points, small_queries, 5, 16, 0)
     whole = beam_search_lanes(*args)
-    with mock.patch.object(beam, "BITMAP_BUDGET_BYTES", 1):
+    with mock.patch.object(arena, "BITMAP_BUDGET_BYTES", 1):
         split = beam_search_lanes(*args)
     for field, value in vars(whole).items():
         assert np.array_equal(getattr(split, field), value), field
 
 
+def test_wide_steps_gather_in_blocks(small_graph, small_points,
+                                     small_queries):
+    """Past the gather cap a lock-step step evaluates its fresh runs a
+    cache-sized block at a time; every lane's answer is unchanged."""
+    args = (small_graph, small_points, small_queries, 5, 16, 0)
+    whole = beam_search_lanes(*args)
+    calls = []
+    real = beam._blocked_distances
+
+    def counting(*inner):
+        calls.append(len(inner[3]))
+        return real(*inner)
+
+    with mock.patch.object(beam, "_LOCKSTEP_GATHER_CAP", 1), \
+            mock.patch.object(beam, "_blocked_distances", counting):
+        blocked = beam_search_lanes(*args)
+    assert calls
+    for field, value in vars(whole).items():
+        assert getattr(blocked, field).tobytes() == value.tobytes(), field
+
+
 def test_beam_and_pipeline_share_one_bitmap_budget():
     """Algorithm 1's lock-step lanes and a replay's lane store split
-    their calls on the same 64 MiB bitmap budget."""
+    their calls by one rule, on the same 64 MiB bitmap budget."""
     assert arena.BITMAP_BUDGET_BYTES == 64 << 20
-    assert beam.BITMAP_BUDGET_BYTES is arena.BITMAP_BUDGET_BYTES
-    assert pipeline.BITMAP_BUDGET_BYTES is arena.BITMAP_BUDGET_BYTES
+    assert beam.lanes_per_call is arena.lanes_per_call
+    assert pipeline.lanes_per_call is arena.lanes_per_call
+    # Algorithm 1 holds no pool: only the bitmaps bound its calls.
+    per_lane = 1_000_000
+    assert arena.lanes_per_call(1_000_000, 0, 40) == \
+        arena.BITMAP_BUDGET_BYTES // per_lane
+    assert arena.lanes_per_call(4000, 64, 1) == 1927
+    assert arena.lanes_per_call(1 << 40, 0, 40) == 40

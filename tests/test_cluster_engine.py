@@ -39,7 +39,7 @@ from repro.metrics.recall import recall_per_query
 from repro.observability import MetricsRegistry, SpanTracer
 from repro.serve import QueryRequest, ServeEngine, synthetic_trace
 from repro.serve.cache import ResultCache
-from tests.oracles.narrow_dispatch import narrow_dispatch
+from tests.oracles.narrow_dispatch import host_width, narrow_dispatch
 from tests.oracles.shard_truth import shard_ground_truth
 
 PARAMS = SearchParams(k=8, l_n=32, e=2)
@@ -426,7 +426,8 @@ class TestWideSearches:
         assert sum(n for _, n in traversed) == 2 * lanes
         assert first.to_bytes() == second.to_bytes()
 
-    def test_chaos_replays_to_the_narrow_bytes(self, corpus, pool):
+    @pytest.mark.parametrize("width", [None, 4])
+    def test_chaos_replays_to_the_narrow_bytes(self, corpus, pool, width):
         engine, trace = self._chaos(corpus, pool, "aggressive", 0)
 
         def replay():
@@ -436,7 +437,8 @@ class TestWideSearches:
             report.verify_against_metrics()
             return (report.to_bytes(), tracer.to_json_bytes(),
                     metrics.to_json_bytes())
-        wide = replay()
+        with host_width(width):
+            wide = replay()
         with narrow_dispatch():
             assert replay() == wide
 

@@ -13,6 +13,8 @@ from repro.core.ganns import ganns_search
 from repro.core.params import SearchParams
 from repro.core.pipeline import _LaneStore, stream_batches
 from repro.errors import SearchError
+from repro.perf import arena
+from tests.oracles.narrow_dispatch import host_width
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +133,7 @@ class TestLaneStore:
                                                small_queries, data):
         quant = data.draw(st.sampled_from([None, "pca", "int8", "fp16"]))
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
-        width = data.draw(st.integers(1, 48))
+        width = data.draw(st.one_of(st.none(), st.integers(1, 48)))
         # Rows drawn with replacement: a permutation of a subset with
         # duplicates, cut into batches at random places.
         rows = data.draw(st.lists(st.integers(0, len(small_queries) - 1),
@@ -148,7 +150,7 @@ class TestLaneStore:
                 start += size
         # The store may be built over more than is ever dispatched.
         upcoming = batches + [small_queries.astype(dtype)[:3]]
-        with mock.patch.object(pipeline, "_HOST_WIDTH", width):
+        with host_width(width):
             store = _LaneStore([(small_graph, points, upcoming)], params)
         order = data.draw(st.permutations(range(len(batches))))
         for index in order:
@@ -161,7 +163,7 @@ class TestLaneStore:
     def test_nothing_is_searched_until_asked_and_no_lane_twice(
             self, small_graph, small_points, small_queries, params,
             searched_rows):
-        with mock.patch.object(pipeline, "_HOST_WIDTH", 16):
+        with host_width(16):
             store = _LaneStore([(small_graph, small_points,
                                  [small_queries])], params)
         assert searched_rows == []
@@ -178,7 +180,7 @@ class TestLaneStore:
     def test_a_wide_batch_is_one_call_whatever_the_width(
             self, small_graph, small_points, small_queries, params,
             searched_rows):
-        with mock.patch.object(pipeline, "_HOST_WIDTH", 4):
+        with host_width(4):
             store = _LaneStore([(small_graph, small_points,
                                  [small_queries])], params)
         streamed = stream_batches(small_graph, small_points,
@@ -192,14 +194,33 @@ class TestLaneStore:
     def test_width_shrinks_to_the_membership_budget(
             self, small_graph, small_points, small_queries, params,
             searched_rows):
-        per_query = -(-small_graph.n_vertices // 8)
-        with mock.patch.object(pipeline, "BITMAP_BUDGET_BYTES",
+        per_query = small_graph.n_vertices
+        with mock.patch.object(arena, "BITMAP_BUDGET_BYTES",
                                3 * per_query + 1):
             store = _LaneStore([(small_graph, small_points,
                                  [small_queries])], params)
         stream_batches(small_graph, small_points, small_queries[:1],
                        params, _lanes=store)
         assert [len(call) for call in searched_rows] == [3]
+
+    @pytest.mark.parametrize("quant, pool_width", [(None, 32),
+                                                   ("int8", 64)])
+    def test_width_is_the_lanes_whose_pools_fit_the_budget(
+            self, small_graph, small_points, small_queries, searched_rows,
+            quant, pool_width):
+        """A call takes as many lanes as keep their pools (``l_n``
+        slots, ``rerank_factor * l_n`` under ``quant``) within
+        ``POOL_BUDGET_BYTES``: 1,927 at ``l_n = 64``."""
+        assert (arena.POOL_BUDGET_BYTES
+                // (64 * arena.POOL_SLOT_BYTES)) == 1927
+        params = SearchParams(k=5, l_n=32, quant=quant)
+        with mock.patch.object(arena, "POOL_BUDGET_BYTES",
+                               7 * pool_width * arena.POOL_SLOT_BYTES):
+            store = _LaneStore([(small_graph, small_points,
+                                 [small_queries])], params)
+        stream_batches(small_graph, small_points, small_queries[:1],
+                       params, _lanes=store)
+        assert [len(call) for call in searched_rows] == [7]
 
     @pytest.mark.parametrize("change", ["params", "points",
                                         "unknown query"])
@@ -242,7 +263,7 @@ class TestManyParts:
         metric = data.draw(st.sampled_from(["euclidean", "cosine"]))
         quant = data.draw(st.sampled_from([None, None, "int8", "fp16",
                                            "pca"]))
-        width = data.draw(st.integers(1, 48))
+        width = data.draw(st.one_of(st.none(), st.integers(1, 48)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
         params = SearchParams(k=4, l_n=16, quant=quant)
         # Part sizes from below l_n upward.
@@ -261,7 +282,7 @@ class TestManyParts:
                     for lo, hi in zip([0] + cuts[:-1], cuts)]
             batches += [(part, batch) for batch in mine]
             upcoming.append((graph, points, mine))
-        with mock.patch.object(pipeline, "_HOST_WIDTH", width):
+        with host_width(width):
             store = _LaneStore(upcoming, params)
         for index in data.draw(st.permutations(range(len(batches)))):
             part, batch = batches[index]

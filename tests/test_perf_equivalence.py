@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -320,6 +321,42 @@ class TestCycleCharges:
         with pytest.raises(SearchError,
                            match=f"exceeded {needed - 1}.0 iterations"):
             ganns_search(graph, points, queries, params)
+
+
+class TestIterationCost:
+    """A traversal iteration's fixed cost is its C-level calls (each
+    NumPy call, method or builtin), whatever the width; ``sys.setprofile``
+    counts them per loop pass, and the ceilings keep a narrow call cheap
+    (``docs/performance.md``, "Where the time goes")."""
+
+    @staticmethod
+    def calls_per_iteration(monkeypatch, width):
+        graph, points, queries = _wide_graph_and_data("euclidean")
+        calls, passes = [0], []
+        real = perf_engine._traverse
+
+        def profile(frame, event, arg):
+            if event == "c_call":
+                calls[0] += 1
+
+        def counted(*args, **kwargs):
+            sys.setprofile(profile)
+            try:
+                out = real(*args, **kwargs)
+            finally:
+                sys.setprofile(None)
+            passes.append(int(out[0].max()) + 1)
+            return out
+
+        monkeypatch.setattr(perf_engine, "_traverse", counted)
+        ganns_search(graph, points, queries[:width],
+                     SearchParams(k=10, l_n=64))
+        (n_passes,) = passes
+        return calls[0] / n_passes
+
+    @pytest.mark.parametrize("width, ceiling", [(1, 45), (250, 65)])
+    def test_calls_per_iteration(self, monkeypatch, width, ceiling):
+        assert self.calls_per_iteration(monkeypatch, width) <= ceiling
 
 
 def _nsw(n, d, seed, params, **kwargs):

@@ -8,8 +8,14 @@ and per-phase cycle charges identical to the batched oracle
 and, on the draws the single-query warp kernel supports (lazy check on,
 float64), identical to ``ganns_search_kernel`` query by query as well.
 Well-separated Gaussian data (not raw hypothesis arrays) keeps the
-workloads representative of what the kernels actually see.
+workloads representative of what the kernels actually see; duplicated
+points make exact distance ties, which reach the id tiebreak and the
+rule that pool records win ties.  Every property also draws the merge's
+sort rule (``_LEXSORT_MAX_SURVIVORS``), so survivor counts fall on both
+sides of it.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,12 +28,24 @@ from repro.core.params import SearchParams
 from repro.datasets.synthetic import gaussian_mixture
 from repro.perf.arena import EvaluatedPairs, SearchArena
 from repro.perf.distance import GroupDistanceEngine
+from repro.perf import engine as perf_engine
 from repro.perf.engine import _insert_merge
 from repro.perf.quant import QuantizedGroupEngine
 from tests.oracles.ganns_batched import ganns_search_oracle
 from tests.oracles.ganns_kernel import ganns_search_kernel
 from tests.test_perf_equivalence import _assert_trackers_equal, \
     assert_matches_oracle
+
+
+#: Survivor counts up to which the merge takes one ``lexsort``: every
+#: merge a three-sort one, a mix, or the library's rule.
+LEXSORT_RULES = st.sampled_from(
+    [0, 2, perf_engine._LEXSORT_MAX_SURVIVORS])
+
+
+def lexsort_rule(max_survivors):
+    return mock.patch.object(perf_engine, "_LEXSORT_MAX_SURVIVORS",
+                             max_survivors)
 
 
 @st.composite
@@ -44,9 +62,13 @@ def search_workload(draw):
                        st.integers(min_value=1, max_value=l_n)))
     lazy_check = draw(st.booleans())
     per_query_entries = draw(st.booleans())
+    duplicated = draw(st.sampled_from([0.0, 0.25, 0.5]))
 
     points = gaussian_mixture(n, dims, n_clusters=4, cluster_std=0.3,
                               intrinsic_dim=min(4, dims), seed=seed)
+    rng = np.random.default_rng(seed)
+    copies = rng.random(n) < duplicated
+    points[copies] = points[rng.integers(0, n, int(copies.sum()))]
     queries = gaussian_mixture(n_queries, dims, n_clusters=4,
                                cluster_std=0.3,
                                intrinsic_dim=min(4, dims), seed=seed + 1)
@@ -57,19 +79,22 @@ def search_workload(draw):
     else:
         entry = draw(st.integers(min_value=0, max_value=n - 1))
     params = SearchParams(k=k, l_n=l_n, e=e)
-    return points, queries, metric, dtype, params, entry, lazy_check
+    return (points, queries, metric, dtype, params, entry, lazy_check,
+            draw(LEXSORT_RULES))
 
 
 class TestBackendProperty:
     @given(search_workload())
     @settings(max_examples=30, deadline=None)
     def test_fast_equals_reference(self, workload):
-        points, queries, metric, dtype, params, entry, lazy = workload
+        points, queries, metric, dtype, params, entry, lazy, rule = \
+            workload
         graph = build_nsw_cpu(points, d_min=4, d_max=8).graph
         graph.metric_name = metric
-        report = assert_matches_oracle(graph, points, queries, params,
-                                       dtype=dtype, entry=entry,
-                                       lazy_check=lazy)
+        with lexsort_rule(rule):
+            report = assert_matches_oracle(graph, points, queries, params,
+                                           dtype=dtype, entry=entry,
+                                           lazy_check=lazy)
         if not lazy or dtype != np.float64:
             return
         entries = np.broadcast_to(entry, (len(queries),))
@@ -114,6 +139,7 @@ def tie_heavy_workload(draw):
         "metric": draw(st.sampled_from(["euclidean", "cosine", "ip"])),
         "lazy_check": draw(st.booleans()),
         "entry": draw(st.integers(min_value=0, max_value=n - 1)),
+        "lexsort_max": draw(LEXSORT_RULES),
     }
 
 
@@ -130,7 +156,8 @@ class TestEvaluateOnceProperty:
         kwargs = dict(entry=w["entry"], lazy_check=w["lazy_check"],
                       dtype=w["dtype"])
         oracle = ganns_search_oracle(*args, **kwargs)
-        report = ganns_search(*args, **kwargs)
+        with lexsort_rule(w["lexsort_max"]):
+            report = ganns_search(*args, **kwargs)
         assert oracle.ids.tobytes() == report.ids.tobytes()
         assert oracle.dists.tobytes() == report.dists.tobytes()
         assert np.array_equal(oracle.iterations, report.iterations)
@@ -196,6 +223,7 @@ def merge_scenario(draw):
         "lazy_check": draw(st.booleans()),
         "dtype": draw(st.sampled_from([np.float64, np.float32])),
         "steps": draw(st.integers(min_value=1, max_value=5)),
+        "lexsort_max": draw(LEXSORT_RULES),
     }
 
 
@@ -280,8 +308,9 @@ class TestInsertMergeProperty:
                 arena.pool_explored[:m], true_dists, t_ids, expected_dead)
 
             row, lane = np.nonzero(alive)
-            _insert_merge(arena, row, true_dists[row, lane],
-                          t_ids[row, lane])
+            with lexsort_rule(sc["lexsort_max"]):
+                _insert_merge(arena, row, true_dists[row, lane],
+                              t_ids[row, lane])
             if seen is not None:
                 ever[row, t_ids[row, lane]] = True
                 seen.insert(query_rows[row], t_ids[row, lane])

@@ -16,7 +16,7 @@ from repro.serve import (
     ResultCache,
     ServeEngine,
 )
-from tests.oracles.narrow_dispatch import narrow_dispatch
+from tests.oracles.narrow_dispatch import host_width, narrow_dispatch
 
 PARAMS = SearchParams(k=5, l_n=32)
 
@@ -347,8 +347,9 @@ class TestWideSearches:
         engine.replay(trace)
         assert sum(n for _, n in traversed) == 2 * lanes
 
+    @pytest.mark.parametrize("width", [None, 4])
     def test_degraded_tier_replays_to_the_narrow_bytes(
-            self, small_graph, small_points, small_queries):
+            self, small_graph, small_points, small_queries, width):
         def factory():
             return ServeEngine(
                 small_graph, small_points, PARAMS,
@@ -362,15 +363,17 @@ class TestWideSearches:
         trace = _trace_from(small_queries[:16], spacing=1e-7)
         trace += [QueryRequest(100 + i, small_queries[10 + i:12 + i],
                                1.0 + i * 1e-2) for i in range(12)]
-        report, wide = _replay_bytes(factory, trace)
+        with host_width(width):
+            report, wide = _replay_bytes(factory, trace)
         assert {o.degraded_tier for o in report.outcomes
                 if o.served} == {0, 1}
         with narrow_dispatch():
             _, narrow = _replay_bytes(factory, trace)
         assert wide == narrow
 
+    @pytest.mark.parametrize("width", [None, 4])
     def test_quantised_engine_replays_to_the_narrow_bytes(
-            self, small_graph, small_points, small_queries):
+            self, small_graph, small_points, small_queries, width):
         def factory():
             return ServeEngine(
                 small_graph, small_points,
@@ -381,7 +384,8 @@ class TestWideSearches:
         trace = _trace_from(np.concatenate([small_queries,
                                             small_queries[5:25]]),
                             per_request=3)
-        report, wide = _replay_bytes(factory, trace)
+        with host_width(width):
+            report, wide = _replay_bytes(factory, trace)
         assert report.quant == "pca" and report.n_served == len(trace)
         with narrow_dispatch():
             _, narrow = _replay_bytes(factory, trace)
